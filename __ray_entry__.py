@@ -5,6 +5,8 @@ nothing here (or in the rayhist package) initialises or shuts down
 Ray. Each ``queries()`` callable takes an sf_dir and returns a small
 pandas DataFrame whose column names match its ``oracle_sql()`` twin
 exactly (the driver sorts columns by name before hashing values).
+Both are views of ``rayhist.pipelines.QUERIES``: each query is
+registered once, with its SQL twin, by ``@query`` at its definition.
 
 Query inventory maps to SURVEY.md §2; history queries run over the
 span-document table (rayhist.ingest) with the fused
@@ -35,622 +37,38 @@ def entry() -> Any:
     return p.q_snapshot_count_daily("/root/testdata/sf0.001")
 
 
+# The correctness window checks the FIRST 50 names queries() returns:
+# the one query last seen red, then the newest families (none yet
+# checked there); every other registered query follows in definition
+# order.
+WINDOW = (
+    "osmpbf_relation_member_sums", "event_debounce", "etype_chi2_cohort",
+    "etype_dow_mutual_info", "rolling_median_value", "rrf_fusion",
+    "part_hits_authority", "snapshot_count_by_geohash", "bm25_top_docs",
+    "way_centroids", "lifespan_overlap_pairs", "frequent_part_triples",
+    "cms_etype_counts", "copurchase_recommendations", "source_vocab_jaccard",
+    "user_recency_scores", "hapax_rate_by_source", "etype_spearman", "prop_ztest_click",
+    "partitioned_day_scan", "etype_kendall_tau", "knn_value_regression",
+    "twa_entities_daily", "clark_evans", "linreg_value_day_parity", "bloom_fpr_users",
+    "conversion_latency_median", "user_value_holt", "theil_index_by_type",
+    "nelson_aalen", "flow_distance_decay", "snapshot_count_by_geohash_multiprec",
+    "snapshot_count_by_hexcell", "hex_hotspot_gi", "hex_emerging_hotspots",
+    "hex_morans_i", "hexcell_dominant_uid", "nearest_road_distance",
+    "idw_snapshot_field", "zonal_raster_stats", "contributor_territory", "kaplan_meier",
+    "theilsen_trend_by_type", "knox_pairs", "ripley_k", "semivariogram",
+    "ab_test_value", "ks_test_value", "mannwhitney_value", "embedding_pca_top",
+)
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    from rayhist import pipelines as p
+    from rayhist.pipelines import QUERIES
 
-    return {
-        # ORDER = driver correctness-window rotation (the driver
-        # samples the FIRST 50): round-4's one red row first, then the
-        # 31 twelfth-session queries, then 18 representatives of the
-        # ninth..eleventh-session families — none of these have a
-        # driver record yet; older blocks (all driver-green in r3/r4
-        # or locally sweep-checked) close the dict.
-        "osmpbf_relation_member_sums": p.q_osmpbf_relation_member_sums,
-        # --- round-5 twelfth-session additions ---
-        "event_debounce": p.q_event_debounce,
-        "etype_chi2_cohort": p.q_etype_chi2_cohort,
-        "etype_dow_mutual_info": p.q_etype_dow_mutual_info,
-        "rolling_median_value": p.q_rolling_median_value,
-        "rrf_fusion": p.q_rrf_fusion,
-        "part_hits_authority": p.q_part_hits_authority,
-        "snapshot_count_by_geohash": p.q_snapshot_count_by_geohash,
-        "bm25_top_docs": p.q_bm25_top_docs,
-        "way_centroids": p.q_way_centroids,
-        "lifespan_overlap_pairs": p.q_lifespan_overlap_pairs,
-        "frequent_part_triples": p.q_frequent_part_triples,
-        "cms_etype_counts": p.q_cms_etype_counts,
-        "copurchase_recommendations": p.q_copurchase_recommendations,
-        "source_vocab_jaccard": p.q_source_vocab_jaccard,
-        "user_recency_scores": p.q_user_recency_scores,
-        "hapax_rate_by_source": p.q_hapax_rate_by_source,
-        "etype_spearman": p.q_etype_spearman,
-        "prop_ztest_click": p.q_prop_ztest_click,
-        "partitioned_day_scan": p.q_partitioned_day_scan,
-        "etype_kendall_tau": p.q_etype_kendall_tau,
-        "knn_value_regression": p.q_knn_value_regression,
-        "twa_entities_daily": p.q_twa_entities_daily,
-        "clark_evans": p.q_clark_evans,
-        "linreg_value_day_parity": p.q_linreg_value_day_parity,
-        "bloom_fpr_users": p.q_bloom_fpr_users,
-        "conversion_latency_median": p.q_conversion_latency_median,
-        "user_value_holt": p.q_user_value_holt,
-        "theil_index_by_type": p.q_theil_index_by_type,
-        "nelson_aalen": p.q_nelson_aalen,
-        "flow_distance_decay": p.q_flow_distance_decay,
-        "snapshot_count_by_geohash_multiprec": p.q_snapshot_count_by_geohash_multiprec,
-        # --- rotation: ninth..eleventh-session representatives
-        # (never driver-checked; fills the 50-slot window) ---
-        "snapshot_count_by_hexcell": p.q_snapshot_count_by_hexcell,
-        "hex_hotspot_gi": p.q_hex_hotspot_gi,
-        "hex_emerging_hotspots": p.q_hex_emerging_hotspots,
-        "hex_morans_i": p.q_hex_morans_i,
-        "hexcell_dominant_uid": p.q_hexcell_dominant_uid,
-        "nearest_road_distance": p.q_nearest_road_distance,
-        "idw_snapshot_field": p.q_idw_snapshot_field,
-        "zonal_raster_stats": p.q_zonal_raster_stats,
-        "contributor_territory": p.q_contributor_territory,
-        "kaplan_meier": p.q_kaplan_meier,
-        "theilsen_trend_by_type": p.q_theilsen_trend_by_type,
-        "knox_pairs": p.q_knox_pairs,
-        "ripley_k": p.q_ripley_k,
-        "semivariogram": p.q_semivariogram,
-        "ab_test_value": p.q_ab_test_value,
-        "ks_test_value": p.q_ks_test_value,
-        "mannwhitney_value": p.q_mannwhitney_value,
-        "embedding_pca_top": p.q_embedding_pca_top,
-        # --- round-5 eighth-session additions ---
-        "contrib_by_hexcell": p.q_contrib_by_hexcell,
-        "way_compactness": p.q_way_compactness,
-        "hexcell_location_quotient": p.q_hexcell_location_quotient,
-        "hex_gearys_c": p.q_hex_gearys_c,
-        "cell_flows": p.q_cell_flows,
-        "road_buffer_count": p.q_road_buffer_count,
-        "hexcell_weekly": p.q_hexcell_weekly,
-        "way_chain_lengths": p.q_way_chain_lengths,
-        "copurchase_cheapest_paths": p.q_copurchase_cheapest_paths,
-        "snapshot_kmeans": p.q_snapshot_kmeans,
-        "snapshot_bbox_overlaps": p.q_snapshot_bbox_overlaps,
-        "tag_reverts": p.q_tag_reverts,
-        "entity_lifespans": p.q_entity_lifespans,
-        "doc_repetition": p.q_doc_repetition,
-        "inverted_index": p.q_inverted_index,
-        "copurchase_edge_jaccard": p.q_copurchase_edge_jaccard,
-        "trimmed_mean_by_type": p.q_trimmed_mean_by_type,
-        "etype_rank_delta": p.q_etype_rank_delta,
-        "etype_daily_autocorr": p.q_etype_daily_autocorr,
-        "entity_tag_churn": p.q_entity_tag_churn,
-        "rolling_active_users": p.q_rolling_active_users,
-        "arrow_events_by_type": p.q_arrow_events_by_type,
-        "snapshot_incremental_merge": p.q_snapshot_incremental_merge,
-        "doc_compressibility": p.q_doc_compressibility,
-        "user_distinct_etypes": p.q_user_distinct_etypes,
-        "value_percentile_mass_by_type": p.q_value_percentile_mass_by_type,
-        "contributor_activity": p.q_contributor_activity,
-        "anomalous_days_by_type": p.q_anomalous_days_by_type,
-        "knn_majority_label": p.q_knn_majority_label,
-        "near_dup_source_matrix": p.q_near_dup_source_matrix,
-        "predominant_etype_dwell": p.q_predominant_etype_dwell,
-        "doc_lm_surprisal": p.q_doc_lm_surprisal,
-        "label_centroid_cosine": p.q_label_centroid_cosine,
-        "customer_rfm_segments": p.q_customer_rfm_segments,
-        "etype_day_entropy": p.q_etype_day_entropy,
-        "etype_daily_crosscorr": p.q_etype_daily_crosscorr,
-        "etype_cusum_changepoint": p.q_etype_cusum_changepoint,
-        "user_gini_by_etype": p.q_user_gini_by_etype,
-        "doc_pattern_counts": p.q_doc_pattern_counts,
-        "weighted_sample_docs": p.q_weighted_sample_docs,
-        "embedding_covariance": p.q_embedding_covariance,
-        # --- new round-5 queries (reserved window slots; the
-        # eighth-session block above fills the rest of the 50) ---
-        "top_words": p.q_top_words,
-        "revenue_by_nation_month": p.q_revenue_by_nation_month,
-        "mad_value_by_type": p.q_mad_value_by_type,
-        "way_areas": p.q_way_areas,
-        "snapshot_count_three_types": p.q_snapshot_count_three_types,
-        "snapshot_count_daily_unsorted": p.q_snapshot_count_daily_unsorted,
-        "user_event_ranks": p.q_user_event_ranks,
-        "outer_join_user_day": p.q_outer_join_user_day,
-        "order_price_ntiles": p.q_order_price_ntiles,
-        "user_first_events": p.q_user_first_events,
-        "user_value_dist": p.q_user_value_dist,
-        "lineitem_measures_unpivot": p.q_lineitem_measures_unpivot,
-        "doc_token_packing": p.q_doc_token_packing,
-        "events_dow_hour": p.q_events_dow_hour,
-        "doc_normalized_stats": p.q_doc_normalized_stats,
-        "dup_clusters": p.q_dup_clusters,
-        "cluster_dedup_summary": p.q_cluster_dedup_summary,
-        "value_moments_by_type": p.q_value_moments_by_type,
-        "modal_value_by_type": p.q_modal_value_by_type,
-        "etype_dwell_time": p.q_etype_dwell_time,
-        "user_streaks": p.q_user_streaks,
-        "cohort_retention": p.q_cohort_retention,
-        "etype_transitions": p.q_etype_transitions,
-        "peak_concurrency": p.q_peak_concurrency,
-        "tfidf_top_terms": p.q_tfidf_top_terms,
-        "pareto_orders": p.q_pareto_orders,
-        "above_user_mean": p.q_above_user_mean,
-        "weighted_median_price": p.q_weighted_median_price,
-        "props_key_dist": p.q_props_key_dist,
-        "value_histogram": p.q_value_histogram,
-        "etype_audience_overlap": p.q_etype_audience_overlap,
-        "value_trend_by_type": p.q_value_trend_by_type,
-        "snapshot_hotspot_clusters": p.q_snapshot_hotspot_clusters,
-        "oov_rate_by_source": p.q_oov_rate_by_source,
-        "supplier_fuzzy_pairs": p.q_supplier_fuzzy_pairs,
-        "ohlc_daily": p.q_ohlc_daily,
-        "copurchase_triangles": p.q_copurchase_triangles,
-        "snapshot_colocation_pairs": p.q_snapshot_colocation_pairs,
-        "way_boundary_crossings": p.q_way_boundary_crossings,
-        "user_active_coverage": p.q_user_active_coverage,
-        "gapfill_daily": p.q_gapfill_daily,
-        "user_journeys": p.q_user_journeys,
-        "snapshot_hull_by_type": p.q_snapshot_hull_by_type,
-        "copurchase_pagerank": p.q_copurchase_pagerank,
-        "copurchase_clustering": p.q_copurchase_clustering,
-        "copurchase_kcore": p.q_copurchase_kcore,
-        "jsonl_events_by_type": p.q_jsonl_events_by_type,
-        "train_val_test_split": p.q_train_val_test_split,
-        "snapshot_diff": p.q_snapshot_diff,
-        "csv_events_daily": p.q_csv_events_daily,
-        "way_bearing_rose": p.q_way_bearing_rose,
-        "profile_orders": p.q_profile_orders,
-        "etype_purity_by_day": p.q_etype_purity_by_day,
-        "value_leading_digits": p.q_value_leading_digits,
-        "price_percentiles_cont": p.q_price_percentiles_cont,
-        "value_equidepth_bins": p.q_value_equidepth_bins,
-        "split_contamination": p.q_split_contamination,
-        "copurchase_assortativity": p.q_copurchase_assortativity,
-        "entity_sinuosity": p.q_entity_sinuosity,
-        "user_value_ewma": p.q_user_value_ewma,
-        "snapshot_diameter_by_type": p.q_snapshot_diameter_by_type,
-        "etype_share_by_day": p.q_etype_share_by_day,
-        "copurchase_bfs_hops": p.q_copurchase_bfs_hops,
-        "copurchase_lcc": p.q_copurchase_lcc,
-        "value_bitops_by_type": p.q_value_bitops_by_type,
-        "extreme_events_by_type": p.q_extreme_events_by_type,
-        # --- 44 queries last sampled in CORRECTNESS_r03 ---
-        "contrib_type_counts_click": p.q_contrib_type_counts_click,
-        "contrib_daily": p.q_contrib_daily,
-        "contrib_uniq_uids_daily": p.q_contrib_uniq_uids_daily,
-        "snapshot_pip_regions": p.q_snapshot_pip_regions,
-        "raster_join": p.q_raster_join,
-        "knn": p.q_knn,
-        "lineitem_agg": p.q_lineitem_agg,
-        "orders_by_nation": p.q_orders_by_nation,
-        "events_by_type": p.q_events_by_type,
-        "doc_stats": p.q_doc_stats,
-        "doc_fingerprints": p.q_doc_fingerprints,
-        "doc_tokens": p.q_doc_tokens,
-        "sample_docs": p.q_sample_docs,
-        "near_dup_pairs": p.q_near_dup_pairs,
-        "ann_cosine": p.q_ann_cosine,
-        "contrib_per_entity": p.q_contrib_per_entity,
-        "keytable_freqs": p.q_keytable_freqs,
-        "contrib_daily_by_etype": p.q_contrib_daily_by_etype,
-        "way_lengths": p.q_way_lengths,
-        "lineitem_means": p.q_lineitem_means,
-        "knn_grid": p.q_knn_grid,
-        "ann_cosine_ivf": p.q_ann_cosine_ivf,
-        "sessions": p.q_sessions,
-        "snapshot_count_bbox": p.q_snapshot_count_bbox,
-        "snapshot_pip_many_regions": p.q_snapshot_pip_many_regions,
-        "embedding_dup_pairs": p.q_embedding_dup_pairs,
-        "snapshot_cells_fine": p.q_snapshot_cells_fine,
-        "contrib_type_counts_ways": p.q_contrib_type_counts_ways,
-        "snapshot_way_geoms": p.q_snapshot_way_geoms,
-        "topk_orders": p.q_topk_orders,
-        "price_quantiles": p.q_price_quantiles,
-        "ann_cosine_lsh": p.q_ann_cosine_lsh,
-        # --- below this line falls OUTSIDE the driver's 50-query r5
-        # window: rows-only checks (weaker by design) and queries whose
-        # value-exact twin or facade pin is in-window / r4-covered ---
-        "tdigest_price_quantiles": p.q_tdigest_price_quantiles,
-        "minhash_lsh_pairs": p.q_minhash_lsh_pairs,
-        "simhash_pairs": p.q_simhash_pairs,
-        "langid": p.q_langid,
-        "api_snapshot_weekly_click_bbox": p.q_api_snapshot_weekly_click_bbox,
-        "api_snapshot_daily_any_tags": p.q_api_snapshot_daily_any_tags,
-        "api_snapshot_weighted_avg": p.q_api_snapshot_weighted_avg,
-        "api_contrib_creations_daily_even_uid": p.q_api_contrib_creations_daily_even_uid,
-        "snapshot_count_bbox_multizoom": p.q_snapshot_count_bbox_multizoom,
-        "media_features": p.q_media_features,
-        "contrib_type_counts_bbox": p.q_contrib_type_counts_bbox,
-        "tdigest_value_by_type": p.q_tdigest_value_by_type,
-        # --- ninth-session additions (outside the r5 window; judge-checked
-        # via the full tools/check_queries.py surface) ---
-        "etype_seasonal_profile": p.q_etype_seasonal_profile,
-        "doc_join_collocates": p.q_doc_join_collocates,
-        "source_drift_psi": p.q_source_drift_psi,
-        "hexcell_churn": p.q_hexcell_churn,
-        "hexcell_freshness": p.q_hexcell_freshness,
-        "funnel3_users": p.q_funnel3_users,
-        "turn_angle_histogram": p.q_turn_angle_histogram,
-        "token_zipf_slope": p.q_token_zipf_slope,
-        "vocab_growth": p.q_vocab_growth,
-        "etype_stationary": p.q_etype_stationary,
-        "cohort_odds_ratio": p.q_cohort_odds_ratio,
-        "user_burstiness": p.q_user_burstiness,
-        "flow_reciprocity": p.q_flow_reciprocity,
-        "user_entropy": p.q_user_entropy,
-        "doc_redaction": p.q_doc_redaction,
-        # --- round-4-green surface (driver-checked in CORRECTNESS_r04) ---
-        "asof_attribution": p.q_asof_attribution,
-        "rollup_events": p.q_rollup_events,
-        "pivot_events_daily": p.q_pivot_events_daily,
-        "range_error_click_daily": p.q_range_error_click_daily,
-        "window_rolling_spikes": p.q_window_rolling_spikes,
-        "users_click_not_purchase": p.q_users_click_not_purchase,
-        "topk_orders_by_priority": p.q_topk_orders_by_priority,
-        "hll_uniq_uids_daily": p.q_hll_uniq_uids_daily,
-        "bloom_semi_join_orders": p.q_bloom_semi_join_orders,
-        "cube_events": p.q_cube_events,
-        "anti_join_orders": p.q_anti_join_orders,
-        "stratified_sample_docs": p.q_stratified_sample_docs,
-        "heavy_hitter_sources": p.q_heavy_hitter_sources,
-        "value_quantiles_by_type": p.q_value_quantiles_by_type,
-        "time_window_bursts": p.q_time_window_bursts,
-        "funnel_attribution_daily": p.q_funnel_attribution_daily,
-        "interarrival_median": p.q_interarrival_median,
-        "snapshot_count_by_type": p.q_snapshot_count_by_type,
-        "contrib_type_counts_relations": p.q_contrib_type_counts_relations,
-        "snapshot_relation_geoms": p.q_snapshot_relation_geoms,
-        "clipped_way_lengths": p.q_clipped_way_lengths,
-        "clipped_way_lengths_poly": p.q_clipped_way_lengths_poly,
-        "clipped_way_lengths_daily": p.q_clipped_way_lengths_daily,
-        "snapshot_old_style": p.q_snapshot_old_style,
-        "snapshot_pip_poly": p.q_snapshot_pip_poly,
-        "contrib_type_counts_ways_k3": p.q_contrib_type_counts_ways_k3,
-        "snapshot_count_even_uid": p.q_snapshot_count_even_uid,
-        "dedup_docs": p.q_dedup_docs,
-        "contrib_type_counts_poly": p.q_contrib_type_counts_poly,
-        "hopping_window_counts": p.q_hopping_window_counts,
-        "knn_all": p.q_knn_all,
-        "shared_windows": p.q_shared_windows,
-        "snapshot_cells_salted": p.q_snapshot_cells_salted,
-        "snapshot_count_daily_checkpointed": p.q_snapshot_count_daily_checkpointed,
-        "pbf_snapshot_count_daily": p.q_pbf_snapshot_count_daily,
-        "osmpbf_snapshot_count_daily": p.q_osmpbf_snapshot_count_daily,
-        "snapshot_count_by_s2cell": p.q_snapshot_count_by_s2cell,
-        "snapshot_pip_many_regions_strtree": p.q_snapshot_pip_many_regions_strtree,
-        "osmpbf_way_version_counts": p.q_osmpbf_way_version_counts,
-        "snapshot_latest_state_written": p.q_snapshot_latest_state_written,
-        "corpus_curation": p.q_corpus_curation,
-        "langid_exact": p.q_langid_exact,
-        "media_meta_exact": p.q_media_meta_exact,
-        "snapshot_count_daily": p.q_snapshot_count_daily,
-        "snapshot_count_daily_click": p.q_snapshot_count_daily_click,
-        "snapshot_count_key_excluding": p.q_snapshot_count_key_excluding,
-        "snapshot_cells": p.q_snapshot_cells,
-        "snapshot_latest_state": p.q_snapshot_latest_state,
-        "contrib_type_counts": p.q_contrib_type_counts,
-    }
-
-
-def _poly_oracle(o, p) -> str:
-    from rayhist.spatial.polyfile import load_poly
-
-    name, rings = load_poly(p.POLY_FILE)
-    return o.snapshot_pip_poly(name, rings)
+    names = WINDOW + tuple(n for n in QUERIES if n not in WINDOW)
+    return {n: QUERIES[n][0] for n in names}
 
 
 def oracle_sql() -> dict[str, str]:
-    from rayhist import oracles as o
-    from rayhist import pipelines as p
-    from rayhist.spatial import hexgrid as hx
+    from rayhist import oracles
+    from rayhist.pipelines import QUERIES
 
-    return {
-        "event_debounce": o.event_debounce(p.DEBOUNCE_GAP_US),
-        "etype_chi2_cohort": o.etype_chi2_cohort(p.CHI2_SCALE),
-        "etype_dow_mutual_info": o.etype_dow_mutual_info(p.T0, p.DAY_US),
-        "rolling_median_value": o.rolling_median_value(p.T0, p.DAY_US),
-        "rrf_fusion": o.rrf_fusion(p.RRF_K, p.RRF_SCALE, p.RRF_POOL, p.RRF_TOP),
-        "part_hits_authority": o.part_hits_authority(p.HITS_SCALE, p.HITS_ITERS),
-        "snapshot_count_by_geohash": o.snapshot_count_by_geohash(),
-        "bm25_top_docs": o.bm25_top_docs(p.BM25_TERMS, p.BM25_TOP),
-        "way_centroids": o.way_centroids(),
-        "lifespan_overlap_pairs": o.lifespan_overlap_pairs(p.DWELL_END),
-        "frequent_part_triples": o.frequent_part_triples(p.TRIPLE_MIN_SUP),
-        "cms_etype_counts": o.cms_etype_counts(p.CMS_D, p.CMS_W),
-        "copurchase_recommendations": o.copurchase_recommendations(p.RECO_TOP),
-        "source_vocab_jaccard": o.source_vocab_jaccard(),
-        "user_recency_scores": o.user_recency_scores(p.T0, p.DAY_US),
-        "hapax_rate_by_source": o.hapax_rate_by_source(),
-        "etype_spearman": o.etype_spearman(p.T0, p.DAY_US),
-        "prop_ztest_click": o.prop_ztest_click(),
-        "partitioned_day_scan": o.partitioned_day_scan(
-            p.T0, p.DAY_US, p.PART_SCAN_DAYS
-        ),
-        "etype_kendall_tau": o.etype_kendall_tau(p.T0, p.DAY_US),
-        "knn_value_regression": o.knn_value_regression(),
-        "twa_entities_daily": o.twa_entities_daily(p.T0, p.DAY_US, p.DWELL_END),
-        "clark_evans": o.clark_evans(),
-        "linreg_value_day_parity": o.linreg_value_day_parity(p.T0, p.DAY_US),
-        "bloom_fpr_users": o.bloom_fpr_users(p.BLOOM_FPR_M, p.BLOOM_FPR_K),
-        "conversion_latency_median": o.conversion_latency_median(p.T0, p.DAY_US),
-        "user_value_holt": o.user_value_holt(),
-        "theil_index_by_type": o.theil_index_by_type(),
-        "nelson_aalen": o.nelson_aalen(p.DWELL_END, p.DAY_US),
-        "flow_distance_decay": o.flow_distance_decay(hx.HEX_W, hx.HEX_H),
-        "snapshot_count_by_geohash_multiprec":
-            o.snapshot_count_by_geohash_multiprec(p.GH_PRECS),
-        "asof_attribution": o.asof_attribution(),
-        "rollup_events": o.rollup_events(p.T0, p.DAY_US),
-        "pivot_events_daily": o.pivot_events_daily(p.T0, p.DAY_US, p.EVENT_TYPES),
-        "bloom_semi_join_orders": o.bloom_semi_join_orders(p.BLOOM_NATION),
-        "cube_events": o.cube_events(p.T0, p.DAY_US),
-        "anti_join_orders": o.anti_join_orders(p.ANTI_NATION),
-        "stratified_sample_docs": o.stratified_sample_docs(p.STRAT_EVEN, p.STRAT_ODD),
-        "heavy_hitter_sources": o.heavy_hitter_sources(p.HH_TOP_N),
-        "value_quantiles_by_type": o.value_quantiles_by_type(),
-        "time_window_bursts": o.time_window_bursts(p.BURST_DT_US, p.BURST_K),
-        "funnel_attribution_daily": o.funnel_attribution_daily(
-            *p.FUNNEL_RATE, p.T0, p.DAY_US
-        ),
-        "interarrival_median": o.interarrival_median(),
-        "range_error_click_daily": o.range_error_click_daily(
-            p.RANGE_WIN_US, p.T0, p.DAY_US
-        ),
-        "window_rolling_spikes": o.window_rolling_spikes(p.SPIKE_WINDOW),
-        "user_event_ranks": o.user_event_ranks(),
-        "order_price_ntiles": o.order_price_ntiles(p.ORDER_NTILES),
-        "user_first_events": o.user_first_events(p.FIRST_EVENTS_K),
-        "user_value_dist": o.user_value_dist(),
-        "lineitem_measures_unpivot": o.lineitem_measures_unpivot(p.UNPIVOT_MEASURES),
-        "doc_token_packing": o.doc_token_packing(p.PACK_BUDGET_TOKENS),
-        "events_dow_hour": o.events_dow_hour(),
-        "doc_normalized_stats": o.doc_normalized_stats(
-            p.NORM_STRIP_RE, p.NORM_TOKEN_RE
-        ),
-        "outer_join_user_day": o.outer_join_user_day(
-            p.OUTER_DAY_STRIDE, p.T0, p.DAY_US
-        ),
-        "users_click_not_purchase": o.users_click_not_purchase(p.SETOP_CUTOFF_US),
-        "topk_orders_by_priority": o.topk_orders_by_priority(p.TOPK_PRIORITY_K),
-        "snapshot_count_daily": o.snapshot_count_daily(),
-        "snapshot_count_daily_click": o.snapshot_count_daily("visible AND etype = 'click'"),
-        # kk <> -1 encodes KEY PRESENCE (hasTagKeyExcluding = key present
-        # AND value outside the set): the sandbox corpus happens to carry
-        # tag k on every event, but the oracle must mirror the engine
-        # predicate, not a corpus invariant
-        "snapshot_count_key_excluding": o.snapshot_count_daily(
-            "visible AND kk <> -1 AND kk NOT IN (0, 2, 5)"
-        ),
-        "snapshot_cells": o.snapshot_cells(),
-        "snapshot_latest_state": o.snapshot_latest_state(),
-        "contrib_type_counts": o.contrib_type_counts(),
-        "contrib_type_counts_click": o.contrib_type_counts("visible AND etype = 'click'"),
-        "contrib_daily": o.contrib_daily(),
-        "contrib_uniq_uids_daily": o.contrib_uniq_uids_daily(),
-        "snapshot_pip_regions": o.snapshot_pip_regions(),
-        "raster_join": o.raster_join(),
-        "knn": o.knn(),
-        "lineitem_agg": o.lineitem_agg(),
-        "orders_by_nation": o.orders_by_nation(),
-        "topk_orders": o.topk_orders(),
-        "events_by_type": o.events_by_type(),
-        "price_quantiles": o.price_quantiles(),
-        "doc_stats": o.doc_stats(),
-        "doc_fingerprints": o.doc_fingerprints(),
-        "doc_tokens": o.doc_tokens(),
-        "sample_docs": o.sample_docs(),
-        "near_dup_pairs": o.near_dup_pairs(),
-        "dup_clusters": o.dup_clusters(),
-        "cluster_dedup_summary": o.cluster_dedup_summary(),
-        "value_moments_by_type": o.value_moments_by_type(),
-        "modal_value_by_type": o.modal_value_by_type(),
-        "etype_dwell_time": o.etype_dwell_time(p.T0, p.DWELL_END),
-        "user_streaks": o.user_streaks(p.T0, p.DAY_US),
-        "cohort_retention": o.cohort_retention(p.T0, p.DAY_US),
-        "etype_transitions": o.etype_transitions(),
-        "peak_concurrency": o.peak_concurrency(p.SESSION_GAP_US, p.T0, p.DAY_US),
-        "tfidf_top_terms": o.tfidf_top_terms(),
-        "pareto_orders": o.pareto_orders(),
-        "above_user_mean": o.above_user_mean(),
-        "weighted_median_price": o.weighted_median_price(),
-        "props_key_dist": o.props_key_dist(),
-        "value_histogram": o.value_histogram(p.HIST_BIN_W_C, p.HIST_NBINS),
-        "etype_audience_overlap": o.etype_audience_overlap(),
-        "value_trend_by_type": o.value_trend_by_type(p.T0, p.DAY_US),
-        "snapshot_hotspot_clusters": o.snapshot_hotspot_clusters(p.HOTSPOT_MINPTS),
-        "oov_rate_by_source": o.oov_rate_by_source(),
-        "supplier_fuzzy_pairs": o.supplier_fuzzy_pairs(),
-        "ohlc_daily": o.ohlc_daily(p.T0, p.DAY_US),
-        "copurchase_triangles": o.copurchase_triangles(),
-        "snapshot_colocation_pairs": o.snapshot_colocation_pairs(p.COLOC_RADIUS_E7),
-        "way_boundary_crossings": o.way_boundary_crossings(p.BOUNDARY_E7),
-        "user_active_coverage": o.user_active_coverage(),
-        "gapfill_daily": o.gapfill_daily(p.T0, p.DAY_US),
-        "user_journeys": o.user_journeys(),
-        "snapshot_hull_by_type": o.snapshot_hull_by_type(),
-        "value_bitops_by_type": o.value_bitops_by_type(),
-        "extreme_events_by_type": o.extreme_events_by_type(),
-        "copurchase_cheapest_paths": o.copurchase_cheapest_paths(
-            p.SSSP_SEED_MOD, p.SSSP_ROUNDS
-        ),
-        "snapshot_kmeans": o.snapshot_kmeans(p.KMEANS_K, p.KMEANS_ITERS),
-        "snapshot_bbox_overlaps": o.snapshot_bbox_overlaps(p.RECT_HALF_E7, p.RECT_CELL_E7),
-        "tag_reverts": o.tag_reverts(p.T0, p.DAY_US),
-        "entity_lifespans": o.entity_lifespans(p.DWELL_END, p.DAY_US),
-        "doc_repetition": o.doc_repetition(),
-        "inverted_index": o.inverted_index(p.POSTINGS_K),
-        "copurchase_edge_jaccard": o.copurchase_edge_jaccard(p.EDGE_JACCARD_K),
-        "trimmed_mean_by_type": o.trimmed_mean_by_type(*p.TRIM_FRAC),
-        "etype_rank_delta": o.etype_rank_delta(p.T0, p.DAY_US),
-        "etype_daily_autocorr": o.etype_daily_autocorr(p.T0, p.DAY_US),
-        "entity_tag_churn": o.entity_tag_churn(),
-        "rolling_active_users": o.rolling_active_users(
-            p.T0, p.DAY_US, p.ROLL_WIN_DAYS, p.DAY_GRID_N
-        ),
-        # IPC wire path shares the JSONL twin's parquet-side mirror
-        "arrow_events_by_type": o.jsonl_events_by_type(),
-        "snapshot_incremental_merge": o.snapshot_incremental_merge(p.T_DIFF_B),
-        "user_distinct_etypes": o.user_distinct_etypes(),
-        "value_percentile_mass_by_type": o.value_percentile_mass_by_type(),
-        "contributor_activity": o.contributor_activity(),
-        "anomalous_days_by_type": o.anomalous_days_by_type(
-            p.T0, p.DAY_US, p.ZSCORE_K
-        ),
-        "knn_majority_label": o.knn_majority_label(),
-        "near_dup_source_matrix": o.near_dup_source_matrix(),
-        "predominant_etype_dwell": o.predominant_etype_dwell(p.T0, p.DWELL_END),
-        "doc_lm_surprisal": o.doc_lm_surprisal(),
-        "label_centroid_cosine": o.label_centroid_cosine(p.EMB_QUANT),
-        "customer_rfm_segments": o.customer_rfm_segments(),
-        "etype_day_entropy": o.etype_day_entropy(p.T0, p.DAY_US),
-        "etype_daily_crosscorr": o.etype_daily_crosscorr(p.T0, p.DAY_US),
-        "etype_cusum_changepoint": o.etype_cusum_changepoint(p.T0, p.DAY_US),
-        "user_gini_by_etype": o.user_gini_by_etype(),
-        "doc_pattern_counts": o.doc_pattern_counts(
-            p.PAT_S_WORD, p.PAT_E_END, p.PAT_TA
-        ),
-        "weighted_sample_docs": o.weighted_sample_docs(p.WSAMPLE_K),
-        "embedding_covariance": o.embedding_covariance(p.EMB_QUANT),
-        "embedding_pca_top": o.embedding_pca_top(
-            p.EMB_QUANT, p.PCA_SCALE, p.PCA_ITERS
-        ),
-        "user_entropy": o.user_entropy(),
-        "nearest_road_distance": o.nearest_road_distance(p.ROAD_CLASS_MOD),
-        "road_buffer_count": o.road_buffer_count(p.ROAD_CLASS_MOD, p.ROAD_BUF_R2),
-        "hexcell_weekly": o.hexcell_weekly(hx.HEX_W, hx.HEX_H),
-        "hex_emerging_hotspots": o.hex_emerging_hotspots(hx.HEX_W, hx.HEX_H),
-        "zonal_raster_stats": o.zonal_raster_stats(),
-        "cell_flows": o.cell_flows(hx.HEX_W, hx.HEX_H),
-        "contributor_territory": o.contributor_territory(hx.HEX_W, hx.HEX_H),
-        "doc_join_collocates": o.doc_join_collocates(p.COLLOC_PAT),
-        "hex_morans_i": o.hex_morans_i(hx.HEX_W, hx.HEX_H),
-        "way_chain_lengths": o.way_chain_lengths(),
-        "way_compactness": o.way_compactness(),
-        "source_drift_psi": o.source_drift_psi(p.PSI_BIN_W),
-        "contrib_by_hexcell": o.contrib_by_hexcell(hx.HEX_W, hx.HEX_H),
-        "hexcell_churn": o.hexcell_churn(hx.HEX_W, hx.HEX_H),
-        "hexcell_freshness": o.hexcell_freshness(hx.HEX_W, hx.HEX_H),
-        "funnel3_users": o.funnel3_users(*p.FUNNEL3),
-        "ab_test_value": o.ab_test_value(),
-        "ks_test_value": o.ks_test_value(),
-        "mannwhitney_value": o.mannwhitney_value(),
-        "kaplan_meier": o.kaplan_meier(p.DWELL_END, p.DAY_US),
-        "turn_angle_histogram": o.turn_angle_histogram(),
-        "theilsen_trend_by_type": o.theilsen_trend_by_type(p.T0, p.DAY_US),
-        "knox_pairs": o.knox_pairs(p.KNOX_R_E7, p.KNOX_W_US),
-        "ripley_k": o.ripley_k(p.RIPLEY_RADII),
-        "token_zipf_slope": o.token_zipf_slope(p.ZIPF_K),
-        "vocab_growth": o.vocab_growth(p.VOCAB_BIN_DOCS),
-        "etype_stationary": o.etype_stationary(p.MARKOV_SCALE, p.MARKOV_ITERS),
-        "cohort_odds_ratio": o.cohort_odds_ratio(p.OR_EVENT, p.OR_MIN_HITS),
-        "user_burstiness": o.user_burstiness(),
-        "flow_reciprocity": o.flow_reciprocity(hx.HEX_W, hx.HEX_H),
-        "hex_gearys_c": o.hex_gearys_c(hx.HEX_W, hx.HEX_H),
-        "semivariogram": o.semivariogram(p.VARIO_BINS),
-        "hexcell_dominant_uid": o.hexcell_dominant_uid(hx.HEX_W, hx.HEX_H),
-        "hexcell_location_quotient": o.hexcell_location_quotient(
-            hx.HEX_W, hx.HEX_H
-        ),
-        "etype_seasonal_profile": o.etype_seasonal_profile(
-            p.T0, p.DAY_US, p.SEAS_HALF
-        ),
-        "idw_snapshot_field": o.idw_snapshot_field(
-            hx.HEX_W, hx.HEX_H, p.IDW_WSCALE, p.IDW_W0, p.IDW_R2, p.IDW_RLIM
-        ),
-        "hex_hotspot_gi": o.hex_hotspot_gi(hx.HEX_W, hx.HEX_H, p.HEX_GI_W),
-        "snapshot_count_by_hexcell": o.snapshot_count_by_hexcell(
-            hx.HEX_W, hx.HEX_H
-        ),
-        "doc_redaction": o.doc_redaction(
-            p.RED_PAT, p.RED_TOKEN, *p.RED_RATE
-        ),
-        "copurchase_pagerank": o.copurchase_pagerank(p.PR_SCALE, p.PR_ITERS),
-        "jsonl_events_by_type": o.jsonl_events_by_type(),
-        "train_val_test_split": o.train_val_test_split(),
-        "snapshot_diff": o.snapshot_diff(p.T_MID, p.T_DIFF_B),
-        "csv_events_daily": o.csv_events_daily(p.T0, p.DAY_US),
-        "way_bearing_rose": o.way_bearing_rose(),
-        "profile_orders": o.profile_orders(p.PROFILE_COLS),
-        "etype_purity_by_day": o.etype_purity_by_day(p.T0, p.DAY_US),
-        "value_leading_digits": o.value_leading_digits(),
-        "price_percentiles_cont": o.price_percentiles_cont(p.PCTL_FRACS),
-        "value_equidepth_bins": o.value_equidepth_bins(),
-        "copurchase_clustering": o.copurchase_clustering(),
-        "copurchase_kcore": o.copurchase_kcore(p.KCORE_K, p.KCORE_UNROLL),
-        "split_contamination": o.split_contamination(),
-        "copurchase_assortativity": o.copurchase_assortativity(),
-        "entity_sinuosity": o.entity_sinuosity(),
-        "user_value_ewma": o.user_value_ewma(),
-        "snapshot_diameter_by_type": o.snapshot_diameter_by_type(),
-        "etype_share_by_day": o.etype_share_by_day(p.T0, p.DAY_US),
-        "copurchase_bfs_hops": o.copurchase_bfs_hops(p.BFS_SEED_MOD, p.BFS_HOPS),
-        "copurchase_lcc": o.copurchase_lcc(),
-        "top_words": o.top_words(),
-        "revenue_by_nation_month": o.revenue_by_nation_month(),
-        "mad_value_by_type": o.mad_value_by_type(),
-        "ann_cosine": o.ann_cosine(),
-        "contrib_per_entity": o.contrib_per_entity(),
-        "keytable_freqs": o.keytable_freqs(),
-        "contrib_daily_by_etype": o.contrib_daily_by_etype(),
-        "way_lengths": o.way_lengths(),
-        "way_areas": o.way_areas(),
-        "snapshot_count_three_types": o.snapshot_count_three_types(p.WAY_SNAPS),
-        "snapshot_count_daily_unsorted": o.snapshot_count_daily(
-            "visible AND etype = 'click'"
-        ),
-        "lineitem_means": o.lineitem_means(),
-        "knn_grid": o.knn(),
-        "ann_cosine_ivf": o.ann_cosine(),
-        "ann_cosine_lsh": o.ann_cosine(),
-        "sessions": o.sessions(),
-        "snapshot_count_bbox": o.snapshot_count_bbox(),
-        "snapshot_pip_many_regions": o.snapshot_pip_many_regions(),
-        "api_snapshot_weekly_click_bbox": o.api_snapshot_weekly_click_bbox(),
-        "api_snapshot_weighted_avg": o.api_snapshot_weighted_avg(),
-        "api_snapshot_daily_any_tags": o.snapshot_count_daily(
-            "visible AND (etype = 'click' OR kk = 3)"
-        ),
-        "api_contrib_creations_daily_even_uid": o.api_contrib_creations_daily_even_uid(),
-        "snapshot_count_bbox_multizoom": o.snapshot_count_bbox_multizoom(),
-        "contrib_type_counts_bbox": o.contrib_type_counts_bbox(),
-        "embedding_dup_pairs": o.embedding_dup_pairs(),
-        "snapshot_cells_fine": o.snapshot_cells_fine(),
-        "contrib_type_counts_ways": o.contrib_type_counts_ways(
-            p.WAY_CONTRIB_FROM, p.WAY_CONTRIB_TO
-        ),
-        "snapshot_way_geoms": o.snapshot_way_geoms(p.WAY_SNAPS),
-        "snapshot_count_by_type": o.snapshot_count_by_type(),
-        "contrib_type_counts_relations": o.contrib_type_counts_relations(
-            p.WAY_CONTRIB_FROM, p.WAY_CONTRIB_TO
-        ),
-        "snapshot_relation_geoms": o.snapshot_relation_geoms(p.WAY_SNAPS),
-        "clipped_way_lengths": o.clipped_way_lengths(p.CLIP_REGIONS),
-        "clipped_way_lengths_poly": o.clipped_way_lengths_poly(p.NONCONVEX_CLIP_REGIONS),
-        "clipped_way_lengths_daily": o.clipped_way_lengths_daily(p.CLIP_REGIONS, p.SNAP_WEEKLY),
-        "snapshot_old_style": o.snapshot_old_style(p.WAY_SNAPS),
-        "snapshot_pip_poly": _poly_oracle(o, p),
-        "contrib_type_counts_ways_k3": o.contrib_type_counts_ways_k3(
-            p.WAY_CONTRIB_FROM, p.WAY_CONTRIB_TO
-        ),
-        "snapshot_count_even_uid": o.snapshot_count_daily("visible AND uid % 2 = 0"),
-        "dedup_docs": o.dedup_docs(),
-        "contrib_type_counts_poly": o.contrib_type_counts_poly(),
-        "hopping_window_counts": o.hopping_window_counts(p.HOP_US, p.WIN_US),
-        "knn_all": o.knn("TRUE"),
-        "shared_windows": o.shared_windows(32, 16),
-        "snapshot_cells_salted": o.snapshot_cells(),  # same values, salted plan
-        "snapshot_count_daily_checkpointed": o.snapshot_count_daily(),  # same values, sharded+resumable plan
-        "pbf_snapshot_count_daily": o.snapshot_count_daily(),  # same values, binary-block ingest path
-        # real .osh.pbf wire format: ms-truncated ts (the wire resolution)
-        "osmpbf_snapshot_count_daily": o.snapshot_count_daily_ms(),
-        # S2-style spherical cells: SQL mirrors the float layers 1:1;
-        # the Hilbert id layer is a tested bijection of (face,i,j)
-        "snapshot_count_by_s2cell": o.snapshot_count_by_s2cell(),
-        # STRtree backend shares the grid-index query's oracle
-        "snapshot_pip_many_regions_strtree": o.snapshot_pip_many_regions(),
-        "osmpbf_way_version_counts": o.osmpbf_way_version_counts(),
-        "osmpbf_relation_member_sums": o.osmpbf_relation_member_sums(),
-        "corpus_curation": o.corpus_curation(p.CURATION_MIN_TOKENS),
-        "langid_exact": o.langid_exact(),
-        "media_meta_exact": o.media_meta_exact(),
-        "snapshot_latest_state_written": o.snapshot_latest_state(),  # same values, write-terminated path
-        # rows-only (non-SQL-expressible): tdigest_price_quantiles,
-        # tdigest_value_by_type, minhash_lsh_pairs, simhash_pairs, langid,
-        # media_features, hll_uniq_uids_daily (estimators/sketches —
-        # accuracy contracts live in pytest), doc_compressibility
-        # (deflate has no SQL mirror; byte-exactness pinned in pytest)
-    }
+    return {n: sql(oracles) for n, (_, sql) in QUERIES.items() if sql is not None}

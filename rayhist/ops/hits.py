@@ -58,6 +58,11 @@ def _half_round(
     """One message pass: attach ``state[val]`` to edges by ``key``
     (bucket co-group), emit one message per edge, sum per ``out_key``,
     and L1-renormalize to ``scale`` by exact floor division."""
+    # every state value is <= scale (hubs start AT scale, renormalized
+    # scores sum to <= scale), so a message sum is <= n_state * scale:
+    # the same bound _rounds_local checks before its first round
+    if state.count() * scale >= 2**62:
+        raise OverflowError("hits: state-count x scale exceeds the int64 bound")
 
     def tag_edges(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False).astype(np.int64)

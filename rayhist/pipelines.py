@@ -20,19 +20,135 @@ Canonical query constants: the synthetic testdata spans January 2024
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import math
+import os
+import zlib
+from collections.abc import Callable
+from pathlib import Path
+from typing import Any
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from ray.data.aggregate import Count, Sum  # noqa: F401 (used by some pipelines)
+import pyarrow.compute as pc
+import pyarrow.dataset  # noqa: F401 (registers pc.field filter expressions)
+import pyarrow.parquet as pq
+import ray
+import ray.data
+from ray.data.aggregate import Count, Max, Sum
 
 from . import io as rio
-from .aggregate import count_by, floor_bin, zerofill
-from .ingest import read_documents
-from .members import COMPOUND_BATCH
-from .spatial.grid import cell_id
+from .aggregate import (
+    approx_heavy_hitters, combine_partials, count_by, cube_levels, estimated_quantiles,
+    floor_bin, grouped_approx_count_distinct, grouped_estimated_quantiles, grouped_mode,
+    pivot_counts, rollup_sums, zerofill,
+)
+from .api import OSMContributionView, OSMEntitySnapshotView
+from .functions.bloom import build_bloom
+from .functions.geo import EARTH_RADIUS, distance_equirectangular
+from .geometry import clip_segments_convex, clip_segments_even_odd
+from .ingest import (
+    ensure_documents, ensure_multizoom_layout, read_documents, read_oldstyle_documents,
+    read_relation_documents, read_way_documents, sig_keytable,
+)
+from .members import COMPOUND_BATCH, contribution_stats_batch, snapshot_geoms_batch
+from .members_vec import snapshots_old_style_batch_vec
+from .model import decode_spans, reverse_version_runs
+from .ops.bfs import bfs_hops
+from .ops.cc import connected_components
+from .ops.dedup import (
+    embedding_dup_pairs, exact_dedup, exact_jaccard_pairs, minhash_lsh_pairs,
+    simhash_pairs,
+)
+from .ops.fuzzy import edit1_pairs
+from .ops.hits import hits_bipartite
+from .ops.kcore import k_core
+from .ops.kmeans import kmeans_int
+from .ops.multimodal import decode_media, synth_media_table
+from .ops.pagerank import pagerank_int
+from .ops.profile import profile_columns
+from .ops.relational import (
+    broadcast_join, cents, deterministic_sample, deterministic_split,
+    exact_quantiles_int, grouped_exact_quantiles_int, grouped_median_mad_int,
+    grouped_weighted_median_int, hash_join, hash_semi_join, island_length_histogram,
+    ordered_string_agg, pareto_front_2d, percentile_cont_int, round_half_away,
+    stratified_sample, topk, topk_per_group, unpivot, weighted_sample_topk,
+)
+from .ops.scan import (
+    grouped_recurrence_ewma_int, grouped_recurrence_holt_int, ordered_prefix_sum,
+)
+from .ops.sessions import (
+    _bucketed, interval_union_length, sessionize, user_session_stats,
+)
+from .ops.sssp import sssp_int
+from .ops.text import (
+    STOPWORDS, add_bpe_token_count, add_token_count, explode_windows, fingerprint_stage,
+    langid_stage, quality_stage,
+)
+from .ops.triangles import (
+    _pair_key, dedupe_edges, edge_triangle_support, triangle_count,
+    triangle_counts_per_node,
+)
+from .ops.window import (
+    _bucket_of, _resolve_buckets, asof_join, distinct_set_op, interval_coverage_counts,
+    per_key_interarrival, with_prior_window, with_ranked_window, with_time_window,
+)
+from .sources.arrowipc import ensure_arrow_events, read_arrow_ipc
+from .sources.csvlog import ensure_csv_events, read_csv_log
+from .sources.hivepart import ensure_partitioned_events, read_partition_days
+from .sources.jsonl import ensure_jsonl_events, read_jsonl
+from .sources.osmpbf import (
+    ensure_osmpbf, ensure_osmpbf_relations, ensure_osmpbf_ways, osmpbf_documents,
+    read_osmpbf,
+)
+from .sources.pbfish import ensure_pbfish, read_pbfish
+from .spatial.fip import PointInPolygonStage, contains_convex
+from .spatial.geohash import PRECISION, geohash_bits, geohash_str
+from .spatial.grid import cell_id, multizoom_query_cells
+from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, pack_hex, unpack_hex
+from .spatial.hull import grouped_convex_hull
+from .spatial.join import RegionJoinStage
+from .spatial.knn import (
+    ann_cosine_ivf_pruned, ann_cosine_lsh_pruned, ann_cosine_topk, knn_all, knn_queries,
+)
+from .spatial.polyfile import load_poly
+from .spatial.predicates import point_segment_d2, segments_cross
+from .spatial.radius import radius_self_join
 from .spatial.raster import raster_value_for
-from .temporal import TagFilter
-from .views import contribution_view, snapshot_view
+from .spatial.rectjoin import rect_self_join
+from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
+from .spatial.strtree import STRtreeJoinStage
+from .state.checkpoint import run_sharded, salted_count_by
+from .temporal import TagFilter, _doc_codes, _sorted_versions, contributions, snapshots
+from .views import contribution_stats, contribution_view, snapshot_counts, snapshot_view
+
+# name -> (pipeline, oracle). Every q_<name> below registers itself with
+# @query; __ray_entry__.queries() and oracle_sql() are views of this dict.
+QUERIES: dict[str, tuple[Callable[[str], pd.DataFrame], Callable[[Any], str] | None]] = {}
+
+
+def query(oracle: Callable[[Any], str] | None):
+    """Register the decorated ``q_<name>`` as query ``<name>``.
+
+    ``oracle`` maps the ``rayhist.oracles`` module to the DuckDB SQL twin
+    whose result must equal the pipeline's, column names included (the
+    module is passed in because oracles imports this module's constants,
+    so a top-level import the other way would be circular). ``None``
+    marks a rows-only query: its output has no SQL mirror and its
+    contract is pinned in pytest, as the reason at each site says. The
+    function is returned unchanged."""
+
+    def register(fn):
+        name = fn.__name__.removeprefix("q_")
+        if name in QUERIES:
+            raise ValueError(f"query {name!r} registered twice")
+        QUERIES[name] = (fn, oracle)
+        return fn
+
+    return register
+
 
 DAY_US = 86_400_000_000
 T0 = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z in unix us
@@ -57,39 +173,30 @@ REGIONS: dict[str, list[tuple[float, float]]] = {
 
 
 def _docs(sf_dir: str):
-    import os
-
     # RAYHIST_REP > 1 deterministically amplifies the corpus — set only
     # by bench.py; correctness queries always run at rep=1.
     return read_documents(sf_dir, rep=int(os.environ.get("RAYHIST_REP", "1")))
 
 
 # ---------------------------------------------------------------- snapshots
+@query(lambda o: o.snapshot_count_daily())
 def q_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     """Snapshot count per daily timestamp, zerofilled (the
     TestHelpersOSMEntitySnapshotView.java:46-87 shape). Fused
     view+partial-count stage: the shuffle sees |timestamps| rows per
     batch, not every snapshot."""
-    from .views import snapshot_counts
-
-    from .aggregate import combine_partials
-
     partials, keys = snapshot_counts(_docs(sf_dir), SNAP_DAILY)
     df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+@query(lambda o: o.snapshot_count_daily("visible AND etype = 'click'"))
 def q_snapshot_count_daily_click(sf_dir: str) -> pd.DataFrame:
     """Same, filtered to tag etype=click (osmTag key+value filter).
 
     Runs on the int-keytable path (osm/OSMEntity.java:29,97-152): the
     filter is a LUT gather over per-version sig ids — no tag-string
     decode at all in the hot stage."""
-    from .ingest import sig_keytable
-    from .views import snapshot_counts
-
-    from .aggregate import combine_partials
-
     partials, keys = snapshot_counts(
         _docs(sf_dir), SNAP_DAILY, TagFilter("etype", "click"),
         keytable=sig_keytable(sf_dir),
@@ -98,6 +205,7 @@ def q_snapshot_count_daily_click(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+@query(lambda o: o.snapshot_count_daily("visible AND etype = 'click'"))
 def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     """Out-of-order version runs (the reference's
     HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance, OSHNodeImpl.java:30):
@@ -106,12 +214,6 @@ def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     REVERSED (model.reverse_version_runs) before the fused stage. The
     interpolators realign per doc, so the result must be identical to
     the sorted corpus; the oracle (order-free SQL) pins that."""
-    from .ingest import sig_keytable
-    from .model import reverse_version_runs
-    from .views import snapshot_counts
-
-    from .aggregate import combine_partials
-
     dirty = _docs(sf_dir).map_batches(reverse_version_runs, batch_format="pyarrow")
     partials, keys = snapshot_counts(
         dirty, SNAP_DAILY, TagFilter("etype", "click"),
@@ -121,17 +223,16 @@ def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+# kk <> -1 encodes KEY PRESENCE (hasTagKeyExcluding = key present
+# AND value outside the set): the sandbox corpus happens to carry
+# tag k on every event, but the oracle must mirror the engine
+# predicate, not a corpus invariant
+@query(lambda o: o.snapshot_count_daily("visible AND kk <> -1 AND kk NOT IN (0, 2, 5)"))
 def q_snapshot_count_key_excluding(sf_dir: str) -> pd.DataFrame:
     """hasTagKeyExcluding exact semantics (OSMEntity.java:123-137): key
     PRESENT with value NOT in the excluded set — a different predicate
     from key-absent (TagFilter.exclude). Daily snapshot counts where
     tag 'k' is present with value outside {'0','2','5'}."""
-    from .views import snapshot_counts
-
-    from .aggregate import combine_partials
-
-    from .ingest import sig_keytable
-
     partials, keys = snapshot_counts(
         _docs(sf_dir), SNAP_DAILY, TagFilter("k", exclude_values=("0", "2", "5")),
         keytable=sig_keytable(sf_dir),
@@ -140,14 +241,11 @@ def q_snapshot_count_key_excluding(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+@query(lambda o: o.snapshot_cells())
 def q_snapshot_cells(sf_dir: str) -> pd.DataFrame:
     """Snapshots at weekly timestamps grouped by grid cell (zoom 4) —
     the aggregateBy(cell, timestamp) shuffle over pre-aggregated
     partials."""
-    from .views import snapshot_counts
-
-    from .aggregate import combine_partials
-
     partials, keys = snapshot_counts(_docs(sf_dir), SNAP_WEEKLY, cell_zoom=CELL_ZOOM)
     df = combine_partials(partials, keys, {"n_part": "n"})
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
@@ -156,6 +254,9 @@ def q_snapshot_cells(sf_dir: str) -> pd.DataFrame:
 S2_LEVEL = 5  # 6*32*32 = 6144 possible cells -> low-card combine OK
 
 
+# S2-style spherical cells: SQL mirrors the float layers 1:1;
+# the Hilbert id layer is a tested bijection of (face,i,j)
+@query(lambda o: o.snapshot_count_by_s2cell())
 def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     """Snapshot count at T_MID grouped by S2-STYLE SPHERICAL CELL
     (spatial/s2.py: cube-face gnomonic projection + quadratic ST +
@@ -167,15 +268,10 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     id for output — so the oracle, which replicates the float layers
     (cos/sin/div/sqrt/floor are single IEEE ops, mirrored literally in
     SQL), also value-checks the id layer through the bijection."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         face, ss, tt = lonlat_to_face_st(lon, lat)
@@ -192,6 +288,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["face", "i", "j"]).reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_latest_state())
 def q_snapshot_latest_state(sf_dir: str) -> pd.DataFrame:
     """Full reconstructed state of every visible entity at T_MID."""
     snaps = snapshot_view(_docs(sf_dir), [T_MID])
@@ -209,9 +306,6 @@ def _dwell_stage(b: pa.Table) -> pa.Table:
     version clipped at DWELL_END -> per-etype partial sums. Module-
     level so the unsorted-fixture invariance test can drive it on a
     reversed corpus."""
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, geom=False))
     if not len(ts):
         return pa.table(
@@ -228,6 +322,7 @@ def _dwell_stage(b: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(g, preserve_index=False)
 
 
+@query(lambda o: o.etype_dwell_time(T0, DWELL_END))
 def q_etype_dwell_time(sf_dir: str) -> pd.DataFrame:
     """Time-INTEGRATED state: total visible validity microseconds per
     etype inside [T0, DWELL_END) — 'how long did each tag state exist',
@@ -241,8 +336,6 @@ def q_etype_dwell_time(sf_dir: str) -> pd.DataFrame:
     last version clipped at the window close -> per-batch partial
     sums; |etype| rows per block to the driver. Exact int64
     microseconds end to end."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_dwell_stage, batch_format="pyarrow")
     df = combine_partials(partials, ["etype"], {"dwell_p": "dwell_us"})
     df["dwell_us"] = df["dwell_us"].astype("int64")
@@ -272,9 +365,6 @@ def _revert_stage(b: pa.Table) -> pa.Table:
     target-side analysis). Distinct-entity partials are exact because
     every document's versions decode inside one batch, so (day, doc)
     pairs never repeat across blocks."""
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags="ids", geom=False))
     n = len(ts)
     if n < 3:
@@ -302,6 +392,7 @@ def _revert_stage(b: pa.Table) -> pa.Table:
     )
 
 
+@query(lambda o: o.tag_reverts(T0, DAY_US))
 def q_tag_reverts(sf_dir: str) -> pd.DataFrame:
     """Edit-war detection: per day, how many versions REVERT their
     entity's tags to the state two versions back (A -> B -> A), and
@@ -309,8 +400,6 @@ def q_tag_reverts(sf_dir: str) -> pd.DataFrame:
     primitive. One fused map_batches (pruned int-keytable decode +
     lag-2 compare + per-batch partials); the driver combines |days|
     rows. SQL mirror: lag(tag_sig, 2) window over the derivation."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_revert_stage, batch_format="pyarrow")
     df = combine_partials(
         partials, ["day"], {"n_reverts_p": "n_reverts", "n_entities_p": "n_entities"}
@@ -335,9 +424,6 @@ def _predominant_stage(b: pa.Table) -> pa.Table:
     'what was this entity, weighted by time' analysis — a snapshot
     mode would overweight whatever happened to be true on the grid.
     Per-batch exact: docs decode whole-in-batch."""
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=True, geom=False))
     if not len(ts):
         return _PREDOM_EMPTY
@@ -366,14 +452,13 @@ def _predominant_stage(b: pa.Table) -> pa.Table:
     )
 
 
+@query(lambda o: o.predominant_etype_dwell(T0, DWELL_END))
 def q_predominant_etype_dwell(sf_dir: str) -> pd.DataFrame:
     """TIME-WEIGHTED MODE: how many entities have each etype as their
     longest-lived visible tag state over [T0, DWELL_END), and those
     winners' total dwell — the 'predominant land use' analysis (a
     plain snapshot mode would overweight the sampling grid; this is
     the integral argmax). Zero shuffle; |etypes| partials combine."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_predominant_stage, batch_format="pyarrow")
     df = combine_partials(
         partials,
@@ -401,9 +486,6 @@ def _lifespan_stage(b: pa.Table) -> pa.Table:
     Floor-binned to whole days; per-(lifespan_days, deleted) counts
     leave the batch. Every doc decodes inside one batch, so summed
     partials count each entity exactly once."""
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False))
     if not len(ts):
         return _LIFESPAN_EMPTY
@@ -424,6 +506,7 @@ def _lifespan_stage(b: pa.Table) -> pa.Table:
     )
 
 
+@query(lambda o: o.entity_lifespans(DWELL_END, DAY_US))
 def q_entity_lifespans(sf_dir: str) -> pd.DataFrame:
     """Entity-age histogram: how long entities live from creation to
     deletion (or to the window close when still alive) — the OSM
@@ -432,8 +515,6 @@ def q_entity_lifespans(sf_dir: str) -> pd.DataFrame:
     markers, osm/OSMEntity.java:25). Zero shuffle: per-doc lifespans
     resolve inside the fused decode stage and only the
     |days x 2|-sized histogram partials leave each block."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
     df = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n_entities"}
@@ -460,9 +541,6 @@ def _activity_stage(b: pa.Table) -> pa.Table:
     touched, first/last edit timestamp per uid — all per-batch
     combinable (first/last as min/max witnesses; (uid, doc) distinct
     pairs are exact because docs decode whole-in-batch)."""
-    from .model import decode_spans
-    from .temporal import _doc_codes
-
     tbl = decode_spans(b, tags=False, geom=False)
     if not len(tbl):
         return _ACTIVITY_EMPTY
@@ -486,6 +564,7 @@ def _activity_stage(b: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
+@query(lambda o: o.contributor_activity())
 def q_contributor_activity(sf_dir: str) -> pd.DataFrame:
     """Contributor leaderboard — the OSM community-analysis staple
     (edits, objects touched, first/last activity per mapper;
@@ -494,8 +573,6 @@ def q_contributor_activity(sf_dir: str) -> pd.DataFrame:
     partials (min/max witnesses for the activity span; entity counts
     stay exact because a document's versions never split across
     batches)."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_activity_stage, batch_format="pyarrow")
     parts = partials.to_pandas()
     g = parts.groupby("uid")
@@ -534,12 +611,9 @@ def _churn_stage(b: pa.Table) -> pa.Table:
     (doc, tag_id)) -> (n_versions, n_sigs) grid counts per batch.
     Docs decode whole-in-batch, so summed partials count each entity
     once."""
-    from .model import decode_spans
-
     tbl = decode_spans(b, tags="ids", geom=False)
     if not len(tbl):
         return _CHURN_EMPTY
-    from .temporal import _doc_codes
 
     codes = _doc_codes(tbl)
     tid = tbl["tag_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -565,6 +639,7 @@ def _churn_stage(b: pa.Table) -> pa.Table:
     )
 
 
+@query(lambda o: o.entity_tag_churn())
 def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
     """Tag-stability grid: how many entities have V versions but only
     S distinct tag signatures — the churn profile separating stable
@@ -572,8 +647,6 @@ def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
     shuffle: per-doc counts resolve inside the fused int-keytable
     decode; the driver combines grid-bounded partials. SQL mirror:
     count(DISTINCT tag_sig) per osm_id."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_churn_stage, batch_format="pyarrow")
     df = combine_partials(
         partials, ["n_versions", "n_sigs"], {"n_entities_p": "n_entities"}
@@ -592,11 +665,6 @@ def _contrib_flags_to_int(batch: pa.Table) -> pa.Table:
 
 
 def _contrib_totals(sf_dir: str, tag_filter=None) -> pd.DataFrame:
-    from .ingest import sig_keytable
-    from .views import contribution_stats
-
-    from .aggregate import combine_partials
-
     # node docs carry per-version keytable ids, so the tag filter AND
     # the TAG_CHANGE compare both run on small ints (sig ids are
     # bijective with signatures; equality is identical)
@@ -617,12 +685,14 @@ def _contrib_totals(sf_dir: str, tag_filter=None) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.contrib_type_counts())
 def q_contrib_type_counts(sf_dir: str) -> pd.DataFrame:
     """Total contribution counts by type over the interval (fused
     view + per-batch partial sums)."""
     return _contrib_totals(sf_dir)
 
 
+@query(lambda o: o.contrib_type_counts("visible AND etype = 'click'"))
 def q_contrib_type_counts_click(sf_dir: str) -> pd.DataFrame:
     """Filter-relative contribution counts (tag etype=click): losing
     the tag is a DELETION, regaining it a CREATION
@@ -630,17 +700,15 @@ def q_contrib_type_counts_click(sf_dir: str) -> pd.DataFrame:
     return _contrib_totals(sf_dir, TagFilter("etype", "click"))
 
 
+@query(lambda o: o.contrib_daily())
 def q_contrib_daily(sf_dir: str) -> pd.DataFrame:
     """aggregateByTimestamp for contributions: floor-binned daily
     counts, zerofilled over every bin (MapReducer.java:774-822,
     zerofill :1857-1866)."""
-    from .views import contribution_stats
-
     partials, keys = contribution_stats(
         _docs(sf_dir), CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS,
         flag_cols=["is_creation"],  # prunes the tag/geom decode
     )
-    from .aggregate import combine_partials
 
     agg = combine_partials(
         partials, keys, {"n_part": "n_contribs", "is_creation_part": "n_creations"}
@@ -648,12 +716,11 @@ def q_contrib_daily(sf_dir: str) -> pd.DataFrame:
     return zerofill(agg, {"ts_q": CONTRIB_BINS}, {"n_contribs": 0, "n_creations": 0})
 
 
+@query(lambda o: o.contrib_uniq_uids_daily())
 def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     """countUniq of contributor uids per daily bin
     (MapReducer.countUniq, :1165-1168): per-batch distinct partials,
     then an exact distinct-pair groupby."""
-    from .aggregate import combine_partials
-
     ds = contribution_view(_docs(sf_dir), CONTRIB_FROM, CONTRIB_TO, tags=False, geom=False)
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
 
@@ -679,21 +746,17 @@ def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
 
 
 # ----------------------------------------------------------------- spatial
+@query(lambda o: o.snapshot_pip_regions())
 def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
     """Point-in-polygon semi-join: snapshot points at T_MID against
     the broadcast convex region polygons; count per region,
     zerofilled (the aggregateByGeometry shape,
     MapReducer.java:857-888)."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.fip import contains_convex
-    from .temporal import snapshots as snapshots_fn
-
     region_items = sorted(REGIONS.items())
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         rids, counts = [], []
@@ -708,18 +771,15 @@ def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"region_id": [r for r, _ in region_items]}, {"n": 0})
 
 
+@query(lambda o: o.raster_join())
 def q_raster_join(sf_dir: str) -> pd.DataFrame:
     """Raster<->vector join: snapshot points at T_MID keyed by zoom-6
     cell, joined with the synthetic raster band, grouped by band
     value."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -740,13 +800,10 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     no driver-built query list (the round-3 scale-killer: the list was
     corpus/17 rows of driver state). Returns (dataset, count, zoom)
     with zoom derived so cells hold O(2000) points (cells = 2^(2z-1))."""
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        t = snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
         ids = t["osm_id"].to_numpy(zero_copy_only=False)
@@ -766,6 +823,7 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     return pos, n, zoom
 
 
+@query(lambda o: o.knn())
 def q_knn(sf_dir: str) -> pd.DataFrame:
     """kNN (k=3) among entity positions at T_MID; queries are the
     entities with osm_id % MOD == 0 (MOD=17 for the oracle check;
@@ -774,16 +832,13 @@ def q_knn(sf_dir: str) -> pd.DataFrame:
     once, queries replicated to a 3x3 halo, per-cell vectorized top-k
     partials, bucketed groupby resolve with guarantee radii — no
     driver query list, no driver candidate reduce."""
-    import os
-
-    from .spatial.knn import knn_queries
-
     mod = int(os.environ.get("RAYHIST_KNN_MOD", "17"))
     pos, _n, zoom = _knn_positions_flagged(sf_dir, mod)
     out = knn_queries(pos, k=3, id_col="osm_id", zoom=zoom, halo=1)
     return out[["query_id", "neighbor_id", "rank", "dist2"]].reset_index(drop=True)
 
 
+@query(lambda o: o.knn_majority_label())
 def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
     """kNN CLASSIFICATION: each query point takes the MAJORITY event
     type among its 3 nearest neighbors at T_MID (tie -> min etype) —
@@ -793,26 +848,17 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
     neighbor ids' labels (the id set rides ray.put into a pc.is_in
     filter — nq x k ids, never the corpus); the vote is a driver
     reduce over nq x k rows."""
-    import os
-
-    import pyarrow.compute as pc
-    import ray as _ray
-
-    from .model import decode_spans
-    from .spatial.knn import knn_queries
-    from .temporal import snapshots as snapshots_fn
-
     mod = int(os.environ.get("RAYHIST_KNN_MOD", "17"))
     pos, _n, zoom = _knn_positions_flagged(sf_dir, mod)
     nn = knn_queries(pos, k=3, id_col="osm_id", zoom=zoom, halo=1)
 
     ids = np.unique(nn["neighbor_id"].to_numpy(dtype=np.int64))
-    ids_ref = _ray.put(ids)
+    ids_ref = ray.put(ids)
     ts = np.array([T_MID], dtype=np.int64)
 
     def labels(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=True, geom=False), ts)
-        keep = pc.is_in(s["osm_id"], pa.array(_ray.get(ids_ref), pa.int64()))
+        s = snapshots(decode_spans(batch, tags=True, geom=False), ts)
+        keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "etype": s["etype"]})
 
@@ -836,18 +882,14 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------------- relational
+@query(lambda o: o.lineitem_agg())
 def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q1-style grouped aggregate over lineitem; money summed as
     integer cents so sums are order-independent (exact vs oracle)."""
-    import ray.data  # noqa: F401
-    from .ops.relational import cents
-
     ds = rio.read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
-
-    from .aggregate import combine_partials
 
     def prep(batch: pa.Table) -> pa.Table:
         batch = cents(batch, "l_quantity", "qty_c")
@@ -868,6 +910,7 @@ def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
+@query(lambda o: o.orders_by_nation())
 def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     """orders |x| customer (both corpus-scaled: partitioned HASH join)
     |x| nation (25 rows: broadcast), grouped by nation name. Customer
@@ -877,11 +920,6 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     Nation joins broadcast-side as a pre-merge into customer batches
     BEFORE the shuffle (n_name replaces c_nationkey, keeping the
     shuffled payload narrow)."""
-    import pyarrow.parquet as pq
-    import ray.data
-    from .aggregate import combine_partials
-    from .ops.relational import broadcast_join, cents, hash_join
-
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()[
         ["n_nationkey", "n_name"]
     ].rename(columns={"n_nationkey": "c_nationkey"})
@@ -930,22 +968,18 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("n_name").reset_index(drop=True)
 
 
+@query(lambda o: o.topk_orders())
 def q_topk_orders(sf_dir: str) -> pd.DataFrame:
     """Top-20 orders by totalprice (deterministic tiebreak on key) —
     per-batch candidates + tiny global reduce, no full sort shuffle."""
-    import ray.data
-    from .ops.relational import topk
-
     ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
     out = topk(ds, key="o_totalprice", k=20, tiebreak="o_orderkey")
     return out[["o_orderkey", "o_totalprice"]]
 
 
+@query(lambda o: o.events_by_type())
 def q_events_by_type(sf_dir: str) -> pd.DataFrame:
     """events grouped by type: row count, distinct users, cents sum."""
-    import ray.data
-    from .ops.relational import cents
-
     ds = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -964,9 +998,7 @@ def q_events_by_type(sf_dir: str) -> pd.DataFrame:
         )
         return g.rename_columns(["event_type", "_part"])
 
-    from .aggregate import combine_partials as _cp
-
-    uniq_pairs = _cp(
+    uniq_pairs = combine_partials(
         ds.groupby(["event_type", "user_id"])
         .count()
         .map_batches(type_counts, batch_format="pyarrow"),
@@ -977,12 +1009,10 @@ def q_events_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+@query(lambda o: o.price_quantiles())
 def q_price_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact discrete quartiles of extendedprice cents (value at sorted
     index ((n-1)*q), distributed via value-histogram + cumsum)."""
-    import ray.data
-    from .ops.relational import cents, exact_quantiles_int
-
     ds = rio.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]).map_batches(
         lambda b: cents(b, "l_extendedprice", "price_c").select(["price_c"]), batch_format="pyarrow"
     )
@@ -990,23 +1020,19 @@ def q_price_quantiles(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame([{"p25": p25, "p50": p50, "p75": p75}])
 
 
+@query(None)  # rows-only: t-digest estimate; accuracy pinned in tests/test_ops.py
 def q_tdigest_price_quantiles(sf_dir: str) -> pd.DataFrame:
     """estimatedQuantiles via the from-scratch t-digest (rows-only
     check; accuracy vs exact asserted in tests)."""
-    import ray.data
-    from .aggregate import estimated_quantiles
-
     ds = rio.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
     est = estimated_quantiles(ds, "l_extendedprice", [0.25, 0.5, 0.75])
     return pd.DataFrame([{"p25_est": est[0], "p50_est": est[1], "p75_est": est[2]}])
 
 
 # ------------------------------------------------------- documents corpus
+@query(lambda o: o.doc_stats())
 def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     """Per-source corpus stats: docs, chars, whitespace tokens."""
-    import ray.data
-    from .ops.text import add_token_count
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text", "n_chars"])
     df = (
         ds.map_batches(add_token_count, batch_format="pyarrow")
@@ -1021,15 +1047,12 @@ def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
+@query(lambda o: o.doc_tokens())
 def q_doc_tokens(sf_dir: str) -> pd.DataFrame:
     """BPE-ish token budget per source: pretokenizer-match counts
     (ops.text.BPE_PRETOKEN_RE) summed per source alongside the
     whitespace count — the two token-length estimates a training-data
     pipeline budgets with."""
-    import ray.data
-
-    from .ops.text import add_bpe_token_count, add_token_count
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     df = (
         ds.map_batches(add_token_count, batch_format="pyarrow")
@@ -1048,6 +1071,7 @@ def q_doc_tokens(sf_dir: str) -> pd.DataFrame:
 HOUR_US = 3_600_000_000
 
 
+@query(lambda o: o.events_dow_hour())
 def q_events_dow_hour(sf_dir: str) -> pd.DataFrame:
     """Date-part extraction (§2.10 scalar date functions) under the
     oracle: the (day-of-week x hour) activity heatmap. Parts come
@@ -1055,9 +1079,6 @@ def q_events_dow_hour(sf_dir: str) -> pd.DataFrame:
     (1970-01-01 was a Thursday; Sunday = 0 matching DuckDB's
     dayofweek), hour = (t // 1h) % 24 — so the grouping is exact and
     engine-independent. 168-key final on combine_partials."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1089,6 +1110,7 @@ NORM_STRIP_RE = "[^a-z0-9 ]+"  # normalization: lowercase, strip non-alnum
 NORM_TOKEN_RE = "[a-z0-9]+"
 
 
+@query(lambda o: o.doc_normalized_stats(NORM_STRIP_RE, NORM_TOKEN_RE))
 def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
     """String-function surface (§2.10: lower / regexp_replace /
     length / regexp token count) under the oracle: normalize each
@@ -1099,10 +1121,6 @@ def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
     regexp_extract_all are both RE2 over UTF-8 code points, so the
     counts are identical engine-for-engine. Vectorized per batch; a
     |sources|-key combine_partials final."""
-    import pyarrow.compute as pc
-
-    from .aggregate import combine_partials
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1143,6 +1161,7 @@ def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
 PACK_BUDGET_TOKENS = 2048  # sequence-packing context budget
 
 
+@query(lambda o: o.doc_token_packing(PACK_BUDGET_TOKENS))
 def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
     """Sequence packing (concat-and-chunk): concatenate the corpus in
     doc_id order and cut a pack every PACK_BUDGET_TOKENS BPE tokens —
@@ -1154,11 +1173,6 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
     report a training-data pipeline reads before tokenizing 100 TB.
     Pack ids are corpus-cardinality, so the final stays on a Dataset
     groupby (the CLAUDE.md high-cardinality rule)."""
-    import ray.data
-
-    from .ops.scan import ordered_prefix_sum
-    from .ops.text import add_bpe_token_count
-
     B = PACK_BUDGET_TOKENS
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     toks = ds.map_batches(add_bpe_token_count, batch_format="pyarrow").drop_columns(
@@ -1205,6 +1219,7 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.sample_docs())
 def q_sample_docs(sf_dir: str) -> pd.DataFrame:
     """Deterministic 1/4 hash sample of the documents corpus
     (ops.relational.deterministic_sample): resume-stable,
@@ -1213,10 +1228,6 @@ def q_sample_docs(sf_dir: str) -> pd.DataFrame:
     is the oracle-compare convention for row-returning queries; at
     production scale the sample terminates in write_parquet, not a
     driver collect (the sampler itself is a streaming filter)."""
-    import ray.data
-
-    from .ops.relational import deterministic_sample
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
     df = deterministic_sample(ds, 1, 4, "doc_id", hash_fn="md5").to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1225,6 +1236,7 @@ def q_sample_docs(sf_dir: str) -> pd.DataFrame:
 CURATION_MIN_TOKENS = 40  # quality gate: drop the short tail (~40% at sandbox SFs)
 
 
+@query(lambda o: o.media_meta_exact())
 def q_media_meta_exact(sf_dir: str) -> pd.DataFrame:
     """Multimodal METADATA layer under the value-exact oracle: the
     media table synthesis (ref -> md5-seeded payload bytes + derived
@@ -1232,8 +1244,6 @@ def q_media_meta_exact(sf_dir: str) -> pd.DataFrame:
     kind — integer sums only, so the schema/plumbing layer is
     hash-exact in SQL while the codec itself stays the honest stub
     (media_features remains the rows-only decode query)."""
-    from .ops.multimodal import synth_media_table
-
     def stage(b: pa.Table) -> pa.Table:
         refs = [f"media://{d}" for d in b["doc_id"].to_pylist()]
         m = synth_media_table(refs)
@@ -1260,6 +1270,7 @@ def q_media_meta_exact(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("kind").reset_index(drop=True)
 
 
+@query(lambda o: o.langid_exact())
 def q_langid_exact(sf_dir: str) -> pd.DataFrame:
     """Language-ID + quality gate, INTEGER-EXACT twin of q_langid's
     heuristics: the same marker-word voting (distinct markers present,
@@ -1269,10 +1280,6 @@ def q_langid_exact(sf_dir: str) -> pd.DataFrame:
     cross-multiplied quality predicate (no float division, so every
     column is hash-exact in SQL). q_langid stays the rows-only
     float-ratio variant."""
-    import pyarrow.compute as pc
-
-    from .ops.text import langid_stage
-
     def stage(b: pd.DataFrame) -> pd.DataFrame:
         b = langid_stage(b)  # adds lang_pred (integer voting inside)
         arr = pc.fill_null(pa.array(b["text"].tolist(), type=pa.string()), "")
@@ -1283,7 +1290,6 @@ def q_langid_exact(sf_dir: str) -> pd.DataFrame:
         nw = np.maximum(lens, 1)
         flat = pc.list_flatten(parts)
         doc_idx = np.repeat(np.arange(len(b)), lens)
-        from .ops.text import STOPWORDS
 
         hits = pc.is_in(flat, value_set=pa.array(sorted(STOPWORDS))).to_numpy(
             zero_copy_only=False
@@ -1306,6 +1312,7 @@ def q_langid_exact(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+@query(lambda o: o.corpus_curation(CURATION_MIN_TOKENS))
 def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
     """END-TO-END training-data curation chain, ONE streaming pipeline:
     exact dedup (content keep-first) -> quality gate (whitespace token
@@ -1319,10 +1326,6 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
     bit-exact. Nothing corpus-sized lands on the driver: dedup is the
     bucketed keep-first shuffle, the gate and sample are streaming
     batch filters, the final is a 20-key groupby."""
-    from .ops.dedup import exact_dedup
-    from .ops.relational import deterministic_sample
-    from .ops.text import add_token_count
-
     ds = rio.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     )
@@ -1343,14 +1346,12 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
+@query(lambda o: o.doc_fingerprints())
 def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
     """md5 content fingerprint per document — the ORACLE TWIN pins
     fp_algo='md5' because the fp VALUE is compared against SQL
     md5(text); the production default is the vectorized vector128
     path (same equality classes, A/B-tested in test_ops)."""
-    import ray.data
-    from .ops.text import fingerprint_stage
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     df = (
         ds.map_batches(lambda b: fingerprint_stage(b, fp_algo="md5"), batch_format="pyarrow")
@@ -1360,15 +1361,14 @@ def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+@query(lambda o: o.near_dup_pairs())
 def q_near_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """Exact 3-shingle Jaccard >= 0.5 near-duplicate pairs."""
-    import ray.data
-    from .ops.dedup import exact_jaccard_pairs
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return exact_jaccard_pairs(ds, 1, 2)
 
 
+@query(lambda o: o.near_dup_source_matrix())
 def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
     """Cross-source contamination matrix: near-duplicate pair counts
     per unordered SOURCE pair — 'which feeds duplicate each other',
@@ -1378,11 +1378,6 @@ def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
     documents pass that looks up only the participating doc ids'
     sources (broadcast id set -> pc.is_in, the knn-label pattern), and
     a driver reduce over the pair list."""
-    import pyarrow.compute as pc
-    import ray as _ray
-
-    from .ops.dedup import exact_jaccard_pairs
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     pairs = exact_jaccard_pairs(ds, 1, 2)
     if not len(pairs):
@@ -1396,10 +1391,10 @@ def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
     ids = np.unique(
         np.r_[pairs["doc_a"].to_numpy(np.int64), pairs["doc_b"].to_numpy(np.int64)]
     )
-    ids_ref = _ray.put(ids)
+    ids_ref = ray.put(ids)
 
     def src_lookup(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b["doc_id"], pa.array(_ray.get(ids_ref), b["doc_id"].type))
+        keep = pc.is_in(b["doc_id"], pa.array(ray.get(ids_ref), b["doc_id"].type))
         s = b.filter(keep)
         return pa.table({"doc_id": s["doc_id"], "source": s["source"]})
 
@@ -1423,6 +1418,7 @@ def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["src_lo", "src_hi"]).reset_index(drop=True)
 
 
+@query(lambda o: o.dup_clusters())
 def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     """Near-duplicate CLUSTERS: connected components of the exact
     3-shingle Jaccard >= 0.5 similarity graph, each document labeled
@@ -1432,11 +1428,6 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     edges — O(dups), not O(corpus)); components run as iterated bucket
     shuffles in ops/cc.py. The oracle is a recursive-CTE reachable-min
     over the identical pair set."""
-    import ray.data
-
-    from .ops.cc import connected_components
-    from .ops.dedup import exact_jaccard_pairs
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     pairs = exact_jaccard_pairs(ds, 1, 2)
     if not len(pairs):
@@ -1451,6 +1442,7 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+@query(lambda o: o.cluster_dedup_summary())
 def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     """Keep-one-per-cluster dedup, summarized per source: drop every
     document whose near-dup component representative is a DIFFERENT
@@ -1460,10 +1452,6 @@ def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     filter stage instead of shuffling the corpus — the keep-first
     semantics of ops/dedup.exact_dedup lifted from exact-content
     equality to similarity clusters."""
-    import ray
-
-    from .aggregate import combine_partials
-
     clusters = q_dup_clusters(sf_dir)
     drop = set(
         clusters.loc[clusters["component"] != clusters["doc_id"], "doc_id"].tolist()
@@ -1497,6 +1485,7 @@ def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
+@query(lambda o: o.value_moments_by_type())
 def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
     """Second-moment aggregates (variance / covariance) as EXACT
     INTEGER numerators: per event_type, n, sum of value cents, the
@@ -1508,9 +1497,6 @@ def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
     output is the single IEEE division sum/n. Extends the reference's
     exact-payload average/weightedAverage design
     (MapAggregator.java:760-815) to second moments."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
@@ -1588,14 +1574,12 @@ def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+@query(lambda o: o.modal_value_by_type())
 def q_modal_value_by_type(sf_dir: str) -> pd.DataFrame:
     """Exact grouped MODE: the most frequent value-cents per event
     type, ties broken to the smallest value (deterministic, engine-
     independent). Exercises aggregate.grouped_mode's pair-complete
     hash shuffle + associative argmax partials."""
-    from .aggregate import grouped_mode
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def to_cents(b: pa.Table) -> pa.Table:
@@ -1612,12 +1596,10 @@ def q_modal_value_by_type(sf_dir: str) -> pd.DataFrame:
     return df[["event_type", "modal_vc", "n_modal"]]
 
 
+@query(None)  # rows-only: LSH candidates; recall pinned in tests/test_ops.py
 def q_minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
     """MinHash-LSH candidates verified to Jaccard >= 0.5 (rows-only;
     recall vs the exact operator asserted in tests)."""
-    import ray.data
-    from .ops.dedup import minhash_lsh_pairs
-
     # materializing the (bounded) sandbox corpus engages the op's
     # documented small-input driver gate — the same kernels in one
     # pass instead of five shuffle stages of scheduling overhead; a
@@ -1627,20 +1609,16 @@ def q_minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
     return minhash_lsh_pairs(ds.materialize(), 1, 2)
 
 
+@query(None)  # rows-only: SimHash estimator; pinned in tests/test_ops.py
 def q_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     """SimHash near-dup pairs, hamming <= 3 (rows-only)."""
-    import ray.data
-    from .ops.dedup import simhash_pairs
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return simhash_pairs(ds)
 
 
+@query(None)  # rows-only: heuristic scores; pinned in tests/test_ops.py
 def q_langid(sf_dir: str) -> pd.DataFrame:
     """Language-ID heuristic + quality scores (rows-only)."""
-    import ray.data
-    from .ops.text import langid_stage, quality_stage
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     df = (
         ds.map_batches(quality_stage, batch_format="pandas")
@@ -1659,10 +1637,6 @@ def _query_vec_ids(sf_dir: str, mod: int | None = None) -> list[int]:
     runs as the first map stage instead). ``RAYHIST_ANN_MOD`` bounds
     the query-set size at larger corpora (the query count must not
     scale with the corpus: per-batch ANN work is O(n_queries x rows))."""
-    import os
-
-    import ray.data
-
     if mod is None:
         mod = int(os.environ.get("RAYHIST_ANN_MOD", "50"))
 
@@ -1675,27 +1649,23 @@ def _query_vec_ids(sf_dir: str, mod: int | None = None) -> list[int]:
     return sorted(int(i) for i in sel)
 
 
+@query(lambda o: o.ann_cosine())
 def q_ann_cosine(sf_dir: str) -> pd.DataFrame:
     """Brute-force cosine top-5 over the embeddings table; queries are
     vec_id % 50 == 0."""
-    import ray.data
-    from .spatial.knn import ann_cosine_topk
-
     ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     out = ann_cosine_topk(ds, _query_vec_ids(sf_dir), k=5)
     return out[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
 
 
 # --------------------------------------------- groupByEntity / keytables
+@query(lambda o: o.contrib_per_entity())
 def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
     """groupByEntity (MapReducer.java:706-721): per-document
     contribution counts. Each document's history lives in one batch, so
     per-doc counts are final without any shuffle."""
-    from .model import decode_spans
-    from .temporal import contributions as contribs_fn
-
     def stage(batch: pa.Table) -> pa.Table:
-        c = contribs_fn(decode_spans(batch, tags=False, geom=False), CONTRIB_FROM, CONTRIB_TO)
+        c = contributions(decode_spans(batch, tags=False, geom=False), CONTRIB_FROM, CONTRIB_TO)
         t = pa.table(
             {
                 "doc_id": c["doc_id"],
@@ -1709,6 +1679,7 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+@query(lambda o: o.keytable_freqs())
 def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     """The ETL 'extract' pass (Extract.java:58-409): frequency-ordered
     tag dictionary built from the span table's tag spans; small ids go
@@ -1716,8 +1687,6 @@ def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     docs = _docs(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         spans = batch["spans"].combine_chunks()
         if isinstance(spans, pa.ChunkedArray):
             spans = spans.chunk(0)
@@ -1742,20 +1711,18 @@ def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     return df[["tag_id", "tag", "n"]]
 
 
+@query(lambda o: o.contrib_daily_by_etype())
 def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
     """Combined-index aggregation (OSHDBCombinedIndex, aggregation.md:54-84):
     contributions keyed by (daily bin x etype of the modification's
     version) with FULL cross-product zerofill
     (MapAggregator.completeZerofill, :956-988)."""
-    from .model import decode_spans
-    from .temporal import contributions as contribs_fn
-
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
     etypes = ["click", "error", "purchase", "signup", "view"]
 
     def stage(batch: pa.Table) -> pa.Table:
         # etype comes from the tag spans -> tags=True; geometry unread
-        c = contribs_fn(decode_spans(batch, geom=False), CONTRIB_FROM, CONTRIB_TO)
+        c = contributions(decode_spans(batch, geom=False), CONTRIB_FROM, CONTRIB_TO)
         t = pa.table(
             {
                 "ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)),
@@ -1765,8 +1732,6 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["ts_q", "etype"]).aggregate([([], "count_all")])
         return g.rename_columns(["ts_q", "etype", "n_part"])
 
-    from .aggregate import combine_partials
-
     agg = combine_partials(
         _docs(sf_dir).map_batches(stage, batch_format="pyarrow"), ["ts_q", "etype"], {"n_part": "n"}
     )
@@ -1774,6 +1739,7 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------- derived ways
+@query(lambda o: o.way_lengths())
 def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     """Synthetic ways: way u connects node/u -> node/(u+1) when both
     exist at T_MID; reports the reference's equirectangular length
@@ -1781,15 +1747,10 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     integer-exact. Exercises the co-partitioned hash join (endpoints
     live in different ingest buckets) and the Geo formula parity
     (duckdb and numpy share libm bit-for-bit — verified)."""
-    from .functions.geo import distance_equirectangular
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -1837,6 +1798,7 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("way_id").reset_index(drop=True)
 
 
+@query(lambda o: o.way_areas())
 def q_way_areas(sf_dir: str) -> pd.DataFrame:
     """Geo.areaOf under the oracle: synthetic triangles node/u ->
     node/(u+1) -> node/(u+2) at T_MID; reports the reference's
@@ -1849,14 +1811,10 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     libm bit-for-bit (parity with functions.geo.area_of_polygon is
     pinned bit-exact in tests/test_spatial.py::
     test_way_areas_kernel_matches_area_of_polygon)."""
-    from .functions.geo import EARTH_RADIUS
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -1871,8 +1829,6 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     # one group and assemble + evaluate in-stage — the same 3x row
     # fan-out a first join leg would ship, but the join OUTPUT never
     # re-shuffles.
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
@@ -1926,14 +1882,11 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("way_id").reset_index(drop=True)
 
 
+@query(lambda o: o.lineitem_means())
 def q_lineitem_means(sf_dir: str) -> pd.DataFrame:
     """average / weightedAverage reducers (MapReducer.java:1179-1214):
     integer-exact partial sums, one IEEE float division at the end —
     bit-identical to the SQL oracle."""
-    import ray.data
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ds = rio.read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice", "l_discount"],
@@ -1964,6 +1917,7 @@ def q_lineitem_means(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("l_returnflag").reset_index(drop=True)
 
 
+@query(lambda o: o.knn())
 def q_knn_grid(sf_dir: str) -> pd.DataFrame:
     """Same result contract as q_knn under a DIFFERENT partitioning
     operating point — coarser grid (zoom-1) with a 5x5 halo (halo=2) —
@@ -1971,16 +1925,13 @@ def q_knn_grid(sf_dir: str) -> pd.DataFrame:
     zoom/halo-independent (the guarantee radius adapts). The wider halo
     trades query replication (25x of the sparse query side only) for
     near-zero brute-force fallbacks on sparse neighborhoods."""
-    import os
-
-    from .spatial.knn import knn_queries
-
     mod = int(os.environ.get("RAYHIST_KNN_MOD", "17"))
     pos, _n, zoom = _knn_positions_flagged(sf_dir, mod)
     out = knn_queries(pos, k=3, id_col="osm_id", zoom=max(1, zoom - 1), halo=2)
     return out[["query_id", "neighbor_id", "rank", "dist2"]].reset_index(drop=True)
 
 
+@query(lambda o: o.ann_cosine())
 def q_ann_cosine_ivf(sf_dir: str) -> pd.DataFrame:
     """IVF-bucketed ANN over the PARTITIONED-BY-BUCKET layout
     (ensure_ivf_layout) with full probing (nprobe == nlist), which is
@@ -1988,16 +1939,13 @@ def q_ann_cosine_ivf(sf_dir: str) -> pd.DataFrame:
     same oracle as the brute-force path; the pruned operating point
     (nprobe < nlist, scan < corpus) is covered by the recall/pruning
     tests."""
-    import ray.data
-
-    from .spatial.knn import ann_cosine_ivf_pruned
-
     out = ann_cosine_ivf_pruned(
         f"{sf_dir}/embeddings.parquet", _query_vec_ids(sf_dir), k=5, nlist=8, nprobe=8
     )
     return out[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
 
 
+@query(lambda o: o.ann_cosine())
 def q_ann_cosine_lsh(sf_dir: str) -> pd.DataFrame:
     """LSH-bucketed ANN (random-hyperplane signatures) over the
     PARTITIONED-BY-BUCKET layout with full probing (nprobe ==
@@ -2005,28 +1953,25 @@ def q_ann_cosine_lsh(sf_dir: str) -> pd.DataFrame:
     + scan-pruning machinery gets the same oracle as the brute-force
     path; the pruned operating point (nprobe < all, scan < corpus) is
     covered by the recall/pruning tests."""
-    from .spatial.knn import ann_cosine_lsh_pruned
-
     out = ann_cosine_lsh_pruned(
         f"{sf_dir}/embeddings.parquet", _query_vec_ids(sf_dir), k=5, n_bits=3, nprobe=8
     )
     return out[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
 
 
+@query(lambda o: o.sessions())
 def q_sessions(sf_dir: str) -> pd.DataFrame:
     """Sessionization (30-minute gap) over the events log, aggregated
     per user: session count, events, total session time. Stream-shaped
     semantics on the batch engine (ordered partitioned log); the
     per-user aggregate is FINAL inside the bucket stage (complete users
     per hash bucket), so only |users| small rows reach the driver."""
-    import ray.data
-    from .ops.sessions import user_session_stats
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     df = user_session_stats(ev, gap_us=30 * 60 * 1_000_000).to_pandas()
     return df.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.user_streaks(T0, DAY_US))
 def q_user_streaks(sf_dir: str) -> pd.DataFrame:
     """Gaps-and-islands: per user, the count of DISTINCT active days,
     the number of maximal consecutive-day runs, and the longest run.
@@ -2036,8 +1981,6 @@ def q_user_streaks(sf_dir: str) -> pd.DataFrame:
     run ids -> bincount), so only |users| final rows leave the stage.
     The SQL mirror is the classic day - row_number() constant-group
     trick."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
@@ -2084,6 +2027,7 @@ ROLL_WIN_DAYS = 7  # rolling-active window length (WAU-style)
 DAY_GRID_N = 31  # testdata day grid 0..30 (January 2024)
 
 
+@query(lambda o: o.rolling_active_users(T0, DAY_US, ROLL_WIN_DAYS, DAY_GRID_N))
 def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
     """Sliding-window COUNT DISTINCT: per day W, the number of
     distinct users active in [W-6, W] (the rolling weekly-active
@@ -2094,9 +2038,6 @@ def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
     IN-STAGE, so the driver combines |windows| count partials — never
     user sets. SQL mirror: count(DISTINCT user) per window over a
     BETWEEN join."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
@@ -2134,6 +2075,7 @@ def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("wday").reset_index(drop=True)
 
 
+@query(lambda o: o.user_distinct_etypes())
 def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
     """DISTINCT ordered collect (SQL string_agg(DISTINCT .. ORDER BY))
     per user: the sorted set of event types each user produced, plus
@@ -2141,8 +2083,6 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
     collect. Per-batch (user, etype) pre-dedup bounds the shuffle at
     distinct pairs per block; one complete-user bucket shuffle; the
     per-user sorted join resolves in-stage."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -2184,6 +2124,7 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.cohort_retention(T0, DAY_US))
 def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     """Cohort retention matrix: users cohorted by FIRST active day;
     for each (cohort_day, day_offset), the count of distinct users
@@ -2192,9 +2133,6 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     assignment and the distinct-count partials both resolve in-stage;
     the driver combines |cohorts x offsets| rows (bounded by the
     window span squared, never the corpus)."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
@@ -2233,6 +2171,7 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["cohort_day", "day_offset"]).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_transitions())
 def q_etype_transitions(sf_dir: str) -> pd.DataFrame:
     """Ordered sequence bigrams: counts of (previous event type ->
     event type) transitions within each user's (ts, event_id)-ordered
@@ -2241,9 +2180,6 @@ def q_etype_transitions(sf_dir: str) -> pd.DataFrame:
     |etypes|^2 count partials resolve vectorized in-stage, so blocks
     emit at most the transition-matrix size. SQL mirror: lag() window
     + group-by."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
@@ -2287,6 +2223,7 @@ def q_etype_transitions(sf_dir: str) -> pd.DataFrame:
 AOI_BBOX = (-9e8, -4.5e8, 9e8, 4.5e8)  # (min_lon, min_lat, max_lon, max_lat) e7
 
 
+@query(lambda o: o.snapshot_count_bbox())
 def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest(bbox) snapshot count at T_MID with PRUNING AT THE
     READ: the document table carries a whole-history bbox (the OSH
@@ -2297,17 +2234,7 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     MapReducer.getCellIdRanges). The exact per-state test runs after
     interpolation (CellIterator's per-entity bbox intersect + clip,
     :198-211)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset  # noqa: F401  (expression support)
-
-    from .aggregate import combine_partials
-    from .ingest import ensure_documents
-    from .io import read_table
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     x0, y0, x1, y1 = AOI_BBOX
-    import os
 
     rep = int(os.environ.get("RAYHIST_REP", "1"))
     path = ensure_documents(sf_dir, rep)
@@ -2317,11 +2244,11 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
         & (pc.field("max_lat_e7") >= int(y0))
         & (pc.field("min_lat_e7") <= int(y1))
     )
-    docs = read_table(path, filter=prefilter)
+    docs = rio.read_table(path, filter=prefilter)
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2337,6 +2264,7 @@ MZ_BBOX = (-4.0e8, -2.0e8, 2.0e8, 3.0e8)
 MZ_MAX_ZOOM = 6
 
 
+@query(lambda o: o.snapshot_count_bbox_multizoom())
 def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest(bbox) through the MULTI-ZOOM cell layout — the
     XYGridTree insert/query rule (``index/XYGridTree.java:89-97``,
@@ -2352,15 +2280,6 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     walk) so they sit at zoom 1 and every partition matches — same as
     the reference would store them; the pruning regime is exercised by
     the synthetic mixed-size corpus in tests/test_spatial.py."""
-    import os
-    from pathlib import Path as _P
-
-    from .aggregate import combine_partials
-    from .ingest import ensure_multizoom_layout
-    from .model import decode_spans
-    from .spatial.grid import multizoom_query_cells
-    from .temporal import snapshots as snapshots_fn
-
     x0, y0, x1, y1 = (int(v) for v in MZ_BBOX)
     rep = int(os.environ.get("RAYHIST_REP", "1"))
     layout = ensure_multizoom_layout(sf_dir, rep, max_zoom=MZ_MAX_ZOOM)
@@ -2368,17 +2287,16 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     paths = [
         str(f)
         for c in cand.tolist()
-        for f in sorted(_P(f"{layout}/pmz={c}").glob("*.parquet"))
+        for f in sorted(Path(f"{layout}/pmz={c}").glob("*.parquet"))
     ]
     if not paths:
         return pd.DataFrame({"n_snapshots": pd.array([0], dtype="int64")})
-    import ray.data
 
     docs = rio.read_table(paths)
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2388,15 +2306,12 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     return combine_partials(partials, [], {"n_part": "n_snapshots"})
 
 
+@query(None)  # rows-only: stubbed codec; determinism pinned in tests/test_ops.py
 def q_media_features(sf_dir: str) -> pd.DataFrame:
     """Multimodal plumbing as a pipeline: synthesize media refs from
     the document ids, decode through the actor-pool stage (stubbed
     codec, real schema/batching), return per-media feature stats
     (rows-only check; determinism asserted in tests)."""
-    import ray.data
-
-    from .ops.multimodal import decode_media, synth_media_table
-
     # synthesize media rows INSIDE the scan (pure function of the ref):
     # the doc-id column never rides the driver
     def synth(b: pa.Table) -> pa.Table:
@@ -2431,15 +2346,12 @@ def q_media_features(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("media_ref").reset_index(drop=True)
 
 
+@query(lambda o: o.contrib_type_counts_bbox())
 def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest(bbox) contribution counts: a state outside the
     bbox behaves like the reference's clipped-to-empty geometry —
     DELETION on exit, CREATION on re-entry (CellIterator.java:625-642,
     the S1 scenario)."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .temporal import contributions as contribs_fn
-
     x0, y0, x1, y1 = AOI_BBOX
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2447,7 +2359,7 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
         lon = decoded["lon_e7"].to_numpy(zero_copy_only=False)
         lat = decoded["lat_e7"].to_numpy(zero_copy_only=False)
         aoi = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        c = contribs_fn(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
+        c = contributions(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
         sums = {"n_part": pa.array([len(c)], type=pa.int64())}
         for f in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
             sums[f + "_part"] = pa.array(
@@ -2469,17 +2381,13 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.contrib_type_counts_poly())
 def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest(POLYGON) contribution counts: like the bbox
     variant but the membership test is point-in-convex-polygon
     (north_pentagon) — a state outside the polygon behaves like the
     reference's clipped-to-empty geometry (CellIterator.java:625-642),
     so crossing the boundary emits DELETION/CREATION pairs."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.fip import contains_convex
-    from .temporal import contributions as contribs_fn
-
     ring = np.asarray(REGIONS["north_pentagon"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2487,7 +2395,7 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
         lon = decoded["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = decoded["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         aoi = contains_convex(ring, lon, lat)
-        c = contribs_fn(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
+        c = contributions(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
         sums = {"n_part": pa.array([len(c)], type=pa.int64())}
         for f in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
             sums[f + "_part"] = pa.array(
@@ -2509,11 +2417,9 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.embedding_dup_pairs())
 def q_embedding_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """Embedding-cosine near-duplicate pairs at cos >= 0.4."""
-    import ray.data
-    from .ops.dedup import embedding_dup_pairs
-
     ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     out = embedding_dup_pairs(ds, tau=0.4)
     # numpy (normalize-then-dot) and SQL (dot-over-norms) cosine differ
@@ -2523,13 +2429,11 @@ def q_embedding_dup_pairs(sf_dir: str) -> pd.DataFrame:
     return out[["vec_a", "vec_b", "cos_sim"]]
 
 
+@query(None)  # rows-only: t-digest estimate; accuracy pinned in tests/test_ops.py
 def q_tdigest_value_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped t-digest quantiles: event value p50/p90 per event_type
     (rows-only; sketch accuracy asserted against exact quantiles in
     tests)."""
-    import ray.data
-    from .aggregate import grouped_estimated_quantiles
-
     ds = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     return grouped_estimated_quantiles(ds, "event_type", "value", [0.5, 0.9])
 
@@ -2543,13 +2447,6 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     lineage fingerprints, row counts, content checksum, wall time).
     A re-run skips completed shards. Returns the manifest dict; the
     rows live under ``out_dir``/shard_*/*.parquet."""
-    import glob
-    import os
-
-    from .ingest import ensure_documents
-    from .state.checkpoint import run_sharded
-    from .views import snapshot_view
-
     rep = int(os.environ.get("RAYHIST_REP", "1"))
     path = ensure_documents(sf_dir, rep)
     files = sorted(glob.glob(os.path.join(path, "*.parquet")))
@@ -2566,21 +2463,16 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     return run_sharded(shards, process, out_dir)
 
 
+@query(lambda o: o.snapshot_latest_state())  # same values, write-terminated path
 def q_snapshot_latest_state_written(sf_dir: str) -> pd.DataFrame:
     """q_snapshot_latest_state THROUGH THE WRITE-TERMINATED PATH: the
     state table is written as sharded parquet + manifest (no driver
     collect inside the pipeline), then read back ONLY for the oracle
     comparison — proving the at-scale big-result route end to end under
     the row-returning query's value-exact oracle."""
-    import glob
-    import hashlib as _hl
-    import os
-
-    import pyarrow.parquet as pq
-
     out_dir = os.path.join(
         os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"),
-        "state_" + _hl.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12],
+        "state_" + hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12],
         "latest_state",
     )
     manifest = snapshot_latest_state_write(sf_dir, out_dir)
@@ -2593,6 +2485,7 @@ def q_snapshot_latest_state_written(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_daily())  # same values, binary-block ingest path
 def q_pbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     """snapshot_count_daily INGESTED THROUGH THE BINARY BLOCK CODEC
     (sources.pbfish): the corpus is encoded once into .rosh block files
@@ -2602,11 +2495,6 @@ def q_pbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     read_binary_files -> map_batches(decode) -> fused snapshot counts —
     proving the §2.1 blob-decode ingest path end to end under the same
     value-exact oracle as the cached-parquet route."""
-    from .aggregate import combine_partials
-    from .ingest import sig_keytable
-    from .sources.pbfish import ensure_pbfish, read_pbfish
-    from .views import snapshot_counts
-
     kt = {s: i for i, s in enumerate(sig_keytable(sf_dir))}
     docs = read_pbfish(ensure_pbfish(sf_dir), keytable=kt)
     partials, keys = snapshot_counts(docs, SNAP_DAILY)
@@ -2614,6 +2502,8 @@ def q_pbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+# real .osh.pbf wire format: ms-truncated ts (the wire resolution)
+@query(lambda o: o.snapshot_count_daily_ms())
 def q_osmpbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     """snapshot_count_daily INGESTED THROUGH THE REAL OSM PBF WIRE
     FORMAT (sources.osmpbf): the corpus is encoded once into genuine
@@ -2624,10 +2514,6 @@ def q_osmpbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     decode fan-out -> id-bucket regroup -> span documents -> fused
     snapshot counts. Values checked against the ms-truncated oracle
     (oracles.snapshot_count_daily_ms — PBF timestamps are whole ms)."""
-    from .aggregate import combine_partials
-    from .sources.osmpbf import ensure_osmpbf, osmpbf_documents
-    from .views import snapshot_counts
-
     docs = osmpbf_documents(ensure_osmpbf(sf_dir))
     partials, keys = snapshot_counts(docs, SNAP_DAILY)
     df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
@@ -2668,6 +2554,7 @@ def _list_match_counts(col: pa.ChunkedArray, value: str, n: int) -> np.ndarray:
     return out
 
 
+@query(lambda o: o.osmpbf_way_version_counts())
 def q_osmpbf_way_version_counts(sf_dir: str) -> pd.DataFrame:
     """WAY histories through the real .osh.pbf wire format: the way
     corpus (ingest's documented way derivation) is encoded as genuine
@@ -2677,8 +2564,6 @@ def q_osmpbf_way_version_counts(sf_dir: str) -> pd.DataFrame:
     Info/keys-vals decode path under the value-exact oracle (nodes are
     covered by osmpbf_snapshot_count_daily; relations by the codec
     round-trip tests)."""
-    from .sources.osmpbf import ensure_osmpbf_ways, read_osmpbf
-
     rows = read_osmpbf(ensure_osmpbf_ways(sf_dir))
 
     def stage(b: pa.Table) -> pa.Table:
@@ -2710,6 +2595,7 @@ def q_osmpbf_way_version_counts(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["v", "visible", "kk"]).reset_index(drop=True)
 
 
+@query(lambda o: o.osmpbf_relation_member_sums())
 def q_osmpbf_relation_member_sums(sf_dir: str) -> pd.DataFrame:
     """RELATION histories through the real .osh.pbf wire format: the
     relation corpus (ingest's _pack_rel_bucket derivation — relation r
@@ -2722,8 +2608,6 @@ def q_osmpbf_relation_member_sums(sf_dir: str) -> pd.DataFrame:
     empty-role count checks roles_sid index 0. Closes the last
     rows-only gap in the wire-format family (nodes:
     osmpbf_snapshot_count_daily, ways: osmpbf_way_version_counts)."""
-    from .sources.osmpbf import ensure_osmpbf_relations, read_osmpbf
-
     rows = read_osmpbf(ensure_osmpbf_relations(sf_dir))
 
     def stage(b: pa.Table) -> pa.Table:
@@ -2766,6 +2650,7 @@ def q_osmpbf_relation_member_sums(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("kk").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_daily())  # same values, sharded+resumable plan
 def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
     """snapshot_count_daily EXECUTED THROUGH THE CHECKPOINTED SHARD
     RUNNER (state.checkpoint.run_sharded): the span table's parquet
@@ -2776,17 +2661,6 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
     skips completed shards and combines the SAME values. This is the
     north rule's 'resumable from checkpoint with per-partition
     lineage + metrics' path under the value-exact oracle."""
-    import glob
-    import hashlib as _hl
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from .ingest import ensure_documents
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     rep = int(os.environ.get("RAYHIST_REP", "1"))
     path = ensure_documents(sf_dir, rep)
     files = sorted(glob.glob(os.path.join(path, "*.parquet")))
@@ -2796,20 +2670,18 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
     }
     out_dir = os.path.join(
         os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"),
-        "ckpt_" + _hl.sha256(path.encode()).hexdigest()[:12],
+        "ckpt_" + hashlib.sha256(path.encode()).hexdigest()[:12],
         "snap_daily",
     )
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
 
     def process(inputs: list[str]) -> ray.data.Dataset:
         def stage(batch: pa.Table) -> pa.Table:
-            s = snapshots_fn(decode_spans(batch, tags=False, geom=False), ts)
+            s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
             g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
             return g.rename_columns(["ts_q", "n_part"])
 
         return rio.read_table(inputs).map_batches(stage, batch_format="pyarrow")
-
-    from .state.checkpoint import run_sharded
 
     manifest = run_sharded(shards, process, out_dir)
     parts = []
@@ -2821,6 +2693,7 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
     return zerofill(agg, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+@query(lambda o: o.snapshot_cells())  # same values, salted plan
 def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
     """snapshot_cells computed through the SALTED two-stage aggregation
     (state.checkpoint.salted_count_by): snapshot rows keyed by (cell,
@@ -2828,14 +2701,10 @@ def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
     reducers — the skew path of the north rule ('skewed mega-cells
     split via salted repartitioning'), sharing snapshot_cells'
     oracle (same values, different physical plan)."""
-    from .model import decode_spans
-    from .state.checkpoint import salted_count_by
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.asarray(SNAP_WEEKLY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -2850,16 +2719,13 @@ def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
 
 
+@query(lambda o: o.shared_windows(32, 16))
 def q_shared_windows(sf_dir: str) -> pd.DataFrame:
     """Windowed (substring) dedup: 32-char windows at stride 16 shared
     by >= 2 documents — the cross-document duplicate-span detector
     (Lee et al.-style substring dedup) over the rolling-window unit.
     Per-batch distinct (doc, window) pairs, then a distributed window
     groupby counting distinct docs."""
-    import ray.data
-
-    from .ops.text import explode_windows
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     wins = ds.map_batches(explode_windows, batch_format="pyarrow")
 
@@ -2867,8 +2733,6 @@ def q_shared_windows(sf_dir: str) -> pd.DataFrame:
     # count — only shared windows (a tiny fraction of the ~chars/16
     # distinct windows) ever reach the driver.
     def shared_only(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         n = batch["count()"]
         t = batch.filter(pc.greater_equal(n, 2))
         return pa.table({"window": t["window"], "n_docs": t["count()"]})
@@ -2882,20 +2746,17 @@ def q_shared_windows(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("window").reset_index(drop=True)[["window", "n_docs"]]
 
 
+@query(lambda o: o.knn("TRUE"))
 def q_knn_all(sf_dir: str) -> pd.DataFrame:
     """kNN for EVERY entity position at T_MID (kNN-all) via the
     halo-replicated cell join (spatial.knn.knn_all): one 9x-replication
     shuffle + per-cell vectorized kNN with guarantee-radius resolution,
     brute-force fallback only for sparse-cell stragglers — no per-query
     driver loop, the all-pairs workload the per-query kernels cap on."""
-    from .model import decode_spans
-    from .spatial.knn import knn_all
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
     # derive zoom from the corpus size so cells hold O(100-10k) points
@@ -2911,16 +2772,13 @@ HOP_US = 6 * 3600 * 1_000_000  # hop: 6h
 WIN_US = 24 * 3600 * 1_000_000  # window: 24h -> 4 overlapping windows/event
 
 
+@query(lambda o: o.hopping_window_counts(HOP_US, WIN_US))
 def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     """HOPPING-window event counts (window 24h, hop 6h): every event
     lands in window/hop = 4 overlapping windows — the stream-shaped
     windowed aggregate beyond tumbling floor-bins (SURVEY.md §2.11).
     Implemented as a per-batch fan-out + partial counts; the shuffle
     sees |windows| rows per batch, not |events| x 4."""
-    import ray.data
-
-    from .aggregate import combine_partials
-
     k = WIN_US // HOP_US
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2935,21 +2793,18 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("ws").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_daily("visible AND uid % 2 = 0"))
 def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
     """osmEntityFilter with an ARBITRARY (non-tag) predicate — the
     reference's osmEntityFilter(Predicate<OSMEntity>)
     (MapReducer.java:642-660): here "last editor uid is even", passed
     as a raw per-version mask into the snapshot interpolation."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
         decoded = decode_spans(batch, tags=False, geom=False)
         mask = decoded["uid"].to_numpy(zero_copy_only=False) % 2 == 0
-        s = snapshots_fn(decoded, ts, mask)
+        s = snapshots(decoded, ts, mask)
         g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
         return g.rename_columns(["ts_q", "n_part"])
 
@@ -2958,6 +2813,7 @@ def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+@query(lambda o: o.dedup_docs())
 def q_dedup_docs(sf_dir: str) -> pd.DataFrame:
     """Exact deduplication as a pipeline result: surviving doc_ids
     after hash-partitioned keep-first dedup over the documents corpus.
@@ -2965,21 +2821,21 @@ def q_dedup_docs(sf_dir: str) -> pd.DataFrame:
     to the md5 key barring a 128-bit collision — the oracle validates
     the production path directly; the md5 twin is A/B-pinned in
     tests)."""
-    import ray.data
-
-    from .ops.dedup import exact_dedup
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = exact_dedup(ds).to_pandas()[["doc_id"]]
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
 # ----------------------------------------------- .poly boundary file
-import os as _os
-
-POLY_FILE = _os.path.join(_os.path.dirname(_os.path.abspath(__file__)), "data", "aoi_l_with_hole.poly")
+POLY_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "aoi_l_with_hole.poly")
 
 
+def _poly_oracle(o) -> str:
+    name, rings = load_poly(POLY_FILE)
+    return o.snapshot_pip_poly(name, rings)
+
+
+@query(_poly_oracle)
 def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest from a user-supplied osmosis ``.poly`` boundary
     file (PolyFileReader.java) — a NON-CONVEX outer ring with a HOLE,
@@ -2987,14 +2843,6 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     (fip.Polygon.contains / FastInPolygon.java:21-150), actor-pool
     compiled once per worker. Oracle mirrors the crossing test edge by
     edge in SQL."""
-    import ray
-
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.fip import PointInPolygonStage
-    from .spatial.polyfile import load_poly
-    from .temporal import snapshots as snapshots_fn
-
     name, rings = load_poly(POLY_FILE)
     regions_ref = ray.put([(name, rings)])
     ts = np.array([T_MID], dtype=np.int64)
@@ -3004,7 +2852,7 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
             super().__init__(regions_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots_fn(decode_spans(batch, tags=False), ts)
+            s = snapshots(decode_spans(batch, tags=False), ts)
             tagged = super().__call__(s)
             return pa.table(
                 {
@@ -3030,6 +2878,7 @@ CLIP_REGIONS: dict[str, list[tuple[float, float]]] = {
 }
 
 
+@query(lambda o: o.clipped_way_lengths(CLIP_REGIONS))
 def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     """aggregateByGeometry with CLIPPED geometries over OVERLAPPING
     regions (MapAggregator.aggregateByGeometry + FastPolygonOperations
@@ -3037,16 +2886,10 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     is clipped against every region polygon (Cyrus-Beck, convex) and
     its clipped length emitted per (region, way) — a way crossing the
     chord contributes to pent, pent_left AND pent_right."""
-    from .functions.geo import distance_equirectangular
-    from .geometry import clip_segments_convex
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -3096,6 +2939,7 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["region_id", "way_id"]).reset_index(drop=True)
 
 
+@query(lambda o: o.clipped_way_lengths_daily(CLIP_REGIONS, SNAP_WEEKLY))
 def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
     """Chained aggregateByGeometry().aggregateByTimestamp() — the
     reference's NESTED combined index (MapAggregator.java:172-200
@@ -3108,18 +2952,11 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
     np.add.at (order-independent), and each batch emits only
     |regions| x |timestamps| partial rows — the final combine is
     driver-tiny regardless of corpus size."""
-    from .aggregate import combine_partials
-    from .functions.geo import distance_equirectangular
-    from .geometry import clip_segments_convex
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts_arr = np.array(SNAP_WEEKLY, dtype=np.int64)
     n_ts = len(SNAP_WEEKLY)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts_arr).select(
+        return snapshots(decode_spans(batch, tags=False), ts_arr).select(
             ["osm_id", "lon_e7", "lat_e7", "ts_q"]
         )
 
@@ -3223,6 +3060,7 @@ NONCONVEX_CLIP_REGIONS: dict[str, list[list[tuple[float, float]]]] = {
 }
 
 
+@query(lambda o: o.clipped_way_lengths_poly(NONCONVEX_CLIP_REGIONS))
 def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     """aggregateByGeometry with clipped geometries over GENERAL
     (non-convex, holed) regions — the full FastPolygonOperations clip
@@ -3232,16 +3070,10 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     region's ring set; a way may contribute several disjoint inside
     sub-intervals (a segment crossing a comb slot re-enters), whose
     lengths are summed as integer micrometers per (region, way)."""
-    from .functions.geo import distance_equirectangular
-    from .geometry import clip_segments_even_odd
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -3301,6 +3133,7 @@ WAY_CONTRIB_TO = T0 + 32 * DAY_US
 WAY_SNAPS = [*SNAP_WEEKLY, T0 + 32 * DAY_US]  # + Feb 2: after every way's v2
 
 
+@query(lambda o: o.contrib_type_counts_ways(WAY_CONTRIB_FROM, WAY_CONTRIB_TO))
 def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     """Contribution counts over COMPOUND way documents — exercises the
     member-history recursion (OSHEntities._getModificationTimestamps,
@@ -3309,10 +3142,6 @@ def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     sets), changeset-collapsed with parent changesets winning, and the
     contributor uid of a pure member edit comes from the CHILD version
     (OSMContribution.java:211-257) — sum_uid pins that attribution."""
-    from .aggregate import combine_partials
-    from .ingest import read_way_documents
-    from .members import contribution_stats_batch
-
     def stage(batch: pa.Table) -> pa.Table:
         return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
@@ -3333,6 +3162,7 @@ def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.contrib_type_counts_ways_k3(WAY_CONTRIB_FROM, WAY_CONTRIB_TO))
 def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
     """FILTER-RELATIVE contributions over compound way documents with
     the osmTag filter k=3: member-validity windows are built ONLY from
@@ -3345,10 +3175,6 @@ def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
     - ways with w%7==2 and visible v2: only v2 (k=3) matches -> a
       single CREATION at ts2, member edits suppressed (no window);
     - all other ways contribute nothing."""
-    from .aggregate import combine_partials
-    from .ingest import read_way_documents
-    from .members import contribution_stats_batch
-
     def stage(batch: pa.Table) -> pa.Table:
         return contribution_stats_batch(
             batch,
@@ -3374,6 +3200,7 @@ def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.snapshot_way_geoms(WAY_SNAPS))
 def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     """Snapshot view over compound way documents: per (way, ts) the
     member-resolved geometry (each member node at its latest
@@ -3381,9 +3208,6 @@ def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     OSHDBGeometryBuilder.java:72-110), reported as integer-exact
     node count + coordinate sums. The Feb-2 timestamp falls after
     every way's v2, so deleted ways (w%3==0) drop out there."""
-    from .ingest import read_way_documents
-    from .members import snapshot_geoms_batch
-
     def stage(batch: pa.Table) -> pa.Table:
         return snapshot_geoms_batch(batch, WAY_SNAPS)
 
@@ -3395,6 +3219,7 @@ def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["way_id", "ts_q"]).reset_index(drop=True)
 
 
+@query(lambda o: o.contrib_type_counts_relations(WAY_CONTRIB_FROM, WAY_CONTRIB_TO))
 def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     """Contribution counts over 2-LEVEL compound relation documents —
     the recursive relation path (OSHEntities.java:395-478): a node edit
@@ -3402,10 +3227,6 @@ def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     timestamps; way visibility changes drop whole member ways from the
     resolved geometry. n_deletion/n_tag_change are structurally 0
     (single visible relation version) and the oracle proves it."""
-    from .aggregate import combine_partials
-    from .ingest import read_relation_documents
-    from .members import contribution_stats_batch
-
     def stage(batch: pa.Table) -> pa.Table:
         return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
@@ -3426,14 +3247,12 @@ def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.snapshot_relation_geoms(WAY_SNAPS))
 def q_snapshot_relation_geoms(sf_dir: str) -> pd.DataFrame:
     """Snapshot view over relation documents: member ways resolve at
     ts, then THEIR member nodes resolve recursively
     (resolve_coords two-level chain, OSMMember.entity); invisible ways
     drop all their nodes from the geometry."""
-    from .ingest import read_relation_documents
-    from .members import snapshot_geoms_batch
-
     def stage(batch: pa.Table) -> pa.Table:
         return snapshot_geoms_batch(batch, WAY_SNAPS, id_name="rel_id")
 
@@ -3445,6 +3264,7 @@ def q_snapshot_relation_geoms(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["rel_id", "ts_q"]).reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_old_style(WAY_SNAPS))
 def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
     """Old-style multipolygon snapshots (CellIterator.java:260-318,
     BaseTagInterpreter.isOldStyleMultipolygon :111-136): relations
@@ -3455,11 +3275,6 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
     count, and the integer sums of hole-ring point coordinates
     (pinning member-resolved node positions at ts, including the
     closed-ring repeat of the first inner node)."""
-    from .aggregate import combine_partials
-    from .ingest import read_oldstyle_documents
-    from .members import COMPOUND_BATCH
-    from .members_vec import snapshots_old_style_batch_vec
-
     def stage(batch: pa.Table) -> pa.Table:
         # vectorized engine (A/B-pinned to members.snapshots_old_style
         # in tests/test_members_vec.py) + per-batch partial agg
@@ -3488,21 +3303,16 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("ts_q").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_by_type())
 def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
     """Mixed-corpus snapshot count at T_MID grouped by osmType — the
     union of the node and way document tables with per-type routing
     (vectorized node path, member-recursion way path), the
     MapReducer.osmType(...) filter surface (MapReducer.java:396-401)."""
-    from .aggregate import combine_partials
-    from .ingest import read_way_documents
-    from .members import snapshot_geoms_batch
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def node_stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False, geom=False), ts)
+        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
         return pa.table(
             {
                 "osm_type": pa.array(["node"]),
@@ -3527,6 +3337,7 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("osm_type").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_three_types(WAY_SNAPS))
 def q_snapshot_count_three_types(sf_dir: str) -> pd.DataFrame:
     """The reference's single-query three-type union
     (backend/MapReducerJdbc.java:53-59 UNION ALL over node/way/relation
@@ -3535,8 +3346,6 @@ def q_snapshot_count_three_types(sf_dir: str) -> pd.DataFrame:
     span leg + the compound way/relation member-recursion legs, all
     partials merging in one combine (api.MapReducer._count_compound).
     Keyed by (ts_q, osm_type), zerofilled over the full grid."""
-    from .api import OSMEntitySnapshotView
-
     return (
         OSMEntitySnapshotView.on(sf_dir)
         .timestamps(WAY_SNAPS)
@@ -3547,13 +3356,12 @@ def q_snapshot_count_three_types(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.snapshot_cells_fine())
 def q_snapshot_cells_fine(sf_dir: str) -> pd.DataFrame:
     """Snapshot counts per FINE grid cell (zoom 10, ~0.35deg tiles):
     the high-cardinality final where the partial-combine stays a
     DISTRIBUTED Dataset groupby (the combine_partials docstring
     threshold path), unlike the coarse-zoom variant."""
-    from .views import snapshot_counts
-
     partials, keys = snapshot_counts(_docs(sf_dir), [T_MID], cell_zoom=10)
     df = (
         partials.groupby(keys)
@@ -3564,6 +3372,7 @@ def q_snapshot_cells_fine(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------- fluent-facade
+@query(lambda o: o.api_snapshot_weekly_click_bbox())
 def q_api_snapshot_weekly_click_bbox(sf_dir: str) -> pd.DataFrame:
     """The full reference chain shape — areaOfInterest(bbox) +
     timestamps + osmTag(k, v) + aggregateByTimestamp + count — written
@@ -3572,8 +3381,6 @@ def q_api_snapshot_weekly_click_bbox(sf_dir: str) -> pd.DataFrame:
     In the oracle surface so the facade's composition logic (filter
     ANDing, AOI masking, binning, zerofill) is value-checked, not just
     unit-tested."""
-    from .api import OSMEntitySnapshotView
-
     return (
         OSMEntitySnapshotView.on(sf_dir)
         .areaOfInterest(bbox=AOI_BBOX)
@@ -3584,12 +3391,11 @@ def q_api_snapshot_weekly_click_bbox(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.api_contrib_creations_daily_even_uid())
 def q_api_contrib_creations_daily_even_uid(sf_dir: str) -> pd.DataFrame:
     """Contribution-view facade chain: interval timestamps +
     osmEntityFilter (vectorized arbitrary predicate, MapReducer.java
     :411-422) + aggregateByTimestamp + sum over a classification flag."""
-    from .api import OSMContributionView
-
     return (
         OSMContributionView.on(sf_dir)
         .timestamps(list(CONTRIB_BINS) + [CONTRIB_TO])
@@ -3616,6 +3422,7 @@ def _many_regions() -> list[tuple[str, list]]:
     return out
 
 
+@query(lambda o: o.snapshot_pip_many_regions())
 def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
     """Many-region point-in-polygon join through the grid-bucketed
     region index (RegionIndex / RegionJoinStage — the GeometrySplitter
@@ -3626,13 +3433,6 @@ def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
     this puts the index itself (inside/boundary cell classification)
     under the value-exact oracle, not just the pytest linear-scan
     equivalence."""
-    import ray
-
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.join import RegionJoinStage
-    from .temporal import snapshots as snapshots_fn
-
     regions = _many_regions()
     regions_ref = ray.put(regions)
     ts = np.array([T_MID], dtype=np.int64)
@@ -3642,7 +3442,7 @@ def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
             super().__init__(regions_ref, zoom=6)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots_fn(decode_spans(batch, tags=False), ts)
+            s = snapshots(decode_spans(batch, tags=False), ts)
             tagged = super().__call__(s.select(["lon_e7", "lat_e7"]))
             g = pa.TableGroupBy(tagged.select(["region_id"]), ["region_id"]).aggregate(
                 [([], "count_all")]
@@ -3656,6 +3456,8 @@ def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"region_id": [r for r, _ in regions]}, {"n": 0})
 
 
+# STRtree backend shares the grid-index query's oracle
+@query(lambda o: o.snapshot_pip_many_regions())
 def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
     """Same result contract as snapshot_pip_many_regions computed
     through the STR-PACKED R-TREE backend (spatial/strtree.py — the
@@ -3664,13 +3466,6 @@ def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
     two candidate structures, one value-exact oracle. The tree is
     actor state (built once per actor from the ray.put handle); the
     level-synchronous query is vectorized across each batch."""
-    import ray
-
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.strtree import STRtreeJoinStage
-    from .temporal import snapshots as snapshots_fn
-
     regions = _many_regions()
     regions_ref = ray.put(regions)
     ts = np.array([T_MID], dtype=np.int64)
@@ -3680,7 +3475,7 @@ def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
             super().__init__(regions_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots_fn(decode_spans(batch, tags=False), ts)
+            s = snapshots(decode_spans(batch, tags=False), ts)
             tagged = super().__call__(s.select(["lon_e7", "lat_e7"]))
             g = pa.TableGroupBy(tagged.select(["region_id"]), ["region_id"]).aggregate(
                 [([], "count_all")]
@@ -3694,12 +3489,11 @@ def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"region_id": [r for r, _ in regions]}, {"n": 0})
 
 
+@query(lambda o: o.snapshot_count_daily("visible AND (etype = 'click' OR kk = 3)"))
 def q_api_snapshot_daily_any_tags(sf_dir: str) -> pd.DataFrame:
     """The osmTag COLLECTION overload (match ANY of a set of exact
     tags, MapReducer.java:595-632) through the facade, on the
     int-keytable LUT path; daily snapshot counts, zerofilled."""
-    from .api import OSMEntitySnapshotView
-
     return (
         OSMEntitySnapshotView.on(sf_dir)
         .timestamps(SNAP_DAILY)
@@ -3709,19 +3503,16 @@ def q_api_snapshot_daily_any_tags(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.api_snapshot_weighted_avg())
 def q_api_snapshot_weighted_avg(sf_dir: str) -> pd.DataFrame:
     """weightedAverage through the facade (MapReducer.java:1207-1225):
     exact integer sum(w*x) / sum(w) partials, ONE IEEE division at the
     end — value-identical to the SQL division of exact BIGINT sums.
     Weight = kk + 40 (positive by construction), x = uid."""
-    import pyarrow.compute as pc_
-
-    from .api import OSMEntitySnapshotView
-
     wavg = (
         OSMEntitySnapshotView.on(sf_dir)
         .timestamps([T_MID])
-        .map(lambda t: t.append_column("w", pc_.add(t["kk"], 40)))
+        .map(lambda t: t.append_column("w", pc.add(t["kk"], 40)))
         .weightedAverage("uid", "w")
     )
     return pd.DataFrame([{"wavg_uid": wavg}])
@@ -3740,9 +3531,6 @@ TOPK_PRIORITY_K = 3
 def _events_typed(sf_dir: str, etype: str, cols: list[str]):
     """Pushdown-filtered events read with ts converted to int64 us in
     the scan stage (exact integer time arithmetic end-to-end)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset  # noqa: F401
-
     ds = rio.read_table(
         f"{sf_dir}/events.parquet",
         columns=cols,
@@ -3756,6 +3544,7 @@ def _events_typed(sf_dir: str, etype: str, cols: list[str]):
     return ds.map_batches(to_us, batch_format="pyarrow")
 
 
+@query(lambda o: o.asof_attribution())
 def q_asof_attribution(sf_dir: str) -> pd.DataFrame:
     """AS-OF JOIN (the attribution join): each purchase matched to the
     LATEST click by the same user at-or-before its timestamp (>=
@@ -3765,8 +3554,6 @@ def q_asof_attribution(sf_dir: str) -> pd.DataFrame:
     (purchase count, attributed count, total click->purchase lag)
     runs INSIDE the bucket stage, so only |users| rows reach the
     driver. Lag sums are exact int64 microseconds."""
-    from .ops.window import asof_join
-
     purchases = _events_typed(sf_dir, "purchase", ["user_id", "ts", "event_type"])
     clicks = _events_typed(sf_dir, "click", ["user_id", "ts", "event_type"])
 
@@ -3792,6 +3579,7 @@ def q_asof_attribution(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.range_error_click_daily(RANGE_WIN_US, T0, DAY_US))
 def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
     """RANGE JOIN with no key equality: every (error-window, click)
     pair where the click falls inside [error_ts, error_ts + 30min),
@@ -3804,9 +3592,6 @@ def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
     (interval_point_join remains the pair-OUTPUT operator). The
     per-day count is a PARTIAL inside the bucket stage, combined at
     the driver (30 keys)."""
-    from .aggregate import combine_partials
-    from .ops.window import interval_coverage_counts
-
     errors = _events_typed(sf_dir, "error", ["ts", "event_type"]).drop_columns(
         ["event_type"]
     )
@@ -3839,15 +3624,13 @@ def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("day").reset_index(drop=True)
 
 
+@query(lambda o: o.window_rolling_spikes(SPIKE_WINDOW))
 def q_window_rolling_spikes(sf_dir: str) -> pd.DataFrame:
     """Per-key ordered ROLLING WINDOW (ROWS frame): an event is a
     "spike" when its value exceeds the mean of the user's previous 3
     events (exact integer test: window*value_cents > prior_sum_cents,
     requiring a full frame). Events ordered by (ts, event_id) per
     user; per-user totals are final inside the bucket stage."""
-    from .ops.relational import round_half_away
-    from .ops.window import with_prior_window
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
@@ -3889,6 +3672,7 @@ def q_window_rolling_spikes(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.user_event_ranks())
 def q_user_event_ranks(sf_dir: str) -> pd.DataFrame:
     """RANKED WINDOW FUNCTIONS (LAG / running MAX / DENSE_RANK — the
     value-rank family `topk_orders_by_priority`'s ROW_NUMBER idiom
@@ -3900,9 +3684,6 @@ def q_user_event_ranks(sf_dir: str) -> pd.DataFrame:
     with complete users per bucket; per-user finals in-stage, so only
     |users| rows reach the driver. Exact integer cents end-to-end
     (nullable Int64 lag/max — never float)."""
-    from .ops.relational import round_half_away
-    from .ops.window import with_ranked_window
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
@@ -3957,6 +3738,7 @@ def q_user_event_ranks(sf_dir: str) -> pd.DataFrame:
 FIRST_EVENTS_K = 3  # ordered-collect prefix length per user
 
 
+@query(lambda o: o.user_first_events(FIRST_EVENTS_K))
 def q_user_first_events(sf_dir: str) -> pd.DataFrame:
     """ORDERED COLLECT / string_agg (the §2.7 collect terminal under a
     value-exact oracle): each user's first 3 event types in (ts,
@@ -3964,8 +3746,6 @@ def q_user_first_events(sf_dir: str) -> pd.DataFrame:
     stage, the prefix filter and the per-user string build in-stage
     (|users| rows out). The collected value is deterministic because
     the order is a total order."""
-    from .ops.window import with_ranked_window
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
@@ -4003,6 +3783,7 @@ def q_user_first_events(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.user_value_dist())
 def q_user_value_dist(sf_dir: str) -> pd.DataFrame:
     """The remaining SQL window functions under the value-exact
     oracle — LEAD, FIRST_VALUE, PERCENT_RANK, CUME_DIST (the
@@ -4014,9 +3795,6 @@ def q_user_value_dist(sf_dir: str) -> pd.DataFrame:
     two-integer IEEE division, so the float compare is
     engine-independent). One complete-key bucket shuffle, per-user
     finals in-stage."""
-    from .ops.relational import round_half_away
-    from .ops.window import with_ranked_window
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
@@ -4079,6 +3857,7 @@ def q_user_value_dist(sf_dir: str) -> pd.DataFrame:
 OUTER_DAY_STRIDE = 64  # composite (user_id, day) key: uk = user_id*64 + day
 
 
+@query(lambda o: o.outer_join_user_day(OUTER_DAY_STRIDE, T0, DAY_US))
 def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
     """FULL OUTER JOIN (partitioned hash join, how='outer'): per-user
     per-day error counts joined with purchase counts; (user, day)
@@ -4088,8 +3867,6 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
     key per the CLAUDE.md rule), then joined on the composite int key
     user_id*64 + day — one bucket shuffle, unmatched rows emitted
     in-bucket, never a driver-side merge."""
-    from .ops.relational import hash_join
-
     def side_counts(etype: str, out_col: str) -> ray.data.Dataset:
         ds = _events_typed(sf_dir, etype, ["user_id", "ts", "event_type"])
 
@@ -4123,15 +3900,12 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["user_id", "day"]).reset_index(drop=True)
 
 
+@query(lambda o: o.users_click_not_purchase(SETOP_CUTOFF_US))
 def q_users_click_not_purchase(sf_dir: str) -> pd.DataFrame:
     """Distributed DISTINCT EXCEPT (set ops the reference never
     exposed, SURVEY.md §2.9): users who clicked in the first two days
     but made no purchase in that window. Per-batch pre-dedup, hash
     buckets, vectorized set difference per bucket."""
-    import pyarrow.compute as pc
-
-    from .ops.window import distinct_set_op
-
     def side(etype: str):
         ds = _events_typed(sf_dir, etype, ["user_id", "ts", "event_type"])
         return ds.map_batches(
@@ -4143,13 +3917,12 @@ def q_users_click_not_purchase(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.topk_orders_by_priority(TOPK_PRIORITY_K))
 def q_topk_orders_by_priority(sf_dir: str) -> pd.DataFrame:
     """TOP-K PER GROUP (the windowed row_number() <= k idiom): the 3
     highest-value orders per order priority, rank 1-based, ties broken
     by orderkey. Per-batch candidate prune (<= k rows per group per
     batch shuffle) + distributed per-group final."""
-    from .ops.relational import cents, topk_per_group
-
     orders = rio.read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_totalprice", "o_orderpriority"],
@@ -4170,6 +3943,7 @@ def q_topk_orders_by_priority(sf_dir: str) -> pd.DataFrame:
 ORDER_NTILES = 4  # equal-frequency price quartiles per priority
 
 
+@query(lambda o: o.order_price_ntiles(ORDER_NTILES))
 def q_order_price_ntiles(sf_dir: str) -> pd.DataFrame:
     """SQL NTILE (equal-frequency bucketing — the eval-split /
     quantile-bin idiom): orders per priority split into 4 price
@@ -4177,9 +3951,6 @@ def q_order_price_ntiles(sf_dir: str) -> pd.DataFrame:
     rule sizes the tiles), then per-(priority, tile) count and exact
     integer price sum. Same complete-key bucket shuffle as the other
     ranked-window queries; finals in-stage."""
-    from .ops.relational import cents
-    from .ops.window import with_ranked_window
-
     orders = rio.read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_totalprice", "o_orderpriority"],
@@ -4212,6 +3983,7 @@ def q_order_price_ntiles(sf_dir: str) -> pd.DataFrame:
 EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
 
 
+@query(lambda o: o.rollup_events(T0, DAY_US))
 def q_rollup_events(sf_dir: str) -> pd.DataFrame:
     """ONE-PASS ROLLUP (grouping-sets ladder): event counts and exact
     value-cents sums at three granularities — (event_type, day),
@@ -4219,9 +3991,6 @@ def q_rollup_events(sf_dir: str) -> pd.DataFrame:
     partials for EVERY level (no per-level re-read, no shuffle; the
     combined result is levels x keys, tiny). Coarser levels use the
     'ALL' marker, mirrored by coalesce() over SQL GROUP BY ROLLUP."""
-    from .aggregate import rollup_sums
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
@@ -4249,13 +4018,12 @@ def q_rollup_events(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.pivot_events_daily(T0, DAY_US, EVENT_TYPES))
 def q_pivot_events_daily(sf_dir: str) -> pd.DataFrame:
     """PIVOT: the (day x event_type) count matrix as wide int64
     columns, zerofilled against the expected type set. Per-batch
     (day, type) partial counts; the reshape runs only on the combined
     small frame."""
-    from .aggregate import pivot_counts
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -4278,6 +4046,7 @@ def q_pivot_events_daily(sf_dir: str) -> pd.DataFrame:
 UNPIVOT_MEASURES = ["qty_cents", "price_cents", "disc_cents", "tax_cents"]
 
 
+@query(lambda o: o.lineitem_measures_unpivot(UNPIVOT_MEASURES))
 def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
     """UNPIVOT (wide -> long, the inverse of the PIVOT reshape) over
     corpus-cardinality data: the four lineitem money measures become
@@ -4286,9 +4055,6 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
     partial sums per (returnflag, measure) combine on the driver
     (12-key final, the combine_partials regime). Exact integer cents
     throughout."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents, unpivot
-
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice", "l_discount", "l_tax"],
@@ -4328,6 +4094,7 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(None)  # rows-only: HyperLogLog estimate; accuracy pinned in tests/test_hll.py
 def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     """Approximate distinct users per day via HyperLogLog partials —
     the sketch path beside the exact contrib_uniq_uids_daily (rows-only
@@ -4335,8 +4102,6 @@ def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     contract lives in tests/test_hll.py). At sandbox cardinalities the
     linear-counting regime is engaged; at corpus scale the same
     pipeline moves only |days| x 16 KiB of registers."""
-    from .aggregate import grouped_approx_count_distinct
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -4356,6 +4121,7 @@ def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
 BLOOM_NATION = 5
 
 
+@query(lambda o: o.bloom_semi_join_orders(BLOOM_NATION))
 def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     """Bloom-pruned both-sides-large SEMI-join: orders of customers in
     one nation, aggregated per order priority. A Bloom filter of the
@@ -4365,13 +4131,6 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     in-bucket isin, so results are identical to the unpruned join; the
     equivalence is also pinned by tests/test_bloom.py). Priority sums
     are exact integer cents."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset  # noqa: F401
-
-    from .aggregate import combine_partials
-    from .functions.bloom import build_bloom
-    from .ops.relational import cents, hash_semi_join
-
     cust = rio.read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey"],
@@ -4406,14 +4165,12 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.cube_events(T0, DAY_US))
 def q_cube_events(sf_dir: str) -> pd.DataFrame:
     """ONE-PASS CUBE: counts and exact value-cents sums at ALL FOUR
     granularities of (event_type, day-parity) — both keys, each key
     alone, grand total — from a single scan via the grouping-sets
     generalization of rollup_sums (SQL GROUP BY CUBE oracle)."""
-    from .aggregate import cube_levels, rollup_sums
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
@@ -4446,18 +4203,13 @@ def q_cube_events(sf_dir: str) -> pd.DataFrame:
 ANTI_NATION = 7
 
 
+@query(lambda o: o.anti_join_orders(ANTI_NATION))
 def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
     """Distributed ANTI-join (SQL NOT IN with non-null keys): orders
     whose customer is NOT in one nation, aggregated per priority —
     the complement of bloom_semi_join_orders on the same co-partitioned
     shuffle (Bloom pruning is rejected for this mode: the pre-filter
     would drop exactly the anti rows)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset  # noqa: F401
-
-    from .aggregate import combine_partials
-    from .ops.relational import cents, hash_semi_join
-
     cust = rio.read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey"],
@@ -4493,6 +4245,7 @@ STRAT_EVEN = (1, 2)  # even-numbered sources: keep 1/2
 STRAT_ODD = (1, 8)  # odd-numbered sources: keep 1/8
 
 
+@query(lambda o: o.stratified_sample_docs(STRAT_EVEN, STRAT_ODD))
 def q_stratified_sample_docs(sf_dir: str) -> pd.DataFrame:
     """Deterministic STRATIFIED sampling: per-source keep rates (1/2
     for even-numbered sources, 1/8 for odd) decided by the md5-prefix
@@ -4501,8 +4254,6 @@ def q_stratified_sample_docs(sf_dir: str) -> pd.DataFrame:
     from a one-column distinct scan (sources are low-cardinality); at
     corpus scale the production twin uses the vectorized fnv path
     (rate contract in tests), exactly like sample_docs."""
-    from .ops.relational import stratified_sample
-
     docs = rio.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
@@ -4520,6 +4271,7 @@ HH_CAPACITY = 64  # > the 20 distinct sources at every SF -> provably exact
 HH_TOP_N = 10
 
 
+@query(lambda o: o.heavy_hitter_sources(HH_TOP_N))
 def q_heavy_hitter_sources(sf_dir: str) -> pd.DataFrame:
     """Top-10 document sources by count via mergeable Misra-Gries
     partials (capacity 64 > the corpus's 20 distinct sources, so the
@@ -4527,19 +4279,16 @@ def q_heavy_hitter_sources(sf_dir: str) -> pd.DataFrame:
     pattern as full-probe LSH ANN). The lossy regime's guarantees
     (presence above n/(k+1), bounded count error) are pinned in
     tests/test_heavyhitters.py. At most k rows leave each block."""
-    from .aggregate import approx_heavy_hitters
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source"])
     return approx_heavy_hitters(docs, "source", k=HH_CAPACITY, top_n=HH_TOP_N)
 
 
+@query(lambda o: o.value_quantiles_by_type())
 def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
     """Exact per-group discrete quantiles (p50/p90 of value cents per
     event type): distributed (type, value) histogram + distributed
     per-key cumsum resolve — no global sort, no per-group row sort;
     |types| rows reach the driver."""
-    from .ops.relational import cents, grouped_exact_quantiles_int
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(
@@ -4555,6 +4304,7 @@ BURST_DT_US = 30 * 60 * 1_000_000  # time window: preceding 30 minutes
 BURST_K = 1  # "rapid" = at least this many same-user events in the window
 
 
+@query(lambda o: o.time_window_bursts(BURST_DT_US, BURST_K))
 def q_time_window_bursts(sf_dir: str) -> pd.DataFrame:
     """Per-key TIME-BASED sliding window (the RANGE frame,
     complementing the ROWS frame of window_rolling_spikes): an event
@@ -4562,8 +4312,6 @@ def q_time_window_bursts(sf_dir: str) -> pd.DataFrame:
     preceding 30 minutes. One searchsorted pair resolves every row's
     window via the monotone key-ordinal embedding; per-user totals are
     final inside the bucket stage."""
-    from .ops.window import with_time_window
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -4598,6 +4346,7 @@ def q_time_window_bursts(sf_dir: str) -> pd.DataFrame:
 FUNNEL_RATE = (1, 2)  # deterministic user subsample for the funnel
 
 
+@query(lambda o: o.funnel_attribution_daily(*FUNNEL_RATE, T0, DAY_US))
 def q_funnel_attribution_daily(sf_dir: str) -> pd.DataFrame:
     """COMPOSED event-analytics chain (the corpus_curation pattern for
     the ordered/temporal family): deterministic md5 user subsample ->
@@ -4606,10 +4355,6 @@ def q_funnel_attribution_daily(sf_dir: str) -> pd.DataFrame:
     streaming pipeline with the day partials final inside the join's
     bucket stage. Locks operator COMPOSITION stage-for-stage against a
     single SQL statement."""
-    from .aggregate import combine_partials
-    from .ops.relational import deterministic_sample
-    from .ops.window import asof_join
-
     num, den = FUNNEL_RATE
     purchases = deterministic_sample(
         _events_typed(sf_dir, "purchase", ["user_id", "ts", "event_type"]).drop_columns(
@@ -4648,12 +4393,11 @@ def q_funnel_attribution_daily(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.interarrival_median())
 def q_interarrival_median(sf_dir: str) -> pd.DataFrame:
     """Per-user LAG/inter-arrival analytics: gap count and exact
     discrete median gap ((n-1)//2 rank rule), median final inside the
     bucket stage — only |users| rows leave."""
-    from .ops.window import per_key_interarrival
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -4671,6 +4415,7 @@ TOP_WORDS_K = 20
 WORD_SPLIT_RE = "[^a-z]+"  # wordcount tokenizer: lowercase alpha runs
 
 
+@query(lambda o: o.top_words())
 def q_top_words(sf_dir: str) -> pd.DataFrame:
     """Distributed wordcount with a global top-k (the canonical
     map-reduce shape): per-batch Arrow explode (utf8_lower ->
@@ -4680,10 +4425,6 @@ def q_top_words(sf_dir: str) -> pd.DataFrame:
     combine_partials), then the candidate top-k reduce moves only k
     rows per block. Ties break ascending on the word. Arrow and DuckDB
     both run RE2 over UTF-8, so the token split is engine-identical."""
-    import pyarrow.compute as pc
-
-    from .ops.relational import topk
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def explode_count(b: pa.Table) -> pa.Table:
@@ -4713,8 +4454,6 @@ def _repetition_stage(b: pa.Table) -> pa.Table:
     from pandas.factorize (O(n) hashing); (doc, code) and
     (doc, code-pair) occurrences collapse via integer keys so the
     per-doc maxima reduce on small unique arrays, never Python rows."""
-    import pyarrow.compute as pc
-
     words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
     flat = pc.list_flatten(words)
     parent = pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
@@ -4770,6 +4509,7 @@ def _repetition_stage(b: pa.Table) -> pa.Table:
     )
 
 
+@query(lambda o: o.doc_repetition())
 def q_doc_repetition(sf_dir: str) -> pd.DataFrame:
     """Within-document repetition profile — the Gopher-rule family of
     LLM corpus quality signals (Rae et al. 2021 §A1.1: repetitious
@@ -4802,8 +4542,6 @@ def _compress_stage(b: pa.Table) -> pa.Table:
     (deflate is deterministic for a fixed level and input). The per-doc
     loop calls straight into C per document — the documented
     per-payload boundary, same as the multimodal decode stages."""
-    import zlib
-
     texts = b["text"].to_numpy(zero_copy_only=False)
     encoded = [t.encode("utf-8") for t in texts]  # encode ONCE per doc
     raw = np.fromiter((len(e) for e in encoded), np.int64, len(encoded))
@@ -4819,6 +4557,7 @@ def _compress_stage(b: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(g, preserve_index=False)
 
 
+@query(None)  # rows-only: deflate has no SQL mirror; bytes pinned in tests/test_ops.py
 def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     """Compression-ratio quality signal per source — the
     CCNet/RedPajama-style curation heuristic (highly compressible
@@ -4828,8 +4567,6 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     Deflate has no SQL mirror, so this is a rows-only driver check by
     design — byte-exactness is pinned by a direct-zlib pytest
     instead. One fused map_batches + |sources| combine."""
-    from .aggregate import combine_partials
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     partials = ds.map_batches(_compress_stage, batch_format="pyarrow")
     df = combine_partials(
@@ -4849,8 +4586,6 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
 def _doc_bigram_stage(b: pa.Table) -> pa.Table:
     """(doc_id, w1, w2, n) per-batch bigram pre-count over the
     standard token split — consecutive tokens within one doc."""
-    import pyarrow.compute as pc
-
     words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
     flat = pc.list_flatten(words)
     parent = pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
@@ -4878,6 +4613,7 @@ def _doc_bigram_stage(b: pa.Table) -> pa.Table:
 EMB_QUANT = 1000  # embedding quantization scale (milli-units)
 
 
+@query(lambda o: o.label_centroid_cosine(EMB_QUANT))
 def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
     """Class-separation diagnostic over the embedding table: the
     cosine similarity between every pair of LABEL CENTROIDS. Exact by
@@ -4887,14 +4623,9 @@ def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
     the sums stand in for the centroids directly — is three float
     conversions + sqrt + one division on exact ints, mirrored op for
     op in SQL. One fused pass; |labels| x 64 partial rows combine."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def partials(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         flat = pc.list_flatten(b["embedding"]).to_numpy(zero_copy_only=False)
         dims = pc.list_value_length(b["embedding"]).to_numpy(zero_copy_only=False)
@@ -4945,6 +4676,7 @@ def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["label_lo", "label_hi"]).reset_index(drop=True)
 
 
+@query(lambda o: o.doc_lm_surprisal())
 def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     """Language-model quality scoring — the CCNet-style curation
     signal: each document's total and mean SURPRISAL under an
@@ -4959,10 +4691,6 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     groupbys; scoring = two partitioned hash joins (composite
     (w1, w2) key, then w1); per-doc totals on a doc_id Dataset
     groupby (high-card rule)."""
-    import math
-
-    from .ops.relational import hash_join
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     bg = docs.map_batches(_doc_bigram_stage, batch_format="pyarrow")
 
@@ -4981,8 +4709,6 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
 
     # vocabulary size: distinct tokens over the WHOLE token stream
     def tok_stage(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         words = pc.list_flatten(
             pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
         )
@@ -5002,7 +4728,6 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
                     "sm_p": pa.array([], pa.int64()),
                 }
             )
-        from .ops.relational import round_half_away as _rha
 
         den = b["c1"].to_numpy(zero_copy_only=False).astype(np.int64) + np.int64(v)
         num = b["c2"].to_numpy(zero_copy_only=False).astype(np.int64) + 1
@@ -5010,7 +4735,7 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
         lut_n = {x: math.log(x) for x in np.unique(num).tolist()}
         ln_d = np.array([lut_d[x] for x in den.tolist()])
         ln_n = np.array([lut_n[x] for x in num.tolist()])
-        sm = _rha(1000.0 * (ln_d - ln_n)).astype(np.int64)
+        sm = round_half_away(1000.0 * (ln_d - ln_n)).astype(np.int64)
         n = b["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -5036,6 +4761,7 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     return per_doc.sort_values("doc_id").reset_index(drop=True)
 
 
+@query(lambda o: o.inverted_index(POSTINGS_K))
 def q_inverted_index(sf_dir: str) -> pd.DataFrame:
     """Inverted-index build — the search/retrieval primitive over a
     text corpus: per token, document frequency, total term frequency,
@@ -5048,10 +4774,6 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
     df/tf/prefix all resolve in-stage so only |vocab| rows reach the
     driver. Production terminates in write_parquet partitioned by
     word-hash — this collect is the oracle-compare convention."""
-    import pyarrow.compute as pc
-
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -5096,6 +4818,7 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("word").reset_index(drop=True)
 
 
+@query(lambda o: o.revenue_by_nation_month())
 def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3/Q10-shaped STAR JOIN CHAIN on two different keys:
     lineitem |x| orders (orderkey) |x| customer (custkey) |x| nation
@@ -5108,12 +4831,6 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     Group final is |nations x months| keys -> combine_partials.
     Arrow's year/month kernels and DuckDB's year()/month() are both
     proleptic-Gregorian on microsecond timestamps."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from .aggregate import combine_partials
-    from .ops.relational import broadcast_join, cents, hash_join
-
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()[
         ["n_nationkey", "n_name"]
     ].rename(columns={"n_nationkey": "c_nationkey"})
@@ -5202,6 +4919,7 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["n_name", "o_year", "o_month"]).reset_index(drop=True)
 
 
+@query(lambda o: o.mad_value_by_type())
 def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped MEDIAN ABSOLUTE DEVIATION — robust-statistics
     selection, exact and integer throughout. ONE distributed
@@ -5211,8 +4929,6 @@ def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
     re-binning of the value histogram, so no second corpus scan and
     no broadcast round-trip). The (n-1)//2 discrete rank rule matches
     the SQL mirror exactly."""
-    from .ops.relational import cents, grouped_median_mad_int
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(
@@ -5230,6 +4946,7 @@ def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
 SESSION_GAP_US = 30 * 60 * 1_000_000
 
 
+@query(lambda o: o.peak_concurrency(SESSION_GAP_US, T0, DAY_US))
 def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     """Peak CONCURRENT sessions per day — the sweep-line counter over
     the sessionized log, composed from the engine's own primitives:
@@ -5242,9 +4959,6 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     at the same microsecond overlaps there). The peak inside a tie
     group is prefix + n_starts regardless of intra-tie order, so the
     day-max is deterministic even though tied rows are interchangeable."""
-    from .ops.scan import ordered_prefix_sum
-    from .ops.sessions import sessionize
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     sess = sessionize(ev, gap_us=SESSION_GAP_US)
 
@@ -5288,6 +5002,7 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
 TFIDF_K = 3
 
 
+@query(lambda o: o.tfidf_top_terms())
 def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     """Per-document top-k terms by tf-idf — the canonical corpus
     statistic behind retrieval/quality scoring. tf is final IN-BATCH
@@ -5301,12 +5016,6 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     numpy's vectorized log), multiplied once per row (single IEEE ops
     on exact ints per the money/float rule). Ties break ascending on
     the word."""
-    import math
-
-    import pyarrow.compute as pc
-
-    from .ops.relational import hash_join, topk_per_group
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = docs.count()
 
@@ -5345,6 +5054,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["doc_id", "rank"]).reset_index(drop=True)
 
 
+@query(lambda o: o.pareto_orders())
 def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
     """Per-priority 2D Pareto frontier (skyline) of orders: maximize
     price (exact cents), minimize order date — the orders no other
@@ -5352,8 +5062,6 @@ def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
     prefilter (a sound combiner) means only block-frontier rows ever
     shuffle; the per-priority final resolves in one map_groups. The
     oracle is the NOT EXISTS anti-self-join."""
-    from .ops.relational import cents, pareto_front_2d
-
     ods = rio.read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_totalprice", "o_orderdate", "o_orderpriority"],
@@ -5381,6 +5089,7 @@ def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
     return front.sort_values(["o_orderpriority", "o_orderkey"]).reset_index(drop=True)
 
 
+@query(lambda o: o.above_user_mean())
 def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
     """Events strictly above their user's mean value, counted per
     event type — the decorrelated scalar-subquery shape. The mean
@@ -5388,10 +5097,6 @@ def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
     int64, no float mean); one complete-user bucket shuffle computes
     the per-user stats and the per-etype partials IN-STAGE, so only
     |buckets x etypes| partial rows reach the small final combine."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-    from .ops.sessions import _bucketed
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -5414,6 +5119,7 @@ def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("event_type").reset_index(drop=True)
 
 
+@query(lambda o: o.weighted_median_price())
 def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     """Exact weighted median of extendedprice cents per (returnflag,
     linestatus), weighted by integral quantity — the lower weighted
@@ -5422,10 +5128,6 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     (group, price) weight pre-aggregation bounds the shuffle at
     distinct prices per block; the group count is 6, but each group's
     payload is |distinct prices|, not rows."""
-    from .ops.relational import cents, grouped_weighted_median_int
-
-    import pyarrow.compute as _pc
-
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_extendedprice", "l_quantity"],
@@ -5433,7 +5135,7 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
 
     def prep(b: pa.Table) -> pa.Table:
         b = cents(b, "l_extendedprice", "price_c")
-        qty = _pc.cast(_pc.round(b["l_quantity"]), pa.int64())
+        qty = pc.cast(pc.round(b["l_quantity"]), pa.int64())
         return pa.table(
             {
                 "l_returnflag": b["l_returnflag"],
@@ -5453,6 +5155,7 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
+@query(lambda o: o.props_key_dist())
 def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
     """Semi-structured extraction: pull the integer ``k`` out of the
     JSON ``props`` string with an RE2 capture group (Arrow
@@ -5460,10 +5163,6 @@ def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
     UTF-8), then count per (event_type, k). Non-matching rows are
     dropped explicitly on BOTH sides. Per-batch pre-count + small
     combine (|etypes x k-values| keys)."""
-    import pyarrow.compute as pc
-
-    from .aggregate import combine_partials
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
@@ -5487,6 +5186,7 @@ HIST_BIN_W_C = 5_000  # $50-wide value bins
 HIST_NBINS = 10  # covers the corpus value domain [0, $500); top bin clamps
 
 
+@query(lambda o: o.value_histogram(HIST_BIN_W_C, HIST_NBINS))
 def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     """Equi-width histogram of event value (exact cents) per event
     type, ZEROFILLED over the full etype x bin grid (absent cells are
@@ -5494,9 +5194,6 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     (|etypes x bins| rows per block) -> small combine; the bin rule
     LEAST(value_c // W, nbins-1) clamps the top bin identically in
     both engines."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -5510,7 +5207,6 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
 
     parts = ev.map_batches(bin_count, batch_format="pyarrow")
     df = combine_partials(parts, keys=["event_type", "bin"], sums={"n_p": "n"})
-    from .aggregate import zerofill
 
     df = zerofill(
         df,
@@ -5523,6 +5219,7 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     return df.astype({"bin": "int64", "n": "int64"}).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_audience_overlap())
 def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
     """Pairwise audience overlap: for every unordered event-type pair,
     the number of users active in BOTH — the co-occurrence join. One
@@ -5530,9 +5227,6 @@ def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
     |etypes|) expands to its C(m,2) ordered pairs IN-STAGE, and the
     per-bucket pair counts are the partials — the corpus never joins
     itself. Mirror is the distinct self-join with etype_a < etype_b."""
-    from .aggregate import combine_partials
-    from .ops.sessions import _bucketed
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -5562,6 +5256,7 @@ def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.value_trend_by_type(T0, DAY_US))
 def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped least-squares slope of event value (cents) over the day
     offset — trend detection per event type. The sufficient statistics
@@ -5571,9 +5266,6 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     loudly, and the published slope is ONE float division of the two
     exact integer terms — DuckDB mirrors with HUGEINT sums and the
     identical cast/divide."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -5634,6 +5326,7 @@ HOTSPOT_MINPTS = 2  # grid-density threshold (cells with >= 2 snapshots)
 HOTSPOT_DRIVER_MAX = 200_000
 
 
+@query(lambda o: o.snapshot_hotspot_clusters(HOTSPOT_MINPTS))
 def q_snapshot_hotspot_clusters(sf_dir: str) -> pd.DataFrame:
     """Grid-density hotspot clustering at the mid snapshot — the
     DBSCAN-on-cells shape: fused snapshot counts per zoom-4 cell,
@@ -5654,17 +5347,11 @@ def q_snapshot_hotspot_clusters(sf_dir: str) -> pd.DataFrame:
 
 
 def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFrame:
-    from .ops.cc import connected_components
-    from .ops.relational import hash_join
-    from .views import snapshot_counts
-
     nx, ny = 1 << CELL_ZOOM, 1 << (CELL_ZOOM - 1)
     partials, keys = snapshot_counts(_docs(sf_dir), [T_MID], cell_zoom=CELL_ZOOM)
     cells = partials.groupby(keys).aggregate(Sum("n_part", alias_name="n"))
 
     def dense_only(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         b = b.filter(pc.greater_equal(b["n"], HOTSPOT_MINPTS))
         return b.select(["cell", "n"])
 
@@ -5716,8 +5403,6 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
             {"cell": np.concatenate(srcs), "nbr": np.concatenate(nbrs)}
         )
 
-    import pyarrow.compute as _pc
-
     neighbors = dense.map_batches(fan_out, batch_format="pyarrow")
     dense_keys = dense.map_batches(
         lambda b: pa.table({"nbr": b["cell"]}), batch_format="pyarrow"
@@ -5725,7 +5410,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
     edges = (
         hash_join(neighbors, dense_keys, on="nbr")
         .map_batches(
-            lambda b: b.filter(_pc.less(b["cell"], b["nbr"])),
+            lambda b: b.filter(pc.less(b["cell"], b["nbr"])),
             batch_format="pyarrow",
         )
         .materialize()
@@ -5744,7 +5429,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
         joined = hash_join(dense, comp, on="cell", how="left")
 
         def fill_isolated(b: pa.Table) -> pa.Table:
-            filled = _pc.coalesce(
+            filled = pc.coalesce(
                 b["component"].combine_chunks().cast(pa.int64()), b["cell"]
             )
             return b.set_column(
@@ -5765,6 +5450,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
 VOCAB_K = 100  # global vocabulary size for the OOV-rate query
 
 
+@query(lambda o: o.oov_rate_by_source())
 def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     """Out-of-vocabulary token rate per document source — the
     tokenizer-coverage check a training pipeline runs before BPE
@@ -5776,12 +5462,6 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     member/non-member tokens per source as partials -> |sources| final
     rows. The vocab boundary is deterministic (count desc, word asc),
     so both engines cut the same K words."""
-    import pyarrow.compute as pc
-    import ray
-
-    from .aggregate import combine_partials
-    from .ops.relational import topk
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def explode_count(b: pa.Table) -> pa.Table:
@@ -5820,6 +5500,7 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
+@query(lambda o: o.supplier_fuzzy_pairs())
 def q_supplier_fuzzy_pairs(sf_dir: str) -> pd.DataFrame:
     """String similarity join: all supplier pairs whose names are
     within ONE edit (PassJoin d=1 partition scheme — see
@@ -5827,8 +5508,6 @@ def q_supplier_fuzzy_pairs(sf_dir: str) -> pd.DataFrame:
     never an all-pairs product; the exact vectorized verify and the
     global pair dedupe are both distributed. The oracle is the naive
     levenshtein self-join DuckDB can afford at oracle scale."""
-    from .ops.fuzzy import edit1_pairs
-
     sup = rio.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     )
@@ -5837,6 +5516,7 @@ def q_supplier_fuzzy_pairs(sf_dir: str) -> pd.DataFrame:
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.ohlc_daily(T0, DAY_US))
 def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     """Candlestick aggregate per (day, event type): OPEN (value of the
     first event), HIGH, LOW, CLOSE (value of the last event), count —
@@ -5846,8 +5526,6 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     ties) plus min/max/count, and the driver combine replays the same
     rule over |keys x blocks| witness rows. Exact integer cents
     throughout; the mirror is the row_number window pair."""
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -5893,8 +5571,6 @@ def _copurchase_edges(sf_dir: str, nb: int):
     bounded so the per-order pair explosion is O(items^2) <= ~170
     rows. May contain duplicates across orders — consumers dedupe
     (ops.triangles.dedupe_edges)."""
-    from .ops.window import _bucket_of
-
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
@@ -5927,15 +5603,13 @@ def _copurchase_edges(sf_dir: str, nb: int):
     )
 
 
+@query(lambda o: o.copurchase_triangles())
 def q_copurchase_triangles(sf_dir: str) -> pd.DataFrame:
     """Exact triangle count of the co-purchase graph: the
     degree-oriented wedge join in ops/triangles.py (size-gated
     broadcast fast path; the distributed path is six bounded bucket
     shuffles), one int64 to the driver. The oracle is the three-way
     self-join over the identical distinct edge set."""
-    from .ops.triangles import triangle_count
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = _copurchase_edges(sf_dir, nb)
     n_edges, n_tri = triangle_count(edges, n_buckets=nb)
@@ -5945,6 +5619,7 @@ def q_copurchase_triangles(sf_dir: str) -> pd.DataFrame:
 EDGE_JACCARD_K = 20  # top edges reported by neighborhood Jaccard
 
 
+@query(lambda o: o.copurchase_edge_jaccard(EDGE_JACCARD_K))
 def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
     """Link-strength scoring — the k-truss / link-prediction feature:
     for every co-purchase edge, the common-neighbor count (= triangle
@@ -5956,9 +5631,6 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
     IEEE division of exact int64s, bit-identical in DuckDB, so the
     top-k cut is deterministic on both sides. The final reduce moves
     EDGE_JACCARD_K candidate rows per block, never the edge set."""
-    from .ops.triangles import edge_triangle_support
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     sup = edge_triangle_support(_copurchase_edges(sf_dir, nb), n_buckets=nb)
 
@@ -6003,6 +5675,7 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
 COLOC_RADIUS_E7 = 400_000_000  # 40 degrees in e7 units
 
 
+@query(lambda o: o.snapshot_colocation_pairs(COLOC_RADIUS_E7))
 def q_snapshot_colocation_pairs(sf_dir: str) -> pd.DataFrame:
     """Co-location pairs: every pair of visible entities whose
     snapshot positions at T_MID lie within COLOC_RADIUS_E7 planar
@@ -6012,14 +5685,10 @@ def q_snapshot_colocation_pairs(sf_dir: str) -> pd.DataFrame:
     9-cell ghost replication, resident<other tie-break, one bucket
     shuffle, nothing quadratic in the corpus). The oracle is the
     prefiltered self-join over the identical snapshot CTE."""
-    from .model import decode_spans
-    from .spatial.radius import radius_self_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         return pa.table(
             {"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]}
         )
@@ -6039,6 +5708,7 @@ BOUNDARY_E7 = [
 ]
 
 
+@query(lambda o: o.way_boundary_crossings(BOUNDARY_E7))
 def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
     """Ways whose T_MID segment PROPERLY crosses the fixed boundary
     polyline, with the crossing count — exact integer orientation
@@ -6050,15 +5720,10 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
     crossing test is one vectorized kernel per batch — no extra
     shuffle beyond the endpoint join. The oracle mirrors the
     orientation formula through HUGEINT casts."""
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .spatial.predicates import segments_cross
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -6107,6 +5772,7 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("way_id").reset_index(drop=True)
 
 
+@query(lambda o: o.user_active_coverage())
 def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     """Per-user UNION of activity intervals: each event opens a
     service window [ts, ts + (cents % 3600 + 1) seconds); overlapping
@@ -6115,9 +5781,6 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     the interval_union_length sweep in ops/sessions.py: one
     complete-keys bucket shuffle). The mirror is the classic
     gaps-and-islands window pair."""
-    from .ops.relational import cents
-    from .ops.sessions import interval_union_length
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -6136,6 +5799,7 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.gapfill_daily(T0, DAY_US))
 def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     """Sparse daily series with LINEAR GAP-FILL: daily cent sums of
     the ~1% slice value_c % 97 == 0 leave most (etype, day) slots
@@ -6146,9 +5810,6 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     spine) is bit-identical. Daily sums are per-batch partials +
     low-card combine; the fill runs on the |etypes x days| final —
     scale-bounded by the time range, not the corpus."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -6211,21 +5872,18 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype", "day"]).reset_index(drop=True)
 
 
+@query(lambda o: o.user_journeys())
 def q_user_journeys(sf_dir: str) -> pd.DataFrame:
     """Per-user JOURNEY STRING: the first letter of every event type,
     concatenated in exact (ts, event_id) order — SQL's ordered
     string_agg as a distributed operator (ops/relational.
     ordered_string_agg: one complete-keys bucket shuffle, in-bucket
     sort + join; one row per user)."""
-    from .ops.relational import ordered_string_agg
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
 
     def prep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "user_id": b["user_id"].cast(pa.int64()),
@@ -6247,6 +5905,7 @@ def q_user_journeys(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_hull_by_type())
 def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
     """STRICT convex hull vertices of the T_MID snapshot positions per
     event type (osm_id % 5 == 0 subset): the combiner-shaped geometric
@@ -6257,14 +5916,10 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
     iff NO triangle of three other same-group points contains it
     (boundary included, with a bbox guard so degenerate collinear
     triangles exclude only genuinely-between points)."""
-    from .model import decode_spans
-    from .spatial.hull import grouped_convex_hull
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, tags=True), ts)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -6285,15 +5940,13 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
+@query(lambda o: o.value_bitops_by_type())
 def q_value_bitops_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped BITWISE / BOOLEAN aggregates (bit_and / bit_or /
     bit_xor of cent values; bool_and / bool_or of evenness) — all five
     are associative+commutative, so each is a per-batch partial plus
     the driver combine replaying the same reduction over
     |keys x blocks| rows. Exact int64 throughout."""
-
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -6332,6 +5985,7 @@ def q_value_bitops_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+@query(lambda o: o.extreme_events_by_type())
 def q_extreme_events_by_type(sf_dir: str) -> pd.DataFrame:
     """Deterministic ARGMIN/ARGMAX per group: the event_id holding the
     minimum and the maximum cent value per event type, ties broken by
@@ -6340,8 +5994,6 @@ def q_extreme_events_by_type(sf_dir: str) -> pd.DataFrame:
     argmax pattern applied to extremes. The mirror pins the same tie
     order through row_number windows (DuckDB's arg_min/arg_max tie
     choice is unspecified, so the oracle never uses them)."""
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -6395,6 +6047,7 @@ PR_SCALE = 1_000_000
 PR_ITERS = 3
 
 
+@query(lambda o: o.copurchase_pagerank(PR_SCALE, PR_ITERS))
 def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     """Deterministic INTEGER PageRank (3 exact fixed-point power
     iterations, damping 85/100, micro-unit scale) over the distinct
@@ -6402,10 +6055,6 @@ def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     division and every reduction an int sum, so the ranks are
     bit-identical at any parallelism and the oracle is the same three
     iterations unrolled as join-aggregate CTEs."""
-    from .ops.pagerank import pagerank_int
-    from .ops.triangles import dedupe_edges
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
@@ -6415,6 +6064,7 @@ def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("part_id").reset_index(drop=True)
 
 
+@query(lambda o: o.jsonl_events_by_type())
 def q_jsonl_events_by_type(sf_dir: str) -> pd.DataFrame:
     """Second text source format end-to-end: the code-fingerprinted
     JSONL twin of events.parquet (sources/jsonl.py — integer-clean
@@ -6423,9 +6073,6 @@ def q_jsonl_events_by_type(sf_dir: str) -> pd.DataFrame:
     partial aggregate. The oracle reads the PARQUET with the same
     derivations, so a pass certifies the whole JSONL write+read wire
     path, not just the aggregate."""
-    from .aggregate import combine_partials
-    from .sources.jsonl import ensure_jsonl_events, read_jsonl
-
     ds = read_jsonl(ensure_jsonl_events(sf_dir))
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6463,14 +6110,14 @@ def q_jsonl_events_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+# IPC wire path shares the JSONL twin's parquet-side mirror
+@query(lambda o: o.jsonl_events_by_type())
 def q_arrow_events_by_type(sf_dir: str) -> pd.DataFrame:
     """Third wire format end-to-end: the content-addressed Arrow-IPC
     twin (sources/arrowipc.py) read back through read_binary_files +
     in-pipeline IPC decode, then the standard per-batch partial
     aggregate. The oracle reads the PARQUET with the same derivations,
     so a pass certifies the IPC write+read wire path."""
-    from .sources.arrowipc import ensure_arrow_events, read_arrow_ipc
-
     ds = read_arrow_ipc(ensure_arrow_events(sf_dir))
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6508,6 +6155,7 @@ def q_arrow_events_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+@query(lambda o: o.train_val_test_split())
 def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
     """Deterministic 80/10/10 corpus split summarized per source:
     hash-threshold assignment (ops.relational.deterministic_split —
@@ -6515,9 +6163,6 @@ def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
     family) + per-batch partial counts. md5 here because the split
     VALUES are oracle-compared; production uses the vectorized fnv1a
     path (same guarantees, A/B-tested in test_ops)."""
-    from .aggregate import combine_partials
-    from .ops.relational import deterministic_split
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
     split = deterministic_split(
         ds, "doc_id", [("train", 8, 10), ("val", 9, 10)], "test", hash_fn="md5"
@@ -6548,6 +6193,7 @@ def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
 T_DIFF_B = T0 + 21 * DAY_US  # 2024-01-22: the diff's second snapshot
 
 
+@query(lambda o: o.snapshot_incremental_merge(T_DIFF_B))
 def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
     """MERGE INTO / CDC-apply — incremental view maintenance: a BASE
     table (the visible state at T_MID) has a CHANGE stream (each
@@ -6560,16 +6206,11 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
     vectorized in-bucket. The oracle is the direct T_DIFF_B snapshot —
     a pass certifies the merge operator end to end, not a replay of
     the same code path."""
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .temporal import _sorted_versions
-    from .temporal import snapshots as snapshots_fn
-
     nb = _resolve_buckets(None, floor=64)
     t_mid = np.array([T_MID], dtype=np.int64)
 
     def base_stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=True, geom=False), t_mid)
+        s = snapshots(decode_spans(batch, tags=True, geom=False), t_mid)
         oid = s["osm_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -6637,23 +6278,20 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_diff(T_MID, T_DIFF_B))
 def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     """Change-data-capture between two snapshots (T_MID -> T_DIFF_B):
     per event type, how many entities were ADDED (visible only after),
     REMOVED (only before), MOVED (both, coordinates changed) or STATIC
-    (both, coordinates equal). ZERO-shuffle: snapshots_fn evaluates
+    (both, coordinates equal). ZERO-shuffle: snapshots evaluates
     both timestamps over the same span-document batch, so the per-doc
     before/after rows meet in-batch and only |etype x 4| partial
     counts leave the stage. The mirror is a FULL OUTER JOIN of the two
     snap CTEs."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID, T_DIFF_B], dtype=np.int64)
 
     def partials(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, tags=True), ts)
         df = pd.DataFrame(
             {
                 "ts_q": s["ts_q"].to_numpy(zero_copy_only=False),
@@ -6699,14 +6337,12 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype", "change"]).reset_index(drop=True)
 
 
+@query(lambda o: o.csv_events_daily(T0, DAY_US))
 def q_csv_events_daily(sf_dir: str) -> pd.DataFrame:
     """Third text source format end-to-end (CSV twin of
     events.parquet, sources/csvlog.py): daily counts + exact cent sums
     read through the CSV wire path; the oracle reads the parquet with
     the same derivations, certifying the CSV write+read round-trip."""
-    from .aggregate import combine_partials
-    from .sources.csvlog import ensure_csv_events, read_csv_log
-
     ds = read_csv_log(ensure_csv_events(sf_dir))
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6750,6 +6386,7 @@ def _octant_of(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     )
 
 
+@query(lambda o: o.way_bearing_rose())
 def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
     """Compass rose of way segments (node/u -> node/(u+1) at T_MID):
     counts per 45-degree bearing sector, computed WITHOUT floats —
@@ -6758,14 +6395,10 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
     atan2 is NOT bit-identical to DuckDB's libm atan2, so the exact
     formulation is also the only oracle-stable one). Zero-length
     segments are excluded."""
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -6795,8 +6428,6 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
         o, n = np.unique(oct_, return_counts=True)
         return pa.table({"octant": o, "n_p": n.astype(np.int64)})
 
-    from .aggregate import combine_partials
-
     out = combine_partials(
         hash_join(left, right, on="join_k").map_batches(octants, batch_format="pyarrow"),
         ["octant"],
@@ -6809,17 +6440,17 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
 PROFILE_COLS = ["o_custkey", "o_orderstatus", "o_totalprice", "o_orderpriority"]
 
 
+@query(lambda o: o.profile_orders(PROFILE_COLS))
 def q_profile_orders(sf_dir: str) -> pd.DataFrame:
     """Data-quality PROFILE of the orders table: per column, row
     count, null count and EXACT distinct count in one pass (ops/
     profile.py — per-batch np.unique pre-aggregation, one bucket
     shuffle over O(distincts) pairs, |columns| rows out)."""
-    from .ops.profile import profile_columns
-
     ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=PROFILE_COLS)
     return profile_columns(ds, PROFILE_COLS)
 
 
+@query(lambda o: o.etype_purity_by_day(T0, DAY_US))
 def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
     """Gini impurity of the event-type mix per day, as EXACT INTEGERS:
     impurity = 1 - sum((c_i/n)^2) is published as the exact rational
@@ -6827,8 +6458,6 @@ def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
     division — the distribution-impurity aggregate with no float
     summation anywhere. Per-batch (day, etype) count partials; |days x
     etypes| combine."""
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6859,15 +6488,13 @@ def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("day").reset_index(drop=True)
 
 
+@query(lambda o: o.value_leading_digits())
 def q_value_leading_digits(sf_dir: str) -> pd.DataFrame:
     """Benford-style leading-digit profile of the positive cent
     values: the first significant digit extracted ARITHMETICALLY
     (repeated integer division — no float log10), counted per digit.
     The mirror extracts it lexically from the VARCHAR cast; the two
     derivations agree exactly on positive integers."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["value"]).map_batches(
         lambda b: cents(b, "value", "value_c"), batch_format="pyarrow"
     )
@@ -6891,6 +6518,7 @@ def q_value_leading_digits(sf_dir: str) -> pd.DataFrame:
 PCTL_FRACS = [(1, 4), (1, 2), (3, 4), (9, 10)]
 
 
+@query(lambda o: o.price_percentiles_cont(PCTL_FRACS))
 def q_price_percentiles_cont(sf_dir: str) -> pd.DataFrame:
     """SQL PERCENTILE_CONT over order prices (cents) as EXACT
     RATIONALS: each percentile is the integer numerator
@@ -6899,8 +6527,6 @@ def q_price_percentiles_cont(sf_dir: str) -> pd.DataFrame:
     no global sort, no float interpolation). The mirror computes the
     identical order statistics through a row_number CTE and the same
     rational — never DuckDB's internal quantile_cont float path."""
-    from .ops.relational import cents, percentile_cont_int
-
     ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=["o_totalprice"]).map_batches(
         lambda b: cents(b, "o_totalprice", "price_c"), batch_format="pyarrow"
     )
@@ -6923,6 +6549,7 @@ def q_price_percentiles_cont(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["pct_den", "pct_num"]).reset_index(drop=True)
 
 
+@query(lambda o: o.value_percentile_mass_by_type())
 def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     """Rank transform / quantile normalization: each value maps to its
     GLOBAL strictly-below count (the discrete CDF), then per type the
@@ -6933,9 +6560,6 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     (ray.put, searchsorted lookup per batch), and the second fused
     pass reduces per-type integer partials. Mirror: rank() - 1 is the
     strictly-below count (ties share the min rank)."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -6943,12 +6567,11 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     vals = hist["value_c"].to_numpy(dtype=np.int64)
     below = np.r_[0, np.cumsum(hist["count()"].to_numpy(dtype=np.int64))[:-1]]
     n_total = int(hist["count()"].sum())
-    import ray as _ray
 
-    vals_ref, below_ref = _ray.put(vals), _ray.put(below)
+    vals_ref, below_ref = ray.put(vals), ray.put(below)
 
     def partials(b: pa.Table) -> pa.Table:
-        v, bl = _ray.get(vals_ref), _ray.get(below_ref)
+        v, bl = ray.get(vals_ref), ray.get(below_ref)
         c = b["value_c"].to_numpy(zero_copy_only=False)
         r = bl[np.searchsorted(v, c)]
         df = pd.DataFrame(
@@ -6975,6 +6598,7 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
 TRIM_FRAC = (1, 10)  # trimmed mean: drop floor(n/10) rows per tail
 
 
+@query(lambda o: o.trimmed_mean_by_type(*TRIM_FRAC))
 def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     """TRIMMED (truncated) mean per event type — the outlier-robust
     location estimator: drop the lowest and highest floor(n*num/den)
@@ -6986,8 +6610,6 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     sums kept value*count in PYTHON ints (exact at any magnitude).
     The mean is ONE IEEE division; rank-trimming makes tie order
     irrelevant, so the result is deterministic on both engines."""
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -7022,6 +6644,7 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.customer_rfm_segments())
 def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     """RFM SEGMENTATION — the classic warehouse customer analysis:
     per customer Recency (latest order epoch-day), Frequency (order
@@ -7032,11 +6655,6 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     aggregates on a Dataset groupby (corpus-cardinality key), three
     distributed value-histogram quantile passes, boundary broadcast
     into a per-batch coding pass, 4^3-bounded combine."""
-    from ray.data.aggregate import Max
-
-    from .aggregate import combine_partials
-    from .ops.relational import cents, exact_quantiles_int
-
     ds = rio.read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate", "o_totalprice"]
     )
@@ -7089,6 +6707,7 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["r_code", "f_code", "m_code"]).reset_index(drop=True)
 
 
+@query(lambda o: o.value_equidepth_bins())
 def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
     """EQUI-DEPTH histogram: global exact quartile boundaries of the
     cent values (exact_quantiles_int — distributed value-histogram, no
@@ -7096,9 +6715,6 @@ def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
     strictly below the value. Two passes over a pruned 2-column read;
     the boundaries broadcast as three ints. Mirror computes the same
     discrete boundaries and CASE."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents, exact_quantiles_int
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"]).map_batches(
         lambda b: cents(b, "value", "value_c"), batch_format="pyarrow"
     )
@@ -7123,15 +6739,13 @@ def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["event_type", "bin"]).reset_index(drop=True)
 
 
+@query(lambda o: o.copurchase_clustering())
 def q_copurchase_clustering(sf_dir: str) -> pd.DataFrame:
     """Global clustering coefficient of the co-purchase graph as an
     EXACT RATIONAL: 3 * triangles over wedges, where the wedge count
     sum(C(deg, 2)) is a per-bucket integer sum over the same deduped
     edge set the triangle count uses — one float division at the end.
     Mirrors the triangles oracle plus the degree-based wedge sum."""
-    from .ops.triangles import dedupe_edges, triangle_count
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     raw = _copurchase_edges(sf_dir, nb)
     e = dedupe_edges(raw, "src", "dst", nb).materialize()
@@ -7176,6 +6790,7 @@ KCORE_K = 80
 KCORE_UNROLL = 8  # oracle unroll depth; the engine asserts fixpoint within it
 
 
+@query(lambda o: o.copurchase_kcore(KCORE_K, KCORE_UNROLL))
 def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     """k-CORE of the co-purchase graph (k=80): iterative peeling with
     DATA-DEPENDENT termination (ops/kcore.py — two bucket shuffles per
@@ -7185,10 +6800,6 @@ def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     non-recursive CTE chain and recovers the round count from the
     first count-equal consecutive pair (valid because the peel sets
     are nested)."""
-    from .ops.kcore import k_core
-    from .ops.triangles import dedupe_edges
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
@@ -7201,6 +6812,7 @@ def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     ).astype("int64")
 
 
+@query(lambda o: o.split_contamination())
 def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     """TRAIN/TEST CONTAMINATION check: documents whose 32-char OPENING
     matches a training document's opening across the deterministic
@@ -7215,13 +6827,6 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     drive to zero. md5 fp + md5 split because both VALUES feed the
     oracle; production composes the vectorized twins. ASCII corpus:
     Arrow codeunit slicing == SQL character substr."""
-    import hashlib
-
-    import pyarrow.compute as pc
-
-    from .ops.relational import deterministic_split
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -7280,6 +6885,7 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("split").reset_index(drop=True)
 
 
+@query(lambda o: o.copurchase_assortativity())
 def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     """DEGREE ASSORTATIVITY of the co-purchase graph: Pearson r of
     (deg_u, deg_v) over the directed edge list, published as the EXACT
@@ -7289,9 +6895,6 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     exact ints (int->double casts exact below 2^53). Degrees attach
     under the triangles-convention broadcast gate; above the gate the
     distributed co-group attach in ops/triangles.py is the shape."""
-    from .ops.triangles import dedupe_edges
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     e = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).materialize()
 
@@ -7311,13 +6914,12 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
         .groupby("node")["d_p"]
         .sum()
     )
-    import ray as _ray
 
-    nodes_ref = _ray.put(np.sort(degs.index.to_numpy(dtype=np.int64)))
-    deg_ref = _ray.put(degs.sort_index().to_numpy(dtype=np.int64))
+    nodes_ref = ray.put(np.sort(degs.index.to_numpy(dtype=np.int64)))
+    deg_ref = ray.put(degs.sort_index().to_numpy(dtype=np.int64))
 
     def sums(b: pa.Table) -> pa.Table:
-        nd, dg = _ray.get(nodes_ref), _ray.get(deg_ref)
+        nd, dg = ray.get(nodes_ref), ray.get(deg_ref)
         du = dg[np.searchsorted(nd, b["u"].to_numpy(zero_copy_only=False))]
         dv = dg[np.searchsorted(nd, b["v"].to_numpy(zero_copy_only=False))]
         # directed edge list = both orientations: symmetric sums
@@ -7348,6 +6950,7 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     return out
 
 
+@query(lambda o: o.entity_sinuosity())
 def q_entity_sinuosity(sf_dir: str) -> pd.DataFrame:
     """Per-entity TRAJECTORY SINUOSITY: path length over displacement
     for every entity that moved — path = sum of per-pair equirect
@@ -7356,9 +6959,6 @@ def q_entity_sinuosity(sf_dir: str) -> pd.DataFrame:
     way_lengths op order), displacement = the same metric first->last,
     ratio = ONE IEEE division. ZERO shuffle: a document's versions
     decode into one batch, so the whole trajectory folds in-stage."""
-    from .functions.geo import distance_equirectangular
-    from .model import decode_spans
-
     def stage(batch: pa.Table) -> pa.Table:
         t = decode_spans(batch, tags=False)
         df = pd.DataFrame(
@@ -7419,15 +7019,13 @@ def q_entity_sinuosity(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
+@query(lambda o: o.user_value_ewma())
 def q_user_value_ewma(sf_dir: str) -> pd.DataFrame:
     """Per-user integer EWMA of event cents in exact (ts, event_id)
     order — the NON-ASSOCIATIVE recurrence s_t = (s_{t-1} + v_t) // 2
     (ops/scan.py grouped_recurrence_ewma_int: complete-keys bucket
     shuffle, scan vectorized ACROSS keys per step). The mirror is the
     identical recurrence as a recursive CTE."""
-    from .ops.relational import cents
-    from .ops.scan import grouped_recurrence_ewma_int
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
@@ -7452,6 +7050,7 @@ def q_user_value_ewma(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_diameter_by_type())
 def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
     """FARTHEST PAIR (diameter) of each event type's T_MID snapshot
     positions (osm_id % 5 subset): the diameter endpoints of a point
@@ -7462,14 +7061,10 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
     (and the published columns are the int64-safe |dx|, |dy|). Tie
     rule: smallest (id_a, id_b). The mirror is the subset self-join
     argmax through HUGEINT."""
-    from .model import decode_spans
-    from .spatial.hull import grouped_convex_hull
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, tags=True), ts)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -7520,8 +7115,6 @@ def _etype_day_grid(sf_dir: str) -> pd.DataFrame:
     driver combine bounded by window span x type vocabulary. Used by
     the rank-movement and autocorrelation finals (their day
     derivation must stay identical)."""
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -7540,6 +7133,7 @@ def _etype_day_grid(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.etype_rank_delta(T0, DAY_US))
 def q_etype_rank_delta(sf_dir: str) -> pd.DataFrame:
     """Day-over-day RANK MOVEMENT: each event type's popularity rank
     within its day (count DESC, etype ASC — total order) and the
@@ -7566,6 +7160,7 @@ def q_etype_rank_delta(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["day", "etype"]).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_daily_autocorr(T0, DAY_US))
 def q_etype_daily_autocorr(sf_dir: str) -> pd.DataFrame:
     """Lag-1 AUTOCORRELATION of each event type's daily count series —
     the time-series persistence diagnostic. One distributed partial
@@ -7608,6 +7203,7 @@ def q_etype_daily_autocorr(sf_dir: str) -> pd.DataFrame:
 ZSCORE_K = 2  # anomaly threshold: |z| > 2 population standard deviations
 
 
+@query(lambda o: o.anomalous_days_by_type(T0, DAY_US, ZSCORE_K))
 def q_anomalous_days_by_type(sf_dir: str) -> pd.DataFrame:
     """Anomaly detection WITHOUT floats: days whose count deviates
     more than ZSCORE_K population standard deviations from the type's
@@ -7641,13 +7237,12 @@ def q_anomalous_days_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype", "day"]).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_share_by_day(T0, DAY_US))
 def q_etype_share_by_day(sf_dir: str) -> pd.DataFrame:
     """RATIO_TO_REPORT: each event type's share of its day's events —
     per-(day, etype) counts and per-day totals from ONE partial pass,
     the share as ONE IEEE division of exact ints. The window-function
     mirror divides by sum(n) OVER (PARTITION BY day)."""
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -7686,9 +7281,6 @@ def _copurchase_weighted_edges(sf_dir: str, nb: int):
     shuffle completes each pair's count in its bucket (a pair's
     occurrences across orders all land together), the dedupe_edges
     shape with a size() instead of a drop_duplicates()."""
-    from .ops.triangles import _pair_key
-    from .ops.window import _bucket_of
-
     raw = _copurchase_edges(sf_dir, nb)  # src < dst, one row per (order, pair)
 
     def keyed(b: pa.Table) -> pa.Table:
@@ -7716,6 +7308,7 @@ def _copurchase_weighted_edges(sf_dir: str, nb: int):
     )
 
 
+@query(lambda o: o.copurchase_cheapest_paths(SSSP_SEED_MOD, SSSP_ROUNDS))
 def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     """Bounded-round WEIGHTED shortest paths (Bellman-Ford) over the
     co-purchase graph: the exact cheapest <=4-edge path cost from the
@@ -7725,9 +7318,6 @@ def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     "unreached" sentinel; gated broadcast fast path, message rounds
     pinned equal in pytest). The mirror unrolls the same relaxation
     as MATERIALIZED CTE levels with least()+min() joins."""
-    from .ops.sssp import sssp_int
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = _copurchase_weighted_edges(sf_dir, nb)
     df = sssp_int(
@@ -7739,6 +7329,7 @@ def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("part_id").reset_index(drop=True)
 
 
+@query(lambda o: o.copurchase_bfs_hops(BFS_SEED_MOD, BFS_HOPS))
 def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     """Multi-source BOUNDED-HOP BFS over the co-purchase graph: how
     many parts are first reached at each hop 0..4 from the seed set
@@ -7746,10 +7337,6 @@ def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     (ops/bfs.py, the cc.py co-group shape; gated broadcast fast path,
     message rounds pinned equal in pytest). The mirror unrolls the
     same expansion as MATERIALIZED CTE levels."""
-    from .ops.bfs import bfs_hops
-    from .ops.triangles import dedupe_edges
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
@@ -7758,15 +7345,13 @@ def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     return out
 
 
+@query(lambda o: o.copurchase_lcc())
 def q_copurchase_lcc(sf_dir: str) -> pd.DataFrame:
     """LOCAL clustering coefficient per part: triangles through each
     node over C(deg, 2), as exact ints plus ONE IEEE division
     (ops/triangles.triangle_counts_per_node — the wedge close carries
     the source so every triangle credits its three corners). Nodes
     with deg < 2 are excluded (undefined denominator)."""
-    from .ops.triangles import triangle_counts_per_node
-    from .ops.window import _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     df = triangle_counts_per_node(_copurchase_edges(sf_dir, nb), n_buckets=nb)
     df = df[df["deg"] >= 2].copy()
@@ -7787,6 +7372,7 @@ KMEANS_K = 4
 KMEANS_ITERS = 3
 
 
+@query(lambda o: o.snapshot_kmeans(KMEANS_K, KMEANS_ITERS))
 def q_snapshot_kmeans(sf_dir: str) -> pd.DataFrame:
     """Exact-integer k-means (k=4, 3 Lloyd iterations) over entity
     positions at T_MID on the shifted //100 e7 grid (gx/gy in
@@ -7797,14 +7383,10 @@ def q_snapshot_kmeans(sf_dir: str) -> pd.DataFrame:
     smallest-osm_id points; ties assign to the lowest cluster; floor
     means. The mirror unrolls the identical rounds as MATERIALIZED
     CTE chains (row_number argmin + HUGEINT sums + the same //)."""
-    from .model import decode_spans
-    from .ops.kmeans import kmeans_int
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots_fn(decode_spans(batch, tags=False), ts)
+        t = snapshots(decode_spans(batch, tags=False), ts)
         lon = t["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = t["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
@@ -7824,6 +7406,7 @@ RECT_CELL_E7 = 600_000_000  # PBSM cell side; >= max box side (560e6)
 RECT_HALF_E7 = 40_000_000   # per-step half extent (deterministic per id)
 
 
+@query(lambda o: o.snapshot_bbox_overlaps(RECT_HALF_E7, RECT_CELL_E7))
 def q_snapshot_bbox_overlaps(sf_dir: str) -> pd.DataFrame:
     """Rectangle-intersection self-join: each visible entity at T_MID
     carries a deterministic closed box around its position (half
@@ -7834,14 +7417,10 @@ def q_snapshot_bbox_overlaps(sf_dir: str) -> pd.DataFrame:
     reference-point dedup — no tie-break state, nothing quadratic in
     the corpus. The mirror is the prefiltered self-join over the
     identical snapshot CTE and box arithmetic."""
-    from .model import decode_spans
-    from .spatial.rectjoin import rect_self_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         oid = s["osm_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7879,13 +7458,10 @@ def _q_mnat(x: int) -> int:
     """Quantize ln(x) to integer MILLI-NATS with half-away rounding —
     the doc_lm_surprisal contract (math.log = glibc libm, bit-identical
     to DuckDB's ln(); round_half_away = SQL round())."""
-    import math
-
-    from .ops.relational import round_half_away
-
     return int(round_half_away(np.array([1000.0 * math.log(x)]))[0])
 
 
+@query(lambda o: o.etype_day_entropy(T0, DAY_US))
 def q_etype_day_entropy(sf_dir: str) -> pd.DataFrame:
     """Per-day Shannon ENTROPY of the event-type mix — the diversity
     diagnostic next to etype_share_by_day. H = ln(T) - (1/T) * sum_k
@@ -7915,6 +7491,7 @@ def q_etype_day_entropy(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("day").reset_index(drop=True)
 
 
+@query(lambda o: o.etype_daily_crosscorr(T0, DAY_US))
 def q_etype_daily_crosscorr(sf_dir: str) -> pd.DataFrame:
     """Pairwise Pearson CROSS-CORRELATION between event types' daily
     count series over their COMMON present days (inner-join
@@ -7959,6 +7536,7 @@ def q_etype_daily_crosscorr(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_cusum_changepoint(T0, DAY_US))
 def q_etype_cusum_changepoint(sf_dir: str) -> pd.DataFrame:
     """CUSUM change-point detection per event type — the day whose
     cumulative deviation from the series mean peaks. Cross-multiplied
@@ -7988,6 +7566,7 @@ def q_etype_cusum_changepoint(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.user_gini_by_etype())
 def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
     """GINI COEFFICIENT of per-user activity concentration within each
     event type — the inequality metric over how unevenly a type's
@@ -8002,9 +7581,6 @@ def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
     and denominator, ONE IEEE division. Tie order is irrelevant (equal
     values contribute the same rank-sum under any total order), which
     is what lets the SQL mirror use a bare row_number() ORDER BY c."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -8077,6 +7653,7 @@ PAT_E_END = "[a-z]+e\\b"  # alpha runs ending in e
 PAT_TA = "ta"  # plain substring occurrences
 
 
+@query(lambda o: o.doc_pattern_counts(PAT_S_WORD, PAT_E_END, PAT_TA))
 def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
     """Regex FEATURE EXTRACTION over the document corpus: per source,
     total occurrence counts of three RE2 patterns plus the number of
@@ -8085,13 +7662,9 @@ def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
     pyarrow.compute.count_substring_regex per batch (RE2, identical
     non-overlapping semantics to DuckDB's regexp_extract_all), partial
     sums per source in-stage, |sources| rows to the driver."""
-    from .aggregate import combine_partials
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def stage(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         txt = b["text"]
         c1 = pc.count_substring_regex(txt, PAT_S_WORD).to_numpy(zero_copy_only=False)
         c2 = pc.count_substring_regex(txt, PAT_E_END).to_numpy(zero_copy_only=False)
@@ -8135,6 +7708,7 @@ def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
 WSAMPLE_K = 200  # weighted-sample draw size
 
 
+@query(lambda o: o.weighted_sample_docs(WSAMPLE_K))
 def q_weighted_sample_docs(sf_dir: str) -> pd.DataFrame:
     """WEIGHTED corpus sampling — the quality-weighted curation draw:
     select WSAMPLE_K documents with probability proportional to
@@ -8143,8 +7717,6 @@ def q_weighted_sample_docs(sf_dir: str) -> pd.DataFrame:
     key is bit-mirrorable in SQL: u = (md5_u32+1)/2^32, race =
     -ln(u)/w, scalar libm ln). Per-batch local top-k bounds the
     candidate stream at #blocks x k rows."""
-    from .ops.relational import weighted_sample_topk
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
     out = weighted_sample_topk(
         docs, WSAMPLE_K, weight_col="n_chars", key_col="doc_id", hash_fn="md5"
@@ -8158,14 +7730,9 @@ def _emb_moment_pivot(sf_dir: str) -> dict[tuple[int, int], int]:
     distributed partial-Gram stage, combined to the exact integer
     pivot {(i,j): S_ij, (i,0): s_i, (0,0): n} that both the covariance
     query and the PCA power iteration consume."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
 
     def partials(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if len(b) == 0:
             return pa.table(
                 {
@@ -8209,6 +7776,7 @@ def _emb_moment_pivot(sf_dir: str) -> dict[tuple[int, int], int]:
     }
 
 
+@query(lambda o: o.embedding_covariance(EMB_QUANT))
 def q_embedding_covariance(sf_dir: str) -> pd.DataFrame:
     """Exact COVARIANCE MATRIX of the quantized embedding components —
     the PCA precursor over a vector column. Components quantize to
@@ -8259,6 +7827,7 @@ PCA_ITERS = 96  # unrolled power-iteration rounds (l2/l1~0.93 at the
 # iteration-exact at ANY count)
 
 
+@query(lambda o: o.embedding_pca_top(EMB_QUANT, PCA_SCALE, PCA_ITERS))
 def q_embedding_pca_top(sf_dir: str) -> pd.DataFrame:
     """TOP PRINCIPAL COMPONENT of the quantized embeddings by EXACT
     FIXED-POINT POWER ITERATION — the PCA terminal over the
@@ -8310,6 +7879,7 @@ def q_embedding_pca_top(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("dim").reset_index(drop=True)
 
 
+@query(lambda o: o.user_entropy())
 def q_user_entropy(sf_dir: str) -> pd.DataFrame:
     """Per-USER Shannon entropy of the event-type mix — the behavioral
     diversity profile at corpus cardinality (the per-day twin is
@@ -8320,8 +7890,6 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
     only, math.log = the oracle's ln). The integer numerator
     T*q(T) - sum c*q(c) is order-free; the single IEEE division by T
     is the only float."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -8391,6 +7959,7 @@ RED_TOKEN = "<PII>"
 RED_RATE = (1, 8)  # deterministic md5 doc sample carried to the oracle
 
 
+@query(lambda o: o.doc_redaction(RED_PAT, RED_TOKEN, *RED_RATE))
 def q_doc_redaction(sf_dir: str) -> pd.DataFrame:
     """REGEX-REPLACE REDACTION over the document corpus — the
     PII-scrub stage of a curation pipeline, verified byte-for-byte:
@@ -8404,14 +7973,10 @@ def q_doc_redaction(sf_dir: str) -> pd.DataFrame:
     is a streaming filter + map_batches; at production scale it
     terminates in write_parquet, the driver collect is the
     oracle-compare convention."""
-    from .ops.relational import deterministic_sample
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     sampled = deterministic_sample(docs, RED_RATE[0], RED_RATE[1], "doc_id", hash_fn="md5")
 
     def stage(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         red = pc.replace_substring_regex(
             b["text"], pattern=RED_PAT, replacement=RED_TOKEN
         )
@@ -8437,10 +8002,6 @@ def _hex_version_counts(sf_dir: str) -> pd.DataFrame:
     (i, j) — one fused decode -> hex_cell -> per-batch groupby-count,
     combined on the bounded world-lattice key. Consumed by the
     Gi* / Moran's I hotspot finals."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell
-
     def stage(batch: pa.Table) -> pa.Table:
         d = decode_spans(batch, tags=False)
         i, j = hex_cell(
@@ -8466,15 +8027,10 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
     """Shared partial producer: SNAPSHOT counts per (ts_q, packed hex
     cell) — the space-time-cube base consumed by the weekly cube,
     emerging-hotspot and churn finals."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell, pack_hex
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array(list(timestamps), dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -8497,6 +8053,7 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.snapshot_count_by_hexcell(HEX_W, HEX_H))
 def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
     """Snapshot count at T_MID grouped by HEXAGONAL GRID CELL
     (spatial/hexgrid.py: exact nearest-center assignment on an integer
@@ -8507,15 +8064,10 @@ def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
     integer SQL with the identical (d2, i, j) tie-break — transitively
     value-checks the pack/unpack bijection too. No floats anywhere in
     the assignment."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell, pack_hex, unpack_hex
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -8544,29 +8096,21 @@ def _road_segment_layer(sf_dir: str):
     (way u = node/u -> node/(u+1), u % ROAD_CLASS_MOD == 0) joined via
     the co-partitioned hash join. Returns (pos Dataset, seg DataFrame)
     — seg is the bounded broadcast side."""
-    from .model import decode_spans
-    from .ops.relational import hash_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
     pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
 
     def as_left(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.equal(pc.bit_wise_and(batch["osm_id"], ROAD_CLASS_MOD - 1), 0)
         b = batch.filter(keep)
         return pa.table({"join_k": b["osm_id"], "ax": b["lon_e7"], "ay": b["lat_e7"]})
 
     def as_right(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "join_k": pc.subtract(batch["osm_id"], 1),
@@ -8583,6 +8127,7 @@ def _road_segment_layer(sf_dir: str):
     return pos, seg
 
 
+@query(lambda o: o.nearest_road_distance(ROAD_CLASS_MOD))
 def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
     """PROXIMITY ANALYSIS: for every node visible at T_MID, the exact
     nearest SEGMENT of the class-filtered way layer (synthetic way u =
@@ -8598,8 +8143,6 @@ def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
     projection) mirrored literally in SQL, so d2 is bit-identical in
     both engines and the (d2, seg) argmin agrees exactly; segments
     incident to the node itself are excluded."""
-    from .spatial.predicates import point_segment_d2
-
     pos, seg = _road_segment_layer(sf_dir)
     if seg.empty:
         return pd.DataFrame(
@@ -8662,6 +8205,7 @@ def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
+@query(lambda o: o.hexcell_weekly(HEX_W, HEX_H))
 def q_hexcell_weekly(sf_dir: str) -> pd.DataFrame:
     """SPACE-TIME CUBE: snapshot counts on the combined (week, hex
     cell) index — the chained-aggregateBy shape (OSHDBCombinedIndex)
@@ -8669,8 +8213,6 @@ def q_hexcell_weekly(sf_dir: str) -> pd.DataFrame:
     weekly snapshots and hex-assigns them; the hex lattice is a FIXED
     WORLD GRID (<= ~300k cells at HEX_W=0.25deg), so (ts, cell) is a
     genuinely bounded key and the partials combine applies."""
-    from .spatial.hexgrid import unpack_hex
-
     df = _hex_snapshot_cube(sf_dir, SNAP_WEEKLY)
     i, j = unpack_hex(df["cell"].to_numpy(dtype=np.int64))
     out = pd.DataFrame(
@@ -8687,6 +8229,7 @@ def q_hexcell_weekly(sf_dir: str) -> pd.DataFrame:
 HEX_GI_W = 7  # Gi* neighborhood weight mass: self + the 6 lattice neighbors
 
 
+@query(lambda o: o.hex_hotspot_gi(HEX_W, HEX_H, HEX_GI_W))
 def q_hex_hotspot_gi(sf_dir: str) -> pd.DataFrame:
     """GETIS-ORD Gi* HOTSPOT ANALYSIS over the hex lattice: x_cell =
     number of ENTITY VERSIONS (edit intensity) per hex cell over the
@@ -8757,6 +8300,9 @@ IDW_RLIM = 5931641  # isqrt(IDW_R2): box prefilter bound so squared
 # diffs never exceed int64 (world-extent diffs would)
 
 
+@query(
+    lambda o: o.idw_snapshot_field(HEX_W, HEX_H, IDW_WSCALE, IDW_W0, IDW_R2, IDW_RLIM)
+)
 def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     """INVERSE-DISTANCE-WEIGHTED spatial interpolation of an integer
     field (the entity version number) at the occupied hex-cell
@@ -8771,11 +8317,6 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     Distributed shape: centers are the bounded hex lattice broadcast
     into the stage; per-batch partial (center, sum_w, sum_wx) sums
     combine on the lattice key."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .ops.relational import round_half_away
-    from .spatial.hexgrid import HEX_H, HEX_W, hex_cell
-
     def positions(batch: pa.Table) -> pa.Table:
         return decode_spans(batch, tags=False).select(["v", "lon_e7", "lat_e7"])
 
@@ -8888,6 +8429,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
 ROAD_BUF_R2 = 2.5e15  # buffer radius^2 (5e7 e7-units = 5 deg), exact in float64
 
 
+@query(lambda o: o.road_buffer_count(ROAD_CLASS_MOD, ROAD_BUF_R2))
 def q_road_buffer_count(sf_dir: str) -> pd.DataFrame:
     """BUFFER SEMI-JOIN COUNT: for every segment of the class-filtered
     way layer, how many T_MID nodes lie within the buffer radius
@@ -8896,9 +8438,6 @@ def q_road_buffer_count(sf_dir: str) -> pd.DataFrame:
     IEEE-expression-tree contract as nearest_road_distance (d2 is
     bit-identical in SQL, so the <= R2 test agrees exactly); per-batch
     partial counts per segment combine on the small segment key."""
-    from .aggregate import combine_partials
-    from .spatial.predicates import point_segment_d2
-
     pos, seg = _road_segment_layer(sf_dir)
     if seg.empty:
         return pd.DataFrame(
@@ -8931,7 +8470,6 @@ def q_road_buffer_count(sf_dir: str) -> pd.DataFrame:
 
     part = pos.map_batches(buffer_stage, batch_format="pyarrow")
     df = combine_partials(part, ["seg"], {"n_p": "n_within"})
-    from .aggregate import zerofill
 
     out = zerofill(df, {"seg": sorted(int(s) for s in seg["join_k"])}, {"n_within": 0})
     return out.sort_values("seg").reset_index(drop=True).astype(
@@ -8939,6 +8477,7 @@ def q_road_buffer_count(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.hex_emerging_hotspots(HEX_W, HEX_H))
 def q_hex_emerging_hotspots(sf_dir: str) -> pd.DataFrame:
     """EMERGING-HOTSPOT classification (the space-time-cube trend
     analysis): for every hex cell occupied in ANY week, the
@@ -8948,8 +8487,6 @@ def q_hex_emerging_hotspots(sf_dir: str) -> pd.DataFrame:
     increasing / flat / decreasing. One fused stage produces the
     weekly cube partials (the hexcell_weekly shape); the driver final
     walks |cells| x 5 zerofilled values."""
-    from .spatial.hexgrid import unpack_hex
-
     df = _hex_snapshot_cube(sf_dir, SNAP_WEEKLY)
     piv = (
         df.pivot_table(index="cell", columns="ts_q", values="n", fill_value=0)
@@ -8976,6 +8513,7 @@ def q_hex_emerging_hotspots(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["hex_i", "hex_j"]).reset_index(drop=True)
 
 
+@query(lambda o: o.zonal_raster_stats())
 def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     """ZONAL STATISTICS: per boundary region, count and SUM of the
     raster band value sampled at each member snapshot point — the
@@ -8983,16 +8521,11 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     fused stage with per-region integer partials; zerofilled regions
     report 0 (mean 0.0 by convention). The mean is the single final
     IEEE division."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.fip import contains_convex
-    from .temporal import snapshots as snapshots_fn
-
     region_items = sorted(REGIONS.items())
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         rv = raster_value_for(cell_id(lon, lat, RASTER_ZOOM)).astype(np.int64)
@@ -9025,6 +8558,7 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("region_id").reset_index(drop=True)
 
 
+@query(lambda o: o.cell_flows(HEX_W, HEX_H))
 def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     """ORIGIN-DESTINATION FLOW MATRIX over the hex index: for every
     pair of consecutive VISIBLE versions of an entity whose position
@@ -9034,11 +8568,6 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     inside the fused decode (per-doc realign via _sorted_versions,
     the HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance); partials combine
     on the bounded (cell, cell) key."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell
-    from .temporal import _sorted_versions
-
     def stage(b: pa.Table) -> pd.DataFrame:
         tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False))
         empty = pa.table(
@@ -9090,6 +8619,7 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["from_i", "from_j", "to_i", "to_j"]).reset_index(drop=True)
 
 
+@query(lambda o: o.contributor_territory(HEX_W, HEX_H))
 def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
     """CONTRIBUTOR TERRITORY: each user's MODAL hex cell over their
     visible version edits (ties break to the smallest (i, j)) plus
@@ -9099,10 +8629,6 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
     complete-user bucket shuffle -> the per-uid modal argmax and total
     resolve IN-STAGE; the driver collects only the |uids| result rows
     (the query output itself)."""
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .spatial.hexgrid import hex_cell
-
     nb = _resolve_buckets(None, floor=64)
 
     def stage(b: pa.Table) -> pa.Table:
@@ -9158,6 +8684,7 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
 SEAS_HALF = 3  # centered moving-average half-window (7-day MA)
 
 
+@query(lambda o: o.etype_seasonal_profile(T0, DAY_US, SEAS_HALF))
 def q_etype_seasonal_profile(sf_dir: str) -> pd.DataFrame:
     """SEASONAL (day-of-week) PROFILE after moving-average detrend —
     the time-series decomposition primitive, float-free until the last
@@ -9205,6 +8732,7 @@ def q_etype_seasonal_profile(sf_dir: str) -> pd.DataFrame:
 COLLOC_PAT = r"\b([a-z]+) join\b"  # capture: the word preceding "join"
 
 
+@query(lambda o: o.doc_join_collocates(COLLOC_PAT))
 def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     """STRUCTURED FIELD EXTRACTION: per document, the FIRST capture of
     an RE2 group (the word preceding 'join'), aggregated into a
@@ -9213,15 +8741,11 @@ def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     pyarrow.compute.extract_regex pass (first-match semantics ==
     DuckDB regexp_extract(text, pat, 1)); per-batch partial counts
     per extracted word combine on the bounded vocabulary."""
-    from .aggregate import combine_partials
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
     # pyarrow needs a NAMED group; DuckDB's numbered group 1 is the same
     pat = COLLOC_PAT.replace("(", "(?P<w>", 1)
 
     def stage(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         ex = pc.extract_regex(b["text"], pat)
         w = pc.struct_field(ex, "w") if len(b) else pa.array([], pa.string())
         g = (
@@ -9243,6 +8767,7 @@ def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("word").reset_index(drop=True)
 
 
+@query(lambda o: o.hex_morans_i(HEX_W, HEX_H))
 def q_hex_morans_i(sf_dir: str) -> pd.DataFrame:
     """GLOBAL SPATIAL AUTOCORRELATION (Moran's I) of edit intensity
     over the hex lattice — the global companion to the local Gi*
@@ -9293,6 +8818,7 @@ def q_hex_morans_i(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.way_chain_lengths())
 def q_way_chain_lengths(sf_dir: str) -> pd.DataFrame:
     """NETWORK CHAIN LENGTHS: the histogram of maximal runs of
     consecutive osm_ids visible at T_MID — connected way-chain sizes
@@ -9302,20 +8828,17 @@ def q_way_chain_lengths(sf_dir: str) -> pd.DataFrame:
     (ops.relational.island_length_histogram): range-bucketed local
     runs + O(buckets) boundary stitch — never a global sort or a
     single-reducer as-of."""
-    from .model import decode_spans
-    from .ops.relational import island_length_histogram
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def ids(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False, geom=False), ts)
+        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
         return s.select(["osm_id"])
 
     ds = _docs(sf_dir).map_batches(ids, batch_format="pyarrow")
     return island_length_histogram(ds, "osm_id")
 
 
+@query(lambda o: o.way_compactness())
 def q_way_compactness(sf_dir: str) -> pd.DataFrame:
     """POLSBY-POPPER COMPACTNESS 4*pi*A / P^2 per synthetic way
     triangle — the shape-regularity metric composing the two pinned
@@ -9325,15 +8848,10 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
     coordinates is a single IEEE op in the same order as the SQL
     mirror, so area, perimeter and the compactness ratio are
     bit-identical. Degenerate (zero-perimeter) triangles report 0."""
-    from .functions.geo import EARTH_RADIUS
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -9407,6 +8925,7 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
 PSI_BIN_W = 100  # n_chars histogram bin width for the drift metric
 
 
+@query(lambda o: o.source_drift_psi(PSI_BIN_W))
 def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     """DISTRIBUTION DRIFT between document sources: pairwise
     POPULATION STABILITY INDEX over the n_chars histogram (bin width
@@ -9418,8 +8937,6 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     ONCE by A*B — so the only float is that final IEEE division.
     Partials: per-batch (source, bin) counts -> combine bounded by
     |sources x bins|; the driver walks source pairs."""
-    from .aggregate import combine_partials
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
 
     def stage(b: pa.Table) -> pa.Table:
@@ -9480,6 +8997,7 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source_a", "source_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.contrib_by_hexcell(HEX_W, HEX_H))
 def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     """CONTRIBUTION COUNTS BY HEX CELL: every contribution in the
     window keyed by the hex cell of its geometry — the NEW version's
@@ -9489,13 +9007,8 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     deletions. One fused stage: decode -> contribution classification
     -> hex assign -> per-cell integer partials (total / creations /
     deletions), combine bounded by the world lattice."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell, pack_hex, unpack_hex
-    from .temporal import contributions as contributions_fn
-
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions_fn(decode_spans(batch, tags=False), CONTRIB_FROM, CONTRIB_TO)
+        c = contributions(decode_spans(batch, tags=False), CONTRIB_FROM, CONTRIB_TO)
         if len(c) == 0:
             return pa.table(
                 {
@@ -9554,6 +9067,7 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["hex_i", "hex_j"]).reset_index(drop=True)
 
 
+@query(lambda o: o.hexcell_churn(HEX_W, HEX_H))
 def q_hexcell_churn(sf_dir: str) -> pd.DataFrame:
     """SPATIAL CHURN CONTINGENCY: how many hex cells were occupied in
     the second weekly snapshot (the first non-empty one) vs the LAST — the 2x2 (active_w1,
@@ -9584,21 +9098,17 @@ def q_hexcell_churn(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.hexcell_freshness(HEX_W, HEX_H))
 def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
     """DATA CURRENTNESS MAP: per hex cell at T_MID, the count of live
     entities and the mean AGE of their current versions (T_MID -
     version ts) — the OSM data-quality 'freshness' metric per tile.
     Exact integer age sums (microseconds) per cell, one IEEE division
     for the mean; partials combine on the bounded lattice key."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell, pack_hex, unpack_hex
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -9641,6 +9151,7 @@ def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
 FUNNEL3 = ("click", "view", "purchase")  # ordered 3-stage funnel
 
 
+@query(lambda o: o.funnel3_users(*FUNNEL3))
 def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     """THREE-STAGE ORDERED FUNNEL: how many users exhibit the
     subsequence click -> view -> purchase (strictly increasing
@@ -9650,17 +9161,12 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     Complete-user bucket shuffle; each bucket resolves its users'
     stage times with three vectorized groupby-min passes and emits
     THREE partial counters; the driver combine is 3 integers."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
     )
 
     def prep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.is_in(b["event_type"], value_set=pa.array(FUNNEL3))
         b = b.filter(keep)
         uid = b["user_id"].to_numpy(zero_copy_only=False)
@@ -9706,6 +9212,7 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
+@query(lambda o: o.ab_test_value())
 def q_ab_test_value(sf_dir: str) -> pd.DataFrame:
     """A/B COMPARISON: Welch two-sample t-statistic on event value
     (cents) between the even-uid and odd-uid user cohorts, per event
@@ -9715,9 +9222,6 @@ def q_ab_test_value(sf_dir: str) -> pd.DataFrame:
     IEEE ops (two divisions for the means, one subtract, two
     double-products for the denominators, two divisions, add, sqrt,
     divide) mirrored literally in SQL."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
@@ -9797,9 +9301,6 @@ def _etype_cohort_value_hist(sf_dir: str) -> pd.DataFrame:
     combine bounded by |etypes x 2 x distinct cents values| (the
     value_quantiles_by_type histogram contract), never the event
     corpus."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
@@ -9846,6 +9347,7 @@ def _cohort_pivot(g: pd.DataFrame):
     return piv, a, b, int(a.sum()), int(b.sum())
 
 
+@query(lambda o: o.ks_test_value())
 def q_ks_test_value(sf_dir: str) -> pd.DataFrame:
     """KOLMOGOROV-SMIRNOV statistic on event value between the
     uid-parity cohorts, per etype: D = max_v |cdf_a(v) - cdf_b(v)|
@@ -9883,6 +9385,7 @@ def q_ks_test_value(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.mannwhitney_value())
 def q_mannwhitney_value(sf_dir: str) -> pd.DataFrame:
     """MANN-WHITNEY U on event value between the uid-parity cohorts,
     per etype, tie-corrected and EXACT: doubling clears the half-tie
@@ -9915,6 +9418,7 @@ def q_mannwhitney_value(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.kaplan_meier(DWELL_END, DAY_US))
 def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     """KAPLAN-MEIER SURVIVAL CURVE over entity lifespans (deletion =
     event, alive-at-window-close = right-censored) — survival
@@ -9927,8 +9431,6 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     single IEEE ops. A duration where everyone at risk dies would
     need ln(0): rejected loudly (cannot occur while any entity is
     censored later)."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
     base = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
@@ -9941,7 +9443,6 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     )
     m = (piv[0] + piv[1]).to_numpy(dtype=np.int64)  # entities with duration t
     d = piv[1].to_numpy(dtype=np.int64)  # deaths at duration t
-    import math
 
     at_risk = m[::-1].cumsum()[::-1]  # lifespans >= t
     rows = []
@@ -9971,6 +9472,7 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("t_days").reset_index(drop=True)
 
 
+@query(lambda o: o.turn_angle_histogram())
 def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
     """TURNING-ANGLE HISTOGRAM: for every entity trajectory, the
     distribution of direction changes between consecutive MOVES
@@ -9979,10 +9481,6 @@ def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
     their consecutive pairing resolve per doc inside the fused decode
     (_sorted_versions realign, visible versions only, zero-length
     steps skipped); the 8-row histogram combines at the driver."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     def stage(b: pa.Table) -> pa.Table:
         tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False))
         empty = pa.table(
@@ -10020,6 +9518,7 @@ def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("turn").reset_index(drop=True)
 
 
+@query(lambda o: o.theilsen_trend_by_type(T0, DAY_US))
 def q_theilsen_trend_by_type(sf_dir: str) -> pd.DataFrame:
     """THEIL-SEN ROBUST TREND per event type: the median of all
     pairwise slopes (n_j - n_i)/(day_j - day_i) over the zerofilled
@@ -10066,6 +9565,7 @@ KNOX_R_E7 = 20_000_000  # Knox spatial radius (2 degrees)
 KNOX_W_US = 86_400_000_000  # Knox temporal window (1 day)
 
 
+@query(lambda o: o.knox_pairs(KNOX_R_E7, KNOX_W_US))
 def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
     """KNOX SPACE-TIME INTERACTION counts: over all VISIBLE version
     points of DIFFERENT entities, how many pairs are close in space
@@ -10077,10 +9577,6 @@ def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
     version ids pack order-preserving as osm_id*2^20 + v, so the
     engine's id_a < id_b pair set equals the oracle's
     osm_id_a < osm_id_b one after the same-entity exclusion."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.radius import radius_self_join
-
     def points(b: pa.Table) -> pa.Table:
         d = decode_spans(b, tags=False)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
@@ -10133,6 +9629,7 @@ def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
 RIPLEY_RADII = (100_000_000, 200_000_000, 300_000_000, 400_000_000)  # e7 units
 
 
+@query(lambda o: o.ripley_k(RIPLEY_RADII))
 def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     """RIPLEY'S K FUNCTION over the T_MID snapshot points: exact
     unordered pair counts within each radius of the ladder (one
@@ -10142,15 +9639,10 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     K(r) = 2 * pairs * A / (n * (n-1)) with A = the full lon/lat
     plane area (planar convention, mirrored literally; the exact
     integer pair counts are the value-bearing columns)."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.radius import radius_self_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         return pa.table({"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]})
 
     # MATERIALIZE: the point set feeds both the pair join and the
@@ -10200,6 +9692,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
 ZIPF_K = 40  # Zipf regression over the top-K vocabulary
 
 
+@query(lambda o: o.token_zipf_slope(ZIPF_K))
 def q_token_zipf_slope(sf_dir: str) -> pd.DataFrame:
     """ZIPF'S-LAW FIT over the token frequency distribution: OLS slope
     of q(ln freq) on q(ln rank) for the top-K vocabulary (rank by
@@ -10210,10 +9703,6 @@ def q_token_zipf_slope(sf_dir: str) -> pd.DataFrame:
     numbers are single IEEE divisions. The count side is the
     distributed wordcount (vocabulary-cardinality groupby + candidate
     top-k); the regression walks K rows at the driver."""
-    import pyarrow.compute as pc
-
-    from .ops.relational import topk
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def explode_count(b: pa.Table) -> pa.Table:
@@ -10261,6 +9750,7 @@ def q_token_zipf_slope(sf_dir: str) -> pd.DataFrame:
 VOCAB_BIN_DOCS = 100  # vocabulary-growth curve checkpoint spacing
 
 
+@query(lambda o: o.vocab_growth(VOCAB_BIN_DOCS))
 def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     """HEAPS'-LAW VOCABULARY GROWTH: cumulative distinct-token count
     as the corpus is consumed in doc_id order, sampled every
@@ -10269,8 +9759,6 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     doc_id (vocabulary-cardinality groupby min), first-appearance
     positions bin into the bounded checkpoint grid, and the driver
     cumsums |bins| rows."""
-    import pyarrow.compute as pc
-
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
@@ -10298,8 +9786,6 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
             {"bin": u.astype(np.int64), "new_p": c.astype(np.int64)}
         )
 
-    from .aggregate import combine_partials
-
     df = combine_partials(
         firsts.map_batches(to_bins, batch_format="pyarrow"), ["bin"], {"new_p": "new_words"}
     ).sort_values("bin")
@@ -10313,6 +9799,7 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
+@query(lambda o: o.hexcell_location_quotient(HEX_W, HEX_H))
 def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
     """LOCATION QUOTIENT per (hex cell, event type): the cell's share
     of a type relative to the type's global share — the
@@ -10320,10 +9807,6 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
     stays an exact integer rational (lq_num = n_ce*N,
     lq_den = n_c*n_e) with ONE IEEE division; partials combine on the
     bounded (lattice x |etypes|) key."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.hexgrid import hex_cell
-
     def stage(batch: pa.Table) -> pa.Table:
         d = decode_spans(batch)  # tags NEEDED: etype is a tag-derived column
         i, j = hex_cell(
@@ -10382,6 +9865,7 @@ MARKOV_SCALE = 1 << 40
 MARKOV_ITERS = 12
 
 
+@query(lambda o: o.etype_stationary(MARKOV_SCALE, MARKOV_ITERS))
 def q_etype_stationary(sf_dir: str) -> pd.DataFrame:
     """MARKOV STEADY-STATE of the user-behavior chain: the stationary
     distribution of the per-user event-type transition matrix
@@ -10432,6 +9916,7 @@ OR_EVENT = "purchase"  # odds-ratio outcome event
 OR_MIN_HITS = 14  # outcome = at least this many (every user has SOME)
 
 
+@query(lambda o: o.cohort_odds_ratio(OR_EVENT, OR_MIN_HITS))
 def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
     """2x2 ODDS RATIO: does the even-uid cohort reach the outcome
     (>= OR_MIN_HITS {OR_EVENT} events — an ever-flag saturates on this
@@ -10440,9 +9925,6 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
     per batch, finalize through the complete-user bucket shuffle, and
     the four exact cell counts yield OR = (a*d)/(b*c) as an integer
     rational with ONE IEEE division."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -10501,6 +9983,7 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
+@query(lambda o: o.user_burstiness())
 def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
     """BURSTINESS INDEX B = (sigma - mu)/(sigma + mu) of each user's
     inter-event gaps in WHOLE SECONDS (floor; us^2 squares would
@@ -10510,8 +9993,6 @@ def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
     mu = S/n, sigma = sqrt(n*S2 - S*S)/n, B = (sigma-mu)/(sigma+mu)
     mirrored literally. Users with fewer than 2 gaps, or an all-zero
     gap stream, drop (the SQL WHERE mirror)."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
@@ -10575,6 +10056,7 @@ def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.flow_reciprocity(HEX_W, HEX_H))
 def q_flow_reciprocity(sf_dir: str) -> pd.DataFrame:
     """OD-FLOW RECIPROCITY: what fraction of cell-to-cell movement is
     matched by reverse movement — sum over unordered cell pairs of
@@ -10608,6 +10090,7 @@ def q_flow_reciprocity(sf_dir: str) -> pd.DataFrame:
     ).astype({"n_moves": "int64", "n_reciprocal": "int64", "reciprocity": "float64"})
 
 
+@query(lambda o: o.hex_gearys_c(HEX_W, HEX_H))
 def q_hex_gearys_c(sf_dir: str) -> pd.DataFrame:
     """GEARY'S C over the hex lattice — the local-contrast companion
     to Moran's I (C < 1 positive autocorrelation, > 1 negative).
@@ -10661,6 +10144,7 @@ def q_hex_gearys_c(sf_dir: str) -> pd.DataFrame:
 VARIO_BINS = (50_000_000, 100_000_000, 200_000_000, 400_000_000)  # ring edges, e7
 
 
+@query(lambda o: o.semivariogram(VARIO_BINS))
 def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     """EMPIRICAL SEMIVARIOGRAM of the version-number field over the
     T_MID snapshot points: gamma(h) = sum (z_i - z_j)^2 / (2 n_h)
@@ -10670,15 +10154,10 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     through; per-ring exact integer squared-contrast sums and pair
     counts combine from in-stage partials; one IEEE division per
     ring."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.radius import radius_self_join
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         return pa.table(
             {
                 "id": s["osm_id"],
@@ -10736,6 +10215,7 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
+@query(lambda o: o.hexcell_dominant_uid(HEX_W, HEX_H))
 def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
     """DOMINANT CONTRIBUTOR per hex cell: the uid with the most
     visible version edits in each occupied cell (ties to the smallest
@@ -10747,10 +10227,6 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
     cell id) -> per-cell argmax, total and the single IEEE share
     division resolve IN-STAGE; the driver collects only the |cells|
     result rows."""
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .spatial.hexgrid import hex_cell, pack_hex
-
     nb = _resolve_buckets(None, floor=64)
 
     def stage(b: pa.Table) -> pa.Table:
@@ -10811,6 +10287,7 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------ twelfth-session sweep
+@query(lambda o: o.event_debounce(DEBOUNCE_GAP_US))
 def q_event_debounce(sf_dir: str) -> pd.DataFrame:
     """DEBOUNCE / duplicate-suppression over the event stream: an
     event is NOISE when it lands within 300 s of the PREVIOUS event of
@@ -10819,9 +10296,6 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
     complete-key bucket shuffle (the sessions contract), vectorized
     per-bucket lag compare on (ts, event_id)-ordered runs, per-bucket
     kept/dropped partials; the driver combines |etypes| rows."""
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     gap_us = DEBOUNCE_GAP_US
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
@@ -10877,6 +10351,7 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.etype_chi2_cohort(CHI2_SCALE))
 def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
     """CHI-SQUARE test of independence + CRAMER'S V between event type
     and the even/odd-uid cohort — the categorical-association terminal
@@ -10885,8 +10360,6 @@ def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
     division over exact Python ints (HUGEINT in the mirror), so the
     sum is order-free; chi2 and V are fixed IEEE tails over the exact
     integer."""
-    from .aggregate import combine_partials
-
     scale = CHI2_SCALE
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -10947,6 +10420,7 @@ def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
     return out
 
 
+@query(lambda o: o.etype_dow_mutual_info(T0, DAY_US))
 def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
     """MUTUAL INFORMATION between event type and day-of-week — how
     much the weekly rhythm tells you about what users do. N*MI in
@@ -10954,8 +10428,6 @@ def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
     sum_ij n_ij * (q(n_ij) + q(N) - q(r_i) - q(c_j)) with q = the
     etype_day_entropy milli-nat quantization; the only float is the
     final single IEEE division by N."""
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -11002,6 +10474,7 @@ def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
     return out
 
 
+@query(lambda o: o.rolling_median_value(T0, DAY_US))
 def q_rolling_median_value(sf_dir: str) -> pd.DataFrame:
     """7-day ROLLING EXACT MEDIAN of event value per type — the
     order-statistic sibling of rolling_active_users. No mergeable
@@ -11010,8 +10483,6 @@ def q_rolling_median_value(sf_dir: str) -> pd.DataFrame:
     bounded histogram, never the event rows); the complete-(etype,
     window) groups resolve the LOWER MEDIAN rank (T+1)//2 by cumsum
     walk, and the driver combines |etypes x windows| rows."""
-    from .ops.relational import cents
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
     def hist(b: pa.Table) -> pa.Table:
@@ -11071,6 +10542,7 @@ RRF_POOL = 100
 RRF_TOP = 20
 
 
+@query(lambda o: o.rrf_fusion(RRF_K, RRF_SCALE, RRF_POOL, RRF_TOP))
 def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
     """RECIPROCAL RANK FUSION of two document rankings — the
     multi-retriever result-merging terminal of an IR stack. Ranking A
@@ -11079,15 +10551,11 @@ def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
     the distributed candidate top-k (k rows per batch move, never the
     corpus). Scores are EXACT integers floor(SCALE/(K + rank)) so the
     fused order is bit-stable; absent-in-one-list docs keep rank -1."""
-    from .ops.relational import topk
-
     docs = rio.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
     )
 
     def with_tokens(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         n = pc.utf8_length(b["text"])
         sp = pc.count_substring(b["text"], " ")
         ws = pc.if_else(
@@ -11127,6 +10595,7 @@ HITS_ITERS = 2
 HITS_SCALE = 1_000_000
 
 
+@query(lambda o: o.part_hits_authority(HITS_SCALE, HITS_ITERS))
 def q_part_hits_authority(sf_dir: str) -> pd.DataFrame:
     """HITS AUTHORITY scores of parts in the customer->part purchase
     graph (ops/hits.py): 2 exact fixed-point Kleinberg iterations —
@@ -11134,9 +10603,6 @@ def q_part_hits_authority(sf_dir: str) -> pd.DataFrame:
     renormalization by floor division — so the scores are
     bit-identical at any parallelism and the oracle is the identical
     rounds unrolled as MATERIALIZED join-aggregate CTEs."""
-    from .ops.hits import hits_bipartite
-    from .ops.relational import hash_join
-
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(
@@ -11154,6 +10620,7 @@ def q_part_hits_authority(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("part_id").reset_index(drop=True)
 
 
+@query(lambda o: o.snapshot_count_by_geohash())
 def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
     """Snapshot count at T_MID grouped by GEOHASH-5 cell — the
     string-keyed industry-standard spatial key beside the XYGrid, S2
@@ -11161,15 +10628,10 @@ def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
     divisions + a 25-bit interleave, no floats, so the cell id is a
     bit-stable shuffle key; the base32 rendering is order-isomorphic
     to the packed id)."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.geohash import geohash_bits, geohash_str
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -11197,6 +10659,7 @@ BM25_TERMS = ("merge", "spark", "vector", "window")
 BM25_TOP = 15
 
 
+@query(lambda o: o.bm25_top_docs(BM25_TERMS, BM25_TOP))
 def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     """BM25 RANKING of documents against a fixed term set — the
     retrieval terminal beside tfidf_top_terms, in EXACT INTEGER
@@ -11212,11 +10675,6 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     map with the |terms|-sized df LUT in the task closure, per-doc
     totals are a Dataset groupby (doc cardinality), and only the
     top-k candidates reach the driver."""
-    import pyarrow.compute as pc
-
-    from .aggregate import combine_partials
-    from .ops.relational import topk
-
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = docs.count()
     terms = sorted(BM25_TERMS)
@@ -11317,6 +10775,7 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.way_centroids())
 def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     """Area-weighted SHOELACE CENTROID of the synthetic triangle ways
     at T_MID — for a triangle the shoelace centroid reduces exactly to
@@ -11324,15 +10783,11 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     coordinates and the only floats are the two single IEEE divisions
     by 3. Same one-shuffle fan-out/assemble shape as q_way_areas (the
     corner rows route once by triangle id; nothing re-shuffles)."""
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
     nb = _resolve_buckets(None, floor=64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         osm = s["osm_id"].to_numpy(zero_copy_only=False)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
@@ -11368,6 +10823,7 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("way_id").reset_index(drop=True)
 
 
+@query(lambda o: o.lifespan_overlap_pairs(DWELL_END))
 def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
     """ALLEN-INTERVAL OVERLAP COUNTING over entity lifespans: how many
     unordered pairs of entities were ever alive at the same time
@@ -11378,10 +10834,6 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
     searchsorted, cross-bucket pairs are per-bucket start counts times
     the prefix sum of earlier end counts — O(buckets) rows to the
     driver, exact Python-int combine."""
-    from .model import decode_spans
-    from .ops.window import _bucket_of, _resolve_buckets
-    from .temporal import _sorted_versions
-
     nb = _resolve_buckets(None, floor=64)
     span = DWELL_END - T0
 
@@ -11452,6 +10904,7 @@ CMS_W = 16
 RECO_TOP = 20
 
 
+@query(lambda o: o.frequent_part_triples(TRIPLE_MIN_SUP))
 def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
     """A-PRIORI FREQUENT 3-ITEMSETS over market baskets: part triples
     co-purchased in >= TRIPLE_MIN_SUP orders. Complete-by-order bucket
@@ -11460,8 +10913,6 @@ def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
     triples PACK into one int64 (21 bits per part, loud guard) so the
     support count is a single high-cardinality Dataset groupby; only
     the frequent triples reach the driver."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
@@ -11529,6 +10980,7 @@ def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
     return res.sort_values(["p1", "p2", "p3"]).reset_index(drop=True)
 
 
+@query(lambda o: o.cms_etype_counts(CMS_D, CMS_W))
 def q_cms_etype_counts(sf_dir: str) -> pd.DataFrame:
     """COUNT-MIN SKETCH with a VALUE-EXACT oracle: the sketch is
     deterministic (md5 row hashes, the sampling-oracle convention), so
@@ -11538,10 +10990,6 @@ def q_cms_etype_counts(sf_dir: str) -> pd.DataFrame:
     (d*w bounded combine), reporting exact vs estimated side by side —
     the overestimate IS the sketch's documented behavior, value-pinned
     here instead of rows-only like the HLL family."""
-    import hashlib
-
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type"])
 
     def bucket_of(j: int, etype: str) -> int:
@@ -11581,6 +11029,33 @@ def q_cms_etype_counts(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+def _wedge_keys(nodes: np.ndarray, peers: np.ndarray) -> np.ndarray:
+    """Pair keys ``(a << 21) | b`` (a < b) of all neighbor pairs per
+    center node, from (node, peer) rows sorted by (node, peer). PURE
+    NUMPY (a pandas self-merge materializes the ordered-pair double and
+    was the measured wall of the family scaling pair): the i<j index
+    pairs come from the fan-out index trick — firsts repeat with
+    shrinking counts, seconds are an arange offset past each first.
+    Loud on a hub over the wedge cap and on a peer id that does not
+    fit the 21-bit pack."""
+    starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+    ends = np.r_[starts[1:], len(nodes)]
+    deg = ends - starts
+    if deg.size and int(deg.max()) > 10_000:
+        raise OverflowError(
+            "copurchase_recommendations: hub degree exceeds the wedge "
+            "cap — shard the neighbor list before pairing"
+        )
+    if len(peers) and int(peers.max()) >= 1 << 21:
+        raise OverflowError("copurchase_recommendations: part id exceeds the 21-bit pack")
+    reps = np.repeat(ends, deg) - np.arange(len(nodes)) - 1  # pairs per row
+    total = int(reps.sum())
+    first_idx = np.repeat(np.arange(len(nodes)), reps)
+    sec_idx = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps) + first_idx + 1
+    return (peers[first_idx] << 21) | peers[sec_idx]  # sorted: a < b
+
+
+@query(lambda o: o.copurchase_recommendations(RECO_TOP))
 def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     """TRIADIC-CLOSURE LINK PREDICTION: the top non-adjacent part
     pairs by common co-purchase neighbors ("customers who bought
@@ -11592,10 +11067,6 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     emission is C(deg, 2) — bounded here by the <= ~7-item baskets; a
     degree cap raises loudly (the DF-cap convention) rather than
     silently exploding on a hub."""
-    from .ops.relational import topk
-    from .ops.triangles import dedupe_edges
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
@@ -11614,33 +11085,10 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
         )
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        # all neighbor pairs per center node, PURE NUMPY (a pandas
-        # self-merge materializes the ordered-pair double and was the
-        # measured wall of the family scaling pair): sort by (node,
-        # peer), then generate the i<j index pairs with the fan-out
-        # index trick — firsts repeat with shrinking counts, seconds
-        # are an arange offset past each first
         g = g.sort_values(["node", "peer"], kind="mergesort")
-        nodes = g["node"].to_numpy(dtype=np.int64)
-        peers = g["peer"].to_numpy(dtype=np.int64)
-        starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
-        ends = np.r_[starts[1:], len(nodes)]
-        deg = ends - starts
-        if deg.size and int(deg.max()) > 10_000:
-            raise OverflowError(
-                "copurchase_recommendations: hub degree exceeds the wedge "
-                "cap — shard the neighbor list before pairing"
-            )
-        reps = np.repeat(ends, deg) - np.arange(len(nodes)) - 1  # pairs per row
-        total = int(reps.sum())
-        first_idx = np.repeat(np.arange(len(nodes)), reps)
-        sec_idx = (
-            np.arange(total)
-            - np.repeat(np.cumsum(reps) - reps, reps)
-            + first_idx
-            + 1
+        key = _wedge_keys(
+            g["node"].to_numpy(dtype=np.int64), g["peer"].to_numpy(dtype=np.int64)
         )
-        key = (peers[first_idx] << 21) | peers[sec_idx]  # sorted: a < b
         # pre-combine in-group (one row per distinct pair), route by
         # pair-key bucket; arrow out to union with the adjacency
         ks, cnt = np.unique(key, return_counts=True)
@@ -11694,6 +11142,7 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
+@query(lambda o: o.source_vocab_jaccard())
 def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     """Pairwise VOCABULARY JACCARD between document sources — the
     corpus-mixing diagnostic beside source_drift_psi (drift compares
@@ -11704,12 +11153,6 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     int), and the |sources|^2-bounded mask histogram reaches the
     driver; every pair's intersection/union then reads off the mask
     counts — no pairwise join anywhere."""
-    import pyarrow.compute as pc
-
-    from .aggregate import combine_partials
-
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)  # resolve ONCE on the driver
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
     # source enum (bounded): distinct via per-batch unique partials
@@ -11788,6 +11231,7 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source_a", "source_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.user_recency_scores(T0, DAY_US))
 def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     """RECENCY-WEIGHTED ENGAGEMENT: per user, the exponentially
     time-decayed activity score with a one-day half-life — EXACT,
@@ -11796,8 +11240,6 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     rule applied to decay weights; float exp decay would be
     order-dependent). Per-batch (user, day) partials -> one
     user-cardinality groupby; the report is the top-25 scores."""
-    from .ops.relational import topk
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -11829,6 +11271,7 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     return out.astype({"user_id": "int64", "score": "int64"}).reset_index(drop=True)
 
 
+@query(lambda o: o.hapax_rate_by_source())
 def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
     """HAPAX LEGOMENA rate per source — vocabulary richness: the share
     of a source's token occurrences whose word occurs EXACTLY ONCE in
@@ -11837,11 +11280,6 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
     and per-source occurrences together (hapax iff corpus count == 1,
     which also pins its source) -> |sources|-bounded partials. The
     rate is one IEEE division of exact ints."""
-    import pyarrow.compute as pc
-
-    from .aggregate import combine_partials
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)  # resolve ONCE on the driver
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
 
@@ -11890,6 +11328,7 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("source").reset_index(drop=True)
 
 
+@query(lambda o: o.etype_spearman(T0, DAY_US))
 def q_etype_spearman(sf_dir: str) -> pd.DataFrame:
     """SPEARMAN RANK CORRELATION between event types' daily count
     series over their common days — the outlier-robust sibling of
@@ -11943,14 +11382,13 @@ def q_etype_spearman(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.prop_ztest_click())
 def q_prop_ztest_click(sf_dir: str) -> pd.DataFrame:
     """TWO-PROPORTION Z-TEST on the click share between the even-uid
     and odd-uid cohorts — the conversion-rate A/B terminal beside
     ab_test_value. Counts are exact-int partials (combine_partials);
     the pooled z is a FIXED IEEE expression tree over the four ints,
     mirrored operation for operation in SQL."""
-    from .aggregate import combine_partials
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -11991,6 +11429,7 @@ def q_prop_ztest_click(sf_dir: str) -> pd.DataFrame:
 PART_SCAN_DAYS = list(range(10, 16))  # the pruned mid-January window
 
 
+@query(lambda o: o.partitioned_day_scan(T0, DAY_US, PART_SCAN_DAYS))
 def q_partitioned_day_scan(sf_dir: str) -> pd.DataFrame:
     """HIVE-PARTITIONED SINK + PARTITION-PRUNED READ end-to-end
     (sources/hivepart.py): the event log lands as day=N parquet
@@ -12000,9 +11439,6 @@ def q_partitioned_day_scan(sf_dir: str) -> pd.DataFrame:
     of a 100-TB corpus. The oracle reads the ORIGINAL parquet with the
     same day filter, so a pass certifies the partitioned write + the
     pruned read + the aggregate, not just the aggregate."""
-    from .aggregate import combine_partials
-    from .sources.hivepart import ensure_partitioned_events, read_partition_days
-
     root = ensure_partitioned_events(sf_dir, T0, DAY_US)
     ds = read_partition_days(root, PART_SCAN_DAYS)
 
@@ -12026,6 +11462,7 @@ def q_partitioned_day_scan(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["day", "etype"]).reset_index(drop=True)
 
 
+@query(lambda o: o.etype_kendall_tau(T0, DAY_US))
 def q_etype_kendall_tau(sf_dir: str) -> pd.DataFrame:
     """KENDALL TAU-B between event types' daily count series — the
     third of the correlation trio (Pearson crosscorr / Spearman /
@@ -12073,6 +11510,7 @@ def q_etype_kendall_tau(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
 
+@query(lambda o: o.knn_value_regression())
 def q_knn_value_regression(sf_dir: str) -> pd.DataFrame:
     """kNN REGRESSION: each query point predicts the MEAN uid of its
     3 nearest neighbors at T_MID — the regression twin of
@@ -12080,26 +11518,17 @@ def q_knn_value_regression(sf_dir: str) -> pd.DataFrame:
     neighbor attribute lookup ships only the nq x k id set
     (ray.put + pc.is_in, never the corpus); sums are exact ints and
     the prediction is one IEEE division."""
-    import os
-
-    import pyarrow.compute as pc
-    import ray as _ray
-
-    from .model import decode_spans
-    from .spatial.knn import knn_queries
-    from .temporal import snapshots as snapshots_fn
-
     mod = int(os.environ.get("RAYHIST_KNN_MOD", "17"))
     pos, _n, zoom = _knn_positions_flagged(sf_dir, mod)
     nn = knn_queries(pos, k=3, id_col="osm_id", zoom=zoom, halo=1)
 
     ids = np.unique(nn["neighbor_id"].to_numpy(dtype=np.int64))
-    ids_ref = _ray.put(ids)
+    ids_ref = ray.put(ids)
     ts = np.array([T_MID], dtype=np.int64)
 
     def attrs(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False, geom=False), ts)
-        keep = pc.is_in(s["osm_id"], pa.array(_ray.get(ids_ref), pa.int64()))
+        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
+        keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "uid": s["uid"]})
 
@@ -12130,9 +11559,6 @@ def _twa_stage(b: pa.Table) -> pa.Table:
     each interval crosses with exact clipped overlaps. Module-level so
     the reversed-runs invariance test can drive it (the _dwell_stage
     convention)."""
-    from .model import decode_spans
-    from .temporal import _sorted_versions
-
     tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False))
     if not len(ts):
         return pa.table(
@@ -12166,8 +11592,6 @@ def twa_daily_final(docs) -> pd.DataFrame:
     _twa_stage partials, zerofill the January days, one IEEE division
     by the constant day length. Both q_twa_entities_daily and the
     facade terminal call THIS, so the pin holds by construction."""
-    from .aggregate import combine_partials, zerofill
-
     df = combine_partials(
         docs.map_batches(_twa_stage, batch_format="pyarrow"),
         ["day"],
@@ -12182,6 +11606,7 @@ def twa_daily_final(docs) -> pd.DataFrame:
     return out.sort_values("day").reset_index(drop=True)
 
 
+@query(lambda o: o.twa_entities_daily(T0, DAY_US, DWELL_END))
 def q_twa_entities_daily(sf_dir: str) -> pd.DataFrame:
     """CONTINUOUS-TIME daily average of visible entities — the exact
     integral the snapshot grid only samples: per day,
@@ -12196,6 +11621,7 @@ def q_twa_entities_daily(sf_dir: str) -> pd.DataFrame:
     return twa_daily_final(_docs(sf_dir))
 
 
+@query(lambda o: o.clark_evans())
 def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     """CLARK-EVANS AGGREGATION INDEX of the T_MID point pattern — the
     classic ESDA clustered/dispersed diagnostic: observed mean
@@ -12206,14 +11632,10 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     sqrt the SAME correctly-rounded double of the exact int d2, so the
     integer sum is order-free and mirrorable; the index is a fixed
     IEEE expression tree over (sum, n, bbox)."""
-    from .model import decode_spans
-    from .spatial.knn import knn_all
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots_fn(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch, tags=False), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -12269,6 +11691,7 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.linreg_value_day_parity(T0, DAY_US))
 def q_linreg_value_day_parity(sf_dir: str) -> pd.DataFrame:
     """EXACT DISTRIBUTED OLS: regress event value (cents) on
     [1, day, uid-parity] — multivariate least squares with NO
@@ -12278,9 +11701,6 @@ def q_linreg_value_day_parity(sf_dir: str) -> pd.DataFrame:
     RULE in Python bigints (dets exceed int64 — HUGEINT in the
     mirror), and each coefficient is ONE IEEE division of two
     correctly-rounded exact ints. Deterministic at any parallelism."""
-    from .aggregate import combine_partials
-    from .ops.relational import cents
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id", "value"]
     )
@@ -12347,6 +11767,7 @@ BLOOM_FPR_M = 1024
 BLOOM_FPR_K = 3
 
 
+@query(lambda o: o.bloom_fpr_users(BLOOM_FPR_M, BLOOM_FPR_K))
 def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
     """BLOOM-FILTER FALSE-POSITIVE RATE, value-exact: build a
     1024-bit / 3-hash Bloom of the EVEN user ids and probe it with the
@@ -12359,10 +11780,6 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
     closure and counts per-batch partials. (functions/bloom.py is the
     production filter; this query pins the md5 twin the oracle can
     spell.)"""
-    import hashlib
-
-    from .aggregate import combine_partials
-
     m, k = BLOOM_FPR_M, BLOOM_FPR_K
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id"])
 
@@ -12400,8 +11817,6 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
     # distinct users are corpus-cardinality: dedupe on complete-uid
     # hash buckets (the bucketed map_groups shape), |buckets| rows to
     # the driver — never a distinct-user table
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
 
     def route(b: pa.Table) -> pa.Table:
@@ -12460,6 +11875,7 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query(lambda o: o.conversion_latency_median(T0, DAY_US))
 def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
     """CONVERSION LATENCY: per purchase day, the exact LOWER MEDIAN of
     (purchase ts - latest STRICTLY-PRIOR click ts of the same user) —
@@ -12469,8 +11885,6 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
     False = the strict < contract, no event-id order ambiguity);
     per-day medians resolve on the 31-day groupby; purchases with no
     prior click are dropped on both engines."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
     nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
@@ -12534,6 +11948,7 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("day").reset_index(drop=True)
 
 
+@query(lambda o: o.user_value_holt())
 def q_user_value_holt(sf_dir: str) -> pd.DataFrame:
     """Per-user integer HOLT double-exponential smoothing of event
     value cents (ops/scan.grouped_recurrence_holt_int): the
@@ -12541,9 +11956,6 @@ def q_user_value_holt(sf_dir: str) -> pd.DataFrame:
     non-associative recurrences with truncating halving (pinned to
     DuckDB's // semantics on the signed trend), scan vectorized across
     keys per step, one row per user."""
-    from .ops.relational import cents
-    from .ops.scan import grouped_recurrence_holt_int
-
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
     )
@@ -12573,6 +11985,7 @@ def q_user_value_holt(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("user_id").reset_index(drop=True)
 
 
+@query(lambda o: o.theil_index_by_type())
 def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     """THEIL INEQUALITY INDEX of value concentration per event type —
     the entropy-based inequality metric beside user_gini_by_etype.
@@ -12583,9 +11996,6 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     only float is the final single IEEE division by S. Requires
     positive values (loud guard — ln of a non-positive cent is
     undefined)."""
-    from .aggregate import combine_partials
-    from .ops.relational import round_half_away
-
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -12635,6 +12045,7 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+@query(lambda o: o.nelson_aalen(DWELL_END, DAY_US))
 def q_nelson_aalen(sf_dir: str) -> pd.DataFrame:
     """NELSON-AALEN CUMULATIVE HAZARD over entity lifespans — the
     estimator pair of kaplan_meier on the same zero-shuffle lifespan
@@ -12642,8 +12053,6 @@ def q_nelson_aalen(sf_dir: str) -> pd.DataFrame:
     floor division ((10^6 * d) // n — a float sum of hazards would be
     order-dependent), so the cumulative curve is an exact ordered
     integer sum; the reported hazard is ONE IEEE division."""
-    from .aggregate import combine_partials
-
     partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
     base = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
@@ -12680,6 +12089,7 @@ def q_nelson_aalen(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("t_days").reset_index(drop=True)
 
 
+@query(lambda o: o.flow_distance_decay(HEX_W, HEX_H))
 def q_flow_distance_decay(sf_dir: str) -> pd.DataFrame:
     """GRAVITY-MODEL DISTANCE DECAY of the OD flows: the log-log OLS
     slope of flow volume against center-to-center distance — the
@@ -12690,8 +12100,6 @@ def q_flow_distance_decay(sf_dir: str) -> pd.DataFrame:
     center distance — Python bigints / HUGEINT, world-extent d2
     exceeds int64), the slope numerator/denominator are exact int
     sums, and the slope is ONE IEEE division."""
-    from .spatial.hexgrid import HEX_H, HEX_W
-
     fl = q_cell_flows(sf_dir)
     xs, ys = [], []
     for r in fl.itertuples():
@@ -12726,6 +12134,7 @@ def q_flow_distance_decay(sf_dir: str) -> pd.DataFrame:
 GH_PRECS = (5, 3, 1)
 
 
+@query(lambda o: o.snapshot_count_by_geohash_multiprec(GH_PRECS))
 def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
     """HIERARCHICAL GEOHASH ROLLUP: snapshot counts at precisions 5,
     3 and 1 in one result — the tile-pyramid shape of
@@ -12735,15 +12144,10 @@ def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
     the driver (bounded by cells) with no second corpus pass; the
     oracle rolls up by string prefix, certifying the
     prefix==bit-shift containment property end to end."""
-    from .aggregate import combine_partials
-    from .model import decode_spans
-    from .spatial.geohash import PRECISION, geohash_bits, geohash_str
-    from .temporal import snapshots as snapshots_fn
-
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots_fn(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch, tags=False), ts)
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),

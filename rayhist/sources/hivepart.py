@@ -10,7 +10,8 @@ filter. The ``day`` key is ALSO carried as a regular column inside the
 files, so a pruned read returns complete rows without re-deriving the
 partition value from the path.
 
-Cache key = source mtime+size + code_fingerprint(this module), the
+Cache key = source mtime+size + code_fingerprint(this module and
+ops.relational, whose ``cents`` rounds every value), following the
 CLAUDE.md rule (no hand-bumped :vN); the completion marker lives
 OUTSIDE the partition tree so readers never see ``_DONE`` as data.
 
@@ -23,18 +24,20 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from pathlib import Path
 
 import pyarrow as pa
 import ray.data
 
 from .. import io as rio
+from ..ops import relational
 
 
 def _fp() -> str:
-    import sys
-
-    return rio.code_fingerprint(sys.modules[__name__])
+    # derive() below rounds through relational.cents: its source is an
+    # input of the cached bytes as much as this module's
+    return rio.code_fingerprint(sys.modules[__name__], relational)
 
 
 def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
@@ -65,9 +68,7 @@ def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
     staging.mkdir(parents=True, exist_ok=True)
 
     def derive(b: pa.Table) -> pa.Table:
-        from ..ops.relational import cents
-
-        b2 = cents(b, "value", "value_c")  # pinned half-away rounding
+        b2 = relational.cents(b, "value", "value_c")  # pinned half-away rounding
         ts = b2["ts"].cast(pa.int64())
         import pyarrow.compute as pc
 

@@ -176,3 +176,24 @@ def test_fnv_sample_rate_honest_on_short_keys():
     m4 = h < np.uint64((1 << 32) // 4)
     m8 = h < np.uint64((1 << 32) // 8)
     assert (m8 <= m4).all()
+
+
+def test_wedge_keys_pairs_and_id_guard():
+    """The copurchase wedge kernel emits every a < b neighbor pair per
+    center node exactly once, and a peer id past the 21-bit pack raises
+    (the adjacency branch's guard) instead of colliding keys."""
+    import itertools
+
+    import pytest
+
+    from rayhist.pipelines import _wedge_keys
+
+    nbrs = {1: [3, 5, 9], 2: [5], 4: [3, 9]}
+    rows = sorted((n, p) for n, ps in nbrs.items() for p in ps)
+    nodes, peers = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    want = sorted(
+        (a << 21) | b for ps in nbrs.values() for a, b in itertools.combinations(sorted(ps), 2)
+    )
+    assert sorted(_wedge_keys(nodes, peers).tolist()) == want
+    with pytest.raises(OverflowError, match="21-bit"):
+        _wedge_keys(np.array([1, 1], dtype=np.int64), np.array([3, 1 << 21], dtype=np.int64))

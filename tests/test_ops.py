@@ -2878,6 +2878,25 @@ def test_hits_bipartite_matches_bruteforce():
         assert dict(zip(got["node"], got["val"])) == a
 
 
+def test_hits_distributed_overflow_guard():
+    """Above the gate (forced with broadcast_gate=0) the message sums
+    are guarded like the local rounds: a scale that would wrap int64
+    raises OverflowError (unguarded, the wrapped total surfaced as a
+    misleading 'non-positive score total')."""
+    import pandas as pd
+    import pytest
+    import ray.data
+
+    from rayhist.ops.hits import hits_bipartite
+
+    edges = pd.DataFrame({"s": [1, 2, 3, 1], "d": [10, 10, 11, 11]})
+    with pytest.raises(OverflowError, match="int64 bound"):
+        hits_bipartite(
+            ray.data.from_pandas(edges), src="s", dst="d", iters=2,
+            scale=2**61, n_buckets=4, broadcast_gate=0,
+        )
+
+
 def test_linreg_matches_numpy_lstsq():
     """The Cramer's-rule exact-int OLS equals numpy's float solver to
     float tolerance on the real corpus (the PCA-convergence

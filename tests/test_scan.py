@@ -211,6 +211,35 @@ def test_arrow_ipc_crashed_partial_build_never_unions(ray_session, monkeypatch, 
     assert not (Path(rebuilt) / "part-deadbeef.arrow").exists()
 
 
+def test_hivepart_key_covers_cents_module(tmp_path, monkeypatch):
+    """The hive-partition cache key fingerprints ops.relational too:
+    derive() rounds every value through its cents(), so an edit there
+    must change the key (cold rebuild) instead of serving bytes rounded
+    by the old code."""
+    import importlib.util
+    import os
+    import shutil
+
+    import rayhist.io as rio
+    from rayhist.ops import relational
+    from rayhist.sources import hivepart
+
+    copy = tmp_path / "relational_copy.py"
+    shutil.copy(relational.__file__, copy)
+    # backdated: the edited-after-import guard must not fire for the copy
+    os.utime(copy, (0, 0))
+    spec = importlib.util.spec_from_file_location("relational_copy", copy)
+    monkeypatch.setattr(hivepart, "relational", importlib.util.module_from_spec(spec))
+    rio.code_fingerprint.cache_clear()
+    before = hivepart._fp()
+    copy.write_text(copy.read_text() + "\n# edited\n")
+    os.utime(copy, (0, 0))
+    rio.code_fingerprint.cache_clear()
+    after = hivepart._fp()
+    rio.code_fingerprint.cache_clear()
+    assert before != after, "a cents() edit must re-key the hive cache"
+
+
 def test_hivepart_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path):
     """Hive-partition twin of the JSONL cold-cache guard: a fresh
     RAYHIST_CACHE rebuild reproduces the pruned-scan aggregate
