@@ -48,6 +48,7 @@ import pyarrow as pa
 import ray.data
 
 from . import io as rio
+from . import members as _members
 from .model import DOCUMENTS_SCHEMA, LAT_MOD, LON_MOD
 
 CACHE_ROOT = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
@@ -65,7 +66,10 @@ def _fp(*extra) -> str:
 
 
 # span-document cache shard size (docs per parquet file): ~67 versions
-# per doc in the synthetic corpus -> ~3-4 MB shards
+# per doc in the synthetic corpus -> ~3-4 MB shards. A shard is written
+# as ONE row group, and Ray's parquet reader yields one block per row
+# group, so a shard is exactly one call of every fused map_batches
+# stage that reads the table.
 DOC_SHARD_ROWS = 1500
 
 # ------------------------------------------------------- sig keytable
@@ -904,27 +908,39 @@ def build_relation_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
     return _build_compound(sf_dir, rep, REL_BLOCK, _pack_rel_bucket)
 
 
+def _write_shards(ds: ray.data.Dataset, path: Path, shard_rows: int, min_shards: int = 1) -> None:
+    """Write ``ds`` as evenly sized shard files of at most ``shard_rows``
+    rows, each ONE parquet row group.
+
+    The row group is the read block, so a shard is one call of every
+    fused ``map_batches`` stage that reads the table. Left to the
+    producer, every pack-bucket group stays its own row group (one
+    document each at sandbox scale) and each query pays its per-batch
+    stage cost per document. ``repartition(n)`` balances rows evenly
+    (``target_num_rows_per_block`` only splits oversized blocks and
+    keeps one file per upstream block); the materialize is bounded by
+    the cache being a single sf_dir's table."""
+    ds = ds.materialize()
+    n_shards = max(min_shards, -(-ds.count() // shard_rows))
+    rio.write_table(ds.repartition(n_shards), str(path), row_group_size=shard_rows)
+
+
 def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
     """Materialize (once) a compound table (same atomic cache protocol
     as ensure_documents)."""
     src = Path(sf_dir) / "events.parquet"
     key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:rep{rep}:{tag}:{_fp()}".encode()
+        f"{src.resolve()}:{src.stat().st_mtime_ns}:rep{rep}:{tag}:{_fp(_members)}".encode()
     ).hexdigest()[:16]
     out = Path(CACHE_ROOT) / key / f"documents_{tag}"
     if out.exists():
         return str(out)
     tmp = Path(CACHE_ROOT) / key / f".tmp_{os.getpid()}"
-    ds = builder(sf_dir, rep)
-    # Write MANY small files (~COMPOUND_BATCH docs each): the downstream
-    # map_batches parallelism unit is the read block, and a single-file
-    # cache reads as 1-2 blocks -> the whole member-recursion stage runs
-    # on one core no matter what batch_size says. Partitioned output is
-    # also the resumable / 100-TB layout.
-    from .members import COMPOUND_BATCH
-
-    ds = ds.repartition(target_num_rows_per_block=COMPOUND_BATCH)
-    rio.write_table(ds, str(tmp))
+    # shards of <= COMPOUND_BATCH docs: one member-recursion stage call
+    # per shard, at the batch size the stage is tuned for, and as many
+    # files as the stage has batches to run in parallel (the layout
+    # reads members.COMPOUND_BATCH, so members.py is in the cache key)
+    _write_shards(builder(sf_dir, rep), tmp, _members.COMPOUND_BATCH)
     try:
         tmp.rename(out)
     except OSError:
@@ -986,20 +1002,14 @@ def ensure_documents(sf_dir: str, rep: int = 1) -> str:
     if out.exists():
         return str(out)
     tmp = Path(CACHE_ROOT) / key / f".tmp_{os.getpid()}"
-    ds = build_documents(sf_dir, rep)
     # uniform ~4 MB shards: the pack groupby emits blocks whose sizes
     # track bucket skew (measured 56-115 MB at rep=128 — a 2x spread),
     # and any read that maps files to ncpu tasks inherits that skew as
-    # straggler wall time. repartition(n) balances rows evenly
-    # (target_num_rows_per_block only SPLITS oversized blocks — it
-    # keeps the skew); the materialize is bounded by the cache being a
-    # single sf_dir's table and is untimed build work. At cluster scale
-    # the ingest writes shard-keyed partitions instead (checkpoint.py).
-    docs = ds.materialize()
-    # floor of 8 shards so even tiny sf_dirs keep a multi-fragment
-    # layout (parallel first-read, per-shard resume)
-    n_shards = max(8, -(-docs.count() // DOC_SHARD_ROWS))
-    rio.write_table(docs.repartition(n_shards), str(tmp))
+    # straggler wall time. Floor of 8 shards so even tiny sf_dirs keep
+    # a multi-fragment layout (parallel first-read, per-shard resume).
+    # At cluster scale the ingest writes shard-keyed partitions instead
+    # (checkpoint.py).
+    _write_shards(build_documents(sf_dir, rep), tmp, DOC_SHARD_ROWS, min_shards=8)
     try:
         tmp.rename(out)
     except OSError:  # lost the race: another process finished first
@@ -1060,8 +1070,9 @@ def ensure_multizoom_layout(sf_dir: str, rep: int = 1, max_zoom: int = 6) -> str
 
     ds = rio.read_table(ensure_documents(sf_dir, rep))
     tmp = out.parent / f".tmp_{os.getpid()}"
+    # one row group per (shard, partition) file, as in ensure_documents
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        str(tmp), partition_cols=["pmz"]
+        str(tmp), partition_cols=["pmz"], row_group_size=DOC_SHARD_ROWS
     )
     try:
         tmp.rename(out)

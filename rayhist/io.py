@@ -159,8 +159,22 @@ def read_table(path, **kwargs) -> ray.data.Dataset:
     return ray.data.read_parquet(path, **kwargs)
 
 
-def write_table(ds: ray.data.Dataset, path, **kwargs) -> None:
+def write_table(
+    ds: ray.data.Dataset, path, *, row_group_size: int | None = None, **kwargs
+) -> None:
+    """Write ``ds`` as a table at ``path``.
+
+    ``row_group_size`` sets the rows per parquet row group, which is
+    the ``map_batches`` call unit of every later read: Ray's parquet
+    reader yields one block per row group. Left unset, the layout
+    follows whatever blocks the producing stage emitted (one per
+    shuffle bucket after a groupby). It is parquet-only: a Lance
+    table's read unit is its fragment, so the Lance branch never sees
+    it.
+    """
     if HAVE_LANCE and _is_lance(path):  # pragma: no cover
         ds.write_lance(str(path), **kwargs)
         return
+    if row_group_size is not None:
+        kwargs["row_group_size"] = row_group_size
     ds.write_parquet(str(path), **kwargs)

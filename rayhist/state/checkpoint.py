@@ -37,6 +37,8 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from ..ingest import DOC_SHARD_ROWS
+
 ENGINE_VERSION = "rayhist-0.1"
 
 
@@ -308,7 +310,12 @@ def write_partitioned_by_cell(
     # never see a half-written layout
     tmp = out / f".tmp_cells_{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    assigned.write_parquet(str(tmp), partition_cols=["part_zoom", "part_cell"])
+    # one row group per partition file (up to a document shard's rows),
+    # not one per upstream block: the row group is the read's stage-call
+    # unit
+    assigned.write_parquet(
+        str(tmp), partition_cols=["part_zoom", "part_cell"], row_group_size=DOC_SHARD_ROWS
+    )
     manifest = {"zoom": zoom, "partitions": sorted(str(p.relative_to(tmp)) for p in tmp.glob("*/*"))}
     final = out / "cells"
     if final.exists():

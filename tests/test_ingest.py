@@ -1,8 +1,11 @@
 """Ingest pipeline: events -> span documents, determinism + invariants."""
 
+from pathlib import Path
+
 import duckdb
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from rayhist.ingest import build_documents, ensure_documents, read_documents
 from rayhist.model import DOCUMENTS_SCHEMA, decode_spans
@@ -96,6 +99,24 @@ def test_span_stream_invariant():
                 assert spans[i]["kind"] == "geom" and spans[i]["media_ref"].startswith("geom:")
                 i += 1
 
+
+def test_document_shard_is_one_row_group_and_one_stage_call():
+    """Each cached shard file is ONE row group, so a map_batches stage
+    over the table runs once per shard — not once per pack bucket of
+    the ingest groupby (one per document at this scale)."""
+    files = sorted(Path(ensure_documents(SF)).glob("*.parquet"))
+    metas = [pq.ParquetFile(f).metadata for f in files]
+    assert len(files) >= 8
+    assert [m.num_row_groups for m in metas] == [1] * len(files)
+    calls = (
+        read_documents(SF)
+        .map_batches(lambda b: pa.table({"rows": [b.num_rows]}), batch_format="pyarrow")
+        .to_pandas()
+    )
+    assert len(calls) == len(files)
+    assert int(calls["rows"].sum()) == sum(m.num_rows for m in metas)
+
+
 def test_int_keytable_matches_string_path():
     """Int-keytable tag storage (osm/OSMEntity.java:29,97-152): the
     per-version tag_ids must be bijective with the tag signatures, and
@@ -173,6 +194,26 @@ def test_is_lance_path_shapes():
     assert not _is_lance("t.parquet")
     assert not _is_lance(["a.lance", "b.parquet"])  # mixed: parquet path
     assert not _is_lance([])
+
+
+def test_write_table_row_group_size_is_parquet_only(monkeypatch):
+    """row_group_size reaches write_parquet only; the Lance branch gets
+    the caller's other kwargs and never the parquet-only one."""
+    import rayhist.io as rio
+
+    calls = {}
+
+    class FakeDataset:
+        def write_lance(self, path, **kwargs):
+            calls["lance"] = kwargs
+
+        def write_parquet(self, path, **kwargs):
+            calls["parquet"] = kwargs
+
+    monkeypatch.setattr(rio, "HAVE_LANCE", True)
+    rio.write_table(FakeDataset(), "t.lance", row_group_size=128, mode="create")
+    rio.write_table(FakeDataset(), "t_dir", row_group_size=128)
+    assert calls == {"lance": {"mode": "create"}, "parquet": {"row_group_size": 128}}
 
 
 def test_code_fingerprint_rejects_post_import_edit(tmp_path, monkeypatch):

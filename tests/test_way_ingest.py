@@ -7,12 +7,19 @@ engine-internal invariants the oracle can't see (span ordering,
 parse round-trip, child-history completeness).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from rayhist.ingest import WAY_BLOCK, ensure_way_documents
-from rayhist.members import contributions_doc, parse_doc, snapshots_doc
+from rayhist.ingest import (
+    WAY_BLOCK,
+    ensure_oldstyle_documents,
+    ensure_relation_documents,
+    ensure_way_documents,
+)
+from rayhist.members import COMPOUND_BATCH, contributions_doc, parse_doc, snapshots_doc
 
 SF = "/root/testdata/sf0.001"
 
@@ -79,6 +86,22 @@ def test_way_deletion_and_snapshots(way_docs):
     assert len(snaps) == 1
     _, st, coords = snaps[0]
     assert st.v == 1 and 0 <= len(coords) <= WAY_BLOCK
+
+
+@pytest.mark.parametrize("sf", [SF, str(Path(SF).with_name("sf0.01"))])
+@pytest.mark.parametrize(
+    "ensure",
+    [ensure_way_documents, ensure_relation_documents, ensure_oldstyle_documents],
+    ids=["ways", "relations", "oldstyle"],
+)
+def test_compound_row_groups_hold_compound_batches(ensure, sf):
+    """A compound row group (the member-recursion stage's call unit)
+    holds up to COMPOUND_BATCH documents, never one per pack bucket."""
+    metas = [pq.ParquetFile(f).metadata for f in sorted(Path(ensure(sf)).glob("*.parquet"))]
+    sizes = [m.row_group(i).num_rows for m in metas for i in range(m.num_row_groups)]
+    assert sum(sizes) > 1
+    assert all(1 < n <= COMPOUND_BATCH for n in sizes)
+    assert len(sizes) == -(-sum(sizes) // COMPOUND_BATCH)
 
 
 def test_way_ingest_deterministic(tmp_path):
