@@ -344,16 +344,24 @@ class MapReducer:
                 "q_contrib_type_counts_ways / q_snapshot_way_geoms"
             )
 
-    def _docs(self) -> ray.data.Dataset:
+    def _docs(self, spans: bool = False) -> ray.data.Dataset:
+        """The node document table; the span text is read only with
+        ``spans=True`` (a decode that needs tag strings) — otherwise
+        decode_spans gathers the typed per-version columns."""
         if not isinstance(self._source, str):
             return self._source
         from . import io as rio
         from .ingest import ensure_documents
+        from .model import DECODE_COLUMNS
 
         rep = int(os.environ.get("RAYHIST_REP", "1"))
         path = ensure_documents(self._source, rep)
         flt = self._aoi_prefilter()
-        return rio.read_table(path, **({"filter": flt} if flt is not None else {}))
+        return rio.read_table(
+            path,
+            columns=None if spans else DECODE_COLUMNS,
+            **({"filter": flt} if flt is not None else {}),
+        )
 
     def _aoi_mask_fn(self):
         """Vectorized (lon_e7, lat_e7) -> inside mask, or None."""
@@ -521,7 +529,7 @@ class MapReducer:
         read)."""
         self._require_node_only("view()")
         stage = self._view_stage(need_tags=True, need_geom=True)
-        return self._docs().map_batches(stage, batch_format="pyarrow")
+        return self._docs(spans=True).map_batches(stage, batch_format="pyarrow")
 
     # -------------------------------------------------------- terminals
     def _keys(self) -> list[str]:
@@ -611,7 +619,7 @@ class MapReducer:
                 out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
             return pa.table(out)
 
-        partials = self._docs().map_batches(stage, batch_format="pyarrow")
+        partials = self._docs(spans=need_tags is True).map_batches(stage, batch_format="pyarrow")
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
@@ -688,7 +696,7 @@ class MapReducer:
                     out[c] = v[c]
             return pa.table(out)
 
-        return self._docs().map_batches(stage, batch_format="pyarrow")
+        return self._docs(spans=need_tags is True).map_batches(stage, batch_format="pyarrow")
 
     def count(self, alias: str = "count"):
         """count (MapReducer.java:1122-1132): scalar, or a frame keyed

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .model import DOCUMENTS_SCHEMA, VERSIONS_SCHEMA, format_geom_ref, format_version_text
+from .model import (
+    DOCUMENTS_SCHEMA,
+    VERSIONS_SCHEMA,
+    format_geom_ref,
+    format_version_text,
+    pack_version_columns,
+)
 
 YEAR_US = {y: int(np.datetime64(f"{y}-01-01", "us").astype(np.int64)) for y in range(2006, 2020)}
 
@@ -59,13 +65,16 @@ def make_versions(rows: list[dict]) -> pa.Table:
 
 def versions_to_documents(versions: pa.Table) -> pa.Table:
     """Pack a flat version table into span-document rows (test helper,
-    same layout as rayhist.ingest._pack_bucket)."""
+    same layout as rayhist.ingest._pack_bucket, typed per-version
+    columns included; tag_ids stay empty — no keytable)."""
     import pandas as pd
 
     df = versions.to_pandas()
     doc_rows = []
+    per_version = []
     for doc_id, g in df.groupby("doc_id", sort=True):
         g = g.sort_values(["ts", "v"], kind="mergesort")
+        per_version.append(g)
         spans = []
         off = 0
         for _, r in g.iterrows():
@@ -106,10 +115,17 @@ def versions_to_documents(versions: pa.Table) -> pa.Table:
                 "min_lat_e7": int(vis["lat_e7"].min()) if len(vis) else 0,
                 "max_lat_e7": int(vis["lat_e7"].max()) if len(vis) else 0,
                 "spans": spans,
-                "tag_ids": [],
             }
         )
-    return pa.Table.from_pandas(pd.DataFrame(doc_rows), schema=DOCUMENTS_SCHEMA, preserve_index=False)
+    flat = pd.concat(per_version) if per_version else df
+    lists = pack_version_columns(
+        [len(g) for g in per_version],
+        v=flat["v"].to_numpy(), ts=flat["ts"].to_numpy(), cs=flat["cs"].to_numpy(),
+        uid=flat["uid"].to_numpy(), visible=flat["visible"].to_numpy(),
+        lon_e7=flat["lon_e7"].to_numpy(), lat_e7=flat["lat_e7"].to_numpy(),
+    )
+    scalars = {f.name: [r[f.name] for r in doc_rows] for f in DOCUMENTS_SCHEMA if f.name not in lists}
+    return pa.table(scalars | lists, schema=DOCUMENTS_SCHEMA)
 
 
 def scenario_corpus() -> pa.Table:

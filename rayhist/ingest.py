@@ -49,20 +49,23 @@ import ray.data
 
 from . import io as rio
 from . import members as _members
-from .model import DOCUMENTS_SCHEMA, LAT_MOD, LON_MOD
+from .model import DOCUMENTS_SCHEMA, LAT_MOD, LON_MOD, pack_version_columns
+from .ops import relational
 
 CACHE_ROOT = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
 
 
 def _fp(*extra) -> str:
-    """Cache-key version suffix: fingerprint of THIS module + model (+
-    any extra generating modules) — see io.code_fingerprint. Replaces
-    the hand-bumped ':vN' strings (round-4 stale-cache hazard)."""
+    """Cache-key version suffix: fingerprint of THIS module + model +
+    ops.relational (derive_version_columns rounds uid through its
+    round_half_away) + any extra generating modules — see
+    io.code_fingerprint. Replaces the hand-bumped ':vN' strings
+    (round-4 stale-cache hazard)."""
     import sys
 
     from . import model
 
-    return rio.code_fingerprint(sys.modules[__name__], model, *extra)
+    return rio.code_fingerprint(sys.modules[__name__], model, relational, *extra)
 
 
 # span-document cache shard size (docs per parquet file): ~67 versions
@@ -71,6 +74,24 @@ def _fp(*extra) -> str:
 # group, so a shard is exactly one call of every fused map_batches
 # stage that reads the table.
 DOC_SHARD_ROWS = 1500
+
+# entity versions per ingest pack bucket. Each map_groups call packs one
+# bucket and carries ~10 ms of fixed cost (group split, pandas
+# conversion, the packer's sorts and groupbys): a fixed 256 buckets is
+# ~25k versions a call on the 6.4M-version bench corpus but 2 documents
+# a call on a 32k-version one, where that fixed cost was 90% of the
+# build. The bucket count follows the input instead (_pack_buckets).
+PACK_BUCKET_VERSIONS = 20_000
+
+
+def _pack_buckets(sf_dir: str, rep: int, cap: int) -> int:
+    """Ingest shuffle bucket count: ~PACK_BUCKET_VERSIONS versions per
+    bucket (events rows from the parquet footer, x rep), at most
+    ``cap``."""
+    import pyarrow.parquet as pq
+
+    rows = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata.num_rows
+    return max(1, min(cap, -(-rows * rep // PACK_BUCKET_VERSIONS)))
 
 # ------------------------------------------------------- sig keytable
 #
@@ -144,12 +165,10 @@ def derive_version_columns(batch: pa.Table) -> pa.Table:
     value = batch["value"].to_numpy(zero_copy_only=False)
     props = batch["props"].to_pylist()
     kk = np.array([json.loads(p)["k"] for p in props], dtype=np.int64)
-    from .ops.relational import round_half_away
-
     # np.fmod keeps the dividend's sign like SQL's % (numpy's % does
     # not); identical for the current non-negative values, pinned for
     # any future corpus with negatives
-    uid = np.fmod(round_half_away(value * 100).astype(np.int64), 37)
+    uid = np.fmod(relational.round_half_away(value * 100).astype(np.int64), 37)
     visible = np.array([e != "error" for e in etype], dtype=bool)
     return pa.table(
         {
@@ -255,9 +274,6 @@ def _pack_bucket(group: pd.DataFrame, keytable: dict[str, int] | None = None) ->
         tid = sig.map(keytable).fillna(-1).to_numpy().astype(np.int32)
     else:
         tid = np.full(n, -1, dtype=np.int32)
-    tag_ids_col = pa.ListArray.from_arrays(
-        pa.array(np.r_[docs_idx, n].astype(np.int32)), pa.array(tid, type=pa.int32())
-    )
     bb = pd.DataFrame(
         {
             "d": np.repeat(np.arange(len(docs_idx)), n_versions),
@@ -286,7 +302,11 @@ def _pack_bucket(group: pd.DataFrame, keytable: dict[str, int] | None = None) ->
             "min_lat_e7": pa.array(bb["mn_lat"].to_numpy()),
             "max_lat_e7": pa.array(bb["mx_lat"].to_numpy()),
             "spans": spans_col,
-            "tag_ids": tag_ids_col,
+            # the same ints the version/geom spans format, stored typed
+            **pack_version_columns(
+                n_versions, v=v, ts=ts, cs=cs, uid=uid, visible=vis,
+                lon_e7=lon, lat_e7=lat, tag_ids=tid,
+            ),
         },
         schema=DOCUMENTS_SCHEMA,
     )
@@ -334,14 +354,13 @@ def _members_by_parent(parent: np.ndarray, child: np.ndarray) -> dict[int, list[
     return out
 
 
-def _empty_tag_ids(n_docs: int) -> pa.ListArray:
-    """All-empty per-doc tag_ids lists: compound documents filter on
-    parent tag SPANS (filter-relative member recursion), so they carry
-    no per-version keytable ids — decode_spans(tags='ids') falls back
-    to -1 there."""
-    return pa.ListArray.from_arrays(
-        pa.array(np.zeros(n_docs + 1, dtype=np.int32)), pa.array([], type=pa.int32())
-    )
+def _span_only_lists(n_docs: int) -> dict[str, pa.ListArray]:
+    """All-empty per-version list columns: compound documents filter on
+    parent tag SPANS (filter-relative member recursion) and denormalize
+    child versions into the span stream, so they carry no per-version
+    keytable ids (decode_spans(tags='ids') falls back to -1) and no
+    typed version columns (decoded from the span text)."""
+    return pack_version_columns(np.zeros(n_docs, dtype=np.int64))
 
 
 def _pack_way_bucket(group: pd.DataFrame) -> pa.Table:
@@ -483,7 +502,7 @@ def _pack_way_bucket(group: pd.DataFrame) -> pa.Table:
             "min_lat_e7": pa.array(bcols["mn_lat"]),
             "max_lat_e7": pa.array(bcols["mx_lat"]),
             "spans": spans_col,
-            "tag_ids": _empty_tag_ids(len(w_idx)),
+            **_span_only_lists(len(w_idx)),
         },
         schema=DOCUMENTS_SCHEMA,
     )
@@ -538,8 +557,10 @@ def build_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
     # by entity-id hash so each map_groups call packs MANY complete
     # histories vectorized (per-entity calls would be 1000x the Python
     # overhead at scale).
+    n_buckets = _pack_buckets(sf_dir, rep, 256)
+
     def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch["osm_id"].to_numpy(zero_copy_only=False) % 256
+        b = batch["osm_id"].to_numpy(zero_copy_only=False) % n_buckets
         return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
 
     # sig -> id map from the Extract pass; tiny, shipped by closure
@@ -703,7 +724,7 @@ def _pack_rel_bucket(group: pd.DataFrame) -> pa.Table:
             "min_lat_e7": pa.array(bcols["mn_lat"]),
             "max_lat_e7": pa.array(bcols["mx_lat"]),
             "spans": spans_col,
-            "tag_ids": _empty_tag_ids(len(r_idx)),
+            **_span_only_lists(len(r_idx)),
         },
         schema=DOCUMENTS_SCHEMA,
     )
@@ -869,7 +890,7 @@ def _pack_oldstyle_bucket(group: pd.DataFrame) -> pa.Table:
             "min_lat_e7": pa.array(bcols["mn_lat"]),
             "max_lat_e7": pa.array(bcols["mx_lat"]),
             "spans": spans_col,
-            "tag_ids": _empty_tag_ids(len(kept_rids)),
+            **_span_only_lists(len(kept_rids)),
         },
         schema=DOCUMENTS_SCHEMA,
     )
@@ -889,8 +910,10 @@ def _build_compound(sf_dir: str, rep: int, block: int, packer) -> ray.data.Datas
     derived = ev.map_batches(derive_version_columns, batch_format="pyarrow")
     derived = _replicated(derived, rep)
 
+    n_buckets = _pack_buckets(sf_dir, rep, 64)
+
     def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (batch["osm_id"].to_numpy(zero_copy_only=False) // block) % 64
+        b = (batch["osm_id"].to_numpy(zero_copy_only=False) // block) % n_buckets
         return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
 
     return (

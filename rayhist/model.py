@@ -11,6 +11,9 @@ entity history ("OSH entity" in the reference,
         media_ref: string   -- geom spans: self-describing blob key; '' otherwise
         offset:    int32    -- 0-based position in the document's span stream
     >>
+    tag_ids, ver_v, ver_ts, ver_cs, ver_uid, ver_lon_e7, ver_lat_e7:
+            list<int>       -- TYPED PER-VERSION COLUMNS, one entry per
+                               version span, same order (see below)
 
 SPAN TEXT FORMATS (one 'version' span, then its 'tag' spans sorted by
 key, then 'member' spans in ref order, then one 'geom' span when the
@@ -27,10 +30,25 @@ Timestamps are int64 unix MICROSECONDS. Coordinates are fixed-point
 int64, degrees * 1e7, mirroring the reference's
 ``GEOM_PRECISION_TO_LONG = 10_000_000`` (``oshdb/.../OSHDB.java:8-9``).
 
+TYPED PER-VERSION COLUMNS (decode once): the ints of every version
+span are also stored as list columns packed by ``pack_version_columns``
+— the one helper every producer calls. ``ver_v`` is the version number
+SIGNED by visibility (negative = deleted, the reference's tombstone
+convention, ``osm/OSMEntity.java:25``); ``ver_lon_e7``/``ver_lat_e7``
+are 0 for deleted versions, as the geom-span decode emits. When they
+are filled, ``decode_spans`` gathers them and parses no version or
+geom text; the spans column is then only needed for tag strings
+(``tags=True``), so a query that reads no tag strings reads the table
+without it (``DECODE_COLUMNS``). Span-only tables (compound documents,
+wire sources without typed fields) pack EMPTY lists and decode through
+the text parser, which stays the differential reference. The spans
+column remains the source of truth for span-sequence equality.
+
 The reference packs one history into a delta/varint byte blob
 (``impl/osh/OSHNodeImpl.java:145-275``); here the equivalent payload is
-the spans list and the heavy lifting (dictionary/RLE encodings) is done
-by Arrow/Lance/Parquet column encodings. ``media_ref`` is
+the spans list plus the typed columns, and the heavy lifting
+(dictionary/RLE encodings) is done by Arrow/Lance/Parquet column
+encodings. ``media_ref`` is
 self-describing in the sandbox generator (no external blob store); a
 production deployment would key a blob-store object instead — the
 decode below only touches the string, so swapping the resolver is a
@@ -57,6 +75,8 @@ SPAN_STRUCT = pa.struct(
     ]
 )
 
+VERSION_COLUMNS = ("ver_v", "ver_ts", "ver_cs", "ver_uid", "ver_lon_e7", "ver_lat_e7")
+
 DOCUMENTS_SCHEMA = pa.schema(
     [
         pa.field("doc_id", pa.string()),
@@ -76,8 +96,18 @@ DOCUMENTS_SCHEMA = pa.schema(
         # tag_sig strings; the string spans stay for oracle parity.
         # Empty list = no per-version ids (compound tables).
         pa.field("tag_ids", pa.list_(pa.int32())),
+        # typed per-version ints, order-aligned with the version spans
+        # like tag_ids (OSHNodeImpl.java:145-182 decodes the same fields
+        # from binary): v signed by visibility, ts/cs/uid as in the
+        # version text, coordinates 0 when deleted. Packed only by
+        # pack_version_columns; empty lists = span-only document.
+        *(pa.field(c, pa.list_(pa.int64())) for c in VERSION_COLUMNS),
     ]
 )
+
+# every column but spans: all that decode_spans reads unless tags=True
+# (read_documents(columns=DECODE_COLUMNS) skips the span text on disk)
+DECODE_COLUMNS = [f.name for f in DOCUMENTS_SCHEMA if f.name != "spans"]
 
 # Flat per-version table produced by decode_spans (the analog of the
 # reference's decoded OSMEntity stream, osm/OSMEntity.java:13-39).
@@ -110,6 +140,83 @@ def format_version_text(v: int, ts: int, cs: int, uid: int, vis: int) -> str:
 
 def format_geom_ref(v: int, lon_e7: int, lat_e7: int) -> str:
     return f"geom:v={v};lon={lon_e7};lat={lat_e7}"
+
+
+def pack_version_columns(
+    counts: np.ndarray,
+    *,
+    v=None,
+    ts=None,
+    cs=None,
+    uid=None,
+    visible=None,
+    lon_e7=None,
+    lat_e7=None,
+    tag_ids=None,
+) -> dict[str, pa.ListArray]:
+    """The per-version list columns of a DOCUMENTS_SCHEMA table
+    (``tag_ids`` + ``VERSION_COLUMNS``) from flat per-version arrays in
+    version-span order (documents in row order, versions oldest ->
+    newest); ``counts`` = versions per document.
+
+    Pass all seven typed fields or none: none packs EMPTY ver_* lists,
+    the span-only document that decode_spans parses from text
+    (compound tables). ``tag_ids=None`` packs empty tag_ids lists.
+    Loud guards: a version number < 1 cannot carry visibility as its
+    sign, and int32 list offsets must not wrap."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total >= 2**31:
+        raise OverflowError(f"{total} versions exceed int32 list offsets")
+    offsets = pa.array(np.r_[0, np.cumsum(counts)].astype(np.int32))
+    no_lists = pa.array(np.zeros(len(counts) + 1, dtype=np.int32))
+
+    def lists(values, typ) -> pa.ListArray:
+        if values is None:
+            return pa.ListArray.from_arrays(no_lists, pa.array([], type=typ))
+        values = np.asarray(values)
+        if len(values) != total:
+            raise ValueError(f"{len(values)} per-version values for {total} versions")
+        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
+
+    fields = (v, ts, cs, uid, visible, lon_e7, lat_e7)
+    out = {"tag_ids": lists(tag_ids, pa.int32())}
+    if all(f is None for f in fields):
+        return out | {c: lists(None, pa.int64()) for c in VERSION_COLUMNS}
+    if any(f is None for f in fields):
+        raise ValueError("pack all typed version fields or none")
+    v = np.asarray(v, dtype=np.int64)
+    vis = np.asarray(visible, dtype=bool)
+    if len(v) and v.min() < 1:
+        raise ValueError("version numbers must be >= 1 to carry visibility as their sign")
+    typed = (
+        np.where(vis, v, -v),
+        ts,
+        cs,
+        uid,
+        np.where(vis, lon_e7, 0),  # deleted versions carry no geometry
+        np.where(vis, lat_e7, 0),
+    )
+    return out | {c: lists(x, pa.int64()) for c, x in zip(VERSION_COLUMNS, typed)}
+
+
+def _combined(batch: pa.Table, name: str) -> pa.Array:
+    col = batch[name].combine_chunks()
+    return col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
+
+
+def _typed_versions(batch: pa.Table) -> bool:
+    """True when every document in the batch carries its typed
+    per-version columns (an empty batch counts as typed)."""
+    typed = False
+    if VERSION_COLUMNS[0] in batch.column_names:
+        shortest = pc.min(pc.list_value_length(batch[VERSION_COLUMNS[0]])).as_py()
+        typed = shortest is None or shortest > 0
+    if not typed and "spans" not in batch.column_names:
+        raise ValueError(
+            "span-only documents (empty typed version columns) need the spans column"
+        )
+    return typed
 
 
 def _extract_ints(texts: pa.Array, pattern: str, names: list[str]) -> dict[str, np.ndarray]:
@@ -176,17 +283,26 @@ _GEOM_FIELDS = [("v", "geom:v="), ("lon", "lon="), ("lat", "lat=")]
 def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) -> pa.Table:
     """Decode a batch of span-documents into the flat per-version table.
 
-    Vectorized: list_flatten + extract_regex + numpy scatter/gather.
-    All versions of a document land in the same output batch (the spans
-    of one row flatten contiguously), which the temporal stages rely on.
+    Vectorized: list_flatten + column gathers + numpy scatter/gather.
+    All versions of a document land in the same output batch (the
+    versions of one row flatten contiguously), which the temporal
+    stages rely on.
+
+    Decode once: when the batch carries the typed per-version columns
+    (``VERSION_COLUMNS``, packed at ingest), v/ts/cs/uid/visible and the
+    coordinates are a column gather and no version or geom text is
+    parsed — the spans column is not even read unless ``tags=True``.
+    Span-only documents (empty typed lists: compound tables, wire
+    sources without typed fields) go through the text parser, which
+    stays the differential reference for the typed path.
 
     ``tags=False`` / ``geom=False`` PRUNE the decode: the tag-signature
-    join / geometry regex (the two heaviest kernels) are skipped and
-    the columns are constant-filled. Callers set them per query — a
-    snapshot COUNT needs neither, a cell aggregation needs only geom —
-    the decode analog of ``read_parquet(columns=...)``; memory traffic
-    is the scaling wall (BASELINE.md), so decoding unread fields is
-    wasted bandwidth.
+    join / coordinate columns are skipped and the columns are
+    constant-filled. Callers set them per query — a snapshot COUNT
+    needs neither, a cell aggregation needs only geom — the decode
+    analog of ``read_parquet(columns=...)``; memory traffic is the
+    scaling wall (BASELINE.md), so decoding unread fields is wasted
+    bandwidth.
 
     ``tags="ids"`` is the int-keytable path (osm/OSMEntity.java:29,
     97-152): the per-version ``tag_ids`` column (packed at ingest from
@@ -194,44 +310,60 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     string work runs at all — filters compare small ints per version,
     never strings. tag_sig/etype/kk stay constant-filled.
 
-    Mirrors the reference's per-entity delta decode
+    Mirrors the reference's per-entity decode
     (``impl/osh/OSHNodeImpl.java:145-182``) but over Arrow columns.
     """
-    spans = batch["spans"].combine_chunks()
-    if isinstance(spans, pa.ChunkedArray):  # single chunk after combine
-        spans = spans.chunk(0)
-    flat = pc.list_flatten(spans)
-    parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+    typed = _typed_versions(batch)
+    if typed:
+        vcol = _combined(batch, "ver_v")
+        ver_parent = pc.list_parent_indices(vcol)
+        signed = pc.list_flatten(vcol)
+        n_ver = len(signed)
+        v = pc.abs(signed)
+        visible = pc.greater(signed, 0)
+        ts, cs, uid = (pc.list_flatten(_combined(batch, c)) for c in ("ver_ts", "ver_cs", "ver_uid"))
+        if geom:
+            lon = pc.list_flatten(_combined(batch, "ver_lon_e7"))
+            lat = pc.list_flatten(_combined(batch, "ver_lat_e7"))
+        else:
+            lon = lat = pa.array(np.zeros(n_ver, dtype=np.int64))
 
-    kind = flat.field("kind")
-    text = flat.field("text")
-    ref = flat.field("media_ref")
+    if not typed or tags is True:
+        if "spans" not in batch.column_names:
+            raise ValueError("tags=True decodes tag strings: read the spans column")
+        spans = _combined(batch, "spans")
+        flat = pc.list_flatten(spans)
+        kind = flat.field("kind")
+        text = flat.field("text")
+        is_ver = pc.equal(kind, "version").to_numpy(zero_copy_only=False)
+        # global version ordinal for every span: index of the version
+        # span that precedes it (spans are ordered by (doc, offset))
+        gid = np.cumsum(is_ver) - 1
+        if typed and int(is_ver.sum()) != n_ver:
+            raise ValueError("typed version columns disagree with the version spans")
 
-    is_ver = pc.equal(kind, "version").to_numpy(zero_copy_only=False)
-
-    n_ver = int(is_ver.sum())
-    # global version ordinal for every span: index of the version span
-    # that precedes it (spans are ordered by (doc, offset)).
-    gid = np.cumsum(is_ver) - 1  # len == n_spans; tag/geom spans follow their version span
-
-    ver_text = pc.filter(text, pa.array(is_ver))
-    vf = _parse_fixed(ver_text, _VERSION_FIELDS, _VERSION_RE)
-
-    lon = np.zeros(n_ver, dtype=np.int64)
-    lat = np.zeros(n_ver, dtype=np.int64)
-    if geom:
-        is_geom = pc.equal(kind, "geom").to_numpy(zero_copy_only=False)
-        if is_geom.any():
-            geom_ref = pc.filter(ref, pa.array(is_geom))
-            gf = _parse_fixed(geom_ref, _GEOM_FIELDS, _GEOM_RE)
-            geom_gid = gid[is_geom]
-            lon[geom_gid] = gf["lon"]
-            lat[geom_gid] = gf["lat"]
+    if not typed:
+        parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+        ver_parent = pa.array(parent[is_ver])
+        n_ver = int(is_ver.sum())
+        vf = _parse_fixed(pc.filter(text, pa.array(is_ver)), _VERSION_FIELDS, _VERSION_RE)
+        v, ts, cs, uid = (pa.array(vf[c]) for c in ("v", "ts", "cs", "uid"))
+        visible = pa.array(vf["vis"] == 1)
+        lon_np = np.zeros(n_ver, dtype=np.int64)
+        lat_np = np.zeros(n_ver, dtype=np.int64)
+        if geom:
+            is_geom = pc.equal(kind, "geom").to_numpy(zero_copy_only=False)
+            if is_geom.any():
+                geom_ref = pc.filter(flat.field("media_ref"), pa.array(is_geom))
+                gf = _parse_fixed(geom_ref, _GEOM_FIELDS, _GEOM_RE)
+                geom_gid = gid[is_geom]
+                lon_np[geom_gid] = gf["lon"]
+                lat_np[geom_gid] = gf["lat"]
+        lon, lat = pa.array(lon_np), pa.array(lat_np)
 
     # tag signature per version: join tag texts with '|' — fully
     # vectorized: a ListArray over the group boundaries + binary_join
-    tag_sig = np.full(n_ver, "", dtype=object)
-    etype = np.full(n_ver, "", dtype=object)
+    tag_sig = etype = pa.repeat("", n_ver)  # constant fill unless tags=True
     kk = np.full(n_ver, -1, dtype=np.int64)
     tag_id = np.full(n_ver, -1, dtype=np.int32)
     # the FULL decode exposes tag_id too (the flatten is cheap int
@@ -239,10 +371,7 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     # reading decoded['tag_id'] under tags=True previously saw the
     # constant -1 and silently matched nothing
     if tags in ("ids", True) and "tag_ids" in batch.column_names:
-        tid_col = batch["tag_ids"].combine_chunks()
-        if isinstance(tid_col, pa.ChunkedArray):
-            tid_col = tid_col.chunk(0)
-        flat_ids = pc.list_flatten(tid_col).to_numpy(zero_copy_only=False)
+        flat_ids = pc.list_flatten(_combined(batch, "tag_ids")).to_numpy(zero_copy_only=False)
         if len(flat_ids) == n_ver:  # compound tables pack empty lists
             tag_id = flat_ids.astype(np.int32)
     is_tag = (
@@ -251,6 +380,8 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
         else np.zeros(1, dtype=bool)
     )
     if is_tag.any():
+        tag_sig = np.full(n_ver, "", dtype=object)
+        etype = np.full(n_ver, "", dtype=object)
         tag_gid = gid[is_tag]
         tag_texts = pc.filter(text, pa.array(is_tag))
         bounds = np.flatnonzero(np.r_[True, np.diff(tag_gid) != 0])
@@ -274,26 +405,22 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
                 .to_numpy(zero_copy_only=False)
             )
             kk[tag_gid[kk_mask]] = vals
-
-    ver_parent = parent[is_ver]
-    doc_id = batch["doc_id"].combine_chunks().take(pa.array(ver_parent))
-    osm_type = batch["osm_type"].combine_chunks().take(pa.array(ver_parent))
-    osm_id = batch["osm_id"].combine_chunks().take(pa.array(ver_parent))
+        tag_sig, etype = pa.array(tag_sig, pa.string()), pa.array(etype, pa.string())
 
     return pa.table(
         {
-            "doc_id": doc_id,
-            "osm_type": osm_type,
-            "osm_id": osm_id,
-            "v": pa.array(vf["v"]),
-            "ts": pa.array(vf["ts"]),
-            "cs": pa.array(vf["cs"]),
-            "uid": pa.array(vf["uid"]),
-            "visible": pa.array(vf["vis"] == 1),
-            "lon_e7": pa.array(lon),
-            "lat_e7": pa.array(lat),
-            "tag_sig": pa.array(tag_sig.astype(str)),
-            "etype": pa.array(etype.astype(str)),
+            "doc_id": _combined(batch, "doc_id").take(ver_parent),
+            "osm_type": _combined(batch, "osm_type").take(ver_parent),
+            "osm_id": _combined(batch, "osm_id").take(ver_parent),
+            "v": v,
+            "ts": ts,
+            "cs": cs,
+            "uid": uid,
+            "visible": visible,
+            "lon_e7": lon,
+            "lat_e7": lat,
+            "tag_sig": tag_sig,
+            "etype": etype,
             "kk": pa.array(kk),
             "tag_id": pa.array(tag_id, type=pa.int32()),
         },
@@ -301,41 +428,43 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     )
 
 
+def _reverse_per_doc(lists: pa.ListArray) -> pa.ListArray:
+    """Reverse the element order inside every list."""
+    flat = pc.list_flatten(lists)
+    parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
+    order = np.lexsort((-np.arange(len(parent), dtype=np.int64), parent))
+    lengths = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+    offsets = pa.array(np.r_[0, np.cumsum(lengths)], type=pa.int32())
+    return pa.ListArray.from_arrays(offsets, flat.take(pa.array(order)))
+
+
 def reverse_version_runs(batch: pa.Table) -> pa.Table:
     """Dirty-history fixture transform: reverse the VERSION-RUN order
     inside every document's span list (a run = one 'version' span plus
-    its trailing tag/geom spans) and the per-version ``tag_ids`` list
-    to match — producing the unsorted histories the reference tolerates
-    via HEADER_TIMESTAMPS_NOT_IN_ORDER (impl/osh/OSHNodeImpl.java:30,
+    its trailing tag/geom spans) and every per-version list column
+    (``tag_ids`` and the typed ``VERSION_COLUMNS``) to match —
+    producing the unsorted histories the reference tolerates via
+    HEADER_TIMESTAMPS_NOT_IN_ORDER (impl/osh/OSHNodeImpl.java:30,
     OSHDB.sortOrder). The temporal interpolators realign per doc, so
     every downstream result must be INVARIANT under this transform
     (pinned by the snapshot_count_daily_unsorted oracle query and
-    tests/test_temporal.py)."""
-    spans = batch["spans"].combine_chunks()
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.chunk(0)
-    flat = pc.list_flatten(spans)
-    parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    lengths = pc.list_value_length(spans).to_numpy(zero_copy_only=False)
-    is_ver = pc.equal(flat.field("kind"), "version").to_numpy(zero_copy_only=False)
-    gid = np.cumsum(is_ver) - 1  # global version-run id per span
-    idx = np.arange(len(parent), dtype=np.int64)
-    # primary: doc; then runs in REVERSED order; spans within a run
-    # keep their relative order (version span stays first)
-    order = np.lexsort((idx, -gid, parent))
-    offsets = pa.array(np.r_[0, np.cumsum(lengths)], type=pa.int32())
-    new_spans = pa.ListArray.from_arrays(offsets, flat.take(pa.array(order)))
+    tests/test_temporal.py). A batch read without spans reverses only
+    the per-version columns."""
     cols = {c: batch[c] for c in batch.column_names}
-    cols["spans"] = new_spans
-    if "tag_ids" in batch.column_names:
-        tids = batch["tag_ids"].combine_chunks()
-        if isinstance(tids, pa.ChunkedArray):
-            tids = tids.chunk(0)
-        tflat = pc.list_flatten(tids)
-        tparent = pc.list_parent_indices(tids).to_numpy(zero_copy_only=False)
-        tidx = np.arange(len(tparent), dtype=np.int64)
-        torder = np.lexsort((-tidx, tparent))  # reverse within each doc
-        tlen = pc.list_value_length(tids).to_numpy(zero_copy_only=False)
-        toffsets = pa.array(np.r_[0, np.cumsum(tlen)], type=pa.int32())
-        cols["tag_ids"] = pa.ListArray.from_arrays(toffsets, tflat.take(pa.array(torder)))
+    if "spans" in batch.column_names:
+        spans = _combined(batch, "spans")
+        flat = pc.list_flatten(spans)
+        parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+        lengths = pc.list_value_length(spans).to_numpy(zero_copy_only=False)
+        is_ver = pc.equal(flat.field("kind"), "version").to_numpy(zero_copy_only=False)
+        gid = np.cumsum(is_ver) - 1  # global version-run id per span
+        idx = np.arange(len(parent), dtype=np.int64)
+        # primary: doc; then runs in REVERSED order; spans within a run
+        # keep their relative order (version span stays first)
+        order = np.lexsort((idx, -gid, parent))
+        offsets = pa.array(np.r_[0, np.cumsum(lengths)], type=pa.int32())
+        cols["spans"] = pa.ListArray.from_arrays(offsets, flat.take(pa.array(order)))
+    for c in ("tag_ids", *VERSION_COLUMNS):
+        if c in batch.column_names:
+            cols[c] = _reverse_per_doc(_combined(batch, c))
     return pa.table(cols)

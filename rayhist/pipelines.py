@@ -55,7 +55,7 @@ from .ingest import (
 )
 from .members import COMPOUND_BATCH, contribution_stats_batch, snapshot_geoms_batch
 from .members_vec import snapshots_old_style_batch_vec
-from .model import decode_spans, reverse_version_runs
+from .model import DECODE_COLUMNS, decode_spans, reverse_version_runs
 from .ops.bfs import bfs_hops
 from .ops.cc import connected_components
 from .ops.dedup import (
@@ -172,10 +172,17 @@ REGIONS: dict[str, list[tuple[float, float]]] = {
 }
 
 
-def _docs(sf_dir: str):
+def _docs(sf_dir: str, spans: bool = False):
     # RAYHIST_REP > 1 deterministically amplifies the corpus — set only
-    # by bench.py; correctness queries always run at rep=1.
-    return read_documents(sf_dir, rep=int(os.environ.get("RAYHIST_REP", "1")))
+    # by bench.py; correctness queries always run at rep=1. The span
+    # text is read only with spans=True (tag strings: decode_spans
+    # tags=True, tag-span scans); otherwise decode_spans gathers the
+    # typed per-version columns (model.DECODE_COLUMNS).
+    return read_documents(
+        sf_dir,
+        columns=None if spans else DECODE_COLUMNS,
+        rep=int(os.environ.get("RAYHIST_REP", "1")),
+    )
 
 
 # ---------------------------------------------------------------- snapshots
@@ -291,7 +298,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.snapshot_latest_state())
 def q_snapshot_latest_state(sf_dir: str) -> pd.DataFrame:
     """Full reconstructed state of every visible entity at T_MID."""
-    snaps = snapshot_view(_docs(sf_dir), [T_MID])
+    snaps = snapshot_view(_docs(sf_dir, spans=True), [T_MID])
     df = snaps.to_pandas()[["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]]
     return df.sort_values("osm_id").reset_index(drop=True)
 
@@ -336,7 +343,7 @@ def q_etype_dwell_time(sf_dir: str) -> pd.DataFrame:
     last version clipped at the window close -> per-batch partial
     sums; |etype| rows per block to the driver. Exact int64
     microseconds end to end."""
-    partials = _docs(sf_dir).map_batches(_dwell_stage, batch_format="pyarrow")
+    partials = _docs(sf_dir, spans=True).map_batches(_dwell_stage, batch_format="pyarrow")
     df = combine_partials(partials, ["etype"], {"dwell_p": "dwell_us"})
     df["dwell_us"] = df["dwell_us"].astype("int64")
     return df.sort_values("etype").reset_index(drop=True)
@@ -459,7 +466,7 @@ def q_predominant_etype_dwell(sf_dir: str) -> pd.DataFrame:
     winners' total dwell — the 'predominant land use' analysis (a
     plain snapshot mode would overweight the sampling grid; this is
     the integral argmax). Zero shuffle; |etypes| partials combine."""
-    partials = _docs(sf_dir).map_batches(_predominant_stage, batch_format="pyarrow")
+    partials = _docs(sf_dir, spans=True).map_batches(_predominant_stage, batch_format="pyarrow")
     df = combine_partials(
         partials,
         ["etype"],
@@ -862,7 +869,7 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "etype": s["etype"]})
 
-    lab = _docs(sf_dir).map_batches(labels, batch_format="pyarrow").to_pandas()
+    lab = _docs(sf_dir, spans=True).map_batches(labels, batch_format="pyarrow").to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
     if m["etype"].isna().any():
         raise ValueError("knn majority: neighbor without a visible T_MID label")
@@ -1684,7 +1691,7 @@ def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     """The ETL 'extract' pass (Extract.java:58-409): frequency-ordered
     tag dictionary built from the span table's tag spans; small ids go
     to hot tags (rank = frequency order, deterministic tiebreak)."""
-    docs = _docs(sf_dir)
+    docs = _docs(sf_dir, spans=True)
 
     def stage(batch: pa.Table) -> pa.Table:
         spans = batch["spans"].combine_chunks()
@@ -1733,7 +1740,7 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["ts_q", "etype", "n_part"])
 
     agg = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"), ["ts_q", "etype"], {"n_part": "n"}
+        _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow"), ["ts_q", "etype"], {"n_part": "n"}
     )
     return zerofill(agg, {"ts_q": CONTRIB_BINS, "etype": etypes}, {"n": 0})
 
@@ -2367,7 +2374,7 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
     return combine_partials(
         partials,
         [],
@@ -2403,7 +2410,7 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
     return combine_partials(
         partials,
         [],
@@ -5933,7 +5940,7 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    pts = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
     out = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     return out.astype(
         {"osm_id": "int64", "lon_e7": "int64", "lat_e7": "int64"}
@@ -6257,7 +6264,7 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    docs = _docs(sf_dir)
+    docs = _docs(sf_dir, spans=True)
     base = docs.map_batches(base_stage, batch_format="pyarrow")
     changes = docs.map_batches(change_stage, batch_format="pyarrow")
 
@@ -6329,7 +6336,7 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(out, preserve_index=False)
 
     out = combine_partials(
-        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
+        _docs(sf_dir, spans=True).map_batches(partials, batch_format="pyarrow"),
         ["etype", "change"],
         {"n_p": "n"},
     )
@@ -7076,7 +7083,7 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    pts = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
     hull = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     rows = []
     for etype, g in hull.groupby("etype"):
@@ -9826,7 +9833,7 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"),
+        _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow"),
         ["i", "j", "etype"],
         {"n_p": "n"},
     )

@@ -11,9 +11,9 @@ format-FAITHFUL analog exercised on synthetic bytes: the generator
 (``ensure_pbfish``) ENCODES the span-document corpus into ``.rosh``
 block files, and ``read_pbfish`` is the real ingest pipeline —
 ``ray.data.read_binary_files -> map_batches(decode)`` — producing
-DOCUMENTS_SCHEMA rows byte-identical to ``ensure_documents``'s
-(round-trip asserted in tests; an oracle query runs off the decoded
-table).
+DOCUMENTS_SCHEMA rows byte-identical to ``ensure_documents``'s, typed
+per-version columns included (round-trip asserted in tests; an oracle
+query runs off the decoded table).
 
 Block layout (all ints unsigned LEB128 varints; signed values zigzag):
 
@@ -62,7 +62,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import io as rio
-from ..model import DOCUMENTS_SCHEMA
+from ..model import DOCUMENTS_SCHEMA, pack_version_columns
 
 MAGIC = b"ROSH1\n"
 
@@ -421,11 +421,6 @@ def _pack_documents(
         tid = np.asarray([keytable.get(x, -1) for x in sigs], dtype=np.int32)
     else:
         tid = np.full(n, -1, dtype=np.int32)
-    ver_first = np.r_[True, doc_of_ver[1:] != doc_of_ver[:-1]]
-    tag_ids_col = pa.ListArray.from_arrays(
-        pa.array(np.r_[np.flatnonzero(ver_first), n].astype(np.int32)),
-        pa.array(tid, type=pa.int32()),
-    )
     bbox = np.asarray(ent_bbox, dtype=np.int64).reshape(len(ent_ids), 4)
     return pa.table(
         {
@@ -438,7 +433,11 @@ def _pack_documents(
             "min_lat_e7": pa.array(bbox[:, 2]),
             "max_lat_e7": pa.array(bbox[:, 3]),
             "spans": spans_col,
-            "tag_ids": tag_ids_col,
+            # the decoded ints, typed (no text round trip on the read side)
+            **pack_version_columns(
+                ent_nv, v=v, ts=ts, cs=cs, uid=uid, visible=vis,
+                lon_e7=lon, lat_e7=lat, tag_ids=tid,
+            ),
         },
         schema=DOCUMENTS_SCHEMA,
     )

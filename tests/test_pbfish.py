@@ -73,10 +73,11 @@ def test_block_roundtrip_synthetic():
 def test_corpus_roundtrip_equals_ensure_documents():
     """encode(ensure_documents) -> read_binary_files -> decode must
     reproduce the span-document table EXACTLY: span-sequence equality
-    on (kind, text, media_ref, offset) per doc, plus every scalar and
-    the keytable-resolved tag_ids."""
+    on (kind, text, media_ref, offset) per doc, plus every scalar, the
+    keytable-resolved tag_ids and the typed per-version columns."""
     from rayhist import io as rio
     from rayhist.ingest import ensure_documents, sig_keytable
+    from rayhist.model import VERSION_COLUMNS
     from rayhist.sources.pbfish import ensure_pbfish, read_pbfish
 
     sf = "/root/testdata/sf0.001"
@@ -93,5 +94,6 @@ def test_corpus_roundtrip_equals_ensure_documents():
         sa = [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in a]
         sb = [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in b]
         assert sa == sb
-    for a, b in zip(docs["tag_ids"], got["tag_ids"]):
-        assert list(a) == list(b)
+    for col in ("tag_ids", *VERSION_COLUMNS):
+        for a, b in zip(docs[col], got[col]):
+            assert list(a) == list(b), col

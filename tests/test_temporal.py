@@ -388,7 +388,7 @@ def test_dwell_time_invariant_under_unsorted_runs():
     from rayhist.model import reverse_version_runs
     from rayhist.pipelines import _docs, _dwell_stage
 
-    docs = _docs("/root/testdata/sf0.001")
+    docs = _docs("/root/testdata/sf0.001", spans=True)
     clean = combine_partials(
         docs.map_batches(_dwell_stage, batch_format="pyarrow"),
         ["etype"], {"dwell_p": "dwell_us"},
@@ -579,7 +579,7 @@ def test_predominant_etype_dwell_invariants():
 
     names = {"n_entities_p": "n_entities", "sum_dwell_p": "sum_dwell_us"}
     dirty = combine_partials(
-        _docs("/root/testdata/sf0.001")
+        _docs("/root/testdata/sf0.001", spans=True)
         .map_batches(reverse_version_runs, batch_format="pyarrow")
         .map_batches(_predominant_stage, batch_format="pyarrow"),
         ["etype"], names,
@@ -598,7 +598,7 @@ def test_twa_daily_invariant_under_unsorted_runs():
     from rayhist.model import reverse_version_runs
     from rayhist.pipelines import _docs, _dwell_stage, _twa_stage
 
-    docs = _docs("/root/testdata/sf0.001")
+    docs = _docs("/root/testdata/sf0.001", spans=True)
     clean = combine_partials(
         docs.map_batches(_twa_stage, batch_format="pyarrow"),
         ["day"], {"vis_p": "visible_us"},
