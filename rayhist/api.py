@@ -303,9 +303,10 @@ class MapReducer:
         return self._ts[0], self._ts[-1]
 
     def _aoi_prefilter(self):
-        """Parquet row filter on the doc-level history bbox columns —
+        """Row filter on the doc-level history bbox and type columns —
         the OSH pre-filter (the reference prunes at the cell level,
-        CellIterator.java:182-195; here the scan itself prunes)."""
+        CellIterator.java:182-195; here a ``Table.filter`` stage fused
+        into the query's stage drops the documents, io.read_resident)."""
         import pyarrow.compute as pc
 
         flt = None
@@ -355,12 +356,10 @@ class MapReducer:
         from .model import DECODE_COLUMNS
 
         rep = int(os.environ.get("RAYHIST_REP", "1"))
-        path = ensure_documents(self._source, rep)
-        flt = self._aoi_prefilter()
-        return rio.read_table(
-            path,
+        return rio.read_resident(
+            ensure_documents(self._source, rep),
             columns=None if spans else DECODE_COLUMNS,
-            **({"filter": flt} if flt is not None else {}),
+            filter=self._aoi_prefilter(),
         )
 
     def _aoi_mask_fn(self):

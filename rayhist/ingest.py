@@ -984,7 +984,7 @@ def read_oldstyle_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
 ) -> ray.data.Dataset:
     """Read the (cached) old-style multipolygon relation table."""
-    return rio.read_table(ensure_oldstyle_documents(sf_dir, rep), columns=columns)
+    return rio.read_resident(ensure_oldstyle_documents(sf_dir, rep), columns=columns)
 
 
 def ensure_way_documents(sf_dir: str, rep: int = 1) -> str:
@@ -999,14 +999,14 @@ def read_way_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
 ) -> ray.data.Dataset:
     """Read the (cached) compound way-document table."""
-    return rio.read_table(ensure_way_documents(sf_dir, rep), columns=columns)
+    return rio.read_resident(ensure_way_documents(sf_dir, rep), columns=columns)
 
 
 def read_relation_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
 ) -> ray.data.Dataset:
     """Read the (cached) 2-level compound relation-document table."""
-    return rio.read_table(ensure_relation_documents(sf_dir, rep), columns=columns)
+    return rio.read_resident(ensure_relation_documents(sf_dir, rep), columns=columns)
 
 
 def ensure_documents(sf_dir: str, rep: int = 1) -> str:
@@ -1044,8 +1044,11 @@ def ensure_documents(sf_dir: str, rep: int = 1) -> str:
 def read_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
 ) -> ray.data.Dataset:
-    """Read the (cached) span-document table for a scale-factor dir."""
-    return rio.read_table(ensure_documents(sf_dir, rep), columns=columns)
+    """Read the (cached) span-document table for a scale-factor dir;
+    resident in the object store after the first read per column set
+    (``io.read_resident``), as are the way, relation and old-style
+    tables."""
+    return rio.read_resident(ensure_documents(sf_dir, rep), columns=columns)
 
 
 def ensure_multizoom_layout(sf_dir: str, rep: int = 1, max_zoom: int = 6) -> str:

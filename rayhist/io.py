@@ -6,6 +6,13 @@ fragment pruning replaces the reference's SQL ``BETWEEN`` on cell id,
 no ``lance`` package, so everything falls back to partitioned Parquet
 with the same layout; all call sites go through these two functions so
 the swap is transparent.
+
+``read_resident`` is the analog of the reference's Ignite caches
+(``OSHDB2Ignite``; ``MapReducerIgniteLocalPeek.java:235-253`` runs each
+query over the grid cells already resident in the cluster's memory):
+the first read of a cached history table materializes it into the Ray
+object store, and every later query maps over those blocks in place
+instead of re-planning and re-reading the immutable shard files.
 """
 
 from __future__ import annotations
@@ -14,11 +21,15 @@ import functools
 import hashlib
 import inspect
 import os
+import threading
 import time
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 try:  # pragma: no cover - lance not present in the sandbox
     import lance  # noqa: F401
@@ -178,3 +189,131 @@ def write_table(
     if row_group_size is not None:
         kwargs["row_group_size"] = row_group_size
     ds.write_parquet(str(path), **kwargs)
+
+
+# ------------------------------------------------------------ resident tables
+
+# share of the cluster's object_store_memory the resident tables may
+# hold together; a table larger than this is never admitted
+RESIDENT_FRACTION = 0.25
+
+
+@dataclass
+class _Resident:
+    ds: MaterializedDataset | None  # None: over budget, read from disk
+    nbytes: int
+    hits: int = 0
+    misses: int = 1
+
+
+# (session, path, columns, stat identity) -> table, least recently used
+# first; one lock serializes lookups and loads, so racing first reads
+# of a table load it once
+_resident: OrderedDict[tuple, _Resident] = OrderedDict()
+_resident_lock = threading.Lock()
+
+
+def _session() -> tuple[str, str]:
+    """Identity of the connected Ray session: a restarted local cluster
+    gets a new node id, a reconnect to a running one a new job id, so
+    object refs of an ended session are never looked up again."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _stat_identity(path) -> tuple:
+    """(name, size, mtime_ns, ctime_ns, ino) of every file under
+    ``path``: an in-place rewrite changes at least the ctime, even when
+    the writer restores size and mtime."""
+    p = str(path)
+    files = [p] if os.path.isfile(p) else sorted(
+        os.path.join(root, f) for root, _dirs, fs in os.walk(p) for f in fs
+    )
+    out = []
+    for f in files:
+        st = os.stat(f)
+        out.append((f, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino))
+    return tuple(out)
+
+
+def _admit(key: tuple, ds: MaterializedDataset) -> None:
+    """Keep ``ds`` under ``key`` and evict least recently used tables
+    until the resident total fits the budget again. Entries of another
+    Ray session go first (their object refs are dead), then a stale
+    entry for the same path and columns (an older file identity), whose
+    miss count carries over."""
+    for dead in [k for k in _resident if k[0] != key[0]]:
+        del _resident[dead]
+    misses = 1
+    for old in [k for k in _resident if k[1:3] == key[1:3]]:
+        misses += _resident.pop(old).misses
+    nbytes = ds.size_bytes()
+    budget = RESIDENT_FRACTION * ray.cluster_resources().get("object_store_memory", 0)
+    _resident[key] = _Resident(ds if nbytes <= budget else None, nbytes, misses=misses)
+    while sum(e.nbytes for e in _resident.values() if e.ds is not None) > budget:
+        oldest = next(k for k, e in _resident.items() if e.ds is not None)
+        del _resident[oldest]
+
+
+def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
+    """Read a cached (``ensure_*``) table directory from the object store.
+
+    The first call per (Ray session, path, columns, file identity)
+    materializes ``read_table(path, columns=columns)`` — as many blocks
+    as ``auto_num_blocks`` picks read tasks — and keeps it; later calls
+    return the kept ``MaterializedDataset``, so a query's fused
+    ``map_batches`` runs over in-memory blocks with no read planning
+    and no parquet decode. A rewritten file changes the identity and
+    reloads. Resident tables are an LRU over ``Dataset.size_bytes()``
+    capped at ``RESIDENT_FRACTION`` of the cluster's object store; a
+    table over the cap is read from disk on every call, as
+    ``read_table`` does.
+
+    ``filter`` is a pyarrow expression over the read columns, applied
+    as a ``Table.filter`` stage that fuses into the consumer's
+    ``map_batches`` (same rows in the same order as a parquet
+    ``filter=`` read). Only immutable cache outputs belong here: input
+    files rewritten in place keep ``read_table``.
+    """
+    ident = _stat_identity(path)
+    cols = None if columns is None else tuple(columns)
+    with _resident_lock:
+        entry = None
+        if ray.is_initialized():  # uninitialised: a miss, and the read auto-inits
+            key = (_session(), str(path), cols, ident)
+            entry = _resident.get(key)
+        if entry is None:
+            ds = read_table(path, columns=columns).materialize()
+            _admit((_session(), str(path), cols, ident), ds)
+        elif entry.ds is None:
+            entry.misses += 1
+            flt = {} if filter is None else {"filter": filter}
+            return read_table(path, columns=columns, **flt)
+        else:
+            entry.hits += 1
+            _resident.move_to_end(key)
+            ds = entry.ds
+    if filter is not None:
+        ds = ds.map_batches(lambda b: b.filter(filter), batch_format="pyarrow")
+    return ds
+
+
+def resident_tables() -> list[dict]:
+    """One record per table read through ``read_resident`` in this
+    session, least recently used first: path, columns, a short digest
+    of the file identity, in-memory MB, hits and misses (disk reads),
+    and whether it is resident (False: over budget)."""
+    with _resident_lock:
+        items = list(_resident.items())
+    return [
+        {
+            "path": k[1],
+            "columns": k[2],
+            "identity": hashlib.sha256(repr(k[3]).encode()).hexdigest()[:12],
+            "mb": e.nbytes / (1 << 20),
+            "hits": e.hits,
+            "misses": e.misses,
+            "resident": e.ds is not None,
+        }
+        for k, e in items
+    ]

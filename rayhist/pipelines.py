@@ -8414,11 +8414,16 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     part = pos.map_batches(idw_stage, batch_format="pyarrow")
     df = combine_partials(part, ["i", "j"], {"sw_p": "sw", "swx_p": "swx", "n_p": "n_pts"})
     # input-derived guard: every weight is <= IDW_W0 and point counts
-    # cannot wrap, so n_pts * IDW_W0 bounds sw (and every intermediate
-    # partial, sums of non-negatives being monotone) — checking the
-    # possibly-wrapped sw itself would miss aliased overflow
-    if len(df) and int(df["n_pts"].max()) * IDW_W0 >= 2**62:
-        raise OverflowError("idw: weight sum exceeds int64 headroom")
+    # cannot wrap, so n_pts * IDW_W0 bounds sw and n_pts * IDW_W0 *
+    # max|v| bounds |swx| (and every intermediate partial) — checking
+    # the possibly-wrapped sums themselves would miss aliased overflow
+    if len(df):
+        def vmax_stage(b: pa.Table) -> pa.Table:
+            return pa.table({"vmax": [pc.max(pc.abs(b["v"])).as_py() or 0]})
+
+        vmax = int(pos.map_batches(vmax_stage, batch_format="pyarrow").to_pandas()["vmax"].max())
+        if int(df["n_pts"].max()) * IDW_W0 * max(vmax, 1) >= 2**62:
+            raise OverflowError("idw: weighted sum exceeds int64 headroom")
     out = pd.DataFrame(
         {
             "hex_i": df["i"].astype("int64"),

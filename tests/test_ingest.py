@@ -7,6 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from rayhist import io as rio
 from rayhist.ingest import build_documents, ensure_documents, read_documents
 from rayhist.model import DOCUMENTS_SCHEMA, decode_spans
 
@@ -102,18 +103,27 @@ def test_span_stream_invariant():
 
 def test_document_shard_is_one_row_group_and_one_stage_call():
     """Each cached shard file is ONE row group, so a map_batches stage
-    over the table runs once per shard — not once per pack bucket of
-    the ingest groupby (one per document at this scale)."""
-    files = sorted(Path(ensure_documents(SF)).glob("*.parquet"))
+    over the disk read runs once per shard — not once per pack bucket
+    of the ingest groupby (one per document at this scale). Over the
+    resident table it runs once per resident block, and there are as
+    many blocks as read_table picks read tasks."""
+    path = ensure_documents(SF)
+    files = sorted(Path(path).glob("*.parquet"))
     metas = [pq.ParquetFile(f).metadata for f in files]
     assert len(files) >= 8
     assert [m.num_row_groups for m in metas] == [1] * len(files)
-    calls = (
-        read_documents(SF)
-        .map_batches(lambda b: pa.table({"rows": [b.num_rows]}), batch_format="pyarrow")
-        .to_pandas()
-    )
+
+    def per_call(ds):
+        return ds.map_batches(
+            lambda b: pa.table({"rows": [b.num_rows]}), batch_format="pyarrow"
+        ).to_pandas()
+
+    calls = per_call(rio.read_table(path))
     assert len(calls) == len(files)
+    assert int(calls["rows"].sum()) == sum(m.num_rows for m in metas)
+    resident = read_documents(SF)
+    calls = per_call(resident)
+    assert len(calls) == resident.num_blocks() == rio.auto_num_blocks(path)
     assert int(calls["rows"].sum()) == sum(m.num_rows for m in metas)
 
 

@@ -1225,6 +1225,27 @@ def test_idw_field_matches_python_int_brute_force():
         assert r["idw_v"] == np.float64(swx) / np.float64(sw)
 
 
+
+def test_idw_guard_covers_the_weighted_value_sum(tmp_path, monkeypatch):
+    """swx = sum(w * v) can leave int64 while sw = sum(w) does not: with
+    IDW_W0 raised until n_pts * W0 sits just under the headroom, only
+    the max|v| factor of the input-derived bound can catch the wrap."""
+    import pandas as pd
+    import pytest
+
+    from rayhist import pipelines
+    from tests.test_ingest import SF
+
+    ev = pd.read_parquet(f"{SF}/events.parquet").head(200)
+    ev.to_parquet(tmp_path / "events.parquet", index=False)
+    got = pipelines.q_idw_snapshot_field(str(tmp_path))
+    assert (got["swx"] > got["sw"]).any()  # some version above 1: max|v| >= 2
+    n_max = int(got["n_pts"].max())
+    monkeypatch.setattr(pipelines, "IDW_W0", (2**62 - 1) // n_max)
+    assert n_max * pipelines.IDW_W0 < 2**62  # the weight-sum guard alone passes
+    with pytest.raises(OverflowError, match="int64 headroom"):
+        pipelines.q_idw_snapshot_field(str(tmp_path))
+
 # ---------------------------------------------------------------- geohash
 def test_geohash_matches_float_bisection():
     """The integer scaled-division encode equals the classic float

@@ -68,6 +68,7 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as e
+    from rayhist.io import resident_tables
 
     con = duckdb.connect()
     for t in TABLES:
@@ -105,6 +106,14 @@ def main() -> int:
         else:
             n_fail += 1
     print(f"\n{n_pass} pass, {n_fail} fail")
+    # the cached tables the queries read: identity digest, size, reuse
+    for t in resident_tables():
+        cols = "all columns" if t["columns"] is None else f"{len(t['columns'])} columns"
+        where = "resident" if t["resident"] else "over budget, read from disk"
+        print(
+            f"table {t['path']} ({cols}) id={t['identity']} {t['mb']:.2f} MB"
+            f" hits={t['hits']} misses={t['misses']} {where}"
+        )
     ray.shutdown()
     return 1 if n_fail else 0
 
