@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray.data
 
 from .functions.tdigest import DEFAULT_COMPRESSION, TDigest
+from .io import map_blocks
 
 
 def floor_bin(ts: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
@@ -113,16 +114,17 @@ def uniq(ds: ray.data.Dataset, col: str) -> list:
 
 
 def combine_partials(
-    ds: ray.data.Dataset,
+    ds: pa.Table | ray.data.Dataset,
     keys: list[str],
     sums: dict[str, str],
 ) -> pd.DataFrame:
-    """Final combine of a pre-aggregated partials Dataset.
+    """Final combine of pre-aggregated partials: the table
+    ``io.map_blocks`` returns, or a partials Dataset.
 
-    The partials stream is tiny by construction (#blocks x #keys), so
-    a Dataset-level groupby would pay a full shuffle's scheduling
+    The partials are tiny by construction (#blocks x #keys), so a
+    Dataset-level groupby would pay a full shuffle's scheduling
     overhead (~seconds) to move a few thousand rows; instead the
-    partials are streamed to the driver and combined with one pandas
+    partials are brought to the driver and combined with one pandas
     groupby — the reference's combiner step (MapAggregator.java:848-869)
     at the driver, exactly like its client-side node-result merge.
 
@@ -133,7 +135,7 @@ def combine_partials(
     """
     df = ds.to_pandas()
     if df.empty and not set(keys) | set(sums) <= set(df.columns):
-        # an all-empty partials stream can arrive schema-less (Ray
+        # an all-empty partials Dataset can arrive schema-less (Ray
         # drops empty blocks): return a typed empty result — or, for a
         # global total (no keys), the zero row
         if not keys:
@@ -262,11 +264,10 @@ def rollup_sums(
             outs.append(g[[*keys, *vals]])
         return pa.Table.from_pandas(pd.concat(outs, ignore_index=True), preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
     outmap = dict(sums)
     if count_as:
         outmap[count_as] = count_as
-    return combine_partials(partials, keys, outmap)
+    return combine_partials(map_blocks(ds, partial), keys, outmap)
 
 
 def pivot_counts(
@@ -293,7 +294,7 @@ def pivot_counts(
         )
 
     long = combine_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        map_blocks(ds, partial),
         [row_key, col_key],
         {"n_part": "n"},
     )

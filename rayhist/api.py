@@ -50,6 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .io import map_blocks
 from .temporal import TagFilter
 
 
@@ -618,7 +619,7 @@ class MapReducer:
                 out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
             return pa.table(out)
 
-        partials = self._docs(spans=need_tags is True).map_batches(stage, batch_format="pyarrow")
+        docs = self._docs(spans=need_tags is True)
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
@@ -629,12 +630,13 @@ class MapReducer:
             from ray.data.aggregate import Sum
 
             df = (
-                partials.groupby(keys)
+                docs.map_batches(stage, batch_format="pyarrow")
+                .groupby(keys)
                 .aggregate(*[Sum(src, alias_name=out) for src, out in outmap.items()])
                 .to_pandas()
             )
         else:
-            df = combine_partials(partials, keys, outmap)
+            df = combine_partials(map_blocks(docs, stage), keys, outmap)
         if not keys:
             return df  # single-row frame; terminal unwraps
         if self._agg_ts or self._regions:
@@ -778,7 +780,7 @@ class MapReducer:
                 s = snap_fn(decode_spans(batch, tags=False, geom=False), ts)
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "node")
 
-            legs.append(self._docs().map_batches(node_stage, batch_format="pyarrow"))
+            legs.append(map_blocks(self._docs(), node_stage))
         if "way" in types:
 
             def way_stage(batch: pa.Table) -> pa.Table:
@@ -788,8 +790,9 @@ class MapReducer:
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "way")
 
             legs.append(
-                read_way_documents(self._source, rep=rep).map_batches(
-                    way_stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
+                map_blocks(
+                    read_way_documents(self._source, rep=rep), way_stage,
+                    batch_size=COMPOUND_BATCH,
                 )
             )
         if "relation" in types:
@@ -801,14 +804,12 @@ class MapReducer:
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "relation")
 
             legs.append(
-                read_relation_documents(self._source, rep=rep).map_batches(
-                    rel_stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
+                map_blocks(
+                    read_relation_documents(self._source, rep=rep), rel_stage,
+                    batch_size=COMPOUND_BATCH,
                 )
             )
-        union = legs[0]
-        for leg in legs[1:]:
-            union = union.union(leg)
-        df = combine_partials(union, keys, {"n_part": alias})
+        df = combine_partials(pa.concat_tables(legs), keys, {"n_part": alias})
         if not keys:
             return int(df[alias].iloc[0])
         expected: dict[str, Sequence] = {}
@@ -889,21 +890,20 @@ class MapReducer:
             g = pa.TableGroupBy(batch.select(keys), keys).aggregate([([], "count_all")])
             return g.rename_columns([*keys, "_part"])
 
-        partials = self._distinct_pairs(col).map_batches(
-            bin_counts, batch_format="pyarrow"
-        )
+        pairs = self._distinct_pairs(col)
         if _HIGH_CARD_KEYS & set(keys):
             # per-entity keys: the final stays a distributed groupby
             # (combine_partials' cardinality contract)
             from ray.data.aggregate import Sum
 
             df = (
-                partials.groupby(keys)
+                pairs.map_batches(bin_counts, batch_format="pyarrow")
+                .groupby(keys)
                 .aggregate(Sum("_part", alias_name=out))
                 .to_pandas()
             )
         else:
-            df = combine_partials(partials, keys, {"_part": out})
+            df = combine_partials(map_blocks(pairs, bin_counts), keys, {"_part": out})
         if self._agg_ts or self._regions:
             expected: dict[str, Sequence] = (
                 {"ts_q": self._zerofill_ts()} if self._agg_ts else {}
@@ -1030,9 +1030,10 @@ class MapReducer:
         from .aggregate import combine_partials
         from .pipelines import _revert_stage
 
-        partials = self._docs().map_batches(_revert_stage, batch_format="pyarrow")
         df = combine_partials(
-            partials, ["day"], {"n_reverts_p": "n_reverts", "n_entities_p": "n_entities"}
+            map_blocks(self._docs(), _revert_stage),
+            ["day"],
+            {"n_reverts_p": "n_reverts", "n_entities_p": "n_entities"},
         )
         df = df.astype({"day": "int64", "n_reverts": "int64", "n_entities": "int64"})
         return df.sort_values("day").reset_index(drop=True)
@@ -1048,9 +1049,10 @@ class MapReducer:
         from .aggregate import combine_partials
         from .pipelines import _lifespan_stage
 
-        partials = self._docs().map_batches(_lifespan_stage, batch_format="pyarrow")
         df = combine_partials(
-            partials, ["lifespan_days", "deleted"], {"n_entities_p": "n_entities"}
+            map_blocks(self._docs(), _lifespan_stage),
+            ["lifespan_days", "deleted"],
+            {"n_entities_p": "n_entities"},
         )
         df = df.astype(
             {"lifespan_days": "int64", "deleted": "int64", "n_entities": "int64"}

@@ -122,7 +122,10 @@ from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_
 from .spatial.strtree import STRtreeJoinStage
 from .state.checkpoint import run_sharded, salted_count_by
 from .temporal import TagFilter, _doc_codes, _sorted_versions, contributions, snapshots
-from .views import contribution_stats, contribution_view, snapshot_counts, snapshot_view
+from .views import (
+    contribution_stats_stage, contribution_view, snapshot_counts, snapshot_counts_stage,
+    snapshot_view,
+)
 
 # name -> (pipeline, oracle). Every q_<name> below registers itself with
 # @query; __ray_entry__.queries() and oracle_sql() are views of this dict.
@@ -192,8 +195,8 @@ def q_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     TestHelpersOSMEntitySnapshotView.java:46-87 shape). Fused
     view+partial-count stage: the shuffle sees |timestamps| rows per
     batch, not every snapshot."""
-    partials, keys = snapshot_counts(_docs(sf_dir), SNAP_DAILY)
-    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
+    stage, keys = snapshot_counts_stage(SNAP_DAILY)
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -204,11 +207,10 @@ def q_snapshot_count_daily_click(sf_dir: str) -> pd.DataFrame:
     Runs on the int-keytable path (osm/OSMEntity.java:29,97-152): the
     filter is a LUT gather over per-version sig ids — no tag-string
     decode at all in the hot stage."""
-    partials, keys = snapshot_counts(
-        _docs(sf_dir), SNAP_DAILY, TagFilter("etype", "click"),
-        keytable=sig_keytable(sf_dir),
+    stage, keys = snapshot_counts_stage(
+        SNAP_DAILY, TagFilter("etype", "click"), keytable=sig_keytable(sf_dir)
     )
-    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -240,11 +242,11 @@ def q_snapshot_count_key_excluding(sf_dir: str) -> pd.DataFrame:
     PRESENT with value NOT in the excluded set — a different predicate
     from key-absent (TagFilter.exclude). Daily snapshot counts where
     tag 'k' is present with value outside {'0','2','5'}."""
-    partials, keys = snapshot_counts(
-        _docs(sf_dir), SNAP_DAILY, TagFilter("k", exclude_values=("0", "2", "5")),
+    stage, keys = snapshot_counts_stage(
+        SNAP_DAILY, TagFilter("k", exclude_values=("0", "2", "5")),
         keytable=sig_keytable(sf_dir),
     )
-    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -253,8 +255,8 @@ def q_snapshot_cells(sf_dir: str) -> pd.DataFrame:
     """Snapshots at weekly timestamps grouped by grid cell (zoom 4) —
     the aggregateBy(cell, timestamp) shuffle over pre-aggregated
     partials."""
-    partials, keys = snapshot_counts(_docs(sf_dir), SNAP_WEEKLY, cell_zoom=CELL_ZOOM)
-    df = combine_partials(partials, keys, {"n_part": "n"})
+    stage, keys = snapshot_counts_stage(SNAP_WEEKLY, cell_zoom=CELL_ZOOM)
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n"})
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
 
 
@@ -286,7 +288,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
         cid, cnt = np.unique(cell, return_counts=True)
         return pa.table({"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))})
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["cell"], {"n_part": "n_snapshots"})
     face, i, j, _lvl = cell_to_face_ij(df["cell"].to_numpy(dtype=np.int64))
     out = pd.DataFrame(
@@ -343,7 +345,7 @@ def q_etype_dwell_time(sf_dir: str) -> pd.DataFrame:
     last version clipped at the window close -> per-batch partial
     sums; |etype| rows per block to the driver. Exact int64
     microseconds end to end."""
-    partials = _docs(sf_dir, spans=True).map_batches(_dwell_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir, spans=True), _dwell_stage)
     df = combine_partials(partials, ["etype"], {"dwell_p": "dwell_us"})
     df["dwell_us"] = df["dwell_us"].astype("int64")
     return df.sort_values("etype").reset_index(drop=True)
@@ -407,7 +409,7 @@ def q_tag_reverts(sf_dir: str) -> pd.DataFrame:
     primitive. One fused map_batches (pruned int-keytable decode +
     lag-2 compare + per-batch partials); the driver combines |days|
     rows. SQL mirror: lag(tag_sig, 2) window over the derivation."""
-    partials = _docs(sf_dir).map_batches(_revert_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), _revert_stage)
     df = combine_partials(
         partials, ["day"], {"n_reverts_p": "n_reverts", "n_entities_p": "n_entities"}
     )
@@ -466,7 +468,7 @@ def q_predominant_etype_dwell(sf_dir: str) -> pd.DataFrame:
     winners' total dwell — the 'predominant land use' analysis (a
     plain snapshot mode would overweight the sampling grid; this is
     the integral argmax). Zero shuffle; |etypes| partials combine."""
-    partials = _docs(sf_dir, spans=True).map_batches(_predominant_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir, spans=True), _predominant_stage)
     df = combine_partials(
         partials,
         ["etype"],
@@ -522,7 +524,7 @@ def q_entity_lifespans(sf_dir: str) -> pd.DataFrame:
     markers, osm/OSMEntity.java:25). Zero shuffle: per-doc lifespans
     resolve inside the fused decode stage and only the
     |days x 2|-sized histogram partials leave each block."""
-    partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
     df = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n_entities"}
     )
@@ -580,8 +582,7 @@ def q_contributor_activity(sf_dir: str) -> pd.DataFrame:
     partials (min/max witnesses for the activity span; entity counts
     stay exact because a document's versions never split across
     batches)."""
-    partials = _docs(sf_dir).map_batches(_activity_stage, batch_format="pyarrow")
-    parts = partials.to_pandas()
+    parts = rio.map_blocks(_docs(sf_dir), _activity_stage).to_pandas()
     g = parts.groupby("uid")
     df = pd.DataFrame(
         {
@@ -654,7 +655,7 @@ def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
     shuffle: per-doc counts resolve inside the fused int-keytable
     decode; the driver combines grid-bounded partials. SQL mirror:
     count(DISTINCT tag_sig) per osm_id."""
-    partials = _docs(sf_dir).map_batches(_churn_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), _churn_stage)
     df = combine_partials(
         partials, ["n_versions", "n_sigs"], {"n_entities_p": "n_entities"}
     )
@@ -675,12 +676,11 @@ def _contrib_totals(sf_dir: str, tag_filter=None) -> pd.DataFrame:
     # node docs carry per-version keytable ids, so the tag filter AND
     # the TAG_CHANGE compare both run on small ints (sig ids are
     # bijective with signatures; equality is identical)
-    partials, _ = contribution_stats(
-        _docs(sf_dir), CONTRIB_FROM, CONTRIB_TO, tag_filter,
-        keytable=sig_keytable(sf_dir),
+    stage, _ = contribution_stats_stage(
+        CONTRIB_FROM, CONTRIB_TO, tag_filter, keytable=sig_keytable(sf_dir)
     )
     return combine_partials(
-        partials,
+        rio.map_blocks(_docs(sf_dir), stage),
         [],
         {
             "n_part": "n_total",
@@ -712,13 +712,14 @@ def q_contrib_daily(sf_dir: str) -> pd.DataFrame:
     """aggregateByTimestamp for contributions: floor-binned daily
     counts, zerofilled over every bin (MapReducer.java:774-822,
     zerofill :1857-1866)."""
-    partials, keys = contribution_stats(
-        _docs(sf_dir), CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS,
+    stage, keys = contribution_stats_stage(
+        CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS,
         flag_cols=["is_creation"],  # prunes the tag/geom decode
     )
-
     agg = combine_partials(
-        partials, keys, {"n_part": "n_contribs", "is_creation_part": "n_creations"}
+        rio.map_blocks(_docs(sf_dir), stage),
+        keys,
+        {"n_part": "n_contribs", "is_creation_part": "n_creations"},
     )
     return zerofill(agg, {"ts_q": CONTRIB_BINS}, {"n_contribs": 0, "n_creations": 0})
 
@@ -747,8 +748,7 @@ def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
         ).rename_columns(["ts_q", "n_part"])
 
     distinct = ds.map_batches(pairs, batch_format="pyarrow").groupby(["ts_q", "uid"]).count()
-    partials = distinct.map_batches(bin_counts, batch_format="pyarrow")
-    out = combine_partials(partials, ["ts_q"], {"n_part": "n_uids"})
+    out = combine_partials(rio.map_blocks(distinct, bin_counts), ["ts_q"], {"n_part": "n_uids"})
     return zerofill(out, {"ts_q": CONTRIB_BINS}, {"n_uids": 0})
 
 
@@ -773,8 +773,7 @@ def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
             counts.append(int(inside.sum()))
         return pa.table({"region_id": pa.array(rids), "n_part": pa.array(counts, type=pa.int64())})
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
-    df = combine_partials(partials, ["region_id"], {"n_part": "n"})
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), ["region_id"], {"n_part": "n"})
     return zerofill(df, {"region_id": [r for r, _ in region_items]}, {"n": 0})
 
 
@@ -796,7 +795,7 @@ def q_raster_join(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["raster_value"]).aggregate([([], "count_all")])
         return g.rename_columns(["raster_value", "n_part"])
 
-    joined = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    joined = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(joined, ["raster_value"], {"n_part": "n_points"})
     return df.sort_values("raster_value").reset_index(drop=True)
 
@@ -816,7 +815,8 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
         ids = t["osm_id"].to_numpy(zero_copy_only=False)
         return t.append_column("_is_query", pa.array(ids % mod == 0))
 
-    # MATERIALIZE the positions: the halo join's chained sort-groupbys
+    # MATERIALIZE the positions (one block task per resident block, the
+    # outputs kept in the object store): the halo join's chained sort-groupbys
     # re-execute a lazy upstream (boundary sampling + shuffle passes),
     # which re-runs the 6.4M-version decode SEVERAL times — measured
     # 32s vs 6s at rep=128/8cpus. The materialized table is tiny
@@ -824,7 +824,7 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     # sparse-neighborhood brute fallback without another decode.
     # zoom derives from the DOC count (parquet metadata, no scan) —
     # live positions <= docs, and exactness is zoom-independent.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     n = _docs(sf_dir).count()
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     return pos, n, zoom
@@ -869,7 +869,7 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "etype": s["etype"]})
 
-    lab = _docs(sf_dir, spans=True).map_batches(labels, batch_format="pyarrow").to_pandas()
+    lab = rio.map_blocks(_docs(sf_dir, spans=True), labels).to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
     if m["etype"].isna().any():
         raise ValueError("knn majority: neighbor without a visible T_MID label")
@@ -1682,7 +1682,7 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["doc_id"]).aggregate([([], "count_all"), ("is_creation", "sum")])
         return g.rename_columns(["doc_id", "n_contribs", "n_creations"])
 
-    df = _docs(sf_dir).map_batches(stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(_docs(sf_dir), stage).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1740,7 +1740,7 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["ts_q", "etype", "n_part"])
 
     agg = combine_partials(
-        _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow"), ["ts_q", "etype"], {"n_part": "n"}
+        rio.map_blocks(_docs(sf_dir, spans=True), stage), ["ts_q", "etype"], {"n_part": "n"}
     )
     return zerofill(agg, {"ts_q": CONTRIB_BINS, "etype": etypes}, {"n": 0})
 
@@ -2232,26 +2232,28 @@ AOI_BBOX = (-9e8, -4.5e8, 9e8, 4.5e8)  # (min_lon, min_lat, max_lon, max_lat) e7
 
 @query(lambda o: o.snapshot_count_bbox())
 def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
-    """areaOfInterest(bbox) snapshot count at T_MID with PRUNING AT THE
-    READ: the document table carries a whole-history bbox (the OSH
-    getBoundingBox prefilter index); a pyarrow dataset filter pushes
-    the bbox-overlap test into the parquet scan so non-overlapping
-    row groups never leave storage (the Ray analog of the reference's
-    cell-range SQL BETWEEN, MapReducerJdbc.java:51-114 +
-    MapReducer.getCellIdRanges). The exact per-state test runs after
-    interpolation (CellIterator's per-entity bbox intersect + clip,
-    :198-211)."""
+    """areaOfInterest(bbox) snapshot count at T_MID with a document
+    PRE-FILTER: the document table carries a whole-history bbox (the
+    OSH getBoundingBox prefilter index); documents whose bbox misses
+    the AOI are dropped before the decode, inside each block task over
+    the resident table (io.read_resident; over the resident budget, a
+    parquet filter= read pushes the test into the scan — the Ray
+    analog of the reference's cell-range SQL BETWEEN,
+    MapReducerJdbc.java:51-114 + MapReducer.getCellIdRanges). The
+    exact per-state test runs after interpolation (CellIterator's
+    per-entity bbox intersect + clip, :198-211)."""
     x0, y0, x1, y1 = AOI_BBOX
 
     rep = int(os.environ.get("RAYHIST_REP", "1"))
-    path = ensure_documents(sf_dir, rep)
     prefilter = (
         (pc.field("max_lon_e7") >= int(x0))
         & (pc.field("min_lon_e7") <= int(x1))
         & (pc.field("max_lat_e7") >= int(y0))
         & (pc.field("min_lat_e7") <= int(y1))
     )
-    docs = rio.read_table(path, filter=prefilter)
+    docs = rio.read_resident(
+        ensure_documents(sf_dir, rep), columns=DECODE_COLUMNS, filter=prefilter
+    )
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2261,8 +2263,7 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
         return pa.table({"n_part": pa.array([int(inside.sum())], type=pa.int64())})
 
-    partials = docs.map_batches(stage, batch_format="pyarrow")
-    return combine_partials(partials, [], {"n_part": "n_snapshots"})
+    return combine_partials(rio.map_blocks(docs, stage), [], {"n_part": "n_snapshots"})
 
 
 # asymmetric sub-bbox for the multi-zoom query (exercises the per-zoom
@@ -2309,8 +2310,7 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
         return pa.table({"n_part": pa.array([int(inside.sum())], type=pa.int64())})
 
-    partials = docs.map_batches(stage, batch_format="pyarrow")
-    return combine_partials(partials, [], {"n_part": "n_snapshots"})
+    return combine_partials(rio.map_blocks(docs, stage), [], {"n_part": "n_snapshots"})
 
 
 @query(None)  # rows-only: stubbed codec; determinism pinned in tests/test_ops.py
@@ -2374,7 +2374,7 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir, spans=True), stage)
     return combine_partials(
         partials,
         [],
@@ -2410,7 +2410,7 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir, spans=True), stage)
     return combine_partials(
         partials,
         [],
@@ -2815,7 +2815,7 @@ def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
         return g.rename_columns(["ts_q", "n_part"])
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["ts_q"], {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
@@ -3152,9 +3152,7 @@ def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     def stage(batch: pa.Table) -> pa.Table:
         return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
-    partials = read_way_documents(sf_dir).map_batches(
-        stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
-    )
+    partials = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
     return combine_partials(
         partials,
         [],
@@ -3190,9 +3188,7 @@ def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
             match_kv=("k", "3"),  # tags.get("k") == "3", vectorized path
         )
 
-    partials = read_way_documents(sf_dir).map_batches(
-        stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
-    )
+    partials = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
     return combine_partials(
         partials,
         [],
@@ -3218,11 +3214,8 @@ def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     def stage(batch: pa.Table) -> pa.Table:
         return snapshot_geoms_batch(batch, WAY_SNAPS)
 
-    df = (
-        read_way_documents(sf_dir)
-        .map_batches(stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH)
-        .to_pandas()
-    )
+    rows = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    df = rows.to_pandas()
     return df.sort_values(["way_id", "ts_q"]).reset_index(drop=True)
 
 
@@ -3237,9 +3230,7 @@ def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     def stage(batch: pa.Table) -> pa.Table:
         return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
-    partials = read_relation_documents(sf_dir).map_batches(
-        stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
-    )
+    partials = rio.map_blocks(read_relation_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
     return combine_partials(
         partials,
         [],
@@ -3263,11 +3254,8 @@ def q_snapshot_relation_geoms(sf_dir: str) -> pd.DataFrame:
     def stage(batch: pa.Table) -> pa.Table:
         return snapshot_geoms_batch(batch, WAY_SNAPS, id_name="rel_id")
 
-    df = (
-        read_relation_documents(sf_dir)
-        .map_batches(stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH)
-        .to_pandas()
-    )
+    rows = rio.map_blocks(read_relation_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    df = rows.to_pandas()
     return df.sort_values(["rel_id", "ts_q"]).reset_index(drop=True)
 
 
@@ -3294,9 +3282,7 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
         )
         return g.rename_columns(["ts_q", "rel_part", "hole_part", "lon_part", "lat_part"])
 
-    partials = read_oldstyle_documents(sf_dir).map_batches(
-        stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
-    )
+    partials = rio.map_blocks(read_oldstyle_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
     df = combine_partials(
         partials,
         ["ts_q"],
@@ -3336,11 +3322,11 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    node_partials = _docs(sf_dir).map_batches(node_stage, batch_format="pyarrow")
-    way_partials = read_way_documents(sf_dir).map_batches(
-        way_stage, batch_format="pyarrow", batch_size=COMPOUND_BATCH
+    node_partials = rio.map_blocks(_docs(sf_dir), node_stage)
+    way_partials = rio.map_blocks(read_way_documents(sf_dir), way_stage, batch_size=COMPOUND_BATCH)
+    df = combine_partials(
+        pa.concat_tables([node_partials, way_partials]), ["osm_type"], {"n_part": "n_snapshots"}
     )
-    df = combine_partials(node_partials.union(way_partials), ["osm_type"], {"n_part": "n_snapshots"})
     return df.sort_values("osm_type").reset_index(drop=True)
 
 
@@ -6336,7 +6322,7 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(out, preserve_index=False)
 
     out = combine_partials(
-        _docs(sf_dir, spans=True).map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(_docs(sf_dir, spans=True), partials),
         ["etype", "change"],
         {"n_p": "n"},
     )
@@ -7019,7 +7005,7 @@ def q_entity_sinuosity(sf_dir: str) -> pd.DataFrame:
             preserve_index=False,
         )
 
-    df = _docs(sf_dir).map_batches(stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(_docs(sf_dir), stage).to_pandas()
     df = df.astype(
         {"osm_id": "int64", "n_moves": "int64", "path_um": "int64", "disp_um": "int64"}
     )
@@ -7690,7 +7676,7 @@ def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        docs.map_batches(stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, stage),
         ["source"],
         {
             "n_docs_p": "n_docs",
@@ -8025,7 +8011,7 @@ def _hex_version_counts(sf_dir: str) -> pd.DataFrame:
         )
 
     return combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"), ["i", "j"],
+        rio.map_blocks(_docs(sf_dir), stage), ["i", "j"],
         {"n_part": "n"},
     )
 
@@ -8055,7 +8041,7 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
         )
 
     return combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"), ["ts_q", "cell"],
+        rio.map_blocks(_docs(sf_dir), stage), ["ts_q", "cell"],
         {"n_part": "n"},
     )
 
@@ -8084,7 +8070,7 @@ def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
             {"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))}
         )
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["cell"], {"n_part": "n_snapshots"})
     i, j = unpack_hex(df["cell"].to_numpy(dtype=np.int64))
     out = pd.DataFrame(
@@ -8208,7 +8194,7 @@ def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = pos.map_batches(nearest_stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(pos, nearest_stage).to_pandas()
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
@@ -8345,7 +8331,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
         )
 
     cen = combine_partials(
-        pos.map_batches(cells_stage, batch_format="pyarrow"), ["i", "j"], {"one_p": "_"}
+        rio.map_blocks(pos, cells_stage), ["i", "j"], {"one_p": "_"}
     )
     ci = cen["i"].to_numpy(dtype=np.int64)
     cj = cen["j"].to_numpy(dtype=np.int64)
@@ -8411,7 +8397,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
                 }
             )
 
-    part = pos.map_batches(idw_stage, batch_format="pyarrow")
+    part = rio.map_blocks(pos, idw_stage)
     df = combine_partials(part, ["i", "j"], {"sw_p": "sw", "swx_p": "swx", "n_p": "n_pts"})
     # input-derived guard: every weight is <= IDW_W0 and point counts
     # cannot wrap, so n_pts * IDW_W0 bounds sw and n_pts * IDW_W0 *
@@ -8421,7 +8407,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
         def vmax_stage(b: pa.Table) -> pa.Table:
             return pa.table({"vmax": [pc.max(pc.abs(b["v"])).as_py() or 0]})
 
-        vmax = int(pos.map_batches(vmax_stage, batch_format="pyarrow").to_pandas()["vmax"].max())
+        vmax = int(rio.map_blocks(pos, vmax_stage).to_pandas()["vmax"].max())
         if int(df["n_pts"].max()) * IDW_W0 * max(vmax, 1) >= 2**62:
             raise OverflowError("idw: weighted sum exceeds int64 headroom")
     out = pd.DataFrame(
@@ -8480,7 +8466,7 @@ def q_road_buffer_count(sf_dir: str) -> pd.DataFrame:
         keep = cnt > 0
         return pa.table({"seg": sid[keep], "n_p": cnt[keep]})
 
-    part = pos.map_batches(buffer_stage, batch_format="pyarrow")
+    part = rio.map_blocks(pos, buffer_stage)
     df = combine_partials(part, ["seg"], {"n_p": "n_within"})
 
     out = zerofill(df, {"seg": sorted(int(s) for s in seg["join_k"])}, {"n_within": 0})
@@ -8557,7 +8543,7 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["region_id"], {"n_p": "n_points", "s_p": "sum_raster"})
     out = zerofill(
         df,
@@ -8621,7 +8607,7 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(
         partials, ["from_i", "from_j", "to_i", "to_j"], {"n_p": "n_moves"}
     ).astype(
@@ -8774,7 +8760,7 @@ def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        docs.map_batches(stage, batch_format="pyarrow"), ["word"], {"n_p": "n_docs"}
+        rio.map_blocks(docs, stage), ["word"], {"n_p": "n_docs"}
     ).astype({"word": "object", "n_docs": "int64"})
     return df.sort_values("word").reset_index(drop=True)
 
@@ -8968,7 +8954,7 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        docs.map_batches(stage, batch_format="pyarrow"), ["source", "bin"], {"n_p": "n"}
+        rio.map_blocks(docs, stage), ["source", "bin"], {"n_p": "n"}
     )
     counts: dict[str, dict[int, int]] = {}
     for s, b, n in zip(base["source"], base["bin"], base["n"]):
@@ -9061,7 +9047,7 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    partials = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(
         partials, ["cell"],
         {"n_p": "n_contribs", "cre_p": "n_creations", "del_p": "n_deletions"},
@@ -9137,7 +9123,7 @@ def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"),
+        rio.map_blocks(_docs(sf_dir), stage),
         ["cell"],
         {"n_p": "n_entities", "age_p": "sum_age_us"},
     )
@@ -9443,7 +9429,7 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     single IEEE ops. A duration where everyone at risk dies would
     need ln(0): rejected loudly (cannot occur while any entity is
     censored later)."""
-    partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
     base = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
     )
@@ -9524,7 +9510,7 @@ def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"), ["turn"],
+        rio.map_blocks(_docs(sf_dir), stage), ["turn"],
         {"n_p": "n_turns"},
     ).astype({"turn": "int64", "n_turns": "int64"})
     return df.sort_values("turn").reset_index(drop=True)
@@ -9838,7 +9824,7 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow"),
+        rio.map_blocks(_docs(sf_dir, spans=True), stage),
         ["i", "j", "etype"],
         {"n_p": "n"},
     )
@@ -10654,7 +10640,7 @@ def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"),
+        rio.map_blocks(_docs(sf_dir), stage),
         ["cell"],
         {"n_part": "n_snapshots"},
     )
@@ -11544,7 +11530,7 @@ def q_knn_value_regression(sf_dir: str) -> pd.DataFrame:
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "uid": s["uid"]})
 
-    lab = _docs(sf_dir).map_batches(attrs, batch_format="pyarrow").to_pandas()
+    lab = rio.map_blocks(_docs(sf_dir), attrs).to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
     if m["uid"].isna().any():
         raise ValueError("knn regression: neighbor without a visible T_MID row")
@@ -11604,11 +11590,7 @@ def twa_daily_final(docs) -> pd.DataFrame:
     _twa_stage partials, zerofill the January days, one IEEE division
     by the constant day length. Both q_twa_entities_daily and the
     facade terminal call THIS, so the pin holds by construction."""
-    df = combine_partials(
-        docs.map_batches(_twa_stage, batch_format="pyarrow"),
-        ["day"],
-        {"vis_p": "visible_us"},
-    )
+    df = combine_partials(rio.map_blocks(docs, _twa_stage), ["day"], {"vis_p": "visible_us"})
     out = zerofill(df, {"day": list(range(31))}, {"visible_us": 0}).astype(
         {"day": "int64", "visible_us": "int64"}
     )
@@ -12065,7 +12047,7 @@ def q_nelson_aalen(sf_dir: str) -> pd.DataFrame:
     floor division ((10^6 * d) // n — a float sum of hazards would be
     order-dependent), so the cumulative curve is an exact ordered
     integer sum; the reported hazard is ONE IEEE division."""
-    partials = _docs(sf_dir).map_batches(_lifespan_stage, batch_format="pyarrow")
+    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
     base = combine_partials(
         partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
     )
@@ -12170,7 +12152,7 @@ def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
         )
 
     fine = combine_partials(
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow"),
+        rio.map_blocks(_docs(sf_dir), stage),
         ["cell"],
         {"n_part": "n"},
     )

@@ -988,9 +988,9 @@ def knn_queries(
 
     small = isinstance(points, MaterializedDataset) and points.count() <= driver_gate
     if small:
-        scat = scatter(
-            pa.Table.from_pandas(points.to_pandas(), preserve_index=False)
-        ).to_pandas()
+        # the blocks themselves: to_pandas() would start an execution
+        blocks = ray.get(points.to_arrow_refs())
+        scat = scatter(pa.concat_tables(blocks, promote_options="default")).to_pandas()
         frames = [
             cell_partials(g.drop(columns=["_tcell"]))
             for _, g in scat.groupby("_tcell", sort=False)

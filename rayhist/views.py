@@ -3,7 +3,7 @@
 ``snapshot_view`` = ``OSMEntitySnapshotView`` (oshdb-api/.../OSMEntitySnapshotView.java)
 ``contribution_view`` = ``OSMContributionView``
 
-Both are a SINGLE fused ``map_batches`` stage over the span-document
+Both are a SINGLE fused stage over the span-document
 table: decode (span parse) + temporal interpolation happen in one
 callable so that a document's versions can never be split across batch
 boundaries by re-batching. No shuffle is needed for the views
@@ -12,6 +12,12 @@ reaches the same property by denormalizing member histories into each
 OSH entity at import time, documentation/manual/data-model.md:20-22);
 the shuffle comes afterwards, in the groupby(cell, timestamp)
 aggregation (see rayhist.aggregate).
+
+Each view is a stage builder (``*_stage``: arguments -> pyarrow table
+function). Partials combined on the driver run the stage through
+``io.map_blocks`` (one task per resident block); the Dataset wrappers
+(``snapshot_view``, ``contribution_view``, ``snapshot_counts``) map it
+for callers that go on to a distributed groupby.
 
 Stages are plain functions (stateless tasks). Stages that need
 compiled state (boundary-polygon indexes, grid tables) live in
@@ -39,13 +45,12 @@ def _ids_mask(decoded: pa.Table, lut: np.ndarray) -> np.ndarray:
     return lut[decoded["tag_id"].to_numpy(zero_copy_only=False)]
 
 
-def snapshot_view(
-    docs: ray.data.Dataset,
+def snapshot_stage(
     timestamps,
     tag_filter: TagFilter | None = None,
     deadline: Deadline | None = None,
-) -> ray.data.Dataset:
-    """Dataset of entity snapshots at the given query timestamps.
+):
+    """Stage emitting entity snapshots at the given query timestamps.
 
     One output row per (entity, timestamp) where the entity exists,
     is visible, and matches the filter — semantics of
@@ -61,19 +66,23 @@ def snapshot_view(
         decoded = decode_spans(batch)
         return snapshots(decoded, ts, _match_mask(decoded, tag_filter))
 
-    return docs.map_batches(stage, batch_format="pyarrow")
+    return stage
 
 
-def contribution_view(
-    docs: ray.data.Dataset,
+def snapshot_view(docs: ray.data.Dataset, *args, **kwargs) -> ray.data.Dataset:
+    """Dataset of entity snapshots (``snapshot_stage`` over ``docs``)."""
+    return docs.map_batches(snapshot_stage(*args, **kwargs), batch_format="pyarrow")
+
+
+def contribution_stage(
     t_from: int,
     t_to: int,
     tag_filter: TagFilter | None = None,
     tags: bool = True,
     geom: bool = True,
     deadline: Deadline | None = None,
-) -> ray.data.Dataset:
-    """Dataset of classified contributions in [t_from, t_to) —
+):
+    """Stage emitting classified contributions in [t_from, t_to) —
     semantics of ``CellIterator.iterateByContribution``
     (CellIterator.java:437-712). ``tags``/``geom`` prune the decode
     when the caller never reads tag/geometry outputs (the
@@ -89,7 +98,12 @@ def contribution_view(
             decoded, int(t_from), int(t_to), _match_mask(decoded, tag_filter)
         )
 
-    return docs.map_batches(stage, batch_format="pyarrow")
+    return stage
+
+
+def contribution_view(docs: ray.data.Dataset, *args, **kwargs) -> ray.data.Dataset:
+    """Dataset of contributions (``contribution_stage`` over ``docs``)."""
+    return docs.map_batches(contribution_stage(*args, **kwargs), batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -97,28 +111,29 @@ def contribution_view(
 #
 # A bare groupby over the exploded snapshot/contribution rows shuffles
 # every row; these fuse decode + interpolation + per-batch partial
-# aggregation into ONE map_batches stage, so the shuffle only sees
-# |keys| rows per batch (the reference's accumulator/combiner split,
-# MapReducer.java:896-1034, done the Ray-idiomatic way).
+# aggregation into ONE stage, so the combine only sees |keys| rows per
+# block (the reference's accumulator/combiner split,
+# MapReducer.java:896-1034).
 # ---------------------------------------------------------------------------
 
 
-def snapshot_counts(
-    docs: ray.data.Dataset,
+def snapshot_counts_stage(
     timestamps,
     tag_filter: TagFilter | None = None,
     cell_zoom: int | None = None,
     keytable: list[str] | None = None,
     deadline: Deadline | None = None,
 ):
-    """Partial snapshot counts per (ts_q[, cell]) per batch.
+    """Stage of partial snapshot counts per (ts_q[, cell]) per batch.
 
     ``keytable`` (the ingest sig keytable) switches the tag filter to
     the int-id path: no tag-string decode at all, the per-version test
     is a LUT gather (osm/OSMEntity.java:97-152 semantics).
 
-    Returns a Dataset of partials; finish with
-    ``groupby(keys).aggregate(Sum("n_part"))``.
+    Returns (stage, key list); finish with ``combine_partials`` over
+    ``io.map_blocks(docs, stage)``, or for corpus-cardinality keys
+    with ``groupby(keys).aggregate(Sum("n_part"))`` over
+    ``snapshot_counts``.
     """
     ts = np.asarray(list(timestamps), dtype=np.int64)
     keys = ["ts_q"] + (["cell"] if cell_zoom is not None else [])
@@ -148,11 +163,17 @@ def snapshot_counts(
         g = pa.TableGroupBy(cols, keys).aggregate([([], "count_all")])
         return g.rename_columns([*keys, "n_part"])
 
+    return stage, keys
+
+
+def snapshot_counts(docs: ray.data.Dataset, *args, **kwargs):
+    """(Dataset of partials, key list): ``snapshot_counts_stage`` over
+    ``docs``, for a distributed final."""
+    stage, keys = snapshot_counts_stage(*args, **kwargs)
     return docs.map_batches(stage, batch_format="pyarrow"), keys
 
 
-def contribution_stats(
-    docs: ray.data.Dataset,
+def contribution_stats_stage(
     t_from: int,
     t_to: int,
     tag_filter: TagFilter | None = None,
@@ -161,8 +182,8 @@ def contribution_stats(
     keytable: list[str] | None = None,
     deadline: Deadline | None = None,
 ):
-    """Partial contribution stats per batch: count + per-type sums,
-    optionally keyed by floor-binned timestamp.
+    """Stage of partial contribution stats per batch: count + per-type
+    sums, optionally keyed by floor-binned timestamp.
 
     ``flag_cols`` limits which classification flags are aggregated —
     and thereby how much of the span decode runs: a query that only
@@ -170,8 +191,8 @@ def contribution_stats(
     join or the geometry regex. ``keytable`` switches the tag work
     (filter + TAG_CHANGE compare) to int sig ids — see snapshot_counts.
 
-    Returns (partials Dataset, key list). Finish with groupby(keys)
-    .aggregate(Sum over each partial column).
+    Returns (stage, key list); finish with ``combine_partials`` over
+    ``io.map_blocks(docs, stage)``.
     """
     from .aggregate import floor_bin
 
@@ -220,4 +241,4 @@ def contribution_stats(
             sums[f + "_part"] = pa.array([pc.sum(t[f]).as_py() or 0], type=pa.int64())
         return pa.table(sums)
 
-    return docs.map_batches(stage, batch_format="pyarrow"), keys
+    return stage, keys

@@ -160,14 +160,18 @@ BBOX = (1_790_000_000, 0, 1_800_000_000, 10_000_000)
 )
 @pytest.mark.parametrize("spans", [False, True], ids=["decode-columns", "all"])
 def test_facade_filter_equals_parquet_filter(fresh, chain, spans):
-    """The AOI/type pre-filter as a Table.filter stage over the resident
-    table keeps the rows a parquet filter= read keeps, in its order."""
+    """The AOI/type pre-filter over the resident table keeps the rows a
+    parquet filter= read keeps, in its order: as a Table.filter stage,
+    and inside io.map_blocks' block tasks."""
     mr = chain(OSMEntitySnapshotView.on(SF))
     flt = mr._aoi_prefilter()
     disk = rio.read_table(
         ensure_documents(SF), columns=None if spans else DECODE_COLUMNS, filter=flt
     )
     assert _same(mr._docs(spans=spans), disk)
+    tasks = rio.map_blocks(mr._docs(spans=spans), lambda b: b)
+    rows = _rows(disk)
+    assert tasks.num_rows == 0 if rows is None else tasks.equals(rows)
 
 
 def test_bbox_filter_drops_documents(fresh):
