@@ -130,7 +130,8 @@ def combine_partials(
 
     Use ONLY for low-cardinality keys (timestamps, cells at coarse
     zoom, enum values). High-cardinality finals (fine-zoom cells,
-    per-document keys) must stay on Dataset.groupby — rule of thumb:
+    per-document keys) must be reduced per key first (``io.reduce_by_key``
+    routed by the keys, so each key arrives here once) — rule of thumb:
     keys x blocks > ~10^7 rows means keep it distributed.
     """
     df = ds.to_pandas()

@@ -50,7 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .io import map_blocks
+from .io import blocks_table, map_blocks, reduce_by_key
 from .temporal import TagFilter
 
 
@@ -623,20 +623,20 @@ class MapReducer:
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
-            # per-entity/per-document keys: the final combine must stay
-            # a DISTRIBUTED Dataset groupby (combine_partials' own
-            # contract: keys x blocks > ~10^7 rows means keep it
-            # distributed — aggregate.py)
-            from ray.data.aggregate import Sum
+            # per-entity/per-document keys: the final sums run per key
+            # bucket (reduce_by_key), so the driver receives each key
+            # once, never keys x blocks partials (combine_partials' own
+            # contract — aggregate.py)
+            parts = list(outmap)
 
-            df = (
-                docs.map_batches(stage, batch_format="pyarrow")
-                .groupby(keys)
-                .aggregate(*[Sum(src, alias_name=out) for src, out in outmap.items()])
-                .to_pandas()
-            )
+            def final(t: pa.Table) -> pa.Table:
+                g = pa.TableGroupBy(t, keys).aggregate([(c, "sum") for c in parts])
+                return g.rename_columns([*keys, *parts])
+
+            outs = blocks_table(reduce_by_key(docs, keys, final, stage=stage))
         else:
-            df = combine_partials(map_blocks(docs, stage), keys, outmap)
+            outs = map_blocks(docs, stage)
+        df = combine_partials(outs, keys, outmap)
         if not keys:
             return df  # single-row frame; terminal unwraps
         if self._agg_ts or self._regions:
@@ -655,9 +655,10 @@ class MapReducer:
             df = df.drop(columns=["_n"])
         return df.sort_values(keys, kind="mergesort").reset_index(drop=True)
 
-    def _keyed_rows(self, cols: list[str]) -> ray.data.Dataset:
-        """Dataset of (group keys..., cols...) view rows — ts binning
-        applied, used by the distributed distinct/sketch terminals."""
+    def _keyed_stage(self, cols: list[str]):
+        """(docs, stage): the node table to read and the stage emitting
+        its (group keys..., cols...) view rows — ts binning applied,
+        used by the distributed distinct/sketch terminals."""
         self._require_node_only("this terminal")
         from .aggregate import floor_bin
 
@@ -697,7 +698,13 @@ class MapReducer:
                     out[c] = v[c]
             return pa.table(out)
 
-        return self._docs(spans=need_tags is True).map_batches(stage, batch_format="pyarrow")
+        return self._docs(spans=need_tags is True), stage
+
+    def _keyed_rows(self, cols: list[str]) -> ray.data.Dataset:
+        """Dataset of (group keys..., cols...) view rows, for the
+        Dataset-consuming sketch terminals."""
+        docs, stage = self._keyed_stage(cols)
+        return docs.map_batches(stage, batch_format="pyarrow")
 
     def count(self, alias: str = "count"):
         """count (MapReducer.java:1122-1132): scalar, or a frame keyed
@@ -850,60 +857,52 @@ class MapReducer:
             return _uniq(self._keyed_rows([col]), col)
         return (
             self._distinct_pairs(col)
-            .select_columns([*keys, col])  # drop Ray's internal count()
             .to_pandas()
             .sort_values([*keys, col], kind="mergesort")
             .reset_index(drop=True)
         )
 
-    def _distinct_pairs(self, col: str) -> ray.data.Dataset:
+    def _distinct_pairs(self, col: str, then=None, by=None) -> pa.Table:
         """Globally-distinct (keys..., col) rows: per-batch distinct
-        partials, ONE groupby shuffle — no O(#distinct) driver pull."""
-        keys = self._keys()
+        partials, then one ``reduce_by_key`` routed by ``by`` (default:
+        all of keys and ``col``) — no O(#distinct) driver pull. A
+        bucket holds every row of its pairs, so its distinct rows are
+        globally distinct; ``then`` maps them per bucket."""
+        pair = [*self._keys(), col]
+        docs, rows = self._keyed_stage([col])
 
-        def batch_distinct(batch: pa.Table) -> pa.Table:
-            return (
-                pa.TableGroupBy(batch, [*keys, col]).aggregate([]).select([*keys, col])
-            )
+        def distinct(t: pa.Table) -> pa.Table:
+            return pa.TableGroupBy(t, pair).aggregate([]).select(pair)
 
-        return (
-            self._keyed_rows([col])
-            .map_batches(batch_distinct, batch_format="pyarrow")
-            .groupby([*keys, col])
-            .count()
+        def reduce(t: pa.Table) -> pa.Table:
+            return distinct(t) if then is None else then(distinct(t))
+
+        return blocks_table(
+            reduce_by_key(docs, by or pair, reduce, stage=lambda b: distinct(rows(b)))
         )
 
     def countUniq(self, col: str, alias: str | None = None):
-        """countUniq (MapReducer.java:1166-1178). Grouped: blocks after
-        the distinct-pair groupby hold globally-unique pairs, so the
-        per-key count is a per-batch partial + tiny driver combine."""
-        keys = self._keys()
-        if not keys:
-            # count of the globally-distinct Dataset — never the
-            # O(#distinct) driver value pull that len(uniq()) would be
-            return int(self._distinct_pairs(col).count())
+        """countUniq (MapReducer.java:1166-1178): each bucket of the
+        distinct-pair shuffle counts its globally-unique pairs per key;
+        the driver sums the per-bucket counts."""
         from .aggregate import combine_partials, zerofill
 
+        keys = self._keys()
         out = alias or f"uniq_{col}"
 
-        def bin_counts(batch: pa.Table) -> pa.Table:
-            g = pa.TableGroupBy(batch.select(keys), keys).aggregate([([], "count_all")])
+        def counts(d: pa.Table) -> pa.Table:
+            if not keys:
+                return pa.table({"_part": pa.array([d.num_rows], type=pa.int64())})
+            g = pa.TableGroupBy(d.select(keys), keys).aggregate([([], "count_all")])
             return g.rename_columns([*keys, "_part"])
 
-        pairs = self._distinct_pairs(col)
-        if _HIGH_CARD_KEYS & set(keys):
-            # per-entity keys: the final stays a distributed groupby
-            # (combine_partials' cardinality contract)
-            from ray.data.aggregate import Sum
-
-            df = (
-                pairs.map_batches(bin_counts, batch_format="pyarrow")
-                .groupby(keys)
-                .aggregate(Sum("_part", alias_name=out))
-                .to_pandas()
-            )
-        else:
-            df = combine_partials(map_blocks(pairs, bin_counts), keys, {"_part": out})
+        # per-entity keys route by the keys alone: each key's count is
+        # final in its bucket, so the driver receives each key once
+        # (combine_partials' cardinality contract)
+        by = keys if _HIGH_CARD_KEYS & set(keys) else None
+        df = combine_partials(self._distinct_pairs(col, counts, by), keys, {"_part": out})
+        if not keys:
+            return int(df[out].iloc[0])
         if self._agg_ts or self._regions:
             expected: dict[str, Sequence] = (
                 {"ts_q": self._zerofill_ts()} if self._agg_ts else {}

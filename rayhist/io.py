@@ -20,6 +20,12 @@ the locally resident cells, a per-node reduce, the combine on the
 client): a query whose partials are combined on the driver runs its
 fused stage as one plain Ray task per resident block and concatenates
 the outputs in block order, with no Ray Data execution in between.
+
+``reduce_by_key`` is the wide half of that backend: LocalPeek shuffles
+its cell-id buffer across the nodes and reduces per node
+(``MapReducerIgniteLocalPeek.java:185-233``). Here one task per block
+routes its stage output into hash buckets of a key, and one task per
+bucket reduces the rows it received, again with no Ray Data execution.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.dataset import MaterializedDataset
@@ -327,6 +336,16 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
 
 
+def blocks_table(blocks: MaterializedDataset | list) -> pa.Table:
+    """The rows of a materialized Dataset, or of a list of table refs
+    (a ``reduce_by_key`` result), as one table in block order, read
+    from the blocks: ``to_pandas()`` or ``iter_batches()`` would start
+    a streaming execution even on a materialized Dataset."""
+    if isinstance(blocks, ray.data.Dataset):
+        blocks = blocks.to_arrow_refs()
+    return _concat(ray.get(blocks))
+
+
 def _block_refs(ds: ray.data.Dataset, stage, batch_size: int | None) -> list | None:
     """One ``_block_task`` per block of a materialized ``ds`` (filtered
     or not): the output refs in block order. None for any other
@@ -379,6 +398,89 @@ def materialize_blocks(ds: ray.data.Dataset, stage) -> MaterializedDataset:
     # materialize() pins the plan as executed: a bare from_arrow_refs
     # Dataset re-plans on every later read of it
     return ray.data.from_arrow_refs(refs).materialize()
+
+
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """uint64 hash of each row's ``keys``, equal in every process and
+    every block for equal keys: a null hashes as 0 whatever its
+    column's type, and int keys are hashed as int64 (numpy would widen
+    an int column that holds nulls to float)."""
+    cols = {}
+    for k in keys:
+        c = t[k]
+        nulls = c.is_null().to_numpy(zero_copy_only=False)
+        if pa.types.is_integer(c.type) or pa.types.is_boolean(c.type):
+            c = pc.fill_null(c, 0).cast(pa.int64(), safe=False)
+        h = pd.util.hash_array(c.to_numpy(zero_copy_only=False))
+        h[nulls] = 0
+        cols[k] = h
+    return pd.util.hash_pandas_object(pd.DataFrame(cols), index=False).to_numpy()
+
+
+@ray.remote
+def _route_task(stage, block: pa.Table, flt, keys: list[str], n: int):
+    if flt is not None:
+        block = block.filter(flt)
+    t = block if stage is None else stage(block)
+    if not t.num_columns:  # Ray's schema-less empty block
+        slices = [t] * n
+    else:
+        bucket = _key_hash(t, keys) % np.uint64(n)
+        t = t.take(np.argsort(bucket, kind="stable"))
+        ends = np.cumsum(np.bincount(bucket.astype(np.int64), minlength=n))
+        slices = [t.slice(e - c, c) for e, c in zip(ends, np.diff(ends, prepend=0))]
+    return slices if n > 1 else slices[0]  # num_returns=1 returns one value
+
+
+@ray.remote
+def _reduce_task(reduce, *slices: pa.Table) -> pa.Table:
+    typed = [s for s in slices if s.num_columns]
+    # no typed slice: every input block was schema-less, so no rows
+    return reduce(_concat(typed)) if typed else pa.table({})
+
+
+def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=None) -> list:
+    """Group the rows of ``ds`` (after ``stage``) by ``keys`` and run
+    ``reduce`` (pyarrow table -> pyarrow table) over each bucket of
+    keys: the refs of the reduce outputs, one table per bucket in
+    bucket order, still in the object store (read them on the driver
+    with ``blocks_table``, or pass them to another ``reduce_by_key``).
+
+    ``reduce(table)`` must be correct for any table that holds ALL rows
+    of every key it contains, and must return its typed empty output
+    for an empty table. Then the result holds the rows of
+    ``ds.map_batches(stage).groupby(keys).map_groups(reduce)``.
+
+    ``ds`` is a list of table refs or a materialized Dataset (a
+    ``read_resident`` table, filtered or not, or a
+    ``materialize_blocks`` result) with ``n`` blocks: one task per
+    block applies the filter and ``stage`` and routes its rows by a
+    hash of ``keys`` into ``n`` slices (rows keep their order within a
+    slice); one task per bucket concatenates its slices in block order
+    and applies ``reduce``, also to a bucket that received no rows, so
+    two runs give the same rows in the same order. Any other Dataset
+    (a table over the resident budget) runs ``stage`` through
+    ``map_batches`` and ``materialize`` first, then the same tasks over
+    its blocks.
+    """
+    if isinstance(ds, list):
+        blocks, flt = ds, None
+    else:
+        base, flt = _filtered.get(ds, (ds, None))
+        if not isinstance(base, MaterializedDataset):
+            if stage is not None:
+                ds = ds.map_batches(stage, batch_format="pyarrow")
+            base, flt, stage = ds.materialize(), None, None
+        blocks = base.to_arrow_refs()
+    n = len(blocks)
+    fn = ray.put(stage)
+    routed = [
+        _route_task.options(num_returns=n).remote(fn, ref, flt, keys, n) for ref in blocks
+    ]
+    if n == 1:
+        routed = [[r] for r in routed]
+    red = ray.put(reduce)
+    return [_reduce_task.remote(red, *[r[j] for r in routed]) for j in range(n)]
 
 
 def resident_tables() -> list[dict]:

@@ -123,7 +123,7 @@ from .spatial.strtree import STRtreeJoinStage
 from .state.checkpoint import run_sharded, salted_count_by
 from .temporal import TagFilter, _doc_codes, _sorted_versions, contributions, snapshots
 from .views import (
-    contribution_stats_stage, contribution_view, snapshot_counts, snapshot_counts_stage,
+    contribution_stage, contribution_stats_stage, snapshot_counts, snapshot_counts_stage,
     snapshot_view,
 )
 
@@ -728,27 +728,28 @@ def q_contrib_daily(sf_dir: str) -> pd.DataFrame:
 def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     """countUniq of contributor uids per daily bin
     (MapReducer.countUniq, :1165-1168): per-batch distinct partials,
-    then an exact distinct-pair groupby."""
-    ds = contribution_view(_docs(sf_dir), CONTRIB_FROM, CONTRIB_TO, tags=False, geom=False)
+    then an exact distinct over (ts_q, uid) buckets."""
+    contrib = contribution_stage(CONTRIB_FROM, CONTRIB_TO, tags=False, geom=False)
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
 
     def pairs(batch: pa.Table) -> pa.Table:
-        b = floor_bin(batch["ts"].to_numpy(zero_copy_only=False), bins)
-        t = pa.table({"ts_q": pa.array(b), "uid": batch["uid"]})
+        c = contrib(batch)
+        b = floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)
+        t = pa.table({"ts_q": pa.array(b), "uid": c["uid"]})
         # pre-dedup within batch so the shuffle sees fewer rows
         return pa.TableGroupBy(t, ["ts_q", "uid"]).aggregate([]).select(["ts_q", "uid"])
 
-    # Distributed exact distinct: the (ts_q, uid) groupby shuffles the
-    # per-batch-distinct pairs once; blocks after the aggregate hold
-    # globally-unique pairs, so counting per bin is a per-batch partial
-    # (no O(#distinct-uids) driver pull).
-    def bin_counts(batch: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(batch.select(["ts_q"]), ["ts_q"]).aggregate(
+    # a bucket holds every row of its (ts_q, uid) pairs, so its distinct
+    # pairs are globally distinct and counting them per bin is a partial
+    # (no O(#distinct-uids) driver pull)
+    def bin_counts(t: pa.Table) -> pa.Table:
+        distinct = pa.TableGroupBy(t, ["ts_q", "uid"]).aggregate([])
+        return pa.TableGroupBy(distinct.select(["ts_q"]), ["ts_q"]).aggregate(
             [([], "count_all")]
         ).rename_columns(["ts_q", "n_part"])
 
-    distinct = ds.map_batches(pairs, batch_format="pyarrow").groupby(["ts_q", "uid"]).count()
-    out = combine_partials(rio.map_blocks(distinct, bin_counts), ["ts_q"], {"n_part": "n_uids"})
+    counts = rio.reduce_by_key(_docs(sf_dir), ["ts_q", "uid"], bin_counts, stage=pairs)
+    out = combine_partials(rio.blocks_table(counts), ["ts_q"], {"n_part": "n_uids"})
     return zerofill(out, {"ts_q": CONTRIB_BINS}, {"n_uids": 0})
 
 
@@ -1764,7 +1765,7 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1828,7 +1829,7 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     # ONE shuffle, not two chained self-joins: every node position fans
     # out to the (at most 3) triangles it can close, routed by the
@@ -2765,7 +2766,7 @@ def q_knn_all(sf_dir: str) -> pd.DataFrame:
     def positions(batch: pa.Table) -> pa.Table:
         return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     # derive zoom from the corpus size so cells hold O(100-10k) points
     # (cells = 2^(2z-1)); a constant zoom would make per-group candidate
     # matrices O((n/cells)^2) — quadratic blow-up at larger scale factors
@@ -2903,7 +2904,7 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     left = pos.map_batches(
         lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]}),
         batch_format="pyarrow",
@@ -2972,7 +2973,7 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     # composite (osm_id, ts) equi-join key: way u at timestamp index i
     # joins node u with node u+1 AT THE SAME timestamp
@@ -3087,7 +3088,7 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     left = pos.map_batches(
         lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]}),
         batch_format="pyarrow",
@@ -5720,7 +5721,7 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -6395,7 +6396,7 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     left = pos.map_batches(
         lambda b: pa.table(
             {"join_k": b["osm_id"], "x1": b["lon_e7"], "y1": b["lat_e7"]}
@@ -8096,7 +8097,7 @@ def _road_segment_layer(sf_dir: str):
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         keep = pc.equal(pc.bit_wise_and(batch["osm_id"], ROAD_CLASS_MOD - 1), 0)
@@ -8313,7 +8314,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     def positions(batch: pa.Table) -> pa.Table:
         return decode_spans(batch, tags=False).select(["v", "lon_e7", "lat_e7"])
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
     # occupied-cell centers: |cells| is bounded by the fixed lattice
     def cells_stage(b: pa.Table) -> pa.Table:
@@ -8853,7 +8854,7 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     nb = _resolve_buckets(None, floor=64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
@@ -11633,7 +11634,7 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = _docs(sf_dir).map_batches(positions, batch_format="pyarrow").materialize()
+    pos = rio.materialize_blocks(_docs(sf_dir), positions)
     n = pos.count()
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     nn = knn_all(pos, k=1, zoom=zoom)

@@ -124,7 +124,7 @@ def knn_points(
          "dist2": pd.Series([], dtype="float64")}
     )
 
-    def stage(batch: pa.Table) -> pd.DataFrame:
+    def candidates(batch: pa.Table) -> pd.DataFrame:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         n = len(ids)
         if n == 0 or len(q) == 0:
@@ -165,7 +165,10 @@ def knn_points(
             return _EMPTY
         return pd.concat(frames, ignore_index=True)
 
-    cands = points.map_batches(stage, batch_format="pyarrow").to_pandas()
+    def stage(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(candidates(batch), preserve_index=False)
+
+    cands = rio.map_blocks(points, stage).to_pandas()
     return _topk_reduce(cands, k, by="dist2", ascending=True)
 
 
@@ -809,13 +812,14 @@ def knn_queries(
     1. scatter: every point goes to its OWN grid cell once; every
        flagged query is additionally replicated to its (2*halo+1)^2
        halo cells. Shuffle volume = corpus + queries x (2*halo+1)^2.
-    2. groupby(cell): per-cell vectorized distance matrix (queries in
+    2. shuffle by cell (``io.reduce_by_key``): per-cell vectorized
+       distance matrix (queries in
        the cell x candidate points of the cell), emitting each query's
        per-cell top-k candidates by (dist2, neighbor_id). The home cell
        additionally emits one sentinel row per query (neighbor -1,
        dist2 inf) so queries with empty neighborhoods still reach the
        resolve stage.
-    3. groupby(query bucket): DISTRIBUTED per-query top-k resolve —
+    3. shuffle by query: DISTRIBUTED per-query top-k resolve —
        one lexsort per bucket, running k-th distance vs the guaranteed
        radius (distance from the query point to the edge of its
        explored block; a side that reaches the grid border guards
@@ -839,7 +843,6 @@ def knn_queries(
     w = LON_MOD / nx
     h = LAT_MOD / ny
     side = 2 * halo + 1
-    nqb = 64  # query-resolve buckets: many queries per group call
 
     def scatter(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -877,8 +880,7 @@ def knn_queries(
          "neighbor_id": pd.Series([], dtype="int64"),
          "d2": pd.Series([], dtype="float64"),
          "q_lon": pd.Series([], dtype="int64"),
-         "q_lat": pd.Series([], dtype="int64"),
-         "_qb": pd.Series([], dtype="int64")}
+         "q_lat": pd.Series([], dtype="int64")}
     )
 
     def cell_partials(g: pd.DataFrame) -> pd.DataFrame:
@@ -929,11 +931,16 @@ def knn_queries(
             )
         if not frames:
             return _EMPTY_PART
-        out = pd.concat(frames, ignore_index=True)
-        out["_qb"] = (out["query_id"].to_numpy() % nqb).astype(np.int64)
-        return out
+        return pd.concat(frames, ignore_index=True)
 
-    def resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def cells(scat: pd.DataFrame) -> pd.DataFrame:
+        frames = [
+            cell_partials(g.drop(columns=["_tcell"]))
+            for _, g in scat.groupby("_tcell", sort=False)
+        ]
+        return pd.concat(frames, ignore_index=True) if frames else _EMPTY_PART
+
+    def resolve(g: pd.DataFrame) -> pd.DataFrame:
         qid = g["query_id"].to_numpy(dtype=np.int64)
         d2 = g["d2"].to_numpy(dtype=np.float64)
         nid = g["neighbor_id"].to_numpy(dtype=np.int64)
@@ -941,7 +948,8 @@ def knn_queries(
         qlat = g["q_lat"].to_numpy(dtype=np.float64)
         o = np.lexsort((nid, d2, qid))
         qid, d2, nid, qlon, qlat = qid[o], d2[o], nid[o], qlon[o], qlat[o]
-        starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
+        # an empty group has no starts, so it resolves to typed empties
+        starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]][: len(qid)])
         cnt = np.diff(np.r_[starts, len(qid)])
         # sentinels (d2=inf) sort last, so they only reach the k-th slot
         # when a query has < k real candidates — which correctly forces
@@ -975,60 +983,29 @@ def knn_queries(
 
     # adaptive operating point (the combine_partials philosophy: the
     # distributed machinery is for data that NEEDS it). For an input
-    # already materialized with a known small row count, both shuffles
-    # are pure scheduling overhead (~1 s at sandbox scale for a few
-    # thousand rows); run the SAME scatter/cell/resolve kernels in one
-    # driver pass instead. The gate is a documented constant — driver
-    # memory is bounded by it, never by the corpus — and the
+    # already materialized with a known small row count, the two
+    # shuffles' tasks cost more than one driver pass over the SAME
+    # scatter/cell/resolve kernels. The gate is a documented constant —
+    # driver memory is bounded by it, never by the corpus — and the
     # distributed path is forced in tests via driver_gate=0
     # (tests/test_spatial.py knn_queries A/Bs run both paths).
     if driver_gate is None:
         driver_gate = 64 * 1024
     from ray.data.dataset import MaterializedDataset
 
-    small = isinstance(points, MaterializedDataset) and points.count() <= driver_gate
-    if small:
-        # the blocks themselves: to_pandas() would start an execution
-        blocks = ray.get(points.to_arrow_refs())
-        scat = scatter(pa.concat_tables(blocks, promote_options="default")).to_pandas()
-        frames = [
-            cell_partials(g.drop(columns=["_tcell"]))
-            for _, g in scat.groupby("_tcell", sort=False)
-        ]
-        pdf = pd.concat(frames, ignore_index=True) if frames else _EMPTY_PART
-        res = (
-            resolve_bucket(pdf.drop(columns=["_qb"])) if len(pdf) else pd.DataFrame()
-        )
+    if isinstance(points, MaterializedDataset) and points.count() <= driver_gate:
+        res = resolve(cells(scatter(rio.blocks_table(points)).to_pandas()))
     else:
-        partials = (
-            points.map_batches(scatter, batch_format="pyarrow")
-            .groupby("_tcell")
-            .map_groups(lambda g: cell_partials(g.drop(columns=["_tcell"])), batch_format="pandas")
-            # pin the (tiny, <= queries x (k+ties) x halo-cells rows)
-            # partials: the second sort-groupby re-executes a lazy input
-            # for boundary sampling, which would re-run every distance
-            # matrix — and, transitively, the caller's decode if `points`
-            # itself is lazy
-            .materialize()
-        )
-        # second gate: resolve_bucket groups by query_id internally, so
-        # it is bucket-layout-independent; partials are materialized, so
-        # their size is known — below the gate one pandas pass skips the
-        # second shuffle's fixed cost, above it the groupby(_qb)
-        # distributed resolve runs.
-        if partials.count() <= driver_gate:
-            pdf = partials.to_pandas()
-            res = (
-                resolve_bucket(pdf.drop(columns=["_qb"]))
-                if len(pdf)
-                else pd.DataFrame()
-            )
-        else:
-            res = (
-                partials.groupby("_qb")
-                .map_groups(lambda g: resolve_bucket(g.drop(columns=["_qb"])), batch_format="pandas")
-                .to_pandas()  # output-sized: <= queries x (k + boundary ties) rows
-            )
+        def on_tables(fn):
+            return lambda t: pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+
+        # shuffle by target cell, then by query (the cell buckets' refs
+        # are its input): resolve groups by query_id, so a bucket
+        # holding all of a query's rows resolves it
+        partials = rio.reduce_by_key(points, ["_tcell"], on_tables(cells), stage=scatter)
+        res = rio.blocks_table(
+            rio.reduce_by_key(partials, ["query_id"], on_tables(resolve))
+        ).to_pandas()  # output-sized: <= queries x (k + boundary ties) rows
     if res.empty:
         return pd.DataFrame(
             {"query_id": pd.Series([], dtype="int64"),

@@ -1,7 +1,7 @@
 """The two OSHDB views as Ray Data pipelines.
 
-``snapshot_view`` = ``OSMEntitySnapshotView`` (oshdb-api/.../OSMEntitySnapshotView.java)
-``contribution_view`` = ``OSMContributionView``
+``snapshot_stage`` = ``OSMEntitySnapshotView`` (oshdb-api/.../OSMEntitySnapshotView.java)
+``contribution_stage`` = ``OSMContributionView``
 
 Both are a SINGLE fused stage over the span-document
 table: decode (span parse) + temporal interpolation happen in one
@@ -16,7 +16,7 @@ aggregation (see rayhist.aggregate).
 Each view is a stage builder (``*_stage``: arguments -> pyarrow table
 function). Partials combined on the driver run the stage through
 ``io.map_blocks`` (one task per resident block); the Dataset wrappers
-(``snapshot_view``, ``contribution_view``, ``snapshot_counts``) map it
+(``snapshot_view``, ``snapshot_counts``) map it
 for callers that go on to a distributed groupby.
 
 Stages are plain functions (stateless tasks). Stages that need
@@ -99,11 +99,6 @@ def contribution_stage(
         )
 
     return stage
-
-
-def contribution_view(docs: ray.data.Dataset, *args, **kwargs) -> ray.data.Dataset:
-    """Dataset of contributions (``contribution_stage`` over ``docs``)."""
-    return docs.map_batches(contribution_stage(*args, **kwargs), batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
-import ray
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from ray.data.dataset import MaterializedDataset
 
@@ -181,10 +180,6 @@ def test_block_task_partials_are_row_identical():
     assert runs[0].num_rows and runs[0].equals(runs[1])
 
 
-def _rows(ds) -> pa.Table:
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
-
-
 def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, executions):
     """An output that stays distributed (the kNN positions): one block
     task per resident block and no Ray Data execution, the same rows in
@@ -197,8 +192,8 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     assert isinstance(got, MaterializedDataset)
     assert not executions
     assert len(block_tasks) == docs.num_blocks() == got.num_blocks()
-    want = _rows(docs.map_batches(stage, batch_format="pyarrow").materialize())
-    assert want.num_rows and _rows(got).equals(want)
+    want = rio.blocks_table(docs.map_batches(stage, batch_format="pyarrow").materialize())
+    assert want.num_rows and rio.blocks_table(got).equals(want)
 
     _over_budget(monkeypatch)
     _read("snapshot")
@@ -206,7 +201,9 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     block_tasks.clear()
     fell = rio.materialize_blocks(disk, stage)
     assert isinstance(fell, MaterializedDataset) and not block_tasks
-    pd.testing.assert_frame_equal(_finish(_rows(fell), None, None), _finish(want, None, None))
+    pd.testing.assert_frame_equal(
+        _finish(rio.blocks_table(fell), None, None), _finish(want, None, None)
+    )
 
 
 # ------------------------------------------------ failure and empty results
@@ -305,13 +302,27 @@ def test_snapshot_count_bbox_reads_the_resident_table(fresh, monkeypatch):
 
 # --------------------------------------------------------- hot-path guard
 
-@pytest.mark.parametrize("query", WORKLOADS["history_scan"].queries)
-def test_history_scan_runs_no_ray_data_execution(executions, query):
+def _runs_no_execution(executions, query):
     fn = pipelines.QUERIES[query][0]
     fn(SF)  # warm-up: builds and loads the table
     executions.clear()
     fn(SF)
     assert len(executions) == 0
+
+
+@pytest.mark.parametrize("query", WORKLOADS["history_scan"].queries)
+def test_history_scan_runs_no_ray_data_execution(executions, query):
+    _runs_no_execution(executions, query)
+
+
+@pytest.mark.parametrize(
+    "query", sorted(set(WORKLOAD_QUERIES) - set(WORKLOADS["history_scan"].queries))
+)
+def test_spatial_join_and_interactive_run_no_ray_data_execution(executions, query):
+    """The other two workloads, shuffles included: kNN positions and the
+    (ts_q, uid) distinct run as block tasks (materialize_blocks,
+    reduce_by_key), never as a Ray Data execution."""
+    _runs_no_execution(executions, query)
 
 
 def test_fine_cells_stay_distributed(executions):

@@ -1,0 +1,169 @@
+"""io.reduce_by_key: the block-task shuffle must give what Ray Data's
+``ds.map_batches(stage).groupby(keys).map_groups(reduce)`` gives,
+whatever the key types, block count or emptiness of the input."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+import ray
+from ray.data.dataset import MaterializedDataset
+
+from rayhist import io as rio
+from rayhist.functions.deadline import Deadline, RayhistTimeoutError
+
+WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+
+# key columns -> how a random table fills them
+KEYS = {
+    "int": ["k"],
+    "two_columns": ["k", "s"],
+    "string": ["s"],
+    "null": ["kn"],
+}
+
+
+def _tables(seed: int, n_blocks: int, rows: int = 60) -> list[pa.Table]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_blocks):
+        n = int(rng.integers(0, rows))
+        k = rng.integers(-5, 15, n)
+        kn = pa.array(k, mask=rng.random(n) < 0.3)  # int keys with nulls
+        # no null strings: Ray's sort shuffle (the reference below)
+        # cannot place None among str across blocks
+        # (test_null_keys_route_alike covers them)
+        s = pa.array([WORDS[i] for i in rng.integers(0, len(WORDS), n)])
+        out.append(pa.table({"k": k, "kn": kn, "s": s, "v": rng.integers(0, 100, n)}))
+    return out
+
+
+def _blocks(tables: list[pa.Table]) -> MaterializedDataset:
+    ds = ray.data.from_arrow_refs([ray.put(t) for t in tables]).materialize()
+    assert ds.num_blocks() == len(tables)
+    return ds
+
+
+def _sums(keys):
+    """A reduce per the contract: correct on any table holding all rows
+    of its keys (sum, count and distinct values per key)."""
+
+    def reduce(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, keys).aggregate(
+            [("v", "sum"), ([], "count_all"), ("v", "count_distinct")]
+        )
+        return g.rename_columns([*keys, "v_sum", "n", "v_distinct"])
+
+    return reduce
+
+
+def _stage(t: pa.Table) -> pa.Table:
+    return t.set_column(t.schema.get_field_index("v"), "v", pc.multiply(t["v"], 2))
+
+
+def _frame(refs: list) -> pd.DataFrame:
+    return rio.blocks_table(refs).to_pandas()
+
+
+def _sorted(df: pd.DataFrame, keys) -> pd.DataFrame:
+    return df.sort_values(keys, kind="mergesort", na_position="last").reset_index(drop=True)
+
+
+def _ray_groupby(ds, keys, reduce, stage=None) -> pd.DataFrame:
+    if stage is not None:
+        ds = ds.map_batches(stage, batch_format="pyarrow")
+    return _sorted(ds.groupby(keys).map_groups(reduce, batch_format="pyarrow").to_pandas(), keys)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 9])
+@pytest.mark.parametrize("kind", sorted(KEYS))
+def test_reduce_by_key_equals_ray_groupby(kind, n_blocks):
+    keys = KEYS[kind]
+    tables = _tables(seed=len(kind) * 10 + n_blocks, n_blocks=n_blocks)
+    ds = _blocks(tables)
+    reduce = _sums(keys)
+    got = rio.reduce_by_key(ds, keys, reduce, stage=_stage)
+    assert len(got) == n_blocks
+    df = _frame(got)
+    assert not df.duplicated(keys).any()  # every key reduced in one bucket
+    want = _ray_groupby(ds, keys, reduce, _stage)
+    assert len(want)
+    pd.testing.assert_frame_equal(_sorted(df, keys), want)
+    # any other Dataset is materialized through its stage first, with
+    # the same result
+    lazy = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    fell = _frame(rio.reduce_by_key(lazy, keys, reduce, _stage))
+    pd.testing.assert_frame_equal(_sorted(fell, keys), want)
+
+
+def test_null_keys_route_alike_in_every_block():
+    """An int key hashes the same in a block that holds nulls (numpy
+    would widen that column to float) as in one that does not, and a
+    null key lands with the other null keys, also from a column of null
+    type: the result equals the reduce of the whole table, also when
+    the input is not materialized."""
+    tables = [
+        pa.table({"k": pa.array([5, None, 7]), "s": ["a", None, "b"], "v": [1, 2, 3]}),
+        pa.table({"k": pa.array([5, 7, 8]), "s": ["a", "b", None], "v": [4, 5, 6]}),
+        pa.table({"k": pa.array([None, None]), "s": [None, "c"], "v": [7, 8]}),
+    ]
+    whole_table = pa.concat_tables(tables, promote_options="default")
+    ds = _blocks(tables)
+    lazy = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    for keys in (["k"], ["s"], ["k", "s"]):
+        whole = _sorted(_sums(keys)(whole_table).to_pandas(), keys)
+        for d in (ds, lazy):
+            got = _frame(rio.reduce_by_key(d, keys, _sums(keys)))
+            pd.testing.assert_frame_equal(_sorted(got, keys), whole)
+
+
+def test_filtered_block_and_empty_buckets():
+    """A block the in-task filter empties still runs the stage, and a
+    bucket that receives no rows still runs the reduce: both yield
+    their typed empty outputs, so the result keeps its schema."""
+    tables = _tables(seed=3, n_blocks=9)
+    tables[4] = tables[4].set_column(0, "k", pa.array(np.full(len(tables[4]), 99)))
+    base = _blocks(tables)
+    flt = pc.field("k") != 99
+    filtered = base.map_batches(lambda b: b.filter(flt), batch_format="pyarrow")
+    rio._filtered[filtered] = (base, flt)  # as read_resident(filter=) registers it
+    # two distinct keys over nine buckets: at least seven buckets are empty
+    few = pa.table({"k": pa.array([1, 2], pa.int64()), "v": [0, 0]})
+
+    def stage(t: pa.Table) -> pa.Table:
+        assert not pc.any(pc.equal(t["k"], 99)).as_py()
+        return pa.table({"k": pc.add(pc.bit_wise_and(t["k"], 1), 1), "v": t["v"]})
+
+    got = rio.reduce_by_key(filtered, ["k"], _sums(["k"]), stage=stage)
+    sizes = [ray.get(r).num_rows for r in got]
+    assert len(sizes) == 9 and sizes.count(0) >= 7
+    assert rio.blocks_table(got).schema == _sums(["k"])(few).schema
+    want = _ray_groupby(filtered, ["k"], _sums(["k"]), stage)
+    pd.testing.assert_frame_equal(_sorted(_frame(got), ["k"]), want)
+
+    nothing = pc.field("k") > 1000
+    empty = base.map_batches(lambda b: b.filter(nothing), batch_format="pyarrow")
+    rio._filtered[empty] = (base, nothing)
+    out = rio.blocks_table(rio.reduce_by_key(empty, ["k"], _sums(["k"]), stage=stage))
+    assert out.num_rows == 0 and out.schema == _sums(["k"])(few).schema
+
+
+def test_two_runs_are_row_identical():
+    ds = _blocks(_tables(seed=5, n_blocks=3))
+    runs = [rio.blocks_table(rio.reduce_by_key(ds, ["s"], _sums(["s"]), _stage)) for _ in (1, 2)]
+    assert runs[0].num_rows and runs[0].equals(runs[1])
+
+
+@pytest.mark.parametrize("where", ["stage", "reduce"])
+def test_tripped_deadline_raises_the_typed_error(where):
+    ds = _blocks(_tables(seed=7, n_blocks=3))
+
+    def tripped(t: pa.Table) -> pa.Table:
+        Deadline(-1.0).check()
+        return t
+
+    reduce = tripped if where == "reduce" else _sums(["k"])
+    stage = tripped if where == "stage" else None
+    with pytest.raises(RayhistTimeoutError, match="deadline exceeded"):
+        rio.blocks_table(rio.reduce_by_key(ds, ["k"], reduce, stage=stage))
