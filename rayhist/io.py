@@ -483,6 +483,15 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
     return [_reduce_task.remote(red, *[r[j] for r in routed]) for j in range(n)]
 
 
+def on_pandas(fn):
+    """``fn`` (pandas frame -> pandas frame) as a ``reduce_by_key``
+    ``reduce`` (pyarrow table -> pyarrow table): the one pandas <->
+    Arrow adapter. ``fn`` sees every row of its bucket's keys in one
+    frame, and an empty typed frame for a bucket that received no
+    rows."""
+    return lambda t: pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+
+
 def resident_tables() -> list[dict]:
     """One record per table read through ``read_resident`` in this
     session, least recently used first: path, columns, a short digest

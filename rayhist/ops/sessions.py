@@ -15,24 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data
 
+from .. import io as rio
 
-def _bucketed(events: ray.data.Dataset, key_col: str, n_buckets: int, group_fn):
-    """Hash-bucket the log by key and run ``group_fn`` per bucket —
-    the shared shuffle of every sessionization variant (complete keys
-    per bucket by construction)."""
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket", pa.array((k % n_buckets).astype(np.int64)))
-
-    return (
-        events.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(lambda g: group_fn(g.drop(columns=["_bucket"])), batch_format="pandas")
-    )
+def _bucketed(events: ray.data.Dataset, key_col: str, group_fn) -> ray.data.Dataset:
+    """Run ``group_fn`` (pandas -> pandas) over complete keys: the
+    shared shuffle of every sessionization variant
+    (``io.reduce_by_key`` on ``key_col``), its bucket outputs as the
+    blocks of a Dataset."""
+    refs = rio.reduce_by_key(events, [key_col], rio.on_pandas(group_fn))
+    return ray.data.from_arrow_refs(refs)
 
 
 def _session_frame(g: pd.DataFrame, gap_us: int, key_col: str, ts_col: str):
@@ -42,8 +36,10 @@ def _session_frame(g: pd.DataFrame, gap_us: int, key_col: str, ts_col: str):
     g = g.sort_values([key_col, ts_col], kind="mergesort")
     k = g[key_col].to_numpy()
     t = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-    new_key = np.r_[True, k[1:] != k[:-1]]
-    gap = np.r_[0, t[1:] - t[:-1]]
+    new_key = np.ones(len(k), dtype=bool)
+    new_key[1:] = k[1:] != k[:-1]
+    gap = np.zeros(len(t), dtype=np.int64)
+    gap[1:] = t[1:] - t[:-1]
     new_session = new_key | (gap >= gap_us)
     sid_global = np.cumsum(new_session) - 1
     return k, t, new_key, sid_global
@@ -54,7 +50,6 @@ def sessionize(
     gap_us: int,
     key_col: str = "user_id",
     ts_col: str = "ts",
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """-> one row per (key, session): session_id (0-based per key),
     n_events, start ts, end ts, duration."""
@@ -71,7 +66,7 @@ def sessionize(
         out["duration_us"] = out["end_us"] - out["start_us"]
         return out
 
-    return _bucketed(events, key_col, n_buckets, bucket_sessions)
+    return _bucketed(events, key_col, bucket_sessions)
 
 
 def user_session_stats(
@@ -79,7 +74,6 @@ def user_session_stats(
     gap_us: int,
     key_col: str = "user_id",
     ts_col: str = "ts",
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Per-user session stats (session count, events, total session
     time) computed ENTIRELY inside the bucket stage: each hash bucket
@@ -98,7 +92,7 @@ def user_session_stats(
             n_sessions=("_sid", "size"), n_events=("n", "sum"), total_session_us=("dur", "sum")
         )
 
-    return _bucketed(events, key_col, n_buckets, bucket_user_stats)
+    return _bucketed(events, key_col, bucket_user_stats)
 
 
 def interval_union_length(
@@ -106,7 +100,6 @@ def interval_union_length(
     key_col: str,
     s_col: str,
     e_col: str,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key UNION length of half-open intervals [s, e): overlapping
     and touching intervals merge (coverage counted once), and the
@@ -142,4 +135,4 @@ def interval_union_length(
             {key_col: "int64", "covered": "int64", "n_spans": "int64"}
         )
 
-    return _bucketed(intervals, key_col, n_buckets, bucket_union)
+    return _bucketed(intervals, key_col, bucket_union)

@@ -79,20 +79,17 @@ from .ops.relational import (
 from .ops.scan import (
     grouped_recurrence_ewma_int, grouped_recurrence_holt_int, ordered_prefix_sum,
 )
-from .ops.sessions import (
-    _bucketed, interval_union_length, sessionize, user_session_stats,
-)
+from .ops.sessions import interval_union_length, sessionize, user_session_stats
 from .ops.sssp import sssp_int
 from .ops.text import (
     STOPWORDS, add_bpe_token_count, add_token_count, explode_windows, fingerprint_stage,
     langid_stage, quality_stage,
 )
 from .ops.triangles import (
-    _pair_key, dedupe_edges, edge_triangle_support, triangle_count,
-    triangle_counts_per_node,
+    dedupe_edges, edge_triangle_support, triangle_count, triangle_counts_per_node,
 )
 from .ops.window import (
-    _bucket_of, _resolve_buckets, asof_join, distinct_set_op, interval_coverage_counts,
+    _resolve_buckets, asof_join, distinct_set_op, interval_coverage_counts,
     per_key_interarrival, with_prior_window, with_ranked_window, with_time_window,
 )
 from .sources.arrowipc import ensure_arrow_events, read_arrow_ipc
@@ -1837,8 +1834,6 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     # one group and assemble + evaluate in-stage — the same 3x row
     # fan-out a first join leg would ship, but the join OUTPUT never
     # re-shuffles.
-    nb = _resolve_buckets(None, floor=64)
-
     def fan_out(batch: pa.Table) -> pa.Table:
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
         lon = batch["lon_e7"].to_numpy(zero_copy_only=False)
@@ -1851,7 +1846,6 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
                 "corner": corner,
                 "lon_e7": np.tile(lon, 3),
                 "lat_e7": np.tile(lat, 3),
-                "_bucket": _bucket_of(way, nb),
             }
         )
 
@@ -1881,12 +1875,8 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        pos.map_batches(fan_out, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(assemble, batch_format="pandas")
-        .to_pandas()
-    )
+    areas = rio.reduce_by_key(pos, ["way_id"], rio.on_pandas(assemble), stage=fan_out)
+    df = rio.blocks_table(areas).to_pandas()
     return df.sort_values("way_id").reset_index(drop=True)
 
 
@@ -1989,26 +1979,20 @@ def q_user_streaks(sf_dir: str) -> pd.DataFrame:
     run ids -> bincount), so only |users| final rows leave the stage.
     The SQL mirror is the classic day - row_number() constant-group
     trick."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
         d = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
         df = pd.DataFrame({"user_id": u, "day": d}).drop_duplicates()
-        return pa.table(
-            {
-                "user_id": df["user_id"].to_numpy(),
-                "day": df["day"].to_numpy(),
-                "_bucket": _bucket_of(df["user_id"].to_numpy(), nb),
-            }
-        )
+        return pa.table({"user_id": df["user_id"].to_numpy(), "day": df["day"].to_numpy()})
 
     def streaks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"]).sort_values(["user_id", "day"])
         u = g["user_id"].to_numpy()
         d = g["day"].to_numpy()
-        new = np.r_[True, (u[1:] != u[:-1]) | (d[1:] != d[:-1] + 1)]
+        new = np.ones(len(u), dtype=bool)
+        new[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1] + 1)
         sid = np.cumsum(new) - 1
         lens = np.bincount(sid)
         runs = pd.DataFrame({"user_id": u[new], "len": lens})
@@ -2019,12 +2003,8 @@ def q_user_streaks(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    df = (
-        ev.map_batches(prededup, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(streaks, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(streaks), stage=prededup)
+    df = rio.blocks_table(out).to_pandas()
     df = df.astype(
         {"n_active_days": "int64", "n_streaks": "int64", "longest_streak": "int64"}
     )
@@ -2046,20 +2026,13 @@ def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
     IN-STAGE, so the driver combines |windows| count partials — never
     user sets. SQL mirror: count(DISTINCT user) per window over a
     BETWEEN join."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
         d = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
         df = pd.DataFrame({"user_id": u, "day": d}).drop_duplicates()
-        return pa.table(
-            {
-                "user_id": df["user_id"].to_numpy(),
-                "day": df["day"].to_numpy(),
-                "_bucket": _bucket_of(df["user_id"].to_numpy(), nb),
-            }
-        )
+        return pa.table({"user_id": df["user_id"].to_numpy(), "day": df["day"].to_numpy()})
 
     def cover(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -2073,12 +2046,8 @@ def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
         p = pairs.groupby("w", as_index=False).size()
         return p.rename(columns={"w": "wday", "size": "n_active_p"})
 
-    partials = (
-        ev.map_batches(prededup, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(cover, batch_format="pandas")
-    )
-    df = combine_partials(partials, ["wday"], {"n_active_p": "n_active"})
+    partials = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(cover), stage=prededup)
+    df = combine_partials(rio.blocks_table(partials), ["wday"], {"n_active_p": "n_active"})
     df = df.astype({"wday": "int64", "n_active": "int64"})
     return df.sort_values("wday").reset_index(drop=True)
 
@@ -2091,7 +2060,6 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
     collect. Per-batch (user, etype) pre-dedup bounds the shuffle at
     distinct pairs per block; one complete-user bucket shuffle; the
     per-user sorted join resolves in-stage."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def prededup(b: pa.Table) -> pa.Table:
@@ -2101,13 +2069,7 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
                 "etype": b["event_type"].to_numpy(zero_copy_only=False),
             }
         ).drop_duplicates()
-        return pa.table(
-            {
-                "user_id": df["user_id"].to_numpy(),
-                "etype": df["etype"].to_numpy(),
-                "_bucket": pa.array(_bucket_of(df["user_id"].to_numpy(), nb)),
-            }
-        )
+        return pa.table({"user_id": df["user_id"].to_numpy(), "etype": df["etype"].to_numpy()})
 
     def collect(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "etype"]).sort_values(
@@ -2122,12 +2084,8 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        ev.map_batches(prededup, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(collect, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(collect), stage=prededup)
+    df = rio.blocks_table(out).to_pandas()
     df = df.astype({"user_id": "int64", "n_etypes": "int64"})
     return df.sort_values("user_id").reset_index(drop=True)
 
@@ -2141,20 +2099,13 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     assignment and the distinct-count partials both resolve in-stage;
     the driver combines |cohorts x offsets| rows (bounded by the
     window span squared, never the corpus)."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
         d = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
         df = pd.DataFrame({"user_id": u, "day": d}).drop_duplicates()
-        return pa.table(
-            {
-                "user_id": df["user_id"].to_numpy(),
-                "day": df["day"].to_numpy(),
-                "_bucket": _bucket_of(df["user_id"].to_numpy(), nb),
-            }
-        )
+        return pa.table({"user_id": df["user_id"].to_numpy(), "day": df["day"].to_numpy()})
 
     def cohortize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -2167,13 +2118,9 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
         p = out.groupby(["cohort_day", "day_offset"], as_index=False).size()
         return p.rename(columns={"size": "n_users_p"})
 
-    partials = (
-        ev.map_batches(prededup, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(cohortize, batch_format="pandas")
-    )
+    partials = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(cohortize), stage=prededup)
     df = combine_partials(
-        partials, ["cohort_day", "day_offset"], {"n_users_p": "n_users"}
+        rio.blocks_table(partials), ["cohort_day", "day_offset"], {"n_users_p": "n_users"}
     )
     df = df.astype({"cohort_day": "int64", "day_offset": "int64", "n_users": "int64"})
     return df.sort_values(["cohort_day", "day_offset"]).reset_index(drop=True)
@@ -2188,41 +2135,23 @@ def q_etype_transitions(sf_dir: str) -> pd.DataFrame:
     |etypes|^2 count partials resolve vectorized in-stage, so blocks
     emit at most the transition-matrix size. SQL mirror: lag() window
     + group-by."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
 
-    def tag(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": b["ts"].cast(pa.int64()),
-                "event_id": b["event_id"],
-                "event_type": b["event_type"],
-                "_bucket": _bucket_of(u, nb),
-            }
-        )
-
     def transitions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "t", "event_id"], kind="mergesort")
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
-        same = np.r_[False, u[1:] == u[:-1]]  # row has an in-user predecessor
-        prev = np.empty_like(et)
-        prev[1:] = et[:-1]
-        prev[0] = ""
+        same = np.zeros(len(u), dtype=bool)  # row has an in-user predecessor
+        same[1:] = u[1:] == u[:-1]
+        prev = np.roll(et, 1)  # prev[0] wraps around, but same[0] is False
         p = pd.DataFrame({"prev_etype": prev[same], "etype": et[same]})
         out = p.groupby(["prev_etype", "etype"], as_index=False).size()
         return out.rename(columns={"size": "n_p"})
 
-    partials = (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(transitions, batch_format="pandas")
-    )
-    df = combine_partials(partials, ["prev_etype", "etype"], {"n_p": "n"})
+    partials = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(transitions))
+    df = combine_partials(rio.blocks_table(partials), ["prev_etype", "etype"], {"n_p": "n"})
     df["n"] = df["n"].astype("int64")
     return df.sort_values(["prev_etype", "etype"]).reset_index(drop=True)
 
@@ -4768,7 +4697,6 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
     df/tf/prefix all resolve in-stage so only |vocab| rows reach the
     driver. Production terminates in write_parquet partitioned by
     word-hash — this collect is the oracle-compare convention."""
-    nb = _resolve_buckets(None, floor=64)
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
@@ -4781,9 +4709,7 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
         doc = b["doc_id"].to_numpy(zero_copy_only=False)[parent]
         t = pa.table({"word": pa.array(tok, pa.string()), "doc_id": pa.array(doc, pa.int64())})
         g = pa.TableGroupBy(t, ["word", "doc_id"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["word", "doc_id", "c"])
-        w = g["word"].to_numpy(zero_copy_only=False)
-        return g.append_column("_bucket", pa.array(_bucket_of(w, nb)))
+        return g.rename_columns(["word", "doc_id", "c"])
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["word", "doc_id"], kind="mergesort")
@@ -4802,12 +4728,8 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    df = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(resolve, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(ds, ["word"], rio.on_pandas(resolve), stage=explode)
+    df = rio.blocks_table(out).to_pandas()
     df = df.astype({"df": "int64", "tf": "int64"})
     return df.sort_values("word").reset_index(drop=True)
 
@@ -5091,9 +5013,7 @@ def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
     int64, no float mean); one complete-user bucket shuffle computes
     the per-user stats and the per-etype partials IN-STAGE, so only
     |buckets x etypes| partial rows reach the small final combine."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("user_id")["value_c"]
@@ -5106,9 +5026,11 @@ def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    parts = _bucketed(ev, "user_id", 256, per_bucket)
+    parts = rio.reduce_by_key(
+        ev, ["user_id"], rio.on_pandas(per_bucket), stage=lambda b: cents(b, "value", "value_c")
+    )
     df = combine_partials(
-        parts, keys=["event_type"], sums={"n_above_p": "n_above", "n_p": "n_events"}
+        rio.blocks_table(parts), ["event_type"], {"n_above_p": "n_above", "n_p": "n_events"}
     )
     return df.sort_values("event_type").reset_index(drop=True)
 
@@ -5243,9 +5165,9 @@ def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
             n_p=("etype_a", "size")
         )
 
-    parts = _bucketed(ev, "user_id", 256, per_bucket)
+    parts = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(per_bucket))
     df = combine_partials(
-        parts, keys=["etype_a", "etype_b"], sums={"n_p": "n_shared_users"}
+        rio.blocks_table(parts), keys=["etype_a", "etype_b"], sums={"n_p": "n_shared_users"}
     )
     return df.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
@@ -5559,7 +5481,7 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["event_type", "day"]).reset_index(drop=True)
 
 
-def _copurchase_edges(sf_dir: str, nb: int):
+def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
     """Raw co-purchase pair stream (parts adjacent iff some order
     contains both): complete-by-order bucket fan-out; order sizes are
     bounded so the per-order pair explosion is O(items^2) <= ~170
@@ -5570,17 +5492,12 @@ def _copurchase_edges(sf_dir: str, nb: int):
     )
 
     def tag(b: pa.Table) -> pa.Table:
-        ok = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {
-                "ok": ok,
-                "pk": b["l_partkey"].cast(pa.int64()),
-                "_bucket": _bucket_of(ok, nb),
-            }
+            {"ok": b["l_orderkey"].cast(pa.int64()), "pk": b["l_partkey"].cast(pa.int64())}
         )
 
     def order_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["ok", "pk"]].drop_duplicates()
+        g = g.drop_duplicates()
         m = g.merge(g, on="ok", suffixes=("_a", "_b"))
         m = m[m["pk_a"] < m["pk_b"]]
         return pd.DataFrame(
@@ -5590,10 +5507,8 @@ def _copurchase_edges(sf_dir: str, nb: int):
             }
         )
 
-    return (
-        li.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(order_pairs, batch_format="pandas")
+    return ray.data.from_arrow_refs(
+        rio.reduce_by_key(li, ["ok"], rio.on_pandas(order_pairs), stage=tag)
     )
 
 
@@ -5605,7 +5520,7 @@ def q_copurchase_triangles(sf_dir: str) -> pd.DataFrame:
     shuffles), one int64 to the driver. The oracle is the three-way
     self-join over the identical distinct edge set."""
     nb = _resolve_buckets(None, floor=64)
-    edges = _copurchase_edges(sf_dir, nb)
+    edges = _copurchase_edges(sf_dir)
     n_edges, n_tri = triangle_count(edges, n_buckets=nb)
     return pd.DataFrame({"n_edges": [n_edges], "n_triangles": [n_tri]}).astype("int64")
 
@@ -5626,7 +5541,7 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
     top-k cut is deterministic on both sides. The final reduce moves
     EDGE_JACCARD_K candidate rows per block, never the edge set."""
     nb = _resolve_buckets(None, floor=64)
-    sup = edge_triangle_support(_copurchase_edges(sf_dir, nb), n_buckets=nb)
+    sup = edge_triangle_support(_copurchase_edges(sf_dir), n_buckets=nb)
 
     def score(b: pa.Table) -> pa.Table:
         if len(b) == 0:
@@ -6050,7 +5965,7 @@ def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     bit-identical at any parallelism and the oracle is the same three
     iterations unrolled as join-aggregate CTEs."""
     nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
     df = pagerank_int(edges, iters=PR_ITERS, scale=PR_SCALE, n_buckets=nb).to_pandas()
@@ -6194,17 +6109,16 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
     entity's last version in (T_MID, T_DIFF_B], visible = upsert,
     tombstone = delete) applied to it, and the result must equal the
     direct snapshot at T_DIFF_B. Base and changes are two separate
-    Datasets unioned with a side marker and co-grouped by one
-    osm_id-bucket shuffle (the cc.py one-schema pattern); the apply
+    sides of one stage, marked by a side column and co-grouped by one
+    osm_id shuffle (the cc.py one-schema pattern); the apply
     rule (change wins, delete drops, else base survives) resolves
     vectorized in-bucket. The oracle is the direct T_DIFF_B snapshot —
     a pass certifies the merge operator end to end, not a replay of
     the same code path."""
-    nb = _resolve_buckets(None, floor=64)
     t_mid = np.array([T_MID], dtype=np.int64)
 
-    def base_stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=True, geom=False), t_mid)
+    def base_stage(d: pa.Table) -> pa.Table:
+        s = snapshots(d, t_mid)
         oid = s["osm_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -6213,14 +6127,11 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
                 "kk": s["kk"],
                 "vis": pa.array(np.ones(len(oid), dtype=np.int64)),
                 "side": pa.array(np.zeros(len(oid), dtype=np.int64)),
-                "_bucket": pa.array(_bucket_of(oid, nb)),
             }
         )
 
-    def change_stage(batch: pa.Table) -> pa.Table:
-        tbl, codes, ts, _v, _ = _sorted_versions(
-            decode_spans(batch, tags=True, geom=False)
-        )
+    def change_stage(d: pa.Table) -> pa.Table:
+        tbl, codes, ts, _v, _ = _sorted_versions(d)
         in_win = (ts > T_MID) & (ts <= T_DIFF_B)
         idx = np.flatnonzero(in_win)
         if not len(idx):
@@ -6231,7 +6142,6 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
                     "kk": pa.array([], pa.int64()),
                     "vis": pa.array([], pa.int64()),
                     "side": pa.array([], pa.int64()),
-                    "_bucket": pa.array([], pa.int64()),
                 }
             )
         c = codes[idx]
@@ -6247,13 +6157,12 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
                     sel["visible"].to_numpy(zero_copy_only=False).astype(np.int64)
                 ),
                 "side": pa.array(np.ones(len(oid), dtype=np.int64)),
-                "_bucket": pa.array(_bucket_of(oid, nb)),
             }
         )
 
-    docs = _docs(sf_dir, spans=True)
-    base = docs.map_batches(base_stage, batch_format="pyarrow")
-    changes = docs.map_batches(change_stage, batch_format="pyarrow")
+    def both(batch: pa.Table) -> pa.Table:
+        d = decode_spans(batch, tags=True, geom=False)
+        return pa.concat_tables([base_stage(d), change_stage(d)])
 
     def apply_merge(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["osm_id", "side"], kind="mergesort")
@@ -6262,12 +6171,10 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
         keep = last[last["vis"] == 1]
         return keep[["osm_id", "etype", "kk"]]
 
-    df = (
-        base.union(changes)
-        .groupby("_bucket")
-        .map_groups(apply_merge, batch_format="pandas")
-        .to_pandas()
+    df = rio.reduce_by_key(
+        _docs(sf_dir, spans=True), ["osm_id"], rio.on_pandas(apply_merge), stage=both
     )
+    df = rio.blocks_table(df).to_pandas()
     df = df.astype({"osm_id": "int64", "kk": "int64"})
     return df.sort_values("osm_id").reset_index(drop=True)
 
@@ -6741,32 +6648,21 @@ def q_copurchase_clustering(sf_dir: str) -> pd.DataFrame:
     edge set the triangle count uses — one float division at the end.
     Mirrors the triangles oracle plus the degree-based wedge sum."""
     nb = _resolve_buckets(None, floor=64)
-    raw = _copurchase_edges(sf_dir, nb)
+    raw = _copurchase_edges(sf_dir)
     e = dedupe_edges(raw, "src", "dst", nb).materialize()
     n_edges, n_tri = triangle_count(e.map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     ), n_buckets=nb)
 
     def explode(b: pa.Table) -> pa.Table:
-        n = np.concatenate(
-            [
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            ]
-        )
-        return pa.table({"node": n, "_bucket": _bucket_of(n, nb)})
+        return pa.table({"node": pa.chunked_array([*b["u"].chunks, *b["v"].chunks], b["u"].type)})
 
     def wedge_partial(g: pd.DataFrame) -> pd.DataFrame:
         d = g["node"].value_counts().to_numpy(dtype=np.int64)
         return pd.DataFrame({"w_p": [int((d * (d - 1) // 2).sum())]})
 
-    wedges = int(
-        e.map_batches(explode, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(wedge_partial, batch_format="pandas")
-        .sum("w_p")
-        or 0
-    )
+    parts = rio.reduce_by_key(e, ["node"], rio.on_pandas(wedge_partial), stage=explode)
+    wedges = int(rio.blocks_table(parts)["w_p"].to_numpy().sum())
     out = pd.DataFrame(
         {
             "n_edges": [n_edges],
@@ -6795,7 +6691,7 @@ def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     first count-equal consecutive pair (valid because the peel sets
     are nested)."""
     nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
     core, rounds = k_core(edges, KCORE_K, n_buckets=nb, max_rounds=KCORE_UNROLL)
@@ -6821,7 +6717,6 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     drive to zero. md5 fp + md5 split because both VALUES feed the
     oracle; production composes the vectorized twins. ASCII corpus:
     Arrow codeunit slicing == SQL character substr."""
-    nb = _resolve_buckets(None, floor=64)
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def prefix_fp(b: pa.Table) -> pa.Table:
@@ -6831,13 +6726,6 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
 
     ds = ds.map_batches(prefix_fp, batch_format="pyarrow")
     ds = deterministic_split(ds, "doc_id", [("train", 8, 10), ("val", 9, 10)], "test", "md5")
-
-    def tag(b: pa.Table) -> pa.Table:
-        fp = b["fp"].to_numpy(zero_copy_only=False)
-        key = pd.util.hash_array(fp.astype(object), categorize=False).astype(np.int64)
-        return pa.table(
-            {"fp": b["fp"], "split": b["split"], "_bucket": _bucket_of(key, nb)}
-        )
 
     def leaks(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["fp", "split"]].drop_duplicates()
@@ -6858,12 +6746,10 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
             )
         return pd.DataFrame(rows)
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(leaks, batch_format="pandas")
-        .to_pandas()
+    parts = rio.reduce_by_key(
+        ds, ["fp"], rio.on_pandas(leaks), stage=lambda b: b.select(["fp", "split"])
     )
+    parts = rio.blocks_table(parts).to_pandas()
     if parts.empty:
         return pd.DataFrame(
             {
@@ -6890,7 +6776,7 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     under the triangles-convention broadcast gate; above the gate the
     distributed co-group attach in ops/triangles.py is the shape."""
     nb = _resolve_buckets(None, floor=64)
-    e = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).materialize()
+    e = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).materialize()
 
     def deg_partial(b: pa.Table) -> pa.Table:
         n = np.concatenate(
@@ -7269,20 +7155,13 @@ SSSP_ROUNDS = 4
 SSSP_SEED_MOD = 101
 
 
-def _copurchase_weighted_edges(sf_dir: str, nb: int):
+def _copurchase_weighted_edges(sf_dir: str) -> ray.data.Dataset:
     """Canonical co-purchase pairs weighted by their DISTINCT co-order
     count (how many orders contain both parts): one pair-hash bucket
     shuffle completes each pair's count in its bucket (a pair's
     occurrences across orders all land together), the dedupe_edges
     shape with a size() instead of a drop_duplicates()."""
-    raw = _copurchase_edges(sf_dir, nb)  # src < dst, one row per (order, pair)
-
-    def keyed(b: pa.Table) -> pa.Table:
-        u = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"src": u, "dst": v, "_bucket": _bucket_of(_pair_key(u, v), nb)}
-        )
+    raw = _copurchase_edges(sf_dir)  # src < dst, one row per (order, pair)
 
     def count(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["src", "dst"], sort=False).size()
@@ -7295,11 +7174,7 @@ def _copurchase_weighted_edges(sf_dir: str, nb: int):
             }
         )
 
-    return (
-        raw.map_batches(keyed, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(count, batch_format="pandas")
-    )
+    return ray.data.from_arrow_refs(rio.reduce_by_key(raw, ["src", "dst"], rio.on_pandas(count)))
 
 
 @query(lambda o: o.copurchase_cheapest_paths(SSSP_SEED_MOD, SSSP_ROUNDS))
@@ -7313,7 +7188,7 @@ def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     pinned equal in pytest). The mirror unrolls the same relaxation
     as MATERIALIZED CTE levels with least()+min() joins."""
     nb = _resolve_buckets(None, floor=64)
-    edges = _copurchase_weighted_edges(sf_dir, nb)
+    edges = _copurchase_weighted_edges(sf_dir)
     df = sssp_int(
         edges, lambda n: n % SSSP_SEED_MOD == 0, SSSP_ROUNDS, n_buckets=nb
     )
@@ -7332,7 +7207,7 @@ def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     message rounds pinned equal in pytest). The mirror unrolls the
     same expansion as MATERIALIZED CTE levels."""
     nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
     out = bfs_hops(edges, lambda n: n % BFS_SEED_MOD == 0, BFS_HOPS, n_buckets=nb)
@@ -7347,7 +7222,7 @@ def q_copurchase_lcc(sf_dir: str) -> pd.DataFrame:
     the source so every triangle credits its three corners). Nodes
     with deg < 2 are excluded (undefined denominator)."""
     nb = _resolve_buckets(None, floor=64)
-    df = triangle_counts_per_node(_copurchase_edges(sf_dir, nb), n_buckets=nb)
+    df = triangle_counts_per_node(_copurchase_edges(sf_dir), n_buckets=nb)
     df = df[df["deg"] >= 2].copy()
     df = df.rename(columns={"node": "part_id", "n_triangles": "lcc_num"})
     df["lcc_den"] = df["deg"].to_numpy(dtype=np.int64) * (
@@ -7575,7 +7450,6 @@ def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
     and denominator, ONE IEEE division. Tie order is irrelevant (equal
     values contribute the same rank-sum under any total order), which
     is what lets the SQL mirror use a bare row_number() ORDER BY c."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -7591,7 +7465,6 @@ def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
                 "uid": g["uid"].to_numpy(),
                 "etype": g["etype"].to_numpy(),
                 "n_p": g["size"].to_numpy(dtype=np.int64),
-                "_bucket": pa.array(_bucket_of(g["uid"].to_numpy(), nb)),
             }
         )
 
@@ -7606,13 +7479,8 @@ def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(hist, batch_format="pandas"),
-        ["etype", "c"],
-        {"m_p": "m"},
-    )
+    hists = rio.reduce_by_key(ev, ["uid"], rio.on_pandas(hist), stage=partials)
+    base = combine_partials(rio.blocks_table(hists), ["etype", "c"], {"m_p": "m"})
     rows = []
     for et, g in base.sort_values(["etype", "c"]).groupby("etype"):
         n_users, total, rank_sum, b = 0, 0, 0, 0
@@ -7884,7 +7752,6 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
     only, math.log = the oracle's ln). The integer numerator
     T*q(T) - sum c*q(c) is order-free; the single IEEE division by T
     is the only float."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -7900,7 +7767,6 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
                 "user_id": g["user_id"].to_numpy(),
                 "etype": g["etype"].to_numpy(),
                 "n_p": g["size"].to_numpy(dtype=np.int64),
-                "_bucket": pa.array(_bucket_of(g["user_id"].to_numpy(), nb)),
             }
         )
 
@@ -7930,7 +7796,8 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
                     "entropy_mnat": np.float64(numer) / np.float64(ti),
                 }
             )
-        return pd.DataFrame(rows).astype(
+        cols = ["user_id", "n_events", "num", "entropy_mnat"]
+        return pd.DataFrame(rows, columns=cols).astype(
             {
                 "user_id": "int64",
                 "n_events": "int64",
@@ -7939,12 +7806,8 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(final), stage=partials)
+    df = rio.blocks_table(out).to_pandas()
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -8628,8 +8491,6 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
     complete-user bucket shuffle -> the per-uid modal argmax and total
     resolve IN-STAGE; the driver collects only the |uids| result rows
     (the query output itself)."""
-    nb = _resolve_buckets(None, floor=64)
-
     def stage(b: pa.Table) -> pa.Table:
         d = decode_spans(b, tags=False)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
@@ -8647,7 +8508,6 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
                 "i": g["i"].to_numpy(dtype=np.int64),
                 "j": g["j"].to_numpy(dtype=np.int64),
                 "n_p": g["size"].to_numpy(dtype=np.int64),
-                "_bucket": pa.array(_bucket_of(g["uid"].to_numpy(), nb)),
             }
         )
 
@@ -8671,12 +8531,8 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
              "n_home": "int64", "n_total": "int64"}
         )
 
-    out = (
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(_docs(sf_dir), ["uid"], rio.on_pandas(final), stage=stage)
+    out = rio.blocks_table(out).to_pandas()
     return out.sort_values("uid").reset_index(drop=True)
 
 
@@ -8855,7 +8711,6 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
         )
 
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    nb = _resolve_buckets(None, floor=64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
@@ -8866,7 +8721,6 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
                 "corner": np.repeat(np.arange(3, dtype=np.int64), len(osm)),
                 "lon_e7": np.tile(batch["lon_e7"].to_numpy(zero_copy_only=False), 3),
                 "lat_e7": np.tile(batch["lat_e7"].to_numpy(zero_copy_only=False), 3),
-                "_bucket": _bucket_of(way, nb),
             }
         )
 
@@ -8912,12 +8766,8 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        pos.map_batches(fan_out, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(assemble, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(pos, ["way_id"], rio.on_pandas(assemble), stage=fan_out)
+    df = rio.blocks_table(out).to_pandas()
     return df.sort_values("way_id").reset_index(drop=True)
 
 
@@ -9160,7 +9010,6 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     Complete-user bucket shuffle; each bucket resolves its users'
     stage times with three vectorized groupby-min passes and emits
     THREE partial counters; the driver combine is 3 integers."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
     )
@@ -9168,26 +9017,20 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_in(b["event_type"], value_set=pa.array(FUNNEL3))
         b = b.filter(keep)
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "user_id": uid,
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "ts_us": b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-                "_bucket": pa.array(_bucket_of(uid, nb)),
+                "user_id": b["user_id"],
+                "etype": b["event_type"],
+                "ts_us": b["ts"].cast(pa.int64()),
             }
         )
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         s1, s2, s3 = FUNNEL3
         t1 = g[g["etype"] == s1].groupby("user_id")["ts_us"].min()
-        v = g[g["etype"] == s2].merge(
-            t1.rename("t1"), left_on="user_id", right_index=True
-        )
+        v = g[g["etype"] == s2].merge(t1.rename("t1").reset_index(), on="user_id")
         t2 = v[v["ts_us"] > v["t1"]].groupby("user_id")["ts_us"].min()
-        p = g[g["etype"] == s3].merge(
-            t2.rename("t2"), left_on="user_id", right_index=True
-        )
+        p = g[g["etype"] == s3].merge(t2.rename("t2").reset_index(), on="user_id")
         t3 = p[p["ts_us"] > p["t2"]].groupby("user_id")["ts_us"].min()
         return pd.DataFrame(
             [
@@ -9199,10 +9042,9 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
             ]
         )
 
+    parts = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(final), stage=prep)
     df = combine_partials(
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas"),
+        rio.blocks_table(parts),
         [],
         {"stage1_p": "n_stage1", "stage2_p": "n_stage2", "stage3_p": "n_stage3"},
     )
@@ -9924,7 +9766,6 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
     per batch, finalize through the complete-user bucket shuffle, and
     the four exact cell counts yield OR = (a*d)/(b*c) as an integer
     rational with ONE IEEE division."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def flags(b: pa.Table) -> pa.Table:
@@ -9937,7 +9778,6 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
             }
         )
         g = df.groupby("user_id", as_index=False)["hit"].sum()
-        g["_bucket"] = _bucket_of(g["user_id"].to_numpy(), nb)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def cells(g: pd.DataFrame) -> pd.DataFrame:
@@ -9955,10 +9795,9 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
             ]
         )
 
+    parts = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(cells), stage=flags)
     df = combine_partials(
-        ev.map_batches(flags, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(cells, batch_format="pandas"),
+        rio.blocks_table(parts),
         [],
         {"a_p": "n_even_conv", "b_p": "n_even_no", "c_p": "n_odd_conv", "d_p": "n_odd_no"},
     )
@@ -9992,20 +9831,13 @@ def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
     mu = S/n, sigma = sqrt(n*S2 - S*S)/n, B = (sigma-mu)/(sigma+mu)
     mirrored literally. Users with fewer than 2 gaps, or an all-zero
     gap stream, drop (the SQL WHERE mirror)."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
     )
 
     def prep(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": b["ts"].cast(pa.int64()),
-                "event_id": b["event_id"],
-                "_bucket": _bucket_of(u, nb),
-            }
+            {"user_id": b["user_id"], "t": b["ts"].cast(pa.int64()), "event_id": b["event_id"]}
         )
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -10046,12 +9878,8 @@ def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
              "var_num": "int64", "burstiness": "float64"}
         )
 
-    df = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(ev, ["user_id"], rio.on_pandas(final), stage=prep)
+    df = rio.blocks_table(out).to_pandas()
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -10222,12 +10050,10 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
     tile', the inverse of contributor_territory. The intermediate
     (cell, uid) key is CORPUS-scaled (distinct pairs grow with the
     edit volume), so the final stays DISTRIBUTED: per-batch pair
-    partials -> one complete-cell bucket shuffle (keyed on the packed
-    cell id) -> per-cell argmax, total and the single IEEE share
+    partials -> one complete-cell bucket shuffle (keyed on the hex
+    cell) -> per-cell argmax, total and the single IEEE share
     division resolve IN-STAGE; the driver collects only the |cells|
     result rows."""
-    nb = _resolve_buckets(None, floor=64)
-
     def stage(b: pa.Table) -> pa.Table:
         d = decode_spans(b, tags=False)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
@@ -10239,16 +10065,12 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
         g = pd.DataFrame({"i": i, "j": j, "uid": uid}).groupby(
             ["i", "j", "uid"], as_index=False
         ).size()
-        cell = pack_hex(
-            g["i"].to_numpy(dtype=np.int64), g["j"].to_numpy(dtype=np.int64)
-        )
         return pa.table(
             {
                 "i": g["i"].to_numpy(dtype=np.int64),
                 "j": g["j"].to_numpy(dtype=np.int64),
                 "uid": g["uid"].to_numpy(dtype=np.int64),
                 "n_p": g["size"].to_numpy(dtype=np.int64),
-                "_bucket": pa.array(_bucket_of(cell, nb)),
             }
         )
 
@@ -10276,12 +10098,8 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
              "n_top": "int64", "n_cell": "int64", "share": "float64"}
         )
 
-    out = (
-        _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    out = rio.reduce_by_key(_docs(sf_dir), ["i", "j"], rio.on_pandas(final), stage=stage)
+    out = rio.blocks_table(out).to_pandas()
     return out.sort_values(["hex_i", "hex_j"]).reset_index(drop=True)
 
 
@@ -10296,7 +10114,6 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
     per-bucket lag compare on (ts, event_id)-ordered runs, per-bucket
     kept/dropped partials; the driver combines |etypes| rows."""
     gap_us = DEBOUNCE_GAP_US
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
@@ -10309,7 +10126,6 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
                 "etype": b["event_type"].to_numpy(zero_copy_only=False),
                 "ts": b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
                 "eid": b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "_bucket": _bucket_of(uid, nb),
             }
         )
 
@@ -10332,13 +10148,8 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    base = combine_partials(
-        ev.map_batches(route, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(debounce, batch_format="pandas"),
-        ["etype", "noise"],
-        {"n_p": "n"},
-    )
+    parts = rio.reduce_by_key(ev, ["uid"], rio.on_pandas(debounce), stage=route)
+    base = combine_partials(rio.blocks_table(parts), ["etype", "noise"], {"n_p": "n"})
     w = base.pivot_table(index="etype", columns="noise", values="n", fill_value=0, aggfunc="sum")
     out = pd.DataFrame(
         {
@@ -10783,7 +10594,6 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     by 3. Same one-shuffle fan-out/assemble shape as q_way_areas (the
     corner rows route once by triangle id; nothing re-shuffles)."""
     ts = np.array([T_MID], dtype=np.int64)
-    nb = _resolve_buckets(None, floor=64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
         s = snapshots(decode_spans(batch, tags=False), ts)
@@ -10797,7 +10607,6 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
                 "corner": np.repeat(np.arange(3, dtype=np.int64), len(osm)),
                 "lon_e7": np.tile(lon, 3),
                 "lat_e7": np.tile(lat, 3),
-                "_bucket": _bucket_of(way, nb),
             }
         )
 
@@ -10810,12 +10619,9 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
         )
         return agg
 
-    out = (
-        _docs(sf_dir).map_batches(fan_out, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(assemble, batch_format="pandas")
-        .to_pandas()
-        .astype({"way_id": "int64", "cx_num": "int64", "cy_num": "int64"})
+    out = rio.reduce_by_key(_docs(sf_dir), ["way_id"], rio.on_pandas(assemble), stage=fan_out)
+    out = rio.blocks_table(out).to_pandas().astype(
+        {"way_id": "int64", "cx_num": "int64", "cy_num": "int64"}
     )
     out["cx_e7"] = out["cx_num"].to_numpy(dtype=np.float64) / 3.0
     out["cy_e7"] = out["cy_num"].to_numpy(dtype=np.float64) / 3.0
@@ -10843,7 +10649,7 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
         if not len(ts):
             return pa.table(
                 {
-                    "_bucket": pa.array([], pa.int64()),
+                    "bucket": pa.array([], pa.int64()),
                     "kind": pa.array([], pa.int64()),
                     "t": pa.array([], pa.int64()),
                 }
@@ -10856,30 +10662,24 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
         t = np.concatenate([e, s])
         kind = np.repeat(np.array([0, 1], dtype=np.int64), [len(e), len(s)])
         bkt = np.clip((t - T0) * nb // span, 0, nb - 1)
-        return pa.table({"_bucket": bkt, "kind": kind, "t": t})
+        return pa.table({"bucket": bkt, "kind": kind, "t": t})
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(bucket: int, g: pd.DataFrame) -> tuple:
         k = g["kind"].to_numpy(dtype=np.int64)
         t = g["t"].to_numpy(dtype=np.int64)
         ends = np.sort(t[k == 0])
         starts = t[k == 1]
         inb = int(np.searchsorted(ends, starts, side="left").sum())
-        return pd.DataFrame(
-            {
-                "bucket": [int(g["_bucket"].iloc[0])],
-                "n_starts": [len(starts)],
-                "n_ends": [len(ends)],
-                "in_bucket": [inb],
-            }
-        )
+        return bucket, len(starts), len(ends), inb
 
-    parts = (
-        _docs(sf_dir).map_batches(spans, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-        .sort_values("bucket")
-    )
+    def buckets(g: pd.DataFrame) -> pd.DataFrame:
+        rows = [per_bucket(b, r) for b, r in g.groupby("bucket", sort=False)]
+        return pd.DataFrame(
+            rows, columns=["bucket", "n_starts", "n_ends", "in_bucket"]
+        ).astype("int64")
+
+    parts = rio.reduce_by_key(_docs(sf_dir), ["bucket"], rio.on_pandas(buckets), stage=spans)
+    parts = rio.blocks_table(parts).to_pandas().sort_values("bucket")
     n = int(parts["n_starts"].sum())
     cum_ends = 0
     disjoint = 0
@@ -10910,25 +10710,19 @@ def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
     fan-out (the _copurchase_edges shape); per-order triple emission is
     two vectorized self-merges bounded by C(basket, 3) <= ~35 rows;
     triples PACK into one int64 (21 bits per part, loud guard) so the
-    support count is a single high-cardinality Dataset groupby; only
+    support count is a second shuffle by that key; only
     the frequent triples reach the driver."""
-    nb = _resolve_buckets(None, floor=64)
     li = rio.read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
 
     def tag(b: pa.Table) -> pa.Table:
-        ok = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {
-                "ok": ok,
-                "pk": b["l_partkey"].cast(pa.int64()),
-                "_bucket": _bucket_of(ok, nb),
-            }
+            {"ok": b["l_orderkey"].cast(pa.int64()), "pk": b["l_partkey"].cast(pa.int64())}
         )
 
     def order_triples(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["ok", "pk"]].drop_duplicates()
+        g = g.drop_duplicates()
         if g["pk"].max() >= 1 << 21:
             raise OverflowError(
                 "frequent_part_triples: part id exceeds the 21-bit pack"
@@ -10942,31 +10736,17 @@ def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
             | (m["pk_b"].to_numpy(dtype=np.int64) << 21)
             | m["pk_c"].to_numpy(dtype=np.int64)
         )
-        # in-group pre-combine, then route by TRIPLE-key bucket (the
-        # copurchase_recommendations shape — a native high-cardinality
-        # groupby costs a full sort shuffle; the bucketed map_groups
-        # resolve is one co-group over 64 buckets)
+        # in-group pre-combine, then a second shuffle by triple key
         ks, cnt = np.unique(key, return_counts=True)
-        return pd.DataFrame(
-            {"key": ks, "n_p": cnt.astype(np.int64), "_kb": _bucket_of(ks, nb)}
-        )
+        return pd.DataFrame({"key": ks, "n_p": cnt.astype(np.int64)})
 
     def support(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("key", as_index=False)["n_p"].sum()
         return s[s["n_p"] >= TRIPLE_MIN_SUP]
 
-    out = (
-        li.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(order_triples, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(support, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:  # no triple reaches min support: empty blocks lose
-        # their columns through map_groups -> rebuild the frame shape
-        out = pd.DataFrame({"key": pd.Series(dtype="int64"),
-                            "n_p": pd.Series(dtype="int64")})
+    triples = rio.reduce_by_key(li, ["ok"], rio.on_pandas(order_triples), stage=tag)
+    out = rio.blocks_table(rio.reduce_by_key(triples, ["key"], rio.on_pandas(support)))
+    out = out.to_pandas()
     k = out["key"].to_numpy(dtype=np.int64)
     res = pd.DataFrame(
         {
@@ -11061,75 +10841,47 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     these also bought..."). Wedges (neighbor pairs centered at each
     node) and the adjacency itself route to the SAME pair-key groups,
     so non-adjacency filtering and wedge counting resolve in one
-    high-cardinality groupby — no second anti-join shuffle; only the
-    distributed top-k candidates reach the driver. Per-node wedge
+    shuffle by pair key — no separate anti-join shuffle; only each
+    bucket's top-k candidates reach the driver. Per-node wedge
     emission is C(deg, 2) — bounded here by the <= ~7-item baskets; a
     degree cap raises loudly (the DF-cap convention) rather than
     silently exploding on a hub."""
     nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir, nb), "src", "dst", nb).map_batches(
-        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    )
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb)  # (u, v), u < v
 
     def directed(b: pa.Table) -> pa.Table:
-        u = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.concatenate([u, v])
-        return pa.table(
-            {
-                "node": n,
-                "peer": np.concatenate([v, u]),
-                "_bucket": _bucket_of(n, nb),
-            }
-        )
+        u = b["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = b["v"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"node": np.concatenate([u, v]), "peer": np.concatenate([v, u])})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["node", "peer"], kind="mergesort")
-        key = _wedge_keys(
-            g["node"].to_numpy(dtype=np.int64), g["peer"].to_numpy(dtype=np.int64)
-        )
-        # pre-combine in-group (one row per distinct pair), route by
-        # pair-key bucket; arrow out to union with the adjacency
-        ks, cnt = np.unique(key, return_counts=True)
-        return pa.table(
-            {"key": ks, "w": cnt.astype(np.int64), "_kb": _bucket_of(ks, nb)}
-        )
-
-    def adjacency(b: pa.Table) -> pa.Table:
-        u = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(u) and (max(int(u.max()), int(v.max())) >= 1 << 21):
-            raise OverflowError(
-                "copurchase_recommendations: part id exceeds the 21-bit pack"
-            )
-        key = (u << 21) | v
-        return pa.table(
+        node = g["node"].to_numpy(dtype=np.int64)
+        peer = g["peer"].to_numpy(dtype=np.int64)
+        # pre-combine in-group (one row per distinct pair); every edge
+        # u < v also emits its own pair key once with a negative
+        # sentinel weight, so adjacency meets the wedges in one shuffle
+        ks, cnt = np.unique(_wedge_keys(node, peer), return_counts=True)
+        own = node < peer
+        return pd.DataFrame(
             {
-                "key": key,
-                "w": np.full(len(u), -(1 << 40), dtype=np.int64),
-                "_kb": _bucket_of(key, nb),
+                "key": np.r_[ks, (node[own] << 21) | peer[own]],
+                "w": np.r_[cnt.astype(np.int64), np.full(own.sum(), -(1 << 40))],
             }
         )
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        # complete pair-keys per bucket: vectorized sum, never a
-        # per-pair map_groups (millions of tiny groups)
+        # complete pair-keys per bucket: vectorized sum, then the
+        # bucket's top-k candidates
         s = g.groupby("key", as_index=False)["w"].sum()
         s = s[s["w"] > 0]  # any adjacency sentinel drives the sum negative
-        return s[["key", "w"]]
+        s = s.sort_values(["w", "key"], ascending=[False, True], kind="mergesort")
+        return s.head(RECO_TOP)
 
-    scored = (
-        edges.map_batches(directed, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(wedges, batch_format="pandas")
-        .union(edges.map_batches(adjacency, batch_format="pyarrow"))
-        .groupby("_kb")
-        .map_groups(resolve, batch_format="pandas")
-    )
-    top = topk(scored, "w", RECO_TOP, "key")
-    if top.empty:  # all pairs adjacent: empty blocks lose columns
-        top = pd.DataFrame({"key": pd.Series(dtype="int64"),
-                            "w": pd.Series(dtype="int64")})
+    pairs = rio.reduce_by_key(edges, ["node"], rio.on_pandas(wedges), stage=directed)
+    top = rio.blocks_table(rio.reduce_by_key(pairs, ["key"], rio.on_pandas(resolve)))
+    top = top.to_pandas().sort_values(["w", "key"], ascending=[False, True], kind="mergesort")
+    top = top.head(RECO_TOP)
     k = top["key"].to_numpy(dtype=np.int64)
     out = pd.DataFrame(
         {
@@ -11152,7 +10904,6 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     int), and the |sources|^2-bounded mask histogram reaches the
     driver; every pair's intersection/union then reads off the mask
     counts — no pairwise join anywhere."""
-    nb = _resolve_buckets(None, floor=64)  # resolve ONCE on the driver
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
     # source enum (bounded): distinct via per-batch unique partials
     # over a SOURCE-ONLY read (don't ship the text column twice)
@@ -11183,7 +10934,6 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
         src = np.repeat(b["source"].to_numpy(zero_copy_only=False), n_per)
         ne = flat != ""
         g = pd.DataFrame({"word": flat[ne], "source": src[ne]}).drop_duplicates()
-        g["_bucket"] = _bucket_of(g["word"].to_numpy(), nb)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def mask_of(g: pd.DataFrame) -> pd.DataFrame:
@@ -11201,13 +10951,8 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    base = combine_partials(
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(mask_of, batch_format="pandas"),
-        ["mask"],
-        {"n_p": "n"},
-    )
+    masks = rio.reduce_by_key(docs, ["word"], rio.on_pandas(mask_of), stage=pairs)
+    base = combine_partials(rio.blocks_table(masks), ["mask"], {"n_p": "n"})
     hist = dict(zip((int(m) for m in base["mask"]), (int(n) for n in base["n"])))
     rows = []
     for i, sa in enumerate(order):
@@ -11279,7 +11024,6 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
     and per-source occurrences together (hapax iff corpus count == 1,
     which also pins its source) -> |sources|-bounded partials. The
     rate is one IEEE division of exact ints."""
-    nb = _resolve_buckets(None, floor=64)  # resolve ONCE on the driver
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
 
     def counts(b: pa.Table) -> pa.Table:
@@ -11293,7 +11037,6 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
             .groupby(["word", "source"], as_index=False)
             .size()
         )
-        g["_bucket"] = _bucket_of(g["word"].to_numpy(), nb)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def per_word(g: pd.DataFrame) -> pd.DataFrame:
@@ -11313,10 +11056,9 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
         out["n_hapax_p"] = out["n_hapax_p"].fillna(0).astype(np.int64)
         return out
 
+    parts = rio.reduce_by_key(docs, ["word"], rio.on_pandas(per_word), stage=counts)
     base = combine_partials(
-        docs.map_batches(counts, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_word, batch_format="pandas"),
+        rio.blocks_table(parts),
         ["source"],
         {"n_tokens_p": "n_tokens", "n_hapax_p": "n_hapax"},
     )
@@ -11801,60 +11543,32 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
 
     def probe(b: pa.Table) -> pa.Table:
         u = np.unique(b["user_id"].to_numpy(zero_copy_only=False))
-        odd = u[u % 2 == 1]
-        hit = np.zeros(len(odd), dtype=bool)
-        if len(odd):
-            hit = bits[positions(odd)].all(axis=1)
+        odd = u % 2 == 1
+        hit = np.zeros(len(u), dtype=np.int64)
+        if odd.any():
+            hit[odd] = bits[positions(u[odd])].all(axis=1)
         # distinct uids can repeat across batches: emit (uid, hit)
         # partials, dedupe at the bounded distinct-user combine
-        return pa.table({"uid": odd, "hit": hit.astype(np.int64)})
+        return pa.table({"uid": u, "hit": hit})
 
-    # distinct users are corpus-cardinality: dedupe on complete-uid
-    # hash buckets (the bucketed map_groups shape), |buckets| rows to
-    # the driver — never a distinct-user table
-    nb = _resolve_buckets(None, floor=64)
-
-    def route(b: pa.Table) -> pa.Table:
-        t = probe(b)
-        u = t["uid"].to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(_bucket_of(u, nb)))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    # distinct users are corpus-cardinality: dedupe keys (even uids)
+    # and probes (odd uids) in one shuffle by uid, one row per bucket
+    # to the driver — never a distinct-user table
+    def distinct(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates("uid")
+        u = g["uid"].to_numpy()
+        odd = u % 2 == 1
         return pd.DataFrame(
             {
-                "bucket": [int(g["_bucket"].iloc[0])],
-                "n_probes_p": [len(g)],
-                "n_fp_p": [int((g["hit"].to_numpy() > 0).sum())],
+                "n_keys_p": [int((u % 2 == 0).sum())],
+                "n_probes_p": [int(odd.sum())],
+                "n_fp_p": [int((g["hit"].to_numpy()[odd] > 0).sum())],
             }
         )
 
-    agg = (
-        ev.map_batches(route, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    n_probes = int(agg["n_probes_p"].sum())
-    n_fp = int(agg["n_fp_p"].sum())
-
-    def route_keys(b: pa.Table) -> pa.Table:
-        u = np.unique(b["user_id"].to_numpy(zero_copy_only=False))
-        even = u[u % 2 == 0]
-        return pa.table({"uid": even, "_bucket": _bucket_of(even, nb)})
-
-    def keys_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"bucket": [int(g["_bucket"].iloc[0])],
-             "n_p": [int(g["uid"].nunique())]}
-        )
-
-    n_keys = int(
-        ev.map_batches(route_keys, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(keys_bucket, batch_format="pandas")
-        .to_pandas()["n_p"]
-        .sum()
+    agg = rio.blocks_table(rio.reduce_by_key(ev, ["uid"], rio.on_pandas(distinct), stage=probe))
+    n_keys, n_probes, n_fp = (
+        int(agg[c].to_numpy().sum()) for c in ("n_keys_p", "n_probes_p", "n_fp_p")
     )
     return pd.DataFrame(
         {
@@ -11878,9 +11592,8 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
     order-statistic rank rule. Complete-user bucket shuffle; per
     bucket a C-vectorized backward merge_asof (allow_exact_matches
     False = the strict < contract, no event-id order ambiguity);
-    per-day medians resolve on the 31-day groupby; purchases with no
+    per-day medians resolve in a second shuffle by day; purchases with no
     prior click are dropped on both engines."""
-    nb = _resolve_buckets(None, floor=64)
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
@@ -11889,15 +11602,13 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
         et = b["event_type"].to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "purchase")
         t = b.filter(pa.array(keep))
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "uid": uid,
+                "uid": t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64),
                 "ts": t["ts"].cast(pa.int64()),
                 "is_p": (
                     t["event_type"].to_numpy(zero_copy_only=False) == "purchase"
                 ).astype(np.int64),
-                "_bucket": _bucket_of(uid, nb),
             }
         )
 
@@ -11920,26 +11631,17 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def median(g: pd.DataFrame) -> pd.DataFrame:
-        v = np.sort(g["gap"].to_numpy(dtype=np.int64))
-        t = len(v)
-        return pd.DataFrame(
-            {
-                "day": [int(g["day"].iloc[0])],
-                "n_conversions": [t],
-                "median_gap_us": [int(v[(t + 1) // 2 - 1])],
-            }
-        )
+    def medians(g: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for day, gap in g.groupby("day")["gap"]:
+            v = np.sort(gap.to_numpy(dtype=np.int64))
+            rows.append((day, len(v), v[(len(v) + 1) // 2 - 1]))
+        cols = ["day", "n_conversions", "median_gap_us"]
+        return pd.DataFrame(rows, columns=cols).astype("int64")
 
-    out = (
-        ev.map_batches(route, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(gaps, batch_format="pandas")
-        .groupby("day")
-        .map_groups(median, batch_format="pandas")
-        .to_pandas()
-        .astype({"day": "int64", "n_conversions": "int64", "median_gap_us": "int64"})
-    )
+    per_user = rio.reduce_by_key(ev, ["uid"], rio.on_pandas(gaps), stage=route)
+    out = rio.blocks_table(rio.reduce_by_key(per_user, ["day"], rio.on_pandas(medians)))
+    out = out.to_pandas()
     return out.sort_values("day").reset_index(drop=True)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .. import io as rio
@@ -58,44 +59,45 @@ def _topk_reduce(cands: pd.DataFrame, k: int, by: str, ascending: bool) -> pd.Da
 
 
 def _resolve_topk_distributed(
-    cands: ray.data.Dataset, k: int, by: str, ascending: bool, nqb: int = 64
+    ds: ray.data.Dataset, k: int, by: str, ascending: bool, stage=None
 ) -> pd.DataFrame:
     """DISTRIBUTED per-query top-k resolve for ANN candidate streams —
     the ``knn_queries`` resolve pattern applied to the cosine family.
 
-    Each scan block emits its own per-query top-k partials, so the
-    global answer is a pure per-query reduce; grouping the partial
-    stream by a query-id hash bucket (``nqb`` groups) and reducing
-    each bucket in a worker keeps the driver transfer at the FINAL
-    nq x k rows. The driver-side ``concat``-then-reduce this replaces
-    was nq x k x #blocks rows — fine at sandbox block counts, a
-    corpus-proportional driver materialization at 10^6 blocks.
+    ``stage`` (pyarrow batch -> candidate frame; None when ``ds``
+    already holds the candidates) emits each block's own per-query
+    top-k partials, so the global answer is a pure per-query reduce;
+    shuffling the partials by query_id (``io.reduce_by_key``) and
+    reducing each bucket in a task keeps the driver transfer at the
+    FINAL nq x k rows. The driver-side ``concat``-then-reduce this
+    replaces was nq x k x #blocks rows — fine at sandbox block counts,
+    a corpus-proportional driver materialization at 10^6 blocks.
     """
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_qb"] = df["query_id"].to_numpy(dtype=np.int64) % nqb
-        return df
+    def cands(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(stage(batch), preserve_index=False)
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        return _topk_reduce(g.drop(columns=["_qb"]), k, by=by, ascending=ascending)
+        return _topk_reduce(g, k, by=by, ascending=ascending)
 
-    out = (
-        cands.map_batches(bucketize, batch_format="pandas")
-        .groupby("_qb")
-        .map_groups(resolve, batch_format="pandas")
-        .to_pandas()
+    out = rio.reduce_by_key(
+        ds, ["query_id"], rio.on_pandas(resolve), stage=None if stage is None else cands
     )
-    if out.empty:
-        # zero groups reach map_groups -> a schema-less frame; restore
-        # the FULL typed column set (query_id/neighbor_id/<metric>/
-        # rank), not just rank — callers select these by name
-        return pd.DataFrame(
-            {"query_id": pd.Series([], dtype="int64"),
-             "neighbor_id": pd.Series([], dtype="int64"),
-             by: pd.Series([], dtype="float64"),
-             "rank": pd.Series([], dtype="int64")}
-        )
+    out = rio.blocks_table(out).to_pandas()
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+
+
+def _query_vectors(embeddings: ray.data.Dataset, query_ids: list[int], id_col: str, vec_col: str):
+    """(query ids, unit query matrix), sorted by id: the query rows
+    looked up from the dataset itself (small id list) by one filter
+    task per block."""
+    qset = pa.array(sorted(int(i) for i in set(query_ids)), pa.int64())
+
+    def lookup(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b[id_col], qset.cast(b[id_col].type)))
+
+    qrows = rio.map_blocks(embeddings, lookup).to_pandas().sort_values(id_col)
+    qids = qrows[id_col].to_numpy(dtype=np.int64)
+    return qids, _unit_rows(np.stack(qrows[vec_col].to_numpy()).astype(np.float64))
 
 
 def knn_points(
@@ -185,20 +187,7 @@ def ann_cosine_topk(
     list), L2-normalized once, and broadcast; each batch does one
     matmul. Ranking by (-cos, neighbor_id); self-matches excluded.
     """
-    import pyarrow.compute as pc
-
-    qset = sorted(int(i) for i in set(query_ids))
-    qrows = (
-        embeddings.map_batches(
-            lambda b: b.filter(pc.is_in(b[id_col], pa.array(qset, type=b[id_col].type))),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .sort_values(id_col)
-    )
-    qids = qrows[id_col].to_numpy(dtype=np.int64)
-    qmat = np.stack(qrows[vec_col].to_numpy()).astype(np.float64)
-    qmat = _unit_rows(qmat)
+    qids, qmat = _query_vectors(embeddings, query_ids, id_col, vec_col)
 
     def stage(batch: pa.Table) -> pd.DataFrame:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -210,8 +199,7 @@ def ann_cosine_topk(
         sims = qmat @ mat.T  # (nq, nb)
         return _emit_cos_topk(sims, qids, ids, k)
 
-    cands = embeddings.map_batches(stage, batch_format="pyarrow")
-    return _resolve_topk_distributed(cands, k, by="cos_sim", ascending=False)
+    return _resolve_topk_distributed(embeddings, k, "cos_sim", False, stage=stage)
 
 
 _EMPTY_COS = pd.DataFrame(
@@ -404,7 +392,10 @@ def knn_points_grid(
             {"query_id": qid_all[As[sel]], "neighbor_id": Ns[sel], "dist2": Ds[sel]}
         )
 
-    cands = points.map_batches(stage, batch_format="pyarrow").to_pandas()
+    def arrow_stage(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(stage(batch), preserve_index=False)
+
+    cands = rio.map_blocks(points, arrow_stage).to_pandas()
     return _topk_reduce(cands, k, by="dist2", ascending=True)
 
 
@@ -437,8 +428,6 @@ def build_ivf_centroids(
 ) -> np.ndarray:
     """Deterministic coarse centroids: strided seed sample + one Lloyd
     iteration over the sample (small, driver-side)."""
-    import pyarrow.compute as pc
-
     sample = (
         embeddings.map_batches(
             lambda b: b.filter(
@@ -474,21 +463,8 @@ def ann_cosine_ivf(
     """IVF ANN: assign once, then per batch only score vectors whose
     bucket is probed by some query. Approximate (recall asserted in
     tests against the brute-force baseline)."""
-    import pyarrow.compute as pc
-
     cents = build_ivf_centroids(embeddings, nlist, vec_col, id_col)
-    qset = sorted(int(i) for i in set(query_ids))
-    qrows = (
-        embeddings.map_batches(
-            lambda b: b.filter(pc.is_in(b[id_col], pa.array(qset, type=b[id_col].type))),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .sort_values(id_col)
-    )
-    qids = qrows[id_col].to_numpy(dtype=np.int64)
-    qmat = np.stack(qrows[vec_col].to_numpy()).astype(np.float64)
-    qmat = _unit_rows(qmat)
+    qids, qmat = _query_vectors(embeddings, query_ids, id_col, vec_col)
     qbuckets = np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe]  # (nq, nprobe)
     probed = np.zeros((len(qids), nlist), dtype=bool)
     probed[np.arange(len(qids))[:, None], qbuckets] = True
@@ -504,8 +480,7 @@ def ann_cosine_ivf(
         sims[~probed[:, bucket]] = -np.inf
         return _emit_cos_topk(sims, qids, ids, k)
 
-    cands = embeddings.map_batches(stage, batch_format="pyarrow")
-    return _resolve_topk_distributed(cands, k, by="cos_sim", ascending=False)
+    return _resolve_topk_distributed(embeddings, k, "cos_sim", False, stage=stage)
 
 
 # ------------------------------------------------- IVF layout pruning
@@ -592,11 +567,9 @@ def ann_cosine_ivf_pruned(
     # pushed-down id filter: only the O(|queries|) rows reach the
     # driver — never the corpus (the scan pruning below would be
     # pointless if the query lookup materialized everything)
-    import pyarrow.compute as _pc
-
     qtab = pds.dataset(parquet_path).to_table(
         columns=[id_col, vec_col],
-        filter=_pc.field(id_col).isin(qset),
+        filter=pc.field(id_col).isin(qset),
     )
     qids = qtab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(qids)
@@ -633,8 +606,7 @@ def ann_cosine_ivf_pruned(
         return _emit_cos_topk(sims, qids, ids, k)
 
     rows_scanned = scan.count()
-    cands = scan.map_batches(stage, batch_format="pyarrow")
-    out = _resolve_topk_distributed(cands, k, by="cos_sim", ascending=False)
+    out = _resolve_topk_distributed(scan, k, "cos_sim", False, stage=stage)
     out.attrs["rows_scanned"] = int(rows_scanned)
     return out
 
@@ -732,7 +704,6 @@ def ann_cosine_lsh_pruned(
     2**n_bits probes every bucket and is provably exact; smaller
     nprobe trades recall for I/O, and only probed partitions are read
     (``result.attrs['rows_scanned']`` lets tests assert the pruning)."""
-    import pyarrow.compute as _pc
     import pyarrow.dataset as pds
 
     n_buckets = 1 << n_bits
@@ -743,7 +714,7 @@ def ann_cosine_lsh_pruned(
     qset = sorted(int(i) for i in set(query_ids))
     qtab = pds.dataset(parquet_path).to_table(
         columns=[id_col, vec_col],
-        filter=_pc.field(id_col).isin(qset),
+        filter=pc.field(id_col).isin(qset),
     )
     qids = qtab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(qids)
@@ -785,8 +756,7 @@ def ann_cosine_lsh_pruned(
         return _emit_cos_topk(sims, qids, ids, k)
 
     rows_scanned = scan.count()
-    cands = scan.map_batches(stage, batch_format="pyarrow")
-    out = _resolve_topk_distributed(cands, k, by="cos_sim", ascending=False)
+    out = _resolve_topk_distributed(scan, k, "cos_sim", False, stage=stage)
     out.attrs["rows_scanned"] = int(rows_scanned)
     return out
 
@@ -862,7 +832,7 @@ def knn_queries(
         home = (ox[valid] == 0) & (oy[valid] == 0)
         return pa.table(
             {
-                "_tcell": pa.array(np.concatenate([cells, ty * nx + tx])),
+                "tcell": pa.array(np.concatenate([cells, ty * nx + tx])),
                 id_col: pa.array(np.concatenate([ids, ids[reps2]])),
                 "lon_e7": pa.array(np.concatenate([lon, lon[reps2]])),
                 "lat_e7": pa.array(np.concatenate([lat, lat[reps2]])),
@@ -934,10 +904,7 @@ def knn_queries(
         return pd.concat(frames, ignore_index=True)
 
     def cells(scat: pd.DataFrame) -> pd.DataFrame:
-        frames = [
-            cell_partials(g.drop(columns=["_tcell"]))
-            for _, g in scat.groupby("_tcell", sort=False)
-        ]
+        frames = [cell_partials(g) for _, g in scat.groupby("tcell", sort=False)]
         return pd.concat(frames, ignore_index=True) if frames else _EMPTY_PART
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -996,15 +963,12 @@ def knn_queries(
     if isinstance(points, MaterializedDataset) and points.count() <= driver_gate:
         res = resolve(cells(scatter(rio.blocks_table(points)).to_pandas()))
     else:
-        def on_tables(fn):
-            return lambda t: pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
-
         # shuffle by target cell, then by query (the cell buckets' refs
         # are its input): resolve groups by query_id, so a bucket
         # holding all of a query's rows resolves it
-        partials = rio.reduce_by_key(points, ["_tcell"], on_tables(cells), stage=scatter)
+        partials = rio.reduce_by_key(points, ["tcell"], rio.on_pandas(cells), stage=scatter)
         res = rio.blocks_table(
-            rio.reduce_by_key(partials, ["query_id"], on_tables(resolve))
+            rio.reduce_by_key(partials, ["query_id"], rio.on_pandas(resolve))
         ).to_pandas()  # output-sized: <= queries x (k + boundary ties) rows
     if res.empty:
         return pd.DataFrame(
@@ -1038,7 +1002,7 @@ def knn_all(
 
     Shape: halo-replicated neighborhood join. Each point is emitted to
     its own grid cell AND its 8 neighbors (9x replication — the halo);
-    one groupby(cell) then gives every cell's CORE points all
+    one shuffle by cell (``io.reduce_by_key``) then gives every cell's CORE points all
     candidates within the 3x3 block, and the per-group kNN is one
     vectorized distance matrix. A core point is RESOLVED when its k-th
     candidate distance is within the guaranteed radius (distance to the
@@ -1074,7 +1038,7 @@ def knn_all(
         reps, tx, ty, ox, oy = reps[valid], tx[valid], ty[valid], ox[valid], oy[valid]
         return pa.table(
             {
-                "_tcell": pa.array(ty * nx + tx),
+                "tcell": pa.array(ty * nx + tx),
                 id_col: pa.array(ids[reps]),
                 "lon_e7": pa.array(lon[reps]),
                 "lat_e7": pa.array(lat[reps]),
@@ -1082,22 +1046,23 @@ def knn_all(
             }
         )
 
-    def group_knn(g: pd.DataFrame) -> pd.DataFrame:
+    _EMPTY_CAND = pd.DataFrame(
+        {"query_id": pd.Series([], dtype="int64"),
+         "neighbor_id": pd.Series([], dtype="int64"),
+         "d2": pd.Series([], dtype="float64"),
+         "q_lon": pd.Series([], dtype="int64"),
+         "q_lat": pd.Series([], dtype="int64"),
+         "resolved": pd.Series([], dtype="bool")}
+    )
+
+    def group_knn(tcell: int, g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy(dtype=np.int64)
         lon = g["lon_e7"].to_numpy(dtype=np.float64)
         lat = g["lat_e7"].to_numpy(dtype=np.float64)
         core = g["_core"].to_numpy(dtype=bool)
         ci = np.flatnonzero(core)
         if len(ci) == 0:
-            return pd.DataFrame(
-                {"query_id": pd.Series([], dtype="int64"),
-                 "neighbor_id": pd.Series([], dtype="int64"),
-                 "d2": pd.Series([], dtype="float64"),
-                 "q_lon": pd.Series([], dtype="int64"),
-                 "q_lat": pd.Series([], dtype="int64"),
-                 "resolved": pd.Series([], dtype="bool")}
-            )
-        tcell = int(g["_tcell"].iloc[0])
+            return _EMPTY_CAND
         cx, cy = tcell % nx, tcell // nx
         # explored block bounds in e7 (edges at the grid border explore
         # to the end of the world -> infinite guard on that side)
@@ -1150,12 +1115,13 @@ def knn_all(
             }
         )
 
-    cand = (
-        points.map_batches(replicate, batch_format="pyarrow")
-        .groupby("_tcell")
-        .map_groups(lambda g: group_knn(g), batch_format="pandas")
-        .to_pandas()
-    )
+    def cells(rep: pd.DataFrame) -> pd.DataFrame:
+        frames = [group_knn(c, g) for c, g in rep.groupby("tcell", sort=False)]
+        return pd.concat(frames, ignore_index=True) if frames else _EMPTY_CAND
+
+    cand = rio.blocks_table(
+        rio.reduce_by_key(points, ["tcell"], rio.on_pandas(cells), stage=replicate)
+    ).to_pandas()
     resolved = cand[cand["resolved"] & (cand["neighbor_id"] >= 0)][
         ["query_id", "neighbor_id", "d2"]
     ]

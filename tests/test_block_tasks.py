@@ -325,6 +325,18 @@ def test_spatial_join_and_interactive_run_no_ray_data_execution(executions, quer
     _runs_no_execution(executions, query)
 
 
+@pytest.mark.parametrize(
+    "query",
+    ["contributor_territory", "hexcell_dominant_uid", "lifespan_overlap_pairs",
+     "snapshot_incremental_merge", "way_areas", "way_centroids", "way_compactness"],
+)
+def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
+    """Queries whose only inputs are resident tables shuffle through
+    io.reduce_by_key's block tasks: no Ray Data execution after
+    warm-up."""
+    _runs_no_execution(executions, query)
+
+
 def test_fine_cells_stay_distributed(executions):
     pipelines.q_snapshot_cells_fine(SF)
     executions.clear()

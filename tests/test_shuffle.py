@@ -2,6 +2,8 @@
 ``ds.map_batches(stage).groupby(keys).map_groups(reduce)`` gives,
 whatever the key types, block count or emptiness of the input."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -11,7 +13,9 @@ import ray
 from ray.data.dataset import MaterializedDataset
 
 from rayhist import io as rio
+from rayhist import pipelines
 from rayhist.functions.deadline import Deadline, RayhistTimeoutError
+from tests.test_ingest import SF
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 
@@ -167,3 +171,82 @@ def test_tripped_deadline_raises_the_typed_error(where):
     stage = tripped if where == "stage" else None
     with pytest.raises(RayhistTimeoutError, match="deadline exceeded"):
         rio.blocks_table(rio.reduce_by_key(ds, ["k"], reduce, stage=stage))
+
+
+# ------------------------------------------------- the queries it carries
+
+# every query whose wide step is an io.reduce_by_key shuffle
+SHUFFLE_QUERIES = [
+    "above_user_mean", "ann_cosine", "bloom_fpr_users", "cohort_odds_ratio",
+    "cohort_retention", "contributor_territory", "conversion_latency_median",
+    "copurchase_cheapest_paths", "copurchase_clustering", "copurchase_recommendations",
+    "etype_audience_overlap", "etype_transitions", "event_debounce",
+    "frequent_part_triples", "funnel3_users", "hapax_rate_by_source",
+    "hexcell_dominant_uid", "inverted_index", "knn_all", "lifespan_overlap_pairs",
+    "peak_concurrency", "rolling_active_users", "sessions", "snapshot_incremental_merge",
+    "source_vocab_jaccard", "split_contamination", "user_active_coverage",
+    "user_burstiness", "user_distinct_etypes", "user_entropy", "user_gini_by_etype",
+    "user_streaks", "way_areas", "way_centroids", "way_compactness",
+]
+
+
+def _at_blocks(monkeypatch, query: str, n: int) -> pd.DataFrame:
+    """``query`` with every table read as ``n`` blocks (resident tables
+    reloaded)."""
+    monkeypatch.setattr(rio, "auto_num_blocks", lambda path: n)
+    monkeypatch.setattr(rio, "_resident", OrderedDict())
+    return pipelines.QUERIES[query][0](SF)
+
+
+@pytest.mark.parametrize("query", SHUFFLE_QUERIES)
+def test_query_is_block_count_invariant(monkeypatch, query):
+    """One input block is one hash bucket. At 16 blocks every shuffle
+    has at least four buckets, and one keyed by user (15 users in this
+    table) leaves some of them empty, so each reduce body sees the
+    complete groups of keys split over blocks, and empty tables. Both
+    runs give the same frame."""
+    routed = []  # block count of every reduce_by_key input
+    task = rio._route_task
+
+    class Counting:
+        @staticmethod
+        def options(**kw):
+            routed.append(kw["num_returns"])
+            return task.options(**kw)
+
+    monkeypatch.setattr(rio, "_route_task", Counting)
+    one = _at_blocks(monkeypatch, query, 1)
+    routed.clear()
+    many = _at_blocks(monkeypatch, query, 16)
+    assert routed and min(routed) >= 4
+    pd.testing.assert_frame_equal(one, many)
+
+
+@pytest.mark.parametrize(
+    "query, setting, columns",
+    [
+        ("frequent_part_triples", ("TRIPLE_MIN_SUP", 10**9), ["p1", "p2", "p3", "support"]),
+        ("copurchase_recommendations", ("RECO_TOP", 0), ["part_a", "part_b", "common"]),
+    ],
+)
+def test_query_with_no_result_row_keeps_its_schema(monkeypatch, query, setting, columns):
+    """No triple reaches the support bar / no candidate pair survives:
+    every bucket returns its typed empty output, so the frame keeps
+    its int64 columns with no repair on the driver."""
+    monkeypatch.setattr(pipelines, *setting)
+    out = pipelines.QUERIES[query][0](SF)
+    assert out.empty and list(out.columns) == columns
+    assert (out.dtypes == "int64").all()
+
+
+def test_no_hand_rolled_bucket_shuffle():
+    """Complete-key shuffles in these modules go through
+    io.reduce_by_key: no hash-bucket column feeding a Dataset groupby."""
+    from pathlib import Path
+
+    root = Path(rio.__file__).parent
+    for rel in ("pipelines.py", "ops/sessions.py", "spatial/knn.py"):
+        src = (root / rel).read_text()
+        for pattern in ('.groupby("_bucket")', '"_kb"', '"_qb"', '"_tcell"'):
+            assert pattern not in src, (rel, pattern)
+    assert "_bucket_of" not in (root / "pipelines.py").read_text()

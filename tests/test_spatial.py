@@ -736,13 +736,13 @@ def test_knn_queries_empty_neighborhood_sentinel():
 def test_ann_resolve_never_concatenates_on_driver(monkeypatch):
     """The ANN cosine candidate stream reduces IN WORKERS
     (knn._resolve_topk_distributed, the knn_queries resolve pattern):
-    the only driver-side Dataset materializations are the nq-row query
-    lookup and the final <= nq x k (+ties) result — never the
-    nq x k x #blocks partial stream, which grows with the corpus
-    (~10^6 blocks at 10^12 docs)."""
+    the only driver-side pulls (``io.map_blocks`` / ``io.blocks_table``
+    results) are the nq-row query lookup and the final <= nq x k
+    (+ties) result — never the nq x k x #blocks partial stream, which
+    grows with the corpus (~10^6 blocks at 10^12 docs)."""
     import ray.data
-    from ray.data import Dataset
 
+    from rayhist import io as rio
     from rayhist.spatial.knn import ann_cosine_topk
 
     nblocks = 16
@@ -755,14 +755,17 @@ def test_ann_resolve_never_concatenates_on_driver(monkeypatch):
     )
     qids = [int(i) for i in range(0, 500, 50)]  # nq = 10
     sizes = []
-    orig = Dataset.to_pandas
 
-    def spy(self, *a, **kw):
-        df = orig(self, *a, **kw)
-        sizes.append(len(df))
-        return df
+    def spy(fn):
+        def pull(*a, **kw):
+            t = fn(*a, **kw)
+            sizes.append(t.num_rows)
+            return t
 
-    monkeypatch.setattr(Dataset, "to_pandas", spy)
+        return pull
+
+    monkeypatch.setattr(rio, "map_blocks", spy(rio.map_blocks))
+    monkeypatch.setattr(rio, "blocks_table", spy(rio.blocks_table))
     out = ann_cosine_topk(ds, qids, k=5)
     assert len(out) == 10 * 5
     assert max(sizes) <= 10 * 5 + 10, sizes  # final top-k + query lookup only

@@ -1066,9 +1066,11 @@ def test_interval_union_length_brute_force():
     e = s + rng.randint(0, 50, n).astype(np.int64)  # includes zero-length
     # pin the touching case on its own key
     k[:2], s[0], e[0], s[1], e[1] = 99, 1, 3, 3, 5
-    ds = ray.data.from_pandas(pd.DataFrame({"k": k, "s": s, "e": e}))
+    # 8 input blocks -> 8 hash buckets, each key spread over blocks
+    df = pd.DataFrame({"k": k, "s": s, "e": e})
+    ds = ray.data.from_pandas([df.iloc[i::8] for i in range(8)])
     got = (
-        interval_union_length(ds, "k", "s", "e", n_buckets=8)
+        interval_union_length(ds, "k", "s", "e")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -1094,9 +1096,10 @@ def test_interval_union_length_brute_force():
 def test_interval_union_length_rejects_negative():
     from rayhist.ops.sessions import interval_union_length
 
-    ds = ray.data.from_pandas(pd.DataFrame({"k": [1], "s": [10], "e": [5]}))
+    bad, good = {"k": [1], "s": [10], "e": [5]}, {"k": [2], "s": [0], "e": [1]}
+    ds = ray.data.from_pandas([pd.DataFrame(bad), pd.DataFrame(good)])
     with pytest.raises(Exception):
-        interval_union_length(ds, "k", "s", "e", n_buckets=2).to_pandas()
+        interval_union_length(ds, "k", "s", "e").to_pandas()
 
 
 def test_rolling_active_users_brute_force():
