@@ -33,7 +33,8 @@ import pyarrow as pa
 import ray.data
 
 from .functions.tdigest import DEFAULT_COMPRESSION, TDigest
-from .io import map_blocks
+from .io import blocks_table, map_blocks, on_pandas, reduce_by_key
+from .ops.relational import _value_counts
 
 
 def floor_bin(ts: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
@@ -420,68 +421,29 @@ def approx_heavy_hitters(
     )
 
 
-def grouped_mode(
-    ds: ray.data.Dataset,
-    key: str,
-    col: str,
-    n_buckets: int | None = None,
-) -> pd.DataFrame:
+def grouped_mode(ds: ray.data.Dataset, key: str, col: str) -> pd.DataFrame:
     """Exact grouped MODE (most frequent value per key) with a
     deterministic tie-break: the SMALLEST value among the max-count
     ones. Null values are not countable (SQL COUNT semantics); null
     keys form their own group (SQL GROUP BY).
 
-    Shape: per-batch (key, value) pre-counts (C-kernel groupby, rows
-    leaving a block = distinct pairs in it) -> ONE hash shuffle on the
-    (key, value) pair completes each pair's count inside its bucket ->
-    per-bucket argmax PARTIALS per key (legal only because each
-    completed pair now appears exactly once globally, making argmax
-    associative) -> a <= n_buckets x |keys| driver final. The driver
-    never sees the value distribution, only one candidate row per
-    (bucket, key)."""
-    from .ops.window import _bucket_of, _resolve_buckets
-
-    nb = _resolve_buckets(n_buckets, floor=64)
-
-    def precount(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                key: b[key].to_numpy(zero_copy_only=False),
-                col: b[col].to_numpy(zero_copy_only=False),
-            }
-        )
-        df = df[df[col].notna()]
-        g = df.groupby([key, col], as_index=False, dropna=False).size()
-        g = g.rename(columns={"size": "cnt_p"})
-        hk = pd.util.hash_array(
-            np.asarray(g[key].to_numpy(), dtype=object), categorize=False
-        )
-        hv = _bucket_of(g[col].to_numpy(), nb).astype(np.uint64)
-        g["_bucket"] = ((hk ^ (hv * np.uint64(0x9E3779B97F4A7C15))) % nb).astype(
-            np.int64
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+    Shape: per-batch (key, value) pre-counts (Arrow groupby, rows
+    leaving a block = distinct pairs in it) -> ONE ``io.reduce_by_key``
+    on the (key, value) pair completes each pair's count inside its
+    bucket -> per-bucket argmax PARTIALS per key (legal only because
+    each completed pair now appears exactly once globally, making
+    argmax associative) -> a <= buckets x |keys| driver final. The
+    driver never sees the value distribution, only one candidate row
+    per (bucket, key)."""
 
     def bucket_best(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby([key, col], as_index=False, dropna=False)["cnt_p"].sum()
-        c = c.sort_values([key, "cnt_p", col], ascending=[True, False, True])
+        c = g.groupby([key, col], as_index=False, dropna=False)["n"].sum()
+        c = c.sort_values([key, "n", col], ascending=[True, False, True])
         best = c.groupby(key, as_index=False, dropna=False).first()
-        return best.rename(columns={col: "modal_v", "cnt_p": "n_modal"})
+        return best.rename(columns={col: "modal_v", "n": "n_modal"})
 
-    parts = (
-        ds.map_batches(precount, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_best, batch_format="pandas")
-        .to_pandas()
-    )
-    if parts.empty:
-        return pd.DataFrame(
-            {
-                key: pd.Series(dtype="object"),
-                "modal_v": pd.Series(dtype="int64"),
-                "n_modal": pd.Series(dtype="int64"),
-            }
-        )
+    refs = reduce_by_key(ds, [key, col], on_pandas(bucket_best), stage=_value_counts(key, col))
+    parts = blocks_table(refs).to_pandas()
     parts = parts.sort_values([key, "n_modal", "modal_v"], ascending=[True, False, True])
     out = parts.groupby(key, as_index=False, dropna=False).first()
     out["n_modal"] = out["n_modal"].astype("int64")

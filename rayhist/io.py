@@ -115,29 +115,6 @@ def _local_parquet_stats(path) -> tuple[int, int] | None:
     return (n_files, total) if n_files else None
 
 
-def shuffle_buckets(*paths) -> int | None:
-    """Bytes-aware shuffle-bucket count for a join/groupby whose
-    inputs are local files the caller can stat: one bucket per ~MB of
-    input, floored at 8, capped at the cluster-scaled default
-    (cores x 4). The operators' own default (``max(64, cores x 4)``)
-    is the right blind choice — per-bucket memory must not grow with
-    the corpus — but when the input is measurably tiny, 128 shuffle
-    groups for a few thousand rows is pure task-scheduling overhead
-    (measured ~2x on the sf0.01 join queries). Returns None for
-    remote/missing paths (caller keeps the operator default)."""
-    total = 0
-    for p in paths:
-        st = _local_parquet_stats(p)
-        if st is None:
-            return None
-        total += st[1]
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-    else:
-        ncpu = os.cpu_count() or 8
-    return max(8, min(4 * ncpu, -(-total // (1 << 20))))
-
-
 def auto_num_blocks(path) -> int | None:
     """Read-task count: one per target-size chunk of input, never fewer
     than the cluster's CPUs.
@@ -322,8 +299,19 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
     return ds
 
 
+def _arrow(block) -> pa.Table:
+    """A block as Arrow: ``to_arrow_refs`` hands blocks through as they
+    are when the Dataset schema is Arrow, and ``map_batches`` passes an
+    empty input block through unconverted, so a pandas-block source can
+    leave empty pandas blocks among the Arrow ones."""
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
+
+
 @ray.remote
 def _block_task(stage, block: pa.Table, flt, batch_size: int | None) -> pa.Table:
+    block = _arrow(block)
     if flt is not None:
         block = block.filter(flt)
     n = block.num_rows
@@ -419,10 +407,13 @@ def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 @ray.remote
 def _route_task(stage, block: pa.Table, flt, keys: list[str], n: int):
+    block = _arrow(block)
     if flt is not None:
         block = block.filter(flt)
-    t = block if stage is None else stage(block)
-    if not t.num_columns:  # Ray's schema-less empty block
+    # Ray's schema-less empty block (a materialized map_batches
+    # output) has no columns for the stage to read: pass it on
+    t = block if stage is None or not block.num_columns else stage(block)
+    if not t.num_columns:
         slices = [t] * n
     else:
         bucket = _key_hash(t, keys) % np.uint64(n)

@@ -21,14 +21,13 @@ with non-ASCII text get the documented byte semantics, loudly stated
 here rather than silently approximated).
 
 Scale shape: emission is 6 bounded keys per row; the join shuffles
-|keys| rows on cluster-scaled buckets (ops/relational.hash_join);
+|keys| rows through one ``io.reduce_by_key`` (ops/relational.hash_join);
 verification and pair normalization run in-stage; the global pair
 dedupe is one groupby over candidate-pair cardinality, never the
 corpus. Skew guard: a segment shared by many strings (hot key) makes
 that bucket's candidate block quadratic — the in-stage verify keeps
-only true pairs, and the documented mitigation is raising n_buckets /
-segment count (d+1 partitions shrink per-key collision classes), the
-same knob every bucketed join in this repo exposes.
+only true pairs, and the documented mitigation is the segment count
+(d+1 partitions shrink per-key collision classes).
 """
 
 from __future__ import annotations
@@ -140,9 +139,7 @@ def _emit_keys(batch: pa.Table, id_col: str, s_col: str, side: str) -> pa.Table:
     )
 
 
-def edit1_pairs(
-    ds: ray.data.Dataset, id_col: str, s_col: str, n_buckets: int | None = None
-) -> ray.data.Dataset:
+def edit1_pairs(ds: ray.data.Dataset, id_col: str, s_col: str) -> ray.data.Dataset:
     """All unordered id pairs whose strings are within ONE byte-level
     edit (including distance 0: exact duplicates under distinct ids).
     Returns a Dataset with columns (id_a, id_b), id_a < id_b, globally
@@ -155,7 +152,7 @@ def edit1_pairs(
     long_ = ds.map_batches(
         lambda b: _emit_keys(b, id_col, s_col, "b"), batch_format="pyarrow"
     )
-    cand = hash_join(short, long_, on=["role", "seg", "l"], n_buckets=n_buckets)
+    cand = hash_join(short, long_, on=["role", "seg", "l"])
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["id_a"] != g["id_b"]]

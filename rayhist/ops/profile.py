@@ -6,8 +6,9 @@ kinds into one stream: per-column COUNT partials (routed by
 hash(column), so a column's partials meet in one bucket) and
 per-batch-DISTINCT (column, canonical-value) pairs (per-batch
 np.unique first — the pre-aggregation that keeps the shuffle
-O(distincts), not O(rows)); a single bucket groupby then both sums the
-count partials and counts bucket-unique pairs. Canonical value strings
+O(distincts), not O(rows)); a single ``io.reduce_by_key`` on
+(column, value) then both sums the count partials and counts
+bucket-unique pairs. Canonical value strings
 are injective per distinct value (ints and strings verbatim; floats
 via shortest-roundtrip repr), so the distinct count equals SQL's
 count(DISTINCT native) without shipping native types through the
@@ -22,16 +23,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .. import io as rio
 
 
-def profile_columns(
-    ds: ray.data.Dataset,
-    cols: list[str],
-    n_buckets: int | None = None,
-) -> pd.DataFrame:
+def profile_columns(ds: ray.data.Dataset, cols: list[str]) -> pd.DataFrame:
     """(column, n, n_null, n_distinct) per requested column — exact."""
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
 
     def stage(b: pa.Table) -> pa.Table:
         frames = []
@@ -61,13 +57,7 @@ def profile_columns(
                     }
                 )
             )
-        out = pd.concat(frames, ignore_index=True)
-        key = pd.util.hash_array(
-            (out["column"] + "\x1f" + out["sval"].fillna("\x00")).to_numpy(dtype=object),
-            categorize=False,
-        ).astype(np.int64)
-        out["_bucket"] = _bucket_of(key, n_buckets)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(pd.concat(frames, ignore_index=True), preserve_index=False)
 
     def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
         cnt = g[g["sval"].isna()]
@@ -103,12 +93,10 @@ def profile_columns(
             )
         return pd.concat(parts, ignore_index=True)
 
-    parts = (
-        ds.map_batches(stage, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_final, batch_format="pandas")
-        .to_pandas()
-    )
+    # routed by (column, value): a column's count partials (null sval)
+    # meet in one bucket, and so do the copies of one distinct pair
+    refs = rio.reduce_by_key(ds, ["column", "sval"], rio.on_pandas(bucket_final), stage=stage)
+    parts = rio.blocks_table(refs).to_pandas()
     out = parts.groupby("column", as_index=False).agg(
         n=("n", "sum"), n_null=("n_null", "sum"), n_distinct=("d_p", "sum")
     )

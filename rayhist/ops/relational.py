@@ -3,8 +3,9 @@
 These are the generic map/filter/join/aggregate/sort building blocks
 (SURVEY.md §2.3/2.7/2.9). Joins follow the broadcast pattern for small
 sides (``ray.put`` once, pandas merge per batch — no shuffle); both-
-sides-large joins co-partition on a shared bucket key (documented in
-rayhist.spatial.raster for the cell-key case).
+sides-large joins and per-key operators shuffle through the one
+primitive, ``io.reduce_by_key`` routed by the real key columns
+(``_per_key`` for one input, ``_cogroup`` for two).
 
 Money columns are converted to integer cents BEFORE aggregation so
 sums are order-independent and bit-equal to the SQL oracles (float
@@ -16,18 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-
-def _ncpu() -> int:
-    """Cluster CPU count (fallback: host cores) — the scaling knob for
-    parallelism defaults that must grow with the cluster."""
-    import os
-
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-    return os.cpu_count() or 8
+from .. import io as rio
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -153,6 +147,61 @@ def broadcast_join(
     return ds.map_batches(join, batch_format="pandas")
 
 
+def _per_key(ds: ray.data.Dataset, keys: list[str], fn, stage=None) -> ray.data.Dataset:
+    """``fn`` (pandas -> pandas) over complete ``keys``: one
+    ``io.reduce_by_key`` routed by the key columns (after ``stage``),
+    its bucket outputs as the blocks of a Dataset. ``fn`` sees every
+    row of its bucket's keys, and an empty typed frame for a bucket
+    that received no rows."""
+    refs = rio.reduce_by_key(ds, keys, rio.on_pandas(fn), stage=stage)
+    return ray.data.from_arrow_refs(refs)
+
+
+def _tag_side(t: pa.Table, side: int) -> pa.Table:
+    return t.append_column("_side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
+
+
+def _side_columns(tagged: ray.data.Dataset) -> list[str]:
+    """Column names of one tagged (``materialize_blocks``) side of a
+    co-group, ``_side`` excluded — read from its blocks' metadata, no
+    execution."""
+    return [c for c in tagged.schema().names if c != "_side"]
+
+
+def _cogroup(left: ray.data.Dataset, right: ray.data.Dataset, keys: list[str], fn):
+    """The two-sided co-group: the blocks of both tagged
+    (``materialize_blocks``) sides as one ref list through one
+    ``io.reduce_by_key`` on ``keys``, so each bucket holds all rows of
+    its keys from both sides, the other side's columns null-filled.
+    ``fn`` (pandas -> pandas) sees each bucket with its integer
+    columns as nullable Int64: the null fill must not coerce an int64
+    column to float64 (exact at any magnitude — money rule: integer
+    cents). Returns the bucket outputs as the blocks of a Dataset."""
+
+    def reduce(t: pa.Table) -> pa.Table:
+        g = t.to_pandas(
+            types_mapper=lambda typ: pd.Int64Dtype() if pa.types.is_integer(typ) else None
+        )
+        return pa.Table.from_pandas(fn(g), preserve_index=False)
+
+    refs = rio.reduce_by_key(left.to_arrow_refs() + right.to_arrow_refs(), keys, reduce)
+    return ray.data.from_arrow_refs(refs)
+
+
+def _is_int(s: pd.Series) -> bool:
+    return isinstance(s.dtype, pd.Int64Dtype)
+
+
+def _complete_ints(out: pd.DataFrame) -> pd.DataFrame:
+    """Nullable Int64 columns without a null back to plain int64;
+    columns with genuine nulls (outer joins) STAY Int64 — never
+    float64."""
+    for c in out.columns:
+        if _is_int(out[c]) and out[c].notna().all():
+            out[c] = out[c].astype("int64")
+    return out
+
+
 def topk(ds: ray.data.Dataset, key: str, k: int, tiebreak: str, descending: bool = True) -> pd.DataFrame:
     """Deterministic top-k: per-batch candidate top-k, then a global
     reduce — no full sort shuffle (ds.sort would move every row; this
@@ -180,10 +229,11 @@ def topk_per_group(
     ``row_number() <= k`` idiom). Two stages, both distributed: a
     per-batch candidate prune keeps at most k rows per group per batch
     (so at most blocks x groups x k rows shuffle — never the corpus),
-    then ``groupby(group_col)`` resolves the final k with a 1-based
-    ``rank`` column. Ties on ``key`` break by ``tiebreak`` ascending.
-    Works at any group cardinality: low-card groups cost a small
-    shuffle; high-card groups stay fully distributed."""
+    then one ``io.reduce_by_key`` on ``group_col`` resolves the final
+    k with a 1-based ``rank`` column. Ties on ``key`` break by
+    ``tiebreak`` ascending. Works at any group cardinality: low-card
+    groups cost a small shuffle; high-card groups stay fully
+    distributed."""
     asc = [not descending, True]
 
     def cand(batch: pa.Table) -> pa.Table:
@@ -198,16 +248,11 @@ def topk_per_group(
         )
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, tiebreak], ascending=asc, kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+        g = g.sort_values([group_col, key, tiebreak], ascending=[True, *asc], kind="mergesort")
+        g = g.groupby(group_col, sort=False, dropna=False).head(k)
+        return g.assign(rank=g.groupby(group_col, sort=False, dropna=False).cumcount() + 1)
 
-    return (
-        ds.map_batches(cand, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(final, batch_format="pandas")
-    )
+    return _per_key(ds, [group_col], final, stage=cand)
 
 
 def exact_quantiles_int(ds: ray.data.Dataset, col: str, fracs: list[tuple[int, int]]) -> list[int]:
@@ -235,154 +280,90 @@ def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: str | list[str],
-    n_buckets: int | None = None,
     how: str = "inner",
 ) -> ray.data.Dataset:
-    """Both-sides-large equi-join: explicit partitioned hash join
-    (``how``: inner / left / outer — outer is SQL FULL OUTER;
-    ``on``: one key column or a composite key as a list — a row with
-    ANY null key component matches nothing, per SQL).
+    """Both-sides-large equi-join (``how``: inner / left / outer —
+    outer is SQL FULL OUTER; ``on``: one key column or a composite key
+    as a list — a row with ANY null key component matches nothing, per
+    SQL).
 
-    Each side gets a deterministic ``bucket = key % n_buckets`` column
-    (composite keys mix per-column hashes; a single integer key stays
-    plain modulo — balanced for id-like keys, salt by raising
-    n_buckets);
-    the two datasets are unioned with a side marker and co-grouped by
-    bucket, and matching buckets are joined pairwise inside
-    ``map_groups`` — one shuffle per side, no broadcast. The default
-    bucket count SCALES WITH THE CLUSTER (cores x 4, floor 64): a
-    constant would make per-bucket memory grow with the corpus until a
-    single map_groups task OOMs. Salt hot keys by raising n_buckets.
+    Each side is tagged with its side in one stage, the blocks of both
+    sides go through one ``io.reduce_by_key`` on the key columns, and
+    each bucket (all rows of its keys from both sides) is merged in
+    pandas — one shuffle, no broadcast. The bucket count is the input
+    block count, which ``io.auto_num_blocks`` sizes from the input
+    bytes, so per-bucket memory does not grow with the corpus.
 
     Ray >= 2.46 also ships ``Dataset.join``; this explicit form is kept
-    because its partitioning is deterministic (resume-stable) and the
-    bucket count is an explicit, documented knob.
+    because its partitioning is deterministic (resume-stable).
     """
     if how not in ("inner", "left", "outer"):
         raise ValueError(f"hash_join: how={how!r} unsupported (inner/left/outer)")
-    if n_buckets is None:
-        n_buckets = max(64, _ncpu() * 4)
     ons = [on] if isinstance(on, str) else list(on)
 
-    # pad both sides to the union schema so the bucket groupby sees
-    # one consistent block type
-    lschema, rschema = left.schema(), right.schema()
-    lcols = list(lschema.names)
-    missing = [c for c in ons if c not in lcols or c not in rschema.names]
-    if missing:
-        raise ValueError(f"hash_join: key columns missing on a side: {missing}")
-    rcols = [c for c in rschema.names if c not in ons]
-    overlap = (set(lcols) - set(ons)) & set(rcols)
-    if overlap:
-        # a shared non-key name would collapse in the union-schema dict
-        # and come back _x/_y-suffixed from the merge — rename upstream
-        raise ValueError(f"hash_join: non-key columns on both sides: {sorted(overlap)}")
-    def _pa_type(t):
-        # pandas-block sources report NUMPY dtypes (object for text),
-        # which pa.nulls / pa.types.is_integer reject — normalize
-        if isinstance(t, pa.DataType):
-            return t
-        return pa.string() if t is object or str(t) == "object" else pa.from_numpy_dtype(t)
-
-    all_fields = [(n, _pa_type(lschema.types[lschema.names.index(n)])) for n in lcols] + [
-        (n, _pa_type(rschema.types[rschema.names.index(n)])) for n in rcols
-    ]
-
-    def tag_side(side: str, own: list[str]):
+    def tag(side: int, keeps_nulls: bool):
         def fn(batch: pa.Table) -> pa.Table:
             # SQL join semantics: a NULL key matches nothing. Pandas'
             # merge would match NA==NA, so drop null-key rows at the
             # scan unless the join KEEPS unmatched rows from this side
             # (LEFT keeps left nulls, FULL OUTER keeps both); kept
             # null-key rows are routed around the in-bucket merge
-            import pyarrow.compute as pc
-
-            keeps_nulls = how == "outer" or (how == "left" and side == "l")
-            if not keeps_nulls:
-                valid = pc.is_valid(batch[ons[0]])
-                for c in ons[1:]:
+            present = [c for c in ons if c in batch.schema.names]
+            if not keeps_nulls and present:
+                valid = pc.is_valid(batch[present[0]])
+                for c in present[1:]:
                     valid = pc.and_(valid, pc.is_valid(batch[c]))
                 batch = batch.filter(valid)
-            n = len(batch)
-            # composite bucket: mix per-column hashes (h*phi + col);
-            # a single integer key degenerates to plain modulo (0*phi
-            # + k == k), preserving the documented id-balanced layout
-            h = np.zeros(n, dtype=np.uint64)
-            for c in ons:
-                keys = batch[c].to_numpy(zero_copy_only=False)
-                if np.issubdtype(keys.dtype, np.integer):
-                    ch = keys.astype(np.uint64)
-                elif np.issubdtype(keys.dtype, np.floating):  # kept nulls
-                    ch = np.nan_to_num(keys, nan=0.0).astype(np.int64).astype(np.uint64)
-                else:
-                    ch = pd.util.hash_array(
-                        np.asarray(keys, dtype=object), categorize=False
-                    ).astype(np.uint64)
-                h = h * np.uint64(0x9E3779B97F4A7C15) + ch
-            cols = {}
-            for name, typ in all_fields:
-                cols[name] = batch[name] if name in own else pa.nulls(n, typ)
-            cols["_bucket"] = pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-            cols["_side"] = pa.array(np.full(n, side, dtype=object), type=pa.string())
-            return pa.table(cols)
+            return _tag_side(batch, side)
 
         return fn
 
-    both = left.map_batches(tag_side("l", lcols), batch_format="pyarrow").union(
-        right.map_batches(tag_side("r", [*ons, *rcols]), batch_format="pyarrow")
-    )
+    lt = rio.materialize_blocks(left, tag(0, how != "inner"))
+    rt = rio.materialize_blocks(right, tag(1, how == "outer"))
+    lcols, rnames = _side_columns(lt), _side_columns(rt)
+    missing = [c for c in ons if c not in lcols or c not in rnames]
+    if missing:
+        raise ValueError(f"hash_join: key columns missing on a side: {missing}")
+    rcols = [c for c in rnames if c not in ons]
+    overlap = (set(lcols) - set(ons)) & set(rcols)
+    if overlap:
+        # a shared non-key name would collapse in the co-group table
+        # and come back _x/_y-suffixed from the merge — rename upstream
+        raise ValueError(f"hash_join: non-key columns on both sides: {sorted(overlap)}")
 
-    # the union-padded nulls would coerce integer columns to float64 in
-    # a default arrow->pandas conversion, silently losing int64
-    # exactness above 2^53 BEFORE any post-merge restore; take the
-    # group as ARROW and map integer columns to pandas nullable Int64
-    # instead (exact at any magnitude; money rule: integer cents)
-    int_cols = [n for n, t in all_fields if pa.types.is_integer(t)]
-
-    def join_bucket(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas(
-            types_mapper=lambda typ: pd.Int64Dtype() if pa.types.is_integer(typ) else None
-        )
+    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         unmatched = None
         if how == "outer":
             # null keys survive a FULL OUTER join unmatched, but pandas
             # merge would pair NaN==NaN across sides — route them around
-            # the merge (they are already padded to the union schema)
+            # the merge
             nullk = g[ons].isna().any(axis=1)
             if nullk.any():
                 unmatched = g[nullk]
                 g = g[~nullk]
-        lg = g[g["_side"] == "l"][lcols]
-        rg = g[g["_side"] == "r"][[*ons, *rcols]]
+        lg = g[g["_side"] == 0][lcols]
+        rg = g[g["_side"] == 1][[*ons, *rcols]]
         out = lg.merge(rg, on=ons, how=how)
         if unmatched is not None:
             out = pd.concat([out, unmatched[list(out.columns)]], ignore_index=True)
-        for c in int_cols:
-            # all-non-null columns go back to plain int64; columns with
-            # genuine nulls (outer joins) STAY nullable Int64 — never
-            # float64
-            if c in out.columns and out[c].notna().all():
-                out[c] = out[c].astype("int64")
-        return out
+        return _complete_ints(out)
 
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _cogroup(lt, rt, ons, join_bucket)
 
 
 def hash_semi_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: str,
-    n_buckets: int | None = None,
     bloom=None,
     anti: bool = False,
 ) -> ray.data.Dataset:
     """Both-sides-large SEMI-join: keep left rows whose key appears in
     ``right`` (right's other columns and duplicate keys are ignored —
     no row multiplication, unlike an inner ``hash_join`` against a
-    non-deduped right side). One co-partitioned shuffle; the in-group
-    filter is a vectorized ``isin``. Bucket count scales with the
-    cluster like ``hash_join``. Non-integer keys are bucketed via the
-    deterministic string hash.
+    non-deduped right side). One co-group shuffle of the left rows and
+    the right keys (``io.reduce_by_key`` on ``on``); the in-bucket
+    filter is a vectorized ``isin``.
 
     ``bloom``: optional ``functions.bloom.BloomFilter`` of the RIGHT
     keys (build with ``build_bloom(right, on, expected_distinct)``).
@@ -398,24 +379,10 @@ def hash_semi_join(
     non-matching rows, which are exactly the anti-join's output."""
     if anti and bloom is not None:
         raise ValueError("bloom pruning is unsound for anti-joins")
-    if n_buckets is None:
-        n_buckets = max(64, _ncpu() * 4)
 
     bloom_ref = ray.put(bloom) if bloom is not None else None
 
-    lcols = list(left.schema().names)
-
-    def _buckets(keys: np.ndarray) -> np.ndarray:
-        if np.issubdtype(keys.dtype, np.integer):
-            return (keys.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return (
-            pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False)
-            % n_buckets
-        ).astype(np.int64)
-
     def tag_left(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         # SQL `k IN (...)` / `k NOT IN (...)` evaluates to unknown for
         # a NULL k -> the row is dropped in BOTH modes (pandas' isin
         # would instead match NaN==NaN and keep it)
@@ -423,48 +390,23 @@ def hash_semi_join(
         if bloom_ref is not None:
             bf = ray.get(bloom_ref)
             batch = batch.filter(pa.array(bf.contains(batch[on])))
-        keys = batch[on].to_numpy(zero_copy_only=False)
-        t = batch.append_column("_bucket", pa.array(_buckets(keys)))
-        return t.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
-
-    ltypes = list(left.schema().types)
+        return _tag_side(batch, 0)
 
     def tag_right(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         # null right keys never match any left key in SQL — drop them
         # (the anti docstring's non-null contract covers the NOT IN
-        # any-null-empties-the-result corner)
-        batch = batch.filter(pc.is_valid(batch[on]))
-        keys = batch[on].to_numpy(zero_copy_only=False)
-        n = len(batch)
-        cols = {on: batch[on]}
-        for c, typ in zip(lcols, ltypes):
-            if c == on:
-                continue
-            # pad integer columns with ZEROS, not nulls: a single null
-            # coerces the whole pandas group block to float64, silently
-            # losing int64 exactness above 2^53 (right rows are dropped
-            # by the filter, so the sentinel never escapes)
-            if pa.types.is_integer(typ):
-                cols[c] = pa.array(np.zeros(n, dtype=np.int64), type=typ)
-            else:
-                cols[c] = pa.nulls(n, typ)
-        t = pa.table(cols).select(lcols)
-        t = t.append_column("_bucket", pa.array(_buckets(keys)))
-        return t.append_column("_side", pa.array(np.zeros(n, dtype=np.int8)))
+        # any-null-empties-the-result corner); only the key moves
+        return _tag_side(batch.select([on]).filter(pc.is_valid(batch[on])), 1)
 
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
+    lt = rio.materialize_blocks(left, tag_left)
+    lcols = _side_columns(lt)
 
     def filter_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["_side"] == 1]
-        seen = g.loc[g["_side"] == 0, on].unique()
-        keep = lg[on].isin(seen)
-        return lg[~keep if anti else keep][lcols]
+        lg = g[g["_side"] == 0]
+        keep = lg[on].isin(g.loc[g["_side"] == 1, on])
+        return _complete_ints(lg[~keep if anti else keep][lcols])
 
-    return both.groupby("_bucket").map_groups(filter_bucket, batch_format="pandas")
+    return _cogroup(lt, rio.materialize_blocks(right, tag_right), [on], filter_bucket)
 
 
 def deterministic_sample(
@@ -610,6 +552,34 @@ def stratified_sample(
     return ds.map_batches(stage, batch_format="pyarrow")
 
 
+def _weighted_pick(h: pd.DataFrame, keys: list[str], val: str, w: str, rank) -> np.ndarray:
+    """Per key of ``h`` (rows sorted by (keys, val), positive integer
+    weights ``w``): the ``val`` of the first row whose running weight
+    within its key reaches ``rank(total weight)`` (1 <= rank <= total),
+    in key order — one global cumsum and one searchsorted for every
+    key, so a (key, value) pair split over several rows counts once in
+    total."""
+    wt = h[w].to_numpy(dtype=np.int64)
+    cum = np.cumsum(wt)
+    starts = np.flatnonzero(~h.duplicated(keys).to_numpy())
+    tot = h.groupby(keys, sort=False, dropna=False)[w].sum().to_numpy(dtype=np.int64)
+    return h[val].to_numpy()[np.searchsorted(cum, cum[starts] - wt[starts] + rank(tot))]
+
+
+def _value_counts(key: str, col: str):
+    """Stage: the block's (key, non-null value) histogram — the
+    pre-aggregation that bounds the shuffle at distinct pairs per
+    block (SQL quantiles ignore NULL values)."""
+
+    def stage(b: pa.Table) -> pa.Table:
+        b = b.select([key, col]).filter(pc.is_valid(b[col]))
+        return pa.TableGroupBy(b, [key, col]).aggregate([([], "count_all")]).rename_columns(
+            [key, col, "n"]
+        )
+
+    return stage
+
+
 def grouped_exact_quantiles_int(
     ds: ray.data.Dataset,
     key: str,
@@ -619,88 +589,49 @@ def grouped_exact_quantiles_int(
 ) -> pd.DataFrame:
     """Exact discrete quantiles of an integer column PER GROUP (value
     at sorted index ((n-1)*num)//den within each key) — no global or
-    per-group row sort: a distributed (key, value) histogram groupby,
-    then a per-key cumsum resolve, also distributed. Driver receives
-    |keys| rows."""
+    per-group row sort: per-block (key, value) histograms, one
+    ``io.reduce_by_key`` on ``key``, and a per-key cumsum resolve in
+    each bucket. Driver receives |keys| rows; an all-null group emits
+    nothing."""
 
-    hist = ds.groupby([key, col]).count()
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        empty = g.iloc[:0]
-        g = g[g[col].notna()]  # SQL quantiles ignore NULL values
-        if g.empty:  # all-null group: emit nothing, dtype-preserving
-            return pd.DataFrame(
-                {key: empty[key],
-                 **{nm: pd.Series([], dtype="int64") for nm in names}}
-            )
-        g = g.sort_values(col)
-        cum = g["count()"].to_numpy().cumsum()
-        vals = g[col].to_numpy()
-        n = int(cum[-1])
-        rec = {key: g[key].iloc[0]}
+    def final(h: pd.DataFrame) -> pd.DataFrame:
+        h = h.sort_values([key, col], kind="mergesort")
+        out = h.drop_duplicates(key)[[key]].reset_index(drop=True)
         for (num, den), name in zip(fracs, names):
-            idx = ((n - 1) * num) // den
-            rec[name] = int(vals[int(np.searchsorted(cum, idx + 1, side="left"))])
-        return pd.DataFrame([rec])
+            at = _weighted_pick(h, [key], col, "n", lambda tot: (tot - 1) * num // den + 1)
+            out[name] = at.astype(np.int64)
+        return out
 
-    return (
-        hist.groupby(key)
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts(key, col))
+    return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 
 def grouped_median_mad_int(
     ds: ray.data.Dataset, key: str, col: str
 ) -> pd.DataFrame:
     """Exact discrete median AND median-absolute-deviation per group
-    from ONE distributed (key, value) histogram: each key's complete
-    histogram lands in one map_groups task, where the median resolves
-    by cumsum rank and the deviation histogram |v - med| (re-binned by
-    summing the counts of v = med-d and med+d) resolves the MAD the
-    same way — no second scan of the corpus, no broadcast round-trip.
-    Rank rule is the discrete (n-1)//2 selection on both passes.
-    Null values are dropped BEFORE the shuffle (SQL semantics, and
-    Ray's groupby cannot hash pandas NA keys)."""
+    from ONE shuffle of per-block (key, value) histograms: each key's
+    complete histogram lands in one ``io.reduce_by_key`` bucket, where
+    the median resolves by cumsum rank and the deviation histogram
+    |v - med| (the same counts re-sorted by deviation) resolves the MAD
+    the same way — no second scan of the corpus, no broadcast
+    round-trip. Rank rule is the discrete (n-1)//2 selection on both
+    passes. Null values are dropped (SQL semantics)."""
 
-    def drop_null_vals(b: pa.Table) -> pa.Table:
-        return b.filter(pa.compute.is_valid(b[col]))
+    def mid(tot: np.ndarray) -> np.ndarray:
+        return (tot - 1) // 2 + 1
 
-    hist = (
-        ds.map_batches(drop_null_vals, batch_format="pyarrow")
-        .groupby([key, col])
-        .count()
-    )
+    def final(h: pd.DataFrame) -> pd.DataFrame:
+        h = h.sort_values([key, col], kind="mergesort")
+        med = _weighted_pick(h, [key], col, "n", mid).astype(np.int64)
+        sizes = h.groupby(key, sort=False, dropna=False).size().to_numpy()
+        dev = np.abs(h[col].to_numpy(dtype=np.int64) - np.repeat(med, sizes))
+        d = h.assign(dev=dev).sort_values([key, "dev"], kind="mergesort")
+        mad = _weighted_pick(d, [key], "dev", "n", mid).astype(np.int64)
+        return h.drop_duplicates(key)[[key]].reset_index(drop=True).assign(med=med, mad=mad)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g[col].notna()]
-        if g.empty:
-            return pd.DataFrame(
-                {key: pd.Series([], dtype=object),
-                 "med": pd.Series([], dtype="int64"),
-                 "mad": pd.Series([], dtype="int64")}
-            )
-        g = g.sort_values(col)
-        vals = g[col].to_numpy(dtype=np.int64)
-        cnts = g["count()"].to_numpy(dtype=np.int64)
-        cum = cnts.cumsum()
-        n = int(cum[-1])
-        med = int(vals[int(np.searchsorted(cum, (n - 1) // 2 + 1, side="left"))])
-        dev = np.abs(vals - med)
-        order = np.argsort(dev, kind="stable")
-        dcum = cnts[order].cumsum()
-        mad = int(dev[order][int(np.searchsorted(dcum, (n - 1) // 2 + 1, side="left"))])
-        return pd.DataFrame([{key: g[key].iloc[0], "med": med, "mad": mad}])
-
-    return (
-        hist.groupby(key)
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts(key, col))
+    return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 
 def _skyline_mask_2d(maxv: np.ndarray, minv: np.ndarray) -> np.ndarray:
@@ -735,8 +666,8 @@ def pareto_front_2d(
     block-local frontier prefilter (sound combiner: a row dominated
     inside its own block is dominated in the union, so
     frontier(∪blocks) ⊆ ∪ block-frontiers) followed by one
-    groupby(group) final — only block-frontier rows shuffle, never the
-    corpus. The SQL mirror is the classic NOT EXISTS anti-self-join."""
+    ``io.reduce_by_key`` on the group — only block-frontier rows
+    shuffle, never the corpus. The SQL mirror is the classic NOT EXISTS anti-self-join."""
 
     def local(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -749,17 +680,9 @@ def pareto_front_2d(
             )
         return pa.Table.from_pandas(df[keep], preserve_index=False)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        keep = _skyline_mask_2d(
-            g[max_col].to_numpy(dtype=np.int64), g[min_col].to_numpy(dtype=np.int64)
-        )
-        return g[keep]
-
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(final, batch_format="pandas")
-    )
+    # the block-local prefilter is also the final: a bucket holds
+    # complete groups, and frontier(group) is what it computes
+    return ray.data.from_arrow_refs(rio.reduce_by_key(ds, [group_col], local, stage=local))
 
 
 def grouped_weighted_median_int(
@@ -771,8 +694,8 @@ def grouped_weighted_median_int(
     cumulative-weight window idiom). Distributed as a per-batch
     (keys, value) weight pre-aggregation (bounds the shuffle at
     distinct values per block, never raw rows) -> one
-    groupby(keys, value).sum -> per-group sorted cumsum in map_groups;
-    only |groups| rows reach the driver. Zero and negative weights are
+    ``io.reduce_by_key`` on ``keys`` -> per-group sorted cumsum in each
+    bucket; only |groups| rows reach the driver. Zero and negative weights are
     rejected loudly (a zero-weight value could otherwise BE the median
     while contributing nothing)."""
 
@@ -786,25 +709,15 @@ def grouped_weighted_median_int(
         g = pa.TableGroupBy(t, [*keys, col]).aggregate([(weight, "sum")])
         return g.rename_columns([*keys, col, "w_p"])
 
-    hist = ds.map_batches(prag, batch_format="pyarrow").groupby([*keys, col]).sum("w_p")
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(col)
-        w = g["sum(w_p)"].to_numpy(dtype=np.int64)
-        cum = np.cumsum(w)
-        tot = int(cum[-1])
-        pos = int(np.searchsorted(2 * cum, tot, side="left"))
-        return pd.DataFrame(
-            [
-                {
-                    **{k: g[k].iloc[0] for k in keys},
-                    "wmedian": int(g[col].to_numpy(dtype=np.int64)[pos]),
-                }
-            ]
+    def final(h: pd.DataFrame) -> pd.DataFrame:
+        h = h.sort_values([*keys, col], kind="mergesort")
+        wm = _weighted_pick(h, keys, col, "w_p", lambda tot: (tot + 1) // 2)
+        return h.drop_duplicates(keys)[keys].reset_index(drop=True).assign(
+            wmedian=wm.astype(np.int64)
         )
 
-    out = hist.groupby(keys).map_groups(final, batch_format="pandas").to_pandas()
-    return out.astype({"wmedian": "int64"})
+    refs = rio.reduce_by_key(ds, keys, rio.on_pandas(final), stage=prag)
+    return rio.blocks_table(refs).to_pandas()
 
 
 def ordered_string_agg(
@@ -813,25 +726,15 @@ def ordered_string_agg(
     val_col: str,
     order_cols: list[str],
     sep: str = "",
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """SQL ``string_agg(val, sep ORDER BY order_cols)`` per key — the
     ordered-collect operator (DISTRIBUTED BY key, ORDERED WITHIN key).
-    One complete-keys bucket shuffle; the in-bucket final sorts by
+    One ``io.reduce_by_key`` on the key; the in-bucket final sorts by
     (key, order_cols) and joins per group. Output is one row per key
     (key, agg, n) — per-key string size is the caller's density
     contract, exactly like SQL's. Order columns must make the order
     total (ties would make the result nondeterministic); callers pass
     a unique tiebreaker last."""
-    from .window import _bucket_of, _resolve_buckets
-
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
-
-    def tag(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False)
-        return b.select([key_col, val_col, *order_cols]).append_column(
-            "_bucket", pa.array(_bucket_of(k, n_buckets))
-        )
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, *order_cols], kind="mergesort")
@@ -842,11 +745,10 @@ def ordered_string_agg(
             {key_col: out.index, "agg": out.to_numpy(), "n": n.to_numpy(dtype=np.int64)}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(agg, batch_format="pandas")
-    )
+    def cols(b: pa.Table) -> pa.Table:
+        return b.select([key_col, val_col, *order_cols])
+
+    return _per_key(ds, [key_col], agg, stage=cols)
 
 
 def deterministic_split(
@@ -1007,40 +909,34 @@ def weighted_sample_topk(
 
 
 def island_length_histogram(
-    ds: "ray.data.Dataset", col: str, range_size: int = 1024
-) -> "pd.DataFrame":
+    ds: ray.data.Dataset, col: str, range_size: int = 1024
+) -> pd.DataFrame:
     """Distributed GAPS-AND-ISLANDS: lengths of maximal runs of
     consecutive integers in ``col`` (values assumed distinct), as a
     (length -> n_chains) histogram.
 
-    Scale shape: RANGE-bucket by value // range_size (contiguous
-    ranges, one Dataset shuffle); each bucket resolves its interior
-    runs locally and emits at most TWO boundary-touching segments, so
-    the driver stitch walks O(#buckets) segments — never the value
-    corpus. The SQL mirror is the classic id - row_number() island
-    key; equality is pinned by the *_chain_lengths oracle."""
-    import pandas as pd
-    import pyarrow as pa
-
+    Scale shape: RANGE-key by value // range_size (contiguous ranges,
+    one ``io.reduce_by_key`` on that key); each bucket resolves the
+    interior runs of its ranges locally and emits at most TWO
+    boundary-touching segments per range, so the driver stitch walks
+    O(#ranges) segments — never the value corpus. The SQL mirror is
+    the classic id - row_number() island key; equality is pinned by
+    the *_chain_lengths oracle."""
     rs = int(range_size)
 
     def add_rb(b: pa.Table) -> pa.Table:
-        import numpy as np
-
         v = b[col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({col: v, "_rb": np.floor_divide(v, rs)})
 
     def local_runs(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        v = np.sort(np.unique(g[col].to_numpy(dtype=np.int64)))
-        rb = int(g["_rb"].iloc[0])
-        lo, hi = rb * rs, rb * rs + rs - 1
-        brk = np.nonzero(np.diff(v) > 1)[0]
-        starts = np.r_[0, brk + 1]
-        ends = np.r_[brk, len(v) - 1]
-        first, last = v[starts], v[ends]
-        edge = (first == lo) | (last == hi)
+        v = np.unique(g[col].to_numpy(dtype=np.int64))
+        rb = np.floor_divide(v, rs)
+        new = np.ones(len(v), dtype=bool)
+        new[1:] = (np.diff(v) > 1) | (rb[1:] != rb[:-1])  # a run never crosses a range
+        runs = pd.DataFrame({"run": np.cumsum(new), "v": v}).groupby("run")["v"]
+        first, last = runs.min().to_numpy(), runs.max().to_numpy()
+        lo = np.floor_divide(first, rs) * rs
+        edge = (first == lo) | (last == lo + rs - 1)
         lens = (last - first + 1)[~edge]
         ul, uc = np.unique(lens, return_counts=True)
         out = pd.DataFrame(
@@ -1052,12 +948,9 @@ def island_length_histogram(
         )
         return out.astype({"kind": "object", "a": "int64", "b": "int64"})
 
-    rows = (
-        ds.map_batches(add_rb, batch_format="pyarrow")
-        .groupby("_rb")
-        .map_groups(local_runs, batch_format="pandas")
-        .to_pandas()  # O(#buckets) rows by construction
-    )
+    # O(#ranges) rows by construction
+    rows = rio.blocks_table(rio.reduce_by_key(ds, ["_rb"], rio.on_pandas(local_runs), add_rb))
+    rows = rows.to_pandas()
     hist: dict[int, int] = {}
     segs = []
     for _, r in rows.iterrows():

@@ -31,6 +31,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .relational import _per_key
+
 _I64_MAX = (1 << 63) - 1
 
 
@@ -139,12 +141,12 @@ def grouped_recurrence_ewma_int(
     key_col: str,
     order_cols: list[str],
     value_col: str,
-    n_buckets: int = 64,
 ):
     """Per-key integer EWMA — the NON-ASSOCIATIVE ordered recurrence
     ``s_1 = v_1; s_t = (s_{t-1} + v_t) // 2`` (floor halving, exact
     ints, no float drift). A fold like this has no combiner, so the
-    distributed shape is complete-keys-per-bucket + an in-bucket scan;
+    distributed shape is one ``io.reduce_by_key`` on the key (complete
+    keys per bucket) + an in-bucket scan;
     the scan itself is VECTORIZED ACROSS KEYS, not rows: rows sort by
     (key, order), per-key step indices come from cumcount, and one
     numpy pass per STEP updates every key still alive at that step —
@@ -155,13 +157,9 @@ def grouped_recurrence_ewma_int(
     rn -> rn+1. (Associative scans belong in ordered_prefix_sum; this
     operator exists precisely for the recurrences that are not.)"""
     import pandas as pd
-    import ray.data  # noqa: F401
 
-    def tag(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False)
-        return b.select([key_col, value_col, *order_cols]).append_column(
-            "_bucket", pa.array((k % n_buckets).astype(np.int64))
-        )
+    def cols(b: pa.Table) -> pa.Table:
+        return b.select([key_col, value_col, *order_cols])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, *order_cols], kind="mergesort")
@@ -187,11 +185,7 @@ def grouped_recurrence_ewma_int(
         n = np.bincount(kid, minlength=nk).astype(np.int64)
         return pd.DataFrame({key_col: uk, "n": n, "ewma_c": state})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], fold, stage=cols)
 
 
 def grouped_recurrence_holt_int(
@@ -199,7 +193,6 @@ def grouped_recurrence_holt_int(
     key_col: str,
     order_cols: list[str],
     value_col: str,
-    n_buckets: int = 64,
 ):
     """Per-key integer HOLT (double-exponential) smoothing — TWO
     coupled non-associative recurrences with alpha = beta = 1/2:
@@ -215,13 +208,9 @@ def grouped_recurrence_holt_int(
     complete-keys-per-bucket, the scan vectorized ACROSS keys per
     step. Returns one row per key: (key, n, level_c, trend_c)."""
     import pandas as pd
-    import ray.data  # noqa: F401
 
-    def tag(b: pa.Table) -> pa.Table:
-        k = b[key_col].to_numpy(zero_copy_only=False)
-        return b.select([key_col, value_col, *order_cols]).append_column(
-            "_bucket", pa.array((k % n_buckets).astype(np.int64))
-        )
+    def cols(b: pa.Table) -> pa.Table:
+        return b.select([key_col, value_col, *order_cols])
 
     def tdiv2(x: np.ndarray) -> np.ndarray:
         return np.sign(x) * (np.abs(x) // 2)
@@ -258,8 +247,4 @@ def grouped_recurrence_holt_int(
             {key_col: uk, "n": n, "level_c": lvl, "trend_c": trd}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], fold, stage=cols)

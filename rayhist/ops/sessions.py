@@ -17,16 +17,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from .. import io as rio
-
-
-def _bucketed(events: ray.data.Dataset, key_col: str, group_fn) -> ray.data.Dataset:
-    """Run ``group_fn`` (pandas -> pandas) over complete keys: the
-    shared shuffle of every sessionization variant
-    (``io.reduce_by_key`` on ``key_col``), its bucket outputs as the
-    blocks of a Dataset."""
-    refs = rio.reduce_by_key(events, [key_col], rio.on_pandas(group_fn))
-    return ray.data.from_arrow_refs(refs)
+from .relational import _per_key
 
 
 def _session_frame(g: pd.DataFrame, gap_us: int, key_col: str, ts_col: str):
@@ -66,7 +57,7 @@ def sessionize(
         out["duration_us"] = out["end_us"] - out["start_us"]
         return out
 
-    return _bucketed(events, key_col, bucket_sessions)
+    return _per_key(events, [key_col], bucket_sessions)
 
 
 def user_session_stats(
@@ -92,7 +83,7 @@ def user_session_stats(
             n_sessions=("_sid", "size"), n_events=("n", "sum"), total_session_us=("dur", "sum")
         )
 
-    return _bucketed(events, key_col, bucket_user_stats)
+    return _per_key(events, [key_col], bucket_user_stats)
 
 
 def interval_union_length(
@@ -135,4 +126,4 @@ def interval_union_length(
             {key_col: "int64", "covered": "int64", "n_spans": "int64"}
         )
 
-    return _bucketed(intervals, key_col, bucket_union)
+    return _per_key(intervals, [key_col], bucket_union)

@@ -593,7 +593,6 @@ def edge_triangle_support(
             oriented.map_batches(edge_rows, batch_format="pyarrow"),
             support,
             on="ek",
-            n_buckets=n_buckets,
             how="left",
         )
 

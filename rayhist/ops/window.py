@@ -6,9 +6,9 @@ large-scale event/training-data pipeline needs on top of it:
 
 - ``asof_join``: keyed as-of join (each left row matched to the
   latest right row at-or-before / earliest at-or-after its time) —
-  the attribution join. Distributed as a co-partitioned hash bucket
-  shuffle (complete by-keys per bucket), with the in-bucket match a
-  vectorized sorted-merge (``pd.merge_asof``).
+  the attribution join. Distributed as one co-group shuffle
+  (``io.reduce_by_key`` on the by-key, complete keys per bucket), with
+  the in-bucket match a vectorized sorted-merge (``pd.merge_asof``).
 - ``interval_point_join``: non-equi range join of intervals against
   points (start <= t < end) with NO key equality. Distributed by
   time-binning: an interval is replicated to every bin it overlaps, a
@@ -22,7 +22,9 @@ large-scale event/training-data pipeline needs on top of it:
 
 All buckets hold COMPLETE keys by construction, so per-key finals may
 run inside the bucket stage (the ``sessions.py`` pattern) and only
-|keys| small rows reach the driver.
+|keys| small rows reach the driver. The bucket count is the input
+block count (``io.reduce_by_key``); ``_resolve_buckets`` and
+``_bucket_of`` below serve the graph operators' own shuffles.
 """
 
 from __future__ import annotations
@@ -30,11 +32,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
+
+from .. import io as rio
+from .relational import (
+    _cogroup, _complete_ints, _is_int, _per_key, _side_columns, _tag_side,
+)
 
 
 def _resolve_buckets(n_buckets: int | None, floor: int = 256) -> int:
-    """Cluster-scaled shuffle-bucket default (the hash_join rule): a
+    """Cluster-scaled shuffle-bucket default of the graph operators: a
     CONSTANT caps the stage at that many tasks no matter how wide the
     cluster is, and lets per-bucket memory grow with the corpus."""
     if n_buckets is not None:
@@ -61,20 +69,6 @@ def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _arrow_fields(schema) -> list[tuple[str, pa.DataType]]:
-    """(name, Arrow type) pairs from a Ray Dataset schema. Parquet /
-    Arrow-block sources already carry pa.DataType entries; a pandas-
-    block source (``from_pandas`` with object columns) reports NUMPY
-    dtypes, which ``pa.nulls`` rejects — normalize those (object maps
-    to string, the pandas text convention)."""
-    out = []
-    for n, t in zip(schema.names, schema.types):
-        if not isinstance(t, pa.DataType):
-            t = pa.string() if t is object or str(t) == "object" else pa.from_numpy_dtype(t)
-        out.append((n, t))
-    return out
-
-
 def _replicate_to_bins(
     s: np.ndarray, e: np.ndarray, bin_us: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,26 +92,12 @@ def _replicate_to_bins(
     return idx, b0[idx] + off
 
 
-def _empty_frame(fields: list[tuple[str, pa.DataType]]) -> pd.DataFrame:
-    """Zero-row frame whose dtypes mirror what a NON-empty bucket
-    emits for the same fields (ints int64, other types via the Arrow
-    default), so an empty bucket's block never carries a conflicting
-    Arrow schema (an all-int64 placeholder against a string column
-    fails Ray's block-schema unification)."""
-    df = pa.table({n: pa.nulls(0, t) for n, t in fields}).to_pandas()
-    for n, t in fields:
-        if pa.types.is_integer(t):
-            df[n] = df[n].astype("int64")
-    return df
-
-
 def asof_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: str,
     by: str,
     direction: str = "backward",
-    n_buckets: int | None = None,
     rsuffix: str = "_r",
     group_final=None,
 ) -> ray.data.Dataset:
@@ -127,9 +107,9 @@ def asof_join(
     r.on`` contract) or earliest >= (forward). Unmatched left rows
     keep nulls (LEFT semantics).
 
-    Both sides are bucketed by hash(by) and co-grouped — ONE shuffle
-    per side, complete keys per bucket — and the in-bucket match is a
-    sorted vectorized merge. Right columns colliding with left names
+    Both sides are co-grouped by ``by`` in one ``io.reduce_by_key``
+    (complete keys per bucket), and the in-bucket match is a sorted
+    vectorized merge. Right columns colliding with left names
     (including ``on``) come back suffixed with ``rsuffix``.
 
     ``group_final``: optional pandas->pandas callable applied to each
@@ -137,88 +117,64 @@ def asof_join(
     holds complete ``by`` keys, any per-key aggregate is final there —
     use it so only |keys| small rows stream out instead of |left|.
     """
-    n_buckets = _resolve_buckets(n_buckets)
-    lschema, rschema = left.schema(), right.schema()
-    if on not in rschema.names:
-        raise ValueError(f"asof_join: right side lacks the on-column {on!r}")
-    if on not in lschema.names:
-        raise ValueError(f"asof_join: left side lacks the on-column {on!r}")
     if on == by:
         raise ValueError("asof_join: on and by must be distinct columns")
-    lcols = list(lschema.names)
-    # right columns after rename (by keeps its name: it is the equi key)
-    ren = {c: (c if (c == by or c not in lcols) else c + rsuffix) for c in rschema.names}
-    rcols_out = [ren[c] for c in rschema.names if c != by]
+    lt = rio.materialize_blocks(left, lambda b: _tag_side(b, 0))
+    lcols = _side_columns(lt)
+    if on not in lcols:
+        raise ValueError(f"asof_join: left side lacks the on-column {on!r}")
+
+    def tag_right(b: pa.Table) -> pa.Table:
+        if on not in b.column_names:
+            raise ValueError(f"asof_join: right side lacks the on-column {on!r}")
+        # by keeps its name: it is the equi key
+        names = [c if (c == by or c not in lcols) else c + rsuffix for c in b.column_names]
+        dup = sorted({c for c in names if names.count(c) > 1})
+        if dup:  # e.g. right has both v and v_r
+            raise ValueError(f"rsuffix={rsuffix!r} makes right columns collide: {dup}")
+        return _tag_side(b.rename_columns(names), 1)
+
+    rt = rio.materialize_blocks(right, tag_right)
+    rcols_out = [c for c in _side_columns(rt) if c != by]
     clash = set(rcols_out) & set(lcols)
     if clash:  # a suffixed right name colliding with a left column
         raise ValueError(f"rsuffix={rsuffix!r} collides with left columns: {sorted(clash)}")
-    if len(set(rcols_out)) != len(rcols_out):  # e.g. right has both v and v_r
-        dup = sorted({c for c in rcols_out if rcols_out.count(c) > 1})
-        raise ValueError(f"rsuffix={rsuffix!r} makes right columns collide: {dup}")
+    # on is a left column, so the rename suffixed the right on-key
+    ron = on + rsuffix
 
-    lfields = dict(_arrow_fields(lschema))
-    rfields = dict(_arrow_fields(rschema))
-    all_fields = [(n, lfields[n]) for n in lcols] + [
-        (ren[c], rfields[c]) for c in rschema.names if c != by
-    ]
-
-    def tag(side: int, rename: dict | None):
-        def fn(batch: pa.Table) -> pa.Table:
-            if rename:
-                batch = batch.rename_columns([rename[c] for c in batch.schema.names])
-            n = len(batch)
-            own = set(batch.schema.names)
-            cols = {}
-            for name, typ in all_fields:
-                cols[name] = batch[name] if name in own else pa.nulls(n, typ)
-            keys = batch[by].to_numpy(zero_copy_only=False)
-            cols["_bucket"] = pa.array(_bucket_of(keys, n_buckets))
-            cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            return pa.table(cols)
-
-        return fn
-
-    both = left.map_batches(tag(1, None), batch_format="pyarrow").union(
-        right.map_batches(tag(0, ren), batch_format="pyarrow")
-    )
-
-    int_cols = [n for n, t in all_fields if pa.types.is_integer(t)]
-    ron = ren.get(on, on)
-
-    def join_bucket(t: pa.Table) -> pd.DataFrame:
-        # nullable Int64 mapping: union-padding nulls must not coerce
-        # int64 columns to float64 (money rule — see hash_join)
-        g = t.to_pandas(
-            types_mapper=lambda typ: pd.Int64Dtype() if pa.types.is_integer(typ) else None
-        )
+    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # explicit copies: the astype writes below must never hit a
         # pandas view-vs-copy landmine
-        lg = g.loc[g["_side"] == 1, lcols].copy()
-        rg = g.loc[g["_side"] == 0, [by, *rcols_out]].copy()
+        lg = g.loc[g["_side"] == 0, lcols].copy()
+        rg = g.loc[g["_side"] == 1, [by, *rcols_out]].copy()
+        if rg.empty:  # an empty pandas-block side arrives null-typed
+            rg = rg.astype({ron: lg[on].dtype})
         # downcast ONLY the merge keys to numpy int64 (merge_asof
         # rejects masked on-keys); VALUE columns stay nullable Int64 so
         # an unmatched left row pads pd.NA instead of coercing the
         # whole column to float64 (money rule — exactness above 2^53)
         for frame in (lg, rg):
-            for c in frame.columns:
-                if c in (on, ron, by) and c in int_cols and frame[c].notna().all():
+            for c in (on, ron, by):
+                if c in frame.columns and _is_int(frame[c]) and frame[c].notna().all():
                     frame[c] = frame[c].astype("int64")
         lg = lg.sort_values(on, kind="mergesort")
-        # ron != on always: right carries `on` (validated above) and
-        # `on` is a left column, so the rename suffixed it
         rg = rg.sort_values(ron, kind="mergesort")
-        out = pd.merge_asof(
-            lg, rg, left_on=on, right_on=ron, by=by, direction=direction
-        )
+        out = pd.merge_asof(lg, rg, left_on=on, right_on=ron, by=by, direction=direction)
         # the right on-key went through merge_asof as numpy int64, so
         # unmatched-row NaN padding upcast it to float64 — restore the
         # nullable-int dtype (int64 microseconds fit float64 exactly,
         # so the round-trip is lossless for the time contract)
-        if ron in out.columns and ron in int_cols:
+        if _is_int(g[on]):
             out[ron] = out[ron].astype("Int64")
         return group_final(out) if group_final is not None else out
 
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _cogroup(lt, rt, [by], join_bucket)
+
+
+def _binned(side: int, idx: np.ndarray, bins: np.ndarray, t: pa.Table) -> pa.Table:
+    """Rows ``idx`` of ``t`` keyed by their time bin, tagged with their
+    side: the co-group input of the time-binned range joins."""
+    return _tag_side(t.take(pa.array(idx)).append_column("_bin", pa.array(bins)), side)
 
 
 def interval_point_join(
@@ -228,7 +184,6 @@ def interval_point_join(
     end_col: str,
     t_col: str,
     bin_us: int,
-    n_buckets: int | None = None,
     group_final=None,
 ) -> ray.data.Dataset:
     """Non-equi range join: all (interval, point) pairs with
@@ -238,69 +193,42 @@ def interval_point_join(
     Distribution: time is cut into ``bin_us`` bins; an interval row is
     REPLICATED into every bin it overlaps (replication factor bounded
     by len/bin_us + 1 — pick bin_us ~ the typical interval length), a
-    point goes only to bin(t), and bins are hash-folded onto
-    ``n_buckets`` shuffle buckets. Each qualifying pair meets in
-    exactly one bin (the point's), so no dedup pass is needed. The
-    in-bucket match is a per-bin sorted ``searchsorted`` range scan —
-    no quadratic work beyond the true output size.
+    point goes only to bin(t), and both sides are co-grouped by bin in
+    one ``io.reduce_by_key``. Each qualifying pair meets in exactly one
+    bin (the point's), so no dedup pass is needed. The in-bucket match
+    is a per-bin sorted ``searchsorted`` range scan — no quadratic
+    work beyond the true output size.
 
     Returns the pair Dataset (interval columns + point columns).
     ``group_final`` (pandas->pandas, applied per bucket) turns it into
     a partial-aggregate stream instead — at corpus scale ALWAYS prefer
     a partial aggregate over materializing O(pairs) rows.
     """
-    n_buckets = _resolve_buckets(n_buckets)
-    ischema, pschema = intervals.schema(), points.schema()
-    icols = list(ischema.names)
-    shared = set(ischema.names) & set(pschema.names)
-    if shared:
-        # a shared name would silently take the interval slot while
-        # being filled from the points batch — ambiguous; rename upstream
-        raise ValueError(f"interval/point column names must be disjoint: {sorted(shared)}")
-    pcols = [c for c in pschema.names if c not in icols]
-    iset, pset = frozenset(icols), frozenset(pcols)
-    all_fields = [*((n, t) for n, t in _arrow_fields(ischema)), *(
-        (n, t) for n, t in _arrow_fields(pschema) if n in pset
-    )]
 
     def tag_intervals(batch: pa.Table) -> pa.Table:
         s = batch[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
         e = batch[end_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx, bins = _replicate_to_bins(s, e, bin_us)
-        cols = {}
-        for name, typ in all_fields:
-            cols[name] = batch[name].take(pa.array(idx)) if name in iset else pa.nulls(len(idx), typ)
-        cols["_bin"] = pa.array(bins)
-        cols["_bucket"] = pa.array((bins % n_buckets).astype(np.int64))
-        cols["_side"] = pa.array(np.full(len(idx), 1, dtype=np.int8))
-        return pa.table(cols)
+        return _binned(0, *_replicate_to_bins(s, e, bin_us), batch)
 
     def tag_points(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         t = batch[t_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bins = t // bin_us
-        cols = {}
-        for name, typ in all_fields:
-            cols[name] = batch[name] if name in pset else pa.nulls(n, typ)
-        cols["_bin"] = pa.array(bins)
-        cols["_bucket"] = pa.array((bins % n_buckets).astype(np.int64))
-        cols["_side"] = pa.array(np.zeros(n, dtype=np.int8))
-        return pa.table(cols)
+        return _binned(1, np.arange(len(t)), t // bin_us, batch)
 
-    both = intervals.map_batches(tag_intervals, batch_format="pyarrow").union(
-        points.map_batches(tag_points, batch_format="pyarrow")
-    )
+    ivs = rio.materialize_blocks(intervals, tag_intervals)
+    pts = rio.materialize_blocks(points, tag_points)
+    icols = [c for c in _side_columns(ivs) if c != "_bin"]
+    pcols = [c for c in _side_columns(pts) if c != "_bin"]
+    shared = set(icols) & set(pcols)
+    if shared:
+        # a shared name would silently take the interval slot while
+        # being filled from the points batch — ambiguous; rename upstream
+        raise ValueError(f"interval/point column names must be disjoint: {sorted(shared)}")
 
-    int_cols = [n for n, t in all_fields if pa.types.is_integer(t)]
-
-    def join_bucket(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas(
-            types_mapper=lambda typ: pd.Int64Dtype() if pa.types.is_integer(typ) else None
-        )
+    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for _bin, gb in g.groupby("_bin", sort=False):
-            iv = gb[gb["_side"] == 1]
-            pt = gb[gb["_side"] == 0]
+            iv = gb[gb["_side"] == 0]
+            pt = gb[gb["_side"] == 1]
             if iv.empty or pt.empty:
                 continue
             pt = pt.sort_values(t_col, kind="mergesort")
@@ -323,16 +251,11 @@ def interval_point_join(
                 axis=1,
             )
             outs.append(pairs)
-        if not outs:
-            out = _empty_frame(all_fields)
-        else:
-            out = pd.concat(outs, ignore_index=True)
-        for c in int_cols:
-            if c in out.columns and out[c].notna().all():
-                out[c] = out[c].astype("int64")
+        out = pd.concat(outs, ignore_index=True) if outs else g.iloc[:0][[*icols, *pcols]]
+        out = _complete_ints(out)
         return group_final(out) if group_final is not None else out
 
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _cogroup(ivs, pts, ["_bin"], join_bucket)
 
 
 def prior_window_sums(
@@ -362,36 +285,24 @@ def with_prior_window(
     order_cols: list[str],
     value_col: str,
     window: int,
-    n_buckets: int | None = None,
     group_final=None,
 ) -> ray.data.Dataset:
     """Per-key ordered window aggregate: appends ``prior_sum`` /
     ``prior_n`` = sum/count of ``value_col`` over the previous
     ``window`` rows of the same key (rows ordered by ``order_cols``;
-    the frame excludes the current row). Keys are hash-bucketed
-    complete, so ``group_final`` may compute per-key finals in-stage
-    (emit |keys| rows, not |rows|)."""
-    n_buckets = _resolve_buckets(n_buckets)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket", pa.array(_bucket_of(k, n_buckets)))
+    the frame excludes the current row). Keys are complete per
+    ``io.reduce_by_key`` bucket, so ``group_final`` may compute per-key
+    finals in-stage (emit |keys| rows, not |rows|)."""
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"]).sort_values(
-            [key_col, *order_cols], kind="mergesort"
-        )
+        g = g.sort_values([key_col, *order_cols], kind="mergesort")
         ps, pn = prior_window_sums(
             g[key_col].to_numpy(), g[value_col].to_numpy(), window
         )
         g = g.assign(prior_sum=ps, prior_n=pn)
         return group_final(g) if group_final is not None else g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], bucket_fn)
 
 
 def with_ranked_window(
@@ -399,7 +310,6 @@ def with_ranked_window(
     key_col: str,
     order_cols: list[str],
     value_col: str,
-    n_buckets: int | None = None,
     group_final=None,
     ntile: int | None = None,
     extras: frozenset | set | tuple = (),
@@ -434,7 +344,7 @@ def with_ranked_window(
       so the values are bit-identical to any engine computing the
       same two-integer division (the money-rule float exemption).
 
-    Keys are hash-bucketed complete (the ``with_prior_window``
+    Keys are complete per bucket (the ``with_prior_window``
     contract), so ``group_final`` may compute per-key finals in-stage
     and emit |keys| rows. The lag/max columns are pandas nullable
     Int64 — exact at any int64 magnitude (money rule: a shift that
@@ -448,21 +358,17 @@ def with_ranked_window(
         raise ValueError(
             f"with_ranked_window: unknown extras {sorted(extras - {'lead', 'first', 'dist'})}"
         )
-    n_buckets = _resolve_buckets(n_buckets)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def non_null(batch: pa.Table) -> pa.Table:
         if batch[key_col].null_count or batch[value_col].null_count:
             raise ValueError(
                 f"with_ranked_window: null {key_col!r}/{value_col!r} rows "
                 "(pandas groupby would drop them silently); filter upstream"
             )
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket", pa.array(_bucket_of(k, n_buckets)))
+        return batch
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"]).sort_values(
-            [key_col, *order_cols], kind="mergesort"
-        )
+        g = g.sort_values([key_col, *order_cols], kind="mergesort")
         # positional frame: groupby kernels (cumcount/shift/cummax/rank)
         # are Cython-vectorized; Int64 keeps lag/max exact under nulls
         t = pd.DataFrame(
@@ -516,11 +422,7 @@ def with_ranked_window(
             g = g.assign(tile=(tile + 1).astype(np.int64))
         return group_final(g) if group_final is not None else g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], bucket_fn, stage=non_null)
 
 
 def distinct_set_op(
@@ -528,55 +430,43 @@ def distinct_set_op(
     b: ray.data.Dataset,
     on: str,
     mode: str,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Distributed DISTINCT set operation on one key column:
     ``except`` (keys of a not in b), ``intersect``, or ``union``.
     Each batch is pre-deduped before the shuffle (only unique keys per
-    batch move), keys are hash-bucketed, and the set op runs
-    vectorized per bucket — the SQL EXCEPT/INTERSECT/UNION the
-    reference never exposed (SURVEY.md §2.9)."""
+    batch move), both sides are co-grouped by the key in one
+    ``io.reduce_by_key``, and the set op runs vectorized per bucket —
+    the SQL EXCEPT/INTERSECT/UNION the reference never exposed
+    (SURVEY.md §2.9)."""
     if mode not in ("except", "intersect", "union"):
         raise ValueError(f"unknown set op {mode!r}")
-    n_buckets = _resolve_buckets(n_buckets)
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             # null keys have no SQL DISTINCT set semantics here and
-            # would crash np.unique's sort (None vs str) or silently
-            # ride NaN float semantics — reject loudly
+            # would ride NaN float semantics — reject loudly
             if batch[on].null_count:
                 raise ValueError(
                     f"distinct_set_op: null keys in {on!r} "
                     f"({batch[on].null_count} in one batch); filter them upstream"
                 )
-            k = np.unique(batch[on].to_numpy(zero_copy_only=False))
-            return pa.table(
-                {
-                    on: pa.array(k),
-                    "_bucket": pa.array(_bucket_of(k, n_buckets)),
-                    "_side": pa.array(np.full(len(k), side, dtype=np.int8)),
-                }
-            )
+            return _tag_side(pa.table({on: pc.unique(batch[on])}), side)
 
         return fn
 
-    both = a.map_batches(tag(1), batch_format="pyarrow").union(
-        b.map_batches(tag(0), batch_format="pyarrow")
-    )
-
     def op_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ka = np.unique(g.loc[g["_side"] == 1, on].to_numpy())
-        kb = np.unique(g.loc[g["_side"] == 0, on].to_numpy())
+        ka = g.loc[g["_side"] == 0, on].drop_duplicates()
+        kb = g.loc[g["_side"] == 1, on]
         if mode == "except":
-            out = np.setdiff1d(ka, kb, assume_unique=True)
+            out = ka[~ka.isin(kb)]
         elif mode == "intersect":
-            out = np.intersect1d(ka, kb, assume_unique=True)
+            out = ka[ka.isin(kb)]
         else:
-            out = np.union1d(ka, kb)
-        return pd.DataFrame({on: out})
+            out = pd.concat([ka, kb]).drop_duplicates()
+        return _complete_ints(out.sort_values().to_frame().reset_index(drop=True))
 
-    return both.groupby("_bucket").map_groups(op_bucket, batch_format="pandas")
+    sides = [rio.materialize_blocks(d, tag(i)) for i, d in enumerate((a, b))]
+    return _cogroup(*sides, [on], op_bucket)
 
 
 def prior_time_window_agg(
@@ -606,8 +496,8 @@ def prior_time_window_agg(
     # wrap negative and sail past the very check it implements
     if int(ordinal[-1] + 1) * stride >= np.iinfo(np.int64).max // 2:
         raise OverflowError(
-            "time-window embedding overflow: too many keys x time span; "
-            "raise n_buckets so each bucket holds fewer keys"
+            "time-window embedding overflow: too many keys x time span in "
+            "one bucket; repartition the input into more blocks"
         )
     u = ordinal * stride + t_rel
     lo = np.searchsorted(u, ordinal * stride + (t_rel - dt), side="left")
@@ -622,24 +512,16 @@ def with_time_window(
     t_col: str,
     value_col: str,
     dt: int,
-    n_buckets: int | None = None,
     group_final=None,
 ) -> ray.data.Dataset:
     """Per-key time-based sliding window: appends ``win_sum`` /
     ``win_n`` = sum/count of ``value_col`` over the same key's rows in
-    the strictly-before interval ``[t - dt, t)``. Same bucketed
-    complete-keys distribution as ``with_prior_window`` (ROWS frame);
-    this is the RANGE frame."""
-    n_buckets = _resolve_buckets(n_buckets)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket", pa.array(_bucket_of(k, n_buckets)))
+    the strictly-before interval ``[t - dt, t)``. Same complete-keys
+    distribution as ``with_prior_window`` (ROWS frame); this is the
+    RANGE frame."""
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"]).sort_values(
-            [key_col, t_col], kind="mergesort"
-        )
+        g = g.sort_values([key_col, t_col], kind="mergesort")
         ws, wn = prior_time_window_agg(
             g[key_col].to_numpy(),
             g[t_col].to_numpy(),
@@ -649,11 +531,7 @@ def with_time_window(
         g = g.assign(win_sum=ws, win_n=wn)
         return group_final(g) if group_final is not None else g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], bucket_fn)
 
 
 def interval_coverage_counts(
@@ -663,7 +541,6 @@ def interval_coverage_counts(
     end_col: str,
     t_col: str,
     bin_us: int,
-    n_buckets: int | None = None,
     group_final=None,
 ) -> ray.data.Dataset:
     """COUNT-style range join without pair expansion: each point row
@@ -676,82 +553,48 @@ def interval_coverage_counts(
     consumer aggregates pair counts: the pair join's output is
     inherently quadratic (measured: 10M events -> 2.8e9 pairs, 117 s;
     coverage counting answers the same daily-count query in ~3 s).
+    Only the interval bounds move, as ``_s``/``_e``.
     ``group_final`` (pandas->pandas per bucket) for in-stage partials."""
-    n_buckets = _resolve_buckets(n_buckets)
-    ischema, pschema = intervals.schema(), points.schema()
-    shared = set(ischema.names) & set(pschema.names)
-    if shared:
-        raise ValueError(f"interval/point column names must be disjoint: {sorted(shared)}")
-    pcols = list(pschema.names)
-    pfields = _arrow_fields(pschema)
 
     def tag_intervals(batch: pa.Table) -> pa.Table:
         s = batch[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
         e = batch[end_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx, bins = _replicate_to_bins(s, e, bin_us)
-        cols = {"_s": pa.array(s[idx]), "_e": pa.array(e[idx])}
-        for c, typ in pfields:
-            cols[c] = pa.nulls(len(idx), typ)
-        cols["_bin"] = pa.array(bins)
-        cols["_bucket"] = pa.array((bins % n_buckets).astype(np.int64))
-        cols["_side"] = pa.array(np.full(len(idx), 1, dtype=np.int8))
-        return pa.table(cols)
+        return _binned(0, *_replicate_to_bins(s, e, bin_us), pa.table({"_s": s, "_e": e}))
 
     def tag_points(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         t = batch[t_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bins = t // bin_us
-        cols = {"_s": pa.nulls(n, pa.int64()), "_e": pa.nulls(n, pa.int64())}
-        for c in pcols:
-            cols[c] = batch[c]
-        cols["_bin"] = pa.array(bins)
-        cols["_bucket"] = pa.array((bins % n_buckets).astype(np.int64))
-        cols["_side"] = pa.array(np.zeros(n, dtype=np.int8))
-        return pa.table(cols)
+        return _binned(1, np.arange(len(t)), t // bin_us, batch)
 
-    both = intervals.map_batches(tag_intervals, batch_format="pyarrow").union(
-        points.map_batches(tag_points, batch_format="pyarrow")
-    )
+    ivs = rio.materialize_blocks(intervals, tag_intervals)
+    pts = rio.materialize_blocks(points, tag_points)
+    pcols = [c for c in _side_columns(pts) if c != "_bin"]
 
-    def count_bucket(tbl: pa.Table) -> pd.DataFrame:
-        g = tbl.to_pandas(
-            types_mapper=lambda typ: pd.Int64Dtype() if pa.types.is_integer(typ) else None
-        )
+    def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for _bin, gb in g.groupby("_bin", sort=False):
-            pt = gb[gb["_side"] == 0]
+            pt = gb[gb["_side"] == 1]
             if pt.empty:
                 continue
-            iv = gb[gb["_side"] == 1]
+            iv = gb[gb["_side"] == 0]
             t = pt[t_col].to_numpy(dtype=np.int64)
-            if iv.empty:
-                n_cover = np.zeros(len(pt), dtype=np.int64)
-            else:
-                starts = np.sort(iv["_s"].to_numpy(dtype=np.int64))
-                ends = np.sort(iv["_e"].to_numpy(dtype=np.int64))
-                n_cover = (
-                    np.searchsorted(starts, t, side="right")
-                    - np.searchsorted(ends, t, side="right")
-                ).astype(np.int64)
-            out = pt[pcols].reset_index(drop=True).assign(n_cover=n_cover)
-            outs.append(out)
+            starts = np.sort(iv["_s"].to_numpy(dtype=np.int64))
+            ends = np.sort(iv["_e"].to_numpy(dtype=np.int64))
+            n_cover = (
+                np.searchsorted(starts, t, side="right") - np.searchsorted(ends, t, side="right")
+            ).astype(np.int64)
+            outs.append(pt[pcols].reset_index(drop=True).assign(n_cover=n_cover))
         if not outs:
-            res = _empty_frame([*pfields, ("n_cover", pa.int64())])
-        else:
-            res = pd.concat(outs, ignore_index=True)
-            for c in pcols:
-                if res[c].notna().all() and str(res[c].dtype).startswith("Int"):
-                    res[c] = res[c].astype("int64")
+            outs = [g.iloc[:0][pcols].assign(n_cover=np.zeros(0, dtype=np.int64))]
+        res = _complete_ints(pd.concat(outs, ignore_index=True))
         return group_final(res) if group_final is not None else res
 
-    return both.groupby("_bucket").map_groups(count_bucket, batch_format="pyarrow")
+    return _cogroup(ivs, pts, ["_bin"], count_bucket)
 
 
 def per_key_interarrival(
     ds: ray.data.Dataset,
     key_col: str,
     t_col: str,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-key LAG analytics: inter-arrival gaps (t - lag(t) within
     the key, time-ordered) reduced to per-key gap count and EXACT
@@ -759,20 +602,14 @@ def per_key_interarrival(
     engine's quantile rule). Complete keys per bucket, so the median
     is final in-stage; only |keys| rows leave. Keys with fewer than
     two rows emit no gap row (lag of the first row is NULL in SQL)."""
-    n_buckets = _resolve_buckets(n_buckets)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket", pa.array(_bucket_of(k, n_buckets)))
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"]).sort_values(
-            [key_col, t_col], kind="mergesort"
-        )
+        g = g.sort_values([key_col, t_col], kind="mergesort")
         k = g[key_col].to_numpy()
         t = g[t_col].to_numpy().astype(np.int64)
-        same = np.r_[False, k[1:] == k[:-1]]  # gap rows: same key as prev
-        gaps = np.r_[0, t[1:] - t[:-1]][same]
+        same = np.zeros(len(k), dtype=bool)  # gap rows: same key as prev
+        same[1:] = k[1:] == k[:-1]
+        gaps = np.diff(t, prepend=t[:1])[same]
         gkeys = k[same]
         if len(gaps) == 0:
             return pd.DataFrame(
@@ -793,8 +630,4 @@ def per_key_interarrival(
              "med_gap_us": sg[med_idx].astype(np.int64)}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return _per_key(ds, [key_col], bucket_fn)

@@ -946,14 +946,7 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     orders = rio.read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     ).map_batches(lambda b: cents(b, "o_totalprice", "price_c"), batch_format="pyarrow")
-    joined = hash_join(
-        orders,
-        cust,
-        on="o_custkey",
-        n_buckets=rio.shuffle_buckets(
-            f"{sf_dir}/orders.parquet", f"{sf_dir}/customer.parquet"
-        ),
-    )
+    joined = hash_join(orders, cust, on="o_custkey")
 
     # nation-name final is 25 keys — per-batch partials + driver
     # combine (the CLAUDE.md low-cardinality rule), not a third
@@ -4779,14 +4772,7 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     orders = rio.read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(slim_orders, batch_format="pyarrow")
-    ordn = hash_join(
-        orders,
-        cust,
-        on="o_custkey",
-        n_buckets=rio.shuffle_buckets(
-            f"{sf_dir}/orders.parquet", f"{sf_dir}/customer.parquet"
-        ),
-    ).map_batches(
+    ordn = hash_join(orders, cust, on="o_custkey").map_batches(
         lambda b: b.select(["o_orderkey", "o_year", "o_month", "n_name"]),
         batch_format="pyarrow",
     )
@@ -4811,14 +4797,7 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     ).map_batches(slim_line, batch_format="pyarrow")
-    joined = hash_join(
-        line,
-        ordn,
-        on="o_orderkey",
-        n_buckets=rio.shuffle_buckets(
-            f"{sf_dir}/lineitem.parquet", f"{sf_dir}/orders.parquet"
-        ),
-    )
+    joined = hash_join(line, ordn, on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby(["n_name", "o_year", "o_month"], as_index=False).agg(
@@ -4841,7 +4820,7 @@ def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
     selection, exact and integer throughout. ONE distributed
     (type, value-cents) histogram shuffle; each type's complete
     histogram resolves the median AND the deviation median |v - med|
-    in the same map_groups task (the deviation histogram is a
+    in the same reduce bucket (the deviation histogram is a
     re-binning of the value histogram, so no second corpus scan and
     no broadcast round-trip). The (n-1)//2 discrete rank rule matches
     the SQL mirror exactly."""
@@ -4976,7 +4955,7 @@ def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
     price (exact cents), minimize order date — the orders no other
     same-priority order strictly dominates. Block-local frontier
     prefilter (a sound combiner) means only block-frontier rows ever
-    shuffle; the per-priority final resolves in one map_groups. The
+    shuffle; the per-priority final resolves in one reduce bucket. The
     oracle is the NOT EXISTS anti-self-join."""
     ods = rio.read_table(
         f"{sf_dir}/orders.parquet",
@@ -5519,9 +5498,8 @@ def q_copurchase_triangles(sf_dir: str) -> pd.DataFrame:
     broadcast fast path; the distributed path is six bounded bucket
     shuffles), one int64 to the driver. The oracle is the three-way
     self-join over the identical distinct edge set."""
-    nb = _resolve_buckets(None, floor=64)
     edges = _copurchase_edges(sf_dir)
-    n_edges, n_tri = triangle_count(edges, n_buckets=nb)
+    n_edges, n_tri = triangle_count(edges)
     return pd.DataFrame({"n_edges": [n_edges], "n_triangles": [n_tri]}).astype("int64")
 
 
@@ -5540,8 +5518,7 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
     IEEE division of exact int64s, bit-identical in DuckDB, so the
     top-k cut is deterministic on both sides. The final reduce moves
     EDGE_JACCARD_K candidate rows per block, never the edge set."""
-    nb = _resolve_buckets(None, floor=64)
-    sup = edge_triangle_support(_copurchase_edges(sf_dir), n_buckets=nb)
+    sup = edge_triangle_support(_copurchase_edges(sf_dir))
 
     def score(b: pa.Table) -> pa.Table:
         if len(b) == 0:
@@ -5964,11 +5941,10 @@ def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     division and every reduction an int sum, so the ranks are
     bit-identical at any parallelism and the oracle is the same three
     iterations unrolled as join-aggregate CTEs."""
-    nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
-    df = pagerank_int(edges, iters=PR_ITERS, scale=PR_SCALE, n_buckets=nb).to_pandas()
+    df = pagerank_int(edges, iters=PR_ITERS, scale=PR_SCALE).to_pandas()
     df = df.rename(columns={"node": "part_id"}).astype({"part_id": "int64", "pr": "int64"})
     return df.sort_values("part_id").reset_index(drop=True)
 
@@ -6647,12 +6623,11 @@ def q_copurchase_clustering(sf_dir: str) -> pd.DataFrame:
     sum(C(deg, 2)) is a per-bucket integer sum over the same deduped
     edge set the triangle count uses — one float division at the end.
     Mirrors the triangles oracle plus the degree-based wedge sum."""
-    nb = _resolve_buckets(None, floor=64)
     raw = _copurchase_edges(sf_dir)
-    e = dedupe_edges(raw, "src", "dst", nb).materialize()
+    e = dedupe_edges(raw, "src", "dst").materialize()
     n_edges, n_tri = triangle_count(e.map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    ), n_buckets=nb)
+    ))
 
     def explode(b: pa.Table) -> pa.Table:
         return pa.table({"node": pa.chunked_array([*b["u"].chunks, *b["v"].chunks], b["u"].type)})
@@ -6690,11 +6665,10 @@ def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     non-recursive CTE chain and recovers the round count from the
     first count-equal consecutive pair (valid because the peel sets
     are nested)."""
-    nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
-    core, rounds = k_core(edges, KCORE_K, n_buckets=nb, max_rounds=KCORE_UNROLL)
+    core, rounds = k_core(edges, KCORE_K, max_rounds=KCORE_UNROLL)
     if rounds >= KCORE_UNROLL:
         raise RuntimeError("q_copurchase_kcore: peel depth exceeded the oracle unroll")
     return pd.DataFrame(
@@ -6775,8 +6749,7 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     exact ints (int->double casts exact below 2^53). Degrees attach
     under the triangles-convention broadcast gate; above the gate the
     distributed co-group attach in ops/triangles.py is the shape."""
-    nb = _resolve_buckets(None, floor=64)
-    e = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).materialize()
+    e = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").materialize()
 
     def deg_partial(b: pa.Table) -> pa.Table:
         n = np.concatenate(
@@ -7187,10 +7160,9 @@ def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     "unreached" sentinel; gated broadcast fast path, message rounds
     pinned equal in pytest). The mirror unrolls the same relaxation
     as MATERIALIZED CTE levels with least()+min() joins."""
-    nb = _resolve_buckets(None, floor=64)
     edges = _copurchase_weighted_edges(sf_dir)
     df = sssp_int(
-        edges, lambda n: n % SSSP_SEED_MOD == 0, SSSP_ROUNDS, n_buckets=nb
+        edges, lambda n: n % SSSP_SEED_MOD == 0, SSSP_ROUNDS
     )
     df = df.rename(columns={"node": "part_id"}).astype(
         {"part_id": "int64", "dist": "int64"}
@@ -7206,11 +7178,10 @@ def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     (ops/bfs.py, the cc.py co-group shape; gated broadcast fast path,
     message rounds pinned equal in pytest). The mirror unrolls the
     same expansion as MATERIALIZED CTE levels."""
-    nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb).map_batches(
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
         lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
     )
-    out = bfs_hops(edges, lambda n: n % BFS_SEED_MOD == 0, BFS_HOPS, n_buckets=nb)
+    out = bfs_hops(edges, lambda n: n % BFS_SEED_MOD == 0, BFS_HOPS)
     return out
 
 
@@ -7221,8 +7192,7 @@ def q_copurchase_lcc(sf_dir: str) -> pd.DataFrame:
     (ops/triangles.triangle_counts_per_node — the wedge close carries
     the source so every triangle credits its three corners). Nodes
     with deg < 2 are excluded (undefined denominator)."""
-    nb = _resolve_buckets(None, floor=64)
-    df = triangle_counts_per_node(_copurchase_edges(sf_dir), n_buckets=nb)
+    df = triangle_counts_per_node(_copurchase_edges(sf_dir))
     df = df[df["deg"] >= 2].copy()
     df = df.rename(columns={"node": "part_id", "n_triangles": "lcc_num"})
     df["lcc_den"] = df["deg"].to_numpy(dtype=np.int64) * (
@@ -10846,8 +10816,7 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     emission is C(deg, 2) — bounded here by the <= ~7-item baskets; a
     degree cap raises loudly (the DF-cap convention) rather than
     silently exploding on a hub."""
-    nb = _resolve_buckets(None, floor=64)
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst", nb)  # (u, v), u < v
+    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst")  # (u, v), u < v
 
     def directed(b: pa.Table) -> pa.Table:
         u = b["u"].to_numpy(zero_copy_only=False).astype(np.int64)

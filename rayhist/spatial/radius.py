@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..ops.window import _bucket_of, _resolve_buckets
+from ..ops.relational import _per_key
 
 _OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
@@ -43,7 +43,6 @@ def radius_self_join(
     id_col: str = "id",
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int | None = None,
     carry: tuple = (),
 ) -> ray.data.Dataset:
     """(id_a, id_b, d2) for every unordered pair with id_a < id_b and
@@ -53,7 +52,6 @@ def radius_self_join(
     along and come back suffixed _a/_b (int64)."""
     if radius <= 0 or radius > 2_100_000_000:
         raise ValueError(f"radius_self_join: radius {radius} out of the exact-int64 range")
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
     r = np.int64(radius)
 
     def scatter(b: pa.Table) -> pa.Table:
@@ -87,7 +85,6 @@ def radius_self_join(
         cell = out["cx"].to_numpy() * np.int64(1 << 32) + out["cy"].to_numpy()
         out = out.drop(columns=["cx", "cy"])
         out["cell"] = cell
-        out["_bucket"] = _bucket_of(cell, n_buckets)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -110,8 +107,4 @@ def radius_self_join(
             out[f"{c}_b"] = m[f"{c}_b"].to_numpy(dtype=np.int64)[near][keep]
         return pd.DataFrame(out)
 
-    return (
-        points.map_batches(scatter, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return _per_key(points, ["cell"], pairs, stage=scatter)

@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..ops.window import _bucket_of, _resolve_buckets
+from ..ops.relational import _per_key
 
 
 def rect_self_join(
@@ -40,7 +40,6 @@ def rect_self_join(
     ly: str = "ly",
     hx: str = "hx",
     hy: str = "hy",
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """(id_a, id_b, ix, iy, area) for every unordered pair of CLOSED
     boxes with id_a < id_b that intersect (touching counts, area 0):
@@ -50,7 +49,6 @@ def rect_self_join(
     """
     if cell <= 0 or int(cell) * int(cell) >= 1 << 63:
         raise ValueError(f"rect_self_join: cell {cell} outside the exact-int64 area budget")
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
     c = np.int64(cell)
 
     def scatter(b: pa.Table) -> pa.Table:
@@ -97,7 +95,6 @@ def rect_self_join(
         # re-deriving them from the packed key
         cellk = out["cx"].to_numpy() * np.int64(1 << 32) + out["cy"].to_numpy()
         out["cell"] = cellk
-        out["_bucket"] = _bucket_of(cellk, n_buckets)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -125,8 +122,4 @@ def rect_self_join(
             }
         )
 
-    return (
-        boxes.map_batches(scatter, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return _per_key(boxes, ["cell"], pairs, stage=scatter)

@@ -68,13 +68,13 @@ def test_semi_join_with_bloom_identical_and_pruning():
     rds = ray.data.from_pandas(right).repartition(2)
     bloom = build_bloom(rds, "key", expected_n=500)
     plain = (
-        hash_semi_join(lds, rds, on="key", n_buckets=16)
+        hash_semi_join(lds, rds, on="key")
         .to_pandas()
         .sort_values("payload")
         .reset_index(drop=True)
     )
     pruned = (
-        hash_semi_join(lds, rds, on="key", n_buckets=16, bloom=bloom)
+        hash_semi_join(lds, rds, on="key", bloom=bloom)
         .to_pandas()
         .sort_values("payload")
         .reset_index(drop=True)
@@ -96,8 +96,8 @@ def test_anti_join_complements_semi_and_rejects_bloom():
     right = pd.DataFrame({"key": np.arange(0, 300, dtype=np.int64)})
     lds = ray.data.from_pandas(left).repartition(4)
     rds = ray.data.from_pandas(right).repartition(2)
-    semi = hash_semi_join(lds, rds, on="key", n_buckets=8).to_pandas()
-    anti = hash_semi_join(lds, rds, on="key", n_buckets=8, anti=True).to_pandas()
+    semi = hash_semi_join(lds, rds, on="key").to_pandas()
+    anti = hash_semi_join(lds, rds, on="key", anti=True).to_pandas()
     assert len(semi) + len(anti) == len(left)  # exact partition of left
     assert set(semi["payload"]).isdisjoint(set(anti["payload"]))
     assert (anti["key"] >= 300).all()

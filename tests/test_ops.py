@@ -160,7 +160,11 @@ def test_hash_join_matches_pandas():
     right = pd.DataFrame({"k": np.arange(0, 60), "b": np.arange(60) * 10})
     want = left.merge(right, on="k").sort_values(["k", "a"]).reset_index(drop=True)
     got = (
-        hash_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on="k", n_buckets=8)
+        hash_join(
+            ray.data.from_pandas([left.iloc[:250], left.iloc[250:]]),
+            ray.data.from_pandas([right.iloc[i::3] for i in range(3)]),
+            on="k",
+        )
         .to_pandas()
         .sort_values(["k", "a"])
         .reset_index(drop=True)[want.columns.tolist()]
@@ -660,24 +664,24 @@ def test_joins_follow_sql_null_key_semantics():
     right = pa.table({"k": pa.array([1, None], type=pa.int64()),
                       "rv": [100, 200]})
     inner = hash_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right), on="k", n_buckets=4
+        ray.data.from_arrow([left.slice(0, 2), left.slice(2)]), ray.data.from_arrow(right), on="k"
     ).to_pandas()
     # pandas merge alone would emit a (None, None) match row
     assert inner["k"].tolist() == [1] and inner["rv"].tolist() == [100]
     lj = (
-        hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                  on="k", n_buckets=4, how="left")
+        hash_join(ray.data.from_arrow([left.slice(0, 2), left.slice(2)]),
+                  ray.data.from_arrow(right), on="k", how="left")
         .to_pandas().sort_values("lv")
     )
     assert lj["lv"].tolist() == [10, 20, 30]
     assert lj["rv"].tolist()[0] == 100 and pd.isna(lj["rv"].tolist()[1])
     semi = hash_semi_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right), on="k", n_buckets=4
+        ray.data.from_arrow([left.slice(0, 2), left.slice(2)]), ray.data.from_arrow(right), on="k"
     ).to_pandas()
     assert semi["lv"].tolist() == [10]  # the null-key left row drops
     anti = hash_semi_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right), on="k",
-        n_buckets=4, anti=True,
+        ray.data.from_arrow([left.slice(0, 2), left.slice(2)]), ray.data.from_arrow(right), on="k",
+        anti=True,
     ).to_pandas()
     assert anti["lv"].tolist() == [30]
 
@@ -707,8 +711,9 @@ def test_hash_join_full_outer():
     )
     out = (
         hash_join(
-            ray.data.from_arrow(left), ray.data.from_arrow(right),
-            on="k", n_buckets=4, how="outer",
+            ray.data.from_arrow([left.slice(0, 2), left.slice(2)]),
+            ray.data.from_arrow([right.slice(0, 2), right.slice(2)]),
+            on="k", how="outer",
         )
         .to_pandas()
         .sort_values(["lv", "rv"], na_position="last")
@@ -758,7 +763,7 @@ def test_hash_join_outer_matches_duckdb_randomized():
         hash_join(
             ray.data.from_pandas(left).repartition(5),
             ray.data.from_pandas(right).repartition(4),
-            on="k", n_buckets=8, how="outer",
+            on="k", how="outer",
         )
         .to_pandas()
         .astype({"k": "float64", "lv": "float64", "rv": "float64"})
@@ -1016,7 +1021,7 @@ def test_hash_join_multikey_matches_duckdb(how):
         hash_join(
             ray.data.from_pandas(left).repartition(4),
             ray.data.from_pandas(right).repartition(3),
-            on=["k1", "k2"], n_buckets=8, how=how,
+            on=["k1", "k2"], how=how,
         )
         .to_pandas()
         .astype({"k1": "float64", "lv": "float64", "rv": "float64"})
@@ -1064,8 +1069,9 @@ def test_hash_join_multikey_null_component_matches_nothing():
         }
     )
     out = hash_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right),
-        on=["k1", "k2"], n_buckets=4, how="outer",
+        ray.data.from_arrow([left.slice(0, 1), left.slice(1)]),
+        ray.data.from_arrow([right.slice(0, 1), right.slice(1)]),
+        on=["k1", "k2"], how="outer",
     ).to_pandas()
     # (1,7) matches; each (1,NULL) row survives alone
     assert len(out) == 3
@@ -1343,9 +1349,9 @@ def test_grouped_mode_vs_pandas_with_ties_and_nulls():
     v = rng.integers(0, 25, 2000).astype(float)
     v[::97] = np.nan  # null values are not countable
     df = pd.DataFrame({"k": k, "v": v})
-    ds = ray.data.from_pandas(df)
     for nb in (4, 16):
-        got = grouped_mode(ds, "k", "v", n_buckets=nb)
+        ds = ray.data.from_pandas([df.iloc[i::nb] for i in range(nb)])
+        got = grouped_mode(ds, "k", "v")
         want = (
             df.dropna(subset=["v"])
             .groupby(["k", "v"], as_index=False)
@@ -1365,11 +1371,11 @@ def test_grouped_mode_tie_breaks_to_smallest_value():
     from rayhist.aggregate import grouped_mode
 
     df = pd.DataFrame({"k": ["x"] * 4, "v": [9, 9, 2, 2]})
-    got = grouped_mode(ray.data.from_pandas(df), "k", "v", n_buckets=8)
+    got = grouped_mode(ray.data.from_pandas([df.iloc[i::8] for i in range(8)]), "k", "v")
     assert got.iloc[0]["modal_v"] == 2 and got.iloc[0]["n_modal"] == 2
 
     empty = grouped_mode(
-        ray.data.from_pandas(pd.DataFrame({"k": [], "v": []})), "k", "v", n_buckets=2
+        ray.data.from_pandas([pd.DataFrame({"k": [], "v": []})] * 2), "k", "v"
     )
     assert len(empty) == 0 and list(empty.columns) == ["k", "modal_v", "n_modal"]
 
@@ -1654,7 +1660,9 @@ def test_ordered_string_agg_brute_force():
         }
     )
     got = (
-        ordered_string_agg(ray.data.from_pandas(df), "k", "v", ["o1", "o2"], sep="-", n_buckets=4)
+        ordered_string_agg(
+            ray.data.from_pandas(df).repartition(4), "k", "v", ["o1", "o2"], sep="-"
+        )
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -1803,7 +1811,7 @@ def test_profile_columns_nulls_floats_duckdb():
     ).df().astype({"n": "int64", "n_null": "int64", "n_distinct": "int64"})
     for parts in (1, 9):
         got = profile_columns(
-            ray.data.from_pandas(df).repartition(parts), ["a", "b", "c", "d"], n_buckets=8
+            ray.data.from_pandas(df).repartition(parts), ["a", "b", "c", "d"]
         )
         pd.testing.assert_frame_equal(got, want)
 
@@ -1901,7 +1909,7 @@ def test_grouped_ewma_brute_force():
     )
     got = (
         grouped_recurrence_ewma_int(
-            ray.data.from_pandas(df), "k", ["o1", "o2"], "v", n_buckets=4
+            ray.data.from_pandas(df).repartition(4), "k", ["o1", "o2"], "v"
         )
         .to_pandas()
         .sort_values("k")
@@ -2175,7 +2183,7 @@ def test_rect_self_join_brute_force():
             [df.iloc[i::3].reset_index(drop=True) for i in range(3)]
         )
         got = (
-            rect_self_join(ds, cell, n_buckets=4)
+            rect_self_join(ds, cell)
             .to_pandas()
             .astype("int64")
             .sort_values(["id_a", "id_b"])
@@ -2194,14 +2202,14 @@ def test_rect_self_join_validation():
         pd.DataFrame({"id": [1, 2], "lx": [0, 0], "ly": [0, 0], "hx": [200, 1], "hy": [1, 1]})
     )
     with pytest.raises(Exception, match="side exceeds cell"):
-        rect_self_join(wide, 100, n_buckets=2).to_pandas()
+        rect_self_join(wide, 100).to_pandas()
     flipped = ray.data.from_pandas(
         pd.DataFrame({"id": [1], "lx": [5], "ly": [0], "hx": [0], "hy": [1]})
     )
     with pytest.raises(Exception, match="low > high"):
-        rect_self_join(flipped, 100, n_buckets=2).to_pandas()
+        rect_self_join(flipped, 100).to_pandas()
     with pytest.raises(ValueError, match="area budget"):
-        rect_self_join(wide, 1 << 32, n_buckets=2)
+        rect_self_join(wide, 1 << 32)
 
 
 def test_repetition_stage_edge_cases():

@@ -385,8 +385,8 @@ def test_holt_recurrence_property(ray_session):
         for nb in (3, 16):
             got = (
                 grouped_recurrence_holt_int(
-                    ray.data.from_pandas(df).repartition(4),
-                    key_col="k", order_cols=["o"], value_col="v", n_buckets=nb,
+                    ray.data.from_pandas(df).repartition(nb),
+                    key_col="k", order_cols=["o"], value_col="v",
                 )
                 .to_pandas()
             )

@@ -177,16 +177,30 @@ def test_tripped_deadline_raises_the_typed_error(where):
 
 # every query whose wide step is an io.reduce_by_key shuffle
 SHUFFLE_QUERIES = [
-    "above_user_mean", "ann_cosine", "bloom_fpr_users", "cohort_odds_ratio",
+    "above_user_mean", "ann_cosine", "anti_join_orders", "asof_attribution",
+    "bloom_fpr_users", "bloom_semi_join_orders", "clipped_way_lengths",
+    "clipped_way_lengths_daily", "clipped_way_lengths_poly", "cohort_odds_ratio",
     "cohort_retention", "contributor_territory", "conversion_latency_median",
-    "copurchase_cheapest_paths", "copurchase_clustering", "copurchase_recommendations",
-    "etype_audience_overlap", "etype_transitions", "event_debounce",
-    "frequent_part_triples", "funnel3_users", "hapax_rate_by_source",
-    "hexcell_dominant_uid", "inverted_index", "knn_all", "lifespan_overlap_pairs",
-    "peak_concurrency", "rolling_active_users", "sessions", "snapshot_incremental_merge",
-    "source_vocab_jaccard", "split_contamination", "user_active_coverage",
-    "user_burstiness", "user_distinct_etypes", "user_entropy", "user_gini_by_etype",
-    "user_streaks", "way_areas", "way_centroids", "way_compactness",
+    "copurchase_cheapest_paths", "copurchase_clustering", "copurchase_edge_jaccard",
+    "copurchase_recommendations", "doc_lm_surprisal", "etype_audience_overlap",
+    "etype_transitions", "event_debounce", "frequent_part_triples", "funnel3_users",
+    "funnel_attribution_daily", "hapax_rate_by_source", "hexcell_dominant_uid",
+    "interarrival_median", "inverted_index", "knn_all", "knox_pairs",
+    "lifespan_overlap_pairs", "mad_value_by_type", "modal_value_by_type",
+    "nearest_road_distance", "order_price_ntiles", "orders_by_nation",
+    "outer_join_user_day", "pareto_orders", "part_hits_authority", "peak_concurrency",
+    "profile_orders", "range_error_click_daily", "revenue_by_nation_month", "ripley_k",
+    "road_buffer_count", "rolling_active_users", "semivariogram", "sessions",
+    "snapshot_bbox_overlaps", "snapshot_colocation_pairs", "snapshot_incremental_merge",
+    "source_vocab_jaccard", "split_contamination", "supplier_fuzzy_pairs",
+    "tfidf_top_terms", "time_window_bursts",
+    "topk_orders_by_priority", "user_active_coverage", "user_burstiness",
+    "user_distinct_etypes", "user_entropy", "user_event_ranks", "user_first_events",
+    "user_gini_by_etype", "user_journeys", "user_streaks", "user_value_dist",
+    "user_value_ewma", "user_value_holt", "users_click_not_purchase",
+    "value_quantiles_by_type", "way_areas", "way_bearing_rose", "way_boundary_crossings",
+    "way_centroids", "way_chain_lengths", "way_compactness", "way_lengths",
+    "weighted_median_price", "window_rolling_spikes",
 ]
 
 
@@ -241,7 +255,8 @@ def test_query_with_no_result_row_keeps_its_schema(monkeypatch, query, setting, 
 
 def test_no_hand_rolled_bucket_shuffle():
     """Complete-key shuffles in these modules go through
-    io.reduce_by_key: no hash-bucket column feeding a Dataset groupby."""
+    io.reduce_by_key: no hash-bucket column feeding a Dataset groupby,
+    and no map_groups in the migrated operator modules."""
     from pathlib import Path
 
     root = Path(rio.__file__).parent
@@ -249,4 +264,15 @@ def test_no_hand_rolled_bucket_shuffle():
         src = (root / rel).read_text()
         for pattern in ('.groupby("_bucket")', '"_kb"', '"_qb"', '"_tcell"'):
             assert pattern not in src, (rel, pattern)
-    assert "_bucket_of" not in (root / "pipelines.py").read_text()
+    for rel in (
+        "ops/relational.py", "ops/window.py", "ops/scan.py", "ops/profile.py",
+        "aggregate.py", "spatial/radius.py", "spatial/rectjoin.py",
+    ):
+        src = (root / rel).read_text()
+        for pattern in ('.groupby("_bucket")', ".map_groups(", '"_bucket"'):
+            assert pattern not in src, (rel, pattern)
+    # the hand-rolled routing is left only in the graph operators
+    graph = {"window", "bfs", "cc", "hits", "kcore", "pagerank", "sssp", "triangles"}
+    for path in root.rglob("*.py"):
+        if path.parent != root / "ops" or path.stem not in graph:
+            assert "_bucket_of" not in path.read_text(), path

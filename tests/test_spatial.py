@@ -900,9 +900,9 @@ def test_radius_self_join_brute_force():
     # pin one exact-boundary pair: (r, 0) apart
     pts.loc[0, ["x", "y"]] = (0, 0)
     pts.loc[1, ["x", "y"]] = (r, 0)
-    ds = ray.data.from_pandas(pts)
+    ds = ray.data.from_pandas(pts).repartition(16)
     got = (
-        radius_self_join(ds, r, n_buckets=16)
+        radius_self_join(ds, r)
         .to_pandas()
         .sort_values(["id_a", "id_b"])
         .reset_index(drop=True)

@@ -1,7 +1,8 @@
 """Ordered/temporal operator tests: as-of join, interval-point range
 join, prior-window rolling kernel, distinct set ops, top-k per group.
 Each distributed operator is checked against an independent brute-force
-in-memory oracle on randomized inputs, and at two bucket counts to pin
+in-memory oracle on randomized inputs, on multi-block inputs (one
+shuffle bucket per input block), and at two block counts to pin
 partitioning-invariance."""
 
 import numpy as np
@@ -22,6 +23,12 @@ from rayhist.ops.window import (
 
 def _rng():
     return np.random.default_rng(42)
+
+
+def _blocks(df: pd.DataFrame, n: int) -> ray.data.Dataset:
+    """``df`` as ``n`` contiguous blocks (some empty when n > rows)."""
+    cuts = [i * len(df) // n for i in range(n + 1)]
+    return ray.data.from_pandas([df.iloc[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def _events(n=800, n_users=17, tmax=1_000_000):
@@ -50,17 +57,16 @@ def _brute_asof(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
     return res
 
 
-@pytest.mark.parametrize("n_buckets", [1, 7])
-def test_asof_join_matches_bruteforce(n_buckets):
+@pytest.mark.parametrize("n_blocks", [1, 7])
+def test_asof_join_matches_bruteforce(n_blocks):
     df = _events()
     left = df[df["row_id"] % 3 == 0][["user_id", "t", "row_id"]].reset_index(drop=True)
     right = df[df["row_id"] % 3 != 0][["user_id", "t", "v"]].reset_index(drop=True)
     got = asof_join(
-        ray.data.from_pandas(left),
-        ray.data.from_pandas(right),
+        _blocks(left, n_blocks),
+        _blocks(right, n_blocks),
         on="t",
         by="user_id",
-        n_buckets=n_buckets,
     ).to_pandas()
     exp = _brute_asof(left, right)
     got = got.sort_values("row_id").reset_index(drop=True)
@@ -79,11 +85,10 @@ def test_asof_join_exact_match_inclusive():
     right = pd.DataFrame({"user_id": [1], "t": [10], "rid": [7]})
     got = (
         asof_join(
-            ray.data.from_pandas(left),
+            _blocks(left, 2),
             ray.data.from_pandas(right),
             on="t",
             by="user_id",
-            n_buckets=2,
         )
         .to_pandas()
         .sort_values("lid")
@@ -102,11 +107,10 @@ def test_asof_group_final_runs_per_complete_key():
 
     got = (
         asof_join(
-            ray.data.from_pandas(left),
+            _blocks(left, 5),
             ray.data.from_pandas(right),
             on="t",
             by="user_id",
-            n_buckets=5,
             group_final=final,
         )
         .to_pandas()
@@ -147,13 +151,12 @@ def test_interval_point_join_matches_bruteforce(bin_us):
          "t": rng.integers(0, 950_000, n_pt).astype(np.int64)}
     )
     got = interval_point_join(
-        ray.data.from_pandas(iv),
-        ray.data.from_pandas(pt),
+        _blocks(iv, 4),
+        _blocks(pt, 9),
         start_col="s",
         end_col="e",
         t_col="t",
         bin_us=bin_us,
-        n_buckets=13,
     ).to_pandas()
     pairs = set(zip(got["iid"].astype(int), got["pid"].astype(int)))
     assert len(pairs) == len(got)  # each qualifying pair exactly once
@@ -176,9 +179,9 @@ def test_interval_point_join_group_final_partials():
         return pd.DataFrame({"n": [len(g)]})
 
     got = interval_point_join(
-        ray.data.from_pandas(iv), ray.data.from_pandas(pt),
+        ray.data.from_pandas(iv), _blocks(pt, 6),
         start_col="s", end_col="e", t_col="t", bin_us=5_000,
-        n_buckets=7, group_final=final,
+        group_final=final,
     ).to_pandas()
     assert int(got["n"].sum()) == exp
 
@@ -199,17 +202,16 @@ def test_prior_window_sums_vs_pandas_rolling():
     assert np.array_equal(pn, exp_n.to_numpy(dtype=np.int64))
 
 
-@pytest.mark.parametrize("n_buckets", [1, 6])
-def test_with_prior_window_distributed(n_buckets):
+@pytest.mark.parametrize("n_blocks", [1, 6])
+def test_with_prior_window_distributed(n_blocks):
     df = _events(500, n_users=11)
     got = (
         with_prior_window(
-            ray.data.from_pandas(df),
+            _blocks(df, n_blocks),
             key_col="user_id",
             order_cols=["t", "row_id"],
             value_col="v",
             window=3,
-            n_buckets=n_buckets,
         )
         .to_pandas()
         .sort_values("row_id")
@@ -230,10 +232,7 @@ def test_distinct_set_op(mode):
     a = pd.DataFrame({"k": rng.integers(0, 300, 900).astype(np.int64)})
     b = pd.DataFrame({"k": rng.integers(150, 450, 900).astype(np.int64)})
     got = (
-        distinct_set_op(
-            ray.data.from_pandas(a), ray.data.from_pandas(b), on="k", mode=mode,
-            n_buckets=9,
-        )
+        distinct_set_op(_blocks(a, 4), _blocks(b, 5), on="k", mode=mode)
         .to_pandas()["k"]
         .to_numpy()
     )
@@ -284,12 +283,11 @@ def test_asof_join_forward_direction():
     right = df[df["row_id"] % 2 == 1][["user_id", "t", "v"]].reset_index(drop=True)
     got = (
         asof_join(
-            ray.data.from_pandas(left),
+            _blocks(left, 3),
             ray.data.from_pandas(right),
             on="t",
             by="user_id",
             direction="forward",
-            n_buckets=3,
         )
         .to_pandas()
         .sort_values("row_id")
@@ -461,19 +459,18 @@ def test_prior_time_window_excludes_equal_t_peers():
     assert ws.tolist() == [0, 0, 12]
 
 
-@pytest.mark.parametrize("n_buckets", [1, 5])
-def test_with_time_window_distributed(n_buckets):
+@pytest.mark.parametrize("n_blocks", [1, 5])
+def test_with_time_window_distributed(n_blocks):
     from rayhist.ops.window import prior_time_window_agg, with_time_window
 
     df = _events(400, n_users=7, tmax=50_000)
     got = (
         with_time_window(
-            ray.data.from_pandas(df),
+            _blocks(df, n_blocks),
             key_col="user_id",
             t_col="t",
             value_col="v",
             dt=3_000,
-            n_buckets=n_buckets,
         )
         .to_pandas()
         .sort_values("row_id")
@@ -502,11 +499,10 @@ def test_asof_join_empty_right_side():
          "v": pd.Series(dtype="int64")}
     )
     got = asof_join(
-        ray.data.from_pandas(left),
-        ray.data.from_pandas(right),
+        _blocks(left, 3),
+        _blocks(right, 3),
         on="t",
         by="user_id",
-        n_buckets=3,
     ).to_pandas()
     assert len(got) == len(left)
     assert got["v"].isna().all()
@@ -520,8 +516,8 @@ def test_interval_point_join_empty_sides():
     pt = pd.DataFrame({"pid": np.arange(10, dtype=np.int64),
                        "t": np.arange(10, dtype=np.int64) * 100})
     got = interval_point_join(
-        ray.data.from_pandas(iv), ray.data.from_pandas(pt),
-        start_col="s", end_col="e", t_col="t", bin_us=1_000, n_buckets=3,
+        _blocks(iv, 2), _blocks(pt, 3),
+        start_col="s", end_col="e", t_col="t", bin_us=1_000,
     ).to_pandas()
     assert len(got) == 0
 
@@ -530,8 +526,7 @@ def test_distinct_set_op_empty_b_side():
     a = pd.DataFrame({"k": np.arange(50, dtype=np.int64)})
     b = pd.DataFrame({"k": pd.Series(dtype="int64")})
     got = distinct_set_op(
-        ray.data.from_pandas(a), ray.data.from_pandas(b), on="k", mode="except",
-        n_buckets=4,
+        _blocks(a, 3), ray.data.from_pandas(b), on="k", mode="except"
     ).to_pandas()
     assert sorted(got["k"].tolist()) == list(range(50))
 
@@ -572,8 +567,8 @@ def test_interval_coverage_counts_equals_pair_counts():
     )
     got = (
         interval_coverage_counts(
-            ray.data.from_pandas(iv), ray.data.from_pandas(pt),
-            start_col="s", end_col="e", t_col="t", bin_us=10_000, n_buckets=7,
+            _blocks(iv, 3), _blocks(pt, 4),
+            start_col="s", end_col="e", t_col="t", bin_us=10_000,
         )
         .to_pandas()
         .sort_values("pid")
@@ -587,9 +582,9 @@ def test_interval_coverage_counts_equals_pair_counts():
 
 
 def test_default_bucket_counts_resolve():
-    """Every bucketed op must work with n_buckets unset (the
-    cluster-scaled default) — the unit tests above pass explicit
-    counts, so this pins the default path."""
+    """Every co-grouped op works on one-block inputs (its bucket count
+    is the input block count, so one bucket per side here) — the unit
+    tests above feed several blocks, so this pins the smallest case."""
     from rayhist.ops.window import (
         asof_join as _aj,
         distinct_set_op as _dso,
@@ -613,7 +608,7 @@ def test_per_key_interarrival_vs_pandas():
 
     df = _events(600, n_users=9, tmax=100_000)
     got = (
-        per_key_interarrival(ray.data.from_pandas(df), "user_id", "t", n_buckets=4)
+        per_key_interarrival(_blocks(df, 4), "user_id", "t")
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -629,9 +624,7 @@ def test_per_key_interarrival_single_row_keys_dropped():
     from rayhist.ops.window import per_key_interarrival
 
     df = pd.DataFrame({"user_id": [1, 2, 2], "t": [10, 5, 9]})
-    got = per_key_interarrival(
-        ray.data.from_pandas(df), "user_id", "t", n_buckets=2
-    ).to_pandas()
+    got = per_key_interarrival(_blocks(df, 2), "user_id", "t").to_pandas()
     assert got["user_id"].tolist() == [2]  # key 1 has no gap (lag NULL)
     assert got["med_gap_us"].tolist() == [4]
 
@@ -648,8 +641,8 @@ def test_asof_join_value_columns_stay_exact_int():
     right = pd.DataFrame({"u": [1], "t": [5], "cents": [big]})
     got = (
         asof_join(
-            ray.data.from_pandas(left), ray.data.from_pandas(right),
-            on="t", by="u", n_buckets=2,
+            _blocks(left, 2), ray.data.from_pandas(right),
+            on="t", by="u",
         )
         .to_pandas()
         .sort_values("lid")
@@ -687,13 +680,13 @@ def test_interval_ops_empty_bucket_schema_with_string_columns():
     iv = pd.DataFrame({"s": [0, 10], "e": [20, 30]})
     pt = pd.DataFrame({"t": [5, 5000], "tag": ["a", "b"]})  # bin 50: no intervals
     out = interval_point_join(
-        ray.data.from_pandas(iv), ray.data.from_pandas(pt),
-        "s", "e", "t", bin_us=100, n_buckets=8,
+        _blocks(iv, 2), _blocks(pt, 6),
+        "s", "e", "t", bin_us=100,
     ).to_pandas()
     assert len(out) == 1 and out["tag"].tolist() == ["a"]
     cov = interval_coverage_counts(
-        ray.data.from_pandas(iv), ray.data.from_pandas(pt),
-        "s", "e", "t", bin_us=100, n_buckets=8,
+        _blocks(iv, 2), _blocks(pt, 6),
+        "s", "e", "t", bin_us=100,
     ).to_pandas()
     assert sorted(map(tuple, cov[["t", "n_cover"]].to_numpy())) == [(5, 1), (5000, 0)]
 
@@ -730,11 +723,11 @@ def test_distinct_set_op_rejects_null_keys():
 # ----------------------------------------------------- ranked window
 
 
-@pytest.mark.parametrize("n_buckets", [2, 16])
-def test_with_ranked_window_matches_duckdb(n_buckets):
+@pytest.mark.parametrize("n_blocks", [2, 16])
+def test_with_ranked_window_matches_duckdb(n_blocks):
     """Randomized differential: the appended row_number / dense_rank /
     prior_val (LAG) / prior_max (running max over strictly-prior rows)
-    columns equal DuckDB's window functions, at two bucket counts
+    columns equal DuckDB's window functions, at two block counts
     (partitioning invariance)."""
     import duckdb
 
@@ -743,11 +736,10 @@ def test_with_ranked_window_matches_duckdb(n_buckets):
     df = _events(n=600, n_users=13)
     got = (
         with_ranked_window(
-            ray.data.from_pandas(df).repartition(5),
+            ray.data.from_pandas(df).repartition(n_blocks),
             key_col="user_id",
             order_cols=["t", "row_id"],
             value_col="v",
-            n_buckets=n_buckets,
         )
         .to_pandas()
         .sort_values("row_id")
@@ -781,8 +773,8 @@ def test_with_ranked_window_matches_duckdb(n_buckets):
         assert np.array_equal(g, w, equal_nan=True), col
 
 
-@pytest.mark.parametrize("n_buckets", [2, 16])
-def test_with_ranked_window_extras_match_duckdb(n_buckets):
+@pytest.mark.parametrize("n_blocks", [2, 16])
+def test_with_ranked_window_extras_match_duckdb(n_blocks):
     """Randomized differential for the extras surface: next_val
     (LEAD), first_val (FIRST_VALUE), pct_rank (PERCENT_RANK) and
     cume_dist (CUME_DIST) equal DuckDB's window functions BIT-exactly
@@ -795,11 +787,10 @@ def test_with_ranked_window_extras_match_duckdb(n_buckets):
     df = _events(n=600, n_users=13)
     got = (
         with_ranked_window(
-            ray.data.from_pandas(df).repartition(5),
+            ray.data.from_pandas(df).repartition(n_blocks),
             key_col="user_id",
             order_cols=["t", "row_id"],
             value_col="v",
-            n_buckets=n_buckets,
             extras={"lead", "first", "dist"},
         )
         .to_pandas()
@@ -860,11 +851,10 @@ def test_with_ranked_window_int64_exact_above_2_53():
     )
     out = (
         with_ranked_window(
-            ray.data.from_pandas(df),
+            _blocks(df, 4),
             key_col="user_id",
             order_cols=["t", "row_id"],
             value_col="v",
-            n_buckets=4,
         )
         .to_pandas()
         .sort_values("row_id")
@@ -909,11 +899,10 @@ def test_with_ranked_window_ntile_matches_duckdb(k):
     df = _events(n=220, n_users=9)
     got = (
         with_ranked_window(
-            ray.data.from_pandas(df).repartition(4),
+            ray.data.from_pandas(df).repartition(8),
             key_col="user_id",
             order_cols=["t", "row_id"],
             value_col="v",
-            n_buckets=8,
             ntile=k,
         )
         .to_pandas()
