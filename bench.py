@@ -398,27 +398,29 @@ def _graph_ops(edge_path: str, kcore_k: int) -> dict[str, Callable[[], Any]]:
     from rayhist.ops.pagerank import pagerank_int
     from rayhist.ops.triangles import dedupe_edges, edge_triangle_support, triangle_count
 
-    def edges():
-        return dedupe_edges(rio.read_table(edge_path), "src", "dst").map_batches(
-            lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-        )
+    def edges():  # canonical distinct (u, v) pairs
+        return dedupe_edges(rio.read_table(edge_path))
 
     return {
-        "triangles": lambda: triangle_count(edges(), broadcast_gate=0),
-        "pagerank_2it": lambda: pagerank_int(edges(), iters=2).to_pandas(),
-        "kcore": lambda: k_core(edges(), kcore_k, broadcast_gate=0),
-        "bfs": lambda: bfs_hops(edges(), lambda n: n % 1000 == 0, BFS_HOPS, broadcast_gate=0),
-        # distributed credit-groupby + partitioned left join (gate off);
-        # consume via count() so the |E|-row result never concatenates
-        "edge_support": lambda: edge_triangle_support(edges(), broadcast_gate=0).count(),
+        "triangles": lambda: triangle_count(edges(), "u", "v", broadcast_gate=0),
+        "pagerank_2it": lambda: rio.blocks_table(pagerank_int(edges(), "u", "v", iters=2)),
+        "kcore": lambda: k_core(edges(), kcore_k, "u", "v", broadcast_gate=0),
+        "bfs": lambda: bfs_hops(
+            edges(), lambda n: n % 1000 == 0, BFS_HOPS, "u", "v", broadcast_gate=0
+        ),
+        # the credits sum per edge in one shuffle on the edge key (gate
+        # off); consume via count() so the |E|-row result never concatenates
+        "edge_support": lambda: edge_triangle_support(edges(), "u", "v", broadcast_gate=0).count(),
     }
 
 
 def _graph(sf_dir: str):
     """Triangles, integer PageRank, k-core peeling, bounded-hop BFS and
     edge support with every size gate FORCED OFF (broadcast_gate=0): the
-    distributed message-round / wedge-join shape that runs above the
-    gates at cluster scale. Floor: the same ops on the 2k-row graph."""
+    distributed shape that runs above the gates at cluster scale — one
+    io.reduce_by_key per message round (pagerank, k-core, BFS), four
+    keyed shuffles for triangles, the per-edge credit sum for edge
+    support. Floor: the same ops on the 2k-row graph."""
     return Job(
         _graph_ops(ensure_stress_graph(), KCORE_K),
         _graph_ops(ensure_floor_graph(), 3),

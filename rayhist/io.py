@@ -334,23 +334,28 @@ def blocks_table(blocks: MaterializedDataset | list) -> pa.Table:
     return _concat(ray.get(blocks))
 
 
-def _block_refs(ds: ray.data.Dataset, stage, batch_size: int | None) -> list | None:
+def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list | None:
     """One ``_block_task`` per block of a materialized ``ds`` (filtered
-    or not): the output refs in block order. None for any other
-    Dataset."""
-    base, flt = _filtered.get(ds, (ds, None))
-    if not isinstance(base, MaterializedDataset):
-        return None
+    or not) or per table ref of a list: the output refs in block order.
+    None for any other Dataset."""
+    if isinstance(ds, list):
+        blocks, flt = ds, None
+    else:
+        base, flt = _filtered.get(ds, (ds, None))
+        if not isinstance(base, MaterializedDataset):
+            return None
+        blocks = base.to_arrow_refs()
     fn = ray.put(stage)
-    return [_block_task.remote(fn, ref, flt, batch_size) for ref in base.to_arrow_refs()]
+    return [_block_task.remote(fn, ref, flt, batch_size) for ref in blocks]
 
 
-def map_blocks(ds: ray.data.Dataset, stage, batch_size: int | None = None) -> pa.Table:
+def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None) -> pa.Table:
     """Run ``stage`` (pyarrow table -> pyarrow table) over ``ds`` and
     return its outputs as one table, for partials combined on the
     driver.
 
-    On a materialized Dataset (a ``read_resident`` table, filtered or
+    On a list of table refs (a ``reduce_by_key`` result) or a
+    materialized Dataset (a ``read_resident`` table, filtered or
     not, or any ``materialize()`` result) the stage is ``ray.put``
     once and runs as one Ray task per block; the outputs are
     concatenated in block order, so two runs give the same rows in
@@ -373,10 +378,11 @@ def map_blocks(ds: ray.data.Dataset, stage, batch_size: int | None = None) -> pa
     return _concat(ray.get(refs))
 
 
-def materialize_blocks(ds: ray.data.Dataset, stage) -> MaterializedDataset:
+def materialize_blocks(ds: ray.data.Dataset | list, stage) -> MaterializedDataset:
     """``ds.map_batches(stage).materialize()`` for an output that stays
     distributed (it feeds a Dataset groupby or join, not a driver
-    combine): on a materialized ``ds`` the same block tasks as
+    combine): on a materialized ``ds`` or a list of table refs the same
+    block tasks as
     ``map_blocks``, whose outputs stay in the object store as the
     blocks of the returned Dataset, in block order. Any other Dataset
     runs ``map_batches`` and ``materialize`` as before."""

@@ -3,20 +3,23 @@
 Frontier expansion over an edge Dataset: round h sends one message
 along every edge leaving the current frontier, and a node that
 receives a message while still unvisited joins the next frontier at
-distance h. Each round is the cc.py co-group shape (frontier flags +
-adjacency routed by source bucket -> messages; messages + distance
-table routed by target bucket -> min-hop assignment), two bucket
-shuffles per round, one frontier count to the driver per round. The
-hop bound makes the oracle expressible: the same expansion unrolls as
-a MATERIALIZED CTE chain (each level referenced multiple times —
-inlining would duplicate the whole prefix exponentially, the k-core
-lesson).
+distance h. That is the unit-weight case of the sssp.py relaxation
+(``_relaxed``): each round is ONE ``io.reduce_by_key`` on node over
+bucket tables holding each node's hop-distance row and adjacency rows
+(the frontier is the ACTIVE rows). A node's first hop is final, so
+the stage drops the adjacency of every reached node (it never sends
+again) and a round moves only the rows of unvisited nodes plus the
+messages. The driver reads the per-hop counts once, after the last
+round. The hop bound makes the oracle expressible: the same expansion
+unrolls as a MATERIALIZED CTE chain (each level referenced multiple
+times — inlining would duplicate the whole prefix exponentially, the
+k-core lesson).
 
 Size gate (the triangles/k-core convention): when the node count fits
-``broadcast_gate``, each round is one map_batches over the
-materialized adjacency with the visited set ray.put-broadcast —
-no per-round shuffle; gate=0 forces the message rounds (pinned equal
-in tests).
+``broadcast_gate``, the visited set lives on the driver and each round
+is one block task per bucket over the adjacency rows with the frontier
+broadcast — no per-round shuffle; gate=0 forces the message rounds
+(pinned equal in tests).
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .cc import _node_buckets, _np
+from .sssp import _relaxed, _seeded
 
 
 def bfs_hops(
@@ -36,7 +39,6 @@ def bfs_hops(
     max_hops: int,
     src: str = "src",
     dst: str = "dst",
-    n_buckets: int | None = None,
     broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(hop, n) for hop 0..max_hops: how many nodes are first reached
@@ -45,186 +47,16 @@ def bfs_hops(
     expected). Nodes beyond ``max_hops`` are not reported."""
     if max_hops < 0:
         raise ValueError("bfs_hops: max_hops must be >= 0")
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
 
-    def directed(b: pa.Table) -> pa.Table:
-        u = b[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.concatenate([u, v])
-        return pa.table(
-            {
-                "node": n,
-                "peer": np.concatenate([v, u]),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
+    def hops(t: pa.Table) -> pa.Table:
+        d = _np(t, "val")[0]
+        n = np.bincount(d[d <= max_hops], minlength=max_hops + 1)
+        return pa.table({"n": n.astype(np.int64)})
 
-    adj = edges.map_batches(directed, batch_format="pyarrow").materialize()
+    def unit(b: pa.Table) -> np.ndarray:
+        return np.ones(b.num_rows, dtype=np.int64)
 
-    def init_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.unique(g["node"].to_numpy(dtype=np.int64))})
-
-    nodes = adj.groupby("_bucket").map_groups(init_nodes, batch_format="pandas").materialize()
-    n_nodes = nodes.count()
-    if n_nodes > broadcast_gate:
-        return _bfs_distributed(adj, nodes, seed_pred, max_hops, n_buckets)
-
-    arr = np.sort(nodes.to_pandas()["node"].to_numpy(dtype=np.int64))
-    seeds = arr[np.asarray(seed_pred(arr), dtype=bool)]
-    visited = seeds.copy()
-    frontier = seeds
-    counts = [(0, len(seeds))]
-    import ray as _ray
-
-    for h in range(1, max_hops + 1):
-        if len(frontier) == 0:
-            counts.append((h, 0))
-            continue
-        f_ref = _ray.put(np.sort(frontier))
-
-        def nbrs(b: pa.Table) -> pa.Table:
-            f = _ray.get(f_ref)
-            s = b["node"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(f, s)
-            inf = (pos < len(f)) & (f[np.minimum(pos, len(f) - 1)] == s)
-            t = np.unique(b["peer"].to_numpy(zero_copy_only=False)[inf])
-            return pa.table({"node": t})
-
-        cand = np.unique(
-            adj.map_batches(nbrs, batch_format="pyarrow").to_pandas()["node"].to_numpy(
-                dtype=np.int64
-            )
-        )
-        # exact membership: drop candidates already visited
-        pos = np.searchsorted(visited, cand)
-        hit = (pos < len(visited)) & (visited[np.minimum(pos, len(visited) - 1)] == cand)
-        new = cand[~hit]
-        counts.append((h, len(new)))
-        visited = np.sort(np.concatenate([visited, new]))
-        frontier = new
-    return pd.DataFrame(counts, columns=["hop", "n"]).astype("int64")
-
-
-def _bfs_distributed(adj, nodes, seed_pred, max_hops, n_buckets) -> pd.DataFrame:
-    """Above-gate path: (node, dist) table updated by two-shuffle
-    message rounds; the driver reads one frontier count per round."""
-
-    def init_dist(b: pa.Table) -> pa.Table:
-        n = b["node"].to_numpy(zero_copy_only=False)
-        is_seed = np.asarray(seed_pred(n), dtype=bool)
-        return pa.table(
-            {
-                "node": n,
-                "dist": np.where(is_seed, 0, np.iinfo(np.int64).max).astype(np.int64),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
-
-    dist = nodes.map_batches(init_dist, batch_format="pyarrow").materialize()
-    counts = [(0, int(dist.map_batches(
-        lambda b: pa.table({"c": [int((b["dist"].to_numpy(zero_copy_only=False) == 0).sum())]}),
-        batch_format="pyarrow",
-    ).sum("c") or 0))]
-
-    for h in range(1, max_hops + 1):
-        def tag_dist(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "dist": b["dist"],
-                    "peer": pa.nulls(len(b), type=pa.int64()),
-                    "_bucket": b["_bucket"],
-                }
-            )
-
-        def tag_adj(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "dist": pa.nulls(len(b), type=pa.int64()),
-                    "peer": b["peer"],
-                    "_bucket": b["_bucket"],
-                }
-            )
-
-        hh = h  # bind per round
-
-        def send(g: pd.DataFrame) -> pd.DataFrame:
-            st = g[g["peer"].isna()]
-            on_frontier = st.loc[st["dist"] == hh - 1, "node"]
-            ed = g[g["peer"].notna()]
-            ok = ed["node"].isin(set(on_frontier.to_numpy(dtype=np.int64).tolist()))
-            return pd.DataFrame(
-                {"node": np.unique(ed.loc[ok, "peer"].to_numpy(dtype=np.int64))}
-            )
-
-        def relax(g: pd.DataFrame) -> pd.DataFrame:
-            st = g[g["_kind"] == 1]
-            msg = set(g.loc[g["_kind"] == 0, "node"].to_numpy(dtype=np.int64).tolist())
-            d = st["dist"].to_numpy(dtype=np.int64).copy()
-            upd = st["node"].isin(msg).to_numpy() & (d == np.iinfo(np.int64).max)
-            d[upd] = hh
-            return pd.DataFrame(
-                {"node": st["node"].to_numpy(dtype=np.int64), "dist": d}
-            )
-
-        msgs = (
-            dist.map_batches(tag_dist, batch_format="pyarrow")
-            .union(adj.map_batches(tag_adj, batch_format="pyarrow"))
-            .groupby("_bucket")
-            .map_groups(send, batch_format="pandas")
-            .map_batches(
-                # dist = -1 SENTINEL, never null: a null would coerce
-                # the unioned column to float64, and the int64-max
-                # "unvisited" marker does not survive a float round
-                # trip (it comes back as int64 MIN — the money rule)
-                lambda b: pa.table(
-                    {
-                        "node": b["node"],
-                        "dist": np.full(len(b), -1, dtype=np.int64),
-                        "_kind": np.zeros(len(b), dtype=np.int64),
-                        "_bucket": _bucket_of(
-                            b["node"].to_numpy(zero_copy_only=False), n_buckets
-                        ),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        flagged = dist.map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b["node"],
-                    "dist": b["dist"],
-                    "_kind": np.ones(len(b), dtype=np.int64),
-                    "_bucket": b["_bucket"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        dist = (
-            msgs.union(flagged)
-            .groupby("_bucket")
-            .map_groups(relax, batch_format="pandas")
-            .map_batches(
-                lambda b: b.append_column(
-                    "_bucket",
-                    pa.array(
-                        _bucket_of(b["node"].to_numpy(zero_copy_only=False), n_buckets)
-                    ),
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        n_h = int(
-            dist.map_batches(
-                lambda b, _h=hh: pa.table(
-                    {"c": [int((b["dist"].to_numpy(zero_copy_only=False) == _h).sum())]}
-                ),
-                batch_format="pyarrow",
-            ).sum("c")
-            or 0
-        )
-        counts.append((h, n_h))
-    return pd.DataFrame(counts, columns=["hop", "n"]).astype("int64")
+    buckets = _node_buckets(edges, src, dst, _seeded(seed_pred), weight=unit)
+    parts = _relaxed(buckets, max_hops, broadcast_gate, hops, settle=True)
+    n = parts["n"].to_numpy().reshape(-1, max_hops + 1).sum(axis=0)
+    return pd.DataFrame({"hop": np.arange(max_hops + 1), "n": n}).astype("int64")

@@ -39,7 +39,7 @@ def _shingle_buckets() -> int:
     table (both Jaccard paths): a hardcoded constant caps the combine
     at that many reducer tasks AND makes each map_groups group
     O(total_shingles / constant) — unbounded per-worker memory as the
-    corpus grows. Same rule as window._resolve_buckets / hash_join."""
+    corpus grows: at least 64 buckets, four per cpu on a wider cluster."""
     import os
 
     import ray

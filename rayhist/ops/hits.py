@@ -12,22 +12,25 @@ sum of ints, so the scores are bit-identical at any parallelism and
 the oracle is the same rounds unrolled as MATERIALIZED join-aggregate
 CTEs (the pagerank contract).
 
-Edge dedup rides the FIRST routing pass: edges co-group by the
-source-key bucket, and because every copy of a (src, dst) pair hashes
-to the same bucket, an in-group ``drop_duplicates`` is globally exact
-— no separate distinct shuffle.
+Edge dedup rides the FIRST routing pass: edges route by their source
+(hub), and because every copy of a (src, dst) pair lands in the same
+bucket, an in-bucket distinct is globally exact — no separate
+distinct shuffle.
 
 Size gate (the bfs/triangles convention): when the distinct edge
 count fits ``broadcast_gate`` (2M edges = tens of MB, the
 bfs-visited-set budget), the deduped edge arrays are pulled once and
 the rounds run as exact numpy/Python-int passes on the driver —
 bit-identical to the distributed rounds (pinned equal at gate=0 in
-tests/test_ops.py). Above the gate, each half-round is the cc.py
-message shape: hub state unions with the bucket-routed edges
-(complete keys per bucket), a vectorized merge emits one message per
-edge, ``groupby(dst)`` sums per authority — one bucket shuffle plus
-one key-cardinality groupby per half-round, and the only driver value
-is the scalar L1 total (``Dataset.sum``). Nothing corpus-sized
+tests/test_ops.py). Above the gate, one more shuffle makes every
+distinct edge an adjacency row of its authority too, and each
+half-round is ONE ``io.reduce_by_key`` over the cc.py bucket tables,
+keyed by (side, node) so a customer and a part with the same id stay
+apart: the stage renormalizes the sending side's scores and sends
+them along its edges pre-summed per target, and the reduce sums them
+into the receiving side's scores. The driver reads two scalars per
+half-round (the sending node count for the overflow guard, the L1
+total; one block task per bucket each); nothing corpus-sized
 materializes above the gate.
 
 Reference semantics: Kleinberg's HITS as used for bipartite
@@ -44,91 +47,56 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .. import io as rio
+from .cc import ADJ, MSG, STATE, _cols, _count, _ints, _lookup, _np, _reduce_by, _rows, _sent
+
+HUB, AUTH = 0, 1  # side of a bucket-table row: src (hub) or dst (authority) node
 
 
-def _half_round(
-    edges: ray.data.Dataset,
-    state: ray.data.Dataset,
-    key: str,
-    out_key: str,
-    scale: int,
-    n_buckets: int,
-) -> ray.data.Dataset:
-    """One message pass: attach ``state[val]`` to edges by ``key``
-    (bucket co-group), emit one message per edge, sum per ``out_key``,
-    and L1-renormalize to ``scale`` by exact floor division."""
-    # every state value is <= scale (hubs start AT scale, renormalized
-    # scores sum to <= scale), so a message sum is <= n_state * scale:
-    # the same bound _rounds_local checks before its first round
-    if state.count() * scale >= 2**62:
-        raise OverflowError("hits: state-count x scale exceeds the int64 bound")
+def _sided(side: int, kind: int, node, peer=None, val=None) -> pa.Table:
+    t = _rows(kind, node, peer, val)
+    return t.append_column("side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
 
-    def tag_edges(b: pa.Table) -> pa.Table:
-        k = b[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "k": k,
-                "o": b[out_key].to_numpy(zero_copy_only=False).astype(np.int64),
-                "val": np.full(len(k), -1, dtype=np.int64),
-                "_bucket": _bucket_of(k, n_buckets),
-            }
+
+def _side(t: pa.Table) -> np.ndarray:
+    return _np(t, "side")[0] if t.num_columns else np.empty(0, np.int8)
+
+
+def _half_round(buckets: list, frm: int, scale: int, total: int | None) -> tuple[list, int]:
+    """One message pass from side ``frm``: its scores, renormalized to
+    ``scale`` by exact floor division against the previous L1
+    ``total`` (None: the hubs' starting scores), travel along its
+    edges and sum per node of the other side. The next bucket tables
+    and their L1 total."""
+
+    def send(t: pa.Table) -> pa.Table:
+        node, peer, val, kind = _cols(t)
+        side = _side(t)
+        st = (kind == STATE) & (side == frm)
+        if total is not None:
+            val = np.where(st, (val * scale) // total, 0)
+        hit, v = _sent(node, val, kind, st)
+        hit &= side == frm
+        tg, m = _reduce_by(peer[hit], v[hit], "sum")
+        return pa.concat_tables([t.filter(kind == ADJ), _sided(1 - frm, MSG, tg, val=m)])
+
+    def receive(t: pa.Table) -> pa.Table:
+        node, _, val, kind = _cols(t)
+        msg = kind == MSG
+        tg, m = _reduce_by(node[msg], val[msg], "sum")
+        nodes = np.unique(node[(kind == ADJ) & (_side(t) != frm)])
+        return pa.concat_tables(
+            [t.filter(~msg), _sided(1 - frm, STATE, nodes, val=_lookup(tg, m, nodes, 0))]
         )
 
-    def tag_state(b: pa.Table) -> pa.Table:
-        k = b["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "k": k,
-                "o": np.full(len(k), -1, dtype=np.int64),
-                "val": b["val"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "_bucket": _bucket_of(k, n_buckets),
-            }
-        )
-
-    def messages(g: pd.DataFrame) -> pd.DataFrame:
-        ed = g[g["val"] < 0]
-        st = g[g["val"] >= 0]
-        m = ed[["k", "o"]].merge(st[["k", "val"]], on="k", how="left")
-        if m["val"].isna().any():
-            raise ValueError("hits: edge key with no state row (incomplete bucket)")
-        p = m.groupby("o", as_index=False)["val"].sum()
-        o = p["o"].to_numpy(dtype=np.int64)
-        # route the partials by OUT-node bucket: the reduce below is a
-        # 64-group co-group, never a native node-cardinality groupby
-        # (a full sort shuffle — the measured wall at scale)
-        return pd.DataFrame(
-            {
-                "node": o,
-                "val": p["val"].to_numpy(dtype=np.int64),
-                "_ob": _bucket_of(o, n_buckets),
-            }
-        )
-
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        p = g.groupby("node", as_index=False)["val"].sum()
-        return p[["node", "val"]]
-
-    raw = (
-        edges.map_batches(tag_edges, batch_format="pyarrow")
-        .union(state.map_batches(tag_state, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(messages, batch_format="pandas")
-        .groupby("_ob")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .materialize()
-    )
-    s = int(raw.sum("val"))
+    buckets = rio.reduce_by_key(buckets, ["side", "node"], receive, stage=send)
+    sums = rio.map_blocks(buckets, lambda t: pa.table({"s": [int(_cols(t)[2].sum())]}))
+    s = int(sums["s"].to_numpy().sum())
     if s <= 0:
         raise ValueError("hits: non-positive score total (empty graph?)")
     if s * scale >= 2**62:
         raise OverflowError("hits: normalization product exceeds the int64 bound")
-
-    def norm(b: pa.Table) -> pa.Table:
-        v = b["val"].to_numpy(zero_copy_only=False)
-        return pa.table({"node": b["node"], "val": (v * scale) // s})
-
-    return raw.map_batches(norm, batch_format="pyarrow").materialize()
+    return buckets, s
 
 
 def _rounds_local(
@@ -173,7 +141,6 @@ def hits_bipartite(
     dst: str = "dst",
     iters: int = 2,
     scale: int = 1_000_000,
-    n_buckets: int | None = None,
     broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(node, auth) authority scores on the ``dst`` side after
@@ -182,49 +149,45 @@ def hits_bipartite(
     routing pass). Hubs start at ``scale`` each."""
     if iters < 1:
         raise ValueError("hits_bipartite: iters must be >= 1")
-    nb = _resolve_buckets(n_buckets, floor=64)
 
     def route(b: pa.Table) -> pa.Table:
-        s = b[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "s": s,
-                "d": b[dst].to_numpy(zero_copy_only=False).astype(np.int64),
-                "_bucket": _bucket_of(s, nb),
-            }
-        )
+        return _sided(HUB, ADJ, _ints(b, src), _ints(b, dst))
 
-    def dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        # every copy of (s, d) hashes to this bucket -> globally exact
-        return g[["s", "d", "_bucket"]].drop_duplicates(["s", "d"])
+    def dedupe(t: pa.Table) -> pa.Table:
+        # every copy of (s, d) lands in this bucket -> globally exact
+        node, peer, _, _ = _cols(t)
+        t = t.filter(~pd.DataFrame({"node": node, "peer": peer}).duplicated().to_numpy())
+        hubs = np.unique(_cols(t)[0])
+        return pa.concat_tables([t, _sided(HUB, STATE, hubs, val=np.full(len(hubs), scale))])
 
-    ded = (
-        edges.map_batches(route, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(dedupe, batch_format="pandas")
-        .materialize()
-    )
-    if ded.count() == 0:
+    buckets = rio.reduce_by_key(edges, ["side", "node"], dedupe, stage=route)
+    n_edges = _count(buckets, ADJ)
+    if n_edges == 0:
         raise ValueError("hits: non-positive score total (empty graph?)")
-    if ded.count() <= broadcast_gate:
-        df = ded.to_pandas()
-        out = _rounds_local(
-            df["s"].to_numpy(dtype=np.int64),
-            df["d"].to_numpy(dtype=np.int64),
-            iters,
-            scale,
-        )
+    if n_edges <= broadcast_gate:
+        e = rio.map_blocks(buckets, lambda t: t.filter(_cols(t)[3] == ADJ))
+        out = _rounds_local(*_np(e, "node", "peer"), iters, scale)
         return out.sort_values("node").reset_index(drop=True).astype("int64")
 
-    def init_h(g: pd.DataFrame) -> pd.DataFrame:
-        u = np.unique(g["s"].to_numpy(dtype=np.int64))
-        return pd.DataFrame({"node": u, "val": np.full(len(u), scale, dtype=np.int64)})
+    def mirror(t: pa.Table) -> pa.Table:  # each edge also joins its authority's bucket
+        node, peer, _, kind = _cols(t)
+        return pa.concat_tables([t, _sided(AUTH, ADJ, peer[kind == ADJ], node[kind == ADJ])])
 
-    hubs = ded.groupby("_bucket").map_groups(init_h, batch_format="pandas").materialize()
-    auth = None
-    for i in range(iters):
-        auth = _half_round(ded, hubs, "s", "d", scale, nb)
-        if i < iters - 1:  # the last hub update would be unread
-            hubs = _half_round(ded, auth, "d", "s", scale, nb)
-    out = auth.to_pandas().astype({"node": "int64", "val": "int64"})
+    buckets = rio.reduce_by_key(buckets, ["side", "node"], lambda t: t, stage=mirror)
+    frm, total = HUB, None
+    for _ in range(2 * iters - 1):  # the last hub update would be unread
+        # every score is <= scale (hubs start AT scale, renormalized
+        # scores sum to <= scale), so a message sum is <= (sending
+        # nodes) * scale: the same bound _rounds_local checks before its
+        # first round; only the sending side has state rows
+        if _count(buckets, STATE) * scale >= 2**62:
+            raise OverflowError("hits: state-count x scale exceeds the int64 bound")
+        buckets, total = _half_round(buckets, frm, scale, total)
+        frm = 1 - frm
+
+    def auth(t: pa.Table) -> pa.Table:
+        return t.filter(_cols(t)[3] == STATE).select(["node", "val"])
+
+    out = rio.map_blocks(buckets, auth).to_pandas().astype("int64")
+    out["val"] = (out["val"].to_numpy() * scale) // total
     return out.sort_values("node").reset_index(drop=True)

@@ -4,14 +4,15 @@ The k-core is the maximal subgraph where every node keeps >= k
 neighbors INSIDE the subgraph. Unlike connected components (fixpoint
 min-label) or PageRank (fixed iteration count), peeling terminates on
 a DATA-DEPENDENT round count: each round drops the nodes whose induced
-degree fell below k, and removal cascades. Each round is the cc.py
-two-shuffle shape:
+degree fell below k, and removal cascades. Each round is ONE
+``io.reduce_by_key`` on node over the cc.py bucket tables (an alive
+node's state row and adjacency rows; a dead node has neither):
 
-- route alive-flag rows and adjacency rows by hash(source-node);
-  buckets emit one (target, 1) message per edge whose SOURCE is alive;
-- route messages + alive flags by hash(target-node); buckets sum
-  messages per ALIVE target — that is the induced degree — and keep
-  nodes with degree >= k.
+- the stage sends one message per adjacency row (every one leaves an
+  alive node), pre-summed per target;
+- the reduce sums the messages per ALIVE target — that is the induced
+  degree — and keeps the rows of the nodes with degree >= k, dropping
+  the adjacency of the dead ones (they never send again).
 
 Monotonicity makes the termination check one integer: the alive set
 only shrinks, so |alive| unchanged <=> fixpoint. The driver reads one
@@ -28,12 +29,14 @@ valid because the sets are nested.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .. import io as rio
+from .cc import (
+    ADJ, MSG, STATE, _cols, _count, _lookup, _node_buckets, _np, _reduce_by, _rows, _state,
+    _state_rows,
+)
 
 
 def k_core(
@@ -41,7 +44,6 @@ def k_core(
     k: int,
     src: str = "src",
     dst: str = "dst",
-    n_buckets: int | None = None,
     max_rounds: int = 64,
     broadcast_gate: int = 2_000_000,
 ) -> tuple[ray.data.Dataset, int]:
@@ -50,153 +52,72 @@ def k_core(
     expected — compose with ops.triangles.dedupe_edges).
 
     Size gate (the triangles convention): when the node count fits
-    ``broadcast_gate``, each peel round is ONE map_batches over the
-    materialized adjacency with the alive set ray.put-broadcast
-    (sorted array + searchsorted membership) and a driver combine of
-    per-batch degree partials — no per-round shuffle. Above the gate
-    the two-shuffle message rounds below run; the paths are pinned
-    equal in tests (gate=0 forces distributed)."""
+    ``broadcast_gate``, the alive set lives on the driver and each peel
+    round is one block task per bucket over the adjacency rows with
+    the alive set broadcast, and a driver combine of per-bucket degree
+    partials — no per-round shuffle. Above the gate the message rounds
+    below run; the paths are pinned equal in tests (gate=0 forces
+    distributed)."""
     if k < 1:
         raise ValueError(f"k_core: k must be >= 1, got {k}")
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
-
-    def directed(b: pa.Table) -> pa.Table:
-        u = b[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.concatenate([u, v])
-        return pa.table(
-            {
-                "node": n,
-                "peer": np.concatenate([v, u]),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
-
-    adj = edges.map_batches(directed, batch_format="pyarrow").materialize()
-
-    def init_alive(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.unique(g["node"].to_numpy(dtype=np.int64))})
-
-    alive = adj.groupby("_bucket").map_groups(init_alive, batch_format="pandas").materialize()
-    n_alive = alive.count()
+    buckets = _node_buckets(edges, src, dst, lambda n: _rows(STATE, n))
+    n_alive = _count(buckets, STATE)
     if n_alive <= broadcast_gate:
-        return _kcore_broadcast(adj, alive, n_alive, k, max_rounds)
+        return _kcore_broadcast(buckets, k, max_rounds)
 
-    def tag_alive(b: pa.Table) -> pa.Table:
-        n = b["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": b["node"],
-                "peer": pa.nulls(len(b), type=pa.int64()),
-                "_bucket": pa.array(_bucket_of(n, n_buckets)),
-            }
-        )
+    def send(t: pa.Table) -> pa.Table:
+        _, peer, _, kind = _cols(t)
+        tg, n = np.unique(peer[kind == ADJ], return_counts=True)
+        return pa.concat_tables([t, _rows(MSG, tg, val=n)])
 
-    def send(g: pd.DataFrame) -> pd.DataFrame:
-        # alive rows have null peer; edges whose source is alive emit
-        # one message to their target
-        live = set(g.loc[g["peer"].isna(), "node"].to_numpy(dtype=np.int64).tolist())
-        ed = g[g["peer"].notna()]
-        ok = ed["node"].isin(live)
-        return pd.DataFrame({"node": ed.loc[ok, "peer"].to_numpy(dtype=np.int64)})
-
-    def keep(g: pd.DataFrame) -> pd.DataFrame:
-        live = g.loc[g["_is_alive"] == 1, "node"]
-        msg = g[g["_is_alive"] == 0]
-        deg = msg["node"].value_counts()
-        li = live.to_numpy(dtype=np.int64)
-        d = deg.reindex(li).fillna(0).to_numpy(dtype=np.int64)
-        return pd.DataFrame({"node": li[d >= k]})
+    def keep(t: pa.Table) -> pa.Table:
+        node, _, val, kind = _cols(t)
+        msg = kind == MSG
+        tg, deg = _reduce_by(node[msg], val[msg], "sum")
+        alive = node[kind == STATE]
+        core = alive[_lookup(tg, deg, alive, 0) >= k]
+        return t.filter(~msg & np.isin(node, core))
 
     rounds = 0
     for _ in range(max_rounds):
-        both = alive.map_batches(tag_alive, batch_format="pyarrow").union(adj)
-        msgs = (
-            both.groupby("_bucket")
-            .map_groups(send, batch_format="pandas")
-            .map_batches(
-                lambda b: pa.table(
-                    {
-                        "node": b["node"],
-                        "_is_alive": np.zeros(len(b), dtype=np.int64),
-                        "_bucket": _bucket_of(
-                            b["node"].to_numpy(zero_copy_only=False), n_buckets
-                        ),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        flagged = alive.map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b["node"],
-                    "_is_alive": np.ones(len(b), dtype=np.int64),
-                    "_bucket": pa.array(
-                        _bucket_of(b["node"].to_numpy(zero_copy_only=False), n_buckets)
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        new_alive = (
-            msgs.union(flagged).groupby("_bucket").map_groups(keep, batch_format="pandas")
-        ).materialize()
-        n_new = new_alive.count()
+        peeled = rio.reduce_by_key(buckets, ["node"], keep, stage=send)
+        n_new = _count(peeled, STATE)
         if n_new == n_alive:
-            return alive, rounds
-        alive, n_alive = new_alive, n_new
+            return _state(buckets, "node"), rounds
+        buckets, n_alive = peeled, n_new
         rounds += 1
         if n_alive == 0:
-            return alive, rounds
+            return _state(buckets, "node"), rounds
     raise RuntimeError(
         f"k_core: no fixpoint after {max_rounds} rounds — raise max_rounds "
         "for deeper peeling cascades"
     )
 
 
-def _kcore_broadcast(
-    adj: ray.data.Dataset,
-    alive: ray.data.Dataset,
-    n_alive: int,
-    k: int,
-    max_rounds: int,
-) -> tuple[ray.data.Dataset, int]:
-    """Gated fast path: see k_core's docstring. ``adj`` is the
-    materialized directed adjacency; alive membership broadcasts as a
-    sorted int64 array (driver-sized under the gate)."""
-    import ray as _ray
-
-    arr = np.sort(alive.to_pandas()["node"].to_numpy(dtype=np.int64))
+def _kcore_broadcast(buckets: list, k: int, max_rounds: int) -> tuple[ray.data.Dataset, int]:
+    """Gated fast path: see k_core's docstring. Alive membership
+    broadcasts as a sorted int64 array (driver-sized under the gate)."""
+    arr = np.sort(rio.map_blocks(buckets, _state_rows)["node"].to_numpy())
     rounds = 0
     for _ in range(max_rounds):
-        ref = _ray.put(arr)
 
-        def deg_partial(b: pa.Table) -> pa.Table:
-            a = _ray.get(ref)
+        def deg_partial(t: pa.Table, a=arr) -> pa.Table:
+            node, peer, _, kind = _cols(t)
+            ok = (kind == ADJ) & np.isin(node, a) & np.isin(peer, a)
+            tg, n = np.unique(peer[ok], return_counts=True)
+            return pa.table({"node": tg, "d_p": n.astype(np.int64)})
 
-            def member(x: np.ndarray) -> np.ndarray:
-                pos = np.searchsorted(a, x)
-                return (pos < len(a)) & (a[np.minimum(pos, len(a) - 1)] == x)
-
-            s = b["node"].to_numpy(zero_copy_only=False)
-            t = b["peer"].to_numpy(zero_copy_only=False)
-            ok = member(s) & member(t)
-            nodes, cnt = np.unique(t[ok], return_counts=True)
-            return pa.table({"node": nodes, "d_p": cnt.astype(np.int64)})
-
-        parts = adj.map_batches(deg_partial, batch_format="pyarrow").to_pandas()
-        deg = parts.groupby("node")["d_p"].sum()
-        new = np.sort(deg.index.to_numpy(dtype=np.int64)[deg.to_numpy() >= k])
+        parts = rio.map_blocks(buckets, deg_partial)
+        tg, deg = _reduce_by(*_np(parts, "node", "d_p"), "sum")
+        new = tg[deg >= k]
         if len(new) == len(arr):
             break
         arr = new
         rounds += 1
-        if len(arr) == 0:
+        if not len(arr):
             break
     else:
         raise RuntimeError(
             f"k_core: no fixpoint after {max_rounds} rounds — raise max_rounds"
         )
-    out = ray.data.from_pandas(pd.DataFrame({"node": arr}))
-    return out, rounds
+    return ray.data.from_arrow(pa.table({"node": arr})), rounds

@@ -11,14 +11,15 @@ reduction is a sum of ints, so the result is bit-identical at any
 parallelism AND expressible as K unrolled join-aggregate CTEs in SQL —
 the oracle checks the exact ranks, not an epsilon.
 
-Distribution is the cc.py round shape: per iteration, one co-group
-that attaches rank state to the adjacency (complete nodes per hash
-bucket) and emits messages, and one co-group that sums messages per
-destination and re-attaches the static degree — two bucket shuffles
-per iteration, nothing corpus-sized at the driver. Mass leaks
-downward through the floors (bounded by one unit per neighbor per
-round), which is the standard price of exact integer PageRank; ranks
-remain a faithful total order for top-k/centrality use.
+Distribution is the cc.py round shape: per iteration, ONE
+``io.reduce_by_key`` on node over bucket tables holding each node's
+rank row and adjacency rows. The stage sends every node's share along
+its edges (its degree is its adjacency row count), pre-summed per
+target; the reduce sums the shares per node into its next rank —
+nothing corpus-sized at the driver. Mass leaks downward through the
+floors (bounded by one unit per neighbor per round), which is the
+standard price of exact integer PageRank; ranks remain a faithful
+total order for top-k/centrality use.
 
 Caller contract: edges form an undirected graph; every node mentioned
 has degree >= 1 (an edge list cannot mention isolated nodes), so every
@@ -28,12 +29,11 @@ node receives at least one message per round.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .. import io as rio
+from .cc import ADJ, MSG, STATE, _cols, _lookup, _node_buckets, _reduce_by, _rows, _sent, _state
 
 
 def pagerank_int(
@@ -43,7 +43,6 @@ def pagerank_int(
     iters: int = 3,
     scale: int = 1_000_000,
     damping: tuple[int, int] = (85, 100),
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """(node, pr) after ``iters`` exact integer power iterations over
     the undirected graph ``edges`` (deduped canonical pairs expected —
@@ -53,102 +52,27 @@ def pagerank_int(
     if not (0 < d_num < d_den):
         raise ValueError(f"pagerank_int: damping {damping} must satisfy 0 < num < den")
     base = (scale * (d_den - d_num)) // d_den
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
 
-    def directed(b: pa.Table) -> pa.Table:
-        u = b[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.concatenate([u, v])
-        return pa.table(
-            {
-                "node": n,
-                "peer": np.concatenate([v, u]),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
+    def init(nodes: np.ndarray) -> pa.Table:
+        return _rows(STATE, nodes, val=np.full(len(nodes), scale, dtype=np.int64))
 
-    adj = edges.map_batches(directed, batch_format="pyarrow").materialize()
+    def send(t: pa.Table) -> pa.Table:
+        node, peer, val, kind = _cols(t)
+        adj = kind == ADJ
+        _, pr = _sent(node, val, kind, kind == STATE)
+        _, at, deg = np.unique(node[adj], return_inverse=True, return_counts=True)
+        tg, m = _reduce_by(peer[adj], (pr[adj] * d_num) // (d_den * deg[at]), "sum")
+        return pa.concat_tables([t.filter(adj), _rows(MSG, tg, val=m)])
 
-    # degree + initial state in one bucket pass (complete nodes/bucket)
-    def init_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g["node"].value_counts()
-        return pd.DataFrame(
-            {
-                "node": vc.index.to_numpy(dtype=np.int64),
-                "pr": np.full(len(vc), scale, dtype=np.int64),
-                "deg": vc.to_numpy(dtype=np.int64),
-            }
-        )
+    def receive(t: pa.Table) -> pa.Table:
+        node, _, val, kind = _cols(t)
+        msg = kind == MSG
+        tg, m = _reduce_by(node[msg], val[msg], "sum")
+        nodes = np.unique(node[kind == ADJ])
+        state = _rows(STATE, nodes, val=base + _lookup(tg, m, nodes, 0))
+        return pa.concat_tables([t.filter(~msg), state])
 
-    state = adj.groupby("_bucket").map_groups(init_bucket, batch_format="pandas").materialize()
-
-    def tag_state(b: pa.Table) -> pa.Table:
-        n = b["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": b["node"],
-                "pr": b["pr"],
-                "deg": b["deg"],
-                "peer": pa.nulls(len(b), type=pa.int64()),
-                "_bucket": pa.array(_bucket_of(n, n_buckets)),
-            }
-        )
-
-    def tag_adj(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": b["node"],
-                "pr": pa.nulls(len(b), type=pa.int64()),
-                "deg": pa.nulls(len(b), type=pa.int64()),
-                "peer": b["peer"],
-                "_bucket": b["_bucket"],
-            }
-        )
-
-    def send(g: pd.DataFrame) -> pd.DataFrame:
-        st = g[g["peer"].isna()]
-        ed = g[g["peer"].notna()]
-        nodes = st["node"].to_numpy(dtype=np.int64)
-        share = (st["pr"].to_numpy(dtype=np.int64) * d_num) // (
-            d_den * st["deg"].to_numpy(dtype=np.int64)
-        )
-        share_lut = pd.Series(share, index=nodes)
-        deg_lut = pd.Series(st["deg"].to_numpy(dtype=np.int64), index=nodes)
-        src_n = ed["node"].to_numpy(dtype=np.int64)
-        msgs = pd.DataFrame(
-            {
-                "node": ed["peer"].to_numpy(dtype=np.int64),
-                "val": share_lut[src_n].to_numpy(),
-                "deg": np.int64(0),  # message rows carry no degree
-            }
-        )
-        # one degree-carrier row per node so the combine can rebuild state
-        carriers = pd.DataFrame(
-            {"node": nodes, "val": np.zeros(len(nodes), dtype=np.int64), "deg": deg_lut.to_numpy()}
-        )
-        return pd.concat([msgs, carriers], ignore_index=True)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        gb = g.groupby("node", sort=False)
-        out = gb.agg(val=("val", "sum"), deg=("deg", "max")).reset_index()
-        out["pr"] = base + out["val"].to_numpy(dtype=np.int64)
-        return out[["node", "pr", "deg"]].astype("int64")
-
+    buckets = _node_buckets(edges, src, dst, init)
     for _ in range(iters):
-        both = state.map_batches(tag_state, batch_format="pyarrow").union(
-            adj.map_batches(tag_adj, batch_format="pyarrow")
-        )
-        msgs = (
-            both.groupby("_bucket")
-            .map_groups(send, batch_format="pandas")
-            .map_batches(
-                lambda b: b.append_column(
-                    "_bucket",
-                    pa.array(_bucket_of(b["node"].to_numpy(zero_copy_only=False), n_buckets)),
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        state = msgs.groupby("_bucket").map_groups(combine, batch_format="pandas").materialize()
-
-    return state.drop_columns(["deg"])
+        buckets = rio.reduce_by_key(buckets, ["node"], receive, stage=send)
+    return _state(buckets, "node", "pr")

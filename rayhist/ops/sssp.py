@@ -6,28 +6,30 @@ once — dist[v] <- min(dist[v], min over edges (dist[u] + w)) — so
 after R rounds each node holds the exact cheapest cost over paths of
 at most R edges. All arithmetic is int64 (the money rule: costs are
 exact at any parallelism), the "unreached" marker is the finite
-sentinel ``INF = 1 << 62`` (never a null — a unioned null int column
-coerces to float64 and large sentinels do not survive the round
-trip), and the fixed round count makes the oracle expressible: the
-same relaxation unrolls as a MATERIALIZED CTE chain (each level
-referenced twice; inlining would duplicate the prefix exponentially —
-the k-core lesson).
+sentinel ``INF = 1 << 62`` (never a null — a null int column coerces
+to float64 and large sentinels do not survive the round trip), and
+the fixed round count makes the oracle expressible: the same
+relaxation unrolls as a MATERIALIZED CTE chain (each level referenced
+twice; inlining would duplicate the prefix exponentially — the k-core
+lesson). Only the nodes whose distance fell in the previous round
+relax their edges: every other node already sent its distance, so
+each round's distances are those of relaxing every edge.
 
-Each round is the cc.py/bfs.py co-group shape: dist rows + adjacency
-rows routed by SOURCE bucket -> per-peer min cost messages; messages
-+ dist table routed by TARGET bucket -> min relax. Two bucket
-shuffles per round, nothing on the driver.
+Each round is the cc.py min-propagation round (``_min_round``): ONE
+``io.reduce_by_key`` on node over bucket tables holding each node's
+distance row and adjacency rows (the edge weight in ``val``). The
+bounded-hop BFS (ops/bfs.py) is the unit-weight case of ``_relaxed``.
 
-Size gate (the triangles/k-core/bfs convention): when the node count
-fits ``broadcast_gate``, each round is one map_batches over the
-materialized adjacency with the (nodes, dist) arrays ray.put-broadcast
-and a |touched nodes x blocks|-bounded driver min-combine; gate=0
-forces the message rounds (pinned equal in tests).
+Size gate (the triangles/k-core convention): when the node count fits
+``broadcast_gate``, the (nodes, dist) arrays live on the driver and
+each round is one block task per bucket (``io.map_blocks``) over the
+adjacency rows with the nodes that changed broadcast, and a
+|touched nodes x blocks|-bounded driver min-combine; gate=0 forces
+the message rounds (pinned equal in tests).
 
-Reference parity: the reference has no graph engine; this extends the
-bounded-hop BFS (ops/bfs.py) to weighted costs, the standard
-Pregel-style relaxation (Malewicz et al., SIGMOD'10) expressed as Ray
-Data bucket shuffles.
+Reference parity: the reference has no graph engine; this is the
+standard Pregel-style relaxation (Malewicz et al., SIGMOD'10)
+expressed as block-task shuffles.
 """
 
 from __future__ import annotations
@@ -35,13 +37,62 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 import ray.data
 
-from .window import _bucket_of, _resolve_buckets
+from .. import io as rio
+from .cc import (
+    ACTIVE, ADJ, INF, STATE, _cols, _count, _lookup, _min_round, _node_buckets, _np,
+    _reduce_by, _rows, _state_rows,
+)
 
-INF = 1 << 62
 _MAX_W = 1 << 40  # rounds * max_w must stay clear of the sentinel
+
+
+def _seeded(seed_pred):
+    """``_node_buckets`` init: seeds ACTIVE at distance 0, every other
+    node unreached."""
+
+    def init(nodes: np.ndarray) -> pa.Table:
+        seed = np.asarray(seed_pred(nodes), dtype=bool)
+        return _rows(np.where(seed, ACTIVE, STATE), nodes, val=np.where(seed, 0, INF))
+
+    return init
+
+
+def _relaxed(
+    buckets: list, rounds: int, broadcast_gate: int, fin, settle: bool = False
+) -> pa.Table:
+    """``fin`` (state rows -> partial table) over the distances after
+    ``rounds`` relaxation rounds of the seeded bucket tables: on the
+    driver's table below the gate, per bucket above it."""
+    if _count(buckets, STATE, ACTIVE) > broadcast_gate:
+        for _ in range(rounds):
+            buckets = _min_round(buckets, settle)
+        return rio.map_blocks(buckets, lambda t: fin(_state_rows(t)))
+
+    node, _, dist, kind = _cols(rio.map_blocks(buckets, _state_rows))
+    o = np.argsort(node)
+    node, dist, active = node[o], dist[o], kind[o] == ACTIVE
+    for _ in range(rounds):
+        if not active.any():
+            break
+
+        def cand(t: pa.Table, sn=node[active], sd=dist[active]) -> pa.Table:
+            n, peer, w, k = _cols(t)
+            d = _lookup(sn, sd, n, INF)
+            ok = (k == ADJ) & (d < INF)
+            tg, m = _reduce_by(peer[ok], d[ok] + w[ok], "min")
+            return pa.table({"node": tg, "val": m})
+
+        parts = rio.map_blocks(buckets, cand)
+        tg, m = _reduce_by(*_np(parts, "node", "val"), "min")
+        pos = np.searchsorted(node, tg)
+        better = m < dist[pos]
+        dist[pos[better]] = m[better]
+        active = np.zeros(len(node), dtype=bool)
+        active[pos[better]] = True
+    return fin(_rows(STATE, node, val=dist))
 
 
 def sssp_int(
@@ -51,7 +102,6 @@ def sssp_int(
     src: str = "src",
     dst: str = "dst",
     weight: str = "w",
-    n_buckets: int | None = None,
     broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(node, dist) for every node whose cheapest <=``rounds``-edge
@@ -61,220 +111,19 @@ def sssp_int(
     int64 costs, bit-identical at any parallelism."""
     if rounds < 0 or rounds > (1 << 20):
         raise ValueError("sssp_int: rounds must be in [0, 2^20]")
-    n_buckets = _resolve_buckets(n_buckets, floor=64)
 
-    def directed(b: pa.Table) -> pa.Table:
-        u = b[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        wcol = b[weight]
-        if wcol.null_count:
+    def weights(b: pa.Table) -> np.ndarray:
+        if b[weight].null_count:
             raise ValueError("sssp_int: null edge weight")
-        w = wcol.to_numpy(zero_copy_only=False).astype(np.int64)
+        w = b[weight].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(w) and (w.min() <= 0 or w.max() >= _MAX_W):
             raise ValueError("sssp_int: edge weights must be in (0, 2^40)")
-        n = np.concatenate([u, v])
-        return pa.table(
-            {
-                "node": n,
-                "peer": np.concatenate([v, u]),
-                "w": np.concatenate([w, w]),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
+        return w
 
-    adj = edges.map_batches(directed, batch_format="pyarrow").materialize()
+    def reached(t: pa.Table) -> pa.Table:
+        return t.filter(pc.less(t["val"], INF)).select(["node", "val"])
 
-    def init_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.unique(g["node"].to_numpy(dtype=np.int64))})
-
-    nodes = (
-        adj.groupby("_bucket").map_groups(init_nodes, batch_format="pandas").materialize()
-    )
-    if nodes.count() <= broadcast_gate:
-        return _sssp_broadcast(adj, nodes, seed_pred, rounds)
-    return _sssp_distributed(adj, nodes, seed_pred, rounds, n_buckets)
-
-
-def _sssp_broadcast(adj, nodes, seed_pred, rounds) -> pd.DataFrame:
-    """Below-gate path: the dist vector lives on the driver and is
-    ray.put-broadcast each round; per-batch (peer -> min cand)
-    partials come back bounded by |touched nodes| x #blocks."""
-    arr = np.sort(nodes.to_pandas()["node"].to_numpy(dtype=np.int64))
-    dist = np.where(np.asarray(seed_pred(arr), dtype=bool), 0, INF).astype(np.int64)
-
-    for _ in range(rounds):
-        ref = ray.put((arr, dist))
-
-        def cand(b: pa.Table) -> pa.Table:
-            nd, dd = ray.get(ref)
-            s = b["node"].to_numpy(zero_copy_only=False)
-            d = dd[np.searchsorted(nd, s)]
-            ok = d < INF
-            if not ok.any():
-                return pa.table(
-                    {"node": np.empty(0, np.int64), "cand": np.empty(0, np.int64)}
-                )
-            c = d[ok] + b["w"].to_numpy(zero_copy_only=False)[ok]
-            g = (
-                pd.DataFrame(
-                    {"node": b["peer"].to_numpy(zero_copy_only=False)[ok], "cand": c}
-                )
-                .groupby("node", sort=False)["cand"]
-                .min()
-            )
-            return pa.table(
-                {
-                    "node": g.index.to_numpy(dtype=np.int64),
-                    "cand": g.to_numpy(dtype=np.int64),
-                }
-            )
-
-        parts = adj.map_batches(cand, batch_format="pyarrow").to_pandas()
-        if len(parts):
-            m = parts.groupby("node")["cand"].min()
-            pos = np.searchsorted(arr, m.index.to_numpy(dtype=np.int64))
-            dist[pos] = np.minimum(dist[pos], m.to_numpy(dtype=np.int64))
-    keep = dist < INF
-    return pd.DataFrame({"node": arr[keep], "dist": dist[keep]}).reset_index(drop=True)
-
-
-def _sssp_distributed(adj, nodes, seed_pred, rounds, n_buckets) -> pd.DataFrame:
-    """Above-gate path: (node, dist) table updated by two-shuffle
-    relaxation rounds; the driver never sees the dist table until the
-    final reached-set read."""
-
-    def init_dist(b: pa.Table) -> pa.Table:
-        n = b["node"].to_numpy(zero_copy_only=False)
-        is_seed = np.asarray(seed_pred(n), dtype=bool)
-        return pa.table(
-            {
-                "node": n,
-                "dist": np.where(is_seed, 0, INF).astype(np.int64),
-                "_bucket": _bucket_of(n, n_buckets),
-            }
-        )
-
-    dist = nodes.map_batches(init_dist, batch_format="pyarrow").materialize()
-
-    for _ in range(rounds):
-
-        def tag_dist(b: pa.Table) -> pa.Table:
-            z = np.zeros(len(b), dtype=np.int64)
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "dist": b["dist"],
-                    "peer": z - 1,
-                    "w": z,
-                    "_kind": z + 1,
-                    "_bucket": b["_bucket"],
-                }
-            )
-
-        def tag_adj(b: pa.Table) -> pa.Table:
-            z = np.zeros(len(b), dtype=np.int64)
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "dist": z + INF,
-                    "peer": b["peer"],
-                    "w": b["w"],
-                    "_kind": z,
-                    "_bucket": b["_bucket"],
-                }
-            )
-
-        def send(g: pd.DataFrame) -> pd.DataFrame:
-            st = g[g["_kind"] == 1]
-            st = st[st["dist"] < INF][["node", "dist"]]
-            ed = g[g["_kind"] == 0][["node", "peer", "w"]]
-            j = ed.merge(st, on="node")
-            if not len(j):
-                return pd.DataFrame(
-                    {"node": np.empty(0, np.int64), "cand": np.empty(0, np.int64)}
-                )
-            j["cand"] = j["dist"].to_numpy(dtype=np.int64) + j["w"].to_numpy(
-                dtype=np.int64
-            )
-            m = j.groupby("peer", sort=False)["cand"].min()
-            return pd.DataFrame(
-                {
-                    "node": m.index.to_numpy(dtype=np.int64),
-                    "cand": m.to_numpy(dtype=np.int64),
-                }
-            )
-
-        def relax(g: pd.DataFrame) -> pd.DataFrame:
-            st = g[g["_kind"] == 1]
-            msg = g[g["_kind"] == 0]
-            n = st["node"].to_numpy(dtype=np.int64)
-            d = st["dist"].to_numpy(dtype=np.int64).copy()
-            if len(msg):
-                m = msg.groupby("node")["dist"].min()
-                pos = np.searchsorted(n, m.index.to_numpy(dtype=np.int64))
-                # dist rows are complete per bucket: every message
-                # target exists in this bucket's state by construction
-                d[pos] = np.minimum(d[pos], m.to_numpy(dtype=np.int64))
-            return pd.DataFrame({"node": n, "dist": d})
-
-        msgs = (
-            dist.map_batches(tag_dist, batch_format="pyarrow")
-            .union(adj.map_batches(tag_adj, batch_format="pyarrow"))
-            .groupby("_bucket")
-            .map_groups(send, batch_format="pandas")
-            .map_batches(
-                lambda b: pa.table(
-                    {
-                        "node": b["node"],
-                        "dist": b["cand"],
-                        "_kind": np.zeros(len(b), dtype=np.int64),
-                        "_bucket": _bucket_of(
-                            b["node"].to_numpy(zero_copy_only=False), n_buckets
-                        ),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        flagged = dist.map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b["node"],
-                    "dist": b["dist"],
-                    "_kind": np.ones(len(b), dtype=np.int64),
-                    "_bucket": b["_bucket"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        dist = (
-            msgs.union(flagged)
-            .groupby("_bucket")
-            .map_groups(
-                lambda g: relax(g.sort_values("node", kind="stable")),
-                batch_format="pandas",
-            )
-            .map_batches(
-                lambda b: b.append_column(
-                    "_bucket",
-                    pa.array(
-                        _bucket_of(b["node"].to_numpy(zero_copy_only=False), n_buckets)
-                    ),
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-
-    out = (
-        dist.map_batches(
-            lambda b: b.select(["node", "dist"]).filter(
-                pa.compute.less(b["dist"], INF)
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-    return out.astype({"node": "int64", "dist": "int64"})
+    buckets = _node_buckets(edges, src, dst, _seeded(seed_pred), weight=weights)
+    out = _relaxed(buckets, rounds, broadcast_gate, reached).to_pandas()
+    out = out.rename(columns={"val": "dist"}).astype({"node": "int64", "dist": "int64"})
+    return out.sort_values("node").reset_index(drop=True)

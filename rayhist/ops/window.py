@@ -23,8 +23,7 @@ large-scale event/training-data pipeline needs on top of it:
 All buckets hold COMPLETE keys by construction, so per-key finals may
 run inside the bucket stage (the ``sessions.py`` pattern) and only
 |keys| small rows reach the driver. The bucket count is the input
-block count (``io.reduce_by_key``); ``_resolve_buckets`` and
-``_bucket_of`` below serve the graph operators' own shuffles.
+block count (``io.reduce_by_key``).
 """
 
 from __future__ import annotations
@@ -39,34 +38,6 @@ from .. import io as rio
 from .relational import (
     _cogroup, _complete_ints, _is_int, _per_key, _side_columns, _tag_side,
 )
-
-
-def _resolve_buckets(n_buckets: int | None, floor: int = 256) -> int:
-    """Cluster-scaled shuffle-bucket default of the graph operators: a
-    CONSTANT caps the stage at that many tasks no matter how wide the
-    cluster is, and lets per-bucket memory grow with the corpus."""
-    if n_buckets is not None:
-        return n_buckets
-    import os
-
-    import ray
-
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-    else:
-        ncpu = os.cpu_count() or 8
-    return max(floor, ncpu * 4)
-
-
-def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic bucket id for an integer or object key array.
-    Integer keys use plain modulo (balanced for id-like keys; raise
-    n_buckets to salt); others hash through pandas' stable hasher."""
-    if np.issubdtype(keys.dtype, np.integer):
-        return (keys.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-    return (
-        pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False) % n_buckets
-    ).astype(np.int64)
 
 
 def _replicate_to_bins(

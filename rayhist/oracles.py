@@ -3158,23 +3158,24 @@ ORDER BY jaccard DESC, e.u, e.v LIMIT {int(k)}
 
 
 def snapshot_colocation_pairs(radius: int) -> str:
-    """Radius self-join mirror: |delta| prefilter keeps the squares in
-    int64 range on both sides (same rule as spatial/radius.py)."""
+    """Radius self-join mirror: the |delta| prefilter keeps the engine's
+    squares in int64 range (same rule as spatial/radius.py); the
+    squares here are HUGEINT, because DuckDB may evaluate them on pairs
+    the prefilter has not yet dropped."""
     r = int(radius)
     cte = _snap_cte().replace("TS_LIST", _ts_list([T_MID]))
+    d2 = """CAST(a.lon_e7 - b.lon_e7 AS HUGEINT) * (a.lon_e7 - b.lon_e7)
+          + CAST(a.lat_e7 - b.lat_e7 AS HUGEINT) * (a.lat_e7 - b.lat_e7)"""
     return (
         DERIVE
         + cte
         + f"""
-SELECT a.osm_id AS id_a, b.osm_id AS id_b,
-       CAST((a.lon_e7 - b.lon_e7) * (a.lon_e7 - b.lon_e7)
-          + (a.lat_e7 - b.lat_e7) * (a.lat_e7 - b.lat_e7) AS BIGINT) AS d2
+SELECT a.osm_id AS id_a, b.osm_id AS id_b, CAST({d2} AS BIGINT) AS d2
 FROM snap a JOIN snap b
   ON a.osm_id < b.osm_id
  AND abs(a.lon_e7 - b.lon_e7) <= {r}
  AND abs(a.lat_e7 - b.lat_e7) <= {r}
-WHERE (a.lon_e7 - b.lon_e7) * (a.lon_e7 - b.lon_e7)
-    + (a.lat_e7 - b.lat_e7) * (a.lat_e7 - b.lat_e7) <= {r}::BIGINT * {r}::BIGINT
+WHERE {d2} <= {r}::HUGEINT * {r}
 ORDER BY 1, 2
 """
     )

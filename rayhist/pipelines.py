@@ -89,8 +89,8 @@ from .ops.triangles import (
     dedupe_edges, edge_triangle_support, triangle_count, triangle_counts_per_node,
 )
 from .ops.window import (
-    _resolve_buckets, asof_join, distinct_set_op, interval_coverage_counts,
-    per_key_interarrival, with_prior_window, with_ranked_window, with_time_window,
+    asof_join, distinct_set_op, interval_coverage_counts, per_key_interarrival,
+    with_prior_window, with_ranked_window, with_time_window,
 )
 from .sources.arrowipc import ensure_arrow_events, read_arrow_ipc
 from .sources.csvlog import ensure_csv_events, read_csv_log
@@ -1423,19 +1423,20 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     with the MINIMUM doc_id reachable from it (the canonical cluster
     representative a keep-one dedup would retain). Pairs come from the
     thresholded distributed pair stage (only actual near-dups exist as
-    edges — O(dups), not O(corpus)); components run as iterated bucket
-    shuffles in ops/cc.py. The oracle is a recursive-CTE reachable-min
-    over the identical pair set."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    pairs = exact_jaccard_pairs(ds, 1, 2)
+    edges — O(dups), not O(corpus)); components run as one keyed
+    shuffle per round in ops/cc.py. The oracle is a recursive-CTE
+    reachable-min over the identical pair set."""
+    path = f"{sf_dir}/documents.parquet"
+    pairs = exact_jaccard_pairs(rio.read_table(path, columns=["doc_id", "text"]), 1, 2)
     if not len(pairs):
         return pd.DataFrame(
             {"doc_id": pd.Series(dtype="int64"), "component": pd.Series(dtype="int64")}
         )
-    edges = ray.data.from_pandas(
-        pairs[["doc_a", "doc_b"]].rename(columns={"doc_a": "src", "doc_b": "dst"})
-    )
-    df = connected_components(edges).to_pandas()
+    # one component bucket per documents block, as a shuffle of them has
+    n = rio.auto_num_blocks(path)
+    ab = np.array_split(pairs[["doc_a", "doc_b"]].to_numpy(dtype=np.int64), n)
+    edges = ray.data.from_arrow([pa.table({"src": c[:, 0], "dst": c[:, 1]}) for c in ab])
+    df = rio.blocks_table(connected_components(edges)).to_pandas()
     df = df.rename(columns={"node": "doc_id"}).astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -5486,16 +5487,18 @@ def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
+    # materialized: a bare from_arrow_refs Dataset starts an execution
+    # on every read of its blocks
     return ray.data.from_arrow_refs(
         rio.reduce_by_key(li, ["ok"], rio.on_pandas(order_pairs), stage=tag)
-    )
+    ).materialize()
 
 
 @query(lambda o: o.copurchase_triangles())
 def q_copurchase_triangles(sf_dir: str) -> pd.DataFrame:
     """Exact triangle count of the co-purchase graph: the
     degree-oriented wedge join in ops/triangles.py (size-gated
-    broadcast fast path; the distributed path is six bounded bucket
+    broadcast fast path; the distributed path is four keyed
     shuffles), one int64 to the driver. The oracle is the three-way
     self-join over the identical distinct edge set."""
     edges = _copurchase_edges(sf_dir)
@@ -5513,9 +5516,10 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
     support) and the neighborhood Jaccard cn / (deg_u + deg_v - cn);
     reported: the top EDGE_JACCARD_K edges by (jaccard DESC, u, v).
     Support comes from ops.triangles.edge_triangle_support (each
-    triangle credits its three edges; distributed credit reduce +
-    partitioned left join back to the edge set); the Jaccard is ONE
-    IEEE division of exact int64s, bit-identical in DuckDB, so the
+    triangle credits its three edges, and the credits sum per edge
+    on the driver under the size gate, in one keyed shuffle above
+    it); the Jaccard is ONE IEEE division of exact int64s,
+    bit-identical in DuckDB, so the
     top-k cut is deterministic on both sides. The final reduce moves
     EDGE_JACCARD_K candidate rows per block, never the edge set."""
     sup = edge_triangle_support(_copurchase_edges(sf_dir))
@@ -5549,7 +5553,7 @@ def q_copurchase_edge_jaccard(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(df.head(EDGE_JACCARD_K), preserve_index=False)
 
-    cands = sup.map_batches(score, batch_format="pyarrow").to_pandas()
+    cands = rio.map_blocks(sup, score).to_pandas()
     cands = cands.sort_values(
         ["jaccard", "u", "v"], ascending=[False, True, True], kind="mergesort"
     ).head(EDGE_JACCARD_K)
@@ -5941,10 +5945,9 @@ def q_copurchase_pagerank(sf_dir: str) -> pd.DataFrame:
     division and every reduction an int sum, so the ranks are
     bit-identical at any parallelism and the oracle is the same three
     iterations unrolled as join-aggregate CTEs."""
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
-        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    )
-    df = pagerank_int(edges, iters=PR_ITERS, scale=PR_SCALE).to_pandas()
+    edges = dedupe_edges(_copurchase_edges(sf_dir))
+    pr = pagerank_int(edges, "u", "v", iters=PR_ITERS, scale=PR_SCALE)
+    df = rio.blocks_table(pr).to_pandas()
     df = df.rename(columns={"node": "part_id"}).astype({"part_id": "int64", "pr": "int64"})
     return df.sort_values("part_id").reset_index(drop=True)
 
@@ -6623,11 +6626,8 @@ def q_copurchase_clustering(sf_dir: str) -> pd.DataFrame:
     sum(C(deg, 2)) is a per-bucket integer sum over the same deduped
     edge set the triangle count uses — one float division at the end.
     Mirrors the triangles oracle plus the degree-based wedge sum."""
-    raw = _copurchase_edges(sf_dir)
-    e = dedupe_edges(raw, "src", "dst").materialize()
-    n_edges, n_tri = triangle_count(e.map_batches(
-        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    ))
+    e = dedupe_edges(_copurchase_edges(sf_dir))
+    n_edges, n_tri = triangle_count(e, "u", "v")
 
     def explode(b: pa.Table) -> pa.Table:
         return pa.table({"node": pa.chunked_array([*b["u"].chunks, *b["v"].chunks], b["u"].type)})
@@ -6658,17 +6658,15 @@ KCORE_UNROLL = 8  # oracle unroll depth; the engine asserts fixpoint within it
 @query(lambda o: o.copurchase_kcore(KCORE_K, KCORE_UNROLL))
 def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     """k-CORE of the co-purchase graph (k=80): iterative peeling with
-    DATA-DEPENDENT termination (ops/kcore.py — two bucket shuffles per
+    DATA-DEPENDENT termination (ops/kcore.py — one keyed shuffle per
     round, one integer count to the driver per round; the alive set
     only shrinks, so count-unchanged == fixpoint). Returns the summary
     row (k, n_core, n_rounds); the mirror unrolls the same peel as a
     non-recursive CTE chain and recovers the round count from the
     first count-equal consecutive pair (valid because the peel sets
     are nested)."""
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
-        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    )
-    core, rounds = k_core(edges, KCORE_K, max_rounds=KCORE_UNROLL)
+    edges = dedupe_edges(_copurchase_edges(sf_dir))
+    core, rounds = k_core(edges, KCORE_K, "u", "v", max_rounds=KCORE_UNROLL)
     if rounds >= KCORE_UNROLL:
         raise RuntimeError("q_copurchase_kcore: peel depth exceeded the oracle unroll")
     return pd.DataFrame(
@@ -6748,8 +6746,8 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
     (m*sxy - sx^2)/(m*sxx - sx^2)) plus r as ONE IEEE division of the
     exact ints (int->double casts exact below 2^53). Degrees attach
     under the triangles-convention broadcast gate; above the gate the
-    distributed co-group attach in ops/triangles.py is the shape."""
-    e = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").materialize()
+    degree exchange of ops/triangles.triangle_count is the shape."""
+    e = dedupe_edges(_copurchase_edges(sf_dir))
 
     def deg_partial(b: pa.Table) -> pa.Table:
         n = np.concatenate(
@@ -6761,12 +6759,7 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
         nodes, cnt = np.unique(n, return_counts=True)
         return pa.table({"node": nodes, "d_p": cnt.astype(np.int64)})
 
-    degs = (
-        e.map_batches(deg_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("node")["d_p"]
-        .sum()
-    )
+    degs = rio.map_blocks(e, deg_partial).to_pandas().groupby("node")["d_p"].sum()
 
     nodes_ref = ray.put(np.sort(degs.index.to_numpy(dtype=np.int64)))
     deg_ref = ray.put(degs.sort_index().to_numpy(dtype=np.int64))
@@ -6788,7 +6781,7 @@ def q_copurchase_assortativity(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    parts = e.map_batches(sums, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(e, sums).to_pandas()
     m = int(parts["m_p"].sum())
     sx = int(parts["sx_p"].sum())
     sxx = int(parts["sxx_p"].sum())
@@ -7147,7 +7140,8 @@ def _copurchase_weighted_edges(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return ray.data.from_arrow_refs(rio.reduce_by_key(raw, ["src", "dst"], rio.on_pandas(count)))
+    refs = rio.reduce_by_key(raw, ["src", "dst"], rio.on_pandas(count))
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 @query(lambda o: o.copurchase_cheapest_paths(SSSP_SEED_MOD, SSSP_ROUNDS))
@@ -7155,8 +7149,8 @@ def q_copurchase_cheapest_paths(sf_dir: str) -> pd.DataFrame:
     """Bounded-round WEIGHTED shortest paths (Bellman-Ford) over the
     co-purchase graph: the exact cheapest <=4-edge path cost from the
     seed set (part_id % 101 == 0) where an edge costs its distinct
-    co-order count — ops/sssp.py relaxation message rounds (the
-    bfs.py co-group shape with int64 costs and a finite 2^62
+    co-order count — ops/sssp.py relaxation message rounds (one
+    keyed shuffle per round, int64 costs and a finite 2^62
     "unreached" sentinel; gated broadcast fast path, message rounds
     pinned equal in pytest). The mirror unrolls the same relaxation
     as MATERIALIZED CTE levels with least()+min() joins."""
@@ -7175,14 +7169,11 @@ def q_copurchase_bfs_hops(sf_dir: str) -> pd.DataFrame:
     """Multi-source BOUNDED-HOP BFS over the co-purchase graph: how
     many parts are first reached at each hop 0..4 from the seed set
     (part_id % 97 == 0) — frontier-expansion message rounds
-    (ops/bfs.py, the cc.py co-group shape; gated broadcast fast path,
+    (ops/bfs.py, one keyed shuffle per round; gated broadcast fast path,
     message rounds pinned equal in pytest). The mirror unrolls the
     same expansion as MATERIALIZED CTE levels."""
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst").map_batches(
-        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-    )
-    out = bfs_hops(edges, lambda n: n % BFS_SEED_MOD == 0, BFS_HOPS)
-    return out
+    edges = dedupe_edges(_copurchase_edges(sf_dir))
+    return bfs_hops(edges, lambda n: n % BFS_SEED_MOD == 0, BFS_HOPS, "u", "v")
 
 
 @query(lambda o: o.copurchase_lcc())
@@ -10598,6 +10589,9 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("way_id").reset_index(drop=True)
 
 
+LIFESPAN_BINS = 64  # time-range bins of lifespan_overlap_pairs; the result is independent of it
+
+
 @query(lambda o: o.lifespan_overlap_pairs(DWELL_END))
 def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
     """ALLEN-INTERVAL OVERLAP COUNTING over entity lifespans: how many
@@ -10609,7 +10603,6 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
     searchsorted, cross-bucket pairs are per-bucket start counts times
     the prefix sum of earlier end counts — O(buckets) rows to the
     driver, exact Python-int combine."""
-    nb = _resolve_buckets(None, floor=64)
     span = DWELL_END - T0
 
     def spans(b: pa.Table) -> pa.Table:
@@ -10631,7 +10624,7 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
         e = np.where(~vis[last], ts[last], DWELL_END)
         t = np.concatenate([e, s])
         kind = np.repeat(np.array([0, 1], dtype=np.int64), [len(e), len(s)])
-        bkt = np.clip((t - T0) * nb // span, 0, nb - 1)
+        bkt = np.clip((t - T0) * LIFESPAN_BINS // span, 0, LIFESPAN_BINS - 1)
         return pa.table({"bucket": bkt, "kind": kind, "t": t})
 
     def per_bucket(bucket: int, g: pd.DataFrame) -> tuple:
@@ -10816,7 +10809,7 @@ def q_copurchase_recommendations(sf_dir: str) -> pd.DataFrame:
     emission is C(deg, 2) — bounded here by the <= ~7-item baskets; a
     degree cap raises loudly (the DF-cap convention) rather than
     silently exploding on a hub."""
-    edges = dedupe_edges(_copurchase_edges(sf_dir), "src", "dst")  # (u, v), u < v
+    edges = dedupe_edges(_copurchase_edges(sf_dir))  # (u, v), u < v
 
     def directed(b: pa.Table) -> pa.Table:
         u = b["u"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -342,3 +342,30 @@ def test_fine_cells_stay_distributed(executions):
     executions.clear()
     pipelines.q_snapshot_cells_fine(SF)
     assert len(executions) >= 1
+
+
+def test_graph_operators_run_no_ray_data_execution(executions):
+    """The graph operators over a from_arrow_refs input: every message
+    round is one io.reduce_by_key and every driver read one
+    io.map_blocks, on both sides of the size gate, so no Ray Data
+    execution starts."""
+    import ray
+
+    from rayhist.ops.bfs import bfs_hops
+    from rayhist.ops.cc import connected_components
+    from rayhist.ops.kcore import k_core
+
+    rng = np.random.default_rng(3)
+    blocks = []
+    for _ in range(4):
+        u, v = rng.integers(0, 40, 60), rng.integers(0, 40, 60)
+        keep = u < v
+        blocks.append(pa.table({"src": u[keep], "dst": v[keep]}))
+    edges = ray.data.from_arrow_refs([ray.put(b) for b in blocks]).materialize()
+    executions.clear()
+    for gate in (2_000_000, 0):
+        hops = bfs_hops(edges, lambda n: n % 7 == 0, 3, broadcast_gate=gate)
+        core, _ = k_core(edges, 3, broadcast_gate=gate)
+        assert hops["n"].sum() and core.count()
+    assert rio.blocks_table(connected_components(edges)).num_rows
+    assert not executions

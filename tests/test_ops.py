@@ -17,6 +17,7 @@ from rayhist.ops.dedup import (
 from rayhist.ops.multimodal import decode_media, synth_media_table
 from rayhist.ops.relational import exact_quantiles_int
 from rayhist.ops.text import add_token_count
+from tests.test_window import _blocks  # a graph operator has one bucket per input block
 
 
 def test_tdigest_accuracy_vs_exact():
@@ -1237,11 +1238,9 @@ def test_connected_components_basic():
     from rayhist.ops.cc import connected_components
 
     edges = [(1, 2), (2, 3), (10, 11), (20, 20)]
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"src": [e[0] for e in edges], "dst": [e[1] for e in edges]})
-    )
+    ds = _blocks(pd.DataFrame({"src": [e[0] for e in edges], "dst": [e[1] for e in edges]}), 4)
     got = (
-        connected_components(ds, n_buckets=4)
+        connected_components(ds)
         .to_pandas()
         .sort_values("node")
         .reset_index(drop=True)
@@ -1261,15 +1260,13 @@ def test_connected_components_long_chain_needs_rounds():
 
     ids = list(range(12, 0, -1))  # path 12-11-...-1
     edges = list(zip(ids, ids[1:]))
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"src": [e[0] for e in edges], "dst": [e[1] for e in edges]})
-    )
-    got = connected_components(ds, n_buckets=4).to_pandas()
+    ds = _blocks(pd.DataFrame({"src": [e[0] for e in edges], "dst": [e[1] for e in edges]}), 4)
+    got = connected_components(ds).to_pandas()
     assert set(got["component"]) == {1}
     assert len(got) == 12
 
     with pytest.raises(RuntimeError, match="no fixpoint"):
-        connected_components(ds, n_buckets=4, max_rounds=2)
+        connected_components(ds, max_rounds=2)
 
 
 def test_connected_components_random_vs_union_find():
@@ -1281,8 +1278,8 @@ def test_connected_components_random_vs_union_find():
     u = rng.integers(0, 300, 400)
     v = rng.integers(0, 300, 400)
     edges = list(zip(u.tolist(), v.tolist()))
-    ds = ray.data.from_pandas(pd.DataFrame({"src": u, "dst": v}))
-    got = connected_components(ds, n_buckets=8).to_pandas()
+    ds = _blocks(pd.DataFrame({"src": u, "dst": v}), 8)
+    got = connected_components(ds).to_pandas()
     want = _cc_brute(edges)
     assert dict(zip(got["node"], got["component"])) == want
 
@@ -1292,11 +1289,9 @@ def test_connected_components_rejects_null_ids():
 
     from rayhist.ops.cc import connected_components
 
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"src": pd.array([1, None], dtype="Int64"), "dst": [2, 3]})
-    )
+    ds = _blocks(pd.DataFrame({"src": pd.array([1, None], dtype="Int64"), "dst": [2, 3]}), 2)
     with pytest.raises(Exception, match="null node ids"):
-        connected_components(ds, n_buckets=2).to_pandas()
+        connected_components(ds).to_pandas()
 
 
 def test_value_moments_overflow_guard(tmp_path):
@@ -1621,13 +1616,11 @@ def test_triangle_count_brute_force():
         u = rng.randint(0, n, size=m)
         v = rng.randint(0, n, size=m)
         edges = list(zip(u.tolist(), v.tolist()))
-        ds = ray.data.from_pandas(
-            pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-        )
-        got = triangle_count(ds, n_buckets=4)  # broadcast fast path
+        ds = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
+        got = triangle_count(ds)  # broadcast fast path
         assert got == _tri_brute(edges), (n, m)
         # distributed wedge-join path pinned equal (gate=0 forces it)
-        assert triangle_count(ds, n_buckets=4, broadcast_gate=0) == got, (n, m)
+        assert triangle_count(ds, broadcast_gate=0) == got, (n, m)
 
 
 def test_triangle_count_empty_and_triangle():
@@ -1635,13 +1628,11 @@ def test_triangle_count_empty_and_triangle():
 
     from rayhist.ops.triangles import triangle_count
 
-    only_loops = ray.data.from_pandas(pd.DataFrame({"src": [3, 4], "dst": [3, 4]}))
-    assert triangle_count(only_loops, n_buckets=2) == (0, 0)
+    only_loops = _blocks(pd.DataFrame({"src": [3, 4], "dst": [3, 4]}), 2)
+    assert triangle_count(only_loops) == (0, 0)
     k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"src": [e[0] for e in k4], "dst": [e[1] for e in k4]})
-    )
-    assert triangle_count(ds, n_buckets=2) == (6, 4)
+    ds = _blocks(pd.DataFrame({"src": [e[0] for e in k4], "dst": [e[1] for e in k4]}), 2)
+    assert triangle_count(ds) == (6, 4)
 
 
 def test_ordered_string_agg_brute_force():
@@ -1679,8 +1670,9 @@ def test_ordered_string_agg_brute_force():
 
 def test_pagerank_int_reference_and_bucket_invariance():
     """Random graphs vs a Python big-int reference of the identical
-    fixed-point recurrence; results must be invariant to n_buckets
-    (the determinism claim — integer sums have no order sensitivity)."""
+    fixed-point recurrence; results must be invariant to the bucket
+    count, which is the input block count (the determinism claim —
+    integer sums have no order sensitivity)."""
     import ray
 
     from rayhist.ops.pagerank import pagerank_int
@@ -1690,13 +1682,8 @@ def test_pagerank_int_reference_and_bucket_invariance():
     for n, m in [(10, 25), (30, 120)]:
         u = rng.randint(0, n, m)
         v = rng.randint(0, n, m)
-        raw = ray.data.from_pandas(
-            pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-        )
-        edges = dedupe_edges(raw, n_buckets=4).map_batches(
-            lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-        ).materialize()
-        epd = edges.to_pandas()
+        raw = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
+        epd = dedupe_edges(raw).to_pandas().rename(columns={"u": "src", "v": "dst"})
         E = list(zip(epd["src"].tolist(), epd["dst"].tolist()))
         if not E:
             continue
@@ -1714,7 +1701,7 @@ def test_pagerank_int_reference_and_bucket_invariance():
             pr = nxt
         for nb in (2, 16):
             got = (
-                pagerank_int(edges, iters=3, n_buckets=nb)
+                pagerank_int(_blocks(epd, nb), iters=3)
                 .to_pandas()
                 .sort_values("node")
                 .reset_index(drop=True)
@@ -1876,15 +1863,13 @@ def test_k_core_brute_force_and_path_equality():
     for n, m, k in [(15, 40, 3), (30, 200, 6)]:
         u = rng.randint(0, n, m)
         v = rng.randint(0, n, m)
-        raw = ray.data.from_pandas(
-            pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-        )
-        edges = dedupe_edges(raw, n_buckets=4).map_batches(
+        raw = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
+        edges = dedupe_edges(raw).map_batches(
             lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
         ).materialize()
         want_nodes, want_rounds = _kcore_brute(list(zip(u.tolist(), v.tolist())), k)
         for gate in (2_000_000, 0):
-            core, rounds = k_core(edges, k, n_buckets=4, broadcast_gate=gate)
+            core, rounds = k_core(edges, k, broadcast_gate=gate)
             got = sorted(core.to_pandas()["node"].tolist())
             assert got == want_nodes, (n, m, k, gate)
             assert rounds == want_rounds, (n, m, k, gate)
@@ -1939,10 +1924,8 @@ def test_bfs_hops_brute_force_and_path_equality():
     for n, m in [(20, 50), (40, 160)]:
         u = rng.randint(0, n, m)
         v = rng.randint(0, n, m)
-        raw = ray.data.from_pandas(
-            pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-        )
-        edges = dedupe_edges(raw, n_buckets=4).map_batches(
+        raw = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
+        edges = dedupe_edges(raw).map_batches(
             lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
         ).materialize()
         adj = collections.defaultdict(set)
@@ -1963,9 +1946,7 @@ def test_bfs_hops_brute_force_and_path_equality():
             frontier = nxt
         want_df = pd.DataFrame(want, columns=["hop", "n"]).astype("int64")
         for gate in (2_000_000, 0):
-            got = bfs_hops(
-                edges, lambda a: a % 5 == 0, 3, n_buckets=4, broadcast_gate=gate
-            )
+            got = bfs_hops(edges, lambda a: a % 5 == 0, 3, broadcast_gate=gate)
             pd.testing.assert_frame_equal(got, want_df), (n, m, gate)
 
 
@@ -1978,10 +1959,8 @@ def test_triangle_counts_per_node_brute_force():
     n, m = 25, 120
     u = rng.randint(0, n, m)
     v = rng.randint(0, n, m)
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-    )
-    got = triangle_counts_per_node(ds, n_buckets=4)
+    ds = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
+    got = triangle_counts_per_node(ds)
     E = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist()) if a != b}
     adj: dict[int, set] = {}
     for a, b in E:
@@ -2020,7 +1999,7 @@ def test_sssp_int_brute_force_and_path_equality():
         )
         df = df[df["src"] != df["dst"]]
         df = df.groupby(["src", "dst"], as_index=False)["w"].min()
-        edges = ray.data.from_pandas(df)
+        edges = _blocks(df, 4)
         dist = {
             x: (0 if x % 5 == 0 else INF)
             for x in set(df["src"]).union(df["dst"])
@@ -2042,7 +2021,6 @@ def test_sssp_int_brute_force_and_path_equality():
                 edges,
                 lambda a: a % 5 == 0,
                 rounds,
-                n_buckets=4,
                 broadcast_gate=gate,
             )
             pd.testing.assert_frame_equal(got, want), (n, m, gate)
@@ -2058,7 +2036,7 @@ def test_sssp_int_weight_validation():
         pd.DataFrame({"src": [1], "dst": [2], "w": [0]})
     )
     with pytest.raises(Exception, match="weights"):
-        sssp_int(bad, lambda a: a % 2 == 0, 2, n_buckets=2)
+        sssp_int(bad, lambda a: a % 2 == 0, 2)
 
 
 def test_kmeans_int_brute_force():
@@ -2281,9 +2259,7 @@ def test_edge_triangle_support_brute_force_and_paths_pinned():
     for n, m in [(8, 14), (24, 90), (50, 260)]:
         u = rng.randint(0, n, size=m)
         v = rng.randint(0, n, size=m)
-        ds = ray.data.from_pandas(
-            pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)})
-        )
+        ds = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
 
         E = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist()) if a != b}
         adj: dict[int, set] = {}
@@ -2304,7 +2280,7 @@ def test_edge_triangle_support_brute_force_and_paths_pinned():
 
         for gate in (2_000_000, 0):
             got = (
-                edge_triangle_support(ds, n_buckets=4, broadcast_gate=gate)
+                edge_triangle_support(ds, broadcast_gate=gate)
                 .to_pandas()
                 .astype("int64")
                 .sort_values(["u", "v"])
@@ -2878,10 +2854,8 @@ def test_hits_bipartite_matches_bruteforce():
     # duplicated edge rows must dedupe in the routing pass
     dup = pd.concat([edges, edges.head(50)], ignore_index=True)
     for nb, gate in ((4, 0), (17, 0), (8, 10**9)):
-        ds = ray.data.from_pandas(dup).repartition(5)
         got = hits_bipartite(
-            ds, src="s", dst="d", iters=iters, scale=scale,
-            n_buckets=nb, broadcast_gate=gate,
+            _blocks(dup, nb), src="s", dst="d", iters=iters, scale=scale, broadcast_gate=gate,
         )
         assert dict(zip(got["node"], got["val"])) == a
 
@@ -2900,8 +2874,7 @@ def test_hits_distributed_overflow_guard():
     edges = pd.DataFrame({"s": [1, 2, 3, 1], "d": [10, 10, 11, 11]})
     with pytest.raises(OverflowError, match="int64 bound"):
         hits_bipartite(
-            ray.data.from_pandas(edges), src="s", dst="d", iters=2,
-            scale=2**61, n_buckets=4, broadcast_gate=0,
+            _blocks(edges, 4), src="s", dst="d", iters=2, scale=2**61, broadcast_gate=0,
         )
 
 

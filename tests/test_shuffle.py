@@ -181,8 +181,10 @@ SHUFFLE_QUERIES = [
     "bloom_fpr_users", "bloom_semi_join_orders", "clipped_way_lengths",
     "clipped_way_lengths_daily", "clipped_way_lengths_poly", "cohort_odds_ratio",
     "cohort_retention", "contributor_territory", "conversion_latency_median",
-    "copurchase_cheapest_paths", "copurchase_clustering", "copurchase_edge_jaccard",
-    "copurchase_recommendations", "doc_lm_surprisal", "etype_audience_overlap",
+    "copurchase_assortativity", "copurchase_bfs_hops", "copurchase_cheapest_paths",
+    "copurchase_clustering", "copurchase_edge_jaccard", "copurchase_kcore", "copurchase_lcc",
+    "copurchase_pagerank", "copurchase_recommendations", "copurchase_triangles",
+    "doc_lm_surprisal", "dup_clusters", "etype_audience_overlap",
     "etype_transitions", "event_debounce", "frequent_part_triples", "funnel3_users",
     "funnel_attribution_daily", "hapax_rate_by_source", "hexcell_dominant_uid",
     "interarrival_median", "inverted_index", "knn_all", "knox_pairs",
@@ -256,7 +258,8 @@ def test_query_with_no_result_row_keeps_its_schema(monkeypatch, query, setting, 
 def test_no_hand_rolled_bucket_shuffle():
     """Complete-key shuffles in these modules go through
     io.reduce_by_key: no hash-bucket column feeding a Dataset groupby,
-    and no map_groups in the migrated operator modules."""
+    no map_groups in the migrated operator modules, and no hand-rolled
+    bucket routing anywhere."""
     from pathlib import Path
 
     root = Path(rio.__file__).parent
@@ -266,13 +269,14 @@ def test_no_hand_rolled_bucket_shuffle():
             assert pattern not in src, (rel, pattern)
     for rel in (
         "ops/relational.py", "ops/window.py", "ops/scan.py", "ops/profile.py",
-        "aggregate.py", "spatial/radius.py", "spatial/rectjoin.py",
+        "aggregate.py", "spatial/radius.py", "spatial/rectjoin.py", "ops/bfs.py",
+        "ops/cc.py", "ops/hits.py", "ops/kcore.py", "ops/pagerank.py", "ops/sssp.py",
+        "ops/triangles.py",
     ):
         src = (root / rel).read_text()
         for pattern in ('.groupby("_bucket")', ".map_groups(", '"_bucket"'):
             assert pattern not in src, (rel, pattern)
-    # the hand-rolled routing is left only in the graph operators
-    graph = {"window", "bfs", "cc", "hits", "kcore", "pagerank", "sssp", "triangles"}
     for path in root.rglob("*.py"):
-        if path.parent != root / "ops" or path.stem not in graph:
-            assert "_bucket_of" not in path.read_text(), path
+        src = path.read_text()
+        for pattern in ("_bucket_of", "_resolve_buckets"):
+            assert pattern not in src, (path, pattern)
