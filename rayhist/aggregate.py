@@ -5,8 +5,10 @@ Rebuilds the semantics of the reference's ``MapAggregator``
 
 - ``aggregateBy(indexer)``  -> a groupby key column
 - grouped reduce (TreeMap fold + merge, MapAggregator.java:848-869)
-  -> ``ds.groupby(keys).aggregate(...)`` — Ray's partial+final hash
-  aggregation is exactly the reference's accumulator+combiner split
+  -> per-block partials (the accumulator) combined on the driver by
+  ``combine_partials`` for low-cardinality keys, or per key bucket by
+  ``ops.relational.combine_by_key`` (one ``io.reduce_by_key``) for
+  keys too many for the driver (the combiner)
 - ``aggregateByTimestamp`` (MapReducer.java:774-822): snapshot rows
   already carry their snapshot timestamp (``ts_q``); contribution rows
   are binned to the greatest query timestamp <= contribution timestamp
@@ -30,6 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .functions.tdigest import DEFAULT_COMPRESSION, TDigest
@@ -69,17 +72,6 @@ def zerofill(
     return out.reset_index().sort_values(keys, kind="mergesort").reset_index(drop=True)
 
 
-def count_by(
-    ds: ray.data.Dataset, keys: list[str], alias: str = "n"
-) -> pd.DataFrame:
-    """groupby(keys).count() -> small pandas frame (partial+final hash
-    aggregation under the hood — the reference's accumulator/combiner
-    contract, MapReducer.java:896-1034)."""
-    from ray.data.aggregate import Count
-
-    return ds.groupby(keys).aggregate(Count(alias_name=alias)).to_pandas()
-
-
 def estimated_quantiles(
     ds: ray.data.Dataset,
     col: str,
@@ -100,15 +92,16 @@ def estimated_quantiles(
 
 
 def uniq(ds: ray.data.Dataset, col: str) -> list:
-    """Exact distinct (MapReducer.uniq, :1134-1161): per-batch distinct
-    partials then a global unique — the set-union combiner expressed as
-    two stages so the shuffle only sees pre-deduplicated rows."""
-    def batch_distinct(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    """Exact distinct (MapReducer.uniq, :1134-1161): per-block
+    distinct partials, then one ``reduce_by_key`` on ``col`` whose
+    buckets take the distinct values of their keys — the set-union
+    combiner, so the shuffle only sees pre-deduplicated rows and each
+    value reaches the driver once."""
 
-        return pa.table({col: pc.unique(batch[col])})
+    def distinct(t: pa.Table) -> pa.Table:
+        return pa.table({col: pc.unique(t[col])})
 
-    vals = ds.map_batches(batch_distinct, batch_format="pyarrow").unique(col)
+    vals = blocks_table(reduce_by_key(ds, [col], distinct, stage=distinct))[col].to_pylist()
     # a null among the distinct values crashes the bare sort (None vs
     # str); SQL DISTINCT keeps NULL as a value — sort it last
     return sorted(vals, key=lambda v: (v is None, v))
@@ -442,7 +435,7 @@ def grouped_mode(ds: ray.data.Dataset, key: str, col: str) -> pd.DataFrame:
         best = c.groupby(key, as_index=False, dropna=False).first()
         return best.rename(columns={col: "modal_v", "n": "n_modal"})
 
-    refs = reduce_by_key(ds, [key, col], on_pandas(bucket_best), stage=_value_counts(key, col))
+    refs = reduce_by_key(ds, [key, col], on_pandas(bucket_best), stage=_value_counts([key], col))
     parts = blocks_table(refs).to_pandas()
     parts = parts.sort_values([key, "n_modal", "modal_v"], ascending=[True, False, True])
     out = parts.groupby(key, as_index=False, dropna=False).first()

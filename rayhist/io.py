@@ -445,8 +445,9 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
 
     ``reduce(table)`` must be correct for any table that holds ALL rows
     of every key it contains, and must return its typed empty output
-    for an empty table. Then the result holds the rows of
-    ``ds.map_batches(stage).groupby(keys).map_groups(reduce)``.
+    for an empty table. Then the result holds the rows Ray Data's
+    ``groupby(keys)`` + ``map_groups`` of ``reduce`` over
+    ``ds.map_batches(stage)`` would give.
 
     ``ds`` is a list of table refs or a materialized Dataset (a
     ``read_resident`` table, filtered or not, or a

@@ -10,12 +10,14 @@ exact-Jaccard operator is oracle-checkable; MinHash-LSH and SimHash
 approximate the same similarity and are cross-checked against the
 exact pairs in tests.
 
-Scale notes (10^12 docs): the exact path's ``groupby(shingle)`` pair
-explosion is quadratic in per-shingle document frequency — the
-``df_cap`` stop-shingle guard (exact_jaccard_pairs) bounds it, and the
-MinHash path's shuffle volume is O(docs x bands). Verification is a
-join of candidates back to the shingle table; pair combining is a
-distributed pair-bucket groupby with the threshold applied in-stage.
+Scale notes (10^12 docs): every wide step is one ``io.reduce_by_key``
+routed by its real key (shingle, LSH band key, doc pair, content
+hash). The exact path's per-shingle pair explosion is quadratic in
+per-shingle document frequency — the ``df_cap`` stop-shingle guard
+(exact_jaccard_pairs) bounds it, and the MinHash path's shuffle volume
+is O(docs x bands). Verification is a co-group of candidate pairs with
+the shingle pair counts on the doc pair, with the threshold applied in
+each bucket.
 """
 
 from __future__ import annotations
@@ -27,28 +29,13 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .. import io as rio
+
 SHINGLE_N = 3
 MERSENNE = (1 << 61) - 1
 N_PERM = 128
 LSH_BANDS = 16  # x 8 rows = 128
 SIMHASH_BITS = 64
-
-
-def _shingle_buckets() -> int:
-    """Cluster-scaled shuffle-bucket count for the exploded shingle
-    table (both Jaccard paths): a hardcoded constant caps the combine
-    at that many reducer tasks AND makes each map_groups group
-    O(total_shingles / constant) — unbounded per-worker memory as the
-    corpus grows: at least 64 buckets, four per cpu on a wider cluster."""
-    import os
-
-    import ray
-
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-    else:
-        ncpu = os.cpu_count() or 8
-    return max(64, ncpu * 4)
 
 
 def md5_hex(texts) -> list[str]:
@@ -148,87 +135,34 @@ def exact_jaccard_pairs(
     """Exact n-gram Jaccard near-dup pairs with integer threshold test
     ``common * den >= union * num`` (no float compare). Pipeline:
     explode shingles (carrying each doc's set size batch-locally) ->
-    groupby(shingle-bucket) pair expansion -> groupby(pair-bucket)
-    combine + threshold -> tiny hit set to the driver.
+    one ``io.reduce_by_key`` on the shingle (pair expansion) -> one on
+    the doc pair (combine + threshold) -> tiny hit set to the driver.
 
     No O(corpus) driver state: set sizes ride on the shingle rows (a
     doc's text lives in one batch, so its distinct-shingle count is
-    batch-local), pair partials are combined by a SECOND distributed
-    groupby keyed on a pair hash, and the threshold filter runs inside
-    that stage so only actual near-dup pairs ever reach the driver.
+    batch-local), pair partials are combined by a SECOND shuffle
+    keyed on the pair, and the threshold filter runs inside its
+    buckets so only actual near-dup pairs ever reach the driver.
 
     ``df_cap`` is the stop-shingle document-frequency cap (the standard
     quadratic-pair-explosion guard): a shingle appearing in more than
     ``df_cap`` documents is skipped during pair expansion — exactly,
     with no extra pass, because a shingle's postings are complete
-    within its hash bucket. Union sizes keep ALL shingles, so capping
+    within its bucket. Union sizes keep ALL shingles, so capping
     can only LOWER ``common`` — a false-negative-only trade. Pass
     ``df_cap=None`` to disable (the oracle twin is uncapped; the
     sandbox corpus has no shingle near the default cap, proven by
     pytest capped == uncapped)."""
-    nb = _shingle_buckets()
-
-    def explode_with_bucket(b: pa.Table) -> pa.Table:
-        t = explode_shingles(b, id_col, text_col)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        _uq, inv, cnt = np.unique(ids, return_inverse=True, return_counts=True)
-        buckets = (hash64_arr(t["shingle"].to_pylist()) % nb).astype(np.int64)
-        t = t.append_column("n", pa.array(cnt[inv].astype(np.int64)))
-        return t.append_column("_bucket", pa.array(buckets))
-
-    sh = docs.map_batches(explode_with_bucket, batch_format="pyarrow")
-
-    def bucket_pair_counts(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized pair expansion for EVERY shingle in the bucket
-        (a shingle's postings are complete within its bucket), partial
-        pair counts per bucket. One Ray group call per bucket, not per
-        shingle — the per-group overhead was 20x the useful work."""
-        g = g.sort_values(["shingle", id_col], kind="mergesort")
-        sh_v = g["shingle"].to_numpy()
-        ids = g[id_col].to_numpy()
-        szs = g["n"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, sh_v[1:] != sh_v[:-1]])
-        ends = np.r_[starts[1:], len(sh_v)]
-        das, dbs, nas, nbs = [], [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2 or (df_cap is not None and n > df_cap):  # stop-shingle
-                continue
-            ii, jj = np.triu_indices(n, k=1)
-            das.append(ids[s + ii])
-            dbs.append(ids[s + jj])
-            nas.append(szs[s + ii])
-            nbs.append(szs[s + jj])
-        if not das:
-            z = np.array([], dtype=np.int64)
-            return pd.DataFrame({"doc_a": ids[:0], "doc_b": ids[:0], "common": z, "n_a": z, "n_b": z})
-        df = pd.DataFrame(
-            {
-                "doc_a": np.concatenate(das),
-                "doc_b": np.concatenate(dbs),
-                "n_a": np.concatenate(nas),
-                "n_b": np.concatenate(nbs),
-            }
-        )
-        out = df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            common=("n_a", "size"), n_a=("n_a", "first"), n_b=("n_b", "first")
-        )
-        return out
-
-    partials = sh.groupby("_bucket").map_groups(
-        lambda g: bucket_pair_counts(g.drop(columns=["_bucket"])), batch_format="pandas"
+    partials = rio.reduce_by_key(
+        docs,
+        ["shingle"],
+        rio.on_pandas(lambda g: _pair_common_partials(g, id_col, df_cap)),
+        stage=lambda b: _explode_with_sizes(b, id_col, text_col),
     )
-
-    def add_pair_bucket(b: pa.Table) -> pa.Table:
-        # _pair_bucket routes non-integer ids through the string hash
-        # (a bare astype(uint64) would crash on string doc ids)
-        a = b["doc_a"].to_numpy(zero_copy_only=False)
-        bb = b["doc_b"].to_numpy(zero_copy_only=False)
-        return b.append_column("_pb", pa.array(_pair_bucket(a, bb)))
 
     def combine_and_threshold(g: pd.DataFrame) -> pd.DataFrame:
         """Sum partial commons per pair (cross-bucket), then apply the
-        integer threshold HERE so only hits leave the stage."""
+        integer threshold HERE so only hits leave the bucket."""
         pc_ = g.groupby(["doc_a", "doc_b"], as_index=False).agg(
             common=("common", "sum"), n_a=("n_a", "first"), n_b=("n_b", "first")
         )
@@ -236,35 +170,20 @@ def exact_jaccard_pairs(
         hit = pc_[pc_["common"] * threshold_den >= pc_["un"] * threshold_num]
         return hit[["doc_a", "doc_b", "common", "un"]]
 
-    hits = (
-        partials.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(lambda g: combine_and_threshold(g.drop(columns=["_pb"])), batch_format="pandas")
-        .to_pandas()
-    )
-    if hits.empty:  # zero surviving pairs can come back schema-less
-        hits = pd.DataFrame({c: pd.Series([], dtype="int64")
-                             for c in ("doc_a", "doc_b", "common", "un")})
-    return hits.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _bucket_candidate_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """All unordered id pairs of one (band, key) bucket — sort and
-    triangle indices computed ONCE per group (they were duplicated in
-    the inline lambda, doubling the O(n^2) hot-path work)."""
-    ids = np.sort(g["doc_id"].to_numpy())
-    ii, jj = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame({"doc_a": ids[ii], "doc_b": ids[jj]})
+    hits = rio.reduce_by_key(partials, ["doc_a", "doc_b"], rio.on_pandas(combine_and_threshold))
+    out = rio.blocks_table(hits).to_pandas()
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 class MinHashStage:
-    """Actor-pool stage: per-document MinHash signature + LSH band keys.
+    """Routing stage: per-document MinHash signature + LSH band keys.
 
     Permutation parameters are derived deterministically in __init__
-    (once per actor); per batch the work is fully vectorized: one
-    shingle explode (Arrow kernels), one siphash over unique shingles,
-    one (rows x perms) affine transform, and a per-document
-    ``minimum.reduceat`` — no Python loop over documents or shingles.
+    (once, on the driver; the instance ships with the routing tasks);
+    per batch the work is fully vectorized: one shingle explode (Arrow
+    kernels), one siphash over unique shingles, one (rows x perms)
+    affine transform, and a per-document ``minimum.reduceat`` — no
+    Python loop over documents or shingles.
     """
 
     def __init__(self, n_perm: int = N_PERM, bands: int = LSH_BANDS):
@@ -354,27 +273,6 @@ class MinHashStage:
         )
 
 
-_PAIR_MIX = np.uint64(0x9E3779B97F4A7C15)
-_N_PAIR_BUCKETS = 64
-
-
-def _pair_bucket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Deterministic bucket of an id pair (same mix as the exact path);
-    non-integer ids are routed through the vectorized string hash
-    first (ADVICE: the raw astype(uint64) admits only numeric ids)."""
-    from .text import fmix64
-
-    if not np.issubdtype(np.asarray(a).dtype, np.integer):
-        a = hash64_arr(a)
-        b = hash64_arr(b)
-    # finalize both lanes (fmix64 rule): the raw xor-multiply's low
-    # bits depend only on a mod 64 / b mod 64 for integer ids, so
-    # strided id spaces skew the 64 pair buckets badly
-    au = fmix64(np.asarray(a).astype(np.uint64))
-    bu = fmix64(np.asarray(b).astype(np.uint64))
-    return (((au * _PAIR_MIX) ^ bu) % np.uint64(_N_PAIR_BUCKETS)).astype(np.int64)
-
-
 def lsh_bands_for_threshold(
     threshold_num: int, threshold_den: int, n_perm: int = N_PERM
 ) -> int:
@@ -394,37 +292,37 @@ def lsh_bands_for_threshold(
     return 64
 
 
-def _explode_with_sizes(b: pa.Table, nb: int | None) -> pa.Table:
+def _explode_with_sizes(b: pa.Table, id_col: str = "doc_id", text_col: str = "text") -> pa.Table:
     """Distinct (doc, shingle) rows with the doc's distinct-shingle
     count riding along as ``n`` (a doc's text is one row, so the count
-    is batch-local exact); ``nb`` adds the shingle-hash ``_bucket``
-    column for the distributed pair-count shuffle."""
-    t = explode_shingles(b)
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    is batch-local exact)."""
+    t = explode_shingles(b, id_col, text_col)
+    ids = t[id_col].to_numpy(zero_copy_only=False)
     _uq, inv, cnt = np.unique(ids, return_inverse=True, return_counts=True)
-    t = t.append_column("n", pa.array(cnt[inv].astype(np.int64)))
-    if nb is not None:
-        buckets = (hash64_arr(t["shingle"].to_pylist()) % nb).astype(np.int64)
-        t = t.append_column("_bucket", pa.array(buckets))
-    return t
+    return t.append_column("n", pa.array(cnt[inv].astype(np.int64)))
 
 
-def _pair_common_partials(g: pd.DataFrame) -> pd.DataFrame:
-    """Pair partial counts among candidate docs (uncapped — the
-    original verification counted every shared shingle), set sizes
-    riding along. Triangular expansion per shingle run; identical
-    kernel for the distributed per-bucket stage and the gated driver
-    pass (one 'bucket' = the whole frame)."""
-    g = g.sort_values(["shingle", "doc_id"], kind="mergesort")
+def _pair_common_partials(
+    g: pd.DataFrame, id_col: str = "doc_id", df_cap: int | None = None
+) -> pd.DataFrame:
+    """Pair partial counts (shared shingles) for every shingle in
+    ``g`` — a shingle's postings are complete in its bucket — with set
+    sizes riding along; a shingle in more than ``df_cap`` documents
+    is skipped (None: uncapped, as the MinHash verification counts
+    every shared shingle). Triangular expansion per shingle run,
+    vectorized over one sorted frame; the same kernel for the
+    distributed per-bucket reduce and the gated driver pass (one
+    'bucket' = the whole frame)."""
+    g = g.sort_values(["shingle", id_col], kind="mergesort")
     sh_v = g["shingle"].to_numpy()
-    ids = g["doc_id"].to_numpy()
+    ids = g[id_col].to_numpy()
     szs = g["n"].to_numpy()
     starts = np.flatnonzero(np.r_[True, sh_v[1:] != sh_v[:-1]])
     ends = np.r_[starts[1:], len(sh_v)]
     das, dbs, nas, nbs = [], [], [], []
     for s, e in zip(starts, ends):
         n = e - s
-        if n < 2:
+        if n < 2 or (df_cap is not None and n > df_cap):  # stop-shingle
             continue
         ii, jj = np.triu_indices(n, k=1)
         das.append(ids[s + ii])
@@ -466,11 +364,11 @@ def _threshold_hits(
 def _segment_candidate_pairs(
     ids: np.ndarray, band: np.ndarray, key: np.ndarray
 ) -> pd.DataFrame:
-    """All unordered id pairs within each (band, key) group — the
-    vectorized twin of `_bucket_candidate_pairs` for the gated driver
-    pass: one lexsort, then one triangular gather per DISTINCT group
-    size (LSH buckets are tiny, so a handful of sizes), instead of a
-    pandas frame per group (2.4 s -> ~0.05 s at 6.7k groups)."""
+    """All unordered id pairs (id-ascending) within each (band, key)
+    group, for a candidate bucket or the gated driver pass: one
+    lexsort, then one triangular gather per DISTINCT group size (LSH
+    buckets are tiny, so a handful of sizes), instead of a pandas
+    frame per group (2.4 s -> ~0.05 s at 6.7k groups)."""
     order = np.lexsort((ids, key, band))
     ids, band, key = ids[order], band[order], key[order]
     new = np.r_[True, (band[1:] != band[:-1]) | (key[1:] != key[:-1])]
@@ -515,7 +413,7 @@ def _minhash_lsh_pairs_local(
     sub = tbl.filter(
         pc.is_in(tbl["doc_id"], value_set=pa.array(ids, type=tbl["doc_id"].type))
     )
-    ex = _explode_with_sizes(sub, nb=None).to_pandas()
+    ex = _explode_with_sizes(sub).to_pandas()
     counts = _pair_common_partials(ex)
     hits = _threshold_hits(counts, cp, threshold_num, threshold_den)
     if hits.empty:
@@ -530,28 +428,31 @@ def minhash_lsh_pairs(
     bands: int | None = None,
     driver_gate: int | None = None,
 ) -> pd.DataFrame:
-    """MinHash+LSH near-dup pairs: shingle -> minhash -> band ->
-    groupby(band, key) candidate pairs -> DISTRIBUTED exact-Jaccard
-    verification. NOTHING corpus- or candidate-sized ever lands on the
-    driver — candidates stay a Dataset end to end (the round-3 version
-    broadcast frozensets of the candidate set, which is itself huge at
-    10^12 docs):
+    """MinHash+LSH near-dup pairs: shingle -> minhash -> band -> one
+    ``io.reduce_by_key`` on (band, key) for the candidate pairs ->
+    DISTRIBUTED exact-Jaccard verification. NOTHING corpus- or
+    candidate-sized ever lands on the driver — candidates stay in the
+    object store end to end (the round-3 version broadcast frozensets
+    of the candidate set, which is itself huge at 10^12 docs):
 
-    1. candidate pairs (cross-band duplicates included) keep flowing as
-       a Dataset with a deterministic pair-bucket key;
+    1. ``MinHashStage`` is the routing stage: signatures and band keys
+       are computed in the block task that routes them; each bucket
+       emits the candidate pairs of its (band, key) groups
+       (cross-band duplicates included);
     2. the candidate DOC ids are SEMI-JOINED back to the corpus via
        the partitioned ``hash_semi_join`` (duplicate-key tolerant, so
        no dedup shuffle) — the shingle explode below only ever sees
        candidate docs;
-    3. intersection counts come from the same bucketed groupby(shingle)
-       pair expansion as the exact path (uncapped, matching the
-       original verification: candidate docs are a small subset);
+    3. intersection counts come from the same per-shingle pair
+       expansion as the exact path (uncapped, matching the original
+       verification: candidate docs are a small subset);
     4. pair partials and candidate pairs are co-grouped on the pair
-       bucket; the per-group combine dedups the candidate side, inner-
-       merges (the candidate restriction), sums commons, and applies
-       the integer threshold IN-STAGE — only true hits reach the driver.
+       (``relational._cogroup``); each bucket dedups the candidate
+       side, inner-merges (the candidate restriction), sums commons,
+       and applies the integer threshold — only true hits reach the
+       driver.
     """
-    from .relational import hash_semi_join
+    from .relational import _cogroup, _tag_side, hash_semi_join
 
     # LSH geometry FOLLOWS the verification threshold (the S-curve
     # rule, lsh_bands_for_threshold): the default 1/2 threshold gets
@@ -561,10 +462,12 @@ def minhash_lsh_pairs(
         bands = lsh_bands_for_threshold(threshold_num, threshold_den)
 
     # adaptive operating point (the knn_queries precedent, BASELINE.md
-    # round-5 notes): the pipeline below is five shuffle stages, pure
-    # scheduling overhead at few-thousand-doc scale (~8 s for 500 docs
-    # at 32 cpus). For an input already MATERIALIZED with a known
-    # small row count, run the SAME kernels in one driver pass.
+    # round-5 notes): the pipeline below is five task rounds, mostly
+    # scheduling overhead at few-thousand-doc scale (1 cpu, median of
+    # 3: 703 ms against the driver pass's 207 ms on the sf0.01 corpus,
+    # 1883 against 1562 ms on sf0.1). For an input already
+    # MATERIALIZED with a known small row count, run the SAME kernels
+    # in one driver pass.
     # Driver memory is bounded by the documented gate, never by the
     # corpus; the distributed path is forced in tests (driver_gate=0)
     # and A/B-pinned byte-identical against this one.
@@ -582,92 +485,46 @@ def minhash_lsh_pairs(
         )
         return _minhash_lsh_pairs_local(tbl, threshold_num, threshold_den, bands)
 
-    cand = docs.map_batches(
-        MinHashStage,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        fn_constructor_kwargs={"bands": bands},
-    ).groupby(["band", "key"]).map_groups(_bucket_candidate_pairs, batch_format="pandas")
+    def candidate_pairs(t: pa.Table) -> pa.Table:
+        ids, band, key = (t[c].to_numpy(zero_copy_only=False) for c in ("doc_id", "band", "key"))
+        return pa.Table.from_pandas(_segment_candidate_pairs(ids, band, key), preserve_index=False)
 
-    def tag_pairs(b: pa.Table) -> pa.Table:
-        a = b["doc_a"].to_numpy(zero_copy_only=False)
-        bb = b["doc_b"].to_numpy(zero_copy_only=False)
-        return b.append_column("_pb", pa.array(_pair_bucket(a, bb)))
+    # candidate pairs, cross-band duplicates included, as bucket refs
+    stage = MinHashStage(bands=bands)
+    cand = rio.reduce_by_key(docs, ["band", "key"], candidate_pairs, stage=stage)
 
-    pairs_ds = cand.map_batches(tag_pairs, batch_format="pyarrow").materialize()
-    if pairs_ds.count() == 0:
-        return pd.DataFrame(columns=["doc_a", "doc_b", "common", "un"])
-
-    # ---- candidate doc ids (batch-local dedup only: the semi-join
+    # ---- candidate doc ids (block-local dedup only: the semi-join
     # tolerates duplicate right keys, so no dedicated dedup shuffle)
     def pair_ids(b: pa.Table) -> pa.Table:
-        ids = pa.concat_arrays(
-            [b["doc_a"].combine_chunks() if isinstance(b["doc_a"], pa.ChunkedArray) else b["doc_a"],
-             b["doc_b"].combine_chunks() if isinstance(b["doc_b"], pa.ChunkedArray) else b["doc_b"]]
-        )
-        t = pa.table({"doc_id": ids})
-        return pa.TableGroupBy(t, ["doc_id"]).aggregate([])
-
-    cdocs = pairs_ds.map_batches(pair_ids, batch_format="pyarrow")
+        ids = pa.concat_arrays([b["doc_a"].combine_chunks(), b["doc_b"].combine_chunks()])
+        return pa.TableGroupBy(pa.table({"doc_id": ids}), ["doc_id"]).aggregate([])
 
     # ---- semi-join: only candidate docs reach the shingle explode
-    filtered = hash_semi_join(docs, cdocs, on="doc_id")
-
-    nb = _shingle_buckets()
-    sh = filtered.map_batches(
-        lambda b: _explode_with_sizes(b, nb), batch_format="pyarrow"
+    filtered = hash_semi_join(docs, rio.materialize_blocks(cand, pair_ids), on="doc_id")
+    partials = rio.reduce_by_key(
+        filtered, ["shingle"], rio.on_pandas(_pair_common_partials), stage=_explode_with_sizes
     )
 
-    partials = sh.groupby("_bucket").map_groups(
-        lambda g: _pair_common_partials(g.drop(columns=["_bucket"])),
-        batch_format="pandas",
-    )
-
-    # ---- co-group partials with candidate pairs on the pair bucket;
-    # combine + restrict + threshold in-stage (only hits leave)
-    def tag_partials(b: pa.Table) -> pa.Table:
-        a = b["doc_a"].to_numpy(zero_copy_only=False)
-        bb = b["doc_b"].to_numpy(zero_copy_only=False)
-        t = b.append_column("_pb", pa.array(_pair_bucket(a, bb)))
-        return t.append_column("_src", pa.array(np.ones(len(b), dtype=np.int8)))
-
-    def pad_pairs(b: pa.Table) -> pa.Table:
-        n = len(b)
-        t = b.select(["doc_a", "doc_b", "_pb"])
-        for c in ("common", "n_a", "n_b"):
-            t = t.append_column(c, pa.nulls(n, pa.int64()))
-        t = t.select(["doc_a", "doc_b", "common", "n_a", "n_b", "_pb"])
-        return t.append_column("_src", pa.array(np.zeros(n, dtype=np.int8)))
-
-    both = partials.map_batches(tag_partials, batch_format="pyarrow").union(
-        pairs_ds.map_batches(pad_pairs, batch_format="pyarrow")
-    )
-
+    # ---- co-group candidate pairs (side 0) with pair partials (side
+    # 1) on the pair; combine + restrict + threshold in each bucket
+    # (only hits leave)
     def combine_and_threshold(g: pd.DataFrame) -> pd.DataFrame:
-        cp = g[g["_src"] == 0][["doc_a", "doc_b"]].drop_duplicates()
-        pp = g[g["_src"] == 1]
-        if cp.empty or pp.empty:
-            # preserve the REAL doc-id dtype (string ids are supported)
-            # — an int64 placeholder here conflicts with hit groups'
-            # block schema at unification
-            z = pd.Series([], dtype="int64")
-            return pd.DataFrame(
-                {"doc_a": g["doc_a"].iloc[:0], "doc_b": g["doc_b"].iloc[:0],
-                 "common": z, "un": z}
-            )
-        counts = pp.groupby(["doc_a", "doc_b"], as_index=False).agg(
+        cp = g[g["_side"] == 0][["doc_a", "doc_b"]].drop_duplicates()
+        counts = g[g["_side"] == 1].groupby(["doc_a", "doc_b"], as_index=False).agg(
             common=("common", "sum"), n_a=("n_a", "first"), n_b=("n_b", "first")
         )
         return _threshold_hits(counts, cp, threshold_num, threshold_den)
 
-    hits = (
-        both.groupby("_pb")
-        .map_groups(lambda g: combine_and_threshold(g.drop(columns=["_pb"])), batch_format="pandas")
-        .to_pandas()  # hit-sized: only verified near-dup pairs
+    hits = _cogroup(
+        rio.materialize_blocks(cand, lambda t: _tag_side(t, 0)),
+        rio.materialize_blocks(partials, lambda t: _tag_side(t, 1)),
+        ["doc_a", "doc_b"],
+        combine_and_threshold,
     )
-    if hits.empty:
+    out = rio.blocks_table(hits).to_pandas()  # hit-sized: only verified near-dup pairs
+    if out.empty:
         return pd.DataFrame(columns=["doc_a", "doc_b", "common", "un"])
-    return hits.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 def simhash64(shingles: set[str]) -> int:
@@ -742,30 +599,21 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3) -> pd.DataFrame:
             }
         )
 
-    def pairs_of_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        sigs = g["sig"].to_numpy().astype(np.int64).view(np.uint64)
-        ii, jj = np.triu_indices(len(ids), k=1)
-        if len(ii):
-            xor = (sigs[ii] ^ sigs[jj]).view(np.uint8).reshape(len(ii), 8)
-            ham = np.unpackbits(xor, axis=1).sum(axis=1).astype(np.int64)
-        else:
-            ham = np.array([], dtype=np.int64)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        ids, chunk, key = (t[c].to_numpy(zero_copy_only=False) for c in ("doc_id", "chunk", "key"))
+        cp = _segment_candidate_pairs(ids, chunk, key)
+        sig = pd.Series(t["sig"].to_numpy(zero_copy_only=False), index=ids)
+        sig = sig[~sig.index.duplicated()]
+        sa = sig.reindex(cp["doc_a"]).to_numpy(dtype=np.int64).view(np.uint64)
+        sb = sig.reindex(cp["doc_b"]).to_numpy(dtype=np.int64).view(np.uint64)
+        xor = (sa ^ sb).view(np.uint8).reshape(len(sa), 8)
+        ham = np.unpackbits(xor, axis=1).sum(axis=1).astype(np.int64)
         ok = ham <= max_hamming
-        return pd.DataFrame({"doc_a": ids[ii[ok]], "doc_b": ids[jj[ok]], "hamming": ham[ok]})
+        out = cp[ok].assign(hamming=ham[ok])
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    out = (
-        docs.map_batches(stage, batch_format="pyarrow")
-        .groupby(["chunk", "key"])
-        .map_groups(pairs_of_group, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:  # zero surviving pairs can come back schema-less
-        out = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                            "doc_b": pd.Series([], dtype="int64"),
-                            "hamming": pd.Series([], dtype="int64")})
-    out = out.drop_duplicates(subset=["doc_a", "doc_b"])
+    refs = rio.reduce_by_key(docs, ["chunk", "key"], bucket_pairs, stage=stage)
+    out = rio.blocks_table(refs).to_pandas().drop_duplicates(subset=["doc_a", "doc_b"])
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -773,21 +621,19 @@ def exact_dedup(
     docs: ray.data.Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: int = 64,
     hash_fn: str = "vector128",
 ) -> ray.data.Dataset:
     """Exact dedup: content-hash -> keep the smallest-id row per hash.
 
     Scale shape (hash-partition + vectorized keep-first), NOT one
-    ``map_groups`` call per distinct hash (group size is ~1, so
-    per-group Python/pandas overhead would dominate — the same
-    ~20x-overhead lesson as minhash verify above):
+    call per distinct hash (group size is ~1, so per-group
+    Python/pandas overhead would dominate):
 
     1. per-batch PARTIAL keep-first — each batch emits at most one row
        per distinct hash it contains, shrinking the shuffle;
-    2. shuffle by a coarse hash BUCKET (``_hb``, ``num_buckets`` of
-       them), so the final stage issues O(num_buckets) group calls,
-       each one vectorized sort+drop_duplicates over many hashes.
+    2. one ``io.reduce_by_key`` on the content hash: each bucket is
+       one vectorized sort+drop_duplicates over all rows of its
+       hashes. Returns a materialized Dataset of the survivors.
 
     ``hash_fn``: ``"vector128"`` (default, the production path) keys on
     ``content_hash128`` — two vectorized 64-bit lanes, no per-row
@@ -797,39 +643,25 @@ def exact_dedup(
     collision (asserted A/B in tests)."""
     hcols = ["_h"] if hash_fn == "md5" else ["_h1", "_h2"]
 
+    def keep_first(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(id_col, kind="mergesort").drop_duplicates(hcols, keep="first")
+
     def add_hash_and_partial(batch: pa.Table) -> pa.Table:
         if hash_fn == "md5":
-            digests = md5_hex(batch[text_col].to_pylist())
-            t = batch.append_column("_h", pa.array(digests))
-            hb = pd.util.hash_array(
-                np.asarray(digests, dtype=object)
-            ) % num_buckets
+            t = batch.append_column("_h", pa.array(md5_hex(batch[text_col].to_pylist())))
         else:
             # Arrow column straight through: fnv1a_batch reads the
             # utf-8 data buffer zero-copy (no per-row Python rebuild)
             h1, h2 = content_hash128(batch[text_col])
             t = batch.append_column("_h1", pa.array(h1.view(np.int64)))
             t = t.append_column("_h2", pa.array(h2.view(np.int64)))
-            # bucket on the FINALIZED hash: raw FNV low bits skew on
-            # short texts (ops.text.fmix64 docstring); the bucket only
-            # routes rows — survivors are decided by (_h1,_h2) equality
-            from .text import fmix64
+        return pa.Table.from_pandas(keep_first(t.to_pandas()), preserve_index=False)
 
-            hb = fmix64(h1) % np.uint64(num_buckets)
-        t = t.append_column("_hb", pa.array(hb.astype(np.int64)))
-        df = t.to_pandas()
-        df = df.sort_values(id_col, kind="mergesort").drop_duplicates(hcols, keep="first")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort").drop_duplicates(hcols, keep="first")
-        return g.drop(columns=[*hcols, "_hb"])
-
-    return (
-        docs.map_batches(add_hash_and_partial, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(keep_first, batch_format="pandas")
+    refs = rio.reduce_by_key(
+        docs, hcols, rio.on_pandas(lambda g: keep_first(g).drop(columns=hcols)),
+        stage=add_hash_and_partial,
     )
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def embedding_dup_pairs(
@@ -844,13 +676,13 @@ def embedding_dup_pairs(
     EXACT, via a distributed triangular block join.
 
     The corpus is hash-split into ``n_blocks`` blocks; every unordered
-    block pair (bi <= bj) becomes one group of a Dataset groupby, and
-    each group computes ONE vectorized (block x block) matmul and emits
-    only its above-threshold pairs. Shuffle volume is O(n * n_blocks)
-    (each vector is replicated once per partner block); compute is the
-    same O(n^2) flops as brute force but spread over B*(B+1)/2
-    independent reducers — NOTHING is materialized on the driver and no
-    worker ever holds more than two blocks. (IVF bucketing would scale
+    block pair (bi <= bj) is one group of an ``io.reduce_by_key`` on
+    (bi, bj), and each group computes ONE vectorized (block x block)
+    matmul and emits only its above-threshold pairs. Shuffle volume is
+    O(n * n_blocks) (each vector is replicated once per partner
+    block); compute is the same O(n^2) flops as brute force but spread
+    over B*(B+1)/2 independent groups — NOTHING is materialized on the
+    driver and no matmul ever holds more than two blocks. (IVF bucketing would scale
     further but drops cross-bucket pairs; an exact threshold join needs
     the full triangle.)
 
@@ -859,8 +691,8 @@ def embedding_dup_pairs(
     target_group_bytes)`` (floor 8) bounds per-group memory at
     ``target_group_bytes`` no matter how large the corpus grows — the
     same cluster-scaling rule as ``hash_join``'s bucket count
-    (relational.py). A CONSTANT block count would make one map_groups
-    task OOM at 100x corpus."""
+    (relational.py). A CONSTANT block count would make one group's
+    matmul OOM at 100x corpus."""
     if n_blocks is None:
         n = embeddings.count()
         dim = 1
@@ -916,16 +748,13 @@ def embedding_dup_pairs(
             a, b = np.minimum(a0, b0), np.maximum(a0, b0)
         return pd.DataFrame({"vec_a": a, "vec_b": b, "cos_sim": s})
 
-    out = (
-        embeddings.map_batches(tag, batch_format="pyarrow")
-        .groupby(["_bi", "_bj"])
-        .map_groups(pair_group, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:  # zero surviving pairs can come back schema-less
-        out = pd.DataFrame(
-            {"vec_a": pd.Series([], dtype="int64"),
-             "vec_b": pd.Series([], dtype="int64"),
-             "cos_sim": pd.Series([], dtype="float64")}
-        )
+    def pair_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        frames = [pair_group(x) for _, x in g.groupby(["_bi", "_bj"], sort=False)]
+        if not frames:  # a bucket that received no block pair
+            z = np.zeros(0, dtype=np.int64)
+            return pd.DataFrame({"vec_a": z, "vec_b": z, "cos_sim": z.astype(np.float64)})
+        return pd.concat(frames, ignore_index=True)
+
+    refs = rio.reduce_by_key(embeddings, ["_bi", "_bj"], rio.on_pandas(pair_bucket), stage=tag)
+    out = rio.blocks_table(refs).to_pandas()
     return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)

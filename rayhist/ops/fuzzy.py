@@ -37,6 +37,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .. import io as rio
+
 
 def _byte_matrix(strs: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     """-> (uint8 matrix padded with zeros, byte lengths)."""
@@ -170,12 +172,11 @@ def edit1_pairs(ds: ray.data.Dataset, id_col: str, s_col: str) -> ray.data.Datas
         hi = np.maximum(g["id_a"].to_numpy(dtype=np.int64),
                         g["id_b"].to_numpy(dtype=np.int64))
         # in-stage pre-dedupe (a pair can match on both halves within
-        # one bucket); the cross-bucket dedupe is the groupby below
+        # one block); the global dedupe is the pair shuffle below
         return pd.DataFrame({"id_a": lo, "id_b": hi}).drop_duplicates()
 
-    verified = cand.map_batches(verify, batch_format="pandas")
-    return (
-        verified.groupby(["id_a", "id_b"])
-        .count()
-        .select_columns(["id_a", "id_b"])
-    )
+    def distinct(t: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(t, ["id_a", "id_b"]).aggregate([])
+
+    refs = rio.reduce_by_key(cand, ["id_a", "id_b"], distinct, stage=rio.on_pandas(verify))
+    return ray.data.from_arrow_refs(refs).materialize()

@@ -120,4 +120,4 @@ def _kcore_broadcast(buckets: list, k: int, max_rounds: int) -> tuple[ray.data.D
         raise RuntimeError(
             f"k_core: no fixpoint after {max_rounds} rounds — raise max_rounds"
         )
-    return ray.data.from_arrow(pa.table({"node": arr})), rounds
+    return ray.data.from_arrow(pa.table({"node": arr})).materialize(), rounds

@@ -154,7 +154,7 @@ def _per_key(ds: ray.data.Dataset, keys: list[str], fn, stage=None) -> ray.data.
     row of its bucket's keys, and an empty typed frame for a bucket
     that received no rows."""
     refs = rio.reduce_by_key(ds, keys, rio.on_pandas(fn), stage=stage)
-    return ray.data.from_arrow_refs(refs)
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def _tag_side(t: pa.Table, side: int) -> pa.Table:
@@ -185,7 +185,7 @@ def _cogroup(left: ray.data.Dataset, right: ray.data.Dataset, keys: list[str], f
         return pa.Table.from_pandas(fn(g), preserve_index=False)
 
     refs = rio.reduce_by_key(left.to_arrow_refs() + right.to_arrow_refs(), keys, reduce)
-    return ray.data.from_arrow_refs(refs)
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def _is_int(s: pd.Series) -> bool:
@@ -212,7 +212,7 @@ def topk(ds: ray.data.Dataset, key: str, k: int, tiebreak: str, descending: bool
         df = df.sort_values([key, tiebreak], ascending=[not descending, True], kind="mergesort")
         return pa.Table.from_pandas(df.head(k), preserve_index=False)
 
-    allc = ds.map_batches(cand, batch_format="pyarrow").to_pandas()
+    allc = rio.map_blocks(ds, cand).to_pandas()
     allc = allc.sort_values([key, tiebreak], ascending=[not descending, True], kind="mergesort")
     return allc.head(k).reset_index(drop=True)
 
@@ -257,23 +257,12 @@ def topk_per_group(
 
 def exact_quantiles_int(ds: ray.data.Dataset, col: str, fracs: list[tuple[int, int]]) -> list[int]:
     """Exact discrete quantiles of an integer column: value at sorted
-    index ((n-1)*num)//den. Distributed as groupby(value).count() (the
-    value-histogram is small relative to the data) + driver cumsum —
-    no global sort."""
-    hist = ds.groupby(col).count().to_pandas()
-    hist = hist[hist[col].notna()].sort_values(col)  # SQL quantiles ignore NULLs
-    if hist.empty:
-        raise ValueError(f"exact_quantiles_int: no non-null values in {col!r}")
-    counts = hist["count()"].to_numpy()
-    values = hist[col].to_numpy()
-    cum = np.cumsum(counts)
+    index ((n-1)*num)//den, resolved over the value histogram
+    (``value_histogram``) by its cumulative counts — no global sort."""
+    values, cum = _ranked_values(ds, col, "exact_quantiles_int")
     n = int(cum[-1])
-    out = []
-    for num, den in fracs:
-        idx = ((n - 1) * num) // den  # 0-based rank
-        pos = int(np.searchsorted(cum, idx + 1, side="left"))
-        out.append(int(values[pos]))
-    return out
+    # 0-based rank ((n-1)*num)//den is the first value whose cum passes it
+    return [int(values[np.searchsorted(cum, ((n - 1) * num) // den + 1)]) for num, den in fracs]
 
 
 def hash_join(
@@ -566,18 +555,57 @@ def _weighted_pick(h: pd.DataFrame, keys: list[str], val: str, w: str, rank) -> 
     return h[val].to_numpy()[np.searchsorted(cum, cum[starts] - wt[starts] + rank(tot))]
 
 
-def _value_counts(key: str, col: str):
-    """Stage: the block's (key, non-null value) histogram — the
+def _value_counts(keys: list[str], col: str):
+    """Stage: the block's (keys, non-null value) histogram — the
     pre-aggregation that bounds the shuffle at distinct pairs per
     block (SQL quantiles ignore NULL values)."""
 
     def stage(b: pa.Table) -> pa.Table:
-        b = b.select([key, col]).filter(pc.is_valid(b[col]))
-        return pa.TableGroupBy(b, [key, col]).aggregate([([], "count_all")]).rename_columns(
-            [key, col, "n"]
+        b = b.select([*keys, col]).filter(pc.is_valid(b[col]))
+        return pa.TableGroupBy(b, [*keys, col]).aggregate([([], "count_all")]).rename_columns(
+            [*keys, col, "n"]
         )
 
     return stage
+
+
+def combine_by_key(ds, keys: list[str], aggs: dict[str, str], stage=None) -> list:
+    """The complete-key twin of ``aggregate.combine_partials``, for
+    keys too many for the driver: each ``aggs`` column is reduced per
+    ``keys`` with its Arrow hash aggregate (``"sum"``, ``"min"``,
+    ``"max"``) in one ``io.reduce_by_key`` routed by the keys, so each
+    key leaves the shuffle once. ``stage`` makes the per-block
+    partials (pre-aggregating there bounds the shuffle at distinct
+    keys per block; a count is a sum of partial counts). Returns the
+    bucket refs, columns ``keys`` then ``aggs``."""
+    cols = list(aggs)
+
+    def final(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, keys).aggregate([(c, aggs[c]) for c in cols])
+        return g.rename_columns([*keys, *cols])
+
+    return rio.reduce_by_key(ds, keys, final, stage=stage)
+
+
+def value_histogram(ds, keys: list[str], col: str) -> pd.DataFrame:
+    """The (keys, non-null ``col`` value) -> count ``n`` histogram on
+    the driver, sorted by keys then value: small relative to the data
+    (distinct values, not rows), so exact quantiles and ranks resolve
+    from its cumulative counts with no global row sort."""
+    refs = combine_by_key(ds, [*keys, col], {"n": "sum"}, stage=_value_counts(keys, col))
+    h = rio.blocks_table(refs).to_pandas()
+    if h.empty:  # no value at all: an empty input can arrive schema-less
+        return h
+    return h.sort_values([*keys, col], kind="mergesort").reset_index(drop=True)
+
+
+def _ranked_values(ds, col: str, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-null values of ``col`` ascending and their
+    cumulative counts."""
+    hist = value_histogram(ds, [], col)
+    if hist.empty:
+        raise ValueError(f"{who}: no non-null values in {col!r}")
+    return hist[col].to_numpy(), np.cumsum(hist["n"].to_numpy())
 
 
 def grouped_exact_quantiles_int(
@@ -602,7 +630,7 @@ def grouped_exact_quantiles_int(
             out[name] = at.astype(np.int64)
         return out
 
-    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts(key, col))
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts([key], col))
     return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 
@@ -630,7 +658,7 @@ def grouped_median_mad_int(
         mad = _weighted_pick(d, [key], "dev", "n", mid).astype(np.int64)
         return h.drop_duplicates(key)[[key]].reset_index(drop=True).assign(med=med, mad=mad)
 
-    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts(key, col))
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts([key], col))
     return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 
@@ -682,7 +710,8 @@ def pareto_front_2d(
 
     # the block-local prefilter is also the final: a bucket holds
     # complete groups, and frontier(group) is what it computes
-    return ray.data.from_arrow_refs(rio.reduce_by_key(ds, [group_col], local, stage=local))
+    refs = rio.reduce_by_key(ds, [group_col], local, stage=local)
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def grouped_weighted_median_int(
@@ -816,15 +845,9 @@ def percentile_cont_int(
     ``v_lo*(den - r) + v_hi*r`` over ``den`` (r = (n-1)*num mod den)
     is that value with no float until the caller's ONE division.
     Returns (numerator, denominator, n) per frac. Same distributed
-    shape as exact_quantiles_int: groupby(value).count() + driver
-    cumsum over the |distinct values| histogram — no global sort."""
-    hist = ds.groupby(col).count().to_pandas()
-    hist = hist[hist[col].notna()].sort_values(col)
-    if hist.empty:
-        raise ValueError(f"percentile_cont_int: no non-null values in {col!r}")
-    counts = hist["count()"].to_numpy()
-    values = hist[col].to_numpy()
-    cum = np.cumsum(counts)
+    shape as exact_quantiles_int: the value histogram's cumulative
+    counts — no global sort."""
+    values, cum = _ranked_values(ds, col, "percentile_cont_int")
     n = int(cum[-1])
 
     def at(idx: int) -> int:

@@ -7,21 +7,25 @@ LLM training data (concatenate the corpus, chunk every N tokens —
 each document's pack is a pure function of the EXCLUSIVE prefix sum
 of token counts before it) and of percentile/cdf materialization.
 
-The distributed shape is the classic two-phase scan:
+The distributed shape is the classic two-phase scan over range bins:
 
-1. ``Dataset.sort(order_cols)`` range-partitions into globally
-   ordered blocks (Ray Data's sample-based shuffle — scale-correct).
-2. Phase 1: one small Ray task per block returns (sum, first-key,
-   last-key) — three scalars; the driver sees O(#blocks) values, not
-   rows, and exclusive-scans the block sums in block order (Python
+1. Range bins: each block sends a small sorted sample of the first
+   order column; the driver picks one splitter per block boundary,
+   and the routing stage gives every row the bin ``_bin`` its value
+   falls in (equal values share a bin, bins ascend with the value).
+   One ``io.reduce_by_key`` on ``_bin`` brings each bin's rows into
+   one bucket, where they are sorted by (``_bin``, ``order_cols``).
+2. Phase 1: one small Ray task per bucket returns, per bin, (sum,
+   first key, last key) — scalars; the driver sees O(#bins) values,
+   not rows, and exclusive-scans the bin sums in bin order (Python
    ints — no int64 overflow before the guard fires).
-3. Phase 2: one task per block adds its offset to the block-local
-   cumulative sum and yields the block back into a Dataset
-   (``from_arrow_refs`` — blocks never touch the driver).
+3. Phase 2: one task per bucket adds each bin's offset to the
+   bin-local cumulative sum; the outputs are the blocks of the
+   returned Dataset (blocks never touch the driver).
 
 This is one of the documented drops to raw Ray tasks (the Dataset
 API genuinely cannot express a scan); the driver-side state is
-O(#blocks), the per-block work is a numpy cumsum.
+O(#bins), the per-bucket work is a sort and a numpy cumsum.
 """
 
 from __future__ import annotations
@@ -31,53 +35,88 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import io as rio
 from .relational import _per_key
 
 _I64_MAX = (1 << 63) - 1
+_SAMPLE = 32  # sampled values per block for the range splitters
+
+
+def _sample_stage(col: str):
+    """Stage: up to ``_SAMPLE`` evenly spaced values of the block's
+    sorted ``col``."""
+
+    def stage(t: pa.Table) -> pa.Table:
+        if not t.num_columns:  # Ray's schema-less empty block
+            return t
+        v = np.sort(t[col].to_numpy(zero_copy_only=False))
+        pick = np.linspace(0, len(v) - 1, min(len(v), _SAMPLE)).astype(np.int64)
+        return pa.table({col: v[pick]})
+
+    return stage
+
+
+def _bin_stage(col: str, splitters: np.ndarray):
+    """Stage: the block with its range bin ``_bin``, the number of
+    splitters at or below its ``col`` value."""
+
+    def stage(t: pa.Table) -> pa.Table:
+        v = t[col].to_numpy(zero_copy_only=False)
+        b = np.searchsorted(splitters, v, side="right").astype(np.int64)
+        return t.append_column("_bin", pa.array(b))
+
+    return stage
 
 
 @ray.remote(num_returns=1)
-def _block_stats(t: pa.Table, value_col: str, order_cols: list[str], signed: bool):
-    """Phase-1 scalars: block value sum + the block's first/last order
-    key tuple (None for empty blocks). The sum is EXACT even past
-    int64 (int64 kernels wrap silently): when count x max could
-    exceed int64 the block falls back to Python-int summation, so the
-    driver's overflow guard sees the true total."""
-    if t.num_rows == 0:
-        return 0, None, None
+def _bin_stats(t: pa.Table, value_col: str, order_cols: list[str], signed: bool):
+    """Phase-1 scalars of one sorted bucket: per bin, (bin, value sum,
+    first order key tuple, last order key tuple); None for a
+    schema-less bucket. The sums are EXACT even past int64 (int64
+    kernels wrap silently): when count x max could exceed int64 the
+    bucket falls back to Python-int summation, so the driver's
+    overflow guard sees the true total."""
+    if not t.num_columns:
+        return None
     if t[value_col].null_count:
         raise ValueError(f"ordered_prefix_sum: null values in {value_col!r}")
     v = t[value_col].to_numpy(zero_copy_only=False)
+    if not len(v):
+        return []
     if not signed and int(v.min()) < 0:
         raise ValueError(
             f"ordered_prefix_sum: negative values in {value_col!r} "
             "(the scan contract is non-negative counts/sizes; pass "
             "signed=True for deltas)"
         )
-    if int(np.abs(v).max()) * len(v) <= _I64_MAX:
-        s = int(v.sum())
-    else:  # rare: exact arbitrary-precision path
-        s = sum(int(x) for x in v)
-    first = tuple(t[c][0].as_py() for c in order_cols)
-    last = tuple(t[c][t.num_rows - 1].as_py() for c in order_cols)
-    return s, first, last
+    exact = int(np.abs(v).max()) * len(v) > _I64_MAX  # rare: arbitrary precision
+    bins = t["_bin"].to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+    out = []
+    for lo, hi in zip(starts, np.r_[starts[1:], len(v)]):
+        seg = v[lo:hi]
+        s = sum(int(x) for x in seg) if exact else int(seg.sum())
+        first = tuple(t[c][int(lo)].as_py() for c in order_cols)
+        last = tuple(t[c][int(hi) - 1].as_py() for c in order_cols)
+        out.append((int(bins[lo]), s, first, last))
+    return out
 
 
 @ray.remote(num_returns=1)
-def _block_scan(t: pa.Table, value_col: str, out_col: str, offset: int) -> pa.Table:
-    """Phase-2: out_col[i] = offset + sum(value[0..i-1]) — the
-    EXCLUSIVE running total (each row sees the mass strictly before
-    it in the global order)."""
+def _bin_scan(t: pa.Table, value_col: str, out_col: str, offsets: np.ndarray) -> pa.Table:
+    """Phase-2: out_col[i] = offset of its bin + the sum of the values
+    before it in its bin — the EXCLUSIVE running total (each row sees
+    the mass strictly before it in the global order)."""
     v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    cum = np.empty(len(v), dtype=np.int64)
-    if len(v):
-        cum[0] = 0
-        np.cumsum(v[:-1], out=cum[1:])
-    return t.append_column(out_col, pa.array(cum + offset))
+    bins = t["_bin"].to_numpy(zero_copy_only=False)
+    cum = np.cumsum(v) - v  # int64 wraps alike on both sides of the difference
+    new = np.r_[True, bins[1:] != bins[:-1]] if len(v) else np.zeros(0, dtype=bool)
+    start = cum[new][np.cumsum(new) - 1]
+    return t.drop_columns(["_bin"]).append_column(out_col, pa.array(cum - start + offsets[bins]))
 
 
 def ordered_prefix_sum(
-    ds: ray.data.Dataset,
+    ds: ray.data.Dataset | list,
     order_cols: list[str],
     value_col: str,
     out_col: str = "prefix_sum",
@@ -85,55 +124,47 @@ def ordered_prefix_sum(
 ) -> ray.data.Dataset:
     """Append the EXCLUSIVE global prefix sum of ``value_col`` in the
     total order given by ``order_cols`` (which must be a total order —
-    ties across blocks would make the scan nondeterministic; the
-    block-boundary monotonicity assert below catches violations).
-    Values must be non-negative int64 (token counts, byte sizes)
-    unless ``signed=True`` (sweep-line deltas: concurrency counters,
-    balance ledgers); the running total is guarded against int64
-    overflow in Python ints in both directions."""
-    sorted_ds = ds.sort(order_cols).materialize()
-    refs = sorted_ds.to_arrow_refs()
-    stats = ray.get(
-        [_block_stats.remote(r, value_col, list(order_cols), signed) for r in refs]
-    )
+    ties would make the scan nondeterministic; the bin-boundary
+    monotonicity assert below catches a broken binning). ``ds`` is a
+    Dataset or a list of table refs. Values must be non-negative int64
+    (token counts, byte sizes) unless ``signed=True`` (sweep-line
+    deltas: concurrency counters, balance ledgers); the running total
+    is guarded against int64 overflow in Python ints in both
+    directions."""
+    blocks = ds if isinstance(ds, list) else ds.materialize().to_arrow_refs()
+    col = order_cols[0]
+    samples = rio.map_blocks(blocks, _sample_stage(col))
+    # no column at all: every block schema-less (an empty input)
+    sample = np.sort(samples[col].to_numpy()) if samples.num_columns else np.zeros(0)
+    n = len(blocks)
+    splitters = np.unique(sample[np.arange(1, n) * len(sample) // n]) if len(sample) else sample
 
-    prev_last = None
-    offsets, total = [], 0
-    for s, first, last in stats:
-        offsets.append(total)
-        if first is not None:
-            if prev_last is not None and first < prev_last:
-                raise ValueError(
-                    f"ordered_prefix_sum: block boundary out of order "
-                    f"({first} after {prev_last}) — order_cols must be a "
-                    "total order"
-                )
-            prev_last = last
+    def sort_bins(t: pa.Table) -> pa.Table:
+        return t.sort_by([(c, "ascending") for c in ["_bin", *order_cols]])
+
+    refs = rio.reduce_by_key(blocks, ["_bin"], sort_bins, stage=_bin_stage(col, splitters))
+    stats = ray.get([_bin_stats.remote(r, value_col, list(order_cols), signed) for r in refs])
+
+    offsets = np.zeros(len(splitters) + 1, dtype=np.int64)
+    prev_last, total = None, 0
+    for b, s, first, last in sorted(x for st in stats if st for x in st):
+        if prev_last is not None and first < prev_last:
+            raise ValueError(
+                f"ordered_prefix_sum: bin boundary out of order "
+                f"({first} after {prev_last}) — order_cols must be a "
+                "total order"
+            )
+        prev_last = last
+        offsets[b] = total
         total += s
         if not (-_I64_MAX - 1 <= total <= _I64_MAX):
             raise OverflowError(
                 f"ordered_prefix_sum: running total exceeds int64 ({total})"
             )
-
-    # empty blocks can arrive schema-less (Ray drops their columns);
-    # skip them — they carry no rows and no offset mass
-    out_refs = [
-        _block_scan.remote(r, value_col, out_col, off)
-        for (r, off), (_, first, _l) in zip(zip(refs, offsets), stats)
-        if first is not None
-    ]
-    if not out_refs:
-        # an all-empty sorted dataset may be schema-less; fall back to
-        # the input's schema, then to the bare out_col
-        sch = sorted_ds.schema() or ds.schema()
-        cols = {}
-        if sch is not None:
-            for name, typ in zip(sch.names, sch.types):
-                t = typ if isinstance(typ, pa.DataType) else pa.int64()
-                cols[name] = pa.array([], type=t)
-        cols[out_col] = pa.array([], type=pa.int64())
-        return ray.data.from_arrow(pa.table(cols))
-    return ray.data.from_arrow_refs(out_refs)
+    typed = [r for r, st in zip(refs, stats) if st is not None]
+    out = [_bin_scan.remote(r, value_col, out_col, offsets) for r in typed]
+    # no typed bucket: every input block was schema-less (no rows)
+    return ray.data.from_arrow_refs(out or refs).materialize()
 
 
 def grouped_recurrence_ewma_int(

@@ -257,7 +257,7 @@ def edge_triangle_support(
     e = _dedupe(edges, src, dst)
     n_edges = _n_rows(e)
     if n_edges == 0:
-        return ray.data.from_arrow(_SUPPORT.empty_table())
+        return ray.data.from_arrow(_SUPPORT.empty_table()).materialize()
     r = _Ranked(e)
     nv = np.int64(r.nv)
     node_of_rank = np.empty(r.nv, dtype=np.int64)
@@ -289,5 +289,5 @@ def edge_triangle_support(
 
     credits = r.closed(e, credit)
     if n_edges <= broadcast_gate:
-        return ray.data.from_arrow(finish(rio.blocks_table(credits)))
+        return ray.data.from_arrow(finish(rio.blocks_table(credits))).materialize()
     return ray.data.from_arrow_refs(rio.reduce_by_key(credits, ["ek"], finish)).materialize()

@@ -37,13 +37,12 @@ import pyarrow.dataset  # noqa: F401 (registers pc.field filter expressions)
 import pyarrow.parquet as pq
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
 
 from . import io as rio
 from .aggregate import (
-    approx_heavy_hitters, combine_partials, count_by, cube_levels, estimated_quantiles,
-    floor_bin, grouped_approx_count_distinct, grouped_estimated_quantiles, grouped_mode,
-    pivot_counts, rollup_sums, zerofill,
+    approx_heavy_hitters, combine_partials, cube_levels, estimated_quantiles, floor_bin,
+    grouped_approx_count_distinct, grouped_estimated_quantiles, grouped_mode, pivot_counts,
+    rollup_sums, zerofill,
 )
 from .api import OSMContributionView, OSMEntitySnapshotView
 from .functions.bloom import build_bloom
@@ -70,11 +69,12 @@ from .ops.multimodal import decode_media, synth_media_table
 from .ops.pagerank import pagerank_int
 from .ops.profile import profile_columns
 from .ops.relational import (
-    broadcast_join, cents, deterministic_sample, deterministic_split,
-    exact_quantiles_int, grouped_exact_quantiles_int, grouped_median_mad_int,
-    grouped_weighted_median_int, hash_join, hash_semi_join, island_length_histogram,
-    ordered_string_agg, pareto_front_2d, percentile_cont_int, round_half_away,
-    stratified_sample, topk, topk_per_group, unpivot, weighted_sample_topk,
+    _weighted_pick, broadcast_join, cents, combine_by_key, deterministic_sample,
+    deterministic_split, exact_quantiles_int, grouped_exact_quantiles_int,
+    grouped_median_mad_int, grouped_weighted_median_int, hash_join, hash_semi_join,
+    island_length_histogram, ordered_string_agg, pareto_front_2d, percentile_cont_int,
+    round_half_away, stratified_sample, topk, topk_per_group, unpivot, value_histogram,
+    weighted_sample_topk,
 )
 from .ops.scan import (
     grouped_recurrence_ewma_int, grouped_recurrence_holt_int, ordered_prefix_sum,
@@ -981,29 +981,32 @@ def q_events_by_type(sf_dir: str) -> pd.DataFrame:
     ds = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
-    base = (
-        ds.groupby("event_type")
-        .aggregate(Count(alias_name="n"), Sum("value_c", alias_name="sum_value_cents"))
-        .to_pandas()
-    )
-    # count-distinct users per type WITHOUT an O(#users) driver pull:
-    # blocks after the distinct-pair groupby hold globally-unique
-    # pairs, so the per-type count is a per-batch partial (the
-    # q_contrib_uniq_uids_daily pattern)
-    def type_counts(batch: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(batch.select(["event_type"]), ["event_type"]).aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["event_type", "_part"])
 
-    uniq_pairs = combine_partials(
-        ds.groupby(["event_type", "user_id"])
-        .count()
-        .map_batches(type_counts, batch_format="pyarrow"),
+    def pair_partial(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(b, ["event_type", "user_id"]).aggregate(
+            [([], "count_all"), ("value_c", "sum")]
+        )
+        return g.rename_columns(["event_type", "user_id", "n", "v"])
+
+    # count-distinct users per type WITHOUT an O(#users) driver pull:
+    # a bucket holds every row of its (type, user) pairs, so each pair
+    # counts once in its bucket's per-type partial (the
+    # q_contrib_uniq_uids_daily pattern)
+    def per_type(t: pa.Table) -> pa.Table:
+        pairs = pa.TableGroupBy(t, ["event_type", "user_id"]).aggregate(
+            [("n", "sum"), ("v", "sum")]
+        )
+        g = pa.TableGroupBy(pairs, ["event_type"]).aggregate(
+            [("n_sum", "sum"), ("v_sum", "sum"), ([], "count_all")]
+        )
+        return g.rename_columns(["event_type", "n", "v", "u"])
+
+    parts = rio.reduce_by_key(ds, ["event_type", "user_id"], per_type, stage=pair_partial)
+    out = combine_partials(
+        rio.blocks_table(parts),
         ["event_type"],
-        {"_part": "n_users"},
+        {"n": "n", "v": "sum_value_cents", "u": "n_users"},
     )
-    out = base.merge(uniq_pairs, on="event_type")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -1032,15 +1035,17 @@ def q_tdigest_price_quantiles(sf_dir: str) -> pd.DataFrame:
 def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     """Per-source corpus stats: docs, chars, whitespace tokens."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text", "n_chars"])
-    df = (
-        ds.map_batches(add_token_count, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_chars", alias_name="sum_chars"),
-            Sum("n_tokens", alias_name="sum_tokens"),
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(add_token_count(b), ["source"]).aggregate(
+            [([], "count_all"), ("n_chars", "sum"), ("n_tokens", "sum")]
         )
-        .to_pandas()
+        return g.rename_columns(["source", "n_docs", "sum_chars", "sum_tokens"])
+
+    df = combine_partials(
+        rio.map_blocks(ds, partial),
+        ["source"],
+        {"n_docs": "n_docs", "sum_chars": "sum_chars", "sum_tokens": "sum_tokens"},
     )
     return df.sort_values("source").reset_index(drop=True)
 
@@ -1052,16 +1057,18 @@ def q_doc_tokens(sf_dir: str) -> pd.DataFrame:
     whitespace count — the two token-length estimates a training-data
     pipeline budgets with."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    df = (
-        ds.map_batches(add_token_count, batch_format="pyarrow")
-        .map_batches(add_bpe_token_count, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_tokens", alias_name="sum_ws_tokens"),
-            Sum("n_bpe_tokens", alias_name="sum_bpe_tokens"),
+
+    def partial(b: pa.Table) -> pa.Table:
+        t = add_bpe_token_count(add_token_count(b))
+        g = pa.TableGroupBy(t, ["source"]).aggregate(
+            [([], "count_all"), ("n_tokens", "sum"), ("n_bpe_tokens", "sum")]
         )
-        .to_pandas()
+        return g.rename_columns(["source", "n_docs", "sum_ws_tokens", "sum_bpe_tokens"])
+
+    df = combine_partials(
+        rio.map_blocks(ds, partial),
+        ["source"],
+        {"n_docs": "n_docs", "sum_ws_tokens": "sum_ws_tokens", "sum_bpe_tokens": "sum_bpe_tokens"},
     )
     return df.sort_values("source").reset_index(drop=True)
 
@@ -1169,8 +1176,8 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
     Output per pack: documents starting in it, their token mass, and
     how many straddle into the next pack — the packing-efficiency
     report a training-data pipeline reads before tokenizing 100 TB.
-    Pack ids are corpus-cardinality, so the final stays on a Dataset
-    groupby (the CLAUDE.md high-cardinality rule)."""
+    Pack ids are corpus-cardinality, so the final sums per pack in one
+    ``io.reduce_by_key`` (the CLAUDE.md high-cardinality rule)."""
     B = PACK_BUDGET_TOKENS
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     toks = ds.map_batches(add_bpe_token_count, batch_format="pyarrow").drop_columns(
@@ -1194,27 +1201,9 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = (
-        scanned.map_batches(partial, batch_format="pyarrow")
-        .groupby("pack_id")
-        .sum(["n_docs", "sum_tokens", "n_straddlers"])
-        .to_pandas()
-        .rename(
-            columns={
-                "sum(n_docs)": "n_docs",
-                "sum(sum_tokens)": "sum_tokens",
-                "sum(n_straddlers)": "n_straddlers",
-            }
-        )
-    )
-    return (
-        out.astype(
-            {"pack_id": "int64", "n_docs": "int64",
-             "sum_tokens": "int64", "n_straddlers": "int64"}
-        )
-        .sort_values("pack_id")
-        .reset_index(drop=True)
-    )
+    sums = {"n_docs": "sum", "sum_tokens": "sum", "n_straddlers": "sum"}
+    out = rio.blocks_table(combine_by_key(scanned, ["pack_id"], sums, stage=partial))
+    return out.to_pandas().sort_values("pack_id").reset_index(drop=True)
 
 
 @query(lambda o: o.sample_docs())
@@ -1335,12 +1324,14 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
 
     ds = ds.map_batches(quality_gate, batch_format="pyarrow")
     ds = deterministic_sample(ds, 1, 2, "doc_id", hash_fn="md5")
-    df = (
-        ds.groupby("source")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_tokens", alias_name="sum_tokens"))
-        .to_pandas()
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(b, ["source"]).aggregate([([], "count_all"), ("n_tokens", "sum")])
+        return g.rename_columns(["source", "n_docs", "sum_tokens"])
+
+    df = combine_partials(
+        rio.map_blocks(ds, partial), ["source"], {"n_docs": "n_docs", "sum_tokens": "sum_tokens"}
     )
-    df["sum_tokens"] = df["sum_tokens"].astype("int64")
     return df.sort_values("source").reset_index(drop=True)
 
 
@@ -1696,15 +1687,11 @@ def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["tag", "n_part"])
 
     # the tag vocabulary scales with the corpus — the final combine
-    # stays a DISTRIBUTED Dataset groupby (combine_partials' contract
-    # forbids corpus-cardinality keys); only the finished dictionary
-    # (one row per distinct tag) reaches the driver
-    df = (
-        docs.map_batches(stage, batch_format="pyarrow")
-        .groupby("tag")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()
-    )
+    # runs per tag bucket (combine_partials' contract forbids
+    # corpus-cardinality keys); only the finished dictionary (one row
+    # per distinct tag) reaches the driver
+    refs = combine_by_key(docs, ["tag"], {"n_part": "sum"}, stage=stage)
+    df = rio.blocks_table(refs).to_pandas().rename(columns={"n_part": "n"})
     df = df.sort_values(["n", "tag"], ascending=[False, True], kind="mergesort").reset_index(drop=True)
     df["tag_id"] = np.arange(len(df), dtype=np.int64)
     return df[["tag_id", "tag", "n"]]
@@ -2655,26 +2642,19 @@ def q_shared_windows(sf_dir: str) -> pd.DataFrame:
     """Windowed (substring) dedup: 32-char windows at stride 16 shared
     by >= 2 documents — the cross-document duplicate-span detector
     (Lee et al.-style substring dedup) over the rolling-window unit.
-    Per-batch distinct (doc, window) pairs, then a distributed window
-    groupby counting distinct docs."""
+    Per-batch distinct (doc, window) pairs, then one ``io.reduce_by_key``
+    on the window counting distinct docs."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    wins = ds.map_batches(explode_windows, batch_format="pyarrow")
 
-    # The >=2 filter runs INSIDE the dataset, after the distributed
+    # The >=2 filter runs in each window bucket, after the complete
     # count — only shared windows (a tiny fraction of the ~chars/16
     # distinct windows) ever reach the driver.
-    def shared_only(batch: pa.Table) -> pa.Table:
-        n = batch["count()"]
-        t = batch.filter(pc.greater_equal(n, 2))
-        return pa.table({"window": t["window"], "n_docs": t["count()"]})
+    def shared_only(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, ["window"]).aggregate([([], "count_all")])
+        return g.filter(pc.greater_equal(g["count_all"], 2)).rename_columns(["window", "n_docs"])
 
-    df = (
-        wins.groupby("window")
-        .count()
-        .map_batches(shared_only, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return df.sort_values("window").reset_index(drop=True)[["window", "n_docs"]]
+    df = rio.blocks_table(rio.reduce_by_key(ds, ["window"], shared_only, stage=explode_windows))
+    return df.to_pandas().sort_values("window").reset_index(drop=True)
 
 
 @query(lambda o: o.knn("TRUE"))
@@ -3276,15 +3256,12 @@ def q_snapshot_count_three_types(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.snapshot_cells_fine())
 def q_snapshot_cells_fine(sf_dir: str) -> pd.DataFrame:
     """Snapshot counts per FINE grid cell (zoom 10, ~0.35deg tiles):
-    the high-cardinality final where the partial-combine stays a
-    DISTRIBUTED Dataset groupby (the combine_partials docstring
+    the high-cardinality final where the partial-combine runs per cell
+    bucket (one ``io.reduce_by_key``, the combine_partials docstring
     threshold path), unlike the coarse-zoom variant."""
-    partials, keys = snapshot_counts(_docs(sf_dir), [T_MID], cell_zoom=10)
-    df = (
-        partials.groupby(keys)
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()
-    )
+    stage, keys = snapshot_counts_stage([T_MID], cell_zoom=10)
+    refs = combine_by_key(_docs(sf_dir), keys, {"n_part": "sum"}, stage=stage)
+    df = rio.blocks_table(refs).to_pandas().rename(columns={"n_part": "n"})
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
 
 
@@ -3780,11 +3757,11 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
     per-day error counts joined with purchase counts; (user, day)
     cells active on only one side survive with the other side's count
     zero-coalesced. Sides are pre-aggregated per batch (partial
-    counts) and finalized on a Dataset groupby (corpus-cardinality
-    key per the CLAUDE.md rule), then joined on the composite int key
+    counts) and finalized per key bucket (corpus-cardinality key per
+    the CLAUDE.md rule), then joined on the composite int key
     user_id*64 + day — one bucket shuffle, unmatched rows emitted
     in-bucket, never a driver-side merge."""
-    def side_counts(etype: str, out_col: str) -> ray.data.Dataset:
+    def side_counts(etype: str, out_col: str) -> list:
         ds = _events_typed(sf_dir, etype, ["user_id", "ts", "event_type"])
 
         def partial(b: pa.Table) -> pa.Table:
@@ -3793,10 +3770,7 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
             u, c = np.unique(uk, return_counts=True)
             return pa.table({"uk": pa.array(u), out_col: pa.array(c.astype(np.int64))})
 
-        agg = ds.map_batches(partial, batch_format="pyarrow").groupby("uk").sum(out_col)
-        return agg.map_batches(
-            lambda b: b.rename_columns(["uk", out_col]), batch_format="pyarrow"
-        )
+        return combine_by_key(ds, ["uk"], {out_col: "sum"}, stage=partial)
 
     joined = hash_join(
         side_counts("error", "n_errors"),
@@ -3804,7 +3778,7 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
         on="uk",
         how="outer",
     )
-    df = joined.to_pandas()
+    df = rio.blocks_table(joined).to_pandas()
     uk = df["uk"].astype("int64")
     out = pd.DataFrame(
         {
@@ -4174,7 +4148,11 @@ def q_stratified_sample_docs(sf_dir: str) -> pd.DataFrame:
     docs = rio.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
-    sources = docs.unique("source")
+    def distinct(b: pa.Table) -> pa.Table:
+        return pa.table({"source": pc.unique(b["source"])})
+
+    # sources are low-cardinality: per-block distincts, unioned on the driver
+    sources = set(rio.map_blocks(docs, distinct)["source"].to_pylist())
     rates = {
         s: (STRAT_EVEN if int(s[3:]) % 2 == 0 else STRAT_ODD) for s in sources
     }
@@ -4337,30 +4315,31 @@ def q_top_words(sf_dir: str) -> pd.DataFrame:
     """Distributed wordcount with a global top-k (the canonical
     map-reduce shape): per-batch Arrow explode (utf8_lower ->
     split_pattern_regex -> list_flatten) and in-batch pre-count, a
-    VOCABULARY-cardinality Dataset.groupby completes each word's count
+    VOCABULARY-cardinality ``io.reduce_by_key`` completes each word's count
     (words are corpus-scaled — per the high-card rule they never ride
     combine_partials), then the candidate top-k reduce moves only k
     rows per block. Ties break ascending on the word. Arrow and DuckDB
     both run RE2 over UTF-8, so the token split is engine-identical."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
+    df = topk(_word_counts(ds), key="n_p", k=TOP_WORDS_K, tiebreak="word", descending=True)
+    return df.rename(columns={"n_p": "n"})[["word", "n"]].reset_index(drop=True)
 
-    def explode_count(b: pa.Table) -> pa.Table:
-        words = pc.list_flatten(
-            pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-        )
-        words = words.filter(pc.not_equal(words, ""))
-        t = pa.table({"word": words})
-        g = pa.TableGroupBy(t, ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n_p"])
 
-    counts = (
-        ds.map_batches(explode_count, batch_format="pyarrow")
-        .groupby("word")
-        .sum("n_p")
-    )
-    df = topk(counts, key="sum(n_p)", k=TOP_WORDS_K, tiebreak="word", descending=True)
-    df = df.rename(columns={"sum(n_p)": "n"}).astype({"n": "int64"})
-    return df[["word", "n"]].reset_index(drop=True)
+def _explode_count(b: pa.Table) -> pa.Table:
+    """Stage: the block's (word, n_p) token counts — Arrow explode
+    (utf8_lower -> split_pattern_regex -> list_flatten) and in-batch
+    pre-count."""
+    words = pc.list_flatten(pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE))
+    t = pa.table({"word": words.filter(pc.not_equal(words, ""))})
+    g = pa.TableGroupBy(t, ["word"]).aggregate([([], "count_all")])
+    return g.rename_columns(["word", "n_p"])
+
+
+def _word_counts(ds) -> list:
+    """The corpus wordcount (word, n_p) as bucket refs: the token
+    vocabulary is corpus-scaled, so each word's count completes in its
+    ``io.reduce_by_key`` bucket, never in combine_partials."""
+    return combine_by_key(ds, ["word"], {"n_p": "sum"}, stage=_explode_count)
 
 
 def _repetition_stage(b: pa.Table) -> pa.Table:
@@ -4604,25 +4583,21 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     bit-identical to DuckDB's ln; numpy's vectorized log is NOT) over
     LUTs of the distinct integer inputs, half-away rounding — so the
     per-doc totals are exact INT sums in any order. Shape: per-batch
-    bigram pre-counts; model = two vocabulary-cardinality Dataset
-    groupbys; scoring = two partitioned hash joins (composite
-    (w1, w2) key, then w1); per-doc totals on a doc_id Dataset
-    groupby (high-card rule)."""
+    bigram pre-counts; model = two vocabulary-cardinality
+    ``io.reduce_by_key`` combines; scoring = two partitioned hash joins
+    (composite (w1, w2) key, then w1); per-doc totals per doc_id
+    bucket (high-card rule)."""
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    bg = docs.map_batches(_doc_bigram_stage, batch_format="pyarrow")
+    bg = rio.materialize_blocks(docs, _doc_bigram_stage)
 
-    c2 = (
-        bg.groupby(["w1", "w2"])
-        .sum("n")
-        .map_batches(
-            lambda b: b.rename_columns(["w1", "w2", "c2"]), batch_format="pyarrow"
-        )
-    )
-    c1 = (
-        c2.groupby("w1")
-        .sum("c2")
-        .map_batches(lambda b: b.rename_columns(["w1", "c1"]), batch_format="pyarrow")
-    )
+    def as_c2(t: pa.Table) -> pa.Table:
+        return t.select(["w1", "w2", "n"]).rename_columns(["w1", "w2", "c2"])
+
+    c2 = combine_by_key(bg, ["w1", "w2"], {"c2": "sum"}, stage=as_c2)
+    def as_c1(t: pa.Table) -> pa.Table:
+        return t.select(["w1", "c2"]).rename_columns(["w1", "c1"])
+
+    c1 = combine_by_key(c2, ["w1"], {"c1": "sum"}, stage=as_c1)
 
     # vocabulary size: distinct tokens over the WHOLE token stream
     def tok_stage(b: pa.Table) -> pa.Table:
@@ -4632,7 +4607,11 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
         words = words.filter(pc.not_equal(words, ""))
         return pa.table({"word": pa.array(pd.unique(words.to_numpy(zero_copy_only=False)))})
 
-    v = docs.map_batches(tok_stage, batch_format="pyarrow").groupby("word").count().count()
+    def n_distinct(t: pa.Table) -> pa.Table:
+        return pa.table({"n": pa.array([pc.count_distinct(t["word"]).as_py()], pa.int64())})
+
+    vocab = rio.reduce_by_key(docs, ["word"], n_distinct, stage=tok_stage)
+    v = pc.sum(rio.blocks_table(vocab)["n"]).as_py()
 
     scored = hash_join(hash_join(bg, c2, on=["w1", "w2"]), c1, on="w1")
 
@@ -4662,15 +4641,9 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    per_doc = (
-        scored.map_batches(score_stage, batch_format="pyarrow")
-        .groupby("doc_id")
-        .sum(["nb_p", "sm_p"])
-        .to_pandas()
-        .rename(columns={"sum(nb_p)": "n_bigrams", "sum(sm_p)": "surprisal_milli"})
-    )
-    per_doc = per_doc.astype(
-        {"doc_id": "int64", "n_bigrams": "int64", "surprisal_milli": "int64"}
+    refs = combine_by_key(scored, ["doc_id"], {"nb_p": "sum", "sm_p": "sum"}, stage=score_stage)
+    per_doc = rio.blocks_table(refs).to_pandas().rename(
+        columns={"nb_p": "n_bigrams", "sm_p": "surprisal_milli"}
     )
     per_doc["avg_surprisal_milli"] = per_doc["surprisal_milli"].to_numpy(
         np.int64
@@ -4847,9 +4820,9 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     """Peak CONCURRENT sessions per day — the sweep-line counter over
     the sessionized log, composed from the engine's own primitives:
     sessionize (complete-user bucket shuffle) -> boundary fan-out
-    (+1 at start, -1 at end) -> a DISTINCT-timestamp groupby collapses
+    (+1 at start, -1 at end) -> a DISTINCT-timestamp combine collapses
     ties so the timeline is a total order -> the signed global
-    ordered_prefix_sum (the two-phase scan; O(#blocks) driver scalars)
+    ordered_prefix_sum (the two-phase scan; O(#bins) driver scalars)
     gives the concurrency entering each instant -> per-day max, with
     starts applied before ends at equal t (a session pair that abuts
     at the same microsecond overlaps there). The peak inside a tie
@@ -4858,36 +4831,33 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     sess = sessionize(ev, gap_us=SESSION_GAP_US)
 
-    def boundaries(b: pd.DataFrame) -> pa.Table:
+    def boundaries(b: pd.DataFrame) -> pd.DataFrame:
         lo = b["start_us"].to_numpy(dtype=np.int64)
         hi = b["end_us"].to_numpy(dtype=np.int64)
         t = np.concatenate([lo, hi])
         d = np.concatenate(
             [np.ones(len(lo), dtype=np.int64), -np.ones(len(hi), dtype=np.int64)]
         )
-        tt = pa.table({"t": t, "d": d, "is_start": (d > 0).astype(np.int64)})
-        g = pa.TableGroupBy(tt, ["t"]).aggregate([("d", "sum"), ("is_start", "sum")])
-        return g.rename_columns(["t", "d", "is_start"])
+        tt = pd.DataFrame({"t": t, "d": d, "is_start": (d > 0).astype(np.int64)})
+        return tt.groupby("t", as_index=False).sum()
 
-    per_t = (
-        sess.map_batches(boundaries, batch_format="pandas")
-        .groupby("t")
-        .sum(["d", "is_start"])
+    per_t = combine_by_key(
+        sess, ["t"], {"d": "sum", "is_start": "sum"}, stage=rio.on_pandas(boundaries)
     )
     scanned = ordered_prefix_sum(
-        per_t, order_cols=["t"], value_col="sum(d)", out_col="before", signed=True
+        per_t, order_cols=["t"], value_col="d", out_col="before", signed=True
     )
 
     def day_max(b: pa.Table) -> pa.Table:
         t = b["t"].to_numpy(zero_copy_only=False)
-        peak = b["before"].to_numpy(zero_copy_only=False) + b["sum(is_start)"].to_numpy(
+        peak = b["before"].to_numpy(zero_copy_only=False) + b["is_start"].to_numpy(
             zero_copy_only=False
         )
         df = pd.DataFrame({"day": (t - T0) // DAY_US, "peak": peak})
         g = df.groupby("day", as_index=False)["peak"].max()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = scanned.map_batches(day_max, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(scanned, day_max).to_pandas()
     out = parts.groupby("day", as_index=False)["peak"].max()
     out = out.rename(columns={"peak": "peak_concurrency"}).astype(
         {"day": "int64", "peak_concurrency": "int64"}
@@ -4904,7 +4874,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     statistic behind retrieval/quality scoring. tf is final IN-BATCH
     (one row = one whole document, so the (doc, word) count never
     shuffles raw tokens); document frequency is a VOCABULARY-cardinality
-    Dataset.groupby (high-card rule); tf |x| df is the partitioned hash
+    ``io.reduce_by_key`` (high-card rule); tf |x| df is the partitioned hash
     join on the word; the per-doc top-k resolves via the distributed
     candidate-prune topk_per_group. The score tf * ln(N/df) is
     engine-independent float: ln over a LUT of DISTINCT df values via
@@ -4926,11 +4896,13 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["doc_id", "word"]).aggregate([([], "count_all")])
         return g.rename_columns(["doc_id", "word", "tf"])
 
-    tf = docs.map_batches(tf_stage, batch_format="pyarrow")
-    dfreq = tf.groupby("word").count().map_batches(
-        lambda b: b.rename_columns(["word", "df"]), batch_format="pyarrow"
-    )
+    def df_partial(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t.select(["word"]), ["word"]).aggregate([([], "count_all")])
+        return g.rename_columns(["word", "df"])
 
+    tf = rio.materialize_blocks(docs, tf_stage)
+    # tf rows are distinct (doc, word) pairs: a word's row count is its df
+    dfreq = combine_by_key(tf, ["word"], {"df": "sum"}, stage=df_partial)
     joined = hash_join(tf, dfreq, on="word")
 
     def score_stage(b: pa.Table) -> pa.Table:
@@ -5244,17 +5216,17 @@ def q_snapshot_hotspot_clusters(sf_dir: str) -> pd.DataFrame:
 
 def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFrame:
     nx, ny = 1 << CELL_ZOOM, 1 << (CELL_ZOOM - 1)
-    partials, keys = snapshot_counts(_docs(sf_dir), [T_MID], cell_zoom=CELL_ZOOM)
-    cells = partials.groupby(keys).aggregate(Sum("n_part", alias_name="n"))
+    stage, keys = snapshot_counts_stage([T_MID], cell_zoom=CELL_ZOOM)
 
-    def dense_only(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.greater_equal(b["n"], HOTSPOT_MINPTS))
-        return b.select(["cell", "n"])
+    def dense_only(t: pa.Table) -> pa.Table:  # a bucket's complete cells
+        g = pa.TableGroupBy(t, keys).aggregate([("n_part", "sum")]).rename_columns([*keys, "n"])
+        return g.filter(pc.greater_equal(g["n"], HOTSPOT_MINPTS)).select(["cell", "n"])
 
-    dense = cells.map_batches(dense_only, batch_format="pyarrow").materialize()
+    refs = rio.reduce_by_key(_docs(sf_dir), keys, dense_only, stage=stage)
+    n_dense = sum(rio.map_blocks(refs, lambda t: pa.table({"n": [t.num_rows]}))["n"].to_pylist())
 
-    if not force_distributed and dense.count() <= HOTSPOT_DRIVER_MAX:
-        df = dense.to_pandas().astype({"cell": "int64", "n": "int64"})
+    if not force_distributed and n_dense <= HOTSPOT_DRIVER_MAX:
+        df = rio.blocks_table(refs).to_pandas()
         c = np.sort(df["cell"].to_numpy())
         x, y = c % nx, c // nx
         parent = np.arange(len(c), dtype=np.int64)
@@ -5284,6 +5256,8 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
         )
         out = out.astype({"component": "int64", "n_cells": "int64", "n_points": "int64"})
         return out.sort_values("component").reset_index(drop=True)
+
+    dense = ray.data.from_arrow_refs(refs).materialize()
 
     def fan_out(b: pa.Table) -> pa.Table:
         c = b["cell"].to_numpy(zero_copy_only=False)
@@ -5334,13 +5308,13 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
 
         labeled = joined.map_batches(fill_isolated, batch_format="pyarrow")
 
-    out = (
-        labeled.groupby("component")
-        .aggregate(Count(alias_name="n_cells"), Sum("n", alias_name="n_points"))
-        .to_pandas()
-    )
-    out = out.astype({"component": "int64", "n_cells": "int64", "n_points": "int64"})
-    return out.sort_values("component").reset_index(drop=True)
+    def per_component(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, ["component"]).aggregate([([], "count_all"), ("n", "sum")])
+        return g.rename_columns(["component", "n_cells", "n_points"])
+
+    sums = {"n_cells": "sum", "n_points": "sum"}
+    out = rio.blocks_table(combine_by_key(labeled, ["component"], sums, stage=per_component))
+    return out.to_pandas().sort_values("component").reset_index(drop=True)
 
 
 VOCAB_K = 100  # global vocabulary size for the OOV-rate query
@@ -5359,18 +5333,7 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     rows. The vocab boundary is deterministic (count desc, word asc),
     so both engines cut the same K words."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-
-    def explode_count(b: pa.Table) -> pa.Table:
-        words = pc.list_flatten(
-            pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-        )
-        words = words.filter(pc.not_equal(words, ""))
-        t = pa.table({"word": words})
-        g = pa.TableGroupBy(t, ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n_p"])
-
-    counts = ds.map_batches(explode_count, batch_format="pyarrow").groupby("word").sum("n_p")
-    vocab = topk(counts, key="sum(n_p)", k=VOCAB_K, tiebreak="word", descending=True)
+    vocab = topk(_word_counts(ds), key="n_p", k=VOCAB_K, tiebreak="word", descending=True)
     vocab_ref = ray.put(pd.Index(vocab["word"]))
 
     def oov_stage(b: pa.Table) -> pa.Table:
@@ -6443,10 +6406,10 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
-    hist = ev.groupby("value_c").count().to_pandas().sort_values("value_c")
+    hist = value_histogram(ev, [], "value_c")
     vals = hist["value_c"].to_numpy(dtype=np.int64)
-    below = np.r_[0, np.cumsum(hist["count()"].to_numpy(dtype=np.int64))[:-1]]
-    n_total = int(hist["count()"].sum())
+    below = np.r_[0, np.cumsum(hist["n"].to_numpy(dtype=np.int64))[:-1]]
+    n_total = int(hist["n"].sum())
 
     vals_ref, below_ref = ray.put(vals), ray.put(below)
 
@@ -6483,7 +6446,7 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     """TRIMMED (truncated) mean per event type — the outlier-robust
     location estimator: drop the lowest and highest floor(n*num/den)
     values BY RANK, average the rest. Distributed as ONE
-    groupby(etype, value-cents).count() — the value histogram, small
+    (etype, value-cents) histogram (``value_histogram``), small
     relative to the data, exactly the exact_quantiles_int shape (no
     global sort); the driver trims by rank over the histogram's
     cumulative counts (boundary values keep partial multiplicity) and
@@ -6493,12 +6456,11 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     ev = rio.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
-    hist = ev.groupby(["event_type", "value_c"]).count().to_pandas()
+    hist = value_histogram(ev, ["event_type"], "value_c")
     num, den = TRIM_FRAC
     rows = []
     for et, g in hist.groupby("event_type"):
-        g = g.sort_values("value_c")
-        cnt = g["count()"].to_numpy(dtype=np.int64)
+        cnt = g["n"].to_numpy(dtype=np.int64)
         val = g["value_c"].to_numpy(dtype=np.int64)
         end = np.cumsum(cnt)
         start = end - cnt
@@ -6532,7 +6494,7 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     exact discrete boundary rule (value at rank ((n-1)*i)//4,
     strictly-above coding — the equidepth convention), and the
     customer count per (r, f, m) cell. Shapes: per-customer
-    aggregates on a Dataset groupby (corpus-cardinality key), three
+    aggregates per key bucket (corpus-cardinality key), three
     distributed value-histogram quantile passes, boundary broadcast
     into a per-batch coding pass, 4^3-bounded combine."""
     ds = rio.read_table(
@@ -6552,12 +6514,14 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    per_cust = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="f"), Max("d", alias_name="r"), Sum("price_c", alias_name="m"))
-        .materialize()
-    )
+    def partial(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(prep(b), ["o_custkey"]).aggregate(
+            [([], "count_all"), ("d", "max"), ("price_c", "sum")]
+        )
+        return g.rename_columns(["o_custkey", "f", "r", "m"])
+
+    aggs = {"f": "sum", "r": "max", "m": "sum"}
+    per_cust = combine_by_key(ds, ["o_custkey"], aggs, stage=partial)
     fracs = [(1, 4), (2, 4), (3, 4)]
     bounds = {c: exact_quantiles_int(per_cust, c, fracs) for c in ("r", "f", "m")}
 
@@ -6577,7 +6541,7 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        per_cust.map_batches(code, batch_format="pyarrow"),
+        rio.map_blocks(per_cust, code),
         ["r_code", "f_code", "m_code"],
         {"n_p": "n_customers"},
     )
@@ -9506,21 +9470,8 @@ def q_token_zipf_slope(sf_dir: str) -> pd.DataFrame:
     distributed wordcount (vocabulary-cardinality groupby + candidate
     top-k); the regression walks K rows at the driver."""
     ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
-
-    def explode_count(b: pa.Table) -> pa.Table:
-        words = pc.list_flatten(
-            pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-        )
-        words = words.filter(pc.not_equal(words, ""))
-        t = pa.table({"word": words})
-        g = pa.TableGroupBy(t, ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n_p"])
-
-    counts = (
-        ds.map_batches(explode_count, batch_format="pyarrow").groupby("word").sum("n_p")
-    )
-    df = topk(counts, key="sum(n_p)", k=ZIPF_K, tiebreak="word", descending=True)
-    freqs = df["sum(n_p)"].to_numpy(dtype=np.int64)
+    df = topk(_word_counts(ds), key="n_p", k=ZIPF_K, tiebreak="word", descending=True)
+    freqs = df["n_p"].to_numpy(dtype=np.int64)
     n = len(freqs)
     if n < 2:
         raise ValueError("token_zipf_slope: vocabulary too small")
@@ -9574,14 +9525,10 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("word", as_index=False)["first_doc_p"].min()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    firsts = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("word")
-        .min("first_doc_p")
-    )
+    firsts = combine_by_key(ds, ["word"], {"first_doc_p": "min"}, stage=explode)
 
     def to_bins(b: pa.Table) -> pa.Table:
-        fd = b["min(first_doc_p)"].to_numpy(zero_copy_only=False)
+        fd = b["first_doc_p"].to_numpy(zero_copy_only=False)
         bins = fd // VOCAB_BIN_DOCS
         u, c = np.unique(bins, return_counts=True)
         return pa.table(
@@ -9589,7 +9536,7 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        firsts.map_batches(to_bins, batch_format="pyarrow"), ["bin"], {"new_p": "new_words"}
+        rio.map_blocks(firsts, to_bins), ["bin"], {"new_p": "new_words"}
     ).sort_values("bin")
     out = pd.DataFrame(
         {
@@ -10280,27 +10227,14 @@ def q_rolling_median_value(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def median(g: pd.DataFrame) -> pd.DataFrame:
-        h = g.groupby("c", as_index=False)["m_p"].sum().sort_values("c")
-        m = h["m_p"].to_numpy(dtype=np.int64)
-        t = int(m.sum())
-        cum = np.cumsum(m)
-        med = int(h["c"].to_numpy(dtype=np.int64)[np.searchsorted(cum, (t + 1) // 2)])
-        return pd.DataFrame(
-            {
-                "etype": [g["etype"].iloc[0]],
-                "wend": [int(g["wend"].iloc[0])],
-                "n_events": [t],
-                "median_cents": [med],
-            }
-        )
+    def medians(g: pd.DataFrame) -> pd.DataFrame:
+        h = g.sort_values(["etype", "wend", "c"], kind="mergesort")
+        out = h.groupby(["etype", "wend"], as_index=False)["m_p"].sum()
+        med = _weighted_pick(h, ["etype", "wend"], "c", "m_p", lambda t: (t + 1) // 2)
+        return out.rename(columns={"m_p": "n_events"}).assign(median_cents=med)
 
-    out = (
-        ev.map_batches(hist, batch_format="pyarrow")
-        .groupby(["etype", "wend"])
-        .map_groups(median, batch_format="pandas")
-        .to_pandas()
-    )
+    refs = rio.reduce_by_key(ev, ["etype", "wend"], rio.on_pandas(medians), stage=hist)
+    out = rio.blocks_table(refs).to_pandas()
     out = out.astype(
         {"wend": "int64", "n_events": "int64", "median_cents": "int64"}
     )
@@ -10444,7 +10378,7 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     kernel). One tokenize pass emits matched (doc, term, tf, dl) rows
     plus sentinel partials for L and df; scoring is a broadcast-free
     map with the |terms|-sized df LUT in the task closure, per-doc
-    totals are a Dataset groupby (doc cardinality), and only the
+    totals complete per doc bucket (doc cardinality), and only the
     top-k candidates reach the driver."""
     docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = docs.count()
@@ -10526,21 +10460,8 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
         den = 20 * corpus_l * tf + 6 * corpus_l + 18 * dl * n_docs
         return pa.table({"doc_id": t["doc_id"], "sc": num // den})
 
-    per_doc = (
-        m.map_batches(score, batch_format="pyarrow")
-        .groupby("doc_id")
-        .sum("sc")
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "doc_id": b["doc_id"].cast(pa.int64()),
-                    "bm25_micro": b["sum(sc)"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    out = topk(per_doc, "bm25_micro", BM25_TOP, "doc_id")
+    per_doc = combine_by_key(m, ["doc_id"], {"sc": "sum"}, stage=score)
+    out = topk(per_doc, "sc", BM25_TOP, "doc_id").rename(columns={"sc": "bm25_micro"})
     return out.astype({"doc_id": "int64", "bm25_micro": "int64"}).reset_index(
         drop=True
     )
@@ -10945,7 +10866,8 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     is an integer, so the score is an order-free int sum (the money
     rule applied to decay weights; float exp decay would be
     order-dependent). Per-batch (user, day) partials -> one
-    user-cardinality groupby; the report is the top-25 scores."""
+    user-cardinality ``io.reduce_by_key``; the report is the top-25
+    scores."""
     ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -10959,21 +10881,8 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("user_id", as_index=False)["w"].sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    per_user = (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby("user_id")
-        .sum("w")
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "user_id": b["user_id"].cast(pa.int64()),
-                    "score": b["sum(w)"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    out = topk(per_user, "score", 25, "user_id")
+    per_user = combine_by_key(ev, ["user_id"], {"w": "sum"}, stage=partials)
+    out = topk(per_user, "w", 25, "user_id").rename(columns={"w": "score"})
     return out.astype({"user_id": "int64", "score": "int64"}).reset_index(drop=True)
 
 

@@ -65,6 +65,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from ..model import DOCUMENTS_SCHEMA
 from .pbfish import _decode_varints, _encode_varints, _pack_documents, _unzigzag, _zigzag
 
 MAX_HEADER = 64 * 1024  # spec: BlobHeader <= 64 KiB
@@ -842,7 +843,10 @@ def read_osmpbf(paths: str | list[str]) -> ray.data.Dataset:
 
 def _pack_node_group(g: pd.DataFrame, keytable: dict[str, int] | None) -> pa.Table:
     """One id-bucket of decoded node rows -> span documents (regroups
-    across block boundaries, so split histories are safe)."""
+    across block boundaries, so split histories are safe). A bucket
+    with no node rows packs to the typed empty documents table."""
+    if g.empty:
+        return DOCUMENTS_SCHEMA.empty_table()
     g = g.sort_values(["osm_id", "v"], kind="mergesort")
     osm = g["osm_id"].to_numpy(dtype=np.int64)
     vis = g["visible"].to_numpy(dtype=bool)
@@ -887,41 +891,23 @@ def _pack_node_group(g: pd.DataFrame, keytable: dict[str, int] | None) -> pa.Tab
 
 
 def osmpbf_documents(
-    paths: str | list[str],
-    keytable: dict[str, int] | None = None,
-    buckets: int | None = None,
+    paths: str | list[str], keytable: dict[str, int] | None = None
 ) -> ray.data.Dataset:
     """Full ingest bridge: .osm.pbf blobs -> decoded node versions ->
-    DOCUMENTS_SCHEMA span documents. The id-bucket groupby merges
-    histories split across block boundaries (the OshMerger.java:31-68
-    concern) and is the only shuffle; bucket count scales with the
-    cluster like relational.hash_join's, floored DOWN to 8 when the
-    compressed input is tiny (one shuffle group per ~MB — 128 groups
-    for 500 rows is pure scheduling)."""
-    index = _blob_index(paths)
-    rows = _decode_blocks(index)
-    if buckets is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 0)) or 8
-        except Exception:
-            cpus = 8
-        total = sum(bl["size"] for bl in index)
-        buckets = max(8, min(4 * cpus, -(-total // (1 << 20))))
+    DOCUMENTS_SCHEMA span documents. One ``io.reduce_by_key`` on
+    ``osm_id`` merges histories split across block boundaries (the
+    OshMerger.java:31-68 concern) and is the only shuffle; each bucket
+    packs its complete entities."""
+    from .. import io as rio
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        keep = b.filter(pa.compute.equal(b["etype"], "node"))
-        ids = keep["osm_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return keep.append_column("_bucket", pa.array(ids % buckets))
+    def nodes(b: pa.Table) -> pa.Table:
+        return b.filter(pa.compute.equal(b["etype"], "node"))
 
-    kt = keytable
-    return (
-        rows.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(
-            lambda g: _pack_node_group(g.drop(columns=["_bucket"]), kt),
-            batch_format="pandas",
-        )
+    refs = rio.reduce_by_key(
+        _decode_blocks(_blob_index(paths)), ["osm_id"],
+        lambda t: _pack_node_group(t.to_pandas(), keytable), stage=nodes,
     )
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def _fp() -> str:

@@ -38,6 +38,8 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..ingest import DOC_SHARD_ROWS
+from ..io import blocks_table
+from ..ops.relational import combine_by_key
 
 ENGINE_VERSION = "rayhist-0.1"
 
@@ -222,26 +224,25 @@ def salted_count_by(
     alias: str = "n",
 ):
     """Two-stage aggregation with deterministic salting for skewed
-    keys: groupby(keys + salt) partials, then groupby(keys) final —
-    a single mega-key (dense urban cell) is spread over ``n_salt``
-    reducers. Deterministic (salt = row key mod n) so results and
-    resume behavior are identical across runs — the requirement the
+    keys: per-(keys, salt) counts in one ``io.reduce_by_key``, then
+    the per-keys final in a second one over its buckets — a single
+    mega-key (dense urban cell) is spread over ``n_salt`` reducers.
+    Returns a materialized Dataset of (keys, ``alias``).
+    Deterministic (salt = row key mod n) so results and resume
+    behavior are identical across runs — the requirement the
     reference meets by shuffling cell order
     (MapReducerIgniteLocalPeek.java:185-233).
     """
     import numpy as np
-    from ray.data.aggregate import Count, Sum
 
-    def add_salt(batch: pa.Table) -> pa.Table:
+    def salted(batch: pa.Table) -> pa.Table:
         base = batch[salt_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_salt", pa.array((base % n_salt).astype(np.int64)))
+        t = batch.select(keys).append_column("_salt", pa.array((base % n_salt).astype(np.int64)))
+        g = pa.TableGroupBy(t, [*keys, "_salt"]).aggregate([([], "count_all")])
+        return g.rename_columns([*keys, "_salt", alias])
 
-    partial = (
-        ds.map_batches(add_salt, batch_format="pyarrow")
-        .groupby([*keys, "_salt"])
-        .aggregate(Count(alias_name="_pc"))
-    )
-    return partial.groupby(keys).aggregate(Sum("_pc", alias_name=alias))
+    partial = combine_by_key(ds, [*keys, "_salt"], {alias: "sum"}, stage=salted)
+    return ray.data.from_arrow_refs(combine_by_key(partial, keys, {alias: "sum"})).materialize()
 
 
 def write_partitioned_by_cell(
@@ -262,8 +263,12 @@ def write_partitioned_by_cell(
     """
     import numpy as np
 
-    counts = ds.groupby("cell").count().to_pandas()
-    small = {int(c): int(n) for c, n in zip(counts["cell"], counts["count()"])}
+    def cell_counts(batch: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(batch.select(["cell"]), ["cell"]).aggregate([([], "count_all")])
+        return g.rename_columns(["cell", "n"])
+
+    counts = blocks_table(combine_by_key(ds, ["cell"], {"n": "sum"}, stage=cell_counts))
+    small = dict(zip(counts["cell"].to_pylist(), counts["n"].to_pylist()))
 
     # decide the final (zoom, cell) for every input cell, driver-side
     # (cheap: one entry per occupied cell, not per row). Ancestor sums
@@ -287,7 +292,7 @@ def write_partitioned_by_cell(
 
     # vectorized per-batch mapping: sorted key array + searchsorted
     # fancy-index (every batch cell is in final_level by construction
-    # — it came from the groupby over the same dataset); a per-row
+    # — it came from the count over the same dataset); a per-row
     # Python dict lookup here would be the hot Load stage's bottleneck
     keys_arr = np.array(sorted(final_level), dtype=np.int64)
     z_map = np.array([final_level[int(k)][0] for k in keys_arr], dtype=np.int64)

@@ -127,8 +127,8 @@ def snapshot_counts_stage(
 
     Returns (stage, key list); finish with ``combine_partials`` over
     ``io.map_blocks(docs, stage)``, or for corpus-cardinality keys
-    with ``groupby(keys).aggregate(Sum("n_part"))`` over
-    ``snapshot_counts``.
+    per key bucket with ``ops.relational.combine_by_key(docs, keys,
+    {"n_part": "sum"}, stage=stage)``.
     """
     ts = np.asarray(list(timestamps), dtype=np.int64)
     keys = ["ts_q"] + (["cell"] if cell_zoom is not None else [])

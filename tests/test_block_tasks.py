@@ -337,11 +337,49 @@ def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
     _runs_no_execution(executions, query)
 
 
-def test_fine_cells_stay_distributed(executions):
+def test_fine_cells_stay_distributed(monkeypatch, executions):
+    """The fine-cell final is high-cardinality: it combines per cell
+    bucket in io.reduce_by_key (routing tasks over the resident
+    blocks), never on the driver, and starts no Ray Data execution."""
     pipelines.q_snapshot_cells_fine(SF)
+    routed = []
+    task = rio._route_task
+
+    class Counting:
+        @staticmethod
+        def options(**kw):
+            routed.append(kw["num_returns"])
+            return task.options(**kw)
+
+    monkeypatch.setattr(rio, "_route_task", Counting)
     executions.clear()
     pipelines.q_snapshot_cells_fine(SF)
-    assert len(executions) >= 1
+    assert routed and not executions
+
+
+def test_operator_outputs_are_read_without_an_execution(executions):
+    """hash_join's co-group and k_core's gated (driver) result come
+    back materialized: io.map_blocks over them runs block tasks and
+    starts no Ray Data execution (a bare from_arrow_refs / from_arrow
+    Dataset would start one on its first to_arrow_refs)."""
+    import ray
+
+    from rayhist.ops.kcore import k_core
+    from rayhist.ops.relational import hash_join
+
+    def blocks(*tables):
+        return ray.data.from_arrow_refs([ray.put(t) for t in tables]).materialize()
+
+    left = blocks(pa.table({"k": [1, 2, 3], "a": [4, 5, 6]}), pa.table({"k": [4], "a": [7]}))
+    right = blocks(pa.table({"k": [2, 3, 4, 5], "b": [8, 9, 10, 11]}))
+    # a 4-clique plus a pendant node: the 3-core is the clique
+    edges = blocks(pa.table({"src": [0, 0, 0, 1, 1, 2, 3], "dst": [1, 2, 3, 2, 3, 3, 4]}))
+    joined = hash_join(left, right, on="k")
+    core, _ = k_core(edges, 3)
+    executions.clear()
+    assert rio.map_blocks(joined, lambda t: t).num_rows == 3
+    assert sorted(rio.map_blocks(core, lambda t: t)["node"].to_pylist()) == [0, 1, 2, 3]
+    assert not executions
 
 
 def test_graph_operators_run_no_ray_data_execution(executions):

@@ -215,6 +215,20 @@ def test_documents_bridge_matches_direct_pack(ray_session, tmp_path):
     assert texts == ["etype=click", "k=7", "highway=primary"]
 
 
+def test_documents_bridge_empty_inputs(ray_session, tmp_path):
+    """A bucket with no node rows packs to the typed empty documents
+    table: an empty path list and a ways/relations-only file both give
+    an empty DOCUMENTS_SCHEMA result, not a reduce error."""
+    from rayhist.model import DOCUMENTS_SCHEMA
+
+    rows = _rows()
+    m.write_osmpbf(str(tmp_path / "w.osh.pbf"), rows[rows["etype"] != "node"].reset_index(drop=True))
+    for paths in ([], [str(tmp_path / "w.osh.pbf")]):
+        docs = m.osmpbf_documents(paths)
+        assert docs.count() == 0
+        assert docs.schema().base_schema == DOCUMENTS_SCHEMA
+
+
 def test_varint_negative_int_fields_roundtrip():
     """Negative non-zigzag varints (protobuf int32/int64) sign-extend
     to 10 bytes and decode back exactly."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data
@@ -61,12 +62,17 @@ def test_prefix_sum_overflow_guard():
 
 
 def test_prefix_sum_boundary_monotonicity_guard(monkeypatch):
-    """The block-boundary assert catches a broken global order: stub
-    out the sort so out-of-order blocks reach phase 1, and the real
-    guard must fire."""
-    monkeypatch.setattr(ray.data.Dataset, "sort", lambda self, cols: self)
+    """The bin-boundary assert catches a broken global order: stub
+    out the range binning (bin = key parity) so out-of-order bins
+    reach phase 1, and the real guard must fire."""
+    from rayhist.ops import scan
+
+    def parity_bins(col, splitters):
+        return lambda t: t.append_column("_bin", pc.bit_wise_and(t[col], 1))
+
+    monkeypatch.setattr(scan, "_bin_stage", parity_bins)
     b1 = pd.DataFrame({"k": [5, 6], "v": [1, 1]})
-    b2 = pd.DataFrame({"k": [2, 9], "v": [1, 1]})  # 2 < 6: out of order
+    b2 = pd.DataFrame({"k": [2, 9], "v": [1, 1]})  # bin 1 starts at 5 < 6
     ds = ray.data.from_pandas([b1, b2])
     with pytest.raises(ValueError, match="total order"):
         ordered_prefix_sum(ds, ["k"], "v")

@@ -175,35 +175,71 @@ def test_tripped_deadline_raises_the_typed_error(where):
 
 # ------------------------------------------------- the queries it carries
 
-# every query whose wide step is an io.reduce_by_key shuffle
+# every query whose wide step is an io.reduce_by_key shuffle over
+# tables read at io.auto_num_blocks (osmpbf_snapshot_count_daily
+# shuffles the decoded blob blocks, one per blob, so its block count
+# does not follow auto_num_blocks; tests/test_osmpbf.py pins it)
 SHUFFLE_QUERIES = [
     "above_user_mean", "ann_cosine", "anti_join_orders", "asof_attribution",
-    "bloom_fpr_users", "bloom_semi_join_orders", "clipped_way_lengths",
-    "clipped_way_lengths_daily", "clipped_way_lengths_poly", "cohort_odds_ratio",
-    "cohort_retention", "contributor_territory", "conversion_latency_median",
-    "copurchase_assortativity", "copurchase_bfs_hops", "copurchase_cheapest_paths",
-    "copurchase_clustering", "copurchase_edge_jaccard", "copurchase_kcore", "copurchase_lcc",
-    "copurchase_pagerank", "copurchase_recommendations", "copurchase_triangles",
-    "doc_lm_surprisal", "dup_clusters", "etype_audience_overlap",
-    "etype_transitions", "event_debounce", "frequent_part_triples", "funnel3_users",
+    "bloom_fpr_users", "bloom_semi_join_orders", "bm25_top_docs", "clipped_way_lengths",
+    "clipped_way_lengths_daily", "clipped_way_lengths_poly", "cluster_dedup_summary",
+    "cohort_odds_ratio", "cohort_retention", "contributor_territory",
+    "conversion_latency_median", "copurchase_assortativity", "copurchase_bfs_hops",
+    "copurchase_cheapest_paths", "copurchase_clustering", "copurchase_edge_jaccard",
+    "copurchase_kcore", "copurchase_lcc", "copurchase_pagerank",
+    "copurchase_recommendations", "copurchase_triangles", "corpus_curation",
+    "customer_rfm_segments", "dedup_docs", "doc_lm_surprisal", "doc_token_packing",
+    "dup_clusters", "embedding_dup_pairs", "etype_audience_overlap", "etype_transitions",
+    "event_debounce", "events_by_type", "frequent_part_triples", "funnel3_users",
     "funnel_attribution_daily", "hapax_rate_by_source", "hexcell_dominant_uid",
-    "interarrival_median", "inverted_index", "knn_all", "knox_pairs",
-    "lifespan_overlap_pairs", "mad_value_by_type", "modal_value_by_type",
-    "nearest_road_distance", "order_price_ntiles", "orders_by_nation",
-    "outer_join_user_day", "pareto_orders", "part_hits_authority", "peak_concurrency",
+    "interarrival_median", "inverted_index", "keytable_freqs", "knn_all", "knox_pairs",
+    "lifespan_overlap_pairs", "mad_value_by_type", "modal_value_by_type", "near_dup_pairs",
+    "near_dup_source_matrix", "nearest_road_distance", "oov_rate_by_source",
+    "order_price_ntiles", "orders_by_nation", "outer_join_user_day", "pareto_orders",
+    "part_hits_authority", "peak_concurrency", "price_percentiles_cont", "price_quantiles",
     "profile_orders", "range_error_click_daily", "revenue_by_nation_month", "ripley_k",
-    "road_buffer_count", "rolling_active_users", "semivariogram", "sessions",
-    "snapshot_bbox_overlaps", "snapshot_colocation_pairs", "snapshot_incremental_merge",
-    "source_vocab_jaccard", "split_contamination", "supplier_fuzzy_pairs",
-    "tfidf_top_terms", "time_window_bursts",
-    "topk_orders_by_priority", "user_active_coverage", "user_burstiness",
-    "user_distinct_etypes", "user_entropy", "user_event_ranks", "user_first_events",
-    "user_gini_by_etype", "user_journeys", "user_streaks", "user_value_dist",
-    "user_value_ewma", "user_value_holt", "users_click_not_purchase",
-    "value_quantiles_by_type", "way_areas", "way_bearing_rose", "way_boundary_crossings",
-    "way_centroids", "way_chain_lengths", "way_compactness", "way_lengths",
-    "weighted_median_price", "window_rolling_spikes",
+    "road_buffer_count", "rolling_active_users", "rolling_median_value", "semivariogram",
+    "sessions", "shared_windows", "simhash_pairs", "snapshot_bbox_overlaps",
+    "snapshot_cells_fine", "snapshot_cells_salted", "snapshot_colocation_pairs",
+    "snapshot_hotspot_clusters", "snapshot_incremental_merge", "source_vocab_jaccard",
+    "split_contamination", "supplier_fuzzy_pairs", "tfidf_top_terms", "time_window_bursts",
+    "token_zipf_slope", "top_words", "topk_orders_by_priority", "trimmed_mean_by_type",
+    "user_active_coverage", "user_burstiness", "user_distinct_etypes", "user_entropy",
+    "user_event_ranks", "user_first_events", "user_gini_by_etype", "user_journeys",
+    "user_recency_scores", "user_streaks", "user_value_dist", "user_value_ewma",
+    "user_value_holt", "users_click_not_purchase", "value_equidepth_bins",
+    "value_percentile_mass_by_type", "value_quantiles_by_type", "vocab_growth", "way_areas",
+    "way_bearing_rose", "way_boundary_crossings", "way_centroids", "way_chain_lengths",
+    "way_compactness", "way_lengths", "weighted_median_price", "window_rolling_spikes",
 ]
+
+# queries whose low-cardinality final combines on the driver: no shuffle
+DRIVER_COMBINE_QUERIES = ["doc_stats", "doc_tokens", "stratified_sample_docs"]
+
+
+@pytest.fixture
+def all_to_all(monkeypatch):
+    """Names of the Ray Data all-to-all operators (sort, aggregate,
+    repartition) in the DAG of every execution started on the driver."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    found = []
+    execute = StreamingExecutor.execute
+
+    def recording(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            if isinstance(op, AllToAllOperator):
+                found.append(op.name)
+            stack.extend(op.input_dependencies)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    return found
 
 
 def _at_blocks(monkeypatch, query: str, n: int) -> pd.DataFrame:
@@ -215,12 +251,13 @@ def _at_blocks(monkeypatch, query: str, n: int) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("query", SHUFFLE_QUERIES)
-def test_query_is_block_count_invariant(monkeypatch, query):
+def test_query_is_block_count_invariant(monkeypatch, all_to_all, query):
     """One input block is one hash bucket. At 16 blocks every shuffle
     has at least four buckets, and one keyed by user (15 users in this
     table) leaves some of them empty, so each reduce body sees the
     complete groups of keys split over blocks, and empty tables. Both
-    runs give the same frame."""
+    runs give the same frame, and neither starts Ray Data's own
+    shuffle."""
     routed = []  # block count of every reduce_by_key input
     task = rio._route_task
 
@@ -236,6 +273,17 @@ def test_query_is_block_count_invariant(monkeypatch, query):
     many = _at_blocks(monkeypatch, query, 16)
     assert routed and min(routed) >= 4
     pd.testing.assert_frame_equal(one, many)
+    assert not all_to_all
+
+
+@pytest.mark.parametrize("query", DRIVER_COMBINE_QUERIES)
+def test_driver_combine_query_is_block_count_invariant(monkeypatch, all_to_all, query):
+    """A low-cardinality final is per-block partials combined on the
+    driver: the same frame at 1 and 16 blocks, no shuffle at all."""
+    one = _at_blocks(monkeypatch, query, 1)
+    many = _at_blocks(monkeypatch, query, 16)
+    pd.testing.assert_frame_equal(one, many)
+    assert not all_to_all
 
 
 @pytest.mark.parametrize(
@@ -256,27 +304,38 @@ def test_query_with_no_result_row_keeps_its_schema(monkeypatch, query, setting, 
 
 
 def test_no_hand_rolled_bucket_shuffle():
-    """Complete-key shuffles in these modules go through
+    """Every complete-key shuffle in ``rayhist/`` goes through
     io.reduce_by_key: no hash-bucket column feeding a Dataset groupby,
-    no map_groups in the migrated operator modules, and no hand-rolled
-    bucket routing anywhere."""
+    no map_groups, no Ray Data aggregate, and no hand-rolled bucket
+    routing. The one exception is ``.map_groups(`` over a ``"_bucket"``
+    column in the ensure-time pack shuffles that build the cached tables
+    (``ingest.py`` and ``osmpbf._encode_bucketed``): they run on every
+    benchmark's setup path and move separately. Every other pattern is
+    checked in every file, those two included."""
+    import ast
     from pathlib import Path
 
     root = Path(rio.__file__).parent
-    for rel in ("pipelines.py", "ops/sessions.py", "spatial/knn.py"):
-        src = (root / rel).read_text()
-        for pattern in ('.groupby("_bucket")', '"_kb"', '"_qb"', '"_tcell"'):
-            assert pattern not in src, (rel, pattern)
-    for rel in (
-        "ops/relational.py", "ops/window.py", "ops/scan.py", "ops/profile.py",
-        "aggregate.py", "spatial/radius.py", "spatial/rectjoin.py", "ops/bfs.py",
-        "ops/cc.py", "ops/hits.py", "ops/kcore.py", "ops/pagerank.py", "ops/sssp.py",
-        "ops/triangles.py",
-    ):
-        src = (root / rel).read_text()
-        for pattern in ('.groupby("_bucket")', ".map_groups(", '"_bucket"'):
-            assert pattern not in src, (rel, pattern)
+    everywhere = (
+        "ray.data.aggregate", '"_pb"', '"_hb"', '"_kb"', '"_qb"', '"_tcell"',
+        "_shingle_buckets", "_pair_bucket", "_bucket_of", "_resolve_buckets",
+    )
+    outside_ensure = (".map_groups(", '"_bucket"')
+    checked = 0
     for path in root.rglob("*.py"):
+        rel = path.relative_to(root).as_posix()
         src = path.read_text()
-        for pattern in ("_bucket_of", "_resolve_buckets"):
+        for pattern in everywhere:
             assert pattern not in src, (path, pattern)
+        if rel == "ingest.py":
+            src = ""
+        elif rel == "sources/osmpbf.py":
+            fn = next(
+                n for n in ast.parse(src).body
+                if isinstance(n, ast.FunctionDef) and n.name == "_encode_bucketed"
+            )
+            src = src.replace(ast.get_source_segment(src, fn), "")
+        for pattern in outside_ensure:
+            assert pattern not in src, (path, pattern)
+        checked += 1
+    assert checked > 40
