@@ -390,10 +390,16 @@ class MapReducer:
     def _needs_full_decode(self) -> bool:
         return bool(self._entity_filters or self._transforms)
 
-    def _view_stage(self, need_tags, need_geom):
+    def _view_stage(self, need_tags, need_geom, reads=None):
         """The fused per-batch kernel: decode -> version masks ->
-        interpolate/classify -> AOI -> row filters -> maps."""
+        interpolate/classify -> AOI -> row filters -> maps.
+
+        ``reads`` names the view columns the caller reads (None: all
+        of them); the interpolation gathers only those state columns
+        and what the AOI and region steps read. A chain with maps or
+        row filters keeps every column (they may read any)."""
         from .model import decode_spans
+        from .temporal import _STATE_COLS
         from .temporal import contributions as contrib_fn
         from .temporal import snapshots as snap_fn
 
@@ -410,6 +416,12 @@ class MapReducer:
             raise ValueError("snapshot view needs timestamps()")
         ts = np.asarray(self._ts, dtype=np.int64)
         t_from, t_to = (0, 0) if is_snap else self._interval()
+        gather = None
+        if reads is not None and not transforms:
+            need = set(reads)
+            if regions or (is_snap and aoi is not None):
+                need |= {"lon_e7", "lat_e7"}
+            gather = [c for c in _STATE_COLS if c in need]
         # int-keytable tag filtering: when the caller asks for
         # need_tags="luts" (tag strings would be decoded ONLY for the
         # filters), run the filters as per-version sig-id LUT gathers
@@ -448,7 +460,7 @@ class MapReducer:
                 mm = np.asarray(ef(decoded), dtype=bool)
                 m = mm if m is None else (m & mm)
             if is_snap:
-                out = snap_fn(decoded, ts, m)
+                out = snap_fn(decoded, ts, m, columns=gather)
                 if aoi is not None:
                     keep = aoi(
                         out["lon_e7"].to_numpy(zero_copy_only=False),
@@ -462,7 +474,7 @@ class MapReducer:
                         decoded["lon_e7"].to_numpy(zero_copy_only=False),
                         decoded["lat_e7"].to_numpy(zero_copy_only=False),
                     )
-                out = contrib_fn(decoded, t_from, t_to, m, aoi=amask)
+                out = contrib_fn(decoded, t_from, t_to, m, aoi=amask, columns=gather)
             for kind, fn in transforms:  # chain order is semantic
                 if kind == "filter":
                     out = out.filter(pa.array(np.asarray(fn(out), dtype=bool)))
@@ -583,8 +595,10 @@ class MapReducer:
         need_geom = need_full or self._aoi_mask_fn() is not None or bool(
             self._regions
         ) or bool(_GEOM_COLS & read_cols)
-        view_stage = self._view_stage(need_tags, need_geom)
         agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
+        view_stage = self._view_stage(
+            need_tags, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
+        )
         bins = self._bins() if (agg_ts and not is_snap) else None
         src_cols = list(sums.keys())
 
@@ -676,8 +690,10 @@ class MapReducer:
             need_full or self._aoi_mask_fn() is not None or bool(self._regions)
             or bool(_GEOM_COLS & read_cols)
         )
-        view_stage = self._view_stage(need_tags, need_geom)
         agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
+        view_stage = self._view_stage(
+            need_tags, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
+        )
         bins = self._bins() if (agg_ts and not is_snap) else None
         agg_cols = self._agg_cols
 
@@ -784,7 +800,7 @@ class MapReducer:
             def node_stage(batch: pa.Table) -> pa.Table:
                 if deadline is not None:
                     deadline.check()
-                s = snap_fn(decode_spans(batch, tags=False, geom=False), ts)
+                s = snap_fn(decode_spans(batch, tags=False, geom=False), ts, columns=[])
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "node")
 
             legs.append(map_blocks(self._docs(), node_stage))

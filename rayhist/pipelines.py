@@ -1705,21 +1705,35 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
     (MapAggregator.completeZerofill, :956-988)."""
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
     etypes = ["click", "error", "purchase", "signup", "view"]
+    # etype of every keytable signature, read on the driver; the
+    # trailing slot is tag id -1 (no tags), as in TagFilter.sig_lut
+    etype_of = pa.array(
+        [
+            dict(t.split("=", 1) for t in sig.split("|") if t).get("etype", "")
+            for sig in sig_keytable(sf_dir)
+        ]
+        + [""],
+        pa.string(),
+    )
 
     def stage(batch: pa.Table) -> pa.Table:
-        # etype comes from the tag spans -> tags=True; geometry unread
-        c = contributions(decode_spans(batch, geom=False), CONTRIB_FROM, CONTRIB_TO)
+        # int-keytable decode: no span text, tag strings or geometry
+        c = contributions(
+            decode_spans(batch, tags="ids", geom=False), CONTRIB_FROM, CONTRIB_TO,
+            tag_col="tag_id", columns=["ts", "tag_id"],
+        )
+        ids = c["tag_id"].to_numpy(zero_copy_only=False)
         t = pa.table(
             {
                 "ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)),
-                "etype": c["etype"],
+                "etype": etype_of.take(pa.array(ids % len(etype_of))),
             }
         )
         g = pa.TableGroupBy(t, ["ts_q", "etype"]).aggregate([([], "count_all")])
         return g.rename_columns(["ts_q", "etype", "n_part"])
 
     agg = combine_partials(
-        rio.map_blocks(_docs(sf_dir, spans=True), stage), ["ts_q", "etype"], {"n_part": "n"}
+        rio.map_blocks(_docs(sf_dir), stage), ["ts_q", "etype"], {"n_part": "n"}
     )
     return zerofill(agg, {"ts_q": CONTRIB_BINS, "etype": etypes}, {"n": 0})
 

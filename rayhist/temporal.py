@@ -36,6 +36,18 @@ Everything here is numpy over flat, doc-grouped version arrays — no
 Python per-row loops. Inputs come from ``model.decode_spans`` and must
 contain COMPLETE documents (all versions of every doc present), which
 holds per construction: one span-table row carries a full history.
+
+Version order: every document producer (ingest's pack, the pbfish and
+osmpbf bridges, ``fixtures.versions_to_documents``) writes a
+document's versions oldest -> newest, so a decoded batch is already
+sorted by (doc, ts, v). ``_sorted_versions`` checks that with one pass
+of adjacent comparisons and uses the rows as they are, as the
+reference trusts its on-disk order (OSHNodeImpl.java:30). Dirty data
+(``model.reverse_version_runs``, hand-built version tables, interleaved
+docs) fails the check and takes the fallback: a stable lexsort, with
+every per-row mask realigned by the returned permutation — the
+reference's ``HEADER_TIMESTAMPS_NOT_IN_ORDER`` path. Both give
+identical results.
 """
 
 from __future__ import annotations
@@ -235,41 +247,71 @@ def _doc_codes(tbl: pa.Table) -> np.ndarray:
     return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
+def _in_order(codes: np.ndarray, ts: np.ndarray, v: np.ndarray) -> bool:
+    """True when the rows are non-decreasing in (doc code, ts, v).
+
+    One pass of adjacent comparisons (no subtraction, so no int64
+    wrap). ``np.lexsort`` is stable, so this holds exactly when the
+    lexsort of these keys would be the identity permutation."""
+    if len(codes) < 2:
+        return True
+    c0, c1, t0, t1 = codes[:-1], codes[1:], ts[:-1], ts[1:]
+    later = (t0 > t1) | ((t0 == t1) & (v[:-1] > v[1:]))
+    return not ((c0 > c1) | ((c0 == c1) & later)).any()
+
+
 def _sorted_versions(tbl: pa.Table):
     """Return (table, codes, ts, v, order) sorted by (doc, ts, v);
     ``order`` is None when the input was already sorted, else the
     permutation (callers must realign any per-row masks with it).
 
-    Handles out-of-order histories the way the reference's
-    ``HEADER_TIMESTAMPS_NOT_IN_ORDER`` flag does (OSHNodeImpl.java:30):
-    by sorting, not by trusting input order.
+    Every producer writes a document's versions oldest -> newest, so
+    the order test passes and nothing is sorted. Out-of-order
+    histories are sorted here, the way the reference's
+    ``HEADER_TIMESTAMPS_NOT_IN_ORDER`` flag does (OSHNodeImpl.java:30).
     """
     codes = _doc_codes(tbl)
     ts = tbl["ts"].to_numpy(zero_copy_only=False)
     v = tbl["v"].to_numpy(zero_copy_only=False)
+    if _in_order(codes, ts, v):
+        return tbl, codes, ts, v, None
     order = np.lexsort((v, ts, codes))
-    if len(order) and not (np.diff(order) == 1).all():
-        tbl = tbl.take(pa.array(order))
-        codes, ts, v = codes[order], ts[order], v[order]
-        return tbl, codes, ts, v, order
-    return tbl, codes, ts, v, None
+    tbl = tbl.take(pa.array(order))
+    return tbl, codes[order], ts[order], v[order], order
+
+
+def _gather(tbl: pa.Table, columns, rows: np.ndarray, **extra) -> pa.Table:
+    """The ``columns`` state columns (all of ``_STATE_COLS`` when None)
+    at ``rows``, followed by the ``extra`` columns."""
+    idx = pa.array(rows, type=pa.int64())
+    cols = _STATE_COLS if columns is None else columns
+    return pa.table({**{c: tbl[c].take(idx) for c in cols}, **extra})
+
+
+# probe keys per searchsorted call in ``snapshots``: whole timestamps
+# up to this many keys (8 MB per int64 temporary), at least one
+# timestamp's n_docs keys, so a batch with many query timestamps never
+# holds all its probe keys at once
+_PROBE_KEYS = 1 << 20
 
 
 def snapshots(
     tbl: pa.Table,
     timestamps: np.ndarray,
     match: np.ndarray | None = None,
+    columns: list[str] | None = None,
 ) -> pa.Table:
     """Snapshot interpolation: one output row per (doc, T) with state.
 
     ``match`` is the per-version filter mask (True = version matches);
     emission requires visible AND match at the interpolated state.
-    Output = state columns + ``ts_q`` (the query timestamp).
+    Output = the ``columns`` state columns (default: all of
+    ``_STATE_COLS``) + ``ts_q`` (the query timestamp), ordered by query
+    timestamp, then document.
     """
     timestamps = np.asarray(timestamps, dtype=np.int64)
     if len(tbl) == 0 or len(timestamps) == 0:
-        empty = tbl.select(_STATE_COLS).slice(0, 0)
-        return empty.append_column("ts_q", pa.array([], type=pa.int64()))
+        return _gather(tbl, columns, np.zeros(0, np.int64), ts_q=pa.array([], pa.int64()))
     tbl, codes, ts, _v, order = _sorted_versions(tbl)
     if order is not None and match is not None:
         match = match[order]
@@ -289,31 +331,27 @@ def snapshots(
         raise ValueError("batch too wide for composite key")
     key = (codes << shift) | rel
 
+    # one probe key per (doc, T): the latest version with ts <= T of
+    # each doc is the last key <= (doc, T). Probed doc-major (ascending
+    # keys when the timestamps are, which keeps the binary searches
+    # local), then transposed to the T-major output order
+    t_q = timestamps[timestamps >= ts_min]
     n_docs = int(codes.max()) + 1
-    all_codes = np.arange(n_docs, dtype=np.int64)
-
-    picked_rows: list[np.ndarray] = []
-    picked_ts: list[np.ndarray] = []
-    shifted_codes = all_codes << shift  # loop-invariant
-    for t_q in timestamps:
-        t_rel = int(t_q) - ts_min
-        if t_rel < 0:
-            continue
-        qkey = shifted_codes | t_rel
-        idx = np.searchsorted(key, qkey, side="right") - 1
-        valid = idx >= 0
-        valid[valid] &= (key[idx[valid]] >> shift) == all_codes[valid]
-        rows = idx[valid]
-        rows = rows[m[rows]]
-        picked_rows.append(rows)
-        picked_ts.append(np.full(len(rows), t_q, dtype=np.int64))
-
-    if not picked_rows:
-        empty = tbl.select(_STATE_COLS).slice(0, 0)
-        return empty.append_column("ts_q", pa.array([], type=pa.int64()))
-    rows = np.concatenate(picked_rows)
-    out = tbl.select(_STATE_COLS).take(pa.array(rows))
-    return out.append_column("ts_q", pa.array(np.concatenate(picked_ts)))
+    docs = np.arange(n_docs, dtype=np.int64)
+    step = max(1, _PROBE_KEYS // n_docs)
+    rows: list[np.ndarray] = [np.zeros(0, np.int64)]
+    ts_q: list[np.ndarray] = [np.zeros(0, np.int64)]
+    for i in range(0, len(t_q), step):
+        chunk = t_q[i : i + step]
+        probe = (docs[:, None] << shift) | (chunk[None, :] - ts_min)
+        idx = np.searchsorted(key, probe.ravel(), side="right") - 1
+        idx = idx.reshape(probe.shape).T.ravel()
+        # idx -1 (no key <= probe) wraps to the last row; the first
+        # term masks it out
+        hit = (idx >= 0) & (codes[idx] == np.tile(docs, len(chunk))) & m[idx]
+        rows.append(idx[hit])
+        ts_q.append(np.repeat(chunk, n_docs)[hit])
+    return _gather(tbl, columns, np.concatenate(rows), ts_q=pa.array(np.concatenate(ts_q)))
 
 
 def contributions(
@@ -323,6 +361,7 @@ def contributions(
     match: np.ndarray | None = None,
     aoi: np.ndarray | None = None,
     tag_col: str = "tag_sig",
+    columns: list[str] | None = None,
 ) -> pa.Table:
     """Contribution classification over [t_from, t_to) — see module doc.
 
@@ -340,12 +379,13 @@ def contributions(
     visibility+filter, as in the reference where the clip is evaluated
     during the walk).
 
-    Output = state columns of the modification's version + boolean
+    Output = the ``columns`` state columns of the modification's
+    version (default: all of ``_STATE_COLS``) + boolean
     ``is_creation / is_deletion / is_tag_change / is_geom_change`` and
     previous-state columns ``prev_lon_e7 / prev_lat_e7``.
     """
     if len(tbl) == 0:
-        return _empty_contributions(tbl)
+        return _empty_contributions(tbl, columns)
     tbl, codes, ts, _v, order = _sorted_versions(tbl)
     if order is not None:
         if match is not None:
@@ -362,7 +402,7 @@ def contributions(
     kept = m | prev_m
     k = np.flatnonzero(kept)
     if len(k) == 0:
-        return _empty_contributions(tbl)
+        return _empty_contributions(tbl, columns)
 
     # 2. changeset collapse within the kept subsequence
     cs = tbl["cs"].to_numpy(zero_copy_only=False)
@@ -381,7 +421,7 @@ def contributions(
     in_interval = (ts[f] >= t_from) & (ts[f] < t_to)
     emit &= in_interval
     if not emit.any():
-        return _empty_contributions(tbl)
+        return _empty_contributions(tbl, columns)
 
     lon = tbl["lon_e7"].to_numpy(zero_copy_only=False)
     lat = tbl["lat_e7"].to_numpy(zero_copy_only=False)
@@ -394,27 +434,22 @@ def contributions(
     is_geom_change = both & ((lon[f] != lon[pf]) | (lat[f] != lat[pf]))
 
     sel = np.flatnonzero(emit)
-    rows = f[sel]
-    out = tbl.select(_STATE_COLS).take(pa.array(rows))
     prev_rows = pf[sel]
-    prev_ok = has_prev[sel] & p_all[pf[sel]]
-    out = out.append_column("is_creation", pa.array(is_creation[sel]))
-    out = out.append_column("is_deletion", pa.array(is_deletion[sel]))
-    out = out.append_column("is_tag_change", pa.array(is_tag_change[sel]))
-    out = out.append_column("is_geom_change", pa.array(is_geom_change[sel]))
-    out = out.append_column(
-        "prev_lon_e7", pa.array(np.where(prev_ok, lon[prev_rows], 0))
+    prev_ok = has_prev[sel] & p_all[prev_rows]
+    return _gather(
+        tbl,
+        columns,
+        f[sel],
+        is_creation=is_creation[sel],
+        is_deletion=is_deletion[sel],
+        is_tag_change=is_tag_change[sel],
+        is_geom_change=is_geom_change[sel],
+        prev_lon_e7=np.where(prev_ok, lon[prev_rows], 0),
+        prev_lat_e7=np.where(prev_ok, lat[prev_rows], 0),
     )
-    out = out.append_column(
-        "prev_lat_e7", pa.array(np.where(prev_ok, lat[prev_rows], 0))
-    )
-    return out
 
 
-def _empty_contributions(tbl: pa.Table) -> pa.Table:
-    out = tbl.select(_STATE_COLS).slice(0, 0)
-    for c in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
-        out = out.append_column(c, pa.array([], type=pa.bool_()))
-    for c in ("prev_lon_e7", "prev_lat_e7"):
-        out = out.append_column(c, pa.array([], type=pa.int64()))
-    return out
+def _empty_contributions(tbl: pa.Table, columns) -> pa.Table:
+    flags = {c: np.zeros(0, bool) for c in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change")}
+    prev = {c: np.zeros(0, np.int64) for c in ("prev_lon_e7", "prev_lat_e7")}
+    return _gather(tbl, columns, np.zeros(0, np.int64), **flags, **prev)

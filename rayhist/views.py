@@ -138,13 +138,14 @@ def snapshot_counts_stage(
     lut = tag_filter.sig_lut(keytable) if use_ids else None
     need_tags = "ids" if use_ids else tag_filter is not None
     need_geom = cell_zoom is not None
+    gather = ["lon_e7", "lat_e7"] if need_geom else []
 
     def stage(batch: pa.Table) -> pa.Table:
         if deadline is not None:
             deadline.check()
         decoded = decode_spans(batch, tags=need_tags, geom=need_geom)
         m = _ids_mask(decoded, lut) if use_ids else _match_mask(decoded, tag_filter)
-        s = snapshots(decoded, ts, m)
+        s = snapshots(decoded, ts, m, columns=gather)
         cols = s.select(["ts_q"])
         if cell_zoom is not None:
             from .spatial.grid import cell_id
@@ -212,6 +213,7 @@ def contribution_stats_stage(
         c = contributions(
             decoded, int(t_from), int(t_to), m,
             tag_col="tag_id" if use_ids else "tag_sig",
+            columns=["ts"] if bins_arr is not None else [],
         )
         t = pa.table(
             {

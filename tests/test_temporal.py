@@ -241,15 +241,53 @@ def test_reverse_version_runs_invariant_end_to_end():
     )
 
 
+def _history_rows(docs, mode, perm_seed=0):
+    """Version rows for ``docs`` (lists of version dicts), timestamps
+    tied within a doc and broken by v. ``"sorted"`` keeps ingest order;
+    the dirty orders: ``"ties"`` reverses only each run of tied
+    versions, ``"reverse"`` each doc's versions, ``"shuffle"`` reverses
+    them and shuffles the rows across docs (by ``perm_seed``)."""
+    rows = []
+    for d_i, versions in enumerate(docs):
+        doc = [
+            dict(
+                doc_id=f"node/{d_i}",
+                v=v_n,
+                ts=YEAR_US[2007 + vr["ts_i"]],
+                cs=vr["cs"],
+                uid=1,
+                visible=vr["visible"],
+                lon_e7=vr["lon"],
+                lat_e7=0,
+                tags={"etype": vr["etype"]},
+            )
+            for v_n, vr in enumerate(sorted(versions, key=lambda r: r["ts_i"]), start=1)
+        ]
+        if mode == "ties":
+            doc.sort(key=lambda r: (r["ts"], -r["v"]))
+        elif mode != "sorted":
+            doc.reverse()
+        rows.extend(doc)
+    if mode == "shuffle":
+        rows = [rows[i] for i in np.random.default_rng(perm_seed).permutation(len(rows))]
+    return rows
+
+
 def test_property_random_histories_match_oracle():
-    """Property test (hypothesis): arbitrary small histories — the
-    vectorized core matches the loop oracle for both views under
-    every filter variant."""
+    """Property test (hypothesis): arbitrary small histories, ties on
+    ts included, in ingest order or dirty (tied versions in reverse v
+    order, docs reversed, rows shuffled across docs: every dirty draw
+    with a row out of (doc, ts, v) order takes the lexsort fallback) —
+    the vectorized core matches the loop oracle for both views under
+    every filter variant, and a ``columns=`` subset (any order) is
+    exactly that projection of the full output."""
     from hypothesis import given, settings, strategies as st
+
+    from rayhist.temporal import _STATE_COLS
 
     version_st = st.fixed_dictionaries(
         {
-            "ts_i": st.integers(0, 9),
+            "ts_i": st.integers(0, 6),  # narrow range: ties are common
             "visible": st.booleans(),
             "cs": st.integers(0, 3),
             "lon": st.integers(0, 2),
@@ -259,41 +297,31 @@ def test_property_random_histories_match_oracle():
     doc_st = st.lists(version_st, min_size=1, max_size=7)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(doc_st, min_size=1, max_size=5), st.integers(0, 8), st.integers(1, 9))
-    def run(docs, a, span):
-        rows = []
-        for d_i, versions in enumerate(docs):
-            seen = set()
-            v_n = 0
-            for vr in sorted(versions, key=lambda r: r["ts_i"]):
-                if vr["ts_i"] in seen:
-                    continue  # unique timestamps per doc
-                seen.add(vr["ts_i"])
-                v_n += 1
-                rows.append(
-                    dict(
-                        doc_id=f"node/{d_i}",
-                        v=v_n,
-                        ts=YEAR_US[2007 + vr["ts_i"]],
-                        cs=vr["cs"],
-                        uid=1,
-                        visible=vr["visible"],
-                        lon_e7=vr["lon"],
-                        lat_e7=0,
-                        tags={"etype": vr["etype"]},
-                    )
-                )
-        tbl = make_versions(rows)
+    @given(
+        st.lists(doc_st, min_size=1, max_size=5),
+        st.sampled_from(["sorted", "ties", "reverse", "shuffle"]),
+        st.integers(0, 2**31),
+        st.integers(0, 8),
+        st.integers(1, 9),
+        st.lists(st.sampled_from(_STATE_COLS), unique=True),
+    )
+    def run(docs, mode, perm_seed, a, span, cols):
+        tbl = make_versions(_history_rows(docs, mode, perm_seed))
         t0 = YEAR_US[2007 + a]
         t1 = YEAR_US[min(2007 + a + span, 2019)]
         for tf_spec in [None, ("etype", "click")]:
             tf = TagFilter(*tf_spec) if tf_spec else None
             mask = tf.mask(tbl) if tf else None
-            assert _snap_set(snapshots(tbl, YEARLY, mask)) == snapshots_oracle(
-                tbl, YEARLY, tf_spec
+            snap = snapshots(tbl, YEARLY, mask)
+            assert _snap_set(snap) == snapshots_oracle(tbl, YEARLY, tf_spec)
+            assert snapshots(tbl, YEARLY, mask, columns=cols).equals(
+                snap.select(cols + ["ts_q"])
             )
-            assert _contrib_list(contributions(tbl, t0, t1, mask)) == contributions_oracle(
-                tbl, t0, t1, tf_spec
+            contrib = contributions(tbl, t0, t1, mask)
+            assert _contrib_list(contrib) == contributions_oracle(tbl, t0, t1, tf_spec)
+            flags = contrib.column_names[len(_STATE_COLS):]
+            assert contributions(tbl, t0, t1, mask, columns=cols).equals(
+                contrib.select(cols + flags)
             )
 
     run()
@@ -614,3 +642,99 @@ def test_twa_daily_invariant_under_unsorted_runs():
         ["etype"], {"dwell_p": "dwell_us"},
     )
     assert int(clean["visible_us"].sum()) == int(dwell["dwell_us"].sum())
+
+
+def _history_scan_stages(sf_dir):
+    """The five history_scan stage builders, as the queries build them."""
+    from rayhist.ingest import sig_keytable
+    from rayhist.pipelines import (
+        CELL_ZOOM, CONTRIB_BINS, CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY, SNAP_WEEKLY,
+    )
+    from rayhist.views import contribution_stats_stage, snapshot_counts_stage
+
+    kt = sig_keytable(sf_dir)
+    return {
+        "snapshot_count_daily": snapshot_counts_stage(SNAP_DAILY),
+        "snapshot_cells": snapshot_counts_stage(SNAP_WEEKLY, cell_zoom=CELL_ZOOM),
+        "snapshot_count_daily_click": snapshot_counts_stage(
+            SNAP_DAILY, TagFilter("etype", "click"), keytable=kt
+        ),
+        "contrib_type_counts": contribution_stats_stage(
+            CONTRIB_FROM, CONTRIB_TO, None, keytable=kt
+        ),
+        "contrib_daily": contribution_stats_stage(
+            CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS, flag_cols=["is_creation"]
+        ),
+    }
+
+
+def test_history_scan_stages_skip_sort_on_ingest_order(monkeypatch):
+    """Ingest writes every document's versions oldest -> newest, so the
+    history_scan stages must not sort (the lexsort raises here); on
+    reversed version runs they must take the fallback and return the
+    same partials."""
+    from rayhist.ingest import read_documents
+    from rayhist.model import DECODE_COLUMNS, reverse_version_runs
+
+    sf = "/root/testdata/sf0.001"
+    batch = read_documents(sf, columns=DECODE_COLUMNS).take_batch(
+        100_000, batch_format="pyarrow"
+    )
+    dirty = reverse_version_runs(batch)
+    stages = _history_scan_stages(sf)
+    real_lexsort = np.lexsort
+
+    def boom(*a, **k):
+        raise AssertionError("ingest-ordered versions were sorted")
+
+    monkeypatch.setattr(np, "lexsort", boom)
+    clean = {name: stage(batch) for name, (stage, _) in stages.items()}
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real_lexsort(*a, **k)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    for name, (stage, keys) in stages.items():
+        n = len(calls)
+        got = stage(dirty)
+        assert len(calls) > n, f"{name}: reversed runs did not reach the sort"
+        assert len(clean[name]) > 0
+        if keys:
+            by = [(k, "ascending") for k in keys]
+            got, want = got.sort_by(by), clean[name].sort_by(by)
+        else:
+            want = clean[name]
+        assert got.equals(want), name
+
+
+def test_snapshot_composite_key_overflow_raises():
+    """Two docs need one doc-code bit; a query 2**60 us past the only
+    edit leaves none, so the composite key would mix the docs. It must
+    fail loudly instead of returning another document's state."""
+    tbl = make_versions(
+        [
+            dict(doc_id="node/1", v=1, ts=0, cs=1, lon_e7=1, lat_e7=1),
+            dict(doc_id="node/2", v=1, ts=0, cs=2, lon_e7=2, lat_e7=2),
+        ]
+    )
+    assert len(snapshots(tbl, np.array([2**40]))) == 2
+    with pytest.raises(ValueError, match="batch too wide for composite key"):
+        snapshots(tbl, np.array([2**60]))
+
+
+def test_snapshot_probe_chunks_keep_output(monkeypatch):
+    """The probe runs in chunks of query timestamps; any chunk size
+    gives the same rows in the same (T, doc) order, also for unsorted,
+    repeated and before-every-edit timestamps."""
+    import rayhist.temporal as temporal
+
+    tbl = scenario_corpus()
+    tsq = np.r_[YEARLY[::-1], YEARLY[3], YEAR_US[2006] - 1]
+    want = snapshots(tbl, tsq)
+    assert len(want) > 0
+    assert pa.concat_tables([snapshots(tbl, [t]) for t in tsq]).equals(want)
+    for probe_keys in (1, 7, 64):
+        monkeypatch.setattr(temporal, "_PROBE_KEYS", probe_keys)
+        assert snapshots(tbl, tsq).equals(want)
