@@ -18,8 +18,9 @@ Rebuilds the semantics of the reference's ``MapAggregator``
   combined indices the FULL CROSS PRODUCT of expected key levels is
   completed. Snapshot views zerofill every query timestamp;
   contribution views all but the last (MapReducer.java:1857-1866).
-  Implemented as a driver-side reindex — the aggregated result is
-  small by construction (|keys| x |timestamps|), never the raw data.
+  Implemented on the driver by index arithmetic — the aggregated
+  result is small by construction (|keys| x |timestamps|), never the
+  raw data.
 
 - ``estimated_quantiles``: per-batch t-digest partials merged on the
   driver (TDigestReducer pattern, partial digests are tiny).
@@ -58,18 +59,58 @@ def zerofill(
     fill: dict[str, object],
 ) -> pd.DataFrame:
     """Complete a small aggregated frame with the cross product of
-    expected key levels, filling absent cells with identity values."""
-    keys = list(expected.keys())
-    if len(keys) == 1:
-        idx = pd.Index(list(expected[keys[0]]), name=keys[0])
-    else:
-        idx = pd.MultiIndex.from_product([list(expected[k]) for k in keys], names=keys)
-    out = df.set_index(keys).reindex(idx)
+    expected key levels, filling absent cells with identity values.
+
+    One row per cell of the product, sorted by the keys; rows of ``df``
+    whose keys fall outside the levels are dropped, its other columns
+    are NaN in the filled cells, and duplicate keys raise (as a pandas
+    reindex does). Each frame row is placed by its level positions
+    (``Index.get_indexer`` per key, ``np.ravel_multi_index``), so no
+    index is built over the frame."""
+    keys = list(expected)
+    levels = [pd.Index(list(expected[k])) for k in keys]
+    # each level's distinct entries in key order: a frame row's cell is
+    # its keys' positions there
+    uniq = [
+        lvl if lvl.is_monotonic_increasing and lvl.is_unique else lvl.unique().sort_values()
+        for lvl in levels
+    ]
+    codes = np.stack([u.get_indexer(df[k]) for u, k in zip(uniq, keys)])
+    hit = (codes >= 0).all(axis=0)
+    shape = tuple(len(u) for u in uniq)
+    cells = np.ravel_multi_index(codes[:, hit], shape)
+    if len(np.unique(cells)) < len(cells) or (
+        not hit.all() and df.loc[~hit, keys].duplicated().any()
+    ):
+        raise ValueError("zerofill: duplicate keys in the aggregated frame")
+    src = np.full(int(np.prod(shape)), -1, dtype=np.intp)
+    src[cells] = np.flatnonzero(hit)
+    # the product of the levels, then a stable sort by key
+    grid = [g.ravel() for g in np.meshgrid(*[np.arange(len(lvl)) for lvl in levels], indexing="ij")]
+    at = [g if lvl is u else u.get_indexer(lvl)[g] for g, lvl, u in zip(grid, levels, uniq)]
+    if any(lvl is not u for lvl, u in zip(levels, uniq)):
+        order = np.lexsort(at[::-1])
+        grid, at = [g[order] for g in grid], [a[order] for a in at]
+    rows = src[np.ravel_multi_index(at, shape)]
+    out = {k: lvl.to_numpy()[g] for k, lvl, g in zip(keys, levels, grid)}
+    filled = set()
+    for c in df.columns:
+        if c in expected:
+            continue
+        val = fill.get(c)
+        if isinstance(val, int) and df[c].dtype.kind in "iub":
+            col = pd.api.extensions.take(df[c].to_numpy(), rows, allow_fill=True, fill_value=val)
+            out[c] = col.astype(np.int64)
+            filled.add(c)
+        else:
+            out[c] = df[c].array.take(rows, allow_fill=True)
+    out = pd.DataFrame(out)
     for col, val in fill.items():
-        out[col] = out[col].fillna(val)
-        if isinstance(val, int):
-            out[col] = out[col].astype("int64")
-    return out.reset_index().sort_values(keys, kind="mergesort").reset_index(drop=True)
+        if col not in filled:
+            out[col] = out[col].fillna(val)
+            if isinstance(val, int):
+                out[col] = out[col].astype("int64")
+    return out
 
 
 def estimated_quantiles(
@@ -107,20 +148,56 @@ def uniq(ds: ray.data.Dataset, col: str) -> list:
     return sorted(vals, key=lambda v: (v is None, v))
 
 
+# an empty group sums to 0, as a SQL SUM over partial counts would
+_SUM = pc.ScalarAggregateOptions(min_count=0)
+
+
+def sorted_sums(t: pa.Table, keys: list[str], sums: dict[str, str]) -> pa.Table:
+    """The ``sums`` columns (source -> output name) of ``t`` summed per
+    ``keys`` in one Arrow ``group_by``, in the row order of a pandas
+    ``groupby(keys, sort=True, dropna=False)``: sorted by the keys,
+    null keys kept and last (a float NaN key groups with the nulls, a
+    categorical key sorts in category order); no keys, one row."""
+    t = t.select(keys + list(sums))
+    for i, k in enumerate(keys):
+        if pa.types.is_floating(t.schema.field(i).type):
+            t = t.set_column(i, k, pc.if_else(pc.is_nan(t[k]), None, t[k]))
+    g = t.group_by(keys, use_threads=False).aggregate([(src, "sum", _SUM) for src in sums])
+    g = pa.table([g[k] for k in keys] + [g[f"{src}_sum"] for src in sums],
+                 names=keys + list(sums.values()))
+    if not keys:
+        return g
+    sort_on = g.select(keys)
+    for i, k in enumerate(keys):
+        if pa.types.is_dictionary(sort_on.schema.field(i).type):
+            sort_on = sort_on.set_column(i, k, g[k].unify_dictionaries().combine_chunks().indices)
+    return g.take(pc.sort_indices(
+        sort_on, sort_keys=[(k, "ascending") for k in keys], null_placement="at_end"
+    ))
+
+
 def combine_partials(
     ds: pa.Table | ray.data.Dataset,
     keys: list[str],
     sums: dict[str, str],
 ) -> pd.DataFrame:
     """Final combine of pre-aggregated partials: the table
-    ``io.map_blocks`` returns, or a partials Dataset.
+    ``io.map_blocks`` returns, or a partials Dataset (read once as one
+    Arrow table).
 
     The partials are tiny by construction (#blocks x #keys), so a
     Dataset-level groupby would pay a full shuffle's scheduling
     overhead (~seconds) to move a few thousand rows; instead the
-    partials are brought to the driver and combined with one pandas
-    groupby — the reference's combiner step (MapAggregator.java:848-869)
-    at the driver, exactly like its client-side node-result merge.
+    partials are brought to the driver and combined with one Arrow
+    ``group_by`` (``sorted_sums``) — the reference's combiner step
+    (MapAggregator.java:848-869) at the driver, exactly like its
+    client-side node-result merge. The frame holds the keys, then the
+    ``sums`` outputs in their order, one row per key in the order of a
+    pandas ``groupby(keys, sort=True, dropna=False)``: sorted, null-key
+    groups kept (SQL GROUP BY) and last. Integer and bool sums are
+    int64, a keyless combine is one row, and a float sum column raises
+    ``TypeError``: money and counts are integers, and a float sum
+    depends on the order of its partials.
 
     Use ONLY for low-cardinality keys (timestamps, cells at coarse
     zoom, enum values). High-cardinality finals (fine-zoom cells,
@@ -128,8 +205,8 @@ def combine_partials(
     routed by the keys, so each key arrives here once) — rule of thumb:
     keys x blocks > ~10^7 rows means keep it distributed.
     """
-    df = ds.to_pandas()
-    if df.empty and not set(keys) | set(sums) <= set(df.columns):
+    t = ds if isinstance(ds, pa.Table) else blocks_table(ds)
+    if t.num_rows == 0 and not set(keys) | set(sums) <= set(t.column_names):
         # an all-empty partials Dataset can arrive schema-less (Ray
         # drops empty blocks): return a typed empty result — or, for a
         # global total (no keys), the zero row
@@ -138,19 +215,13 @@ def combine_partials(
         cols = {k: pd.Series([], dtype="object") for k in keys}
         cols.update({out: pd.Series([], dtype="int64") for out in sums.values()})
         return pd.DataFrame(cols)
-    if not keys:
-        row = pd.DataFrame([{out: df[src].sum() for src, out in sums.items()}])
-        for src, out in sums.items():  # ints stay exact int64; floats stay float
-            if pd.api.types.is_integer_dtype(df[src].dtype):
-                row[out] = row[out].astype("int64")
-        return row
-    # dropna=False: the Arrow per-batch partials KEEP null-key groups
-    # (pa.TableGroupBy semantics, same as SQL GROUP BY) — pandas'
-    # default would silently drop them here at the final combine
-    g = df.groupby(keys, as_index=False, dropna=False).agg(
-        **{out: (src, "sum") for src, out in sums.items()}
-    )
-    return g
+    for src in sums:
+        if pa.types.is_floating(t.schema.field(src).type):
+            raise TypeError(f"combine_partials: {src!r} is a float column; sum integers")
+    g = sorted_sums(t, keys, sums)
+    for out in sums.values():
+        g = g.set_column(g.schema.get_field_index(out), out, g[out].cast(pa.int64()))
+    return g.to_pandas()
 
 
 def grouped_estimated_quantiles(

@@ -579,7 +579,7 @@ class MapReducer:
         """Shared count/sum engine: per-batch partial aggregation inside
         the fused stage, driver combine of the tiny partials, zerofill."""
         self._require_node_only("this terminal")
-        from .aggregate import combine_partials, floor_bin, zerofill
+        from .aggregate import combine_partials, floor_bin, sorted_sums, zerofill
 
         keys = self._keys()
         read_cols = set(sums.keys()) | set(self._agg_cols)
@@ -650,7 +650,18 @@ class MapReducer:
             outs = blocks_table(reduce_by_key(docs, keys, final, stage=stage))
         else:
             outs = map_blocks(docs, stage)
-        df = combine_partials(outs, keys, outmap)
+        # a mapped float column's sum (combine_partials sums integers
+        # only): Arrow float64 sums in partial order, aligned row for
+        # row with the combine's keys
+        floats = {
+            c: out for c, out in outmap.items()
+            if c in outs.column_names and pa.types.is_floating(outs.schema.field(c).type)
+        }
+        df = combine_partials(outs, keys, {c: o for c, o in outmap.items() if c not in floats})
+        if floats:
+            fl = sorted_sums(outs, keys, floats)
+            df = df.assign(**{o: fl[o].to_numpy() for o in floats.values()})
+            df = df[[*keys, *outmap.values()]]
         if not keys:
             return df  # single-row frame; terminal unwraps
         if self._agg_ts or self._regions:
@@ -664,7 +675,9 @@ class MapReducer:
                     region_names if c == "region_id" else self._observed_levels(df[c])
                 )
             if all(len(v) for v in expected.values()):
-                df = zerofill(df, expected, {v: 0 for v in outmap.values()})
+                # a float sum fills 0.0 (an int fill would cast it to int64)
+                zero = {v: 0.0 if v in floats.values() else 0 for v in outmap.values()}
+                df = zerofill(df, expected, zero)
         if count_alias is None:
             df = df.drop(columns=["_n"])
         return df.sort_values(keys, kind="mergesort").reset_index(drop=True)

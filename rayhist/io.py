@@ -209,6 +209,9 @@ _resident_lock = threading.Lock()
 # filtered reads of resident tables -> (resident table, filter), so
 # map_blocks runs the filter inside its block task
 _filtered: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# resident tables -> their block refs, taken once at admission: a
+# to_arrow_refs() call plans and executes the Dataset again (~1 ms)
+_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _session() -> tuple[str, str]:
@@ -258,10 +261,14 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
 
     The first call per (Ray session, path, columns, file identity)
     materializes ``read_table(path, columns=columns)`` — as many blocks
-    as ``auto_num_blocks`` picks read tasks — and keeps it; later calls
-    return the kept ``MaterializedDataset``, so a query's fused
-    ``map_batches`` runs over in-memory blocks with no read planning
-    and no parquet decode. A rewritten file changes the identity and
+    as ``auto_num_blocks`` picks read tasks — compacts every block to
+    one chunk per column (one block task each; a parquet read leaves
+    one chunk per shard file, and each fetch of a block rebuilds every
+    chunk) and keeps it with its block refs; later calls return the
+    kept ``MaterializedDataset``, so a query's block tasks run over
+    in-memory blocks with no read planning and no parquet decode, and
+    ``map_blocks``/``reduce_by_key`` take the kept refs instead of a
+    ``to_arrow_refs()`` per query. A rewritten file changes the identity and
     reloads. Resident tables are an LRU over ``Dataset.size_bytes()``
     capped at ``RESIDENT_FRACTION`` of the cluster's object store; a
     table over the cap is read from disk on every call, as
@@ -283,6 +290,8 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
             entry = _resident.get(key)
         if entry is None:
             ds = read_table(path, columns=columns).materialize()
+            ds = materialize_blocks(ds, pa.Table.combine_chunks)
+            _kept[ds] = ds.to_arrow_refs()
             _admit((_session(), str(path), cols, ident), ds)
         elif entry.ds is None:
             entry.misses += 1
@@ -324,14 +333,21 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
 
 
-def blocks_table(blocks: MaterializedDataset | list) -> pa.Table:
-    """The rows of a materialized Dataset, or of a list of table refs
+def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
+    """The rows of a Dataset, or of a list of table refs
     (a ``reduce_by_key`` result), as one table in block order, read
     from the blocks: ``to_pandas()`` or ``iter_batches()`` would start
     a streaming execution even on a materialized Dataset."""
     if isinstance(blocks, ray.data.Dataset):
-        blocks = blocks.to_arrow_refs()
+        blocks = _refs(blocks)
     return _concat(ray.get(blocks))
+
+
+def _refs(ds: ray.data.Dataset) -> list:
+    """The block refs of ``ds``: the ones kept when a resident table was
+    admitted, else ``to_arrow_refs()``."""
+    refs = _kept.get(ds)
+    return ds.to_arrow_refs() if refs is None else refs
 
 
 def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list | None:
@@ -344,7 +360,7 @@ def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> l
         base, flt = _filtered.get(ds, (ds, None))
         if not isinstance(base, MaterializedDataset):
             return None
-        blocks = base.to_arrow_refs()
+        blocks = _refs(base)
     fn = ray.put(stage)
     return [_block_task.remote(fn, ref, flt, batch_size) for ref in blocks]
 
@@ -469,7 +485,7 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
             if stage is not None:
                 ds = ds.map_batches(stage, batch_format="pyarrow")
             base, flt, stage = ds.materialize(), None, None
-        blocks = base.to_arrow_refs()
+        blocks = _refs(base)
     n = len(blocks)
     fn = ray.put(stage)
     routed = [

@@ -428,6 +428,25 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     )
 
 
+def doc_codes(batch: pa.Table) -> np.ndarray:
+    """The document code of every row ``decode_spans(batch)`` returns:
+    the batch row of its document (decode's ``ver_parent``), read off
+    the list offsets with no string work.
+
+    ``doc_id`` is unique per row of every document table, so each
+    document's versions form one contiguous run of the decode and these
+    codes equal the first-appearance dictionary codes of the versions'
+    ``doc_id`` (``temporal._doc_codes``, which hashes every version's
+    string)."""
+    if _typed_versions(batch):
+        parent = pc.list_parent_indices(_combined(batch, "ver_v"))
+    else:
+        spans = _combined(batch, "spans")
+        is_ver = pc.equal(pc.list_flatten(spans).field("kind"), "version")
+        parent = pc.list_parent_indices(spans).filter(is_ver)
+    return parent.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
 def _reverse_per_doc(lists: pa.ListArray) -> pa.ListArray:
     """Reverse the element order inside every list."""
     flat = pc.list_flatten(lists)

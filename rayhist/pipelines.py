@@ -54,7 +54,7 @@ from .ingest import (
 )
 from .members import COMPOUND_BATCH, contribution_stats_batch, snapshot_geoms_batch
 from .members_vec import snapshots_old_style_batch_vec
-from .model import DECODE_COLUMNS, decode_spans, reverse_version_runs
+from .model import DECODE_COLUMNS, decode_spans, doc_codes, reverse_version_runs
 from .ops.bfs import bfs_hops
 from .ops.cc import connected_components
 from .ops.dedup import (
@@ -118,7 +118,7 @@ from .spatial.rectjoin import rect_self_join
 from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
 from .spatial.strtree import STRtreeJoinStage
 from .state.checkpoint import run_sharded, salted_count_by
-from .temporal import TagFilter, _doc_codes, _sorted_versions, contributions, snapshots
+from .temporal import TagFilter, _sorted_versions, contributions, snapshots
 from .views import (
     contribution_stage, contribution_stats_stage, snapshot_counts, snapshot_counts_stage,
     snapshot_view,
@@ -312,7 +312,7 @@ def _dwell_stage(b: pa.Table) -> pa.Table:
     version clipped at DWELL_END -> per-etype partial sums. Module-
     level so the unsorted-fixture invariance test can drive it on a
     reversed corpus."""
-    tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, geom=False))
+    tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
     if not len(ts):
         return pa.table(
             {"etype": pa.array([], pa.string()),
@@ -371,7 +371,7 @@ def _revert_stage(b: pa.Table) -> pa.Table:
     target-side analysis). Distinct-entity partials are exact because
     every document's versions decode inside one batch, so (day, doc)
     pairs never repeat across blocks."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags="ids", geom=False))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags="ids", geom=False), doc_codes(b))
     n = len(ts)
     if n < 3:
         return _REVERT_EMPTY
@@ -430,7 +430,7 @@ def _predominant_stage(b: pa.Table) -> pa.Table:
     'what was this entity, weighted by time' analysis — a snapshot
     mode would overweight whatever happened to be true on the grid.
     Per-batch exact: docs decode whole-in-batch."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=True, geom=False))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=True, geom=False), doc_codes(b))
     if not len(ts):
         return _PREDOM_EMPTY
     last_of_doc = np.r_[codes[1:] != codes[:-1], True]
@@ -492,7 +492,7 @@ def _lifespan_stage(b: pa.Table) -> pa.Table:
     Floor-binned to whole days; per-(lifespan_days, deleted) counts
     leave the batch. Every doc decodes inside one batch, so summed
     partials count each entity exactly once."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False), doc_codes(b))
     if not len(ts):
         return _LIFESPAN_EMPTY
     first = np.r_[True, codes[1:] != codes[:-1]]
@@ -550,7 +550,7 @@ def _activity_stage(b: pa.Table) -> pa.Table:
     tbl = decode_spans(b, tags=False, geom=False)
     if not len(tbl):
         return _ACTIVITY_EMPTY
-    codes = _doc_codes(tbl)
+    codes = doc_codes(b)
     df = pd.DataFrame(
         {
             "uid": tbl["uid"].to_numpy(zero_copy_only=False),
@@ -620,7 +620,7 @@ def _churn_stage(b: pa.Table) -> pa.Table:
     if not len(tbl):
         return _CHURN_EMPTY
 
-    codes = _doc_codes(tbl)
+    codes = doc_codes(b)
     tid = tbl["tag_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     if (tid < 0).any():
         # -1 marks a keytable miss or a compound doc with no packed
@@ -8370,7 +8370,7 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     the HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance); partials combine
     on the bounded (cell, cell) key."""
     def stage(b: pa.Table) -> pd.DataFrame:
-        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False))
+        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False), doc_codes(b))
         empty = pa.table(
             {
                 "from_i": pa.array([], pa.int64()),
@@ -9262,7 +9262,7 @@ def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
     (_sorted_versions realign, visible versions only, zero-length
     steps skipped); the 8-row histogram combines at the driver."""
     def stage(b: pa.Table) -> pa.Table:
-        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False))
+        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False), doc_codes(b))
         empty = pa.table(
             {"turn": pa.array([], pa.int64()), "n_p": pa.array([], pa.int64())}
         )
@@ -10542,7 +10542,7 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
 
     def spans(b: pa.Table) -> pa.Table:
         tbl, codes, ts, _v, _ = _sorted_versions(
-            decode_spans(b, tags=False, geom=False)
+            decode_spans(b, tags=False, geom=False), doc_codes(b)
         )
         if not len(ts):
             return pa.table(
@@ -11185,7 +11185,7 @@ def _twa_stage(b: pa.Table) -> pa.Table:
     each interval crosses with exact clipped overlaps. Module-level so
     the reversed-runs invariance test can drive it (the _dwell_stage
     convention)."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False), doc_codes(b))
     if not len(ts):
         return pa.table(
             {"day": pa.array([], pa.int64()), "vis_p": pa.array([], pa.int64())}

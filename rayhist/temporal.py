@@ -260,17 +260,21 @@ def _in_order(codes: np.ndarray, ts: np.ndarray, v: np.ndarray) -> bool:
     return not ((c0 > c1) | ((c0 == c1) & later)).any()
 
 
-def _sorted_versions(tbl: pa.Table):
+def _sorted_versions(tbl: pa.Table, codes: np.ndarray | None = None):
     """Return (table, codes, ts, v, order) sorted by (doc, ts, v);
     ``order`` is None when the input was already sorted, else the
     permutation (callers must realign any per-row masks with it).
+    ``codes`` are the rows' document codes when the caller has them
+    (``model.doc_codes`` of the batch ``tbl`` was decoded from), else
+    they are derived from ``doc_id``.
 
     Every producer writes a document's versions oldest -> newest, so
     the order test passes and nothing is sorted. Out-of-order
     histories are sorted here, the way the reference's
     ``HEADER_TIMESTAMPS_NOT_IN_ORDER`` flag does (OSHNodeImpl.java:30).
     """
-    codes = _doc_codes(tbl)
+    if codes is None:
+        codes = _doc_codes(tbl)
     ts = tbl["ts"].to_numpy(zero_copy_only=False)
     v = tbl["v"].to_numpy(zero_copy_only=False)
     if _in_order(codes, ts, v):
@@ -300,6 +304,7 @@ def snapshots(
     timestamps: np.ndarray,
     match: np.ndarray | None = None,
     columns: list[str] | None = None,
+    codes: np.ndarray | None = None,
 ) -> pa.Table:
     """Snapshot interpolation: one output row per (doc, T) with state.
 
@@ -307,12 +312,12 @@ def snapshots(
     emission requires visible AND match at the interpolated state.
     Output = the ``columns`` state columns (default: all of
     ``_STATE_COLS``) + ``ts_q`` (the query timestamp), ordered by query
-    timestamp, then document.
+    timestamp, then document. ``codes``: see ``_sorted_versions``.
     """
     timestamps = np.asarray(timestamps, dtype=np.int64)
     if len(tbl) == 0 or len(timestamps) == 0:
         return _gather(tbl, columns, np.zeros(0, np.int64), ts_q=pa.array([], pa.int64()))
-    tbl, codes, ts, _v, order = _sorted_versions(tbl)
+    tbl, codes, ts, _v, order = _sorted_versions(tbl, codes)
     if order is not None and match is not None:
         match = match[order]
     visible = tbl["visible"].to_numpy(zero_copy_only=False)
@@ -362,6 +367,7 @@ def contributions(
     aoi: np.ndarray | None = None,
     tag_col: str = "tag_sig",
     columns: list[str] | None = None,
+    codes: np.ndarray | None = None,
 ) -> pa.Table:
     """Contribution classification over [t_from, t_to) — see module doc.
 
@@ -382,11 +388,12 @@ def contributions(
     Output = the ``columns`` state columns of the modification's
     version (default: all of ``_STATE_COLS``) + boolean
     ``is_creation / is_deletion / is_tag_change / is_geom_change`` and
-    previous-state columns ``prev_lon_e7 / prev_lat_e7``.
+    previous-state columns ``prev_lon_e7 / prev_lat_e7``. ``codes``:
+    see ``_sorted_versions``.
     """
     if len(tbl) == 0:
         return _empty_contributions(tbl, columns)
-    tbl, codes, ts, _v, order = _sorted_versions(tbl)
+    tbl, codes, ts, _v, order = _sorted_versions(tbl, codes)
     if order is not None:
         if match is not None:
             match = match[order]

@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray.data
 
 from .functions.deadline import Deadline
-from .model import decode_spans
+from .model import decode_spans, doc_codes
 from .temporal import TagFilter, contributions, snapshots
 
 
@@ -64,7 +64,7 @@ def snapshot_stage(
         if deadline is not None:
             deadline.check()
         decoded = decode_spans(batch)
-        return snapshots(decoded, ts, _match_mask(decoded, tag_filter))
+        return snapshots(decoded, ts, _match_mask(decoded, tag_filter), codes=doc_codes(batch))
 
     return stage
 
@@ -95,7 +95,8 @@ def contribution_stage(
             batch, tags=tags or tag_filter is not None, geom=geom
         )
         return contributions(
-            decoded, int(t_from), int(t_to), _match_mask(decoded, tag_filter)
+            decoded, int(t_from), int(t_to), _match_mask(decoded, tag_filter),
+            codes=doc_codes(batch),
         )
 
     return stage
@@ -145,7 +146,7 @@ def snapshot_counts_stage(
             deadline.check()
         decoded = decode_spans(batch, tags=need_tags, geom=need_geom)
         m = _ids_mask(decoded, lut) if use_ids else _match_mask(decoded, tag_filter)
-        s = snapshots(decoded, ts, m, columns=gather)
+        s = snapshots(decoded, ts, m, columns=gather, codes=doc_codes(batch))
         cols = s.select(["ts_q"])
         if cell_zoom is not None:
             from .spatial.grid import cell_id
@@ -214,6 +215,7 @@ def contribution_stats_stage(
             decoded, int(t_from), int(t_to), m,
             tag_col="tag_id" if use_ids else "tag_sig",
             columns=["ts"] if bins_arr is not None else [],
+            codes=doc_codes(batch),
         )
         t = pa.table(
             {

@@ -13,6 +13,7 @@ from rayhist.pipelines import (
     CONTRIB_BINS,
     POLY_FILE,
     SNAP_DAILY,
+    SNAP_WEEKLY,
     T_MID,
 )
 
@@ -483,6 +484,24 @@ def test_float_column_sum_ungrouped():
     ).sum("f")
     rows = base.collect()
     assert s == pytest.approx((rows["lat_e7"] / 1e7).sum())
+
+
+def test_float_column_sum_by_timestamp():
+    """A mapped float column summed per timestamp (the facade's float
+    path; the driver combine itself takes integer partials only)."""
+    base = OSMEntitySnapshotView.on(SF).timestamps(list(SNAP_WEEKLY))
+    mapped = base.map(
+        lambda t: t.append_column(
+            "f", pa.array(t["lat_e7"].to_numpy(zero_copy_only=False) / 1e7)
+        )
+    )
+    got = mapped.aggregateByTimestamp().sum("f")
+    rows = base.collect()
+    want = (rows["lat_e7"] / 1e7).groupby(rows["ts_q"]).sum()
+    want = want.reindex(SNAP_WEEKLY, fill_value=0.0)
+    assert got["ts_q"].tolist() == list(SNAP_WEEKLY)
+    assert got["sum_f"].dtype == np.float64
+    assert got["sum_f"].to_numpy() == pytest.approx(want.to_numpy())
 
 
 def test_builder_immutability():

@@ -126,6 +126,7 @@ def _over_budget(monkeypatch):
 def test_view_fallback_equals_block_tasks(fresh, monkeypatch, block_tasks, name):
     docs = _read(name)
     assert isinstance(docs, MaterializedDataset)
+    block_tasks.clear()  # the admission's compaction tasks
     tasks = _view_frame(name, docs)
     assert len(block_tasks) == docs.num_blocks()
     assert len(tasks)
@@ -188,6 +189,7 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     stage, _keys, _sums = VIEWS["snapshot"]()
     docs = _read("snapshot")
     executions.clear()
+    block_tasks.clear()  # the admission's compaction tasks
     got = rio.materialize_blocks(docs, stage)
     assert isinstance(got, MaterializedDataset)
     assert not executions
@@ -335,6 +337,65 @@ def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
     io.reduce_by_key's block tasks: no Ray Data execution after
     warm-up."""
     _runs_no_execution(executions, query)
+
+
+@pytest.fixture
+def pandas_in_combine(monkeypatch):
+    """Counts pandas groupby/reindex calls made inside the driver
+    combine (aggregate.combine_partials and zerofill), and the combine
+    calls themselves."""
+    seen = {"combine": 0, "pandas": 0}
+    inside = []
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            seen["combine"] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    for name in ("combine_partials", "zerofill"):
+        fn = watch(name, getattr(aggregate, name))
+        monkeypatch.setattr(aggregate, name, fn)
+        monkeypatch.setattr(pipelines, name, fn)
+
+    def count(cls, name):
+        fn = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            seen["pandas"] += bool(inside)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    for cls in (pd.DataFrame, pd.Series):
+        count(cls, "groupby")
+        count(cls, "reindex")
+    return seen
+
+
+@pytest.mark.parametrize("query", WORKLOAD_QUERIES)
+def test_driver_combine_runs_without_pandas_groupby(pandas_in_combine, query):
+    """The benchmark workload queries combine their partials in Arrow
+    and zerofill with index arithmetic: no pandas groupby or reindex
+    inside the driver combine."""
+    pipelines.QUERIES[query][0](SF)
+    assert pandas_in_combine["pandas"] == 0
+
+
+def test_workload_queries_reach_the_driver_combine(pandas_in_combine):
+    """The guard above is not vacuous: most workload queries call the
+    driver combine."""
+    reached = 0
+    for query in WORKLOAD_QUERIES:
+        before = pandas_in_combine["combine"]
+        pipelines.QUERIES[query][0](SF)
+        reached += pandas_in_combine["combine"] > before
+    assert reached >= len(WORKLOAD_QUERIES) // 2
 
 
 def test_fine_cells_stay_distributed(monkeypatch, executions):

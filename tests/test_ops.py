@@ -5,6 +5,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayhist.functions.tdigest import TDigest
 from rayhist.ops.dedup import (
@@ -899,6 +901,196 @@ def test_aggregate_null_and_naming_semantics():
             ray.data.from_arrow(pa.table({"k": pa.array(["a", None]), "v": [1, 2]})),
             ["k"], {"v": "sv"},
         )
+
+
+# ------------------------------------------ driver combine: pandas reference
+#
+# The pandas bodies combine_partials and zerofill had before they moved
+# to Arrow and numpy, kept verbatim as the differential reference.
+
+
+def _pandas_combine_partials(ds, keys, sums):
+    df = ds.to_pandas()
+    if df.empty and not set(keys) | set(sums) <= set(df.columns):
+        if not keys:
+            return pd.DataFrame([{out: 0 for out in sums.values()}]).astype("int64")
+        cols = {k: pd.Series([], dtype="object") for k in keys}
+        cols.update({out: pd.Series([], dtype="int64") for out in sums.values()})
+        return pd.DataFrame(cols)
+    if not keys:
+        row = pd.DataFrame([{out: df[src].sum() for src, out in sums.items()}])
+        for src, out in sums.items():  # ints stay exact int64; floats stay float
+            if pd.api.types.is_integer_dtype(df[src].dtype):
+                row[out] = row[out].astype("int64")
+        return row
+    g = df.groupby(keys, as_index=False, dropna=False).agg(
+        **{out: (src, "sum") for src, out in sums.items()}
+    )
+    return g
+
+
+def _pandas_zerofill(df, expected, fill):
+    keys = list(expected.keys())
+    if len(keys) == 1:
+        idx = pd.Index(list(expected[keys[0]]), name=keys[0])
+    else:
+        idx = pd.MultiIndex.from_product([list(expected[k]) for k in keys], names=keys)
+    out = df.set_index(keys).reindex(idx)
+    for col, val in fill.items():
+        out[col] = out[col].fillna(val)
+        if isinstance(val, int):
+            out[col] = out[col].astype("int64")
+    return out.reset_index().sort_values(keys, kind="mergesort").reset_index(drop=True)
+
+
+_KEY_VALUES = {
+    "s": st.sampled_from(["a", "b", "cc", "é", None]),
+    "i": st.sampled_from([-3, 0, 7, 2**40, None]),
+    "f": st.sampled_from([0.5, -1.5, float("nan"), None]),
+    "c": st.sampled_from(["x", "y", "z", None]),
+}
+
+
+def _key_array(kind, values):
+    if kind == "c":  # a pandas categorical, as a pandas partial stage emits it
+        return pa.array(pd.Categorical(values), pa.dictionary(pa.int8(), pa.string()))
+    return pa.array(values, type={"s": pa.string(), "i": pa.int64(), "f": pa.float64()}[kind])
+
+
+@st.composite
+def _partials(draw):
+    """(table, keys, sums): a few typed key columns (null keys
+    included), int64/int32/bool partials, as one or several chunks."""
+    n = draw(st.integers(0, 24))
+    kinds = draw(st.lists(st.sampled_from("sifc"), min_size=0, max_size=3, unique=True))
+    if "c" in kinds:
+        # pandas' observed=False grouping adds every unseen (category,
+        # other key) cell; SQL GROUP BY, and the Arrow combine, keep the
+        # observed groups only, so a categorical key is tested alone
+        kinds = ["c"]
+    cols = {f"k{kind}": _key_array(kind, draw(st.lists(_KEY_VALUES[kind], min_size=n, max_size=n)))
+            for kind in kinds}
+    ints = st.lists(st.integers(-(2**31), 2**31 - 1), min_size=n, max_size=n)
+    cols["n_part"] = pa.array(draw(ints), pa.int64())
+    cols["m_part"] = pa.array(draw(ints), pa.int32())
+    cols["b_part"] = pa.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), pa.bool_())
+    t = pa.table(cols)
+    cut = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        t = pa.concat_tables([t.slice(0, cut), t.slice(cut)])
+    outs = draw(st.permutations(["n_part", "m_part", "b_part"]))
+    sums = {src: src.replace("_part", "") for src in outs[: draw(st.integers(1, 3))]}
+    return t, list(cols)[: len(kinds)], sums
+
+
+def _widened(want: pd.DataFrame, sums) -> pd.DataFrame:
+    """The reference frame with integer sums as int64: pandas keeps an
+    int32 partial's sum int32; the Arrow combine widens every integer
+    sum (no int32 overflow)."""
+    for out in sums.values():
+        if want[out].dtype.kind in "iu":
+            want[out] = want[out].astype("int64")
+    return want
+
+
+@pytest.mark.filterwarnings("ignore::FutureWarning")
+@settings(max_examples=300, deadline=None)
+@given(_partials())
+def test_combine_partials_equals_pandas_reference(case):
+    from rayhist.aggregate import combine_partials
+
+    t, keys, sums = case
+    want = _widened(_pandas_combine_partials(t, keys, sums), sums)
+    pd.testing.assert_frame_equal(combine_partials(t, keys, sums), want)
+
+
+def test_combine_partials_dataset_and_empty_inputs_equal_pandas_reference():
+    """A partials Dataset (Arrow and pandas blocks), a schema-less empty
+    table, a typed empty one and keyless totals: the frames of the
+    pandas reference; a float sum column raises."""
+    import ray.data
+
+    from rayhist.aggregate import combine_partials
+
+    t = pa.table({"k": pa.array(["b", None, "a", "b"]), "n_part": [1, 2, 3, 4],
+                  "f_part": pa.array([True, False, True, True])})
+    sums = {"n_part": "n", "f_part": "f"}
+    cases = [
+        (ray.data.from_arrow([t.slice(0, 2), t.slice(2)]).materialize(), ["k"]),
+        (ray.data.from_pandas([t.to_pandas().iloc[:0], t.to_pandas()]), ["k"]),
+        (ray.data.from_arrow(t).filter(lambda r: False), ["k"]),
+        (pa.table({}), ["k"]),
+        (pa.table({}), []),
+        (t.slice(0, 0), ["k"]),
+        (t.slice(0, 0), []),
+        (t, []),
+    ]
+    for ds, keys in cases:
+        want = _pandas_combine_partials(ds, keys, sums)
+        pd.testing.assert_frame_equal(combine_partials(ds, keys, sums), want)
+    floats = t.append_column("x_part", pa.array([0.5, 1.0, 1.5, 2.0]))
+    for keys in (["k"], []):
+        with pytest.raises(TypeError, match="x_part"):
+            combine_partials(floats, keys, {"x_part": "x"})
+
+
+_TS = [10, 20, 30, 40]
+_ETYPES = ["view", "click", "buy"]
+
+
+@st.composite
+def _aggregated(draw):
+    """(frame, expected, fill): a combined frame over int and string
+    keys, with rows outside the levels (null keys too), NaN-able float,
+    bool and string columns outside ``fill``, and levels in any order,
+    repeats included."""
+    multi = draw(st.booleans())
+    ts = st.sampled_from(_TS + [5, 99])
+    et = st.sampled_from(_ETYPES + ["other"])
+    cells = draw(st.lists(st.tuples(ts, et), max_size=12, unique=not draw(st.booleans())))
+    if not multi:
+        cells = list(dict.fromkeys((c[0], None) for c in cells))
+    df = pd.DataFrame({
+        "ts_q": pd.array([c[0] for c in cells], dtype="int64"),
+        "etype": [c[1] for c in cells],
+        "n": np.arange(len(cells), dtype=np.int64) + 1,
+        "x": np.linspace(0.5, 3.0, len(cells)),
+        "flag": np.arange(len(cells)) % 2 == 0,
+        "note": [f"r{i}" for i in range(len(cells))],
+    })
+    if draw(st.booleans()) and len(df):  # a null key: float keys, outside every level
+        df["ts_q"] = df["ts_q"].astype("float64")
+        df.loc[0, "ts_q"] = np.nan
+    levels = st.lists(st.sampled_from(_TS), min_size=0, max_size=5)
+    expected = {"ts_q": draw(levels)}
+    if multi:
+        expected["etype"] = draw(st.lists(st.sampled_from(_ETYPES), min_size=1, max_size=4))
+    else:
+        df = df.drop(columns=["etype"])
+    fill = {"n": 0} if draw(st.booleans()) else {"n": 0, "flag": 0}
+    return df, expected, fill
+
+
+@pytest.mark.filterwarnings("ignore::FutureWarning")
+@settings(max_examples=300, deadline=None)
+@given(_aggregated())
+def test_zerofill_equals_pandas_reference(case):
+    from rayhist.aggregate import zerofill
+
+    df, expected, fill = case
+    try:
+        want = _pandas_zerofill(df, expected, fill)
+    except ValueError:  # duplicate keys: both raise
+        with pytest.raises(ValueError):
+            zerofill(df, expected, fill)
+        return
+    got = zerofill(df, expected, fill)
+    if got.empty and df.empty and len(expected) > 1:
+        # nothing to place and nothing to fill: pandas' reindex kept the
+        # empty frame's own key dtypes here (object for an empty level
+        # otherwise); zerofill's keys always take their level's dtype
+        want = want.astype({k: got[k].dtype for k in expected})
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_text_stages_survive_nan_and_exact_quality_boundary():

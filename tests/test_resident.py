@@ -1,8 +1,10 @@
 """Resident tables: io.read_resident keeps each cached history table in
 the object store, and serves exactly what a disk read would."""
 
+import gc
 import os
 import shutil
+import weakref
 from collections import OrderedDict
 
 import pyarrow as pa
@@ -141,6 +143,68 @@ def test_other_session_is_never_served(fresh, monkeypatch):
     again = read_documents(SF)
     assert again is not first
     assert [r["misses"] for r in rio.resident_tables()] == [1]  # old session purged
+
+
+@pytest.mark.parametrize(
+    "read", [read_documents, read_way_documents, read_relation_documents],
+    ids=["nodes", "ways", "relations"],
+)
+def test_resident_blocks_hold_one_chunk_per_column(fresh, read):
+    """Admission compacts each block: a parquet read leaves one chunk
+    per shard file in every column, and a block fetch rebuilds each."""
+    blocks = ray.get(read(SF).to_arrow_refs())
+    assert blocks and all(c.num_chunks == 1 for b in blocks for c in b.columns)
+
+
+def test_node_read_is_chunked_per_shard(fresh):
+    """The node table has several shards, so the compaction above is
+    not vacuous there."""
+    disk = ray.get(rio.read_table(ensure_documents(SF)).materialize().to_arrow_refs())
+    assert any(c.num_chunks > 1 for b in disk for c in b.columns)
+
+
+def test_block_refs_are_taken_once_per_table(fresh, monkeypatch):
+    """map_blocks, reduce_by_key and blocks_table take the resident
+    table's kept block refs: one to_arrow_refs() call, at admission."""
+    calls = []
+    to_refs = ray.data.Dataset.to_arrow_refs
+
+    def counting(self):
+        calls.append(self)
+        return to_refs(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs", counting)
+    docs = read_documents(SF, columns=DECODE_COLUMNS)
+    for _ in range(3):
+        again = read_documents(SF, columns=DECODE_COLUMNS)
+        assert rio.map_blocks(again, lambda b: b.slice(0, 1)).num_rows == again.num_blocks()
+    flt = pa.compute.field("osm_id") >= 0
+    filtered = rio.read_resident(ensure_documents(SF), DECODE_COLUMNS, filter=flt)
+    n = rio.blocks_table(docs).num_rows
+    assert rio.map_blocks(filtered, lambda b: b.select(["osm_id"])).num_rows == n
+    refs = rio.reduce_by_key(docs, ["osm_id"], lambda t: t.select(["osm_id"]))
+    assert rio.blocks_table(refs).num_rows == n
+    assert sum(ds is docs for ds in calls) == 1
+
+
+def test_kept_refs_die_with_their_entry(fresh, monkeypatch):
+    """A table evicted by the LRU, or purged by a session change, takes
+    its kept block refs with it."""
+    a = read_documents(SF).size_bytes()
+    b = read_way_documents(SF).size_bytes()
+    rio._resident.clear()
+    store = ray.cluster_resources()["object_store_memory"]
+    monkeypatch.setattr(rio, "RESIDENT_FRACTION", (max(a, b) + min(a, b) / 2) / store)
+    gc.collect()
+    nodes = weakref.ref(read_documents(SF))
+    assert nodes() in rio._kept
+    ways = weakref.ref(read_way_documents(SF))  # evicts the node table
+    gc.collect()
+    assert nodes() is None and ways() in rio._kept
+    monkeypatch.setattr(rio, "_session", lambda: ("another-node", "another-job"))
+    read_documents(SF)
+    gc.collect()
+    assert ways() is None
 
 
 # every sf0.001 history spans nearly the whole world: an edge strip

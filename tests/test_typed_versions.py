@@ -6,7 +6,9 @@ import importlib.util
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from rayhist.model import (
     DECODE_COLUMNS,
     VERSION_COLUMNS,
     decode_spans,
+    doc_codes,
     pack_version_columns,
     reverse_version_runs,
 )
+from rayhist.temporal import _doc_codes
+from tests.test_ingest import SF
 
 FLAGS = [(t, g) for t in (False, "ids", True) for g in (False, True)]
 
@@ -193,3 +198,35 @@ def test_ingest_key_covers_relational_module(tmp_path, monkeypatch):
     after = ingest._fp()
     rio.code_fingerprint.cache_clear()
     assert before != after, "a round_half_away edit must re-key the document caches"
+
+
+@pytest.mark.parametrize(
+    "ensure",
+    ["ensure_documents", "ensure_way_documents", "ensure_relation_documents",
+     "ensure_oldstyle_documents"],
+)
+def test_doc_id_is_unique_per_row(ensure):
+    """The invariant model.doc_codes relies on: one row per document in
+    every document table, so a document's versions form one contiguous
+    run of any decode."""
+    ids = pq.read_table(getattr(ingest, ensure)(SF), columns=["doc_id"])["doc_id"]
+    assert ids.null_count == 0 and pc.count_distinct(ids).as_py() == len(ids)
+
+
+def test_doc_codes_equal_the_doc_id_codes():
+    """model.doc_codes (read off the list offsets) equals the doc_id
+    dictionary codes the temporal kernels derive by hashing, on the node
+    table: typed, lean, text-only, reversed histories and a slice."""
+    docs = pq.read_table(ingest.ensure_documents(SF))
+    batches = [docs, docs.select(DECODE_COLUMNS), _text_only(docs), reverse_version_runs(docs),
+               docs.slice(3, 40)]
+    for batch in batches:
+        want = _doc_codes(decode_spans(batch, tags=False, geom=False))
+        assert np.array_equal(doc_codes(batch), want)
+
+
+def test_doc_codes_on_scenario_corpus():
+    docs = versions_to_documents(scenario_corpus())
+    for batch in (docs, reverse_version_runs(docs), _text_only(docs)):
+        want = _doc_codes(decode_spans(batch, tags=False, geom=False))
+        assert np.array_equal(doc_codes(batch), want)
