@@ -280,9 +280,9 @@ class MapReducer:
         ``regions`` maps name -> outer ring [(lon, lat), ...] in e7, or
         (outer, hole, ...) for holed polygons. Membership is the
         general even-odd banded test (spatial.fip); results zerofill
-        over ALL region names. For hundreds+ regions prefer the
-        compiled actor-pool stage (spatial.fip.PointInPolygonStage) or
-        the region-index join (spatial.join)."""
+        over ALL region names. For hundreds+ regions prefer a region
+        index built once on the driver (spatial.join.RegionIndex or
+        spatial.strtree.STRtreeRegionIndex) captured in the stage."""
         norm = []
         for name, rings in sorted(regions.items()):
             if rings and not isinstance(rings[0][0], (list, tuple)):

@@ -1,24 +1,24 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata.
 
 Media payloads ride as ``binary`` columns (or as ``media_ref`` blob
-keys in the span table, rayhist.model). The codec dependency (PIL) is
-PROBED once per actor in ``__init__``: when importable, the real
-decode/resize kernels run; otherwise a deterministic byte-hash fake
-with the same signature, schema and batch shape (this container has no
-PIL/ffmpeg). ``RAYHIST_FAKE_DECODE=1`` forces the fake even when PIL
-exists (reproducibility pin). The Ray-side plumbing — schema, actor
-signature, batch sizing, output layout — is real and contract-tested
-in whichever mode the environment provides.
+keys in the span table, rayhist.model). The stages are plain callables
+that run as Ray tasks. Each PROBES the codec dependency (PIL) once,
+when it is built on the driver: when importable, the real decode/resize
+kernels run; otherwise a deterministic byte-hash fake with the same
+signature, schema and batch shape. ``RAYHIST_FAKE_DECODE=1`` forces the
+fake even when PIL exists (reproducibility pin). The Ray-side plumbing
+— schema, stage signature, batch sizing, output layout — is real and
+contract-tested in whichever mode the environment provides.
 
 Scale notes: media batches are sized by BYTES not rows — a stage
 holding decoded frames must keep ``batch_size`` small (rows) and rely
-on the object store for the encoded payloads; the actor pool amortizes
-codec initialization.
+on the object store for the encoded payloads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 
 import numpy as np
@@ -61,37 +61,28 @@ def synth_media_table(refs: list[str], kind: str = "image") -> pa.Table:
     )
 
 
-def _probe_pil():
-    """Optional-dependency probe: PIL if importable, else None. Run in
-    each actor's __init__ (once per actor, never per batch)."""
-    try:  # pragma: no cover - container has no PIL; exercised when present
-        from PIL import Image
-
-        return Image
-    except ImportError:
-        return None
+def _codec_mode() -> str:
+    """Optional-dependency probe, run once per stage construction:
+    ``"pil"`` when PIL is importable and ``RAYHIST_FAKE_DECODE=1`` does
+    not force the fake, else ``"fake"``."""
+    if os.environ.get("RAYHIST_FAKE_DECODE", "") == "1":
+        return "fake"
+    return "fake" if importlib.util.find_spec("PIL") is None else "pil"
 
 
 class MediaDecodeStage:
-    """Actor-pool stage: decode payload -> fixed-dim feature vector.
+    """Decode payload -> fixed-dim feature vector.
 
-    The codec is probed ONCE per actor in ``__init__``: if PIL is
-    importable (and RAYHIST_FAKE_DECODE doesn't force the fake), the
-    real decode runs — open image, grayscale, resample to a dim-sized
-    grid, normalize; otherwise the deterministic byte-hash fake runs —
-    same signature, same output schema, same batch shape. ``mode``:
-    ``"auto"`` (probe), ``"fake"``, ``"pil"`` (raises if absent). The
-    contract test runs whichever branch the environment provides.
+    With PIL (``mode == "pil"``) the real decode runs — open image,
+    grayscale, resample to a dim-sized grid, normalize; otherwise the
+    deterministic byte-hash fake runs — same signature, same output
+    schema, same batch shape. The contract test runs whichever branch
+    the environment provides.
     """
 
-    def __init__(self, feature_dim: int = FEATURE_DIM, mode: str = "auto"):
+    def __init__(self, feature_dim: int = FEATURE_DIM):
         self.dim = feature_dim
-        if mode == "auto" and os.environ.get("RAYHIST_FAKE_DECODE", "") == "1":
-            mode = "fake"
-        self.pil = _probe_pil() if mode in ("auto", "pil") else None
-        if mode == "pil" and self.pil is None:  # pragma: no cover
-            raise NotImplementedError("mode='pil' requires PIL in the environment")
-        self.mode = "pil" if self.pil is not None else "fake"
+        self.mode = _codec_mode()
 
     def _fake_feature(self, payload: bytes) -> np.ndarray:
         n_blocks = -(-self.dim * 2 // 32)  # sha256 yields 32 bytes; chain
@@ -108,8 +99,10 @@ class MediaDecodeStage:
     def _pil_feature(self, payload: bytes) -> np.ndarray:  # pragma: no cover
         import io
 
+        from PIL import Image  # optional dependency (see _codec_mode)
+
         side = max(1, int(np.ceil(np.sqrt(self.dim))))
-        img = self.pil.open(io.BytesIO(payload)).convert("L").resize((side, side))
+        img = Image.open(io.BytesIO(payload)).convert("L").resize((side, side))
         px = np.asarray(img, dtype=np.float32).ravel()[: self.dim] / 255.0
         if len(px) < self.dim:
             px = np.pad(px, (0, self.dim - len(px)))
@@ -124,16 +117,14 @@ class MediaDecodeStage:
         )
 
 
-def decode_media(ds: ray.data.Dataset, concurrency=(1, 4), batch_size: int = 256) -> ray.data.Dataset:
+def decode_media(ds: ray.data.Dataset, batch_size: int = 256) -> ray.data.Dataset:
     """The media feature-extraction pipeline stage: small batches
-    (payloads are wide), actor pool for codec state."""
-    return ds.map_batches(
-        MediaDecodeStage, batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency
-    )
+    (payloads are wide)."""
+    return ds.map_batches(MediaDecodeStage(), batch_format="pyarrow", batch_size=batch_size)
 
 
 class MediaResizeStage:
-    """Actor-pool stage: resize images to fit a bounding box, keeping
+    """Resize images to fit a bounding box, keeping
     aspect ratio. The pixel resample is the stubbed codec step (same
     RAYHIST_FAKE_DECODE contract as MediaDecodeStage: the fake rewrites
     the payload deterministically from (ref, target) so downstream
@@ -142,14 +133,15 @@ class MediaResizeStage:
 
     def __init__(self, max_w: int = 32, max_h: int = 32):
         self.max_w, self.max_h = max_w, max_h
-        force_fake = os.environ.get("RAYHIST_FAKE_DECODE", "") == "1"
-        self.pil = None if force_fake else _probe_pil()
+        self.mode = _codec_mode()
 
     def _resample(self, payload: bytes, w: int, h: int) -> bytes:
-        if self.pil is not None:  # pragma: no cover - real path needs PIL
+        if self.mode == "pil":  # pragma: no cover - real path needs PIL
             import io
 
-            img = self.pil.open(io.BytesIO(payload)).resize((int(w), int(h)))
+            from PIL import Image  # optional dependency (see _codec_mode)
+
+            img = Image.open(io.BytesIO(payload)).resize((int(w), int(h)))
             buf = io.BytesIO()
             img.save(buf, format="PNG")
             return buf.getvalue()
@@ -172,7 +164,7 @@ class MediaResizeStage:
 
 
 class FrameSampleStage:
-    """Actor-pool flat-map stage: sample N frames per video payload at
+    """Flat-map stage: sample N frames per video payload at
     evenly spaced timestamps (1 -> N row explosion, the video analog of
     the shingle explode). Frame extraction is the stubbed codec step;
     the timestamp math and row fan-out are real."""
@@ -208,16 +200,12 @@ class FrameSampleStage:
 
 
 def resize_media(ds: ray.data.Dataset, max_w: int = 32, max_h: int = 32,
-                 concurrency=(1, 4), batch_size: int = 256) -> ray.data.Dataset:
+                 batch_size: int = 256) -> ray.data.Dataset:
     return ds.map_batches(
-        MediaResizeStage, fn_constructor_args=(max_w, max_h),
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
+        MediaResizeStage(max_w, max_h), batch_format="pyarrow", batch_size=batch_size
     )
 
 
 def sample_frames(ds: ray.data.Dataset, n_frames: int = 4,
-                  concurrency=(1, 4), batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(
-        FrameSampleStage, fn_constructor_args=(n_frames,),
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-    )
+                  batch_size: int = 64) -> ray.data.Dataset:
+    return ds.map_batches(FrameSampleStage(n_frames), batch_format="pyarrow", batch_size=batch_size)

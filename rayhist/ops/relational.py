@@ -137,13 +137,9 @@ def broadcast_join(
     def join(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.merge(_broadcast_get(ref), on=on, how=how)
 
-    # TASK pool, not an actor pool: the deserialized small side is
-    # memoized per worker PROCESS (_broadcast_get), so the ray.get +
-    # unpickle is amortized exactly like an actor's __init__ — without
-    # paying actor-pool startup on every execution of the plan
-    # (hash_join's schema probe + union executes a side twice; an
-    # actor pool re-spun each time cost ~1-2 s per query at sandbox
-    # scale). Parallelism follows the scan fan-out, uncapped.
+    # the deserialized small side is memoized per worker PROCESS
+    # (_broadcast_get), so each process pays the ray.get + unpickle
+    # once. Parallelism follows the scan fan-out, uncapped.
     return ds.map_batches(join, batch_format="pandas")
 
 

@@ -65,7 +65,7 @@ from .ops.fuzzy import edit1_pairs
 from .ops.hits import hits_bipartite
 from .ops.kcore import k_core
 from .ops.kmeans import kmeans_int
-from .ops.multimodal import decode_media, synth_media_table
+from .ops.multimodal import MediaDecodeStage, synth_media_table
 from .ops.pagerank import pagerank_int
 from .ops.profile import profile_columns
 from .ops.relational import (
@@ -101,12 +101,12 @@ from .sources.osmpbf import (
     read_osmpbf,
 )
 from .sources.pbfish import ensure_pbfish, read_pbfish
-from .spatial.fip import PointInPolygonStage, contains_convex
+from .spatial.fip import Polygon, contains_convex
 from .spatial.geohash import PRECISION, geohash_bits, geohash_str
 from .spatial.grid import cell_id, multizoom_query_cells
 from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, pack_hex, unpack_hex
 from .spatial.hull import grouped_convex_hull
-from .spatial.join import RegionJoinStage
+from .spatial.join import RegionIndex
 from .spatial.knn import (
     ann_cosine_ivf_pruned, ann_cosine_lsh_pruned, ann_cosine_topk, knn_all, knn_queries,
 )
@@ -116,7 +116,7 @@ from .spatial.radius import radius_self_join
 from .spatial.raster import raster_value_for
 from .spatial.rectjoin import rect_self_join
 from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
-from .spatial.strtree import STRtreeJoinStage
+from .spatial.strtree import STRtreeRegionIndex
 from .state.checkpoint import run_sharded, salted_count_by
 from .temporal import TagFilter, _sorted_versions, contributions, snapshots
 from .views import (
@@ -2241,40 +2241,32 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
 @query(None)  # rows-only: stubbed codec; determinism pinned in tests/test_ops.py
 def q_media_features(sf_dir: str) -> pd.DataFrame:
     """Multimodal plumbing as a pipeline: synthesize media refs from
-    the document ids, decode through the actor-pool stage (stubbed
-    codec, real schema/batching), return per-media feature stats
-    (rows-only check; determinism asserted in tests)."""
-    # synthesize media rows INSIDE the scan (pure function of the ref):
-    # the doc-id column never rides the driver
-    def synth(b: pa.Table) -> pa.Table:
-        return synth_media_table(sorted(f"media://{d}" for d in b["doc_id"].to_pylist()))
+    the document ids, decode them (stubbed codec, real schema and
+    batching), return per-media feature stats (rows-only check;
+    determinism asserted in tests). Synthesis, decode and the feature
+    mean run as one stage, so the doc-id column never rides the
+    driver."""
+    decode = MediaDecodeStage()
 
-    media = _docs(sf_dir).select_columns(["doc_id"]).map_batches(
-        synth, batch_format="pyarrow"
-    )
-    def feat_mean_stage(b: pa.Table) -> pa.Table:
-        f = b["feature"]
-        if isinstance(f, pa.ChunkedArray):
-            f = f.combine_chunks()
+    def stage(b: pa.Table) -> pa.Table:
+        media = synth_media_table(sorted(f"media://{d}" for d in b["doc_id"].to_pylist()))
+        d = decode(media)
+        f = d["feature"].combine_chunks()
         flat = f.flatten().to_numpy(zero_copy_only=False)
-        lens = np.diff(f.offsets.to_numpy(zero_copy_only=False))
-        sums = np.add.reduceat(flat, np.r_[0, np.cumsum(lens)[:-1]].astype(np.int64))
+        offsets = f.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        lens = np.diff(offsets)
+        sums = np.add.reduceat(flat, offsets[:-1])
         means = np.where(lens > 0, sums / np.maximum(lens, 1), np.nan)
         return pa.table(
             {
-                "media_ref": b["media_ref"],
-                "width": b["width"],
-                "height": b["height"],
+                "media_ref": d["media_ref"],
+                "width": d["width"],
+                "height": d["height"],
                 "feat_mean": pa.array(means, type=pa.float64()),
             }
         )
 
-    feats = (
-        decode_media(media, concurrency=(1, 4), batch_size=128)
-        .map_batches(feat_mean_stage, batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = feats[["media_ref", "width", "height", "feat_mean"]]
+    out = rio.map_blocks(_docs(sf_dir), stage, batch_size=128).to_pandas()
     return out.sort_values("media_ref").reset_index(drop=True)
 
 
@@ -2765,28 +2757,23 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest from a user-supplied osmosis ``.poly`` boundary
     file (PolyFileReader.java) — a NON-CONVEX outer ring with a HOLE,
     classified through the GENERAL even-odd banded-crossing-number path
-    (fip.Polygon.contains / FastInPolygon.java:21-150), actor-pool
-    compiled once per worker. Oracle mirrors the crossing test edge by
-    edge in SQL."""
+    (fip.Polygon.contains / FastInPolygon.java:21-150); the polygon's
+    band index is built once on the driver and shipped with the stage.
+    Oracle mirrors the crossing test edge by edge in SQL."""
     name, rings = load_poly(POLY_FILE)
-    regions_ref = ray.put([(name, rings)])
+    poly = Polygon(rings)
     ts = np.array([T_MID], dtype=np.int64)
 
-    class Stage(PointInPolygonStage):
-        def __init__(self):
-            super().__init__(regions_ref)
+    def stage(batch: pa.Table) -> pa.Table:
+        s = snapshots(decode_spans(batch, tags=False), ts)
+        inside = poly.contains(
+            s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
+        )
+        return pa.table(
+            {"region_id": pa.array([name]), "n_part": pa.array([int(inside.sum())], type=pa.int64())}
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots(decode_spans(batch, tags=False), ts)
-            tagged = super().__call__(s)
-            return pa.table(
-                {
-                    "region_id": pa.array([self.regions[0][0]]),
-                    "n_part": pa.array([len(tagged)], type=pa.int64()),
-                }
-            )
-
-    partials = _docs(sf_dir).map_batches(Stage, batch_format="pyarrow", concurrency=(1, 4))
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     return combine_partials(partials, ["region_id"], {"n_part": "n_inside"})
 
 
@@ -3330,38 +3317,37 @@ def _many_regions() -> list[tuple[str, list]]:
     return out
 
 
+def _region_counts(sf_dir: str, index) -> pd.DataFrame:
+    """Per-region counts of the T_MID snapshot positions, classified by
+    ``index`` (``classify(lon_e7, lat_e7) -> (rows, region ids)``),
+    zerofilled over ``_many_regions``. The index is built once on the
+    driver and shipped with the stage."""
+    ts = np.array([T_MID], dtype=np.int64)
+
+    def stage(batch: pa.Table) -> pa.Table:
+        s = snapshots(decode_spans(batch, tags=False), ts)
+        _rows, rids = index.classify(
+            s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
+        )
+        hits = pa.table({"region_id": pa.array(rids, type=pa.string())})
+        g = hits.group_by("region_id").aggregate([([], "count_all")])
+        return g.rename_columns(["region_id", "n_part"])
+
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), ["region_id"], {"n_part": "n"})
+    return zerofill(df, {"region_id": [r for r, _ in _many_regions()]}, {"n": 0})
+
+
 @query(lambda o: o.snapshot_pip_many_regions())
 def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
     """Many-region point-in-polygon join through the grid-bucketed
-    region index (RegionIndex / RegionJoinStage — the GeometrySplitter
-    analog, oshdb-api/.../mapreducer/GeometrySplitter.java:80-203):
-    cells fully inside a region skip the exact test, boundary cells run
-    the banded PIP; one actor-pool stage, regions broadcast via
-    ray.put. Counts per region over the T_MID snapshot, zerofilled —
-    this puts the index itself (inside/boundary cell classification)
-    under the value-exact oracle, not just the pytest linear-scan
+    region index (RegionIndex — the GeometrySplitter analog,
+    oshdb-api/.../mapreducer/GeometrySplitter.java:80-203): cells fully
+    inside a region skip the exact test, boundary cells run the banded
+    PIP. Counts per region over the T_MID snapshot, zerofilled — this
+    puts the index itself (inside/boundary cell classification) under
+    the value-exact oracle, not just the pytest linear-scan
     equivalence."""
-    regions = _many_regions()
-    regions_ref = ray.put(regions)
-    ts = np.array([T_MID], dtype=np.int64)
-
-    class Stage(RegionJoinStage):
-        def __init__(self):
-            super().__init__(regions_ref, zoom=6)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots(decode_spans(batch, tags=False), ts)
-            tagged = super().__call__(s.select(["lon_e7", "lat_e7"]))
-            g = pa.TableGroupBy(tagged.select(["region_id"]), ["region_id"]).aggregate(
-                [([], "count_all")]
-            )
-            return g.rename_columns(["region_id", "n_part"])
-
-    partials = _docs(sf_dir).map_batches(
-        Stage, batch_format="pyarrow", concurrency=(1, 8)
-    )
-    df = combine_partials(partials, ["region_id"], {"n_part": "n"})
-    return zerofill(df, {"region_id": [r for r, _ in regions]}, {"n": 0})
+    return _region_counts(sf_dir, RegionIndex(_many_regions(), zoom=6))
 
 
 # STRtree backend shares the grid-index query's oracle
@@ -3371,30 +3357,9 @@ def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
     through the STR-PACKED R-TREE backend (spatial/strtree.py — the
     literal JTS STRtree the reference compiles per worker,
     GeometrySplitter.java:36-60) instead of the grid-bucketed index:
-    two candidate structures, one value-exact oracle. The tree is
-    actor state (built once per actor from the ray.put handle); the
-    level-synchronous query is vectorized across each batch."""
-    regions = _many_regions()
-    regions_ref = ray.put(regions)
-    ts = np.array([T_MID], dtype=np.int64)
-
-    class Stage(STRtreeJoinStage):
-        def __init__(self):
-            super().__init__(regions_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            s = snapshots(decode_spans(batch, tags=False), ts)
-            tagged = super().__call__(s.select(["lon_e7", "lat_e7"]))
-            g = pa.TableGroupBy(tagged.select(["region_id"]), ["region_id"]).aggregate(
-                [([], "count_all")]
-            )
-            return g.rename_columns(["region_id", "n_part"])
-
-    partials = _docs(sf_dir).map_batches(
-        Stage, batch_format="pyarrow", concurrency=(1, 8)
-    )
-    df = combine_partials(partials, ["region_id"], {"n_part": "n"})
-    return zerofill(df, {"region_id": [r for r, _ in regions]}, {"n": 0})
+    two candidate structures, one value-exact oracle. The
+    level-synchronous tree query is vectorized across each block."""
+    return _region_counts(sf_dir, STRtreeRegionIndex(_many_regions()))
 
 
 @query(lambda o: o.snapshot_count_daily("visible AND (etype = 'click' OR kk = 3)"))
@@ -7930,9 +7895,8 @@ def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
     node/u -> node/(u+1), layer = u % ROAD_CLASS_MOD == 0 — the
     'distance to nearest highway' shape, reference geometry analog
     Geo.java:37-60 neighborhoods). The reference layer is SMALL BY
-    CONSTRUCTION (a selected feature class), so it broadcasts into an
-    actor pool once per actor (__init__), never per batch; a dense
-    layer at 10^12 rows would instead ride the knn_queries halo join
+    CONSTRUCTION (a selected feature class), so it is captured in the
+    stage, which ships once per query; a dense layer at 10^12 rows would instead ride the knn_queries halo join
     (spatial/knn.py:792). Distance math is the knn contract: integer
     coordinate diffs cast exactly to float64, then an op-for-op IEEE
     expression tree (mul/add/div per branch of the point-to-segment
@@ -7951,7 +7915,7 @@ def q_nearest_road_distance(sf_dir: str) -> pd.DataFrame:
         )
 
     # segment arrays are tiny (class-filtered layer): closure capture
-    # ships them once per task — cheaper than actor-pool spin-up
+    # ships them with the stage, once per query
     sid = seg["join_k"].to_numpy(dtype=np.int64)
     sax = seg["ax"].to_numpy(dtype=np.int64)
     say = seg["ay"].to_numpy(dtype=np.int64)
@@ -8142,10 +8106,8 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     cy = HEX_H * cj
 
     # centers sorted by x ONCE at the driver; the arrays are tiny
-    # (O(lattice) ints), so they ship by closure capture — once per
-    # task, not per batch (the tagtranslator precedent) — and the
-    # stage runs in the TASK pool: actor-pool spin-up costs more than
-    # this state ever will
+    # (O(lattice) ints), so they ship by closure capture with the
+    # stage, once per query (the tagtranslator precedent)
     _order = np.argsort(cx, kind="mergesort")
     sci, scj = ci[_order], cj[_order]
     scx, scy = cx[_order], cy[_order]

@@ -14,17 +14,17 @@ crossing-number index; ``FastBboxInPolygon.java:23-72``;
   inclusive). This is the rule mirrored in SQL.
 - ``contains``: general even-odd crossing number with a latitude-band
   edge index (the FastInPolygon banding idea): edges are bucketed by
-  latitude band once at construction (actor ``__init__``), each point
-  only tests edges of its band.
+  latitude band once at construction, each point only tests edges of
+  its band.
 - ``bbox_inside`` / ``bbox_outside``: the cell/entity short-circuit
   tests of CellIterator (:182-195): a bbox is inside if all 4 corners
   are inside and no polygon vertex lies in the bbox interior; outside
   if all corners are outside and no vertex is inside and no edge
   crosses it (conservative: falls back to "partial" when unsure).
 
-``PointInPolygonStage`` is the actor-pool stage: polygons are compiled
-once per actor (broadcast via ``ray.put`` of the raw ring arrays),
-each batch is classified vectorized — the broadcast semi-join the
+A query builds its ``Polygon`` once on the driver and captures it in
+its stage function; ``io.map_blocks`` ships the stage once per query
+and each block is classified vectorized — the broadcast semi-join the
 reference gets from shipping serialized FIP indexes to Ignite nodes
 (GeometrySplitter.java:205-250).
 """
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pyarrow as pa
 
 
 @dataclass
@@ -213,39 +212,3 @@ def bbox_inside(poly: Polygon, min_x, min_y, max_x, max_y) -> bool:
     # inside", fall through to the exact per-point test
     return not _segments_intersect_rect(e, min_x, min_y, max_x, max_y).any()
 
-
-class PointInPolygonStage:
-    """Actor-pool map_batches stage: tag each row with the region ids
-    whose polygon contains its (lon_e7, lat_e7) point.
-
-    ``regions``: list of (region_id, rings) — passed pickled or via a
-    ``ray.put`` handle; polygons (band indexes) are compiled ONCE per
-    actor in ``__init__`` (the reference ships FIP indexes per node,
-    MapReducerIgniteLocalPeek.java:134-253 — same idea).
-    Emits one output row per (row, matching region): the broadcast
-    spatial semi-join of ``aggregateByGeometry``
-    (MapReducer.java:857-888).
-    """
-
-    def __init__(self, regions):
-        import ray
-
-        if not isinstance(regions, list):  # ObjectRef
-            regions = ray.get(regions)
-        self.regions = [(rid, Polygon([np.asarray(r, dtype=np.float64) for r in rings]))
-                        for rid, rings in regions]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        idx_parts, rid_parts = [], []
-        for rid, poly in self.regions:
-            hit = np.flatnonzero(poly.contains(lon, lat))
-            idx_parts.append(hit)
-            rid_parts.extend([rid] * len(hit))
-        if not idx_parts:
-            out = batch.slice(0, 0)
-            return out.append_column("region_id", pa.array([], type=pa.string()))
-        rows = np.concatenate(idx_parts)
-        out = batch.take(pa.array(rows))
-        return out.append_column("region_id", pa.array(rid_parts, type=pa.string()))

@@ -9,15 +9,15 @@ boundary (the FastBboxInPolygon / FastBboxOutsidePolygon short-
 circuits, fip.py). At query time a point looks up its cell:
 fully-inside cells skip the exact test entirely; boundary cells run
 the exact crossing-number test against only the regions listed for
-that cell. Built once per actor (broadcast the raw rings via
-``ray.put``), so the per-batch cost is a cell-id computation + exact
-tests for boundary points only.
+that cell. A query builds the index once on the driver and captures
+it in its stage function, which ``io.map_blocks`` ships once per
+query, so the per-block cost is a cell-id computation + exact tests
+for boundary points only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from ..model import LAT_MOD, LON_MOD
 from .fip import Polygon, bbox_inside, bbox_outside
@@ -77,25 +77,3 @@ class RegionIndex:
             np.concatenate(rid_parts),
         )
 
-
-class RegionJoinStage:
-    """Actor-pool map_batches stage: emits one row per (point, region)
-    containment — the aggregateByGeometry flat-map
-    (MapReducer.java:857-888). Regions arrive as a ray.put handle of
-    raw rings; the index compiles once per actor."""
-
-    def __init__(self, regions_ref, zoom: int = 6):
-        import ray
-
-        regions = ray.get(regions_ref) if not isinstance(regions_ref, list) else regions_ref
-        self.index = RegionIndex(regions, zoom)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = batch["lat_e7"].to_numpy(zero_copy_only=False)
-        rows, rids = self.index.classify(lon, lat)
-        if not len(rows):
-            out = batch.slice(0, 0)
-            return out.append_column("region_id", pa.array([], type=pa.string()))
-        out = batch.take(pa.array(rows))
-        return out.append_column("region_id", pa.array(rids, type=pa.string()))

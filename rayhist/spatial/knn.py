@@ -21,6 +21,11 @@ parallelism-invariance across num_cpus levels.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -399,24 +404,12 @@ def knn_points_grid(
     return _topk_reduce(cands, k, by="dist2", ascending=True)
 
 
-class IVFIndexStage:
-    """IVF-bucketed ANN assignment stage (the scale path for cosine
-    top-k): vectors are assigned to the nearest of ``nlist`` coarse
-    centroids; queries probe only the ``nprobe`` nearest buckets.
-
-    Centroids are deterministic: a seeded sample of the corpus
-    (vec_id % stride == 0) refined with one Lloyd iteration — identical
-    on every worker and across runs. Built once per actor.
-    """
-
-    def __init__(self, centroids: np.ndarray):
-        self.centroids = _unit_rows(centroids)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
-        mat = _unit_rows(mat)
-        bucket = np.argmax(mat @ self.centroids.T, axis=1).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket))
+def ivf_buckets(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """IVF bucket of each unit row of ``mat``: the nearest of the
+    ``nlist`` unit coarse centroids ``cents`` (``build_ivf_centroids``)
+    by cosine. Queries then probe only their ``nprobe`` nearest
+    buckets — the scale path for cosine top-k."""
+    return np.argmax(mat @ cents.T, axis=1).astype(np.int64)
 
 
 def build_ivf_centroids(
@@ -475,7 +468,7 @@ def ann_cosine_ivf(
             return _EMPTY_COS
         mat = np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
         mat = _unit_rows(mat)
-        bucket = np.argmax(mat @ cents.T, axis=1)
+        bucket = ivf_buckets(mat, cents)
         sims = qmat @ mat.T  # same float path as the brute + pruned stages
         sims[~probed[:, bucket]] = -np.inf
         return _emit_cos_topk(sims, qids, ids, k)
@@ -484,51 +477,40 @@ def ann_cosine_ivf(
 
 
 # ------------------------------------------------- IVF layout pruning
-def ensure_ivf_layout(
-    parquet_path: str,
-    nlist: int = 16,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-):
-    """Materialize (once) the IVF-bucketed LAYOUT of an embedding
-    table: vectors assigned by an IVFIndexStage actor pool and written
-    to parquet PARTITIONED BY BUCKET, so probing can prune the SCAN —
-    only probed partitions are read at query time, which is what makes
-    IVF pay at 10^12 scale (bucketing that only prunes compute still
-    reads every byte). Returns (layout_dir, centroids)."""
-    import hashlib
-    import os
-    from pathlib import Path
+def _ensure_layout(parquet_path: str, name: str, id_col: str, vec_col: str, build, buckets):
+    """Materialize (once) the bucket-partitioned LAYOUT of an embedding
+    table and return (layout_dir, index state).
 
+    ``build(ds)`` makes the index state (centroids, hyperplanes) on the
+    driver; ``buckets(mat, state)`` assigns each embedding row its
+    bucket inside one task-pool ``map_batches`` function, which also
+    writes the bucket as the ``pb`` partition column. The cache key
+    is the source file identity (``io._stat_identity``: an in-place
+    rewrite changes the ctime even when size and mtime are restored),
+    the layout parameters and this module's code fingerprint."""
     src = Path(parquet_path)
     cache_root = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
     key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:ivf{nlist}:{id_col}:{vec_col}:{_fp()}".encode()
+        f"{src.resolve()}:{rio._stat_identity(src)}:{name}:{id_col}:{vec_col}:{_fp()}".encode()
     ).hexdigest()[:16]
-    out = Path(cache_root) / key / "ivf_layout"
-    cents_file = "_centroids.npy"
+    out = Path(cache_root) / key / f"{name}_layout"
+    state_file = "_state.npy"
     if out.exists():
-        return str(out), np.load(out / cents_file)
+        return str(out), np.load(out / state_file)
 
     ds = rio.read_table(str(src), columns=[id_col, vec_col])
-    cents = build_ivf_centroids(ds, nlist, vec_col, id_col)
-    assigned = ds.map_batches(
-        IVFIndexStage,
-        fn_constructor_args=(cents,),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    state = build(ds)
 
-    def dup_part_col(b: pa.Table) -> pa.Table:
-        # keep `bucket` as a data column too (hive partition values are
-        # stripped from the files; the query stage needs them per row)
-        return b.append_column("pb", b["bucket"])
+    def assign(b: pa.Table) -> pa.Table:
+        mat = np.stack(b[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
+        bucket = pa.array(buckets(mat, state))
+        # `pb` duplicates `bucket`: hive partition values are stripped
+        # from the files, and the query stage needs the bucket per row
+        return b.append_column("bucket", bucket).append_column("pb", bucket)
 
     tmp = out.parent / f".tmp_{os.getpid()}"
-    assigned.map_batches(dup_part_col, batch_format="pyarrow").write_parquet(
-        str(tmp), partition_cols=["pb"]
-    )
-    np.save(tmp / cents_file, cents)
+    ds.map_batches(assign, batch_format="pyarrow").write_parquet(str(tmp), partition_cols=["pb"])
+    np.save(tmp / state_file, state)
     try:
         tmp.rename(out)
     except OSError:
@@ -536,10 +518,27 @@ def ensure_ivf_layout(
             raise
         # lost the rename race: drop OUR copy (a full duplicate of the
         # bucket-partitioned corpus would otherwise sit in the cache)
-        import shutil
-
         shutil.rmtree(tmp, ignore_errors=True)
-    return str(out), cents
+    return str(out), state
+
+
+def ensure_ivf_layout(
+    parquet_path: str,
+    nlist: int = 16,
+    id_col: str = "vec_id",
+    vec_col: str = "embedding",
+):
+    """The IVF-bucketed layout of an embedding table: vectors assigned
+    to their nearest centroid (``ivf_buckets``) and written to parquet
+    PARTITIONED BY BUCKET, so probing can prune the SCAN — only probed
+    partitions are read at query time, which is what makes IVF pay at
+    10^12 scale (bucketing that only prunes compute still reads every
+    byte). Returns (layout_dir, centroids)."""
+    return _ensure_layout(
+        parquet_path, f"ivf{nlist}", id_col, vec_col,
+        lambda ds: build_ivf_centroids(ds, nlist, vec_col, id_col),
+        lambda mat, cents: ivf_buckets(_unit_rows(mat), cents),
+    )
 
 
 def ann_cosine_ivf_pruned(
@@ -579,14 +578,12 @@ def ann_cosine_ivf_pruned(
     qbuckets = np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe]
 
     probe_union = sorted(int(b) for b in set(qbuckets.ravel()))
-    from pathlib import Path as _P
-
     # read_parquet expands a single directory but not a list of them —
     # enumerate the partition files of every probed bucket explicitly
     paths = [
         str(f)
         for b in probe_union
-        for f in sorted(_P(f"{layout}/pb={b}").glob("*.parquet"))
+        for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))
     ]
     scan = rio.read_table(paths, columns=[id_col, vec_col, "bucket"])
 
@@ -619,21 +616,13 @@ def lsh_hyperplanes(dim: int, n_bits: int, seed: int = 20240115) -> np.ndarray:
     return rng.standard_normal((n_bits, dim))
 
 
-class LSHIndexStage:
-    """Random-hyperplane LSH bucket assignment for cosine ANN (the
-    second scale path beside IVF): bucket = packed sign bits of
-    ``v @ planes.T``. Sign is norm-invariant, so no normalization pass
-    is needed at index time. Planes built once per actor."""
-
-    def __init__(self, planes: np.ndarray):
-        self.planes = planes
-        self.weights = (1 << np.arange(planes.shape[0], dtype=np.int64))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
-        bits = (mat @ self.planes.T) >= 0.0
-        bucket = (bits * self.weights).sum(axis=1).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket))
+def lsh_buckets(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Random-hyperplane LSH bucket of each row of ``mat`` for cosine
+    ANN (the second scale path beside IVF): the packed sign bits of
+    ``mat @ planes.T``. Sign is norm-invariant, so rows need no
+    normalization."""
+    weights = 1 << np.arange(planes.shape[0], dtype=np.int64)
+    return (((mat @ planes.T) >= 0.0) * weights).sum(axis=1).astype(np.int64)
 
 
 def ensure_lsh_layout(
@@ -642,51 +631,14 @@ def ensure_lsh_layout(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
 ):
-    """Materialize (once) the LSH-bucketed LAYOUT of an embedding
-    table — same partitioned-parquet shape as ``ensure_ivf_layout``,
-    so probing prunes the SCAN, not just the compute. Returns
-    (layout_dir, planes)."""
-    import hashlib
-    import os
-    from pathlib import Path
-
-    src = Path(parquet_path)
-    cache_root = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
-    key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:lsh{n_bits}:{id_col}:{vec_col}:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(cache_root) / key / "lsh_layout"
-    planes_file = "_planes.npy"
-    if out.exists():
-        return str(out), np.load(out / planes_file)
-
-    ds = rio.read_table(str(src), columns=[id_col, vec_col])
-    first = ds.take(1)[0]
-    planes = lsh_hyperplanes(len(first[vec_col]), n_bits)
-    assigned = ds.map_batches(
-        LSHIndexStage,
-        fn_constructor_args=(planes,),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+    """The LSH-bucketed layout of an embedding table (``lsh_buckets``),
+    same partitioned-parquet shape as ``ensure_ivf_layout``, so probing
+    prunes the SCAN, not just the compute. Returns (layout_dir,
+    planes)."""
+    return _ensure_layout(
+        parquet_path, f"lsh{n_bits}", id_col, vec_col,
+        lambda ds: lsh_hyperplanes(len(ds.take(1)[0][vec_col]), n_bits), lsh_buckets,
     )
-
-    def dup_part_col(b: pa.Table) -> pa.Table:
-        return b.append_column("pb", b["bucket"])
-
-    tmp = out.parent / f".tmp_{os.getpid()}"
-    assigned.map_batches(dup_part_col, batch_format="pyarrow").write_parquet(
-        str(tmp), partition_cols=["pb"]
-    )
-    np.save(tmp / planes_file, planes)
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-        import shutil
-
-        shutil.rmtree(tmp, ignore_errors=True)  # lost race: drop our copy
-    return str(out), planes
 
 
 def ann_cosine_lsh_pruned(
@@ -720,8 +672,7 @@ def ann_cosine_lsh_pruned(
     order = np.argsort(qids)
     qids = qids[order]
     qmat = np.stack(qtab[vec_col].to_numpy(zero_copy_only=False))[order].astype(np.float64)
-    weights = 1 << np.arange(n_bits, dtype=np.int64)
-    qbucket = (((qmat @ planes.T) >= 0.0) * weights).sum(axis=1).astype(np.int64)
+    qbucket = lsh_buckets(qmat, planes)
     qmat = _unit_rows(qmat)
 
     # Hamming-nearest probe sets (n_buckets is tiny; popcount per pair)
@@ -732,12 +683,10 @@ def ann_cosine_lsh_pruned(
     qbuckets = probe_order[:, :nprobe]
 
     probe_union = sorted(int(b) for b in set(qbuckets.ravel()))
-    from pathlib import Path as _P
-
     paths = [
         str(f)
         for b in probe_union
-        for f in sorted(_P(f"{layout}/pb={b}").glob("*.parquet"))
+        for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))
     ]
     scan = rio.read_table(paths, columns=[id_col, vec_col, "bucket"])
 

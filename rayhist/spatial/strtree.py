@@ -17,15 +17,14 @@ candidate stage; exact polygon tests run after, per region, over its
 candidate points (same contract as RegionIndex.classify, which
 remains the grid-bucketed alternative — two indexes, one oracle).
 
-Held as ACTOR STATE: build once per actor in ``__init__`` from a
-``ray.put`` handle of raw rings (see STRtreeJoinStage), query per
-batch in ``__call__``.
+A query builds the tree once on the driver and captures it in its
+stage function (``io.map_blocks`` ships it once per query); each block
+is classified with ``STRtreeRegionIndex.classify``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from .fip import Polygon
 
@@ -150,22 +149,3 @@ class STRtreeRegionIndex:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
         return np.concatenate(row_parts).astype(np.int64), np.concatenate(rid_parts)
 
-
-class STRtreeJoinStage:
-    """Actor-pool map_batches stage: STRtree built ONCE per actor from
-    a ray.put handle (the reference's per-worker GeometrySplitter
-    state), candidates + exact test per batch. Emits one row per
-    (point, region) containment — same output contract as
-    RegionJoinStage, so the two backends share one oracle."""
-
-    def __init__(self, regions_ref, node_cap: int = NODE_CAP):
-        import ray
-
-        self.index = STRtreeRegionIndex(ray.get(regions_ref), node_cap)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = batch["lat_e7"].to_numpy(zero_copy_only=False)
-        rows, rids = self.index.classify(lon, lat)
-        out = batch.take(pa.array(rows))
-        return out.append_column("region_id", pa.array(rids, type=pa.string()))

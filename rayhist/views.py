@@ -19,9 +19,10 @@ function). Partials combined on the driver run the stage through
 (``snapshot_view``, ``snapshot_counts``) map it
 for callers that go on to a distributed groupby.
 
-Stages are plain functions (stateless tasks). Stages that need
-compiled state (boundary-polygon indexes, grid tables) live in
-rayhist.spatial as callable classes run as actor pools.
+Stages are plain functions run as tasks. Compiled state
+(boundary-polygon indexes, grid tables; rayhist.spatial) is built once
+on the driver and captured in the stage function, which ships once per
+query.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+from ray.data._internal.execution.operators.actor_pool_map_operator import ActorPoolMapOperator
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from ray.data.dataset import MaterializedDataset
 
@@ -25,7 +26,9 @@ from rayhist.api import OSMContributionView, OSMEntitySnapshotView
 from rayhist.functions.deadline import Deadline, RayhistTimeoutError
 from rayhist.ingest import ensure_documents, read_documents, sig_keytable
 from rayhist.model import DECODE_COLUMNS
+from rayhist.ops.multimodal import decode_media, resize_media, sample_frames, synth_media_table
 from rayhist.pipelines import CONTRIB_BINS, CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY, SNAP_WEEKLY
+from rayhist.spatial.knn import ensure_ivf_layout, ensure_lsh_layout
 from rayhist.temporal import TagFilter
 from rayhist.views import (
     contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
@@ -97,6 +100,20 @@ def executions(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     return started
+
+
+@pytest.fixture
+def actor_pools(monkeypatch):
+    """Counts the actor-pool operators Ray Data builds on the driver."""
+    built = []
+    init = ActorPoolMapOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ActorPoolMapOperator, "__init__", counting)
+    return built
 
 
 def _finish(table, keys, sums) -> pd.DataFrame:
@@ -327,16 +344,59 @@ def test_spatial_join_and_interactive_run_no_ray_data_execution(executions, quer
     _runs_no_execution(executions, query)
 
 
+INDEX_QUERIES = [
+    "media_features", "snapshot_pip_many_regions", "snapshot_pip_many_regions_strtree",
+    "snapshot_pip_poly",
+]
+
+
 @pytest.mark.parametrize(
     "query",
     ["contributor_territory", "hexcell_dominant_uid", "lifespan_overlap_pairs",
-     "snapshot_incremental_merge", "way_areas", "way_centroids", "way_compactness"],
+     "snapshot_incremental_merge", "way_areas", "way_centroids", "way_compactness",
+     *INDEX_QUERIES],
 )
 def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
-    """Queries whose only inputs are resident tables shuffle through
-    io.reduce_by_key's block tasks: no Ray Data execution after
-    warm-up."""
+    """Queries whose only inputs are resident tables run as block tasks
+    (io.map_blocks, io.reduce_by_key's shuffle; an index built on the
+    driver rides in the stage): no Ray Data execution after warm-up."""
     _runs_no_execution(executions, query)
+
+
+def _media(kind="image"):
+    import ray
+
+    t = synth_media_table([f"{kind}://{i}" for i in range(6)], kind)
+    return ray.data.from_arrow(t)
+
+
+TASK_STAGES = {
+    "decode_media": lambda: decode_media(_media()),
+    "resize_media": lambda: resize_media(_media()),
+    "sample_frames": lambda: sample_frames(_media("video")),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(TASK_STAGES), *INDEX_QUERIES])
+def test_stateful_stages_run_without_an_actor_pool(actor_pools, name):
+    """Stateful stages (codec probes, region indexes) are built once on
+    the driver and shipped with a plain stage function: Ray Data builds
+    no actor pool for them."""
+    if name in TASK_STAGES:
+        assert TASK_STAGES[name]().materialize().count()
+    else:
+        assert len(pipelines.QUERIES[name][0](SF))
+    assert actor_pools == []
+
+
+@pytest.mark.parametrize("ensure", [ensure_ivf_layout, ensure_lsh_layout])
+def test_cold_layout_builds_run_without_an_actor_pool(actor_pools, tmp_path, monkeypatch, ensure):
+    """A cold IVF/LSH layout build assigns buckets in one task-pool
+    map_batches function."""
+    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path))
+    layout, _ = ensure(f"{SF}/embeddings.parquet")
+    assert layout.startswith(str(tmp_path))  # built now, not read from a cache
+    assert actor_pools == []
 
 
 @pytest.fixture

@@ -143,12 +143,12 @@ def test_multimodal_plumbing():
 
     refs = [f"img://{i}" for i in range(10)]
     ds = ray.data.from_arrow(synth_media_table(refs))
-    out = decode_media(ds, concurrency=1, batch_size=4).to_pandas()
+    out = decode_media(ds, batch_size=4).to_pandas()
     assert len(out) == 10
     assert set(out.columns) == {"media_ref", "kind", "width", "height", "feature"}
     assert all(len(f) == 16 for f in out["feature"])
     # deterministic: same ref -> same feature
-    out2 = decode_media(ray.data.from_arrow(synth_media_table(refs)), concurrency=1).to_pandas()
+    out2 = decode_media(ray.data.from_arrow(synth_media_table(refs))).to_pandas()
     a = out.sort_values("media_ref")["feature"].tolist()
     b = out2.sort_values("media_ref")["feature"].tolist()
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -514,7 +514,7 @@ def test_hash_join_int64_exact_above_2_53():
 
 
 def test_media_decode_codec_probe_contract():
-    """MediaDecodeStage probes PIL once per actor and falls back to the
+    """MediaDecodeStage probes PIL once per construction and falls back to the
     deterministic fake; the contract (schema, dims, determinism) holds
     in WHICHEVER mode the environment provides, and the real branch is
     additionally exercised when PIL is importable."""
@@ -551,7 +551,7 @@ def test_media_decode_codec_probe_contract():
     feats1 = out1["feature"].to_pylist()
     feats2 = out2["feature"].to_pylist()
     assert all(len(f) == FEATURE_DIM for f in feats1)
-    assert feats1 == feats2  # deterministic across actor instances
+    assert feats1 == feats2  # deterministic across stage instances
     # forcing the fake always works, PIL or not
     import os
 
