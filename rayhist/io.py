@@ -19,7 +19,12 @@ instead of re-planning and re-reading the immutable shard files.
 the locally resident cells, a per-node reduce, the combine on the
 client): a query whose partials are combined on the driver runs its
 fused stage as one plain Ray task per resident block and concatenates
-the outputs in block order, with no Ray Data execution in between.
+the outputs in block order, with no Ray Data execution in between. A
+task is shipped only what its worker lacks: a query of one task carries
+its stage in the task's arguments (a query of several ``ray.put``s it
+once), and a worker keeps each resident block it fetches, so a later
+query's task over that block takes the worker's copy, a zero-copy view
+of the object store, instead of resolving the block again.
 
 ``reduce_by_key`` is the wide half of that backend: LocalPeek shuffles
 its cell-id buffer across the nodes and reduces per node
@@ -33,6 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
+import itertools
 import os
 import threading
 import time
@@ -212,6 +218,23 @@ _filtered: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # resident tables -> their block refs, taken once at admission: a
 # to_arrow_refs() call plans and executes the Dataset again (~1 ms)
 _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# a new value whenever a resident table is dropped (evicted, replaced,
+# of an ended session, or collected); every block and route task
+# carries it, and a worker that sees a new one first forgets the blocks
+# it kept
+_generations = itertools.count()
+_generation = next(_generations)
+# in a worker process: the resident blocks its tasks fetched, by object
+# id, and the generation they were fetched in
+_worker_blocks: dict[bytes, pa.Table] = {}
+_worker_generation = None
+
+
+def _forget_blocks() -> None:
+    # next() on a count is atomic, so concurrent drops (a finalizer runs
+    # in whichever thread collects the table) never store the same value
+    global _generation
+    _generation = next(_generations)
 
 
 def _session() -> tuple[str, str]:
@@ -245,15 +268,18 @@ def _admit(key: tuple, ds: MaterializedDataset) -> None:
     miss count carries over."""
     for dead in [k for k in _resident if k[0] != key[0]]:
         del _resident[dead]
+        _forget_blocks()
     misses = 1
     for old in [k for k in _resident if k[1:3] == key[1:3]]:
         misses += _resident.pop(old).misses
+        _forget_blocks()
     nbytes = ds.size_bytes()
     budget = RESIDENT_FRACTION * ray.cluster_resources().get("object_store_memory", 0)
     _resident[key] = _Resident(ds if nbytes <= budget else None, nbytes, misses=misses)
     while sum(e.nbytes for e in _resident.values() if e.ds is not None) > budget:
         oldest = next(k for k, e in _resident.items() if e.ds is not None)
         del _resident[oldest]
+        _forget_blocks()
 
 
 def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
@@ -292,6 +318,7 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
             ds = read_table(path, columns=columns).materialize()
             ds = materialize_blocks(ds, pa.Table.combine_chunks)
             _kept[ds] = ds.to_arrow_refs()
+            weakref.finalize(ds, _forget_blocks)
             _admit((_session(), str(path), cols, ident), ds)
         elif entry.ds is None:
             entry.misses += 1
@@ -318,9 +345,28 @@ def _arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
+def _local_block(block, generation: int) -> pa.Table:
+    """The table a block or route task runs over. ``block`` is a table
+    (Ray resolved its ref) or a one-ref list: the kept ref of a
+    resident block, which this worker fetches once and keeps, so a
+    later task over it takes the same object. A task of another
+    generation clears the kept blocks first."""
+    global _worker_generation
+    if generation != _worker_generation:
+        _worker_blocks.clear()
+        _worker_generation = generation
+    if not isinstance(block, list):
+        return _arrow(block)
+    (ref,) = block
+    t = _worker_blocks.get(ref.binary())
+    if t is None:
+        t = _worker_blocks[ref.binary()] = _arrow(ray.get(ref))
+    return t
+
+
 @ray.remote
-def _block_task(stage, block: pa.Table, flt, batch_size: int | None) -> pa.Table:
-    block = _arrow(block)
+def _block_task(stage, block, flt, batch_size: int | None, generation: int) -> pa.Table:
+    block = _local_block(block, generation)
     if flt is not None:
         block = block.filter(flt)
     n = block.num_rows
@@ -339,15 +385,28 @@ def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
     from the blocks: ``to_pandas()`` or ``iter_batches()`` would start
     a streaming execution even on a materialized Dataset."""
     if isinstance(blocks, ray.data.Dataset):
-        blocks = _refs(blocks)
+        kept = _kept.get(blocks)
+        blocks = blocks.to_arrow_refs() if kept is None else kept
     return _concat(ray.get(blocks))
 
 
-def _refs(ds: ray.data.Dataset) -> list:
-    """The block refs of ``ds``: the ones kept when a resident table was
-    admitted, else ``to_arrow_refs()``."""
+def _task_blocks(ds: MaterializedDataset) -> list:
+    """The block arguments of one task per block of ``ds``: a resident
+    table's kept refs each wrapped in a list, so Ray hands the task the
+    ref itself and the worker keeps the block it fetches; any other
+    Dataset's refs as they are, for Ray to resolve (a transient output
+    is never kept)."""
     refs = _kept.get(ds)
-    return ds.to_arrow_refs() if refs is None else refs
+    return ds.to_arrow_refs() if refs is None else [[r] for r in refs]
+
+
+def _ship(fn, n: int):
+    """``fn`` as an argument of ``n`` tasks: itself, in the arguments
+    of a single task, else one ``ray.put`` the tasks share. Either way
+    it goes through Ray's serializer, which counts a ref ``fn``
+    captures as borrowed by the task; a ref pickled by hand is pinned
+    for the rest of the session."""
+    return fn if n <= 1 else ray.put(fn)
 
 
 def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list | None:
@@ -360,9 +419,9 @@ def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> l
         base, flt = _filtered.get(ds, (ds, None))
         if not isinstance(base, MaterializedDataset):
             return None
-        blocks = _refs(base)
-    fn = ray.put(stage)
-    return [_block_task.remote(fn, ref, flt, batch_size) for ref in blocks]
+        blocks = _task_blocks(base)
+    fn = _ship(stage, len(blocks))
+    return [_block_task.remote(fn, b, flt, batch_size, _generation) for b in blocks]
 
 
 def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None) -> pa.Table:
@@ -372,8 +431,11 @@ def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None
 
     On a list of table refs (a ``reduce_by_key`` result) or a
     materialized Dataset (a ``read_resident`` table, filtered or
-    not, or any ``materialize()`` result) the stage is ``ray.put``
-    once and runs as one Ray task per block; the outputs are
+    not, or any ``materialize()`` result) the stage runs as one Ray
+    task per block: in that task's arguments when there is one
+    block, else ``ray.put`` once and shared. A worker keeps the
+    resident blocks it fetches, so the next query's task over the
+    same block does not fetch it again. The outputs are
     concatenated in block order, so two runs give the same rows in
     the same order, and a block whose rows are all filtered out still
     yields the stage's typed empty output. A
@@ -428,8 +490,8 @@ def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 
 @ray.remote
-def _route_task(stage, block: pa.Table, flt, keys: list[str], n: int):
-    block = _arrow(block)
+def _route_task(stage, block, flt, keys: list[str], n: int, generation: int):
+    block = _local_block(block, generation)
     if flt is not None:
         block = block.filter(flt)
     # Ray's schema-less empty block (a materialized map_batches
@@ -485,15 +547,16 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
             if stage is not None:
                 ds = ds.map_batches(stage, batch_format="pyarrow")
             base, flt, stage = ds.materialize(), None, None
-        blocks = _refs(base)
+        blocks = _task_blocks(base)
     n = len(blocks)
-    fn = ray.put(stage)
+    fn = _ship(stage, n)
     routed = [
-        _route_task.options(num_returns=n).remote(fn, ref, flt, keys, n) for ref in blocks
+        _route_task.options(num_returns=n).remote(fn, b, flt, keys, n, _generation)
+        for b in blocks
     ]
     if n == 1:
         routed = [[r] for r in routed]
-    red = ray.put(reduce)
+    red = _ship(reduce, n)
     return [_reduce_task.remote(red, *[r[j] for r in routed]) for j in range(n)]
 
 

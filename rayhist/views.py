@@ -13,26 +13,34 @@ OSH entity at import time, documentation/manual/data-model.md:20-22);
 the shuffle comes afterwards, in the groupby(cell, timestamp)
 aggregation (see rayhist.aggregate).
 
-Each view is a stage builder (``*_stage``: arguments -> pyarrow table
-function). Partials combined on the driver run the stage through
+Each view is a stage builder (``*_stage``: arguments -> a callable
+from pyarrow table to pyarrow table). Partials combined on the driver run the stage through
 ``io.map_blocks`` (one task per resident block); the Dataset wrappers
 (``snapshot_view``, ``snapshot_counts``) map it
 for callers that go on to a distributed groupby.
 
-Stages are plain functions run as tasks. Compiled state
-(boundary-polygon indexes, grid tables; rayhist.spatial) is built once
-on the driver and captured in the stage function, which ships once per
-query.
+Each stage is a frozen instance of a module-level callable class, so
+it pickles by reference to its class plus its fields (tens of
+microseconds, where a nested closure is pickled by value, ~0.5 ms per
+shipment). State the stage needs (timestamp arrays, tag LUTs) is
+computed once by the builder and held in its fields. ``io.map_blocks``
+ships a stage in the arguments of a query's one block task, or
+``ray.put``s it once for a query of several tasks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from .aggregate import floor_bin
 from .functions.deadline import Deadline
 from .model import decode_spans, doc_codes
+from .spatial.grid import cell_id
 from .temporal import TagFilter, contributions, snapshots
 
 
@@ -59,15 +67,24 @@ def snapshot_stage(
     ``deadline`` is checked between batches (the Kernels.java:24-36
     isActive() analog) and raises RayhistTimeoutError when tripped.
     """
-    ts = np.asarray(list(timestamps), dtype=np.int64)
+    return SnapshotStage(np.asarray(list(timestamps), dtype=np.int64), tag_filter, deadline)
 
-    def stage(batch: pa.Table) -> pa.Table:
-        if deadline is not None:
-            deadline.check()
+
+@dataclass(frozen=True, eq=False)
+class SnapshotStage:
+    """The ``snapshot_stage`` callable."""
+
+    ts: np.ndarray
+    tag_filter: TagFilter | None
+    deadline: Deadline | None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.deadline is not None:
+            self.deadline.check()
         decoded = decode_spans(batch)
-        return snapshots(decoded, ts, _match_mask(decoded, tag_filter), codes=doc_codes(batch))
-
-    return stage
+        return snapshots(
+            decoded, self.ts, _match_mask(decoded, self.tag_filter), codes=doc_codes(batch)
+        )
 
 
 def snapshot_view(docs: ray.data.Dataset, *args, **kwargs) -> ray.data.Dataset:
@@ -88,19 +105,30 @@ def contribution_stage(
     (CellIterator.java:437-712). ``tags``/``geom`` prune the decode
     when the caller never reads tag/geometry outputs (the
     is_tag_change / is_geom_change flags become vacuously false)."""
+    return ContributionStage(
+        int(t_from), int(t_to), tag_filter, tags or tag_filter is not None, geom, deadline
+    )
 
-    def stage(batch: pa.Table) -> pa.Table:
-        if deadline is not None:
-            deadline.check()
-        decoded = decode_spans(
-            batch, tags=tags or tag_filter is not None, geom=geom
-        )
+
+@dataclass(frozen=True, eq=False)
+class ContributionStage:
+    """The ``contribution_stage`` callable."""
+
+    t_from: int
+    t_to: int
+    tag_filter: TagFilter | None
+    tags: bool
+    geom: bool
+    deadline: Deadline | None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.deadline is not None:
+            self.deadline.check()
+        decoded = decode_spans(batch, tags=self.tags, geom=self.geom)
         return contributions(
-            decoded, int(t_from), int(t_to), _match_mask(decoded, tag_filter),
+            decoded, self.t_from, self.t_to, _match_mask(decoded, self.tag_filter),
             codes=doc_codes(batch),
         )
-
-    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +160,54 @@ def snapshot_counts_stage(
     per key bucket with ``ops.relational.combine_by_key(docs, keys,
     {"n_part": "sum"}, stage=stage)``.
     """
-    ts = np.asarray(list(timestamps), dtype=np.int64)
     keys = ["ts_q"] + (["cell"] if cell_zoom is not None else [])
-    # prune the decode to what this aggregation reads (BASELINE.md:
-    # memory bandwidth is the wall; unread fields are wasted traffic)
     use_ids = keytable is not None and tag_filter is not None
-    lut = tag_filter.sig_lut(keytable) if use_ids else None
-    need_tags = "ids" if use_ids else tag_filter is not None
-    need_geom = cell_zoom is not None
-    gather = ["lon_e7", "lat_e7"] if need_geom else []
+    stage = SnapshotCountsStage(
+        ts=np.asarray(list(timestamps), dtype=np.int64),
+        tag_filter=tag_filter,
+        lut=tag_filter.sig_lut(keytable) if use_ids else None,
+        cell_zoom=cell_zoom,
+        deadline=deadline,
+    )
+    return stage, keys
 
-    def stage(batch: pa.Table) -> pa.Table:
-        if deadline is not None:
-            deadline.check()
-        decoded = decode_spans(batch, tags=need_tags, geom=need_geom)
-        m = _ids_mask(decoded, lut) if use_ids else _match_mask(decoded, tag_filter)
-        s = snapshots(decoded, ts, m, columns=gather, codes=doc_codes(batch))
+
+@dataclass(frozen=True, eq=False)
+class SnapshotCountsStage:
+    """The ``snapshot_counts_stage`` callable; ``lut`` is set on the
+    int-keytable path, which decodes no tag strings."""
+
+    ts: np.ndarray
+    tag_filter: TagFilter | None
+    lut: np.ndarray | None
+    cell_zoom: int | None
+    deadline: Deadline | None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.deadline is not None:
+            self.deadline.check()
+        # prune the decode to what this aggregation reads (BASELINE.md:
+        # memory bandwidth is the wall; unread fields are wasted traffic)
+        need_geom = self.cell_zoom is not None
+        if self.lut is not None:
+            decoded = decode_spans(batch, tags="ids", geom=need_geom)
+            m = _ids_mask(decoded, self.lut)
+        else:
+            decoded = decode_spans(batch, tags=self.tag_filter is not None, geom=need_geom)
+            m = _match_mask(decoded, self.tag_filter)
+        gather = ["lon_e7", "lat_e7"] if need_geom else []
+        s = snapshots(decoded, self.ts, m, columns=gather, codes=doc_codes(batch))
         cols = s.select(["ts_q"])
-        if cell_zoom is not None:
-            from .spatial.grid import cell_id
-
+        if need_geom:
             cell = cell_id(
                 s["lon_e7"].to_numpy(zero_copy_only=False),
                 s["lat_e7"].to_numpy(zero_copy_only=False),
-                cell_zoom,
+                self.cell_zoom,
             )
             cols = cols.append_column("cell", pa.array(cell))
+        keys = cols.column_names
         g = pa.TableGroupBy(cols, keys).aggregate([([], "count_all")])
         return g.rename_columns([*keys, "n_part"])
-
-    return stage, keys
 
 
 def snapshot_counts(docs: ray.data.Dataset, *args, **kwargs):
@@ -192,53 +238,74 @@ def contribution_stats_stage(
     Returns (stage, key list); finish with ``combine_partials`` over
     ``io.map_blocks(docs, stage)``.
     """
-    from .aggregate import floor_bin
-
-    bins_arr = None if bins is None else np.asarray(list(bins), dtype=np.int64)
-    keys = ["ts_q"] if bins_arr is not None else []
+    keys = ["ts_q"] if bins is not None else []
     if flag_cols is None:
         flag_cols = ["is_creation", "is_deletion", "is_tag_change", "is_geom_change"]
     need_tags = tag_filter is not None or "is_tag_change" in flag_cols
     # int-keytable path: tag filter AND tag-change compare both run on
     # per-version sig ids; no tag-string decode at all
     use_ids = keytable is not None and need_tags
-    lut = tag_filter.sig_lut(keytable) if (use_ids and tag_filter is not None) else None
-    if use_ids:
-        need_tags = "ids"
-    need_geom = "is_geom_change" in flag_cols
+    stage = ContributionStatsStage(
+        t_from=int(t_from),
+        t_to=int(t_to),
+        tag_filter=tag_filter,
+        lut=tag_filter.sig_lut(keytable) if (use_ids and tag_filter is not None) else None,
+        bins=None if bins is None else np.asarray(list(bins), dtype=np.int64),
+        flag_cols=tuple(flag_cols),
+        need_tags="ids" if use_ids else need_tags,
+        deadline=deadline,
+    )
+    return stage, keys
 
-    def stage(batch: pa.Table) -> pa.Table:
-        if deadline is not None:
-            deadline.check()
-        decoded = decode_spans(batch, tags=need_tags, geom=need_geom)
-        m = _ids_mask(decoded, lut) if lut is not None else _match_mask(decoded, tag_filter)
+
+@dataclass(frozen=True, eq=False)
+class ContributionStatsStage:
+    """The ``contribution_stats_stage`` callable; ``lut`` is set when
+    the tag filter runs on the int-keytable path, ``need_tags`` is
+    "ids" when the tag-change compare does."""
+
+    t_from: int
+    t_to: int
+    tag_filter: TagFilter | None
+    lut: np.ndarray | None
+    bins: np.ndarray | None
+    flag_cols: tuple[str, ...]
+    need_tags: bool | str
+    deadline: Deadline | None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.deadline is not None:
+            self.deadline.check()
+        flag_cols = list(self.flag_cols)
+        decoded = decode_spans(batch, tags=self.need_tags, geom="is_geom_change" in flag_cols)
+        if self.lut is not None:
+            m = _ids_mask(decoded, self.lut)
+        else:
+            m = _match_mask(decoded, self.tag_filter)
+        binned = self.bins is not None
         c = contributions(
-            decoded, int(t_from), int(t_to), m,
-            tag_col="tag_id" if use_ids else "tag_sig",
-            columns=["ts"] if bins_arr is not None else [],
+            decoded, self.t_from, self.t_to, m,
+            tag_col="tag_id" if self.need_tags == "ids" else "tag_sig",
+            columns=["ts"] if binned else [],
             codes=doc_codes(batch),
         )
         t = pa.table(
             {
                 **(
-                    {"ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins_arr))}
-                    if bins_arr is not None
+                    {"ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), self.bins))}
+                    if binned
                     else {}
                 ),
                 **{f: c[f].cast(pa.int64()) for f in flag_cols},
                 "one": pa.array(np.ones(len(c), dtype=np.int64)),
             }
         )
-        if keys:
-            g = pa.TableGroupBy(t, keys).aggregate(
+        if binned:
+            g = pa.TableGroupBy(t, ["ts_q"]).aggregate(
                 [("one", "sum")] + [(f, "sum") for f in flag_cols]
             )
-            return g.rename_columns([*keys, "n_part", *[f + "_part" for f in flag_cols]])
+            return g.rename_columns(["ts_q", "n_part", *[f + "_part" for f in flag_cols]])
         sums = {"n_part": pa.array([len(c)], type=pa.int64())}
         for f in flag_cols:
-            import pyarrow.compute as pc
-
             sums[f + "_part"] = pa.array([pc.sum(t[f]).as_py() or 0], type=pa.int64())
         return pa.table(sums)
-
-    return stage, keys

@@ -6,6 +6,7 @@ backends are the block-task path over a resident table and the
 ``map_batches`` path over a table read from disk (a table over the
 resident budget)."""
 
+import pickle
 from collections import OrderedDict
 
 import numpy as np
@@ -13,6 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+import ray
 from ray.data._internal.execution.operators.actor_pool_map_operator import ActorPoolMapOperator
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from ray.data.dataset import MaterializedDataset
@@ -72,19 +74,33 @@ def fresh(monkeypatch):
     monkeypatch.setattr(rio, "_resident", OrderedDict())
 
 
+class Submitted(list):
+    """The arguments of every block task map_blocks submits, and the
+    driver's ``ray.put`` calls (``puts``)."""
+
+    puts: list
+
+
 @pytest.fixture
 def block_tasks(monkeypatch):
-    """Counts the block tasks map_blocks submits."""
-    calls = []
-    task = rio._block_task
+    """Records the block tasks map_blocks submits and the ray.put calls
+    made on the driver meanwhile."""
+    calls = Submitted()
+    calls.puts = []
+    task, put = rio._block_task, ray.put
 
     class Counting:
         @staticmethod
         def remote(*args):
-            calls.append(1)
+            calls.append(args)
             return task.remote(*args)
 
+    def counting_put(*args, **kwargs):
+        calls.puts.append(args)
+        return put(*args, **kwargs)
+
     monkeypatch.setattr(rio, "_block_task", Counting)
+    monkeypatch.setattr(ray, "put", counting_put)
     return calls
 
 
@@ -225,6 +241,80 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     )
 
 
+# ---------------------------------------------- what a block task carries
+
+def _blocks(monkeypatch, n):
+    """Resident tables read from now on hold ``n`` blocks."""
+    monkeypatch.setattr(rio, "_resident", OrderedDict())
+    monkeypatch.setattr(rio, "auto_num_blocks", lambda path: n)
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_view_stages_pickle_by_reference(name):
+    """Every view stage is an instance of a module-level class: stdlib
+    pickle (which cannot pickle a closure) round-trips it, and the copy
+    gives the same output."""
+    stage = VIEWS[name]()[0]
+    block = rio.blocks_table(_read(name)).combine_chunks()
+    copy = pickle.loads(pickle.dumps(stage))
+    assert type(copy) is type(stage)
+    assert copy(block).equals(stage(block))
+
+
+@pytest.mark.parametrize("query", WORKLOADS["history_scan"].queries)
+def test_one_block_query_ships_its_stage_inline(monkeypatch, block_tasks, query):
+    """Over a one-block resident table a history_scan query runs one
+    task that carries its stage in its arguments: no ray.put on the
+    driver, and the block goes as its kept ref, wrapped so that the
+    worker, not Ray, resolves it."""
+    _blocks(monkeypatch, 1)
+    fn = pipelines.QUERIES[query][0]
+    fn(SF)
+    fn(SF)
+    block_tasks.clear()
+    block_tasks.puts.clear()
+    fn(SF)
+    (args,) = block_tasks
+    stage, block = args[:2]
+    assert callable(stage) and not isinstance(stage, ray.ObjectRef)
+    assert isinstance(block, list) and isinstance(block[0], ray.ObjectRef)
+    assert block_tasks.puts == []
+
+
+def test_stage_capturing_a_ref_gives_the_same_rows_at_any_block_count(monkeypatch, block_tasks):
+    """A stage that captures a ray.put ref, inline in the one task of a
+    one-block table and put once for the four tasks of a four-block
+    table: the same rows through map_blocks and reduce_by_key."""
+    ids = rio.blocks_table(read_documents(SF, columns=DECODE_COLUMNS))["osm_id"]
+    ids_ref = ray.put(np.unique(ids.to_numpy())[::3])
+
+    def stage(b):
+        keep = pc.is_in(b["osm_id"], pa.array(ray.get(ids_ref)))
+        return b.filter(keep).select(["osm_id", "doc_id"])
+
+    def reduce(t):
+        return t.group_by("osm_id").aggregate([([], "count_all")])
+
+    got = {}
+    for n in (1, 4):
+        _blocks(monkeypatch, n)
+        docs = read_documents(SF, columns=DECODE_COLUMNS)
+        assert docs.num_blocks() == n
+        block_tasks.clear()
+        block_tasks.puts.clear()
+        mapped = rio.map_blocks(docs, stage)
+        assert len(block_tasks) == n
+        assert isinstance(block_tasks[0][0], ray.ObjectRef) == (n > 1)
+        assert len(block_tasks.puts) == (n > 1)
+        reduced = rio.blocks_table(rio.reduce_by_key(docs, ["osm_id"], reduce, stage=stage))
+        got[n] = (
+            mapped.sort_by("doc_id"),
+            reduced.sort_by("osm_id").select(["osm_id", "count_all"]),
+        )
+    assert got[1][0].num_rows
+    assert got[1][0].equals(got[4][0]) and got[1][1].equals(got[4][1])
+
+
 # ------------------------------------------------ failure and empty results
 
 def test_tripped_deadline_raises_the_typed_error():
@@ -363,9 +453,23 @@ def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
     _runs_no_execution(executions, query)
 
 
-def _media(kind="image"):
-    import ray
+def test_region_indexes_are_built_once_per_process(monkeypatch):
+    """The many-regions queries build their constant index (RegionIndex
+    alone takes ~1 s) once per process, not once per call."""
+    built = []
+    for name in ("RegionIndex", "STRtreeRegionIndex"):
+        cls = getattr(pipelines, name)
+        monkeypatch.setattr(
+            pipelines, name, lambda *a, _cls=cls, **k: built.append(_cls.__name__) or _cls(*a, **k)
+        )
+    pipelines._many_regions_index.cache_clear()
+    for query in ("snapshot_pip_many_regions", "snapshot_pip_many_regions_strtree"):
+        fn = pipelines.QUERIES[query][0]
+        pd.testing.assert_frame_equal(fn(SF), fn(SF))
+    assert sorted(built) == ["RegionIndex", "STRtreeRegionIndex"]
 
+
+def _media(kind="image"):
     t = synth_media_table([f"{kind}://{i}" for i in range(6)], kind)
     return ray.data.from_arrow(t)
 
@@ -483,8 +587,6 @@ def test_operator_outputs_are_read_without_an_execution(executions):
     back materialized: io.map_blocks over them runs block tasks and
     starts no Ray Data execution (a bare from_arrow_refs / from_arrow
     Dataset would start one on its first to_arrow_refs)."""
-    import ray
-
     from rayhist.ops.kcore import k_core
     from rayhist.ops.relational import hash_join
 
@@ -508,8 +610,6 @@ def test_graph_operators_run_no_ray_data_execution(executions):
     round is one io.reduce_by_key and every driver read one
     io.map_blocks, on both sides of the size gate, so no Ray Data
     execution starts."""
-    import ray
-
     from rayhist.ops.bfs import bfs_hops
     from rayhist.ops.cc import connected_components
     from rayhist.ops.kcore import k_core

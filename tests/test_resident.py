@@ -207,6 +207,81 @@ def test_kept_refs_die_with_their_entry(fresh, monkeypatch):
     assert ways() is None
 
 
+def _block_seen(b: pa.Table) -> pa.Table:
+    """The stage's worker pid and block object, and whether that object
+    is the worker's kept copy."""
+    from rayhist import io as worker_io
+
+    kept = any(b is t for t in worker_io._worker_blocks.values())
+    return pa.table({"pid": [os.getpid()], "block": [id(b)], "kept": [kept]})
+
+
+def test_worker_keeps_resident_blocks(fresh, monkeypatch):
+    """Every block task over a resident table hands its stage the
+    worker's kept copy of the block, and a later map_blocks in the same
+    worker hands it the same object."""
+    monkeypatch.setattr(rio, "auto_num_blocks", lambda path: 1)
+    docs = read_documents(SF, columns=DECODE_COLUMNS)
+    seen: dict[int, set] = {}
+    for _ in range(8):
+        (row,) = rio.map_blocks(docs, _block_seen).to_pylist()
+        assert row["kept"]
+        seen.setdefault(row["pid"], set()).add(row["block"])
+    assert len(seen) < 8  # some worker ran more than one of the tasks
+    assert all(len(blocks) == 1 for blocks in seen.values())
+
+
+def _held(b: pa.Table) -> pa.Table:
+    """The object ids of the blocks the stage's worker keeps."""
+    from rayhist import io as worker_io
+
+    return pa.table({"block": pa.array(list(worker_io._worker_blocks), pa.binary())})
+
+
+def _same_through_tasks(resident, disk) -> bool:
+    """map_blocks over ``resident`` (block tasks over the worker-kept
+    blocks) gives the rows of ``disk``."""
+    got, want = rio.map_blocks(resident, lambda b: b), _rows(disk)
+    return got.num_rows == 0 if want is None else got.equals(want)
+
+
+def test_worker_kept_blocks_never_outlive_their_table(fresh, monkeypatch, tmp_path):
+    """After an eviction, an in-place rewrite and under a filter, block
+    tasks over the resident table give the disk read's rows: no worker
+    serves a block of a table the driver dropped. Each drop starts a
+    new generation, whose first task in a worker clears the blocks
+    that worker kept."""
+    nodes, ways = ensure_documents(SF), ensure_way_documents(SF)
+    a = read_documents(SF).size_bytes()
+    b = read_way_documents(SF).size_bytes()
+    rio._resident.clear()
+    store = ray.cluster_resources()["object_store_memory"]
+    monkeypatch.setattr(rio, "RESIDENT_FRACTION", (max(a, b) + min(a, b) / 2) / store)
+    for path, read in [(nodes, read_documents), (ways, read_way_documents)] * 2:
+        generation = rio._generation
+        assert _same_through_tasks(read(SF), rio.read_table(path))
+        assert [r["path"] for r in rio.resident_tables()] == [path]
+        assert _same_through_tasks(read(SF), rio.read_table(path))
+    assert rio._generation > generation  # the last read evicted a table
+    docs = read_way_documents(SF)
+    held = rio.map_blocks(docs, _held)["block"].to_pylist()
+    assert set(held) <= {ref.binary() for ref in rio._kept[docs]}
+
+    table = tmp_path / "docs"
+    shutil.copytree(nodes, table)
+    assert _same_through_tasks(rio.read_resident(table), rio.read_table(table))
+    shard = sorted(table.glob("*.parquet"))[0]
+    pq.write_table(pq.read_table(shard).slice(1), shard)
+    generation = rio._generation
+    assert _same_through_tasks(rio.read_resident(table), rio.read_table(table))
+    assert rio._generation > generation  # the stale entry was dropped
+    ids = pq.read_table(table, columns=["osm_id"])["osm_id"]
+    flt = pa.compute.field("osm_id") < pa.compute.approximate_median(ids).as_py()
+    assert _same_through_tasks(
+        rio.read_resident(table, filter=flt), rio.read_table(table, filter=flt)
+    )
+
+
 # every sf0.001 history spans nearly the whole world: an edge strip
 # keeps the few documents that reach it
 BBOX = (1_790_000_000, 0, 1_800_000_000, 10_000_000)
