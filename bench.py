@@ -30,7 +30,6 @@ import subprocess
 import sys
 import time
 from collections.abc import Callable
-from pathlib import Path
 from typing import Any, NamedTuple
 
 
@@ -261,9 +260,8 @@ def run_scaling(family: str | None = None) -> dict:
 # ------------------------------------------------------------ op families
 # Scaling jobs for operator families beyond the headline: each family
 # maps the sf dir to a Job over its corpus. Corpora are deterministic,
-# built once under the cache dir.
+# built once in the fixture cache (rayhist.io.ensure).
 
-CACHE = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"))
 STRESS_EVENTS = int(os.environ.get("RAYHIST_STRESS_EVENTS", str(10_000_000)))
 STRESS_USERS = 150_000
 STRESS_EDGES = int(os.environ.get("RAYHIST_STRESS_EDGES", str(6_000_000)))
@@ -281,19 +279,17 @@ class Job(NamedTuple):
     passes: int = 1
 
 
-def _publish(out: Path, fname: str, table) -> str:
-    """Write ``table`` to ``out/fname`` via a tmp dir + atomic rename."""
+def _publish(name: str, fname: str, make_table) -> str:
+    """The path of ``make_table()`` written once as ``fname`` in the
+    cached directory ``name`` (``io.ensure``)."""
     import pyarrow.parquet as pq
 
-    tmp = out.parent / f".tmp_{out.name}_{os.getpid()}"
-    tmp.mkdir(parents=True, exist_ok=True)
-    pq.write_table(table, tmp / fname, row_group_size=1 << 20)
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not (out / fname).exists():
-            raise
-    return str(out / fname)
+    from rayhist import io as rio
+
+    def build(staging: str) -> None:
+        pq.write_table(make_table(), os.path.join(staging, fname), row_group_size=1 << 20)
+
+    return os.path.join(rio.ensure(name, [], [], build), fname)
 
 
 def ensure_stress_events() -> str:
@@ -304,34 +300,32 @@ def ensure_stress_events() -> str:
     import numpy as np
     import pyarrow as pa
 
-    out = CACHE / f"stress_events_{STRESS_EVENTS}"
-    if (out / "events.parquet").exists():
-        return str(out)
-    n = STRESS_EVENTS
-    rng = np.random.default_rng(20240101)
-    t0 = np.datetime64("2024-01-01T06:00:00", "us").astype(np.int64)
-    ts = t0 + rng.integers(0, 29 * 24 * 3600 * 1_000_000, n)
-    users = rng.integers(0, STRESS_USERS, n)
-    cats = pa.array(["click", "view", "purchase", "error", "signup"])
-    # click/purchase heavy so the as-of and range joins see the r4 mix
-    etype_idx = rng.choice(5, n, p=[0.35, 0.25, 0.2, 0.15, 0.05]).astype(np.int32)
-    order = rng.permutation(n)
-    tbl = pa.table(
-        {
-            "event_id": pa.array(np.arange(n, dtype=np.int64)[order]),
-            "ts": pa.array(ts[order]).cast(pa.timestamp("us")),
-            "user_id": pa.array(users[order]),
-            "event_type": pa.DictionaryArray.from_arrays(
-                pa.array(etype_idx[order]), cats
-            ).cast(pa.string()),
-            "value": pa.array(np.round(rng.gamma(2.0, 25.0, n), 2)[order]),
-            "props": pa.DictionaryArray.from_arrays(
-                pa.array(np.zeros(n, dtype=np.int32)), pa.array([""])
-            ).cast(pa.string()),
-        }
-    )
-    _publish(out, "events.parquet", tbl)
-    return str(out)
+    def make() -> pa.Table:
+        n = STRESS_EVENTS
+        rng = np.random.default_rng(20240101)
+        t0 = np.datetime64("2024-01-01T06:00:00", "us").astype(np.int64)
+        ts = t0 + rng.integers(0, 29 * 24 * 3600 * 1_000_000, n)
+        users = rng.integers(0, STRESS_USERS, n)
+        cats = pa.array(["click", "view", "purchase", "error", "signup"])
+        # click/purchase heavy so the as-of and range joins see the r4 mix
+        etype_idx = rng.choice(5, n, p=[0.35, 0.25, 0.2, 0.15, 0.05]).astype(np.int32)
+        order = rng.permutation(n)
+        return pa.table(
+            {
+                "event_id": pa.array(np.arange(n, dtype=np.int64)[order]),
+                "ts": pa.array(ts[order]).cast(pa.timestamp("us")),
+                "user_id": pa.array(users[order]),
+                "event_type": pa.DictionaryArray.from_arrays(
+                    pa.array(etype_idx[order]), cats
+                ).cast(pa.string()),
+                "value": pa.array(np.round(rng.gamma(2.0, 25.0, n), 2)[order]),
+                "props": pa.DictionaryArray.from_arrays(
+                    pa.array(np.zeros(n, dtype=np.int32)), pa.array([""])
+                ).cast(pa.string()),
+            }
+        )
+
+    return os.path.dirname(_publish(f"stress_events_{STRESS_EVENTS}", "events.parquet", make))
 
 
 def ensure_stress_graph() -> str:
@@ -340,10 +334,6 @@ def ensure_stress_graph() -> str:
     stays linear-ish and the triangle join is CPU-bound, not a blow-up."""
     import numpy as np
     import pyarrow as pa
-
-    out = CACHE / f"stress_graph_{STRESS_EDGES}_{STRESS_NODES}"
-    if (out / "edges.parquet").exists():
-        return str(out / "edges.parquet")
 
     def fmix(x: np.ndarray) -> np.ndarray:
         h = x.astype(np.uint64)
@@ -354,10 +344,13 @@ def ensure_stress_graph() -> str:
         h ^= h >> np.uint64(33)
         return h
 
-    i = np.arange(STRESS_EDGES, dtype=np.uint64)
-    u = (fmix(i) % np.uint64(STRESS_NODES)).astype(np.int64)
-    v = (fmix(i + np.uint64(0x9E3779B9)) % np.uint64(STRESS_NODES)).astype(np.int64)
-    return _publish(out, "edges.parquet", pa.table({"src": u, "dst": v}))
+    def make() -> pa.Table:
+        i = np.arange(STRESS_EDGES, dtype=np.uint64)
+        u = (fmix(i) % np.uint64(STRESS_NODES)).astype(np.int64)
+        v = (fmix(i + np.uint64(0x9E3779B9)) % np.uint64(STRESS_NODES)).astype(np.int64)
+        return pa.table({"src": u, "dst": v})
+
+    return _publish(f"stress_graph_{STRESS_EDGES}_{STRESS_NODES}", "edges.parquet", make)
 
 
 def ensure_floor_graph() -> str:
@@ -367,11 +360,11 @@ def ensure_floor_graph() -> str:
     import numpy as np
     import pyarrow as pa
 
-    out = CACHE / "floor_graph_2k"
-    if (out / "edges.parquet").exists():
-        return str(out / "edges.parquet")
     i = np.arange(2000, dtype=np.int64)
-    return _publish(out, "edges.parquet", pa.table({"src": i % 97, "dst": (i * 7 + 1) % 97}))
+    return _publish(
+        "floor_graph_2k", "edges.parquet",
+        lambda: pa.table({"src": i % 97, "dst": (i * 7 + 1) % 97}),
+    )
 
 
 def _temporal(sf_dir: str):

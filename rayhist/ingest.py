@@ -37,7 +37,6 @@ ingest shuffle (reference: sort-by-id merge, ``Transformer.java:139-260``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -51,8 +50,6 @@ from . import io as rio
 from . import members as _members
 from .model import DOCUMENTS_SCHEMA, LAT_MOD, LON_MOD, pack_version_columns
 from .ops import relational
-
-CACHE_ROOT = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
 
 
 def _fp(*extra) -> str:
@@ -104,7 +101,7 @@ def _pack_buckets(sf_dir: str, rep: int, cap: int) -> int:
 # (osm/OSMEntity.java:29,97-152): versions compare small ints, never
 # strings. tag_sig strings stay in the spans for oracle parity.
 
-_SIG_KT_MEM: dict[str, list[str]] = {}
+_SIG_KT_MEM: dict[tuple, list[str]] = {}
 
 
 def sig_keytable(sf_dir: str) -> list[str]:
@@ -112,19 +109,19 @@ def sig_keytable(sf_dir: str) -> list[str]:
 
     Built once per events file with a distributed count (the partials
     are |distinct sigs| x |batches| — tiny, the signature universe is
-    bounded by |etype| x |k|), cached on disk + in-process. Broadcast
-    to the pack/filter stages by closure capture (small); a large
-    keytable would go through ``ray.put`` instead.
+    bounded by |etype| x |k|), cached on disk (``io.ensure``) and
+    in-process, both keyed on the events file's stat identity.
+    Broadcast to the pack/filter stages by closure capture (small); a
+    large keytable would go through ``ray.put`` instead.
     """
-    src = Path(sf_dir) / "events.parquet"
-    memkey = f"{src.resolve()}:{src.stat().st_mtime_ns}"
+    import pyarrow.parquet as pq
+
+    src = (Path(sf_dir) / "events.parquet").resolve()
+    memkey = rio._stat_identity(src)
     if memkey in _SIG_KT_MEM:
         return _SIG_KT_MEM[memkey]
-    key = hashlib.sha256(f"{memkey}:sigkt:{_fp()}".encode()).hexdigest()[:16]
-    out = Path(CACHE_ROOT) / key / "sig_keytable.parquet"
-    if not out.exists():
-        import pyarrow.parquet as pq
 
+    def build(staging: str) -> None:
         ev = rio.read_table(str(src), columns=["event_type", "props"])
 
         def stage(batch: pa.Table) -> pa.Table:
@@ -137,17 +134,11 @@ def sig_keytable(sf_dir: str) -> list[str]:
         parts = ev.map_batches(stage, batch_format="pyarrow").to_pandas()
         agg = parts.groupby("sig", as_index=False)["n_part"].sum()
         agg = agg.sort_values(["n_part", "sig"], ascending=[False, True], kind="mergesort")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.parent / f".tmp_{os.getpid()}.parquet"
-        pq.write_table(pa.table({"sig": pa.array(agg["sig"].to_numpy(), type=pa.string())}), tmp)
-        try:
-            tmp.rename(out)
-        except OSError:
-            if not out.exists():
-                raise
-    import pyarrow.parquet as pq
+        sig = pa.array(agg["sig"].to_numpy(), type=pa.string())
+        pq.write_table(pa.table({"sig": sig}), os.path.join(staging, "sig_keytable.parquet"))
 
-    sigs = pq.read_table(out)["sig"].to_pylist()
+    out = rio.ensure("sig_keytable", [src], [_fp()], build)
+    sigs = pq.read_table(os.path.join(out, "sig_keytable.parquet"))["sig"].to_pylist()
     _SIG_KT_MEM[memkey] = sigs
     return sigs
 
@@ -931,7 +922,7 @@ def build_relation_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
     return _build_compound(sf_dir, rep, REL_BLOCK, _pack_rel_bucket)
 
 
-def _write_shards(ds: ray.data.Dataset, path: Path, shard_rows: int, min_shards: int = 1) -> None:
+def _write_shards(ds: ray.data.Dataset, path: str, shard_rows: int, min_shards: int = 1) -> None:
     """Write ``ds`` as evenly sized shard files of at most ``shard_rows``
     rows, each ONE parquet row group.
 
@@ -949,27 +940,16 @@ def _write_shards(ds: ray.data.Dataset, path: Path, shard_rows: int, min_shards:
 
 
 def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
-    """Materialize (once) a compound table (same atomic cache protocol
-    as ensure_documents)."""
-    src = Path(sf_dir) / "events.parquet"
-    key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:rep{rep}:{tag}:{_fp(_members)}".encode()
-    ).hexdigest()[:16]
-    out = Path(CACHE_ROOT) / key / f"documents_{tag}"
-    if out.exists():
-        return str(out)
-    tmp = Path(CACHE_ROOT) / key / f".tmp_{os.getpid()}"
+    """Materialize (once) a compound table (``io.ensure``, as
+    ensure_documents)."""
     # shards of <= COMPOUND_BATCH docs: one member-recursion stage call
     # per shard, at the batch size the stage is tuned for, and as many
     # files as the stage has batches to run in parallel (the layout
     # reads members.COMPOUND_BATCH, so members.py is in the cache key)
-    _write_shards(builder(sf_dir, rep), tmp, _members.COMPOUND_BATCH)
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-    return str(out)
+    return rio.ensure(
+        f"documents_{tag}", [Path(sf_dir) / "events.parquet"], [rep, _fp(_members)],
+        lambda staging: _write_shards(builder(sf_dir, rep), staging, _members.COMPOUND_BATCH),
+    )
 
 
 def build_oldstyle_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
@@ -1012,19 +992,10 @@ def read_relation_documents(
 def ensure_documents(sf_dir: str, rep: int = 1) -> str:
     """Materialize (once) and return the span-document table path.
 
-    Cached per (sf_dir, events mtime) under ``RAYHIST_CACHE``; the
-    cache directory is written atomically (tmp dir + rename) so
-    concurrent callers and re-runs are safe — the same
-    write-to-temp-then-rename rule the checkpointed pipelines use.
+    Cached per (events file identity, rep, code) under ``RAYHIST_CACHE``
+    by ``io.ensure``, which builds in a staging directory and publishes
+    it with one rename, so concurrent callers and re-runs are safe.
     """
-    src = Path(sf_dir) / "events.parquet"
-    key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:rep{rep}:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(CACHE_ROOT) / key / "documents_spans"
-    if out.exists():
-        return str(out)
-    tmp = Path(CACHE_ROOT) / key / f".tmp_{os.getpid()}"
     # uniform ~4 MB shards: the pack groupby emits blocks whose sizes
     # track bucket skew (measured 56-115 MB at rep=128 — a 2x spread),
     # and any read that maps files to ncpu tasks inherits that skew as
@@ -1032,13 +1003,12 @@ def ensure_documents(sf_dir: str, rep: int = 1) -> str:
     # a multi-fragment layout (parallel first-read, per-shard resume).
     # At cluster scale the ingest writes shard-keyed partitions instead
     # (checkpoint.py).
-    _write_shards(build_documents(sf_dir, rep), tmp, DOC_SHARD_ROWS, min_shards=8)
-    try:
-        tmp.rename(out)
-    except OSError:  # lost the race: another process finished first
-        if not out.exists():
-            raise
-    return str(out)
+    return rio.ensure(
+        "documents_spans", [Path(sf_dir) / "events.parquet"], [rep, _fp()],
+        lambda staging: _write_shards(
+            build_documents(sf_dir, rep), staging, DOC_SHARD_ROWS, min_shards=8
+        ),
+    )
 
 
 def read_documents(
@@ -1070,14 +1040,6 @@ def ensure_multizoom_layout(sf_dir: str, rep: int = 1, max_zoom: int = 6) -> str
     from .spatial import grid
     from .spatial.grid import insert_cell, insert_zoom, pack_cell
 
-    src = Path(sf_dir) / "events.parquet"
-    key = hashlib.sha256(
-        f"{src.resolve()}:{src.stat().st_mtime_ns}:rep{rep}:mz{max_zoom}:{_fp(grid)}".encode()
-    ).hexdigest()[:16]
-    out = Path(CACHE_ROOT) / key / "documents_mz"
-    if out.exists():
-        return str(out)
-
     def assign(batch: pa.Table) -> pa.Table:
         iz = insert_zoom(
             batch["min_lon_e7"].to_numpy(zero_copy_only=False),
@@ -1094,15 +1056,13 @@ def ensure_multizoom_layout(sf_dir: str, rep: int = 1, max_zoom: int = 6) -> str
         mz = pack_cell(iz, cell)
         return batch.append_column("pmz", pa.array(mz, type=pa.int64()))
 
-    ds = rio.read_table(ensure_documents(sf_dir, rep))
-    tmp = out.parent / f".tmp_{os.getpid()}"
-    # one row group per (shard, partition) file, as in ensure_documents
-    ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        str(tmp), partition_cols=["pmz"], row_group_size=DOC_SHARD_ROWS
+    def build(staging: str) -> None:
+        ds = rio.read_table(ensure_documents(sf_dir, rep))
+        # one row group per (shard, partition) file, as in ensure_documents
+        ds.map_batches(assign, batch_format="pyarrow").write_parquet(
+            staging, partition_cols=["pmz"], row_group_size=DOC_SHARD_ROWS
+        )
+
+    return rio.ensure(
+        "documents_mz", [Path(sf_dir) / "events.parquet"], [rep, max_zoom, _fp(grid)], build
     )
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-    return str(out)

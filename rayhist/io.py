@@ -40,12 +40,14 @@ import hashlib
 import inspect
 import itertools
 import os
+import shutil
 import threading
 import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISDIR
 
 import numpy as np
 import pandas as pd
@@ -101,8 +103,70 @@ def code_fingerprint(*modules) -> str:
     return h.hexdigest()[:12]
 
 
-def _local_parquet_stats(path) -> tuple[int, int] | None:
-    """(file count, total bytes) for local parquet paths, else None."""
+# ------------------------------------------------------------ fixture cache
+
+
+def cache_root() -> Path:
+    """The fixture cache directory: ``RAYHIST_CACHE``, read at each
+    call (a test or a benchmark run may point it elsewhere after
+    import), else ``/tmp/rayhist_cache``."""
+    return Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"))
+
+
+def _staging(out: Path) -> Path:
+    """The directory this process builds ``out`` in: next to it, hidden
+    from a parquet read of the key directory, named by the pid."""
+    return out.parent / f".tmp_{out.name}_{os.getpid()}"
+
+
+def ensure(name: str, inputs, key_parts, build) -> str:
+    """Build (once) the cached table ``name`` and return its directory.
+
+    Every ``ensure_*`` fixture goes through here, the analog of the
+    reference's ETL, which builds its derived tables once and leaves
+    queries only to read them (``oshdb-tool`` Extract/Transform/Load).
+    The key is a sha256 over ``name``, the stat identity of each
+    ``inputs`` path (``_stat_identity``: an in-place rewrite changes
+    the ctime and inode even when size and mtime are restored) and
+    ``key_parts``: the rep and layout parameters and the generating
+    modules' ``code_fingerprint``. A hit costs the inputs' ``resolve()``,
+    one stat per input file and one ``exists()``.
+
+    On a miss ``build(staging)`` writes the table into an empty
+    directory of this process, which is then renamed to the returned
+    path: a reader sees the whole table or none of it. A staging
+    directory a killed build left under a reused pid is cleared first,
+    so its files never join the new ones; the loser of a race between
+    processes removes its own copy and returns the winner's.
+    """
+    idents = []
+    for p in inputs:
+        ident = _stat_identity(Path(p).resolve())
+        if not ident:
+            raise FileNotFoundError(f"ensure({name!r}): no input files at {p}")
+        idents.append(ident)
+    key = hashlib.sha256(repr((name, idents, tuple(key_parts))).encode()).hexdigest()[:16]
+    hit = os.path.join(cache_root(), key, name)  # str ops: the hit runs on every query
+    if os.path.exists(hit):
+        return hit
+    out = Path(hit)
+    staging = _staging(out)
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir(parents=True)
+    build(str(staging))
+    try:
+        staging.rename(out)
+    except OSError:  # lost the race: another process published first
+        if not out.exists():
+            raise
+        shutil.rmtree(staging, ignore_errors=True)
+    return str(out)
+
+
+def _local_file_stats(path, suffix: str) -> tuple[int, int] | None:
+    """(file count, total bytes) of the ``suffix`` files under local
+    paths (a path naming a file counts whatever its suffix), else
+    None."""
     paths = list(path) if isinstance(path, (list, tuple)) else [path]
     n_files, total = 0, 0
     for p in paths:
@@ -110,7 +174,7 @@ def _local_parquet_stats(path) -> tuple[int, int] | None:
         if os.path.isdir(p):
             for root, _dirs, files in os.walk(p):
                 for f in files:
-                    if f.endswith(".parquet"):
+                    if f.endswith(suffix):
                         n_files += 1
                         total += os.path.getsize(os.path.join(root, f))
         elif os.path.isfile(p):
@@ -121,9 +185,10 @@ def _local_parquet_stats(path) -> tuple[int, int] | None:
     return (n_files, total) if n_files else None
 
 
-def auto_num_blocks(path) -> int | None:
-    """Read-task count: one per target-size chunk of input, never fewer
-    than the cluster's CPUs.
+def auto_num_blocks(path, suffix: str = ".parquet") -> int | None:
+    """Read-task count of the ``suffix`` files at ``path``: one per
+    target-size chunk of input, never fewer than the cluster's CPUs.
+    Every reader takes it (``read_table``, the CSV and JSONL sources).
 
     Ray Data's default parallelism heuristic carries a 200-block
     minimum (``read_op_min_num_blocks``) sized for large clusters; on a
@@ -135,7 +200,7 @@ def auto_num_blocks(path) -> int | None:
     dominates and the policy converges to Ray's own sizing minus the
     200-block floor.
     """
-    stats = _local_parquet_stats(path)
+    stats = _local_file_stats(path, suffix)
     if stats is None:
         return None
     _n_files, total = stats
@@ -247,17 +312,20 @@ def _session() -> tuple[str, str]:
 
 def _stat_identity(path) -> tuple:
     """(name, size, mtime_ns, ctime_ns, ino) of every file under
-    ``path``: an in-place rewrite changes at least the ctime, even when
-    the writer restores size and mtime."""
+    ``path`` (one stat for a file; empty when nothing is there): an
+    in-place rewrite changes at least the ctime, even when the writer
+    restores size and mtime."""
     p = str(path)
-    files = [p] if os.path.isfile(p) else sorted(
-        os.path.join(root, f) for root, _dirs, fs in os.walk(p) for f in fs
-    )
-    out = []
-    for f in files:
-        st = os.stat(f)
-        out.append((f, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino))
-    return tuple(out)
+    try:
+        st = os.stat(p)
+    except FileNotFoundError:
+        return ()
+    if S_ISDIR(st.st_mode):
+        files = sorted(os.path.join(root, f) for root, _dirs, fs in os.walk(p) for f in fs)
+        stats = [(f, os.stat(f)) for f in files]
+    else:
+        stats = [(p, st)]
+    return tuple((f, s.st_size, s.st_mtime_ns, s.st_ctime_ns, s.st_ino) for f, s in stats)
 
 
 def _admit(key: tuple, ds: MaterializedDataset) -> None:
@@ -381,11 +449,19 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
 
 def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
     """The rows of a Dataset, or of a list of table refs
-    (a ``reduce_by_key`` result), as one table in block order, read
-    from the blocks: ``to_pandas()`` or ``iter_batches()`` would start
-    a streaming execution even on a materialized Dataset."""
+    (a ``reduce_by_key`` result), as one table in block order. A
+    materialized Dataset is read from its blocks (``to_pandas()`` or
+    ``iter_batches()`` would start a streaming execution); a lazy one
+    streams through ``iter_batches``, one execution, as the
+    ``map_blocks`` fallback does, so an all-empty result arrives
+    without columns."""
     if isinstance(blocks, ray.data.Dataset):
         kept = _kept.get(blocks)
+        if kept is None and not isinstance(blocks, MaterializedDataset):
+            # a lazy Dataset: to_arrow_refs() would run its plan twice
+            # (a limit=1 pass for the schema, then the full one)
+            batches = blocks.iter_batches(batch_format="pyarrow", batch_size=None)
+            return _concat(list(batches))
         blocks = blocks.to_arrow_refs() if kept is None else kept
     return _concat(ray.get(blocks))
 

@@ -2396,7 +2396,7 @@ def q_snapshot_latest_state_written(sf_dir: str) -> pd.DataFrame:
     comparison — proving the at-scale big-result route end to end under
     the row-returning query's value-exact oracle."""
     out_dir = os.path.join(
-        os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"),
+        rio.cache_root(),
         "state_" + hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12],
         "latest_state",
     )
@@ -2594,7 +2594,7 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
         f"shard_{i:02d}": files[i::n_shards] for i in range(n_shards)
     }
     out_dir = os.path.join(
-        os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache"),
+        rio.cache_root(),
         "ckpt_" + hashlib.sha256(path.encode()).hexdigest()[:12],
         "snap_daily",
     )

@@ -11,11 +11,9 @@ ambiguity at all), and ``read_arrow_ipc`` streams it back as one
 Dataset: ``read_binary_files`` (one shard per block) + an in-pipeline
 decode ``map_batches`` that fuses with the consumer.
 
-Each shard is written atomically (tmp + os.replace) and named by the
-sha256 of its serialized bytes — content-addressed, so a torn write
-can never alias a finished shard. The completion marker lives OUTSIDE
-the shard dir (the jsonl/csvlog rule: readers must never see _DONE as
-a data file).
+Each shard is named by the sha256 of its serialized bytes
+(content-addressed); the shard directory is built and published whole
+by ``io.ensure``, so a reader never sees a partial build.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import os
 from pathlib import Path
 
 import pyarrow as pa
-import ray
 import ray.data
 
 from .. import io as rio
@@ -42,63 +39,41 @@ def ensure_arrow_events(sf_dir: str) -> str:
     ``{sf_dir}/events.parquet``: columns (event_id, user_id, ts_us,
     event_type, value_c), one ``.arrow`` file per input block."""
     src = Path(sf_dir) / "events.parquet"
-    st = src.stat()
-    key = hashlib.sha256(
-        f"{src.resolve()}:{st.st_mtime_ns}:{st.st_size}:arrowipc:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "arrow_events"
-    shards = out / "shards"
-    done = out / "_DONE"
-    if done.exists():
-        return str(shards)
-    # build into a FRESH staging dir and publish with one atomic
-    # rename: shards from a crashed partial build (no _DONE) must
-    # never union with a rebuild's — a rerun under a different block
-    # slicing writes different content hashes, so stale shards would
-    # survive as silent duplicate data
-    import shutil
 
-    staging = out / f".building-{os.getpid()}"
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir(parents=True, exist_ok=True)
+    def build(staging: str) -> None:
+        def write_shard(b: pa.Table) -> pa.Table:
+            from ..ops.relational import cents
 
-    def write_shard(b: pa.Table) -> pa.Table:
-        from ..ops.relational import cents
+            b2 = cents(b, "value", "value_c")  # pinned half-away rounding
+            t = pa.table(
+                {
+                    "event_id": b2["event_id"].cast(pa.int64()),
+                    "user_id": b2["user_id"].cast(pa.int64()),
+                    "ts_us": b2["ts"].cast(pa.int64()),
+                    "event_type": b2["event_type"],
+                    "value_c": b2["value_c"],
+                }
+            )
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_file(sink, t.schema) as w:
+                w.write_table(t)
+            buf = sink.getvalue().to_pybytes()
+            name = hashlib.sha256(buf).hexdigest()[:24]
+            with open(os.path.join(staging, f"part-{name}.arrow"), "wb") as f:
+                f.write(buf)
+            return pa.table({"rows": pa.array([len(t)], pa.int64())})
 
-        b2 = cents(b, "value", "value_c")  # pinned half-away rounding
-        t = pa.table(
-            {
-                "event_id": b2["event_id"].cast(pa.int64()),
-                "user_id": b2["user_id"].cast(pa.int64()),
-                "ts_us": b2["ts"].cast(pa.int64()),
-                "event_type": b2["event_type"],
-                "value_c": b2["value_c"],
-            }
+        ds = rio.read_table(
+            str(src), columns=["event_id", "user_id", "ts", "event_type", "value"]
         )
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_file(sink, t.schema) as w:
-            w.write_table(t)
-        buf = sink.getvalue().to_pybytes()
-        name = hashlib.sha256(buf).hexdigest()[:24]
-        tmp = staging / f".tmp-{name}"
-        with open(tmp, "wb") as f:
-            f.write(buf)
-        os.replace(tmp, staging / f"part-{name}.arrow")
-        return pa.table({"rows": pa.array([len(t)], pa.int64())})
+        n = sum(
+            r["rows"]
+            for r in ds.map_batches(write_shard, batch_format="pyarrow").take_all()
+        )
+        if n != ds.count():
+            raise RuntimeError(f"arrow ipc fixture wrote {n} rows, expected {ds.count()}")
 
-    ds = rio.read_table(
-        str(src), columns=["event_id", "user_id", "ts", "event_type", "value"]
-    )
-    n = sum(
-        r["rows"]
-        for r in ds.map_batches(write_shard, batch_format="pyarrow").take_all()
-    )
-    if n != ds.count():
-        raise RuntimeError(f"arrow ipc fixture wrote {n} rows, expected {ds.count()}")
-    shutil.rmtree(shards, ignore_errors=True)  # crashed earlier build
-    os.replace(staging, shards)
-    done.touch()
-    return str(shards)
+    return rio.ensure("arrow_events", [src], [_fp()], build)
 
 
 def _decode(b: pa.Table) -> pa.Table:

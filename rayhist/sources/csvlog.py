@@ -8,12 +8,9 @@ and the loud count check in tests would catch a parse drift)."""
 
 from __future__ import annotations
 
-import hashlib
-import os
 from pathlib import Path
 
 import pyarrow as pa
-import ray
 import ray.data
 
 from .. import io as rio
@@ -30,17 +27,6 @@ def ensure_csv_events(sf_dir: str) -> str:
     ``{sf_dir}/events.parquet`` (event_id, user_id, ts_us, event_type,
     value_c — same layout as the JSONL twin)."""
     src = Path(sf_dir) / "events.parquet"
-    st = src.stat()
-    key = hashlib.sha256(
-        f"{src.resolve()}:{st.st_mtime_ns}:{st.st_size}:csv:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "csv_events"
-    shards = out / "shards"  # marker lives OUTSIDE the data dir: the
-    # readers must never see _DONE as a data file
-    done = out / "_DONE"
-    if done.exists():
-        return str(shards)
-    shards.mkdir(parents=True, exist_ok=True)
 
     def to_log(b: pa.Table) -> pa.Table:
         from ..ops.relational import cents
@@ -56,24 +42,16 @@ def ensure_csv_events(sf_dir: str) -> str:
             }
         )
 
-    ds = rio.read_table(str(src), columns=["event_id", "user_id", "ts", "event_type", "value"])
-    ds.map_batches(to_log, batch_format="pyarrow").write_csv(str(shards))
-    done.touch()
-    return str(shards)
+    def build(staging: str) -> None:
+        ds = rio.read_table(str(src), columns=["event_id", "user_id", "ts", "event_type", "value"])
+        ds.map_batches(to_log, batch_format="pyarrow").write_csv(staging)
+
+    return rio.ensure("csv_events", [src], [_fp()], build)
 
 
 def read_csv_log(path: str, **kwargs) -> ray.data.Dataset:
-    """read_csv with the read_table sizing rule (bytes / target block
-    size, floored at cluster CPUs — never Ray's 200-block floor)."""
+    """read_csv with the read_table sizing rule (``io.auto_num_blocks``
+    over the ``.csv`` files — never Ray's 200-block floor)."""
     if "override_num_blocks" not in kwargs:
-        p = Path(path)
-        files = [f for f in p.rglob("*") if f.is_file()] if p.is_dir() else [p]
-        total = sum(f.stat().st_size for f in files)
-        if ray.is_initialized():
-            ncpu = int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-            target = ray.data.DataContext.get_current().target_max_block_size or (128 << 20)
-        else:
-            ncpu = os.cpu_count() or 8
-            target = 128 << 20
-        kwargs["override_num_blocks"] = max(ncpu, -(-total // target))
+        kwargs["override_num_blocks"] = rio.auto_num_blocks(path, ".csv")
     return ray.data.read_csv(path, **kwargs)

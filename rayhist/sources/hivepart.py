@@ -10,10 +10,10 @@ filter. The ``day`` key is ALSO carried as a regular column inside the
 files, so a pruned read returns complete rows without re-deriving the
 partition value from the path.
 
-Cache key = source mtime+size + code_fingerprint(this module and
+Cached by ``io.ensure``: the key covers the source file identity, the
+day grid (``t0``, ``day_us``) and code_fingerprint(this module and
 ops.relational, whose ``cents`` rounds every value), following the
-CLAUDE.md rule (no hand-bumped :vN); the completion marker lives
-OUTSIDE the partition tree so readers never see ``_DONE`` as data.
+fixture-cache convention (no hand-bumped :vN).
 
 Reference parity: the reference's Load step writes per-cell tables
 (oshdb-tool ETL; TableNames.java) — per-key directories are the same
@@ -22,8 +22,6 @@ idea with the time axis as the key.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -48,24 +46,6 @@ def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
     ``day_k`` (partition writes strip their key from the data files;
     the in-file ``day`` copy keeps pruned reads self-contained)."""
     src = Path(sf_dir) / "events.parquet"
-    st = src.stat()
-    key = hashlib.sha256(
-        f"{src.resolve()}:{st.st_mtime_ns}:{st.st_size}:hivepart:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "hive_events"
-    parts = out / "parts"
-    done = out / "_DONE"
-    if done.exists():
-        return str(parts)
-    # build into a FRESH staging dir and publish with one atomic
-    # rename (the arrowipc convention): partitions from a crashed
-    # partial build must never union with a rebuild's — stale shards
-    # would survive as silent duplicate rows under the same day dirs
-    import shutil
-
-    staging = out / f".building-{os.getpid()}"
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir(parents=True, exist_ok=True)
 
     def derive(b: pa.Table) -> pa.Table:
         b2 = relational.cents(b, "value", "value_c")  # pinned half-away rounding
@@ -85,16 +65,15 @@ def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
             }
         )
 
-    ds = rio.read_table(
-        str(src), columns=["event_id", "user_id", "ts", "event_type", "value"]
-    )
-    ds.map_batches(derive, batch_format="pyarrow").write_parquet(
-        str(staging), partition_cols=["day_k"]
-    )
-    shutil.rmtree(parts, ignore_errors=True)
-    staging.rename(parts)
-    done.touch()
-    return str(parts)
+    def build(staging: str) -> None:
+        ds = rio.read_table(
+            str(src), columns=["event_id", "user_id", "ts", "event_type", "value"]
+        )
+        ds.map_batches(derive, batch_format="pyarrow").write_parquet(
+            staging, partition_cols=["day_k"]
+        )
+
+    return rio.ensure("hive_events", [src], [t0, day_us, _fp()], build)
 
 
 def read_partition_days(root: str, days: list[int]) -> ray.data.Dataset:

@@ -11,19 +11,16 @@ and ``read_jsonl`` reads it back with the same task-sizing rule as
 rayhist.io.read_table (Arrow JSON reader, block count scaled to bytes
 and cluster CPUs — never Ray's 200-block floor).
 
-Cache key = source mtime+size + code_fingerprint(this module), per
-the CLAUDE.md rule: an edit to the derivation forces a cold rebuild,
-never a hand-bumped :vN.
+Cached by ``io.ensure``: the key covers the source file identity and
+code_fingerprint(this module), so an edit to the derivation forces a
+cold rebuild, never a hand-bumped :vN.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from pathlib import Path
 
 import pyarrow as pa
-import ray
 import ray.data
 
 from .. import io as rio
@@ -40,17 +37,6 @@ def ensure_jsonl_events(sf_dir: str) -> str:
     ``{sf_dir}/events.parquet``: columns (event_id, user_id, ts_us,
     event_type, value_c) — all int64 or string, exact round-trip."""
     src = Path(sf_dir) / "events.parquet"
-    st = src.stat()
-    key = hashlib.sha256(
-        f"{src.resolve()}:{st.st_mtime_ns}:{st.st_size}:jsonl:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "jsonl_events"
-    shards = out / "shards"  # marker lives OUTSIDE the data dir: the
-    # readers must never see _DONE as a data file
-    done = out / "_DONE"
-    if done.exists():
-        return str(shards)
-    shards.mkdir(parents=True, exist_ok=True)
 
     def to_log(b: pa.Table) -> pa.Table:
         from ..ops.relational import cents
@@ -66,27 +52,17 @@ def ensure_jsonl_events(sf_dir: str) -> str:
             }
         )
 
-    ds = rio.read_table(str(src), columns=["event_id", "user_id", "ts", "event_type", "value"])
-    ds.map_batches(to_log, batch_format="pyarrow").write_json(str(shards), force_ascii=False)
-    done.touch()
-    return str(shards)
+    def build(staging: str) -> None:
+        ds = rio.read_table(str(src), columns=["event_id", "user_id", "ts", "event_type", "value"])
+        ds.map_batches(to_log, batch_format="pyarrow").write_json(staging, force_ascii=False)
+
+    return rio.ensure("jsonl_events", [src], [_fp()], build)
 
 
 def read_jsonl(path: str, **kwargs) -> ray.data.Dataset:
-    """read_json with the read_table sizing rule (bytes / target block
-    size, floored at cluster CPUs) so reads fuse with the first
-    map_batches instead of splitting into Ray's 200-block default
-    (auto_num_blocks is parquet-only, so the byte count is summed
-    here)."""
+    """read_json with the read_table sizing rule (``io.auto_num_blocks``
+    over the ``.json`` files) so reads fuse with the first map_batches
+    instead of splitting into Ray's 200-block default."""
     if "override_num_blocks" not in kwargs:
-        p = Path(path)
-        files = [f for f in p.rglob("*") if f.is_file()] if p.is_dir() else [p]
-        total = sum(f.stat().st_size for f in files)
-        if ray.is_initialized():
-            ncpu = int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
-            target = ray.data.DataContext.get_current().target_max_block_size or (128 << 20)
-        else:
-            ncpu = os.cpu_count() or 8
-            target = 128 << 20
-        kwargs["override_num_blocks"] = max(ncpu, -(-total // target))
+        kwargs["override_num_blocks"] = rio.auto_num_blocks(path, ".json")
     return ray.data.read_json(path, **kwargs)

@@ -54,7 +54,6 @@ kernel shared with the .rosh codec.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import zlib
@@ -924,12 +923,13 @@ def _fp() -> str:
     return rio.code_fingerprint(sys.modules[__name__], model)
 
 
-def _encode_bucketed(partials, key_col: str, build_rows, out: Path, stem: str) -> str:
+def _encode_bucketed(partials, key_col: str, build_rows, out: str) -> None:
     """Distributed fixture encode: per-key partials route to
     fmix64-hash buckets (all partials of one key co-locate, so
     cross-shard combines happen inside the bucket task), each bucket
-    builds its rows and writes ONE self-contained .osh.pbf inside the
-    group task — no corpus-cardinality driver materialization. Bucket
+    builds its rows and writes ONE self-contained .osh.pbf into ``out``
+    inside the group task — no corpus-cardinality driver
+    materialization. Bucket
     count scales with the cluster (per-bucket memory stays bounded as
     the corpus grows); the cache dir is assumed posix-shared across
     workers, the same assumption as the span cache (rayhist.io)."""
@@ -938,8 +938,6 @@ def _encode_bucketed(partials, key_col: str, build_rows, out: Path, stem: str) -
     from ..ops.text import fmix64
 
     n_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    tmp = out.parent / f".tmp_{stem}_{os.getpid()}"
-    tmp.mkdir(parents=True, exist_ok=True)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -949,7 +947,7 @@ def _encode_bucketed(partials, key_col: str, build_rows, out: Path, stem: str) -
     def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
         b = int(df["_bucket"].iloc[0])
         rows = build_rows(df.drop(columns=["_bucket"]))
-        write_osmpbf(str(tmp / f"part-{b:05d}.osh.pbf"), rows)
+        write_osmpbf(os.path.join(out, f"part-{b:05d}.osh.pbf"), rows)
         return pd.DataFrame({"bucket": [b], "n": [len(rows)]})
 
     (
@@ -958,12 +956,6 @@ def _encode_bucketed(partials, key_col: str, build_rows, out: Path, stem: str) -
         .map_groups(write_bucket, batch_format="pandas")
         .materialize()
     )
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-    return str(out)
 
 
 def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
@@ -978,11 +970,6 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
     from ..ingest import WAY_BLOCK, WAY_CS_BASE, ensure_documents
     from ..model import decode_spans
 
-    src = ensure_documents(sf_dir, rep)
-    key = hashlib.sha256(f"{Path(src).resolve()}:osmpbf_ways:{_fp()}".encode()).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "osmpbf_ways"
-    if out.exists():
-        return str(out)
     from .. import io as rio
 
     def wid_ts(batch: pa.Table) -> pa.Table:
@@ -994,8 +981,6 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
         mem = df.drop_duplicates(["wid", "nid"]).groupby("wid")["nid"].agg(["min", "max", "count"])
         g = g.join(mem.rename(columns={"min": "m0", "max": "m1", "count": "nm"}))
         return pa.Table.from_pandas(g.reset_index())
-
-    parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
 
     def build(df: pd.DataFrame) -> pd.DataFrame:
         # combine shard partials (a way's members can straddle shards)
@@ -1022,7 +1007,12 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
                          "user": f"u{(wid + 1) % 37}"})
         return pd.DataFrame(rows)
 
-    return _encode_bucketed(parts, "wid", build, out, "pbfw")
+    def encode(staging: str) -> None:
+        parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
+        _encode_bucketed(parts, "wid", build, staging)
+
+    src = ensure_documents(sf_dir, rep)
+    return rio.ensure("osmpbf_ways", [], [src, _fp()], encode)  # src: see ensure_osmpbf
 
 
 def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
@@ -1040,11 +1030,6 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
     from ..ingest import REL_CS_BASE, WAY_BLOCK, ensure_documents
     from ..model import decode_spans
 
-    src = ensure_documents(sf_dir, rep)
-    key = hashlib.sha256(f"{Path(src).resolve()}:osmpbf_rels:{_fp()}".encode()).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "osmpbf_rels"
-    if out.exists():
-        return str(out)
     from .. import io as rio
 
     def wid_ts(batch: pa.Table) -> pa.Table:
@@ -1055,8 +1040,6 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
         g = df.groupby("wid").agg(ts1=("ts", "min")).reset_index()
         g["rid"] = g["wid"] // 2  # the bucket key: a relation's ways co-locate
         return pa.Table.from_pandas(g)
-
-    parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
 
     def build(df: pd.DataFrame) -> pd.DataFrame:
         w = df.groupby("wid", as_index=False).agg(
@@ -1080,7 +1063,12 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
             )
         return pd.DataFrame(rows)
 
-    return _encode_bucketed(parts, "rid", build, out, "pbfr")
+    def encode(staging: str) -> None:
+        parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
+        _encode_bucketed(parts, "rid", build, staging)
+
+    src = ensure_documents(sf_dir, rep)
+    return rio.ensure("osmpbf_rels", [], [src, _fp()], encode)  # src: see ensure_osmpbf
 
 
 # --------------------------------------------------------- corpus I/O
@@ -1093,16 +1081,9 @@ def ensure_osmpbf(sf_dir: str, rep: int = 1) -> str:
     from ..ingest import ensure_documents
     from ..model import decode_spans
 
-    src = ensure_documents(sf_dir, rep)
-    key = hashlib.sha256(f"{Path(src).resolve()}:osmpbf:{_fp()}".encode()).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "osmpbf"
-    if out.exists():
-        return str(out)
-    tmp = out.parent / f".tmp_pbf_{os.getpid()}"
-    tmp.mkdir(parents=True, exist_ok=True)
     from .. import io as rio
 
-    def write_file(batch: pa.Table) -> pa.Table:
+    def write_file(batch: pa.Table, staging: str) -> pa.Table:
         vers = decode_spans(batch).to_pandas()
         vers["ts"] = (vers["ts"] // 1000) * 1000  # wire = whole ms
         tag_k, tag_v = [], []
@@ -1119,14 +1100,16 @@ def ensure_osmpbf(sf_dir: str, rep: int = 1) -> str:
         vers["etype"] = "node"
         vers["user"] = "u" + vers["uid"].astype(str)
         name = f"part-{int(vers['osm_id'].min()):012d}.osh.pbf"
-        write_osmpbf(str(tmp / name), vers)
+        write_osmpbf(os.path.join(staging, name), vers)
         return pa.table({"file": pa.array([name])})
 
-    manifest = rio.read_table(src).map_batches(write_file, batch_format="pyarrow").to_pandas()
-    assert len(manifest) > 0
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-    return str(out)
+    def encode(staging: str) -> None:
+        manifest = rio.read_table(src).map_batches(
+            write_file, batch_format="pyarrow", fn_kwargs={"staging": staging}
+        ).to_pandas()
+        assert len(manifest) > 0
+
+    src = ensure_documents(sf_dir, rep)
+    # src is a published (immutable) cache dir whose path already holds
+    # its key: key on the path, not on a stat of each of its shards
+    return rio.ensure("osmpbf", [], [src, _fp()], encode)

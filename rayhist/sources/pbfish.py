@@ -52,8 +52,7 @@ independent blocks streaming through the decode stage.
 
 from __future__ import annotations
 
-import hashlib
-import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -453,46 +452,34 @@ def ensure_pbfish(sf_dir: str, rep: int = 1) -> str:
     from ..ingest import ensure_documents
     from ..model import decode_spans
 
+    def build(staging: str) -> None:
+        def write_block(batch: pa.Table) -> pa.Table:
+            vers = decode_spans(batch).to_pandas()
+            # tag tuple per version from the '|'-joined sig string
+            vers["tags"] = [
+                tuple(x.split("|")) if x else () for x in vers["tag_sig"].tolist()
+            ]
+            doc_meta = batch.select(
+                ["osm_id", "min_lon_e7", "max_lon_e7", "min_lat_e7", "max_lat_e7"]
+            ).to_pandas()
+            vers = vers.merge(doc_meta, on="osm_id", how="left")
+            blob = encode_block(vers)
+            name = f"block-{int(vers['osm_id'].min()):012d}.rosh"
+            (Path(staging) / name).write_bytes(blob)
+            return pa.table({"file": pa.array([name]), "bytes": pa.array([len(blob)])})
+
+        manifest = (
+            rio.read_table(src).map_batches(write_block, batch_format="pyarrow").to_pandas()
+        )
+        assert len(manifest) > 0
+
     src = ensure_documents(sf_dir, rep)
-    import sys
-
-    from .. import io as rio
-
     # code-fingerprinted version suffix (io.code_fingerprint): any edit
     # to this codec or the span decoder forces a cold rebuild
     fp = rio.code_fingerprint(sys.modules[__name__], sys.modules[decode_spans.__module__])
-    key = hashlib.sha256(f"{Path(src).resolve()}:pbfish:{fp}".encode()).hexdigest()[:16]
-    out = Path(os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")) / key / "rosh_blocks"
-    if out.exists():
-        return str(out)
-    tmp = out.parent / f".tmp_{os.getpid()}"
-    tmp.mkdir(parents=True, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        vers = decode_spans(batch).to_pandas()
-        # tag tuple per version from the '|'-joined sig string
-        vers["tags"] = [
-            tuple(x.split("|")) if x else () for x in vers["tag_sig"].tolist()
-        ]
-        doc_meta = batch.select(
-            ["osm_id", "min_lon_e7", "max_lon_e7", "min_lat_e7", "max_lat_e7"]
-        ).to_pandas()
-        vers = vers.merge(doc_meta, on="osm_id", how="left")
-        blob = encode_block(vers)
-        name = f"block-{int(vers['osm_id'].min()):012d}.rosh"
-        (tmp / name).write_bytes(blob)
-        return pa.table({"file": pa.array([name]), "bytes": pa.array([len(blob)])})
-
-    manifest = (
-        rio.read_table(src).map_batches(write_block, batch_format="pyarrow").to_pandas()
-    )
-    assert len(manifest) > 0
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-    return str(out)
+    # src is a published (immutable) cache dir whose path already holds
+    # its key: key on the path, not on a stat of each of its shards
+    return rio.ensure("rosh_blocks", [], [src, fp], build)
 
 
 def read_pbfish(block_dir: str, keytable: dict[str, int] | None = None) -> ray.data.Dataset:

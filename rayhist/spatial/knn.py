@@ -21,9 +21,7 @@ parallelism-invariance across num_cpus levels.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -487,39 +485,25 @@ def _ensure_layout(parquet_path: str, name: str, id_col: str, vec_col: str, buil
     writes the bucket as the ``pb`` partition column. The cache key
     is the source file identity (``io._stat_identity``: an in-place
     rewrite changes the ctime even when size and mtime are restored),
-    the layout parameters and this module's code fingerprint."""
-    src = Path(parquet_path)
-    cache_root = os.environ.get("RAYHIST_CACHE", "/tmp/rayhist_cache")
-    key = hashlib.sha256(
-        f"{src.resolve()}:{rio._stat_identity(src)}:{name}:{id_col}:{vec_col}:{_fp()}".encode()
-    ).hexdigest()[:16]
-    out = Path(cache_root) / key / f"{name}_layout"
-    state_file = "_state.npy"
-    if out.exists():
-        return str(out), np.load(out / state_file)
+    the layout parameters and this module's code fingerprint
+    (``io.ensure``)."""
 
-    ds = rio.read_table(str(src), columns=[id_col, vec_col])
-    state = build(ds)
+    def write(staging: str) -> None:
+        ds = rio.read_table(str(parquet_path), columns=[id_col, vec_col])
+        state = build(ds)
 
-    def assign(b: pa.Table) -> pa.Table:
-        mat = np.stack(b[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
-        bucket = pa.array(buckets(mat, state))
-        # `pb` duplicates `bucket`: hive partition values are stripped
-        # from the files, and the query stage needs the bucket per row
-        return b.append_column("bucket", bucket).append_column("pb", bucket)
+        def assign(b: pa.Table) -> pa.Table:
+            mat = np.stack(b[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
+            bucket = pa.array(buckets(mat, state))
+            # `pb` duplicates `bucket`: hive partition values are stripped
+            # from the files, and the query stage needs the bucket per row
+            return b.append_column("bucket", bucket).append_column("pb", bucket)
 
-    tmp = out.parent / f".tmp_{os.getpid()}"
-    ds.map_batches(assign, batch_format="pyarrow").write_parquet(str(tmp), partition_cols=["pb"])
-    np.save(tmp / state_file, state)
-    try:
-        tmp.rename(out)
-    except OSError:
-        if not out.exists():
-            raise
-        # lost the rename race: drop OUR copy (a full duplicate of the
-        # bucket-partitioned corpus would otherwise sit in the cache)
-        shutil.rmtree(tmp, ignore_errors=True)
-    return str(out), state
+        ds.map_batches(assign, batch_format="pyarrow").write_parquet(staging, partition_cols=["pb"])
+        np.save(os.path.join(staging, "_state.npy"), state)
+
+    out = rio.ensure(f"{name}_layout", [parquet_path], [id_col, vec_col, _fp()], write)
+    return out, np.load(os.path.join(out, "_state.npy"))
 
 
 def ensure_ivf_layout(

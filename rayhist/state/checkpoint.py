@@ -38,15 +38,21 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..ingest import DOC_SHARD_ROWS
-from ..io import blocks_table
+from ..io import _stat_identity, blocks_table
 from ..ops.relational import combine_by_key
 
 ENGINE_VERSION = "rayhist-0.1"
 
 
 def _fingerprint(path: str) -> str:
-    st = os.stat(path)
-    return hashlib.sha256(f"{path}:{st.st_size}:{st.st_mtime_ns}".encode()).hexdigest()[:16]
+    """Lineage digest of an input: its stat identity, so an input
+    rewritten in place (even with size and mtime restored) is redone.
+    Raises FileNotFoundError for a vanished input (``run_sharded``
+    serves a completed shard from its manifest then)."""
+    ident = _stat_identity(path)
+    if not ident:
+        raise FileNotFoundError(path)
+    return hashlib.sha256(repr(ident).encode()).hexdigest()[:16]
 
 
 def _table_checksum(tbl: pa.Table) -> str:

@@ -214,6 +214,23 @@ def test_block_task_partials_are_row_identical():
     assert runs[0].num_rows and runs[0].equals(runs[1])
 
 
+def test_lazy_partials_combine_in_one_execution(executions):
+    """combine_partials over a lazy partials Dataset streams it once:
+    no limit=1 run of the plan before the full one."""
+    def partials(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(b.select(["event_type"]), ["event_type"]).aggregate([([], "count_all")])
+        return g.rename_columns(["event_type", "n_part"])
+
+    ds = rio.read_table(f"{SF}/events.parquet", columns=["event_type"]).map_batches(
+        partials, batch_format="pyarrow"
+    )
+    executions.clear()
+    got = combine_partials(ds, ["event_type"], {"n_part": "n"})
+    assert len(executions) == 1
+    want = pd.read_parquet(f"{SF}/events.parquet").groupby("event_type").size()
+    assert dict(zip(got["event_type"], got["n"])) == want.to_dict()
+
+
 def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, executions):
     """An output that stays distributed (the kNN positions): one block
     task per resident block and no Ray Data execution, the same rows in

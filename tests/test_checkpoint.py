@@ -88,6 +88,38 @@ def test_resume_invalidates_changed_lineage(shard_inputs, tmp_path):
     assert n_by_part["part_0"] == 1 and n_by_part["part_1"] == 2
 
 
+def test_resume_redoes_an_input_rewritten_with_its_stat_restored(shard_inputs, tmp_path):
+    """Lineage is the input's stat identity: an input rewritten in
+    place with the same size and its mtime restored is redone, not
+    skipped (a (path, size, mtime) key would serve the stale shard)."""
+    import os
+
+    out = tmp_path / "out_inplace"
+    run_sharded(shard_inputs, _process, str(out))
+    p1 = Path(shard_inputs["part_1"][0])
+    st = p1.stat()
+    pq.write_table(pa.table({"x": list(range(1010, 1020))}), p1)
+    os.utime(p1, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (p1.stat().st_size, p1.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    manifest = run_sharded(shard_inputs, _process, str(out))
+    assert 2020 in _read_all(out)["y"].to_pylist()
+    assert manifest["part_1"]["rows_out"] == 10
+
+
+def test_resume_serves_a_completed_shard_whose_input_vanished(shard_inputs, tmp_path):
+    """An input removed after its shard completed (cache GC) leaves the
+    output and manifest as the only record: resume serves them rather
+    than dropping the output and failing on the missing file."""
+    out = tmp_path / "out_vanished"
+    manifest1 = run_sharded(shard_inputs, _process, str(out))
+    before = _read_all(out)
+    Path(shard_inputs["part_2"][0]).unlink()
+    manifest2 = run_sharded(shard_inputs, _process, str(out))
+    assert manifest2["part_2"] == manifest1["part_2"]
+    assert (out / "part_2").exists()
+    assert _read_all(out).equals(before)
+
+
 def test_manifest_lineage_and_metrics(shard_inputs, tmp_path):
     out = tmp_path / "out2"
     manifest = run_sharded(shard_inputs, _process, str(out))

@@ -177,13 +177,13 @@ def test_auto_num_blocks_policy(tmp_path):
     import pyarrow.parquet as pq
     import ray
 
-    from rayhist.io import _local_parquet_stats, auto_num_blocks
+    from rayhist.io import _local_file_stats, auto_num_blocks
 
     d = tmp_path / "tbl"
     d.mkdir()
     for i in range(6):
         pq.write_table(pa.table({"x": np.arange(1000)}), d / f"f{i}.parquet")
-    n_files, total = _local_parquet_stats(str(d))
+    n_files, total = _local_file_stats(str(d), ".parquet")
     assert n_files == 6 and total > 0
     blocks = auto_num_blocks(str(d))
     ncpu = int(ray.cluster_resources().get("CPU", 0))

@@ -185,38 +185,6 @@ def test_arrow_ipc_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path
     assert names and all(n.startswith("part-") and n.endswith(".arrow") for n in names)
 
 
-def test_arrow_ipc_crashed_partial_build_never_unions(ray_session, monkeypatch, tmp_path):
-    """Shards from a crashed partial build (data present, no _DONE)
-    must be REPLACED by the rebuild, not unioned with it — stale
-    content-addressed shards would otherwise survive as silent
-    duplicate rows."""
-    import duckdb
-    import pyarrow as pa
-
-    from rayhist.sources.arrowipc import ensure_arrow_events, read_arrow_ipc
-
-    sf = "/root/testdata/sf0.001"
-    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path / "cache"))
-    # simulate the crash: a shard exists at the final path, no _DONE
-    real = ensure_arrow_events(sf)
-    from pathlib import Path
-
-    done = Path(real).parent / "_DONE"
-    done.unlink()
-    bogus = pa.table({"event_id": pa.array([1], pa.int64())})
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_file(sink, bogus.schema) as w:
-        w.write_table(bogus)
-    (Path(real) / "part-deadbeef.arrow").write_bytes(sink.getvalue().to_pybytes())
-
-    rebuilt = ensure_arrow_events(sf)
-    n_parquet = duckdb.sql(
-        f"SELECT count(*) FROM read_parquet('{sf}/events.parquet')"
-    ).fetchone()[0]
-    assert read_arrow_ipc(rebuilt).count() == n_parquet
-    assert not (Path(rebuilt) / "part-deadbeef.arrow").exists()
-
-
 def test_hivepart_key_covers_cents_module(tmp_path, monkeypatch):
     """The hive-partition cache key fingerprints ops.relational too:
     derive() rounds every value through its cents(), so an edit there
@@ -284,49 +252,6 @@ def test_hivepart_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path)
     assert days == want_days
     with pytest.raises(FileNotFoundError, match="day_k=99"):
         read_partition_days(root, [99])
-
-
-def test_hivepart_crashed_partial_build_never_unions(ray_session, monkeypatch, tmp_path):
-    """Partition shards from a crashed partial build (data present, no
-    _DONE) must be REPLACED by the rebuild, not unioned with it — the
-    arrowipc staging contract applied to the hive sink."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from rayhist.pipelines import DAY_US, T0
-    from rayhist.sources.hivepart import (
-        ensure_partitioned_events,
-        read_partition_days,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path / "cache"))
-    real = ensure_partitioned_events(sf, T0, DAY_US)
-    from pathlib import Path
-
-    done = Path(real).parent / "_DONE"
-    done.unlink()
-    # simulate the crash: a stale shard inside an existing partition
-    bogus = pa.table(
-        {
-            "event_id": pa.array([10**9], pa.int64()),
-            "user_id": pa.array([1], pa.int64()),
-            "ts_us": pa.array([T0], pa.int64()),
-            "event_type": pa.array(["click"]),
-            "value_c": pa.array([1], pa.int64()),
-            "day": pa.array([0], pa.int64()),
-        }
-    )
-    pq.write_table(bogus, Path(real) / "day_k=0" / "stale-deadbeef.parquet")
-
-    rebuilt = ensure_partitioned_events(sf, T0, DAY_US)
-    n_day0 = duckdb.sql(
-        f"SELECT count(*) FROM read_parquet('{sf}/events.parquet') "
-        f"WHERE (epoch_us(ts) - {T0}) // {DAY_US} = 0"
-    ).fetchone()[0]
-    assert read_partition_days(rebuilt, [0]).count() == n_day0
-    assert not list(Path(rebuilt).rglob("stale-deadbeef.parquet"))
 
 
 def test_hits_empty_graph_raises(ray_session):

@@ -1317,41 +1317,3 @@ def test_geohash_rejects_out_of_range():
         geohash_bits(np.array([1_800_000_000]), np.array([0]))
     with pytest.raises(ValueError):
         geohash_bits(np.array([0]), np.array([900_000_000]))
-
-
-def test_layouts_rebuild_after_an_in_place_rewrite(tmp_path, monkeypatch):
-    """The IVF and LSH layouts are keyed on the embeddings file's
-    identity (size, mtime, ctime, inode): a file rewritten in place with
-    its mtime restored gets a new layout, not the stale one."""
-    import os
-    import shutil
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pds
-    import pyarrow.parquet as pq
-
-    from rayhist.spatial.knn import ensure_ivf_layout, ensure_lsh_layout
-    from tests.test_ingest import SF
-
-    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path / "cache"))
-    path = tmp_path / "embeddings.parquet"
-    shutil.copy(f"{SF}/embeddings.parquet", path)
-
-    def ids(layout):
-        return pds.dataset(layout, partitioning="hive").to_table(columns=["vec_id"])["vec_id"]
-
-    builds = [(ensure_ivf_layout, {"nlist": 8}), (ensure_lsh_layout, {"n_bits": 3})]
-    before = [ensure(str(path), **kw)[0] for ensure, kw in builds]
-    assert [ensure(str(path), **kw)[0] for ensure, kw in builds] == before  # cached
-
-    st = os.stat(path)
-    t = pq.read_table(path)
-    t = t.set_column(t.schema.get_field_index("vec_id"), "vec_id", pc.add(t["vec_id"], 1000))
-    pq.write_table(t, path)
-    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
-    assert os.stat(path).st_mtime_ns == st.st_mtime_ns
-
-    for (ensure, kw), old in zip(builds, before):
-        layout = ensure(str(path), **kw)[0]
-        assert layout != old
-        assert pc.min(ids(layout)).as_py() >= 1000  # the rewritten rows
