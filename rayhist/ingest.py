@@ -30,8 +30,8 @@ Derivation (one 'node' document per ``user_id``; all integer-exact):
     all products stay well inside int64)
 
 The ingest pipeline itself is the Ray-Data analog of the reference's
-Transform pass: ``read -> map_batches(derive, vectorized) ->
-groupby(osm_id).map_groups(pack spans)`` — the groupby is the one
+Transform pass: ``read -> io.reduce_by_key(osm_id or parent id,
+stage=derive, reduce=pack spans)`` — the reduce_by_key is the one
 ingest shuffle (reference: sort-by-id merge, ``Transformer.java:139-260``).
 """
 
@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from . import io as rio
@@ -71,24 +72,6 @@ def _fp(*extra) -> str:
 # group, so a shard is exactly one call of every fused map_batches
 # stage that reads the table.
 DOC_SHARD_ROWS = 1500
-
-# entity versions per ingest pack bucket. Each map_groups call packs one
-# bucket and carries ~10 ms of fixed cost (group split, pandas
-# conversion, the packer's sorts and groupbys): a fixed 256 buckets is
-# ~25k versions a call on the 6.4M-version bench corpus but 2 documents
-# a call on a 32k-version one, where that fixed cost was 90% of the
-# build. The bucket count follows the input instead (_pack_buckets).
-PACK_BUCKET_VERSIONS = 20_000
-
-
-def _pack_buckets(sf_dir: str, rep: int, cap: int) -> int:
-    """Ingest shuffle bucket count: ~PACK_BUCKET_VERSIONS versions per
-    bucket (events rows from the parquet footer, x rep), at most
-    ``cap``."""
-    import pyarrow.parquet as pq
-
-    rows = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata.num_rows
-    return max(1, min(cap, -(-rows * rep // PACK_BUCKET_VERSIONS)))
 
 # ------------------------------------------------------- sig keytable
 #
@@ -250,7 +233,7 @@ def _pack_bucket(group: pd.DataFrame, keytable: dict[str, int] | None = None) ->
         ],
         names=["kind", "text", "media_ref", "offset"],
     )
-    assert total < 2**31, "span offsets exceed int32 — shrink the bucket count"
+    assert total < 2**31, "bucket span total exceeds int32 offsets"
     list_offsets = np.r_[np.flatnonzero(doc_first_span), total].astype(np.int32)
     spans_col = pa.ListArray.from_arrays(pa.array(list_offsets), spans_flat)
 
@@ -499,70 +482,70 @@ def _pack_way_bucket(group: pd.DataFrame) -> pa.Table:
     )
 
 
-def _replicated(derived: ray.data.Dataset, rep: int) -> ray.data.Dataset:
+def _replicas(g: pd.DataFrame, rep: int):
     """rep-fold deterministic corpus amplification: replica r of an
     entity gets osm_id + r*REP_STRIDE. Base ids must stay below the
     stride — a collision would silently MERGE two distinct entities'
     histories into one document (interleaved versions, corrupt cs and
     coordinates), so the guard is loud."""
-    if rep <= 1:
-        return derived
-    import pyarrow.compute as pc
-
-    def replicate(batch: pa.Table) -> pa.Table:
-        hi = pc.max(batch["osm_id"]).as_py()
-        if hi is not None and hi >= REP_STRIDE:
-            raise ValueError(
-                f"osm_id {hi} >= REP_STRIDE {REP_STRIDE}: replicas would collide"
-            )
-        parts = []
-        for r in range(rep):
-            t = batch.set_column(
-                batch.schema.get_field_index("osm_id"),
-                "osm_id",
-                pc.add(batch["osm_id"], r * REP_STRIDE),
-            )
-            parts.append(t)
-        return pa.concat_tables(parts)
-
-    return derived.map_batches(replicate, batch_format="pyarrow")
+    hi = g["osm_id"].max()
+    if rep > 1 and hi >= REP_STRIDE:
+        raise ValueError(f"osm_id {hi} >= REP_STRIDE {REP_STRIDE}: replicas would collide")
+    for r in range(rep):
+        yield g.assign(osm_id=g["osm_id"] + r * REP_STRIDE)
 
 
-def build_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
+def _build(sf_dir: str, rep: int, block: int, packer) -> ray.data.Dataset:
     """events.parquet -> span-document Dataset (the ingest pipeline).
+
+    One ``io.reduce_by_key`` co-locates the versions of each packed
+    entity: a node (``block`` 1, keyed by ``osm_id``) or a compound
+    parent (keyed by its id ``osm_id // block``). Its stage derives the
+    version columns; its reduce hands each bucket of complete histories
+    to ``packer`` (pandas frame -> documents table), MANY entities a
+    call, vectorized (per-entity calls would be 1000x the Python
+    overhead at scale).
 
     ``rep`` deterministically amplifies the corpus for benchmarks:
     replica r of an entity gets ``osm_id + r*REP_STRIDE`` — its
     coordinates (a function of osm_id) differ, so replicas spread over
     the grid like independent entities. rep=1 (the default, used by
-    all correctness queries) is a byte-stable identity.
+    all correctness queries) is a byte-stable identity. Only the base
+    rows are routed; the reduce packs the replicas of its bucket one
+    at a time, so a pack call covers one replica of one bucket at any
+    ``rep`` (routing the replicas would put the whole amplified corpus
+    into the one bucket of a one-block read).
     """
+    # a replica's parents are then the base parents shifted, so each
+    # bucket holds every child of the parents it packs in every replica
+    assert REP_STRIDE % block == 0, (REP_STRIDE, block)
+    key = "osm_id" if block == 1 else "parent_id"
+
+    def stage(batch: pa.Table) -> pa.Table:
+        t = derive_version_columns(batch)
+        if block == 1:
+            return t
+        return t.append_column(key, pa.array(t["osm_id"].to_numpy() // block))
+
+    def reduce(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return DOCUMENTS_SCHEMA.empty_table()
+        g = t.drop_columns([key] if block > 1 else []).to_pandas()
+        return pa.concat_tables([packer(r) for r in _replicas(g, rep)])
+
     ev = rio.read_table(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "ts", "user_id", "event_type", "value", "props"],
     )
-    derived = ev.map_batches(derive_version_columns, batch_format="pyarrow")
-    derived = _replicated(derived, rep)
+    return ray.data.from_arrow_refs(rio.reduce_by_key(ev, [key], reduce, stage=stage)).materialize()
 
-    # the one ingest shuffle: co-locate each entity's versions. Bucket
-    # by entity-id hash so each map_groups call packs MANY complete
-    # histories vectorized (per-entity calls would be 1000x the Python
-    # overhead at scale).
-    n_buckets = _pack_buckets(sf_dir, rep, 256)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch["osm_id"].to_numpy(zero_copy_only=False) % n_buckets
-        return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
-
+def build_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
+    """events.parquet -> node span-document Dataset (``_build``)."""
     # sig -> id map from the Extract pass; tiny, shipped by closure
     # capture (once per task, not per batch)
     kt = {s: i for i, s in enumerate(sig_keytable(sf_dir))}
-
-    return (
-        derived.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(lambda g: _pack_bucket(g.drop(columns=["_bucket"]), kt), batch_format="pandas")
-    )
+    return _build(sf_dir, rep, 1, lambda g: _pack_bucket(g, kt))
 
 
 # -------------------------------------------------- relation documents
@@ -887,56 +870,46 @@ def _pack_oldstyle_bucket(group: pd.DataFrame) -> pa.Table:
     )
 
 
-def _build_compound(sf_dir: str, rep: int, block: int, packer) -> ray.data.Dataset:
-    """events.parquet -> compound span-document Dataset.
-
-    Same shape as build_documents but the ingest shuffle co-locates
-    each parent entity's member-node events (bucket by parent id =
-    osm_id // block), and the packer emits compound documents with
-    denormalized child histories."""
-    ev = rio.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    derived = ev.map_batches(derive_version_columns, batch_format="pyarrow")
-    derived = _replicated(derived, rep)
-
-    n_buckets = _pack_buckets(sf_dir, rep, 64)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (batch["osm_id"].to_numpy(zero_copy_only=False) // block) % n_buckets
-        return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
-
-    return (
-        derived.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(lambda g: packer(g.drop(columns=["_bucket"])), batch_format="pandas")
-    )
-
-
 def build_way_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
-    return _build_compound(sf_dir, rep, WAY_BLOCK, _pack_way_bucket)
+    return _build(sf_dir, rep, WAY_BLOCK, _pack_way_bucket)
 
 
 def build_relation_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
-    return _build_compound(sf_dir, rep, REL_BLOCK, _pack_rel_bucket)
+    return _build(sf_dir, rep, REL_BLOCK, _pack_rel_bucket)
+
+
+@ray.remote
+def _shard_task(lo: str, hi: str | None, *buckets: pa.Table) -> pa.Table:
+    """The documents of ``buckets`` with ``lo <= doc_id < hi`` (None:
+    unbounded), in ``doc_id`` order."""
+
+    def inside(ids: pa.ChunkedArray):
+        m = pc.greater_equal(ids, lo)
+        return m if hi is None else pc.and_(m, pc.less(ids, hi))
+
+    t = pa.concat_tables([b.filter(inside(b["doc_id"])) for b in buckets]).combine_chunks()
+    return t.take(pc.sort_indices(t["doc_id"]))
 
 
 def _write_shards(ds: ray.data.Dataset, path: str, shard_rows: int, min_shards: int = 1) -> None:
-    """Write ``ds`` as evenly sized shard files of at most ``shard_rows``
-    rows, each ONE parquet row group.
+    """Write ``ds`` in ``doc_id`` order as ``max(min_shards,
+    ceil(rows / shard_rows))`` evenly sized shard files, each ONE
+    parquet row group.
 
     The row group is the read block, so a shard is one call of every
     fused ``map_batches`` stage that reads the table. Left to the
-    producer, every pack-bucket group stays its own row group (one
-    document each at sandbox scale) and each query pays its per-batch
-    stage cost per document. ``repartition(n)`` balances rows evenly
-    (``target_num_rows_per_block`` only splits oversized blocks and
-    keeps one file per upstream block); the materialize is bounded by
-    the cache being a single sf_dir's table."""
-    ds = ds.materialize()
-    n_shards = max(min_shards, -(-ds.count() // shard_rows))
-    rio.write_table(ds.repartition(n_shards), str(path), row_group_size=shard_rows)
+    producer, every pack bucket stays its own file, sized by the
+    bucket's share of the corpus. The pack has one bucket per input
+    block, so its buckets follow the cpu count: the ``doc_id`` order
+    keeps the table the same at any cpu count. The driver reads only
+    the ``doc_id`` column, to find each shard's first ``doc_id``; one
+    task per shard gathers its rows from the buckets."""
+    refs = ds.to_arrow_refs()
+    ids = np.sort(np.concatenate([ray.get(r)["doc_id"].to_numpy(zero_copy_only=False) for r in refs]))
+    n = max(min_shards, -(-len(ids) // shard_rows))
+    bounds = ["", *ids[[len(ids) * i // n for i in range(1, n)]], None]
+    shards = [_shard_task.remote(lo, hi, *refs) for lo, hi in zip(bounds, bounds[1:])]
+    rio.write_table(ray.data.from_arrow_refs(shards), str(path), row_group_size=shard_rows)
 
 
 def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
@@ -953,7 +926,7 @@ def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
 
 
 def build_oldstyle_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
-    return _build_compound(sf_dir, rep, OS_BLOCK, _pack_oldstyle_bucket)
+    return _build(sf_dir, rep, OS_BLOCK, _pack_oldstyle_bucket)
 
 
 def ensure_oldstyle_documents(sf_dir: str, rep: int = 1) -> str:
@@ -996,9 +969,9 @@ def ensure_documents(sf_dir: str, rep: int = 1) -> str:
     by ``io.ensure``, which builds in a staging directory and publishes
     it with one rename, so concurrent callers and re-runs are safe.
     """
-    # uniform ~4 MB shards: the pack groupby emits blocks whose sizes
-    # track bucket skew (measured 56-115 MB at rep=128 — a 2x spread),
-    # and any read that maps files to ncpu tasks inherits that skew as
+    # uniform ~4 MB shards: the pack's buckets are sized by their hash
+    # share of the entities (and there is one per cpu), and any read
+    # that maps files to ncpu tasks would inherit that skew as
     # straggler wall time. Floor of 8 shards so even tiny sf_dirs keep
     # a multi-fragment layout (parallel first-read, per-shard resume).
     # At cluster scale the ingest writes shard-keyed partitions instead

@@ -36,6 +36,9 @@ MERSENNE = (1 << 61) - 1
 N_PERM = 128
 LSH_BANDS = 16  # x 8 rows = 128
 SIMHASH_BITS = 64
+# largest materialized corpus minhash_lsh_pairs runs in one driver pass;
+# tests set it to 0 to run the distributed path on a small corpus
+DRIVER_GATE = 64 * 1024
 
 
 def md5_hex(texts) -> list[str]:
@@ -426,7 +429,6 @@ def minhash_lsh_pairs(
     threshold_num: int = 1,
     threshold_den: int = 2,
     bands: int | None = None,
-    driver_gate: int | None = None,
 ) -> pd.DataFrame:
     """MinHash+LSH near-dup pairs: shingle -> minhash -> band -> one
     ``io.reduce_by_key`` on (band, key) for the candidate pairs ->
@@ -468,18 +470,11 @@ def minhash_lsh_pairs(
     # 1883 against 1562 ms on sf0.1). For an input already
     # MATERIALIZED with a known small row count, run the SAME kernels
     # in one driver pass.
-    # Driver memory is bounded by the documented gate, never by the
-    # corpus; the distributed path is forced in tests (driver_gate=0)
-    # and A/B-pinned byte-identical against this one.
-    if driver_gate is None:
-        driver_gate = 64 * 1024
+    # Driver memory is bounded by DRIVER_GATE, never by the corpus; the
+    # distributed path is A/B-pinned byte-identical against this one.
     from ray.data.dataset import MaterializedDataset
 
-    if (
-        driver_gate
-        and isinstance(docs, MaterializedDataset)
-        and docs.count() <= driver_gate
-    ):
+    if isinstance(docs, MaterializedDataset) and docs.count() <= DRIVER_GATE:
         tbl = pa.concat_tables(
             [ray.get(r) for r in docs.to_arrow_refs()], promote_options="default"
         )

@@ -20,18 +20,20 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from pathlib import Path
 
 import pyarrow as pa
 import ray.data
 
 from .. import io as rio
+from ..ops import relational
 
 
 def _fp() -> str:
-    import sys
-
-    return rio.code_fingerprint(sys.modules[__name__])
+    # the build rounds every value through relational.cents: its source
+    # is an input of the cached bytes as much as this module's
+    return rio.code_fingerprint(sys.modules[__name__], relational)
 
 
 def ensure_arrow_events(sf_dir: str) -> str:
@@ -42,9 +44,7 @@ def ensure_arrow_events(sf_dir: str) -> str:
 
     def build(staging: str) -> None:
         def write_shard(b: pa.Table) -> pa.Table:
-            from ..ops.relational import cents
-
-            b2 = cents(b, "value", "value_c")  # pinned half-away rounding
+            b2 = relational.cents(b, "value", "value_c")  # pinned half-away rounding
             t = pa.table(
                 {
                     "event_id": b2["event_id"].cast(pa.int64()),

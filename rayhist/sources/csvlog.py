@@ -8,18 +8,20 @@ and the loud count check in tests would catch a parse drift)."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pyarrow as pa
 import ray.data
 
 from .. import io as rio
+from ..ops import relational
 
 
 def _fp() -> str:
-    import sys
-
-    return rio.code_fingerprint(sys.modules[__name__])
+    # the build rounds every value through relational.cents: its source
+    # is an input of the cached bytes as much as this module's
+    return rio.code_fingerprint(sys.modules[__name__], relational)
 
 
 def ensure_csv_events(sf_dir: str) -> str:
@@ -29,9 +31,7 @@ def ensure_csv_events(sf_dir: str) -> str:
     src = Path(sf_dir) / "events.parquet"
 
     def to_log(b: pa.Table) -> pa.Table:
-        from ..ops.relational import cents
-
-        b2 = cents(b, "value", "value_c")
+        b2 = relational.cents(b, "value", "value_c")
         return pa.table(
             {
                 "event_id": b2["event_id"].cast(pa.int64()),

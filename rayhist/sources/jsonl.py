@@ -12,24 +12,27 @@ rayhist.io.read_table (Arrow JSON reader, block count scaled to bytes
 and cluster CPUs — never Ray's 200-block floor).
 
 Cached by ``io.ensure``: the key covers the source file identity and
-code_fingerprint(this module), so an edit to the derivation forces a
-cold rebuild, never a hand-bumped :vN.
+code_fingerprint(this module and ops.relational, whose ``cents``
+rounds every value), so an edit to the derivation forces a cold
+rebuild, never a hand-bumped :vN.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pyarrow as pa
 import ray.data
 
 from .. import io as rio
+from ..ops import relational
 
 
 def _fp() -> str:
-    import sys
-
-    return rio.code_fingerprint(sys.modules[__name__])
+    # the build rounds every value through relational.cents: its source
+    # is an input of the cached bytes as much as this module's
+    return rio.code_fingerprint(sys.modules[__name__], relational)
 
 
 def ensure_jsonl_events(sf_dir: str) -> str:
@@ -39,9 +42,7 @@ def ensure_jsonl_events(sf_dir: str) -> str:
     src = Path(sf_dir) / "events.parquet"
 
     def to_log(b: pa.Table) -> pa.Table:
-        from ..ops.relational import cents
-
-        b2 = cents(b, "value", "value_c")  # pinned half-away rounding
+        b2 = relational.cents(b, "value", "value_c")  # pinned half-away rounding
         return pa.table(
             {
                 "event_id": b2["event_id"].cast(pa.int64()),

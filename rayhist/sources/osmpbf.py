@@ -923,39 +923,27 @@ def _fp() -> str:
     return rio.code_fingerprint(sys.modules[__name__], model)
 
 
-def _encode_bucketed(partials, key_col: str, build_rows, out: str) -> None:
-    """Distributed fixture encode: per-key partials route to
-    fmix64-hash buckets (all partials of one key co-locate, so
-    cross-shard combines happen inside the bucket task), each bucket
-    builds its rows and writes ONE self-contained .osh.pbf into ``out``
-    inside the group task — no corpus-cardinality driver
-    materialization. Bucket
-    count scales with the cluster (per-bucket memory stays bounded as
-    the corpus grows); the cache dir is assumed posix-shared across
-    workers, the same assumption as the span cache (rayhist.io)."""
-    import ray
+def _encode_bucketed(docs: ray.data.Dataset, key_col: str, partial, build_rows, out: str) -> None:
+    """Distributed fixture encode: one ``io.reduce_by_key`` on
+    ``key_col`` co-locates every per-batch ``partial`` of a key, so
+    cross-shard combines happen inside the bucket task. Each non-empty
+    bucket builds its rows and writes ONE self-contained .osh.pbf into
+    ``out``, named by its smallest key — no corpus-cardinality driver
+    materialization. Returns once every file is written: ``io.ensure``
+    publishes ``out`` as soon as the build returns. The cache dir is
+    assumed posix-shared across workers, the same assumption as the
+    span cache (rayhist.io)."""
+    from .. import io as rio
 
-    from ..ops.text import fmix64
+    def write_bucket(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({"file": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
+        name = f"part-{pa.compute.min(t[key_col]).as_py():012d}.osh.pbf"
+        rows = build_rows(t.to_pandas())
+        write_osmpbf(os.path.join(out, name), rows)
+        return pa.table({"file": [name], "n": [len(rows)]})
 
-    n_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (fmix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return batch.append_column("_bucket", pa.array(b))
-
-    def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        b = int(df["_bucket"].iloc[0])
-        rows = build_rows(df.drop(columns=["_bucket"]))
-        write_osmpbf(os.path.join(out, f"part-{b:05d}.osh.pbf"), rows)
-        return pd.DataFrame({"bucket": [b], "n": [len(rows)]})
-
-    (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .materialize()
-    )
+    ray.get(rio.reduce_by_key(docs, [key_col], write_bucket, stage=partial))
 
 
 def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
@@ -965,7 +953,7 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
     ts, v2 at max+1 with w%3==0 deleted; tags etype=way / k=w%7(+1)).
     Fully distributed: the member (wid, ts) extraction is a per-batch
     partial, cross-shard combine + message build + encode happen per
-    fmix64(wid) bucket (_encode_bucketed) — nothing corpus-cardinality
+    ``wid`` bucket (_encode_bucketed) — nothing corpus-cardinality
     reaches the driver."""
     from ..ingest import WAY_BLOCK, WAY_CS_BASE, ensure_documents
     from ..model import decode_spans
@@ -1008,8 +996,7 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
         return pd.DataFrame(rows)
 
     def encode(staging: str) -> None:
-        parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
-        _encode_bucketed(parts, "wid", build, staging)
+        _encode_bucketed(rio.read_table(src), "wid", wid_ts, build, staging)
 
     src = ensure_documents(sf_dir, rep)
     return rio.ensure("osmpbf_ways", [], [src, _fp()], encode)  # src: see ensure_osmpbf
@@ -1025,7 +1012,7 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
     roles_sid (index 0 = empty role), member-type enum — under the
     value-exact oracle (oracles.osmpbf_relation_member_sums). Fully
     distributed like ensure_osmpbf_ways: per-batch (wid, ts1) partials
-    route to fmix64(rid) buckets, combine + message build + encode per
+    route to ``rid`` buckets, combine + message build + encode per
     bucket (_encode_bucketed)."""
     from ..ingest import REL_CS_BASE, WAY_BLOCK, ensure_documents
     from ..model import decode_spans
@@ -1064,8 +1051,7 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
         return pd.DataFrame(rows)
 
     def encode(staging: str) -> None:
-        parts = rio.read_table(src).map_batches(wid_ts, batch_format="pyarrow")
-        _encode_bucketed(parts, "rid", build, staging)
+        _encode_bucketed(rio.read_table(src), "rid", wid_ts, build, staging)
 
     src = ensure_documents(sf_dir, rep)
     return rio.ensure("osmpbf_rels", [], [src, _fp()], encode)  # src: see ensure_osmpbf

@@ -32,6 +32,10 @@ import ray.data
 
 from .. import io as rio
 
+# largest materialized input knn_queries resolves in one driver pass;
+# tests set it to 0 to run the distributed shuffles on a small input
+DRIVER_GATE = 64 * 1024
+
 
 def _fp() -> str:
     """Cache-key version suffix for the IVF/LSH layout fixtures:
@@ -702,7 +706,6 @@ def knn_queries(
     query_col: str = "_is_query",
     zoom: int = 6,
     halo: int = 1,
-    driver_gate: int | None = None,
 ) -> pd.DataFrame:
     """EXACT kNN for a FLAGGED SUBSET of the points, fully distributed —
     the scale path when the query set itself grows with the corpus (the
@@ -885,15 +888,11 @@ def knn_queries(
     # distributed machinery is for data that NEEDS it). For an input
     # already materialized with a known small row count, the two
     # shuffles' tasks cost more than one driver pass over the SAME
-    # scatter/cell/resolve kernels. The gate is a documented constant —
-    # driver memory is bounded by it, never by the corpus — and the
-    # distributed path is forced in tests via driver_gate=0
-    # (tests/test_spatial.py knn_queries A/Bs run both paths).
-    if driver_gate is None:
-        driver_gate = 64 * 1024
+    # scatter/cell/resolve kernels. Driver memory is bounded by
+    # DRIVER_GATE, never by the corpus.
     from ray.data.dataset import MaterializedDataset
 
-    if isinstance(points, MaterializedDataset) and points.count() <= driver_gate:
+    if isinstance(points, MaterializedDataset) and points.count() <= DRIVER_GATE:
         res = resolve(cells(scatter(rio.blocks_table(points)).to_pandas()))
     else:
         # shuffle by target cell, then by query (the cell buckets' refs

@@ -16,7 +16,6 @@ import pyarrow.compute as pc
 import pytest
 import ray
 from ray.data._internal.execution.operators.actor_pool_map_operator import ActorPoolMapOperator
-from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from ray.data.dataset import MaterializedDataset
 
 from perfbench.workloads import WORKLOADS
@@ -102,20 +101,6 @@ def block_tasks(monkeypatch):
     monkeypatch.setattr(rio, "_block_task", Counting)
     monkeypatch.setattr(ray, "put", counting_put)
     return calls
-
-
-@pytest.fixture
-def executions(monkeypatch):
-    """Counts Ray Data executions started on the driver."""
-    started = []
-    execute = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        started.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
-    return started
 
 
 @pytest.fixture

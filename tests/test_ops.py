@@ -38,6 +38,25 @@ def test_tdigest_accuracy_vs_exact():
         assert abs(rank - q) < 0.005, (q, rank)
 
 
+@pytest.mark.parametrize("n_blocks", [1, 4, 16])
+def test_tdigest_price_quantiles_at_any_block_count(monkeypatch, n_blocks):
+    """The rows-only t-digest query holds the rank-error bound of
+    test_tdigest_accuracy_vs_exact against the exact lineitem quartiles
+    however its input is split into blocks (one partial digest each)."""
+    import pyarrow.parquet as pq
+
+    from rayhist import io as rio
+    from rayhist.pipelines import q_tdigest_price_quantiles
+    from tests.test_ingest import SF
+
+    monkeypatch.setattr(rio, "auto_num_blocks", lambda *args: n_blocks)
+    est = q_tdigest_price_quantiles(SF).iloc[0]
+    xs = np.sort(pq.read_table(f"{SF}/lineitem.parquet")["l_extendedprice"].to_numpy())
+    for q, col in ((0.25, "p25_est"), (0.5, "p50_est"), (0.75, "p75_est")):
+        rank = np.searchsorted(xs, est[col]) / len(xs)
+        assert abs(rank - q) < 0.005, (n_blocks, q, rank)
+
+
 def test_tdigest_serialization_roundtrip():
     d = TDigest.of(np.arange(1000.0))
     d2 = TDigest.from_bytes(d.to_bytes())
@@ -1281,12 +1300,13 @@ def test_hash_join_multikey_null_component_matches_nothing():
         )
 
 
-def test_minhash_driver_gate_paths_identical():
+def test_minhash_driver_gate_paths_identical(monkeypatch):
     """The gated driver pass and the forced distributed path
-    (driver_gate=0) produce byte-identical pairs on a randomized
+    (DRIVER_GATE 0) produce byte-identical pairs on a randomized
     corpus with planted near-dups."""
     import ray.data
 
+    from rayhist.ops import dedup
     from rayhist.ops.dedup import minhash_lsh_pairs
 
     rng = np.random.default_rng(3)
@@ -1299,7 +1319,8 @@ def test_minhash_driver_gate_paths_identical():
     tbl = pa.table({"doc_id": list(range(len(texts))), "text": texts})
     ds = ray.data.from_arrow(tbl)  # MaterializedDataset -> gate engages
     local = minhash_lsh_pairs(ds, 1, 2)
-    dist = minhash_lsh_pairs(ds, 1, 2, driver_gate=0)
+    monkeypatch.setattr(dedup, "DRIVER_GATE", 0)
+    dist = minhash_lsh_pairs(ds, 1, 2)
     assert len(local) > 0  # the planted dups must be found
     pd.testing.assert_frame_equal(
         local.reset_index(drop=True),

@@ -185,33 +185,35 @@ def test_arrow_ipc_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path
     assert names and all(n.startswith("part-") and n.endswith(".arrow") for n in names)
 
 
-def test_hivepart_key_covers_cents_module(tmp_path, monkeypatch):
-    """The hive-partition cache key fingerprints ops.relational too:
-    derive() rounds every value through its cents(), so an edit there
+@pytest.mark.parametrize("module", ["hivepart", "csvlog", "jsonl", "arrowipc"])
+def test_source_key_covers_cents_module(tmp_path, monkeypatch, module):
+    """Each events-twin cache key fingerprints ops.relational too: the
+    build rounds every value through its cents(), so an edit there
     must change the key (cold rebuild) instead of serving bytes rounded
     by the old code."""
+    import importlib
     import importlib.util
     import os
     import shutil
 
     import rayhist.io as rio
     from rayhist.ops import relational
-    from rayhist.sources import hivepart
 
+    source = importlib.import_module(f"rayhist.sources.{module}")
     copy = tmp_path / "relational_copy.py"
     shutil.copy(relational.__file__, copy)
     # backdated: the edited-after-import guard must not fire for the copy
     os.utime(copy, (0, 0))
     spec = importlib.util.spec_from_file_location("relational_copy", copy)
-    monkeypatch.setattr(hivepart, "relational", importlib.util.module_from_spec(spec))
+    monkeypatch.setattr(source, "relational", importlib.util.module_from_spec(spec))
     rio.code_fingerprint.cache_clear()
-    before = hivepart._fp()
+    before = source._fp()
     copy.write_text(copy.read_text() + "\n# edited\n")
     os.utime(copy, (0, 0))
     rio.code_fingerprint.cache_clear()
-    after = hivepart._fp()
+    after = source._fp()
     rio.code_fingerprint.cache_clear()
-    assert before != after, "a cents() edit must re-key the hive cache"
+    assert before != after, f"a cents() edit must re-key the {module} cache"
 
 
 def test_hivepart_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path):

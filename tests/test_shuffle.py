@@ -3,18 +3,21 @@
 whatever the key types, block count or emptiness of the input."""
 
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
 from ray.data.dataset import MaterializedDataset
 
+from rayhist import ingest, pipelines
 from rayhist import io as rio
-from rayhist import pipelines
 from rayhist.functions.deadline import Deadline, RayhistTimeoutError
+from rayhist.sources import osmpbf
 from tests.test_ingest import SF
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
@@ -217,31 +220,6 @@ SHUFFLE_QUERIES = [
 DRIVER_COMBINE_QUERIES = ["doc_stats", "doc_tokens", "stratified_sample_docs"]
 
 
-@pytest.fixture
-def all_to_all(monkeypatch):
-    """Names of the Ray Data all-to-all operators (sort, aggregate,
-    repartition) in the DAG of every execution started on the driver."""
-    from ray.data._internal.execution.operators.base_physical_operator import (
-        AllToAllOperator,
-    )
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    found = []
-    execute = StreamingExecutor.execute
-
-    def recording(self, dag, *args, **kwargs):
-        stack = [dag]
-        while stack:
-            op = stack.pop()
-            if isinstance(op, AllToAllOperator):
-                found.append(op.name)
-            stack.extend(op.input_dependencies)
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", recording)
-    return found
-
-
 def _at_blocks(monkeypatch, query: str, n: int) -> pd.DataFrame:
     """``query`` with every table read as ``n`` blocks (resident tables
     reloaded)."""
@@ -251,7 +229,7 @@ def _at_blocks(monkeypatch, query: str, n: int) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("query", SHUFFLE_QUERIES)
-def test_query_is_block_count_invariant(monkeypatch, all_to_all, query):
+def test_query_is_block_count_invariant(monkeypatch, executions, query):
     """One input block is one hash bucket. At 16 blocks every shuffle
     has at least four buckets, and one keyed by user (15 users in this
     table) leaves some of them empty, so each reduce body sees the
@@ -273,17 +251,17 @@ def test_query_is_block_count_invariant(monkeypatch, all_to_all, query):
     many = _at_blocks(monkeypatch, query, 16)
     assert routed and min(routed) >= 4
     pd.testing.assert_frame_equal(one, many)
-    assert not all_to_all
+    assert not executions.all_to_all
 
 
 @pytest.mark.parametrize("query", DRIVER_COMBINE_QUERIES)
-def test_driver_combine_query_is_block_count_invariant(monkeypatch, all_to_all, query):
+def test_driver_combine_query_is_block_count_invariant(monkeypatch, executions, query):
     """A low-cardinality final is per-block partials combined on the
     driver: the same frame at 1 and 16 blocks, no shuffle at all."""
     one = _at_blocks(monkeypatch, query, 1)
     many = _at_blocks(monkeypatch, query, 16)
     pd.testing.assert_frame_equal(one, many)
-    assert not all_to_all
+    assert not executions.all_to_all
 
 
 @pytest.mark.parametrize(
@@ -305,37 +283,67 @@ def test_query_with_no_result_row_keeps_its_schema(monkeypatch, query, setting, 
 
 def test_no_hand_rolled_bucket_shuffle():
     """Every complete-key shuffle in ``rayhist/`` goes through
-    io.reduce_by_key: no hash-bucket column feeding a Dataset groupby,
-    no map_groups, no Ray Data aggregate, and no hand-rolled bucket
-    routing. The one exception is ``.map_groups(`` over a ``"_bucket"``
-    column in the ensure-time pack shuffles that build the cached tables
-    (``ingest.py`` and ``osmpbf._encode_bucketed``): they run on every
-    benchmark's setup path and move separately. Every other pattern is
-    checked in every file, those two included."""
-    import ast
-    from pathlib import Path
-
+    io.reduce_by_key, the cached-table builds included: no hash-bucket
+    column feeding a Dataset groupby, no map_groups or repartition, no
+    Ray Data aggregate, and no hand-rolled bucket routing, in any
+    file."""
     root = Path(rio.__file__).parent
-    everywhere = (
-        "ray.data.aggregate", '"_pb"', '"_hb"', '"_kb"', '"_qb"', '"_tcell"',
-        "_shingle_buckets", "_pair_bucket", "_bucket_of", "_resolve_buckets",
+    patterns = (
+        "ray.data.aggregate", ".map_groups(", ".repartition(", '"_bucket"', '"_pb"', '"_hb"',
+        '"_kb"', '"_qb"', '"_tcell"', "_shingle_buckets", "_pair_bucket", "_bucket_of",
+        "_resolve_buckets",
     )
-    outside_ensure = (".map_groups(", '"_bucket"')
     checked = 0
     for path in root.rglob("*.py"):
-        rel = path.relative_to(root).as_posix()
         src = path.read_text()
-        for pattern in everywhere:
-            assert pattern not in src, (path, pattern)
-        if rel == "ingest.py":
-            src = ""
-        elif rel == "sources/osmpbf.py":
-            fn = next(
-                n for n in ast.parse(src).body
-                if isinstance(n, ast.FunctionDef) and n.name == "_encode_bucketed"
-            )
-            src = src.replace(ast.get_source_segment(src, fn), "")
-        for pattern in outside_ensure:
+        for pattern in patterns:
             assert pattern not in src, (path, pattern)
         checked += 1
     assert checked > 40
+
+
+# every cached table whose build packs or encodes through a shuffle
+COLD_BUILDS = [
+    ingest.ensure_documents, ingest.ensure_way_documents, ingest.ensure_relation_documents,
+    ingest.ensure_oldstyle_documents, osmpbf.ensure_osmpbf_ways, osmpbf.ensure_osmpbf_relations,
+]
+
+
+def test_cold_builds_run_no_ray_data_shuffle(monkeypatch, tmp_path, executions):
+    """The cached-table packs run through io.reduce_by_key: a cold
+    build of every table starts Ray Data executions (the reads and
+    their stages), but no all-to-all operator among them."""
+    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path))
+    for ensure in COLD_BUILDS:
+        ensure(SF)
+    assert executions and not executions.all_to_all
+
+
+def _built_at_blocks(monkeypatch, root, n: int) -> dict:
+    """Every COLD_BUILDS table built with every input read as ``n``
+    blocks under a fresh cache ``root``: a parquet table as its shard
+    files in name order, a pbf fixture as its decoded rows, sorted."""
+    monkeypatch.setenv("RAYHIST_CACHE", str(root))
+    monkeypatch.setattr(rio, "auto_num_blocks", lambda *args: n)
+    out = {}
+    for ensure in COLD_BUILDS:
+        path = ensure(SF)
+        if ensure.__module__ == ingest.__name__:
+            out[ensure.__name__] = [pq.read_table(f) for f in sorted(Path(path).glob("*.parquet"))]
+        else:
+            rows = osmpbf.read_osmpbf(path).to_pandas()
+            out[ensure.__name__] = rows.sort_values(["etype", "osm_id", "v"], ignore_index=True)
+    return out
+
+
+def test_cached_tables_are_block_count_invariant(monkeypatch, tmp_path):
+    """One pack bucket per input block: the tables read back the same
+    at 1 and 4 blocks, row for row, in the same shard files."""
+    one = _built_at_blocks(monkeypatch, tmp_path / "one", 1)
+    four = _built_at_blocks(monkeypatch, tmp_path / "four", 4)
+    for name, got in four.items():
+        if isinstance(got, pd.DataFrame):
+            pd.testing.assert_frame_equal(one[name], got)
+            continue
+        assert [t.num_rows for t in one[name]] == [t.num_rows for t in got], name
+        assert pa.concat_tables(one[name]).equals(pa.concat_tables(got)), name

@@ -675,7 +675,7 @@ def test_bbox_inside_rejects_slit_crossing():
     assert bbox_inside(poly, 1, 1, 2, 2)
 
 
-def test_knn_queries_matches_brute_across_partitionings():
+def test_knn_queries_matches_brute_across_partitionings(monkeypatch):
     """knn_queries (asymmetric halo join: corpus scattered once, flagged
     queries replicated to halo cells, distributed bucketed resolve) must
     equal the brute-force kernel for a flagged subset — at a dense zoom,
@@ -685,6 +685,7 @@ def test_knn_queries_matches_brute_across_partitionings():
     import pyarrow as pa
     import ray.data
 
+    from rayhist.spatial import knn
     from rayhist.spatial.knn import knn_points, knn_queries
 
     rng = np.random.default_rng(47)
@@ -700,10 +701,11 @@ def test_knn_queries_matches_brute_across_partitionings():
     brute = knn_points(ds, queries, k=3)
     cols = ["query_id", "neighbor_id", "rank", "dist2"]
     for zoom, halo in ((2, 1), (6, 1), (3, 2)):
-        # gate=0 forces the fully distributed shuffles; the default
+        # gate 0 forces the fully distributed shuffles; the default
         # gate takes the small-input driver pass — both must be exact
-        for gate in (0, None):
-            got = knn_queries(ds, k=3, zoom=zoom, halo=halo, driver_gate=gate)
+        for gate in (0, knn.DRIVER_GATE):
+            monkeypatch.setattr(knn, "DRIVER_GATE", gate)
+            got = knn_queries(ds, k=3, zoom=zoom, halo=halo)
             pdt.assert_frame_equal(
                 got[cols].reset_index(drop=True), brute[cols].reset_index(drop=True)
             )
