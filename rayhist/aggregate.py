@@ -127,7 +127,7 @@ def estimated_quantiles(
         return pa.table({"digest": pa.array([d.to_bytes()], type=pa.binary())})
 
     merged = TDigest(compression)
-    for row in ds.map_batches(partial, batch_format="pyarrow").iter_rows():
+    for row in map_blocks(ds, partial).to_pylist():
         merged = merged.merge(TDigest.from_bytes(row["digest"], compression))
     return [merged.quantile(q) for q in qs]
 
@@ -177,13 +177,13 @@ def sorted_sums(t: pa.Table, keys: list[str], sums: dict[str, str]) -> pa.Table:
 
 
 def combine_partials(
-    ds: pa.Table | ray.data.Dataset,
+    t: pa.Table,
     keys: list[str],
     sums: dict[str, str],
 ) -> pd.DataFrame:
     """Final combine of pre-aggregated partials: the table
-    ``io.map_blocks`` returns, or a partials Dataset (read once as one
-    Arrow table).
+    ``io.map_blocks`` returns (or ``io.blocks_table`` of a
+    ``reduce_by_key`` result).
 
     The partials are tiny by construction (#blocks x #keys), so a
     Dataset-level groupby would pay a full shuffle's scheduling
@@ -205,11 +205,12 @@ def combine_partials(
     routed by the keys, so each key arrives here once) — rule of thumb:
     keys x blocks > ~10^7 rows means keep it distributed.
     """
-    t = ds if isinstance(ds, pa.Table) else blocks_table(ds)
+    if not isinstance(t, pa.Table):
+        raise TypeError(f"combine_partials takes a pa.Table, not {type(t).__name__}")
     if t.num_rows == 0 and not set(keys) | set(sums) <= set(t.column_names):
-        # an all-empty partials Dataset can arrive schema-less (Ray
-        # drops empty blocks): return a typed empty result — or, for a
-        # global total (no keys), the zero row
+        # all-empty partials can arrive schema-less (a materialized
+        # Dataset's empty blocks): return a typed empty result — or,
+        # for a global total (no keys), the zero row
         if not keys:
             return pd.DataFrame([{out: 0 for out in sums.values()}]).astype("int64")
         cols = {k: pd.Series([], dtype="object") for k in keys}
@@ -253,7 +254,7 @@ def grouped_estimated_quantiles(
         )
 
     merged: dict[object, TDigest] = {}
-    for row in ds.map_batches(partial, batch_format="pyarrow").iter_rows():
+    for row in map_blocks(ds, partial).to_pylist():
         d = TDigest.from_bytes(row["digest"], compression)
         k = row[key]
         merged[k] = merged[k].merge(d) if k in merged else d
@@ -417,7 +418,7 @@ def grouped_approx_count_distinct(
         )
 
     merged: dict[object, object] = {}
-    for row in ds.map_batches(partial, batch_format="pyarrow").iter_rows():
+    for row in map_blocks(ds, partial).to_pylist():
         s = HLL.from_bytes(row["hll"])
         k = row[key]
         merged[k] = merged[k].merge(s) if k in merged else s
@@ -473,7 +474,7 @@ def approx_heavy_hitters(
         )
 
     merged = MisraGries(k)
-    for row in ds.map_batches(partial, batch_format="pyarrow").iter_rows():
+    for row in map_blocks(ds, partial).to_pylist():
         merged = merged.merge(MisraGries.from_items(k, list(row["values"]), list(row["counts"])))
     out = merged.top(top_n)
     return pd.DataFrame(

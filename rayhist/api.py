@@ -21,11 +21,11 @@ can write the same chain here and get a pandas frame back:
 
 Method-for-method parity (reference file:line in each docstring);
 execution is NOT a port: every terminal compiles the whole chain into
-ONE fused ``map_batches`` stage over the span-document table — decode
-(pruned to what the chain reads) + temporal interpolation + filters +
-AOI + per-batch partial aggregation — followed by a driver combine of
-the tiny partials (the reference's accumulator/combiner split,
-MapReducer.java:896-1034, done the Ray Data way). Builders are
+ONE fused stage over the span-document table — decode (pruned to
+what the chain reads) + temporal interpolation + filters + AOI +
+per-batch partial aggregation — run as one block task per resident
+block, followed by a driver combine of the tiny partials (the
+reference's accumulator/combiner split, MapReducer.java:896-1034). Builders are
 immutable: every method returns a NEW MapReducer, so partial chains
 can be reused and shared.
 
@@ -50,7 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .io import blocks_table, map_blocks, reduce_by_key
+from .io import blocks_table, map_blocks, materialize_blocks, reduce_by_key
 from .temporal import TagFilter
 
 
@@ -426,7 +426,7 @@ class MapReducer:
         # need_tags="luts" (tag strings would be decoded ONLY for the
         # filters), run the filters as per-version sig-id LUT gathers
         # instead — the direct pipelines' hot path
-        # (views.snapshot_counts; osm/OSMEntity.java:97-152 semantics)
+        # (views.snapshot_counts_stage; osm/OSMEntity.java:97-152 semantics)
         luts = None
         if need_tags == "luts":
             if tag_filters and isinstance(self._source, str):
@@ -541,7 +541,7 @@ class MapReducer:
         read)."""
         self._require_node_only("view()")
         stage = self._view_stage(need_tags=True, need_geom=True)
-        return self._docs(spans=True).map_batches(stage, batch_format="pyarrow")
+        return materialize_blocks(self._docs(spans=True), stage)
 
     # -------------------------------------------------------- terminals
     def _keys(self) -> list[str]:
@@ -733,7 +733,7 @@ class MapReducer:
         """Dataset of (group keys..., cols...) view rows, for the
         Dataset-consuming sketch terminals."""
         docs, stage = self._keyed_stage(cols)
-        return docs.map_batches(stage, batch_format="pyarrow")
+        return materialize_blocks(docs, stage)
 
     def count(self, alias: str = "count"):
         """count (MapReducer.java:1122-1132): scalar, or a frame keyed
@@ -1016,7 +1016,7 @@ class MapReducer:
         import pickle
 
         acc = None
-        for row in self.view().map_batches(stage, batch_format="pyarrow").iter_rows():
+        for row in map_blocks(self.view(), stage).to_pylist():
             v = pickle.loads(row["_p"])
             acc = v if acc is None else combine(acc, v)
         return acc
@@ -1131,11 +1131,9 @@ class MapReducer:
 
         from .spatial.radius import radius_self_join
 
-        pts = self.view().map_batches(
-            lambda b: _pa.table(
-                {"id": b["osm_id"], "x": b["lon_e7"], "y": b["lat_e7"]}
-            ),
-            batch_format="pyarrow",
+        pts = materialize_blocks(
+            self.view(),
+            lambda b: _pa.table({"id": b["osm_id"], "x": b["lon_e7"], "y": b["lat_e7"]}),
         )
         df = radius_self_join(pts, radius_e7).to_pandas()
         df = df.astype({"id_a": "int64", "id_b": "int64", "d2": "int64"})

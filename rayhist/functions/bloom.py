@@ -28,6 +28,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..io import map_blocks
 from ..ops.text import fmix64, fnv1a_batch
 
 
@@ -114,6 +115,6 @@ def build_bloom(
         return pa.table({"bits": pa.array([bf.bits.tobytes()], type=pa.binary())})
 
     out = BloomFilter(m, k)
-    for row in ds.map_batches(partial, batch_format="pyarrow").iter_rows():
+    for row in map_blocks(ds, partial).to_pylist():
         out.bits |= np.frombuffer(row["bits"], dtype=np.uint8)
     return out

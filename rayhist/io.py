@@ -10,9 +10,11 @@ the swap is transparent.
 ``read_resident`` is the analog of the reference's Ignite caches
 (``OSHDB2Ignite``; ``MapReducerIgniteLocalPeek.java:235-253`` runs each
 query over the grid cells already resident in the cluster's memory):
-the first read of a cached history table materializes it into the Ray
-object store, and every later query maps over those blocks in place
-instead of re-planning and re-reading the immutable shard files.
+every query-time read, of a cached history table or of a plain input,
+materializes the table into the Ray object store once, and every later
+query maps over those blocks in place instead of re-planning and
+re-reading the files. Ray Data is the read and write layer
+(``read_table``, ``write_table``); every query step is a block task.
 
 ``map_blocks`` is the analog of its fastest backend
 (``MapReducerIgniteLocalPeek.java:134-253``: one closure per node over
@@ -31,6 +33,12 @@ its cell-id buffer across the nodes and reduces per node
 (``MapReducerIgniteLocalPeek.java:185-233``). Here one task per block
 routes its stage output into hash buckets of a key, and one task per
 bucket reduces the rows it received, again with no Ray Data execution.
+
+``map_blocks``, ``materialize_blocks``, ``reduce_by_key`` and
+``blocks_table`` take their blocks through one rule (``_blocks``): a
+list of table refs or a materialized Dataset as it is, and any other
+Dataset (a table over the resident budget, a Dataset source's output)
+``materialize()``d once, one Ray Data execution, then the same tasks.
 """
 
 from __future__ import annotations
@@ -351,31 +359,39 @@ def _admit(key: tuple, ds: MaterializedDataset) -> None:
 
 
 def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
-    """Read a cached (``ensure_*``) table directory from the object store.
+    """Read a table (a file, a directory or a list of files) for a
+    query, from the object store.
 
-    The first call per (Ray session, path, columns, file identity)
-    materializes ``read_table(path, columns=columns)`` — as many blocks
-    as ``auto_num_blocks`` picks read tasks — compacts every block to
-    one chunk per column (one block task each; a parquet read leaves
-    one chunk per shard file, and each fetch of a block rebuilds every
-    chunk) and keeps it with its block refs; later calls return the
-    kept ``MaterializedDataset``, so a query's block tasks run over
-    in-memory blocks with no read planning and no parquet decode, and
-    ``map_blocks``/``reduce_by_key`` take the kept refs instead of a
-    ``to_arrow_refs()`` per query. A rewritten file changes the identity and
-    reloads. Resident tables are an LRU over ``Dataset.size_bytes()``
-    capped at ``RESIDENT_FRACTION`` of the cluster's object store; a
-    table over the cap is read from disk on every call, as
-    ``read_table`` does.
+    Every query-time read goes through here: the cached (``ensure_*``)
+    tables and the plain inputs (events, documents, embeddings, the
+    TPC-H tables). The first call per (Ray session, path, columns,
+    file identity) materializes ``read_table(path, columns=columns)``
+    — as many blocks as ``auto_num_blocks`` picks read tasks —
+    compacts every block to one chunk per column (one block task each;
+    a parquet read leaves one chunk per shard file, and each fetch of
+    a block rebuilds every chunk) and keeps it with its block refs;
+    later calls return the kept ``MaterializedDataset``, so a query's
+    block tasks run over in-memory blocks with no read planning and no
+    parquet decode, and ``map_blocks``/``reduce_by_key`` take the kept
+    refs instead of a ``to_arrow_refs()`` per query. The file identity
+    is each file's (name, size, mtime_ns, ctime_ns, inode): any write
+    moves the ctime, so a file rewritten in place (even with its mtime
+    restored) reloads on the next call. Resident tables are an LRU
+    over ``Dataset.size_bytes()`` capped at ``RESIDENT_FRACTION`` of
+    the cluster's object store; a table over the cap is a lazy
+    ``read_table(path, columns=, filter=)`` on every call (parquet
+    pruning kept), which the block-task entry points materialize once
+    for that query (``_blocks``).
 
     ``filter`` is a pyarrow expression over the read columns (same rows
     in the same order as a parquet ``filter=`` read). On a resident
-    table ``map_blocks`` applies it inside each block task; any other
-    consumer sees a ``Table.filter`` stage that fuses into its
-    ``map_batches``. Only immutable cache outputs belong here: input
-    files rewritten in place keep ``read_table``.
+    table every block task applies it first (``map_blocks``,
+    ``materialize_blocks``, ``reduce_by_key``, ``blocks_table``); a
+    Dataset operator sees a ``Table.filter`` stage that fuses into its
+    ``map_batches``.
     """
-    ident = _stat_identity(path)
+    paths = path if isinstance(path, (list, tuple)) else [path]
+    ident = tuple(f for p in paths for f in _stat_identity(p))
     cols = None if columns is None else tuple(columns)
     with _resident_lock:
         entry = None
@@ -437,6 +453,8 @@ def _block_task(stage, block, flt, batch_size: int | None, generation: int) -> p
     block = _local_block(block, generation)
     if flt is not None:
         block = block.filter(flt)
+    if not block.num_columns:  # a schema-less empty block: see _route_task
+        return block
     n = block.num_rows
     if batch_size is None or n <= batch_size:
         return stage(block)
@@ -447,33 +465,37 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
 
 
+def _blocks(ds: ray.data.Dataset | list) -> tuple[list, pc.Expression | None]:
+    """The block arguments of one task per block of ``ds``, and the
+    filter each task applies first: the one rule of every block-task
+    entry point. A list of table refs (a ``reduce_by_key`` result) is
+    taken as it is; a materialized Dataset (a ``read_resident`` table,
+    filtered or not, or any ``materialize()`` result) gives its blocks;
+    any other Dataset (a table over the resident budget, a Dataset
+    operator's output) is ``materialize()``d once, one Ray Data
+    execution, and gives the blocks of that. A resident table's kept
+    refs are each wrapped in a list, so Ray hands the task the ref
+    itself and the worker keeps the block it fetches; any other
+    Dataset's refs go as they are, for Ray to resolve (a transient
+    output is never kept)."""
+    if isinstance(ds, list):
+        return ds, None
+    base, flt = _filtered.get(ds, (ds, None))
+    if not isinstance(base, MaterializedDataset):
+        base, flt = ds.materialize(), None
+    refs = _kept.get(base)
+    return (base.to_arrow_refs() if refs is None else [[r] for r in refs]), flt
+
+
 def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
-    """The rows of a Dataset, or of a list of table refs
-    (a ``reduce_by_key`` result), as one table in block order. A
-    materialized Dataset is read from its blocks (``to_pandas()`` or
-    ``iter_batches()`` would start a streaming execution); a lazy one
-    streams through ``iter_batches``, one execution, as the
-    ``map_blocks`` fallback does, so an all-empty result arrives
-    without columns."""
-    if isinstance(blocks, ray.data.Dataset):
-        kept = _kept.get(blocks)
-        if kept is None and not isinstance(blocks, MaterializedDataset):
-            # a lazy Dataset: to_arrow_refs() would run its plan twice
-            # (a limit=1 pass for the schema, then the full one)
-            batches = blocks.iter_batches(batch_format="pyarrow", batch_size=None)
-            return _concat(list(batches))
-        blocks = blocks.to_arrow_refs() if kept is None else kept
-    return _concat(ray.get(blocks))
-
-
-def _task_blocks(ds: MaterializedDataset) -> list:
-    """The block arguments of one task per block of ``ds``: a resident
-    table's kept refs each wrapped in a list, so Ray hands the task the
-    ref itself and the worker keeps the block it fetches; any other
-    Dataset's refs as they are, for Ray to resolve (a transient output
-    is never kept)."""
-    refs = _kept.get(ds)
-    return ds.to_arrow_refs() if refs is None else [[r] for r in refs]
+    """The rows of a Dataset, or of a list of table refs (a
+    ``reduce_by_key`` result), as one table in block order, fetched
+    from its blocks (``_blocks``; ``to_pandas()`` or
+    ``iter_batches()`` would start a streaming execution even over a
+    materialized Dataset)."""
+    blocks, flt = _blocks(blocks)
+    tables = [_arrow(t) for t in ray.get([b[0] if isinstance(b, list) else b for b in blocks])]
+    return _concat(tables if flt is None else [t.filter(flt) for t in tables])
 
 
 def _ship(fn, n: int):
@@ -485,17 +507,10 @@ def _ship(fn, n: int):
     return fn if n <= 1 else ray.put(fn)
 
 
-def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list | None:
-    """One ``_block_task`` per block of a materialized ``ds`` (filtered
-    or not) or per table ref of a list: the output refs in block order.
-    None for any other Dataset."""
-    if isinstance(ds, list):
-        blocks, flt = ds, None
-    else:
-        base, flt = _filtered.get(ds, (ds, None))
-        if not isinstance(base, MaterializedDataset):
-            return None
-        blocks = _task_blocks(base)
+def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list:
+    """One ``_block_task`` per block of ``ds`` (``_blocks``): the
+    output refs in block order."""
+    blocks, flt = _blocks(ds)
     fn = _ship(stage, len(blocks))
     return [_block_task.remote(fn, b, flt, batch_size, _generation) for b in blocks]
 
@@ -505,47 +520,32 @@ def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None
     return its outputs as one table, for partials combined on the
     driver.
 
-    On a list of table refs (a ``reduce_by_key`` result) or a
-    materialized Dataset (a ``read_resident`` table, filtered or
-    not, or any ``materialize()`` result) the stage runs as one Ray
-    task per block: in that task's arguments when there is one
-    block, else ``ray.put`` once and shared. A worker keeps the
-    resident blocks it fetches, so the next query's task over the
-    same block does not fetch it again. The outputs are
-    concatenated in block order, so two runs give the same rows in
-    the same order, and a block whose rows are all filtered out still
-    yields the stage's typed empty output. A
+    The stage runs as one Ray task per block of ``ds`` (``_blocks``: a
+    Dataset that is not materialized is materialized once first): in
+    that task's arguments when there is one block, else ``ray.put``
+    once and shared. A worker keeps the resident blocks it fetches, so
+    the next query's task over the same block does not fetch it again.
+    The outputs are concatenated in block order, so two runs give the
+    same rows in the same order, and a block whose rows are all
+    filtered out still yields the stage's typed empty output. A
     streaming execution costs tens of milliseconds of fixed executor
     time per query (planning, operator start-up, a polling consumer);
-    a task over a block already in the object store costs a few. Any
-    other Dataset runs ``ds.map_batches(stage)`` as before; Ray drops
-    empty blocks there, so an all-empty result arrives without
-    columns. ``batch_size`` is the stage's call unit as in
-    ``map_batches``: None is the whole block.
+    a task over a block already in the object store costs a few.
+    ``batch_size`` is the stage's call unit as in ``map_batches``:
+    None is the whole block.
     """
-    refs = _block_refs(ds, stage, batch_size)
-    if refs is None:
-        # stream the outputs as to_pandas does: a materialize() first
-        # would re-plan the executed Dataset and copy its block list
-        out = ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
-        return _concat(list(out.iter_batches(batch_format="pyarrow", batch_size=None)))
-    return _concat(ray.get(refs))
+    return _concat(ray.get(_block_refs(ds, stage, batch_size)))
 
 
 def materialize_blocks(ds: ray.data.Dataset | list, stage) -> MaterializedDataset:
     """``ds.map_batches(stage).materialize()`` for an output that stays
-    distributed (it feeds a Dataset groupby or join, not a driver
-    combine): on a materialized ``ds`` or a list of table refs the same
-    block tasks as
+    distributed (it feeds a co-group, a ``reduce_by_key`` or a Dataset
+    operator, not a driver combine): the same block tasks as
     ``map_blocks``, whose outputs stay in the object store as the
-    blocks of the returned Dataset, in block order. Any other Dataset
-    runs ``map_batches`` and ``materialize`` as before."""
-    refs = _block_refs(ds, stage, None)
-    if refs is None:
-        return ds.map_batches(stage, batch_format="pyarrow").materialize()
+    blocks of the returned Dataset, in block order."""
     # materialize() pins the plan as executed: a bare from_arrow_refs
     # Dataset re-plans on every later read of it
-    return ray.data.from_arrow_refs(refs).materialize()
+    return ray.data.from_arrow_refs(_block_refs(ds, stage, None)).materialize()
 
 
 def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -603,27 +603,15 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
     ``groupby(keys)`` + ``map_groups`` of ``reduce`` over
     ``ds.map_batches(stage)`` would give.
 
-    ``ds`` is a list of table refs or a materialized Dataset (a
-    ``read_resident`` table, filtered or not, or a
-    ``materialize_blocks`` result) with ``n`` blocks: one task per
-    block applies the filter and ``stage`` and routes its rows by a
-    hash of ``keys`` into ``n`` slices (rows keep their order within a
-    slice); one task per bucket concatenates its slices in block order
-    and applies ``reduce``, also to a bucket that received no rows, so
-    two runs give the same rows in the same order. Any other Dataset
-    (a table over the resident budget) runs ``stage`` through
-    ``map_batches`` and ``materialize`` first, then the same tasks over
-    its blocks.
+    ``ds`` has ``n`` blocks (``_blocks``: a Dataset that is not
+    materialized is materialized once first): one task per block
+    applies the filter and ``stage`` and routes its rows by a hash of
+    ``keys`` into ``n`` slices (rows keep their order within a slice);
+    one task per bucket concatenates its slices in block order and
+    applies ``reduce``, also to a bucket that received no rows, so two
+    runs give the same rows in the same order.
     """
-    if isinstance(ds, list):
-        blocks, flt = ds, None
-    else:
-        base, flt = _filtered.get(ds, (ds, None))
-        if not isinstance(base, MaterializedDataset):
-            if stage is not None:
-                ds = ds.map_batches(stage, batch_format="pyarrow")
-            base, flt, stage = ds.materialize(), None, None
-        blocks = _task_blocks(base)
+    blocks, flt = _blocks(ds)
     n = len(blocks)
     fn = _ship(stage, n)
     routed = [
@@ -637,11 +625,11 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
 
 
 def on_pandas(fn):
-    """``fn`` (pandas frame -> pandas frame) as a ``reduce_by_key``
-    ``reduce`` (pyarrow table -> pyarrow table): the one pandas <->
-    Arrow adapter. ``fn`` sees every row of its bucket's keys in one
-    frame, and an empty typed frame for a bucket that received no
-    rows."""
+    """``fn`` (pandas frame -> pandas frame) as a stage or a
+    ``reduce_by_key`` ``reduce`` (pyarrow table -> pyarrow table): the
+    one pandas <-> Arrow adapter. As a reduce, ``fn`` sees every row of
+    its bucket's keys in one frame, and an empty typed frame for a
+    bucket that received no rows."""
     return lambda t: pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
 
 

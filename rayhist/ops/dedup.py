@@ -27,6 +27,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .. import io as rio
@@ -689,11 +690,12 @@ def embedding_dup_pairs(
     (relational.py). A CONSTANT block count would make one group's
     matmul OOM at 100x corpus."""
     if n_blocks is None:
-        n = embeddings.count()
-        dim = 1
-        if n:
-            first = embeddings.take(1)[0]
-            dim = max(1, len(first[vec_col]))
+        def size(b: pa.Table) -> pa.Table:
+            dim = pc.max(pc.list_value_length(b[vec_col])).as_py() or 1
+            return pa.table({"n": pa.array([b.num_rows]), "dim": pa.array([dim])})
+
+        sizes = rio.map_blocks(embeddings, size)
+        n, dim = sum(sizes["n"].to_pylist()), max(sizes["dim"].to_pylist(), default=1)
         rowbytes = dim * 8 + 16  # float64 matmul copy + id/index overhead
         n_blocks = int(max(8, -(-2 * n * rowbytes // target_group_bytes)))
 

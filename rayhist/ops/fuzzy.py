@@ -148,12 +148,8 @@ def edit1_pairs(ds: ray.data.Dataset, id_col: str, s_col: str) -> ray.data.Datas
     deduplicated."""
     from .relational import hash_join
 
-    short = ds.map_batches(
-        lambda b: _emit_keys(b, id_col, s_col, "a"), batch_format="pyarrow"
-    )
-    long_ = ds.map_batches(
-        lambda b: _emit_keys(b, id_col, s_col, "b"), batch_format="pyarrow"
-    )
+    short = rio.materialize_blocks(ds, lambda b: _emit_keys(b, id_col, s_col, "a"))
+    long_ = rio.materialize_blocks(ds, lambda b: _emit_keys(b, id_col, s_col, "b"))
     cand = hash_join(short, long_, on=["role", "seg", "l"])
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:

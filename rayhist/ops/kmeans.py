@@ -2,8 +2,8 @@
 
 The broadcast-centroid shape — the ONLY shape k-means needs at any
 scale, because the model state is k x 2 integers regardless of corpus
-size: each iteration ray.put-broadcasts the centroid array, one
-map_batches pass assigns every point to its nearest centroid by EXACT
+size: each iteration ships the centroid array in its stage, one
+block-task pass (``io.map_blocks``) assigns every point to its nearest centroid by EXACT
 int64 squared distance (numpy broadcasting, argmin tie -> lowest
 cluster id) and emits k-row (cluster, n, sum_x, sum_y) partials, and
 the driver combines |k x blocks| rows in PYTHON INTS (bignum — the
@@ -35,8 +35,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
+
+from .. import io as rio
 
 _MAX_COORD = 1 << 27
 
@@ -73,7 +74,7 @@ def kmeans_int(
             }
         )
 
-    pts = points.map_batches(prep, batch_format="pyarrow").materialize()
+    pts = rio.materialize_blocks(points, prep)
 
     # init: the k points with the smallest ids (k x blocks partials)
     def smallest(b: pa.Table) -> pa.Table:
@@ -81,7 +82,7 @@ def kmeans_int(
         idx = np.argsort(b["pid"].to_numpy(zero_copy_only=False), kind="stable")[:n]
         return b.take(idx)
 
-    seed = pts.map_batches(smallest, batch_format="pyarrow").to_pandas()
+    seed = rio.map_blocks(pts, smallest).to_pandas()
     seed = seed.sort_values("pid", kind="mergesort").head(k)
     if len(seed) < k:
         raise ValueError(f"kmeans_int: need at least k={k} points, got {len(seed)}")
@@ -121,11 +122,7 @@ def kmeans_int(
         return n, sx, sy
 
     for _ in range(iters):
-        ref = ray.put((cx, cy))
-        parts = pts.map_batches(
-            lambda b, _r=ref: assign_partials(b, ray.get(_r)),
-            batch_format="pyarrow",
-        ).to_pandas()
+        parts = rio.map_blocks(pts, lambda b, _c=(cx, cy): assign_partials(b, _c)).to_pandas()
         n, sx, sy = combine(parts)
         cx = np.array(
             [sx[j] // n[j] if n[j] else int(cx[j]) for j in range(k)], dtype=np.int64
@@ -134,11 +131,7 @@ def kmeans_int(
             [sy[j] // n[j] if n[j] else int(cy[j]) for j in range(k)], dtype=np.int64
         )
 
-    ref = ray.put((cx, cy))
-    parts = pts.map_batches(
-        lambda b, _r=ref: assign_partials(b, ray.get(_r)),
-        batch_format="pyarrow",
-    ).to_pandas()
+    parts = rio.map_blocks(pts, lambda b, _c=(cx, cy): assign_partials(b, _c)).to_pandas()
     n, sx, sy = combine(parts)
     return pd.DataFrame(
         {

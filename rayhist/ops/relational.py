@@ -92,7 +92,7 @@ def unpivot(
             )
         return pa.concat_tables(parts).unify_dictionaries()
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, fn)
 
 
 _BCAST_CACHE: dict[bytes, pd.DataFrame] = {}
@@ -140,7 +140,7 @@ def broadcast_join(
     # the deserialized small side is memoized per worker PROCESS
     # (_broadcast_get), so each process pays the ray.get + unpickle
     # once. Parallelism follows the scan fan-out, uncapped.
-    return ds.map_batches(join, batch_format="pandas")
+    return rio.materialize_blocks(ds, rio.on_pandas(join))
 
 
 def _per_key(ds: ray.data.Dataset, keys: list[str], fn, stage=None) -> ray.data.Dataset:
@@ -455,7 +455,7 @@ def deterministic_sample(
             h = fmix64(fnv1a_batch(keys)) >> np.uint64(32)  # top 32 bits
             return b.filter(pa.array(h < np.uint64(thresh)))
 
-    return ds.map_batches(stage, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, stage)
 
 
 def stratified_sample(
@@ -534,7 +534,7 @@ def stratified_sample(
             t = np.full(len(b), dflt, dtype=np.uint64)
         return b.filter(pa.array(h < t))
 
-    return ds.map_batches(stage, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, stage)
 
 
 def _weighted_pick(h: pd.DataFrame, keys: list[str], val: str, w: str, rank) -> np.ndarray:
@@ -829,7 +829,7 @@ def deterministic_split(
             assigned |= sel
         return b.append_column("split", pa.array(label, type=pa.string()))
 
-    return ds.map_batches(stage, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, stage)
 
 
 def percentile_cont_int(
@@ -922,7 +922,7 @@ def weighted_sample_topk(
             out = out.take(pa.array(np.sort(keep)))
         return out
 
-    cand = ds.map_batches(stage, batch_format="pyarrow").to_pandas()
+    cand = rio.map_blocks(ds, stage).to_pandas()
     cand = cand.sort_values(["race_key", key_col], kind="mergesort").head(k)
     return cand.reset_index(drop=True)
 

@@ -35,7 +35,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset  # noqa: F401 (registers pc.field filter expressions)
-import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -121,8 +120,7 @@ from .spatial.strtree import STRtreeRegionIndex
 from .state.checkpoint import run_sharded, salted_count_by
 from .temporal import TagFilter, _sorted_versions, contributions, snapshots
 from .views import (
-    contribution_stage, contribution_stats_stage, snapshot_counts, snapshot_counts_stage,
-    snapshot_view,
+    contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
 )
 
 # name -> (pipeline, oracle). Every q_<name> below registers itself with
@@ -221,11 +219,10 @@ def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     REVERSED (model.reverse_version_runs) before the fused stage. The
     interpolators realign per doc, so the result must be identical to
     the sorted corpus; the oracle (order-free SQL) pins that."""
-    dirty = _docs(sf_dir).map_batches(reverse_version_runs, batch_format="pyarrow")
-    partials, keys = snapshot_counts(
-        dirty, SNAP_DAILY, TagFilter("etype", "click"),
-        keytable=sig_keytable(sf_dir),
+    stage, keys = snapshot_counts_stage(
+        SNAP_DAILY, TagFilter("etype", "click"), keytable=sig_keytable(sf_dir)
     )
+    partials = rio.map_blocks(_docs(sf_dir), lambda b: stage(reverse_version_runs(b)))
     df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
@@ -298,7 +295,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.snapshot_latest_state())
 def q_snapshot_latest_state(sf_dir: str) -> pd.DataFrame:
     """Full reconstructed state of every visible entity at T_MID."""
-    snaps = snapshot_view(_docs(sf_dir, spans=True), [T_MID])
+    snaps = rio.map_blocks(_docs(sf_dir, spans=True), snapshot_stage([T_MID]))
     df = snaps.to_pandas()[["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]]
     return df.sort_values("osm_id").reset_index(drop=True)
 
@@ -892,7 +889,7 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
 def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q1-style grouped aggregate over lineitem; money summed as
     integer cents so sums are order-independent (exact vs oracle)."""
-    ds = rio.read_table(
+    ds = rio.read_resident(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
@@ -909,7 +906,7 @@ def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["l_returnflag", "l_linestatus", "n_p", "qty_p", "price_p", "disc_p"])
 
     df = combine_partials(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        rio.map_blocks(ds, prep),
         ["l_returnflag", "l_linestatus"],
         {"n_p": "n", "qty_p": "sum_qty_cents", "price_p": "sum_price_cents", "disc_p": "sum_disc_cents"},
     )
@@ -926,10 +923,9 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     Nation joins broadcast-side as a pre-merge into customer batches
     BEFORE the shuffle (n_name replaces c_nationkey, keeping the
     shuffled payload narrow)."""
-    nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()[
-        ["n_nationkey", "n_name"]
-    ].rename(columns={"n_nationkey": "c_nationkey"})
-    cust = rio.read_table(
+    nat = rio.read_resident(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
+    nat = rio.blocks_table(nat).to_pandas().rename(columns={"n_nationkey": "c_nationkey"})
+    cust = rio.read_resident(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
     def slim(b: pd.DataFrame) -> pa.Table:  # arrow out: hash_join reads
@@ -941,12 +937,13 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    cust = broadcast_join(cust, nat, on="c_nationkey").map_batches(
-        slim, batch_format="pandas"
+    cust = rio.materialize_blocks(
+        broadcast_join(cust, nat, on="c_nationkey"), lambda t: slim(t.to_pandas())
     )
-    orders = rio.read_table(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    ).map_batches(lambda b: cents(b, "o_totalprice", "price_c"), batch_format="pyarrow")
+    orders = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]),
+        lambda b: cents(b, "o_totalprice", "price_c"),
+    )
     joined = hash_join(orders, cust, on="o_custkey")
 
     # nation-name final is 25 keys — per-batch partials + driver
@@ -960,7 +957,7 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
         return g
 
     df = combine_partials(
-        joined.map_batches(partial, batch_format="pandas"),
+        rio.map_blocks(joined, rio.on_pandas(partial)),
         ["n_name"],
         {"n_part": "n_orders", "sum_part": "sum_price_cents"},
     )
@@ -971,7 +968,7 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
 def q_topk_orders(sf_dir: str) -> pd.DataFrame:
     """Top-20 orders by totalprice (deterministic tiebreak on key) —
     per-batch candidates + tiny global reduce, no full sort shuffle."""
-    ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
+    ds = rio.read_resident(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
     out = topk(ds, key="o_totalprice", k=20, tiebreak="o_orderkey")
     return out[["o_orderkey", "o_totalprice"]]
 
@@ -979,9 +976,10 @@ def q_topk_orders(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.events_by_type())
 def q_events_by_type(sf_dir: str) -> pd.DataFrame:
     """events grouped by type: row count, distinct users, cents sum."""
-    ds = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ds = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def pair_partial(b: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(b, ["event_type", "user_id"]).aggregate(
@@ -1015,8 +1013,9 @@ def q_events_by_type(sf_dir: str) -> pd.DataFrame:
 def q_price_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact discrete quartiles of extendedprice cents (value at sorted
     index ((n-1)*q), distributed via value-histogram + cumsum)."""
-    ds = rio.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]).map_batches(
-        lambda b: cents(b, "l_extendedprice", "price_c").select(["price_c"]), batch_format="pyarrow"
+    ds = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]),
+        lambda b: cents(b, "l_extendedprice", "price_c").select(["price_c"]),
     )
     p25, p50, p75 = exact_quantiles_int(ds, "price_c", [(1, 4), (1, 2), (3, 4)])
     return pd.DataFrame([{"p25": p25, "p50": p50, "p75": p75}])
@@ -1026,7 +1025,7 @@ def q_price_quantiles(sf_dir: str) -> pd.DataFrame:
 def q_tdigest_price_quantiles(sf_dir: str) -> pd.DataFrame:
     """estimatedQuantiles via the from-scratch t-digest (rows-only
     check; accuracy vs exact asserted in tests)."""
-    ds = rio.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
+    ds = rio.read_resident(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
     est = estimated_quantiles(ds, "l_extendedprice", [0.25, 0.5, 0.75])
     return pd.DataFrame([{"p25_est": est[0], "p50_est": est[1], "p75_est": est[2]}])
 
@@ -1035,7 +1034,7 @@ def q_tdigest_price_quantiles(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.doc_stats())
 def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     """Per-source corpus stats: docs, chars, whitespace tokens."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text", "n_chars"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(add_token_count(b), ["source"]).aggregate(
@@ -1057,7 +1056,7 @@ def q_doc_tokens(sf_dir: str) -> pd.DataFrame:
     (ops.text.BPE_PRETOKEN_RE) summed per source alongside the
     whitespace count — the two token-length estimates a training-data
     pipeline budgets with."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
         t = add_bpe_token_count(add_token_count(b))
@@ -1085,7 +1084,7 @@ def q_events_dow_hour(sf_dir: str) -> pd.DataFrame:
     (1970-01-01 was a Thursday; Sunday = 0 matching DuckDB's
     dayofweek), hour = (t // 1h) % 24 — so the grouping is exact and
     engine-independent. 168-key final on combine_partials."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "value"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
         t = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -1101,7 +1100,7 @@ def q_events_dow_hour(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        ev.map_batches(partial, batch_format="pyarrow"),
+        rio.map_blocks(ev, partial),
         ["dow", "hour"],
         {"n_part": "n", "s_part": "sum_cents"},
     )
@@ -1127,7 +1126,7 @@ def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
     regexp_extract_all are both RE2 over UTF-8 code points, so the
     counts are identical engine-for-engine. Vectorized per batch; a
     |sources|-key combine_partials final."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
         norm = pc.replace_substring_regex(
@@ -1150,7 +1149,7 @@ def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        rio.map_blocks(ds, partial),
         ["source"],
         {"n_part": "n_docs", "c_part": "sum_norm_chars", "t_part": "sum_norm_tokens"},
     )
@@ -1180,10 +1179,8 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
     Pack ids are corpus-cardinality, so the final sums per pack in one
     ``io.reduce_by_key`` (the CLAUDE.md high-cardinality rule)."""
     B = PACK_BUDGET_TOKENS
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    toks = ds.map_batches(add_bpe_token_count, batch_format="pyarrow").drop_columns(
-        ["text"]
-    )
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    toks = rio.materialize_blocks(ds, lambda b: add_bpe_token_count(b).drop_columns(["text"]))
     scanned = ordered_prefix_sum(
         toks, order_cols=["doc_id"], value_col="n_bpe_tokens", out_col="cum_before"
     )
@@ -1216,7 +1213,7 @@ def q_sample_docs(sf_dir: str) -> pd.DataFrame:
     is the oracle-compare convention for row-returning queries; at
     production scale the sample terminates in write_parquet, not a
     driver collect (the sampler itself is a streaming filter)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
     df = deterministic_sample(ds, 1, 4, "doc_id", hash_fn="md5").to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -1252,8 +1249,8 @@ def q_media_meta_exact(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    df = ds.map_batches(stage, batch_format="pyarrow").to_pandas()
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    df = rio.map_blocks(ds, stage).to_pandas()
     out = df.groupby("kind", as_index=False).sum()
     return out.sort_values("kind").reset_index(drop=True)
 
@@ -1295,8 +1292,8 @@ def q_langid_exact(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    df = ds.map_batches(stage, batch_format="pandas").to_pandas()
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    df = rio.map_blocks(ds, rio.on_pandas(stage)).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1314,7 +1311,7 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
     bit-exact. Nothing corpus-sized lands on the driver: dedup is the
     bucketed keep-first shuffle, the gate and sample are streaming
     batch filters, the final is a 20-key groupby."""
-    ds = rio.read_table(
+    ds = rio.read_resident(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     )
     ds = exact_dedup(ds)
@@ -1323,7 +1320,7 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
         t = add_token_count(b)
         return t.filter(pa.compute.greater_equal(t["n_tokens"], CURATION_MIN_TOKENS))
 
-    ds = ds.map_batches(quality_gate, batch_format="pyarrow")
+    ds = rio.materialize_blocks(ds, quality_gate)
     ds = deterministic_sample(ds, 1, 2, "doc_id", hash_fn="md5")
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1342,19 +1339,17 @@ def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
     fp_algo='md5' because the fp VALUE is compared against SQL
     md5(text); the production default is the vectorized vector128
     path (same equality classes, A/B-tested in test_ops)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    df = (
-        ds.map_batches(lambda b: fingerprint_stage(b, fp_algo="md5"), batch_format="pyarrow")
-        .select_columns(["doc_id", "fp"])
-        .to_pandas()
-    )
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    df = rio.map_blocks(
+        ds, lambda b: fingerprint_stage(b, fp_algo="md5").select(["doc_id", "fp"])
+    ).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
 @query(lambda o: o.near_dup_pairs())
 def q_near_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """Exact 3-shingle Jaccard >= 0.5 near-duplicate pairs."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return exact_jaccard_pairs(ds, 1, 2)
 
 
@@ -1368,7 +1363,7 @@ def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
     documents pass that looks up only the participating doc ids'
     sources (broadcast id set -> pc.is_in, the knn-label pattern), and
     a driver reduce over the pair list."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     pairs = exact_jaccard_pairs(ds, 1, 2)
     if not len(pairs):
         return pd.DataFrame(
@@ -1388,12 +1383,8 @@ def q_near_dup_source_matrix(sf_dir: str) -> pd.DataFrame:
         s = b.filter(keep)
         return pa.table({"doc_id": s["doc_id"], "source": s["source"]})
 
-    lab = (
-        rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-        .map_batches(src_lookup, batch_format="pyarrow")
-        .to_pandas()
-        .set_index("doc_id")["source"]
-    )
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    lab = rio.map_blocks(docs, src_lookup).to_pandas().set_index("doc_id")["source"]
     sa = lab.loc[pairs["doc_a"]].to_numpy()
     sb = lab.loc[pairs["doc_b"]].to_numpy()
     lo = np.minimum(sa, sb)
@@ -1419,7 +1410,7 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     shuffle per round in ops/cc.py. The oracle is a recursive-CTE
     reachable-min over the identical pair set."""
     path = f"{sf_dir}/documents.parquet"
-    pairs = exact_jaccard_pairs(rio.read_table(path, columns=["doc_id", "text"]), 1, 2)
+    pairs = exact_jaccard_pairs(rio.read_resident(path, columns=["doc_id", "text"]), 1, 2)
     if not len(pairs):
         return pd.DataFrame(
             {"doc_id": pd.Series(dtype="int64"), "component": pd.Series(dtype="int64")}
@@ -1427,7 +1418,7 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     # one component bucket per documents block, as a shuffle of them has
     n = rio.auto_num_blocks(path)
     ab = np.array_split(pairs[["doc_a", "doc_b"]].to_numpy(dtype=np.int64), n)
-    edges = ray.data.from_arrow([pa.table({"src": c[:, 0], "dst": c[:, 1]}) for c in ab])
+    edges = [ray.put(pa.table({"src": c[:, 0], "dst": c[:, 1]})) for c in ab]
     df = rio.blocks_table(connected_components(edges)).to_pandas()
     df = df.rename(columns={"node": "doc_id"}).astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1449,7 +1440,7 @@ def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     )
     drop_ref = ray.put(drop)
 
-    ds = rio.read_table(
+    ds = rio.read_resident(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
 
@@ -1468,7 +1459,7 @@ def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("source", as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = ds.map_batches(keep_and_count, batch_format="pyarrow")
+    partials = rio.map_blocks(ds, keep_and_count)
     df = combine_partials(
         partials, ["source"], {"n_docs_p": "n_docs", "sum_chars_p": "sum_chars"}
     )
@@ -1488,7 +1479,7 @@ def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
     output is the single IEEE division sum/n. Extends the reference's
     exact-payload average/weightedAverage design
     (MapAggregator.java:760-815) to second moments."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
@@ -1521,7 +1512,7 @@ def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("event_type", as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = ev.map_batches(partial, batch_format="pyarrow")
+    partials = rio.map_blocks(ev, partial)
     df = combine_partials(
         partials,
         ["event_type"],
@@ -1571,7 +1562,7 @@ def q_modal_value_by_type(sf_dir: str) -> pd.DataFrame:
     type, ties broken to the smallest value (deterministic, engine-
     independent). Exercises aggregate.grouped_mode's pair-complete
     hash shuffle + associative argmax partials."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def to_cents(b: pa.Table) -> pa.Table:
         vc = round_half_away(
@@ -1579,7 +1570,7 @@ def q_modal_value_by_type(sf_dir: str) -> pd.DataFrame:
         ).astype(np.int64)
         return pa.table({"event_type": b["event_type"], "vc": vc})
 
-    df = grouped_mode(ev.map_batches(to_cents, batch_format="pyarrow"),
+    df = grouped_mode(rio.materialize_blocks(ev, to_cents),
                       "event_type", "vc")
     df = df.rename(columns={"modal_v": "modal_vc"}).astype(
         {"modal_vc": "int64", "n_modal": "int64"}
@@ -1596,27 +1587,23 @@ def q_minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
     # pass instead of five shuffle stages of scheduling overhead; a
     # corpus-scale caller passes the lazy Dataset and gets the fully
     # distributed path
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return minhash_lsh_pairs(ds.materialize(), 1, 2)
 
 
 @query(None)  # rows-only: SimHash estimator; pinned in tests/test_ops.py
 def q_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     """SimHash near-dup pairs, hamming <= 3 (rows-only)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return simhash_pairs(ds)
 
 
 @query(None)  # rows-only: heuristic scores; pinned in tests/test_ops.py
 def q_langid(sf_dir: str) -> pd.DataFrame:
     """Language-ID heuristic + quality scores (rows-only)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    df = (
-        ds.map_batches(quality_stage, batch_format="pandas")
-        .map_batches(langid_stage, batch_format="pandas")
-        .select_columns(["doc_id", "lang_pred", "stop_ratio", "quality_ok"])
-        .to_pandas()
-    )
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    df = rio.map_blocks(ds, rio.on_pandas(lambda d: langid_stage(quality_stage(d)))).to_pandas()
+    df = df[["doc_id", "lang_pred", "stop_ratio", "quality_ok"]]
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1635,8 +1622,8 @@ def _query_vec_ids(sf_dir: str, mod: int | None = None) -> list[int]:
         v = b["vec_id"].to_numpy(zero_copy_only=False)
         return pa.table({"vec_id": pa.array(v[v % mod == 0])})
 
-    ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    sel = ds.map_batches(pick, batch_format="pyarrow").to_pandas()["vec_id"]
+    ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
+    sel = rio.map_blocks(ds, pick).to_pandas()["vec_id"]
     return sorted(int(i) for i in sel)
 
 
@@ -1644,7 +1631,7 @@ def _query_vec_ids(sf_dir: str, mod: int | None = None) -> list[int]:
 def q_ann_cosine(sf_dir: str) -> pd.DataFrame:
     """Brute-force cosine top-5 over the embeddings table; queries are
     vec_id % 50 == 0."""
-    ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     out = ann_cosine_topk(ds, _query_vec_ids(sf_dir), k=5)
     return out[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
 
@@ -1778,8 +1765,8 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    left = pos.map_batches(as_left, batch_format="pyarrow")
-    right = pos.map_batches(as_right, batch_format="pyarrow")
+    left = rio.materialize_blocks(pos, as_left)
+    right = rio.materialize_blocks(pos, as_right)
     joined = hash_join(left, right, on="join_k")
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -1795,7 +1782,7 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = joined.map_batches(lengths, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(joined, lengths).to_pandas()
     return df.sort_values("way_id").reset_index(drop=True)
 
 
@@ -1881,7 +1868,7 @@ def q_lineitem_means(sf_dir: str) -> pd.DataFrame:
     """average / weightedAverage reducers (MapReducer.java:1179-1214):
     integer-exact partial sums, one IEEE float division at the end —
     bit-identical to the SQL oracle."""
-    ds = rio.read_table(
+    ds = rio.read_resident(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice", "l_discount"],
     )
@@ -1901,7 +1888,7 @@ def q_lineitem_means(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["l_returnflag", "n_p", "price_p", "qty_p", "dq_p"])
 
     df = combine_partials(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        rio.map_blocks(ds, prep),
         ["l_returnflag"],
         {"n_p": "n", "price_p": "sum_price_cents", "qty_p": "sum_qty_cents", "dq_p": "sum_dq"},
     )
@@ -1960,7 +1947,7 @@ def q_sessions(sf_dir: str) -> pd.DataFrame:
     semantics on the batch engine (ordered partitioned log); the
     per-user aggregate is FINAL inside the bucket stage (complete users
     per hash bucket), so only |users| small rows reach the driver."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     df = user_session_stats(ev, gap_us=30 * 60 * 1_000_000).to_pandas()
     return df.sort_values("user_id").reset_index(drop=True)
 
@@ -1975,7 +1962,7 @@ def q_user_streaks(sf_dir: str) -> pd.DataFrame:
     run ids -> bincount), so only |users| final rows leave the stage.
     The SQL mirror is the classic day - row_number() constant-group
     trick."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -2022,7 +2009,7 @@ def q_rolling_active_users(sf_dir: str) -> pd.DataFrame:
     IN-STAGE, so the driver combines |windows| count partials — never
     user sets. SQL mirror: count(DISTINCT user) per window over a
     BETWEEN join."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -2056,7 +2043,7 @@ def q_user_distinct_etypes(sf_dir: str) -> pd.DataFrame:
     collect. Per-batch (user, etype) pre-dedup bounds the shuffle at
     distinct pairs per block; one complete-user bucket shuffle; the
     per-user sorted join resolves in-stage."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def prededup(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -2095,7 +2082,7 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     assignment and the distinct-count partials both resolve in-stage;
     the driver combines |cohorts x offsets| rows (bounded by the
     window span squared, never the corpus)."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prededup(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -2131,7 +2118,7 @@ def q_etype_transitions(sf_dir: str) -> pd.DataFrame:
     |etypes|^2 count partials resolve vectorized in-stage, so blocks
     emit at most the transition-matrix size. SQL mirror: lag() window
     + group-by."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
 
@@ -2226,7 +2213,7 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     if not paths:
         return pd.DataFrame({"n_snapshots": pd.array([0], dtype="int64")})
 
-    docs = rio.read_table(paths)
+    docs = rio.read_resident(paths)
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2345,7 +2332,7 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.embedding_dup_pairs())
 def q_embedding_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """Embedding-cosine near-duplicate pairs at cos >= 0.4."""
-    ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     out = embedding_dup_pairs(ds, tau=0.4)
     # numpy (normalize-then-dot) and SQL (dot-over-norms) cosine differ
     # at the last ulp; round for value comparison (pair SET is checked
@@ -2359,7 +2346,7 @@ def q_tdigest_value_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped t-digest quantiles: event value p50/p90 per event_type
     (rows-only; sketch accuracy asserted against exact quantiles in
     tests)."""
-    ds = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    ds = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     return grouped_estimated_quantiles(ds, "event_type", "value", [0.5, 0.9])
 
 
@@ -2379,10 +2366,9 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     shards = {f"shard_{i:02d}": files[i::n_shards] for i in range(n_shards)}
 
     def process(inputs: list[str]) -> ray.data.Dataset:
-        snaps = snapshot_view(rio.read_table(inputs), [T_MID])
-        return snaps.map_batches(
-            lambda b: b.select(["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]),
-            batch_format="pyarrow",
+        snaps = rio.materialize_blocks(rio.read_resident(inputs), snapshot_stage([T_MID]))
+        return rio.materialize_blocks(
+            snaps, lambda b: b.select(["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"])
         )
 
     return run_sharded(shards, process, out_dir)
@@ -2402,11 +2388,9 @@ def q_snapshot_latest_state_written(sf_dir: str) -> pd.DataFrame:
     )
     manifest = snapshot_latest_state_write(sf_dir, out_dir)
     parts = [
-        pq.read_table(f)
-        for pid in manifest
-        for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet")))
+        f for pid in manifest for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet")))
     ]
-    df = pa.concat_tables(parts).to_pandas()
+    df = rio.blocks_table(rio.read_resident(parts)).to_pandas()
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
@@ -2422,8 +2406,8 @@ def q_pbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     value-exact oracle as the cached-parquet route."""
     kt = {s: i for i, s in enumerate(sig_keytable(sf_dir))}
     docs = read_pbfish(ensure_pbfish(sf_dir), keytable=kt)
-    partials, keys = snapshot_counts(docs, SNAP_DAILY)
-    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
+    stage, keys = snapshot_counts_stage(SNAP_DAILY)
+    df = combine_partials(rio.map_blocks(docs, stage), keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -2440,8 +2424,8 @@ def q_osmpbf_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
     snapshot counts. Values checked against the ms-truncated oracle
     (oracles.snapshot_count_daily_ms — PBF timestamps are whole ms)."""
     docs = osmpbf_documents(ensure_osmpbf(sf_dir))
-    partials, keys = snapshot_counts(docs, SNAP_DAILY)
-    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
+    stage, keys = snapshot_counts_stage(SNAP_DAILY)
+    df = combine_partials(rio.map_blocks(docs, stage), keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -2510,7 +2494,7 @@ def q_osmpbf_way_version_counts(sf_dir: str) -> pd.DataFrame:
     # per-batch partials -> driver combine (the combine_partials
     # pattern; done inline because this final needs min/max too and
     # the key space is <= 2 x 2 x 9 rows)
-    parts = rows.map_batches(stage, batch_format="pyarrow")
+    parts = rio.materialize_blocks(rows, stage)
     df = parts.to_pandas()
     df = df.groupby(["v", "visible", "kk"], as_index=False).agg(
         n_ways=("n_part", "sum"), min_ts=("mn", "min"), max_ts=("mx", "max")
@@ -2565,7 +2549,7 @@ def q_osmpbf_relation_member_sums(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g)
 
     # per-batch partials -> driver combine (<= 7 key rows)
-    df = rows.map_batches(stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(rows, stage).to_pandas()
     df = df.groupby("kk", as_index=False).agg(
         n_rels=("n_part", "sum"), min_ts=("mn", "min"), max_ts=("mx", "max"),
         n_members=("nm", "sum"), sum_member_ids=("smid", "sum"),
@@ -2606,14 +2590,13 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
             g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
             return g.rename_columns(["ts_q", "n_part"])
 
-        return rio.read_table(inputs).map_batches(stage, batch_format="pyarrow")
+        return rio.materialize_blocks(rio.read_resident(inputs), stage)
 
     manifest = run_sharded(shards, process, out_dir)
-    parts = []
-    for pid in manifest:
-        for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet"))):
-            parts.append(pq.read_table(f))
-    df = pa.concat_tables(parts).to_pandas()
+    parts = [
+        f for pid in manifest for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet")))
+    ]
+    df = rio.blocks_table(rio.read_resident(parts)).to_pandas()
     agg = df.groupby("ts_q", as_index=False)["n_part"].sum().rename(columns={"n_part": "n_snapshots"})
     return zerofill(agg, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
@@ -2639,7 +2622,7 @@ def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
             {"ts_q": s["ts_q"], "cell": pa.array(cell), "osm_id": s["osm_id"]}
         )
 
-    rows = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    rows = rio.materialize_blocks(_docs(sf_dir), stage)
     df = salted_count_by(rows, ["ts_q", "cell"], salt_col="osm_id", n_salt=16, alias="n").to_pandas()
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
 
@@ -2651,7 +2634,7 @@ def q_shared_windows(sf_dir: str) -> pd.DataFrame:
     (Lee et al.-style substring dedup) over the rolling-window unit.
     Per-batch distinct (doc, window) pairs, then one ``io.reduce_by_key``
     on the window counting distinct docs."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     # The >=2 filter runs in each window bucket, after the complete
     # count — only shared windows (a tiny fraction of the ~chars/16
@@ -2706,8 +2689,8 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(pa.table({"ws": pa.array(ws)}), ["ws"]).aggregate([([], "count_all")])
         return g.rename_columns(["ws", "n_part"])
 
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts"])
-    df = combine_partials(ev.map_batches(stage, batch_format="pyarrow"), ["ws"], {"n_part": "n"})
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts"])
+    df = combine_partials(rio.map_blocks(ev, stage), ["ws"], {"n_part": "n"})
     return df.sort_values("ws").reset_index(drop=True)
 
 
@@ -2739,7 +2722,7 @@ def q_dedup_docs(sf_dir: str) -> pd.DataFrame:
     to the md5 key barring a 128-bit collision — the oracle validates
     the production path directly; the md5 twin is A/B-pinned in
     tests)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = exact_dedup(ds).to_pandas()[["doc_id"]]
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -2810,15 +2793,14 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    left = pos.map_batches(
-        lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]}),
-        batch_format="pyarrow",
+    left = rio.materialize_blocks(
+        pos, lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]})
     )
-    right = pos.map_batches(
+    right = rio.materialize_blocks(
+        pos,
         lambda b: pa.table(
-            {"join_k": pa.compute.subtract(b["osm_id"], 1), "lon2": b["lon_e7"], "lat2": b["lat_e7"]}
+            {"join_k": pc.subtract(b["osm_id"], 1), "lon2": b["lon_e7"], "lat2": b["lat_e7"]}
         ),
-        batch_format="pyarrow",
     )
     joined = hash_join(left, right, on="join_k")
     regions = sorted(CLIP_REGIONS.items())
@@ -2848,7 +2830,7 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = joined.map_batches(clip_stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(joined, clip_stage).to_pandas()
     return df.sort_values(["region_id", "way_id"]).reset_index(drop=True)
 
 
@@ -2906,8 +2888,8 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
         )
 
     joined = hash_join(
-        pos.map_batches(left_side, batch_format="pyarrow"),
-        pos.map_batches(right_side, batch_format="pyarrow"),
+        rio.materialize_blocks(pos, left_side),
+        rio.materialize_blocks(pos, right_side),
         on="join_k",
     )
     regions = sorted(CLIP_REGIONS.items())
@@ -2942,7 +2924,7 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    partials = joined.map_batches(clip_partials, batch_format="pyarrow")
+    partials = rio.map_blocks(joined, clip_partials)
     df = combine_partials(
         partials, ["region_id", "ts_q"], {"um_part": "total_um", "n_part": "n_ways"}
     )
@@ -2994,15 +2976,14 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    left = pos.map_batches(
-        lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]}),
-        batch_format="pyarrow",
+    left = rio.materialize_blocks(
+        pos, lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]})
     )
-    right = pos.map_batches(
+    right = rio.materialize_blocks(
+        pos,
         lambda b: pa.table(
-            {"join_k": pa.compute.subtract(b["osm_id"], 1), "lon2": b["lon_e7"], "lat2": b["lat_e7"]}
+            {"join_k": pc.subtract(b["osm_id"], 1), "lon2": b["lon_e7"], "lat2": b["lat_e7"]}
         ),
-        batch_format="pyarrow",
     )
     joined = hash_join(left, right, on="join_k")
     regions = sorted(NONCONVEX_CLIP_REGIONS.items())
@@ -3036,7 +3017,7 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = joined.map_batches(clip_stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(joined, clip_stage).to_pandas()
     return df.sort_values(["region_id", "way_id"]).reset_index(drop=True)
 
 
@@ -3412,19 +3393,19 @@ TOPK_PRIORITY_K = 3
 
 
 def _events_typed(sf_dir: str, etype: str, cols: list[str]):
-    """Pushdown-filtered events read with ts converted to int64 us in
-    the scan stage (exact integer time arithmetic end-to-end)."""
-    ds = rio.read_table(
+    """Events of one type, ``cols`` of them, with ts converted to int64
+    us in the scan stage (exact integer time arithmetic end-to-end)."""
+    ds = rio.read_resident(
         f"{sf_dir}/events.parquet",
-        columns=cols,
+        columns=[*cols, "event_type"],
         filter=(pc.field("event_type") == etype),
     )
 
     def to_us(b: pa.Table) -> pa.Table:
         t = b["ts"].cast(pa.int64())
-        return b.drop_columns(["ts"]).append_column("t", t)
+        return b.drop_columns(["ts", "event_type"]).append_column("t", t)
 
-    return ds.map_batches(to_us, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, to_us)
 
 
 @query(lambda o: o.asof_attribution())
@@ -3437,8 +3418,8 @@ def q_asof_attribution(sf_dir: str) -> pd.DataFrame:
     (purchase count, attributed count, total click->purchase lag)
     runs INSIDE the bucket stage, so only |users| rows reach the
     driver. Lag sums are exact int64 microseconds."""
-    purchases = _events_typed(sf_dir, "purchase", ["user_id", "ts", "event_type"])
-    clicks = _events_typed(sf_dir, "click", ["user_id", "ts", "event_type"])
+    purchases = _events_typed(sf_dir, "purchase", ["user_id", "ts"])
+    clicks = _events_typed(sf_dir, "click", ["user_id", "ts"])
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         m = g["t_r"].notna()
@@ -3451,8 +3432,8 @@ def q_asof_attribution(sf_dir: str) -> pd.DataFrame:
         )
 
     out = asof_join(
-        purchases.drop_columns(["event_type"]),
-        clicks.drop_columns(["event_type"]),
+        purchases,
+        clicks,
         on="t",
         by="user_id",
         group_final=final,
@@ -3475,18 +3456,14 @@ def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
     (interval_point_join remains the pair-OUTPUT operator). The
     per-day count is a PARTIAL inside the bucket stage, combined at
     the driver (30 keys)."""
-    errors = _events_typed(sf_dir, "error", ["ts", "event_type"]).drop_columns(
-        ["event_type"]
-    )
-    clicks = _events_typed(sf_dir, "click", ["ts", "event_type"]).drop_columns(
-        ["event_type"]
-    )
+    errors = _events_typed(sf_dir, "error", ["ts"])
+    clicks = _events_typed(sf_dir, "click", ["ts"])
 
     def mk_interval(b: pa.Table) -> pa.Table:
         s = b["t"].to_numpy(zero_copy_only=False)
         return pa.table({"s": pa.array(s), "e": pa.array(s + RANGE_WIN_US)})
 
-    intervals = errors.map_batches(mk_interval, batch_format="pyarrow")
+    intervals = rio.materialize_blocks(errors, mk_interval)
 
     def final(pts: pd.DataFrame) -> pd.DataFrame:
         day = (pts["t"].to_numpy(dtype=np.int64) - T0) // DAY_US
@@ -3503,7 +3480,7 @@ def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
         bin_us=RANGE_WIN_US,
         group_final=final,
     )
-    df = combine_partials(partials, ["day"], {"n_part": "n_pairs"})
+    df = combine_partials(rio.blocks_table(partials), ["day"], {"n_part": "n_pairs"})
     return df.sort_values("day").reset_index(drop=True)
 
 
@@ -3514,7 +3491,7 @@ def q_window_rolling_spikes(sf_dir: str) -> pd.DataFrame:
     events (exact integer test: window*value_cents > prior_sum_cents,
     requiring a full frame). Events ordered by (ts, event_id) per
     user; per-user totals are final inside the bucket stage."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
 
@@ -3543,7 +3520,7 @@ def q_window_rolling_spikes(sf_dir: str) -> pd.DataFrame:
         )
 
     out = with_prior_window(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         key_col="user_id",
         order_cols=["t", "event_id"],
         value_col="vc",
@@ -3567,7 +3544,7 @@ def q_user_event_ranks(sf_dir: str) -> pd.DataFrame:
     with complete users per bucket; per-user finals in-stage, so only
     |users| rows reach the driver. Exact integer cents end-to-end
     (nullable Int64 lag/max — never float)."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
 
@@ -3598,7 +3575,7 @@ def q_user_event_ranks(sf_dir: str) -> pd.DataFrame:
         )
 
     out = with_ranked_window(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         key_col="user_id",
         order_cols=["t", "event_id"],
         value_col="vc",
@@ -3629,7 +3606,7 @@ def q_user_first_events(sf_dir: str) -> pd.DataFrame:
     stage, the prefix filter and the per-user string build in-stage
     (|users| rows out). The collected value is deterministic because
     the order is a total order."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -3653,7 +3630,7 @@ def q_user_first_events(sf_dir: str) -> pd.DataFrame:
         )
 
     out = with_ranked_window(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         key_col="user_id",
         order_cols=["t", "event_id"],
         value_col="event_id",
@@ -3678,7 +3655,7 @@ def q_user_value_dist(sf_dir: str) -> pd.DataFrame:
     two-integer IEEE division, so the float compare is
     engine-independent). One complete-key bucket shuffle, per-user
     finals in-stage."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
 
@@ -3715,7 +3692,7 @@ def q_user_value_dist(sf_dir: str) -> pd.DataFrame:
         )
 
     out = with_ranked_window(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         key_col="user_id",
         order_cols=["t", "event_id"],
         value_col="vc",
@@ -3751,7 +3728,7 @@ def q_outer_join_user_day(sf_dir: str) -> pd.DataFrame:
     user_id*64 + day — one bucket shuffle, unmatched rows emitted
     in-bucket, never a driver-side merge."""
     def side_counts(etype: str, out_col: str) -> list:
-        ds = _events_typed(sf_dir, etype, ["user_id", "ts", "event_type"])
+        ds = _events_typed(sf_dir, etype, ["user_id", "ts"])
 
         def partial(b: pa.Table) -> pa.Table:
             day = (b["t"].to_numpy() - T0) // DAY_US
@@ -3787,10 +3764,9 @@ def q_users_click_not_purchase(sf_dir: str) -> pd.DataFrame:
     but made no purchase in that window. Per-batch pre-dedup, hash
     buckets, vectorized set difference per bucket."""
     def side(etype: str):
-        ds = _events_typed(sf_dir, etype, ["user_id", "ts", "event_type"])
-        return ds.map_batches(
-            lambda b: b.filter(pc.less(b["t"], SETOP_CUTOFF_US)).select(["user_id"]),
-            batch_format="pyarrow",
+        ds = _events_typed(sf_dir, etype, ["user_id", "ts"])
+        return rio.materialize_blocks(
+            ds, lambda b: b.filter(pc.less(b["t"], SETOP_CUTOFF_US)).select(["user_id"])
         )
 
     out = distinct_set_op(side("click"), side("purchase"), on="user_id", mode="except")
@@ -3803,12 +3779,11 @@ def q_topk_orders_by_priority(sf_dir: str) -> pd.DataFrame:
     highest-value orders per order priority, rank 1-based, ties broken
     by orderkey. Per-batch candidate prune (<= k rows per group per
     batch shuffle) + distributed per-group final."""
-    orders = rio.read_table(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice", "o_orderpriority"],
-    ).map_batches(
+    orders = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice", "o_orderpriority"]
+        ),
         lambda b: cents(b, "o_totalprice", "price_cents").drop_columns(["o_totalprice"]),
-        batch_format="pyarrow",
     )
     out = topk_per_group(
         orders, "o_orderpriority", "price_cents", TOPK_PRIORITY_K, "o_orderkey"
@@ -3831,12 +3806,11 @@ def q_order_price_ntiles(sf_dir: str) -> pd.DataFrame:
     rule sizes the tiles), then per-(priority, tile) count and exact
     integer price sum. Same complete-key bucket shuffle as the other
     ranked-window queries; finals in-stage."""
-    orders = rio.read_table(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice", "o_orderpriority"],
-    ).map_batches(
+    orders = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice", "o_orderpriority"]
+        ),
         lambda b: cents(b, "o_totalprice", "price_cents").drop_columns(["o_totalprice"]),
-        batch_format="pyarrow",
     )
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -3871,7 +3845,7 @@ def q_rollup_events(sf_dir: str) -> pd.DataFrame:
     partials for EVERY level (no per-level re-read, no shuffle; the
     combined result is levels x keys, tiny). Coarser levels use the
     'ALL' marker, mirrored by coalesce() over SQL GROUP BY ROLLUP."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
@@ -3888,7 +3862,7 @@ def q_rollup_events(sf_dir: str) -> pd.DataFrame:
         )
 
     out = rollup_sums(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         keys=["event_type", "day"],
         sums={"vc": "value_cents"},
         count_as="n",
@@ -3904,7 +3878,7 @@ def q_pivot_events_daily(sf_dir: str) -> pd.DataFrame:
     columns, zerofilled against the expected type set. Per-batch
     (day, type) partial counts; the reshape runs only on the combined
     small frame."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
         t = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -3916,7 +3890,7 @@ def q_pivot_events_daily(sf_dir: str) -> pd.DataFrame:
         )
 
     return pivot_counts(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         row_key="day",
         col_key="event_type",
         col_values=EVENT_TYPES,
@@ -3935,7 +3909,7 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
     partial sums per (returnflag, measure) combine on the driver
     (12-key final, the combine_partials regime). Exact integer cents
     throughout."""
-    li = rio.read_table(
+    li = rio.read_resident(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice", "l_discount", "l_tax"],
     )
@@ -3948,7 +3922,7 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
         return b.select(["l_returnflag", *UNPIVOT_MEASURES])
 
     long = unpivot(
-        li.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(li, prep),
         id_cols=["l_returnflag"],
         value_cols=UNPIVOT_MEASURES,
         var_name="measure",
@@ -3963,7 +3937,7 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        long.map_batches(partial, batch_format="pyarrow"),
+        rio.map_blocks(long, partial),
         ["l_returnflag", "measure"],
         {"s_part": "sum_cents", "n_part": "n"},
     )
@@ -3982,7 +3956,7 @@ def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     contract lives in tests/test_hll.py). At sandbox cardinalities the
     linear-counting regime is engaged; at corpus scale the same
     pipeline moves only |days| x 16 KiB of registers."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
         t = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -3991,7 +3965,7 @@ def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
         )
 
     out = grouped_approx_count_distinct(
-        ev.map_batches(prep, batch_format="pyarrow"), key="day", col="user_id"
+        rio.materialize_blocks(ev, prep), key="day", col="user_id"
     )
     return out.sort_values("day").reset_index(drop=True).astype(
         {"day": "int64", "n_uniq_est": "int64"}
@@ -4011,17 +3985,18 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     in-bucket isin, so results are identical to the unpruned join; the
     equivalence is also pinned by tests/test_bloom.py). Priority sums
     are exact integer cents."""
-    cust = rio.read_table(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey"],
-        filter=(pc.field("c_nationkey") == BLOOM_NATION),
-    ).map_batches(
-        lambda b: pa.table({"o_custkey": b["c_custkey"]}), batch_format="pyarrow"
+    cust = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/customer.parquet",
+            columns=["c_custkey", "c_nationkey"],
+            filter=(pc.field("c_nationkey") == BLOOM_NATION),
+        ),
+        lambda b: pa.table({"o_custkey": b["c_custkey"]}),
     )
     n_keys = cust.count()
     bloom = build_bloom(cust, "o_custkey", expected_n=max(n_keys, 1))
 
-    orders = rio.read_table(
+    orders = rio.read_resident(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderpriority", "o_totalprice"],
     )
@@ -4036,7 +4011,7 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        joined.map_batches(partial, batch_format="pyarrow"),
+        rio.map_blocks(joined, partial),
         ["o_orderpriority"],
         {"n_part": "n", "s_part": "price_cents"},
     )
@@ -4051,7 +4026,7 @@ def q_cube_events(sf_dir: str) -> pd.DataFrame:
     granularities of (event_type, day-parity) — both keys, each key
     alone, grand total — from a single scan via the grouping-sets
     generalization of rollup_sums (SQL GROUP BY CUBE oracle)."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
@@ -4069,7 +4044,7 @@ def q_cube_events(sf_dir: str) -> pd.DataFrame:
 
     keys = ["event_type", "day_parity"]
     out = rollup_sums(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         keys=keys,
         sums={"vc": "value_cents"},
         count_as="n",
@@ -4090,14 +4065,15 @@ def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
     the complement of bloom_semi_join_orders on the same co-partitioned
     shuffle (Bloom pruning is rejected for this mode: the pre-filter
     would drop exactly the anti rows)."""
-    cust = rio.read_table(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey"],
-        filter=(pc.field("c_nationkey") == ANTI_NATION),
-    ).map_batches(
-        lambda b: pa.table({"o_custkey": b["c_custkey"]}), batch_format="pyarrow"
+    cust = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/customer.parquet",
+            columns=["c_custkey", "c_nationkey"],
+            filter=(pc.field("c_nationkey") == ANTI_NATION),
+        ),
+        lambda b: pa.table({"o_custkey": b["c_custkey"]}),
     )
-    orders = rio.read_table(
+    orders = rio.read_resident(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderpriority", "o_totalprice"],
     )
@@ -4112,7 +4088,7 @@ def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        joined.map_batches(partial, batch_format="pyarrow"),
+        rio.map_blocks(joined, partial),
         ["o_orderpriority"],
         {"n_part": "n", "s_part": "price_cents"},
     )
@@ -4134,7 +4110,7 @@ def q_stratified_sample_docs(sf_dir: str) -> pd.DataFrame:
     from a one-column distinct scan (sources are low-cardinality); at
     corpus scale the production twin uses the vectorized fnv path
     (rate contract in tests), exactly like sample_docs."""
-    docs = rio.read_table(
+    docs = rio.read_resident(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
     def distinct(b: pa.Table) -> pa.Table:
@@ -4163,7 +4139,7 @@ def q_heavy_hitter_sources(sf_dir: str) -> pd.DataFrame:
     pattern as full-probe LSH ANN). The lossy regime's guarantees
     (presence above n/(k+1), bounded count error) are pinned in
     tests/test_heavyhitters.py. At most k rows leave each block."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source"])
     return approx_heavy_hitters(docs, "source", k=HH_CAPACITY, top_n=HH_TOP_N)
 
 
@@ -4173,11 +4149,9 @@ def q_value_quantiles_by_type(sf_dir: str) -> pd.DataFrame:
     event type): distributed (type, value) histogram + distributed
     per-key cumsum resolve — no global sort, no per-group row sort;
     |types| rows reach the driver."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
         lambda b: cents(b, "value", "vc").select(["event_type", "vc"]),
-        batch_format="pyarrow",
     )
     return grouped_exact_quantiles_int(
         ev, key="event_type", col="vc", fracs=[(1, 2), (9, 10)], names=["p50", "p90"]
@@ -4196,7 +4170,7 @@ def q_time_window_bursts(sf_dir: str) -> pd.DataFrame:
     preceding 30 minutes. One searchsorted pair resolves every row's
     window via the monotone key-ordinal embedding; per-user totals are
     final inside the bucket stage."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -4215,7 +4189,7 @@ def q_time_window_bursts(sf_dir: str) -> pd.DataFrame:
         )
 
     out = with_time_window(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         key_col="user_id",
         t_col="t",
         value_col="one",
@@ -4241,15 +4215,11 @@ def q_funnel_attribution_daily(sf_dir: str) -> pd.DataFrame:
     single SQL statement."""
     num, den = FUNNEL_RATE
     purchases = deterministic_sample(
-        _events_typed(sf_dir, "purchase", ["user_id", "ts", "event_type"]).drop_columns(
-            ["event_type"]
-        ),
+        _events_typed(sf_dir, "purchase", ["user_id", "ts"]),
         num, den, "user_id", hash_fn="md5",
     )
     clicks = deterministic_sample(
-        _events_typed(sf_dir, "click", ["user_id", "ts", "event_type"]).drop_columns(
-            ["event_type"]
-        ),
+        _events_typed(sf_dir, "click", ["user_id", "ts"]),
         num, den, "user_id", hash_fn="md5",
     )
 
@@ -4269,7 +4239,7 @@ def q_funnel_attribution_daily(sf_dir: str) -> pd.DataFrame:
         purchases, clicks, on="t", by="user_id", group_final=final
     )
     df = combine_partials(
-        partials, ["day"],
+        rio.blocks_table(partials), ["day"],
         {"p_part": "n_purchases", "a_part": "n_attrib", "l_part": "lag_us_total"},
     )
     return df.sort_values("day").reset_index(drop=True).astype(
@@ -4282,13 +4252,13 @@ def q_interarrival_median(sf_dir: str) -> pd.DataFrame:
     """Per-user LAG/inter-arrival analytics: gap count and exact
     discrete median gap ((n-1)//2 rank rule), median final inside the
     bucket stage — only |users| rows leave."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({"user_id": b["user_id"], "t": b["ts"].cast(pa.int64())})
 
     out = per_key_interarrival(
-        ev.map_batches(prep, batch_format="pyarrow"), key_col="user_id", t_col="t"
+        rio.materialize_blocks(ev, prep), key_col="user_id", t_col="t"
     ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True).astype(
         {"user_id": "int64", "n_gaps": "int64", "med_gap_us": "int64"}
@@ -4309,7 +4279,7 @@ def q_top_words(sf_dir: str) -> pd.DataFrame:
     combine_partials), then the candidate top-k reduce moves only k
     rows per block. Ties break ascending on the word. Arrow and DuckDB
     both run RE2 over UTF-8, so the token split is engine-identical."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["text"])
     df = topk(_word_counts(ds), key="n_p", k=TOP_WORDS_K, tiebreak="word", descending=True)
     return df.rename(columns={"n_p": "n"})[["word", "n"]].reset_index(drop=True)
 
@@ -4405,8 +4375,8 @@ def q_doc_repetition(sf_dir: str) -> pd.DataFrame:
     IEEE divisions of these columns downstream. Zero shuffle; output
     is one row per doc (driver collect is the oracle-compare
     convention, production terminates in write_parquet)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    df = ds.map_batches(_repetition_stage, batch_format="pyarrow").to_pandas()
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    df = rio.map_blocks(ds, _repetition_stage).to_pandas()
     df = df.astype(
         {
             "doc_id": "int64",
@@ -4452,8 +4422,8 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     Deflate has no SQL mirror, so this is a rows-only driver check by
     design — byte-exactness is pinned by a direct-zlib pytest
     instead. One fused map_batches + |sources| combine."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    partials = ds.map_batches(_compress_stage, batch_format="pyarrow")
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    partials = rio.map_blocks(ds, _compress_stage)
     df = combine_partials(
         partials,
         ["source"],
@@ -4508,7 +4478,7 @@ def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
     the sums stand in for the centroids directly — is three float
     conversions + sqrt + one division on exact ints, mirrored op for
     op in SQL. One fused pass; |labels| x 64 partial rows combine."""
-    ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
+    ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def partials(b: pa.Table) -> pa.Table:
         lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4531,7 +4501,7 @@ def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     sums = combine_partials(
-        ds.map_batches(partials, batch_format="pyarrow"), ["label", "dim"], {"s_p": "s"}
+        rio.map_blocks(ds, partials), ["label", "dim"], {"s_p": "s"}
     )
     piv = sums.pivot_table(index="label", columns="dim", values="s", fill_value=0)
     labels = sorted(int(x) for x in piv.index)
@@ -4576,7 +4546,7 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     ``io.reduce_by_key`` combines; scoring = two partitioned hash joins
     (composite (w1, w2) key, then w1); per-doc totals per doc_id
     bucket (high-card rule)."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     bg = rio.materialize_blocks(docs, _doc_bigram_stage)
 
     def as_c2(t: pa.Table) -> pa.Table:
@@ -4653,7 +4623,7 @@ def q_inverted_index(sf_dir: str) -> pd.DataFrame:
     df/tf/prefix all resolve in-stage so only |vocab| rows reach the
     driver. Production terminates in write_parquet partitioned by
     word-hash — this collect is the oracle-compare convention."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
         words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
@@ -4703,10 +4673,9 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     Group final is |nations x months| keys -> combine_partials.
     Arrow's year/month kernels and DuckDB's year()/month() are both
     proleptic-Gregorian on microsecond timestamps."""
-    nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()[
-        ["n_nationkey", "n_name"]
-    ].rename(columns={"n_nationkey": "c_nationkey"})
-    cust = rio.read_table(
+    nat = rio.read_resident(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
+    nat = rio.blocks_table(nat).to_pandas().rename(columns={"n_nationkey": "c_nationkey"})
+    cust = rio.read_resident(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
 
@@ -4718,8 +4687,8 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    cust = broadcast_join(cust, nat, on="c_nationkey").map_batches(
-        slim_cust, batch_format="pandas"
+    cust = rio.materialize_blocks(
+        broadcast_join(cust, nat, on="c_nationkey"), lambda t: slim_cust(t.to_pandas())
     )
 
     def slim_orders(b: pa.Table) -> pa.Table:
@@ -4732,12 +4701,15 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    orders = rio.read_table(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(slim_orders, batch_format="pyarrow")
-    ordn = hash_join(orders, cust, on="o_custkey").map_batches(
+    orders = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
+        ),
+        slim_orders,
+    )
+    ordn = rio.materialize_blocks(
+        hash_join(orders, cust, on="o_custkey"),
         lambda b: b.select(["o_orderkey", "o_year", "o_month", "n_name"]),
-        batch_format="pyarrow",
     )
 
     def slim_line(b: pa.Table) -> pa.Table:
@@ -4756,10 +4728,12 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    line = rio.read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    ).map_batches(slim_line, batch_format="pyarrow")
+    line = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_extendedprice", "l_discount"]
+        ),
+        slim_line,
+    )
     joined = hash_join(line, ordn, on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -4770,7 +4744,7 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
         return g
 
     df = combine_partials(
-        joined.map_batches(partial, batch_format="pandas"),
+        rio.map_blocks(joined, rio.on_pandas(partial)),
         ["n_name", "o_year", "o_month"],
         {"n_part": "n_items", "rev_part": "revenue_cbp"},
     )
@@ -4787,11 +4761,9 @@ def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
     re-binning of the value histogram, so no second corpus scan and
     no broadcast round-trip). The (n-1)//2 discrete rank rule matches
     the SQL mirror exactly."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
         lambda b: cents(b, "value", "vc").select(["event_type", "vc"]),
-        batch_format="pyarrow",
     )
     out = grouped_median_mad_int(ev, key="event_type", col="vc").rename(
         columns={"med": "med_vc", "mad": "mad_vc"}
@@ -4817,7 +4789,7 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     at the same microsecond overlaps there). The peak inside a tie
     group is prefix + n_starts regardless of intra-tie order, so the
     day-max is deterministic even though tied rows are interchangeable."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     sess = sessionize(ev, gap_us=SESSION_GAP_US)
 
     def boundaries(b: pd.DataFrame) -> pd.DataFrame:
@@ -4871,7 +4843,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     numpy's vectorized log), multiplied once per row (single IEEE ops
     on exact ints per the money/float rule). Ties break ascending on
     the word."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = docs.count()
 
     def tf_stage(b: pa.Table) -> pa.Table:
@@ -4901,7 +4873,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
         lut = np.array([math.log(n_docs / int(d)) for d in uniq], dtype=np.float64)
         return b.append_column("score", pa.array(tfv.astype(np.float64) * lut[inv]))
 
-    scored = joined.map_batches(score_stage, batch_format="pyarrow")
+    scored = rio.materialize_blocks(joined, score_stage)
     out = topk_per_group(
         scored, group_col="doc_id", key="score", k=TFIDF_K, tiebreak="word"
     ).to_pandas()
@@ -4919,7 +4891,7 @@ def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
     prefilter (a sound combiner) means only block-frontier rows ever
     shuffle; the per-priority final resolves in one reduce bucket. The
     oracle is the NOT EXISTS anti-self-join."""
-    ods = rio.read_table(
+    ods = rio.read_resident(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_totalprice", "o_orderdate", "o_orderpriority"],
     )
@@ -4937,7 +4909,7 @@ def q_pareto_orders(sf_dir: str) -> pd.DataFrame:
         )
 
     front = pareto_front_2d(
-        ods.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ods, prep),
         group_col="o_orderpriority",
         max_col="price_c",
         min_col="odate_us",
@@ -4954,7 +4926,7 @@ def q_above_user_mean(sf_dir: str) -> pd.DataFrame:
     int64, no float mean); one complete-user bucket shuffle computes
     the per-user stats and the per-etype partials IN-STAGE, so only
     |buckets x etypes| partial rows reach the small final combine."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("user_id")["value_c"]
@@ -4985,7 +4957,7 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     (group, price) weight pre-aggregation bounds the shuffle at
     distinct prices per block; the group count is 6, but each group's
     payload is |distinct prices|, not rows."""
-    li = rio.read_table(
+    li = rio.read_resident(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_extendedprice", "l_quantity"],
     )
@@ -5003,7 +4975,7 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
         )
 
     out = grouped_weighted_median_int(
-        li.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(li, prep),
         keys=["l_returnflag", "l_linestatus"],
         col="price_c",
         weight="qty",
@@ -5020,7 +4992,7 @@ def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
     UTF-8), then count per (event_type, k). Non-matching rows are
     dropped explicitly on BOTH sides. Per-batch pre-count + small
     combine (|etypes x k-values| keys)."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
 
@@ -5033,7 +5005,7 @@ def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["event_type", "kk"]).aggregate([([], "count_all")])
         return g.rename_columns(["event_type", "kk", "n_p"])
 
-    parts = ev.map_batches(extract_count, batch_format="pyarrow")
+    parts = rio.map_blocks(ev, extract_count)
     df = combine_partials(parts, keys=["event_type", "kk"], sums={"n_p": "n"})
     df = df.astype({"kk": "int64", "n": "int64"})
     return df.sort_values(["event_type", "kk"]).reset_index(drop=True)
@@ -5051,9 +5023,10 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     (|etypes x bins| rows per block) -> small combine; the bin rule
     LEAST(value_c // W, nbins-1) clamps the top bin identically in
     both engines."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def bin_count(b: pa.Table) -> pa.Table:
         v = b["value_c"].to_numpy(zero_copy_only=False)
@@ -5062,7 +5035,7 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
         g = pa.TableGroupBy(t, ["event_type", "bin"]).aggregate([([], "count_all")])
         return g.rename_columns(["event_type", "bin", "n_p"])
 
-    parts = ev.map_batches(bin_count, batch_format="pyarrow")
+    parts = rio.map_blocks(ev, bin_count)
     df = combine_partials(parts, keys=["event_type", "bin"], sums={"n_p": "n"})
 
     df = zerofill(
@@ -5084,7 +5057,7 @@ def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
     |etypes|) expands to its C(m,2) ordered pairs IN-STAGE, and the
     per-bucket pair counts are the partials — the corpus never joins
     itself. Mirror is the distinct self-join with etype_a < etype_b."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["user_id", "event_type"])
@@ -5123,9 +5096,10 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     loudly, and the published slope is ONE float division of the two
     exact integer terms — DuckDB mirrors with HUGEINT sums and the
     identical cast/divide."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def partials(b: pa.Table) -> pa.Table:
         x = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
@@ -5145,7 +5119,7 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
         )
         return g.rename_columns(["event_type", "n_p", "sx_p", "sy_p", "sxy_p", "sxx_p"])
 
-    parts = ev.map_batches(partials, batch_format="pyarrow")
+    parts = rio.map_blocks(ev, partials)
     s = combine_partials(
         parts,
         keys=["event_type"],
@@ -5262,28 +5236,18 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
             {"cell": np.concatenate(srcs), "nbr": np.concatenate(nbrs)}
         )
 
-    neighbors = dense.map_batches(fan_out, batch_format="pyarrow")
-    dense_keys = dense.map_batches(
-        lambda b: pa.table({"nbr": b["cell"]}), batch_format="pyarrow"
-    )
-    edges = (
-        hash_join(neighbors, dense_keys, on="nbr")
-        .map_batches(
-            lambda b: b.filter(pc.less(b["cell"], b["nbr"])),
-            batch_format="pyarrow",
-        )
-        .materialize()
+    neighbors = rio.materialize_blocks(dense, fan_out)
+    dense_keys = rio.materialize_blocks(dense, lambda b: pa.table({"nbr": b["cell"]}))
+    edges = rio.materialize_blocks(
+        hash_join(neighbors, dense_keys, on="nbr"), lambda b: b.filter(pc.less(b["cell"], b["nbr"]))
     )
 
     if edges.count() == 0:  # every dense cell isolated: all singletons
-        labeled = dense.map_batches(
-            lambda b: b.append_column("component", b["cell"]),
-            batch_format="pyarrow",
-        )
+        labeled = rio.materialize_blocks(dense, lambda b: b.append_column("component", b["cell"]))
     else:
-        comp = connected_components(edges, src="cell", dst="nbr").map_batches(
+        comp = rio.materialize_blocks(
+            connected_components(edges, src="cell", dst="nbr"),
             lambda b: b.rename_columns(["cell", "component"]),
-            batch_format="pyarrow",
         )
         joined = hash_join(dense, comp, on="cell", how="left")
 
@@ -5295,7 +5259,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
                 b.schema.get_field_index("component"), "component", filled
             )
 
-        labeled = joined.map_batches(fill_isolated, batch_format="pyarrow")
+        labeled = rio.materialize_blocks(joined, fill_isolated)
 
     def per_component(t: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(t, ["component"]).aggregate([([], "count_all"), ("n", "sum")])
@@ -5321,7 +5285,7 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     member/non-member tokens per source as partials -> |sources| final
     rows. The vocab boundary is deterministic (count desc, word asc),
     so both engines cut the same K words."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     vocab = topk(_word_counts(ds), key="n_p", k=VOCAB_K, tiebreak="word", descending=True)
     vocab_ref = ray.put(pd.Index(vocab["word"]))
 
@@ -5341,7 +5305,7 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = ds.map_batches(oov_stage, batch_format="pyarrow")
+    parts = rio.map_blocks(ds, oov_stage)
     df = combine_partials(
         parts, keys=["source"], sums={"n_oov_p": "n_oov", "n_p": "n_tokens"}
     )
@@ -5356,7 +5320,7 @@ def q_supplier_fuzzy_pairs(sf_dir: str) -> pd.DataFrame:
     never an all-pairs product; the exact vectorized verify and the
     global pair dedupe are both distributed. The oracle is the naive
     levenshtein self-join DuckDB can afford at oracle scale."""
-    sup = rio.read_table(
+    sup = rio.read_resident(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     )
     pairs = edit1_pairs(sup, id_col="s_suppkey", s_col="s_name").to_pandas()
@@ -5374,9 +5338,12 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     ties) plus min/max/count, and the driver combine replays the same
     rule over |keys x blocks| witness rows. Exact integer cents
     throughout; the mirror is the row_number window pair."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type", "value"]
+        ),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -5397,7 +5364,7 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    parts = ev.map_batches(partials, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(ev, partials).to_pandas()
     parts = parts.sort_values(["event_type", "day", "o_ts", "o_id"], kind="mergesort")
     first = parts.groupby(["event_type", "day"], as_index=False).agg(open=("open", "first"))
     parts2 = parts.sort_values(["event_type", "day", "c_ts", "c_id"], kind="mergesort")
@@ -5419,7 +5386,7 @@ def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
     bounded so the per-order pair explosion is O(items^2) <= ~170
     rows. May contain duplicates across orders — consumers dedupe
     (ops.triangles.dedupe_edges)."""
-    li = rio.read_table(
+    li = rio.read_resident(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
 
@@ -5535,7 +5502,7 @@ def q_snapshot_colocation_pairs(sf_dir: str) -> pd.DataFrame:
             {"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]}
         )
 
-    pts = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    pts = rio.materialize_blocks(_docs(sf_dir), stage)
     df = radius_self_join(pts, COLOC_RADIUS_E7).to_pandas()
     df = df.astype({"id_a": "int64", "id_b": "int64", "d2": "int64"})
     return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -5586,8 +5553,8 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
         )
 
     joined = hash_join(
-        pos.map_batches(as_left, batch_format="pyarrow"),
-        pos.map_batches(as_right, batch_format="pyarrow"),
+        rio.materialize_blocks(pos, as_left),
+        rio.materialize_blocks(pos, as_right),
         on="join_k",
     )
 
@@ -5609,7 +5576,7 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = joined.map_batches(crossings, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(joined, crossings).to_pandas()
     df = df.astype({"way_id": "int64", "n_crossings": "int64"})
     return df.sort_values("way_id").reset_index(drop=True)
 
@@ -5623,9 +5590,10 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     the interval_union_length sweep in ops/sessions.py: one
     complete-keys bucket shuffle). The mirror is the classic
     gaps-and-islands window pair."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def iv(b: pa.Table) -> pa.Table:
         s = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -5635,7 +5603,7 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
         )
 
     out = interval_union_length(
-        ev.map_batches(iv, batch_format="pyarrow"), "user_id", "s", "e"
+        rio.materialize_blocks(ev, iv), "user_id", "s", "e"
     ).to_pandas()
     out = out.rename(columns={"covered": "covered_us"})
     return out.sort_values("user_id").reset_index(drop=True)
@@ -5652,9 +5620,10 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     spine) is bit-identical. Daily sums are per-batch partials +
     low-card combine; the fill runs on the |etypes x days| final —
     scale-bounded by the time range, not the corpus."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def partials(b: pa.Table) -> pa.Table:
         v = b["value_c"].to_numpy(zero_copy_only=False)
@@ -5679,7 +5648,7 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(out, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["etype", "day"], {"v_p": "v"}
+        rio.map_blocks(ev, partials), ["etype", "day"], {"v_p": "v"}
     )
 
     rows = []
@@ -5721,7 +5690,7 @@ def q_user_journeys(sf_dir: str) -> pd.DataFrame:
     string_agg as a distributed operator (ops/relational.
     ordered_string_agg: one complete-keys bucket shuffle, in-bucket
     sort + join; one row per user)."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
 
@@ -5736,7 +5705,7 @@ def q_user_journeys(sf_dir: str) -> pd.DataFrame:
         )
 
     out = ordered_string_agg(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         "user_id",
         "ch",
         ["t", "event_id"],
@@ -5775,7 +5744,7 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
+    pts = rio.materialize_blocks(_docs(sf_dir, spans=True), stage)
     out = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     return out.astype(
         {"osm_id": "int64", "lon_e7": "int64", "lat_e7": "int64"}
@@ -5789,9 +5758,10 @@ def q_value_bitops_by_type(sf_dir: str) -> pd.DataFrame:
     are associative+commutative, so each is a per-batch partial plus
     the driver combine replaying the same reduction over
     |keys x blocks| rows. Exact int64 throughout."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -5812,7 +5782,7 @@ def q_value_bitops_by_type(sf_dir: str) -> pd.DataFrame:
         ).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    parts = ev.map_batches(partials, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(ev, partials).to_pandas()
     g = parts.groupby("etype")
     out = pd.DataFrame(
         {
@@ -5836,9 +5806,10 @@ def q_extreme_events_by_type(sf_dir: str) -> pd.DataFrame:
     argmax pattern applied to extremes. The mirror pins the same tie
     order through row_number windows (DuckDB's arg_min/arg_max tie
     choice is unspecified, so the oracle never uses them)."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -5858,7 +5829,7 @@ def q_extreme_events_by_type(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(lo.merge(hi, on="etype"), preserve_index=False)
 
-    parts = ev.map_batches(partials, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(ev, partials).to_pandas()
     lo = (
         parts.sort_values(["etype", "min_value_c", "min_event_id"], kind="mergesort")
         .groupby("etype", as_index=False)
@@ -5934,7 +5905,7 @@ def q_jsonl_events_by_type(sf_dir: str) -> pd.DataFrame:
         ).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    parts = ds.map_batches(partials, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(ds, partials).to_pandas()
     g = parts.groupby("event_type")
     out = pd.DataFrame(
         {
@@ -5979,7 +5950,7 @@ def q_arrow_events_by_type(sf_dir: str) -> pd.DataFrame:
         ).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    parts = ds.map_batches(partials, batch_format="pyarrow").to_pandas()
+    parts = rio.map_blocks(ds, partials).to_pandas()
     g = parts.groupby("event_type")
     out = pd.DataFrame(
         {
@@ -6003,7 +5974,7 @@ def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
     family) + per-batch partial counts. md5 here because the split
     VALUES are oracle-compared; production uses the vectorized fnv1a
     path (same guarantees, A/B-tested in test_ops)."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
     split = deterministic_split(
         ds, "doc_id", [("train", 8, 10), ("val", 9, 10)], "test", hash_fn="md5"
     )
@@ -6022,7 +5993,7 @@ def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        split.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(split, partials),
         ["source", "split"],
         {"n_p": "n_docs", "c_p": "n_chars"},
     )
@@ -6188,7 +6159,7 @@ def q_csv_events_daily(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ds, partials),
         ["day"],
         {"n_p": "n", "s_p": "sum_value_c"},
     )
@@ -6235,21 +6206,14 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
         )
 
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    left = pos.map_batches(
-        lambda b: pa.table(
-            {"join_k": b["osm_id"], "x1": b["lon_e7"], "y1": b["lat_e7"]}
-        ),
-        batch_format="pyarrow",
+    left = rio.materialize_blocks(
+        pos, lambda b: pa.table({"join_k": b["osm_id"], "x1": b["lon_e7"], "y1": b["lat_e7"]})
     )
-    right = pos.map_batches(
+    right = rio.materialize_blocks(
+        pos,
         lambda b: pa.table(
-            {
-                "join_k": pa.compute.subtract(b["osm_id"], 1),
-                "x2": b["lon_e7"],
-                "y2": b["lat_e7"],
-            }
+            {"join_k": pc.subtract(b["osm_id"], 1), "x2": b["lon_e7"], "y2": b["lat_e7"]}
         ),
-        batch_format="pyarrow",
     )
 
     def octants(b: pa.Table) -> pa.Table:
@@ -6261,7 +6225,7 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
         return pa.table({"octant": o, "n_p": n.astype(np.int64)})
 
     out = combine_partials(
-        hash_join(left, right, on="join_k").map_batches(octants, batch_format="pyarrow"),
+        rio.map_blocks(hash_join(left, right, on="join_k"), octants),
         ["octant"],
         {"n_p": "n"},
     )
@@ -6278,7 +6242,7 @@ def q_profile_orders(sf_dir: str) -> pd.DataFrame:
     count, null count and EXACT distinct count in one pass (ops/
     profile.py — per-batch np.unique pre-aggregation, one bucket
     shuffle over O(distincts) pairs, |columns| rows out)."""
-    ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=PROFILE_COLS)
+    ds = rio.read_resident(f"{sf_dir}/orders.parquet", columns=PROFILE_COLS)
     return profile_columns(ds, PROFILE_COLS)
 
 
@@ -6290,7 +6254,7 @@ def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
     division — the distribution-impurity aggregate with no float
     summation anywhere. Per-batch (day, etype) count partials; |days x
     etypes| combine."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -6304,7 +6268,7 @@ def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["day", "etype"], {"c_p": "c"}
+        rio.map_blocks(ev, partials), ["day", "etype"], {"c_p": "c"}
     )
     g = base.groupby("day")["c"]
     n = g.sum().astype(np.int64)
@@ -6327,8 +6291,9 @@ def q_value_leading_digits(sf_dir: str) -> pd.DataFrame:
     (repeated integer division — no float log10), counted per digit.
     The mirror extracts it lexically from the VARCHAR cast; the two
     derivations agree exactly on positive integers."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["value"]).map_batches(
-        lambda b: cents(b, "value", "value_c"), batch_format="pyarrow"
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["value"]),
+        lambda b: cents(b, "value", "value_c"),
     )
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6341,7 +6306,7 @@ def q_value_leading_digits(sf_dir: str) -> pd.DataFrame:
         return pa.table({"digit": d, "n_p": n.astype(np.int64)})
 
     out = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["digit"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["digit"], {"n_p": "n"}
     )
     out = out.astype({"digit": "int64", "n": "int64"})
     return out.sort_values("digit").reset_index(drop=True)
@@ -6359,8 +6324,9 @@ def q_price_percentiles_cont(sf_dir: str) -> pd.DataFrame:
     no global sort, no float interpolation). The mirror computes the
     identical order statistics through a row_number CTE and the same
     rational — never DuckDB's internal quantile_cont float path."""
-    ds = rio.read_table(f"{sf_dir}/orders.parquet", columns=["o_totalprice"]).map_batches(
-        lambda b: cents(b, "o_totalprice", "price_c"), batch_format="pyarrow"
+    ds = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/orders.parquet", columns=["o_totalprice"]),
+        lambda b: cents(b, "o_totalprice", "price_c"),
     )
     rows = []
     for (num, den), (pnum, pden, n) in zip(
@@ -6392,9 +6358,10 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     (ray.put, searchsorted lookup per batch), and the second fused
     pass reduces per-type integer partials. Mirror: rank() - 1 is the
     strictly-below count (ties share the min rank)."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
     hist = value_histogram(ev, [], "value_c")
     vals = hist["value_c"].to_numpy(dtype=np.int64)
     below = np.r_[0, np.cumsum(hist["n"].to_numpy(dtype=np.int64))[:-1]]
@@ -6415,7 +6382,7 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     df = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ev, partials),
         ["etype"],
         {"n_p": "n", "sum_below_p": "sum_below"},
     )
@@ -6442,9 +6409,10 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     sums kept value*count in PYTHON ints (exact at any magnitude).
     The mean is ONE IEEE division; rank-trimming makes tie order
     irrelevant, so the result is deterministic on both engines."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
+    )
     hist = value_histogram(ev, ["event_type"], "value_c")
     num, den = TRIM_FRAC
     rows = []
@@ -6486,7 +6454,7 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     aggregates per key bucket (corpus-cardinality key), three
     distributed value-histogram quantile passes, boundary broadcast
     into a per-batch coding pass, 4^3-bounded combine."""
-    ds = rio.read_table(
+    ds = rio.read_resident(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate", "o_totalprice"]
     )
 
@@ -6548,12 +6516,11 @@ def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
     strictly below the value. Two passes over a pruned 2-column read;
     the boundaries broadcast as three ints. Mirror computes the same
     discrete boundaries and CASE."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"]).map_batches(
-        lambda b: cents(b, "value", "value_c"), batch_format="pyarrow"
+    ev = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        lambda b: cents(b, "value", "value_c"),
     )
-    qs = exact_quantiles_int(
-        ev.select_columns(["value_c"]), "value_c", [(1, 4), (1, 2), (3, 4)]
-    )
+    qs = exact_quantiles_int(ev, "value_c", [(1, 4), (1, 2), (3, 4)])
     q = np.array(qs, dtype=np.int64)
 
     def partials(b: pa.Table) -> pa.Table:
@@ -6566,7 +6533,7 @@ def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["event_type", "bin"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["event_type", "bin"], {"n_p": "n"}
     )
     out = out.astype({"bin": "int64", "n": "int64"})
     return out.sort_values(["event_type", "bin"]).reset_index(drop=True)
@@ -6642,14 +6609,14 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     drive to zero. md5 fp + md5 split because both VALUES feed the
     oracle; production composes the vectorized twins. ASCII corpus:
     Arrow codeunit slicing == SQL character substr."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def prefix_fp(b: pa.Table) -> pa.Table:
         heads = pc.utf8_slice_codeunits(b["text"], 0, 32).to_pylist()
         fp = pa.array([hashlib.md5(h.encode()).hexdigest() for h in heads])
         return b.drop_columns(["text"]).append_column("fp", fp)
 
-    ds = ds.map_batches(prefix_fp, batch_format="pyarrow")
+    ds = rio.materialize_blocks(ds, prefix_fp)
     ds = deterministic_split(ds, "doc_id", [("train", 8, 10), ("val", 9, 10)], "test", "md5")
 
     def leaks(g: pd.DataFrame) -> pd.DataFrame:
@@ -6825,9 +6792,12 @@ def q_user_value_ewma(sf_dir: str) -> pd.DataFrame:
     (ops/scan.py grouped_recurrence_ewma_int: complete-keys bucket
     shuffle, scan vectorized ACROSS keys per step). The mirror is the
     identical recurrence as a recursive CTE."""
-    ev = rio.read_table(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
-    ).map_batches(lambda b: cents(b, "value", "value_c"), batch_format="pyarrow")
+    ev = rio.materialize_blocks(
+        rio.read_resident(
+            f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
+        ),
+        lambda b: cents(b, "value", "value_c"),
+    )
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -6840,7 +6810,7 @@ def q_user_value_ewma(sf_dir: str) -> pd.DataFrame:
         )
 
     out = grouped_recurrence_ewma_int(
-        ev.map_batches(prep, batch_format="pyarrow"),
+        rio.materialize_blocks(ev, prep),
         "user_id",
         ["t", "event_id"],
         "value_c",
@@ -6875,7 +6845,7 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir, spans=True).map_batches(stage, batch_format="pyarrow")
+    pts = rio.materialize_blocks(_docs(sf_dir, spans=True), stage)
     hull = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     rows = []
     for etype, g in hull.groupby("etype"):
@@ -6914,7 +6884,7 @@ def _etype_day_grid(sf_dir: str) -> pd.DataFrame:
     driver combine bounded by window span x type vocabulary. Used by
     the rank-movement and autocorrelation finals (their day
     derivation must stay identical)."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -6928,7 +6898,7 @@ def _etype_day_grid(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     return combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["day", "etype"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["day", "etype"], {"n_p": "n"}
     )
 
 
@@ -7042,7 +7012,7 @@ def q_etype_share_by_day(sf_dir: str) -> pd.DataFrame:
     per-(day, etype) counts and per-day totals from ONE partial pass,
     the share as ONE IEEE division of exact ints. The window-function
     mirror divides by sum(n) OVER (PARTITION BY day)."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -7056,7 +7026,7 @@ def q_etype_share_by_day(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["day", "etype"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["day", "etype"], {"n_p": "n"}
     )
     tot = base.groupby("day")["n"].transform("sum")
     out = base.copy()
@@ -7180,7 +7150,7 @@ def q_snapshot_kmeans(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir).map_batches(positions, batch_format="pyarrow")
+    pts = rio.materialize_blocks(_docs(sf_dir), positions)
     out = kmeans_int(pts, k=KMEANS_K, iters=KMEANS_ITERS)
     return out.sort_values("cluster").reset_index(drop=True)
 
@@ -7219,7 +7189,7 @@ def q_snapshot_bbox_overlaps(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    boxes = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    boxes = rio.materialize_blocks(_docs(sf_dir), stage)
     df = rect_self_join(boxes, RECT_CELL_E7).to_pandas()
     df = df.astype(
         {"id_a": "int64", "id_b": "int64", "ix": "int64", "iy": "int64", "area": "int64"}
@@ -7364,7 +7334,7 @@ def q_user_gini_by_etype(sf_dir: str) -> pd.DataFrame:
     and denominator, ONE IEEE division. Tie order is irrelevant (equal
     values contribute the same rank-sum under any total order), which
     is what lets the SQL mirror use a bare row_number() ORDER BY c."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -7438,7 +7408,7 @@ def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
     pyarrow.compute.count_substring_regex per batch (RE2, identical
     non-overlapping semantics to DuckDB's regexp_extract_all), partial
     sums per source in-stage, |sources| rows to the driver."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
     def stage(b: pa.Table) -> pa.Table:
         txt = b["text"]
@@ -7493,7 +7463,7 @@ def q_weighted_sample_docs(sf_dir: str) -> pd.DataFrame:
     key is bit-mirrorable in SQL: u = (md5_u32+1)/2^32, race =
     -ln(u)/w, scalar libm ln). Per-batch local top-k bounds the
     candidate stream at #blocks x k rows."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
     out = weighted_sample_topk(
         docs, WSAMPLE_K, weight_col="n_chars", key_col="doc_id", hash_fn="md5"
     )
@@ -7506,7 +7476,7 @@ def _emb_moment_pivot(sf_dir: str) -> dict[tuple[int, int], int]:
     distributed partial-Gram stage, combined to the exact integer
     pivot {(i,j): S_ij, (i,0): s_i, (0,0): n} that both the covariance
     query and the PCA power iteration consume."""
-    ds = rio.read_table(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
+    ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
 
     def partials(b: pa.Table) -> pa.Table:
         if len(b) == 0:
@@ -7545,7 +7515,7 @@ def _emb_moment_pivot(sf_dir: str) -> dict[tuple[int, int], int]:
         )
 
     base = combine_partials(
-        ds.map_batches(partials, batch_format="pyarrow"), ["i", "j"], {"v_p": "v"}
+        rio.map_blocks(ds, partials), ["i", "j"], {"v_p": "v"}
     )
     return {
         (int(i), int(j)): int(v) for i, j, v in zip(base["i"], base["j"], base["v"])
@@ -7666,7 +7636,7 @@ def q_user_entropy(sf_dir: str) -> pd.DataFrame:
     only, math.log = the oracle's ln). The integer numerator
     T*q(T) - sum c*q(c) is order-free; the single IEEE division by T
     is the only float."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -7744,7 +7714,7 @@ def q_doc_redaction(sf_dir: str) -> pd.DataFrame:
     is a streaming filter + map_batches; at production scale it
     terminates in write_parquet, the driver collect is the
     oracle-compare convention."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     sampled = deterministic_sample(docs, RED_RATE[0], RED_RATE[1], "doc_id", hash_fn="md5")
 
     def stage(b: pa.Table) -> pa.Table:
@@ -7763,7 +7733,7 @@ def q_doc_redaction(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = sampled.map_batches(stage, batch_format="pyarrow").to_pandas()
+    df = rio.map_blocks(sampled, stage).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -7891,8 +7861,8 @@ def _road_segment_layer(sf_dir: str):
         )
 
     seg = hash_join(
-        pos.map_batches(as_left, batch_format="pyarrow"),
-        pos.map_batches(as_right, batch_format="pyarrow"),
+        rio.materialize_blocks(pos, as_left),
+        rio.materialize_blocks(pos, as_right),
         on="join_k",
     ).to_pandas()
     return pos, seg
@@ -8507,7 +8477,7 @@ def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     pyarrow.compute.extract_regex pass (first-match semantics ==
     DuckDB regexp_extract(text, pat, 1)); per-batch partial counts
     per extracted word combine on the bounded vocabulary."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["text"])
     # pyarrow needs a NAMED group; DuckDB's numbered group 1 is the same
     pat = COLLOC_PAT.replace("(", "(?P<w>", 1)
 
@@ -8600,7 +8570,7 @@ def q_way_chain_lengths(sf_dir: str) -> pd.DataFrame:
         s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
         return s.select(["osm_id"])
 
-    ds = _docs(sf_dir).map_batches(ids, batch_format="pyarrow")
+    ds = rio.materialize_blocks(_docs(sf_dir), ids)
     return island_length_histogram(ds, "osm_id")
 
 
@@ -8697,7 +8667,7 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     ONCE by A*B — so the only float is that final IEEE division.
     Partials: per-batch (source, bin) counts -> combine bounded by
     |sources x bins|; the driver walks source pairs."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
 
     def stage(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -8921,7 +8891,7 @@ def q_funnel3_users(sf_dir: str) -> pd.DataFrame:
     Complete-user bucket shuffle; each bucket resolves its users'
     stage times with three vectorized groupby-min passes and emits
     THREE partial counters; the driver combine is 3 integers."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
     )
 
@@ -8974,7 +8944,7 @@ def q_ab_test_value(sf_dir: str) -> pd.DataFrame:
     IEEE ops (two divisions for the means, one subtract, two
     double-products for the denominators, two divisions, add, sqrt,
     divide) mirrored literally in SQL."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
 
@@ -9004,7 +8974,7 @@ def q_ab_test_value(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ev, partials),
         ["etype", "grp"],
         {"n": "n", "s1": "s1", "s2": "s2"},
     )
@@ -9053,7 +9023,7 @@ def _etype_cohort_value_hist(sf_dir: str) -> pd.DataFrame:
     combine bounded by |etypes x 2 x distinct cents values| (the
     value_quantiles_by_type histogram contract), never the event
     corpus."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
 
@@ -9079,7 +9049,7 @@ def _etype_cohort_value_hist(sf_dir: str) -> pd.DataFrame:
         )
 
     return combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ev, partials),
         ["etype", "grp", "v"],
         {"n_p": "n"},
     )
@@ -9347,7 +9317,7 @@ def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
         )
 
     pairs = radius_self_join(
-        _docs(sf_dir).map_batches(points, batch_format="pyarrow"),
+        rio.materialize_blocks(_docs(sf_dir), points),
         KNOX_R_E7,
         carry=("osm", "ts_us"),
     )
@@ -9369,7 +9339,7 @@ def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        pairs.map_batches(agg, batch_format="pyarrow"),
+        rio.map_blocks(pairs, agg),
         [],
         {"n_space_p": "n_space_pairs", "n_st_p": "n_spacetime_pairs"},
     )
@@ -9400,7 +9370,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     # MATERIALIZE: the point set feeds both the pair join and the
     # count — a lazy upstream would re-run the decode+interpolate
     # chain once per consumer (the way_lengths multi-consumer hazard)
-    pts = _docs(sf_dir).map_batches(stage, batch_format="pyarrow").materialize()
+    pts = rio.materialize_blocks(_docs(sf_dir), stage).materialize()
     pairs = radius_self_join(pts, max(RIPLEY_RADII))
 
     def bucketize(b: pa.Table) -> pa.Table:
@@ -9415,7 +9385,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
         )
 
     cnt = combine_partials(
-        pairs.map_batches(bucketize, batch_format="pyarrow"),
+        rio.map_blocks(pairs, bucketize),
         [],
         {f"r{k}_p": f"r{k}" for k in range(len(RIPLEY_RADII))},
     )
@@ -9455,7 +9425,7 @@ def q_token_zipf_slope(sf_dir: str) -> pd.DataFrame:
     numbers are single IEEE divisions. The count side is the
     distributed wordcount (vocabulary-cardinality groupby + candidate
     top-k); the regression walks K rows at the driver."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["text"])
     df = topk(_word_counts(ds), key="n_p", k=ZIPF_K, tiebreak="word", descending=True)
     freqs = df["n_p"].to_numpy(dtype=np.int64)
     n = len(freqs)
@@ -9498,7 +9468,7 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     doc_id (vocabulary-cardinality groupby min), first-appearance
     positions bin into the bounded checkpoint grid, and the driver
     cumsums |bins| rows."""
-    ds = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
         words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
@@ -9660,7 +9630,7 @@ def q_cohort_odds_ratio(sf_dir: str) -> pd.DataFrame:
     per batch, finalize through the complete-user bucket shuffle, and
     the four exact cell counts yield OR = (a*d)/(b*c) as an integer
     rational with ONE IEEE division."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def flags(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -9725,7 +9695,7 @@ def q_user_burstiness(sf_dir: str) -> pd.DataFrame:
     mu = S/n, sigma = sqrt(n*S2 - S*S)/n, B = (sigma-mu)/(sigma+mu)
     mirrored literally. Users with fewer than 2 gaps, or an all-zero
     gap stream, drop (the SQL WHERE mirror)."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
     )
 
@@ -9888,7 +9858,7 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = _docs(sf_dir).map_batches(stage, batch_format="pyarrow")
+    pts = rio.materialize_blocks(_docs(sf_dir), stage)
     pairs = radius_self_join(pts, max(VARIO_BINS), carry=("val",))
 
     def per_ring(b: pa.Table) -> pa.Table:
@@ -9914,7 +9884,7 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
         )
 
     df = combine_partials(
-        pairs.map_batches(per_ring, batch_format="pyarrow"), ["ring"],
+        rio.map_blocks(pairs, per_ring), ["ring"],
         {"n_p": "n_pairs", "s_p": "sum_dz2"},
     ).sort_values("ring")
     n = df["n_pairs"].to_numpy(dtype=np.int64)
@@ -10008,7 +9978,7 @@ def q_event_debounce(sf_dir: str) -> pd.DataFrame:
     per-bucket lag compare on (ts, event_id)-ordered runs, per-bucket
     kept/dropped partials; the driver combines |etypes| rows."""
     gap_us = DEBOUNCE_GAP_US
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
 
@@ -10065,7 +10035,7 @@ def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
     sum is order-free; chi2 and V are fixed IEEE tails over the exact
     integer."""
     scale = CHI2_SCALE
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -10084,7 +10054,7 @@ def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["etype", "grp"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["etype", "grp"], {"n_p": "n"}
     )
     o = {(e, int(g)): int(n) for e, g, n in zip(base["etype"], base["grp"], base["n"])}
     ets = sorted({e for e, _ in o})
@@ -10132,7 +10102,7 @@ def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
     sum_ij n_ij * (q(n_ij) + q(N) - q(r_i) - q(c_j)) with q = the
     etype_day_entropy milli-nat quantization; the only float is the
     final single IEEE division by N."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         day = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
@@ -10152,7 +10122,7 @@ def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["etype", "dow"], {"n_p": "n"}
+        rio.map_blocks(ev, partials), ["etype", "dow"], {"n_p": "n"}
     )
     o = {(e, int(d)): int(n) for e, d, n in zip(base["etype"], base["dow"], base["n"])}
     ets = sorted({e for e, _ in o})
@@ -10187,7 +10157,7 @@ def q_rolling_median_value(sf_dir: str) -> pd.DataFrame:
     bounded histogram, never the event rows); the complete-(etype,
     window) groups resolve the LOWER MEDIAN rank (T+1)//2 by cumsum
     walk, and the driver combines |etypes x windows| rows."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
     def hist(b: pa.Table) -> pa.Table:
         b = cents(b, "value", "c")
@@ -10242,7 +10212,7 @@ def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
     the distributed candidate top-k (k rows per batch move, never the
     corpus). Scores are EXACT integers floor(SCALE/(K + rank)) so the
     fused order is bit-stable; absent-in-one-list docs keep rank -1."""
-    docs = rio.read_table(
+    docs = rio.read_resident(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
     )
 
@@ -10257,7 +10227,7 @@ def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
 
     a = topk(docs, "n_chars", RRF_POOL, "doc_id")
     b = topk(
-        docs.map_batches(with_tokens, batch_format="pyarrow"),
+        rio.materialize_blocks(docs, with_tokens),
         "ws_tokens", RRF_POOL, "doc_id",
     )
     ra = {int(d): i + 1 for i, d in enumerate(a["doc_id"])}
@@ -10294,13 +10264,11 @@ def q_part_hits_authority(sf_dir: str) -> pd.DataFrame:
     renormalization by floor division — so the scores are
     bit-identical at any parallelism and the oracle is the identical
     rounds unrolled as MATERIALIZED join-aggregate CTEs."""
-    li = rio.read_table(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    ).map_batches(
+    li = rio.materialize_blocks(
+        rio.read_resident(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]),
         lambda b: b.rename_columns(["o_orderkey", "l_partkey"]),
-        batch_format="pyarrow",
     )
-    od = rio.read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
+    od = rio.read_resident(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     # raw join output: hits_bipartite dedupes (cust, part) in its
     # routing pass (every copy hashes to the same src bucket)
     edges = hash_join(li, od, on="o_orderkey")
@@ -10366,7 +10334,7 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     map with the |terms|-sized df LUT in the task closure, per-doc
     totals complete per doc bucket (doc cardinality), and only the
     top-k candidates reach the driver."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = docs.count()
     terms = sorted(BM25_TERMS)
 
@@ -10410,11 +10378,9 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(pd.concat([out, sent]), preserve_index=False)
 
-    m = docs.map_batches(stage, batch_format="pyarrow").materialize()
+    m = rio.materialize_blocks(docs, stage)
     stats = combine_partials(
-        m.map_batches(
-            lambda b: b.filter(pc.less(b["doc_id"], 0)), batch_format="pyarrow"
-        ),
+        rio.map_blocks(m, lambda b: b.filter(pc.less(b["doc_id"], 0))),
         ["doc_id", "word"],
         {"tf": "tf", "dl": "dl"},
     )
@@ -10582,7 +10548,7 @@ def q_frequent_part_triples(sf_dir: str) -> pd.DataFrame:
     triples PACK into one int64 (21 bits per part, loud guard) so the
     support count is a second shuffle by that key; only
     the frequent triples reach the driver."""
-    li = rio.read_table(
+    li = rio.read_resident(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
 
@@ -10639,7 +10605,7 @@ def q_cms_etype_counts(sf_dir: str) -> pd.DataFrame:
     (d*w bounded combine), reporting exact vs estimated side by side —
     the overestimate IS the sketch's documented behavior, value-pinned
     here instead of rows-only like the HLL family."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type"])
 
     def bucket_of(j: int, etype: str) -> int:
         h = hashlib.md5(f"{j}:{etype}".encode()).hexdigest()[:8]
@@ -10659,7 +10625,7 @@ def q_cms_etype_counts(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ev, partials),
         ["etype", "j", "b"],
         {"n": "n"},
     )
@@ -10773,20 +10739,20 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     int), and the |sources|^2-bounded mask histogram reaches the
     driver; every pair's intersection/union then reads off the mask
     counts — no pairwise join anywhere."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["text", "source"])
     # source enum (bounded): distinct via per-batch unique partials
     # over a SOURCE-ONLY read (don't ship the text column twice)
-    docs_src = rio.read_table(f"{sf_dir}/documents.parquet", columns=["source"])
+    docs_src = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source"])
     order = sorted(
         combine_partials(
-            docs_src.map_batches(
+            rio.map_blocks(
+                docs_src,
                 lambda b: pa.table(
                     {"source": np.unique(b["source"].to_numpy(zero_copy_only=False)),
                      "one": np.ones(
                          len(np.unique(b["source"].to_numpy(zero_copy_only=False))),
                          dtype=np.int64)}
                 ),
-                batch_format="pyarrow",
             ),
             ["source"],
             {"one": "n"},
@@ -10854,7 +10820,7 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     order-dependent). Per-batch (user, day) partials -> one
     user-cardinality ``io.reduce_by_key``; the report is the top-25
     scores."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def partials(b: pa.Table) -> pa.Table:
         day = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
@@ -10881,7 +10847,7 @@ def q_hapax_rate_by_source(sf_dir: str) -> pd.DataFrame:
     and per-source occurrences together (hapax iff corpus count == 1,
     which also pins its source) -> |sources|-bounded partials. The
     rate is one IEEE division of exact ints."""
-    docs = rio.read_table(f"{sf_dir}/documents.parquet", columns=["text", "source"])
+    docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["text", "source"])
 
     def counts(b: pa.Table) -> pa.Table:
         words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
@@ -10987,7 +10953,7 @@ def q_prop_ztest_click(sf_dir: str) -> pd.DataFrame:
     ab_test_value. Counts are exact-int partials (combine_partials);
     the pooled z is a FIXED IEEE expression tree over the four ints,
     mirrored operation for operation in SQL."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def partials(b: pa.Table) -> pa.Table:
         grp = (b["user_id"].to_numpy(zero_copy_only=False) % 2).astype(np.int64)
@@ -10999,7 +10965,7 @@ def q_prop_ztest_click(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["grp"], {"n": "n", "x": "x"}
+        rio.map_blocks(ev, partials), ["grp"], {"n": "n", "x": "x"}
     ).set_index("grp")
     n1, x1 = int(base.loc[0, "n"]), int(base.loc[0, "x"])
     n2, x2 = int(base.loc[1, "n"]), int(base.loc[1, "x"])
@@ -11053,7 +11019,7 @@ def q_partitioned_day_scan(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     out = combine_partials(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        rio.map_blocks(ds, partials),
         ["day", "etype"],
         {"n": "n", "v": "sum_value_c"},
     ).astype({"day": "int64", "n": "int64", "sum_value_c": "int64"})
@@ -11259,7 +11225,7 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     # 4-rows-per-block max-witness partials; driver max combine (the
     # combine_partials pattern, max instead of sum)
     bb = (
-        pos.map_batches(bbox, batch_format="pyarrow")
+        rio.materialize_blocks(pos, bbox)
         .to_pandas()
         .groupby("k", as_index=False)["v"]
         .max()
@@ -11295,7 +11261,7 @@ def q_linreg_value_day_parity(sf_dir: str) -> pd.DataFrame:
     RULE in Python bigints (dets exceed int64 — HUGEINT in the
     mirror), and each coefficient is ONE IEEE division of two
     correctly-rounded exact ints. Deterministic at any parallelism."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id", "value"]
     )
 
@@ -11319,7 +11285,7 @@ def q_linreg_value_day_parity(sf_dir: str) -> pd.DataFrame:
     # int64 groupby sum in combine_partials would wrap silently once
     # blocks x per-batch-bound crosses 2^63 (the oracle is HUGEINT)
     raw = (
-        ev.map_batches(partials, batch_format="pyarrow")
+        rio.materialize_blocks(ev, partials)
         .to_pandas()
         .groupby("k")["v"]
         .apply(lambda s: sum(int(x) for x in s))
@@ -11375,7 +11341,7 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
     production filter; this query pins the md5 twin the oracle can
     spell.)"""
     m, k = BLOOM_FPR_M, BLOOM_FPR_K
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id"])
 
     def positions(uids: np.ndarray) -> np.ndarray:
         out = np.empty((len(uids), k), dtype=np.int64)
@@ -11394,7 +11360,7 @@ def q_bloom_fpr_users(sf_dir: str) -> pd.DataFrame:
         return pa.table({"pos": np.arange(m, dtype=np.int64), "bit": bits})
 
     bloom = combine_partials(
-        ev.map_batches(build, batch_format="pyarrow"), ["pos"], {"bit": "n"}
+        rio.map_blocks(ev, build), ["pos"], {"bit": "n"}
     )
     bits = (bloom.sort_values("pos")["n"].to_numpy() > 0).astype(np.int64)
 
@@ -11451,7 +11417,7 @@ def q_conversion_latency_median(sf_dir: str) -> pd.DataFrame:
     False = the strict < contract, no event-id order ambiguity);
     per-day medians resolve in a second shuffle by day; purchases with no
     prior click are dropped on both engines."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
 
@@ -11510,7 +11476,7 @@ def q_user_value_holt(sf_dir: str) -> pd.DataFrame:
     non-associative recurrences with truncating halving (pinned to
     DuckDB's // semantics on the signed trend), scan vectorized across
     keys per step, one row per user."""
-    ev = rio.read_table(
+    ev = rio.read_resident(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
     )
 
@@ -11527,7 +11493,7 @@ def q_user_value_holt(sf_dir: str) -> pd.DataFrame:
 
     out = (
         grouped_recurrence_holt_int(
-            ev.map_batches(prep, batch_format="pyarrow"),
+            rio.materialize_blocks(ev, prep),
             key_col="user_id",
             order_cols=["ts_us", "event_id"],
             value_col="val",
@@ -11550,7 +11516,7 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     only float is the final single IEEE division by S. Requires
     positive values (loud guard — ln of a non-positive cent is
     undefined)."""
-    ev = rio.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
         v = round_half_away(
@@ -11569,7 +11535,7 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        ev.map_batches(partials, batch_format="pyarrow"), ["etype", "c"], {"m_p": "m"}
+        rio.map_blocks(ev, partials), ["etype", "c"], {"m_p": "m"}
     )
     rows = []
     for et, g in base.groupby("etype"):

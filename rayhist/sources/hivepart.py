@@ -1,14 +1,13 @@
-"""Hive-partitioned parquet sink + partition-pruned reader.
+"""Hive-partitioned parquet sink + day-filtered resident reader.
 
 The resumable-output story made concrete: ``ensure_partitioned_events``
 writes the event log as ``day=N/`` hive directories (one partition per
 day — the unit a failed 100-TB run skips on retry, and the unit a
-time-ranged query prunes at the READ, never scanning the other 96% of
-the corpus). ``read_partition_days`` then reads ONLY the requested
-day directories — pruning by directory selection, not by post-read
-filter. The ``day`` key is ALSO carried as a regular column inside the
-files, so a pruned read returns complete rows without re-deriving the
-partition value from the path.
+time-ranged query prunes). ``read_partition_days`` then keeps ONLY the
+requested days, a filter that each block task over the resident table
+applies first. The ``day`` key is ALSO carried as a regular column
+inside the files, so the filter reads the rows themselves, without
+re-deriving the partition value from the path.
 
 Cached by ``io.ensure``: the key covers the source file identity, the
 day grid (``t0``, ``day_us``) and code_fingerprint(this module and
@@ -26,6 +25,7 @@ import sys
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .. import io as rio
@@ -50,8 +50,6 @@ def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
     def derive(b: pa.Table) -> pa.Table:
         b2 = relational.cents(b, "value", "value_c")  # pinned half-away rounding
         ts = b2["ts"].cast(pa.int64())
-        import pyarrow.compute as pc
-
         day = pc.divide(pc.subtract(ts, t0), day_us)
         return pa.table(
             {
@@ -77,21 +75,19 @@ def ensure_partitioned_events(sf_dir: str, t0: int, day_us: int) -> str:
 
 
 def read_partition_days(root: str, days: list[int]) -> ray.data.Dataset:
-    """Partition-pruned read: ONLY the ``day=N`` directories named in
-    ``days`` are opened (missing partitions raise loudly — a silent
-    skip would undercount). The hive key column is re-selected from
-    the in-file copy, so rows come back complete."""
-    dirs = []
-    for d in sorted(set(int(x) for x in days)):
+    """The rows of the ``day_k=N`` partitions named in ``days``
+    (missing partitions raise loudly — a silent skip would
+    undercount): the resident table (``io.read_resident``) with a
+    filter on the in-file ``day`` copy, which every block task applies
+    first (a table over the resident budget hands it to the parquet
+    read instead)."""
+    wanted = sorted(set(int(x) for x in days))
+    for d in wanted:
         p = Path(root) / f"day_k={d}"
         if not p.is_dir():
             raise FileNotFoundError(
                 f"read_partition_days: partition day_k={d} missing under {root}"
             )
-        dirs.append(str(p))
-    files = [str(f) for d in dirs for f in sorted(Path(d).rglob("*.parquet"))]
-    if not files:
-        raise FileNotFoundError(f"read_partition_days: no parquet under {dirs}")
-    # rio.read_table owns the read-task sizing (auto_num_blocks takes
-    # file lists) — never a bare ray.data.read_parquet (CLAUDE.md)
-    return rio.read_table(files)
+        if not any(p.rglob("*.parquet")):
+            raise FileNotFoundError(f"read_partition_days: no parquet under {p}")
+    return rio.read_resident(root, filter=pc.field("day").isin(wanted))

@@ -967,8 +967,10 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
         df = pd.DataFrame({"wid": ids // WAY_BLOCK, "ts": ts, "nid": ids})
         g = df.groupby("wid").agg(ts1=("ts", "min"), ts2=("ts", "max"))
         mem = df.drop_duplicates(["wid", "nid"]).groupby("wid")["nid"].agg(["min", "max", "count"])
-        g = g.join(mem.rename(columns={"min": "m0", "max": "m1", "count": "nm"}))
-        return pa.Table.from_pandas(g.reset_index())
+        g = g.join(mem.rename(columns={"min": "m0", "max": "m1", "count": "nm"})).reset_index()
+        # from arrays: pandas schema metadata is a dict, which Ray
+        # cannot hash when it deduplicates block schemas
+        return pa.table({c: g[c].to_numpy() for c in g.columns})
 
     def build(df: pd.DataFrame) -> pd.DataFrame:
         # combine shard partials (a way's members can straddle shards)
@@ -1026,7 +1028,7 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
         df = pd.DataFrame({"wid": ids // WAY_BLOCK, "ts": ts})
         g = df.groupby("wid").agg(ts1=("ts", "min")).reset_index()
         g["rid"] = g["wid"] // 2  # the bucket key: a relation's ways co-locate
-        return pa.Table.from_pandas(g)
+        return pa.table({c: g[c].to_numpy() for c in g.columns})  # as for the ways
 
     def build(df: pd.DataFrame) -> pd.DataFrame:
         w = df.groupby("wid", as_index=False).agg(

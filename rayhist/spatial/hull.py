@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import io as rio
 from .predicates import orient_sign
 
 
@@ -96,7 +97,7 @@ def grouped_convex_hull(
         out = pd.concat(parts, ignore_index=True) if parts else df.iloc[:0]
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    cand = points.map_batches(local, batch_format="pyarrow").to_pandas()
+    cand = rio.map_blocks(points, local).to_pandas()
     rows = []
     for g, grp in cand.groupby("g", sort=False):
         idx = hull_vertices(

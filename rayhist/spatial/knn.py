@@ -28,6 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from .. import io as rio
@@ -478,6 +479,17 @@ def ann_cosine_ivf(
     return _resolve_topk_distributed(embeddings, k, "cos_sim", False, stage=stage)
 
 
+def _probed_scan(layout: str, qbuckets: np.ndarray, id_col: str, vec_col: str):
+    """(the rows of the buckets some query probes, their count): the
+    resident layout filtered inside each block task, and the row count
+    of the probed ``pb=`` partitions from their parquet footers."""
+    probed = sorted(int(b) for b in set(qbuckets.ravel()))
+    files = [f for b in probed for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))]
+    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    flt = pc.field("bucket").isin(probed)
+    return rio.read_resident(layout, columns=[id_col, vec_col, "bucket"], filter=flt), rows
+
+
 # ------------------------------------------------- IVF layout pruning
 def _ensure_layout(parquet_path: str, name: str, id_col: str, vec_col: str, build, buckets):
     """Materialize (once) the bucket-partitioned LAYOUT of an embedding
@@ -538,8 +550,8 @@ def ann_cosine_ivf_pruned(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
 ) -> pd.DataFrame:
-    """IVF ANN over the bucket-partitioned layout: reads ONLY the
-    partitions probed by some query (scan pruning), then scores each
+    """IVF ANN over the bucket-partitioned layout: scans ONLY the
+    buckets probed by some query (``_probed_scan``), then scores each
     query against its own probed buckets. nprobe == nlist is provably
     exact (reads everything); smaller nprobe trades recall for I/O.
 
@@ -565,15 +577,7 @@ def ann_cosine_ivf_pruned(
     qmat = _unit_rows(qmat)
     qbuckets = np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe]
 
-    probe_union = sorted(int(b) for b in set(qbuckets.ravel()))
-    # read_parquet expands a single directory but not a list of them —
-    # enumerate the partition files of every probed bucket explicitly
-    paths = [
-        str(f)
-        for b in probe_union
-        for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))
-    ]
-    scan = rio.read_table(paths, columns=[id_col, vec_col, "bucket"])
+    scan, rows_scanned = _probed_scan(layout, qbuckets, id_col, vec_col)
 
     # query x bucket membership LUT: probed[i, b] == query i probes b
     probed = np.zeros((len(qids), nlist), dtype=bool)
@@ -590,7 +594,6 @@ def ann_cosine_ivf_pruned(
         sims[~probed[:, bucket]] = -np.inf  # outside this query's probe set
         return _emit_cos_topk(sims, qids, ids, k)
 
-    rows_scanned = scan.count()
     out = _resolve_topk_distributed(scan, k, "cos_sim", False, stage=stage)
     out.attrs["rows_scanned"] = int(rows_scanned)
     return out
@@ -642,7 +645,7 @@ def ann_cosine_lsh_pruned(
     the ``nprobe`` buckets nearest to its own signature in Hamming
     distance (ties broken by bucket id — deterministic). nprobe ==
     2**n_bits probes every bucket and is provably exact; smaller
-    nprobe trades recall for I/O, and only probed partitions are read
+    nprobe trades recall for I/O, and only probed buckets are scanned
     (``result.attrs['rows_scanned']`` lets tests assert the pruning)."""
     import pyarrow.dataset as pds
 
@@ -670,13 +673,7 @@ def ann_cosine_lsh_pruned(
     probe_order = np.lexsort((all_b[None, :].repeat(len(qids), 0), ham), axis=1)
     qbuckets = probe_order[:, :nprobe]
 
-    probe_union = sorted(int(b) for b in set(qbuckets.ravel()))
-    paths = [
-        str(f)
-        for b in probe_union
-        for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))
-    ]
-    scan = rio.read_table(paths, columns=[id_col, vec_col, "bucket"])
+    scan, rows_scanned = _probed_scan(layout, qbuckets, id_col, vec_col)
 
     probed = np.zeros((len(qids), n_buckets), dtype=bool)
     probed[np.arange(len(qids))[:, None], qbuckets] = True
@@ -692,7 +689,6 @@ def ann_cosine_lsh_pruned(
         sims[~probed[:, bucket]] = -np.inf
         return _emit_cos_topk(sims, qids, ids, k)
 
-    rows_scanned = scan.count()
     out = _resolve_topk_distributed(scan, k, "cos_sim", False, stage=stage)
     out.attrs["rows_scanned"] = int(rows_scanned)
     return out

@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .. import io as rio
+
 RASTER_HASH = 2654435761  # Knuth multiplicative constant
 RASTER_MOD = 251
 
@@ -64,4 +66,4 @@ def join_raster_broadcast(ds: ray.data.Dataset, zoom: int, band: int = 0) -> ray
         cell = batch["cell"].to_numpy(zero_copy_only=False)
         return batch.append_column("raster_value", pa.array(raster_value_for(cell, band)))
 
-    return ds.map_batches(stage, batch_format="pyarrow")
+    return rio.materialize_blocks(ds, stage)

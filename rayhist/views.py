@@ -14,10 +14,10 @@ the shuffle comes afterwards, in the groupby(cell, timestamp)
 aggregation (see rayhist.aggregate).
 
 Each view is a stage builder (``*_stage``: arguments -> a callable
-from pyarrow table to pyarrow table). Partials combined on the driver run the stage through
-``io.map_blocks`` (one task per resident block); the Dataset wrappers
-(``snapshot_view``, ``snapshot_counts``) map it
-for callers that go on to a distributed groupby.
+from pyarrow table to pyarrow table), run by ``io.map_blocks`` (one
+task per resident block) for partials combined on the driver, or by
+``io.materialize_blocks``/``io.reduce_by_key`` for an output that stays
+distributed.
 
 Each stage is a frozen instance of a module-level callable class, so
 it pickles by reference to its class plus its fields (tens of
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .aggregate import floor_bin
 from .functions.deadline import Deadline
@@ -85,11 +84,6 @@ class SnapshotStage:
         return snapshots(
             decoded, self.ts, _match_mask(decoded, self.tag_filter), codes=doc_codes(batch)
         )
-
-
-def snapshot_view(docs: ray.data.Dataset, *args, **kwargs) -> ray.data.Dataset:
-    """Dataset of entity snapshots (``snapshot_stage`` over ``docs``)."""
-    return docs.map_batches(snapshot_stage(*args, **kwargs), batch_format="pyarrow")
 
 
 def contribution_stage(
@@ -210,13 +204,6 @@ class SnapshotCountsStage:
         return g.rename_columns([*keys, "n_part"])
 
 
-def snapshot_counts(docs: ray.data.Dataset, *args, **kwargs):
-    """(Dataset of partials, key list): ``snapshot_counts_stage`` over
-    ``docs``, for a distributed final."""
-    stage, keys = snapshot_counts_stage(*args, **kwargs)
-    return docs.map_batches(stage, batch_format="pyarrow"), keys
-
-
 def contribution_stats_stage(
     t_from: int,
     t_to: int,
@@ -233,7 +220,7 @@ def contribution_stats_stage(
     and thereby how much of the span decode runs: a query that only
     counts contributions/creations never pays for the tag-signature
     join or the geometry regex. ``keytable`` switches the tag work
-    (filter + TAG_CHANGE compare) to int sig ids — see snapshot_counts.
+    (filter + TAG_CHANGE compare) to int sig ids — see snapshot_counts_stage.
 
     Returns (stage, key list); finish with ``combine_partials`` over
     ``io.map_blocks(docs, stage)``.

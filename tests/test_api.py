@@ -698,10 +698,11 @@ def test_convex_hull_matches_direct_kernel():
     snapshot_hull_by_type and property-tested in test_spatial)."""
     from rayhist.ingest import read_documents
     from rayhist.spatial.hull import grouped_convex_hull
-    from rayhist.views import snapshot_view
+    from rayhist import io as rio
+    from rayhist.views import snapshot_stage
 
     got = OSMEntitySnapshotView.on(SF).timestamps([T_MID]).convexHull()
-    snaps = snapshot_view(read_documents(SF), [T_MID])
+    snaps = rio.materialize_blocks(read_documents(SF), snapshot_stage([T_MID]))
     want = grouped_convex_hull(snaps, "ts_q", "osm_id", "lon_e7", "lat_e7")
     pd.testing.assert_frame_equal(got, want)
     assert len(got) >= 3

@@ -198,7 +198,8 @@ def test_parallelism_invariance():
     from rayhist.fixtures import scenario_corpus, versions_to_documents
     from rayhist.model import decode_spans
     from rayhist.temporal import snapshots
-    from rayhist.views import snapshot_counts
+    from rayhist import io as rio
+    from rayhist.views import snapshot_counts_stage
     import ray.data
 
     docs_tbl = versions_to_documents(scenario_corpus())
@@ -206,8 +207,8 @@ def test_parallelism_invariance():
     results = []
     for nblocks in (1, 3, 9):
         ds = ray.data.from_arrow(docs_tbl).repartition(nblocks)
-        partials, keys = snapshot_counts(ds, T)
-        df = partials.to_pandas().groupby("ts_q", as_index=False)["n_part"].sum()
+        stage, _keys = snapshot_counts_stage(T)
+        df = rio.map_blocks(ds, stage).to_pandas().groupby("ts_q", as_index=False)["n_part"].sum()
         results.append(df.sort_values("ts_q").reset_index(drop=True))
     assert results[0].equals(results[1])
     assert results[0].equals(results[2])
@@ -226,7 +227,8 @@ def test_sharded_snapshot_job_resume(tmp_path):
     from rayhist.pipelines import SNAP_WEEKLY
     from rayhist.state.checkpoint import run_sharded
     from rayhist.temporal import snapshots
-    from rayhist.views import snapshot_counts
+    from rayhist import io as rio
+    from rayhist.views import snapshot_counts_stage
 
     path = ensure_documents("/root/testdata/sf0.001")
     frags = sorted(str(p) for p in Path(path).glob("*.parquet"))
@@ -258,8 +260,8 @@ def test_sharded_snapshot_job_resume(tmp_path):
         pa.concat_tables(parts).to_pandas().groupby("ts_q", as_index=False)["n_part"].sum()
     )
     docs = ray.data.read_parquet(frags[:6])
-    partials, keys = snapshot_counts(docs, SNAP_WEEKLY)
-    single = partials.to_pandas().groupby("ts_q", as_index=False)["n_part"].sum()
+    stage, _keys = snapshot_counts_stage(SNAP_WEEKLY)
+    single = rio.map_blocks(docs, stage).to_pandas().groupby("ts_q", as_index=False)["n_part"].sum()
     assert combined.sort_values("ts_q").reset_index(drop=True).equals(
         single.sort_values("ts_q").reset_index(drop=True)
     )

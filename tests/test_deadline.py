@@ -12,18 +12,19 @@ def test_deadline_trips_running_view():
     import ray.exceptions
 
     from rayhist.functions.deadline import Deadline, RayhistTimeoutError
+    from rayhist import io as rio
     from rayhist.ingest import read_documents
-    from rayhist.views import snapshot_view
+    from rayhist.views import snapshot_stage
 
     docs = read_documents("/root/testdata/sf0.001")
     T = [int(np.datetime64("2024-01-15", "us").astype(np.int64))]
 
-    ok = snapshot_view(docs, T, deadline=Deadline(3600.0)).to_pandas()
+    ok = rio.map_blocks(docs, snapshot_stage(T, deadline=Deadline(3600.0))).to_pandas()
     assert len(ok) > 0
 
     dead = Deadline(-1.0)  # already expired
     with pytest.raises((RayhistTimeoutError, ray.exceptions.RayTaskError)) as ei:
-        snapshot_view(docs, T, deadline=dead).materialize()
+        rio.map_blocks(docs, snapshot_stage(T, deadline=dead))
     assert "deadline exceeded" in str(ei.value)
 
 

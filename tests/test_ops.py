@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayhist import io as rio
 from rayhist.functions.tdigest import TDigest
 from rayhist.ops.dedup import (
     exact_dedup,
@@ -892,7 +893,7 @@ def test_aggregate_null_and_naming_semantics():
     parts = ray.data.from_arrow(
         pa.table({"k": pa.array(["a", None, "a"]), "n_part": [1, 2, 3]})
     )
-    got = combine_partials(parts, ["k"], {"n_part": "n"})
+    got = combine_partials(rio.blocks_table(parts), ["k"], {"n_part": "n"})
     as_map = {(-1 if pd.isna(k) else k): n for k, n in zip(got["k"], got["n"])}
     assert as_map == {"a": 4, -1: 2}  # the null group survives
 
@@ -1024,9 +1025,11 @@ def test_combine_partials_equals_pandas_reference(case):
 
 
 def test_combine_partials_dataset_and_empty_inputs_equal_pandas_reference():
-    """A partials Dataset (Arrow and pandas blocks), a schema-less empty
-    table, a typed empty one and keyless totals: the frames of the
-    pandas reference; a float sum column raises."""
+    """A partials Dataset (Arrow and pandas blocks) read through
+    io.blocks_table, a schema-less empty table, a typed empty one and
+    keyless totals: the frames of the pandas reference; a float sum
+    column raises, and so does a Dataset (combine_partials takes a
+    table)."""
     import ray.data
 
     from rayhist.aggregate import combine_partials
@@ -1046,7 +1049,10 @@ def test_combine_partials_dataset_and_empty_inputs_equal_pandas_reference():
     ]
     for ds, keys in cases:
         want = _pandas_combine_partials(ds, keys, sums)
-        pd.testing.assert_frame_equal(combine_partials(ds, keys, sums), want)
+        t_in = rio.blocks_table(ds) if isinstance(ds, ray.data.Dataset) else ds
+        pd.testing.assert_frame_equal(combine_partials(t_in, keys, sums), want)
+    with pytest.raises(TypeError, match="pa.Table"):
+        combine_partials(cases[0][0], ["k"], sums)
     floats = t.append_column("x_part", pa.array([0.5, 1.0, 1.5, 2.0]))
     for keys in (["k"], []):
         with pytest.raises(TypeError, match="x_part"):

@@ -372,3 +372,23 @@ def test_relation_fixture_cold_cache_rebuild(ray_session, monkeypatch, tmp_path)
     monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path / "cold"))
     cold = q_osmpbf_relation_member_sums(sf)
     pd.testing.assert_frame_equal(warm, cold)
+
+
+@pytest.mark.parametrize("ensure", ["ensure_osmpbf_ways", "ensure_osmpbf_relations"])
+def test_member_partials_carry_no_schema_metadata(ray_session, monkeypatch, tmp_path, ensure):
+    """The per-block (wid, ts) partial of the way and relation fixture
+    builds is built from arrays: pandas schema metadata is a dict,
+    which Ray cannot hash, so every cold build logged "Failed to hash
+    the schemas"."""
+    from rayhist import io as rio
+
+    seen = []
+
+    def spy(docs, key_col, partial, build_rows, out):
+        seen.append(partial(rio.blocks_table(docs)))
+
+    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path))
+    monkeypatch.setattr(m, "_encode_bucketed", spy)
+    getattr(m, ensure)("/root/testdata/sf0.001")
+    (partial,) = seen
+    assert partial.num_rows and partial.schema.metadata is None

@@ -8,6 +8,7 @@ import weakref
 from collections import OrderedDict
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -96,6 +97,34 @@ def test_in_place_rewrite_reloads(fresh, tmp_path):
     assert after.count() == before.count() - 1
     assert _same(after, rio.read_table(table))
     assert _entry(table)["misses"] == 2  # the stale entry was replaced
+
+
+def test_plain_input_rewritten_in_place_reloads(fresh, tmp_path):
+    """A plain input file rewritten in place at the same size, with its
+    mtime restored, keeps its name, size, mtime and inode; its ctime
+    moves, so the next read returns the new rows."""
+    plain = dict(compression="none", use_dictionary=False, write_statistics=False)
+    events = pq.read_table(f"{SF}/events.parquet")
+    changed = events.set_column(
+        events.schema.get_field_index("value"), "value", pc.add(events["value"], 1.0)
+    )
+    path, staged = tmp_path / "events.parquet", tmp_path / "staged.parquet"
+    pq.write_table(events, path, **plain)
+    pq.write_table(changed, staged, **plain)
+    cols = ["event_id", "value"]
+    before = rio.blocks_table(rio.read_resident(path, columns=cols)).sort_by("event_id")
+    assert before.equals(events.select(cols).sort_by("event_id"))
+    st = os.stat(path)
+    assert os.stat(staged).st_size == st.st_size
+    with open(path, "r+b") as fh:
+        fh.write(staged.read_bytes())
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    now = os.stat(path)
+    assert (now.st_size, now.st_mtime_ns, now.st_ino) == (st.st_size, st.st_mtime_ns, st.st_ino)
+    after = rio.blocks_table(rio.read_resident(path, columns=cols)).sort_by("event_id")
+    assert after.equals(changed.select(cols).sort_by("event_id"))
+    assert not after.equals(before)
+    assert _entry(path, cols)["misses"] == 2  # the stale entry was replaced
 
 
 def test_same_size_rewrite_changes_identity(tmp_path):

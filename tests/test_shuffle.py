@@ -2,6 +2,9 @@
 ``ds.map_batches(stage).groupby(keys).map_groups(reduce)`` gives,
 whatever the key types, block count or emptiness of the input."""
 
+import ast
+import inspect
+import textwrap
 from collections import OrderedDict
 from pathlib import Path
 
@@ -85,7 +88,7 @@ def _ray_groupby(ds, keys, reduce, stage=None) -> pd.DataFrame:
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 9])
 @pytest.mark.parametrize("kind", sorted(KEYS))
-def test_reduce_by_key_equals_ray_groupby(kind, n_blocks):
+def test_reduce_by_key_equals_ray_groupby(executions, kind, n_blocks):
     keys = KEYS[kind]
     tables = _tables(seed=len(kind) * 10 + n_blocks, n_blocks=n_blocks)
     ds = _blocks(tables)
@@ -97,10 +100,12 @@ def test_reduce_by_key_equals_ray_groupby(kind, n_blocks):
     want = _ray_groupby(ds, keys, reduce, _stage)
     assert len(want)
     pd.testing.assert_frame_equal(_sorted(df, keys), want)
-    # any other Dataset is materialized through its stage first, with
-    # the same result
+    # any other Dataset is materialized once (one execution), then
+    # takes the same tasks, with the same result
     lazy = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    executions.clear()
     fell = _frame(rio.reduce_by_key(lazy, keys, reduce, _stage))
+    assert len(executions) == 1
     pd.testing.assert_frame_equal(_sorted(fell, keys), want)
 
 
@@ -109,7 +114,8 @@ def test_null_keys_route_alike_in_every_block():
     would widen that column to float) as in one that does not, and a
     null key lands with the other null keys, also from a column of null
     type: the result equals the reduce of the whole table, also when
-    the input is not materialized."""
+    the input is not materialized (it is materialized once, then takes
+    the same tasks)."""
     tables = [
         pa.table({"k": pa.array([5, None, 7]), "s": ["a", None, "b"], "v": [1, 2, 3]}),
         pa.table({"k": pa.array([5, 7, 8]), "s": ["a", "b", None], "v": [4, 5, 6]}),
@@ -300,6 +306,30 @@ def test_no_hand_rolled_bucket_shuffle():
             assert pattern not in src, (path, pattern)
         checked += 1
     assert checked > 40
+
+
+def _body(fn) -> str:
+    """The source of ``fn``'s statements, its docstring left out."""
+    (node,) = ast.parse(textwrap.dedent(inspect.getsource(fn))).body
+    stmts = node.body[1:] if ast.get_docstring(node) else node.body
+    return "\n".join(ast.unparse(st) for st in stmts)
+
+
+def test_query_path_is_resident_block_tasks():
+    """Every query-time read goes through io.read_resident: no
+    read_table in the query surface. The block-task entry points share
+    one lazy-input rule (io._blocks: materialize once, then the same
+    tasks), with no map_batches or iter_batches branch of their own."""
+    root = Path(rio.__file__).parent
+    surface = [root / "pipelines.py", root / "api.py", *sorted((root / "ops").rglob("*.py"))]
+    for path in surface:
+        assert "read_table(" not in path.read_text(), path
+    assert len(surface) >= 20
+    for fn in (rio.map_blocks, rio.materialize_blocks, rio.reduce_by_key, rio.blocks_table):
+        body = _body(fn)
+        assert "map_batches" not in body and "iter_batches" not in body, fn.__name__
+        assert "_blocks(" in body or "_block_refs(" in body, fn.__name__
+    assert "_blocks(" in _body(rio._block_refs)
 
 
 # every cached table whose build packs or encodes through a shuffle

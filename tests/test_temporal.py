@@ -4,6 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from rayhist import io as rio
 from rayhist.fixtures import YEAR_US, make_versions, scenario_corpus, versions_to_documents
 from rayhist.model import decode_spans
 from rayhist.temporal import TagFilter, contributions, snapshots
@@ -418,12 +419,11 @@ def test_dwell_time_invariant_under_unsorted_runs():
 
     docs = _docs("/root/testdata/sf0.001", spans=True)
     clean = combine_partials(
-        docs.map_batches(_dwell_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, _dwell_stage),
         ["etype"], {"dwell_p": "dwell_us"},
     ).sort_values("etype").reset_index(drop=True)
     dirty = combine_partials(
-        docs.map_batches(reverse_version_runs, batch_format="pyarrow")
-        .map_batches(_dwell_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, lambda b: _dwell_stage(reverse_version_runs(b))),
         ["etype"], {"dwell_p": "dwell_us"},
     ).sort_values("etype").reset_index(drop=True)
     assert clean.equals(dirty)
@@ -465,8 +465,7 @@ def test_tag_reverts_brute_force_and_unsorted_invariance():
     docs = _docs("/root/testdata/sf0.001")
     names = {"n_reverts_p": "n_reverts", "n_entities_p": "n_entities"}
     dirty = combine_partials(
-        docs.map_batches(reverse_version_runs, batch_format="pyarrow")
-        .map_batches(_revert_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, lambda b: _revert_stage(reverse_version_runs(b))),
         ["day"], names,
     ).astype("int64").sort_values("day").reset_index(drop=True)
     pd.testing.assert_frame_equal(dirty, want)
@@ -607,9 +606,10 @@ def test_predominant_etype_dwell_invariants():
 
     names = {"n_entities_p": "n_entities", "sum_dwell_p": "sum_dwell_us"}
     dirty = combine_partials(
-        _docs("/root/testdata/sf0.001", spans=True)
-        .map_batches(reverse_version_runs, batch_format="pyarrow")
-        .map_batches(_predominant_stage, batch_format="pyarrow"),
+        rio.map_blocks(
+            _docs("/root/testdata/sf0.001", spans=True),
+            lambda b: _predominant_stage(reverse_version_runs(b)),
+        ),
         ["etype"], names,
     ).astype({"n_entities": "int64", "sum_dwell_us": "int64"}).sort_values(
         "etype"
@@ -628,17 +628,16 @@ def test_twa_daily_invariant_under_unsorted_runs():
 
     docs = _docs("/root/testdata/sf0.001", spans=True)
     clean = combine_partials(
-        docs.map_batches(_twa_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, _twa_stage),
         ["day"], {"vis_p": "visible_us"},
     ).sort_values("day").reset_index(drop=True)
     dirty = combine_partials(
-        docs.map_batches(reverse_version_runs, batch_format="pyarrow")
-        .map_batches(_twa_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, lambda b: _twa_stage(reverse_version_runs(b))),
         ["day"], {"vis_p": "visible_us"},
     ).sort_values("day").reset_index(drop=True)
     assert clean.equals(dirty)
     dwell = combine_partials(
-        docs.map_batches(_dwell_stage, batch_format="pyarrow"),
+        rio.map_blocks(docs, _dwell_stage),
         ["etype"], {"dwell_p": "dwell_us"},
     )
     assert int(clean["visible_us"].sum()) == int(dwell["dwell_us"].sum())
