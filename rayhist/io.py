@@ -11,8 +11,9 @@ the swap is transparent.
 (``OSHDB2Ignite``; ``MapReducerIgniteLocalPeek.java:235-253`` runs each
 query over the grid cells already resident in the cluster's memory):
 every query-time read, of a cached history table or of a plain input,
-materializes the table into the Ray object store once, and every later
-query maps over those blocks in place instead of re-planning and
+materializes the table into the Ray object store once (one copy per
+table, holding the union of the columns its reads ask for), and every
+later query maps over those blocks in place instead of re-planning and
 re-reading the files. Ray Data is the read and write layer
 (``read_table``, ``write_table``); every query step is a block task.
 
@@ -53,7 +54,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from stat import S_ISDIR
 
@@ -275,19 +276,23 @@ RESIDENT_FRACTION = 0.25
 @dataclass
 class _Resident:
     ds: MaterializedDataset | None  # None: over budget, read from disk
+    columns: tuple | None  # the columns held (None: every column)
     nbytes: int
     hits: int = 0
     misses: int = 1
+    # the views of fewer columns, by column list: building one plans a
+    # Dataset (~1 ms)
+    views: dict = field(default_factory=dict)
 
 
-# (session, path, columns, stat identity) -> table, least recently used
-# first; one lock serializes lookups and loads, so racing first reads
-# of a table load it once
+# (session, path, stat identity) -> table, least recently used first;
+# one lock serializes lookups and loads, so racing first reads of a
+# table load it once
 _resident: OrderedDict[tuple, _Resident] = OrderedDict()
 _resident_lock = threading.Lock()
-# filtered reads of resident tables -> (resident table, filter), so
-# map_blocks runs the filter inside its block task
-_filtered: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# views of resident tables (a filter, fewer columns) -> (resident
+# table, view), so a block task applies the view first
+_views: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # resident tables -> their block refs, taken once at admission: a
 # to_arrow_refs() call plans and executes the Dataset again (~1 ms)
 _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -336,26 +341,44 @@ def _stat_identity(path) -> tuple:
     return tuple((f, s.st_size, s.st_mtime_ns, s.st_ctime_ns, s.st_ino) for f, s in stats)
 
 
-def _admit(key: tuple, ds: MaterializedDataset) -> None:
-    """Keep ``ds`` under ``key`` and evict least recently used tables
-    until the resident total fits the budget again. Entries of another
-    Ray session go first (their object refs are dead), then a stale
-    entry for the same path and columns (an older file identity), whose
-    miss count carries over."""
+def _admit(key: tuple, ds: MaterializedDataset, columns: tuple | None) -> _Resident:
+    """Keep ``ds`` (holding ``columns``) under ``key`` and evict least
+    recently used tables until the resident total fits the budget
+    again. Entries of another Ray session go first (their object refs
+    are dead), then the copy it replaces: the same path under an older
+    file identity, or under the same one holding fewer columns, whose
+    hits and misses carry over."""
     for dead in [k for k in _resident if k[0] != key[0]]:
         del _resident[dead]
         _forget_blocks()
-    misses = 1
-    for old in [k for k in _resident if k[1:3] == key[1:3]]:
-        misses += _resident.pop(old).misses
+    hits, misses = 0, 1
+    for old in [k for k in _resident if k[1] == key[1]]:
+        e = _resident.pop(old)
+        hits, misses = hits + e.hits, misses + e.misses
         _forget_blocks()
     nbytes = ds.size_bytes()
     budget = RESIDENT_FRACTION * ray.cluster_resources().get("object_store_memory", 0)
-    _resident[key] = _Resident(ds if nbytes <= budget else None, nbytes, misses=misses)
+    entry = _resident[key] = _Resident(
+        ds if nbytes <= budget else None, columns, nbytes, hits, misses
+    )
     while sum(e.nbytes for e in _resident.values() if e.ds is not None) > budget:
         oldest = next(k for k, e in _resident.items() if e.ds is not None)
         del _resident[oldest]
         _forget_blocks()
+    return entry
+
+
+class _View:
+    """The rows a read asks of a resident table: ``filter`` applied,
+    then ``columns`` selected (None: every column held)."""
+
+    def __init__(self, filter, columns):
+        self.filter, self.columns = filter, columns
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        if self.filter is not None:
+            t = t.filter(self.filter)
+        return t if self.columns is None else t.select(list(self.columns))
 
 
 def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
@@ -364,59 +387,73 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
 
     Every query-time read goes through here: the cached (``ensure_*``)
     tables and the plain inputs (events, documents, embeddings, the
-    TPC-H tables). The first call per (Ray session, path, columns,
-    file identity) materializes ``read_table(path, columns=columns)``
-    — as many blocks as ``auto_num_blocks`` picks read tasks —
-    compacts every block to one chunk per column (one block task each;
-    a parquet read leaves one chunk per shard file, and each fetch of
-    a block rebuilds every chunk) and keeps it with its block refs;
-    later calls return the kept ``MaterializedDataset``, so a query's
-    block tasks run over in-memory blocks with no read planning and no
-    parquet decode, and ``map_blocks``/``reduce_by_key`` take the kept
-    refs instead of a ``to_arrow_refs()`` per query. The file identity
-    is each file's (name, size, mtime_ns, ctime_ns, inode): any write
-    moves the ctime, so a file rewritten in place (even with its mtime
-    restored) reloads on the next call. Resident tables are an LRU
-    over ``Dataset.size_bytes()`` capped at ``RESIDENT_FRACTION`` of
-    the cluster's object store; a table over the cap is a lazy
-    ``read_table(path, columns=, filter=)`` on every call (parquet
-    pruning kept), which the block-task entry points materialize once
-    for that query (``_blocks``).
+    TPC-H tables). One copy of a table is kept per (Ray session, path,
+    file identity), holding the union of the columns its reads asked
+    for. A read of a column the copy lacks materializes
+    ``read_table(path, columns=<that union>)`` (as many blocks as
+    ``auto_num_blocks`` picks read tasks), compacts every block to one
+    chunk per column (one block task each; a parquet read leaves one
+    chunk per shard file, and each fetch of a block rebuilds every
+    chunk) and keeps it with its block refs in place of the narrower
+    copy. Every other read returns the kept ``MaterializedDataset``, so
+    a query's block tasks run over in-memory blocks with no read
+    planning and no parquet decode, and ``map_blocks``/``reduce_by_key``
+    take the kept refs instead of a ``to_arrow_refs()`` per query. The
+    file identity is each file's (name, size, mtime_ns, ctime_ns,
+    inode): any write moves the ctime, so a file rewritten in place
+    (even with its mtime restored) reloads on the next call. Resident
+    tables are an LRU over ``Dataset.size_bytes()`` capped at
+    ``RESIDENT_FRACTION`` of the cluster's object store; a table whose
+    copy is over the cap is a lazy ``read_table(path, columns=,
+    filter=)`` on every later call (parquet pruning kept), which the
+    block-task entry points materialize once for that query
+    (``_blocks``).
 
     ``filter`` is a pyarrow expression over the read columns (same rows
-    in the same order as a parquet ``filter=`` read). On a resident
-    table every block task applies it first (``map_blocks``,
-    ``materialize_blocks``, ``reduce_by_key``, ``blocks_table``); a
-    Dataset operator sees a ``Table.filter`` stage that fuses into its
-    ``map_batches``.
+    in the same order as a parquet ``filter=`` read). A read with a
+    filter, or of fewer columns than the copy holds (or in another
+    order), is a view of the copy: every block task applies the filter,
+    then selects the columns (``map_blocks``, ``materialize_blocks``,
+    ``reduce_by_key``, ``blocks_table``); a Dataset operator sees a
+    ``map_batches`` stage doing the same.
     """
     paths = path if isinstance(path, (list, tuple)) else [path]
     ident = tuple(f for p in paths for f in _stat_identity(p))
     cols = None if columns is None else tuple(columns)
+    flt = {} if filter is None else {"filter": filter}
     with _resident_lock:
         entry = None
         if ray.is_initialized():  # uninitialised: a miss, and the read auto-inits
-            key = (_session(), str(path), cols, ident)
+            key = (_session(), str(path), ident)
             entry = _resident.get(key)
-        if entry is None:
-            ds = read_table(path, columns=columns).materialize()
-            ds = materialize_blocks(ds, pa.Table.combine_chunks)
-            _kept[ds] = ds.to_arrow_refs()
-            weakref.finalize(ds, _forget_blocks)
-            _admit((_session(), str(path), cols, ident), ds)
-        elif entry.ds is None:
+        if entry is not None and entry.ds is None:
             entry.misses += 1
-            flt = {} if filter is None else {"filter": filter}
             return read_table(path, columns=columns, **flt)
-        else:
+        if entry is not None and (
+            entry.columns is None or cols is not None and set(cols) <= set(entry.columns)
+        ):
             entry.hits += 1
             _resident.move_to_end(key)
             ds = entry.ds
-    if filter is not None:
-        base = ds
-        ds = base.map_batches(lambda b: b.filter(filter), batch_format="pyarrow")
-        _filtered[ds] = (base, filter)
-    return ds
+        else:
+            held = cols
+            if entry is not None and cols is not None:
+                held = entry.columns + tuple(c for c in cols if c not in entry.columns)
+            ds = read_table(path, columns=None if held is None else list(held)).materialize()
+            ds = materialize_blocks(ds, pa.Table.combine_chunks)
+            _kept[ds] = ds.to_arrow_refs()
+            weakref.finalize(ds, _forget_blocks)
+            entry = _admit((_session(), str(path), ident), ds, held)
+        if cols == entry.columns:
+            cols = None
+        if filter is None and (cols is None or cols in entry.views):
+            return ds if cols is None else entry.views[cols]
+        view = _View(filter, cols)
+        out = ds.map_batches(view, batch_format="pyarrow")
+        _views[out] = (ds, view)
+        if filter is None:
+            entry.views[cols] = out
+    return out
 
 
 def _arrow(block) -> pa.Table:
@@ -449,10 +486,10 @@ def _local_block(block, generation: int) -> pa.Table:
 
 
 @ray.remote
-def _block_task(stage, block, flt, batch_size: int | None, generation: int) -> pa.Table:
+def _block_task(stage, block, view, batch_size: int | None, generation: int) -> pa.Table:
     block = _local_block(block, generation)
-    if flt is not None:
-        block = block.filter(flt)
+    if view is not None:
+        block = view(block)
     if not block.num_columns:  # a schema-less empty block: see _route_task
         return block
     n = block.num_rows
@@ -465,12 +502,13 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
 
 
-def _blocks(ds: ray.data.Dataset | list) -> tuple[list, pc.Expression | None]:
+def _blocks(ds: ray.data.Dataset | list) -> tuple[list, _View | None]:
     """The block arguments of one task per block of ``ds``, and the
-    filter each task applies first: the one rule of every block-task
-    entry point. A list of table refs (a ``reduce_by_key`` result) is
-    taken as it is; a materialized Dataset (a ``read_resident`` table,
-    filtered or not, or any ``materialize()`` result) gives its blocks;
+    view (filter, columns) each task applies first: the one rule of
+    every block-task entry point. A list of table refs (a
+    ``reduce_by_key`` result) is taken as it is; a materialized Dataset
+    (a ``read_resident`` table or a view of one, or any
+    ``materialize()`` result) gives its blocks;
     any other Dataset (a table over the resident budget, a Dataset
     operator's output) is ``materialize()``d once, one Ray Data
     execution, and gives the blocks of that. A resident table's kept
@@ -480,11 +518,11 @@ def _blocks(ds: ray.data.Dataset | list) -> tuple[list, pc.Expression | None]:
     output is never kept)."""
     if isinstance(ds, list):
         return ds, None
-    base, flt = _filtered.get(ds, (ds, None))
+    base, view = _views.get(ds, (ds, None))
     if not isinstance(base, MaterializedDataset):
-        base, flt = ds.materialize(), None
+        base, view = ds.materialize(), None
     refs = _kept.get(base)
-    return (base.to_arrow_refs() if refs is None else [[r] for r in refs]), flt
+    return (base.to_arrow_refs() if refs is None else [[r] for r in refs]), view
 
 
 def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
@@ -493,9 +531,25 @@ def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
     from its blocks (``_blocks``; ``to_pandas()`` or
     ``iter_batches()`` would start a streaming execution even over a
     materialized Dataset)."""
-    blocks, flt = _blocks(blocks)
+    blocks, view = _blocks(blocks)
     tables = [_arrow(t) for t in ray.get([b[0] if isinstance(b, list) else b for b in blocks])]
-    return _concat(tables if flt is None else [t.filter(flt) for t in tables])
+    return _concat(tables if view is None else [view(t) for t in tables])
+
+
+def _row_count(t: pa.Table) -> pa.Table:
+    return pa.table({"n": [t.num_rows]})
+
+
+def num_rows(ds: ray.data.Dataset) -> int | None:
+    """The row count of ``ds`` where it takes no Ray Data execution: a
+    materialized Dataset's, or an unfiltered view's, from the block
+    metadata of its resident table; a filtered view's from one block
+    task per block; an unfiltered disk read's from parquet metadata.
+    None for any other Dataset: counting it would run it."""
+    base, view = _views.get(ds, (ds, None))
+    if view is None or view.filter is None:
+        return base._meta_count()
+    return int(pc.sum(map_blocks(ds, _row_count)["n"]).as_py() or 0)
 
 
 def _ship(fn, n: int):
@@ -510,9 +564,9 @@ def _ship(fn, n: int):
 def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list:
     """One ``_block_task`` per block of ``ds`` (``_blocks``): the
     output refs in block order."""
-    blocks, flt = _blocks(ds)
+    blocks, view = _blocks(ds)
     fn = _ship(stage, len(blocks))
-    return [_block_task.remote(fn, b, flt, batch_size, _generation) for b in blocks]
+    return [_block_task.remote(fn, b, view, batch_size, _generation) for b in blocks]
 
 
 def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None) -> pa.Table:
@@ -566,10 +620,10 @@ def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 
 @ray.remote
-def _route_task(stage, block, flt, keys: list[str], n: int, generation: int):
+def _route_task(stage, block, view, keys: list[str], n: int, generation: int):
     block = _local_block(block, generation)
-    if flt is not None:
-        block = block.filter(flt)
+    if view is not None:
+        block = view(block)
     # Ray's schema-less empty block (a materialized map_batches
     # output) has no columns for the stage to read: pass it on
     t = block if stage is None or not block.num_columns else stage(block)
@@ -611,11 +665,11 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
     applies ``reduce``, also to a bucket that received no rows, so two
     runs give the same rows in the same order.
     """
-    blocks, flt = _blocks(ds)
+    blocks, view = _blocks(ds)
     n = len(blocks)
     fn = _ship(stage, n)
     routed = [
-        _route_task.options(num_returns=n).remote(fn, b, flt, keys, n, _generation)
+        _route_task.options(num_returns=n).remote(fn, b, view, keys, n, _generation)
         for b in blocks
     ]
     if n == 1:
@@ -635,16 +689,17 @@ def on_pandas(fn):
 
 def resident_tables() -> list[dict]:
     """One record per table read through ``read_resident`` in this
-    session, least recently used first: path, columns, a short digest
-    of the file identity, in-memory MB, hits and misses (disk reads),
-    and whether it is resident (False: over budget)."""
+    session, least recently used first: path, the columns held (None:
+    all), a short digest of the file identity, in-memory MB, hits and
+    misses (disk reads), and whether it is resident (False: over
+    budget)."""
     with _resident_lock:
         items = list(_resident.items())
     return [
         {
             "path": k[1],
-            "columns": k[2],
-            "identity": hashlib.sha256(repr(k[3]).encode()).hexdigest()[:12],
+            "columns": e.columns,
+            "identity": hashlib.sha256(repr(k[2]).encode()).hexdigest()[:12],
             "mb": e.nbytes / (1 << 20),
             "hits": e.hits,
             "misses": e.misses,

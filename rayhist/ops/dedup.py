@@ -468,17 +468,14 @@ def minhash_lsh_pairs(
     # round-5 notes): the pipeline below is five task rounds, mostly
     # scheduling overhead at few-thousand-doc scale (1 cpu, median of
     # 3: 703 ms against the driver pass's 207 ms on the sf0.01 corpus,
-    # 1883 against 1562 ms on sf0.1). For an input already
-    # MATERIALIZED with a known small row count, run the SAME kernels
-    # in one driver pass.
+    # 1883 against 1562 ms on sf0.1). For an input whose small row
+    # count is known without running it (``io.num_rows``: a resident
+    # table or a view of one), run the SAME kernels in one driver pass.
     # Driver memory is bounded by DRIVER_GATE, never by the corpus; the
     # distributed path is A/B-pinned byte-identical against this one.
-    from ray.data.dataset import MaterializedDataset
-
-    if isinstance(docs, MaterializedDataset) and docs.count() <= DRIVER_GATE:
-        tbl = pa.concat_tables(
-            [ray.get(r) for r in docs.to_arrow_refs()], promote_options="default"
-        )
+    n = rio.num_rows(docs)
+    if n is not None and n <= DRIVER_GATE:
+        tbl = rio.blocks_table(docs)
         return _minhash_lsh_pairs_local(tbl, threshold_num, threshold_den, bands)
 
     def candidate_pairs(t: pa.Table) -> pa.Table:

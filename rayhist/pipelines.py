@@ -117,7 +117,7 @@ from .spatial.raster import raster_value_for
 from .spatial.rectjoin import rect_self_join
 from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
 from .spatial.strtree import STRtreeRegionIndex
-from .state.checkpoint import run_sharded, salted_count_by
+from .state.checkpoint import read_outputs, run_sharded, salted_count_by, shard_rows
 from .temporal import TagFilter, _sorted_versions, contributions, snapshots
 from .views import (
     contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
@@ -818,10 +818,11 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     # 32s vs 6s at rep=128/8cpus. The materialized table is tiny
     # (5 int columns, one row per live entity) and also serves the
     # sparse-neighborhood brute fallback without another decode.
-    # zoom derives from the DOC count (parquet metadata, no scan) —
+    # zoom derives from the DOC count (block metadata, no scan) —
     # live positions <= docs, and exactness is zoom-independent.
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    n = _docs(sf_dir).count()
+    docs = _docs(sf_dir)
+    pos = rio.materialize_blocks(docs, positions)
+    n = rio.num_rows(docs)
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     return pos, n, zoom
 
@@ -976,12 +977,10 @@ def q_topk_orders(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.events_by_type())
 def q_events_by_type(sf_dir: str) -> pd.DataFrame:
     """events grouped by type: row count, distinct users, cents sum."""
-    ds = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ds = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"])
 
     def pair_partial(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         g = pa.TableGroupBy(b, ["event_type", "user_id"]).aggregate(
             [([], "count_all"), ("value_c", "sum")]
         )
@@ -1582,13 +1581,12 @@ def q_modal_value_by_type(sf_dir: str) -> pd.DataFrame:
 def q_minhash_lsh_pairs(sf_dir: str) -> pd.DataFrame:
     """MinHash-LSH candidates verified to Jaccard >= 0.5 (rows-only;
     recall vs the exact operator asserted in tests)."""
-    # materializing the (bounded) sandbox corpus engages the op's
-    # documented small-input driver gate — the same kernels in one
-    # pass instead of five shuffle stages of scheduling overhead; a
-    # corpus-scale caller passes the lazy Dataset and gets the fully
-    # distributed path
+    # the resident (bounded) sandbox corpus engages the op's documented
+    # small-input driver gate — the same kernels in one pass instead of
+    # five shuffle stages of scheduling overhead; a corpus over the
+    # gate gets the fully distributed path
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return minhash_lsh_pairs(ds.materialize(), 1, 2)
+    return minhash_lsh_pairs(ds, 1, 2)
 
 
 @query(None)  # rows-only: SimHash estimator; pinned in tests/test_ops.py
@@ -1804,20 +1802,14 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     def positions(batch: pa.Table) -> pa.Table:
         return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
-    # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
-    # re-runs the full decode+interpolate chain once PER LEG (the
-    # multi-consumer hazard documented at _knn_positions_flagged). The
-    # materialized table is small (int columns, one row per live
-    # entity) and lives in the distributed object store, not the driver.
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
-
     # ONE shuffle, not two chained self-joins: every node position fans
     # out to the (at most 3) triangles it can close, routed by the
     # triangle's way_id bucket; a triangle's three corners then sit in
     # one group and assemble + evaluate in-stage — the same 3x row
     # fan-out a first join leg would ship, but the join OUTPUT never
-    # re-shuffles.
+    # re-shuffles. The positions are taken in the same routing task.
     def fan_out(batch: pa.Table) -> pa.Table:
+        batch = positions(batch)
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
         lon = batch["lon_e7"].to_numpy(zero_copy_only=False)
         lat = batch["lat_e7"].to_numpy(zero_copy_only=False)
@@ -1858,7 +1850,7 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    areas = rio.reduce_by_key(pos, ["way_id"], rio.on_pandas(assemble), stage=fan_out)
+    areas = rio.reduce_by_key(_docs(sf_dir), ["way_id"], rio.on_pandas(assemble), stage=fan_out)
     df = rio.blocks_table(areas).to_pandas()
     return df.sort_values("way_id").reset_index(drop=True)
 
@@ -2353,8 +2345,10 @@ def q_tdigest_value_by_type(sf_dir: str) -> pd.DataFrame:
 def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     """Write-terminated twin of q_snapshot_latest_state — the
     BIG-RESULT path: the reconstructed state is never collected on the
-    driver; each input shard streams through the snapshot view and
-    lands as partitioned parquet via the checkpointed shard runner
+    driver; each input shard's rows (``checkpoint.shard_rows``, a
+    filter over the resident document table) run through the snapshot
+    stage and land as partitioned parquet via the checkpointed shard
+    runner
     (state.checkpoint.run_sharded: atomic rename + manifest line with
     lineage fingerprints, row counts, content checksum, wall time).
     A re-run skips completed shards. Returns the manifest dict; the
@@ -2365,11 +2359,12 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     n_shards = min(4, len(files))
     shards = {f"shard_{i:02d}": files[i::n_shards] for i in range(n_shards)}
 
+    snaps = snapshot_stage([T_MID])
+    cols = ["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]
+
     def process(inputs: list[str]) -> ray.data.Dataset:
-        snaps = rio.materialize_blocks(rio.read_resident(inputs), snapshot_stage([T_MID]))
-        return rio.materialize_blocks(
-            snaps, lambda b: b.select(["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"])
-        )
+        docs = rio.read_resident(path, filter=shard_rows(inputs))
+        return rio.materialize_blocks(docs, lambda b: snaps(b).select(cols))
 
     return run_sharded(shards, process, out_dir)
 
@@ -2387,10 +2382,7 @@ def q_snapshot_latest_state_written(sf_dir: str) -> pd.DataFrame:
         "latest_state",
     )
     manifest = snapshot_latest_state_write(sf_dir, out_dir)
-    parts = [
-        f for pid in manifest for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet")))
-    ]
-    df = rio.blocks_table(rio.read_resident(parts)).to_pandas()
+    df = read_outputs(manifest, out_dir).to_pandas()
     return df.sort_values("osm_id").reset_index(drop=True)
 
 
@@ -2590,13 +2582,11 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
             g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
             return g.rename_columns(["ts_q", "n_part"])
 
-        return rio.materialize_blocks(rio.read_resident(inputs), stage)
+        docs = rio.read_resident(path, columns=DECODE_COLUMNS, filter=shard_rows(inputs))
+        return rio.materialize_blocks(docs, stage)
 
     manifest = run_sharded(shards, process, out_dir)
-    parts = [
-        f for pid in manifest for f in sorted(glob.glob(os.path.join(out_dir, pid, "*.parquet")))
-    ]
-    df = rio.blocks_table(rio.read_resident(parts)).to_pandas()
+    df = read_outputs(manifest, out_dir).to_pandas()
     agg = df.groupby("ts_q", as_index=False)["n_part"].sum().rename(columns={"n_part": "n_snapshots"})
     return zerofill(agg, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
@@ -4844,7 +4834,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     on exact ints per the money/float rule). Ties break ascending on
     the word."""
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    n_docs = docs.count()
+    n_docs = rio.num_rows(docs)
 
     def tf_stage(b: pa.Table) -> pa.Table:
         words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
@@ -5023,12 +5013,10 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     (|etypes x bins| rows per block) -> small combine; the bin rule
     LEAST(value_c // W, nbins-1) clamps the top bin identically in
     both engines."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def bin_count(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         v = b["value_c"].to_numpy(zero_copy_only=False)
         bins = np.minimum(v // HIST_BIN_W_C, HIST_NBINS - 1)
         t = pa.table({"event_type": b["event_type"], "bin": bins})
@@ -5096,12 +5084,10 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     loudly, and the published slope is ONE float division of the two
     exact integer terms — DuckDB mirrors with HUGEINT sums and the
     identical cast/divide."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         x = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
         y = b["value_c"].to_numpy(zero_copy_only=False)
         t = pa.table(
@@ -5338,14 +5324,12 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     ties) plus min/max/count, and the driver combine replays the same
     rule over |keys x blocks| witness rows. Exact integer cents
     throughout; the mirror is the row_number window pair."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(
-            f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type", "value"]
-        ),
-        lambda b: cents(b, "value", "value_c"),
+    ev = rio.read_resident(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type", "value"]
     )
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         df = pd.DataFrame(
             {
                 "event_type": b["event_type"].to_numpy(zero_copy_only=False),
@@ -5590,12 +5574,10 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     the interval_union_length sweep in ops/sessions.py: one
     complete-keys bucket shuffle). The mirror is the classic
     gaps-and-islands window pair."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
 
     def iv(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         s = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         dur = (b["value_c"].to_numpy(zero_copy_only=False) % 3600 + 1) * 1_000_000
         return pa.table(
@@ -5620,12 +5602,10 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     spine) is bit-identical. Daily sums are per-batch partials +
     low-card combine; the fill runs on the |etypes x days| final —
     scale-bounded by the time range, not the corpus."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         v = b["value_c"].to_numpy(zero_copy_only=False)
         keep = v % 97 == 0
         if not keep.any():
@@ -5758,12 +5738,10 @@ def q_value_bitops_by_type(sf_dir: str) -> pd.DataFrame:
     are associative+commutative, so each is a per-batch partial plus
     the driver combine replaying the same reduction over
     |keys x blocks| rows. Exact int64 throughout."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         df = pd.DataFrame(
             {
                 "etype": b["event_type"].to_numpy(zero_copy_only=False),
@@ -5806,12 +5784,10 @@ def q_extreme_events_by_type(sf_dir: str) -> pd.DataFrame:
     argmax pattern applied to extremes. The mirror pins the same tie
     order through row_number windows (DuckDB's arg_min/arg_max tie
     choice is unspecified, so the oracle never uses them)."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         df = pd.DataFrame(
             {
                 "etype": b["event_type"].to_numpy(zero_copy_only=False),
@@ -6291,12 +6267,10 @@ def q_value_leading_digits(sf_dir: str) -> pd.DataFrame:
     (repeated integer division — no float log10), counted per digit.
     The mirror extracts it lexically from the VARCHAR cast; the two
     derivations agree exactly on positive integers."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(f"{sf_dir}/events.parquet", columns=["value"]),
-        lambda b: cents(b, "value", "value_c"),
-    )
+    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["value"])
 
     def partials(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         v = b["value_c"].to_numpy(zero_copy_only=False)
         v = v[v > 0].copy()
         while (v >= 10).any():
@@ -6792,14 +6766,12 @@ def q_user_value_ewma(sf_dir: str) -> pd.DataFrame:
     (ops/scan.py grouped_recurrence_ewma_int: complete-keys bucket
     shuffle, scan vectorized ACROSS keys per step). The mirror is the
     identical recurrence as a recursive CTE."""
-    ev = rio.materialize_blocks(
-        rio.read_resident(
-            f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
-        ),
-        lambda b: cents(b, "value", "value_c"),
+    ev = rio.read_resident(
+        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
 
     def prep(b: pa.Table) -> pa.Table:
+        b = cents(b, "value", "value_c")
         return pa.table(
             {
                 "user_id": b["user_id"].cast(pa.int64()),
@@ -8591,9 +8563,8 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
-
     def fan_out(batch: pa.Table) -> pa.Table:
+        batch = positions(batch)
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
         way = np.concatenate([osm - i for i in range(3)])
         return pa.table(
@@ -8647,7 +8618,7 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = rio.reduce_by_key(pos, ["way_id"], rio.on_pandas(assemble), stage=fan_out)
+    out = rio.reduce_by_key(_docs(sf_dir), ["way_id"], rio.on_pandas(assemble), stage=fan_out)
     df = rio.blocks_table(out).to_pandas()
     return df.sort_values("way_id").reset_index(drop=True)
 
@@ -10335,7 +10306,7 @@ def q_bm25_top_docs(sf_dir: str) -> pd.DataFrame:
     totals complete per doc bucket (doc cardinality), and only the
     top-k candidates reach the driver."""
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    n_docs = docs.count()
+    n_docs = rio.num_rows(docs)
     terms = sorted(BM25_TERMS)
 
     def stage(b: pa.Table) -> pa.Table:

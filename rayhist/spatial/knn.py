@@ -22,13 +22,11 @@ parallelism-invariance across num_cpus levels.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data
 
 from .. import io as rio
@@ -481,13 +479,14 @@ def ann_cosine_ivf(
 
 def _probed_scan(layout: str, qbuckets: np.ndarray, id_col: str, vec_col: str):
     """(the rows of the buckets some query probes, their count): the
-    resident layout filtered inside each block task, and the row count
-    of the probed ``pb=`` partitions from their parquet footers."""
+    resident layout filtered to the probed buckets inside each block
+    task, and the rows that filter kept (``io.num_rows``, a count over
+    the same filtered blocks)."""
     probed = sorted(int(b) for b in set(qbuckets.ravel()))
-    files = [f for b in probed for f in sorted(Path(f"{layout}/pb={b}").glob("*.parquet"))]
-    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     flt = pc.field("bucket").isin(probed)
-    return rio.read_resident(layout, columns=[id_col, vec_col, "bucket"], filter=flt), rows
+    scan = rio.read_resident(layout, columns=[id_col, vec_col, "bucket"], filter=flt)
+    rows = rio.num_rows(scan)
+    return scan, scan.count() if rows is None else rows
 
 
 # ------------------------------------------------- IVF layout pruning
@@ -530,10 +529,11 @@ def ensure_ivf_layout(
 ):
     """The IVF-bucketed layout of an embedding table: vectors assigned
     to their nearest centroid (``ivf_buckets``) and written to parquet
-    PARTITIONED BY BUCKET, so probing can prune the SCAN — only probed
-    partitions are read at query time, which is what makes IVF pay at
-    10^12 scale (bucketing that only prunes compute still reads every
-    byte). Returns (layout_dir, centroids)."""
+    PARTITIONED BY BUCKET, so probing can prune the SCAN: a query
+    scores only the rows of the buckets it probes (``_probed_scan``),
+    and a layout over the resident budget is read with that bucket
+    filter pushed to parquet, which skips the unprobed partitions'
+    files. Returns (layout_dir, centroids)."""
     return _ensure_layout(
         parquet_path, f"ivf{nlist}", id_col, vec_col,
         lambda ds: build_ivf_centroids(ds, nlist, vec_col, id_col),
@@ -553,7 +553,8 @@ def ann_cosine_ivf_pruned(
     """IVF ANN over the bucket-partitioned layout: scans ONLY the
     buckets probed by some query (``_probed_scan``), then scores each
     query against its own probed buckets. nprobe == nlist is provably
-    exact (reads everything); smaller nprobe trades recall for I/O.
+    exact (scans everything); smaller nprobe trades recall for scanned
+    rows.
 
     The scanned row count is attached as
     ``result.attrs['rows_scanned']`` so tests can assert the pruning
@@ -645,7 +646,7 @@ def ann_cosine_lsh_pruned(
     the ``nprobe`` buckets nearest to its own signature in Hamming
     distance (ties broken by bucket id — deterministic). nprobe ==
     2**n_bits probes every bucket and is provably exact; smaller
-    nprobe trades recall for I/O, and only probed buckets are scanned
+    nprobe trades recall for scanned rows: only probed buckets are scanned
     (``result.attrs['rows_scanned']`` lets tests assert the pruning)."""
     import pyarrow.dataset as pds
 
@@ -882,13 +883,12 @@ def knn_queries(
 
     # adaptive operating point (the combine_partials philosophy: the
     # distributed machinery is for data that NEEDS it). For an input
-    # already materialized with a known small row count, the two
-    # shuffles' tasks cost more than one driver pass over the SAME
-    # scatter/cell/resolve kernels. Driver memory is bounded by
-    # DRIVER_GATE, never by the corpus.
-    from ray.data.dataset import MaterializedDataset
-
-    if isinstance(points, MaterializedDataset) and points.count() <= DRIVER_GATE:
+    # whose small row count is known without running it
+    # (``io.num_rows``), the two shuffles' tasks cost more than one
+    # driver pass over the SAME scatter/cell/resolve kernels. Driver
+    # memory is bounded by DRIVER_GATE, never by the corpus.
+    n = rio.num_rows(points)
+    if n is not None and n <= DRIVER_GATE:
         res = resolve(cells(scatter(rio.blocks_table(points)).to_pandas()))
     else:
         # shuffle by target cell, then by query (the cell buckets' refs

@@ -25,14 +25,17 @@ not serialize execution.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import os
 import time
 from collections.abc import Callable
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
@@ -97,6 +100,32 @@ def _files_stats(paths: list[str]) -> tuple[int, str]:
         if tbl.num_rows:
             total = (total + int(_table_checksum(tbl), 16)) & ((1 << 64) - 1)
     return rows, (f"{total:016x}" if rows else "0" * 16)
+
+
+def shard_rows(files: list[str]) -> pc.Expression:
+    """A filter keeping the rows of a cached document table that its
+    shard ``files`` hold, so a shard of ``run_sharded`` reads them from
+    the resident table: ``ingest._write_shards`` cuts the table in
+    ``doc_id`` order, so each file is one ``doc_id`` range, read from
+    its parquet footer statistics."""
+    doc_id = pc.field("doc_id")
+    ranges = []
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        j = md.schema.names.index("doc_id")
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(j).statistics
+            if st is not None and st.has_min_max:
+                ranges.append((doc_id >= st.min) & (doc_id <= st.max))
+    return functools.reduce(operator.or_, ranges, pc.scalar(False))
+
+
+def read_outputs(manifest: dict[str, dict], out_dir: str) -> pa.Table:
+    """The rows ``run_sharded`` wrote for the shards of ``manifest``,
+    in partition order, read on the driver file by file (a read-back,
+    not kept resident)."""
+    files = [f for pid in manifest for f in sorted((Path(out_dir) / pid).glob("*.parquet"))]
+    return pa.concat_tables([pq.read_table(f) for f in files])
 
 
 def _read_manifest(manifest_path: Path) -> dict[str, dict]:

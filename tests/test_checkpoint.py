@@ -348,6 +348,37 @@ def test_latest_state_write_terminated_matches_oracle():
     shutil.rmtree(out, ignore_errors=True)
 
 
+def test_shards_are_filters_of_the_resident_table(tmp_path):
+    """Each shard's rows are a filter of the one resident document
+    table (checkpoint.shard_rows): the rows of the shard's own files,
+    no other. The write path keeps no other table resident, and its
+    read-back equals the driver-collected twin."""
+    import glob
+
+    from rayhist import io as rio
+    from rayhist import pipelines as p
+    from rayhist.ingest import ensure_documents
+    from rayhist.state.checkpoint import read_outputs, shard_rows
+
+    sf = "/root/testdata/sf0.001"
+    path = ensure_documents(sf)
+    files = sorted(glob.glob(f"{path}/*.parquet"))
+    seen = []
+    for shard in (files[i::4] for i in range(4)):
+        got = rio.blocks_table(rio.read_resident(path, filter=shard_rows(shard)))
+        want = pa.concat_tables([pq.read_table(f) for f in shard])
+        assert got.sort_by("doc_id").equals(want.sort_by("doc_id").combine_chunks())
+        seen += got["doc_id"].to_pylist()
+    assert sorted(seen) == sorted(pq.read_table(path, columns=["doc_id"])["doc_id"].to_pylist())
+    before = {r["path"] for r in rio.resident_tables()}
+    manifest = p.snapshot_latest_state_write(sf, str(tmp_path / "out"))
+    assert {r["path"] for r in rio.resident_tables()} == before
+    written = read_outputs(manifest, str(tmp_path / "out")).to_pandas()
+    direct = p.q_snapshot_latest_state(sf)
+    written = written.sort_values("osm_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(written[direct.columns.tolist()], direct)
+
+
 def test_run_sharded_survives_stale_tmp_and_torn_manifest(tmp_path):
     """(a) A leftover tmp dir from a killed same-pid attempt must not
     merge its partial files into the new output; (b) a torn trailing

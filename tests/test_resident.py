@@ -127,6 +127,36 @@ def test_plain_input_rewritten_in_place_reloads(fresh, tmp_path):
     assert _entry(path, cols)["misses"] == 2  # the stale entry was replaced
 
 
+def test_one_copy_per_table(fresh):
+    """Reads of a file under different column lists (a permutation, a
+    subset, a new column, a filter) share one resident copy holding the
+    union of their columns, and each read returns exactly the columns,
+    order and rows a disk read of its own columns would."""
+    path = f"{SF}/events.parquet"
+    flt = pc.field("value") > 50
+    reads = [
+        (["event_type", "ts", "value"], None),
+        (["ts", "event_type", "value"], None),
+        (["user_id", "ts"], None),
+        (["ts"], None),
+        (["value", "event_id"], flt),
+        (["event_type", "ts", "value"], None),
+    ]
+    for cols, f in reads:
+        got = rio.blocks_table(rio.read_resident(path, columns=cols, filter=f))
+        want = pq.read_table(path, columns=cols, filters=f)
+        assert got.combine_chunks().equals(want.combine_chunks()), cols
+    (rec,) = rio.resident_tables()
+    assert rec["columns"] == ("event_type", "ts", "value", "user_id", "event_id")
+    assert (rec["hits"], rec["misses"]) == (3, 3)  # the three reads that added columns
+    again = rio.read_resident(path, columns=["user_id", "ts"])
+    assert again is rio.read_resident(path, columns=["user_id", "ts"])  # one view per column list
+    n = pq.ParquetFile(path).metadata.num_rows
+    assert rio.num_rows(again) == rio.num_rows(rio.read_resident(path, columns=["ts"])) == n
+    filtered = rio.read_resident(path, columns=["value"], filter=flt)
+    assert rio.num_rows(filtered) == pq.read_table(path, filters=flt).num_rows
+
+
 def test_same_size_rewrite_changes_identity(tmp_path):
     f = tmp_path / "shard.parquet"
     f.write_bytes(b"abcd")

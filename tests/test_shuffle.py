@@ -140,7 +140,7 @@ def test_filtered_block_and_empty_buckets():
     base = _blocks(tables)
     flt = pc.field("k") != 99
     filtered = base.map_batches(lambda b: b.filter(flt), batch_format="pyarrow")
-    rio._filtered[filtered] = (base, flt)  # as read_resident(filter=) registers it
+    rio._views[filtered] = (base, rio._View(flt, None))  # as read_resident(filter=) registers it
     # two distinct keys over nine buckets: at least seven buckets are empty
     few = pa.table({"k": pa.array([1, 2], pa.int64()), "v": [0, 0]})
 
@@ -157,7 +157,7 @@ def test_filtered_block_and_empty_buckets():
 
     nothing = pc.field("k") > 1000
     empty = base.map_batches(lambda b: b.filter(nothing), batch_format="pyarrow")
-    rio._filtered[empty] = (base, nothing)
+    rio._views[empty] = (base, rio._View(nothing, None))
     out = rio.blocks_table(rio.reduce_by_key(empty, ["k"], _sums(["k"]), stage=stage))
     assert out.num_rows == 0 and out.schema == _sums(["k"])(few).schema
 
