@@ -142,8 +142,8 @@ class MapReducer:
         An sf_dir source fans out per type, as the reference's single
         UNION-ALL cell fetch (backend/MapReducerJdbc.java:53-59): nodes
         stream through the fused span chain; way/relation histories go
-        through the compound member-recursion tables (rayhist.members /
-        members_vec). The compound legs support the snapshot
+        through the compound member-recursion tables
+        (rayhist.members_vec). The compound legs support the snapshot
         ``count()`` terminal (with aggregateByTimestamp /
         aggregateBy('osm_type')); richer chains over way/relation
         raise loudly at the terminal instead of returning a silent 0.
@@ -756,9 +756,8 @@ class MapReducer:
         from .aggregate import combine_partials, zerofill
         from .ingest import read_relation_documents, read_way_documents
         from .members import COMPOUND_BATCH
-        from .members import snapshot_geoms_batch as snap_rel_batch
         from .members_vec import snapshot_geoms_batch_vec
-        from .model import decode_spans
+        from .model import COMPOUND_READ_COLUMNS, decode_spans
         from .temporal import snapshots as snap_fn
 
         if self._view != "snapshot":
@@ -827,7 +826,7 @@ class MapReducer:
 
             legs.append(
                 map_blocks(
-                    read_way_documents(self._source, rep=rep), way_stage,
+                    read_way_documents(self._source, COMPOUND_READ_COLUMNS, rep), way_stage,
                     batch_size=COMPOUND_BATCH,
                 )
             )
@@ -836,12 +835,12 @@ class MapReducer:
             def rel_stage(batch: pa.Table) -> pa.Table:
                 if deadline is not None:
                     deadline.check()
-                s = snap_rel_batch(batch, ts_list, id_name="rel_id")
+                s = snapshot_geoms_batch_vec(batch, ts_list)
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "relation")
 
             legs.append(
                 map_blocks(
-                    read_relation_documents(self._source, rep=rep), rel_stage,
+                    read_relation_documents(self._source, COMPOUND_READ_COLUMNS, rep), rel_stage,
                     batch_size=COMPOUND_BATCH,
                 )
             )

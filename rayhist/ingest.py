@@ -49,7 +49,16 @@ import ray.data
 
 from . import io as rio
 from . import members as _members
-from .model import DOCUMENTS_SCHEMA, LAT_MOD, LON_MOD, pack_version_columns
+from .model import (
+    CHILD_TYPES,
+    COMPOUND_SCHEMA,
+    DOCUMENTS_SCHEMA,
+    LAT_MOD,
+    LON_MOD,
+    format_version_text,
+    pack_child_id,
+    pack_version_columns,
+)
 from .ops import relational
 
 
@@ -288,10 +297,201 @@ def _pack_bucket(group: pd.DataFrame, keytable: dict[str, int] | None = None) ->
 
 REP_STRIDE = 10_000_000  # replica r gets osm_id + r * REP_STRIDE
 
+# ------------------------------------------------- compound documents
+#
+# Way, relation and old-style documents denormalize their members'
+# full histories (the reference's data-model.md:20-22 strategy) and
+# carry the typed compound columns (model.COMPOUND_SCHEMA). Their tag
+# signatures and roles are ids of a table-wide keytable
+# (compound_keytable), as the reference keeps tags and roles as
+# keytable ints (osm/OSMEntity.java:29, osm/OSMMember.java:12-27).
+
+KEYTABLE_META = b"rayhist.keytable"  # a pack bucket's own keytable
+KEYTABLE_FILE = "_keytable.json"  # a compound table's keytable (readers skip "_" files)
+
+
+class _Keytable:
+    """The tag-signature and role ids of one pack bucket (all the
+    replicas it packs). A signature is the tag dict (keep-last per key)
+    as (key, value) pairs sorted by key; ids count up in first-seen
+    order."""
+
+    def __init__(self):
+        self.sigs: dict[tuple, int] = {}
+        self.roles: dict[str, int] = {}
+
+    def tags(self, pairs) -> int:
+        return self.sigs.setdefault(tuple(sorted(dict(pairs).items())), len(self.sigs))
+
+    def role(self, role: str) -> int:
+        return self.roles.setdefault(role, len(self.roles))
+
+    def metadata(self) -> dict[bytes, str]:
+        return {KEYTABLE_META: json.dumps({"tags": list(self.sigs), "roles": list(self.roles)})}
+
+
+def _node_children(group: pd.DataFrame) -> dict[str, np.ndarray]:
+    """The node versions of a compound pack bucket, derived as
+    ``_pack_bucket`` derives them (sorted by osm_id, ts, event_id), with
+    their child span stream: a ``child=node/<id>;`` version span, then a
+    geom span when visible. ``span_at[i]`` is version i's first span."""
+    g = group.sort_values(["osm_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
+    osm = g["osm_id"].to_numpy()
+    n = len(g)
+    node_start = np.r_[True, osm[1:] != osm[:-1]]
+    start_idx = np.maximum.accumulate(np.where(node_start, np.arange(n), 0))
+    v = np.arange(n) - start_idx + 1
+    ts, uid, vis, kk = (g[c].to_numpy() for c in ("ts", "uid", "visible", "kk"))
+    cs = osm * 1_000_000 + (v - 1) // 3
+    lon, lat = coords_for(osm, v, kk)
+
+    s = pd.Series
+    vs, ids = s(v).astype(str), s(osm).astype(str)
+    ver_text = ("child=node/" + ids + ";v=" + vs + ";ts=" + s(ts).astype(str) + ";cs="
+                + s(cs).astype(str) + ";uid=" + s(uid).astype(str) + ";vis="
+                + s(vis.astype(np.int64)).astype(str)).to_numpy()
+    geom_ref = ("geom:child=node/" + ids + ";v=" + vs + ";lon=" + s(lon).astype(str)
+                + ";lat=" + s(lat).astype(str)).to_numpy()
+    n_slots = 1 + vis.astype(np.int64)
+    of_span = np.repeat(np.arange(n), n_slots)
+    geom = np.arange(len(of_span)) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots) == 1
+    return {
+        "osm": osm, "node_start": node_start, "v": v, "ts": ts, "cs": cs, "uid": uid,
+        "vis": vis, "lon": lon, "lat": lat,
+        "kinds": np.where(geom, "geom", "version").astype(object),
+        "texts": np.where(geom, "", ver_text[of_span]).astype(object),
+        "refs": np.where(geom, geom_ref[of_span], "").astype(object),
+        "span_at": np.r_[0, np.cumsum(n_slots)],
+    }
+
+
+def _runs(key: np.ndarray) -> list[tuple[int, int, int]]:
+    """(key, first row, end row) of every run of equal ``key``."""
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else np.array([], int)
+    ends = np.r_[starts[1:], len(key)]
+    return [(int(key[a]), int(a), int(b)) for a, b in zip(starts, ends)]
+
+
+class _CompoundDocs:
+    """The compound documents of one pack bucket, built in span order.
+
+    A document is its header, then its slice of the bucket's node-child
+    histories (``end``). The header is the parent's own versions and
+    any way children (``version``), each version span followed by its
+    tag spans, then its member spans. ``table`` packs the spans and,
+    through ``model.pack_version_columns``, the typed columns; tags and
+    roles take ``keytable`` ids."""
+
+    def __init__(self, nodes: dict[str, np.ndarray], keytable: _Keytable):
+        self.nodes, self.kt = nodes, keytable
+        self.docs: list[tuple] = []
+        self.spans: list[tuple] = []  # header spans of the open document
+        self.vers: list[tuple] = []  # its header version records
+        self.mems: list[tuple] = []  # its member edges
+
+    def version(self, v, ts, cs, uid, vis, *, tags=(), members=(), child=None) -> None:
+        """One header version: ``child`` = (type, id) of a child version
+        (None: the parent's own), ``tags`` = (key, value) pairs in span
+        order, ``members`` = (type, id, role) in ref order."""
+        prefix = "" if child is None else f"child={child[0]}/{child[1]};"
+        tags = tuple((str(k), str(val)) for k, val in tags)
+        self.spans.append(("version", prefix + format_version_text(v, ts, cs, uid, int(vis))))
+        self.spans += [("tag", f"{k}={val}") for k, val in tags]
+        self.spans += [("member", f"{t}/{i}@role={r}") for t, i, r in members]
+        ct, ci = (-1, -1) if child is None else (CHILD_TYPES.index(child[0]), child[1])
+        self.mems += [(len(self.vers), CHILD_TYPES.index(t), i, self.kt.role(r))
+                      for t, i, r in members]
+        self.vers.append((v, ts, cs, uid, bool(vis), ct, ci, self.kt.tags(tags)))
+
+    def end(self, osm_id: int, lo: int, hi: int) -> None:
+        """Close the open document: its node children are the bucket's
+        node versions [lo, hi)."""
+        self.docs.append((osm_id, self.spans, self.vers, self.mems, lo, hi))
+        self.spans, self.vers, self.mems = [], [], []
+
+    def table(self, osm_type: str) -> pa.Table:
+        nd = self.nodes
+        no_tags = self.kt.tags(())
+        hspans = [sp for d in self.docs for sp in d[1]]
+        hvers = np.array([r for d in self.docs for r in d[2]], dtype=np.int64).reshape(-1, 8)
+        mems = np.array([m for d in self.docs for m in d[3]], dtype=np.int64).reshape(-1, 4)
+        n_h, n_hv, n_node = len(hspans), len(hvers), len(nd["v"])
+        # gather orders over (header pool ++ node pool), document by document
+        span_idx, ver_idx, span_n, ver_n = [], [], [], []
+        h0 = hv0 = 0
+        for _oid, sp, vr, _m, lo, hi in self.docs:
+            s0, s1 = nd["span_at"][lo], nd["span_at"][hi]
+            span_idx += [np.arange(h0, h0 + len(sp)), n_h + np.arange(s0, s1)]
+            ver_idx += [np.arange(hv0, hv0 + len(vr)), n_hv + np.arange(lo, hi)]
+            span_n.append(len(sp) + s1 - s0)
+            ver_n.append(len(vr) + hi - lo)
+            h0, hv0 = h0 + len(sp), hv0 + len(vr)
+        cat = (lambda parts, dt: np.concatenate(parts).astype(dt) if parts else np.zeros(0, dt))
+        span_idx, ver_idx = cat(span_idx, np.int64), cat(ver_idx, np.int64)
+        span_n, ver_n = np.asarray(span_n, dtype=np.int64), np.asarray(ver_n, dtype=np.int64)
+
+        hk, ht = (np.array([sp[j] for sp in hspans], dtype=object) for j in (0, 1))
+        kinds = np.r_[hk, nd["kinds"]][span_idx]
+        texts = np.r_[ht, nd["texts"]][span_idx]
+        refs = np.r_[np.full(n_h, "", dtype=object), nd["refs"]][span_idx]
+        # compound docs denormalize full child histories — a huge bucket
+        # would silently wrap int32 ListArray offsets and corrupt the table
+        assert len(kinds) < 2**31, "bucket span total exceeds int32 offsets"
+        offsets = np.arange(len(kinds)) - np.repeat(np.cumsum(span_n) - span_n, span_n)
+        spans_flat = pa.StructArray.from_arrays(
+            [pa.array(kinds, type=pa.string()), pa.array(texts, type=pa.string()),
+             pa.array(refs, type=pa.string()), pa.array(offsets, type=pa.int32())],
+            names=["kind", "text", "media_ref", "offset"],
+        )
+        list_offsets = pa.array(np.r_[0, np.cumsum(span_n)].astype(np.int32))
+        spans = pa.ListArray.from_arrays(list_offsets, spans_flat)
+
+        def pool(j, node_col):  # header column j (None: 0) ++ node column, gathered
+            head = hvers[:, j] if j is not None else np.zeros(n_hv, dtype=np.int64)
+            return np.r_[head, node_col][ver_idx]
+
+        node_child = pack_child_id(np.zeros(n_node, dtype=np.int64), nd["osm"])
+        head_child = np.where(hvers[:, 5] < 0, -1, pack_child_id(np.maximum(hvers[:, 5], 0),
+                                                                 np.maximum(hvers[:, 6], 0)))
+        lists = pack_version_columns(
+            ver_n, v=pool(0, nd["v"]), ts=pool(1, nd["ts"]), cs=pool(2, nd["cs"]),
+            uid=pool(3, nd["uid"]), visible=pool(4, nd["vis"]).astype(bool),
+            lon_e7=pool(None, nd["lon"]), lat_e7=pool(None, nd["lat"]),
+            tag_ids=np.r_[hvers[:, 7], np.full(n_node, no_tags)][ver_idx],
+            child=np.r_[head_child, node_child][ver_idx],
+            members=([len(d[3]) for d in self.docs], mems[:, 0],
+                     pack_child_id(mems[:, 1], mems[:, 2]), mems[:, 3]),
+        )
+        # bbox over every visible node version of the document
+        bbox = np.zeros((len(self.docs), 4), dtype=np.int64)
+        for i, (*_, lo, hi) in enumerate(self.docs):
+            vis = nd["vis"][lo:hi]
+            if vis.any():
+                lon, lat = nd["lon"][lo:hi][vis], nd["lat"][lo:hi][vis]
+                bbox[i] = lon.min(), lon.max(), lat.min(), lat.max()
+        oid = np.array([d[0] for d in self.docs], dtype=np.int64)
+        return pa.table(
+            {
+                "doc_id": pa.array([f"{osm_type}/{i}" for i in oid], type=pa.string()),
+                "osm_type": pa.array([osm_type] * len(oid), type=pa.string()),
+                "osm_id": pa.array(oid),
+                "n_versions": pa.array([sum(r[5] < 0 for r in d[2]) for d in self.docs],
+                                       type=pa.int32()),
+                "min_lon_e7": pa.array(bbox[:, 0]),
+                "max_lon_e7": pa.array(bbox[:, 1]),
+                "min_lat_e7": pa.array(bbox[:, 2]),
+                "max_lat_e7": pa.array(bbox[:, 3]),
+                "spans": spans,
+                **lists,
+            },
+            schema=COMPOUND_SCHEMA,
+        )
+
+
 # ------------------------------------------------------- way documents
 #
 # Compound (way) documents derive deterministically from the same
-# events table, so the member-recursion semantics (rayhist.members,
+# events table, so the member-recursion semantics (rayhist.members_vec,
 # mirroring OSHEntities.java:315-478) are DuckDB-oracle-checkable:
 #
 #   way w          : members = nodes {5w .. 5w+4}  (ascending, role "")
@@ -317,169 +517,31 @@ WAY_BLOCK = 5
 WAY_CS_BASE = 2_000_000_000
 
 
-def _members_by_parent(parent: np.ndarray, child: np.ndarray) -> dict[int, list[int]]:
-    """{parent: sorted distinct children} in ONE sorted pass (the rows
-    arrive sorted by child already; np.unique keeps it O(n log n) and
-    avoids a boolean rescan of the bucket per parent)."""
-    pairs = np.unique(np.stack([parent, child], axis=1), axis=0)
-    out: dict[int, list[int]] = {}
-    for p, c in pairs:
-        out.setdefault(int(p), []).append(int(c))
-    return out
+def _way_versions(docs: _CompoundDocs, w: int, lo: int, hi: int, child: bool) -> None:
+    """Way w's two versions over the bucket's node versions [lo, hi):
+    the parent of a way document, or a child of a relation."""
+    nd = docs.nodes
+    ts1, ts2 = int(nd["ts"][lo:hi].min()), int(nd["ts"][lo:hi].max()) + 1
+    vis2 = w % 3 != 0
+    members = [("node", int(m), "") for m in np.unique(nd["osm"][lo:hi])]
+    of = ("way", w) if child else None
+    tags1 = () if child else (("etype", "way"), ("k", w % 7))
+    tags2 = () if child or not vis2 else (("etype", "way"), ("k", w % 7 + 1))
+    docs.version(1, ts1, WAY_CS_BASE + w * 1000 + 1, w % 37, True, tags=tags1, members=members,
+                 child=of)
+    docs.version(2, ts2, WAY_CS_BASE + w * 1000 + 2, (w + 1) % 37, vis2, tags=tags2,
+                 members=members, child=of)
 
 
-def _span_only_lists(n_docs: int) -> dict[str, pa.ListArray]:
-    """All-empty per-version list columns: compound documents filter on
-    parent tag SPANS (filter-relative member recursion) and denormalize
-    child versions into the span stream, so they carry no per-version
-    keytable ids (decode_spans(tags='ids') falls back to -1) and no
-    typed version columns (decoded from the span text)."""
-    return pack_version_columns(np.zeros(n_docs, dtype=np.int64))
-
-
-def _pack_way_bucket(group: pd.DataFrame) -> pa.Table:
+def _pack_way_bucket(group: pd.DataFrame, keytable: _Keytable) -> pa.Table:
     """Pack a bucket of COMPLETE way histories (all member-node events
-    of each way) into compound span-document rows.
-
-    Child spans are built vectorized (same string kernel as
-    _pack_bucket); only the per-way header (2 parent versions + tags +
-    member list) is a Python loop over |ways in bucket|.
-    """
-    g = group.sort_values(["osm_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
-    osm = g["osm_id"].to_numpy()
-    n = len(g)
-    node_start = np.r_[True, osm[1:] != osm[:-1]]
-    start_idx = np.maximum.accumulate(np.where(node_start, np.arange(n), 0))
-    v = np.arange(n) - start_idx + 1
-    ts = g["ts"].to_numpy()
-    uid = g["uid"].to_numpy()
-    vis = g["visible"].to_numpy()
-    kk = g["kk"].to_numpy()
-    cs = osm * 1_000_000 + (v - 1) // 3
-    lon, lat = coords_for(osm, v, kk)
-    wid = osm // WAY_BLOCK
-
-    s = pd.Series
-    vs, tss, css, uids = s(v).astype(str), s(ts).astype(str), s(cs).astype(str), s(uid).astype(str)
-    child_pfx = ("child=node/" + s(osm).astype(str) + ";").to_numpy()
-    ver_text = (child_pfx + ("v=" + vs + ";ts=" + tss + ";cs=" + css + ";uid=" + uids
-                + ";vis=" + s(vis.astype(np.int64)).astype(str)).to_numpy())
-    geom_ref = ("geom:child=node/" + s(osm).astype(str) + ";v=" + vs
-                + ";lon=" + s(lon).astype(str) + ";lat=" + s(lat).astype(str)).to_numpy()
-
-    # interleave child spans: version (+ geom when visible)
-    n_slots = 1 + vis.astype(np.int64)
-    total = int(n_slots.sum())
-    ver_of_span = np.repeat(np.arange(n), n_slots)
-    span_end = np.cumsum(n_slots)
-    slot = np.arange(total) - np.repeat(span_end - n_slots, n_slots)
-    child_kinds = np.where(slot == 0, "version", "geom").astype(object)
-    child_texts = np.where(slot == 0, ver_text[ver_of_span], "").astype(object)
-    child_refs = np.where(slot == 1, geom_ref[ver_of_span], "").astype(object)
-    child_wid = np.repeat(wid, n_slots)
-
-    # per-way slices of the child-span arrays (g sorted by osm_id =>
-    # also grouped by wid; spans inherit that order)
-    way_first = np.r_[True, child_wid[1:] != child_wid[:-1]]
-    way_starts = np.flatnonzero(way_first)
-    way_ends = np.r_[way_starts[1:], total]
-    way_ids = child_wid[way_starts]
-
-    # per-way scalars for the parent versions
-    per_way = pd.DataFrame({"wid": wid, "ts": ts}).groupby("wid").agg(ts1=("ts", "min"), ts2=("ts", "max"))
-    bb = pd.DataFrame(
-        {
-            "wid": wid,
-            "lon": np.where(vis, lon, np.int64(np.iinfo(np.int64).max)),
-            "lon2": np.where(vis, lon, np.int64(np.iinfo(np.int64).min)),
-            "lat": np.where(vis, lat, np.int64(np.iinfo(np.int64).max)),
-            "lat2": np.where(vis, lat, np.int64(np.iinfo(np.int64).min)),
-            "v": vis.astype(np.int64),
-        }
-    ).groupby("wid").agg(mn_lon=("lon", "min"), mx_lon=("lon2", "max"),
-                         mn_lat=("lat", "min"), mx_lat=("lat2", "max"), anyv=("v", "max"))
-
-    # one sorted pass, not a boolean rescan of the bucket per way
-    members_of = _members_by_parent(wid, osm)
-
-    kinds_parts, texts_parts, refs_parts, doc_lens = [], [], [], []
-    for w, cs_s, cs_e in zip(way_ids, way_starts, way_ends):
-        w = int(w)
-        ts1 = int(per_way.loc[w, "ts1"])
-        ts2 = int(per_way.loc[w, "ts2"]) + 1
-        vis2 = w % 3 != 0
-        members = members_of[w]
-        hk, ht, hr = [], [], []
-
-        def emit(kind, text="", ref=""):
-            hk.append(kind)
-            ht.append(text)
-            hr.append(ref)
-
-        emit("version", f"v=1;ts={ts1};cs={WAY_CS_BASE + w * 1000 + 1};uid={w % 37};vis=1")
-        emit("tag", "etype=way")
-        emit("tag", f"k={w % 7}")
-        for m in members:
-            emit("member", f"node/{m}@role=")
-        emit("version", f"v=2;ts={ts2};cs={WAY_CS_BASE + w * 1000 + 2};uid={(w + 1) % 37};vis={int(vis2)}")
-        if vis2:
-            emit("tag", "etype=way")
-            emit("tag", f"k={w % 7 + 1}")
-        for m in members:
-            emit("member", f"node/{m}@role=")
-
-        kinds_parts.append(np.array(hk, dtype=object))
-        kinds_parts.append(child_kinds[cs_s:cs_e])
-        texts_parts.append(np.array(ht, dtype=object))
-        texts_parts.append(child_texts[cs_s:cs_e])
-        refs_parts.append(np.array(hr, dtype=object))
-        refs_parts.append(child_refs[cs_s:cs_e])
-        doc_lens.append(len(hk) + (cs_e - cs_s))
-
-    all_kinds = np.concatenate(kinds_parts) if kinds_parts else np.array([], dtype=object)
-    all_texts = np.concatenate(texts_parts) if texts_parts else np.array([], dtype=object)
-    all_refs = np.concatenate(refs_parts) if refs_parts else np.array([], dtype=object)
-    doc_lens = np.asarray(doc_lens, dtype=np.int64)
-    doc_span_start = np.repeat(np.r_[0, np.cumsum(doc_lens)[:-1]], doc_lens)
-    # compound docs denormalize full child histories — a huge bucket
-    # would silently wrap int32 ListArray offsets and corrupt the table
-    assert len(all_kinds) < 2**31, "bucket span total exceeds int32 offsets"
-    offsets = (np.arange(len(all_kinds)) - doc_span_start).astype(np.int32)
-
-    spans_flat = pa.StructArray.from_arrays(
-        [
-            pa.array(all_kinds, type=pa.string()),
-            pa.array(all_texts, type=pa.string()),
-            pa.array(all_refs, type=pa.string()),
-            pa.array(offsets, type=pa.int32()),
-        ],
-        names=["kind", "text", "media_ref", "offset"],
-    )
-    list_offsets = np.r_[0, np.cumsum(doc_lens)].astype(np.int32)
-    spans_col = pa.ListArray.from_arrays(pa.array(list_offsets), spans_flat)
-
-    w_idx = [int(w) for w in way_ids]
-    zero = bb.loc[w_idx, "anyv"].to_numpy() == 0
-    bcols = {}
-    for c in ("mn_lon", "mx_lon", "mn_lat", "mx_lat"):
-        arr = bb.loc[w_idx, c].to_numpy().copy()
-        arr[zero] = 0
-        bcols[c] = arr
-    return pa.table(
-        {
-            "doc_id": pa.array(["way/" + str(w) for w in w_idx], type=pa.string()),
-            "osm_type": pa.array(np.full(len(w_idx), "way", dtype=object), type=pa.string()),
-            "osm_id": pa.array(np.asarray(w_idx, dtype=np.int64)),
-            "n_versions": pa.array(np.full(len(w_idx), 2, dtype=np.int32), type=pa.int32()),
-            "min_lon_e7": pa.array(bcols["mn_lon"]),
-            "max_lon_e7": pa.array(bcols["mx_lon"]),
-            "min_lat_e7": pa.array(bcols["mn_lat"]),
-            "max_lat_e7": pa.array(bcols["mx_lat"]),
-            "spans": spans_col,
-            **_span_only_lists(len(w_idx)),
-        },
-        schema=DOCUMENTS_SCHEMA,
-    )
+    of each way) into compound documents (derivation above)."""
+    nd = _node_children(group)
+    docs = _CompoundDocs(nd, keytable)
+    for w, lo, hi in _runs(nd["osm"] // WAY_BLOCK):
+        _way_versions(docs, w, lo, hi, child=False)
+        docs.end(w, lo, hi)
+    return docs.table("way")
 
 
 def _replicas(g: pd.DataFrame, rep: int):
@@ -504,7 +566,9 @@ def _build(sf_dir: str, rep: int, block: int, packer) -> ray.data.Dataset:
     version columns; its reduce hands each bucket of complete histories
     to ``packer`` (pandas frame -> documents table), MANY entities a
     call, vectorized (per-entity calls would be 1000x the Python
-    overhead at scale).
+    overhead at scale). A compound packer also takes the reduce call's
+    ``_Keytable``, listed in the bucket's schema metadata
+    (``_write_shards`` makes the ids table-wide).
 
     ``rep`` deterministically amplifies the corpus for benchmarks:
     replica r of an entity gets ``osm_id + r*REP_STRIDE`` — its
@@ -529,9 +593,13 @@ def _build(sf_dir: str, rep: int, block: int, packer) -> ray.data.Dataset:
 
     def reduce(t: pa.Table) -> pa.Table:
         if not t.num_rows:
-            return DOCUMENTS_SCHEMA.empty_table()
+            return (DOCUMENTS_SCHEMA if block == 1 else COMPOUND_SCHEMA).empty_table()
         g = t.drop_columns([key] if block > 1 else []).to_pandas()
-        return pa.concat_tables([packer(r) for r in _replicas(g, rep)])
+        if block == 1:
+            return pa.concat_tables([packer(r) for r in _replicas(g, rep)])
+        kt = _Keytable()
+        out = pa.concat_tables([packer(r, kt) for r in _replicas(g, rep)])
+        return out.replace_schema_metadata(kt.metadata())
 
     ev = rio.read_table(
         os.path.join(sf_dir, "events.parquet"),
@@ -555,153 +623,31 @@ def build_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
 # rts = min(member-way ts1), tags etype=relation / k=(r%7),
 # cs = 3e9 + r*1000 + 1, uid = r % 37. Children are denormalized TWO
 # LEVELS deep: the member ways' own versions (each carrying ITS member
-# node list) plus every node's full history — exercising the
+# node list, no tags) plus every node's full history — exercising the
 # reference's recursive relation path (OSHEntities.java:395-478 and
 # the two-level OSMMember.entity chain). Ways are emitted before nodes
-# so the changeset map's putIfAbsent order matches parse_doc insertion.
+# so the changeset map's first-appearance order sees them first.
 
 REL_BLOCK = 2 * WAY_BLOCK
 REL_CS_BASE = 3_000_000_000
 
 
-def _pack_rel_bucket(group: pd.DataFrame) -> pa.Table:
+def _pack_rel_bucket(group: pd.DataFrame, keytable: _Keytable) -> pa.Table:
     """Pack a bucket of COMPLETE relation histories (all node events of
     each relation's member ways) into 2-level compound documents."""
-    g = group.sort_values(["osm_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
-    osm = g["osm_id"].to_numpy()
-    n = len(g)
-    node_start = np.r_[True, osm[1:] != osm[:-1]]
-    start_idx = np.maximum.accumulate(np.where(node_start, np.arange(n), 0))
-    v = np.arange(n) - start_idx + 1
-    ts = g["ts"].to_numpy()
-    uid = g["uid"].to_numpy()
-    vis = g["visible"].to_numpy()
-    kk = g["kk"].to_numpy()
-    cs = osm * 1_000_000 + (v - 1) // 3
-    lon, lat = coords_for(osm, v, kk)
-    wid = osm // WAY_BLOCK
-    rid = osm // REL_BLOCK
-
-    s = pd.Series
-    vs, tss, css, uids = s(v).astype(str), s(ts).astype(str), s(cs).astype(str), s(uid).astype(str)
-    child_pfx = ("child=node/" + s(osm).astype(str) + ";").to_numpy()
-    ver_text = (child_pfx + ("v=" + vs + ";ts=" + tss + ";cs=" + css + ";uid=" + uids
-                + ";vis=" + s(vis.astype(np.int64)).astype(str)).to_numpy())
-    geom_ref = ("geom:child=node/" + s(osm).astype(str) + ";v=" + vs
-                + ";lon=" + s(lon).astype(str) + ";lat=" + s(lat).astype(str)).to_numpy()
-
-    n_slots = 1 + vis.astype(np.int64)
-    total = int(n_slots.sum())
-    ver_of_span = np.repeat(np.arange(n), n_slots)
-    span_end = np.cumsum(n_slots)
-    slot = np.arange(total) - np.repeat(span_end - n_slots, n_slots)
-    child_kinds = np.where(slot == 0, "version", "geom").astype(object)
-    child_texts = np.where(slot == 0, ver_text[ver_of_span], "").astype(object)
-    child_refs = np.where(slot == 1, geom_ref[ver_of_span], "").astype(object)
-    child_rid = np.repeat(rid, n_slots)
-
-    rel_first = np.r_[True, child_rid[1:] != child_rid[:-1]]
-    rel_starts = np.flatnonzero(rel_first)
-    rel_ends = np.r_[rel_starts[1:], total]
-    rel_ids = child_rid[rel_starts]
-
-    per_way = pd.DataFrame({"wid": wid, "ts": ts}).groupby("wid").agg(ts1=("ts", "min"), ts2=("ts", "max"))
-    bb = pd.DataFrame(
-        {
-            "rid": rid,
-            "lon": np.where(vis, lon, np.int64(np.iinfo(np.int64).max)),
-            "lon2": np.where(vis, lon, np.int64(np.iinfo(np.int64).min)),
-            "lat": np.where(vis, lat, np.int64(np.iinfo(np.int64).max)),
-            "lat2": np.where(vis, lat, np.int64(np.iinfo(np.int64).min)),
-            "v": vis.astype(np.int64),
-        }
-    ).groupby("rid").agg(mn_lon=("lon", "min"), mx_lon=("lon2", "max"),
-                         mn_lat=("lat", "min"), mx_lat=("lat2", "max"), anyv=("v", "max"))
-    ways_of = _members_by_parent(rid, wid)
-    members_of = _members_by_parent(wid, osm)
-
-    kinds_parts, texts_parts, refs_parts, doc_lens = [], [], [], []
-    for r, cs_s, cs_e in zip(rel_ids, rel_starts, rel_ends):
-        r = int(r)
-        ways = ways_of[r]
-        rts = int(min(per_way.loc[w, "ts1"] for w in ways))
-        hk, ht, hr = [], [], []
-
-        def emit(kind, text="", ref=""):
-            hk.append(kind)
-            ht.append(text)
-            hr.append(ref)
-
-        emit("version", f"v=1;ts={rts};cs={REL_CS_BASE + r * 1000 + 1};uid={r % 37};vis=1")
-        emit("tag", "etype=relation")
-        emit("tag", f"k={r % 7}")
-        for w in ways:
-            emit("member", f"way/{w}@role=")
-        # way children (before nodes: changeset-map putIfAbsent order),
-        # each version carrying the way's OWN member list
-        for w in ways:
-            ts1 = int(per_way.loc[w, "ts1"])
-            ts2 = int(per_way.loc[w, "ts2"]) + 1
-            vis2 = w % 3 != 0
-            emit("version", f"child=way/{w};v=1;ts={ts1};cs={WAY_CS_BASE + w * 1000 + 1};uid={w % 37};vis=1")
-            for m in members_of[w]:
-                emit("member", f"node/{m}@role=")
-            emit("version", f"child=way/{w};v=2;ts={ts2};cs={WAY_CS_BASE + w * 1000 + 2};uid={(w + 1) % 37};vis={int(vis2)}")
-            for m in members_of[w]:
-                emit("member", f"node/{m}@role=")
-
-        kinds_parts.append(np.array(hk, dtype=object))
-        kinds_parts.append(child_kinds[cs_s:cs_e])
-        texts_parts.append(np.array(ht, dtype=object))
-        texts_parts.append(child_texts[cs_s:cs_e])
-        refs_parts.append(np.array(hr, dtype=object))
-        refs_parts.append(child_refs[cs_s:cs_e])
-        doc_lens.append(len(hk) + (cs_e - cs_s))
-
-    all_kinds = np.concatenate(kinds_parts) if kinds_parts else np.array([], dtype=object)
-    all_texts = np.concatenate(texts_parts) if texts_parts else np.array([], dtype=object)
-    all_refs = np.concatenate(refs_parts) if refs_parts else np.array([], dtype=object)
-    doc_lens = np.asarray(doc_lens, dtype=np.int64)
-    doc_span_start = np.repeat(np.r_[0, np.cumsum(doc_lens)[:-1]], doc_lens)
-    # relations duplicate every node history of every member way — guard
-    # the int32 ListArray offsets against silent wraparound
-    assert len(all_kinds) < 2**31, "bucket span total exceeds int32 offsets"
-    offsets = (np.arange(len(all_kinds)) - doc_span_start).astype(np.int32)
-
-    spans_flat = pa.StructArray.from_arrays(
-        [
-            pa.array(all_kinds, type=pa.string()),
-            pa.array(all_texts, type=pa.string()),
-            pa.array(all_refs, type=pa.string()),
-            pa.array(offsets, type=pa.int32()),
-        ],
-        names=["kind", "text", "media_ref", "offset"],
-    )
-    list_offsets = np.r_[0, np.cumsum(doc_lens)].astype(np.int32)
-    spans_col = pa.ListArray.from_arrays(pa.array(list_offsets), spans_flat)
-
-    r_idx = [int(r) for r in rel_ids]
-    zero = bb.loc[r_idx, "anyv"].to_numpy() == 0
-    bcols = {}
-    for c in ("mn_lon", "mx_lon", "mn_lat", "mx_lat"):
-        arr = bb.loc[r_idx, c].to_numpy().copy()
-        arr[zero] = 0
-        bcols[c] = arr
-    return pa.table(
-        {
-            "doc_id": pa.array(["relation/" + str(r) for r in r_idx], type=pa.string()),
-            "osm_type": pa.array(np.full(len(r_idx), "relation", dtype=object), type=pa.string()),
-            "osm_id": pa.array(np.asarray(r_idx, dtype=np.int64)),
-            "n_versions": pa.array(np.full(len(r_idx), 1, dtype=np.int32), type=pa.int32()),
-            "min_lon_e7": pa.array(bcols["mn_lon"]),
-            "max_lon_e7": pa.array(bcols["mx_lon"]),
-            "min_lat_e7": pa.array(bcols["mn_lat"]),
-            "max_lat_e7": pa.array(bcols["mx_lat"]),
-            "spans": spans_col,
-            **_span_only_lists(len(r_idx)),
-        },
-        schema=DOCUMENTS_SCHEMA,
-    )
+    nd = _node_children(group)
+    docs = _CompoundDocs(nd, keytable)
+    ways = {w: (lo, hi) for w, lo, hi in _runs(nd["osm"] // WAY_BLOCK)}
+    for r, lo, hi in _runs(nd["osm"] // REL_BLOCK):
+        mine = [w for w in (2 * r, 2 * r + 1) if w in ways]
+        rts = int(min(nd["ts"][ways[w][0]:ways[w][1]].min() for w in mine))
+        docs.version(1, rts, REL_CS_BASE + r * 1000 + 1, r % 37, True,
+                     tags=(("etype", "relation"), ("k", r % 7)),
+                     members=[("way", w, "") for w in mine])
+        for w in mine:  # way children, each version carrying ITS node list
+            _way_versions(docs, w, *ways[w], child=True)
+        docs.end(r, lo, hi)
+    return docs.table("relation")
 
 
 # ----------------------------------- old-style multipolygon documents
@@ -724,150 +670,35 @@ OS_BLOCK = 8
 OS_CS_BASE = 4_000_000_000
 
 
-def _pack_oldstyle_bucket(group: pd.DataFrame) -> pa.Table:
+def _pack_oldstyle_bucket(group: pd.DataFrame, keytable: _Keytable) -> pa.Table:
     """Pack a bucket of old-style multipolygon relation documents (see
     the derivation comment block above)."""
-    g = group.sort_values(["osm_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
-    osm = g["osm_id"].to_numpy()
-    n = len(g)
-    node_start = np.r_[True, osm[1:] != osm[:-1]]
-    start_idx = np.maximum.accumulate(np.where(node_start, np.arange(n), 0))
-    v = np.arange(n) - start_idx + 1
-    ts = g["ts"].to_numpy()
-    uid = g["uid"].to_numpy()
-    vis = g["visible"].to_numpy()
-    kk = g["kk"].to_numpy()
-    cs = osm * 1_000_000 + (v - 1) // 3
-    lon, lat = coords_for(osm, v, kk)
-    rid = osm // OS_BLOCK
-
-    s = pd.Series
-    vs, tss, css, uids = s(v).astype(str), s(ts).astype(str), s(cs).astype(str), s(uid).astype(str)
-    child_pfx = ("child=node/" + s(osm).astype(str) + ";").to_numpy()
-    ver_text = (child_pfx + ("v=" + vs + ";ts=" + tss + ";cs=" + css + ";uid=" + uids
-                + ";vis=" + s(vis.astype(np.int64)).astype(str)).to_numpy())
-    geom_ref = ("geom:child=node/" + s(osm).astype(str) + ";v=" + vs
-                + ";lon=" + s(lon).astype(str) + ";lat=" + s(lat).astype(str)).to_numpy()
-
-    n_slots = 1 + vis.astype(np.int64)
-    total = int(n_slots.sum())
-    ver_of_span = np.repeat(np.arange(n), n_slots)
-    span_end = np.cumsum(n_slots)
-    slot = np.arange(total) - np.repeat(span_end - n_slots, n_slots)
-    child_kinds = np.where(slot == 0, "version", "geom").astype(object)
-    child_texts = np.where(slot == 0, ver_text[ver_of_span], "").astype(object)
-    child_refs = np.where(slot == 1, geom_ref[ver_of_span], "").astype(object)
-    child_rid = np.repeat(rid, n_slots)
-
-    rel_first = np.r_[True, child_rid[1:] != child_rid[:-1]]
-    rel_starts = np.flatnonzero(rel_first)
-    rel_ends = np.r_[rel_starts[1:], total]
-    rel_ids = child_rid[rel_starts]
-
-    per_node = pd.DataFrame({"osm": osm, "rid": rid, "ts": ts}).groupby("osm").agg(
-        rid=("rid", "first"), ts1=("ts", "min")
-    )
-    bb = pd.DataFrame(
-        {
-            "rid": rid,
-            "lon": np.where(vis, lon, np.int64(np.iinfo(np.int64).max)),
-            "lon2": np.where(vis, lon, np.int64(np.iinfo(np.int64).min)),
-            "lat": np.where(vis, lat, np.int64(np.iinfo(np.int64).max)),
-            "lat2": np.where(vis, lat, np.int64(np.iinfo(np.int64).min)),
-            "v": vis.astype(np.int64),
-        }
-    ).groupby("rid").agg(mn_lon=("lon", "min"), mx_lon=("lon2", "max"),
-                         mn_lat=("lat", "min"), mx_lat=("lat2", "max"), anyv=("v", "max"))
-
-    kinds_parts, texts_parts, refs_parts, doc_lens, kept_rids = [], [], [], [], []
-    by_rid = dict(tuple(per_node.groupby("rid", sort=False)))
-    for r, cs_s, cs_e in zip(rel_ids, rel_starts, rel_ends):
-        r = int(r)
-        nodes = by_rid.get(r, per_node.iloc[0:0])
-        ids = nodes.index.to_numpy()
-        outer = sorted(int(i) for i in ids if i % OS_BLOCK < 4)
-        inner = sorted(int(i) for i in ids if i % OS_BLOCK >= 4)
+    nd = _node_children(group)
+    docs = _CompoundDocs(nd, keytable)
+    for r, lo, hi in _runs(nd["osm"] // OS_BLOCK):
+        first = lo + np.flatnonzero(nd["node_start"][lo:hi])  # a node's first = earliest version
+        ids, ts1 = nd["osm"][first], nd["ts"][first]
+        is_outer = ids % OS_BLOCK < 4
+        outer, inner = [int(i) for i in ids[is_outer]], [int(i) for i in ids[~is_outer]]
         if not outer:
             continue
-        rts = int(nodes["ts1"].min())
-        ts1o = int(nodes.loc[outer, "ts1"].min())
         wo, wi = 2 * r, 2 * r + 1
-        inner_role = "outer" if r % 11 == 0 else "inner"
-        hk, ht, hr = [], [], []
-
-        def emit(kind, text="", ref=""):
-            hk.append(kind)
-            ht.append(text)
-            hr.append(ref)
-
-        emit("version", f"v=1;ts={rts};cs={OS_CS_BASE + r * 1000 + 1};uid={r % 37};vis=1")
-        emit("tag", "type=multipolygon")
-        if r % 5 == 0:
-            emit("tag", "k=9")  # a real tag -> NOT old-style
-        emit("member", f"way/{wo}@role=outer")
+        # the real tag k=9 makes the relation NOT old-style
+        tags = (("type", "multipolygon"),) + ((("k", 9),) if r % 5 == 0 else ())
+        members = [("way", wo, "outer")]
         if inner:
-            emit("member", f"way/{wi}@role={inner_role}")
+            members.append(("way", wi, "outer" if r % 11 == 0 else "inner"))
+        docs.version(1, int(ts1.min()), OS_CS_BASE + r * 1000 + 1, r % 37, True, tags=tags,
+                     members=members)
         # outer way child (single visible version; tags live HERE)
-        emit("version", f"child=way/{wo};v=1;ts={ts1o};cs={OS_CS_BASE + r * 1000 + 2};uid={r % 37};vis=1")
-        emit("tag", f"k={r % 7}")
-        for m in outer + [outer[0]]:
-            emit("member", f"node/{m}@role=")
+        docs.version(1, int(ts1[is_outer].min()), OS_CS_BASE + r * 1000 + 2, r % 37, True,
+                     tags=(("k", r % 7),), members=[("node", m, "") for m in outer + outer[:1]],
+                     child=("way", wo))
         if inner:
-            ts1i = int(nodes.loc[inner, "ts1"].min())
-            emit("version", f"child=way/{wi};v=1;ts={ts1i};cs={OS_CS_BASE + r * 1000 + 3};uid={r % 37};vis=1")
-            for m in inner + [inner[0]]:
-                emit("member", f"node/{m}@role=")
-
-        kinds_parts.append(np.array(hk, dtype=object))
-        kinds_parts.append(child_kinds[cs_s:cs_e])
-        texts_parts.append(np.array(ht, dtype=object))
-        texts_parts.append(child_texts[cs_s:cs_e])
-        refs_parts.append(np.array(hr, dtype=object))
-        refs_parts.append(child_refs[cs_s:cs_e])
-        doc_lens.append(len(hk) + (cs_e - cs_s))
-        kept_rids.append(r)
-
-    all_kinds = np.concatenate(kinds_parts) if kinds_parts else np.array([], dtype=object)
-    all_texts = np.concatenate(texts_parts) if texts_parts else np.array([], dtype=object)
-    all_refs = np.concatenate(refs_parts) if refs_parts else np.array([], dtype=object)
-    doc_lens = np.asarray(doc_lens, dtype=np.int64)
-    doc_span_start = np.repeat(np.r_[0, np.cumsum(doc_lens)[:-1]], doc_lens) if len(doc_lens) else np.array([], dtype=np.int64)
-    assert len(all_kinds) < 2**31, "bucket span total exceeds int32 offsets"
-    offsets = (np.arange(len(all_kinds)) - doc_span_start).astype(np.int32)
-
-    spans_flat = pa.StructArray.from_arrays(
-        [
-            pa.array(all_kinds, type=pa.string()),
-            pa.array(all_texts, type=pa.string()),
-            pa.array(all_refs, type=pa.string()),
-            pa.array(offsets, type=pa.int32()),
-        ],
-        names=["kind", "text", "media_ref", "offset"],
-    )
-    list_offsets = np.r_[0, np.cumsum(doc_lens)].astype(np.int32)
-    spans_col = pa.ListArray.from_arrays(pa.array(list_offsets), spans_flat)
-
-    zero = bb.loc[kept_rids, "anyv"].to_numpy() == 0 if kept_rids else np.array([], dtype=bool)
-    bcols = {}
-    for c in ("mn_lon", "mx_lon", "mn_lat", "mx_lat"):
-        arr = bb.loc[kept_rids, c].to_numpy().copy() if kept_rids else np.array([], dtype=np.int64)
-        arr[zero] = 0
-        bcols[c] = arr
-    return pa.table(
-        {
-            "doc_id": pa.array(["relation/" + str(r) for r in kept_rids], type=pa.string()),
-            "osm_type": pa.array(np.full(len(kept_rids), "relation", dtype=object), type=pa.string()),
-            "osm_id": pa.array(np.asarray(kept_rids, dtype=np.int64)),
-            "n_versions": pa.array(np.full(len(kept_rids), 1, dtype=np.int32), type=pa.int32()),
-            "min_lon_e7": pa.array(bcols["mn_lon"]),
-            "max_lon_e7": pa.array(bcols["mx_lon"]),
-            "min_lat_e7": pa.array(bcols["mn_lat"]),
-            "max_lat_e7": pa.array(bcols["mx_lat"]),
-            "spans": spans_col,
-            **_span_only_lists(len(kept_rids)),
-        },
-        schema=DOCUMENTS_SCHEMA,
-    )
+            docs.version(1, int(ts1[~is_outer].min()), OS_CS_BASE + r * 1000 + 3, r % 37, True,
+                         members=[("node", m, "") for m in inner + inner[:1]], child=("way", wi))
+        docs.end(r, lo, hi)
+    return docs.table("relation")
 
 
 def build_way_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
@@ -878,20 +709,54 @@ def build_relation_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:
     return _build(sf_dir, rep, REL_BLOCK, _pack_rel_bucket)
 
 
+def _with_keytable_ids(t: pa.Table, tag_map: np.ndarray, role_map: np.ndarray) -> pa.Table:
+    """``t`` with its bucket-local tag and role ids replaced by the
+    table-wide ones (``map[local id]``)."""
+    for name, m in (("tag_ids", tag_map), ("mem_role", role_map)):
+        col = t[name].combine_chunks()
+        off = col.offsets.to_numpy()
+        ids = m[col.flatten().to_numpy(zero_copy_only=False)].astype(np.int32)
+        t = t.set_column(t.schema.get_field_index(name), name,
+                         pa.ListArray.from_arrays(pa.array(off - off[0]), pa.array(ids)))
+    return t.replace_schema_metadata(None)
+
+
 @ray.remote
-def _shard_task(lo: str, hi: str | None, *buckets: pa.Table) -> pa.Table:
+def _shard_task(lo: str, hi: str | None, maps, *buckets: pa.Table) -> pa.Table:
     """The documents of ``buckets`` with ``lo <= doc_id < hi`` (None:
-    unbounded), in ``doc_id`` order."""
+    unbounded), in ``doc_id`` order; ``maps`` (one (tag, role) id map per
+    bucket, None for a node table) make compound keytable ids
+    table-wide."""
 
     def inside(ids: pa.ChunkedArray):
         m = pc.greater_equal(ids, lo)
         return m if hi is None else pc.and_(m, pc.less(ids, hi))
 
+    if maps is not None:
+        buckets = [_with_keytable_ids(b, *m) for b, m in zip(buckets, maps)]
     t = pa.concat_tables([b.filter(inside(b["doc_id"])) for b in buckets]).combine_chunks()
     return t.take(pc.sort_indices(t["doc_id"]))
 
 
-def _write_shards(ds: ray.data.Dataset, path: str, shard_rows: int, min_shards: int = 1) -> None:
+def _merged_keytable(buckets: list[pa.Table]) -> tuple[dict, list]:
+    """The table-wide keytable (tag signatures and roles, each sorted)
+    of compound pack buckets, and each bucket's (tag, role) id map."""
+    local = [json.loads((b.schema.metadata or {}).get(KEYTABLE_META, '{"tags":[],"roles":[]}'))
+             for b in buckets]
+    sigs = sorted({json.dumps(s) for kt in local for s in kt["tags"]})
+    roles = sorted({r for kt in local for r in kt["roles"]})
+    sig_id, role_id = {s: i for i, s in enumerate(sigs)}, {r: i for i, r in enumerate(roles)}
+    maps = [
+        (np.array([sig_id[json.dumps(s)] for s in kt["tags"]], dtype=np.int32),
+         np.array([role_id[r] for r in kt["roles"]], dtype=np.int32))
+        for kt in local
+    ]
+    return {"tags": [json.loads(s) for s in sigs], "roles": roles}, maps
+
+
+def _write_shards(
+    ds: ray.data.Dataset, path: str, shard_rows: int, min_shards: int = 1, compound: bool = False
+) -> None:
     """Write ``ds`` in ``doc_id`` order as ``max(min_shards,
     ceil(rows / shard_rows))`` evenly sized shard files, each ONE
     parquet row group.
@@ -902,14 +767,20 @@ def _write_shards(ds: ray.data.Dataset, path: str, shard_rows: int, min_shards: 
     bucket's share of the corpus. The pack has one bucket per input
     block, so its buckets follow the cpu count: the ``doc_id`` order
     keeps the table the same at any cpu count. The driver reads only
-    the ``doc_id`` column, to find each shard's first ``doc_id``; one
-    task per shard gathers its rows from the buckets."""
+    the ``doc_id`` column, to find each shard's first ``doc_id`` (and
+    a compound table's bucket keytables, merged into ``KEYTABLE_FILE``);
+    one task per shard gathers its rows from the buckets."""
     refs = ds.to_arrow_refs()
-    ids = np.sort(np.concatenate([ray.get(r)["doc_id"].to_numpy(zero_copy_only=False) for r in refs]))
+    buckets = [ray.get(r) for r in refs]
+    ids = np.sort(np.concatenate([b["doc_id"].to_numpy(zero_copy_only=False) for b in buckets]))
     n = max(min_shards, -(-len(ids) // shard_rows))
     bounds = ["", *ids[[len(ids) * i // n for i in range(1, n)]], None]
-    shards = [_shard_task.remote(lo, hi, *refs) for lo, hi in zip(bounds, bounds[1:])]
+    keytable, maps = _merged_keytable(buckets) if compound else (None, None)
+    shards = [_shard_task.remote(lo, hi, maps, *refs) for lo, hi in zip(bounds, bounds[1:])]
     rio.write_table(ray.data.from_arrow_refs(shards), str(path), row_group_size=shard_rows)
+    if compound:
+        with open(os.path.join(path, KEYTABLE_FILE), "w") as f:
+            json.dump(keytable, f)
 
 
 def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
@@ -917,12 +788,29 @@ def _ensure_compound(sf_dir: str, rep: int, tag: str, builder) -> str:
     ensure_documents)."""
     # shards of <= COMPOUND_BATCH docs: one member-recursion stage call
     # per shard, at the batch size the stage is tuned for, and as many
-    # files as the stage has batches to run in parallel (the layout
-    # reads members.COMPOUND_BATCH, so members.py is in the cache key)
+    # files as the stage has batches to run in parallel
     return rio.ensure(
         f"documents_{tag}", [Path(sf_dir) / "events.parquet"], [rep, _fp(_members)],
-        lambda staging: _write_shards(builder(sf_dir, rep), staging, _members.COMPOUND_BATCH),
+        lambda staging: _write_shards(
+            builder(sf_dir, rep), staging, _members.COMPOUND_BATCH, compound=True
+        ),
     )
+
+
+_KEYTABLE_MEM: dict[tuple, dict] = {}
+
+
+def compound_keytable(path: str) -> dict:
+    """The keytable of the compound table at ``path`` (an
+    ``ensure_*_documents`` result): ``{"tags": [...], "roles": [...]}``,
+    where ``tags[i]`` is tag-signature id i as sorted [key, value]
+    pairs and ``roles[i]`` is role id i. Read once per file identity."""
+    f = os.path.join(path, KEYTABLE_FILE)
+    key = rio._stat_identity(f)
+    if key not in _KEYTABLE_MEM:
+        with open(f) as fh:
+            _KEYTABLE_MEM[key] = json.load(fh)
+    return _KEYTABLE_MEM[key]
 
 
 def build_oldstyle_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:

@@ -1,15 +1,21 @@
-"""Vectorized compound-document engine (way/relation member recursion).
+"""Compound-document engine (way/relation member recursion) over the
+typed compound columns.
 
-Drop-in fast path for rayhist.members.contribution_stats_batch /
-snapshot_geoms_batch: the span parse is ONE batch-level pass of Arrow
-regex kernels (no ``to_pylist``, no per-span Python string splits), and
-the per-document temporal logic runs on numpy arrays — member-version
-resolution is a searchsorted per (doc, child) instead of a linear scan
-per (timestamp, member).
+Reads the columns ingest packs for way, relation and old-style
+documents (``model.COMPOUND_SCHEMA``): every version record of a
+document, the parent's own and its denormalized children's, in span
+order; a packed child id per version; the member edges as flat lists;
+one tag-signature id per version. No span text is read: tag and role
+tests are keytable lookups resolved on the driver (``tag_match``,
+``old_style_tags``, ``role_id``). Each batch runs one classifier over
+batch-global (document, child) entities: member-version resolution is
+one ``searchsorted`` over (entity, time rank) keys, the analog of the
+reference's offset index into child histories
+(``OSHWayImpl.java:79-101``).
 
-Semantics mirror rayhist.members (the per-document reference
-implementation, kept for arbitrary ``match`` callables and as the A/B
-oracle in tests) which itself mirrors the reference:
+Semantics mirror the per-document reference engine
+(``tests/reference_members.py``, the differential oracle of
+``tests/test_members_vec.py``), which itself mirrors the reference:
 
 - recursive modification timestamps: ``OSHEntities.java:330-478``
 - changeset collapse w/ parent putIfAbsent precedence: ``:122-170``
@@ -17,19 +23,18 @@ oracle in tests) which itself mirrors the reference:
 - contribution classification: ``CellIterator.java:437-712``
 - child-attributed contributor uid: ``OSMContribution.java:211-257``
 
-Exact-mirror notes (each pinned by tests/test_members_vec.py A/B):
+Exact-mirror notes:
 
-- tag dicts compare equal iff their canonical signatures (dedup
-  keep-LAST per key, sort by key, join "k=v" with "\x1f" — values may
-  contain ';') compare equal;
+- tag dicts compare equal iff their keytable signature ids do
+  (signatures dedup keep-LAST per key and sort by key at ingest);
 - the changeset map takes the LAST parent version per timestamp, then
   children in FIRST-APPEARANCE (span) order, first (ts,v) per child;
 - member-validity windows need no merging for the membership test:
-  per child, window los AND his are both ascending (hi = next parent
+  per (entity, child), window los AND his are both ascending (hi = next
   version ts >= own ts), so "last window with lo <= t" is exact;
 - uid attribution scans the state's DIRECT members in order, the last
   member having a version at exactly ts wins, first (ts,v) within it;
-- a resolved member version with member spans recurses (way inside a
+- a resolved member version with members recurses (way inside a
   relation); leaf-ness for coords is per RESOLVED VERSION, leaf-ness
   for modification recursion is per CHILD (any version has members).
 """
@@ -37,25 +42,42 @@ Exact-mirror notes (each pinned by tests/test_members_vec.py A/B):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .members import RELATION_AREA_TAGS, UNINTERESTING_TAG_KEYS
+from .model import COMPOUND_COLUMNS, VERSION_COLUMNS, _combined
 
 INF = 1 << 62
-
-_VER_CHILD_RE = (
-    r"^child=(?P<child>[^;]+);v=(?P<v>-?\d+);ts=(?P<ts>-?\d+);"
-    r"cs=(?P<cs>-?\d+);uid=(?P<uid>-?\d+);vis=(?P<vis>[01])$"
-)
-_VER_PLAIN_RE = (
-    r"^v=(?P<v>-?\d+);ts=(?P<ts>-?\d+);"
-    r"cs=(?P<cs>-?\d+);uid=(?P<uid>-?\d+);vis=(?P<vis>[01])$"
-)
-_GEOM_RE = r"v=(?P<v>-?\d+);lon=(?P<lon>-?\d+);lat=(?P<lat>-?\d+)$"
-_MEM_RE = r"^(?P<ent>.*?)@role=(?P<role>.*)$"  # non-greedy: split on the FIRST @role= (parse_doc parity)
-_TAG_RE = r"^(?P<k>[^=]*)=(?P<v>.*)$"
+MAX_DEPTH = 8  # member nesting the resolver follows before it raises
+NO_CS = -(1 << 61)  # changeset of a timestamp no version carries
 
 
+# ---------------------------------------------- driver-side tag tests
+def tag_match(keytable: dict, key: str, value: str) -> np.ndarray:
+    """Per tag-signature id: the tag dict holds ``key=value``
+    (``ingest.compound_keytable`` format)."""
+    return np.array(
+        [dict(map(tuple, sig)).get(key) == value for sig in keytable["tags"]], dtype=bool
+    )
+
+
+def old_style_tags(keytable: dict) -> np.ndarray:
+    """Per tag-signature id: the tag side of
+    ``BaseTagInterpreter.isOldStyleMultipolygon`` (:111-136) — every tag
+    is a relation-area tag or uninteresting (tagless passes)."""
+    return np.array(
+        [all(tuple(kv) in RELATION_AREA_TAGS or kv[0] in UNINTERESTING_TAG_KEYS for kv in sig)
+         for sig in keytable["tags"]],
+        dtype=bool,
+    )
+
+
+def role_id(keytable: dict, role: str) -> int:
+    """The role's keytable id; -1 when no member carries it."""
+    return keytable["roles"].index(role) if role in keytable["roles"] else -1
+
+
+# ------------------------------------------------------------ helpers
 def _range_gather_idx(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices that concatenate values[starts[i] : starts[i]+counts[i]]."""
     total = int(counts.sum())
@@ -65,814 +87,454 @@ def _range_gather_idx(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - prefix, counts) + np.arange(total, dtype=np.int64)
 
 
-def _i64(struct_arr, name: str) -> np.ndarray:
-    return pc.cast(pc.struct_field(struct_arr, name), pa.int64()).to_numpy(
-        zero_copy_only=False
+def _positions(counts: np.ndarray) -> np.ndarray:
+    """0..counts[i]-1 for every i, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _flat(batch: pa.Table, name: str, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """(values, per-document lengths) of a list column."""
+    col = _combined(batch, name)
+    return (
+        col.flatten().to_numpy(zero_copy_only=False).astype(dtype, copy=False),
+        np.diff(col.offsets.to_numpy(zero_copy_only=False)).astype(np.int64),
     )
 
 
-
-def _shift1(a, fill):
-    """[fill, a[0], ..., a[-2]] without np.r_ overhead."""
-    out = np.empty(len(a), dtype=a.dtype)
-    out[0] = fill
-    out[1:] = a[:-1]
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one before (the first too)."""
+    out = np.ones(len(a), bool)
+    out[1:] = a[1:] != a[:-1]
     return out
 
 
-def _group_bounds(sorted_codes: np.ndarray) -> np.ndarray:
-    """Segment boundaries [0, ..., n] of equal-value runs."""
-    n = len(sorted_codes)
-    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    out = np.empty(len(cuts) + 2, dtype=np.int64)
-    out[0] = 0
-    out[1:-1] = cuts
-    out[-1] = n
+def _run_ends(a: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one after (the last too)."""
+    out = np.ones(len(a), bool)
+    out[:-1] = a[1:] != a[:-1]
+    return out
+
+
+def _segment_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Integer sum of each consecutive ``counts[i]``-long run of values."""
+    out = np.zeros(len(counts), np.int64)
+    nz = counts > 0
+    if nz.any():
+        out[nz] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nz])
     return out
 
 
 class ParsedBatch:
-    """Struct-of-arrays view of one batch of compound span documents.
+    """Struct-of-arrays view of one batch of compound documents, built
+    from the typed compound columns with numpy only.
 
-    Version records are kept in two orders: span order (member/tag/geom
-    attachment) and entity order (``order2`` = sorted by
-    (doc, child, ts, v)) used by every temporal kernel. ``*2`` arrays
-    are in entity order; ``mem_*`` index the flat member-edge arrays.
-    """
+    Version records are kept in entity order (``*2`` arrays, sorted by
+    entity, then (ts, v); an entity is a (doc, child) pair, numbered
+    in order of first appearance); ``mem_*`` index the member edges,
+    sorted by owning version. ``match`` is a bool per tag-signature id (None:
+    every version matches)."""
 
-    def __init__(self, batch: pa.Table, match_kv=None):
-        spans = batch["spans"]
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
-        lengths = pc.list_value_length(spans).to_numpy().astype(np.int64)
-        self.ndocs = len(lengths)
-        flat = spans.flatten()
-        doc_of = np.repeat(np.arange(self.ndocs, dtype=np.int64), lengths)
-        off = flat.field("offset").to_numpy().astype(np.int64)
-        order = np.lexsort((off, doc_of))
-        if not np.array_equal(order, np.arange(len(order))):
-            flat = flat.take(pa.array(order))
-            doc_of = doc_of[order]
-
-        kinds = flat.field("kind")
-        text = flat.field("text")
-        ref = flat.field("media_ref")
-        is_ver = pc.equal(kinds, "version").to_numpy(zero_copy_only=False)
-        is_tag = pc.equal(kinds, "tag").to_numpy(zero_copy_only=False)
-        is_mem = pc.equal(kinds, "member").to_numpy(zero_copy_only=False)
-        is_geo = pc.equal(kinds, "geom").to_numpy(zero_copy_only=False)
-        # attachment pointer: each non-version span belongs to the most
-        # recent preceding version span (parse_doc's `cur`)
-        ver_ptr = np.cumsum(is_ver) - 1
-        ver_pos = np.flatnonzero(is_ver)
-        nver = len(ver_pos)
-        self.nver = nver
-        ver_doc = doc_of[ver_pos]
-
-        # ---- version parse (split by child= prefix, fixed regexes)
-        vtext = text.filter(pa.array(is_ver))
-        has_child = pc.starts_with(vtext, "child=").to_numpy(zero_copy_only=False)
-        v = np.empty(nver, np.int64)
-        ts = np.empty(nver, np.int64)
-        cs = np.empty(nver, np.int64)
-        uid = np.empty(nver, np.int64)
-        vis = np.empty(nver, bool)
-        child_str = np.full(nver, None, dtype=object)
-        if (~has_child).any():
-            # plain versions share the node-table fixed layout: use the
-            # split+slice fast parse (model._parse_fixed, ~2x vs regex)
-            from .model import _VERSION_FIELDS, _parse_fixed
-
-            mask = ~has_child
-            f = _parse_fixed(vtext.filter(pa.array(mask)), _VERSION_FIELDS, _VER_PLAIN_RE)
-            if any(arr.dtype.kind != "i" for arr in f.values()):
-                # regex fallback surfaces malformed spans as nulls
-                # (float NaN after to_numpy) — keep the loud error
-                raise ValueError("unparseable version span in compound document")
-            v[mask] = f["v"]
-            ts[mask] = f["ts"]
-            cs[mask] = f["cs"]
-            uid[mask] = f["uid"]
-            vis[mask] = f["vis"] == 1
-        if has_child.any():
-            # child-version spans ('child=X;v=...') DOMINATE compound
-            # docs (denormalized child histories) — same fast parse,
-            # with the child id sliced as a string
-            sub = vtext.filter(pa.array(has_child))
-            lists = pc.split_pattern(sub, ";")
-            n_parts = pc.sum(pc.list_value_length(lists)).as_py() or 0
-            f6 = child = None
-            if n_parts == 6 * len(sub):
-                try:
-                    parsed = {}
-                    for i, (name, prefix) in enumerate(
-                        [("v", "v="), ("ts", "ts="), ("cs", "cs="),
-                         ("uid", "uid="), ("vis", "vis=")]
-                    ):
-                        elem = pc.list_element(lists, i + 1)
-                        if not pc.all(pc.starts_with(elem, prefix)).as_py():
-                            parsed = None
-                            break
-                        parsed[name] = (
-                            pc.utf8_slice_codeunits(elem, len(prefix))
-                            .cast(pa.int64())
-                            .to_numpy(zero_copy_only=False)
-                        )
-                    if parsed is not None:
-                        f6 = parsed
-                        child = pc.utf8_slice_codeunits(
-                            pc.list_element(lists, 0), 6  # 'child='
-                        ).to_numpy(zero_copy_only=False)
-                except pa.ArrowInvalid:
-                    f6 = child = None
-            if f6 is None:
-                ex = pc.extract_regex(sub, _VER_CHILD_RE)
-                if ex.null_count:
-                    raise ValueError("unparseable version span in compound document")
-                f6 = {n: _i64(ex, n) for n in ("v", "ts", "cs", "uid", "vis")}
-                child = pc.struct_field(ex, "child").to_numpy(zero_copy_only=False)
-            v[has_child] = f6["v"]
-            ts[has_child] = f6["ts"]
-            cs[has_child] = f6["cs"]
-            uid[has_child] = f6["uid"]
-            vis[has_child] = f6["vis"] == 1
-            child_str[has_child] = child
-
-        # ---- geom spans -> lon/lat scattered onto their version record
-        lon = np.zeros(nver, np.int64)
-        lat = np.zeros(nver, np.int64)
-        geo_pos = np.flatnonzero(is_geo)
-        if len(geo_pos):
-            gref = ref.filter(pa.array(is_geo))
-            ex = pc.extract_regex(gref, _GEOM_RE)
-            if ex.null_count:
-                raise ValueError("unparseable geom span in compound document")
-            tgt = ver_ptr[geo_pos]
-            okg = (tgt >= 0) & (ver_doc[np.maximum(tgt, 0)] == doc_of[geo_pos])
-            lon[tgt[okg]] = _i64(ex, "lon")[okg]
-            lat[tgt[okg]] = _i64(ex, "lat")[okg]
-
-        # ---- member spans (flat edge arrays, span order)
-        mem_pos = np.flatnonzero(is_mem)
-        if len(mem_pos):
-            mtext = text.filter(pa.array(is_mem))
-            ex = pc.extract_regex(mtext, _MEM_RE)
-            if ex.null_count:
-                raise ValueError("unparseable member span in compound document")
-            mem_ent = pc.struct_field(ex, "ent").to_numpy(zero_copy_only=False)
-            mem_role = pc.struct_field(ex, "role").to_numpy(zero_copy_only=False)
-            mem_vidx = ver_ptr[mem_pos]
-            okm = (mem_vidx >= 0) & (
-                ver_doc[np.maximum(mem_vidx, 0)] == doc_of[mem_pos]
+    def __init__(self, batch: pa.Table, match: np.ndarray | None = None):
+        missing = [c for c in ("osm_id", "tag_ids", *VERSION_COLUMNS, *COMPOUND_COLUMNS)
+                   if c not in batch.column_names]
+        if missing:
+            raise ValueError(
+                f"not a typed compound batch: no {missing} (read model.COMPOUND_READ_COLUMNS)"
             )
-            mem_ent, mem_vidx = mem_ent[okm], mem_vidx[okm]
-            self.mem_role = mem_role[okm]
+        signed, n_ver = _flat(batch, "ver_v")
+        self.ndocs = len(n_ver)
+        nver = len(signed)
+        ts, cs, uid, lon, lat, child = (_flat(batch, c)[0] for c in (
+            "ver_ts", "ver_cs", "ver_uid", "ver_lon_e7", "ver_lat_e7", "ver_child"))
+        tag, n_tag = _flat(batch, "tag_ids")
+        if not np.array_equal(n_tag, n_ver):
+            raise ValueError("compound tag_ids must list one id per version record")
+        mem_ver, n_mem = _flat(batch, "mem_ver")
+        mem_child = _flat(batch, "mem_child")[0]
+        mem_role = _flat(batch, "mem_role")[0]
+        v, vis = np.abs(signed), signed > 0
+        ver_doc = np.repeat(np.arange(self.ndocs, dtype=np.int64), n_ver)
+        mem_doc = np.repeat(np.arange(self.ndocs, dtype=np.int64), n_mem)
+        if len(mem_ver) and (mem_ver >= n_ver[mem_doc]).any():
+            raise ValueError("a member edge names a version outside its document")
+        mem_gv = (np.cumsum(n_ver) - n_ver)[mem_doc] + mem_ver  # owning version, batch-global
+
+        # entities: (doc, child), numbered in order of first appearance, so
+        # a batch whose entities' versions are contiguous and in (ts, v)
+        # order (every table ingest writes) is already in entity order
+        uc, cinv = np.unique(child, return_inverse=True)
+        nc = max(len(uc), 1)
+        ukeys, first, inv = np.unique(ver_doc * nc + cinv, return_index=True, return_inverse=True)
+        self.nents = len(ukeys)
+        ent_id = np.empty(self.nents, np.int64)
+        ent_id[np.argsort(first)] = np.arange(self.nents)
+        ent_of_ver = ent_id[inv]
+        by_ent = np.argsort(ent_id)
+        self.ent_doc = (ukeys // nc)[by_ent]
+        self.ent_is_parent = uc[(ukeys % nc)[by_ent]] == -1 if len(uc) else np.zeros(0, bool)
+        uts, t_rank = np.unique(ts, return_inverse=True)
+        d_ent, d_ts, d_v = np.diff(ent_of_ver), np.diff(ts), np.diff(v)
+        in_order = (d_ent >= 0).all() and not (
+            (d_ent == 0) & ((d_ts < 0) | ((d_ts == 0) & (d_v < 0)))
+        ).any()
+        order2 = np.arange(nver) if in_order else np.lexsort((v, ts, ent_of_ver))
+        self.ts2, self.cs2, self.uid2 = ts[order2], cs[order2], uid[order2]
+        self.vis2, self.tag2 = vis[order2], tag[order2]
+        self.lon2, self.lat2 = lon[order2], lat[order2]
+        self.ent2 = ent_of_ver[order2]
+        self.match2 = np.ones(nver, bool) if match is None else np.asarray(match, bool)[self.tag2]
+        self.ent_start = np.searchsorted(self.ent2, np.arange(self.nents + 1))
+        # (entity, time rank) keys: every temporal lookup is one searchsorted
+        self.uts = uts
+        self.R = len(uts) + 1
+        self.K = self.ent2 * self.R + t_rank[order2]
+
+        # member edges by owning version (entity order), child -> entity
+        mo = np.argsort(mem_gv, kind="stable")
+        mem_gv, mem_doc, mem_child = mem_gv[mo], mem_doc[mo], mem_child[mo]
+        self.mem_role = mem_role[mo]
+        starts, ends = (np.searchsorted(mem_gv, np.arange(nver), side=s) for s in ("left", "right"))
+        self.mem_start2, self.mem_end2 = starts[order2], ends[order2]
+        self.nmem2 = self.mem_end2 - self.mem_start2
+        pos = np.minimum(np.searchsorted(uc, mem_child), len(uc) - 1)
+        key = mem_doc * nc + pos
+        e = np.minimum(np.searchsorted(ukeys, key), self.nents - 1)
+        found = (uc[pos] == mem_child) & (ukeys[e] == key) if len(mem_child) else pos < 0
+        self.mem_ent = np.where(found, ent_id[e], -1)
+
+        ent_starts = self.ent_start[:-1]
+        if self.nents:
+            # first-appearance span position per entity (cs-map child order)
+            self.ent_app = np.minimum.reduceat(order2, ent_starts)
+            # modification-recursion leaf rule: per CHILD, any version has members
+            self.ent_has_mem = np.maximum.reduceat(self.nmem2 > 0, ent_starts)
         else:
-            mem_ent = np.empty(0, dtype=object)
-            mem_vidx = np.empty(0, dtype=np.int64)
-            self.mem_role = np.empty(0, dtype=object)
+            self.ent_app = np.zeros(0, np.int64)
+            self.ent_has_mem = np.zeros(0, bool)
+        self.parent = np.full(self.ndocs, -1, np.int64)  # parent entity per doc
+        parents = np.flatnonzero(self.ent_is_parent)
+        self.parent[self.ent_doc[parents]] = parents
+        self.has_children = np.bincount(
+            self.ent_doc[~self.ent_is_parent], minlength=self.ndocs
+        ) > 0
 
-        # ---- child codes (batch-global factorization of id strings)
-        child_mask = np.asarray([c is not None for c in child_str], dtype=bool)
-        all_strs = np.concatenate([child_str[child_mask], mem_ent])
-        if len(all_strs):
-            codes, _ = pd.factorize(all_strs)
-        else:
-            codes = np.empty(0, np.int64)
-        ncod = len(child_str[child_mask])
-        ver_child = np.full(nver, -1, np.int64)
-        ver_child[child_mask] = codes[:ncod]
-        self.mem_child = codes[ncod:].astype(np.int64)
-        C = int(codes.max()) + 1 if len(codes) else 0
+    # ---------------------------------------------------------- lookups
+    def rank(self, t: np.ndarray) -> np.ndarray:
+        """Time rank of ``t``: how many of the batch's distinct version
+        timestamps are <= t (the argument of ``at_or_before``)."""
+        return np.searchsorted(self.uts, t, side="right")
 
-        # per-version member slices (mem_vidx is non-decreasing)
-        self.mem_start = np.searchsorted(mem_vidx, np.arange(nver), side="left")
-        self.mem_end = np.searchsorted(mem_vidx, np.arange(nver), side="right")
+    def at_or_before(self, ents: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Entity-order index of each entity's latest version at or
+        before time rank ``r`` (last (ts, v)); -1 when none or the entity
+        is -1."""
+        e = np.maximum(ents, 0)
+        k = np.searchsorted(self.K, e * self.R + r - 1, side="right") - 1
+        return np.where((ents >= 0) & (k >= self.ent_start[e]), k, -1)
 
-        # ---- tag signatures (dedup keep-last per key, sorted join)
-        tag_pos = np.flatnonzero(is_tag)
-        sig = np.full(nver, "", dtype=object)
-        self.match = np.ones(nver, bool)
-        # per-version old-style-multipolygon TAG side (BaseTagInterpreter
-        # .isOldStyleMultipolygon:111-136): every tag is a relation-area
-        # tag or uninteresting; tagless versions pass vacuously
-        oldstyle = np.ones(nver, bool)
-        if len(tag_pos):
-            ttext = text.filter(pa.array(is_tag))
-            ex = pc.extract_regex(ttext, _TAG_RE)
-            if ex.null_count:
-                raise ValueError("unparseable tag span in compound document")
-            tdf = pd.DataFrame(
-                {
-                    "vidx": ver_ptr[tag_pos],
-                    "k": pc.struct_field(ex, "k").to_numpy(zero_copy_only=False),
-                    "v": pc.struct_field(ex, "v").to_numpy(zero_copy_only=False),
-                }
-            )
-            tdf = tdf[
-                (tdf["vidx"].to_numpy() >= 0)
-                & (ver_doc[np.maximum(tdf["vidx"].to_numpy(), 0)] == doc_of[tag_pos])
-            ]
-            tdf = tdf.drop_duplicates(["vidx", "k"], keep="last").sort_values(
-                ["vidx", "k"], kind="mergesort"
-            )
-            kv = tdf["k"].to_numpy(dtype=object) + "=" + tdf["v"].to_numpy(dtype=object)
-            from .members import RELATION_AREA_TAGS, UNINTERESTING_TAG_KEYS
+    def exactly_at(self, ents: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Entity-order index of each entity's first version at exactly
+        the batch timestamp of time rank ``r`` (``uts[r - 1]``); -1 when
+        none."""
+        q = np.maximum(ents, 0) * self.R + r - 1
+        k = np.minimum(np.searchsorted(self.K, q), len(self.K) - 1)
+        hit = (ents >= 0) & (k >= 0)
+        hit[hit] &= self.K[k[hit]] == q[hit]
+        return np.where(hit, k, -1)
 
-            areaset = {f"{k}={v}" for k, v in RELATION_AREA_TAGS}
-            bad = ~(
-                pd.Series(kv).isin(areaset).to_numpy()
-                | tdf["k"].isin(UNINTERESTING_TAG_KEYS).to_numpy()
-            )
-            if bad.any():
-                badv = np.bincount(
-                    tdf["vidx"].to_numpy()[bad], minlength=nver
-                ) > 0
-                oldstyle = ~badv
-            # join with \x1f (unit separator): tag VALUES may contain
-            # ';'/'=' and a ';' join would collide distinct tag dicts
-            # ({'a':'1;b=2'} vs {'a':'1','b':'2'}) — keys cannot contain
-            # '=' (parse regex), so k=v + \x1f is unambiguous
-            joined = (
-                pd.Series(kv).groupby(tdf["vidx"].to_numpy()).agg("\x1f".join)
-            )
-            sig[joined.index.to_numpy()] = joined.to_numpy(dtype=object)
-            if match_kv is not None:
-                mk, mv = match_kv
-                hit = tdf[(tdf["k"] == mk) & (tdf["v"] == mv)]["vidx"].to_numpy()
-                self.match = np.zeros(nver, bool)
-                self.match[hit] = True
-        elif match_kv is not None:
-            self.match = np.zeros(nver, bool)
-        sig_codes, _ = pd.factorize(sig)
+    def members_of(self, k: np.ndarray):
+        """Member edges of versions ``k``: (owner position in ``k``, edge
+        index, member position within the version)."""
+        n = self.nmem2[k]
+        owner = np.repeat(np.arange(len(k), dtype=np.int64), n)
+        return owner, _range_gather_idx(self.mem_start2[k], n), _positions(n)
 
-        # ---- entity order: (doc, child) with parent (-1) first per doc
-        key = ver_doc * (C + 2) + (ver_child + 1)
-        uniq_keys, ent_of_ver = np.unique(key, return_inverse=True)
-        nents = len(uniq_keys)
-        self.nents = nents
-        self.ent_doc = (uniq_keys // (C + 2)).astype(np.int64)
-        self.ent_child = (uniq_keys % (C + 2) - 1).astype(np.int64)
-        order2 = np.lexsort((v, ts, ent_of_ver))
-        self.ts2 = ts[order2]
-        self.v2 = v[order2]
-        self.cs2 = cs[order2]
-        self.uid2 = uid[order2]
-        self.vis2 = vis[order2]
-        self.lon2 = lon[order2]
-        self.lat2 = lat[order2]
-        self.sig2 = sig_codes[order2]
-        self.match2 = self.match[order2]
-        self.oldstyle2 = oldstyle[order2]
-        self.mem_start2 = self.mem_start[order2]
-        self.mem_end2 = self.mem_end[order2]
-        eov_sorted = ent_of_ver[order2]
-        self.ent_start = np.searchsorted(
-            eov_sorted, np.arange(nents + 1), side="left"
-        )
-        # first-appearance span position per entity (cs-map child order)
-        self.ent_app = np.minimum.reduceat(ver_pos[order2], self.ent_start[:-1])
-        # modification-recursion leaf rule: per CHILD, any version has members
-        hasm = (self.mem_end2 - self.mem_start2) > 0
-        self.ent_has_mem = np.maximum.reduceat(
-            hasm.astype(np.int8), self.ent_start[:-1]
-        ).astype(bool)
-        # doc -> entity ranges
-        self.doc_ent_start = np.searchsorted(
-            self.ent_doc, np.arange(self.ndocs + 1), side="left"
-        )
-
-    # ------------------------------------------------------------- helpers
-    def child_ents(self, d: int) -> dict[int, int]:
-        """{child code: entity id} for doc d (parent entity excluded)."""
-        a, b = self.doc_ent_start[d], self.doc_ent_start[d + 1]
-        return {
-            int(self.ent_child[e]): e
-            for e in range(a, b)
-            if self.ent_child[e] != -1
-        }
-
-    def parent_ent(self, d: int) -> int | None:
-        a, b = self.doc_ent_start[d], self.doc_ent_start[d + 1]
-        if a < b and self.ent_child[a] == -1:
-            return int(a)
-        return None
+    def state_rows(self, tsq: np.ndarray):
+        """(doc, ts, time rank, parent state version) for every document
+        with a parent and every query timestamp, doc-major; state -1 =
+        none."""
+        docs = np.flatnonzero(self.parent >= 0)
+        d = np.repeat(docs, len(tsq))
+        t = np.tile(tsq, len(docs))
+        r = np.tile(self.rank(tsq), len(docs))
+        return d, t, r, self.at_or_before(self.parent[d], r)
 
 
-def _mod_ts_entity(P: ParsedBatch, ent: int, cmap: dict, use_match: bool, memo: dict):
-    """Recursive modification timestamps for one entity — the vectorized
-    ``members._recursive_mod_ts`` (OSHEntities.java:330-478). Returns a
-    sorted array (possibly with duplicates; caller uniques)."""
-    mkey = (ent, use_match)
-    if mkey in memo:
-        return memo[mkey]
-    s, t = P.ent_start[ent], P.ent_start[ent + 1]
-    vis = P.vis2[s:t]
-    m = vis & P.match2[s:t] if use_match else vis.copy()
-    ts = P.ts2[s:t]
-    parts = [ts[m | _shift1(m, False)]]
-    mi = np.flatnonzero(m)
-    if mi.size:
-        counts = (P.mem_end2[s:t] - P.mem_start2[s:t])[mi]
-        if counts.sum():
-            next_ts = np.empty(len(ts), np.int64)
-            next_ts[:-1] = ts[1:]
-            next_ts[-1] = INF
-            next_ts = next_ts[mi]
-            lo = np.repeat(ts[mi], counts)
-            hi = np.repeat(next_ts, counts)
-            gidx = _range_gather_idx(P.mem_start2[s:t][mi], counts)
-            ch = P.mem_child[gidx]
-            o = np.argsort(ch, kind="stable")
-            ch, lo, hi = ch[o], lo[o], hi[o]
-            bounds = _group_bounds(ch)
-            for bi in range(len(bounds) - 1):
-                a, b = bounds[bi], bounds[bi + 1]
-                ce = cmap.get(int(ch[a]))
-                if ce is None:
-                    continue
-                if P.ent_has_mem[ce]:
-                    cts = _mod_ts_entity(P, ce, cmap, False, memo)
-                else:
-                    cts = P.ts2[P.ent_start[ce] : P.ent_start[ce + 1]]
-                j = np.searchsorted(lo[a:b], cts, side="right") - 1
-                ok = j >= 0
-                ok[ok] &= cts[ok] <= hi[a:b][j[ok]]
-                parts.append(cts[ok])
-    res = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
-    memo[mkey] = res
-    return res
-
-
-def _collapsed_mod_ts(P: ParsedBatch, d: int, pe: int, cmap: dict, memo: dict):
-    """Doc-level modification timestamps: recursion + changeset collapse
-    (parents win per ts, then children in first-appearance order)."""
-    mts = _mod_ts_entity(P, pe, cmap, True, memo)
-    if len(mts) <= 1:
-        return mts
-    s, t = P.ent_start[pe], P.ent_start[pe + 1]
-    pts = P.ts2[s:t]
-    u_p, cnt_p = np.unique(pts, return_counts=True)
-    pcs = P.cs2[s:t][np.cumsum(cnt_p) - 1]  # LAST version per ts wins
-    ents = sorted(cmap.values(), key=lambda e: P.ent_app[e])
-    if ents:
-        cts_all = np.concatenate(
-            [P.ts2[P.ent_start[e] : P.ent_start[e + 1]] for e in ents]
-        )
-        ccs_all = np.concatenate(
-            [P.cs2[P.ent_start[e] : P.ent_start[e + 1]] for e in ents]
-        )
-        u_c, i_c = np.unique(cts_all, return_index=True)  # FIRST occurrence
-        ccs = ccs_all[i_c]
-    else:
-        u_c = np.empty(0, np.int64)
-        ccs = np.empty(0, np.int64)
-
-    j = np.searchsorted(u_p, mts)
-    is_p = (j < len(u_p)) & (u_p[np.minimum(j, len(u_p) - 1)] == mts)
-    cs_at = np.empty(len(mts), np.int64)
-    cs_at[is_p] = pcs[j[is_p]]
-    rest = ~is_p
-    if rest.any():
-        k = np.searchsorted(u_c, mts[rest])
-        hit = (k < len(u_c)) & (u_c[np.minimum(k, len(u_c) - 1)] == mts[rest])
-        vals = np.full(rest.sum(), -(1 << 61), np.int64)  # cs_map.get -> None
-        vals[hit] = ccs[k[hit]]
-        cs_at[rest] = vals
-    keep = np.empty(len(cs_at), bool)
-    keep[:-1] = cs_at[:-1] != cs_at[1:]
-    keep[-1] = True
-    return mts[keep]
-
-
-def _resolve_coords_rows(P: ParsedBatch, cmap: dict, row_ts, gk):
-    """Member-resolved coordinates for rows (row_ts[i], state version
-    gk[i] in entity order). Returns (counts per row, lon_flat, lat_flat)
-    ordered by (row, member position, sub position...) — the exact
-    sequence members.resolve_coords builds (invisible/missing skipped,
-    way members expanded in place, leaf-ness per resolved version)."""
-    nrows = len(row_ts)
-    counts1 = P.mem_end2[gk] - P.mem_start2[gk]
-    rows = np.repeat(np.arange(nrows, dtype=np.int64), counts1)
-    tcol = np.repeat(row_ts, counts1)
-    gidx = _range_gather_idx(P.mem_start2[gk], counts1)
-    ch = P.mem_child[gidx]
-    prefix = np.cumsum(counts1) - counts1
-    pos1 = np.arange(len(rows), dtype=np.int64) - np.repeat(prefix, counts1)
-    return _resolve_frontier(P, cmap, nrows, (rows, tcol, ch, [pos1]))
-
-
-def _resolve_frontier(P: ParsedBatch, cmap: dict, nrows: int, frontier):
-    """Shared member-recursion resolver: expands an initial frontier of
-    (row, ts, child code, position keys) through the child histories
-    until leaf coordinates, returning (counts per row, lon_flat,
-    lat_flat) in members.resolve_coords order — the engine behind
-    _resolve_coords_rows and the old-style inner-ring resolver."""
-    out_rows, out_keys, out_lon, out_lat = [], [], [], []
-    depth = 0
-    while len(frontier[0]) and depth < 8:
-        frows, fts, fch, fkeys = frontier
-        res_k = np.full(len(frows), -1, np.int64)
-        o = np.argsort(fch, kind="stable")
-        fch_s = fch[o]
-        bounds = _group_bounds(fch_s)
-        for bi in range(len(bounds) - 1):
-            a, b = bounds[bi], bounds[bi + 1]
-            ce = cmap.get(int(fch_s[a]))
-            if ce is None:
-                continue
-            cs_, ct_ = P.ent_start[ce], P.ent_start[ce + 1]
-            sel = o[a:b]
-            k = np.searchsorted(P.ts2[cs_:ct_], fts[sel], side="right") - 1
-            ok = k >= 0
-            kk = cs_ + np.maximum(k, 0)
-            ok &= P.vis2[kk]
-            res_k[sel[ok]] = kk[ok]
-        valid = res_k >= 0
-        frows, fts, fkeys = frows[valid], fts[valid], [kk[valid] for kk in fkeys]
-        res_k = res_k[valid]
-        nmem = P.mem_end2[res_k] - P.mem_start2[res_k]
-        leaf = nmem == 0
-        if leaf.any():
-            out_rows.append(frows[leaf])
-            out_keys.append([kk[leaf] for kk in fkeys])
-            out_lon.append(P.lon2[res_k[leaf]])
-            out_lat.append(P.lat2[res_k[leaf]])
-        exp = ~leaf
-        if exp.any():
-            erows, ets, ekeys = frows[exp], fts[exp], [kk[exp] for kk in fkeys]
-            ek, en = res_k[exp], nmem[exp]
-            g2 = _range_gather_idx(P.mem_start2[ek], en)
-            pre2 = np.cumsum(en) - en
-            pos2 = np.arange(len(g2), dtype=np.int64) - np.repeat(pre2, en)
-            frontier = (
-                np.repeat(erows, en),
-                np.repeat(ets, en),
-                P.mem_child[g2],
-                [np.repeat(kk, en) for kk in ekeys] + [pos2],
-            )
-        else:
-            frontier = (np.empty(0, np.int64),) * 3 + ([],)
-        depth += 1
-
-    if len(frontier[0]):
-        # the per-document reference (members.resolve_coords) recurses
-        # unboundedly; silently truncating deep leaves would diverge
-        # from it — raise loudly (also catches membership cycles, which
-        # the reference surfaces as RecursionError)
+def _resolve_members(P: ParsedBatch, k: np.ndarray, r: np.ndarray):
+    """Member-resolved leaf coordinates of versions ``k`` at time ranks
+    ``r``: each member resolves to its latest version at r (missing or
+    deleted: skipped); one with members of its own expands in place.
+    Returns (counts per row of k, lon, lat), row by row in the
+    reference's resolve_coords order: the expansion repeats every item
+    in place, so the frontier never needs a sort."""
+    rows, edge, _ = P.members_of(k)
+    r, ents = r[rows], P.mem_ent[edge]
+    lon, lat = np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)
+    todo = np.ones(len(rows), bool)  # items still naming an entity
+    for _ in range(MAX_DEPTH):
+        idx = np.flatnonzero(todo)
+        if not len(idx):
+            break
+        kk = P.at_or_before(ents[idx], r[idx])
+        ok = kk >= 0
+        ok[ok] = P.vis2[kk[ok]]
+        n = np.where(ok, P.nmem2[kk], 0)
+        leaf = ok & (n == 0)
+        lon[idx[leaf]], lat[idx[leaf]] = P.lon2[kk[leaf]], P.lat2[kk[leaf]]
+        # each item becomes 1 (resolved), 0 (missing/deleted) or its members
+        reps = np.ones(len(rows), np.int64)
+        reps[idx] = np.where(leaf, 1, n)
+        src = np.repeat(np.arange(len(rows)), reps)
+        expanded = np.zeros(len(rows), bool)
+        expanded[idx[n > 0]] = True
+        first = np.zeros(len(rows), np.int64)
+        first[idx] = P.mem_start2[kk]
+        todo = expanded[src]
+        ents = ents[src]
+        ents[todo] = P.mem_ent[first[src[todo]] + _positions(reps)[todo]]
+        rows, r, lon, lat = rows[src], r[src], lon[src], lat[src]
+    if todo.any():
+        # the per-document reference recurses unboundedly; truncating
+        # deep leaves would diverge from it — raise loudly (also catches
+        # membership cycles, which the reference surfaces as RecursionError)
         raise ValueError(
-            "member recursion exceeded depth 8 (cycle or unsupported nesting)"
+            f"member recursion exceeded depth {MAX_DEPTH} (cycle or unsupported nesting)"
         )
-
-    if not out_rows:
-        return (
-            np.zeros(nrows, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-        )
-    maxk = max(len(ks) for ks in out_keys)
-    rows_c = np.concatenate(out_rows)
-    keys_c = [
-        np.concatenate(
-            [
-                ks[i] if i < len(ks) else np.zeros(len(r), np.int64)
-                for ks, r in zip(out_keys, out_rows)
-            ]
-        )
-        for i in range(maxk)
-    ]
-    lon_c = np.concatenate(out_lon)
-    lat_c = np.concatenate(out_lat)
-    o = np.lexsort(tuple(reversed(keys_c)) + (rows_c,))
-    rows_c, lon_c, lat_c = rows_c[o], lon_c[o], lat_c[o]
-    counts = np.bincount(rows_c, minlength=nrows).astype(np.int64)
-    return counts, lon_c, lat_c
+    return np.bincount(rows, minlength=len(k)).astype(np.int64), lon, lat
 
 
-def _member_edit_uids(P: ParsedBatch, cmap: dict, row_ts, gk, base_uid):
-    """Child-attributed uid for pure member edits (state version ts !=
-    contribution ts): the LAST member (in member order) having a version
-    at exactly ts wins; first (ts,v) version within that child
-    (OSMContribution.java:211-257 via members.contributions_doc)."""
-    uid = base_uid.copy()
-    need = P.ts2[gk] != row_ts
-    if not need.any():
-        return uid
-    nr = np.flatnonzero(need)
-    g = gk[nr]
-    counts = P.mem_end2[g] - P.mem_start2[g]
-    rows = np.repeat(nr, counts)
-    tcol = np.repeat(row_ts[nr], counts)
-    gidx = _range_gather_idx(P.mem_start2[g], counts)
-    ch = P.mem_child[gidx]
-    prefix = np.cumsum(counts) - counts
-    pos = np.arange(len(rows), dtype=np.int64) - np.repeat(prefix, counts)
-    hit = np.zeros(len(rows), bool)
-    huid = np.zeros(len(rows), np.int64)
-    o = np.argsort(ch, kind="stable")
-    ch_s = ch[o]
-    bounds = _group_bounds(ch_s)
-    for bi in range(len(bounds) - 1):
-        a, b = bounds[bi], bounds[bi + 1]
-        ce = cmap.get(int(ch_s[a]))
-        if ce is None:
-            continue
-        cs_, ct_ = P.ent_start[ce], P.ent_start[ce + 1]
-        sel = o[a:b]
-        k = np.searchsorted(P.ts2[cs_:ct_], tcol[sel], side="left")
-        ok = (k < ct_ - cs_) & (P.ts2[cs_ + np.minimum(k, ct_ - cs_ - 1)] == tcol[sel])
-        hit[sel[ok]] = True
-        huid[sel[ok]] = P.uid2[cs_ + k[ok]]
-    if hit.any():
-        hr, hp, hu = rows[hit], pos[hit], huid[hit]
-        o2 = np.lexsort((hp, hr))
-        hr, hu = hr[o2], hu[o2]
-        last = np.empty(len(hr), bool)  # max pos per row wins
-        last[:-1] = hr[1:] != hr[:-1]
-        last[-1] = True
-        uid[hr[last]] = hu[last]
-    return uid
+# --------------------------------------------------------- snapshots
+def snapshot_geoms_batch_vec(batch, timestamps, match=None, id_name="way_id"):
+    """Snapshot rows per (doc, query ts) with member-resolved geometry
+    stats (integer-exact count + coordinate sums, so the result is
+    oracle-hashable): the parent state at ts must be visible, match and
+    — in a document with children — have members
+    (CellIterator.java:250-258). ``match``: bool per tag-signature id
+    (``tag_match``), None = no filter."""
+    P = ParsedBatch(batch, match)
+    tsq = np.asarray([int(x) for x in timestamps], dtype=np.int64)
+    d, t, r, k = P.state_rows(tsq)
+    ok = k >= 0
+    ok[ok] = P.vis2[k[ok]] & P.match2[k[ok]] & ((P.nmem2[k[ok]] > 0) | ~P.has_children[d[ok]])
+    d, t, r, k = d[ok], t[ok], r[ok], k[ok]
+    counts, lon, lat = _resolve_members(P, k, r)
+    ids = _combined(batch, "osm_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
+        {
+            id_name: pa.array(ids[d]),
+            "ts_q": pa.array(t),
+            "n_nodes": pa.array(counts),
+            "sum_lon": pa.array(_segment_sums(counts, lon)),
+            "sum_lat": pa.array(_segment_sums(counts, lat)),
+        }
+    )
 
 
-def _doc_contribs(P: ParsedBatch, d: int, t_from: int, t_to: int):
-    """Per-doc contribution classification -> (n, cre, del, tag, geom,
-    uid_sum) over emitted contributions in [t_from, t_to)."""
-    pe = P.parent_ent(d)
-    if pe is None:
-        return 0, 0, 0, 0, 0, 0
-    cmap = P.child_ents(d)
-    memo: dict = {}
-    mts = _collapsed_mod_ts(P, d, pe, cmap, memo)
-    if not len(mts):
-        return 0, 0, 0, 0, 0, 0
-    s, t = P.ent_start[pe], P.ent_start[pe + 1]
-    si = np.searchsorted(P.ts2[s:t], mts, side="right") - 1
-    ok = si >= 0  # st is None -> skipped; only a sorted prefix can miss
-    mts, si = mts[ok], si[ok]
-    if not len(mts):
-        return 0, 0, 0, 0, 0, 0
-    gk = s + si
-    p = P.vis2[gk] & P.match2[gk]
-    p_prev = _shift1(p, False)
+# ----------------------------------------------------- contributions
+def _modification_keys(P: ParsedBatch) -> np.ndarray:
+    """Sorted (entity, time rank) keys of every entity's recursive
+    modification timestamps (``OSHEntities._getModificationTimestamps``,
+    :330-478), level by level up the member graph: a leaf child (no
+    version with members) contributes every version timestamp; the
+    others keep their own timestamps (visible, and matching for a
+    document's parent, plus the first version after such a one) and
+    the timestamps of their children inside the member-validity windows
+    [ts_i, ts_{i+1}] of those kept-by-rule versions."""
+    m = P.vis2 & np.where(P.ent_is_parent[P.ent2], P.match2, True)
+    first = _run_starts(P.ent2)
+    kept = m | (np.r_[False, m[:-1]][: len(m)] & ~first)
+    rec = P.ent_is_parent | P.ent_has_mem
+    leaf_ver = ~rec[P.ent2]
+    keys = [P.K[leaf_ver]]
+    # windows of matching versions with members: (entity, child, lo, hi)
+    nxt = np.r_[P.ts2[1:], INF][: len(m)]
+    nxt[_run_ends(P.ent2)] = INF
+    opening = np.flatnonzero(m & (P.nmem2 > 0))
+    owner, edge, _ = P.members_of(opening)
+    vers = opening[owner]
+    w_ent, w_child = P.ent2[vers], P.mem_ent[edge]
+    live = w_child >= 0
+    w_ent, w_child, w_lo, w_hi = w_ent[live], w_child[live], P.ts2[vers][live], nxt[vers][live]
+    # one pair per (entity, child); windows sorted by (pair, version)
+    pair_key, pair = np.unique(w_ent * P.nents + w_child, return_inverse=True)
+    o = np.argsort(pair, kind="stable")
+    pair, w_lo, w_hi = pair[o], w_lo[o], w_hi[o]
+    WK = pair * P.R + np.searchsorted(P.uts, w_lo)
+    w_hi_rank = np.searchsorted(P.uts, w_hi)  # INF -> len(uts)
+    p_ent, p_child = pair_key // max(P.nents, 1), pair_key % max(P.nents, 1)
+
+    done = ~rec
+    own = kept & rec[P.ent2]
+    for _ in range(MAX_DEPTH + 1):
+        todo = rec & ~done
+        if not todo.any():
+            break
+        blocked = np.zeros(P.nents, bool)
+        blocked[p_ent[~done[p_child]]] = True
+        now = todo & ~blocked
+        if not now.any():
+            raise ValueError("member recursion has a cycle")
+        mk = np.unique(np.concatenate(keys))
+        keys.append(P.K[own & now[P.ent2]])
+        # the children's timestamps inside the windows of each pair
+        sel = np.flatnonzero(now[p_ent])
+        lo = np.searchsorted(mk, p_child[sel] * P.R)
+        hi = np.searchsorted(mk, (p_child[sel] + 1) * P.R)
+        cand_pair = np.repeat(sel, hi - lo)
+        cand_rank = mk[_range_gather_idx(lo, hi - lo)] % P.R
+        j = np.searchsorted(WK, cand_pair * P.R + cand_rank, side="right") - 1
+        ok = (j >= 0) & (WK[np.maximum(j, 0)] // P.R == cand_pair)
+        ok[ok] &= cand_rank[ok] <= w_hi_rank[j[ok]]
+        keys.append(p_ent[cand_pair[ok]] * P.R + cand_rank[ok])
+        done |= now
+    else:
+        raise ValueError(f"member recursion exceeded depth {MAX_DEPTH}")
+    return np.unique(np.concatenate(keys))
+
+
+def _changesets(P: ParsedBatch, d: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The changeset map at (doc, time rank) rows
+    (``OSHEntities.getChangesetTimestamps``, :122-170): the LAST parent
+    version at that timestamp wins, else the first-appearing child
+    having one, its first (ts, v) version."""
+    n = len(P.ts2)
+    is_parent = P.ent_is_parent[P.ent2]
+    doc = P.ent_doc[P.ent2]
+    r = np.searchsorted(P.uts, P.ts2)
+    o = np.lexsort((np.where(is_parent, -np.arange(n), np.arange(n)),
+                    np.where(is_parent, -1, P.ent_app[P.ent2]), r, doc))
+    dk = (doc * P.R + r)[o]
+    first = _run_starts(dk)
+    keys, vals = dk[first], P.cs2[o][first]
+    q = d * P.R + rank
+    j = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
+    hit = (keys[j] == q) if len(keys) else np.zeros(len(q), bool)
+    return np.where(hit, vals[j] if len(keys) else 0, NO_CS)
+
+
+def contribution_stats_batch_vec(batch, t_from: int, t_to: int, match=None):
+    """Per-batch contribution partials over compound documents
+    (member recursion, CellIterator.java:437-712): one row of n /
+    creation / deletion / tag / geom counts and uid_part, the sum of
+    contributor uids (pins the child-attribution rule,
+    OSMContribution.java:211-257). ``match``: bool per tag-signature id
+    (``tag_match``), None = no filter. Finish with combine_partials."""
+    P = ParsedBatch(batch, match)
+    zero = pa.table({c: pa.array([0], type=pa.int64()) for c in (
+        "n_part", "creation_part", "deletion_part", "tag_part", "geom_part", "uid_part")})
+    mk = _modification_keys(P)
+    ent, rank = mk // P.R, mk % P.R
+    mk_parent = P.ent_is_parent[ent]
+    d, rank = P.ent_doc[ent[mk_parent]], rank[mk_parent]  # (doc, ts) rows, doc-major
+    if not len(d):
+        return zero
+    cs = _changesets(P, d, rank)
+    keep = _run_ends(d) | _run_ends(cs)
+    d, t, r = d[keep], P.uts[rank[keep]], rank[keep] + 1
+    k = P.at_or_before(P.parent[d], r)
+    ok = k >= 0  # a timestamp before the first parent version has no state
+    d, t, r, k = d[ok], t[ok], r[ok], k[ok]
+    if not len(d):
+        return zero
+    first = _run_starts(d)
+    p = P.vis2[k] & P.match2[k]
+    p_prev = np.r_[False, p[:-1]] & ~first
     emitted = p | p_prev
-    creation = p & ~p_prev
-    deletion = ~p & p_prev
     compare = p & p_prev
-    sig_prev = _shift1(P.sig2[gk], -1)
-    tag_chg = compare & (P.sig2[gk] != sig_prev)
+    tag_chg = compare & (P.tag2[k] != np.r_[-1, P.tag2[k][:-1]])
 
-    geom_chg = np.zeros(len(mts), bool)
-    pr_idx = np.flatnonzero(p)
-    if len(pr_idx):
-        counts, lon_f, lat_f = _resolve_coords_rows(P, cmap, mts[pr_idx], gk[pr_idx])
-        offs = np.empty(len(counts) + 1, np.int64)
-        offs[0] = 0
-        np.cumsum(counts, out=offs[1:])
-        cmp_rows = np.flatnonzero(compare)
-        if len(cmp_rows):
-            # present-row rank: row r compares to present row rank-1
-            rank = np.cumsum(p) - 1
-            a = rank[cmp_rows]  # current present rank
-            b = a - 1  # previous present rank (== row r-1, emitted)
-            diff = counts[a] != counts[b]
-            eqc = np.flatnonzero(~diff)
-            if len(eqc):
-                n_each = counts[a[eqc]]
-                ga = _range_gather_idx(offs[a[eqc]], n_each)
-                gb = _range_gather_idx(offs[b[eqc]], n_each)
-                neq = (lon_f[ga] != lon_f[gb]) | (lat_f[ga] != lat_f[gb])
-                if neq.any():
-                    seg = np.repeat(np.arange(len(eqc)), n_each)
-                    bad = np.zeros(len(eqc), bool)
-                    np.logical_or.at(bad, seg, neq)
-                    diff[eqc] = bad
-            geom_chg[cmp_rows] = diff
+    # geometry: each present row against the previous row (present too)
+    present = np.flatnonzero(p)
+    counts, lon, lat = _resolve_members(P, k[present], r[present])
+    offs = np.cumsum(counts) - counts
+    geom_chg = np.zeros(len(d), bool)
+    cmp_rows = np.flatnonzero(compare)
+    if len(cmp_rows):
+        a = np.cumsum(p)[cmp_rows] - 1  # present rank; row r-1 holds a-1
+        diff = counts[a] != counts[a - 1]
+        same_n = np.flatnonzero(~diff)
+        n_each = counts[a[same_n]]
+        ga = _range_gather_idx(offs[a[same_n]], n_each)
+        gb = _range_gather_idx(offs[a[same_n] - 1], n_each)
+        neq = (lon[ga] != lon[gb]) | (lat[ga] != lat[gb])
+        seg = np.repeat(np.arange(len(same_n)), n_each)
+        diff[same_n] = np.bincount(seg[neq], minlength=len(same_n)) > 0
+        geom_chg[cmp_rows] = diff
 
-    uid = P.uid2[gk].copy()
-    if len(pr_idx):
-        uid[pr_idx] = _member_edit_uids(
-            P, cmap, mts[pr_idx], gk[pr_idx], uid[pr_idx]
-        )
+    # a pure member edit (state ts != ts) takes the uid of the LAST
+    # direct member with a version at exactly ts (its first (ts, v))
+    uid = P.uid2[k].copy()
+    edit = present[P.ts2[k[present]] != t[present]]
+    owner, edge, _ = P.members_of(k[edit])
+    hit = P.exactly_at(P.mem_ent[edge], r[edit][owner])
+    owner, hit = owner[hit >= 0], hit[hit >= 0]  # still in (row, member) order
+    winner = _run_ends(owner)
+    uid[edit[owner[winner]]] = P.uid2[hit[winner]]
 
-    rng = emitted & (mts >= t_from) & (mts < t_to)
-    return (
-        int(rng.sum()),
-        int((creation & rng).sum()),
-        int((deletion & rng).sum()),
-        int((tag_chg & rng).sum()),
-        int((geom_chg & rng).sum()),
-        int(uid[rng].sum()),
-    )
-
-
-def contribution_stats_batch_vec(batch, t_from: int, t_to: int, match_kv=None):
-    """Vectorized twin of members.contribution_stats_batch (same output
-    schema: one partial row of n/creation/deletion/tag/geom/uid sums)."""
-    P = ParsedBatch(batch, match_kv=match_kv)
-    n = cre = dele = tag = geo = usum = 0
-    for d in range(P.ndocs):
-        a, b, c, e, f, g = _doc_contribs(P, d, int(t_from), int(t_to))
-        n += a
-        cre += b
-        dele += c
-        tag += e
-        geo += f
-        usum += g
+    rng = emitted & (t >= t_from) & (t < t_to)
+    sums = (rng, p & ~p_prev & rng, ~p & p_prev & rng, tag_chg & rng, geom_chg & rng)
     return pa.table(
         {
-            "n_part": pa.array([n], type=pa.int64()),
-            "creation_part": pa.array([cre], type=pa.int64()),
-            "deletion_part": pa.array([dele], type=pa.int64()),
-            "tag_part": pa.array([tag], type=pa.int64()),
-            "geom_part": pa.array([geo], type=pa.int64()),
-            "uid_part": pa.array([usum], type=pa.int64()),
+            **{c: pa.array([int(x.sum())], type=pa.int64()) for c, x in zip(
+                ("n_part", "creation_part", "deletion_part", "tag_part", "geom_part"), sums)},
+            "uid_part": pa.array([int(uid[rng].sum())], type=pa.int64()),
         }
     )
 
 
-def snapshot_geoms_batch_vec(batch, timestamps, match_kv=None, id_name="way_id"):
-    """Vectorized twin of members.snapshot_geoms_batch: per (doc, query
-    ts) the member-resolved geometry as integer-exact count + sums."""
-    P = ParsedBatch(batch, match_kv=match_kv)
+# ------------------------------------------------ old-style multipolygons
+def snapshots_old_style_batch_vec(batch, timestamps, old_style, outer: int, inner: int, match=None):
+    """Old-style multipolygon snapshots (CellIterator.java:260-318,
+    BaseTagInterpreter.isOldStyleMultipolygon:111-136): per (doc, ts)
+    where the relation version at ts is visible, old-style on the tag
+    side (``old_style``: bool per tag-signature id, ``old_style_tags``),
+    has EXACTLY one member of role id ``outer`` whose way at ts is
+    visible and matches ``match``, emit the inner-hole metrics of the
+    members of role id ``inner`` (``role_id``): ring count (rings with
+    no resolved points are skipped) and the integer sums of hole-ring
+    point coordinates. Rings start one level DOWN from the relation
+    (inner member version first, then ITS members), so a memberless
+    inner member contributes nothing. Output: one row per qualifying
+    (doc, ts) with columns ts_q, n_holes, sum_lon, sum_lat."""
+    P = ParsedBatch(batch, match)
     tsq = np.asarray([int(x) for x in timestamps], dtype=np.int64)
-    ids = batch["osm_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    oid_out, ts_out, n_out, slon_out, slat_out = [], [], [], [], []
-    for d in range(P.ndocs):
-        pe = P.parent_ent(d)
-        if pe is None:
-            continue
-        cmap = P.child_ents(d)
-        s, t = P.ent_start[pe], P.ent_start[pe + 1]
-        si = np.searchsorted(P.ts2[s:t], tsq, side="right") - 1
-        ok = si >= 0
-        gk = s + np.maximum(si, 0)
-        ok &= P.vis2[gk] & P.match2[gk]
-        if cmap:  # doc has children: skip states without members
-            ok &= (P.mem_end2[gk] - P.mem_start2[gk]) > 0
-        rows = np.flatnonzero(ok)
-        if not len(rows):
-            continue
-        counts, lon_f, lat_f = _resolve_coords_rows(P, cmap, tsq[rows], gk[rows])
-        offs = np.r_[0, np.cumsum(counts)][:-1]
-        # pad by one 0 so a trailing empty segment's offset (== len) is a
-        # valid reduceat index; empty segments return the element AT the
-        # offset, so zero them via the mask afterwards
-        lon_p = np.r_[lon_f, np.int64(0)]
-        lat_p = np.r_[lat_f, np.int64(0)]
-        slon = np.add.reduceat(lon_p, offs) if len(offs) else np.zeros(0, np.int64)
-        slat = np.add.reduceat(lat_p, offs) if len(offs) else np.zeros(0, np.int64)
-        empty = counts == 0
-        slon = np.where(empty, 0, slon)
-        slat = np.where(empty, 0, slat)
-        oid_out.append(np.full(len(rows), ids[d], np.int64))
-        ts_out.append(tsq[rows])
-        n_out.append(counts)
-        slon_out.append(slon.astype(np.int64))
-        slat_out.append(slat.astype(np.int64))
-
-    cat = (
-        lambda parts: np.concatenate(parts)
-        if parts
-        else np.empty(0, np.int64)
-    )
+    d, t, r, k = P.state_rows(tsq)
+    ok = k >= 0
+    kk = k[ok]
+    ok[ok] = (P.vis2[kk] & ((P.nmem2[kk] > 0) | ~P.has_children[d[ok]])
+              & np.asarray(old_style, bool)[P.tag2[kk]])
+    t, r, k = t[ok], r[ok], k[ok]
+    owner, edge, _ = P.members_of(k)
+    role = P.mem_role[edge]
+    is_outer = role == outer
+    keep = np.bincount(owner[is_outer], minlength=len(k)) == 1
+    # the single outer member's way at ts: visible + filter match
+    outer_ent = np.full(len(k), -1, np.int64)
+    outer_ent[owner[is_outer]] = P.mem_ent[edge[is_outer]]
+    ow = P.at_or_before(outer_ent, r)
+    keep &= ow >= 0
+    keep[keep] &= P.vis2[ow[keep]] & P.match2[ow[keep]]
+    # inner rings: one resolver row per inner member of a kept row
+    ring = (role == inner) & keep[owner]
+    ring_row, ring_r = owner[ring], r[owner[ring]]
+    rk = P.at_or_before(P.mem_ent[edge[ring]], ring_r)
+    live = np.flatnonzero(rk >= 0)
+    live = live[P.vis2[rk[live]]]
+    counts = np.zeros(len(ring_row), np.int64)
+    slon = np.zeros(len(ring_row), np.int64)
+    slat = np.zeros(len(ring_row), np.int64)
+    c, lon, lat = _resolve_members(P, rk[live], ring_r[live])
+    counts[live], slon[live], slat[live] = c, _segment_sums(c, lon), _segment_sums(c, lat)
+    n_holes = np.bincount(ring_row[counts > 0], minlength=len(k)).astype(np.int64)
+    sum_lon, sum_lat = np.zeros(len(k), np.int64), np.zeros(len(k), np.int64)
+    np.add.at(sum_lon, ring_row, slon)
+    np.add.at(sum_lat, ring_row, slat)
     return pa.table(
         {
-            id_name: pa.array(cat(oid_out)),
-            "ts_q": pa.array(cat(ts_out)),
-            "n_nodes": pa.array(cat(n_out)),
-            "sum_lon": pa.array(cat(slon_out)),
-            "sum_lat": pa.array(cat(slat_out)),
-        }
-    )
-
-
-def snapshots_old_style_batch_vec(batch, timestamps, match_kv=None):
-    """Vectorized twin of members.snapshots_old_style
-    (CellIterator.java:260-318, BaseTagInterpreter
-    .isOldStyleMultipolygon:111-136): per (doc, ts) where the relation
-    version at ts is visible, old-style on the tag side, has EXACTLY
-    one 'outer' member whose resolved way at ts is visible and matches
-    ``match_kv``, emit the inner-hole metrics — ring count (rings with
-    no resolved points are skipped, as resolve_member_rings) and the
-    integer sums of hole-ring point coordinates. Rings start one level
-    DOWN from the relation (inner member version first, then ITS
-    members), so a memberless inner member contributes nothing — the
-    reference's version_at + resolve_coords shape. Output: one row per
-    qualifying (doc, ts) with columns ts_q, n_holes, sum_lon, sum_lat;
-    A/B parity vs the per-document reference path is pinned in
-    tests/test_members_vec.py."""
-    P = ParsedBatch(batch, match_kv=match_kv)
-    tsq = np.asarray([int(x) for x in timestamps], dtype=np.int64)
-    ts_out, nh_out, sl_out, sa_out = [], [], [], []
-    for d in range(P.ndocs):
-        pe = P.parent_ent(d)
-        if pe is None:
-            continue
-        cmap = P.child_ents(d)
-        s, t = P.ent_start[pe], P.ent_start[pe + 1]
-        si = np.searchsorted(P.ts2[s:t], tsq, side="right") - 1
-        ok = si >= 0
-        gk = s + np.maximum(si, 0)
-        ok &= P.vis2[gk]
-        if cmap:  # doc has children: skip states without members
-            ok &= (P.mem_end2[gk] - P.mem_start2[gk]) > 0
-        ok &= P.oldstyle2[gk]
-        rows = np.flatnonzero(ok)
-        if not len(rows):
-            continue
-        gkr, tr = gk[rows], tsq[rows]
-        m = P.mem_end2[gkr] - P.mem_start2[gkr]
-        gidx = _range_gather_idx(P.mem_start2[gkr], m)
-        rowrep = np.repeat(np.arange(len(rows), dtype=np.int64), m)
-        roles = P.mem_role[gidx]
-        ch = P.mem_child[gidx]
-        om = roles == "outer"
-        keep = np.bincount(rowrep[om], minlength=len(rows)) == 1
-        # the single outer member's way at ts: visible + filter match
-        och = np.full(len(rows), -1, np.int64)
-        och[rowrep[om]] = ch[om]
-        for i in np.flatnonzero(keep):  # <= |timestamps| rows per doc
-            ce = cmap.get(int(och[i]))
-            if ce is None:
-                keep[i] = False
-                continue
-            cs_, ct_ = P.ent_start[ce], P.ent_start[ce + 1]
-            k = int(np.searchsorted(P.ts2[cs_:ct_], tr[i], side="right")) - 1
-            if k < 0 or not P.vis2[cs_ + k] or not P.match2[cs_ + k]:
-                keep[i] = False
-        rowkeep = np.flatnonzero(keep)
-        if not len(rowkeep):
-            continue
-        # inner rings: one resolver ROW per inner member of a kept row
-        im = (roles == "inner") & keep[rowrep]
-        ring_row = rowrep[im]
-        ring_ch = ch[im]
-        ring_ts = tr[ring_row]
-        nring = len(ring_ch)
-        rk = np.full(nring, -1, np.int64)  # ring's own version at ts
-        o = np.argsort(ring_ch, kind="stable")
-        chs = ring_ch[o]
-        bounds = _group_bounds(chs)
-        for bi in range(len(bounds) - 1):
-            a, b = bounds[bi], bounds[bi + 1]
-            ce = cmap.get(int(chs[a]))
-            if ce is None:
-                continue
-            cs_, ct_ = P.ent_start[ce], P.ent_start[ce + 1]
-            sel = o[a:b]
-            k = np.searchsorted(P.ts2[cs_:ct_], ring_ts[sel], side="right") - 1
-            okr = k >= 0
-            kk = cs_ + np.maximum(k, 0)
-            okr &= P.vis2[kk]
-            rk[sel[okr]] = kk[okr]
-        counts = np.zeros(nring, np.int64)
-        slon = np.zeros(nring, np.int64)
-        slat = np.zeros(nring, np.int64)
-        live = np.flatnonzero(rk >= 0)
-        if len(live):
-            lk = rk[live]
-            nm = P.mem_end2[lk] - P.mem_start2[lk]
-            g2 = _range_gather_idx(P.mem_start2[lk], nm)
-            pre = np.cumsum(nm) - nm
-            pos = np.arange(len(g2), dtype=np.int64) - np.repeat(pre, nm)
-            c, lon_f, lat_f = _resolve_frontier(
-                P, cmap, nring,
-                (
-                    np.repeat(live, nm),
-                    np.repeat(ring_ts[live], nm),
-                    P.mem_child[g2],
-                    [pos],
-                ),
-            )
-            counts = c
-            offs = np.r_[0, np.cumsum(counts)][:-1]
-            lon_p = np.r_[lon_f, np.int64(0)]
-            lat_p = np.r_[lat_f, np.int64(0)]
-            if len(offs):
-                slon = np.where(counts == 0, 0, np.add.reduceat(lon_p, offs))
-                slat = np.where(counts == 0, 0, np.add.reduceat(lat_p, offs))
-        n_holes = np.bincount(
-            ring_row[counts > 0], minlength=len(rows)
-        ).astype(np.int64)
-        sum_lon = np.zeros(len(rows), np.int64)
-        sum_lat = np.zeros(len(rows), np.int64)
-        np.add.at(sum_lon, ring_row, slon)
-        np.add.at(sum_lat, ring_row, slat)
-        ts_out.append(tr[rowkeep])
-        nh_out.append(n_holes[rowkeep])
-        sl_out.append(sum_lon[rowkeep])
-        sa_out.append(sum_lat[rowkeep])
-
-    cat = (
-        lambda parts: np.concatenate(parts)
-        if parts
-        else np.empty(0, np.int64)
-    )
-    return pa.table(
-        {
-            "ts_q": pa.array(cat(ts_out)),
-            "n_holes": pa.array(cat(nh_out)),
-            "sum_lon": pa.array(cat(sl_out)),
-            "sum_lat": pa.array(cat(sa_out)),
+            "ts_q": pa.array(t[keep]),
+            "n_holes": pa.array(n_holes[keep]),
+            "sum_lon": pa.array(sum_lon[keep]),
+            "sum_lat": pa.array(sum_lat[keep]),
         }
     )

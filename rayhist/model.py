@@ -39,10 +39,25 @@ are 0 for deleted versions, as the geom-span decode emits. When they
 are filled, ``decode_spans`` gathers them and parses no version or
 geom text; the spans column is then only needed for tag strings
 (``tags=True``), so a query that reads no tag strings reads the table
-without it (``DECODE_COLUMNS``). Span-only tables (compound documents,
-wire sources without typed fields) pack EMPTY lists and decode through
-the text parser, which stays the differential reference. The spans
-column remains the source of truth for span-sequence equality.
+without it (``DECODE_COLUMNS``). Span-only tables (wire sources without
+typed fields) pack EMPTY lists and decode through the text parser,
+which stays the differential reference. The spans column remains the
+source of truth for span-sequence equality.
+
+COMPOUND DOCUMENTS (the way, relation and old-style tables,
+``COMPOUND_SCHEMA``) denormalize their members' histories into the
+span stream (FIXTURES.md §1): a child version span reads
+``child={type}/{id};v=..``, and its geom ``media_ref`` reads
+``geom:child={type}/{id};v=..;lon=..;lat=..``. Their typed columns hold
+EVERY version record of the document in span order, the parent's own
+and the children's, plus ``COMPOUND_COLUMNS``: the packed child id of
+each version (``pack_child_id``; -1 = the parent's own) and the member
+edges as flat per-document lists (owning version index, packed child
+id, role keytable id). ``tag_ids`` holds one tag-signature id per
+version, into the table's own keytable (``ingest.compound_keytable``).
+``rayhist.members_vec`` reads these columns and never the span text;
+``decode_spans`` refuses them (a child version is not a version of the
+document's entity).
 
 The reference packs one history into a delta/varint byte blob
 (``impl/osh/OSHNodeImpl.java:145-275``); here the equivalent payload is
@@ -94,16 +109,41 @@ DOCUMENTS_SCHEMA = pa.schema(
         # spans), indexing the Extract pass's tag dictionary
         # (ingest.ensure_keytable). Filters scan these ints instead of
         # tag_sig strings; the string spans stay for oracle parity.
-        # Empty list = no per-version ids (compound tables).
+        # Empty list = no per-version ids (span-only wire sources);
+        # compound tables index their own tag-signature keytable.
         pa.field("tag_ids", pa.list_(pa.int32())),
         # typed per-version ints, order-aligned with the version spans
         # like tag_ids (OSHNodeImpl.java:145-182 decodes the same fields
         # from binary): v signed by visibility, ts/cs/uid as in the
         # version text, coordinates 0 when deleted. Packed only by
-        # pack_version_columns; empty lists = span-only document.
+        # pack_version_columns; empty lists = span-only document;
+        # compound documents list every version record, children too.
         *(pa.field(c, pa.list_(pa.int64())) for c in VERSION_COLUMNS),
     ]
 )
+
+# Compound documents: a child id packs its type above CHILD_ID_BITS
+# (the reference's OSMMember type + id, osm/OSMMember.java:12-27)
+CHILD_TYPES = ("node", "way", "relation")
+CHILD_ID_BITS = 60
+
+COMPOUND_COLUMNS = ("ver_child", "mem_ver", "mem_child", "mem_role")
+COMPOUND_SCHEMA = pa.schema(
+    [
+        *DOCUMENTS_SCHEMA,
+        # per version, order-aligned with ver_*: packed child id, -1 for
+        # the parent's own versions
+        pa.field("ver_child", pa.list_(pa.int64())),
+        # member edges (OSMWay.refs / OSMRelation.members), in span
+        # order: the owning version's index in the document's ver_*
+        # lists, the packed child id, the role's keytable id
+        pa.field("mem_ver", pa.list_(pa.int32())),
+        pa.field("mem_child", pa.list_(pa.int64())),
+        pa.field("mem_role", pa.list_(pa.int32())),
+    ]
+)
+# every compound column but spans: all that rayhist.members_vec reads
+COMPOUND_READ_COLUMNS = [f.name for f in COMPOUND_SCHEMA if f.name != "spans"]
 
 # every column but spans: all that decode_spans reads unless tags=True
 # (read_documents(columns=DECODE_COLUMNS) skips the span text on disk)
@@ -142,6 +182,16 @@ def format_geom_ref(v: int, lon_e7: int, lat_e7: int) -> str:
     return f"geom:v={v};lon={lon_e7};lat={lat_e7}"
 
 
+def pack_child_id(type_code, osm_id) -> np.ndarray:
+    """``type_code << CHILD_ID_BITS | osm_id`` (type_code indexes
+    CHILD_TYPES). Loud guard: an id outside [0, 2**CHILD_ID_BITS) would
+    collide with another type's ids."""
+    ids = np.asarray(osm_id, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >> CHILD_ID_BITS):
+        raise OverflowError(f"child id outside [0, 2**{CHILD_ID_BITS})")
+    return (np.asarray(type_code, dtype=np.int64) << CHILD_ID_BITS) | ids
+
+
 def pack_version_columns(
     counts: np.ndarray,
     *,
@@ -153,6 +203,8 @@ def pack_version_columns(
     lon_e7=None,
     lat_e7=None,
     tag_ids=None,
+    child=None,
+    members=None,
 ) -> dict[str, pa.ListArray]:
     """The per-version list columns of a DOCUMENTS_SCHEMA table
     (``tag_ids`` + ``VERSION_COLUMNS``) from flat per-version arrays in
@@ -160,10 +212,16 @@ def pack_version_columns(
     newest); ``counts`` = versions per document.
 
     Pass all seven typed fields or none: none packs EMPTY ver_* lists,
-    the span-only document that decode_spans parses from text
-    (compound tables). ``tag_ids=None`` packs empty tag_ids lists.
-    Loud guards: a version number < 1 cannot carry visibility as its
-    sign, and int32 list offsets must not wrap."""
+    the span-only document that decode_spans parses from text.
+    ``tag_ids=None`` packs empty tag_ids lists.
+
+    A COMPOUND document (``COMPOUND_SCHEMA``) also passes ``child``, the
+    packed child id of every version record (-1 = the parent's own),
+    and ``members`` = (edges per document, owning version index within
+    its document, packed child id, role id), which add
+    ``COMPOUND_COLUMNS``. Loud guards: a version number < 1 cannot
+    carry visibility as its sign, int32 list offsets must not wrap, and
+    a member edge must name a version of its own document."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total >= 2**31:
@@ -171,20 +229,36 @@ def pack_version_columns(
     offsets = pa.array(np.r_[0, np.cumsum(counts)].astype(np.int32))
     no_lists = pa.array(np.zeros(len(counts) + 1, dtype=np.int32))
 
-    def lists(values, typ) -> pa.ListArray:
+    def lists(values, typ, offs=offsets, n=total) -> pa.ListArray:
         if values is None:
             return pa.ListArray.from_arrays(no_lists, pa.array([], type=typ))
         values = np.asarray(values)
-        if len(values) != total:
-            raise ValueError(f"{len(values)} per-version values for {total} versions")
-        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
+        if len(values) != n:
+            raise ValueError(f"{len(values)} per-version values for {n} versions")
+        return pa.ListArray.from_arrays(offs, pa.array(values, type=typ))
 
     fields = (v, ts, cs, uid, visible, lon_e7, lat_e7)
     out = {"tag_ids": lists(tag_ids, pa.int32())}
-    if all(f is None for f in fields):
+    if all(f is None for f in fields) and child is None and members is None:
         return out | {c: lists(None, pa.int64()) for c in VERSION_COLUMNS}
     if any(f is None for f in fields):
         raise ValueError("pack all typed version fields or none")
+    if (child is None) != (members is None):
+        raise ValueError("a compound document packs child ids and members together")
+    if child is not None:
+        m_counts, m_ver, m_child, m_role = (np.asarray(x, dtype=np.int64) for x in members)
+        m_total = int(m_counts.sum())
+        if m_total >= 2**31:
+            raise OverflowError(f"{m_total} member edges exceed int32 list offsets")
+        if len(m_ver) and (m_ver.min() < 0 or (m_ver >= np.repeat(counts, m_counts)).any()):
+            raise ValueError("a member edge names a version outside its document")
+        m_offs = pa.array(np.r_[0, np.cumsum(m_counts)].astype(np.int32))
+        out |= {
+            "ver_child": lists(child, pa.int64()),
+            "mem_ver": lists(m_ver, pa.int32(), m_offs, m_total),
+            "mem_child": lists(m_child, pa.int64(), m_offs, m_total),
+            "mem_role": lists(m_role, pa.int32(), m_offs, m_total),
+        }
     v = np.asarray(v, dtype=np.int64)
     vis = np.asarray(visible, dtype=bool)
     if len(v) and v.min() < 1:
@@ -207,7 +281,10 @@ def _combined(batch: pa.Table, name: str) -> pa.Array:
 
 def _typed_versions(batch: pa.Table) -> bool:
     """True when every document in the batch carries its typed
-    per-version columns (an empty batch counts as typed)."""
+    per-version columns (an empty batch counts as typed). Compound
+    documents raise: their version records include the children's."""
+    if "ver_child" in batch.column_names:
+        raise ValueError("compound documents decode through rayhist.members_vec")
     typed = False
     if VERSION_COLUMNS[0] in batch.column_names:
         shortest = pc.min(pc.list_value_length(batch[VERSION_COLUMNS[0]])).as_py()
@@ -292,9 +369,9 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     (``VERSION_COLUMNS``, packed at ingest), v/ts/cs/uid/visible and the
     coordinates are a column gather and no version or geom text is
     parsed — the spans column is not even read unless ``tags=True``.
-    Span-only documents (empty typed lists: compound tables, wire
-    sources without typed fields) go through the text parser, which
-    stays the differential reference for the typed path.
+    Span-only documents (empty typed lists: wire sources without typed
+    fields) go through the text parser, which stays the differential
+    reference for the typed path.
 
     ``tags=False`` / ``geom=False`` PRUNE the decode: the tag-signature
     join / coordinate columns are skipped and the columns are
@@ -372,7 +449,7 @@ def decode_spans(batch: pa.Table, tags: bool | str = True, geom: bool = True) ->
     # constant -1 and silently matched nothing
     if tags in ("ids", True) and "tag_ids" in batch.column_names:
         flat_ids = pc.list_flatten(_combined(batch, "tag_ids")).to_numpy(zero_copy_only=False)
-        if len(flat_ids) == n_ver:  # compound tables pack empty lists
+        if len(flat_ids) == n_ver:  # span-only sources pack empty lists
             tag_id = flat_ids.astype(np.int32)
     is_tag = (
         pc.equal(kind, "tag").to_numpy(zero_copy_only=False)

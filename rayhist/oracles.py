@@ -1475,7 +1475,7 @@ FROM pts
 # -------------------------------------- old-style multipolygon
 def snapshot_old_style(ts_list) -> str:
     """Mirror of rayhist.ingest._pack_oldstyle_bucket (see its comment
-    block) + members.snapshots_old_style: relation o = node block
+    block) + members_vec.snapshots_old_style_batch_vec: relation o = node block
     {8o..8o+7}; old-style iff o%5<>0 (no real relation tag) and
     o%11<>0 (single outer way); outer-way filter k=(o%7)=3; relation
     visible from rts=min(node ts), outer way from ts1o; hole ring =
@@ -6378,7 +6378,7 @@ FROM r GROUP BY 1 ORDER BY 1
 def theil_index_by_type() -> str:
     """Theil mirror: the (etype, cents) histogram, separately
     quantized milli-nat logs, exact integer numerator, one IEEE
-    division."""
+    division; a zero value's term is 0 (log argument clamped to 1)."""
     q = "CAST(round(1000*ln(CAST({x} AS DOUBLE))) AS BIGINT)"
     return f"""
 WITH h AS (
@@ -6389,7 +6389,7 @@ WITH h AS (
   SELECT etype, sum(m) AS n, sum(m*c) AS s FROM h GROUP BY 1
 ), x AS (
   SELECT h.etype,
-         sum(h.m * h.c * ({q.format(x='h.c * t.n')} - {q.format(x='t.s')})) AS num
+         sum(h.m * h.c * ({q.format(x='greatest(h.c * t.n, 1)')} - {q.format(x='t.s')})) AS num
   FROM h JOIN t USING (etype) GROUP BY 1
 )
 SELECT x.etype, CAST(t.n AS BIGINT) AS n_events, CAST(t.s AS BIGINT) AS sum_cents,

@@ -27,6 +27,7 @@ import math
 import os
 import zlib
 from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -49,12 +50,18 @@ from .functions.bloom import build_bloom
 from .functions.geo import EARTH_RADIUS, distance_equirectangular
 from .geometry import clip_segments_convex, clip_segments_even_odd
 from .ingest import (
-    ensure_documents, ensure_multizoom_layout, read_documents, read_oldstyle_documents,
-    read_relation_documents, read_way_documents, sig_keytable,
+    compound_keytable, ensure_documents, ensure_multizoom_layout, ensure_oldstyle_documents,
+    ensure_way_documents, read_documents, read_oldstyle_documents, read_relation_documents,
+    read_way_documents, sig_keytable,
 )
-from .members import COMPOUND_BATCH, contribution_stats_batch, snapshot_geoms_batch
-from .members_vec import snapshots_old_style_batch_vec
-from .model import DECODE_COLUMNS, decode_spans, doc_codes, reverse_version_runs
+from .members import COMPOUND_BATCH
+from .members_vec import (
+    contribution_stats_batch_vec, old_style_tags, role_id, snapshot_geoms_batch_vec,
+    snapshots_old_style_batch_vec, tag_match,
+)
+from .model import (
+    COMPOUND_READ_COLUMNS, DECODE_COLUMNS, decode_spans, doc_codes, reverse_version_runs,
+)
 from .ops.bfs import bfs_hops
 from .ops.cc import connected_components
 from .ops.dedup import (
@@ -3017,6 +3024,11 @@ WAY_CONTRIB_TO = T0 + 32 * DAY_US
 WAY_SNAPS = [*SNAP_WEEKLY, T0 + 32 * DAY_US]  # + Feb 2: after every way's v2
 
 
+def _compound(read, sf_dir: str):
+    """A compound table's typed columns (no span text), resident."""
+    return read(sf_dir, columns=COMPOUND_READ_COLUMNS)
+
+
 @query(lambda o: o.contrib_type_counts_ways(WAY_CONTRIB_FROM, WAY_CONTRIB_TO))
 def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     """Contribution counts over COMPOUND way documents — exercises the
@@ -3027,9 +3039,11 @@ def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     contributor uid of a pure member edit comes from the CHILD version
     (OSMContribution.java:211-257) — sum_uid pins that attribution."""
     def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
+        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
-    partials = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    partials = rio.map_blocks(
+        _compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
+    )
     return combine_partials(
         partials,
         [],
@@ -3057,15 +3071,14 @@ def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
     - ways with w%7==2 and visible v2: only v2 (k=3) matches -> a
       single CREATION at ts2, member edits suppressed (no window);
     - all other ways contribute nothing."""
-    def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch(
-            batch,
-            WAY_CONTRIB_FROM,
-            WAY_CONTRIB_TO,
-            match_kv=("k", "3"),  # tags.get("k") == "3", vectorized path
-        )
+    match = tag_match(compound_keytable(ensure_way_documents(sf_dir)), "k", "3")
 
-    partials = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    def stage(batch: pa.Table) -> pa.Table:
+        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO, match)
+
+    partials = rio.map_blocks(
+        _compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
+    )
     return combine_partials(
         partials,
         [],
@@ -3089,9 +3102,9 @@ def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     node count + coordinate sums. The Feb-2 timestamp falls after
     every way's v2, so deleted ways (w%3==0) drop out there."""
     def stage(batch: pa.Table) -> pa.Table:
-        return snapshot_geoms_batch(batch, WAY_SNAPS)
+        return snapshot_geoms_batch_vec(batch, WAY_SNAPS)
 
-    rows = rio.map_blocks(read_way_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    rows = rio.map_blocks(_compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH)
     df = rows.to_pandas()
     return df.sort_values(["way_id", "ts_q"]).reset_index(drop=True)
 
@@ -3105,9 +3118,11 @@ def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     resolved geometry. n_deletion/n_tag_change are structurally 0
     (single visible relation version) and the oracle proves it."""
     def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
+        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
 
-    partials = rio.map_blocks(read_relation_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    partials = rio.map_blocks(
+        _compound(read_relation_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
+    )
     return combine_partials(
         partials,
         [],
@@ -3129,9 +3144,11 @@ def q_snapshot_relation_geoms(sf_dir: str) -> pd.DataFrame:
     (resolve_coords two-level chain, OSMMember.entity); invisible ways
     drop all their nodes from the geometry."""
     def stage(batch: pa.Table) -> pa.Table:
-        return snapshot_geoms_batch(batch, WAY_SNAPS, id_name="rel_id")
+        return snapshot_geoms_batch_vec(batch, WAY_SNAPS, id_name="rel_id")
 
-    rows = rio.map_blocks(read_relation_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    rows = rio.map_blocks(
+        _compound(read_relation_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
+    )
     df = rows.to_pandas()
     return df.sort_values(["rel_id", "ts_q"]).reset_index(drop=True)
 
@@ -3147,10 +3164,14 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
     count, and the integer sums of hole-ring point coordinates
     (pinning member-resolved node positions at ts, including the
     closed-ring repeat of the first inner node)."""
+    kt = compound_keytable(ensure_oldstyle_documents(sf_dir))
+    tests = (
+        old_style_tags(kt), role_id(kt, "outer"), role_id(kt, "inner"), tag_match(kt, "k", "3")
+    )
+
     def stage(batch: pa.Table) -> pa.Table:
-        # vectorized engine (A/B-pinned to members.snapshots_old_style
-        # in tests/test_members_vec.py) + per-batch partial agg
-        rows = snapshots_old_style_batch_vec(batch, WAY_SNAPS, match_kv=("k", "3"))
+        # member engine + per-batch partial agg
+        rows = snapshots_old_style_batch_vec(batch, WAY_SNAPS, *tests)
         t = rows.append_column(
             "_one", pa.array(np.ones(len(rows), dtype=np.int64))
         )
@@ -3159,7 +3180,9 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
         )
         return g.rename_columns(["ts_q", "rel_part", "hole_part", "lon_part", "lat_part"])
 
-    partials = rio.map_blocks(read_oldstyle_documents(sf_dir), stage, batch_size=COMPOUND_BATCH)
+    partials = rio.map_blocks(
+        _compound(read_oldstyle_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
+    )
     df = combine_partials(
         partials,
         ["ts_q"],
@@ -3191,7 +3214,7 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
         )
 
     def way_stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_geoms_batch(batch, [T_MID])
+        s = snapshot_geoms_batch_vec(batch, [T_MID])
         return pa.table(
             {
                 "osm_type": pa.array(["way"]),
@@ -3200,7 +3223,9 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
         )
 
     node_partials = rio.map_blocks(_docs(sf_dir), node_stage)
-    way_partials = rio.map_blocks(read_way_documents(sf_dir), way_stage, batch_size=COMPOUND_BATCH)
+    way_partials = rio.map_blocks(
+        _compound(read_way_documents, sf_dir), way_stage, batch_size=COMPOUND_BATCH
+    )
     df = combine_partials(
         pa.concat_tables([node_partials, way_partials]), ["osm_type"], {"n_part": "n_snapshots"}
     )
@@ -3298,23 +3323,31 @@ def _many_regions_index(strtree: bool):
     return STRtreeRegionIndex(regions) if strtree else RegionIndex(regions, zoom=6)
 
 
-def _region_counts(sf_dir: str, index) -> pd.DataFrame:
-    """Per-region counts of the T_MID snapshot positions, classified by
-    ``index`` (``classify(lon_e7, lat_e7) -> (rows, region ids)``),
-    zerofilled over ``_many_regions``. The index is built once on the
-    driver and shipped with the stage."""
-    ts = np.array([T_MID], dtype=np.int64)
+@dataclass(frozen=True)
+class _RegionCountsStage:
+    """Per-region counts of one block's T_MID snapshot positions. It
+    carries only the backend flag: the process that runs it looks the
+    index up in its own cache (``_many_regions_index``), so a call
+    ships no index (a captured one pickled ~25-44 kB per call)."""
 
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
-        _rows, rids = index.classify(
+    strtree: bool
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        s = snapshots(decode_spans(batch, tags=False), np.array([T_MID], dtype=np.int64))
+        _rows, rids = _many_regions_index(self.strtree).classify(
             s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
         )
         hits = pa.table({"region_id": pa.array(rids, type=pa.string())})
         g = hits.group_by("region_id").aggregate([([], "count_all")])
         return g.rename_columns(["region_id", "n_part"])
 
-    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), ["region_id"], {"n_part": "n"})
+
+def _region_counts(sf_dir: str, strtree: bool) -> pd.DataFrame:
+    """Per-region counts of the T_MID snapshot positions, classified by
+    the ``_many_regions_index(strtree)`` backend, zerofilled over
+    ``_many_regions``."""
+    partials = rio.map_blocks(_docs(sf_dir), _RegionCountsStage(strtree))
+    df = combine_partials(partials, ["region_id"], {"n_part": "n"})
     return zerofill(df, {"region_id": [r for r, _ in _many_regions()]}, {"n": 0})
 
 
@@ -3328,7 +3361,7 @@ def q_snapshot_pip_many_regions(sf_dir: str) -> pd.DataFrame:
     puts the index itself (inside/boundary cell classification) under
     the value-exact oracle, not just the pytest linear-scan
     equivalence."""
-    return _region_counts(sf_dir, _many_regions_index(strtree=False))
+    return _region_counts(sf_dir, strtree=False)
 
 
 # STRtree backend shares the grid-index query's oracle
@@ -3340,7 +3373,7 @@ def q_snapshot_pip_many_regions_strtree(sf_dir: str) -> pd.DataFrame:
     GeometrySplitter.java:36-60) instead of the grid-bucketed index:
     two candidate structures, one value-exact oracle. The
     level-synchronous tree query is vectorized across each block."""
-    return _region_counts(sf_dir, _many_regions_index(strtree=True))
+    return _region_counts(sf_dir, strtree=True)
 
 
 @query(lambda o: o.snapshot_count_daily("visible AND (etype = 'click' OR kk = 3)"))
@@ -11484,9 +11517,10 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     numerator sum_c m_c * c * (q(c*n) - q(S)) over the bounded
     (etype, cents) value histogram (q = the milli-nat kernel; the two
     logs quantize separately, the PSI/MI subtraction contract); the
-    only float is the final single IEEE division by S. Requires
-    positive values (loud guard — ln of a non-positive cent is
-    undefined)."""
+    only float is the final single IEEE division by S. A zero value
+    contributes 0, the x*ln(x) -> 0 limit (its log argument is clamped
+    to 1, as the SQL twin's greatest(c*n, 1)); a negative value raises
+    (ln is undefined there)."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -11512,12 +11546,12 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     for et, g in base.groupby("etype"):
         cs = [int(x) for x in g["c"]]
         ms = [int(x) for x in g["m"]]
-        if min(cs) <= 0:
-            raise ValueError(f"theil: non-positive cents in etype {et!r}")
+        if min(cs) < 0:
+            raise ValueError(f"theil: negative cents in etype {et!r}")
         n = sum(ms)
         s = sum(m * c for m, c in zip(ms, cs))
         qs = _q_mnat(s)
-        num = sum(m * c * (_q_mnat(c * n) - qs) for m, c in zip(ms, cs))
+        num = sum(m * c * (_q_mnat(max(c * n, 1)) - qs) for m, c in zip(ms, cs))
         if not (-(2**63) < num < 2**63):
             raise OverflowError("theil numerator exceeds int64")
         rows.append(

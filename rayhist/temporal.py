@@ -38,7 +38,7 @@ contain COMPLETE documents (all versions of every doc present), which
 holds per construction: one span-table row carries a full history.
 
 Version order: every document producer (ingest's pack, the pbfish and
-osmpbf bridges, ``fixtures.versions_to_documents``) writes a
+osmpbf bridges, the tests' ``versions_to_documents``) writes a
 document's versions oldest -> newest, so a decoded batch is already
 sorted by (doc, ts, v). ``_sorted_versions`` checks that with one pass
 of adjacent comparisons and uses the rows as they are, as the

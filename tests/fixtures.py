@@ -12,11 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .model import (
+from rayhist.model import (
+    CHILD_TYPES,
+    COMPOUND_SCHEMA,
     DOCUMENTS_SCHEMA,
+    SPAN_STRUCT,
     VERSIONS_SCHEMA,
     format_geom_ref,
     format_version_text,
+    pack_child_id,
     pack_version_columns,
 )
 
@@ -322,3 +326,77 @@ def scenario_way_w2_ring() -> list[dict]:
     }
     versions = [dict(v=1, ts=t[2008], cs=21, tags={"building": "yes"}, members=members)]
     return make_compound_doc("way/2", versions, children)
+
+
+def _child_id(ref: str) -> int:
+    """'{type}/{id}' -> the packed child id (model.pack_child_id)."""
+    typ, oid = ref.split("/", 1)
+    return int(pack_child_id(CHILD_TYPES.index(typ), int(oid)))
+
+
+def pack_compound_docs(span_docs: list[list[dict]], ids=None) -> tuple[pa.Table, dict]:
+    """Compound span lists -> (COMPOUND_SCHEMA table, keytable): the
+    typed columns are read off the span text (each tag, member and geom
+    span attaches to the version span before it, a repeated tag key
+    keeps its last value) and packed through model.pack_version_columns,
+    as ingest packs them; tag signatures and roles take ids of the
+    returned keytable (ingest.compound_keytable format)."""
+    sigs: dict[tuple, int] = {}
+    roles: dict[str, int] = {}
+    vers, counts, n_parent, mems, n_mem = [], [], [], [], []
+    for spans in span_docs:
+        doc_vers: list[dict] = []
+        n_edges = len(mems)
+        for s in sorted(spans, key=lambda x: x["offset"]):
+            if s["kind"] == "version":
+                txt, child = s["text"], -1
+                if txt.startswith("child="):
+                    ref, txt = txt[6:].split(";", 1)
+                    child = _child_id(ref)
+                f = dict(p.split("=", 1) for p in txt.split(";"))
+                doc_vers.append({"v": int(f["v"]), "ts": int(f["ts"]), "cs": int(f["cs"]),
+                                 "uid": int(f["uid"]), "vis": f["vis"] == "1", "child": child,
+                                 "lon": 0, "lat": 0, "tags": {}})
+            elif not doc_vers:
+                continue  # no version span yet to attach to
+            elif s["kind"] == "tag":
+                k, v = s["text"].split("=", 1)
+                doc_vers[-1]["tags"][k] = v
+            elif s["kind"] == "member":
+                ref, role = s["text"].split("@role=", 1)
+                mems.append((len(doc_vers) - 1, _child_id(ref), roles.setdefault(role, len(roles))))
+            elif s["kind"] == "geom":
+                body = s["media_ref"][len("geom:"):]
+                if body.startswith("child="):
+                    body = body.split(";", 1)[1]
+                f = dict(p.split("=", 1) for p in body.split(";"))
+                doc_vers[-1]["lon"], doc_vers[-1]["lat"] = int(f["lon"]), int(f["lat"])
+        for r in doc_vers:
+            r["tag"] = sigs.setdefault(tuple(sorted(r["tags"].items())), len(sigs))
+        vers += doc_vers
+        counts.append(len(doc_vers))
+        n_parent.append(sum(r["child"] == -1 for r in doc_vers))
+        n_mem.append(len(mems) - n_edges)
+    fields = ("v", "ts", "cs", "uid", "vis", "lon", "lat", "child", "tag")
+    col = {k: [r[k] for r in vers] for k in fields}
+    lists = pack_version_columns(
+        counts, v=col["v"], ts=col["ts"], cs=col["cs"], uid=col["uid"], visible=col["vis"],
+        lon_e7=col["lon"], lat_e7=col["lat"], tag_ids=col["tag"], child=col["child"],
+        members=(n_mem, [m[0] for m in mems], [m[1] for m in mems], [m[2] for m in mems]),
+    )
+    n = len(span_docs)
+    ids = list(range(n)) if ids is None else list(ids)
+    flat = [dict(s, media_ref=s.get("media_ref", "")) for doc in span_docs for s in doc]
+    offs = np.r_[0, np.cumsum([len(d) for d in span_docs])].astype(np.int32)
+    spans = pa.ListArray.from_arrays(pa.array(offs), pa.array(flat, type=SPAN_STRUCT))
+    table = pa.table(
+        {
+            "doc_id": [f"way/{i}" for i in ids], "osm_type": ["way"] * n, "osm_id": ids,
+            "n_versions": n_parent,
+            **{c: [0] * n for c in ("min_lon_e7", "max_lon_e7", "min_lat_e7", "max_lat_e7")},
+            "spans": spans, **lists,
+        },
+        schema=COMPOUND_SCHEMA,
+    )
+    keytable = {"tags": [[list(kv) for kv in sig] for sig in sigs], "roles": list(roles)}
+    return table, keytable

@@ -13,6 +13,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
 from ray.data._internal.execution.operators.actor_pool_map_operator import ActorPoolMapOperator
@@ -482,8 +483,9 @@ def test_resident_shuffle_queries_run_no_ray_data_execution(executions, query):
 
 
 def test_region_indexes_are_built_once_per_process(monkeypatch):
-    """The many-regions queries build their constant index (RegionIndex
-    alone takes ~1 s) once per process, not once per call."""
+    """The many-regions stage builds its constant index (RegionIndex
+    alone takes ~1 s) once per process that runs it, not once per call:
+    here both backends' stages run twice in this process."""
     built = []
     for name in ("RegionIndex", "STRtreeRegionIndex"):
         cls = getattr(pipelines, name)
@@ -491,10 +493,32 @@ def test_region_indexes_are_built_once_per_process(monkeypatch):
             pipelines, name, lambda *a, _cls=cls, **k: built.append(_cls.__name__) or _cls(*a, **k)
         )
     pipelines._many_regions_index.cache_clear()
-    for query in ("snapshot_pip_many_regions", "snapshot_pip_many_regions_strtree"):
-        fn = pipelines.QUERIES[query][0]
-        pd.testing.assert_frame_equal(fn(SF), fn(SF))
+    batch = pq.read_table(ensure_documents(SF))
+    for strtree in (False, True):
+        stage = pipelines._RegionCountsStage(strtree)
+        assert stage(batch).equals(stage(batch))
     assert sorted(built) == ["RegionIndex", "STRtreeRegionIndex"]
+    pipelines._many_regions_index.cache_clear()
+
+
+def test_region_counts_stage_ships_no_index():
+    """A many-regions call ships its stage without the index (the worker
+    looks it up in its own cache): the pickled stage is under 1 kB, and
+    both backends still give the DuckDB oracle's frame."""
+    import cloudpickle
+    import duckdb
+
+    import __ray_entry__ as entry
+    from tools.check_queries import compare
+
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
+    want = con.sql(entry.oracle_sql()["snapshot_pip_many_regions"]).df()
+    for query, strtree in (
+        ("snapshot_pip_many_regions", False), ("snapshot_pip_many_regions_strtree", True)
+    ):
+        assert len(cloudpickle.dumps(pipelines._RegionCountsStage(strtree))) < 1024
+        assert compare(query, pipelines.QUERIES[query][0](SF), want)
 
 
 def _media(kind="image"):

@@ -195,7 +195,7 @@ def test_parallelism_invariance():
     equivalence suite (TestMapReduceOSHDB_*.java)."""
     import numpy as np
 
-    from rayhist.fixtures import scenario_corpus, versions_to_documents
+    from tests.fixtures import scenario_corpus, versions_to_documents
     from rayhist.model import decode_spans
     from rayhist.temporal import snapshots
     from rayhist import io as rio

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from rayhist.fixtures import YEAR_US, make_compound_doc, scenario_way_w1, scenario_way_w2_ring
+from tests.fixtures import YEAR_US, make_compound_doc, scenario_way_w1, scenario_way_w2_ring
 from rayhist.geometry import (
     Geom,
     build_multipolygon,
@@ -13,7 +13,12 @@ from rayhist.geometry import (
     clip_segments_to_bbox,
     is_area,
 )
-from rayhist.members import contributions_doc, modification_timestamps, parse_doc, snapshots_doc
+from tests.reference_members import (
+    contributions_doc,
+    modification_timestamps,
+    parse_doc,
+    snapshots_doc,
+)
 
 T = YEAR_US
 
@@ -151,7 +156,7 @@ def test_relation_with_way_members_full_chain():
     """R1 end-to-end: relation -> member ways -> nodes, geometry
     assembled from the resolved rings at a timestamp; a node edit deep
     in the chain changes the relation's geometry."""
-    from rayhist.members import resolve_member_rings
+    from tests.reference_members import resolve_member_rings
 
     # nodes of the outer ring (one node moves in 2012)
     node_hist = {
@@ -208,9 +213,9 @@ def test_old_style_multipolygon():
     BaseTagInterpreter.isOldStyleMultipolygon :111-136) — filter is
     tested on the OUTER way's tags, geometry emitted is ONLY the inner
     holes, and the hole grows when a deep node moves."""
-    from rayhist.fixtures import scenario_relation_old_style
+    from tests.fixtures import scenario_relation_old_style
     from rayhist.geometry import build_multipolygon
-    from rayhist.members import (
+    from tests.reference_members import (
         is_old_style_multipolygon,
         parse_doc,
         snapshots_old_style,
@@ -305,7 +310,7 @@ def test_relation_geometry_collection_fallback():
     import numpy as np
 
     from rayhist.functions.geo import length_of_line
-    from rayhist.members import DocHistory, Version, build_relation_geom
+    from tests.reference_members import DocHistory, Version, build_relation_geom
 
     M = 1_000_000
 

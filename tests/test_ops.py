@@ -3177,3 +3177,34 @@ def test_event_debounce_brute_force(ray_session):
     pd.testing.assert_frame_equal(
         got, want.sort_values("etype").reset_index(drop=True)
     )
+
+
+def test_theil_index_counts_a_zero_value_as_a_zero_term(tmp_path):
+    """theil_index_by_type over events holding 0.00 values: a zero
+    value's term is 0 (the x*ln(x) -> 0 limit) in the pipeline and in
+    its SQL twin alike, and it still counts in n_events; a negative
+    value raises."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    from rayhist.pipelines import q_theil_index_by_type
+    from tests.test_ingest import SF
+    from tools.check_queries import compare
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    value = ev["value"].to_numpy().copy()
+    value[::7] = 0.0
+    pq.write_table(ev.set_column(ev.schema.get_field_index("value"), "value", pa.array(value)),
+                   tmp_path / "events.parquet")
+    got = q_theil_index_by_type(str(tmp_path))
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+    want = con.sql(entry.oracle_sql()["theil_index_by_type"]).df()
+    assert compare("theil_index_by_type", got, want)
+    assert got["n_events"].sum() == len(value)
+    value[3] = -0.5
+    pq.write_table(ev.set_column(ev.schema.get_field_index("value"), "value", pa.array(value)),
+                   tmp_path / "events.parquet")
+    with pytest.raises(ValueError, match="negative cents"):
+        q_theil_index_by_type(str(tmp_path))

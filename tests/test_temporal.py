@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 
 from rayhist import io as rio
-from rayhist.fixtures import YEAR_US, make_versions, scenario_corpus, versions_to_documents
+from tests.fixtures import YEAR_US, make_versions, scenario_corpus, versions_to_documents
 from rayhist.model import decode_spans
 from rayhist.temporal import TagFilter, contributions, snapshots
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayhist import ingest
-from rayhist.fixtures import make_versions, scenario_corpus, versions_to_documents
+from tests.fixtures import make_versions, pack_compound_docs, scenario_corpus, versions_to_documents
 from rayhist.model import (
     DECODE_COLUMNS,
     VERSION_COLUMNS,
@@ -75,32 +75,26 @@ def test_scenario_corpus_typed_decode_equals_text():
 @pytest.mark.parametrize(
     "ensure", ["ensure_way_documents", "ensure_relation_documents", "ensure_oldstyle_documents"]
 )
-def test_compound_tables_pack_empty_lists_and_decode_from_text(ensure):
-    docs = pq.read_table(getattr(ingest, ensure)("/root/testdata/sf0.001"))
-    for c in ("tag_ids", *VERSION_COLUMNS):
-        assert pa.compute.sum(pa.compute.list_value_length(docs[c])).as_py() in (0, None), c
-    _assert_text_fallback(docs)
-    with pytest.raises(ValueError, match="spans column"):
-        decode_spans(docs.select(DECODE_COLUMNS), tags=False)
-
-
-def _decode_outcome(docs: pa.Table, tags, geom):
-    try:
-        return decode_spans(docs, tags=tags, geom=geom)
-    except Exception as e:  # noqa: BLE001 - the outcome IS the raised error
-        return type(e), str(e)
-
-
-def _assert_text_fallback(docs: pa.Table) -> None:
-    """Empty typed lists route the whole batch to the text parser: the
-    outcome is the one of a table without the typed columns. (Compound
-    child version spans carry a 'child=' prefix the node parser
-    rejects — compound tables decode through rayhist.members — so the
-    shared outcome there is the parser's own error.)"""
-    for tags, geom in FLAGS:
-        a = _decode_outcome(docs, tags, geom)
-        b = _decode_outcome(_text_only(docs), tags, geom)
-        assert a.equals(b) if isinstance(a, pa.Table) else a == b, (tags, geom)
+def test_compound_tables_pack_typed_columns_equal_to_their_spans(ensure):
+    """The typed compound columns ingest writes equal the ones packed
+    from the span text (tests/fixtures.pack_compound_docs), tag
+    signatures and roles compared through their keytables; and
+    decode_spans refuses the compound documents."""
+    path = getattr(ingest, ensure)("/root/testdata/sf0.001")
+    docs, kt = pq.read_table(path), ingest.compound_keytable(path)
+    packed, packed_kt = pack_compound_docs(
+        docs["spans"].to_pylist(), ids=docs["osm_id"].to_pylist()
+    )
+    for c in ("n_versions", *VERSION_COLUMNS, "ver_child", "mem_ver", "mem_child"):
+        assert docs[c].equals(packed[c]), c
+    assert pa.compute.min(pa.compute.list_value_length(docs["ver_v"])).as_py() > 0
+    for col, vocab in (("tag_ids", "tags"), ("mem_role", "roles")):
+        def names(t, k):
+            return [[k[vocab][i] for i in ids] for ids in t[col].to_pylist()]
+        assert names(docs, kt) == names(packed, packed_kt), col
+    for batch in (docs, docs.drop_columns(["spans"])):
+        with pytest.raises(ValueError, match="members_vec"):
+            decode_spans(batch, tags=False)
 
 
 def test_tag_strings_need_the_spans_column():

@@ -19,7 +19,8 @@ from rayhist.ingest import (
     ensure_relation_documents,
     ensure_way_documents,
 )
-from rayhist.members import COMPOUND_BATCH, contributions_doc, parse_doc, snapshots_doc
+from rayhist.members import COMPOUND_BATCH
+from tests.reference_members import contributions_doc, parse_doc, snapshots_doc
 
 SF = "/root/testdata/sf0.001"
 
@@ -122,7 +123,7 @@ def test_oldstyle_doc_structure():
     import pyarrow.parquet as pq
 
     from rayhist.ingest import OS_BLOCK, ensure_oldstyle_documents
-    from rayhist.members import is_old_style_multipolygon, parse_doc
+    from tests.reference_members import is_old_style_multipolygon, parse_doc
 
     rows = pq.read_table(ensure_oldstyle_documents(SF)).to_pylist()
     assert rows, "no old-style docs packed"
