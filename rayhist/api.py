@@ -54,10 +54,11 @@ from .io import blocks_table, map_blocks, materialize_blocks, reduce_by_key
 from .temporal import TagFilter
 
 
-# view columns whose values come from the tag / geometry decode: a
-# terminal reading any of these must not prune that decode (the pruned
-# decode constant-fills them — see model.decode_spans)
-_TAG_COLS = {"tag_sig", "tag_id", "etype", "kk", "is_tag_change"}
+# view columns from a prunable decode step, tag strings (gathered
+# through the keytable's lookup) and geometry: a terminal reading any of
+# these must not prune that step (the pruned decode constant-fills them
+# — see model.decode_spans); tag_id and is_tag_change need no lookup
+_TAG_STRING_COLS = {"tag_sig", "etype", "kk"}
 _GEOM_COLS = {"lon_e7", "lat_e7", "is_geom_change", "prev_lon_e7", "prev_lat_e7"}
 # aggregation keys whose cardinality scales with the corpus: finals on
 # these stay distributed (never combine_partials on the driver).
@@ -78,7 +79,7 @@ class MapReducer:
     .on(...)`` / ``OSMContributionView.on(...)``."""
 
     _view: str  # "snapshot" | "contribution"
-    _source: object  # sf_dir str or a span-document Dataset
+    _source: object  # sf_dir str or a node-document Dataset
     _ts: tuple[int, ...] = ()
     _tag_filters: tuple[TagFilter, ...] = ()
     _types: tuple[str, ...] = ()
@@ -173,7 +174,9 @@ class MapReducer:
         ``exclude_values``. Multiple calls AND together, as in the
         reference. The collection overload (:595 — match ANY of a set
         of exact tags) takes a list of (key, value) pairs as the sole
-        argument: ``osmTag([("building", "yes"), ("amenity", "cafe")])``."""
+        argument: ``osmTag([("building", "yes"), ("amenity", "cafe")])``.
+        The filter runs through the keytable of an sf_dir source; over a
+        Dataset source the terminal raises."""
         if isinstance(key, (list, tuple)):
             if value is not None or values or value_regex or exclude or exclude_values:
                 raise ValueError("the collection overload takes no other selectors")
@@ -346,10 +349,9 @@ class MapReducer:
                 "q_contrib_type_counts_ways / q_snapshot_way_geoms"
             )
 
-    def _docs(self, spans: bool = False) -> ray.data.Dataset:
-        """The node document table; the span text is read only with
-        ``spans=True`` (a decode that needs tag strings) — otherwise
-        decode_spans gathers the typed per-version columns."""
+    def _docs(self) -> ray.data.Dataset:
+        """The node document table without its span text
+        (``model.DECODE_COLUMNS``), or the Dataset source."""
         if not isinstance(self._source, str):
             return self._source
         from . import io as rio
@@ -359,7 +361,7 @@ class MapReducer:
         rep = int(os.environ.get("RAYHIST_REP", "1"))
         return rio.read_resident(
             ensure_documents(self._source, rep),
-            columns=None if spans else DECODE_COLUMNS,
+            columns=DECODE_COLUMNS,
             filter=self._aoi_prefilter(),
         )
 
@@ -390,20 +392,21 @@ class MapReducer:
     def _needs_full_decode(self) -> bool:
         return bool(self._entity_filters or self._transforms)
 
-    def _view_stage(self, need_tags, need_geom, reads=None):
+    def _view_stage(self, tag_strings: bool, need_geom: bool, reads=None):
         """The fused per-batch kernel: decode -> version masks ->
         interpolate/classify -> AOI -> row filters -> maps.
 
-        ``reads`` names the view columns the caller reads (None: all
-        of them); the interpolation gathers only those state columns
-        and what the AOI and region steps read. A chain with maps or
-        row filters keeps every column (they may read any)."""
-        from .model import decode_spans
+        ``tag_strings``: the chain reads tag strings, gathered through the
+        keytable's lookup; tag filters are LUT gathers over the same
+        keytable. ``reads`` names the view columns the caller reads
+        (None: all of them); the interpolation gathers only those state
+        columns and what the AOI and region steps read. A chain with
+        maps or row filters keeps every column (they may read any)."""
+        from .model import decode_spans, tag_lookup
         from .temporal import _STATE_COLS
         from .temporal import contributions as contrib_fn
         from .temporal import snapshots as snap_fn
 
-        tag_filters = self._tag_filters
         entity_filters = self._entity_filters
         transforms = self._transforms
         aoi = self._aoi_mask_fn()
@@ -422,24 +425,23 @@ class MapReducer:
             if regions or (is_snap and aoi is not None):
                 need |= {"lon_e7", "lat_e7"}
             gather = [c for c in _STATE_COLS if c in need]
-        # int-keytable tag filtering: when the caller asks for
-        # need_tags="luts" (tag strings would be decoded ONLY for the
-        # filters), run the filters as per-version sig-id LUT gathers
-        # instead — the direct pipelines' hot path
-        # (views.snapshot_counts_stage; osm/OSMEntity.java:97-152 semantics)
-        luts = None
-        if need_tags == "luts":
-            if tag_filters and isinstance(self._source, str):
-                from .ingest import sig_keytable
+        # tags are keytable ids (osm/OSMEntity.java:97-152): each
+        # filter is a bool LUT over the keytable, built here once
+        lookup, luts = None, []
+        if tag_strings or self._tag_filters:
+            if not isinstance(self._source, str):
+                raise ValueError(
+                    "tag filters and tag reads need the keytable of an sf_dir"
+                    " source; a Dataset source has none"
+                )
+            from .ingest import sig_keytable
 
-                kt = sig_keytable(self._source)
-                luts = [tf.sig_lut(kt) for tf in tag_filters]
-                need_tags = "ids"
-            else:  # Dataset source has no keytable: string path
-                need_tags = bool(tag_filters)
+            kt = sig_keytable(self._source)
+            luts = [tf.sig_lut(kt) for tf in self._tag_filters]
+            lookup = tag_lookup(kt) if tag_strings else None
 
         def stage(batch: pa.Table) -> pa.Table:
-            decoded = decode_spans(batch, tags=need_tags, geom=need_geom)
+            decoded = decode_spans(batch, lookup, geom=need_geom)
             m = None
             if types:  # exact check (the scan filter is a prefilter)
                 import pyarrow.compute as pc
@@ -447,14 +449,10 @@ class MapReducer:
                 m = pc.is_in(
                     decoded["osm_type"], value_set=pa.array(list(types))
                 ).to_numpy(zero_copy_only=False)
-            if luts is not None:
+            if luts:
                 ids = decoded["tag_id"].to_numpy(zero_copy_only=False)
                 for lut in luts:
                     mm = lut[ids]  # id -1 wraps to the trailing no-tags slot
-                    m = mm if m is None else (m & mm)
-            else:
-                for tf in tag_filters:
-                    mm = tf.mask(decoded)
                     m = mm if m is None else (m & mm)
             for ef in entity_filters:
                 mm = np.asarray(ef(decoded), dtype=bool)
@@ -540,8 +538,8 @@ class MapReducer:
         belongs to the aggregation terminals, which know what they
         read)."""
         self._require_node_only("view()")
-        stage = self._view_stage(need_tags=True, need_geom=True)
-        return materialize_blocks(self._docs(spans=True), stage)
+        stage = self._view_stage(tag_strings=True, need_geom=True)
+        return materialize_blocks(self._docs(), stage)
 
     # -------------------------------------------------------- terminals
     def _keys(self) -> list[str]:
@@ -586,18 +584,13 @@ class MapReducer:
         need_full = self._needs_full_decode()
         # prune the decode to what the chain actually reads (the
         # memory-traffic rule — see model.decode_spans)
-        if need_full or _TAG_COLS & read_cols:
-            need_tags = True
-        elif self._tag_filters:
-            need_tags = "luts"  # filters only: int-keytable path
-        else:
-            need_tags = False
+        tag_strings = need_full or bool(_TAG_STRING_COLS & read_cols)
         need_geom = need_full or self._aoi_mask_fn() is not None or bool(
             self._regions
         ) or bool(_GEOM_COLS & read_cols)
         agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
         view_stage = self._view_stage(
-            need_tags, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
+            tag_strings, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
         )
         bins = self._bins() if (agg_ts and not is_snap) else None
         src_cols = list(sums.keys())
@@ -633,7 +626,7 @@ class MapReducer:
                 out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
             return pa.table(out)
 
-        docs = self._docs(spans=need_tags is True)
+        docs = self._docs()
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
@@ -693,19 +686,14 @@ class MapReducer:
         read_cols = set(cols) | set(self._agg_cols)  # grouping by a
         # tag/geom column reads it too — pruning it would constant-fill
         # the group key (collapsing every group into one)
-        if need_full or _TAG_COLS & read_cols:
-            need_tags = True
-        elif self._tag_filters:
-            need_tags = "luts"
-        else:
-            need_tags = False
+        tag_strings = need_full or bool(_TAG_STRING_COLS & read_cols)
         need_geom = (
             need_full or self._aoi_mask_fn() is not None or bool(self._regions)
             or bool(_GEOM_COLS & read_cols)
         )
         agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
         view_stage = self._view_stage(
-            need_tags, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
+            tag_strings, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
         )
         bins = self._bins() if (agg_ts and not is_snap) else None
         agg_cols = self._agg_cols
@@ -727,7 +715,7 @@ class MapReducer:
                     out[c] = v[c]
             return pa.table(out)
 
-        return self._docs(spans=need_tags is True), stage
+        return self._docs(), stage
 
     def _keyed_rows(self, cols: list[str]) -> ray.data.Dataset:
         """Dataset of (group keys..., cols...) view rows, for the
@@ -812,7 +800,7 @@ class MapReducer:
             def node_stage(batch: pa.Table) -> pa.Table:
                 if deadline is not None:
                     deadline.check()
-                s = snap_fn(decode_spans(batch, tags=False, geom=False), ts, columns=[])
+                s = snap_fn(decode_spans(batch, geom=False), ts, columns=[])
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "node")
 
             legs.append(map_blocks(self._docs(), node_stage))

@@ -91,7 +91,8 @@ DOC_SHARD_ROWS = 1500
 # predicates are pure functions of the signature, so filtering on the
 # per-version sig id is exactly the reference's sorted-int-array scan
 # (osm/OSMEntity.java:29,97-152): versions compare small ints, never
-# strings. tag_sig strings stay in the spans for oracle parity.
+# strings. Queries read tag strings only through this keytable
+# (model.tag_lookup); the tag spans are what the node table stores.
 
 _SIG_KT_MEM: dict[tuple, list[str]] = {}
 

@@ -61,6 +61,7 @@ from .members_vec import (
 )
 from .model import (
     COMPOUND_READ_COLUMNS, DECODE_COLUMNS, decode_spans, doc_codes, reverse_version_runs,
+    tag_lookup,
 )
 from .ops.bfs import bfs_hops
 from .ops.cc import connected_components
@@ -178,17 +179,20 @@ REGIONS: dict[str, list[tuple[float, float]]] = {
 }
 
 
-def _docs(sf_dir: str, spans: bool = False):
+def _docs(sf_dir: str):
     # RAYHIST_REP > 1 deterministically amplifies the corpus — set only
-    # by bench.py; correctness queries always run at rep=1. The span
-    # text is read only with spans=True (tag strings: decode_spans
-    # tags=True, tag-span scans); otherwise decode_spans gathers the
-    # typed per-version columns (model.DECODE_COLUMNS).
+    # by bench.py; correctness queries always run at rep=1. No query
+    # reads the span text: decode_spans gathers the typed per-version
+    # columns (model.DECODE_COLUMNS), tags as keytable ids.
     return read_documents(
-        sf_dir,
-        columns=None if spans else DECODE_COLUMNS,
-        rep=int(os.environ.get("RAYHIST_REP", "1")),
+        sf_dir, columns=DECODE_COLUMNS, rep=int(os.environ.get("RAYHIST_REP", "1"))
     )
+
+
+def _tag_lookup(sf_dir: str) -> pa.Table:
+    """The tag strings of the node table's keytable ids, for a stage
+    that reads ``etype``/``kk``/``tag_sig`` (model.decode_spans)."""
+    return tag_lookup(sig_keytable(sf_dir))
 
 
 # ---------------------------------------------------------------- snapshots
@@ -282,7 +286,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         face, ss, tt = lonlat_to_face_st(lon, lat)
@@ -302,7 +306,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.snapshot_latest_state())
 def q_snapshot_latest_state(sf_dir: str) -> pd.DataFrame:
     """Full reconstructed state of every visible entity at T_MID."""
-    snaps = rio.map_blocks(_docs(sf_dir, spans=True), snapshot_stage([T_MID]))
+    snaps = rio.map_blocks(_docs(sf_dir), snapshot_stage([T_MID], sig_keytable(sf_dir)))
     df = snaps.to_pandas()[["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]]
     return df.sort_values("osm_id").reset_index(drop=True)
 
@@ -310,14 +314,14 @@ def q_snapshot_latest_state(sf_dir: str) -> pd.DataFrame:
 DWELL_END = T0 + 31 * DAY_US  # 2024-02-01: dwell-time window close
 
 
-def _dwell_stage(b: pa.Table) -> pa.Table:
+def _dwell_stage(b: pa.Table, lookup: pa.Table) -> pa.Table:
     """Fused dwell-time partial: decode (geom pruned) -> per-doc
     version realign (_sorted_versions, the HEADER_TIMESTAMPS_NOT_IN_
     ORDER tolerance) -> half-open [ts_i, ts_{i+1}) intervals, last
     version clipped at DWELL_END -> per-etype partial sums. Module-
     level so the unsorted-fixture invariance test can drive it on a
     reversed corpus."""
-    tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
+    tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, lookup, geom=False), doc_codes(b))
     if not len(ts):
         return pa.table(
             {"etype": pa.array([], pa.string()),
@@ -347,7 +351,9 @@ def q_etype_dwell_time(sf_dir: str) -> pd.DataFrame:
     last version clipped at the window close -> per-batch partial
     sums; |etype| rows per block to the driver. Exact int64
     microseconds end to end."""
-    partials = rio.map_blocks(_docs(sf_dir, spans=True), _dwell_stage)
+    partials = rio.map_blocks(
+        _docs(sf_dir), functools.partial(_dwell_stage, lookup=_tag_lookup(sf_dir))
+    )
     df = combine_partials(partials, ["etype"], {"dwell_p": "dwell_us"})
     df["dwell_us"] = df["dwell_us"].astype("int64")
     return df.sort_values("etype").reset_index(drop=True)
@@ -363,9 +369,9 @@ _REVERT_EMPTY = pa.table(
 
 
 def _revert_stage(b: pa.Table) -> pa.Table:
-    """Fused tag-revert partial: decode on the int keytable
-    (tags="ids" — a revert test is tag-SIGNATURE equality, and sig ids
-    are bijective with signatures) -> per-doc version realign
+    """Fused tag-revert partial: decode with keytable tag ids (a revert
+    test is tag-SIGNATURE equality, and sig ids are bijective with
+    signatures) -> per-doc version realign
     (_sorted_versions) -> vectorized lag-2 compare -> per-(day)
     partial counts. A version REVERTS when its tags equal the
     before-previous version's tags while differing from the previous
@@ -376,7 +382,7 @@ def _revert_stage(b: pa.Table) -> pa.Table:
     target-side analysis). Distinct-entity partials are exact because
     every document's versions decode inside one batch, so (day, doc)
     pairs never repeat across blocks."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags="ids", geom=False), doc_codes(b))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
     n = len(ts)
     if n < 3:
         return _REVERT_EMPTY
@@ -428,14 +434,14 @@ _PREDOM_EMPTY = pa.table(
 )
 
 
-def _predominant_stage(b: pa.Table) -> pa.Table:
+def _predominant_stage(b: pa.Table, lookup: pa.Table) -> pa.Table:
     """Time-weighted modal tag partial: per doc, each etype's total
     visible validity microseconds inside [T0, DWELL_END); the doc's
     PREDOMINANT etype is the dwell argmax (tie -> min etype). The
     'what was this entity, weighted by time' analysis — a snapshot
     mode would overweight whatever happened to be true on the grid.
     Per-batch exact: docs decode whole-in-batch."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=True, geom=False), doc_codes(b))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, lookup, geom=False), doc_codes(b))
     if not len(ts):
         return _PREDOM_EMPTY
     last_of_doc = np.r_[codes[1:] != codes[:-1], True]
@@ -470,7 +476,9 @@ def q_predominant_etype_dwell(sf_dir: str) -> pd.DataFrame:
     winners' total dwell — the 'predominant land use' analysis (a
     plain snapshot mode would overweight the sampling grid; this is
     the integral argmax). Zero shuffle; |etypes| partials combine."""
-    partials = rio.map_blocks(_docs(sf_dir, spans=True), _predominant_stage)
+    partials = rio.map_blocks(
+        _docs(sf_dir), functools.partial(_predominant_stage, lookup=_tag_lookup(sf_dir))
+    )
     df = combine_partials(
         partials,
         ["etype"],
@@ -497,7 +505,7 @@ def _lifespan_stage(b: pa.Table) -> pa.Table:
     Floor-binned to whole days; per-(lifespan_days, deleted) counts
     leave the batch. Every doc decodes inside one batch, so summed
     partials count each entity exactly once."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False), doc_codes(b))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
     if not len(ts):
         return _LIFESPAN_EMPTY
     first = np.r_[True, codes[1:] != codes[:-1]]
@@ -552,7 +560,7 @@ def _activity_stage(b: pa.Table) -> pa.Table:
     touched, first/last edit timestamp per uid — all per-batch
     combinable (first/last as min/max witnesses; (uid, doc) distinct
     pairs are exact because docs decode whole-in-batch)."""
-    tbl = decode_spans(b, tags=False, geom=False)
+    tbl = decode_spans(b, geom=False)
     if not len(tbl):
         return _ACTIVITY_EMPTY
     codes = doc_codes(b)
@@ -621,7 +629,7 @@ def _churn_stage(b: pa.Table) -> pa.Table:
     (doc, tag_id)) -> (n_versions, n_sigs) grid counts per batch.
     Docs decode whole-in-batch, so summed partials count each entity
     once."""
-    tbl = decode_spans(b, tags="ids", geom=False)
+    tbl = decode_spans(b, geom=False)
     if not len(tbl):
         return _CHURN_EMPTY
 
@@ -716,7 +724,7 @@ def q_contrib_daily(sf_dir: str) -> pd.DataFrame:
     zerofill :1857-1866)."""
     stage, keys = contribution_stats_stage(
         CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS,
-        flag_cols=["is_creation"],  # prunes the tag/geom decode
+        flag_cols=["is_creation"],  # prunes the geom decode
     )
     agg = combine_partials(
         rio.map_blocks(_docs(sf_dir), stage),
@@ -731,7 +739,7 @@ def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     """countUniq of contributor uids per daily bin
     (MapReducer.countUniq, :1165-1168): per-batch distinct partials,
     then an exact distinct over (ts_q, uid) buckets."""
-    contrib = contribution_stage(CONTRIB_FROM, CONTRIB_TO, tags=False, geom=False)
+    contrib = contribution_stage(CONTRIB_FROM, CONTRIB_TO, None, geom=False)
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -766,7 +774,7 @@ def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         rids, counts = [], []
@@ -788,7 +796,7 @@ def q_raster_join(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -812,7 +820,7 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots(decode_spans(batch, tags=False), ts).select(
+        t = snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
         ids = t["osm_id"].to_numpy(zero_copy_only=False)
@@ -866,14 +874,15 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
     ids = np.unique(nn["neighbor_id"].to_numpy(dtype=np.int64))
     ids_ref = ray.put(ids)
     ts = np.array([T_MID], dtype=np.int64)
+    lookup = _tag_lookup(sf_dir)
 
     def labels(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=True, geom=False), ts)
+        s = snapshots(decode_spans(batch, lookup, geom=False), ts)
         keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "etype": s["etype"]})
 
-    lab = rio.map_blocks(_docs(sf_dir, spans=True), labels).to_pandas()
+    lab = rio.map_blocks(_docs(sf_dir), labels).to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
     if m["etype"].isna().any():
         raise ValueError("knn majority: neighbor without a visible T_MID label")
@@ -1648,7 +1657,7 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
     contribution counts. Each document's history lives in one batch, so
     per-doc counts are final without any shuffle."""
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions(decode_spans(batch, tags=False, geom=False), CONTRIB_FROM, CONTRIB_TO)
+        c = contributions(decode_spans(batch, geom=False), CONTRIB_FROM, CONTRIB_TO)
         t = pa.table(
             {
                 "doc_id": c["doc_id"],
@@ -1665,26 +1674,27 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
 @query(lambda o: o.keytable_freqs())
 def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     """The ETL 'extract' pass (Extract.java:58-409): frequency-ordered
-    tag dictionary built from the span table's tag spans; small ids go
-    to hot tags (rank = frequency order, deterministic tiebreak)."""
-    docs = _docs(sf_dir, spans=True)
+    tag dictionary; small ids go to hot tags (rank = frequency order,
+    deterministic tiebreak). Versions are counted per signature id, and
+    each signature expands to its tags through the keytable on the
+    driver; a version without an id has no tags to count and fails
+    loudly."""
 
     def stage(batch: pa.Table) -> pa.Table:
-        spans = batch["spans"].combine_chunks()
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.chunk(0)
-        flat = pc.list_flatten(spans)
-        tags = pc.filter(flat.field("text"), pc.equal(flat.field("kind"), "tag"))
-        t = pa.table({"tag": tags})
-        g = pa.TableGroupBy(t, ["tag"]).aggregate([([], "count_all")])
-        return g.rename_columns(["tag", "n_part"])
+        ids = decode_spans(batch, geom=False)["tag_id"]
+        if len(ids) and pc.min(ids).as_py() < 0:
+            raise ValueError("a version without a keytable tag id")
+        g = pa.TableGroupBy(pa.table({"tag_id": ids}), ["tag_id"]).aggregate([([], "count_all")])
+        return g.rename_columns(["tag_id", "n_part"])
 
-    # the tag vocabulary scales with the corpus — the final combine
-    # runs per tag bucket (combine_partials' contract forbids
-    # corpus-cardinality keys); only the finished dictionary (one row
-    # per distinct tag) reaches the driver
-    refs = combine_by_key(docs, ["tag"], {"n_part": "sum"}, stage=stage)
-    df = rio.blocks_table(refs).to_pandas().rename(columns={"n_part": "n"})
+    # the signature vocabulary scales with the corpus — the final
+    # combine runs per id bucket (combine_partials' contract forbids
+    # corpus-cardinality keys)
+    refs = combine_by_key(_docs(sf_dir), ["tag_id"], {"n_part": "sum"}, stage=stage)
+    per_sig = rio.blocks_table(refs).to_pandas()
+    kt = sig_keytable(sf_dir)
+    per_tag = per_sig.assign(tag=[kt[i].split("|") for i in per_sig["tag_id"]]).explode("tag")
+    df = per_tag.groupby("tag", as_index=False)["n_part"].sum().rename(columns={"n_part": "n"})
     df = df.sort_values(["n", "tag"], ascending=[False, True], kind="mergesort").reset_index(drop=True)
     df["tag_id"] = np.arange(len(df), dtype=np.int64)
     return df[["tag_id", "tag", "n"]]
@@ -1698,28 +1708,17 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
     (MapAggregator.completeZerofill, :956-988)."""
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
     etypes = ["click", "error", "purchase", "signup", "view"]
-    # etype of every keytable signature, read on the driver; the
-    # trailing slot is tag id -1 (no tags), as in TagFilter.sig_lut
-    etype_of = pa.array(
-        [
-            dict(t.split("=", 1) for t in sig.split("|") if t).get("etype", "")
-            for sig in sig_keytable(sf_dir)
-        ]
-        + [""],
-        pa.string(),
-    )
+    lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        # int-keytable decode: no span text, tag strings or geometry
         c = contributions(
-            decode_spans(batch, tags="ids", geom=False), CONTRIB_FROM, CONTRIB_TO,
-            tag_col="tag_id", columns=["ts", "tag_id"],
+            decode_spans(batch, lookup, geom=False), CONTRIB_FROM, CONTRIB_TO,
+            columns=["ts", "etype"],
         )
-        ids = c["tag_id"].to_numpy(zero_copy_only=False)
         t = pa.table(
             {
                 "ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)),
-                "etype": etype_of.take(pa.array(ids % len(etype_of))),
+                "etype": c["etype"],
             }
         )
         g = pa.TableGroupBy(t, ["ts_q", "etype"]).aggregate([([], "count_all")])
@@ -1743,7 +1742,7 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -1807,7 +1806,7 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # ONE shuffle, not two chained self-joins: every node position fans
     # out to the (at most 3) triangles it can close, routed by the
@@ -2169,7 +2168,7 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2212,11 +2211,11 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
     if not paths:
         return pd.DataFrame({"n_snapshots": pd.array([0], dtype="int64")})
 
-    docs = rio.read_resident(paths)
+    docs = rio.read_resident(paths, columns=DECODE_COLUMNS)
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2278,7 +2277,7 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = rio.map_blocks(_docs(sf_dir, spans=True), stage)
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     return combine_partials(
         partials,
         [],
@@ -2314,7 +2313,7 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(sums)
 
-    partials = rio.map_blocks(_docs(sf_dir, spans=True), stage)
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     return combine_partials(
         partials,
         [],
@@ -2366,11 +2365,11 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     n_shards = min(4, len(files))
     shards = {f"shard_{i:02d}": files[i::n_shards] for i in range(n_shards)}
 
-    snaps = snapshot_stage([T_MID])
+    snaps = snapshot_stage([T_MID], sig_keytable(sf_dir))
     cols = ["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]
 
     def process(inputs: list[str]) -> ray.data.Dataset:
-        docs = rio.read_resident(path, filter=shard_rows(inputs))
+        docs = rio.read_resident(path, columns=DECODE_COLUMNS, filter=shard_rows(inputs))
         return rio.materialize_blocks(docs, lambda b: snaps(b).select(cols))
 
     return run_sharded(shards, process, out_dir)
@@ -2585,7 +2584,7 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
 
     def process(inputs: list[str]) -> ray.data.Dataset:
         def stage(batch: pa.Table) -> pa.Table:
-            s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
+            s = snapshots(decode_spans(batch, geom=False), ts)
             g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
             return g.rename_columns(["ts_q", "n_part"])
 
@@ -2609,7 +2608,7 @@ def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
     ts = np.asarray(SNAP_WEEKLY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -2654,7 +2653,7 @@ def q_knn_all(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
     # derive zoom from the corpus size so cells hold O(100-10k) points
@@ -2700,7 +2699,7 @@ def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        decoded = decode_spans(batch, tags=False, geom=False)
+        decoded = decode_spans(batch, geom=False)
         mask = decoded["uid"].to_numpy(zero_copy_only=False) % 2 == 0
         s = snapshots(decoded, ts, mask)
         g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
@@ -2746,7 +2745,7 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         inside = poly.contains(
             s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
         )
@@ -2782,7 +2781,7 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -2848,7 +2847,7 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
     n_ts = len(SNAP_WEEKLY)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts_arr).select(
+        return snapshots(decode_spans(batch), ts_arr).select(
             ["osm_id", "lon_e7", "lat_e7", "ts_q"]
         )
 
@@ -2965,7 +2964,7 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(["osm_id", "lon_e7", "lat_e7"])
+        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -3205,7 +3204,7 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def node_stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
+        s = snapshots(decode_spans(batch, geom=False), ts)
         return pa.table(
             {
                 "osm_type": pa.array(["node"]),
@@ -3333,7 +3332,7 @@ class _RegionCountsStage:
     strtree: bool
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), np.array([T_MID], dtype=np.int64))
+        s = snapshots(decode_spans(batch), np.array([T_MID], dtype=np.int64))
         _rows, rids = _many_regions_index(self.strtree).classify(
             s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
         )
@@ -5514,7 +5513,7 @@ def q_snapshot_colocation_pairs(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         return pa.table(
             {"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]}
         )
@@ -5549,7 +5548,7 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -5741,9 +5740,10 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
     (boundary included, with a bbox guard so degenerate collinear
     triangles exclude only genuinely-between points)."""
     ts = np.array([T_MID], dtype=np.int64)
+    lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, lookup), ts)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -5757,7 +5757,7 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = rio.materialize_blocks(_docs(sf_dir, spans=True), stage)
+    pts = rio.materialize_blocks(_docs(sf_dir), stage)
     out = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     return out.astype(
         {"osm_id": "int64", "lon_e7": "int64", "lat_e7": "int64"}
@@ -6071,8 +6071,10 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
             }
         )
 
+    lookup = _tag_lookup(sf_dir)
+
     def both(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch, tags=True, geom=False)
+        d = decode_spans(batch, lookup, geom=False)
         return pa.concat_tables([base_stage(d), change_stage(d)])
 
     def apply_merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -6083,7 +6085,7 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
         return keep[["osm_id", "etype", "kk"]]
 
     df = rio.reduce_by_key(
-        _docs(sf_dir, spans=True), ["osm_id"], rio.on_pandas(apply_merge), stage=both
+        _docs(sf_dir), ["osm_id"], rio.on_pandas(apply_merge), stage=both
     )
     df = rio.blocks_table(df).to_pandas()
     df = df.astype({"osm_id": "int64", "kk": "int64"})
@@ -6101,9 +6103,10 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     counts leave the stage. The mirror is a FULL OUTER JOIN of the two
     snap CTEs."""
     ts = np.array([T_MID, T_DIFF_B], dtype=np.int64)
+    lookup = _tag_lookup(sf_dir)
 
     def partials(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, lookup), ts)
         df = pd.DataFrame(
             {
                 "ts_q": s["ts_q"].to_numpy(zero_copy_only=False),
@@ -6141,7 +6144,7 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(out, preserve_index=False)
 
     out = combine_partials(
-        rio.map_blocks(_docs(sf_dir, spans=True), partials),
+        rio.map_blocks(_docs(sf_dir), partials),
         ["etype", "change"],
         {"n_p": "n"},
     )
@@ -6210,7 +6213,7 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -6733,7 +6736,7 @@ def q_entity_sinuosity(sf_dir: str) -> pd.DataFrame:
     ratio = ONE IEEE division. ZERO shuffle: a document's versions
     decode into one batch, so the whole trajectory folds in-stage."""
     def stage(batch: pa.Table) -> pa.Table:
-        t = decode_spans(batch, tags=False)
+        t = decode_spans(batch)
         df = pd.DataFrame(
             {
                 "osm_id": t["osm_id"].to_numpy(zero_copy_only=False),
@@ -6836,9 +6839,10 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
     rule: smallest (id_a, id_b). The mirror is the subset self-join
     argmax through HUGEINT."""
     ts = np.array([T_MID], dtype=np.int64)
+    lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=True), ts)
+        s = snapshots(decode_spans(batch, lookup), ts)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -6850,7 +6854,7 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    pts = rio.materialize_blocks(_docs(sf_dir, spans=True), stage)
+    pts = rio.materialize_blocks(_docs(sf_dir), stage)
     hull = grouped_convex_hull(pts, "etype", "osm_id", "lon_e7", "lat_e7")
     rows = []
     for etype, g in hull.groupby("etype"):
@@ -7144,7 +7148,7 @@ def q_snapshot_kmeans(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots(decode_spans(batch, tags=False), ts)
+        t = snapshots(decode_spans(batch), ts)
         lon = t["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = t["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
@@ -7178,7 +7182,7 @@ def q_snapshot_bbox_overlaps(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         oid = s["osm_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7749,7 +7753,7 @@ def _hex_version_counts(sf_dir: str) -> pd.DataFrame:
     combined on the bounded world-lattice key. Consumed by the
     Gi* / Moran's I hotspot finals."""
     def stage(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch, tags=False)
+        d = decode_spans(batch)
         i, j = hex_cell(
             d["lon_e7"].to_numpy(zero_copy_only=False),
             d["lat_e7"].to_numpy(zero_copy_only=False),
@@ -7776,7 +7780,7 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
     ts = np.array(list(timestamps), dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -7813,7 +7817,7 @@ def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -7845,7 +7849,7 @@ def _road_segment_layer(sf_dir: str):
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -8063,7 +8067,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
     into the stage; per-batch partial (center, sum_w, sum_wx) sums
     combine on the lattice key."""
     def positions(batch: pa.Table) -> pa.Table:
-        return decode_spans(batch, tags=False).select(["v", "lon_e7", "lat_e7"])
+        return decode_spans(batch).select(["v", "lon_e7", "lat_e7"])
 
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
 
@@ -8273,7 +8277,7 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         rv = raster_value_for(cell_id(lon, lat, RASTER_ZOOM)).astype(np.int64)
@@ -8317,7 +8321,7 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     the HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance); partials combine
     on the bounded (cell, cell) key."""
     def stage(b: pa.Table) -> pd.DataFrame:
-        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False), doc_codes(b))
+        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b), doc_codes(b))
         empty = pa.table(
             {
                 "from_i": pa.array([], pa.int64()),
@@ -8378,7 +8382,7 @@ def q_contributor_territory(sf_dir: str) -> pd.DataFrame:
     resolve IN-STAGE; the driver collects only the |uids| result rows
     (the query output itself)."""
     def stage(b: pa.Table) -> pa.Table:
-        d = decode_spans(b, tags=False)
+        d = decode_spans(b)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
         uid = d["uid"].to_numpy(zero_copy_only=False)[vis]
         i, j = hex_cell(
@@ -8572,7 +8576,7 @@ def q_way_chain_lengths(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def ids(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
+        s = snapshots(decode_spans(batch, geom=False), ts)
         return s.select(["osm_id"])
 
     ds = rio.materialize_blocks(_docs(sf_dir), ids)
@@ -8592,7 +8596,7 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -8742,7 +8746,7 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     -> hex assign -> per-cell integer partials (total / creations /
     deletions), combine bounded by the world lattice."""
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions(decode_spans(batch, tags=False), CONTRIB_FROM, CONTRIB_TO)
+        c = contributions(decode_spans(batch), CONTRIB_FROM, CONTRIB_TO)
         if len(c) == 0:
             return pa.table(
                 {
@@ -8842,7 +8846,7 @@ def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -9208,7 +9212,7 @@ def q_turn_angle_histogram(sf_dir: str) -> pd.DataFrame:
     (_sorted_versions realign, visible versions only, zero-length
     steps skipped); the 8-row histogram combines at the driver."""
     def stage(b: pa.Table) -> pa.Table:
-        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b, tags=False), doc_codes(b))
+        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b), doc_codes(b))
         empty = pa.table(
             {"turn": pa.array([], pa.int64()), "n_p": pa.array([], pa.int64())}
         )
@@ -9304,7 +9308,7 @@ def q_knox_pairs(sf_dir: str) -> pd.DataFrame:
     engine's id_a < id_b pair set equals the oracle's
     osm_id_a < osm_id_b one after the same-entity exclusion."""
     def points(b: pa.Table) -> pa.Table:
-        d = decode_spans(b, tags=False)
+        d = decode_spans(b)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
         osm = d["osm_id"].to_numpy(zero_copy_only=False)[vis].astype(np.int64)
         v = d["v"].to_numpy(zero_copy_only=False)[vis].astype(np.int64)
@@ -9368,7 +9372,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         return pa.table({"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]})
 
     # MATERIALIZE: the point set feeds both the pair join and the
@@ -9516,8 +9520,10 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
     stays an exact integer rational (lq_num = n_ce*N,
     lq_den = n_c*n_e) with ONE IEEE division; partials combine on the
     bounded (lattice x |etypes|) key."""
+    lookup = _tag_lookup(sf_dir)
+
     def stage(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch)  # tags NEEDED: etype is a tag-derived column
+        d = decode_spans(batch, lookup)
         i, j = hex_cell(
             d["lon_e7"].to_numpy(zero_copy_only=False),
             d["lat_e7"].to_numpy(zero_copy_only=False),
@@ -9535,7 +9541,7 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
         )
 
     base = combine_partials(
-        rio.map_blocks(_docs(sf_dir, spans=True), stage),
+        rio.map_blocks(_docs(sf_dir), stage),
         ["i", "j", "etype"],
         {"n_p": "n"},
     )
@@ -9852,7 +9858,7 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         return pa.table(
             {
                 "id": s["osm_id"],
@@ -9923,7 +9929,7 @@ def q_hexcell_dominant_uid(sf_dir: str) -> pd.DataFrame:
     division resolve IN-STAGE; the driver collects only the |cells|
     result rows."""
     def stage(b: pa.Table) -> pa.Table:
-        d = decode_spans(b, tags=False)
+        d = decode_spans(b)
         vis = d["visible"].to_numpy(zero_copy_only=False).astype(bool)
         uid = d["uid"].to_numpy(zero_copy_only=False)[vis]
         i, j = hex_cell(
@@ -10294,7 +10300,7 @@ def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -10434,7 +10440,7 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def fan_out(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         osm = s["osm_id"].to_numpy(zero_copy_only=False)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
@@ -10484,7 +10490,7 @@ def q_lifespan_overlap_pairs(sf_dir: str) -> pd.DataFrame:
 
     def spans(b: pa.Table) -> pa.Table:
         tbl, codes, ts, _v, _ = _sorted_versions(
-            decode_spans(b, tags=False, geom=False), doc_codes(b)
+            decode_spans(b, geom=False), doc_codes(b)
         )
         if not len(ts):
             return pa.table(
@@ -11095,7 +11101,7 @@ def q_knn_value_regression(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def attrs(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False, geom=False), ts)
+        s = snapshots(decode_spans(batch, geom=False), ts)
         keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
         s = s.filter(keep)
         return pa.table({"osm_id": s["osm_id"], "uid": s["uid"]})
@@ -11127,7 +11133,7 @@ def _twa_stage(b: pa.Table) -> pa.Table:
     each interval crosses with exact clipped overlaps. Module-level so
     the reversed-runs invariance test can drive it (the _dwell_stage
     convention)."""
-    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, tags=False, geom=False), doc_codes(b))
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
     if not len(ts):
         return pa.table(
             {"day": pa.array([], pa.int64()), "vis_p": pa.array([], pa.int64())}
@@ -11199,7 +11205,7 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch, tags=False), ts).select(
+        return snapshots(decode_spans(batch), ts).select(
             ["osm_id", "lon_e7", "lat_e7"]
         )
 
@@ -11672,7 +11678,7 @@ def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, tags=False), ts)
+        s = snapshots(decode_spans(batch), ts)
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),

@@ -961,7 +961,7 @@ def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:
     from .. import io as rio
 
     def wid_ts(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch, tags=False, geom=False)
+        d = decode_spans(batch, geom=False)
         ids = d["osm_id"].to_numpy(zero_copy_only=False)
         ts = d["ts"].to_numpy(zero_copy_only=False)
         df = pd.DataFrame({"wid": ids // WAY_BLOCK, "ts": ts, "nid": ids})
@@ -1022,7 +1022,7 @@ def ensure_osmpbf_relations(sf_dir: str, rep: int = 1) -> str:
     from .. import io as rio
 
     def wid_ts(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch, tags=False, geom=False)
+        d = decode_spans(batch, geom=False)
         ids = d["osm_id"].to_numpy(zero_copy_only=False)
         ts = d["ts"].to_numpy(zero_copy_only=False)
         df = pd.DataFrame({"wid": ids // WAY_BLOCK, "ts": ts})
@@ -1064,15 +1064,16 @@ def ensure_osmpbf(sf_dir: str, rep: int = 1) -> str:
     """Materialize (once) the .osh.pbf-encoded corpus of sf_dir's node
     documents — ms-truncated timestamps (the wire format's resolution;
     oracles.DERIVE_MS mirrors the truncation). Workers each write one
-    self-contained pbf file per span-cache shard; the reader treats the
-    directory as one logical file set."""
-    from ..ingest import ensure_documents
-    from ..model import decode_spans
+    self-contained pbf file per document-cache shard, its tags decoded
+    through the signature keytable (no span text is read); the reader
+    treats the directory as one logical file set."""
+    from ..ingest import ensure_documents, sig_keytable
+    from ..model import DECODE_COLUMNS, decode_spans, tag_lookup
 
     from .. import io as rio
 
-    def write_file(batch: pa.Table, staging: str) -> pa.Table:
-        vers = decode_spans(batch).to_pandas()
+    def write_file(batch: pa.Table, staging: str, lookup) -> pa.Table:
+        vers = decode_spans(batch, lookup).to_pandas()
         vers["ts"] = (vers["ts"] // 1000) * 1000  # wire = whole ms
         tag_k, tag_v = [], []
         for sig in vers["tag_sig"]:
@@ -1092,8 +1093,10 @@ def ensure_osmpbf(sf_dir: str, rep: int = 1) -> str:
         return pa.table({"file": pa.array([name])})
 
     def encode(staging: str) -> None:
-        manifest = rio.read_table(src).map_batches(
-            write_file, batch_format="pyarrow", fn_kwargs={"staging": staging}
+        lookup = tag_lookup(sig_keytable(sf_dir))
+        manifest = rio.read_table(src, columns=DECODE_COLUMNS).map_batches(
+            write_file, batch_format="pyarrow",
+            fn_kwargs={"staging": staging, "lookup": lookup},
         ).to_pandas()
         assert len(manifest) > 0
 

@@ -445,16 +445,19 @@ def _pack_documents(
 # ---------------------------------------------------------- corpus I/O
 def ensure_pbfish(sf_dir: str, rep: int = 1) -> str:
     """Materialize (once) the .rosh-encoded corpus of ``sf_dir``'s node
-    documents: read the span-document cache, re-encode each batch as
+    documents: read the document cache without its span text, decode
+    the tags through the signature keytable, re-encode each batch as
     one block file (workers write in parallel; block name = the
     batch's min osm_id, unique because batches partition the id set).
     Returns the block directory."""
-    from ..ingest import ensure_documents
-    from ..model import decode_spans
+    from ..ingest import ensure_documents, sig_keytable
+    from ..model import DECODE_COLUMNS, decode_spans, tag_lookup
 
     def build(staging: str) -> None:
+        lookup = tag_lookup(sig_keytable(sf_dir))
+
         def write_block(batch: pa.Table) -> pa.Table:
-            vers = decode_spans(batch).to_pandas()
+            vers = decode_spans(batch, lookup).to_pandas()
             # tag tuple per version from the '|'-joined sig string
             vers["tags"] = [
                 tuple(x.split("|")) if x else () for x in vers["tag_sig"].tolist()
@@ -469,7 +472,9 @@ def ensure_pbfish(sf_dir: str, rep: int = 1) -> str:
             return pa.table({"file": pa.array([name]), "bytes": pa.array([len(blob)])})
 
         manifest = (
-            rio.read_table(src).map_batches(write_block, batch_format="pyarrow").to_pandas()
+            rio.read_table(src, columns=DECODE_COLUMNS)
+            .map_batches(write_block, batch_format="pyarrow")
+            .to_pandas()
         )
         assert len(manifest) > 0
 

@@ -78,10 +78,11 @@ _STATE_COLS = [
 class TagFilter:
     """``osmTag(...)`` filters (``MapReducer.java:424-632``).
 
-    Tested against the version's tag signature (sorted ``k=v`` pairs
-    joined with '|'), vectorized via a regex membership test — the
-    Arrow analog of the reference's sorted-int-array scan
-    (``OSMEntity.hasTagValue``, osm/OSMEntity.java:139-152).
+    A filter is a predicate over tag signatures (sorted ``k=v`` pairs
+    joined with '|'), evaluated once per keytable entry on the driver
+    (``sig_lut``); per version it is a bool gather by tag id — the
+    reference's int-keytable scan (``OSMEntity.hasTagValue``,
+    osm/OSMEntity.java:97-152).
 
     - value=None            -> key presence        (osmTag(key), :424-467)
     - value="x"             -> exact key=value     (:477-504)
@@ -94,12 +95,11 @@ class TagFilter:
                                predicate from key-absent
 
     ENCODING LIMIT: the signature joins ``k=v`` pairs with '|' and no
-    escaping (model/fixtures build it; the SQL oracles mirror it), so
-    tag VALUES containing '|' or '=' are ambiguous at this string
-    layer. The int-keytable path (``sig_lut`` over dictionary ids)
-    inherits the same signature vocabulary. A corpus with such values
-    needs an escaped signature encoding end to end (engine + oracle
-    together, per the CLAUDE.md mirror rule).
+    escaping (ingest and the fixtures build it; the SQL oracles mirror
+    it), so tag VALUES containing '|' or '=' are ambiguous in the
+    keytable. A corpus with such values needs an escaped signature
+    encoding end to end (engine + oracle together, per the CLAUDE.md
+    mirror rule).
     """
 
     key: str
@@ -177,24 +177,6 @@ class TagFilter:
             m = m & ~pc.match_substring_regex(sigs, bad).to_numpy(zero_copy_only=False)
         return ~m if self.exclude else m
 
-    def mask(self, tbl: pa.Table) -> np.ndarray:
-        # Dictionary scan, not a per-row regex: tag signatures are
-        # heavily repeated (the tag universe is tiny next to the version
-        # count), so encode to dictionary indices once (C hash pass) and
-        # run the regex only over the UNIQUE values — the Arrow analog
-        # of the reference's int-keytable sorted-array scan
-        # (OSMEntity.hasTagValue, osm/OSMEntity.java:97-152: filters
-        # compare small ints, never strings, per version).
-        col = tbl["tag_sig"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = pc.dictionary_encode(col)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        uniq_match = self._match_sigs(enc.dictionary)
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        return uniq_match[idx]
-
     def sig_lut(self, keytable: list[str]) -> np.ndarray:
         """Boolean LUT over keytable signature ids + a trailing slot
         for id -1 (no tags, treated as the empty signature).
@@ -212,8 +194,8 @@ class TagFilter:
 class AnyTagFilter:
     """``osmTag(Collection<OSMTag>)`` (MapReducer.java:595-632): match
     entities carrying ANY of the given exact (key, value) tags — one
-    alternation regex over the signature dictionary, same int-keytable
-    LUT contract as TagFilter."""
+    alternation regex over the keytable, same LUT contract as
+    TagFilter."""
 
     pairs: tuple[tuple[str, str], ...]
 
@@ -235,8 +217,6 @@ class AnyTagFilter:
             zero_copy_only=False
         )
 
-    # same dictionary-scan / LUT interface as TagFilter
-    mask = TagFilter.mask
     sig_lut = TagFilter.sig_lut
 
 
@@ -365,16 +345,13 @@ def contributions(
     t_to: int,
     match: np.ndarray | None = None,
     aoi: np.ndarray | None = None,
-    tag_col: str = "tag_sig",
     columns: list[str] | None = None,
     codes: np.ndarray | None = None,
 ) -> pa.Table:
     """Contribution classification over [t_from, t_to) — see module doc.
 
-    ``tag_col`` selects the column compared for TAG_CHANGE: the string
-    signature by default, or ``"tag_id"`` when the decode ran on the
-    int-keytable path (ids are bijective with signatures, so the
-    equality compare is identical — and integer-cheap).
+    TAG_CHANGE compares ``tag_id``: keytable ids are bijective with tag
+    signatures, so id equality is signature equality.
 
     ``aoi`` is a per-version mask for area-of-interest membership of
     the version's geometry: a state outside the AOI behaves like the
@@ -432,7 +409,7 @@ def contributions(
 
     lon = tbl["lon_e7"].to_numpy(zero_copy_only=False)
     lat = tbl["lat_e7"].to_numpy(zero_copy_only=False)
-    tag = tbl[tag_col].to_numpy(zero_copy_only=False)
+    tag = tbl["tag_id"].to_numpy(zero_copy_only=False)
 
     both = present & prev_present
     is_creation = present & ~prev_present

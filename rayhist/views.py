@@ -3,15 +3,20 @@
 ``snapshot_stage`` = ``OSMEntitySnapshotView`` (oshdb-api/.../OSMEntitySnapshotView.java)
 ``contribution_stage`` = ``OSMContributionView``
 
-Both are a SINGLE fused stage over the span-document
-table: decode (span parse) + temporal interpolation happen in one
-callable so that a document's versions can never be split across batch
-boundaries by re-batching. No shuffle is needed for the views
-themselves — each input row is a complete history (the reference
-reaches the same property by denormalizing member histories into each
-OSH entity at import time, documentation/manual/data-model.md:20-22);
-the shuffle comes afterwards, in the groupby(cell, timestamp)
-aggregation (see rayhist.aggregate).
+Both are a SINGLE fused stage over the document table: decode +
+temporal interpolation happen in one callable so that a document's
+versions can never be split across batch boundaries by re-batching.
+No shuffle is needed for the views themselves — each input row is a
+complete history (the reference reaches the same property by
+denormalizing member histories into each OSH entity at import time,
+documentation/manual/data-model.md:20-22); the shuffle comes
+afterwards, in the groupby(cell, timestamp) aggregation (see
+rayhist.aggregate).
+
+Tags stay keytable ids on this path: a tag filter is a bool LUT over
+the table's keytable, built by the stage builder on the driver, and a
+stage that emits tag strings gathers them through the
+``model.tag_lookup`` of the same keytable; no stage reads span text.
 
 Each view is a stage builder (``*_stage``: arguments -> a callable
 from pyarrow table to pyarrow table), run by ``io.map_blocks`` (one
@@ -22,10 +27,10 @@ distributed.
 Each stage is a frozen instance of a module-level callable class, so
 it pickles by reference to its class plus its fields (tens of
 microseconds, where a nested closure is pickled by value, ~0.5 ms per
-shipment). State the stage needs (timestamp arrays, tag LUTs) is
-computed once by the builder and held in its fields. ``io.map_blocks``
-ships a stage in the arguments of a query's one block task, or
-``ray.put``s it once for a query of several tasks.
+shipment). State the stage needs (timestamp arrays, tag LUTs and
+lookups) is computed once by the builder and held in its fields.
+``io.map_blocks`` ships a stage in the arguments of a query's one
+block task, or ``ray.put``s it once for a query of several tasks.
 """
 
 from __future__ import annotations
@@ -38,23 +43,32 @@ import pyarrow.compute as pc
 
 from .aggregate import floor_bin
 from .functions.deadline import Deadline
-from .model import decode_spans, doc_codes
+from .model import decode_spans, doc_codes, tag_lookup
 from .spatial.grid import cell_id
 from .temporal import TagFilter, contributions, snapshots
 
 
-def _match_mask(decoded: pa.Table, tag_filter: TagFilter | None) -> np.ndarray | None:
-    return None if tag_filter is None else tag_filter.mask(decoded)
+def _lut(tag_filter: TagFilter | None, keytable: list[str] | None) -> np.ndarray | None:
+    """The filter's bool LUT over the keytable (``TagFilter.sig_lut``),
+    built on the driver; a filter without a keytable raises."""
+    if tag_filter is None:
+        return None
+    if keytable is None:
+        raise ValueError("a tag filter needs the table's keytable")
+    return tag_filter.sig_lut(keytable)
 
 
-def _ids_mask(decoded: pa.Table, lut: np.ndarray) -> np.ndarray:
-    """Int-keytable filter: a pure gather through the precomputed sig
-    LUT (id -1 wraps to the trailing no-tags slot)."""
+def _lut_mask(decoded: pa.Table, lut: np.ndarray | None) -> np.ndarray | None:
+    """Per-version filter mask: a gather through the LUT (id -1 wraps
+    to the trailing no-tags slot)."""
+    if lut is None:
+        return None
     return lut[decoded["tag_id"].to_numpy(zero_copy_only=False)]
 
 
 def snapshot_stage(
     timestamps,
+    keytable: list[str] | None,
     tag_filter: TagFilter | None = None,
     deadline: Deadline | None = None,
 ):
@@ -63,10 +77,18 @@ def snapshot_stage(
     One output row per (entity, timestamp) where the entity exists,
     is visible, and matches the filter — semantics of
     ``CellIterator.iterateByTimestamps`` (CellIterator.java:181-347).
+    The tag strings of the rows are gathered through ``keytable``
+    (the table's ``ingest.sig_keytable``); with None they are
+    constant-filled and a tag filter raises.
     ``deadline`` is checked between batches (the Kernels.java:24-36
     isActive() analog) and raises RayhistTimeoutError when tripped.
     """
-    return SnapshotStage(np.asarray(list(timestamps), dtype=np.int64), tag_filter, deadline)
+    return SnapshotStage(
+        np.asarray(list(timestamps), dtype=np.int64),
+        None if keytable is None else tag_lookup(keytable),
+        _lut(tag_filter, keytable),
+        deadline,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,33 +96,35 @@ class SnapshotStage:
     """The ``snapshot_stage`` callable."""
 
     ts: np.ndarray
-    tag_filter: TagFilter | None
+    lookup: pa.Table | None
+    lut: np.ndarray | None
     deadline: Deadline | None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.deadline is not None:
             self.deadline.check()
-        decoded = decode_spans(batch)
-        return snapshots(
-            decoded, self.ts, _match_mask(decoded, self.tag_filter), codes=doc_codes(batch)
-        )
+        decoded = decode_spans(batch, self.lookup)
+        return snapshots(decoded, self.ts, _lut_mask(decoded, self.lut), codes=doc_codes(batch))
 
 
 def contribution_stage(
     t_from: int,
     t_to: int,
+    keytable: list[str] | None,
     tag_filter: TagFilter | None = None,
-    tags: bool = True,
     geom: bool = True,
     deadline: Deadline | None = None,
 ):
     """Stage emitting classified contributions in [t_from, t_to) —
     semantics of ``CellIterator.iterateByContribution``
-    (CellIterator.java:437-712). ``tags``/``geom`` prune the decode
-    when the caller never reads tag/geometry outputs (the
-    is_tag_change / is_geom_change flags become vacuously false)."""
+    (CellIterator.java:437-712). ``keytable`` as in ``snapshot_stage``
+    (TAG_CHANGE compares tag ids and needs none); ``geom=False``
+    prunes the coordinate decode when the caller never reads geometry
+    outputs (is_geom_change becomes vacuously false)."""
     return ContributionStage(
-        int(t_from), int(t_to), tag_filter, tags or tag_filter is not None, geom, deadline
+        int(t_from), int(t_to),
+        None if keytable is None else tag_lookup(keytable),
+        _lut(tag_filter, keytable), geom, deadline,
     )
 
 
@@ -110,17 +134,17 @@ class ContributionStage:
 
     t_from: int
     t_to: int
-    tag_filter: TagFilter | None
-    tags: bool
+    lookup: pa.Table | None
+    lut: np.ndarray | None
     geom: bool
     deadline: Deadline | None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.deadline is not None:
             self.deadline.check()
-        decoded = decode_spans(batch, tags=self.tags, geom=self.geom)
+        decoded = decode_spans(batch, self.lookup, geom=self.geom)
         return contributions(
-            decoded, self.t_from, self.t_to, _match_mask(decoded, self.tag_filter),
+            decoded, self.t_from, self.t_to, _lut_mask(decoded, self.lut),
             codes=doc_codes(batch),
         )
 
@@ -132,7 +156,9 @@ class ContributionStage:
 # every row; these fuse decode + interpolation + per-batch partial
 # aggregation into ONE stage, so the combine only sees |keys| rows per
 # block (the reference's accumulator/combiner split,
-# MapReducer.java:896-1034).
+# MapReducer.java:896-1034). They read no tag strings: a tag filter is
+# a LUT gather over the table's keytable (osm/OSMEntity.java:97-152
+# semantics), and TAG_CHANGE compares tag ids.
 # ---------------------------------------------------------------------------
 
 
@@ -145,9 +171,7 @@ def snapshot_counts_stage(
 ):
     """Stage of partial snapshot counts per (ts_q[, cell]) per batch.
 
-    ``keytable`` (the ingest sig keytable) switches the tag filter to
-    the int-id path: no tag-string decode at all, the per-version test
-    is a LUT gather (osm/OSMEntity.java:97-152 semantics).
+    A ``tag_filter`` needs ``keytable`` (the ingest sig keytable).
 
     Returns (stage, key list); finish with ``combine_partials`` over
     ``io.map_blocks(docs, stage)``, or for corpus-cardinality keys
@@ -155,11 +179,9 @@ def snapshot_counts_stage(
     {"n_part": "sum"}, stage=stage)``.
     """
     keys = ["ts_q"] + (["cell"] if cell_zoom is not None else [])
-    use_ids = keytable is not None and tag_filter is not None
     stage = SnapshotCountsStage(
         ts=np.asarray(list(timestamps), dtype=np.int64),
-        tag_filter=tag_filter,
-        lut=tag_filter.sig_lut(keytable) if use_ids else None,
+        lut=_lut(tag_filter, keytable),
         cell_zoom=cell_zoom,
         deadline=deadline,
     )
@@ -168,11 +190,9 @@ def snapshot_counts_stage(
 
 @dataclass(frozen=True, eq=False)
 class SnapshotCountsStage:
-    """The ``snapshot_counts_stage`` callable; ``lut`` is set on the
-    int-keytable path, which decodes no tag strings."""
+    """The ``snapshot_counts_stage`` callable."""
 
     ts: np.ndarray
-    tag_filter: TagFilter | None
     lut: np.ndarray | None
     cell_zoom: int | None
     deadline: Deadline | None
@@ -183,12 +203,8 @@ class SnapshotCountsStage:
         # prune the decode to what this aggregation reads (BASELINE.md:
         # memory bandwidth is the wall; unread fields are wasted traffic)
         need_geom = self.cell_zoom is not None
-        if self.lut is not None:
-            decoded = decode_spans(batch, tags="ids", geom=need_geom)
-            m = _ids_mask(decoded, self.lut)
-        else:
-            decoded = decode_spans(batch, tags=self.tag_filter is not None, geom=need_geom)
-            m = _match_mask(decoded, self.tag_filter)
+        decoded = decode_spans(batch, geom=need_geom)
+        m = _lut_mask(decoded, self.lut)
         gather = ["lon_e7", "lat_e7"] if need_geom else []
         s = snapshots(decoded, self.ts, m, columns=gather, codes=doc_codes(batch))
         cols = s.select(["ts_q"])
@@ -217,10 +233,9 @@ def contribution_stats_stage(
     sums, optionally keyed by floor-binned timestamp.
 
     ``flag_cols`` limits which classification flags are aggregated —
-    and thereby how much of the span decode runs: a query that only
-    counts contributions/creations never pays for the tag-signature
-    join or the geometry regex. ``keytable`` switches the tag work
-    (filter + TAG_CHANGE compare) to int sig ids — see snapshot_counts_stage.
+    and thereby how much of the decode runs: a query that never counts
+    geometry changes never decodes coordinates. A ``tag_filter`` needs
+    ``keytable``, as in snapshot_counts_stage.
 
     Returns (stage, key list); finish with ``combine_partials`` over
     ``io.map_blocks(docs, stage)``.
@@ -228,18 +243,12 @@ def contribution_stats_stage(
     keys = ["ts_q"] if bins is not None else []
     if flag_cols is None:
         flag_cols = ["is_creation", "is_deletion", "is_tag_change", "is_geom_change"]
-    need_tags = tag_filter is not None or "is_tag_change" in flag_cols
-    # int-keytable path: tag filter AND tag-change compare both run on
-    # per-version sig ids; no tag-string decode at all
-    use_ids = keytable is not None and need_tags
     stage = ContributionStatsStage(
         t_from=int(t_from),
         t_to=int(t_to),
-        tag_filter=tag_filter,
-        lut=tag_filter.sig_lut(keytable) if (use_ids and tag_filter is not None) else None,
+        lut=_lut(tag_filter, keytable),
         bins=None if bins is None else np.asarray(list(bins), dtype=np.int64),
         flag_cols=tuple(flag_cols),
-        need_tags="ids" if use_ids else need_tags,
         deadline=deadline,
     )
     return stage, keys
@@ -247,32 +256,23 @@ def contribution_stats_stage(
 
 @dataclass(frozen=True, eq=False)
 class ContributionStatsStage:
-    """The ``contribution_stats_stage`` callable; ``lut`` is set when
-    the tag filter runs on the int-keytable path, ``need_tags`` is
-    "ids" when the tag-change compare does."""
+    """The ``contribution_stats_stage`` callable."""
 
     t_from: int
     t_to: int
-    tag_filter: TagFilter | None
     lut: np.ndarray | None
     bins: np.ndarray | None
     flag_cols: tuple[str, ...]
-    need_tags: bool | str
     deadline: Deadline | None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.deadline is not None:
             self.deadline.check()
         flag_cols = list(self.flag_cols)
-        decoded = decode_spans(batch, tags=self.need_tags, geom="is_geom_change" in flag_cols)
-        if self.lut is not None:
-            m = _ids_mask(decoded, self.lut)
-        else:
-            m = _match_mask(decoded, self.tag_filter)
+        decoded = decode_spans(batch, geom="is_geom_change" in flag_cols)
         binned = self.bins is not None
         c = contributions(
-            decoded, self.t_from, self.t_to, m,
-            tag_col="tag_id" if self.need_tags == "ids" else "tag_sig",
+            decoded, self.t_from, self.t_to, _lut_mask(decoded, self.lut),
             columns=["ts"] if binned else [],
             codes=doc_codes(batch),
         )

@@ -27,8 +27,21 @@ from rayhist.model import (
 YEAR_US = {y: int(np.datetime64(f"{y}-01-01", "us").astype(np.int64)) for y in range(2006, 2020)}
 
 
-def make_versions(rows: list[dict]) -> pa.Table:
-    """Build a flat version table from scenario dicts.
+def fixture_keytable(sigs) -> list[str]:
+    """The keytable of a fixture: its distinct non-empty tag
+    signatures, sorted (a tagless version packs id -1)."""
+    return sorted({s for s in sigs if s})
+
+
+def _tag_ids(sigs, keytable: list[str]) -> list[int]:
+    ids = {s: i for i, s in enumerate(keytable)}
+    return [ids[s] if s else -1 for s in sigs]
+
+
+def make_versions(rows: list[dict]) -> tuple[pa.Table, list[str]]:
+    """Build a flat version table from scenario dicts, and its keytable
+    (``fixture_keytable``): ``tag_id`` indexes it, as a decode with
+    the keytable's lookup emits.
 
     Each row: doc_id, v, ts, cs, uid, visible, lon_e7, lat_e7, tags
     (dict, optional).
@@ -63,14 +76,16 @@ def make_versions(rows: list[dict]) -> pa.Table:
         cols["tag_sig"].append("|".join(f"{k}={v}" for k, v in sorted(tags.items())))
         cols["etype"].append(tags.get("etype", ""))
         cols["kk"].append(int(tags.get("k", -1)))
-    cols["tag_id"] = [-1] * len(cols["doc_id"])
-    return pa.table(cols, schema=VERSIONS_SCHEMA)
+    keytable = fixture_keytable(cols["tag_sig"])
+    cols["tag_id"] = _tag_ids(cols["tag_sig"], keytable)
+    return pa.table(cols, schema=VERSIONS_SCHEMA), keytable
 
 
-def versions_to_documents(versions: pa.Table) -> pa.Table:
+def versions_to_documents(versions: pa.Table) -> tuple[pa.Table, list[str]]:
     """Pack a flat version table into span-document rows (test helper,
     same layout as rayhist.ingest._pack_bucket, typed per-version
-    columns included; tag_ids stay empty — no keytable)."""
+    columns included), and the keytable (``fixture_keytable`` of the
+    versions' signatures) its ``tag_ids`` index."""
     import pandas as pd
 
     df = versions.to_pandas()
@@ -122,18 +137,21 @@ def versions_to_documents(versions: pa.Table) -> pa.Table:
             }
         )
     flat = pd.concat(per_version) if per_version else df
+    keytable = fixture_keytable(flat["tag_sig"])
     lists = pack_version_columns(
         [len(g) for g in per_version],
         v=flat["v"].to_numpy(), ts=flat["ts"].to_numpy(), cs=flat["cs"].to_numpy(),
         uid=flat["uid"].to_numpy(), visible=flat["visible"].to_numpy(),
         lon_e7=flat["lon_e7"].to_numpy(), lat_e7=flat["lat_e7"].to_numpy(),
+        tag_ids=_tag_ids(flat["tag_sig"], keytable),
     )
     scalars = {f.name: [r[f.name] for r in doc_rows] for f in DOCUMENTS_SCHEMA if f.name not in lists}
-    return pa.table(scalars | lists, schema=DOCUMENTS_SCHEMA)
+    return pa.table(scalars | lists, schema=DOCUMENTS_SCHEMA), keytable
 
 
-def scenario_corpus() -> pa.Table:
-    """The FIXTURES.md §2 node scenarios as one flat version table."""
+def scenario_corpus() -> tuple[pa.Table, list[str]]:
+    """The FIXTURES.md §2 node scenarios as one flat version table,
+    and its keytable (``make_versions``)."""
     t = YEAR_US
     rows: list[dict] = []
     # N1 geometry-change: create, move, move (tags constant)

@@ -697,12 +697,15 @@ def test_convex_hull_matches_direct_kernel():
     the snapshot view rows (the kernel itself is oracle-checked via
     snapshot_hull_by_type and property-tested in test_spatial)."""
     from rayhist.ingest import read_documents
+    from rayhist.model import DECODE_COLUMNS
     from rayhist.spatial.hull import grouped_convex_hull
     from rayhist import io as rio
     from rayhist.views import snapshot_stage
 
     got = OSMEntitySnapshotView.on(SF).timestamps([T_MID]).convexHull()
-    snaps = rio.materialize_blocks(read_documents(SF), snapshot_stage([T_MID]))
+    snaps = rio.materialize_blocks(
+        read_documents(SF, columns=DECODE_COLUMNS), snapshot_stage([T_MID], None)
+    )
     want = grouped_convex_hull(snaps, "ts_q", "osm_id", "lon_e7", "lat_e7")
     pd.testing.assert_frame_equal(got, want)
     assert len(got) >= 3

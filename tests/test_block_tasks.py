@@ -61,10 +61,11 @@ VIEWS = {
         ),
         {"n_part": "n", "is_creation_part": "c"},
     ),
-    "snapshot": lambda: (snapshot_stage([SNAP_WEEKLY[2]]), None, None),
-    "contribution": lambda: (contribution_stage(CONTRIB_FROM, CONTRIB_TO), None, None),
+    "snapshot": lambda: (snapshot_stage([SNAP_WEEKLY[2]], sig_keytable(SF)), None, None),
+    "contribution": lambda: (
+        contribution_stage(CONTRIB_FROM, CONTRIB_TO, sig_keytable(SF)), None, None
+    ),
 }
-COLUMNS = {"snapshot": None, "contribution": None}  # stages decoding tag strings
 
 
 @pytest.fixture
@@ -130,8 +131,8 @@ def _view_frame(name, docs) -> pd.DataFrame:
     return _finish(rio.map_blocks(docs, stage), keys, sums)
 
 
-def _read(name):
-    return read_documents(SF, columns=COLUMNS.get(name, DECODE_COLUMNS))
+def _read():
+    return read_documents(SF, columns=DECODE_COLUMNS)
 
 
 def _over_budget(monkeypatch):
@@ -143,7 +144,7 @@ def _over_budget(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(VIEWS))
 def test_view_fallback_equals_block_tasks(fresh, monkeypatch, block_tasks, executions, name):
-    docs = _read(name)
+    docs = _read()
     assert isinstance(docs, MaterializedDataset)
     block_tasks.clear()  # the admission's compaction tasks
     tasks = _view_frame(name, docs)
@@ -151,8 +152,8 @@ def test_view_fallback_equals_block_tasks(fresh, monkeypatch, block_tasks, execu
     assert len(tasks)
 
     _over_budget(monkeypatch)
-    _read(name)
-    disk = _read(name)
+    _read()
+    disk = _read()
     assert not isinstance(disk, MaterializedDataset)
     block_tasks.clear()
     executions.clear()
@@ -168,8 +169,7 @@ def test_views_at_any_block_count(block_tasks, name, n_blocks):
     same frame as the disk read, and two runs give the same partial
     table row for row (block order, without preserve_order)."""
     path = ensure_documents(SF)
-    cols = COLUMNS.get(name, DECODE_COLUMNS)
-    disk = rio.read_table(path, columns=cols)
+    disk = rio.read_table(path, columns=DECODE_COLUMNS)
     mat = disk.repartition(n_blocks).materialize()
     assert mat.num_blocks() == n_blocks
     stage, keys, sums = VIEWS[name]()
@@ -224,7 +224,7 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     block order as map_batches + materialize; over the resident budget
     the same tasks over the once-materialized read give the same rows."""
     stage, _keys, _sums = VIEWS["snapshot"]()
-    docs = _read("snapshot")
+    docs = _read()
     executions.clear()
     block_tasks.clear()  # the admission's compaction tasks
     got = rio.materialize_blocks(docs, stage)
@@ -235,8 +235,8 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     assert want.num_rows and rio.blocks_table(got).equals(want)
 
     _over_budget(monkeypatch)
-    _read("snapshot")
-    disk = _read("snapshot")
+    _read()
+    disk = _read()
     block_tasks.clear()
     fell = rio.materialize_blocks(disk, stage)
     assert isinstance(fell, MaterializedDataset) and block_tasks
@@ -259,7 +259,7 @@ def test_view_stages_pickle_by_reference(name):
     pickle (which cannot pickle a closure) round-trips it, and the copy
     gives the same output."""
     stage = VIEWS[name]()[0]
-    block = rio.blocks_table(_read(name)).combine_chunks()
+    block = rio.blocks_table(_read()).combine_chunks()
     copy = pickle.loads(pickle.dumps(stage))
     assert type(copy) is type(stage)
     assert copy(block).equals(stage(block))
@@ -324,7 +324,7 @@ def test_stage_capturing_a_ref_gives_the_same_rows_at_any_block_count(monkeypatc
 def test_tripped_deadline_raises_the_typed_error():
     docs = read_documents(SF, columns=DECODE_COLUMNS)
     with pytest.raises(RayhistTimeoutError, match="deadline exceeded"):
-        rio.map_blocks(docs, snapshot_stage(SNAP_WEEKLY, deadline=Deadline(-1.0)))
+        rio.map_blocks(docs, snapshot_stage(SNAP_WEEKLY, None, deadline=Deadline(-1.0)))
     stage, _ = snapshot_counts_stage(SNAP_WEEKLY, deadline=Deadline(-1.0))
     with pytest.raises(RayhistTimeoutError):
         rio.map_blocks(docs, stage)

@@ -202,7 +202,7 @@ def test_parallelism_invariance():
     from rayhist.views import snapshot_counts_stage
     import ray.data
 
-    docs_tbl = versions_to_documents(scenario_corpus())
+    docs_tbl, _kt = versions_to_documents(scenario_corpus()[0])
     T = [1199145600000000 + i * 31536000000000 for i in range(8)]
     results = []
     for nblocks in (1, 3, 9):

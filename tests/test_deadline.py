@@ -16,15 +16,17 @@ def test_deadline_trips_running_view():
     from rayhist.ingest import read_documents
     from rayhist.views import snapshot_stage
 
-    docs = read_documents("/root/testdata/sf0.001")
+    from rayhist.model import DECODE_COLUMNS
+
+    docs = read_documents("/root/testdata/sf0.001", columns=DECODE_COLUMNS)
     T = [int(np.datetime64("2024-01-15", "us").astype(np.int64))]
 
-    ok = rio.map_blocks(docs, snapshot_stage(T, deadline=Deadline(3600.0))).to_pandas()
+    ok = rio.map_blocks(docs, snapshot_stage(T, None, deadline=Deadline(3600.0))).to_pandas()
     assert len(ok) > 0
 
     dead = Deadline(-1.0)  # already expired
     with pytest.raises((RayhistTimeoutError, ray.exceptions.RayTaskError)) as ei:
-        rio.map_blocks(docs, snapshot_stage(T, deadline=dead))
+        rio.map_blocks(docs, snapshot_stage(T, None, deadline=dead))
     assert "deadline exceeded" in str(ei.value)
 
 

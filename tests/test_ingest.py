@@ -8,8 +8,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from rayhist import io as rio
-from rayhist.ingest import build_documents, ensure_documents, read_documents
-from rayhist.model import DOCUMENTS_SCHEMA, decode_spans
+from rayhist.ingest import build_documents, ensure_documents, read_documents, sig_keytable
+from rayhist.model import DECODE_COLUMNS, DOCUMENTS_SCHEMA, decode_spans, tag_lookup
+from tests.reference_decode import decode_text
 
 SF = "/root/testdata/sf0.001"
 
@@ -30,9 +31,13 @@ def test_decode_matches_sql_derivation():
     DuckDB oracles use — this is the contract that makes the
     correctness gate meaningful."""
     path = ensure_documents(SF)
-    docs = read_documents(SF).materialize()
+    docs = read_documents(SF, columns=DECODE_COLUMNS).materialize()
+    lookup = tag_lookup(sig_keytable(SF))
     flat = pa.concat_tables(
-        [decode_spans(b) for b in docs.iter_batches(batch_size=10_000, batch_format="pyarrow")]
+        [
+            decode_spans(b, lookup)
+            for b in docs.iter_batches(batch_size=10_000, batch_format="pyarrow")
+        ]
     )
     got = (
         flat.to_pandas()
@@ -129,24 +134,17 @@ def test_document_shard_is_one_row_group_and_one_stage_call():
 
 def test_int_keytable_matches_string_path():
     """Int-keytable tag storage (osm/OSMEntity.java:29,97-152): the
-    per-version tag_ids must be bijective with the tag signatures, and
-    every TagFilter variant must give an identical mask through the
-    sig-LUT gather as through the string-regex path."""
-    from rayhist.ingest import sig_keytable
+    per-version tag_ids must be bijective with the tag signatures of
+    the span text, and every TagFilter variant must give an identical
+    mask through the sig-LUT gather as over the span text's
+    signatures."""
     from rayhist.temporal import TagFilter
 
     kt = sig_keytable(SF)
     assert len(kt) == len(set(kt))  # ids are a bijection
-    docs = read_documents(SF).materialize()
-    flat_str = pa.concat_tables(
-        [decode_spans(b) for b in docs.iter_batches(batch_size=10_000, batch_format="pyarrow")]
-    )
-    flat_ids = pa.concat_tables(
-        [
-            decode_spans(b, tags="ids", geom=False)
-            for b in docs.iter_batches(batch_size=10_000, batch_format="pyarrow")
-        ]
-    )
+    docs = pq.read_table(ensure_documents(SF))
+    flat_str = decode_text(docs)
+    flat_ids = decode_spans(docs, geom=False)
     # same row order (same batches), ids decode back to the signature
     tid = flat_ids["tag_id"].to_numpy(zero_copy_only=False)
     sig = flat_str["tag_sig"].to_numpy(zero_copy_only=False)
@@ -164,7 +162,7 @@ def test_int_keytable_matches_string_path():
     ):
         lut = f.sig_lut(kt)
         got = lut[tid]  # -1 wraps to the trailing empty-sig slot
-        want = f.mask(flat_str)
+        want = f._match_sigs(flat_str["tag_sig"])
         assert np.array_equal(got, want), f
 
 

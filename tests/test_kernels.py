@@ -102,13 +102,8 @@ def test_parse_fixed_equals_regex_on_roundtrip(rows):
     field (the fast path must be a pure substitution)."""
     import pyarrow as pa
 
-    from rayhist.model import (
-        _VERSION_FIELDS,
-        _VERSION_RE,
-        _extract_ints,
-        _parse_fixed,
-        format_version_text,
-    )
+    from rayhist.model import format_version_text
+    from tests.reference_decode import _VERSION_FIELDS, _VERSION_RE, _extract_ints, _parse_fixed
 
     texts = pa.array([format_version_text(*r) for r in rows], type=pa.string())
     fast = _parse_fixed(texts, _VERSION_FIELDS, _VERSION_RE)
@@ -122,7 +117,7 @@ def test_parse_fixed_falls_back_on_layout_mismatch():
     strict regex path, not misparse."""
     import pyarrow as pa
 
-    from rayhist.model import _VERSION_FIELDS, _VERSION_RE, _parse_fixed
+    from tests.reference_decode import _VERSION_FIELDS, _VERSION_RE, _parse_fixed
 
     texts = pa.array(["v=1;ts=2;cs=3;uid=4;vis=1;junk=9"], type=pa.string())
     # the strict path must either raise or surface a null/NaN — never

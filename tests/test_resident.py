@@ -360,14 +360,17 @@ BBOX = (1_790_000_000, 0, 1_800_000_000, 10_000_000)
 def test_facade_filter_equals_parquet_filter(fresh, chain, spans):
     """The AOI/type pre-filter over the resident table keeps the rows a
     parquet filter= read keeps, in its order: as a Table.filter stage,
-    and inside io.map_blocks' block tasks."""
+    and inside io.map_blocks' block tasks. The facade reads
+    DECODE_COLUMNS; a read of every column takes the same filter."""
     mr = chain(OSMEntitySnapshotView.on(SF))
     flt = mr._aoi_prefilter()
-    disk = rio.read_table(
-        ensure_documents(SF), columns=None if spans else DECODE_COLUMNS, filter=flt
-    )
-    assert _same(mr._docs(spans=spans), disk)
-    tasks = rio.map_blocks(mr._docs(spans=spans), lambda b: b)
+    cols = None if spans else DECODE_COLUMNS
+    disk = rio.read_table(ensure_documents(SF), columns=cols, filter=flt)
+    resident = rio.read_resident(ensure_documents(SF), columns=cols, filter=flt)
+    if not spans:
+        assert _same(mr._docs(), disk)
+    assert _same(resident, disk)
+    tasks = rio.map_blocks(resident, lambda b: b)
     rows = _rows(disk)
     assert tasks.num_rows == 0 if rows is None else tasks.equals(rows)
 

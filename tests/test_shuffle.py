@@ -4,6 +4,7 @@ whatever the key types, block count or emptiness of the input."""
 
 import ast
 import inspect
+import re
 import textwrap
 from collections import OrderedDict
 from pathlib import Path
@@ -330,6 +331,22 @@ def test_query_path_is_resident_block_tasks():
         assert "map_batches" not in body and "iter_batches" not in body, fn.__name__
         assert "_blocks(" in body or "_block_refs(" in body, fn.__name__
     assert "_blocks(" in _body(rio._block_refs)
+
+
+def test_query_path_reads_no_span_text():
+    """Node tags are keytable ids on every query: the query surface
+    asks for no span text (no ``spans=`` read flag, no ``["spans"]``
+    column access, no ``tags=True`` decode)."""
+    root = Path(rio.__file__).parent
+    surface = [
+        root / "pipelines.py", root / "api.py", root / "views.py",
+        *sorted((root / "ops").rglob("*.py")), *sorted((root / "spatial").rglob("*.py")),
+    ]
+    for path in surface:
+        text = path.read_text()
+        for needle in (r"\bspans=", r'\["spans"\]', r"\btags=True"):
+            assert not re.search(needle, text), (path, needle)
+    assert len(surface) >= 30
 
 
 # every cached table whose build packs or encodes through a shuffle

@@ -483,19 +483,21 @@ def test_cyrus_beck_equals_bbox_clip_on_rectangles():
 
 
 def test_decode_pruning_preserves_counts():
-    """tags=False / geom=False decode must not change any output the
-    pruned queries actually read: contribution counts + creation flags
-    and snapshot counts are identical to the full decode."""
+    """A decode without tag lookup or geometry must not change any
+    output the pruned queries actually read: contribution counts +
+    creation flags and snapshot counts are identical to the full
+    decode."""
     import pyarrow.parquet as pq
 
-    from rayhist.ingest import ensure_documents
-    from rayhist.model import decode_spans
+    from rayhist.ingest import ensure_documents, sig_keytable
+    from rayhist.model import DECODE_COLUMNS, decode_spans, tag_lookup
     from rayhist.pipelines import CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY
     from rayhist.temporal import contributions, snapshots
 
-    tbl = pq.read_table(ensure_documents("/root/testdata/sf0.001"))
-    full = decode_spans(tbl)
-    pruned = decode_spans(tbl, tags=False, geom=False)
+    sf = "/root/testdata/sf0.001"
+    tbl = pq.read_table(ensure_documents(sf), columns=DECODE_COLUMNS)
+    full = decode_spans(tbl, tag_lookup(sig_keytable(sf)))
+    pruned = decode_spans(tbl, geom=False)
 
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
     assert len(snapshots(full, ts)) == len(snapshots(pruned, ts))
@@ -503,7 +505,7 @@ def test_decode_pruning_preserves_counts():
     cf = contributions(full, CONTRIB_FROM, CONTRIB_TO)
     cp = contributions(pruned, CONTRIB_FROM, CONTRIB_TO)
     assert len(cf) == len(cp)
-    for col in ("is_creation", "is_deletion"):
+    for col in ("is_creation", "is_deletion", "is_tag_change"):
         assert cf[col].to_pylist() == cp[col].to_pylist()
     # and the pruned columns are constant-filled, not garbage
     assert set(pruned["tag_sig"].to_pylist()) == {""}

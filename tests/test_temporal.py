@@ -6,12 +6,18 @@ import pytest
 
 from rayhist import io as rio
 from tests.fixtures import YEAR_US, make_versions, scenario_corpus, versions_to_documents
-from rayhist.model import decode_spans
+from rayhist.model import decode_spans, tag_lookup
 from rayhist.temporal import TagFilter, contributions, snapshots
 
 from .oracle_temporal import contributions_oracle, snapshots_oracle
 
 YEARLY = np.array([YEAR_US[y] for y in range(2007, 2018)], dtype=np.int64)
+
+
+def _mask(tf, tbl: pa.Table, keytable: list[str]):
+    """The filter's per-version mask: its keytable LUT gathered by
+    tag id, as every stage applies it."""
+    return None if tf is None else tf.sig_lut(keytable)[tbl["tag_id"].to_numpy()]
 
 
 def _snap_set(tbl: pa.Table):
@@ -37,26 +43,26 @@ def _contrib_list(tbl: pa.Table):
 
 @pytest.mark.parametrize("tag_filter", [None, ("etype", "click"), ("etype", None)])
 def test_snapshots_scenarios(tag_filter):
-    tbl = scenario_corpus()
+    tbl, kt = scenario_corpus()
     tf = TagFilter(*tag_filter) if tag_filter else None
-    got = _snap_set(snapshots(tbl, YEARLY, tf.mask(tbl) if tf else None))
+    got = _snap_set(snapshots(tbl, YEARLY, _mask(tf, tbl, kt)))
     want = snapshots_oracle(tbl, YEARLY, tag_filter)
     assert got == want
 
 
 @pytest.mark.parametrize("tag_filter", [None, ("etype", "click"), ("etype", None)])
 def test_contributions_scenarios(tag_filter):
-    tbl = scenario_corpus()
+    tbl, kt = scenario_corpus()
     t0, t1 = YEAR_US[2008], YEAR_US[2016]
     tf = TagFilter(*tag_filter) if tag_filter else None
-    got = _contrib_list(contributions(tbl, t0, t1, tf.mask(tbl) if tf else None))
+    got = _contrib_list(contributions(tbl, t0, t1, _mask(tf, tbl, kt)))
     want = contributions_oracle(tbl, t0, t1, tag_filter)
     assert got == want
 
 
 def test_contribution_known_sequences():
     """Golden assertions in the style of IterateByContributionNodesTest."""
-    tbl = scenario_corpus()
+    tbl, _kt = scenario_corpus()
     got = _contrib_list(contributions(tbl, YEAR_US[2006], YEAR_US[2018]))
     by_doc = {}
     for doc, ts, acts in got:
@@ -86,9 +92,9 @@ def test_contribution_known_sequences():
 def test_filter_relative_deletion():
     """F1: filter 'etype=click' -> losing the tag is a DELETION
     (CellIterator.java:578-595), regaining it a CREATION."""
-    tbl = scenario_corpus()
+    tbl, kt = scenario_corpus()
     tf = TagFilter("etype", "click")
-    got = _contrib_list(contributions(tbl, YEAR_US[2006], YEAR_US[2018], tf.mask(tbl)))
+    got = _contrib_list(contributions(tbl, YEAR_US[2006], YEAR_US[2018], _mask(tf, tbl, kt)))
     seq = [a for d, _, a in got if d == "node/7"]
     assert seq == [
         frozenset({"CREATION"}),
@@ -100,7 +106,7 @@ def test_filter_relative_deletion():
 def test_snapshot_pre_interval_state():
     """N5: all edits before the query timestamps -> snapshots return
     the last state at every timestamp."""
-    tbl = scenario_corpus()
+    tbl, _kt = scenario_corpus()
     got = _snap_set(snapshots(tbl, YEARLY))
     n5 = {(d, t, v) for d, t, v in got if d == "node/5"}
     assert n5 == {("node/5", int(t), 2) for t in YEARLY}
@@ -127,10 +133,10 @@ def test_randomized_against_oracle():
                     tags={"etype": str(rng.choice(["click", "view"])), "k": str(int(rng.integers(0, 3)))},
                 )
             )
-    tbl = make_versions(rows)
+    tbl, kt = make_versions(rows)
     for tf_spec in [None, ("etype", "click")]:
         tf = TagFilter(*tf_spec) if tf_spec else None
-        mask = tf.mask(tbl) if tf else None
+        mask = _mask(tf, tbl, kt)
         got = _snap_set(snapshots(tbl, YEARLY, mask))
         assert got == snapshots_oracle(tbl, YEARLY, tf_spec)
         t0, t1 = YEAR_US[2009], YEAR_US[2015]
@@ -140,9 +146,9 @@ def test_randomized_against_oracle():
 
 def test_span_roundtrip_and_decode():
     """Span-sequence invariant: versions -> spans -> decode == versions."""
-    tbl = scenario_corpus()
-    docs = versions_to_documents(tbl)
-    decoded = decode_spans(docs)
+    tbl, _kt = scenario_corpus()
+    docs, kt = versions_to_documents(tbl)
+    decoded = decode_spans(docs, tag_lookup(kt))
     want = tbl.to_pandas().sort_values(["doc_id", "v"]).reset_index(drop=True)
     got = decoded.to_pandas().sort_values(["doc_id", "v"]).reset_index(drop=True)
     got = got[want.columns.tolist()]
@@ -153,9 +159,9 @@ def test_span_roundtrip_and_decode():
 
 def test_decode_then_views_match_direct():
     """Going through the span encoding must not change view results."""
-    tbl = scenario_corpus()
-    docs = versions_to_documents(tbl)
-    decoded = decode_spans(docs)
+    tbl, _kt = scenario_corpus()
+    docs, kt = versions_to_documents(tbl)
+    decoded = decode_spans(docs, tag_lookup(kt))
     assert _snap_set(snapshots(decoded, YEARLY)) == _snap_set(snapshots(tbl, YEARLY))
     t0, t1 = YEAR_US[2008], YEAR_US[2016]
     assert _contrib_list(contributions(decoded, t0, t1)) == _contrib_list(
@@ -172,7 +178,7 @@ def test_aoi_contributions_s1():
         dict(doc_id="node/50", v=3, ts=YEAR_US[2012], cs=3, lon_e7=20, lat_e7=20),  # re-enters
         dict(doc_id="node/50", v=4, ts=YEAR_US[2014], cs=4, lon_e7=30, lat_e7=20),  # moves inside
     ]
-    tbl = make_versions(rows)
+    tbl, _kt = make_versions(rows)
     lon = tbl["lon_e7"].to_numpy()
     lat = tbl["lat_e7"].to_numpy()
     aoi = (lon >= 0) & (lon <= 100) & (lat >= 0) & (lat <= 100)
@@ -192,9 +198,9 @@ def test_match_mask_realigned_after_sort():
         dict(doc_id="node/60", v=2, ts=YEAR_US[2010], cs=2, lon_e7=1, lat_e7=1, tags={"etype": "click"}),
         dict(doc_id="node/60", v=1, ts=YEAR_US[2008], cs=1, lon_e7=1, lat_e7=1, tags={"etype": "view"}),
     ]
-    tbl = make_versions(rows)  # deliberately out of order
+    tbl, kt = make_versions(rows)  # deliberately out of order
     tf = TagFilter("etype", "click")
-    got = _snap_set(snapshots(tbl, YEARLY, tf.mask(tbl)))
+    got = _snap_set(snapshots(tbl, YEARLY, _mask(tf, tbl, kt)))
     # click only exists from 2010 on
     assert got == {("node/60", int(t), 2) for t in YEARLY if t >= YEAR_US[2010]}
 
@@ -202,27 +208,27 @@ def test_match_mask_realigned_after_sort():
 def test_reverse_version_runs_invariant_end_to_end():
     """Dirty-history fixture (model.reverse_version_runs): decoding a
     document whose version runs were reversed must yield IDENTICAL
-    snapshots — including geometry and the int-keytable tag_id path —
+    snapshots — including geometry and the keytable tag ids —
     after the interpolators' per-doc realignment (the reference's
     HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance, OSHNodeImpl.java:30)."""
     import pandas as pd
 
     from rayhist.ingest import read_documents
-    from rayhist.model import reverse_version_runs
+    from rayhist.model import DECODE_COLUMNS, reverse_version_runs
     from rayhist.temporal import snapshots as snap_fn
 
-    batch = read_documents("/root/testdata/sf0.001").take_batch(
+    batch = read_documents("/root/testdata/sf0.001", columns=DECODE_COLUMNS).take_batch(
         10_000, batch_format="pyarrow"
     )
     dirty = reverse_version_runs(batch)
-    # the span multiset per doc is preserved, the order is not
-    assert batch["spans"].to_pylist() != dirty["spans"].to_pylist()
+    # the versions per doc are preserved, their order is not
+    assert batch["ver_ts"].to_pylist() != dirty["ver_ts"].to_pylist()
     tsq = np.array(
         [int(np.datetime64("2024-01-15", "us").astype(np.int64))], dtype=np.int64
     )
 
     def snap_frame(b):
-        d = decode_spans(b, tags="ids", geom=True)
+        d = decode_spans(b)
         s = snap_fn(d, tsq)
         return (
             s.select(["osm_id", "ts_q", "lon_e7", "lat_e7"])
@@ -234,8 +240,8 @@ def test_reverse_version_runs_invariant_end_to_end():
     pd.testing.assert_frame_equal(snap_frame(batch), snap_frame(dirty))
     # tag_id alignment: the decoded (osm_id, v) -> tag_id map must match
     key = ["osm_id", "v"]
-    a = decode_spans(batch, tags="ids", geom=False).to_pandas()
-    b = decode_spans(dirty, tags="ids", geom=False).to_pandas()
+    a = decode_spans(batch, geom=False).to_pandas()
+    b = decode_spans(dirty, geom=False).to_pandas()
     pd.testing.assert_frame_equal(
         a.sort_values(key).reset_index(drop=True),
         b.sort_values(key).reset_index(drop=True),
@@ -307,12 +313,12 @@ def test_property_random_histories_match_oracle():
         st.lists(st.sampled_from(_STATE_COLS), unique=True),
     )
     def run(docs, mode, perm_seed, a, span, cols):
-        tbl = make_versions(_history_rows(docs, mode, perm_seed))
+        tbl, kt = make_versions(_history_rows(docs, mode, perm_seed))
         t0 = YEAR_US[2007 + a]
         t1 = YEAR_US[min(2007 + a + span, 2019)]
         for tf_spec in [None, ("etype", "click")]:
             tf = TagFilter(*tf_spec) if tf_spec else None
-            mask = tf.mask(tbl) if tf else None
+            mask = _mask(tf, tbl, kt)
             snap = snapshots(tbl, YEARLY, mask)
             assert _snap_set(snap) == snapshots_oracle(tbl, YEARLY, tf_spec)
             assert snapshots(tbl, YEARLY, mask, columns=cols).equals(
@@ -335,11 +341,11 @@ def test_tagfilter_exclude_values():
 
     from rayhist.temporal import TagFilter
 
-    tbl = pa.table({"tag_sig": ["a=1|k=2", "a=1", "k=5", "k=3", "kx=5"]})
-    m = TagFilter("k", exclude_values=("5",)).mask(tbl)
+    sigs = pa.array(["a=1|k=2", "a=1", "k=5", "k=3", "kx=5"])
+    m = TagFilter("k", exclude_values=("5",))._match_sigs(sigs)
     assert list(m) == [True, False, False, True, False]
     # contrast: key-absent excludes every row with the key
-    m2 = TagFilter("k", exclude=True).mask(tbl)
+    m2 = TagFilter("k", exclude=True)._match_sigs(sigs)
     assert list(m2) == [False, True, False, False, True]
 
 
@@ -415,15 +421,16 @@ def test_dwell_time_invariant_under_unsorted_runs():
     every document's version runs reversed yields IDENTICAL totals."""
     from rayhist.aggregate import combine_partials
     from rayhist.model import reverse_version_runs
-    from rayhist.pipelines import _docs, _dwell_stage
+    from rayhist.pipelines import _docs, _dwell_stage, _tag_lookup
 
-    docs = _docs("/root/testdata/sf0.001", spans=True)
+    docs = _docs("/root/testdata/sf0.001")
+    lookup = _tag_lookup("/root/testdata/sf0.001")
     clean = combine_partials(
-        rio.map_blocks(docs, _dwell_stage),
+        rio.map_blocks(docs, lambda b: _dwell_stage(b, lookup)),
         ["etype"], {"dwell_p": "dwell_us"},
     ).sort_values("etype").reset_index(drop=True)
     dirty = combine_partials(
-        rio.map_blocks(docs, lambda b: _dwell_stage(reverse_version_runs(b))),
+        rio.map_blocks(docs, lambda b: _dwell_stage(reverse_version_runs(b), lookup)),
         ["etype"], {"dwell_p": "dwell_us"},
     ).sort_values("etype").reset_index(drop=True)
     assert clean.equals(dirty)
@@ -590,6 +597,7 @@ def test_predominant_etype_dwell_invariants():
     from rayhist.pipelines import (
         _docs,
         _predominant_stage,
+        _tag_lookup,
         q_etype_dwell_time,
         q_predominant_etype_dwell,
     )
@@ -605,10 +613,11 @@ def test_predominant_etype_dwell_invariants():
     assert 0 < got["sum_dwell_us"].sum() <= total
 
     names = {"n_entities_p": "n_entities", "sum_dwell_p": "sum_dwell_us"}
+    lookup = _tag_lookup("/root/testdata/sf0.001")
     dirty = combine_partials(
         rio.map_blocks(
-            _docs("/root/testdata/sf0.001", spans=True),
-            lambda b: _predominant_stage(reverse_version_runs(b)),
+            _docs("/root/testdata/sf0.001"),
+            lambda b: _predominant_stage(reverse_version_runs(b), lookup),
         ),
         ["etype"], names,
     ).astype({"n_entities": "int64", "sum_dwell_us": "int64"}).sort_values(
@@ -624,9 +633,10 @@ def test_twa_daily_invariant_under_unsorted_runs():
     derivations share the span model, so the identity is exact)."""
     from rayhist.aggregate import combine_partials
     from rayhist.model import reverse_version_runs
-    from rayhist.pipelines import _docs, _dwell_stage, _twa_stage
+    from rayhist.pipelines import _docs, _dwell_stage, _tag_lookup, _twa_stage
 
-    docs = _docs("/root/testdata/sf0.001", spans=True)
+    docs = _docs("/root/testdata/sf0.001")
+    lookup = _tag_lookup("/root/testdata/sf0.001")
     clean = combine_partials(
         rio.map_blocks(docs, _twa_stage),
         ["day"], {"vis_p": "visible_us"},
@@ -637,7 +647,7 @@ def test_twa_daily_invariant_under_unsorted_runs():
     ).sort_values("day").reset_index(drop=True)
     assert clean.equals(dirty)
     dwell = combine_partials(
-        rio.map_blocks(docs, _dwell_stage),
+        rio.map_blocks(docs, lambda b: _dwell_stage(b, lookup)),
         ["etype"], {"dwell_p": "dwell_us"},
     )
     assert int(clean["visible_us"].sum()) == int(dwell["dwell_us"].sum())
@@ -712,7 +722,7 @@ def test_snapshot_composite_key_overflow_raises():
     """Two docs need one doc-code bit; a query 2**60 us past the only
     edit leaves none, so the composite key would mix the docs. It must
     fail loudly instead of returning another document's state."""
-    tbl = make_versions(
+    tbl, _kt = make_versions(
         [
             dict(doc_id="node/1", v=1, ts=0, cs=1, lon_e7=1, lat_e7=1),
             dict(doc_id="node/2", v=1, ts=0, cs=2, lon_e7=2, lat_e7=2),
@@ -729,7 +739,7 @@ def test_snapshot_probe_chunks_keep_output(monkeypatch):
     repeated and before-every-edit timestamps."""
     import rayhist.temporal as temporal
 
-    tbl = scenario_corpus()
+    tbl, _kt = scenario_corpus()
     tsq = np.r_[YEARLY[::-1], YEARLY[3], YEAR_US[2006] - 1]
     want = snapshots(tbl, tsq)
     assert len(want) > 0

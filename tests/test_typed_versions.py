@@ -1,6 +1,7 @@
 """Typed per-version columns (decode once): the column gather in
-decode_spans must equal the span-text parse, which stays the
-differential reference, on every fixture family."""
+decode_spans, tag strings looked up through the keytable, must equal
+the span-text parse of tests/reference_decode.py, the differential
+reference, on every fixture family."""
 
 import importlib.util
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from rayhist import ingest
 from tests.fixtures import make_versions, pack_compound_docs, scenario_corpus, versions_to_documents
+from tests.reference_decode import decode_text, doc_codes_text, reverse_span_runs
 from rayhist.model import (
     DECODE_COLUMNS,
     VERSION_COLUMNS,
@@ -23,33 +25,45 @@ from rayhist.model import (
     doc_codes,
     pack_version_columns,
     reverse_version_runs,
+    tag_lookup,
 )
 from rayhist.temporal import _doc_codes
 from tests.test_ingest import SF
 
-FLAGS = [(t, g) for t in (False, "ids", True) for g in (False, True)]
+TAG_STRINGS = ["tag_sig", "etype", "kk"]
 
 
 def _text_only(docs: pa.Table) -> pa.Table:
     return docs.drop_columns(list(VERSION_COLUMNS))
 
 
-def _assert_typed_equals_text(docs: pa.Table) -> None:
-    for tags, geom in FLAGS:
-        typed = decode_spans(docs, tags=tags, geom=geom)
-        text = decode_spans(_text_only(docs), tags=tags, geom=geom)
-        assert typed.equals(text), (tags, geom)
-        if tags is not True:  # no tag strings: the span text is never read
-            lean = decode_spans(docs.select(DECODE_COLUMNS), tags=tags, geom=geom)
-            assert lean.equals(text), (tags, geom)
+def _reversed(docs: pa.Table) -> pa.Table:
+    """Both encodings of every history reversed: the typed columns
+    (model.reverse_version_runs) and the span text."""
+    return reverse_version_runs(docs).append_column("spans", reverse_span_runs(docs))
+
+
+def _assert_typed_equals_text(docs: pa.Table, keytable: list[str]) -> None:
+    """The lookup decode equals the span-text parse, with and without
+    the spans column and the coordinates; without a lookup only the tag
+    strings differ, constant-filled."""
+    lookup = tag_lookup(keytable)
+    for geom in (False, True):
+        text = decode_text(docs, geom=geom)
+        for batch in (docs, docs.select(DECODE_COLUMNS)):
+            assert decode_spans(batch, lookup, geom=geom).equals(text), geom
+        bare = decode_spans(docs.select(DECODE_COLUMNS), geom=geom)
+        assert bare.drop_columns(TAG_STRINGS).equals(text.drop_columns(TAG_STRINGS)), geom
+        assert set(bare["etype"].to_pylist()) <= {""} and set(bare["kk"].to_pylist()) <= {-1}
 
 
 @pytest.mark.parametrize("sf", ["sf0.001", "sf0.01"])
 def test_node_table_typed_decode_equals_text(sf):
-    docs = pq.read_table(ingest.ensure_documents(f"/root/testdata/{sf}"))
+    sf_dir = f"/root/testdata/{sf}"
+    docs = pq.read_table(ingest.ensure_documents(sf_dir))
     lengths = pa.compute.list_value_length(docs["ver_v"]).to_numpy()
     assert (lengths == docs["n_versions"].to_numpy()).all()
-    _assert_typed_equals_text(docs)
+    _assert_typed_equals_text(docs, ingest.sig_keytable(sf_dir))
 
 
 def test_reversed_node_table_keeps_typed_columns_unsorted():
@@ -57,19 +71,19 @@ def test_reversed_node_table_keeps_typed_columns_unsorted():
     reorder them exactly like the version-span runs, or the query would
     silently read sorted histories and stop testing the realignment."""
     docs = pq.read_table(ingest.ensure_documents("/root/testdata/sf0.001"))
-    rev = reverse_version_runs(docs)
-    _assert_typed_equals_text(rev)
+    rev = _reversed(docs)
+    _assert_typed_equals_text(rev, ingest.sig_keytable("/root/testdata/sf0.001"))
     lean = reverse_version_runs(docs.select(DECODE_COLUMNS))
-    assert decode_spans(lean, tags="ids").equals(decode_spans(_text_only(rev), tags="ids"))
-    sorted_ts = decode_spans(docs, tags=False)["ts"]
-    assert not decode_spans(rev, tags=False)["ts"].equals(sorted_ts)
+    assert decode_spans(lean).equals(decode_spans(rev))
+    sorted_ts = decode_spans(docs)["ts"]
+    assert not decode_spans(rev)["ts"].equals(sorted_ts)
 
 
 def test_scenario_corpus_typed_decode_equals_text():
-    docs = versions_to_documents(scenario_corpus())
+    docs, kt = versions_to_documents(scenario_corpus()[0])
     assert pa.compute.min(pa.compute.list_value_length(docs["ver_v"])).as_py() > 0
-    _assert_typed_equals_text(docs)
-    _assert_typed_equals_text(reverse_version_runs(docs))
+    _assert_typed_equals_text(docs, kt)
+    _assert_typed_equals_text(_reversed(docs), kt)
 
 
 @pytest.mark.parametrize(
@@ -94,25 +108,51 @@ def test_compound_tables_pack_typed_columns_equal_to_their_spans(ensure):
         assert names(docs, kt) == names(packed, packed_kt), col
     for batch in (docs, docs.drop_columns(["spans"])):
         with pytest.raises(ValueError, match="members_vec"):
-            decode_spans(batch, tags=False)
+            decode_spans(batch)
 
 
-def test_tag_strings_need_the_spans_column():
-    docs = versions_to_documents(scenario_corpus())
-    with pytest.raises(ValueError, match="spans column"):
-        decode_spans(docs.select(DECODE_COLUMNS), tags=True)
+def test_tag_strings_need_the_tag_ids():
+    """A lookup resolves tag strings from tag ids only: a batch without
+    them raises instead of constant-filling; without a lookup the ids
+    are -1."""
+    docs, kt = versions_to_documents(scenario_corpus()[0])
+    no_ids = docs.select(DECODE_COLUMNS).drop_columns(["tag_ids"])
+    with pytest.raises(ValueError, match="tag_ids"):
+        decode_spans(no_ids, tag_lookup(kt))
+    assert set(decode_spans(no_ids)["tag_id"].to_pylist()) == {-1}
+    with pytest.raises(IndexError):  # an id past the keytable
+        decode_spans(docs, tag_lookup(kt[:1]))
+
+
+def test_span_only_documents_raise():
+    """decode_spans has no text branch: documents without typed
+    columns raise, with or without their spans."""
+    docs, kt = versions_to_documents(scenario_corpus()[0])
+    for batch in (_text_only(docs), _text_only(docs).select(["doc_id", "spans"])):
+        with pytest.raises(ValueError, match="typed version columns"):
+            decode_spans(batch, tag_lookup(kt))
+        with pytest.raises(ValueError, match="typed version columns"):
+            doc_codes(batch)
 
 
 def test_typed_columns_that_disagree_with_the_spans_fail_loudly():
-    docs = versions_to_documents(scenario_corpus())
+    """The differential reference catches typed columns that are not
+    the span text's (the decode itself never reads the spans)."""
+    docs, kt = versions_to_documents(scenario_corpus()[0])
     bad = pack_version_columns([1] * docs.num_rows, v=[1] * docs.num_rows,
                                ts=[0] * docs.num_rows, cs=[0] * docs.num_rows,
                                uid=[0] * docs.num_rows, visible=[True] * docs.num_rows,
                                lon_e7=[0] * docs.num_rows, lat_e7=[0] * docs.num_rows)
     for c in VERSION_COLUMNS:
         docs = docs.set_column(docs.schema.get_field_index(c), c, bad[c])
-    with pytest.raises(ValueError, match="disagree"):
-        decode_spans(docs, tags=True)
+    with pytest.raises((AssertionError, ValueError)):  # counts no longer match the tag ids
+        _assert_typed_equals_text(docs, kt)
+    keep_ids = docs.set_column(
+        docs.schema.get_field_index("tag_ids"), "tag_ids",
+        pack_version_columns([1] * docs.num_rows, tag_ids=[0] * docs.num_rows)["tag_ids"],
+    )
+    with pytest.raises(AssertionError):
+        _assert_typed_equals_text(keep_ids, kt)
 
 
 def test_pack_version_columns_guards():
@@ -166,9 +206,9 @@ def _histories(draw):
 def test_random_histories_typed_decode_equals_text(rows):
     """Random histories, deleted versions and negative coordinates
     included, packed by the fixture builder (the model helper)."""
-    docs = versions_to_documents(make_versions(rows))
-    _assert_typed_equals_text(docs)
-    _assert_typed_equals_text(reverse_version_runs(docs))
+    docs, kt = versions_to_documents(make_versions(rows)[0])
+    _assert_typed_equals_text(docs, kt)
+    _assert_typed_equals_text(_reversed(docs), kt)
 
 
 def test_ingest_key_covers_relational_module(tmp_path, monkeypatch):
@@ -209,18 +249,20 @@ def test_doc_id_is_unique_per_row(ensure):
 
 def test_doc_codes_equal_the_doc_id_codes():
     """model.doc_codes (read off the list offsets) equals the doc_id
-    dictionary codes the temporal kernels derive by hashing, on the node
-    table: typed, lean, text-only, reversed histories and a slice."""
+    dictionary codes the temporal kernels derive by hashing, and the
+    codes read off the span text, on the node table: typed, lean,
+    reversed histories and a slice."""
     docs = pq.read_table(ingest.ensure_documents(SF))
-    batches = [docs, docs.select(DECODE_COLUMNS), _text_only(docs), reverse_version_runs(docs),
-               docs.slice(3, 40)]
+    batches = [docs, docs.select(DECODE_COLUMNS), reverse_version_runs(docs), docs.slice(3, 40)]
     for batch in batches:
-        want = _doc_codes(decode_spans(batch, tags=False, geom=False))
+        want = _doc_codes(decode_spans(batch, geom=False))
         assert np.array_equal(doc_codes(batch), want)
+    assert np.array_equal(doc_codes_text(docs), doc_codes(docs))
 
 
 def test_doc_codes_on_scenario_corpus():
-    docs = versions_to_documents(scenario_corpus())
-    for batch in (docs, reverse_version_runs(docs), _text_only(docs)):
-        want = _doc_codes(decode_spans(batch, tags=False, geom=False))
+    docs, _kt = versions_to_documents(scenario_corpus()[0])
+    for batch in (docs, _reversed(docs)):
+        want = _doc_codes(decode_spans(batch, geom=False))
         assert np.array_equal(doc_codes(batch), want)
+        assert np.array_equal(doc_codes_text(batch), want)
