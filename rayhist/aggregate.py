@@ -34,10 +34,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .functions.tdigest import DEFAULT_COMPRESSION, TDigest
-from .io import blocks_table, map_blocks, on_pandas, reduce_by_key
+from .io import Blocks, blocks_table, map_blocks, on_pandas, reduce_by_key
 from .ops.relational import _value_counts
 
 
@@ -114,7 +113,7 @@ def zerofill(
 
 
 def estimated_quantiles(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     col: str,
     qs: Sequence[float],
     compression: float = DEFAULT_COMPRESSION,
@@ -132,7 +131,7 @@ def estimated_quantiles(
     return [merged.quantile(q) for q in qs]
 
 
-def uniq(ds: ray.data.Dataset, col: str) -> list:
+def uniq(ds: Blocks, col: str) -> list:
     """Exact distinct (MapReducer.uniq, :1134-1161): per-block
     distinct partials, then one ``reduce_by_key`` on ``col`` whose
     buckets take the distinct values of their keys — the set-union
@@ -226,7 +225,7 @@ def combine_partials(
 
 
 def grouped_estimated_quantiles(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     key: str,
     col: str,
     qs: Sequence[float],
@@ -273,7 +272,7 @@ def grouped_estimated_quantiles(
 
 
 def rollup_sums(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     keys: list[str],
     sums: dict[str, str],
     count_as: str | None = None,
@@ -338,7 +337,7 @@ def rollup_sums(
 
 
 def pivot_counts(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     row_key: str,
     col_key: str,
     col_values: Sequence,
@@ -377,7 +376,7 @@ def pivot_counts(
 
 
 def grouped_approx_count_distinct(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     key: str,
     col: str,
     p: int | None = None,
@@ -439,7 +438,7 @@ def cube_levels(keys: list[str]) -> list[list[str]]:
 
 
 def approx_heavy_hitters(
-    ds: ray.data.Dataset, col: str, k: int, top_n: int
+    ds: Blocks, col: str, k: int, top_n: int
 ) -> pd.DataFrame:
     """Top-n frequent values via mergeable Misra-Gries partials
     (functions/heavyhitters.py): one capacity-k summary per batch
@@ -486,7 +485,7 @@ def approx_heavy_hitters(
     )
 
 
-def grouped_mode(ds: ray.data.Dataset, key: str, col: str) -> pd.DataFrame:
+def grouped_mode(ds: Blocks, key: str, col: str) -> pd.DataFrame:
     """Exact grouped MODE (most frequent value per key) with a
     deterministic tie-break: the SMALLEST value among the max-count
     ones. Null values are not countable (SQL COUNT semantics); null

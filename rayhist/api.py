@@ -50,7 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .io import blocks_table, map_blocks, materialize_blocks, reduce_by_key
+from .io import blocks_table, dataset, map_blocks, materialize_blocks, reduce_by_key
 from .temporal import TagFilter
 
 
@@ -349,9 +349,10 @@ class MapReducer:
                 "q_contrib_type_counts_ways / q_snapshot_way_geoms"
             )
 
-    def _docs(self) -> ray.data.Dataset:
+    def _docs(self):
         """The node document table without its span text
-        (``model.DECODE_COLUMNS``), or the Dataset source."""
+        (``model.DECODE_COLUMNS``, ``io.read_resident`` blocks), or the
+        Dataset source."""
         if not isinstance(self._source, str):
             return self._source
         from . import io as rio
@@ -531,10 +532,16 @@ class MapReducer:
         return timed_stage
 
     def view(self) -> ray.data.Dataset:
-        """Escape hatch: the lazy Dataset of view rows (snapshots or
-        contributions) after filters/AOI/maps — for callers composing
-        beyond the fluent terminals. Always a FULL decode: these rows
-        are user-visible, so no column may be constant-filled (pruning
+        """Escape hatch: a Dataset of the view rows (snapshots or
+        contributions) after filters/AOI/maps, for callers composing
+        beyond the fluent terminals. It is the facade's one Dataset
+        edge (``io.dataset`` over ``_view_blocks``); the terminals read
+        the blocks themselves."""
+        return dataset(self._view_blocks())
+
+    def _view_blocks(self):
+        """The view rows as blocks. Always a FULL decode: these rows are
+        user-visible, so no column may be constant-filled (pruning
         belongs to the aggregation terminals, which know what they
         read)."""
         self._require_node_only("view()")
@@ -717,9 +724,9 @@ class MapReducer:
 
         return self._docs(), stage
 
-    def _keyed_rows(self, cols: list[str]) -> ray.data.Dataset:
-        """Dataset of (group keys..., cols...) view rows, for the
-        Dataset-consuming sketch terminals."""
+    def _keyed_rows(self, cols: list[str]):
+        """Blocks of (group keys..., cols...) view rows, for the
+        sketch terminals."""
         docs, stage = self._keyed_stage(cols)
         return materialize_blocks(docs, stage)
 
@@ -1003,7 +1010,7 @@ class MapReducer:
         import pickle
 
         acc = None
-        for row in map_blocks(self.view(), stage).to_pylist():
+        for row in map_blocks(self._view_blocks(), stage).to_pylist():
             v = pickle.loads(row["_p"])
             acc = v if acc is None else combine(acc, v)
         return acc
@@ -1100,7 +1107,7 @@ class MapReducer:
             raise ValueError("convexHull() is a snapshot-view terminal")
         from .spatial.hull import grouped_convex_hull
 
-        return grouped_convex_hull(self.view(), "ts_q", "osm_id", "lon_e7", "lat_e7")
+        return grouped_convex_hull(self._view_blocks(), "ts_q", "osm_id", "lon_e7", "lat_e7")
 
     def colocationPairs(self, radius_e7: int) -> pd.DataFrame:
         """All pairs of matching entities within planar distance
@@ -1119,7 +1126,7 @@ class MapReducer:
         from .spatial.radius import radius_self_join
 
         pts = materialize_blocks(
-            self.view(),
+            self._view_blocks(),
             lambda b: _pa.table({"id": b["osm_id"], "x": b["lon_e7"], "y": b["lat_e7"]}),
         )
         df = radius_self_join(pts, radius_e7).to_pandas()
@@ -1129,7 +1136,7 @@ class MapReducer:
     def collect(self) -> pd.DataFrame:
         """collect (MapReducer.java:1404-1414) — materializes the view
         rows to the driver; small results only, stream() otherwise."""
-        return self.view().to_pandas()
+        return self._view_blocks().to_pandas()
 
     def stream(self, batch_size: int | None = None):
         """stream (MapReducer.java:1422-1430): iterator of Arrow

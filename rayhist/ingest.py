@@ -606,7 +606,8 @@ def _build(sf_dir: str, rep: int, block: int, packer) -> ray.data.Dataset:
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "ts", "user_id", "event_type", "value", "props"],
     )
-    return ray.data.from_arrow_refs(rio.reduce_by_key(ev, [key], reduce, stage=stage)).materialize()
+    packed = rio.reduce_by_key(ev, [key], reduce, stage=stage)
+    return ray.data.from_arrow_refs(list(packed.refs)).materialize()
 
 
 def build_documents(sf_dir: str, rep: int = 1) -> ray.data.Dataset:

@@ -35,15 +35,24 @@ its cell-id buffer across the nodes and reduces per node
 routes its stage output into hash buckets of a key, and one task per
 bucket reduces the rows it received, again with no Ray Data execution.
 
-``map_blocks``, ``materialize_blocks``, ``reduce_by_key`` and
-``blocks_table`` take their blocks through one rule (``_blocks``): a
-list of table refs or a materialized Dataset as it is, and any other
-Dataset (a table over the resident budget, a Dataset source's output)
-``materialize()``d once, one Ray Data execution, then the same tasks.
+Between steps a table travels as one small value, ``Blocks``: its
+block refs in block order, the view each task applies first, whether
+they are a resident table's kept blocks, and per-block row counts (the
+block and reduce tasks return each count next to its table, so
+``num_rows`` runs nothing). ``read_resident``, ``materialize_blocks``,
+``reduce_by_key`` and the operators return it, and every block-task
+entry point takes it as it is (``as_blocks``: a field read); a Dataset,
+given by a source reader or a caller, is ``materialize()``d once, one
+Ray Data execution, and gives its blocks. A Dataset is built only at
+the edges: the source readers, the write sinks and ``dataset`` for a
+caller that asks for one, as the reference's fastest backend hands
+each cell's partial straight to its reduce with no engine object
+between steps (``MapReducerJdbcMultithread.java:62-67``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -54,7 +63,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from stat import S_ISDIR
 
@@ -266,6 +275,96 @@ def write_table(
     ds.write_parquet(str(path), **kwargs)
 
 
+# ------------------------------------------------------------ block values
+
+
+class _View:
+    """The rows a read asks of a resident table: ``filter`` applied,
+    then ``columns`` selected (None: every column held)."""
+
+    def __init__(self, filter, columns):
+        self.filter, self.columns = filter, columns
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        if self.filter is not None:
+            t = t.filter(self.filter)
+        return t if self.columns is None else t.select(list(self.columns))
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """A table as its blocks in the object store, in block order: what
+    ``read_resident``, ``materialize_blocks``, ``reduce_by_key`` and the
+    operators return, and what every block-task entry point takes.
+
+    ``rows`` holds each block's row count before the view: an int, or
+    the ref of the count its producing task returned next to the table
+    (None: unknown, for refs a caller handed in). ``view`` is the filter
+    and column selection every task applies to a block first (a
+    ``read_resident`` of a filter, or of fewer columns than the copy
+    holds). ``kept`` marks a resident table's own blocks: a task gets
+    each ref wrapped in a list, so its worker fetches the block once and
+    keeps it (``_local_block``); any other ref goes as it is, for Ray to
+    resolve."""
+
+    refs: tuple
+    rows: tuple
+    view: _View | None = None
+    kept: bool = False
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+    def to_pandas(self) -> pd.DataFrame:
+        """The rows as one pandas frame, each block converted on its own
+        and then concatenated (as ``Dataset.to_pandas`` does), so a
+        block's pandas metadata survives: an operator's nullable
+        ``Int64`` column stays ``Int64`` rather than widening to float."""
+        typed = [t for t in _tables(self) if t.num_columns]
+        frames = [t.to_pandas() for t in [t for t in typed if t.num_rows] or typed[:1]]
+        return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+
+
+def _dataset_blocks(ds: ray.data.Dataset) -> Blocks:
+    """The blocks of a Dataset (a Dataset source's output, a table over
+    the resident budget, a caller's Dataset), with their row counts
+    from the block metadata: a Dataset that is not materialized is
+    ``materialize()``d first, one Ray Data execution."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    pairs = [(r, m.num_rows) for b in ds.iter_internal_ref_bundles() for r, m in b.blocks]
+    return Blocks(tuple(r for r, _ in pairs), tuple(n for _, n in pairs))
+
+
+def as_blocks(ds) -> Blocks:
+    """The one input rule of every block-task entry point: a ``Blocks``
+    as it is, a list of table refs as blocks of unknown row counts, and
+    a Dataset through ``_dataset_blocks``."""
+    if isinstance(ds, Blocks):
+        return ds
+    if isinstance(ds, (list, tuple)):
+        return Blocks(tuple(ds), (None,) * len(ds))
+    return _dataset_blocks(ds)
+
+
+def table_blocks(t: pa.Table) -> Blocks:
+    """A table built on the driver (an operator's gated result) as one
+    block."""
+    return Blocks((ray.put(t),), (t.num_rows,))
+
+
+def dataset(blocks) -> ray.data.Dataset:
+    """A Dataset over ``blocks`` (view applied; a Dataset as it is),
+    for a caller that asks for one (``api.MapReducer.view``) or a write
+    sink. A bare ``from_arrow_refs`` Dataset plans again on each read
+    (~20 ms), so no query step hands one on."""
+    if isinstance(blocks, ray.data.Dataset):
+        return blocks
+    b = as_blocks(blocks)
+    ds = ray.data.from_arrow_refs(list(b.refs))
+    return ds if b.view is None else ds.map_batches(b.view, batch_format="pyarrow")
+
+
 # ------------------------------------------------------------ resident tables
 
 # share of the cluster's object_store_memory the resident tables may
@@ -275,14 +374,11 @@ RESIDENT_FRACTION = 0.25
 
 @dataclass
 class _Resident:
-    ds: MaterializedDataset | None  # None: over budget, read from disk
+    blocks: Blocks | None  # None: over budget, read from disk
     columns: tuple | None  # the columns held (None: every column)
     nbytes: int
     hits: int = 0
     misses: int = 1
-    # the views of fewer columns, by column list: building one plans a
-    # Dataset (~1 ms)
-    views: dict = field(default_factory=dict)
 
 
 # (session, path, stat identity) -> table, least recently used first;
@@ -290,12 +386,6 @@ class _Resident:
 # table load it once
 _resident: OrderedDict[tuple, _Resident] = OrderedDict()
 _resident_lock = threading.Lock()
-# views of resident tables (a filter, fewer columns) -> (resident
-# table, view), so a block task applies the view first
-_views: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# resident tables -> their block refs, taken once at admission: a
-# to_arrow_refs() call plans and executes the Dataset again (~1 ms)
-_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # a new value whenever a resident table is dropped (evicted, replaced,
 # of an ended session, or collected); every block and route task
 # carries it, and a worker that sees a new one first forgets the blocks
@@ -341,13 +431,13 @@ def _stat_identity(path) -> tuple:
     return tuple((f, s.st_size, s.st_mtime_ns, s.st_ctime_ns, s.st_ino) for f, s in stats)
 
 
-def _admit(key: tuple, ds: MaterializedDataset, columns: tuple | None) -> _Resident:
-    """Keep ``ds`` (holding ``columns``) under ``key`` and evict least
-    recently used tables until the resident total fits the budget
-    again. Entries of another Ray session go first (their object refs
-    are dead), then the copy it replaces: the same path under an older
-    file identity, or under the same one holding fewer columns, whose
-    hits and misses carry over."""
+def _admit(key: tuple, blocks: Blocks, columns: tuple | None, nbytes: int) -> _Resident:
+    """Keep ``blocks`` (holding ``columns``, ``nbytes`` in memory) under
+    ``key`` and evict least recently used tables until the resident
+    total fits the budget again. Entries of another Ray session go
+    first (their object refs are dead), then the copy it replaces: the
+    same path under an older file identity, or under the same one
+    holding fewer columns, whose hits and misses carry over."""
     for dead in [k for k in _resident if k[0] != key[0]]:
         del _resident[dead]
         _forget_blocks()
@@ -356,32 +446,18 @@ def _admit(key: tuple, ds: MaterializedDataset, columns: tuple | None) -> _Resid
         e = _resident.pop(old)
         hits, misses = hits + e.hits, misses + e.misses
         _forget_blocks()
-    nbytes = ds.size_bytes()
     budget = RESIDENT_FRACTION * ray.cluster_resources().get("object_store_memory", 0)
     entry = _resident[key] = _Resident(
-        ds if nbytes <= budget else None, columns, nbytes, hits, misses
+        blocks if nbytes <= budget else None, columns, nbytes, hits, misses
     )
-    while sum(e.nbytes for e in _resident.values() if e.ds is not None) > budget:
-        oldest = next(k for k, e in _resident.items() if e.ds is not None)
+    while sum(e.nbytes for e in _resident.values() if e.blocks is not None) > budget:
+        oldest = next(k for k, e in _resident.items() if e.blocks is not None)
         del _resident[oldest]
         _forget_blocks()
     return entry
 
 
-class _View:
-    """The rows a read asks of a resident table: ``filter`` applied,
-    then ``columns`` selected (None: every column held)."""
-
-    def __init__(self, filter, columns):
-        self.filter, self.columns = filter, columns
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if self.filter is not None:
-            t = t.filter(self.filter)
-        return t if self.columns is None else t.select(list(self.columns))
-
-
-def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
+def read_resident(path, columns=None, filter=None) -> Blocks:
     """Read a table (a file, a directory or a list of files) for a
     query, from the object store.
 
@@ -392,30 +468,26 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
     for. A read of a column the copy lacks materializes
     ``read_table(path, columns=<that union>)`` (as many blocks as
     ``auto_num_blocks`` picks read tasks), compacts every block to one
-    chunk per column (one block task each; a parquet read leaves one
-    chunk per shard file, and each fetch of a block rebuilds every
-    chunk) and keeps it with its block refs in place of the narrower
-    copy. Every other read returns the kept ``MaterializedDataset``, so
-    a query's block tasks run over in-memory blocks with no read
-    planning and no parquet decode, and ``map_blocks``/``reduce_by_key``
-    take the kept refs instead of a ``to_arrow_refs()`` per query. The
-    file identity is each file's (name, size, mtime_ns, ctime_ns,
-    inode): any write moves the ctime, so a file rewritten in place
-    (even with its mtime restored) reloads on the next call. Resident
-    tables are an LRU over ``Dataset.size_bytes()`` capped at
+    chunk per column (one ``materialize_blocks`` task each; a parquet
+    read leaves one chunk per shard file, and each fetch of a block
+    rebuilds every chunk) and keeps those blocks in place of the
+    narrower copy. Every read returns the kept blocks as a ``Blocks``
+    value, so a query's block tasks run over in-memory blocks with no
+    read planning, no parquet decode and no Dataset. The file identity
+    is each file's (name, size, mtime_ns, ctime_ns, inode): any write
+    moves the ctime, so a file rewritten in place (even with its mtime
+    restored) reloads on the next call. Resident tables are an LRU over
+    the materialized read's ``Dataset.size_bytes()`` capped at
     ``RESIDENT_FRACTION`` of the cluster's object store; a table whose
-    copy is over the cap is a lazy ``read_table(path, columns=,
-    filter=)`` on every later call (parquet pruning kept), which the
-    block-task entry points materialize once for that query
-    (``_blocks``).
+    copy is over the cap is read from disk on every later call
+    (``read_table(path, columns=, filter=)``, parquet pruning kept) and
+    materialized once, one Ray Data execution.
 
     ``filter`` is a pyarrow expression over the read columns (same rows
     in the same order as a parquet ``filter=`` read). A read with a
     filter, or of fewer columns than the copy holds (or in another
-    order), is a view of the copy: every block task applies the filter,
-    then selects the columns (``map_blocks``, ``materialize_blocks``,
-    ``reduce_by_key``, ``blocks_table``); a Dataset operator sees a
-    ``map_batches`` stage doing the same.
+    order), is the kept blocks with a ``view``: every block task applies
+    the filter, then selects the columns.
     """
     paths = path if isinstance(path, (list, tuple)) else [path]
     ident = tuple(f for p in paths for f in _stat_identity(p))
@@ -426,41 +498,36 @@ def read_resident(path, columns=None, filter=None) -> ray.data.Dataset:
         if ray.is_initialized():  # uninitialised: a miss, and the read auto-inits
             key = (_session(), str(path), ident)
             entry = _resident.get(key)
-        if entry is not None and entry.ds is None:
+        if entry is not None and entry.blocks is None:
             entry.misses += 1
-            return read_table(path, columns=columns, **flt)
+            return _dataset_blocks(read_table(path, columns=columns, **flt))
         if entry is not None and (
             entry.columns is None or cols is not None and set(cols) <= set(entry.columns)
         ):
             entry.hits += 1
             _resident.move_to_end(key)
-            ds = entry.ds
+            blocks = entry.blocks
         else:
             held = cols
             if entry is not None and cols is not None:
                 held = entry.columns + tuple(c for c in cols if c not in entry.columns)
             ds = read_table(path, columns=None if held is None else list(held)).materialize()
-            ds = materialize_blocks(ds, pa.Table.combine_chunks)
-            _kept[ds] = ds.to_arrow_refs()
-            weakref.finalize(ds, _forget_blocks)
-            entry = _admit((_session(), str(path), ident), ds, held)
+            compact = materialize_blocks(ds, pa.Table.combine_chunks)
+            blocks = Blocks(compact.refs, tuple(ray.get(list(compact.rows))), kept=True)
+            weakref.finalize(blocks, _forget_blocks)
+            entry = _admit((_session(), str(path), ident), blocks, held, ds.size_bytes())
         if cols == entry.columns:
             cols = None
-        if filter is None and (cols is None or cols in entry.views):
-            return ds if cols is None else entry.views[cols]
-        view = _View(filter, cols)
-        out = ds.map_batches(view, batch_format="pyarrow")
-        _views[out] = (ds, view)
-        if filter is None:
-            entry.views[cols] = out
-    return out
+    if filter is None and cols is None:
+        return blocks
+    return dataclasses.replace(blocks, view=_View(filter, cols))
 
 
 def _arrow(block) -> pa.Table:
-    """A block as Arrow: ``to_arrow_refs`` hands blocks through as they
-    are when the Dataset schema is Arrow, and ``map_batches`` passes an
-    empty input block through unconverted, so a pandas-block source can
-    leave empty pandas blocks among the Arrow ones."""
+    """A block as Arrow: a Dataset's blocks come as they were stored,
+    and ``map_batches`` passes an empty input block through
+    unconverted, so a pandas-block source can leave pandas blocks among
+    the Arrow ones."""
     if isinstance(block, pa.Table):
         return block
     return pa.Table.from_pandas(block, preserve_index=False)
@@ -485,71 +552,74 @@ def _local_block(block, generation: int) -> pa.Table:
     return t
 
 
-@ray.remote
-def _block_task(stage, block, view, batch_size: int | None, generation: int) -> pa.Table:
+@ray.remote(num_returns=2)
+def _block_task(stage, block, view, batch_size: int | None, generation: int):
     block = _local_block(block, generation)
     if view is not None:
         block = view(block)
     if not block.num_columns:  # a schema-less empty block: see _route_task
-        return block
+        return block, 0
     n = block.num_rows
     if batch_size is None or n <= batch_size:
-        return stage(block)
-    return _concat([stage(block.slice(i, batch_size)) for i in range(0, n, batch_size)])
+        out = stage(block)
+    else:
+        out = _concat([stage(block.slice(i, batch_size)) for i in range(0, n, batch_size)])
+    return out, out.num_rows
 
 
 def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
 
 
-def _blocks(ds: ray.data.Dataset | list) -> tuple[list, _View | None]:
-    """The block arguments of one task per block of ``ds``, and the
-    view (filter, columns) each task applies first: the one rule of
-    every block-task entry point. A list of table refs (a
-    ``reduce_by_key`` result) is taken as it is; a materialized Dataset
-    (a ``read_resident`` table or a view of one, or any
-    ``materialize()`` result) gives its blocks;
-    any other Dataset (a table over the resident budget, a Dataset
-    operator's output) is ``materialize()``d once, one Ray Data
-    execution, and gives the blocks of that. A resident table's kept
-    refs are each wrapped in a list, so Ray hands the task the ref
-    itself and the worker keeps the block it fetches; any other
-    Dataset's refs go as they are, for Ray to resolve (a transient
-    output is never kept)."""
-    if isinstance(ds, list):
-        return ds, None
-    base, view = _views.get(ds, (ds, None))
-    if not isinstance(base, MaterializedDataset):
-        base, view = ds.materialize(), None
-    refs = _kept.get(base)
-    return (base.to_arrow_refs() if refs is None else [[r] for r in refs]), view
+def _task_blocks(b: Blocks) -> list:
+    """The block argument of each task over ``b``: a kept ref wrapped in
+    a list (the worker resolves and keeps it), any other ref as it
+    is."""
+    return [[r] for r in b.refs] if b.kept else list(b.refs)
 
 
-def blocks_table(blocks: ray.data.Dataset | list) -> pa.Table:
-    """The rows of a Dataset, or of a list of table refs (a
-    ``reduce_by_key`` result), as one table in block order, fetched
-    from its blocks (``_blocks``; ``to_pandas()`` or
-    ``iter_batches()`` would start a streaming execution even over a
-    materialized Dataset)."""
-    blocks, view = _blocks(blocks)
-    tables = [_arrow(t) for t in ray.get([b[0] if isinstance(b, list) else b for b in blocks])]
-    return _concat(tables if view is None else [view(t) for t in tables])
+def blocks_table(blocks) -> pa.Table:
+    """The rows of ``blocks`` (``as_blocks``: a ``Blocks``, a list of
+    table refs, a Dataset) as one table in block order, fetched from
+    its blocks with the view applied (``to_pandas()`` or
+    ``iter_batches()`` of a Dataset would start a streaming
+    execution)."""
+    return _concat(_tables(as_blocks(blocks)))
+
+
+def _tables(b: Blocks) -> list[pa.Table]:
+    """The blocks of ``b`` fetched to the driver, view applied."""
+    tables = [_arrow(t) for t in ray.get(list(b.refs))]
+    return tables if b.view is None else [b.view(t) for t in tables]
+
+
+def schema(blocks) -> pa.Schema:
+    """The schema of ``blocks`` after its view: its first block with
+    columns, fetched (a block task hands a schema-less empty block on
+    as it is); an empty schema when no block has any."""
+    b = as_blocks(blocks)
+    for ref in b.refs:
+        t = _arrow(ray.get(ref))
+        if t.num_columns:
+            return (t if b.view is None else b.view(t.slice(0, 0))).schema
+    return pa.schema([])
 
 
 def _row_count(t: pa.Table) -> pa.Table:
     return pa.table({"n": [t.num_rows]})
 
 
-def num_rows(ds: ray.data.Dataset) -> int | None:
-    """The row count of ``ds`` where it takes no Ray Data execution: a
-    materialized Dataset's, or an unfiltered view's, from the block
-    metadata of its resident table; a filtered view's from one block
-    task per block; an unfiltered disk read's from parquet metadata.
-    None for any other Dataset: counting it would run it."""
-    base, view = _views.get(ds, (ds, None))
-    if view is None or view.filter is None:
-        return base._meta_count()
-    return int(pc.sum(map_blocks(ds, _row_count)["n"]).as_py() or 0)
+def num_rows(blocks) -> int:
+    """The row count of ``blocks`` (``as_blocks``) with no Ray Data
+    execution: the sum of the per-block counts (kept at admission for a
+    resident table, returned by each block task next to its table for a
+    ``materialize_blocks`` or ``reduce_by_key`` output), or one count
+    task per block under a filter or for refs of unknown counts."""
+    b = as_blocks(blocks)
+    if (b.view is not None and b.view.filter is not None) or None in b.rows:
+        return int(pc.sum(map_blocks(b, _row_count)["n"]).as_py() or 0)
+    counts = [n for n in b.rows if isinstance(n, int)]
+    return sum(counts) + sum(ray.get([n for n in b.rows if not isinstance(n, int)]))
 
 
 def _ship(fn, n: int):
@@ -561,45 +631,45 @@ def _ship(fn, n: int):
     return fn if n <= 1 else ray.put(fn)
 
 
-def _block_refs(ds: ray.data.Dataset | list, stage, batch_size: int | None) -> list:
-    """One ``_block_task`` per block of ``ds`` (``_blocks``): the
-    output refs in block order."""
-    blocks, view = _blocks(ds)
-    fn = _ship(stage, len(blocks))
-    return [_block_task.remote(fn, b, view, batch_size, _generation) for b in blocks]
+def _block_refs(ds, stage, batch_size: int | None) -> list:
+    """One ``_block_task`` per block of ``ds`` (``as_blocks``): the
+    (table, row count) ref pairs in block order."""
+    b = as_blocks(ds)
+    args = _task_blocks(b)
+    fn = _ship(stage, len(args))
+    return [_block_task.remote(fn, a, b.view, batch_size, _generation) for a in args]
 
 
-def map_blocks(ds: ray.data.Dataset | list, stage, batch_size: int | None = None) -> pa.Table:
+def map_blocks(ds, stage, batch_size: int | None = None) -> pa.Table:
     """Run ``stage`` (pyarrow table -> pyarrow table) over ``ds`` and
     return its outputs as one table, for partials combined on the
     driver.
 
-    The stage runs as one Ray task per block of ``ds`` (``_blocks``: a
-    Dataset that is not materialized is materialized once first): in
-    that task's arguments when there is one block, else ``ray.put``
-    once and shared. A worker keeps the resident blocks it fetches, so
-    the next query's task over the same block does not fetch it again.
-    The outputs are concatenated in block order, so two runs give the
-    same rows in the same order, and a block whose rows are all
-    filtered out still yields the stage's typed empty output. A
-    streaming execution costs tens of milliseconds of fixed executor
-    time per query (planning, operator start-up, a polling consumer);
-    a task over a block already in the object store costs a few.
-    ``batch_size`` is the stage's call unit as in ``map_batches``:
-    None is the whole block.
+    The stage runs as one Ray task per block of ``ds`` (``as_blocks``: a
+    Dataset is materialized once first): in that task's arguments when
+    there is one block, else ``ray.put`` once and shared. A worker
+    keeps the resident blocks it fetches, so the next query's task over
+    the same block does not fetch it again. The outputs are
+    concatenated in block order, so two runs give the same rows in the
+    same order, and a block whose rows are all filtered out still
+    yields the stage's typed empty output. A streaming execution costs
+    tens of milliseconds of fixed executor time per query (planning,
+    operator start-up, a polling consumer); a task over a block already
+    in the object store costs a few. ``batch_size`` is the stage's call
+    unit as in ``map_batches``: None is the whole block.
     """
-    return _concat(ray.get(_block_refs(ds, stage, batch_size)))
+    return _concat(ray.get([t for t, _n in _block_refs(ds, stage, batch_size)]))
 
 
-def materialize_blocks(ds: ray.data.Dataset | list, stage) -> MaterializedDataset:
+def materialize_blocks(ds, stage) -> Blocks:
     """``ds.map_batches(stage).materialize()`` for an output that stays
-    distributed (it feeds a co-group, a ``reduce_by_key`` or a Dataset
+    distributed (it feeds a co-group, a ``reduce_by_key`` or another
     operator, not a driver combine): the same block tasks as
     ``map_blocks``, whose outputs stay in the object store as the
-    blocks of the returned Dataset, in block order."""
-    # materialize() pins the plan as executed: a bare from_arrow_refs
-    # Dataset re-plans on every later read of it
-    return ray.data.from_arrow_refs(_block_refs(ds, stage, None)).materialize()
+    returned blocks, in block order, each with the row count its task
+    returned."""
+    outs = _block_refs(ds, stage, None)
+    return Blocks(tuple(t for t, _n in outs), tuple(n for _t, n in outs))
 
 
 def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -637,19 +707,21 @@ def _route_task(stage, block, view, keys: list[str], n: int, generation: int):
     return slices if n > 1 else slices[0]  # num_returns=1 returns one value
 
 
-@ray.remote
-def _reduce_task(reduce, *slices: pa.Table) -> pa.Table:
+@ray.remote(num_returns=2)
+def _reduce_task(reduce, *slices: pa.Table):
     typed = [s for s in slices if s.num_columns]
     # no typed slice: every input block was schema-less, so no rows
-    return reduce(_concat(typed)) if typed else pa.table({})
+    out = reduce(_concat(typed)) if typed else pa.table({})
+    return out, out.num_rows
 
 
-def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=None) -> list:
+def reduce_by_key(ds, keys: list[str], reduce, stage=None) -> Blocks:
     """Group the rows of ``ds`` (after ``stage``) by ``keys`` and run
     ``reduce`` (pyarrow table -> pyarrow table) over each bucket of
-    keys: the refs of the reduce outputs, one table per bucket in
+    keys: the reduce outputs as ``Blocks``, one block per bucket in
     bucket order, still in the object store (read them on the driver
-    with ``blocks_table``, or pass them to another ``reduce_by_key``).
+    with ``blocks_table``, or pass them to another block-task entry
+    point or operator).
 
     ``reduce(table)`` must be correct for any table that holds ALL rows
     of every key it contains, and must return its typed empty output
@@ -657,25 +729,27 @@ def reduce_by_key(ds: ray.data.Dataset | list, keys: list[str], reduce, stage=No
     ``groupby(keys)`` + ``map_groups`` of ``reduce`` over
     ``ds.map_batches(stage)`` would give.
 
-    ``ds`` has ``n`` blocks (``_blocks``: a Dataset that is not
-    materialized is materialized once first): one task per block
-    applies the filter and ``stage`` and routes its rows by a hash of
-    ``keys`` into ``n`` slices (rows keep their order within a slice);
-    one task per bucket concatenates its slices in block order and
-    applies ``reduce``, also to a bucket that received no rows, so two
-    runs give the same rows in the same order.
+    ``ds`` has ``n`` blocks (``as_blocks``: a Dataset is materialized
+    once first): one task per block applies the view and ``stage`` and
+    routes its rows by a hash of ``keys`` into ``n`` slices (rows keep
+    their order within a slice); one task per bucket concatenates its
+    slices in block order and applies ``reduce``, also to a bucket that
+    received no rows, so two runs give the same rows in the same order.
+    Each reduce task returns its row count next to its table.
     """
-    blocks, view = _blocks(ds)
-    n = len(blocks)
+    b = as_blocks(ds)
+    args = _task_blocks(b)
+    n = len(args)
     fn = _ship(stage, n)
     routed = [
-        _route_task.options(num_returns=n).remote(fn, b, view, keys, n, _generation)
-        for b in blocks
+        _route_task.options(num_returns=n).remote(fn, a, b.view, keys, n, _generation)
+        for a in args
     ]
     if n == 1:
         routed = [[r] for r in routed]
     red = _ship(reduce, n)
-    return [_reduce_task.remote(red, *[r[j] for r in routed]) for j in range(n)]
+    outs = [_reduce_task.remote(red, *[r[j] for r in routed]) for j in range(n)]
+    return Blocks(tuple(t for t, _n in outs), tuple(c for _t, c in outs))
 
 
 def on_pandas(fn):
@@ -703,7 +777,7 @@ def resident_tables() -> list[dict]:
             "mb": e.nbytes / (1 << 20),
             "hits": e.hits,
             "misses": e.misses,
-            "resident": e.ds is not None,
+            "resident": e.blocks is not None,
         }
         for k, e in items
     ]

@@ -27,14 +27,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
+from .. import io as rio
 from .cc import _node_buckets, _np
 from .sssp import _relaxed, _seeded
 
 
 def bfs_hops(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     seed_pred,
     max_hops: int,
     src: str = "src",

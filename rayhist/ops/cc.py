@@ -47,7 +47,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 
@@ -148,8 +147,8 @@ def _state_rows(t: pa.Table) -> pa.Table:
     return t.filter((kind == STATE) | (kind == ACTIVE)) if t.num_columns else _rows(STATE, [])
 
 
-def _state(buckets: list, node: str, val: str | None = None) -> ray.data.Dataset:
-    """The state rows as a Dataset of their ``node`` (and ``val``)
+def _state(buckets: list, node: str, val: str | None = None) -> rio.Blocks:
+    """The state rows as blocks of their ``node`` (and ``val``)
     columns under the given names, one block per bucket."""
 
     def select(t: pa.Table) -> pa.Table:
@@ -190,14 +189,14 @@ def _min_round(buckets: list, settle: bool = False) -> list:
 
 
 def connected_components(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
     max_rounds: int = 64,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Label every node of the undirected graph ``edges`` with its
     component id = the MINIMUM node id reachable from it. Node ids
-    must be non-null int64. Returns a (node, component) Dataset with
+    must be non-null int64. Returns (node, component) blocks with
     one row per distinct node appearing in any edge. Isolated nodes
     (no edges) are the caller's to union in — an edge list cannot
     mention them."""

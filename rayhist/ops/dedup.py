@@ -28,7 +28,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .. import io as rio
 
@@ -129,7 +128,7 @@ def explode_shingles(batch: pa.Table, id_col: str = "doc_id", text_col: str = "t
 
 
 def exact_jaccard_pairs(
-    docs: ray.data.Dataset,
+    docs: rio.Blocks,
     threshold_num: int = 1,
     threshold_den: int = 2,
     id_col: str = "doc_id",
@@ -426,7 +425,7 @@ def _minhash_lsh_pairs_local(
 
 
 def minhash_lsh_pairs(
-    docs: ray.data.Dataset,
+    docs: rio.Blocks,
     threshold_num: int = 1,
     threshold_den: int = 2,
     bands: int | None = None,
@@ -469,12 +468,12 @@ def minhash_lsh_pairs(
     # scheduling overhead at few-thousand-doc scale (1 cpu, median of
     # 3: 703 ms against the driver pass's 207 ms on the sf0.01 corpus,
     # 1883 against 1562 ms on sf0.1). For an input whose small row
-    # count is known without running it (``io.num_rows``: a resident
-    # table or a view of one), run the SAME kernels in one driver pass.
+    # count is small (``io.num_rows``, known without running anything),
+    # run the SAME kernels in one driver pass.
     # Driver memory is bounded by DRIVER_GATE, never by the corpus; the
     # distributed path is A/B-pinned byte-identical against this one.
     n = rio.num_rows(docs)
-    if n is not None and n <= DRIVER_GATE:
+    if n <= DRIVER_GATE:
         tbl = rio.blocks_table(docs)
         return _minhash_lsh_pairs_local(tbl, threshold_num, threshold_den, bands)
 
@@ -531,7 +530,7 @@ def simhash64(shingles: set[str]) -> int:
     return int(votes.astype(np.uint64) @ (np.uint64(1) << np.arange(SIMHASH_BITS, dtype=np.uint64)))
 
 
-def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3) -> pd.DataFrame:
+def simhash_pairs(docs: rio.Blocks, max_hamming: int = 3) -> pd.DataFrame:
     """SimHash near-dup pairs: 64-bit fingerprints bucketed by 4
     16-bit chunks (any pair within hamming<=3 shares at least one of 4
     chunks by pigeonhole), verified by exact hamming distance. Both the
@@ -611,11 +610,11 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3) -> pd.DataFrame:
 
 
 def exact_dedup(
-    docs: ray.data.Dataset,
+    docs: rio.Blocks,
     id_col: str = "doc_id",
     text_col: str = "text",
     hash_fn: str = "vector128",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Exact dedup: content-hash -> keep the smallest-id row per hash.
 
     Scale shape (hash-partition + vectorized keep-first), NOT one
@@ -626,7 +625,7 @@ def exact_dedup(
        per distinct hash it contains, shrinking the shuffle;
     2. one ``io.reduce_by_key`` on the content hash: each bucket is
        one vectorized sort+drop_duplicates over all rows of its
-       hashes. Returns a materialized Dataset of the survivors.
+       hashes. Returns the survivors' blocks.
 
     ``hash_fn``: ``"vector128"`` (default, the production path) keys on
     ``content_hash128`` — two vectorized 64-bit lanes, no per-row
@@ -650,15 +649,14 @@ def exact_dedup(
             t = t.append_column("_h2", pa.array(h2.view(np.int64)))
         return pa.Table.from_pandas(keep_first(t.to_pandas()), preserve_index=False)
 
-    refs = rio.reduce_by_key(
+    return rio.reduce_by_key(
         docs, hcols, rio.on_pandas(lambda g: keep_first(g).drop(columns=hcols)),
         stage=add_hash_and_partial,
     )
-    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def embedding_dup_pairs(
-    embeddings: ray.data.Dataset,
+    embeddings: rio.Blocks,
     tau: float = 0.4,
     id_col: str = "vec_id",
     vec_col: str = "embedding",

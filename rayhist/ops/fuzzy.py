@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 
@@ -141,10 +140,10 @@ def _emit_keys(batch: pa.Table, id_col: str, s_col: str, side: str) -> pa.Table:
     )
 
 
-def edit1_pairs(ds: ray.data.Dataset, id_col: str, s_col: str) -> ray.data.Dataset:
+def edit1_pairs(ds: rio.Blocks, id_col: str, s_col: str) -> rio.Blocks:
     """All unordered id pairs whose strings are within ONE byte-level
     edit (including distance 0: exact duplicates under distinct ids).
-    Returns a Dataset with columns (id_a, id_b), id_a < id_b, globally
+    Returns blocks with columns (id_a, id_b), id_a < id_b, globally
     deduplicated."""
     from .relational import hash_join
 
@@ -174,5 +173,4 @@ def edit1_pairs(ds: ray.data.Dataset, id_col: str, s_col: str) -> ray.data.Datas
     def distinct(t: pa.Table) -> pa.Table:
         return pa.TableGroupBy(t, ["id_a", "id_b"]).aggregate([])
 
-    refs = rio.reduce_by_key(cand, ["id_a", "id_b"], distinct, stage=rio.on_pandas(verify))
-    return ray.data.from_arrow_refs(refs).materialize()
+    return rio.reduce_by_key(cand, ["id_a", "id_b"], distinct, stage=rio.on_pandas(verify))

@@ -44,8 +44,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
 from .. import io as rio
 from .cc import ADJ, MSG, STATE, _cols, _count, _ints, _lookup, _np, _reduce_by, _rows, _sent
@@ -136,7 +134,7 @@ def _rounds_local(
 
 
 def hits_bipartite(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
     iters: int = 2,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 from .cc import (
@@ -40,14 +39,14 @@ from .cc import (
 
 
 def k_core(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     k: int,
     src: str = "src",
     dst: str = "dst",
     max_rounds: int = 64,
     broadcast_gate: int = 2_000_000,
-) -> tuple[ray.data.Dataset, int]:
-    """(core-membership Dataset with one ``node`` column, peel-round
+) -> tuple[rio.Blocks, int]:
+    """(core-membership blocks with one ``node`` column, peel-round
     count) of the undirected graph ``edges`` (distinct canonical pairs
     expected — compose with ops.triangles.dedupe_edges).
 
@@ -94,7 +93,7 @@ def k_core(
     )
 
 
-def _kcore_broadcast(buckets: list, k: int, max_rounds: int) -> tuple[ray.data.Dataset, int]:
+def _kcore_broadcast(buckets: list, k: int, max_rounds: int) -> tuple[rio.Blocks, int]:
     """Gated fast path: see k_core's docstring. Alive membership
     broadcasts as a sorted int64 array (driver-sized under the gate)."""
     arr = np.sort(rio.map_blocks(buckets, _state_rows)["node"].to_numpy())
@@ -120,4 +119,4 @@ def _kcore_broadcast(buckets: list, k: int, max_rounds: int) -> tuple[ray.data.D
         raise RuntimeError(
             f"k_core: no fixpoint after {max_rounds} rounds — raise max_rounds"
         )
-    return ray.data.from_arrow(pa.table({"node": arr})).materialize(), rounds
+    return rio.table_blocks(pa.table({"node": arr})), rounds

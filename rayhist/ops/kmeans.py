@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 
@@ -43,7 +42,7 @@ _MAX_COORD = 1 << 27
 
 
 def kmeans_int(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     k: int,
     iters: int,
     pid: str = "pid",

@@ -30,20 +30,19 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 from .cc import ADJ, MSG, STATE, _cols, _lookup, _node_buckets, _reduce_by, _rows, _sent, _state
 
 
 def pagerank_int(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
     iters: int = 3,
     scale: int = 1_000_000,
     damping: tuple[int, int] = (85, 100),
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """(node, pr) after ``iters`` exact integer power iterations over
     the undirected graph ``edges`` (deduped canonical pairs expected —
     compose with ops.triangles.dedupe_edges for raw pair streams).

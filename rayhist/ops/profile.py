@@ -20,13 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
 from .. import io as rio
 
 
-def profile_columns(ds: ray.data.Dataset, cols: list[str]) -> pd.DataFrame:
+def profile_columns(ds: rio.Blocks, cols: list[str]) -> pd.DataFrame:
     """(column, n, n_null, n_distinct) per requested column — exact."""
 
     def stage(b: pa.Table) -> pa.Table:

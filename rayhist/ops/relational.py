@@ -19,7 +19,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from .. import io as rio
 
@@ -54,12 +53,12 @@ def cents(batch: pa.Table, col: str, out: str) -> pa.Table:
 
 
 def unpivot(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     id_cols: list[str],
     value_cols: list[str],
     var_name: str = "name",
     value_name: str = "value",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """SQL UNPIVOT (wide -> long), the inverse of the PIVOT reshape:
     each input row becomes len(value_cols) rows carrying the id
     columns, the source column's name under ``var_name`` and its
@@ -114,11 +113,11 @@ def _broadcast_get(ref) -> pd.DataFrame:
 
 
 def broadcast_join(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     small: pd.DataFrame,
     on: str | list[str],
     how: str = "inner",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Hash join against a broadcast small side: the dimension table is
     put in the object store ONCE and merged per batch (no shuffle) —
     the Ray analog of the reference's denormalize-instead-of-join
@@ -143,36 +142,34 @@ def broadcast_join(
     return rio.materialize_blocks(ds, rio.on_pandas(join))
 
 
-def _per_key(ds: ray.data.Dataset, keys: list[str], fn, stage=None) -> ray.data.Dataset:
+def _per_key(ds, keys: list[str], fn, stage=None) -> rio.Blocks:
     """``fn`` (pandas -> pandas) over complete ``keys``: one
     ``io.reduce_by_key`` routed by the key columns (after ``stage``),
-    its bucket outputs as the blocks of a Dataset. ``fn`` sees every
-    row of its bucket's keys, and an empty typed frame for a bucket
-    that received no rows."""
-    refs = rio.reduce_by_key(ds, keys, rio.on_pandas(fn), stage=stage)
-    return ray.data.from_arrow_refs(refs).materialize()
+    its bucket outputs as the returned blocks. ``fn`` sees every row of
+    its bucket's keys, and an empty typed frame for a bucket that
+    received no rows."""
+    return rio.reduce_by_key(ds, keys, rio.on_pandas(fn), stage=stage)
 
 
 def _tag_side(t: pa.Table, side: int) -> pa.Table:
     return t.append_column("_side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
 
 
-def _side_columns(tagged: ray.data.Dataset) -> list[str]:
+def _side_columns(tagged: rio.Blocks) -> list[str]:
     """Column names of one tagged (``materialize_blocks``) side of a
-    co-group, ``_side`` excluded — read from its blocks' metadata, no
-    execution."""
-    return [c for c in tagged.schema().names if c != "_side"]
+    co-group, ``_side`` excluded (``io.schema``)."""
+    return [c for c in rio.schema(tagged).names if c != "_side"]
 
 
-def _cogroup(left: ray.data.Dataset, right: ray.data.Dataset, keys: list[str], fn):
+def _cogroup(left: rio.Blocks, right: rio.Blocks, keys: list[str], fn) -> rio.Blocks:
     """The two-sided co-group: the blocks of both tagged
-    (``materialize_blocks``) sides as one ref list through one
+    (``materialize_blocks``) sides as one block list through one
     ``io.reduce_by_key`` on ``keys``, so each bucket holds all rows of
     its keys from both sides, the other side's columns null-filled.
     ``fn`` (pandas -> pandas) sees each bucket with its integer
     columns as nullable Int64: the null fill must not coerce an int64
     column to float64 (exact at any magnitude — money rule: integer
-    cents). Returns the bucket outputs as the blocks of a Dataset."""
+    cents). Returns the bucket outputs."""
 
     def reduce(t: pa.Table) -> pa.Table:
         g = t.to_pandas(
@@ -180,8 +177,8 @@ def _cogroup(left: ray.data.Dataset, right: ray.data.Dataset, keys: list[str], f
         )
         return pa.Table.from_pandas(fn(g), preserve_index=False)
 
-    refs = rio.reduce_by_key(left.to_arrow_refs() + right.to_arrow_refs(), keys, reduce)
-    return ray.data.from_arrow_refs(refs).materialize()
+    both = rio.Blocks(left.refs + right.refs, left.rows + right.rows)
+    return rio.reduce_by_key(both, keys, reduce)
 
 
 def _is_int(s: pd.Series) -> bool:
@@ -198,7 +195,7 @@ def _complete_ints(out: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def topk(ds: ray.data.Dataset, key: str, k: int, tiebreak: str, descending: bool = True) -> pd.DataFrame:
+def topk(ds: rio.Blocks, key: str, k: int, tiebreak: str, descending: bool = True) -> pd.DataFrame:
     """Deterministic top-k: per-batch candidate top-k, then a global
     reduce — no full sort shuffle (ds.sort would move every row; this
     moves k rows per batch)."""
@@ -214,13 +211,13 @@ def topk(ds: ray.data.Dataset, key: str, k: int, tiebreak: str, descending: bool
 
 
 def topk_per_group(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     group_col: str,
     key: str,
     k: int,
     tiebreak: str,
     descending: bool = True,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Deterministic top-k PER GROUP (the windowed
     ``row_number() <= k`` idiom). Two stages, both distributed: a
     per-batch candidate prune keeps at most k rows per group per batch
@@ -251,7 +248,7 @@ def topk_per_group(
     return _per_key(ds, [group_col], final, stage=cand)
 
 
-def exact_quantiles_int(ds: ray.data.Dataset, col: str, fracs: list[tuple[int, int]]) -> list[int]:
+def exact_quantiles_int(ds: rio.Blocks, col: str, fracs: list[tuple[int, int]]) -> list[int]:
     """Exact discrete quantiles of an integer column: value at sorted
     index ((n-1)*num)//den, resolved over the value histogram
     (``value_histogram``) by its cumulative counts — no global sort."""
@@ -262,11 +259,11 @@ def exact_quantiles_int(ds: ray.data.Dataset, col: str, fracs: list[tuple[int, i
 
 
 def hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
+    left: rio.Blocks,
+    right: rio.Blocks,
     on: str | list[str],
     how: str = "inner",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Both-sides-large equi-join (``how``: inner / left / outer —
     outer is SQL FULL OUTER; ``on``: one key column or a composite key
     as a list — a row with ANY null key component matches nothing, per
@@ -337,12 +334,12 @@ def hash_join(
 
 
 def hash_semi_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
+    left: rio.Blocks,
+    right: rio.Blocks,
     on: str,
     bloom=None,
     anti: bool = False,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Both-sides-large SEMI-join: keep left rows whose key appears in
     ``right`` (right's other columns and duplicate keys are ignored —
     no row multiplication, unlike an inner ``hash_join`` against a
@@ -395,12 +392,12 @@ def hash_semi_join(
 
 
 def deterministic_sample(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     rate_num: int,
     rate_den: int,
     key_col: str,
     hash_fn: str = "fnv1a",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Deterministic, resume-stable corpus sampling: keep a row iff the
     top 32 bits of hash(key) fall under ``rate_num/rate_den`` of the
     hash space (integer threshold — exact in every engine). The sample
@@ -459,13 +456,13 @@ def deterministic_sample(
 
 
 def stratified_sample(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     rates: dict,
     key_col: str,
     stratum_col: str,
     hash_fn: str = "fnv1a",
     default: tuple[int, int] | None = None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Deterministic STRATIFIED sampling: per-stratum keep rates
     (``rates[stratum] = (num, den)``), decided by the same hash
     threshold as ``deterministic_sample`` — resume-stable,
@@ -605,7 +602,7 @@ def _ranked_values(ds, col: str, who: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grouped_exact_quantiles_int(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key: str,
     col: str,
     fracs: list[tuple[int, int]],
@@ -631,7 +628,7 @@ def grouped_exact_quantiles_int(
 
 
 def grouped_median_mad_int(
-    ds: ray.data.Dataset, key: str, col: str
+    ds: rio.Blocks, key: str, col: str
 ) -> pd.DataFrame:
     """Exact discrete median AND median-absolute-deviation per group
     from ONE shuffle of per-block (key, value) histograms: each key's
@@ -679,11 +676,11 @@ def _skyline_mask_2d(maxv: np.ndarray, minv: np.ndarray) -> np.ndarray:
 
 
 def pareto_front_2d(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     group_col: str,
     max_col: str,
     min_col: str,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-group 2D Pareto frontier (skyline): the rows not strictly
     dominated within their group (``max_col`` maximized, ``min_col``
     minimized; both int64 — exact compares). Distributed as a
@@ -706,12 +703,11 @@ def pareto_front_2d(
 
     # the block-local prefilter is also the final: a bucket holds
     # complete groups, and frontier(group) is what it computes
-    refs = rio.reduce_by_key(ds, [group_col], local, stage=local)
-    return ray.data.from_arrow_refs(refs).materialize()
+    return rio.reduce_by_key(ds, [group_col], local, stage=local)
 
 
 def grouped_weighted_median_int(
-    ds: ray.data.Dataset, keys: list[str], col: str, weight: str
+    ds: rio.Blocks, keys: list[str], col: str, weight: str
 ) -> pd.DataFrame:
     """Exact LOWER weighted median per group of an int64 ``col``
     weighted by int64 ``weight``: the smallest value whose cumulative
@@ -746,12 +742,12 @@ def grouped_weighted_median_int(
 
 
 def ordered_string_agg(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     val_col: str,
     order_cols: list[str],
     sep: str = "",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """SQL ``string_agg(val, sep ORDER BY order_cols)`` per key — the
     ordered-collect operator (DISTRIBUTED BY key, ORDERED WITHIN key).
     One ``io.reduce_by_key`` on the key; the in-bucket final sorts by
@@ -777,12 +773,12 @@ def ordered_string_agg(
 
 
 def deterministic_split(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     cuts: list[tuple[str, int, int]],
     last: str,
     hash_fn: str = "fnv1a",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Deterministic TRAIN/VAL/TEST-style dataset splitting: appends a
     ``split`` label chosen by where hash(key) falls among the
     CUMULATIVE integer thresholds ``cuts`` ((name, num, den): rows
@@ -833,7 +829,7 @@ def deterministic_split(
 
 
 def percentile_cont_int(
-    ds: ray.data.Dataset, col: str, fracs: list[tuple[int, int]]
+    ds: rio.Blocks, col: str, fracs: list[tuple[int, int]]
 ) -> list[tuple[int, int, int]]:
     """SQL PERCENTILE_CONT as an EXACT RATIONAL over an integer
     column: for p = num/den the continuous percentile interpolates the
@@ -859,7 +855,7 @@ def percentile_cont_int(
 
 
 def weighted_sample_topk(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     k: int,
     weight_col: str,
     key_col: str,
@@ -928,7 +924,7 @@ def weighted_sample_topk(
 
 
 def island_length_histogram(
-    ds: ray.data.Dataset, col: str, range_size: int = 1024
+    ds: rio.Blocks, col: str, range_size: int = 1024
 ) -> pd.DataFrame:
     """Distributed GAPS-AND-ISLANDS: lengths of maximal runs of
     consecutive integers in ``col`` (values assumed distinct), as a

@@ -20,8 +20,8 @@ The distributed shape is the classic two-phase scan over range bins:
    not rows, and exclusive-scans the bin sums in bin order (Python
    ints — no int64 overflow before the guard fires).
 3. Phase 2: one task per bucket adds each bin's offset to the
-   bin-local cumulative sum; the outputs are the blocks of the
-   returned Dataset (blocks never touch the driver).
+   bin-local cumulative sum; the outputs are the returned blocks
+   (blocks never touch the driver).
 
 This is one of the documented drops to raw Ray tasks (the Dataset
 API genuinely cannot express a scan); the driver-side state is
@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
 
 from .. import io as rio
 from .relational import _per_key
@@ -116,22 +115,21 @@ def _bin_scan(t: pa.Table, value_col: str, out_col: str, offsets: np.ndarray) ->
 
 
 def ordered_prefix_sum(
-    ds: ray.data.Dataset | list,
+    ds: rio.Blocks,
     order_cols: list[str],
     value_col: str,
     out_col: str = "prefix_sum",
     signed: bool = False,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Append the EXCLUSIVE global prefix sum of ``value_col`` in the
     total order given by ``order_cols`` (which must be a total order —
     ties would make the scan nondeterministic; the bin-boundary
-    monotonicity assert below catches a broken binning). ``ds`` is a
-    Dataset or a list of table refs. Values must be non-negative int64
-    (token counts, byte sizes) unless ``signed=True`` (sweep-line
-    deltas: concurrency counters, balance ledgers); the running total
-    is guarded against int64 overflow in Python ints in both
-    directions."""
-    blocks = ds if isinstance(ds, list) else ds.materialize().to_arrow_refs()
+    monotonicity assert below catches a broken binning). Values must be
+    non-negative int64 (token counts, byte sizes) unless ``signed=True``
+    (sweep-line deltas: concurrency counters, balance ledgers); the
+    running total is guarded against int64 overflow in Python ints in
+    both directions."""
+    blocks = rio.as_blocks(ds)
     col = order_cols[0]
     samples = rio.map_blocks(blocks, _sample_stage(col))
     # no column at all: every block schema-less (an empty input)
@@ -143,7 +141,7 @@ def ordered_prefix_sum(
         return t.sort_by([(c, "ascending") for c in ["_bin", *order_cols]])
 
     refs = rio.reduce_by_key(blocks, ["_bin"], sort_bins, stage=_bin_stage(col, splitters))
-    stats = ray.get([_bin_stats.remote(r, value_col, list(order_cols), signed) for r in refs])
+    stats = ray.get([_bin_stats.remote(r, value_col, list(order_cols), signed) for r in refs.refs])
 
     offsets = np.zeros(len(splitters) + 1, dtype=np.int64)
     prev_last, total = None, 0
@@ -161,10 +159,11 @@ def ordered_prefix_sum(
             raise OverflowError(
                 f"ordered_prefix_sum: running total exceeds int64 ({total})"
             )
-    typed = [r for r, st in zip(refs, stats) if st is not None]
-    out = [_bin_scan.remote(r, value_col, out_col, offsets) for r in typed]
-    # no typed bucket: every input block was schema-less (no rows)
-    return ray.data.from_arrow_refs(out or refs).materialize()
+    typed = [(r, n) for r, n, st in zip(refs.refs, refs.rows, stats) if st is not None]
+    if not typed:  # every input block was schema-less (no rows)
+        return refs
+    out = tuple(_bin_scan.remote(r, value_col, out_col, offsets) for r, _n in typed)
+    return rio.Blocks(out, tuple(n for _r, n in typed))
 
 
 def grouped_recurrence_ewma_int(

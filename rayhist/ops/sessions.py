@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray.data
 
+from .. import io as rio
 from .relational import _per_key
 
 
@@ -37,11 +37,11 @@ def _session_frame(g: pd.DataFrame, gap_us: int, key_col: str, ts_col: str):
 
 
 def sessionize(
-    events: ray.data.Dataset,
+    events: rio.Blocks,
     gap_us: int,
     key_col: str = "user_id",
     ts_col: str = "ts",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """-> one row per (key, session): session_id (0-based per key),
     n_events, start ts, end ts, duration."""
 
@@ -61,11 +61,11 @@ def sessionize(
 
 
 def user_session_stats(
-    events: ray.data.Dataset,
+    events: rio.Blocks,
     gap_us: int,
     key_col: str = "user_id",
     ts_col: str = "ts",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-user session stats (session count, events, total session
     time) computed ENTIRELY inside the bucket stage: each hash bucket
     holds complete users, so the per-user aggregate is final there and
@@ -87,11 +87,11 @@ def user_session_stats(
 
 
 def interval_union_length(
-    intervals: ray.data.Dataset,
+    intervals: rio.Blocks,
     key_col: str,
     s_col: str,
     e_col: str,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-key UNION length of half-open intervals [s, e): overlapping
     and touching intervals merge (coverage counted once), and the
     merged-span count comes along for free. The stabbing-coverage

@@ -38,7 +38,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .. import io as rio
 from .cc import (
@@ -96,7 +95,7 @@ def _relaxed(
 
 
 def sssp_int(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     seed_pred,
     rounds: int,
     src: str = "src",

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 from .cc import _ints, _np, _reduce_by
@@ -46,8 +45,8 @@ from .cc import _ints, _np, _reduce_by
 _SUPPORT = pa.schema([(c, pa.int64()) for c in ("u", "v", "deg_u", "deg_v", "cn")])
 
 
-def _dedupe(edges, src: str, dst: str) -> list:
-    """The bucket refs of the canonical distinct edge set (u < v)."""
+def _dedupe(edges, src: str, dst: str) -> rio.Blocks:
+    """The buckets of the canonical distinct edge set (u < v)."""
 
     def canon(b: pa.Table) -> pa.Table:
         a, c = _ints(b, src), _ints(b, dst)
@@ -62,18 +61,14 @@ def _dedupe(edges, src: str, dst: str) -> list:
 
 
 def dedupe_edges(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Canonical distinct undirected edge set: (u, v) with u < v,
     self-loops dropped, exactly one row per unordered pair. One
     shuffle on (u, v); per-bucket distinct."""
-    return ray.data.from_arrow_refs(_dedupe(edges, src, dst)).materialize()
-
-
-def _n_rows(refs: list) -> int:
-    return int(rio.map_blocks(refs, lambda t: pa.table({"n": [t.num_rows]}))["n"].to_numpy().sum())
+    return _dedupe(edges, src, dst)
 
 
 def _pairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +133,7 @@ class _Ranked:
 
 
 def triangle_count(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
     broadcast_gate: int = 2_000_000,
@@ -158,7 +153,7 @@ def triangle_count(
     nothing driver-sized); the two paths are pinned equal in tests
     (gate=0 forces distributed)."""
     e = _dedupe(edges, src, dst)
-    n_edges = _n_rows(e)
+    n_edges = rio.num_rows(e)
     if n_edges == 0:
         return 0, 0
     if n_edges <= broadcast_gate:
@@ -205,7 +200,7 @@ def triangle_count(
 
 
 def triangle_counts_per_node(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
 ) -> pd.DataFrame:
@@ -216,7 +211,7 @@ def triangle_counts_per_node(
     corners; per-bucket partial counts reduce to |V| rows. (Nodes on
     zero triangles still appear, with n_triangles = 0.)"""
     e = _dedupe(edges, src, dst)
-    if _n_rows(e) == 0:
+    if rio.num_rows(e) == 0:
         return pd.DataFrame({c: pd.Series(dtype="int64") for c in ("node", "deg", "n_triangles")})
     r = _Ranked(e)
 
@@ -233,15 +228,15 @@ def triangle_counts_per_node(
 
 
 def edge_triangle_support(
-    edges: ray.data.Dataset,
+    edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
     broadcast_gate: int = 2_000_000,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-EDGE triangle support — the k-truss / link-prediction
     primitive: for every distinct undirected edge (u, v), the number
     of common neighbors cn = |N(u) ∩ N(v)| (= triangles through the
-    edge), plus both endpoint degrees. Returns a DATASET of
+    edge), plus both endpoint degrees. Returns the blocks of
     (u, v, deg_u, deg_v, cn) rows, u < v by node id.
 
     Same rank-relabeled wedge close as triangle_counts_per_node (the
@@ -255,9 +250,9 @@ def edge_triangle_support(
     broadcast edge-key set), in one shuffle on ``ek`` above it (pinned
     equal in tests via gate=0)."""
     e = _dedupe(edges, src, dst)
-    n_edges = _n_rows(e)
+    n_edges = rio.num_rows(e)
     if n_edges == 0:
-        return ray.data.from_arrow(_SUPPORT.empty_table()).materialize()
+        return rio.table_blocks(_SUPPORT.empty_table())
     r = _Ranked(e)
     nv = np.int64(r.nv)
     node_of_rank = np.empty(r.nv, dtype=np.int64)
@@ -289,5 +284,5 @@ def edge_triangle_support(
 
     credits = r.closed(e, credit)
     if n_edges <= broadcast_gate:
-        return ray.data.from_arrow(finish(rio.blocks_table(credits))).materialize()
-    return ray.data.from_arrow_refs(rio.reduce_by_key(credits, ["ek"], finish)).materialize()
+        return rio.table_blocks(finish(rio.blocks_table(credits)))
+    return rio.reduce_by_key(credits, ["ek"], finish)

@@ -32,7 +32,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .. import io as rio
 from .relational import (
@@ -64,14 +63,14 @@ def _replicate_to_bins(
 
 
 def asof_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
+    left: rio.Blocks,
+    right: rio.Blocks,
     on: str,
     by: str,
     direction: str = "backward",
     rsuffix: str = "_r",
     group_final=None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Keyed as-of join: for each left row, the single right row with
     the same ``by`` key and the latest ``on`` <= left.on (backward,
     inclusive — the SQL ``ASOF JOIN ... ON l.by = r.by AND l.on >=
@@ -149,14 +148,14 @@ def _binned(side: int, idx: np.ndarray, bins: np.ndarray, t: pa.Table) -> pa.Tab
 
 
 def interval_point_join(
-    intervals: ray.data.Dataset,
-    points: ray.data.Dataset,
+    intervals: rio.Blocks,
+    points: rio.Blocks,
     start_col: str,
     end_col: str,
     t_col: str,
     bin_us: int,
     group_final=None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Non-equi range join: all (interval, point) pairs with
     ``start <= t < end`` (half-open, the engine's interval contract).
     Time columns are int64 microseconds.
@@ -170,7 +169,7 @@ def interval_point_join(
     is a per-bin sorted ``searchsorted`` range scan — no quadratic
     work beyond the true output size.
 
-    Returns the pair Dataset (interval columns + point columns).
+    Returns the pair blocks (interval columns + point columns).
     ``group_final`` (pandas->pandas, applied per bucket) turns it into
     a partial-aggregate stream instead — at corpus scale ALWAYS prefer
     a partial aggregate over materializing O(pairs) rows.
@@ -251,13 +250,13 @@ def prior_window_sums(
 
 
 def with_prior_window(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     order_cols: list[str],
     value_col: str,
     window: int,
     group_final=None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-key ordered window aggregate: appends ``prior_sum`` /
     ``prior_n`` = sum/count of ``value_col`` over the previous
     ``window`` rows of the same key (rows ordered by ``order_cols``;
@@ -277,14 +276,14 @@ def with_prior_window(
 
 
 def with_ranked_window(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     order_cols: list[str],
     value_col: str,
     group_final=None,
     ntile: int | None = None,
     extras: frozenset | set | tuple = (),
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-key ordered RANKED-WINDOW stage: the classic SQL window
     functions the frame-aggregate ops don't cover. Appends, per key
     (rows ordered by ``order_cols``):
@@ -397,11 +396,11 @@ def with_ranked_window(
 
 
 def distinct_set_op(
-    a: ray.data.Dataset,
-    b: ray.data.Dataset,
+    a: rio.Blocks,
+    b: rio.Blocks,
     on: str,
     mode: str,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Distributed DISTINCT set operation on one key column:
     ``except`` (keys of a not in b), ``intersect``, or ``union``.
     Each batch is pre-deduped before the shuffle (only unique keys per
@@ -478,13 +477,13 @@ def prior_time_window_agg(
 
 
 def with_time_window(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     t_col: str,
     value_col: str,
     dt: int,
     group_final=None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-key time-based sliding window: appends ``win_sum`` /
     ``win_n`` = sum/count of ``value_col`` over the same key's rows in
     the strictly-before interval ``[t - dt, t)``. Same complete-keys
@@ -506,14 +505,14 @@ def with_time_window(
 
 
 def interval_coverage_counts(
-    intervals: ray.data.Dataset,
-    points: ray.data.Dataset,
+    intervals: rio.Blocks,
+    points: rio.Blocks,
     start_col: str,
     end_col: str,
     t_col: str,
     bin_us: int,
     group_final=None,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """COUNT-style range join without pair expansion: each point row
     comes back with ``n_cover`` = number of intervals containing it
     (start <= t < end). Same time-binned replication distribution as
@@ -563,10 +562,10 @@ def interval_coverage_counts(
 
 
 def per_key_interarrival(
-    ds: ray.data.Dataset,
+    ds: rio.Blocks,
     key_col: str,
     t_col: str,
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Per-key LAG analytics: inter-arrival gaps (t - lag(t) within
     the key, time-ordered) reduced to per-key gap count and EXACT
     discrete median gap (value at sorted index (n-1)//2 — the

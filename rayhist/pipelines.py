@@ -37,7 +37,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset  # noqa: F401 (registers pc.field filter expressions)
 import ray
-import ray.data
 
 from . import io as rio
 from .aggregate import (
@@ -813,9 +812,9 @@ def q_raster_join(sf_dir: str) -> pd.DataFrame:
 
 def _knn_positions_flagged(sf_dir: str, mod: int):
     """Entity positions at T_MID with the query subset FLAGGED IN-STAGE
-    (``_is_query`` = osm_id % mod == 0) — queries stay a Dataset column;
-    no driver-built query list (the round-3 scale-killer: the list was
-    corpus/17 rows of driver state). Returns (dataset, count, zoom)
+    (``_is_query`` = osm_id % mod == 0) — queries stay a column; no
+    driver-built query list (the round-3 scale-killer: the list was
+    corpus/17 rows of driver state). Returns (blocks, count, zoom)
     with zoom derived so cells hold O(2000) points (cells = 2^(2z-1))."""
     ts = np.array([T_MID], dtype=np.int64)
 
@@ -2368,7 +2367,7 @@ def snapshot_latest_state_write(sf_dir: str, out_dir: str) -> dict:
     snaps = snapshot_stage([T_MID], sig_keytable(sf_dir))
     cols = ["doc_id", "osm_id", "v", "lon_e7", "lat_e7", "etype", "uid"]
 
-    def process(inputs: list[str]) -> ray.data.Dataset:
+    def process(inputs: list[str]) -> rio.Blocks:
         docs = rio.read_resident(path, columns=DECODE_COLUMNS, filter=shard_rows(inputs))
         return rio.materialize_blocks(docs, lambda b: snaps(b).select(cols))
 
@@ -2582,7 +2581,7 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
     )
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
 
-    def process(inputs: list[str]) -> ray.data.Dataset:
+    def process(inputs: list[str]) -> rio.Blocks:
         def stage(batch: pa.Table) -> pa.Table:
             s = snapshots(decode_spans(batch, geom=False), ts)
             g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
@@ -2659,7 +2658,7 @@ def q_knn_all(sf_dir: str) -> pd.DataFrame:
     # derive zoom from the corpus size so cells hold O(100-10k) points
     # (cells = 2^(2z-1)); a constant zoom would make per-group candidate
     # matrices O((n/cells)^2) — quadratic blow-up at larger scale factors
-    n = pos.count()
+    n = rio.num_rows(pos)
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     out = knn_all(pos, k=3, zoom=zoom)
     return out[["query_id", "neighbor_id", "rank", "dist2"]].reset_index(drop=True)
@@ -4015,7 +4014,7 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
         ),
         lambda b: pa.table({"o_custkey": b["c_custkey"]}),
     )
-    n_keys = cust.count()
+    n_keys = rio.num_rows(cust)
     bloom = build_bloom(cust, "o_custkey", expected_n=max(n_keys, 1))
 
     orders = rio.read_resident(
@@ -5203,11 +5202,11 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
         g = pa.TableGroupBy(t, keys).aggregate([("n_part", "sum")]).rename_columns([*keys, "n"])
         return g.filter(pc.greater_equal(g["n"], HOTSPOT_MINPTS)).select(["cell", "n"])
 
-    refs = rio.reduce_by_key(_docs(sf_dir), keys, dense_only, stage=stage)
-    n_dense = sum(rio.map_blocks(refs, lambda t: pa.table({"n": [t.num_rows]}))["n"].to_pylist())
+    dense = rio.reduce_by_key(_docs(sf_dir), keys, dense_only, stage=stage)
+    n_dense = rio.num_rows(dense)
 
     if not force_distributed and n_dense <= HOTSPOT_DRIVER_MAX:
-        df = rio.blocks_table(refs).to_pandas()
+        df = rio.blocks_table(dense).to_pandas()
         c = np.sort(df["cell"].to_numpy())
         x, y = c % nx, c // nx
         parent = np.arange(len(c), dtype=np.int64)
@@ -5238,8 +5237,6 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
         out = out.astype({"component": "int64", "n_cells": "int64", "n_points": "int64"})
         return out.sort_values("component").reset_index(drop=True)
 
-    dense = ray.data.from_arrow_refs(refs).materialize()
-
     def fan_out(b: pa.Table) -> pa.Table:
         c = b["cell"].to_numpy(zero_copy_only=False)
         x, y = c % nx, c // nx
@@ -5260,7 +5257,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
         hash_join(neighbors, dense_keys, on="nbr"), lambda b: b.filter(pc.less(b["cell"], b["nbr"]))
     )
 
-    if edges.count() == 0:  # every dense cell isolated: all singletons
+    if rio.num_rows(edges) == 0:  # every dense cell isolated: all singletons
         labeled = rio.materialize_blocks(dense, lambda b: b.append_column("component", b["cell"]))
     else:
         comp = rio.materialize_blocks(
@@ -5396,7 +5393,7 @@ def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["event_type", "day"]).reset_index(drop=True)
 
 
-def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
+def _copurchase_edges(sf_dir: str) -> rio.Blocks:
     """Raw co-purchase pair stream (parts adjacent iff some order
     contains both): complete-by-order bucket fan-out; order sizes are
     bounded so the per-order pair explosion is O(items^2) <= ~170
@@ -5422,11 +5419,7 @@ def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    # materialized: a bare from_arrow_refs Dataset starts an execution
-    # on every read of its blocks
-    return ray.data.from_arrow_refs(
-        rio.reduce_by_key(li, ["ok"], rio.on_pandas(order_pairs), stage=tag)
-    ).materialize()
+    return rio.reduce_by_key(li, ["ok"], rio.on_pandas(order_pairs), stage=tag)
 
 
 @query(lambda o: o.copurchase_triangles())
@@ -6600,7 +6593,7 @@ def q_copurchase_kcore(sf_dir: str) -> pd.DataFrame:
     if rounds >= KCORE_UNROLL:
         raise RuntimeError("q_copurchase_kcore: peel depth exceeded the oracle unroll")
     return pd.DataFrame(
-        {"k": [KCORE_K], "n_core": [core.count()], "n_rounds": [rounds]}
+        {"k": [KCORE_K], "n_core": [rio.num_rows(core)], "n_rounds": [rounds]}
     ).astype("int64")
 
 
@@ -7053,7 +7046,7 @@ SSSP_ROUNDS = 4
 SSSP_SEED_MOD = 101
 
 
-def _copurchase_weighted_edges(sf_dir: str) -> ray.data.Dataset:
+def _copurchase_weighted_edges(sf_dir: str) -> rio.Blocks:
     """Canonical co-purchase pairs weighted by their DISTINCT co-order
     count (how many orders contain both parts): one pair-hash bucket
     shuffle completes each pair's count in its bucket (a pair's
@@ -7072,8 +7065,7 @@ def _copurchase_weighted_edges(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    refs = rio.reduce_by_key(raw, ["src", "dst"], rio.on_pandas(count))
-    return ray.data.from_arrow_refs(refs).materialize()
+    return rio.reduce_by_key(raw, ["src", "dst"], rio.on_pandas(count))
 
 
 @query(lambda o: o.copurchase_cheapest_paths(SSSP_SEED_MOD, SSSP_ROUNDS))
@@ -8096,7 +8088,7 @@ def q_idw_snapshot_field(sf_dir: str) -> pd.DataFrame:
 
     # centers sorted by x ONCE at the driver; the arrays are tiny
     # (O(lattice) ints), so they ship by closure capture with the
-    # stage, once per query (the tagtranslator precedent)
+    # stage, once per query
     _order = np.argsort(cx, kind="mergesort")
     sci, scj = ci[_order], cj[_order]
     scx, scy = cx[_order], cy[_order]
@@ -9378,7 +9370,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     # MATERIALIZE: the point set feeds both the pair join and the
     # count — a lazy upstream would re-run the decode+interpolate
     # chain once per consumer (the way_lengths multi-consumer hazard)
-    pts = rio.materialize_blocks(_docs(sf_dir), stage).materialize()
+    pts = rio.materialize_blocks(_docs(sf_dir), stage)
     pairs = radius_self_join(pts, max(RIPLEY_RADII))
 
     def bucketize(b: pa.Table) -> pa.Table:
@@ -9397,7 +9389,7 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
         [],
         {f"r{k}_p": f"r{k}" for k in range(len(RIPLEY_RADII))},
     )
-    n = int(pts.count())  # metadata count on the materialized table
+    n = rio.num_rows(pts)
     area = np.float64(3_600_000_000) * np.float64(1_800_000_000)
     rows = []
     for k, r in enumerate(RIPLEY_RADII):
@@ -11210,7 +11202,7 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
         )
 
     pos = rio.materialize_blocks(_docs(sf_dir), positions)
-    n = pos.count()
+    n = rio.num_rows(pos)
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     nn = knn_all(pos, k=1, zoom=zoom)
     d2 = nn["dist2"].to_numpy(dtype=np.float64)

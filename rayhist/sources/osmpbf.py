@@ -906,7 +906,7 @@ def osmpbf_documents(
         _decode_blocks(_blob_index(paths)), ["osm_id"],
         lambda t: _pack_node_group(t.to_pandas(), keytable), stage=nodes,
     )
-    return ray.data.from_arrow_refs(refs).materialize()
+    return ray.data.from_arrow_refs(list(refs.refs)).materialize()
 
 
 def _fp() -> str:
@@ -943,7 +943,7 @@ def _encode_bucketed(docs: ray.data.Dataset, key_col: str, partial, build_rows, 
         write_osmpbf(os.path.join(out, name), rows)
         return pa.table({"file": [name], "n": [len(rows)]})
 
-    ray.get(rio.reduce_by_key(docs, [key_col], write_bucket, stage=partial))
+    ray.get(list(rio.reduce_by_key(docs, [key_col], write_bucket, stage=partial).refs))
 
 
 def ensure_osmpbf_ways(sf_dir: str, rep: int = 1) -> str:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
 from .. import io as rio
 from .predicates import orient_sign
@@ -67,7 +65,7 @@ def hull_vertices(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def grouped_convex_hull(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     group_col: str,
     id_col: str = "id",
     x_col: str = "x",

@@ -27,7 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .. import io as rio
 
@@ -55,17 +54,32 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.where(n == 0, 1.0, n)
 
 
+def _topk_order(qid: np.ndarray, d: np.ndarray, nid: np.ndarray, k: int, ascending: bool = True):
+    """(positions of each query's first ``k`` rows in (query_id, ``d``,
+    neighbor_id) order, ``d`` descending unless ``ascending``; their
+    1-based ranks): one lexsort and segment offsets."""
+    o = np.lexsort((nid, d if ascending else -d, qid))
+    q = qid[o]
+    new = np.r_[True, q[1:] != q[:-1]] if len(q) else np.zeros(0, dtype=bool)
+    offset = np.arange(len(q)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    keep = offset < k
+    return o[keep], offset[keep] + 1
+
+
 def _topk_reduce(cands: pd.DataFrame, k: int, by: str, ascending: bool) -> pd.DataFrame:
-    cands = cands.sort_values(
-        ["query_id", by, "neighbor_id"], ascending=[True, ascending, True], kind="mergesort"
+    """Each query's top ``k`` candidate rows by ``by`` (ties broken by
+    neighbor id), query ids ascending, with a ``rank`` column."""
+    idx, rank = _topk_order(
+        cands["query_id"].to_numpy(), cands[by].to_numpy(), cands["neighbor_id"].to_numpy(),
+        k, ascending,
     )
-    out = cands.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = out.groupby("query_id").cumcount() + 1
+    out = cands.iloc[idx].reset_index(drop=True)
+    out["rank"] = rank
     return out
 
 
 def _resolve_topk_distributed(
-    ds: ray.data.Dataset, k: int, by: str, ascending: bool, stage=None
+    ds: rio.Blocks, k: int, by: str, ascending: bool, stage=None
 ) -> pd.DataFrame:
     """DISTRIBUTED per-query top-k resolve for ANN candidate streams —
     the ``knn_queries`` resolve pattern applied to the cosine family.
@@ -92,7 +106,7 @@ def _resolve_topk_distributed(
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
-def _query_vectors(embeddings: ray.data.Dataset, query_ids: list[int], id_col: str, vec_col: str):
+def _query_vectors(embeddings: rio.Blocks, query_ids: list[int], id_col: str, vec_col: str):
     """(query ids, unit query matrix), sorted by id: the query rows
     looked up from the dataset itself (small id list) by one filter
     task per block."""
@@ -107,7 +121,7 @@ def _query_vectors(embeddings: ray.data.Dataset, query_ids: list[int], id_col: s
 
 
 def knn_points(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     queries: list[tuple],  # (query_id:int, lon_e7:int, lat_e7:int)
     k: int = 3,
     id_col: str = "osm_id",
@@ -181,7 +195,7 @@ def knn_points(
 
 
 def ann_cosine_topk(
-    embeddings: ray.data.Dataset,
+    embeddings: rio.Blocks,
     query_ids: list[int],
     k: int = 5,
     id_col: str = "vec_id",
@@ -237,7 +251,7 @@ def _emit_cos_topk(sims: np.ndarray, qids: np.ndarray, ids: np.ndarray, k: int) 
 
 
 def knn_points_grid(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     queries: list[tuple],
     k: int = 3,
     id_col: str = "osm_id",
@@ -414,7 +428,7 @@ def ivf_buckets(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
 
 
 def build_ivf_centroids(
-    embeddings: ray.data.Dataset,
+    embeddings: rio.Blocks,
     nlist: int = 16,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
@@ -423,11 +437,9 @@ def build_ivf_centroids(
     """Deterministic coarse centroids: strided seed sample + one Lloyd
     iteration over the sample (small, driver-side)."""
     sample = (
-        embeddings.map_batches(
-            lambda b: b.filter(
-                pa.array(b[id_col].to_numpy(zero_copy_only=False) % stride == 0)
-            ),
-            batch_format="pyarrow",
+        rio.map_blocks(
+            embeddings,
+            lambda b: b.filter(pa.array(b[id_col].to_numpy(zero_copy_only=False) % stride == 0)),
         )
         .to_pandas()
         .sort_values(id_col)
@@ -446,7 +458,7 @@ def build_ivf_centroids(
 
 
 def ann_cosine_ivf(
-    embeddings: ray.data.Dataset,
+    embeddings: rio.Blocks,
     query_ids: list[int],
     k: int = 5,
     nlist: int = 16,
@@ -485,8 +497,7 @@ def _probed_scan(layout: str, qbuckets: np.ndarray, id_col: str, vec_col: str):
     probed = sorted(int(b) for b in set(qbuckets.ravel()))
     flt = pc.field("bucket").isin(probed)
     scan = rio.read_resident(layout, columns=[id_col, vec_col, "bucket"], filter=flt)
-    rows = rio.num_rows(scan)
-    return scan, scan.count() if rows is None else rows
+    return scan, rio.num_rows(scan)
 
 
 # ------------------------------------------------- IVF layout pruning
@@ -696,8 +707,14 @@ def ann_cosine_lsh_pruned(
 
 
 # ------------------------------------------------- distributed queries
+_RESOLVED = pa.schema(
+    [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("d2", pa.float64()),
+     ("q_lon", pa.int64()), ("q_lat", pa.int64()), ("resolved", pa.bool_())]
+)
+
+
 def knn_queries(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     k: int = 3,
     id_col: str = "osm_id",
     query_col: str = "_is_query",
@@ -778,25 +795,25 @@ def knn_queries(
             }
         )
 
-    _EMPTY_PART = pd.DataFrame(
-        {"query_id": pd.Series([], dtype="int64"),
-         "neighbor_id": pd.Series([], dtype="int64"),
-         "d2": pd.Series([], dtype="float64"),
-         "q_lon": pd.Series([], dtype="int64"),
-         "q_lat": pd.Series([], dtype="int64")}
-    )
-
-    def cell_partials(g: pd.DataFrame) -> pd.DataFrame:
-        qm = g["_q"].to_numpy(dtype=bool)
-        ids = g[id_col].to_numpy(dtype=np.int64)
-        lon = g["lon_e7"].to_numpy(dtype=np.float64)
-        lat = g["lat_e7"].to_numpy(dtype=np.float64)
-        ci = np.flatnonzero(qm)
-        if len(ci) == 0:
-            return _EMPTY_PART
-        frames = []
-        pi = np.flatnonzero(~qm)
-        if len(pi):
+    def cells(t: pa.Table) -> pa.Table:
+        """Per target cell, every query's top-k candidates among the
+        cell's points by (d2, tie-inclusive), plus one sentinel row per
+        query in its home cell (neighbor -1, d2 inf); numpy columns
+        gathered over the cells and concatenated once."""
+        tc = t["tcell"].to_numpy(zero_copy_only=False)
+        o = np.argsort(tc, kind="stable")
+        tc = tc[o]
+        qm = t["_q"].to_numpy(zero_copy_only=False)[o]
+        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[o]
+        lon = t["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)[o]
+        lat = t["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)[o]
+        ends = np.flatnonzero(np.r_[tc[1:] != tc[:-1], True]) + 1 if len(tc) else []
+        parts = []
+        for a, b in zip(np.r_[0, ends[:-1]], ends):
+            ci = a + np.flatnonzero(qm[a:b])
+            pi = a + np.flatnonzero(~qm[a:b])
+            if not len(ci) or not len(pi):
+                continue
             qid = ids[ci]
             dx = lon[ci][:, None] - lon[pi][None, :]
             dy = lat[ci][:, None] - lat[pi][None, :]
@@ -805,49 +822,25 @@ def knn_queries(
             take = min(k, len(pi))
             part = np.argpartition(d2, take - 1, axis=1)[:, :take]
             kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
-            sel = (d2 <= kth[:, None]) & np.isfinite(d2)  # tie-inclusive
-            qrow, crow = np.nonzero(sel)
-            if len(qrow):
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "query_id": qid[qrow],
-                            "neighbor_id": ids[pi][crow],
-                            "d2": d2[qrow, crow],
-                            "q_lon": lon[ci][qrow].astype(np.int64),
-                            "q_lat": lat[ci][qrow].astype(np.int64),
-                        }
-                    )
-                )
-        hm = np.flatnonzero(qm & g["_home"].to_numpy(dtype=bool))
-        if len(hm):  # sentinel: every query surfaces in the resolve stage
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "query_id": ids[hm],
-                        "neighbor_id": np.full(len(hm), -1, dtype=np.int64),
-                        "d2": np.full(len(hm), np.inf),
-                        "q_lon": lon[hm].astype(np.int64),
-                        "q_lat": lat[hm].astype(np.int64),
-                    }
-                )
-            )
-        if not frames:
-            return _EMPTY_PART
-        return pd.concat(frames, ignore_index=True)
+            qrow, crow = np.nonzero((d2 <= kth[:, None]) & np.isfinite(d2))  # tie-inclusive
+            parts.append((qid[qrow], ids[pi][crow], d2[qrow, crow], ci[qrow]))
+        # sentinel: every query surfaces in the resolve stage
+        hm = np.flatnonzero(qm & t["_home"].to_numpy(zero_copy_only=False)[o])
+        parts.append((ids[hm], np.full(len(hm), -1, dtype=np.int64), np.full(len(hm), np.inf), hm))
+        qid, nid, d2, at = (np.concatenate(c) for c in zip(*parts))
+        return pa.table(
+            {"query_id": qid, "neighbor_id": nid, "d2": d2,
+             "q_lon": lon[at].astype(np.int64), "q_lat": lat[at].astype(np.int64)}
+        )
 
-    def cells(scat: pd.DataFrame) -> pd.DataFrame:
-        frames = [cell_partials(g) for _, g in scat.groupby("tcell", sort=False)]
-        return pd.concat(frames, ignore_index=True) if frames else _EMPTY_PART
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        qid = g["query_id"].to_numpy(dtype=np.int64)
-        d2 = g["d2"].to_numpy(dtype=np.float64)
-        nid = g["neighbor_id"].to_numpy(dtype=np.int64)
-        qlon = g["q_lon"].to_numpy(dtype=np.float64)
-        qlat = g["q_lat"].to_numpy(dtype=np.float64)
+    def resolve(t: pa.Table) -> pa.Table:
+        qid, d2, nid, qlon, qlat = (
+            t[c].to_numpy(zero_copy_only=False)
+            for c in ("query_id", "d2", "neighbor_id", "q_lon", "q_lat")
+        )
         o = np.lexsort((nid, d2, qid))
-        qid, d2, nid, qlon, qlat = qid[o], d2[o], nid[o], qlon[o], qlat[o]
+        qid, d2, nid = qid[o], d2[o].astype(np.float64), nid[o]
+        qlon, qlat = qlon[o].astype(np.float64), qlat[o].astype(np.float64)
         # an empty group has no starts, so it resolves to typed empties
         starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]][: len(qid)])
         cnt = np.diff(np.r_[starts, len(qid)])
@@ -870,57 +863,61 @@ def knn_queries(
         guard = np.minimum(np.minimum(ql - xlo, xhi - ql), np.minimum(qt - ylo, yhi - qt))
         guard = np.maximum(guard, 0.0)  # antimeridian cell-index wrap clamp
         resolved = (cnt >= k) & (kth < guard * guard)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "query_id": qid[sel],
-                "neighbor_id": nid[sel],
+                "query_id": qid[sel].astype(np.int64),
+                "neighbor_id": nid[sel].astype(np.int64),
                 "d2": d2[sel],
                 "q_lon": qlon[sel].astype(np.int64),
                 "q_lat": qlat[sel].astype(np.int64),
                 "resolved": np.repeat(resolved, cnt)[sel],
-            }
+            },
+            schema=_RESOLVED,
         )
 
     # adaptive operating point (the combine_partials philosophy: the
     # distributed machinery is for data that NEEDS it). For an input
-    # whose small row count is known without running it
-    # (``io.num_rows``), the two shuffles' tasks cost more than one
-    # driver pass over the SAME scatter/cell/resolve kernels. Driver
-    # memory is bounded by DRIVER_GATE, never by the corpus.
-    n = rio.num_rows(points)
-    if n is not None and n <= DRIVER_GATE:
-        res = resolve(cells(scatter(rio.blocks_table(points)).to_pandas()))
+    # whose row count (``io.num_rows``, known without running anything)
+    # is small, the two shuffles' tasks cost more than one driver pass
+    # over the SAME scatter/cell/resolve kernels. Driver memory is
+    # bounded by DRIVER_GATE, never by the corpus.
+    points = rio.as_blocks(points)
+    if rio.num_rows(points) <= DRIVER_GATE:
+        res = resolve(cells(scatter(rio.blocks_table(points))))
     else:
-        # shuffle by target cell, then by query (the cell buckets' refs
-        # are its input): resolve groups by query_id, so a bucket
-        # holding all of a query's rows resolves it
-        partials = rio.reduce_by_key(points, ["tcell"], rio.on_pandas(cells), stage=scatter)
-        res = rio.blocks_table(
-            rio.reduce_by_key(partials, ["query_id"], rio.on_pandas(resolve))
-        ).to_pandas()  # output-sized: <= queries x (k + boundary ties) rows
-    if res.empty:
-        return pd.DataFrame(
-            {"query_id": pd.Series([], dtype="int64"),
-             "neighbor_id": pd.Series([], dtype="int64"),
-             "rank": pd.Series([], dtype="int64"),
-             "dist2": pd.Series([], dtype="float64")}
-        )
-    good = res[res["resolved"] & (res["neighbor_id"] >= 0)][["query_id", "neighbor_id", "d2"]]
-    unresolved = res[~res["resolved"]][["query_id", "q_lon", "q_lat"]].drop_duplicates("query_id")
-    if len(unresolved):
-        queries = list(unresolved.itertuples(index=False, name=None))
+        # shuffle by target cell, then by query (the cell buckets are
+        # its input): resolve groups by query_id, so a bucket holding
+        # all of a query's rows resolves it
+        partials = rio.reduce_by_key(points, ["tcell"], cells, stage=scatter)
+        # output-sized: <= queries x (k + boundary ties) rows
+        res = rio.blocks_table(rio.reduce_by_key(partials, ["query_id"], resolve))
+        if not res.num_columns:  # every input block schema-less: no rows
+            res = _RESOLVED.empty_table()
+    qid, nid, d2 = (
+        res[c].to_numpy(zero_copy_only=False) for c in ("query_id", "neighbor_id", "d2")
+    )
+    ok = res["resolved"].to_numpy(zero_copy_only=False)
+    good = ok & (nid >= 0)
+    qid, nid, d2 = qid[good], nid[good], d2[good]
+    # res is in query order: the first row of each unresolved query
+    _, first = np.unique(res["query_id"].to_numpy(zero_copy_only=False)[~ok], return_index=True)
+    if len(first):
+        rows = res.filter(pa.array(~ok)).take(pa.array(first))
+        queries = list(zip(*(rows[c].to_pylist() for c in ("query_id", "q_lon", "q_lat"))))
         brute = knn_points(points, queries, k=k, id_col=id_col)
-        good = pd.concat(
-            [good, brute.rename(columns={"dist2": "d2"})[["query_id", "neighbor_id", "d2"]]],
-            ignore_index=True,
-        )
-    out = _topk_reduce(good.rename(columns={"d2": "dist2"}), k, by="dist2", ascending=True)
-    return out[["query_id", "neighbor_id", "rank", "dist2"]]
+        qid = np.r_[qid, brute["query_id"].to_numpy(dtype=np.int64)]
+        nid = np.r_[nid, brute["neighbor_id"].to_numpy(dtype=np.int64)]
+        d2 = np.r_[d2, brute["dist2"].to_numpy(dtype=np.float64)]
+    idx, rank = _topk_order(qid, d2, nid, k)
+    return pd.DataFrame(
+        {"query_id": qid[idx].astype(np.int64), "neighbor_id": nid[idx].astype(np.int64),
+         "rank": rank, "dist2": d2[idx].astype(np.float64)}
+    )
 
 
 # ------------------------------------------------------------ kNN-all
 def knn_all(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     k: int = 3,
     id_col: str = "osm_id",
     zoom: int = 3,

@@ -29,22 +29,21 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
+from .. import io as rio
 from ..ops.relational import _per_key
 
 _OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
 def radius_self_join(
-    points: ray.data.Dataset,
+    points: rio.Blocks,
     radius: int,
     id_col: str = "id",
     x_col: str = "x",
     y_col: str = "y",
     carry: tuple = (),
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """(id_a, id_b, d2) for every unordered pair with id_a < id_b and
     squared planar distance d2 <= radius^2. Coordinates and ids must be
     int64; the metric is planar (no meridian wrap — callers spanning

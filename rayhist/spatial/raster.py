@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray.data
 
 from .. import io as rio
 
@@ -57,7 +56,7 @@ def make_raster_tiles(zoom: int, band: int = 0) -> pa.Table:
     )
 
 
-def join_raster_broadcast(ds: ray.data.Dataset, zoom: int, band: int = 0) -> ray.data.Dataset:
+def join_raster_broadcast(ds: rio.Blocks, zoom: int, band: int = 0) -> rio.Blocks:
     """Attach the raster band value to every row carrying a ``cell``
     column — broadcast lookup, no shuffle (the raster side is small at
     the join zoom; at finer zooms switch to the co-partitioned join)."""

@@ -26,21 +26,20 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
+from .. import io as rio
 from ..ops.relational import _per_key
 
 
 def rect_self_join(
-    boxes: ray.data.Dataset,
+    boxes: rio.Blocks,
     cell: int,
     id_col: str = "id",
     lx: str = "lx",
     ly: str = "ly",
     hx: str = "hx",
     hy: str = "hy",
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """(id_a, id_b, ix, iy, area) for every unordered pair of CLOSED
     boxes with id_a < id_b that intersect (touching counts, area 0):
     ix, iy = the intersection's lower-left corner, area = its exact

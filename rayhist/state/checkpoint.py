@@ -38,10 +38,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
 
 from ..ingest import DOC_SHARD_ROWS
-from ..io import _stat_identity, blocks_table
+from ..io import Blocks, _stat_identity, blocks_table, dataset
 from ..ops.relational import combine_by_key
 
 ENGINE_VERSION = "rayhist-0.1"
@@ -146,10 +145,10 @@ def _read_manifest(manifest_path: Path) -> dict[str, dict]:
 
 def run_sharded(
     shards: dict[str, list[str]],
-    process: Callable[[list[str]], ray.data.Dataset],
+    process: Callable[[list[str]], Blocks],
     out_dir: str,
 ) -> dict:
-    """Run ``process(input_paths) -> Dataset`` once per shard with
+    """Run ``process(input_paths) -> Blocks`` once per shard with
     per-shard checkpointing.
 
     shards: {partition_id: [input paths]}. Returns the manifest dict.
@@ -214,7 +213,7 @@ def run_sharded(
         if (out / pid).exists():  # stale output (lineage changed): redo
             shutil.rmtree(out / pid)
         t0 = time.perf_counter()
-        ds = process(inputs)
+        ds = dataset(process(inputs))
         tmp = out / f".tmp_{pid}_{os.getpid()}"
         # a stale tmp dir (same-pid retry, or pid reuse after a kill)
         # would MERGE leftover partial files into this run's output —
@@ -252,7 +251,7 @@ def run_sharded(
 
 # ------------------------------------------------------------------ skew
 def salted_count_by(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     keys: list[str],
     salt_col: str,
     n_salt: int = 16,
@@ -262,7 +261,7 @@ def salted_count_by(
     keys: per-(keys, salt) counts in one ``io.reduce_by_key``, then
     the per-keys final in a second one over its buckets — a single
     mega-key (dense urban cell) is spread over ``n_salt`` reducers.
-    Returns a materialized Dataset of (keys, ``alias``).
+    Returns the blocks of (keys, ``alias``).
     Deterministic (salt = row key mod n) so results and resume
     behavior are identical across runs — the requirement the
     reference meets by shuffling cell order
@@ -277,11 +276,11 @@ def salted_count_by(
         return g.rename_columns([*keys, "_salt", alias])
 
     partial = combine_by_key(ds, [*keys, "_salt"], {alias: "sum"}, stage=salted)
-    return ray.data.from_arrow_refs(combine_by_key(partial, keys, {alias: "sum"})).materialize()
+    return combine_by_key(partial, keys, {alias: "sum"})
 
 
 def write_partitioned_by_cell(
-    ds: ray.data.Dataset,
+    ds: Blocks,
     out_dir: str,
     zoom: int,
     min_rows_per_cell: int = 100,
@@ -341,7 +340,7 @@ def write_partitioned_by_cell(
 
     import shutil
 
-    assigned = ds.map_batches(assign, batch_format="pyarrow")
+    assigned = dataset(ds).map_batches(assign, batch_format="pyarrow")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # atomic REPLACE (temp + rename, the run_sharded discipline): a

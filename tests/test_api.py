@@ -817,3 +817,37 @@ def test_facade_twa_daily_pinned_to_direct_pipeline():
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want.reset_index(drop=True)
     )
+
+
+def test_unknown_tag_filter_matches_nothing_but_runs():
+    """A fluent filter on a tag NO entity carries must compile, run,
+    and return the zerofilled zero-count grid (the fake-id observable:
+    novel strings never match a stored id)."""
+    from rayhist.api import OSMEntitySnapshotView
+
+    v = (
+        OSMEntitySnapshotView.on("/root/testdata/sf0.001")
+        .timestamps("2024-01-10", "2024-01-12", "DAILY")
+        .osmTag("etype", "no_such_event_type_anywhere")
+    )
+    assert v.count() == 0  # scalar terminal
+    grid = v.aggregateByTimestamp().count()  # zerofilled grid terminal
+    assert len(grid) == 3
+    assert grid["count"].sum() == 0
+
+
+def test_facade_timeout_trips_and_passes():
+    import ray.exceptions
+
+    from rayhist.api import OSMEntitySnapshotView
+    from rayhist.functions.deadline import RayhistTimeoutError
+
+    v = (
+        OSMEntitySnapshotView.on("/root/testdata/sf0.001")
+        .timestamps("2024-01-10", "2024-01-12", "DAILY")
+    )
+    ok = v.timeout(3600).count()
+    assert ok > 0
+    with pytest.raises((RayhistTimeoutError, ray.exceptions.RayTaskError)) as ei:
+        v.timeout(-1).count()
+    assert "deadline exceeded" in str(ei.value)

@@ -17,7 +17,6 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 from ray.data._internal.execution.operators.actor_pool_map_operator import ActorPoolMapOperator
-from ray.data.dataset import MaterializedDataset
 
 from perfbench.workloads import WORKLOADS
 from rayhist import aggregate
@@ -145,18 +144,18 @@ def _over_budget(monkeypatch):
 @pytest.mark.parametrize("name", sorted(VIEWS))
 def test_view_fallback_equals_block_tasks(fresh, monkeypatch, block_tasks, executions, name):
     docs = _read()
-    assert isinstance(docs, MaterializedDataset)
+    assert isinstance(docs, rio.Blocks) and docs.kept
     block_tasks.clear()  # the admission's compaction tasks
     tasks = _view_frame(name, docs)
-    assert len(block_tasks) == docs.num_blocks()
+    assert len(block_tasks) == len(docs)
     assert len(tasks)
 
     _over_budget(monkeypatch)
     _read()
-    disk = _read()
-    assert not isinstance(disk, MaterializedDataset)
     block_tasks.clear()
     executions.clear()
+    disk = _read()
+    assert not disk.kept
     got = _view_frame(name, disk)
     assert block_tasks and len(executions) == 1  # one materialize, then block tasks
     pd.testing.assert_frame_equal(got, tasks)
@@ -228,10 +227,11 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     executions.clear()
     block_tasks.clear()  # the admission's compaction tasks
     got = rio.materialize_blocks(docs, stage)
-    assert isinstance(got, MaterializedDataset)
+    assert isinstance(got, rio.Blocks)
     assert not executions
-    assert len(block_tasks) == docs.num_blocks() == got.num_blocks()
-    want = rio.blocks_table(docs.map_batches(stage, batch_format="pyarrow").materialize())
+    assert len(block_tasks) == len(docs) == len(got)
+    mapped = rio.dataset(docs).map_batches(stage, batch_format="pyarrow")
+    want = rio.blocks_table(mapped.materialize())
     assert want.num_rows and rio.blocks_table(got).equals(want)
 
     _over_budget(monkeypatch)
@@ -239,10 +239,65 @@ def test_materialize_blocks_equals_map_batches(fresh, monkeypatch, block_tasks, 
     disk = _read()
     block_tasks.clear()
     fell = rio.materialize_blocks(disk, stage)
-    assert isinstance(fell, MaterializedDataset) and block_tasks
+    assert isinstance(fell, rio.Blocks) and block_tasks
     pd.testing.assert_frame_equal(
         _finish(rio.blocks_table(fell), None, None), _finish(want, None, None)
     )
+
+
+@pytest.mark.parametrize("resident", [True, False], ids=["resident", "over-budget"])
+@pytest.mark.parametrize("filtered", [False, True], ids=["whole", "filtered"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_materialize_blocks_returns_blocks_in_block_order(
+    monkeypatch, executions, block_tasks, n, filtered, resident
+):
+    """materialize_blocks hands on io.Blocks: one block per input block
+    and, over a resident table of 1 or 4 blocks, whole or behind a
+    filtered view, the rows map_batches(stage).materialize() gives over
+    the same blocks, in block order, with no Ray Data execution. Over
+    the resident budget the read is materialized once (one execution)
+    and the same tasks give the same rows."""
+    opts = ray.data.DataContext.get_current().execution_options
+    monkeypatch.setattr(opts, "preserve_order", True)
+    _blocks(monkeypatch, n)
+    path = ensure_documents(SF)
+    ids = pq.read_table(path, columns=["osm_id"])["osm_id"]
+    flt = pc.field("osm_id") < pc.approximate_median(ids).as_py() if filtered else None
+    stage = VIEWS["snapshot"]()[0]
+    read = rio.read_resident(path, DECODE_COLUMNS, filter=flt)
+    mapped = rio.dataset(read).map_batches(stage, batch_format="pyarrow")
+    want = rio.blocks_table(mapped.materialize())
+    if not resident:
+        _over_budget(monkeypatch)
+        rio.read_resident(path, DECODE_COLUMNS)
+    executions.clear()
+    block_tasks.clear()
+    docs = rio.read_resident(path, DECODE_COLUMNS, filter=flt)
+    got = rio.materialize_blocks(docs, stage)
+    assert isinstance(got, rio.Blocks) and not got.kept and got.view is None
+    assert len(got) == len(docs) == len(block_tasks)
+    assert len(executions) == (0 if resident else 1)
+    assert want.num_rows and rio.blocks_table(got).equals(want)
+    assert rio.num_rows(got) == want.num_rows
+
+
+def test_num_rows_of_blocks_runs_nothing(executions, block_tasks):
+    """io.num_rows of a resident table, a view of fewer columns, a
+    materialize_blocks output and a reduce_by_key output is the sum of
+    the row counts kept with their blocks: no Ray Data execution and no
+    block task."""
+    docs = _read()
+    outputs = [
+        docs,
+        rio.read_resident(ensure_documents(SF), columns=["osm_id"]),
+        rio.materialize_blocks(docs, VIEWS["snapshot"]()[0]),
+        rio.reduce_by_key(docs, ["osm_id"], lambda t: t.select(["osm_id"])),
+    ]
+    want = [rio.blocks_table(b).num_rows for b in outputs]
+    executions.clear()
+    block_tasks.clear()
+    assert [rio.num_rows(b) for b in outputs] == want
+    assert all(want) and not executions and not block_tasks
 
 
 # ---------------------------------------------- what a block task carries
@@ -303,7 +358,7 @@ def test_stage_capturing_a_ref_gives_the_same_rows_at_any_block_count(monkeypatc
     for n in (1, 4):
         _blocks(monkeypatch, n)
         docs = read_documents(SF, columns=DECODE_COLUMNS)
-        assert docs.num_blocks() == n
+        assert len(docs) == n
         block_tasks.clear()
         block_tasks.puts.clear()
         mapped = rio.map_blocks(docs, stage)
@@ -363,7 +418,7 @@ def test_empty_filter_keeps_the_stage_schema(fresh):
     assert t.schema == pa.schema([("ts_q", pa.int64()), ("n_part", pa.int64())])
     stage, keys = contribution_stats_stage(CONTRIB_FROM, CONTRIB_TO, flag_cols=["is_creation"])
     t = rio.map_blocks(docs, stage)
-    assert t["n_part"].to_pylist() == [0] * read_documents(SF).num_blocks()
+    assert t["n_part"].to_pylist() == [0] * len(read_documents(SF))
 
 
 def test_empty_aoi_frames_match_the_dataset_path(fresh, monkeypatch):
@@ -677,6 +732,6 @@ def test_graph_operators_run_no_ray_data_execution(executions):
     for gate in (2_000_000, 0):
         hops = bfs_hops(edges, lambda n: n % 7 == 0, 3, broadcast_gate=gate)
         core, _ = k_core(edges, 3, broadcast_gate=gate)
-        assert hops["n"].sum() and core.count()
+        assert hops["n"].sum() and rio.num_rows(core)
     assert rio.blocks_table(connected_components(edges)).num_rows
     assert not executions

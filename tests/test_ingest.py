@@ -31,7 +31,7 @@ def test_decode_matches_sql_derivation():
     DuckDB oracles use — this is the contract that makes the
     correctness gate meaningful."""
     path = ensure_documents(SF)
-    docs = read_documents(SF, columns=DECODE_COLUMNS).materialize()
+    docs = rio.dataset(read_documents(SF, columns=DECODE_COLUMNS))
     lookup = tag_lookup(sig_keytable(SF))
     flat = pa.concat_tables(
         [
@@ -82,7 +82,7 @@ def test_span_stream_invariant():
     """Per-row invariant: spans are a valid interleaved stream —
     offsets are 0..n-1, each version span followed by its tag spans and
     (iff visible) one geom span, versions oldest->newest."""
-    docs = read_documents(SF).take(20)
+    docs = rio.blocks_table(read_documents(SF)).slice(0, 20).to_pylist()
     for d in docs:
         spans = d["spans"]
         assert [s["offset"] for s in spans] == list(range(len(spans)))
@@ -127,8 +127,8 @@ def test_document_shard_is_one_row_group_and_one_stage_call():
     assert len(calls) == len(files)
     assert int(calls["rows"].sum()) == sum(m.num_rows for m in metas)
     resident = read_documents(SF)
-    calls = per_call(resident)
-    assert len(calls) == resident.num_blocks() == rio.auto_num_blocks(path)
+    calls = per_call(rio.dataset(resident))
+    assert len(calls) == len(resident) == rio.auto_num_blocks(path)
     assert int(calls["rows"].sum()) == sum(m.num_rows for m in metas)
 
 

@@ -2083,9 +2083,9 @@ def test_k_core_brute_force_and_path_equality():
         u = rng.randint(0, n, m)
         v = rng.randint(0, n, m)
         raw = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
-        edges = dedupe_edges(raw).map_batches(
-            lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-        ).materialize()
+        edges = rio.materialize_blocks(
+            dedupe_edges(raw), lambda b: b.rename_columns(["src", "dst"])
+        )
         want_nodes, want_rounds = _kcore_brute(list(zip(u.tolist(), v.tolist())), k)
         for gate in (2_000_000, 0):
             core, rounds = k_core(edges, k, broadcast_gate=gate)
@@ -2144,9 +2144,9 @@ def test_bfs_hops_brute_force_and_path_equality():
         u = rng.randint(0, n, m)
         v = rng.randint(0, n, m)
         raw = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
-        edges = dedupe_edges(raw).map_batches(
-            lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow"
-        ).materialize()
+        edges = rio.materialize_blocks(
+            dedupe_edges(raw), lambda b: b.rename_columns(["src", "dst"])
+        )
         adj = collections.defaultdict(set)
         for a, b in zip(edges.to_pandas()["src"], edges.to_pandas()["dst"]):
             adj[int(a)].add(int(b))

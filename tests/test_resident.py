@@ -12,7 +12,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
-from ray.data.dataset import MaterializedDataset
 
 from rayhist import io as rio
 from rayhist.api import OSMEntitySnapshotView
@@ -41,9 +40,10 @@ def fresh(monkeypatch):
 
 
 def _rows(ds) -> pa.Table | None:
-    """Every row of ``ds`` in block order (None when there is none)."""
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    return pa.concat_tables(tables).combine_chunks() if tables else None
+    """Every row of ``ds`` (blocks or a Dataset) in block order (None
+    when there is none)."""
+    t = rio.blocks_table(ds)
+    return t.combine_chunks() if t.num_rows else None
 
 
 def _same(a, b) -> bool:
@@ -55,6 +55,13 @@ def _entry(path, columns=None) -> dict:
     cols = None if columns is None else tuple(columns)
     (rec,) = [r for r in rio.resident_tables() if r["path"] == str(path) and r["columns"] == cols]
     return rec
+
+
+def _nbytes(read, ensure) -> float:
+    """In-memory bytes of the resident copy of every column of ``read``'s
+    table."""
+    read(SF)
+    return _entry(ensure(SF))["mb"] * (1 << 20)
 
 
 @pytest.mark.parametrize(
@@ -72,8 +79,8 @@ def test_resident_equals_disk_read(fresh, read, ensure, columns):
     path = ensure(SF)
     first = read(SF, columns=columns)
     again = read(SF, columns=columns)
-    assert again is first  # the kept MaterializedDataset, no new read
-    assert first.num_blocks() == rio.auto_num_blocks(path)
+    assert again is first  # the kept blocks, no new read
+    assert first.kept and len(first) == rio.auto_num_blocks(path)
     assert _same(first, rio.read_table(path, columns=columns))
     rec = _entry(path, columns)
     assert (rec["hits"], rec["misses"], rec["resident"]) == (1, 1, True)
@@ -94,7 +101,7 @@ def test_in_place_rewrite_reloads(fresh, tmp_path):
     assert os.stat(shard).st_mtime_ns == st.st_mtime_ns
     after = rio.read_resident(table)
     assert after is not before
-    assert after.count() == before.count() - 1
+    assert rio.num_rows(after) == rio.num_rows(before) - 1
     assert _same(after, rio.read_table(table))
     assert _entry(table)["misses"] == 2  # the stale entry was replaced
 
@@ -150,7 +157,7 @@ def test_one_copy_per_table(fresh):
     assert rec["columns"] == ("event_type", "ts", "value", "user_id", "event_id")
     assert (rec["hits"], rec["misses"]) == (3, 3)  # the three reads that added columns
     again = rio.read_resident(path, columns=["user_id", "ts"])
-    assert again is rio.read_resident(path, columns=["user_id", "ts"])  # one view per column list
+    assert again.refs is rio.read_resident(path, columns=["ts"]).refs  # views of one copy
     n = pq.ParquetFile(path).metadata.num_rows
     assert rio.num_rows(again) == rio.num_rows(rio.read_resident(path, columns=["ts"])) == n
     filtered = rio.read_resident(path, columns=["value"], filter=flt)
@@ -175,7 +182,7 @@ def test_over_budget_table_reads_from_disk(fresh, monkeypatch):
     first = read_documents(SF, columns=DECODE_COLUMNS)
     again = read_documents(SF, columns=DECODE_COLUMNS)
     assert again is not first
-    assert not isinstance(again, MaterializedDataset)  # a lazy disk read
+    assert not again.kept  # read from disk
     assert _same(first, rio.read_table(path, columns=DECODE_COLUMNS))
     assert _same(again, first)
     rec = _entry(path, DECODE_COLUMNS)
@@ -184,8 +191,8 @@ def test_over_budget_table_reads_from_disk(fresh, monkeypatch):
 
 def test_lru_evicts_the_older_table(fresh, monkeypatch):
     nodes, ways = ensure_documents(SF), ensure_way_documents(SF)
-    a = read_documents(SF).size_bytes()
-    b = read_way_documents(SF).size_bytes()
+    a = _nbytes(read_documents, ensure_documents)
+    b = _nbytes(read_way_documents, ensure_way_documents)
     rio._resident.clear()
     store = ray.cluster_resources()["object_store_memory"]
     monkeypatch.setattr(rio, "RESIDENT_FRACTION", (max(a, b) + min(a, b) / 2) / store)
@@ -211,7 +218,7 @@ def test_other_session_is_never_served(fresh, monkeypatch):
 def test_resident_blocks_hold_one_chunk_per_column(fresh, read):
     """Admission compacts each block: a parquet read leaves one chunk
     per shard file in every column, and a block fetch rebuilds each."""
-    blocks = ray.get(read(SF).to_arrow_refs())
+    blocks = ray.get(list(read(SF).refs))
     assert blocks and all(c.num_chunks == 1 for b in blocks for c in b.columns)
 
 
@@ -224,42 +231,43 @@ def test_node_read_is_chunked_per_shard(fresh):
 
 def test_block_refs_are_taken_once_per_table(fresh, monkeypatch):
     """map_blocks, reduce_by_key and blocks_table take the resident
-    table's kept block refs: one to_arrow_refs() call, at admission."""
+    table's kept block refs: the blocks of one Dataset are taken once,
+    at admission."""
     calls = []
-    to_refs = ray.data.Dataset.to_arrow_refs
+    dataset_blocks = rio._dataset_blocks
 
-    def counting(self):
-        calls.append(self)
-        return to_refs(self)
+    def counting(ds):
+        calls.append(ds)
+        return dataset_blocks(ds)
 
-    monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs", counting)
+    monkeypatch.setattr(rio, "_dataset_blocks", counting)
     docs = read_documents(SF, columns=DECODE_COLUMNS)
     for _ in range(3):
         again = read_documents(SF, columns=DECODE_COLUMNS)
-        assert rio.map_blocks(again, lambda b: b.slice(0, 1)).num_rows == again.num_blocks()
+        assert rio.map_blocks(again, lambda b: b.slice(0, 1)).num_rows == len(again)
     flt = pa.compute.field("osm_id") >= 0
     filtered = rio.read_resident(ensure_documents(SF), DECODE_COLUMNS, filter=flt)
     n = rio.blocks_table(docs).num_rows
     assert rio.map_blocks(filtered, lambda b: b.select(["osm_id"])).num_rows == n
     refs = rio.reduce_by_key(docs, ["osm_id"], lambda t: t.select(["osm_id"]))
     assert rio.blocks_table(refs).num_rows == n
-    assert sum(ds is docs for ds in calls) == 1
+    assert len(calls) == 1
 
 
 def test_kept_refs_die_with_their_entry(fresh, monkeypatch):
     """A table evicted by the LRU, or purged by a session change, takes
     its kept block refs with it."""
-    a = read_documents(SF).size_bytes()
-    b = read_way_documents(SF).size_bytes()
+    a = _nbytes(read_documents, ensure_documents)
+    b = _nbytes(read_way_documents, ensure_way_documents)
     rio._resident.clear()
     store = ray.cluster_resources()["object_store_memory"]
     monkeypatch.setattr(rio, "RESIDENT_FRACTION", (max(a, b) + min(a, b) / 2) / store)
     gc.collect()
     nodes = weakref.ref(read_documents(SF))
-    assert nodes() in rio._kept
+    assert nodes().kept
     ways = weakref.ref(read_way_documents(SF))  # evicts the node table
     gc.collect()
-    assert nodes() is None and ways() in rio._kept
+    assert nodes() is None and ways().kept
     monkeypatch.setattr(rio, "_session", lambda: ("another-node", "another-job"))
     read_documents(SF)
     gc.collect()
@@ -311,8 +319,8 @@ def test_worker_kept_blocks_never_outlive_their_table(fresh, monkeypatch, tmp_pa
     new generation, whose first task in a worker clears the blocks
     that worker kept."""
     nodes, ways = ensure_documents(SF), ensure_way_documents(SF)
-    a = read_documents(SF).size_bytes()
-    b = read_way_documents(SF).size_bytes()
+    a = _nbytes(read_documents, ensure_documents)
+    b = _nbytes(read_way_documents, ensure_way_documents)
     rio._resident.clear()
     store = ray.cluster_resources()["object_store_memory"]
     monkeypatch.setattr(rio, "RESIDENT_FRACTION", (max(a, b) + min(a, b) / 2) / store)
@@ -324,7 +332,7 @@ def test_worker_kept_blocks_never_outlive_their_table(fresh, monkeypatch, tmp_pa
     assert rio._generation > generation  # the last read evicted a table
     docs = read_way_documents(SF)
     held = rio.map_blocks(docs, _held)["block"].to_pylist()
-    assert set(held) <= {ref.binary() for ref in rio._kept[docs]}
+    assert set(held) <= {ref.binary() for ref in docs.refs}
 
     table = tmp_path / "docs"
     shutil.copytree(nodes, table)
@@ -377,8 +385,8 @@ def test_facade_filter_equals_parquet_filter(fresh, chain, spans):
 
 def test_bbox_filter_drops_documents(fresh):
     mr = OSMEntitySnapshotView.on(SF).areaOfInterest(bbox=BBOX)
-    kept = mr._docs().count()
-    assert 0 < kept < read_documents(SF, columns=DECODE_COLUMNS).count()
+    kept = rio.num_rows(mr._docs())
+    assert 0 < kept < rio.num_rows(read_documents(SF, columns=DECODE_COLUMNS))
 
 
 def test_concurrent_first_reads_load_once(fresh):

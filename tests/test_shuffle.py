@@ -3,6 +3,7 @@
 whatever the key types, block count or emptiness of the input."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import textwrap
@@ -140,8 +141,9 @@ def test_filtered_block_and_empty_buckets():
     tables[4] = tables[4].set_column(0, "k", pa.array(np.full(len(tables[4]), 99)))
     base = _blocks(tables)
     flt = pc.field("k") != 99
-    filtered = base.map_batches(lambda b: b.filter(flt), batch_format="pyarrow")
-    rio._views[filtered] = (base, rio._View(flt, None))  # as read_resident(filter=) registers it
+    # as read_resident(filter=) returns it, and the Dataset it stands for
+    filtered = dataclasses.replace(rio.as_blocks(base), view=rio._View(flt, None))
+    filtered_ds = base.map_batches(lambda b: b.filter(flt), batch_format="pyarrow")
     # two distinct keys over nine buckets: at least seven buckets are empty
     few = pa.table({"k": pa.array([1, 2], pa.int64()), "v": [0, 0]})
 
@@ -150,15 +152,14 @@ def test_filtered_block_and_empty_buckets():
         return pa.table({"k": pc.add(pc.bit_wise_and(t["k"], 1), 1), "v": t["v"]})
 
     got = rio.reduce_by_key(filtered, ["k"], _sums(["k"]), stage=stage)
-    sizes = [ray.get(r).num_rows for r in got]
+    sizes = [ray.get(r).num_rows for r in got.refs]
     assert len(sizes) == 9 and sizes.count(0) >= 7
     assert rio.blocks_table(got).schema == _sums(["k"])(few).schema
-    want = _ray_groupby(filtered, ["k"], _sums(["k"]), stage)
+    want = _ray_groupby(filtered_ds, ["k"], _sums(["k"]), stage)
     pd.testing.assert_frame_equal(_sorted(_frame(got), ["k"]), want)
 
     nothing = pc.field("k") > 1000
-    empty = base.map_batches(lambda b: b.filter(nothing), batch_format="pyarrow")
-    rio._views[empty] = (base, rio._View(nothing, None))
+    empty = dataclasses.replace(rio.as_blocks(base), view=rio._View(nothing, None))
     out = rio.blocks_table(rio.reduce_by_key(empty, ["k"], _sums(["k"]), stage=stage))
     assert out.num_rows == 0 and out.schema == _sums(["k"])(few).schema
 
@@ -319,8 +320,9 @@ def _body(fn) -> str:
 def test_query_path_is_resident_block_tasks():
     """Every query-time read goes through io.read_resident: no
     read_table in the query surface. The block-task entry points share
-    one lazy-input rule (io._blocks: materialize once, then the same
-    tasks), with no map_batches or iter_batches branch of their own."""
+    one input rule (io.as_blocks: Blocks as they are, a Dataset
+    materialized once), with no map_batches or iter_batches branch of
+    their own."""
     root = Path(rio.__file__).parent
     surface = [root / "pipelines.py", root / "api.py", *sorted((root / "ops").rglob("*.py"))]
     for path in surface:
@@ -329,8 +331,72 @@ def test_query_path_is_resident_block_tasks():
     for fn in (rio.map_blocks, rio.materialize_blocks, rio.reduce_by_key, rio.blocks_table):
         body = _body(fn)
         assert "map_batches" not in body and "iter_batches" not in body, fn.__name__
-        assert "_blocks(" in body or "_block_refs(" in body, fn.__name__
-    assert "_blocks(" in _body(rio._block_refs)
+        assert "as_blocks(" in body or "_block_refs(" in body, fn.__name__
+    assert "as_blocks(" in _body(rio._block_refs)
+
+
+# the Dataset edges of the query surface, by (file, function): the facade's
+# view() and its stream() iterator, the checkpoint write sinks, the media
+# operators over a Dataset source and the kNN layout build inside io.ensure;
+# every other step hands on io.Blocks
+DATASET_EDGES = {
+    ("api.py", "view"): {"dataset"},
+    ("api.py", "stream"): {"iter_batches"},
+    ("state/checkpoint.py", "run_sharded"): {"dataset", "write_parquet"},
+    ("state/checkpoint.py", "write_partitioned_by_cell"): {
+        "dataset", "map_batches", "write_parquet",
+    },
+    ("spatial/knn.py", "_ensure_layout"): {"map_batches", "write_parquet"},
+    ("ops/multimodal.py", "decode_media"): {"map_batches"},
+    ("ops/multimodal.py", "resize_media"): {"map_batches"},
+    ("ops/multimodal.py", "sample_frames"): {"map_batches"},
+}
+DATASET_METHODS = {"materialize", "map_batches", "iter_batches", "to_arrow_refs", "write_parquet"}
+DATASET_SOURCES = {"from_arrow_refs", "from_arrow", "from_pandas", "from_items", "from_numpy"}
+
+
+def _dataset_call(call: ast.Call) -> str | None:
+    """The Dataset-building or Dataset-reading name ``call`` makes, if
+    any (``pa.Table.from_pandas`` builds an Arrow table and
+    ``pyarrow.dataset.dataset`` opens files: neither is one)."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        name, receiver = f.id, None
+    elif isinstance(f, ast.Attribute):
+        name, receiver = f.attr, ast.unparse(f.value)
+    else:
+        return None
+    if name in DATASET_SOURCES:
+        return name if receiver in (None, "ray.data") else None
+    if name == "dataset":  # io.dataset, the Blocks -> Dataset edge
+        return name if receiver in (None, "rio") else None
+    return name if name in DATASET_METHODS else None
+
+
+def test_query_path_hands_on_blocks():
+    """No step of the query surface builds or reads a Dataset between
+    its block tasks: no from_arrow_refs / from_arrow / from_pandas /
+    materialize() / map_batches / to_arrow_refs in pipelines.py,
+    api.py, views.py, ops/, spatial/ or state/, except at the named
+    edges (DATASET_EDGES, which must all still exist)."""
+    root = Path(rio.__file__).parent
+    surface = [
+        root / "pipelines.py", root / "api.py", root / "views.py",
+        *(p for d in ("ops", "spatial", "state") for p in sorted((root / d).rglob("*.py"))),
+    ]
+    found: dict[tuple, set] = {}
+    for path in surface:
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        for st in tree.body:  # methods count by their own name
+            for unit in st.body if isinstance(st, ast.ClassDef) else [st]:
+                fn = isinstance(unit, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(unit):
+                    kind = isinstance(node, ast.Call) and _dataset_call(node)
+                    if kind:
+                        found.setdefault((rel, unit.name if fn else "<module>"), set()).add(kind)
+    assert len(surface) >= 35
+    assert found == DATASET_EDGES
 
 
 def test_query_path_reads_no_span_text():

@@ -90,7 +90,7 @@ def test_no_query_keeps_the_span_text_resident(monkeypatch):
     for fn, _oracle in pipelines.QUERIES.values():
         fn(SF)
     held = {
-        key[1]: entry.columns or tuple(entry.ds.schema().names)
+        key[1]: entry.columns or tuple(rio.schema(entry.blocks).names)
         for key, entry in rio._resident.items()
     }
     assert held and not [path for path, cols in held.items() if "spans" in cols]

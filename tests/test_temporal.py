@@ -217,9 +217,8 @@ def test_reverse_version_runs_invariant_end_to_end():
     from rayhist.model import DECODE_COLUMNS, reverse_version_runs
     from rayhist.temporal import snapshots as snap_fn
 
-    batch = read_documents("/root/testdata/sf0.001", columns=DECODE_COLUMNS).take_batch(
-        10_000, batch_format="pyarrow"
-    )
+    batch = rio.blocks_table(read_documents("/root/testdata/sf0.001", columns=DECODE_COLUMNS))
+    batch = batch.slice(0, 10_000)
     dirty = reverse_version_runs(batch)
     # the versions per doc are preserved, their order is not
     assert batch["ver_ts"].to_pylist() != dirty["ver_ts"].to_pylist()
@@ -686,9 +685,7 @@ def test_history_scan_stages_skip_sort_on_ingest_order(monkeypatch):
     from rayhist.model import DECODE_COLUMNS, reverse_version_runs
 
     sf = "/root/testdata/sf0.001"
-    batch = read_documents(sf, columns=DECODE_COLUMNS).take_batch(
-        100_000, batch_format="pyarrow"
-    )
+    batch = rio.blocks_table(read_documents(sf, columns=DECODE_COLUMNS)).slice(0, 100_000)
     dirty = reverse_version_runs(batch)
     stages = _history_scan_stages(sf)
     real_lexsort = np.lexsort
