@@ -48,18 +48,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from .aggregate import floor_bin
+from .functions.deadline import Deadline
 from .io import blocks_table, dataset, map_blocks, materialize_blocks, reduce_by_key
+from .model import tag_lookup
 from .temporal import TagFilter
+from .views import (
+    CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, contribution_rows, snapshot_rows,
+)
 
-
-# view columns from a prunable decode step, tag strings (gathered
-# through the keytable's lookup) and geometry: a terminal reading any of
-# these must not prune that step (the pruned decode constant-fills them
-# — see model.decode_spans); tag_id and is_tag_change need no lookup
-_TAG_STRING_COLS = {"tag_sig", "etype", "kk"}
-_GEOM_COLS = {"lon_e7", "lat_e7", "is_geom_change", "prev_lon_e7", "prev_lat_e7"}
 # aggregation keys whose cardinality scales with the corpus: finals on
 # these stay distributed (never combine_partials on the driver).
 # Per CLAUDE.md: entity ids, distinct users, changesets and the tag
@@ -71,6 +71,152 @@ def _to_us(t) -> int:
     from .functions.timeutil import parse_iso
 
     return parse_iso(t) if isinstance(t, str) else int(t)
+
+
+@dataclass(frozen=True)
+class _AOI:
+    """areaOfInterest membership, (lon_e7, lat_e7) -> inside mask: the
+    closed bbox, or the even-odd test of the rings (spatial.fip)."""
+
+    bbox: tuple[int, int, int, int] | None
+    rings: tuple | None
+
+    def __call__(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        if self.bbox is not None:
+            x0, y0, x1, y1 = self.bbox
+            return (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
+        from .spatial.fip import Polygon
+
+        # constructed per call (cheap: band index over the ring edges)
+        return Polygon([np.asarray(r, np.float64) for r in self.rings]).contains(
+            lon.astype(np.float64), lat.astype(np.float64)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _ViewStage:
+    """The per-batch kernel a chain compiles to (``MapReducer._view_stage``):
+    the view rows (``views.snapshot_rows``/``contribution_rows``) under
+    the chain's version masks and AOI -> row filters and maps in chain
+    order -> region expansion. A frozen module-level class, so it
+    pickles by reference like the ``views.py`` stages."""
+
+    is_snap: bool
+    ts: np.ndarray
+    t_from: int
+    t_to: int
+    columns: tuple[str, ...]
+    lookup: pa.Table | None
+    lut: np.ndarray | None  # the AND of the tag filters' LUTs
+    types: tuple[str, ...]
+    entity_filters: tuple[Callable, ...]
+    transforms: tuple[tuple[str, Callable], ...]
+    aoi: _AOI | None
+    regions: tuple
+    deadline: Deadline | None
+
+    def _match(self, decoded: pa.Table) -> np.ndarray:
+        """Per version: the type (an exact check; the scan filter is a
+        prefilter) AND the tag LUT AND every entity filter."""
+        m = np.ones(decoded.num_rows, dtype=bool)
+        if self.types:
+            m &= pc.is_in(decoded["osm_type"], value_set=pa.array(list(self.types))).to_numpy(
+                zero_copy_only=False
+            )
+        if self.lut is not None:
+            m &= self.lut[decoded["tag_id"].to_numpy(zero_copy_only=False)]
+        for ef in self.entity_filters:
+            m &= np.asarray(ef(decoded), dtype=bool)
+        return m
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.deadline is not None:
+            self.deadline.check()
+        # a tag LUT alone is the entry's own gather
+        match = self._match if (self.types or self.entity_filters) else self.lut
+        if self.is_snap:
+            out = snapshot_rows(batch, self.ts, self.columns, self.lookup, match, self.aoi)
+        else:
+            out = contribution_rows(
+                batch, self.t_from, self.t_to, self.columns, self.lookup, match, self.aoi
+            )
+        for kind, fn in self.transforms:  # chain order is semantic
+            if kind == "filter":
+                out = out.filter(pa.array(np.asarray(fn(out), dtype=bool)))
+            else:
+                out = fn(out)
+        if not self.regions:
+            return out
+        from .spatial.fip import Polygon
+
+        lon = out["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
+        lat = out["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
+        if not self.is_snap and "is_deletion" in out.column_names:
+            # a DELETION's current geometry is the constant-filled
+            # origin; its region membership is where the entity WAS
+            # (prev state) — same rule as the AOI clipped-empty
+            # semantics (temporal.contributions)
+            dele = out["is_deletion"].to_numpy(zero_copy_only=False)
+            prev_lon = out["prev_lon_e7"].to_numpy(zero_copy_only=False)
+            prev_lat = out["prev_lat_e7"].to_numpy(zero_copy_only=False)
+            lon = np.where(dele, prev_lon.astype(np.float64), lon)
+            lat = np.where(dele, prev_lat.astype(np.float64), lat)
+        parts = []
+        for name, rings in self.regions:
+            inside = Polygon([np.asarray(r, np.float64) for r in rings]).contains(lon, lat)
+            sub = out.filter(pa.array(inside))
+            names = pa.array([name] * len(sub), type=pa.string())
+            parts.append(sub.append_column("region_id", names))
+        return pa.concat_tables(parts)
+
+
+@dataclass(frozen=True, eq=False)
+class _KeyedRows:
+    """The (ts_q, when aggregated by timestamp; cols...) columns of the
+    view rows: a snapshot's ts_q as it is, a contribution's ts
+    floor-binned to ``bins`` (MapReducer.java:774-822)."""
+
+    view: _ViewStage
+    agg_ts: bool
+    bins: np.ndarray | None
+    cols: tuple[str, ...]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        v = self.view(batch)
+        t = v.select(list(self.cols))
+        if not self.agg_ts:
+            return t
+        if self.bins is None:
+            return t.add_column(0, "ts_q", v["ts_q"])
+        tsq = floor_bin(v["ts"].to_numpy(zero_copy_only=False), self.bins)
+        return t.add_column(0, "ts_q", pa.array(tsq, type=pa.int64()))
+
+
+@dataclass(frozen=True, eq=False)
+class _PartialSums:
+    """Per-batch partial count and sums of ``src_cols`` over the keyed
+    view rows, per key (booleans sum as 0/1)."""
+
+    rows: _KeyedRows
+    keys: tuple[str, ...]
+    src_cols: tuple[str, ...]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        t = self.rows(batch)
+        for c in self.src_cols:
+            if pa.types.is_boolean(t[c].type):
+                t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(pa.int64()))
+        t = t.append_column("_one", pa.array(np.ones(t.num_rows, dtype=np.int64)))
+        aggs = [("_one", "sum")] + [(c, "sum") for c in self.src_cols]
+        if self.keys:
+            g = pa.TableGroupBy(t, list(self.keys)).aggregate(aggs)
+            return g.rename_columns([*self.keys, "_n_part", *[c + "_part" for c in self.src_cols]])
+        out = {"_n_part": pa.array([t.num_rows], type=pa.int64())}
+        for c in self.src_cols:
+            # keep a float column's type (an int64 cast would truncate)
+            typ = t[c].type if pa.types.is_floating(t[c].type) else pa.int64()
+            out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
+        return pa.table(out)
 
 
 @dataclass(frozen=True)
@@ -311,8 +457,6 @@ class MapReducer:
         the OSH pre-filter (the reference prunes at the cell level,
         CellIterator.java:182-195; here a ``Table.filter`` stage fused
         into the query's stage drops the documents, io.read_resident)."""
-        import pyarrow.compute as pc
-
         flt = None
         box = self._bbox
         if self._rings is not None:
@@ -366,70 +510,35 @@ class MapReducer:
             filter=self._aoi_prefilter(),
         )
 
-    def _aoi_mask_fn(self):
-        """Vectorized (lon_e7, lat_e7) -> inside mask, or None."""
-        if self._bbox is not None:
-            x0, y0, x1, y1 = self._bbox
+    def _aoi(self) -> _AOI | None:
+        if self._bbox is None and self._rings is None:
+            return None
+        return _AOI(self._bbox, self._rings)
 
-            def fn(lon, lat):
-                return (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-
-            return fn
-        if self._rings is not None:
-            rings = [np.asarray(r, np.float64) for r in self._rings]
-
-            def fn(lon, lat):
-                from .spatial.fip import Polygon
-
-                # constructed per task (cheap: band index over the ring
-                # edges), shipped as raw arrays in the closure
-                return Polygon(rings).contains(
-                    lon.astype(np.float64), lat.astype(np.float64)
-                )
-
-            return fn
-        return None
-
-    def _needs_full_decode(self) -> bool:
-        return bool(self._entity_filters or self._transforms)
-
-    def _view_stage(self, tag_strings: bool, need_geom: bool, reads=None):
-        """The fused per-batch kernel: decode -> version masks ->
-        interpolate/classify -> AOI -> row filters -> maps.
-
-        ``tag_strings``: the chain reads tag strings, gathered through the
-        keytable's lookup; tag filters are LUT gathers over the same
-        keytable. ``reads`` names the view columns the caller reads
-        (None: all of them); the interpolation gathers only those state
-        columns and what the AOI and region steps read. A chain with
-        maps or row filters keeps every column (they may read any)."""
-        from .model import decode_spans, tag_lookup
-        from .temporal import _STATE_COLS
-        from .temporal import contributions as contrib_fn
-        from .temporal import snapshots as snap_fn
-
-        entity_filters = self._entity_filters
-        transforms = self._transforms
-        aoi = self._aoi_mask_fn()
-        regions = self._regions
-        types = self._types
+    def _view_stage(self, reads=None) -> _ViewStage:
+        """Compile the chain into its per-batch view kernel. ``reads``
+        names the view columns the caller reads (None: all of them): the
+        view entry gathers only those and what the region step reads,
+        and decodes only what they need. A chain with entity filters,
+        row filters or maps reads every column (they may read any)."""
         is_snap = self._view == "snapshot"
         if is_snap and not self._ts:
             # symmetric with the contribution view's _interval() check:
             # a forgotten timestamps() must not return a silent 0
             raise ValueError("snapshot view needs timestamps()")
-        ts = np.asarray(self._ts, dtype=np.int64)
         t_from, t_to = (0, 0) if is_snap else self._interval()
-        gather = None
-        if reads is not None and not transforms:
-            need = set(reads)
-            if regions or (is_snap and aoi is not None):
-                need |= {"lon_e7", "lat_e7"}
-            gather = [c for c in _STATE_COLS if c in need]
-        # tags are keytable ids (osm/OSMEntity.java:97-152): each
-        # filter is a bool LUT over the keytable, built here once
-        lookup, luts = None, []
-        if tag_strings or self._tag_filters:
+        view_cols = SNAPSHOT_COLUMNS if is_snap else CONTRIBUTION_COLUMNS
+        full = reads is None or self._entity_filters or self._transforms
+        need = set(view_cols) if full else set(reads)
+        if self._regions:
+            need |= {"lon_e7", "lat_e7"}
+            if not is_snap:  # a deletion's region is where it was
+                need |= {"is_deletion", "prev_lon_e7", "prev_lat_e7"}
+        columns = tuple(c for c in view_cols if c in need)
+        # tags are keytable ids (osm/OSMEntity.java:97-152): the tag
+        # filters AND into one bool LUT over the keytable, built here once
+        lookup, lut = None, None
+        if TAG_STRINGS & need or self._tag_filters:
             if not isinstance(self._source, str):
                 raise ValueError(
                     "tag filters and tag reads need the keytable of an sf_dir"
@@ -438,98 +547,20 @@ class MapReducer:
             from .ingest import sig_keytable
 
             kt = sig_keytable(self._source)
-            luts = [tf.sig_lut(kt) for tf in self._tag_filters]
-            lookup = tag_lookup(kt) if tag_strings else None
-
-        def stage(batch: pa.Table) -> pa.Table:
-            decoded = decode_spans(batch, lookup, geom=need_geom)
-            m = None
-            if types:  # exact check (the scan filter is a prefilter)
-                import pyarrow.compute as pc
-
-                m = pc.is_in(
-                    decoded["osm_type"], value_set=pa.array(list(types))
-                ).to_numpy(zero_copy_only=False)
-            if luts:
-                ids = decoded["tag_id"].to_numpy(zero_copy_only=False)
-                for lut in luts:
-                    mm = lut[ids]  # id -1 wraps to the trailing no-tags slot
-                    m = mm if m is None else (m & mm)
-            for ef in entity_filters:
-                mm = np.asarray(ef(decoded), dtype=bool)
-                m = mm if m is None else (m & mm)
-            if is_snap:
-                out = snap_fn(decoded, ts, m, columns=gather)
-                if aoi is not None:
-                    keep = aoi(
-                        out["lon_e7"].to_numpy(zero_copy_only=False),
-                        out["lat_e7"].to_numpy(zero_copy_only=False),
-                    )
-                    out = out.filter(pa.array(keep))
-            else:
-                amask = None
-                if aoi is not None:
-                    amask = aoi(
-                        decoded["lon_e7"].to_numpy(zero_copy_only=False),
-                        decoded["lat_e7"].to_numpy(zero_copy_only=False),
-                    )
-                out = contrib_fn(decoded, t_from, t_to, m, aoi=amask, columns=gather)
-            for kind, fn in transforms:  # chain order is semantic
-                if kind == "filter":
-                    out = out.filter(pa.array(np.asarray(fn(out), dtype=bool)))
-                else:
-                    out = fn(out)
-            if regions:
-                from .spatial.fip import Polygon
-
-                lon = out["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-                lat = out["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-                if not is_snap and "is_deletion" in out.column_names:
-                    # a DELETION's current geometry is the constant-
-                    # filled origin; its region membership is where the
-                    # entity WAS (prev state) — same rule as the AOI
-                    # clipped-empty semantics (temporal.contributions)
-                    dele = out["is_deletion"].to_numpy(zero_copy_only=False)
-                    lon = np.where(
-                        dele,
-                        out["prev_lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64),
-                        lon,
-                    )
-                    lat = np.where(
-                        dele,
-                        out["prev_lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64),
-                        lat,
-                    )
-                parts = []
-                for name, rings in regions:
-                    inside = Polygon([np.asarray(r, np.float64) for r in rings]).contains(
-                        lon, lat
-                    )
-                    sub = out.filter(pa.array(inside))
-                    parts.append(
-                        sub.append_column(
-                            "region_id",
-                            pa.array([name] * len(sub), type=pa.string()),
-                        )
-                    )
-                out = pa.concat_tables(parts)
-            return out
-
-        if self._timeout_s is None:
-            return stage
+            if self._tag_filters:
+                lut = np.logical_and.reduce([tf.sig_lut(kt) for tf in self._tag_filters])
+            if TAG_STRINGS & need:
+                lookup = tag_lookup(kt)
         # cooperative deadline, armed when the terminal builds the
         # pipeline (the reference counts from query launch,
         # MapReducerJdbc.java:43-49) and checked between batches
         # (Kernels.java:24-36 isActive())
-        from .functions.deadline import Deadline
-
-        deadline = Deadline(self._timeout_s)
-
-        def timed_stage(batch: pa.Table) -> pa.Table:
-            deadline.check()
-            return stage(batch)
-
-        return timed_stage
+        deadline = None if self._timeout_s is None else Deadline(self._timeout_s)
+        return _ViewStage(
+            is_snap, np.asarray(self._ts, dtype=np.int64), t_from, t_to, columns, lookup,
+            lut, self._types, self._entity_filters, self._transforms, self._aoi(),
+            self._regions, deadline,
+        )
 
     def view(self) -> ray.data.Dataset:
         """Escape hatch: a Dataset of the view rows (snapshots or
@@ -545,8 +576,7 @@ class MapReducer:
         belongs to the aggregation terminals, which know what they
         read)."""
         self._require_node_only("view()")
-        stage = self._view_stage(tag_strings=True, need_geom=True)
-        return materialize_blocks(self._docs(), stage)
+        return materialize_blocks(self._docs(), self._view_stage())
 
     # -------------------------------------------------------- terminals
     def _keys(self) -> list[str]:
@@ -583,57 +613,11 @@ class MapReducer:
     def _grouped_numeric(self, sums: dict[str, str], count_alias: str | None):
         """Shared count/sum engine: per-batch partial aggregation inside
         the fused stage, driver combine of the tiny partials, zerofill."""
-        self._require_node_only("this terminal")
-        from .aggregate import combine_partials, floor_bin, sorted_sums, zerofill
+        from .aggregate import combine_partials, sorted_sums
 
         keys = self._keys()
-        read_cols = set(sums.keys()) | set(self._agg_cols)
-        need_full = self._needs_full_decode()
-        # prune the decode to what the chain actually reads (the
-        # memory-traffic rule — see model.decode_spans)
-        tag_strings = need_full or bool(_TAG_STRING_COLS & read_cols)
-        need_geom = need_full or self._aoi_mask_fn() is not None or bool(
-            self._regions
-        ) or bool(_GEOM_COLS & read_cols)
-        agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
-        view_stage = self._view_stage(
-            tag_strings, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
-        )
-        bins = self._bins() if (agg_ts and not is_snap) else None
-        src_cols = list(sums.keys())
-
-        def stage(batch: pa.Table) -> pa.Table:
-            v = view_stage(batch)
-            cols: dict[str, pa.Array] = {}
-            if agg_ts:
-                tsq = (
-                    v["ts_q"].to_numpy(zero_copy_only=False)
-                    if is_snap
-                    else floor_bin(v["ts"].to_numpy(zero_copy_only=False), bins)
-                )
-                cols["ts_q"] = pa.array(tsq, type=pa.int64())
-            for c in self._agg_cols:
-                cols[c] = v[c]
-            for c in src_cols:
-                cols[c] = v[c].cast(pa.int64()) if pa.types.is_boolean(v[c].type) else v[c]
-            cols["_one"] = pa.array(np.ones(len(v), dtype=np.int64))
-            t = pa.table(cols)
-            aggs = [("_one", "sum")] + [(c, "sum") for c in src_cols]
-            if keys:
-                g = pa.TableGroupBy(t, keys).aggregate(aggs)
-                return g.rename_columns([*keys, "_n_part", *[c + "_part" for c in src_cols]])
-            import pyarrow.compute as pc
-
-            out = {"_n_part": pa.array([len(t)], type=pa.int64())}
-            for c in src_cols:
-                # keep the source type (a float column must not be
-                # forced through an int64 cast — that is the grouped
-                # path's behavior too)
-                typ = t[c].type if pa.types.is_floating(t[c].type) else pa.int64()
-                out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
-            return pa.table(out)
-
-        docs = self._docs()
+        docs, rows = self._keyed_stage(list(sums))
+        stage = _PartialSums(rows, tuple(keys), tuple(sums))
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
@@ -664,65 +648,42 @@ class MapReducer:
             df = df[[*keys, *outmap.values()]]
         if not keys:
             return df  # single-row frame; terminal unwraps
-        if self._agg_ts or self._regions:
-            expected: dict[str, Sequence] = (
-                {"ts_q": self._zerofill_ts()} if self._agg_ts else {}
-            )
-            region_names = [n for n, _ in self._regions]
-            for c in self._agg_cols:  # observed levels (completeZerofill),
-                # except region_id which zerofills over ALL regions
-                expected[c] = (
-                    region_names if c == "region_id" else self._observed_levels(df[c])
-                )
-            if all(len(v) for v in expected.values()):
-                # a float sum fills 0.0 (an int fill would cast it to int64)
-                zero = {v: 0.0 if v in floats.values() else 0 for v in outmap.values()}
-                df = zerofill(df, expected, zero)
+        # a float sum fills 0.0 (an int fill would cast it to int64)
+        df = self._zerofill(df, {v: 0.0 if v in floats.values() else 0 for v in outmap.values()})
         if count_alias is None:
             df = df.drop(columns=["_n"])
         return df.sort_values(keys, kind="mergesort").reset_index(drop=True)
 
+    def _zerofill(self, df: pd.DataFrame, zero: dict) -> pd.DataFrame:
+        """A keyed result zerofilled over the timestamp grid, ALL regions
+        and the observed levels of every other key (completeZerofill,
+        MapAggregator.java:956-988)."""
+        if not (self._agg_ts or self._regions):
+            return df
+        from .aggregate import zerofill
+
+        expected: dict[str, Sequence] = {"ts_q": self._zerofill_ts()} if self._agg_ts else {}
+        region_names = [n for n, _ in self._regions]
+        for c in self._agg_cols:
+            expected[c] = region_names if c == "region_id" else self._observed_levels(df[c])
+        if all(len(v) for v in expected.values()):
+            df = zerofill(df, expected, zero)
+        return df
+
     def _keyed_stage(self, cols: list[str]):
         """(docs, stage): the node table to read and the stage emitting
-        its (group keys..., cols...) view rows — ts binning applied,
-        used by the distributed distinct/sketch terminals."""
+        its (group keys..., cols...) view rows — ts binning applied."""
         self._require_node_only("this terminal")
-        from .aggregate import floor_bin
-
-        need_full = self._needs_full_decode()
-        read_cols = set(cols) | set(self._agg_cols)  # grouping by a
-        # tag/geom column reads it too — pruning it would constant-fill
-        # the group key (collapsing every group into one)
-        tag_strings = need_full or bool(_TAG_STRING_COLS & read_cols)
-        need_geom = (
-            need_full or self._aoi_mask_fn() is not None or bool(self._regions)
-            or bool(_GEOM_COLS & read_cols)
-        )
-        agg_ts, is_snap = self._agg_ts, self._view == "snapshot"
-        view_stage = self._view_stage(
-            tag_strings, need_geom, read_cols | ({"ts"} if agg_ts and not is_snap else set())
-        )
-        bins = self._bins() if (agg_ts and not is_snap) else None
-        agg_cols = self._agg_cols
-
-        def stage(batch: pa.Table) -> pa.Table:
-            v = view_stage(batch)
-            out: dict[str, pa.Array] = {}
-            if agg_ts:
-                tsq = (
-                    v["ts_q"].to_numpy(zero_copy_only=False)
-                    if is_snap
-                    else floor_bin(v["ts"].to_numpy(zero_copy_only=False), bins)
-                )
-                out["ts_q"] = pa.array(tsq, type=pa.int64())
-            for c in agg_cols:
-                out[c] = v[c]
-            for c in cols:
-                if c not in out:
-                    out[c] = v[c]
-            return pa.table(out)
-
-        return self._docs(), stage
+        is_snap = self._view == "snapshot"
+        # grouping by a column reads it too
+        reads = {*cols, *self._agg_cols}
+        if self._agg_ts:
+            reads.add("ts_q" if is_snap else "ts")
+        bins = self._bins() if (self._agg_ts and not is_snap) else None
+        names = [
+            c for c in dict.fromkeys([*self._agg_cols, *cols]) if not (self._agg_ts and c == "ts_q")
+        ]
+        return self._docs(), _KeyedRows(self._view_stage(reads), self._agg_ts, bins, tuple(names))
 
     def _keyed_rows(self, cols: list[str]):
         """Blocks of (group keys..., cols...) view rows, for the
@@ -752,8 +713,7 @@ class MapReducer:
         from .ingest import read_relation_documents, read_way_documents
         from .members import COMPOUND_BATCH
         from .members_vec import snapshot_geoms_batch_vec
-        from .model import COMPOUND_READ_COLUMNS, decode_spans
-        from .temporal import snapshots as snap_fn
+        from .model import COMPOUND_READ_COLUMNS
 
         if self._view != "snapshot":
             raise NotImplementedError(
@@ -782,11 +742,7 @@ class MapReducer:
         # cooperative deadline, same contract as the node-only chain
         # (_view_stage): armed when the terminal builds the plan,
         # checked between batches in EVERY leg
-        deadline = None
-        if self._timeout_s is not None:
-            from .functions.deadline import Deadline
-
-            deadline = Deadline(self._timeout_s)
+        deadline = None if self._timeout_s is None else Deadline(self._timeout_s)
 
         def partial(tsq: np.ndarray, otype: str) -> pa.Table:
             cols: dict[str, pa.Array] = {}
@@ -807,7 +763,7 @@ class MapReducer:
             def node_stage(batch: pa.Table) -> pa.Table:
                 if deadline is not None:
                     deadline.check()
-                s = snap_fn(decode_spans(batch, geom=False), ts, columns=[])
+                s = snapshot_rows(batch, ts, ["ts_q"])
                 return partial(s["ts_q"].to_numpy(zero_copy_only=False), "node")
 
             legs.append(map_blocks(self._docs(), node_stage))
@@ -908,7 +864,7 @@ class MapReducer:
         """countUniq (MapReducer.java:1166-1178): each bucket of the
         distinct-pair shuffle counts its globally-unique pairs per key;
         the driver sums the per-bucket counts."""
-        from .aggregate import combine_partials, zerofill
+        from .aggregate import combine_partials
 
         keys = self._keys()
         out = alias or f"uniq_{col}"
@@ -926,17 +882,7 @@ class MapReducer:
         df = combine_partials(self._distinct_pairs(col, counts, by), keys, {"_part": out})
         if not keys:
             return int(df[out].iloc[0])
-        if self._agg_ts or self._regions:
-            expected: dict[str, Sequence] = (
-                {"ts_q": self._zerofill_ts()} if self._agg_ts else {}
-            )
-            region_names = [n for n, _ in self._regions]
-            for c in self._agg_cols:
-                expected[c] = (
-                    region_names if c == "region_id" else self._observed_levels(df[c])
-                )
-            if all(len(v) for v in expected.values()):
-                df = zerofill(df, expected, {out: 0})
+        df = self._zerofill(df, {out: 0})
         return df.sort_values(keys, kind="mergesort").reset_index(drop=True)
 
     def estimatedMedian(self, col: str):
@@ -977,8 +923,6 @@ class MapReducer:
         """weightedAverage (MapReducer.java:1207-1225): exact integer
         sum(w*x) / sum(w) partials, one IEEE division at the end.
         Integer columns only (the repo money/float rule)."""
-        import pyarrow.compute as pc
-
         mr = self.map(
             lambda t: t.append_column(
                 "_wx",

@@ -825,7 +825,7 @@ def ensure_oldstyle_documents(sf_dir: str, rep: int = 1) -> str:
 
 def read_oldstyle_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Read the (cached) old-style multipolygon relation table."""
     return rio.read_resident(ensure_oldstyle_documents(sf_dir, rep), columns=columns)
 
@@ -840,14 +840,14 @@ def ensure_relation_documents(sf_dir: str, rep: int = 1) -> str:
 
 def read_way_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Read the (cached) compound way-document table."""
     return rio.read_resident(ensure_way_documents(sf_dir, rep), columns=columns)
 
 
 def read_relation_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Read the (cached) 2-level compound relation-document table."""
     return rio.read_resident(ensure_relation_documents(sf_dir, rep), columns=columns)
 
@@ -876,7 +876,7 @@ def ensure_documents(sf_dir: str, rep: int = 1) -> str:
 
 def read_documents(
     sf_dir: str, columns: list[str] | None = None, rep: int = 1
-) -> ray.data.Dataset:
+) -> rio.Blocks:
     """Read the (cached) span-document table for a scale-factor dir;
     resident in the object store after the first read per column set
     (``io.read_resident``), as are the way, relation and old-style

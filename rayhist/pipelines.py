@@ -125,9 +125,10 @@ from .spatial.rectjoin import rect_self_join
 from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
 from .spatial.strtree import STRtreeRegionIndex
 from .state.checkpoint import read_outputs, run_sharded, salted_count_by, shard_rows
-from .temporal import TagFilter, _sorted_versions, contributions, snapshots
+from .temporal import TagFilter, _sorted_versions
 from .views import (
-    contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
+    contribution_rows, contribution_stats_stage, snapshot_counts_stage, snapshot_rows,
+    snapshot_stage,
 )
 
 # name -> (pipeline, oracle). Every q_<name> below registers itself with
@@ -164,6 +165,7 @@ T_MID = T0 + 14 * DAY_US  # 2024-01-15
 CONTRIB_FROM = T0 + 4 * DAY_US  # 2024-01-05
 CONTRIB_TO = T0 + 24 * DAY_US  # 2024-01-25
 CONTRIB_BINS = [T0 + i * DAY_US for i in range(4, 24)]  # daily bins in interval
+CONTRIB_FLAGS = ["is_creation", "is_deletion", "is_tag_change", "is_geom_change"]
 
 CELL_ZOOM = 4
 RASTER_ZOOM = 6
@@ -190,8 +192,14 @@ def _docs(sf_dir: str):
 
 def _tag_lookup(sf_dir: str) -> pa.Table:
     """The tag strings of the node table's keytable ids, for a stage
-    that reads ``etype``/``kk``/``tag_sig`` (model.decode_spans)."""
+    that reads ``etype``/``kk``/``tag_sig`` (views.snapshot_rows)."""
     return tag_lookup(sig_keytable(sf_dir))
+
+
+def _positions(batch: pa.Table) -> pa.Table:
+    """(osm_id, lon_e7, lat_e7) of every entity visible at T_MID: the
+    position stage of the join, kNN and point-pattern queries."""
+    return snapshot_rows(batch, [T_MID], ["osm_id", "lon_e7", "lat_e7"])
 
 
 # ---------------------------------------------------------------- snapshots
@@ -282,10 +290,8 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     id for output — so the oracle, which replicates the float layers
     (cos/sin/div/sqrt/floor are single IEEE ops, mirrored literally in
     SQL), also value-checks the id layer through the bijection."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         face, ss, tt = lonlat_to_face_st(lon, lat)
@@ -675,7 +681,7 @@ def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
 # ------------------------------------------------------------ contributions
 def _contrib_flags_to_int(batch: pa.Table) -> pa.Table:
     out = batch
-    for c in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
+    for c in CONTRIB_FLAGS:
         idx = out.schema.get_field_index(c)
         out = out.set_column(idx, c, out[c].cast(pa.int64()))
     return out
@@ -738,11 +744,10 @@ def q_contrib_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
     """countUniq of contributor uids per daily bin
     (MapReducer.countUniq, :1165-1168): per-batch distinct partials,
     then an exact distinct over (ts_q, uid) buckets."""
-    contrib = contribution_stage(CONTRIB_FROM, CONTRIB_TO, None, geom=False)
     bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
 
     def pairs(batch: pa.Table) -> pa.Table:
-        c = contrib(batch)
+        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, ["ts", "uid"])
         b = floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)
         t = pa.table({"ts_q": pa.array(b), "uid": c["uid"]})
         # pre-dedup within batch so the shuffle sees fewer rows
@@ -770,10 +775,9 @@ def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
     zerofilled (the aggregateByGeometry shape,
     MapReducer.java:857-888)."""
     region_items = sorted(REGIONS.items())
-    ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         rids, counts = [], []
@@ -792,10 +796,8 @@ def q_raster_join(sf_dir: str) -> pd.DataFrame:
     """Raster<->vector join: snapshot points at T_MID keyed by zoom-6
     cell, joined with the synthetic raster band, grouped by band
     value."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -816,12 +818,8 @@ def _knn_positions_flagged(sf_dir: str, mod: int):
     driver-built query list (the round-3 scale-killer: the list was
     corpus/17 rows of driver state). Returns (blocks, count, zoom)
     with zoom derived so cells hold O(2000) points (cells = 2^(2z-1))."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
+        t = _positions(batch)
         ids = t["osm_id"].to_numpy(zero_copy_only=False)
         return t.append_column("_is_query", pa.array(ids % mod == 0))
 
@@ -872,14 +870,11 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
 
     ids = np.unique(nn["neighbor_id"].to_numpy(dtype=np.int64))
     ids_ref = ray.put(ids)
-    ts = np.array([T_MID], dtype=np.int64)
     lookup = _tag_lookup(sf_dir)
 
     def labels(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, lookup, geom=False), ts)
-        keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
-        s = s.filter(keep)
-        return pa.table({"osm_id": s["osm_id"], "etype": s["etype"]})
+        s = snapshot_rows(batch, [T_MID], ["osm_id", "etype"], lookup)
+        return s.filter(pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64())))
 
     lab = rio.map_blocks(_docs(sf_dir), labels).to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
@@ -1656,13 +1651,8 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
     contribution counts. Each document's history lives in one batch, so
     per-doc counts are final without any shuffle."""
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions(decode_spans(batch, geom=False), CONTRIB_FROM, CONTRIB_TO)
-        t = pa.table(
-            {
-                "doc_id": c["doc_id"],
-                "is_creation": c["is_creation"].cast(pa.int64()),
-            }
-        )
+        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, ["doc_id", "is_creation"])
+        t = c.set_column(1, "is_creation", c["is_creation"].cast(pa.int64()))
         g = pa.TableGroupBy(t, ["doc_id"]).aggregate([([], "count_all"), ("is_creation", "sum")])
         return g.rename_columns(["doc_id", "n_contribs", "n_creations"])
 
@@ -1710,10 +1700,7 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
     lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions(
-            decode_spans(batch, lookup, geom=False), CONTRIB_FROM, CONTRIB_TO,
-            columns=["ts", "etype"],
-        )
+        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, ["ts", "etype"], lookup)
         t = pa.table(
             {
                 "ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)),
@@ -1738,17 +1725,13 @@ def q_way_lengths(sf_dir: str) -> pd.DataFrame:
     integer-exact. Exercises the co-partitioned hash join (endpoints
     live in different ingest buckets) and the Geo formula parity
     (duckdb and numpy share libm bit-for-bit — verified)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1802,10 +1785,6 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     libm bit-for-bit (parity with functions.geo.area_of_polygon is
     pinned bit-exact in tests/test_spatial.py::
     test_way_areas_kernel_matches_area_of_polygon)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # ONE shuffle, not two chained self-joins: every node position fans
     # out to the (at most 3) triangles it can close, routed by the
@@ -1814,7 +1793,7 @@ def q_way_areas(sf_dir: str) -> pd.DataFrame:
     # fan-out a first join leg would ship, but the join OUTPUT never
     # re-shuffles. The positions are taken in the same routing task.
     def fan_out(batch: pa.Table) -> pa.Table:
-        batch = positions(batch)
+        batch = _positions(batch)
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
         lon = batch["lon_e7"].to_numpy(zero_copy_only=False)
         lat = batch["lat_e7"].to_numpy(zero_copy_only=False)
@@ -2164,10 +2143,9 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     docs = rio.read_resident(
         ensure_documents(sf_dir, rep), columns=DECODE_COLUMNS, filter=prefilter
     )
-    ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2211,10 +2189,9 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_snapshots": pd.array([0], dtype="int64")})
 
     docs = rio.read_resident(paths, columns=DECODE_COLUMNS)
-    ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
@@ -2263,14 +2240,13 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
     the S1 scenario)."""
     x0, y0, x1, y1 = AOI_BBOX
 
+    def aoi(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        return (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
+
     def stage(batch: pa.Table) -> pa.Table:
-        decoded = decode_spans(batch)
-        lon = decoded["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = decoded["lat_e7"].to_numpy(zero_copy_only=False)
-        aoi = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        c = contributions(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
+        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, CONTRIB_FLAGS, aoi=aoi)
         sums = {"n_part": pa.array([len(c)], type=pa.int64())}
-        for f in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
+        for f in CONTRIB_FLAGS:
             sums[f + "_part"] = pa.array(
                 [int(c[f].to_numpy(zero_copy_only=False).sum())], type=pa.int64()
             )
@@ -2299,14 +2275,13 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
     so crossing the boundary emits DELETION/CREATION pairs."""
     ring = np.asarray(REGIONS["north_pentagon"])
 
+    def aoi(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        return contains_convex(ring, lon.astype(np.float64), lat.astype(np.float64))
+
     def stage(batch: pa.Table) -> pa.Table:
-        decoded = decode_spans(batch)
-        lon = decoded["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = decoded["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        aoi = contains_convex(ring, lon, lat)
-        c = contributions(decoded, CONTRIB_FROM, CONTRIB_TO, None, aoi)
+        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, CONTRIB_FLAGS, aoi=aoi)
         sums = {"n_part": pa.array([len(c)], type=pa.int64())}
-        for f in ("is_creation", "is_deletion", "is_tag_change", "is_geom_change"):
+        for f in CONTRIB_FLAGS:
             sums[f + "_part"] = pa.array(
                 [int(c[f].to_numpy(zero_copy_only=False).sum())], type=pa.int64()
             )
@@ -2583,8 +2558,8 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
 
     def process(inputs: list[str]) -> rio.Blocks:
         def stage(batch: pa.Table) -> pa.Table:
-            s = snapshots(decode_spans(batch, geom=False), ts)
-            g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
+            s = snapshot_rows(batch, ts, ["ts_q"])
+            g = pa.TableGroupBy(s, ["ts_q"]).aggregate([([], "count_all")])
             return g.rename_columns(["ts_q", "n_part"])
 
         docs = rio.read_resident(path, columns=DECODE_COLUMNS, filter=shard_rows(inputs))
@@ -2607,7 +2582,7 @@ def q_snapshot_cells_salted(sf_dir: str) -> pd.DataFrame:
     ts = np.asarray(SNAP_WEEKLY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, ts, ["ts_q", "osm_id", "lon_e7", "lat_e7"])
         cell = cell_id(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -2649,12 +2624,8 @@ def q_knn_all(sf_dir: str) -> pd.DataFrame:
     shuffle + per-cell vectorized kNN with guarantee-radius resolution,
     brute-force fallback only for sparse-cell stragglers — no per-query
     driver loop, the all-pairs workload the per-query kernels cap on."""
-    ts = np.array([T_MID], dtype=np.int64)
 
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
-
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
     # derive zoom from the corpus size so cells hold O(100-10k) points
     # (cells = 2^(2z-1)); a constant zoom would make per-group candidate
     # matrices O((n/cells)^2) — quadratic blow-up at larger scale factors
@@ -2698,15 +2669,18 @@ def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
     ts = np.asarray(SNAP_DAILY, dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        decoded = decode_spans(batch, geom=False)
-        mask = decoded["uid"].to_numpy(zero_copy_only=False) % 2 == 0
-        s = snapshots(decoded, ts, mask)
-        g = pa.TableGroupBy(s.select(["ts_q"]), ["ts_q"]).aggregate([([], "count_all")])
+        s = snapshot_rows(batch, ts, ["ts_q"], match=_even_uid)
+        g = pa.TableGroupBy(s, ["ts_q"]).aggregate([([], "count_all")])
         return g.rename_columns(["ts_q", "n_part"])
 
     partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["ts_q"], {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
+
+
+def _even_uid(versions: pa.Table) -> np.ndarray:
+    """The versions whose editor uid is even."""
+    return versions["uid"].to_numpy(zero_copy_only=False) % 2 == 0
 
 
 @query(lambda o: o.dedup_docs())
@@ -2741,10 +2715,9 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     Oracle mirrors the crossing test edge by edge in SQL."""
     name, rings = load_poly(POLY_FILE)
     poly = Polygon(rings)
-    ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         inside = poly.contains(
             s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
         )
@@ -2777,17 +2750,13 @@ def q_clipped_way_lengths(sf_dir: str) -> pd.DataFrame:
     is clipped against every region polygon (Cyrus-Beck, convex) and
     its clipped length emitted per (region, way) — a way crossing the
     chord contributes to pent, pent_left AND pent_right."""
-    ts = np.array([T_MID], dtype=np.int64)
-
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
     left = rio.materialize_blocks(
         pos, lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]})
     )
@@ -2846,9 +2815,7 @@ def q_clipped_way_lengths_daily(sf_dir: str) -> pd.DataFrame:
     n_ts = len(SNAP_WEEKLY)
 
     def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts_arr).select(
-            ["osm_id", "lon_e7", "lat_e7", "ts_q"]
-        )
+        return snapshot_rows(batch, ts_arr, ["osm_id", "lon_e7", "lat_e7", "ts_q"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
@@ -2960,17 +2927,13 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
     region's ring set; a way may contribute several disjoint inside
     sub-intervals (a segment crossing a comb slot re-enters), whose
     lengths are summed as integer micrometers per (region, way)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(["osm_id", "lon_e7", "lat_e7"])
 
     # MATERIALIZE: multiple join legs consume `pos`; a lazy upstream
     # re-runs the full decode+interpolate chain once PER LEG (the
     # multi-consumer hazard documented at _knn_positions_flagged). The
     # materialized table is small (int columns, one row per live
     # entity) and lives in the distributed object store, not the driver.
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
     left = rio.materialize_blocks(
         pos, lambda b: pa.table({"join_k": b["osm_id"], "lon1": b["lon_e7"], "lat1": b["lat_e7"]})
     )
@@ -3200,10 +3163,8 @@ def q_snapshot_count_by_type(sf_dir: str) -> pd.DataFrame:
     union of the node and way document tables with per-type routing
     (vectorized node path, member-recursion way path), the
     MapReducer.osmType(...) filter surface (MapReducer.java:396-401)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def node_stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, geom=False), ts)
+        s = snapshot_rows(batch, [T_MID], [])
         return pa.table(
             {
                 "osm_type": pa.array(["node"]),
@@ -3331,7 +3292,7 @@ class _RegionCountsStage:
     strtree: bool
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), np.array([T_MID], dtype=np.int64))
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         _rows, rids = _many_regions_index(self.strtree).classify(
             s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
         )
@@ -5503,13 +5464,8 @@ def q_snapshot_colocation_pairs(sf_dir: str) -> pd.DataFrame:
     9-cell ghost replication, resident<other tie-break, one bucket
     shuffle, nothing quadratic in the corpus). The oracle is the
     prefiltered self-join over the identical snapshot CTE."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
-        return pa.table(
-            {"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]}
-        )
+        return _positions(batch).rename_columns(["id", "x", "y"])
 
     pts = rio.materialize_blocks(_docs(sf_dir), stage)
     df = radius_self_join(pts, COLOC_RADIUS_E7).to_pandas()
@@ -5538,14 +5494,8 @@ def q_way_boundary_crossings(sf_dir: str) -> pd.DataFrame:
     crossing test is one vectorized kernel per batch — no extra
     shuffle beyond the endpoint join. The oracle mirrors the
     orientation formula through HUGEINT casts."""
-    ts = np.array([T_MID], dtype=np.int64)
 
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
-
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -5732,11 +5682,10 @@ def q_snapshot_hull_by_type(sf_dir: str) -> pd.DataFrame:
     iff NO triangle of three other same-group points contains it
     (boundary included, with a bbox guard so degenerate collinear
     triangles exclude only genuinely-between points)."""
-    ts = np.array([T_MID], dtype=np.int64)
     lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, lookup), ts)
+        s = snapshot_rows(batch, [T_MID], ["etype", "osm_id", "lon_e7", "lat_e7"], lookup)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -6020,19 +5969,13 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
     a pass certifies the merge operator end to end, not a replay of
     the same code path."""
     t_mid = np.array([T_MID], dtype=np.int64)
+    lookup = _tag_lookup(sf_dir)
 
-    def base_stage(d: pa.Table) -> pa.Table:
-        s = snapshots(d, t_mid)
-        oid = s["osm_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "osm_id": s["osm_id"],
-                "etype": s["etype"],
-                "kk": s["kk"],
-                "vis": pa.array(np.ones(len(oid), dtype=np.int64)),
-                "side": pa.array(np.zeros(len(oid), dtype=np.int64)),
-            }
-        )
+    def base_stage(batch: pa.Table) -> pa.Table:
+        s = snapshot_rows(batch, t_mid, ["osm_id", "etype", "kk"], lookup)
+        n = len(s)
+        s = s.append_column("vis", pa.array(np.ones(n, dtype=np.int64)))
+        return s.append_column("side", pa.array(np.zeros(n, dtype=np.int64)))
 
     def change_stage(d: pa.Table) -> pa.Table:
         tbl, codes, ts, _v, _ = _sorted_versions(d)
@@ -6064,11 +6007,9 @@ def q_snapshot_incremental_merge(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    lookup = _tag_lookup(sf_dir)
-
     def both(batch: pa.Table) -> pa.Table:
         d = decode_spans(batch, lookup, geom=False)
-        return pa.concat_tables([base_stage(d), change_stage(d)])
+        return pa.concat_tables([base_stage(batch), change_stage(d)])
 
     def apply_merge(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["osm_id", "side"], kind="mergesort")
@@ -6099,7 +6040,7 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     lookup = _tag_lookup(sf_dir)
 
     def partials(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, lookup), ts)
+        s = snapshot_rows(batch, ts, ["ts_q", "osm_id", "etype", "lon_e7", "lat_e7"], lookup)
         df = pd.DataFrame(
             {
                 "ts_q": s["ts_q"].to_numpy(zero_copy_only=False),
@@ -6203,14 +6144,8 @@ def q_way_bearing_rose(sf_dir: str) -> pd.DataFrame:
     atan2 is NOT bit-identical to DuckDB's libm atan2, so the exact
     formulation is also the only oracle-stable one). Zero-length
     segments are excluded."""
-    ts = np.array([T_MID], dtype=np.int64)
 
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
-
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
     left = rio.materialize_blocks(
         pos, lambda b: pa.table({"join_k": b["osm_id"], "x1": b["lon_e7"], "y1": b["lat_e7"]})
     )
@@ -6831,11 +6766,10 @@ def q_snapshot_diameter_by_type(sf_dir: str) -> pd.DataFrame:
     (and the published columns are the int64-safe |dx|, |dy|). Tie
     rule: smallest (id_a, id_b). The mirror is the subset self-join
     argmax through HUGEINT."""
-    ts = np.array([T_MID], dtype=np.int64)
     lookup = _tag_lookup(sf_dir)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, lookup), ts)
+        s = snapshot_rows(batch, [T_MID], ["etype", "osm_id", "lon_e7", "lat_e7"], lookup)
         ids = s["osm_id"].to_numpy(zero_copy_only=False)
         keep = ids % 5 == 0
         return pa.table(
@@ -7137,10 +7071,8 @@ def q_snapshot_kmeans(sf_dir: str) -> pd.DataFrame:
     smallest-osm_id points; ties assign to the lowest cluster; floor
     means. The mirror unrolls the identical rounds as MATERIALIZED
     CTE chains (row_number argmin + HUGEINT sums + the same //)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def positions(batch: pa.Table) -> pa.Table:
-        t = snapshots(decode_spans(batch), ts)
+        t = _positions(batch)
         lon = t["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = t["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
@@ -7171,10 +7103,8 @@ def q_snapshot_bbox_overlaps(sf_dir: str) -> pd.DataFrame:
     reference-point dedup — no tie-break state, nothing quadratic in
     the corpus. The mirror is the prefiltered self-join over the
     identical snapshot CTE and box arithmetic."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = _positions(batch)
         oid = s["osm_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7772,7 +7702,7 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
     ts = np.array(list(timestamps), dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, ts, ["ts_q", "lon_e7", "lat_e7"])
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -7806,10 +7736,8 @@ def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
     integer SQL with the identical (d2, i, j) tie-break — transitively
     value-checks the pack/unpack bijection too. No floats anywhere in
     the assignment."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -7838,14 +7766,8 @@ def _road_segment_layer(sf_dir: str):
     (way u = node/u -> node/(u+1), u % ROAD_CLASS_MOD == 0) joined via
     the co-partitioned hash join. Returns (pos Dataset, seg DataFrame)
     — seg is the bounded broadcast side."""
-    ts = np.array([T_MID], dtype=np.int64)
 
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
-
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
 
     def as_left(batch: pa.Table) -> pa.Table:
         keep = pc.equal(pc.bit_wise_and(batch["osm_id"], ROAD_CLASS_MOD - 1), 0)
@@ -8266,10 +8188,9 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     report 0 (mean 0.0 by convention). The mean is the single final
     IEEE division."""
     region_items = sorted(REGIONS.items())
-    ts = np.array([T_MID], dtype=np.int64)
 
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
         rv = raster_value_for(cell_id(lon, lat, RASTER_ZOOM)).astype(np.int64)
@@ -8565,11 +8486,8 @@ def q_way_chain_lengths(sf_dir: str) -> pd.DataFrame:
     (ops.relational.island_length_histogram): range-bucketed local
     runs + O(buckets) boundary stitch — never a global sort or a
     single-reducer as-of."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def ids(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, geom=False), ts)
-        return s.select(["osm_id"])
+        return snapshot_rows(batch, [T_MID], ["osm_id"])
 
     ds = rio.materialize_blocks(_docs(sf_dir), ids)
     return island_length_histogram(ds, "osm_id")
@@ -8585,15 +8503,9 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
     coordinates is a single IEEE op in the same order as the SQL
     mirror, so area, perimeter and the compactness ratio are
     bit-identical. Degenerate (zero-perimeter) triangles report 0."""
-    ts = np.array([T_MID], dtype=np.int64)
-
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
 
     def fan_out(batch: pa.Table) -> pa.Table:
-        batch = positions(batch)
+        batch = _positions(batch)
         osm = batch["osm_id"].to_numpy(zero_copy_only=False)
         way = np.concatenate([osm - i for i in range(3)])
         return pa.table(
@@ -8738,7 +8650,10 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     -> hex assign -> per-cell integer partials (total / creations /
     deletions), combine bounded by the world lattice."""
     def stage(batch: pa.Table) -> pa.Table:
-        c = contributions(decode_spans(batch), CONTRIB_FROM, CONTRIB_TO)
+        c = contribution_rows(
+            batch, CONTRIB_FROM, CONTRIB_TO,
+            ["is_creation", "is_deletion", "lon_e7", "lat_e7", "prev_lon_e7", "prev_lat_e7"],
+        )
         if len(c) == 0:
             return pa.table(
                 {
@@ -8835,10 +8750,8 @@ def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
     version ts) — the OSM data-quality 'freshness' metric per tile.
     Exact integer age sums (microseconds) per cell, one IEEE division
     for the mean; partials combine on the bounded lattice key."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["ts", "lon_e7", "lat_e7"])
         i, j = hex_cell(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -9361,11 +9274,8 @@ def q_ripley_k(sf_dir: str) -> pd.DataFrame:
     K(r) = 2 * pairs * A / (n * (n-1)) with A = the full lon/lat
     plane area (planar convention, mirrored literally; the exact
     integer pair counts are the value-bearing columns)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
-        return pa.table({"id": s["osm_id"], "x": s["lon_e7"], "y": s["lat_e7"]})
+        return _positions(batch).rename_columns(["id", "x", "y"])
 
     # MATERIALIZE: the point set feeds both the pair join and the
     # count — a lazy upstream would re-run the decode+interpolate
@@ -9847,18 +9757,9 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     through; per-ring exact integer squared-contrast sums and pair
     counts combine from in-stage partials; one IEEE division per
     ring."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
-        return pa.table(
-            {
-                "id": s["osm_id"],
-                "x": s["lon_e7"],
-                "y": s["lat_e7"],
-                "val": s["v"],
-            }
-        )
+        s = snapshot_rows(batch, [T_MID], ["osm_id", "lon_e7", "lat_e7", "v"])
+        return s.rename_columns(["id", "x", "y", "val"])
 
     pts = rio.materialize_blocks(_docs(sf_dir), stage)
     pairs = radius_self_join(pts, max(VARIO_BINS), carry=("val",))
@@ -10289,10 +10190,8 @@ def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
     divisions + a 25-bit interleave, no floats, so the cell id is a
     bit-stable shuffle key; the base32 rendering is order-isomorphic
     to the packed id)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),
@@ -10429,10 +10328,8 @@ def q_way_centroids(sf_dir: str) -> pd.DataFrame:
     coordinates and the only floats are the two single IEEE divisions
     by 3. Same one-shuffle fan-out/assemble shape as q_way_areas (the
     corner rows route once by triangle id; nothing re-shuffles)."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def fan_out(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = _positions(batch)
         osm = s["osm_id"].to_numpy(zero_copy_only=False)
         lon = s["lon_e7"].to_numpy(zero_copy_only=False)
         lat = s["lat_e7"].to_numpy(zero_copy_only=False)
@@ -11090,13 +10987,10 @@ def q_knn_value_regression(sf_dir: str) -> pd.DataFrame:
 
     ids = np.unique(nn["neighbor_id"].to_numpy(dtype=np.int64))
     ids_ref = ray.put(ids)
-    ts = np.array([T_MID], dtype=np.int64)
 
     def attrs(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch, geom=False), ts)
-        keep = pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64()))
-        s = s.filter(keep)
-        return pa.table({"osm_id": s["osm_id"], "uid": s["uid"]})
+        s = snapshot_rows(batch, [T_MID], ["osm_id", "uid"])
+        return s.filter(pc.is_in(s["osm_id"], pa.array(ray.get(ids_ref), pa.int64())))
 
     lab = rio.map_blocks(_docs(sf_dir), attrs).to_pandas()
     m = nn.merge(lab, left_on="neighbor_id", right_on="osm_id", how="left")
@@ -11194,14 +11088,8 @@ def q_clark_evans(sf_dir: str) -> pd.DataFrame:
     sqrt the SAME correctly-rounded double of the exact int d2, so the
     integer sum is order-free and mirrorable; the index is a fixed
     IEEE expression tree over (sum, n, bbox)."""
-    ts = np.array([T_MID], dtype=np.int64)
 
-    def positions(batch: pa.Table) -> pa.Table:
-        return snapshots(decode_spans(batch), ts).select(
-            ["osm_id", "lon_e7", "lat_e7"]
-        )
-
-    pos = rio.materialize_blocks(_docs(sf_dir), positions)
+    pos = rio.materialize_blocks(_docs(sf_dir), _positions)
     n = rio.num_rows(pos)
     zoom = max(1, min(12, int(np.ceil((np.log2(max(n, 1) / 2000.0) + 1) / 2))))
     nn = knn_all(pos, k=1, zoom=zoom)
@@ -11667,10 +11555,8 @@ def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
     the driver (bounded by cells) with no second corpus pass; the
     oracle rolls up by string prefix, certifying the
     prefix==bit-shift containment property end to end."""
-    ts = np.array([T_MID], dtype=np.int64)
-
     def stage(batch: pa.Table) -> pa.Table:
-        s = snapshots(decode_spans(batch), ts)
+        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
         g = geohash_bits(
             s["lon_e7"].to_numpy(zero_copy_only=False),
             s["lat_e7"].to_numpy(zero_copy_only=False),

@@ -889,24 +889,24 @@ def _pack_node_group(g: pd.DataFrame, keytable: dict[str, int] | None) -> pa.Tab
     )
 
 
-def osmpbf_documents(
-    paths: str | list[str], keytable: dict[str, int] | None = None
-) -> ray.data.Dataset:
+def osmpbf_documents(paths: str | list[str], keytable: dict[str, int] | None = None):
     """Full ingest bridge: .osm.pbf blobs -> decoded node versions ->
-    DOCUMENTS_SCHEMA span documents. One ``io.reduce_by_key`` on
-    ``osm_id`` merges histories split across block boundaries (the
-    OshMerger.java:31-68 concern) and is the only shuffle; each bucket
-    packs its complete entities."""
+    DOCUMENTS_SCHEMA span documents, as the ``io.Blocks`` of one
+    ``io.reduce_by_key`` on ``osm_id``, which merges histories split
+    across block boundaries (the OshMerger.java:31-68 concern) and is
+    the only shuffle; each bucket packs its complete entities. No node
+    (an empty path list, a ways-only file) gives the typed empty
+    documents table."""
     from .. import io as rio
 
     def nodes(b: pa.Table) -> pa.Table:
         return b.filter(pa.compute.equal(b["etype"], "node"))
 
-    refs = rio.reduce_by_key(
+    docs = rio.reduce_by_key(
         _decode_blocks(_blob_index(paths)), ["osm_id"],
         lambda t: _pack_node_group(t.to_pandas(), keytable), stage=nodes,
     )
-    return ray.data.from_arrow_refs(list(refs.refs)).materialize()
+    return docs if rio.num_rows(docs) else rio.table_blocks(DOCUMENTS_SCHEMA.empty_table())
 
 
 def _fp() -> str:

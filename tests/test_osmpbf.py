@@ -219,14 +219,15 @@ def test_documents_bridge_empty_inputs(ray_session, tmp_path):
     """A bucket with no node rows packs to the typed empty documents
     table: an empty path list and a ways/relations-only file both give
     an empty DOCUMENTS_SCHEMA result, not a reduce error."""
+    from rayhist import io as rio
     from rayhist.model import DOCUMENTS_SCHEMA
 
     rows = _rows()
     m.write_osmpbf(str(tmp_path / "w.osh.pbf"), rows[rows["etype"] != "node"].reset_index(drop=True))
     for paths in ([], [str(tmp_path / "w.osh.pbf")]):
         docs = m.osmpbf_documents(paths)
-        assert docs.count() == 0
-        assert docs.schema().base_schema == DOCUMENTS_SCHEMA
+        assert rio.num_rows(docs) == 0
+        assert rio.schema(docs) == DOCUMENTS_SCHEMA
 
 
 def test_varint_negative_int_fields_roundtrip():

@@ -415,6 +415,52 @@ def test_query_path_reads_no_span_text():
     assert len(surface) >= 30
 
 
+VIEW_KERNELS = {"snapshots", "contributions"}
+
+
+def _view_kernel_uses(tree: ast.Module) -> list[str]:
+    """Every import of ``temporal.snapshots``/``contributions`` (under
+    any alias) and every attribute read of them off an imported
+    ``temporal`` module."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if (node.module or "").split(".")[-1] == "temporal" and a.name in VIEW_KERNELS:
+                    found.append(f"import {a.name} as {a.asname or a.name}")
+                if a.name == "temporal":
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.endswith(".temporal"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in VIEW_KERNELS
+            and ast.unparse(node.value) in modules
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_view_rows_come_from_the_views_entry():
+    """Only views.py hands decoded versions to the view kernels: every
+    other module takes snapshot and contribution rows from
+    ``views.snapshot_rows``/``contribution_rows``, which prune the
+    decode to the columns read and pass the document codes."""
+    root = Path(rio.__file__).parent
+    modules = sorted(root.rglob("*.py"))
+    found = {
+        path.relative_to(root).as_posix(): uses
+        for path in modules
+        if path.name not in ("views.py", "temporal.py")
+        and (uses := _view_kernel_uses(ast.parse(path.read_text())))
+    }
+    assert len(modules) >= 50
+    assert found == {}
+    assert _view_kernel_uses(ast.parse(
+        "from .temporal import snapshots as s\nfrom . import temporal as t\nt.contributions(x)"
+    )) == ["import snapshots as s", "t.contributions"]
+
+
 # every cached table whose build packs or encodes through a shuffle
 COLD_BUILDS = [
     ingest.ensure_documents, ingest.ensure_way_documents, ingest.ensure_relation_documents,
