@@ -51,20 +51,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .aggregate import floor_bin
 from .functions.deadline import Deadline
 from .io import blocks_table, dataset, map_blocks, materialize_blocks, reduce_by_key
 from .model import tag_lookup
 from .temporal import TagFilter
 from .views import (
-    CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, contribution_rows, snapshot_rows,
+    AOI, CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, KeyedPartials, ViewRows,
+    snapshot_rows,
 )
 
 # aggregation keys whose cardinality scales with the corpus: finals on
 # these stay distributed (never combine_partials on the driver).
 # Per CLAUDE.md: entity ids, distinct users, changesets and the tag
 # vocabulary all grow with the corpus
-_HIGH_CARD_KEYS = {"osm_id", "doc_id", "uid", "cs", "tag_sig", "tag_id"}
+_HIGH_CARD_KEYS = {"osm_id", "doc_id", "uid", "cs", "tag_sig"}
 
 
 def _to_us(t) -> int:
@@ -73,51 +73,17 @@ def _to_us(t) -> int:
     return parse_iso(t) if isinstance(t, str) else int(t)
 
 
-@dataclass(frozen=True)
-class _AOI:
-    """areaOfInterest membership, (lon_e7, lat_e7) -> inside mask: the
-    closed bbox, or the even-odd test of the rings (spatial.fip)."""
-
-    bbox: tuple[int, int, int, int] | None
-    rings: tuple | None
-
-    def __call__(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        if self.bbox is not None:
-            x0, y0, x1, y1 = self.bbox
-            return (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        from .spatial.fip import Polygon
-
-        # constructed per call (cheap: band index over the ring edges)
-        return Polygon([np.asarray(r, np.float64) for r in self.rings]).contains(
-            lon.astype(np.float64), lat.astype(np.float64)
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class _ViewStage:
-    """The per-batch kernel a chain compiles to (``MapReducer._view_stage``):
-    the view rows (``views.snapshot_rows``/``contribution_rows``) under
-    the chain's version masks and AOI -> row filters and maps in chain
-    order -> region expansion. A frozen module-level class, so it
-    pickles by reference like the ``views.py`` stages."""
+class _Match:
+    """The per-version filter of a chain with an osmType or
+    osmEntityFilter: the type (an exact check; the scan filter is a
+    prefilter) AND the tag LUT AND every entity filter."""
 
-    is_snap: bool
-    ts: np.ndarray
-    t_from: int
-    t_to: int
-    columns: tuple[str, ...]
-    lookup: pa.Table | None
     lut: np.ndarray | None  # the AND of the tag filters' LUTs
     types: tuple[str, ...]
     entity_filters: tuple[Callable, ...]
-    transforms: tuple[tuple[str, Callable], ...]
-    aoi: _AOI | None
-    regions: tuple
-    deadline: Deadline | None
 
-    def _match(self, decoded: pa.Table) -> np.ndarray:
-        """Per version: the type (an exact check; the scan filter is a
-        prefilter) AND the tag LUT AND every entity filter."""
+    def __call__(self, decoded: pa.Table) -> np.ndarray:
         m = np.ones(decoded.num_rows, dtype=bool)
         if self.types:
             m &= pc.is_in(decoded["osm_type"], value_set=pa.array(list(self.types))).to_numpy(
@@ -129,17 +95,32 @@ class _ViewStage:
             m &= np.asarray(ef(decoded), dtype=bool)
         return m
 
+
+@dataclass(frozen=True, eq=False)
+class _AddKey:
+    """A callable ``aggregateBy`` indexer, as the mapped key column
+    ``name``."""
+
+    name: str
+    fn: Callable[[pa.Table], np.ndarray]
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        return t.append_column(self.name, pa.array(np.asarray(self.fn(t))))
+
+
+@dataclass(frozen=True, eq=False)
+class _ViewStage:
+    """What a chain adds to its view rows (``views.ViewRows``): row
+    filters and maps in chain order, then the region expansion of
+    ``aggregateByGeometry``. A frozen module-level class, so it pickles
+    by reference like the ``views.py`` stages."""
+
+    rows: ViewRows
+    transforms: tuple[tuple[str, Callable], ...]
+    regions: tuple
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.deadline is not None:
-            self.deadline.check()
-        # a tag LUT alone is the entry's own gather
-        match = self._match if (self.types or self.entity_filters) else self.lut
-        if self.is_snap:
-            out = snapshot_rows(batch, self.ts, self.columns, self.lookup, match, self.aoi)
-        else:
-            out = contribution_rows(
-                batch, self.t_from, self.t_to, self.columns, self.lookup, match, self.aoi
-            )
+        out = self.rows(batch)
         for kind, fn in self.transforms:  # chain order is semantic
             if kind == "filter":
                 out = out.filter(pa.array(np.asarray(fn(out), dtype=bool)))
@@ -151,7 +132,7 @@ class _ViewStage:
 
         lon = out["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = out["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        if not self.is_snap and "is_deletion" in out.column_names:
+        if self.rows.ts is None and "is_deletion" in out.column_names:
             # a DELETION's current geometry is the constant-filled
             # origin; its region membership is where the entity WAS
             # (prev state) — same rule as the AOI clipped-empty
@@ -168,55 +149,6 @@ class _ViewStage:
             names = pa.array([name] * len(sub), type=pa.string())
             parts.append(sub.append_column("region_id", names))
         return pa.concat_tables(parts)
-
-
-@dataclass(frozen=True, eq=False)
-class _KeyedRows:
-    """The (ts_q, when aggregated by timestamp; cols...) columns of the
-    view rows: a snapshot's ts_q as it is, a contribution's ts
-    floor-binned to ``bins`` (MapReducer.java:774-822)."""
-
-    view: _ViewStage
-    agg_ts: bool
-    bins: np.ndarray | None
-    cols: tuple[str, ...]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        v = self.view(batch)
-        t = v.select(list(self.cols))
-        if not self.agg_ts:
-            return t
-        if self.bins is None:
-            return t.add_column(0, "ts_q", v["ts_q"])
-        tsq = floor_bin(v["ts"].to_numpy(zero_copy_only=False), self.bins)
-        return t.add_column(0, "ts_q", pa.array(tsq, type=pa.int64()))
-
-
-@dataclass(frozen=True, eq=False)
-class _PartialSums:
-    """Per-batch partial count and sums of ``src_cols`` over the keyed
-    view rows, per key (booleans sum as 0/1)."""
-
-    rows: _KeyedRows
-    keys: tuple[str, ...]
-    src_cols: tuple[str, ...]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = self.rows(batch)
-        for c in self.src_cols:
-            if pa.types.is_boolean(t[c].type):
-                t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(pa.int64()))
-        t = t.append_column("_one", pa.array(np.ones(t.num_rows, dtype=np.int64)))
-        aggs = [("_one", "sum")] + [(c, "sum") for c in self.src_cols]
-        if self.keys:
-            g = pa.TableGroupBy(t, list(self.keys)).aggregate(aggs)
-            return g.rename_columns([*self.keys, "_n_part", *[c + "_part" for c in self.src_cols]])
-        out = {"_n_part": pa.array([t.num_rows], type=pa.int64())}
-        for c in self.src_cols:
-            # keep a float column's type (an int64 cast would truncate)
-            typ = t[c].type if pa.types.is_floating(t[c].type) else pa.int64()
-            out[c + "_part"] = pa.array([pc.sum(t[c]).as_py() or 0], type=typ)
-        return pa.table(out)
 
 
 @dataclass(frozen=True)
@@ -410,12 +342,9 @@ class MapReducer:
                     "each callable indexer"
                 )
 
-            def add_key(t: pa.Table) -> pa.Table:
-                return t.append_column(name, pa.array(np.asarray(fn(t))))
-
             return replace(
                 self,
-                _transforms=self._transforms + (("map", add_key),),
+                _transforms=self._transforms + (("map", _AddKey(name, fn)),),
                 _agg_cols=self._agg_cols + (name,),
             )
         if col in self._agg_cols:
@@ -510,17 +439,41 @@ class MapReducer:
             filter=self._aoi_prefilter(),
         )
 
-    def _aoi(self) -> _AOI | None:
+    def _aoi(self) -> AOI | None:
         if self._bbox is None and self._rings is None:
             return None
-        return _AOI(self._bbox, self._rings)
+        return AOI(self._bbox, self._rings)
 
-    def _view_stage(self, reads=None) -> _ViewStage:
-        """Compile the chain into its per-batch view kernel. ``reads``
-        names the view columns the caller reads (None: all of them): the
-        view entry gathers only those and what the region step reads,
-        and decodes only what they need. A chain with entity filters,
-        row filters or maps reads every column (they may read any)."""
+    def _check_reads(self, reads) -> None:
+        """Raise, on the driver, when the chain reads a column its rows
+        do not carry: a view column, ``region_id`` after
+        aggregateByGeometry or a callable aggregateBy key. A chain with
+        a ``map`` may add any column and is not checked."""
+        view_cols = SNAPSHOT_COLUMNS if self._view == "snapshot" else CONTRIBUTION_COLUMNS
+        known = set(view_cols) | ({"region_id"} if self._regions else set())
+        for kind, fn in self._transforms:
+            if kind != "map":
+                continue
+            if not isinstance(fn, _AddKey):
+                return
+            known.add(fn.name)
+        missing = sorted(set(reads) - known)
+        if missing:
+            raise ValueError(
+                f"{missing} not among the columns of the {self._view} view rows: "
+                f"{list(view_cols)}"
+            )
+
+    def _view_stage(self, reads=None):
+        """Compile the chain into its per-batch view kernel: the
+        ``views.ViewRows`` of its timestamps, columns, filters, AOI and
+        deadline, wrapped in a ``_ViewStage`` when the chain has row
+        transforms or regions. ``reads`` names the view columns the
+        caller reads (None: all of them): the view entry gathers only
+        those and what the region step reads, and decodes only what
+        they need; a read of a column the rows do not carry raises
+        here. A chain with entity filters, row filters or maps reads
+        every column (they may read any)."""
         is_snap = self._view == "snapshot"
         if is_snap and not self._ts:
             # symmetric with the contribution view's _interval() check:
@@ -528,6 +481,8 @@ class MapReducer:
             raise ValueError("snapshot view needs timestamps()")
         t_from, t_to = (0, 0) if is_snap else self._interval()
         view_cols = SNAPSHOT_COLUMNS if is_snap else CONTRIBUTION_COLUMNS
+        if reads is not None:
+            self._check_reads(reads)
         full = reads is None or self._entity_filters or self._transforms
         need = set(view_cols) if full else set(reads)
         if self._regions:
@@ -556,11 +511,17 @@ class MapReducer:
         # MapReducerJdbc.java:43-49) and checked between batches
         # (Kernels.java:24-36 isActive())
         deadline = None if self._timeout_s is None else Deadline(self._timeout_s)
-        return _ViewStage(
-            is_snap, np.asarray(self._ts, dtype=np.int64), t_from, t_to, columns, lookup,
-            lut, self._types, self._entity_filters, self._transforms, self._aoi(),
-            self._regions, deadline,
+        # a tag LUT alone is the entry's own gather
+        match = lut
+        if self._types or self._entity_filters:
+            match = _Match(lut, self._types, self._entity_filters)
+        rows = ViewRows(
+            np.asarray(self._ts, dtype=np.int64) if is_snap else None, t_from, t_to, columns,
+            lookup, match, self._aoi(), deadline,
         )
+        if not (self._transforms or self._regions):
+            return rows
+        return _ViewStage(rows, self._transforms, self._regions)
 
     def view(self) -> ray.data.Dataset:
         """Escape hatch: a Dataset of the view rows (snapshots or
@@ -616,8 +577,7 @@ class MapReducer:
         from .aggregate import combine_partials, sorted_sums
 
         keys = self._keys()
-        docs, rows = self._keyed_stage(list(sums))
-        stage = _PartialSums(rows, tuple(keys), tuple(sums))
+        docs, stage = self._keyed_stage(list(sums))
         outmap = {"_n_part": count_alias or "_n"}
         outmap.update({c + "_part": out for c, out in sums.items()})
         if _HIGH_CARD_KEYS & set(keys):
@@ -670,26 +630,30 @@ class MapReducer:
             df = zerofill(df, expected, zero)
         return df
 
-    def _keyed_stage(self, cols: list[str]):
-        """(docs, stage): the node table to read and the stage emitting
-        its (group keys..., cols...) view rows — ts binning applied."""
+    def _keyed_stage(self, cols: list[str], by: tuple[str, ...] = ()):
+        """(docs, stage): the node table to read and the
+        ``views.KeyedPartials`` stage counting its view rows per (group
+        keys..., ``by``...) with the sums of ``cols`` — ts binning
+        applied. Its count column is ``_n_part`` (a user column ``n``
+        would clash with ``n_part``)."""
         self._require_node_only("this terminal")
         is_snap = self._view == "snapshot"
+        keys = (*self._agg_cols, *by)
         # grouping by a column reads it too
-        reads = {*cols, *self._agg_cols}
+        reads = {*cols, *keys}
         if self._agg_ts:
             reads.add("ts_q" if is_snap else "ts")
+            if is_snap:
+                keys = ("ts_q", *keys)
         bins = self._bins() if (self._agg_ts and not is_snap) else None
-        names = [
-            c for c in dict.fromkeys([*self._agg_cols, *cols]) if not (self._agg_ts and c == "ts_q")
-        ]
-        return self._docs(), _KeyedRows(self._view_stage(reads), self._agg_ts, bins, tuple(names))
+        stage = KeyedPartials(self._view_stage(reads), bins, keys, None, tuple(cols), "_n_part")
+        return self._docs(), stage
 
     def _keyed_rows(self, cols: list[str]):
         """Blocks of (group keys..., cols...) view rows, for the
         sketch terminals."""
         docs, stage = self._keyed_stage(cols)
-        return materialize_blocks(docs, stage)
+        return materialize_blocks(docs, stage.keyed)
 
     def count(self, alias: str = "count"):
         """count (MapReducer.java:1122-1132): scalar, or a frame keyed
@@ -848,17 +812,14 @@ class MapReducer:
         bucket holds every row of its pairs, so its distinct rows are
         globally distinct; ``then`` maps them per bucket."""
         pair = [*self._keys(), col]
-        docs, rows = self._keyed_stage([col])
-
-        def distinct(t: pa.Table) -> pa.Table:
-            return pa.TableGroupBy(t, pair).aggregate([]).select(pair)
+        # the per-batch partial counts per pair are its distinct pairs
+        docs, stage = self._keyed_stage([], by=(col,))
 
         def reduce(t: pa.Table) -> pa.Table:
-            return distinct(t) if then is None else then(distinct(t))
+            distinct = pa.TableGroupBy(t, pair).aggregate([]).select(pair)
+            return distinct if then is None else then(distinct)
 
-        return blocks_table(
-            reduce_by_key(docs, by or pair, reduce, stage=lambda b: distinct(rows(b)))
-        )
+        return blocks_table(reduce_by_key(docs, by or pair, reduce, stage=stage))
 
     def countUniq(self, col: str, alias: str | None = None):
         """countUniq (MapReducer.java:1166-1178): each bucket of the
@@ -923,6 +884,7 @@ class MapReducer:
         """weightedAverage (MapReducer.java:1207-1225): exact integer
         sum(w*x) / sum(w) partials, one IEEE division at the end.
         Integer columns only (the repo money/float rule)."""
+        self._check_reads([col, weight])
         mr = self.map(
             lambda t: t.append_column(
                 "_wx",

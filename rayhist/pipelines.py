@@ -111,7 +111,7 @@ from .sources.pbfish import ensure_pbfish, read_pbfish
 from .spatial.fip import Polygon, contains_convex
 from .spatial.geohash import PRECISION, geohash_bits, geohash_str
 from .spatial.grid import cell_id, multizoom_query_cells
-from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, pack_hex, unpack_hex
+from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, hex_id, pack_hex, unpack_hex
 from .spatial.hull import grouped_convex_hull
 from .spatial.join import RegionIndex
 from .spatial.knn import (
@@ -122,12 +122,12 @@ from .spatial.predicates import point_segment_d2, segments_cross
 from .spatial.radius import radius_self_join
 from .spatial.raster import raster_value_for
 from .spatial.rectjoin import rect_self_join
-from .spatial.s2 import cell_to_face_ij, face_ij_to_cell, lonlat_to_face_st, st_to_ij
+from .spatial.s2 import cell_to_face_ij, s2_cell
 from .spatial.strtree import STRtreeRegionIndex
 from .state.checkpoint import read_outputs, run_sharded, salted_count_by, shard_rows
 from .temporal import TagFilter, _sorted_versions
 from .views import (
-    contribution_rows, contribution_stats_stage, snapshot_counts_stage, snapshot_rows,
+    AOI, contribution_rows, contribution_stats_stage, snapshot_counts_stage, snapshot_rows,
     snapshot_stage,
 )
 
@@ -268,7 +268,9 @@ def q_snapshot_cells(sf_dir: str) -> pd.DataFrame:
     """Snapshots at weekly timestamps grouped by grid cell (zoom 4) —
     the aggregateBy(cell, timestamp) shuffle over pre-aggregated
     partials."""
-    stage, keys = snapshot_counts_stage(SNAP_WEEKLY, cell_zoom=CELL_ZOOM)
+    stage, keys = snapshot_counts_stage(
+        SNAP_WEEKLY, cell=functools.partial(cell_id, zoom=CELL_ZOOM)
+    )
     df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n"})
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
 
@@ -290,15 +292,7 @@ def q_snapshot_count_by_s2cell(sf_dir: str) -> pd.DataFrame:
     id for output — so the oracle, which replicates the float layers
     (cos/sin/div/sqrt/floor are single IEEE ops, mirrored literally in
     SQL), also value-checks the id layer through the bijection."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        lon = s["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = s["lat_e7"].to_numpy(zero_copy_only=False)
-        face, ss, tt = lonlat_to_face_st(lon, lat)
-        cell = face_ij_to_cell(face, st_to_ij(ss, S2_LEVEL), st_to_ij(tt, S2_LEVEL), S2_LEVEL)
-        cid, cnt = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))})
-
+    stage, _ = snapshot_counts_stage([T_MID], cell=functools.partial(s2_cell, level=S2_LEVEL))
     partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["cell"], {"n_part": "n_snapshots"})
     face, i, j, _lvl = cell_to_face_ij(df["cell"].to_numpy(dtype=np.int64))
@@ -687,12 +681,12 @@ def _contrib_flags_to_int(batch: pa.Table) -> pa.Table:
     return out
 
 
-def _contrib_totals(sf_dir: str, tag_filter=None) -> pd.DataFrame:
+def _contrib_totals(sf_dir: str, tag_filter=None, aoi=None) -> pd.DataFrame:
     # node docs carry per-version keytable ids, so the tag filter AND
     # the TAG_CHANGE compare both run on small ints (sig ids are
     # bijective with signatures; equality is identical)
     stage, _ = contribution_stats_stage(
-        CONTRIB_FROM, CONTRIB_TO, tag_filter, keytable=sig_keytable(sf_dir)
+        CONTRIB_FROM, CONTRIB_TO, tag_filter, keytable=sig_keytable(sf_dir), aoi=aoi
     )
     return combine_partials(
         rio.map_blocks(_docs(sf_dir), stage),
@@ -1695,24 +1689,12 @@ def q_contrib_daily_by_etype(sf_dir: str) -> pd.DataFrame:
     contributions keyed by (daily bin x etype of the modification's
     version) with FULL cross-product zerofill
     (MapAggregator.completeZerofill, :956-988)."""
-    bins = np.asarray(CONTRIB_BINS, dtype=np.int64)
     etypes = ["click", "error", "purchase", "signup", "view"]
-    lookup = _tag_lookup(sf_dir)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, ["ts", "etype"], lookup)
-        t = pa.table(
-            {
-                "ts_q": pa.array(floor_bin(c["ts"].to_numpy(zero_copy_only=False), bins)),
-                "etype": c["etype"],
-            }
-        )
-        g = pa.TableGroupBy(t, ["ts_q", "etype"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ts_q", "etype", "n_part"])
-
-    agg = combine_partials(
-        rio.map_blocks(_docs(sf_dir), stage), ["ts_q", "etype"], {"n_part": "n"}
+    stage, keys = contribution_stats_stage(
+        CONTRIB_FROM, CONTRIB_TO, bins=CONTRIB_BINS, flag_cols=[], keys=("etype",),
+        keytable=sig_keytable(sf_dir),
     )
+    agg = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n"})
     return zerofill(agg, {"ts_q": CONTRIB_BINS, "etype": etypes}, {"n": 0})
 
 
@@ -2131,8 +2113,7 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     MapReducerJdbc.java:51-114 + MapReducer.getCellIdRanges). The
     exact per-state test runs after interpolation (CellIterator's
     per-entity bbox intersect + clip, :198-211)."""
-    x0, y0, x1, y1 = AOI_BBOX
-
+    x0, y0, x1, y1 = (int(v) for v in AOI_BBOX)
     rep = int(os.environ.get("RAYHIST_REP", "1"))
     prefilter = (
         (pc.field("max_lon_e7") >= int(x0))
@@ -2143,14 +2124,7 @@ def q_snapshot_count_bbox(sf_dir: str) -> pd.DataFrame:
     docs = rio.read_resident(
         ensure_documents(sf_dir, rep), columns=DECODE_COLUMNS, filter=prefilter
     )
-
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        lon = s["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = s["lat_e7"].to_numpy(zero_copy_only=False)
-        inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        return pa.table({"n_part": pa.array([int(inside.sum())], type=pa.int64())})
-
+    stage, _ = snapshot_counts_stage([T_MID], aoi=AOI(bbox=(x0, y0, x1, y1)), keys=())
     return combine_partials(rio.map_blocks(docs, stage), [], {"n_part": "n_snapshots"})
 
 
@@ -2189,14 +2163,7 @@ def q_snapshot_count_bbox_multizoom(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_snapshots": pd.array([0], dtype="int64")})
 
     docs = rio.read_resident(paths, columns=DECODE_COLUMNS)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        lon = s["lon_e7"].to_numpy(zero_copy_only=False)
-        lat = s["lat_e7"].to_numpy(zero_copy_only=False)
-        inside = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        return pa.table({"n_part": pa.array([int(inside.sum())], type=pa.int64())})
-
+    stage, _ = snapshot_counts_stage([T_MID], aoi=AOI(bbox=(x0, y0, x1, y1)), keys=())
     return combine_partials(rio.map_blocks(docs, stage), [], {"n_part": "n_snapshots"})
 
 
@@ -2238,32 +2205,7 @@ def q_contrib_type_counts_bbox(sf_dir: str) -> pd.DataFrame:
     bbox behaves like the reference's clipped-to-empty geometry —
     DELETION on exit, CREATION on re-entry (CellIterator.java:625-642,
     the S1 scenario)."""
-    x0, y0, x1, y1 = AOI_BBOX
-
-    def aoi(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        return (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, CONTRIB_FLAGS, aoi=aoi)
-        sums = {"n_part": pa.array([len(c)], type=pa.int64())}
-        for f in CONTRIB_FLAGS:
-            sums[f + "_part"] = pa.array(
-                [int(c[f].to_numpy(zero_copy_only=False).sum())], type=pa.int64()
-            )
-        return pa.table(sums)
-
-    partials = rio.map_blocks(_docs(sf_dir), stage)
-    return combine_partials(
-        partials,
-        [],
-        {
-            "n_part": "n_total",
-            "is_creation_part": "n_creation",
-            "is_deletion_part": "n_deletion",
-            "is_tag_change_part": "n_tag_change",
-            "is_geom_change_part": "n_geom_change",
-        },
-    )
+    return _contrib_totals(sf_dir, aoi=AOI(bbox=tuple(int(v) for v in AOI_BBOX)))
 
 
 @query(lambda o: o.contrib_type_counts_poly())
@@ -2273,32 +2215,8 @@ def q_contrib_type_counts_poly(sf_dir: str) -> pd.DataFrame:
     (north_pentagon) — a state outside the polygon behaves like the
     reference's clipped-to-empty geometry (CellIterator.java:625-642),
     so crossing the boundary emits DELETION/CREATION pairs."""
-    ring = np.asarray(REGIONS["north_pentagon"])
-
-    def aoi(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        return contains_convex(ring, lon.astype(np.float64), lat.astype(np.float64))
-
-    def stage(batch: pa.Table) -> pa.Table:
-        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, CONTRIB_FLAGS, aoi=aoi)
-        sums = {"n_part": pa.array([len(c)], type=pa.int64())}
-        for f in CONTRIB_FLAGS:
-            sums[f + "_part"] = pa.array(
-                [int(c[f].to_numpy(zero_copy_only=False).sum())], type=pa.int64()
-            )
-        return pa.table(sums)
-
-    partials = rio.map_blocks(_docs(sf_dir), stage)
-    return combine_partials(
-        partials,
-        [],
-        {
-            "n_part": "n_total",
-            "is_creation_part": "n_creation",
-            "is_deletion_part": "n_deletion",
-            "is_tag_change_part": "n_tag_change",
-            "is_geom_change_part": "n_geom_change",
-        },
-    )
+    aoi = AOI(rings=(np.asarray(REGIONS["north_pentagon"]),), convex=True)
+    return _contrib_totals(sf_dir, aoi=aoi)
 
 
 @query(lambda o: o.embedding_dup_pairs())
@@ -2554,14 +2472,9 @@ def q_snapshot_count_daily_checkpointed(sf_dir: str) -> pd.DataFrame:
         "ckpt_" + hashlib.sha256(path.encode()).hexdigest()[:12],
         "snap_daily",
     )
-    ts = np.asarray(SNAP_DAILY, dtype=np.int64)
+    stage, _ = snapshot_counts_stage(SNAP_DAILY)
 
     def process(inputs: list[str]) -> rio.Blocks:
-        def stage(batch: pa.Table) -> pa.Table:
-            s = snapshot_rows(batch, ts, ["ts_q"])
-            g = pa.TableGroupBy(s, ["ts_q"]).aggregate([([], "count_all")])
-            return g.rename_columns(["ts_q", "n_part"])
-
         docs = rio.read_resident(path, columns=DECODE_COLUMNS, filter=shard_rows(inputs))
         return rio.materialize_blocks(docs, stage)
 
@@ -2666,15 +2579,9 @@ def q_snapshot_count_even_uid(sf_dir: str) -> pd.DataFrame:
     reference's osmEntityFilter(Predicate<OSMEntity>)
     (MapReducer.java:642-660): here "last editor uid is even", passed
     as a raw per-version mask into the snapshot interpolation."""
-    ts = np.asarray(SNAP_DAILY, dtype=np.int64)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, ts, ["ts_q"], match=_even_uid)
-        g = pa.TableGroupBy(s, ["ts_q"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ts_q", "n_part"])
-
+    stage, keys = snapshot_counts_stage(SNAP_DAILY, match=_even_uid)
     partials = rio.map_blocks(_docs(sf_dir), stage)
-    df = combine_partials(partials, ["ts_q"], {"n_part": "n_snapshots"})
+    df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
@@ -2710,23 +2617,13 @@ def q_snapshot_pip_poly(sf_dir: str) -> pd.DataFrame:
     """areaOfInterest from a user-supplied osmosis ``.poly`` boundary
     file (PolyFileReader.java) — a NON-CONVEX outer ring with a HOLE,
     classified through the GENERAL even-odd banded-crossing-number path
-    (fip.Polygon.contains / FastInPolygon.java:21-150); the polygon's
-    band index is built once on the driver and shipped with the stage.
-    Oracle mirrors the crossing test edge by edge in SQL."""
+    (fip.Polygon.contains / FastInPolygon.java:21-150) as the snapshot
+    AOI (``views.AOI``) of the keyed count stage. Oracle mirrors the
+    crossing test edge by edge in SQL."""
     name, rings = load_poly(POLY_FILE)
-    poly = Polygon(rings)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        inside = poly.contains(
-            s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
-        )
-        return pa.table(
-            {"region_id": pa.array([name]), "n_part": pa.array([int(inside.sum())], type=pa.int64())}
-        )
-
-    partials = rio.map_blocks(_docs(sf_dir), stage)
-    return combine_partials(partials, ["region_id"], {"n_part": "n_inside"})
+    stage, _ = snapshot_counts_stage([T_MID], aoi=AOI(rings=tuple(rings)), keys=())
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), [], {"n_part": "n_inside"})
+    return df.assign(region_id=name)[["region_id", "n_inside"]]
 
 
 # --------------------------------------- clipped aggregateByGeometry
@@ -3216,7 +3113,7 @@ def q_snapshot_cells_fine(sf_dir: str) -> pd.DataFrame:
     the high-cardinality final where the partial-combine runs per cell
     bucket (one ``io.reduce_by_key``, the combine_partials docstring
     threshold path), unlike the coarse-zoom variant."""
-    stage, keys = snapshot_counts_stage([T_MID], cell_zoom=10)
+    stage, keys = snapshot_counts_stage([T_MID], cell=functools.partial(cell_id, zoom=10))
     refs = combine_by_key(_docs(sf_dir), keys, {"n_part": "sum"}, stage=stage)
     df = rio.blocks_table(refs).to_pandas().rename(columns={"n_part": "n"})
     return df.sort_values(["ts_q", "cell"]).reset_index(drop=True)
@@ -5157,7 +5054,9 @@ def q_snapshot_hotspot_clusters(sf_dir: str) -> pd.DataFrame:
 
 def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFrame:
     nx, ny = 1 << CELL_ZOOM, 1 << (CELL_ZOOM - 1)
-    stage, keys = snapshot_counts_stage([T_MID], cell_zoom=CELL_ZOOM)
+    stage, keys = snapshot_counts_stage(
+        [T_MID], cell=functools.partial(cell_id, zoom=CELL_ZOOM)
+    )
 
     def dense_only(t: pa.Table) -> pa.Table:  # a bucket's complete cells
         g = pa.TableGroupBy(t, keys).aggregate([("n_part", "sum")]).rename_columns([*keys, "n"])
@@ -7699,30 +7598,8 @@ def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
     """Shared partial producer: SNAPSHOT counts per (ts_q, packed hex
     cell) — the space-time-cube base consumed by the weekly cube,
     emerging-hotspot and churn finals."""
-    ts = np.array(list(timestamps), dtype=np.int64)
-
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, ts, ["ts_q", "lon_e7", "lat_e7"])
-        i, j = hex_cell(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        df = pd.DataFrame(
-            {"ts_q": s["ts_q"].to_numpy(zero_copy_only=False), "cell": pack_hex(i, j)}
-        )
-        g = df.groupby(["ts_q", "cell"], as_index=False).size()
-        return pa.table(
-            {
-                "ts_q": g["ts_q"].to_numpy(dtype=np.int64),
-                "cell": g["cell"].to_numpy(dtype=np.int64),
-                "n_part": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return combine_partials(
-        rio.map_blocks(_docs(sf_dir), stage), ["ts_q", "cell"],
-        {"n_part": "n"},
-    )
+    stage, keys = snapshot_counts_stage(timestamps, cell=hex_id)
+    return combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n"})
 
 
 @query(lambda o: o.snapshot_count_by_hexcell(HEX_W, HEX_H))
@@ -7736,17 +7613,7 @@ def q_snapshot_count_by_hexcell(sf_dir: str) -> pd.DataFrame:
     integer SQL with the identical (d2, i, j) tie-break — transitively
     value-checks the pack/unpack bijection too. No floats anywhere in
     the assignment."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        i, j = hex_cell(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        cid, cnt = np.unique(pack_hex(i, j), return_counts=True)
-        return pa.table(
-            {"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))}
-        )
-
+    stage, _ = snapshot_counts_stage([T_MID], cell=hex_id)
     partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, ["cell"], {"n_part": "n_snapshots"})
     i, j = unpack_hex(df["cell"].to_numpy(dtype=np.int64))
@@ -10190,17 +10057,7 @@ def q_snapshot_count_by_geohash(sf_dir: str) -> pd.DataFrame:
     divisions + a 25-bit interleave, no floats, so the cell id is a
     bit-stable shuffle key; the base32 rendering is order-isomorphic
     to the packed id)."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        g = geohash_bits(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        cid, cnt = np.unique(g, return_counts=True)
-        return pa.table(
-            {"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))}
-        )
-
+    stage, _ = snapshot_counts_stage([T_MID], cell=geohash_bits)
     df = combine_partials(
         rio.map_blocks(_docs(sf_dir), stage),
         ["cell"],
@@ -11555,17 +11412,7 @@ def q_snapshot_count_by_geohash_multiprec(sf_dir: str) -> pd.DataFrame:
     the driver (bounded by cells) with no second corpus pass; the
     oracle rolls up by string prefix, certifying the
     prefix==bit-shift containment property end to end."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        g = geohash_bits(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        cid, cnt = np.unique(g, return_counts=True)
-        return pa.table(
-            {"cell": pa.array(cid), "n_part": pa.array(cnt.astype(np.int64))}
-        )
-
+    stage, _ = snapshot_counts_stage([T_MID], cell=geohash_bits)
     fine = combine_partials(
         rio.map_blocks(_docs(sf_dir), stage),
         ["cell"],

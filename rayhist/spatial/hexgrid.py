@@ -84,6 +84,12 @@ def pack_hex(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (i + _PACK_OFF) * _PACK_MUL + (j + _PACK_OFF)
 
 
+def hex_id(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The packed id of each point's hexagon (``pack_hex`` of
+    ``hex_cell``), at the default lattice."""
+    return pack_hex(*hex_cell(x, y))
+
+
 def unpack_hex(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cell = np.asarray(cell, dtype=np.int64)
     return cell // _PACK_MUL - _PACK_OFF, cell % _PACK_MUL - _PACK_OFF

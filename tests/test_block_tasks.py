@@ -6,6 +6,7 @@ backends are the block tasks over a resident table and the same tasks
 over a table over the resident budget, read from disk and materialized
 once per query."""
 
+import functools
 import pickle
 from collections import OrderedDict
 
@@ -29,10 +30,12 @@ from rayhist.ingest import ensure_documents, read_documents, sig_keytable
 from rayhist.model import DECODE_COLUMNS
 from rayhist.ops.multimodal import decode_media, resize_media, sample_frames, synth_media_table
 from rayhist.pipelines import CONTRIB_BINS, CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY, SNAP_WEEKLY
+from rayhist.spatial.grid import cell_id
 from rayhist.spatial.knn import ensure_ivf_layout, ensure_lsh_layout
 from rayhist.temporal import TagFilter
 from rayhist.views import (
-    contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
+    KeyedPartials, contribution_stage, contribution_stats_stage, snapshot_counts_stage,
+    snapshot_stage,
 )
 from tests.test_ingest import SF
 
@@ -42,7 +45,8 @@ WORKLOAD_QUERIES = sorted({q for w in WORKLOADS.values() for q in w.queries})
 VIEWS = {
     "snapshot_counts": lambda: (*snapshot_counts_stage(SNAP_DAILY), {"n_part": "n"}),
     "snapshot_counts_cells": lambda: (
-        *snapshot_counts_stage(SNAP_WEEKLY, cell_zoom=4), {"n_part": "n"}
+        *snapshot_counts_stage(SNAP_WEEKLY, cell=functools.partial(cell_id, zoom=4)),
+        {"n_part": "n"},
     ),
     "snapshot_counts_ids": lambda: (
         *snapshot_counts_stage(
@@ -338,6 +342,68 @@ def test_one_block_query_ships_its_stage_inline(monkeypatch, block_tasks, query)
     assert callable(stage) and not isinstance(stage, ray.ObjectRef)
     assert isinstance(block, list) and isinstance(block[0], ray.ObjectRef)
     assert block_tasks.puts == []
+
+
+# every query whose per-batch stage is "view rows -> per-key partial
+# count and sums" (hexcell_weekly through pipelines._hex_snapshot_cube)
+KEYED_PARTIALS_QUERIES = (
+    "snapshot_count_by_s2cell", "contrib_daily_by_etype", "snapshot_count_bbox",
+    "snapshot_count_bbox_multizoom", "contrib_type_counts_bbox", "contrib_type_counts_poly",
+    "snapshot_count_daily_checkpointed", "snapshot_count_even_uid", "snapshot_pip_poly",
+    "hexcell_weekly", "snapshot_count_by_hexcell", "snapshot_count_by_geohash",
+    "snapshot_count_by_geohash_multiprec", "snapshot_count_daily", "snapshot_cells",
+    "contrib_type_counts", "contrib_daily", "pbf_snapshot_count_daily",
+)
+
+
+@pytest.mark.parametrize("query", KEYED_PARTIALS_QUERIES)
+def test_keyed_count_queries_ship_the_views_stage(monkeypatch, block_tasks, query):
+    """Each of these queries ships the one ``views.KeyedPartials`` stage
+    to its block tasks (pickled by reference to its class), never a
+    function closure (pickled by value on every call)."""
+    run_sharded = pipelines.run_sharded
+
+    def run_each_shard(shards, process, out_dir):
+        # a completed checkpoint runs no task: run every shard first
+        for inputs in shards.values():
+            process(inputs)
+        return run_sharded(shards, process, out_dir)
+
+    monkeypatch.setattr(pipelines, "run_sharded", run_each_shard)
+    fn = pipelines.QUERIES[query][0]
+    fn(SF)  # warm-up: the resident admission runs its own block tasks
+    block_tasks.clear()
+    fn(SF)
+    stages = [ray.get(a[0]) if isinstance(a[0], ray.ObjectRef) else a[0] for a in block_tasks]
+    assert stages and {type(s) for s in stages} == {KeyedPartials}, stages
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda: OSMEntitySnapshotView.on(SF).timestamps(SNAP_WEEKLY).sum("visible"),
+        lambda: OSMEntitySnapshotView.on(SF).timestamps(SNAP_WEEKLY).sum("tag_id"),
+        lambda: OSMEntitySnapshotView.on(SF).timestamps(SNAP_WEEKLY).aggregateBy("tag_id").count(),
+        lambda: OSMEntitySnapshotView.on(SF).timestamps(SNAP_WEEKLY).estimatedMedian("tag_id"),
+        lambda: (
+            OSMContributionView.on(SF).timestamps([CONTRIB_FROM, CONTRIB_TO])
+            .aggregateBy("ts_q").countUniq("uid")
+        ),
+        lambda: (
+            OSMContributionView.on(SF).timestamps([CONTRIB_FROM, CONTRIB_TO])
+            .weightedAverage("v", "visible")
+        ),
+    ],
+    ids=["sum_visible", "sum_tag_id", "by_tag_id", "median_tag_id", "contribution_by_ts_q",
+         "weighted_by_visible"],
+)
+def test_a_facade_read_of_a_missing_column_raises_before_any_task(block_tasks, chain):
+    """A terminal or aggregateBy naming a column the view rows do not
+    carry raises ValueError on the driver, naming the view's columns,
+    before any block task runs."""
+    with pytest.raises(ValueError, match="lon_e7"):
+        chain()
+    assert not block_tasks
 
 
 def test_stage_capturing_a_ref_gives_the_same_rows_at_any_block_count(monkeypatch, block_tasks):

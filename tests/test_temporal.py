@@ -1,5 +1,7 @@
 """Cross-check the vectorized temporal core against the loop oracle."""
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -658,12 +660,15 @@ def _history_scan_stages(sf_dir):
     from rayhist.pipelines import (
         CELL_ZOOM, CONTRIB_BINS, CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY, SNAP_WEEKLY,
     )
+    from rayhist.spatial.grid import cell_id
     from rayhist.views import contribution_stats_stage, snapshot_counts_stage
 
     kt = sig_keytable(sf_dir)
     return {
         "snapshot_count_daily": snapshot_counts_stage(SNAP_DAILY),
-        "snapshot_cells": snapshot_counts_stage(SNAP_WEEKLY, cell_zoom=CELL_ZOOM),
+        "snapshot_cells": snapshot_counts_stage(
+            SNAP_WEEKLY, cell=functools.partial(cell_id, zoom=CELL_ZOOM)
+        ),
         "snapshot_count_daily_click": snapshot_counts_stage(
             SNAP_DAILY, TagFilter("etype", "click"), keytable=kt
         ),

@@ -9,6 +9,7 @@ the temporal kernels and pandas, not through rayhist.api or
 rayhist.views."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from rayhist.model import decode_spans, reverse_version_runs, tag_lookup
 from rayhist.temporal import TagFilter, contributions, snapshots
 from rayhist.views import (
-    CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, contribution_rows, snapshot_rows,
-    contribution_stage, snapshot_stage,
+    AOI, CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, contribution_rows,
+    contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_rows,
+    snapshot_stage,
 )
 from tests.fixtures import YEAR_US, make_versions, versions_to_documents
 
@@ -129,6 +131,93 @@ def test_a_tag_string_read_without_a_lookup_raises():
     for stage in (snapshot_stage(YEARS[:1], None), contribution_stage(YEARS[0], YEARS[-1], None)):
         assert TAG_STRINGS.isdisjoint(stage(batch).column_names)
         assert stage(batch).num_rows == 1
+
+
+# ------------------------------------------- keyed partials differential
+
+_FLAG_COLUMNS = ["is_creation", "is_deletion", "is_tag_change", "is_geom_change"]
+
+
+def _cell(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """A cell indexer fine enough for the fixtures' 3 x 3 coordinates."""
+    return lon * 3 + lat
+
+
+def _grouped(rows: pa.Table, keys: list[str], flags: list[str], cell: bool, bins) -> pd.DataFrame:
+    """The partial count and flag sums per key of the view rows, by a
+    pandas group-by."""
+    df = rows.to_pandas()
+    if bins is not None:
+        idx = np.searchsorted(bins, df["ts"].to_numpy(), side="right") - 1
+        df["ts_q"] = np.where(idx >= 0, np.asarray(bins)[np.clip(idx, 0, None)], -1)
+    if cell:
+        df["cell"] = _cell(df["lon_e7"].to_numpy(), df["lat_e7"].to_numpy())
+    df = df.assign(n_part=1, **{f + "_part": df[f].astype("int64") for f in flags})
+    sums = ["n_part", *(f + "_part" for f in flags)]
+    if not keys:
+        return df[sums].sum().to_frame().T.astype("int64")
+    return df.groupby(keys, dropna=False, as_index=False)[sums].sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_version, min_size=1, max_size=6), min_size=1, max_size=5),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.integers(0, len(YEARS) - 1), min_size=1, max_size=6, unique=True),
+    st.booleans(),
+    st.sampled_from([(), ("etype",), ("osm_type",)]),
+    st.booleans(),
+    st.lists(st.sampled_from(_FLAG_COLUMNS), unique=True),
+    st.sampled_from(["none", "tag", "uid"]),
+    st.booleans(),
+)
+def test_keyed_partials_equal_a_pandas_group_by(
+    docs, reverse, snapshot, picks, by_time, extra, with_cell, flags, match_kind, with_aoi
+):
+    """Both views, at random timestamps or bins, with an extra key
+    column, flag sums, no / tag filter and with and without a bbox AOI,
+    and snapshots with and without a cell indexer and a uid filter: the
+    stage's partials are a pandas group-by of the view entry's rows."""
+    if not snapshot:  # the contribution builder takes neither
+        with_cell = False
+        match_kind = "none" if match_kind == "uid" else match_kind
+    batch, kt = _documents(docs, reverse)
+    lookup = tag_lookup(kt)
+    lut = TagFilter("etype", "click").sig_lut(kt)
+    tag_filter = TagFilter("etype", "click") if match_kind == "tag" else None
+    match = _even_uid if match_kind == "uid" else None
+    row_match = lut if match_kind == "tag" else match
+    aoi = AOI(bbox=(0, 1, 1, 2)) if with_aoi else None
+    cell = _cell if with_cell else None
+    times = sorted(YEARS[i] for i in picks)
+    geo = ["lon_e7", "lat_e7"] if with_cell else []
+    by = [*(["ts_q"] if by_time else []), *extra]
+    if snapshot:  # ts_q is a view column
+        stage, got_keys = snapshot_counts_stage(
+            times, tag_filter, cell, kt, match=match, aoi=aoi, keys=tuple(by)
+        )
+        rows = snapshot_rows(batch, times, list(dict.fromkeys(by + geo)), lookup, row_match, aoi)
+        flags, bins = [], None
+    else:  # ts_q is the rows' ts floor-binned
+        t0, t1 = YEARS[0], times[-1] if len(times) > 1 else YEARS[-1]
+        bins = times[:-1] if by_time and len(times) > 1 else None
+        by = [*(["ts_q"] if bins is not None else []), *extra]
+        stage, got_keys = contribution_stats_stage(
+            t0, t1, tag_filter, bins, flags, kt, aoi=aoi, keys=extra
+        )
+        reads = [*(["ts"] if bins is not None else []), *extra, *flags]
+        rows = contribution_rows(batch, t0, t1, reads, lookup, row_match, aoi)
+    keys = by + (["cell"] if with_cell else [])
+    assert got_keys == keys
+    want = _grouped(rows, keys, flags, with_cell, bins)
+    got = stage(batch).to_pandas()
+    assert list(got.columns) == list(want.columns)
+    if keys:
+        got = got.sort_values(keys, kind="mergesort").reset_index(drop=True)
+        want = want.sort_values(keys, kind="mergesort").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert all(got[c].dtype == np.int64 for c in got.columns if c.endswith("_part"))
 
 
 # ------------------------------------------------ facade chain differential
