@@ -51,12 +51,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from .aggregate import KeyedPartials
 from .functions.deadline import Deadline
 from .io import blocks_table, dataset, map_blocks, materialize_blocks, reduce_by_key
 from .model import tag_lookup
 from .temporal import TagFilter
 from .views import (
-    AOI, CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, KeyedPartials, ViewRows,
+    AOI, CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, ViewRows, polygon,
     snapshot_rows,
 )
 
@@ -128,8 +129,6 @@ class _ViewStage:
                 out = fn(out)
         if not self.regions:
             return out
-        from .spatial.fip import Polygon
-
         lon = out["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = out["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
         if self.rows.ts is None and "is_deletion" in out.column_names:
@@ -144,7 +143,7 @@ class _ViewStage:
             lat = np.where(dele, prev_lat.astype(np.float64), lat)
         parts = []
         for name, rings in self.regions:
-            inside = Polygon([np.asarray(r, np.float64) for r in rings]).contains(lon, lat)
+            inside = polygon(rings).contains(lon, lat)
             sub = out.filter(pa.array(inside))
             names = pa.array([name] * len(sub), type=pa.string())
             parts.append(sub.append_column("region_id", names))
@@ -389,9 +388,7 @@ class MapReducer:
         flt = None
         box = self._bbox
         if self._rings is not None:
-            from .spatial.fip import Polygon
-
-            box = tuple(Polygon([np.asarray(r, float) for r in self._rings]).bbox)
+            box = tuple(polygon(self._rings).bbox)
         if box is not None:
             x0, y0, x1, y1 = box
             flt = (
@@ -632,7 +629,7 @@ class MapReducer:
 
     def _keyed_stage(self, cols: list[str], by: tuple[str, ...] = ()):
         """(docs, stage): the node table to read and the
-        ``views.KeyedPartials`` stage counting its view rows per (group
+        ``aggregate.KeyedPartials`` stage counting its view rows per (group
         keys..., ``by``...) with the sums of ``cols`` — ts binning
         applied. Its count column is ``_n_part`` (a user column ``n``
         would clash with ``n_part``)."""
@@ -975,17 +972,13 @@ class MapReducer:
             raise ValueError("lifespans() is a contribution-view terminal")
         self._require_plain_history("lifespans()")
         from .aggregate import combine_partials
-        from .pipelines import _lifespan_stage
+        from .pipelines import _LIFESPAN_COUNTS
 
-        df = combine_partials(
-            map_blocks(self._docs(), _lifespan_stage),
+        return combine_partials(
+            map_blocks(self._docs(), _LIFESPAN_COUNTS),
             ["lifespan_days", "deleted"],
-            {"n_entities_p": "n_entities"},
+            {"n_part": "n_entities"},
         )
-        df = df.astype(
-            {"lifespan_days": "int64", "deleted": "int64", "n_entities": "int64"}
-        )
-        return df.sort_values(["lifespan_days", "deleted"]).reset_index(drop=True)
 
     def timeWeightedAverageDaily(self) -> pd.DataFrame:
         """Continuous-time terminal: per day, the EXACT integral of

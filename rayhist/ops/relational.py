@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 import ray
 
 from .. import io as rio
+from ..aggregate import value_counts
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -548,20 +549,6 @@ def _weighted_pick(h: pd.DataFrame, keys: list[str], val: str, w: str, rank) -> 
     return h[val].to_numpy()[np.searchsorted(cum, cum[starts] - wt[starts] + rank(tot))]
 
 
-def _value_counts(keys: list[str], col: str):
-    """Stage: the block's (keys, non-null value) histogram — the
-    pre-aggregation that bounds the shuffle at distinct pairs per
-    block (SQL quantiles ignore NULL values)."""
-
-    def stage(b: pa.Table) -> pa.Table:
-        b = b.select([*keys, col]).filter(pc.is_valid(b[col]))
-        return pa.TableGroupBy(b, [*keys, col]).aggregate([([], "count_all")]).rename_columns(
-            [*keys, col, "n"]
-        )
-
-    return stage
-
-
 def combine_by_key(ds, keys: list[str], aggs: dict[str, str], stage=None) -> list:
     """The complete-key twin of ``aggregate.combine_partials``, for
     keys too many for the driver: each ``aggs`` column is reduced per
@@ -585,7 +572,7 @@ def value_histogram(ds, keys: list[str], col: str) -> pd.DataFrame:
     the driver, sorted by keys then value: small relative to the data
     (distinct values, not rows), so exact quantiles and ranks resolve
     from its cumulative counts with no global row sort."""
-    refs = combine_by_key(ds, [*keys, col], {"n": "sum"}, stage=_value_counts(keys, col))
+    refs = combine_by_key(ds, [*keys, col], {"n": "sum"}, stage=value_counts(keys, col))
     h = rio.blocks_table(refs).to_pandas()
     if h.empty:  # no value at all: an empty input can arrive schema-less
         return h
@@ -623,7 +610,7 @@ def grouped_exact_quantiles_int(
             out[name] = at.astype(np.int64)
         return out
 
-    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts([key], col))
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=value_counts([key], col))
     return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 
@@ -651,7 +638,7 @@ def grouped_median_mad_int(
         mad = _weighted_pick(d, [key], "dev", "n", mid).astype(np.int64)
         return h.drop_duplicates(key)[[key]].reset_index(drop=True).assign(med=med, mad=mad)
 
-    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=_value_counts([key], col))
+    refs = rio.reduce_by_key(ds, [key], rio.on_pandas(final), stage=value_counts([key], col))
     return rio.blocks_table(refs).to_pandas().sort_values(key).reset_index(drop=True)
 
 

@@ -20,6 +20,7 @@ Canonical query constants: the synthetic testdata spans January 2024
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import glob
 import hashlib
@@ -27,7 +28,6 @@ import math
 import os
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -40,9 +40,9 @@ import ray
 
 from . import io as rio
 from .aggregate import (
-    approx_heavy_hitters, combine_partials, cube_levels, estimated_quantiles, floor_bin,
-    grouped_approx_count_distinct, grouped_estimated_quantiles, grouped_mode, pivot_counts,
-    rollup_sums, zerofill,
+    KeyedPartials, approx_heavy_hitters, combine_partials, cube_levels, estimated_quantiles,
+    floor_bin, grouped_approx_count_distinct, grouped_estimated_quantiles, grouped_mode,
+    pivot_counts, rollup_sums, zerofill,
 )
 from .api import OSMContributionView, OSMEntitySnapshotView
 from .functions.bloom import build_bloom
@@ -111,7 +111,7 @@ from .sources.pbfish import ensure_pbfish, read_pbfish
 from .spatial.fip import Polygon, contains_convex
 from .spatial.geohash import PRECISION, geohash_bits, geohash_str
 from .spatial.grid import cell_id, multizoom_query_cells
-from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, hex_id, pack_hex, unpack_hex
+from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, hex_id, unpack_hex
 from .spatial.hull import grouped_convex_hull
 from .spatial.join import RegionIndex
 from .spatial.knn import (
@@ -127,8 +127,8 @@ from .spatial.strtree import STRtreeRegionIndex
 from .state.checkpoint import read_outputs, run_sharded, salted_count_by, shard_rows
 from .temporal import TagFilter, _sorted_versions
 from .views import (
-    AOI, contribution_rows, contribution_stats_stage, snapshot_counts_stage, snapshot_rows,
-    snapshot_stage,
+    AOI, ViewRows, contribution_rows, contribution_stats_stage, snapshot_counts_stage,
+    snapshot_rows, snapshot_stage,
 )
 
 # name -> (pipeline, oracle). Every q_<name> below registers itself with
@@ -202,6 +202,61 @@ def _positions(batch: pa.Table) -> pa.Table:
     return snapshot_rows(batch, [T_MID], ["osm_id", "lon_e7", "lat_e7"])
 
 
+# Row functions of the plain-input partials: each query's keyed count
+# and sums is an aggregate.KeyedPartials over a module-level row
+# function (or a functools.partial of one), which pickles by reference.
+def _as_is(b: pa.Table) -> pa.Table:
+    """The block itself, for an input that carries its key and sum
+    columns."""
+    return b
+
+
+def _value_cents(b: pa.Table) -> pa.ChunkedArray:
+    """The events' ``value`` in integer cents (``cents``)."""
+    return cents(b, "value", "value_c")["value_c"]
+
+
+def _squared(v: np.ndarray) -> np.ndarray:
+    """The squares of integer cents. numpy int64 wraps silently, so the
+    batch's sum of squares (a float estimate) is bounded before the
+    product, with headroom for the int64 combine over thousands of
+    batches: an out-of-range corpus raises."""
+    if v.size and float(np.sum(v.astype(np.float64) ** 2)) > 1e15:
+        raise OverflowError("batch sum of squared cents exceeds the int64 safety bound")
+    return v * v
+
+
+def _value_c2(b: pa.Table) -> np.ndarray:
+    """The squared cents of the events' values."""
+    return _squared(_value_cents(b).to_numpy())
+
+
+def _event_day(b: pa.Table) -> np.ndarray:
+    return (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
+
+
+# the derived event columns a partial groups or sums by
+_EVENT_COLUMNS = {
+    "etype": lambda b: b["event_type"],
+    "day": _event_day,
+    "weekday": lambda b: _event_day(b) % 7,  # 0 = Monday (T0's weekday)
+    "grp": lambda b: b["user_id"].to_numpy(zero_copy_only=False) % 2,  # the A/B cohort
+    "value_c": _value_cents,
+    "value_c2": _value_c2,
+    "click": lambda b: pc.equal(b["event_type"], "click"),
+}
+
+
+def _events(b: pa.Table, columns: tuple[str, ...]) -> pa.Table:
+    """The ``columns`` of ``_EVENT_COLUMNS`` over an events block."""
+    return pa.table({c: _EVENT_COLUMNS[c](b) for c in columns})
+
+
+def _event_partials(keys: tuple[str, ...], sums: tuple[str, ...] = ()) -> KeyedPartials:
+    """The count and sums per ``keys`` of derived event columns."""
+    return KeyedPartials(functools.partial(_events, columns=(*keys, *sums)), keys=keys, sums=sums)
+
+
 # ---------------------------------------------------------------- snapshots
 @query(lambda o: o.snapshot_count_daily())
 def q_snapshot_count_daily(sf_dir: str) -> pd.DataFrame:
@@ -228,6 +283,12 @@ def q_snapshot_count_daily_click(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
 
+def _reversed_rows(batch: pa.Table, rows: ViewRows) -> pa.Table:
+    """The view ``rows`` of the batch with every document's version runs
+    reversed (``model.reverse_version_runs``)."""
+    return rows(reverse_version_runs(batch))
+
+
 @query(lambda o: o.snapshot_count_daily("visible AND etype = 'click'"))
 def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     """Out-of-order version runs (the reference's
@@ -240,7 +301,8 @@ def q_snapshot_count_daily_unsorted(sf_dir: str) -> pd.DataFrame:
     stage, keys = snapshot_counts_stage(
         SNAP_DAILY, TagFilter("etype", "click"), keytable=sig_keytable(sf_dir)
     )
-    partials = rio.map_blocks(_docs(sf_dir), lambda b: stage(reverse_version_runs(b)))
+    stage = dataclasses.replace(stage, rows=functools.partial(_reversed_rows, rows=stage.rows))
+    partials = rio.map_blocks(_docs(sf_dir), stage)
     df = combine_partials(partials, keys, {"n_part": "n_snapshots"})
     return zerofill(df, {"ts_q": SNAP_DAILY}, {"n_snapshots": 0})
 
@@ -487,41 +549,30 @@ def q_predominant_etype_dwell(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("etype").reset_index(drop=True)
 
 
-_LIFESPAN_EMPTY = pa.table(
-    {
-        "lifespan_days": pa.array([], pa.int64()),
-        "deleted": pa.array([], pa.int64()),
-        "n_entities_p": pa.array([], pa.int64()),
-    }
-)
-
-
-def _lifespan_stage(b: pa.Table) -> pa.Table:
-    """Entity-age partial: decode (tags and geom both pruned — only
-    ts/visible are read) -> per-doc realign -> lifespan = creation
-    (first version ts) to deletion (last version ts when the final
-    state is a tombstone) or to the window close when still alive.
-    Floor-binned to whole days; per-(lifespan_days, deleted) counts
-    leave the batch. Every doc decodes inside one batch, so summed
-    partials count each entity exactly once."""
+def _lifespans(b: pa.Table) -> pa.Table:
+    """Each entity's lifespan: decode (tags and geom both pruned — only
+    ts/visible are read) -> per-doc realign -> creation (first version
+    ts) to deletion (last version ts when the final state is a
+    tombstone) or to the window close when still alive, floor-binned
+    to whole days, and whether it was ``deleted`` (0/1). Every doc
+    decodes inside one batch, so summed partials count each entity
+    exactly once."""
     tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b, geom=False), doc_codes(b))
     if not len(ts):
-        return _LIFESPAN_EMPTY
+        return pa.table(
+            {"lifespan_days": pa.array([], pa.int64()), "deleted": pa.array([], pa.int64())}
+        )
     first = np.r_[True, codes[1:] != codes[:-1]]
     last = np.r_[codes[1:] != codes[:-1], True]
-    vis = tbl["visible"].to_numpy(zero_copy_only=False)
-    deleted = ~vis[last]  # final state is a tombstone
+    deleted = ~tbl["visible"].to_numpy(zero_copy_only=False)[last]  # a final tombstone
     end = np.where(deleted, ts[last], DWELL_END)
-    days = (end - ts[first]) // DAY_US
-    df = pd.DataFrame({"lifespan_days": days, "deleted": deleted.astype(np.int64)})
-    g = df.groupby(["lifespan_days", "deleted"], as_index=False).size()
     return pa.table(
-        {
-            "lifespan_days": pa.array(g["lifespan_days"].to_numpy(), pa.int64()),
-            "deleted": pa.array(g["deleted"].to_numpy(), pa.int64()),
-            "n_entities_p": pa.array(g["size"].to_numpy(), pa.int64()),
-        }
+        {"lifespan_days": (end - ts[first]) // DAY_US, "deleted": deleted.astype(np.int64)}
     )
+
+
+# per-(lifespan_days, deleted) entity counts per batch
+_LIFESPAN_COUNTS = KeyedPartials(_lifespans, keys=("lifespan_days", "deleted"))
 
 
 @query(lambda o: o.entity_lifespans(DWELL_END, DAY_US))
@@ -533,14 +584,8 @@ def q_entity_lifespans(sf_dir: str) -> pd.DataFrame:
     markers, osm/OSMEntity.java:25). Zero shuffle: per-doc lifespans
     resolve inside the fused decode stage and only the
     |days x 2|-sized histogram partials leave each block."""
-    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
-    df = combine_partials(
-        partials, ["lifespan_days", "deleted"], {"n_entities_p": "n_entities"}
-    )
-    df = df.astype(
-        {"lifespan_days": "int64", "deleted": "int64", "n_entities": "int64"}
-    )
-    return df.sort_values(["lifespan_days", "deleted"]).reset_index(drop=True)
+    partials = rio.map_blocks(_docs(sf_dir), _LIFESPAN_COUNTS)
+    return combine_partials(partials, ["lifespan_days", "deleted"], {"n_part": "n_entities"})
 
 
 _ACTIVITY_EMPTY = pa.table(
@@ -613,24 +658,16 @@ def q_contributor_activity(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("uid").reset_index(drop=True)
 
 
-_CHURN_EMPTY = pa.table(
-    {
-        "n_versions": pa.array([], pa.int64()),
-        "n_sigs": pa.array([], pa.int64()),
-        "n_entities_p": pa.array([], pa.int64()),
-    }
-)
-
-
-def _churn_stage(b: pa.Table) -> pa.Table:
-    """Tag-churn partial: int-keytable decode -> per-doc version and
-    DISTINCT-signature counts (one integer-key unique over
-    (doc, tag_id)) -> (n_versions, n_sigs) grid counts per batch.
+def _version_and_sig_counts(b: pa.Table) -> pa.Table:
+    """Each entity's version count and DISTINCT-signature count:
+    int-keytable decode -> one integer-key unique over (doc, tag_id).
     Docs decode whole-in-batch, so summed partials count each entity
     once."""
     tbl = decode_spans(b, geom=False)
     if not len(tbl):
-        return _CHURN_EMPTY
+        return pa.table(
+            {"n_versions": pa.array([], pa.int64()), "n_sigs": pa.array([], pa.int64())}
+        )
 
     codes = doc_codes(b)
     tid = tbl["tag_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -645,15 +682,7 @@ def _churn_stage(b: pa.Table) -> pa.Table:
     pairs = np.unique(codes.astype(np.int64) * nt + tid)
     nsig = np.bincount((pairs // nt).astype(np.int64), minlength=len(nver))
     docs = np.flatnonzero(nver)
-    df = pd.DataFrame({"n_versions": nver[docs], "n_sigs": nsig[docs]})
-    g = df.groupby(["n_versions", "n_sigs"], as_index=False).size()
-    return pa.table(
-        {
-            "n_versions": pa.array(g["n_versions"].to_numpy(), pa.int64()),
-            "n_sigs": pa.array(g["n_sigs"].to_numpy(), pa.int64()),
-            "n_entities_p": pa.array(g["size"].to_numpy(), pa.int64()),
-        }
-    )
+    return pa.table({"n_versions": nver[docs], "n_sigs": nsig[docs]})
 
 
 @query(lambda o: o.entity_tag_churn())
@@ -664,12 +693,10 @@ def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
     shuffle: per-doc counts resolve inside the fused int-keytable
     decode; the driver combines grid-bounded partials. SQL mirror:
     count(DISTINCT tag_sig) per osm_id."""
-    partials = rio.map_blocks(_docs(sf_dir), _churn_stage)
-    df = combine_partials(
-        partials, ["n_versions", "n_sigs"], {"n_entities_p": "n_entities"}
-    )
-    df = df.astype({"n_versions": "int64", "n_sigs": "int64", "n_entities": "int64"})
-    return df.sort_values(["n_versions", "n_sigs"]).reset_index(drop=True)
+    keys = ("n_versions", "n_sigs")
+    stage = KeyedPartials(_version_and_sig_counts, keys=keys)
+    partials = rio.map_blocks(_docs(sf_dir), stage)
+    return combine_partials(partials, list(keys), {"n_part": "n_entities"})
 
 
 # ------------------------------------------------------------ contributions
@@ -785,25 +812,20 @@ def q_snapshot_pip_regions(sf_dir: str) -> pd.DataFrame:
     return zerofill(df, {"region_id": [r for r, _ in region_items]}, {"n": 0})
 
 
+def _raster_value(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """The raster band value of each point's zoom-RASTER_ZOOM cell (a
+    cell indexer)."""
+    return raster_value_for(cell_id(lon, lat, RASTER_ZOOM))
+
+
 @query(lambda o: o.raster_join())
 def q_raster_join(sf_dir: str) -> pd.DataFrame:
     """Raster<->vector join: snapshot points at T_MID keyed by zoom-6
     cell, joined with the synthetic raster band, grouped by band
     value."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        cell = cell_id(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-            RASTER_ZOOM,
-        )
-        t = pa.table({"raster_value": pa.array(raster_value_for(cell))})
-        g = pa.TableGroupBy(t, ["raster_value"]).aggregate([([], "count_all")])
-        return g.rename_columns(["raster_value", "n_part"])
-
-    joined = rio.map_blocks(_docs(sf_dir), stage)
-    df = combine_partials(joined, ["raster_value"], {"n_part": "n_points"})
-    return df.sort_values("raster_value").reset_index(drop=True)
+    stage, keys = snapshot_counts_stage([T_MID], cell=_raster_value, keys=())
+    df = combine_partials(rio.map_blocks(_docs(sf_dir), stage), keys, {"n_part": "n_points"})
+    return df.rename(columns={"cell": "raster_value"})
 
 
 def _knn_positions_flagged(sf_dir: str, mod: int):
@@ -890,6 +912,15 @@ def q_knn_majority_label(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------------- relational
+def _lineitem_cents(b: pa.Table) -> pa.Table:
+    """Lineitem rows with quantity, price and discount in integer cents
+    and their discount x quantity product ``dq``."""
+    b = cents(cents(cents(b, "l_quantity", "qty_c"), "l_extendedprice", "price_c"),
+              "l_discount", "disc_c")
+    dq = pc.multiply(b["disc_c"], b["qty_c"])
+    return b.append_column("dq", dq)
+
+
 @query(lambda o: o.lineitem_agg())
 def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q1-style grouped aggregate over lineitem; money summed as
@@ -899,23 +930,14 @@ def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def prep(batch: pa.Table) -> pa.Table:
-        batch = cents(batch, "l_quantity", "qty_c")
-        batch = cents(batch, "l_extendedprice", "price_c")
-        batch = cents(batch, "l_discount", "disc_c")
-        batch = batch.append_column("one", pa.array(np.ones(len(batch), dtype=np.int64)))
-        g = pa.TableGroupBy(
-            batch.select(["l_returnflag", "l_linestatus", "one", "qty_c", "price_c", "disc_c"]),
-            ["l_returnflag", "l_linestatus"],
-        ).aggregate([("one", "sum"), ("qty_c", "sum"), ("price_c", "sum"), ("disc_c", "sum")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "n_p", "qty_p", "price_p", "disc_p"])
-
-    df = combine_partials(
-        rio.map_blocks(ds, prep),
-        ["l_returnflag", "l_linestatus"],
-        {"n_p": "n", "qty_p": "sum_qty_cents", "price_p": "sum_price_cents", "disc_p": "sum_disc_cents"},
+    keys = ("l_returnflag", "l_linestatus")
+    stage = KeyedPartials(_lineitem_cents, keys=keys, sums=("qty_c", "price_c", "disc_c"))
+    return combine_partials(
+        rio.map_blocks(ds, stage),
+        list(keys),
+        {"n_part": "n", "qty_c_part": "sum_qty_cents", "price_c_part": "sum_price_cents",
+         "disc_c_part": "sum_disc_cents"},
     )
-    return df.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
 @query(lambda o: o.orders_by_nation())
@@ -954,19 +976,11 @@ def q_orders_by_nation(sf_dir: str) -> pd.DataFrame:
     # nation-name final is 25 keys — per-batch partials + driver
     # combine (the CLAUDE.md low-cardinality rule), not a third
     # Dataset shuffle
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("n_name", as_index=False).agg(
-            n_part=("price_c", "size"), sum_part=("price_c", "sum")
-        )
-        g["sum_part"] = g["sum_part"].astype("int64")
-        return g
-
-    df = combine_partials(
-        rio.map_blocks(joined, rio.on_pandas(partial)),
-        ["n_name"],
-        {"n_part": "n_orders", "sum_part": "sum_price_cents"},
+    stage = KeyedPartials(_as_is, keys=("n_name",), sums=("price_c",))
+    return combine_partials(
+        rio.map_blocks(joined, stage), ["n_name"],
+        {"n_part": "n_orders", "price_c_part": "sum_price_cents"},
     )
-    return df.sort_values("n_name").reset_index(drop=True)
 
 
 @query(lambda o: o.topk_orders())
@@ -1039,18 +1053,17 @@ def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     """Per-source corpus stats: docs, chars, whitespace tokens."""
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text", "n_chars"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(add_token_count(b), ["source"]).aggregate(
-            [([], "count_all"), ("n_chars", "sum"), ("n_tokens", "sum")]
-        )
-        return g.rename_columns(["source", "n_docs", "sum_chars", "sum_tokens"])
-
-    df = combine_partials(
-        rio.map_blocks(ds, partial),
+    stage = KeyedPartials(add_token_count, keys=("source",), sums=("n_chars", "n_tokens"))
+    return combine_partials(
+        rio.map_blocks(ds, stage),
         ["source"],
-        {"n_docs": "n_docs", "sum_chars": "sum_chars", "sum_tokens": "sum_tokens"},
+        {"n_part": "n_docs", "n_chars_part": "sum_chars", "n_tokens_part": "sum_tokens"},
     )
-    return df.sort_values("source").reset_index(drop=True)
+
+
+def _token_counts(b: pa.Table) -> pa.Table:
+    """Documents with their whitespace and BPE token counts."""
+    return add_bpe_token_count(add_token_count(b))
 
 
 @query(lambda o: o.doc_tokens())
@@ -1061,22 +1074,26 @@ def q_doc_tokens(sf_dir: str) -> pd.DataFrame:
     pipeline budgets with."""
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = add_bpe_token_count(add_token_count(b))
-        g = pa.TableGroupBy(t, ["source"]).aggregate(
-            [([], "count_all"), ("n_tokens", "sum"), ("n_bpe_tokens", "sum")]
-        )
-        return g.rename_columns(["source", "n_docs", "sum_ws_tokens", "sum_bpe_tokens"])
-
-    df = combine_partials(
-        rio.map_blocks(ds, partial),
+    stage = KeyedPartials(_token_counts, keys=("source",), sums=("n_tokens", "n_bpe_tokens"))
+    return combine_partials(
+        rio.map_blocks(ds, stage),
         ["source"],
-        {"n_docs": "n_docs", "sum_ws_tokens": "sum_ws_tokens", "sum_bpe_tokens": "sum_bpe_tokens"},
+        {"n_part": "n_docs", "n_tokens_part": "sum_ws_tokens",
+         "n_bpe_tokens_part": "sum_bpe_tokens"},
     )
-    return df.sort_values("source").reset_index(drop=True)
 
 
 HOUR_US = 3_600_000_000
+
+
+def _dow_hour(b: pa.Table) -> pa.Table:
+    """Events by epoch day of week (Sunday = 0) and hour, with their
+    value in cents."""
+    t = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    return pa.table({
+        "dow": (t // DAY_US + 4) % 7, "hour": (t // HOUR_US) % 24,
+        "value_c": _value_cents(b),
+    })
 
 
 @query(lambda o: o.events_dow_hour())
@@ -1089,33 +1106,24 @@ def q_events_dow_hour(sf_dir: str) -> pd.DataFrame:
     engine-independent. 168-key final on combine_partials."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vc = round_half_away(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {"dow": (t // DAY_US + 4) % 7, "hour": (t // HOUR_US) % 24, "vc": vc}
-        )
-        g = df.groupby(["dow", "hour"], as_index=False).agg(
-            n_part=("vc", "size"), s_part=("vc", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(ev, partial),
-        ["dow", "hour"],
-        {"n_part": "n", "s_part": "sum_cents"},
-    )
-    return (
-        out.astype({"dow": "int64", "hour": "int64", "n": "int64", "sum_cents": "int64"})
-        .sort_values(["dow", "hour"])
-        .reset_index(drop=True)
+    stage = KeyedPartials(_dow_hour, keys=("dow", "hour"), sums=("value_c",))
+    return combine_partials(
+        rio.map_blocks(ev, stage), ["dow", "hour"], {"n_part": "n", "value_c_part": "sum_cents"}
     )
 
 
 NORM_STRIP_RE = "[^a-z0-9 ]+"  # normalization: lowercase, strip non-alnum
 NORM_TOKEN_RE = "[a-z0-9]+"
+
+
+def _normalized_counts(b: pa.Table) -> pa.Table:
+    """Each document's source and the characters and tokens of its
+    normalized text."""
+    norm = pc.replace_substring_regex(pc.utf8_lower(b["text"]), NORM_STRIP_RE, "")
+    return pa.table({
+        "source": b["source"], "nchars": pc.utf8_length(norm),
+        "ntok": pc.count_substring_regex(norm, NORM_TOKEN_RE),
+    })
 
 
 @query(lambda o: o.doc_normalized_stats(NORM_STRIP_RE, NORM_TOKEN_RE))
@@ -1131,42 +1139,26 @@ def q_doc_normalized_stats(sf_dir: str) -> pd.DataFrame:
     |sources|-key combine_partials final."""
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        norm = pc.replace_substring_regex(
-            pc.utf8_lower(b["text"]), NORM_STRIP_RE, ""
-        )
-        df = pd.DataFrame(
-            {
-                "source": b["source"].to_pandas(),
-                "nchars": pc.utf8_length(norm).to_numpy(zero_copy_only=False),
-                "ntok": pc.count_substring_regex(norm, NORM_TOKEN_RE).to_numpy(
-                    zero_copy_only=False
-                ),
-            }
-        )
-        g = df.groupby("source", as_index=False).agg(
-            n_part=("nchars", "size"),
-            c_part=("nchars", "sum"),
-            t_part=("ntok", "sum"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(ds, partial),
+    stage = KeyedPartials(_normalized_counts, keys=("source",), sums=("nchars", "ntok"))
+    return combine_partials(
+        rio.map_blocks(ds, stage),
         ["source"],
-        {"n_part": "n_docs", "c_part": "sum_norm_chars", "t_part": "sum_norm_tokens"},
-    )
-    return (
-        out.astype(
-            {"source": "str", "n_docs": "int64",
-             "sum_norm_chars": "int64", "sum_norm_tokens": "int64"}
-        )
-        .sort_values("source")
-        .reset_index(drop=True)
+        {"n_part": "n_docs", "nchars_part": "sum_norm_chars", "ntok_part": "sum_norm_tokens"},
     )
 
 
 PACK_BUDGET_TOKENS = 2048  # sequence-packing context budget
+
+
+def _packs(b: pa.Table, budget: int) -> pa.Table:
+    """Each document's pack (its exclusive token prefix sum over the
+    ``budget``), token count, and whether it straddles into the next
+    pack."""
+    cumb = b["cum_before"].to_numpy(zero_copy_only=False)
+    n_tok = b["n_bpe_tokens"].to_numpy(zero_copy_only=False)
+    pack = cumb // budget
+    straddle = (n_tok > 0) & ((cumb + n_tok - 1) // budget > pack)
+    return pa.table({"pack_id": pack, "n_bpe_tokens": n_tok, "straddle": straddle})
 
 
 @query(lambda o: o.doc_token_packing(PACK_BUDGET_TOKENS))
@@ -1188,23 +1180,14 @@ def q_doc_token_packing(sf_dir: str) -> pd.DataFrame:
         toks, order_cols=["doc_id"], value_col="n_bpe_tokens", out_col="cum_before"
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        cumb = b["cum_before"].to_numpy(zero_copy_only=False)
-        n_tok = b["n_bpe_tokens"].to_numpy(zero_copy_only=False)
-        pack = cumb // B
-        straddle = (n_tok > 0) & ((cumb + n_tok - 1) // B > pack)
-        df = pd.DataFrame(
-            {"pack_id": pack, "n_tok": n_tok, "straddle": straddle.astype(np.int64)}
-        )
-        g = df.groupby("pack_id", as_index=False).agg(
-            n_docs=("n_tok", "size"), sum_tokens=("n_tok", "sum"),
-            n_straddlers=("straddle", "sum"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    sums = {"n_docs": "sum", "sum_tokens": "sum", "n_straddlers": "sum"}
-    out = rio.blocks_table(combine_by_key(scanned, ["pack_id"], sums, stage=partial))
-    return out.to_pandas().sort_values("pack_id").reset_index(drop=True)
+    stage = KeyedPartials(
+        functools.partial(_packs, budget=B), keys=("pack_id",),
+        sums=("n_bpe_tokens", "straddle"), count="n_docs",
+    )
+    sums = {"n_docs": "sum", "n_bpe_tokens_part": "sum", "straddle_part": "sum"}
+    out = rio.blocks_table(combine_by_key(scanned, ["pack_id"], sums, stage=stage)).to_pandas()
+    out = out.rename(columns={"n_bpe_tokens_part": "sum_tokens", "straddle_part": "n_straddlers"})
+    return out.sort_values("pack_id").reset_index(drop=True)
 
 
 @query(lambda o: o.sample_docs())
@@ -1326,14 +1309,10 @@ def q_corpus_curation(sf_dir: str) -> pd.DataFrame:
     ds = rio.materialize_blocks(ds, quality_gate)
     ds = deterministic_sample(ds, 1, 2, "doc_id", hash_fn="md5")
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["source"]).aggregate([([], "count_all"), ("n_tokens", "sum")])
-        return g.rename_columns(["source", "n_docs", "sum_tokens"])
-
-    df = combine_partials(
-        rio.map_blocks(ds, partial), ["source"], {"n_docs": "n_docs", "sum_tokens": "sum_tokens"}
+    stage = KeyedPartials(_as_is, keys=("source",), sums=("n_tokens",))
+    return combine_partials(
+        rio.map_blocks(ds, stage), ["source"], {"n_part": "n_docs", "n_tokens_part": "sum_tokens"}
     )
-    return df.sort_values("source").reset_index(drop=True)
 
 
 @query(lambda o: o.doc_fingerprints())
@@ -1427,6 +1406,12 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
+def _kept_docs(b: pa.Table, drop_ref) -> pa.Table:
+    """The documents whose ``doc_id`` is not in the dropped ids."""
+    ids = b["doc_id"].to_numpy(zero_copy_only=False)
+    return b.filter(pa.array(~np.isin(ids, ray.get(drop_ref))))
+
+
 @query(lambda o: o.cluster_dedup_summary())
 def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     """Keep-one-per-cluster dedup, summarized per source: drop every
@@ -1441,33 +1426,25 @@ def q_cluster_dedup_summary(sf_dir: str) -> pd.DataFrame:
     drop = set(
         clusters.loc[clusters["component"] != clusters["doc_id"], "doc_id"].tolist()
     )
-    drop_ref = ray.put(drop)
+    drop_ref = ray.put(np.fromiter(drop, dtype=np.int64, count=len(drop)))
 
     ds = rio.read_resident(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
 
-    def keep_and_count(b: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        mask = ~np.isin(ids, np.fromiter(d, dtype=np.int64, count=len(d)))
-        kept = b.filter(pa.array(mask))
-        df = pd.DataFrame(
-            {
-                "source": kept["source"].to_numpy(zero_copy_only=False),
-                "n_docs_p": np.int64(1),
-                "sum_chars_p": kept["n_chars"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("source", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = rio.map_blocks(ds, keep_and_count)
-    df = combine_partials(
-        partials, ["source"], {"n_docs_p": "n_docs", "sum_chars_p": "sum_chars"}
+    stage = KeyedPartials(
+        functools.partial(_kept_docs, drop_ref=drop_ref), keys=("source",), sums=("n_chars",)
     )
-    df = df.astype({"n_docs": "int64", "sum_chars": "int64"})
-    return df.sort_values("source").reset_index(drop=True)
+    return combine_partials(
+        rio.map_blocks(ds, stage), ["source"], {"n_part": "n_docs", "n_chars_part": "sum_chars"}
+    )
+
+
+def _moment_terms(b: pa.Table) -> pa.Table:
+    """Each event's type, value x in cents, x^2, hour of day y and x*y."""
+    x = _value_cents(b).to_numpy()
+    y = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // HOUR_US) % 24
+    return pa.table({"event_type": b["event_type"], "x": x, "x2": _squared(x), "y": y, "xy": x * y})
 
 
 @query(lambda o: o.value_moments_by_type())
@@ -1486,40 +1463,11 @@ def q_value_moments_by_type(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        x = round_half_away(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        y = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-             // 3_600_000_000) % 24
-        # numpy int64 wraps SILENTLY: bound the batch's sum of squares
-        # (float estimate) before forming x*x, with enough headroom
-        # that the cross-batch int64 partial combine stays exact for
-        # thousands of batches; an out-of-range corpus fails loudly
-        # instead of corrupting sums
-        if x.size and float(np.sum(x.astype(np.float64) ** 2)) > 1e15:
-            raise OverflowError(
-                "value_moments_by_type: batch sum of squared cents exceeds "
-                "the int64 safety bound — values too large for exact moments"
-            )
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "n_p": np.int64(1),
-                "sx_p": x,
-                "sx2_p": x * x,
-                "sy_p": y,
-                "sxy_p": x * y,
-            }
-        )
-        g = df.groupby("event_type", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = rio.map_blocks(ev, partial)
+    stage = KeyedPartials(_moment_terms, keys=("event_type",), sums=("x", "x2", "y", "xy"))
     df = combine_partials(
-        partials,
+        rio.map_blocks(ev, stage),
         ["event_type"],
-        {"n_p": "n", "sx_p": "sx", "sx2_p": "sx2", "sy_p": "sy", "sxy_p": "sxy"},
+        {"n_part": "n", "x_part": "sx", "x2_part": "sx2", "y_part": "sy", "xy_part": "sxy"},
     )
     rows = []
     for r in df.itertuples(index=False):  # |event types| rows — tiny final
@@ -1644,14 +1592,21 @@ def q_contrib_per_entity(sf_dir: str) -> pd.DataFrame:
     """groupByEntity (MapReducer.java:706-721): per-document
     contribution counts. Each document's history lives in one batch, so
     per-doc counts are final without any shuffle."""
-    def stage(batch: pa.Table) -> pa.Table:
-        c = contribution_rows(batch, CONTRIB_FROM, CONTRIB_TO, ["doc_id", "is_creation"])
-        t = c.set_column(1, "is_creation", c["is_creation"].cast(pa.int64()))
-        g = pa.TableGroupBy(t, ["doc_id"]).aggregate([([], "count_all"), ("is_creation", "sum")])
-        return g.rename_columns(["doc_id", "n_contribs", "n_creations"])
-
+    stage, _ = contribution_stats_stage(
+        CONTRIB_FROM, CONTRIB_TO, flag_cols=["is_creation"], keys=("doc_id",)
+    )
     df = rio.map_blocks(_docs(sf_dir), stage).to_pandas()
+    df.columns = ["doc_id", "n_contribs", "n_creations"]
     return df.sort_values("doc_id").reset_index(drop=True)
+
+
+def _tag_ids(batch: pa.Table) -> pa.Table:
+    """The tag-signature id of every version; a version without one
+    raises."""
+    ids = decode_spans(batch, geom=False)["tag_id"]
+    if len(ids) and pc.min(ids).as_py() < 0:
+        raise ValueError("a version without a keytable tag id")
+    return pa.table({"tag_id": ids})
 
 
 @query(lambda o: o.keytable_freqs())
@@ -1663,16 +1618,10 @@ def q_keytable_freqs(sf_dir: str) -> pd.DataFrame:
     driver; a version without an id has no tags to count and fails
     loudly."""
 
-    def stage(batch: pa.Table) -> pa.Table:
-        ids = decode_spans(batch, geom=False)["tag_id"]
-        if len(ids) and pc.min(ids).as_py() < 0:
-            raise ValueError("a version without a keytable tag id")
-        g = pa.TableGroupBy(pa.table({"tag_id": ids}), ["tag_id"]).aggregate([([], "count_all")])
-        return g.rename_columns(["tag_id", "n_part"])
-
     # the signature vocabulary scales with the corpus — the final
     # combine runs per id bucket (combine_partials' contract forbids
     # corpus-cardinality keys)
+    stage = KeyedPartials(_tag_ids, keys=("tag_id",))
     refs = combine_by_key(_docs(sf_dir), ["tag_id"], {"n_part": "sum"}, stage=stage)
     per_sig = rio.blocks_table(refs).to_pandas()
     kt = sig_keytable(sf_dir)
@@ -1831,24 +1780,12 @@ def q_lineitem_means(sf_dir: str) -> pd.DataFrame:
         columns=["l_returnflag", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def prep(batch: pa.Table) -> pa.Table:
-        batch = cents(batch, "l_quantity", "qty_c")
-        batch = cents(batch, "l_extendedprice", "price_c")
-        batch = cents(batch, "l_discount", "disc_c")
-        dq = batch["disc_c"].to_numpy(zero_copy_only=False) * batch["qty_c"].to_numpy(
-            zero_copy_only=False
-        )
-        batch = batch.append_column("dq", pa.array(dq))
-        batch = batch.append_column("one", pa.array(np.ones(len(batch), dtype=np.int64)))
-        g = pa.TableGroupBy(
-            batch.select(["l_returnflag", "one", "price_c", "qty_c", "dq"]), ["l_returnflag"]
-        ).aggregate([("one", "sum"), ("price_c", "sum"), ("qty_c", "sum"), ("dq", "sum")])
-        return g.rename_columns(["l_returnflag", "n_p", "price_p", "qty_p", "dq_p"])
-
+    stage = KeyedPartials(_lineitem_cents, keys=("l_returnflag",), sums=("price_c", "qty_c", "dq"))
     df = combine_partials(
-        rio.map_blocks(ds, prep),
+        rio.map_blocks(ds, stage),
         ["l_returnflag"],
-        {"n_p": "n", "price_p": "sum_price_cents", "qty_p": "sum_qty_cents", "dq_p": "sum_dq"},
+        {"n_part": "n", "price_c_part": "sum_price_cents", "qty_c_part": "sum_qty_cents",
+         "dq_part": "sum_dq"},
     )
     df["avg_price_cents"] = df["sum_price_cents"] / df["n"]
     df["wavg_disc_cents"] = df["sum_dq"] / df["sum_qty_cents"]
@@ -2552,6 +2489,14 @@ HOP_US = 6 * 3600 * 1_000_000  # hop: 6h
 WIN_US = 24 * 3600 * 1_000_000  # window: 24h -> 4 overlapping windows/event
 
 
+def _hop_windows(batch: pa.Table, k: int) -> pa.Table:
+    """The start ``ws`` of each of the ``k`` hopping windows every
+    event lands in."""
+    t = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
+    base = t // HOP_US
+    return pa.table({"ws": ((base[:, None] - np.arange(k)[None, :]) * HOP_US).ravel()})
+
+
 @query(lambda o: o.hopping_window_counts(HOP_US, WIN_US))
 def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     """HOPPING-window event counts (window 24h, hop 6h): every event
@@ -2559,18 +2504,9 @@ def q_hopping_window_counts(sf_dir: str) -> pd.DataFrame:
     windowed aggregate beyond tumbling floor-bins (SURVEY.md §2.11).
     Implemented as a per-batch fan-out + partial counts; the shuffle
     sees |windows| rows per batch, not |events| x 4."""
-    k = WIN_US // HOP_US
-
-    def stage(batch: pa.Table) -> pa.Table:
-        t = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        base = t // HOP_US
-        ws = ((base[:, None] - np.arange(k)[None, :]) * HOP_US).ravel()
-        g = pa.TableGroupBy(pa.table({"ws": pa.array(ws)}), ["ws"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ws", "n_part"])
-
+    stage = KeyedPartials(functools.partial(_hop_windows, k=WIN_US // HOP_US), keys=("ws",))
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts"])
-    df = combine_partials(rio.map_blocks(ev, stage), ["ws"], {"n_part": "n"})
-    return df.sort_values("ws").reset_index(drop=True)
+    return combine_partials(rio.map_blocks(ev, stage), ["ws"], {"n_part": "n"})
 
 
 @query(lambda o: o.snapshot_count_daily("visible AND uid % 2 = 0"))
@@ -3027,31 +2963,20 @@ def q_snapshot_old_style(sf_dir: str) -> pd.DataFrame:
         old_style_tags(kt), role_id(kt, "outer"), role_id(kt, "inner"), tag_match(kt, "k", "3")
     )
 
-    def stage(batch: pa.Table) -> pa.Table:
-        # member engine + per-batch partial agg
-        rows = snapshots_old_style_batch_vec(batch, WAY_SNAPS, *tests)
-        t = rows.append_column(
-            "_one", pa.array(np.ones(len(rows), dtype=np.int64))
-        )
-        g = pa.TableGroupBy(t, ["ts_q"]).aggregate(
-            [("_one", "sum"), ("n_holes", "sum"), ("sum_lon", "sum"), ("sum_lat", "sum")]
-        )
-        return g.rename_columns(["ts_q", "rel_part", "hole_part", "lon_part", "lat_part"])
-
+    rows = functools.partial(
+        snapshots_old_style_batch_vec, timestamps=WAY_SNAPS, old_style=tests[0],
+        outer=tests[1], inner=tests[2], match=tests[3],
+    )
+    stage = KeyedPartials(rows, keys=("ts_q",), sums=("n_holes", "sum_lon", "sum_lat"))
     partials = rio.map_blocks(
         _compound(read_oldstyle_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
     )
-    df = combine_partials(
+    return combine_partials(
         partials,
         ["ts_q"],
-        {
-            "rel_part": "n_rels",
-            "hole_part": "n_holes",
-            "lon_part": "sum_hole_lon",
-            "lat_part": "sum_hole_lat",
-        },
+        {"n_part": "n_rels", "n_holes_part": "n_holes", "sum_lon_part": "sum_hole_lon",
+         "sum_lat_part": "sum_hole_lat"},
     )
-    return df.sort_values("ts_q").reset_index(drop=True)
 
 
 @query(lambda o: o.snapshot_count_by_type())
@@ -3179,30 +3104,30 @@ def _many_regions_index(strtree: bool):
     return STRtreeRegionIndex(regions) if strtree else RegionIndex(regions, zoom=6)
 
 
-@dataclass(frozen=True)
-class _RegionCountsStage:
+def _region_hits(batch: pa.Table, strtree: bool) -> pa.Table:
+    """The ``region_id`` of each (T_MID snapshot position, region
+    containing it) pair, classified by the ``_many_regions_index``
+    backend the process builds once."""
+    s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
+    _rows, rids = _many_regions_index(strtree).classify(
+        s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
+    )
+    return pa.table({"region_id": pa.array(rids, type=pa.string())})
+
+
+def _region_counts_stage(strtree: bool) -> KeyedPartials:
     """Per-region counts of one block's T_MID snapshot positions. It
     carries only the backend flag: the process that runs it looks the
     index up in its own cache (``_many_regions_index``), so a call
     ships no index (a captured one pickled ~25-44 kB per call)."""
-
-    strtree: bool
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["lon_e7", "lat_e7"])
-        _rows, rids = _many_regions_index(self.strtree).classify(
-            s["lon_e7"].to_numpy(zero_copy_only=False), s["lat_e7"].to_numpy(zero_copy_only=False)
-        )
-        hits = pa.table({"region_id": pa.array(rids, type=pa.string())})
-        g = hits.group_by("region_id").aggregate([([], "count_all")])
-        return g.rename_columns(["region_id", "n_part"])
+    return KeyedPartials(functools.partial(_region_hits, strtree=strtree), keys=("region_id",))
 
 
 def _region_counts(sf_dir: str, strtree: bool) -> pd.DataFrame:
     """Per-region counts of the T_MID snapshot positions, classified by
     the ``_many_regions_index(strtree)`` backend, zerofilled over
     ``_many_regions``."""
-    partials = rio.map_blocks(_docs(sf_dir), _RegionCountsStage(strtree))
+    partials = rio.map_blocks(_docs(sf_dir), _region_counts_stage(strtree))
     df = combine_partials(partials, ["region_id"], {"n_part": "n"})
     return zerofill(df, {"region_id": [r for r, _ in _many_regions()]}, {"n": 0})
 
@@ -3808,23 +3733,14 @@ def q_lineitem_measures_unpivot(sf_dir: str) -> pd.DataFrame:
         value_name="vc",
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        g = df.groupby(["l_returnflag", "measure"], as_index=False, observed=True).agg(
-            s_part=("vc", "sum"), n_part=("vc", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    stage = KeyedPartials(_as_is, keys=("l_returnflag", "measure"), sums=("vc",))
     out = combine_partials(
-        rio.map_blocks(long, partial),
-        ["l_returnflag", "measure"],
-        {"s_part": "sum_cents", "n_part": "n"},
+        rio.map_blocks(long, stage), ["l_returnflag", "measure"],
+        {"vc_part": "sum_cents", "n_part": "n"},
     )
-    return (
-        out.astype({"measure": "str", "sum_cents": "int64", "n": "int64"})
-        .sort_values(["l_returnflag", "measure"])
-        .reset_index(drop=True)
-    )
+    # the measure names are a dictionary column: sorted as strings
+    out = out.astype({"measure": "str"})
+    return out.sort_values(["l_returnflag", "measure"]).reset_index(drop=True)
 
 
 @query(None)  # rows-only: HyperLogLog estimate; accuracy pinned in tests/test_hll.py
@@ -3854,6 +3770,18 @@ def q_hll_uniq_uids_daily(sf_dir: str) -> pd.DataFrame:
 BLOOM_NATION = 5
 
 
+def _priority_cents(orders) -> pd.DataFrame:
+    """Order count ``n`` and total price in cents per order priority."""
+    stage = KeyedPartials(
+        functools.partial(cents, col="o_totalprice", out="price_c"),
+        keys=("o_orderpriority",), sums=("price_c",),
+    )
+    return combine_partials(
+        rio.map_blocks(orders, stage), ["o_orderpriority"],
+        {"n_part": "n", "price_c_part": "price_cents"},
+    )
+
+
 @query(lambda o: o.bloom_semi_join_orders(BLOOM_NATION))
 def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     """Bloom-pruned both-sides-large SEMI-join: orders of customers in
@@ -3881,22 +3809,7 @@ def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     )
     joined = hash_semi_join(orders, cust, on="o_custkey", bloom=bloom)
 
-    def partial(b: pa.Table) -> pa.Table:
-        b = cents(b, "o_totalprice", "pc_")
-        df = b.select(["o_orderpriority", "pc_"]).to_pandas()
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            n_part=("pc_", "size"), s_part=("pc_", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(joined, partial),
-        ["o_orderpriority"],
-        {"n_part": "n", "s_part": "price_cents"},
-    )
-    return out.sort_values("o_orderpriority").reset_index(drop=True).astype(
-        {"n": "int64", "price_cents": "int64"}
-    )
+    return _priority_cents(joined)
 
 
 @query(lambda o: o.cube_events(T0, DAY_US))
@@ -3958,22 +3871,7 @@ def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
     )
     joined = hash_semi_join(orders, cust, on="o_custkey", anti=True)
 
-    def partial(b: pa.Table) -> pa.Table:
-        b = cents(b, "o_totalprice", "pc_")
-        df = b.select(["o_orderpriority", "pc_"]).to_pandas()
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            n_part=("pc_", "size"), s_part=("pc_", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(joined, partial),
-        ["o_orderpriority"],
-        {"n_part": "n", "s_part": "price_cents"},
-    )
-    return out.sort_values("o_orderpriority").reset_index(drop=True).astype(
-        {"n": "int64", "price_cents": "int64"}
-    )
+    return _priority_cents(joined)
 
 
 STRAT_EVEN = (1, 2)  # even-numbered sources: keep 1/2
@@ -4163,21 +4061,23 @@ def q_top_words(sf_dir: str) -> pd.DataFrame:
     return df.rename(columns={"n_p": "n"})[["word", "n"]].reset_index(drop=True)
 
 
-def _explode_count(b: pa.Table) -> pa.Table:
-    """Stage: the block's (word, n_p) token counts — Arrow explode
-    (utf8_lower -> split_pattern_regex -> list_flatten) and in-batch
-    pre-count."""
-    words = pc.list_flatten(pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE))
-    t = pa.table({"word": words.filter(pc.not_equal(words, ""))})
-    g = pa.TableGroupBy(t, ["word"]).aggregate([([], "count_all")])
-    return g.rename_columns(["word", "n_p"])
+def _tokens(b: pa.Table, by: tuple[str, ...] = ()) -> pa.Table:
+    """One row per token, Arrow explode (utf8_lower ->
+    split_pattern_regex -> list_flatten), empty ones dropped: the
+    ``by`` columns of its document, then the ``word``."""
+    words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
+    flat = pc.list_flatten(words)
+    parent = pc.list_parent_indices(words) if by else None
+    t = pa.table({**{c: b[c].take(parent) for c in by}, "word": flat})
+    return t.filter(pc.not_equal(flat, ""))
 
 
 def _word_counts(ds) -> list:
     """The corpus wordcount (word, n_p) as bucket refs: the token
     vocabulary is corpus-scaled, so each word's count completes in its
     ``io.reduce_by_key`` bucket, never in combine_partials."""
-    return combine_by_key(ds, ["word"], {"n_p": "sum"}, stage=_explode_count)
+    stage = KeyedPartials(_tokens, keys=("word",), count="n_p")
+    return combine_by_key(ds, ["word"], {"n_p": "sum"}, stage=stage)
 
 
 def _repetition_stage(b: pa.Table) -> pa.Table:
@@ -4271,24 +4171,15 @@ def q_doc_repetition(sf_dir: str) -> pd.DataFrame:
 POSTINGS_K = 8  # posting-list prefix length exposed per token
 
 
-def _compress_stage(b: pa.Table) -> pa.Table:
-    """Per-source compressibility partial: zlib level-6 size per doc
+def _compressed_sizes(b: pa.Table) -> pa.Table:
+    """Each document's source, UTF-8 size and zlib level-6 size
     (deflate is deterministic for a fixed level and input). The per-doc
     loop calls straight into C per document — the documented
     per-payload boundary, same as the multimodal decode stages."""
-    texts = b["text"].to_numpy(zero_copy_only=False)
-    encoded = [t.encode("utf-8") for t in texts]  # encode ONCE per doc
+    encoded = [t.encode("utf-8") for t in b["text"].to_pylist()]  # encode ONCE per doc
     raw = np.fromiter((len(e) for e in encoded), np.int64, len(encoded))
-    comp = np.fromiter(
-        (len(zlib.compress(e, 6)) for e in encoded), np.int64, len(encoded)
-    )
-    df = pd.DataFrame(
-        {"source": b["source"].to_numpy(zero_copy_only=False), "raw": raw, "comp": comp}
-    )
-    g = df.groupby("source", as_index=False).agg(
-        n_docs_p=("raw", "size"), raw_p=("raw", "sum"), comp_p=("comp", "sum")
-    )
-    return pa.Table.from_pandas(g, preserve_index=False)
+    comp = np.fromiter((len(zlib.compress(e, 6)) for e in encoded), np.int64, len(encoded))
+    return pa.table({"source": b["source"], "raw": raw, "comp": comp})
 
 
 @query(None)  # rows-only: deflate has no SQL mirror; bytes pinned in tests/test_ops.py
@@ -4302,14 +4193,11 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     design — byte-exactness is pinned by a direct-zlib pytest
     instead. One fused map_batches + |sources| combine."""
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    partials = rio.map_blocks(ds, _compress_stage)
+    stage = KeyedPartials(_compressed_sizes, keys=("source",), sums=("raw", "comp"))
     df = combine_partials(
-        partials,
+        rio.map_blocks(ds, stage),
         ["source"],
-        {"n_docs_p": "n_docs", "raw_p": "sum_raw_bytes", "comp_p": "sum_zlib_bytes"},
-    )
-    df = df.astype(
-        {"n_docs": "int64", "sum_raw_bytes": "int64", "sum_zlib_bytes": "int64"}
+        {"n_part": "n_docs", "raw_part": "sum_raw_bytes", "comp_part": "sum_zlib_bytes"},
     )
     df["zlib_ratio"] = df["sum_zlib_bytes"].to_numpy(np.int64).astype(
         np.float64
@@ -4317,34 +4205,37 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
-def _doc_bigram_stage(b: pa.Table) -> pa.Table:
-    """(doc_id, w1, w2, n) per-batch bigram pre-count over the
-    standard token split — consecutive tokens within one doc."""
-    words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-    flat = pc.list_flatten(words)
-    parent = pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
-    tok = flat.to_numpy(zero_copy_only=False)
-    keep = tok != ""
-    parent, tok = parent[keep], tok[keep]
-    adj = parent[1:] == parent[:-1]
-    if not adj.any():
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-    doc = b["doc_id"].to_numpy(zero_copy_only=False)[parent[:-1][adj]]
-    df = pd.DataFrame({"doc_id": doc, "w1": tok[:-1][adj], "w2": tok[1:][adj]})
-    g = df.groupby(["doc_id", "w1", "w2"], as_index=False).size().rename(
-        columns={"size": "n"}
-    )
-    return pa.Table.from_pandas(g, preserve_index=False)
+def _doc_bigrams(b: pa.Table) -> pa.Table:
+    """One row per bigram (consecutive tokens within one doc, over the
+    standard token split): (doc_id, w1, w2)."""
+    words = _tokens(b, ("doc_id",))
+    adj = pc.equal(words["doc_id"][1:], words["doc_id"][:-1])
+    return pa.table({
+        "doc_id": words["doc_id"][:-1], "w1": words["word"][:-1], "w2": words["word"][1:],
+    }).filter(adj)
+
+
+# the (doc_id, w1, w2, n) bigram counts per batch
+_BIGRAM_COUNTS = KeyedPartials(_doc_bigrams, keys=("doc_id", "w1", "w2"), count="n")
 
 
 EMB_QUANT = 1000  # embedding quantization scale (milli-units)
+
+
+def _label_dims(b: pa.Table) -> pa.Table:
+    """One row per (embedding, dimension): its label, the dimension and
+    the quantized component ``s``; ragged dimensions raise."""
+    lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = pc.list_flatten(b["embedding"]).to_numpy(zero_copy_only=False)
+    dims = pc.list_value_length(b["embedding"]).to_numpy(zero_copy_only=False)
+    if len(np.unique(dims)) > 1:
+        raise ValueError("label_centroid_cosine: ragged embedding dims")
+    d = int(dims[0]) if len(dims) else 0
+    return pa.table({
+        "label": np.repeat(lab, d),
+        "dim": np.tile(np.arange(d, dtype=np.int64), len(lab)),
+        "s": round_half_away(flat.astype(np.float64) * float(EMB_QUANT)).astype(np.int64),
+    })
 
 
 @query(lambda o: o.label_centroid_cosine(EMB_QUANT))
@@ -4359,29 +4250,8 @@ def q_label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
     op in SQL. One fused pass; |labels| x 64 partial rows combine."""
     ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = pc.list_flatten(b["embedding"]).to_numpy(zero_copy_only=False)
-        dims = pc.list_value_length(b["embedding"]).to_numpy(zero_copy_only=False)
-        if len(np.unique(dims)) > 1:
-            raise ValueError("label_centroid_cosine: ragged embedding dims")
-        d = int(dims[0]) if len(dims) else 0
-        q = round_half_away(flat.astype(np.float64) * float(EMB_QUANT)).astype(
-            np.int64
-        )
-        df = pd.DataFrame(
-            {
-                "label": np.repeat(lab, d),
-                "dim": np.tile(np.arange(d, dtype=np.int64), len(lab)),
-                "s_p": q,
-            }
-        )
-        g = df.groupby(["label", "dim"], as_index=False)["s_p"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    sums = combine_partials(
-        rio.map_blocks(ds, partials), ["label", "dim"], {"s_p": "s"}
-    )
+    stage = KeyedPartials(_label_dims, keys=("label", "dim"), sums=("s",))
+    sums = combine_partials(rio.map_blocks(ds, stage), ["label", "dim"], {"s_part": "s"})
     piv = sums.pivot_table(index="label", columns="dim", values="s", fill_value=0)
     labels = sorted(int(x) for x in piv.index)
     vecs = {l: [int(x) for x in piv.loc[l]] for l in labels}
@@ -4426,7 +4296,7 @@ def q_doc_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     (composite (w1, w2) key, then w1); per-doc totals per doc_id
     bucket (high-card rule)."""
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    bg = rio.materialize_blocks(docs, _doc_bigram_stage)
+    bg = rio.materialize_blocks(docs, _BIGRAM_COUNTS)
 
     def as_c2(t: pa.Table) -> pa.Table:
         return t.select(["w1", "w2", "n"]).rename_columns(["w1", "w2", "c2"])
@@ -4615,19 +4485,12 @@ def q_revenue_by_nation_month(sf_dir: str) -> pd.DataFrame:
     )
     joined = hash_join(line, ordn, on="o_orderkey")
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(["n_name", "o_year", "o_month"], as_index=False).agg(
-            n_part=("rev_cbp", "size"), rev_part=("rev_cbp", "sum")
-        )
-        g["rev_part"] = g["rev_part"].astype("int64")
-        return g
-
-    df = combine_partials(
-        rio.map_blocks(joined, rio.on_pandas(partial)),
-        ["n_name", "o_year", "o_month"],
-        {"n_part": "n_items", "rev_part": "revenue_cbp"},
+    keys = ("n_name", "o_year", "o_month")
+    stage = KeyedPartials(_as_is, keys=keys, sums=("rev_cbp",))
+    return combine_partials(
+        rio.map_blocks(joined, stage), list(keys),
+        {"n_part": "n_items", "rev_cbp_part": "revenue_cbp"},
     )
-    return df.sort_values(["n_name", "o_year", "o_month"]).reset_index(drop=True)
 
 
 @query(lambda o: o.mad_value_by_type())
@@ -4655,6 +4518,15 @@ def q_mad_value_by_type(sf_dir: str) -> pd.DataFrame:
 SESSION_GAP_US = 30 * 60 * 1_000_000
 
 
+def _session_bounds(b: pa.Table) -> pa.Table:
+    """Each session's start (``d`` = +1, ``is_start``) and end (``d`` =
+    -1) as boundary rows at time ``t``."""
+    lo = b["start_us"].to_numpy(zero_copy_only=False).astype(np.int64)
+    hi = b["end_us"].to_numpy(zero_copy_only=False).astype(np.int64)
+    start = np.r_[np.ones(len(lo), dtype=bool), np.zeros(len(hi), dtype=bool)]
+    return pa.table({"t": np.r_[lo, hi], "d": np.where(start, 1, -1), "is_start": start})
+
+
 @query(lambda o: o.peak_concurrency(SESSION_GAP_US, T0, DAY_US))
 def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     """Peak CONCURRENT sessions per day — the sweep-line counter over
@@ -4671,26 +4543,15 @@ def q_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     sess = sessionize(ev, gap_us=SESSION_GAP_US)
 
-    def boundaries(b: pd.DataFrame) -> pd.DataFrame:
-        lo = b["start_us"].to_numpy(dtype=np.int64)
-        hi = b["end_us"].to_numpy(dtype=np.int64)
-        t = np.concatenate([lo, hi])
-        d = np.concatenate(
-            [np.ones(len(lo), dtype=np.int64), -np.ones(len(hi), dtype=np.int64)]
-        )
-        tt = pd.DataFrame({"t": t, "d": d, "is_start": (d > 0).astype(np.int64)})
-        return tt.groupby("t", as_index=False).sum()
-
-    per_t = combine_by_key(
-        sess, ["t"], {"d": "sum", "is_start": "sum"}, stage=rio.on_pandas(boundaries)
-    )
+    stage = KeyedPartials(_session_bounds, keys=("t",), sums=("d", "is_start"))
+    per_t = combine_by_key(sess, ["t"], {"d_part": "sum", "is_start_part": "sum"}, stage=stage)
     scanned = ordered_prefix_sum(
-        per_t, order_cols=["t"], value_col="d", out_col="before", signed=True
+        per_t, order_cols=["t"], value_col="d_part", out_col="before", signed=True
     )
 
     def day_max(b: pa.Table) -> pa.Table:
         t = b["t"].to_numpy(zero_copy_only=False)
-        peak = b["before"].to_numpy(zero_copy_only=False) + b["is_start"].to_numpy(
+        peak = b["before"].to_numpy(zero_copy_only=False) + b["is_start_part"].to_numpy(
             zero_copy_only=False
         )
         df = pd.DataFrame({"day": (t - T0) // DAY_US, "peak": peak})
@@ -4725,24 +4586,14 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_docs = rio.num_rows(docs)
 
-    def tf_stage(b: pa.Table) -> pa.Table:
-        words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-        n_per = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(words)
-        ids = np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), n_per)
-        t = pa.table({"doc_id": ids, "word": flat}).filter(
-            pc.not_equal(flat, "")
-        )
-        g = pa.TableGroupBy(t, ["doc_id", "word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["doc_id", "word", "tf"])
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["word"]), ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "df"])
-
+    tf_stage = KeyedPartials(
+        functools.partial(_tokens, by=("doc_id",)), keys=("doc_id", "word"), count="tf"
+    )
     tf = rio.materialize_blocks(docs, tf_stage)
     # tf rows are distinct (doc, word) pairs: a word's row count is its df
-    dfreq = combine_by_key(tf, ["word"], {"df": "sum"}, stage=df_partial)
+    dfreq = combine_by_key(
+        tf, ["word"], {"df": "sum"}, stage=KeyedPartials(_as_is, keys=("word",), count="df")
+    )
     joined = hash_join(tf, dfreq, on="word")
 
     def score_stage(b: pa.Table) -> pa.Table:
@@ -4863,6 +4714,14 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
+def _prop_keys(b: pa.Table) -> pa.Table:
+    """Each event's type and the integer ``"k"`` of its props, for the
+    events whose props carry one."""
+    m = pc.extract_regex(b["props"], '"k": (?P<k>\\d+)')
+    kk = pc.cast(pc.struct_field(m, "k"), pa.int64())
+    return pa.table({"event_type": b["event_type"], "kk": kk}).filter(pc.is_valid(kk))
+
+
 @query(lambda o: o.props_key_dist())
 def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
     """Semi-structured extraction: pull the integer ``k`` out of the
@@ -4875,23 +4734,19 @@ def q_props_key_dist(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
 
-    def extract_count(b: pa.Table) -> pa.Table:
-        m = pc.extract_regex(b["props"], '"k": (?P<k>\\d+)')
-        kk = pc.cast(pc.struct_field(m, "k"), pa.int64())
-        t = pa.table({"event_type": b["event_type"], "kk": kk}).filter(
-            pc.is_valid(kk)
-        )
-        g = pa.TableGroupBy(t, ["event_type", "kk"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "kk", "n_p"])
-
-    parts = rio.map_blocks(ev, extract_count)
-    df = combine_partials(parts, keys=["event_type", "kk"], sums={"n_p": "n"})
-    df = df.astype({"kk": "int64", "n": "int64"})
-    return df.sort_values(["event_type", "kk"]).reset_index(drop=True)
+    stage = KeyedPartials(_prop_keys, keys=("event_type", "kk"))
+    return combine_partials(rio.map_blocks(ev, stage), ["event_type", "kk"], {"n_part": "n"})
 
 
 HIST_BIN_W_C = 5_000  # $50-wide value bins
 HIST_NBINS = 10  # covers the corpus value domain [0, $500); top bin clamps
+
+
+def _value_bins(b: pa.Table) -> pa.Table:
+    """Each event's type and value bin (cents // HIST_BIN_W_C, the top
+    bin clamped)."""
+    bins = np.minimum(_value_cents(b).to_numpy() // HIST_BIN_W_C, HIST_NBINS - 1)
+    return pa.table({"event_type": b["event_type"], "bin": bins})
 
 
 @query(lambda o: o.value_histogram(HIST_BIN_W_C, HIST_NBINS))
@@ -4904,16 +4759,8 @@ def q_value_histogram(sf_dir: str) -> pd.DataFrame:
     both engines."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
-    def bin_count(b: pa.Table) -> pa.Table:
-        b = cents(b, "value", "value_c")
-        v = b["value_c"].to_numpy(zero_copy_only=False)
-        bins = np.minimum(v // HIST_BIN_W_C, HIST_NBINS - 1)
-        t = pa.table({"event_type": b["event_type"], "bin": bins})
-        g = pa.TableGroupBy(t, ["event_type", "bin"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "bin", "n_p"])
-
-    parts = rio.map_blocks(ev, bin_count)
-    df = combine_partials(parts, keys=["event_type", "bin"], sums={"n_p": "n"})
+    stage = KeyedPartials(_value_bins, keys=("event_type", "bin"))
+    df = combine_partials(rio.map_blocks(ev, stage), ["event_type", "bin"], {"n_part": "n"})
 
     df = zerofill(
         df,
@@ -4963,6 +4810,12 @@ def q_etype_audience_overlap(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["etype_a", "etype_b"]).reset_index(drop=True)
 
 
+def _trend_terms(b: pa.Table) -> pa.Table:
+    """Each event's type, day x, value y in cents, x*y and x^2."""
+    x, y = _event_day(b), _value_cents(b).to_numpy()
+    return pa.table({"event_type": b["event_type"], "x": x, "y": y, "xy": x * y, "xx": x * x})
+
+
 @query(lambda o: o.value_trend_by_type(T0, DAY_US))
 def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped least-squares slope of event value (cents) over the day
@@ -4975,30 +4828,11 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
     identical cast/divide."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        b = cents(b, "value", "value_c")
-        x = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
-        y = b["value_c"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "event_type": b["event_type"],
-                "n_p": np.ones(len(x), dtype=np.int64),
-                "sx_p": x,
-                "sy_p": y,
-                "sxy_p": x * y,
-                "sxx_p": x * x,
-            }
-        )
-        g = pa.TableGroupBy(t, ["event_type"]).aggregate(
-            [(c, "sum") for c in ("n_p", "sx_p", "sy_p", "sxy_p", "sxx_p")]
-        )
-        return g.rename_columns(["event_type", "n_p", "sx_p", "sy_p", "sxy_p", "sxx_p"])
-
-    parts = rio.map_blocks(ev, partials)
+    stage = KeyedPartials(_trend_terms, keys=("event_type",), sums=("x", "y", "xy", "xx"))
     s = combine_partials(
-        parts,
-        keys=["event_type"],
-        sums={"n_p": "n", "sx_p": "sx", "sy_p": "sy", "sxy_p": "sxy", "sxx_p": "sxx"},
+        rio.map_blocks(ev, stage),
+        ["event_type"],
+        {"n_part": "n", "x_part": "sx", "y_part": "sy", "xy_part": "sxy", "xx_part": "sxx"},
     )
     i64 = (1 << 63) - 1
     num, den, slope = [], [], []
@@ -5136,16 +4970,21 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
 
         labeled = rio.materialize_blocks(joined, fill_isolated)
 
-    def per_component(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["component"]).aggregate([([], "count_all"), ("n", "sum")])
-        return g.rename_columns(["component", "n_cells", "n_points"])
-
-    sums = {"n_cells": "sum", "n_points": "sum"}
-    out = rio.blocks_table(combine_by_key(labeled, ["component"], sums, stage=per_component))
-    return out.to_pandas().sort_values("component").reset_index(drop=True)
+    stage = KeyedPartials(_as_is, keys=("component",), sums=("n",), count="n_cells")
+    out = combine_by_key(labeled, ["component"], {"n_cells": "sum", "n_part": "sum"}, stage=stage)
+    out = rio.blocks_table(out).to_pandas().rename(columns={"n_part": "n_points"})
+    return out.sort_values("component").reset_index(drop=True)
 
 
 VOCAB_K = 100  # global vocabulary size for the OOV-rate query
+
+
+def _oov_tokens(b: pa.Table, vocab_ref) -> pa.Table:
+    """One row per token: its document's source and whether the
+    vocabulary misses it."""
+    t = _tokens(b, ("source",))
+    oov = pc.invert(pc.is_in(t["word"], value_set=ray.get(vocab_ref)))
+    return t.select(["source"]).append_column("oov", oov)
 
 
 @query(lambda o: o.oov_rate_by_source())
@@ -5162,29 +5001,14 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
     so both engines cut the same K words."""
     ds = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     vocab = topk(_word_counts(ds), key="n_p", k=VOCAB_K, tiebreak="word", descending=True)
-    vocab_ref = ray.put(pd.Index(vocab["word"]))
+    vocab_ref = ray.put(pa.array(vocab["word"], pa.string()))
 
-    def oov_stage(b: pa.Table) -> pa.Table:
-        v = ray.get(vocab_ref)  # zero-copy object-store read per task
-        words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), WORD_SPLIT_RE)
-        n_per = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(words)
-        src = np.repeat(b["source"].to_numpy(zero_copy_only=False), n_per)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        flat_np = flat.to_numpy(zero_copy_only=False)[keep]
-        src = src[keep]
-        oov = (~pd.Series(flat_np).isin(v)).to_numpy()
-        part = pd.DataFrame({"source": src, "oov": oov})
-        g = part.groupby("source", as_index=False).agg(
-            n_oov_p=("oov", "sum"), n_p=("oov", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    parts = rio.map_blocks(ds, oov_stage)
-    df = combine_partials(
-        parts, keys=["source"], sums={"n_oov_p": "n_oov", "n_p": "n_tokens"}
+    stage = KeyedPartials(
+        functools.partial(_oov_tokens, vocab_ref=vocab_ref), keys=("source",), sums=("oov",)
     )
-    return df.sort_values("source").reset_index(drop=True)
+    return combine_partials(
+        rio.map_blocks(ds, stage), ["source"], {"oov_part": "n_oov", "n_part": "n_tokens"}
+    )
 
 
 @query(lambda o: o.supplier_fuzzy_pairs())
@@ -5465,6 +5289,13 @@ def q_user_active_coverage(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("user_id").reset_index(drop=True)
 
 
+def _sparse_values(b: pa.Table) -> pa.Table:
+    """Type, day and cents of the events whose cents are a multiple of
+    97 (a sparse daily series)."""
+    t = _events(b, ("etype", "day", "value_c"))
+    return t.filter(pa.array(t["value_c"].to_numpy() % 97 == 0))
+
+
 @query(lambda o: o.gapfill_daily(T0, DAY_US))
 def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     """Sparse daily series with LINEAR GAP-FILL: daily cent sums of
@@ -5478,32 +5309,8 @@ def q_gapfill_daily(sf_dir: str) -> pd.DataFrame:
     scale-bounded by the time range, not the corpus."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        b = cents(b, "value", "value_c")
-        v = b["value_c"].to_numpy(zero_copy_only=False)
-        keep = v % 97 == 0
-        if not keep.any():
-            return pa.table(
-                {
-                    "etype": pa.array([], type=pa.string()),
-                    "day": pa.array([], type=pa.int64()),
-                    "v_p": pa.array([], type=pa.int64()),
-                }
-            )
-        df = pd.DataFrame(
-            {
-                "etype": b["event_type"].to_numpy(zero_copy_only=False)[keep],
-                "day": (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)[keep] - T0)
-                // DAY_US,
-                "v_p": v[keep],
-            }
-        )
-        out = df.groupby(["etype", "day"], as_index=False)["v_p"].sum()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    base = combine_partials(
-        rio.map_blocks(ev, partials), ["etype", "day"], {"v_p": "v"}
-    )
+    stage = KeyedPartials(_sparse_values, keys=("etype", "day"), sums=("value_c",))
+    base = combine_partials(rio.map_blocks(ev, stage), ["etype", "day"], {"value_c_part": "v"})
 
     rows = []
     for etype, g in base.groupby("etype"):
@@ -5829,29 +5636,36 @@ def q_train_val_test_split(sf_dir: str) -> pd.DataFrame:
         ds, "doc_id", [("train", 8, 10), ("val", 9, 10)], "test", hash_fn="md5"
     )
 
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "source": b["source"].to_numpy(zero_copy_only=False),
-                "split": b["split"].to_numpy(zero_copy_only=False),
-                "c": b["n_chars"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["source", "split"], as_index=False).agg(
-            n_p=("c", "size"), c_p=("c", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(split, partials),
-        ["source", "split"],
-        {"n_p": "n_docs", "c_p": "n_chars"},
+    stage = KeyedPartials(_as_is, keys=("source", "split"), sums=("n_chars",))
+    return combine_partials(
+        rio.map_blocks(split, stage), ["source", "split"],
+        {"n_part": "n_docs", "n_chars_part": "n_chars"},
     )
-    out = out.astype({"n_docs": "int64", "n_chars": "int64"})
-    return out.sort_values(["source", "split"]).reset_index(drop=True)
 
 
 T_DIFF_B = T0 + 21 * DAY_US  # 2024-01-22: the diff's second snapshot
+
+
+def _changes(batch: pa.Table, rows: ViewRows) -> pa.Table:
+    """Each entity's event type and change between its T_MID and
+    T_DIFF_B snapshot ``rows``: added, removed, moved or static."""
+    s = rows(batch)
+    df = pd.DataFrame({
+        "ts_q": s["ts_q"].to_numpy(zero_copy_only=False),
+        "osm_id": s["osm_id"].to_numpy(zero_copy_only=False),
+        "etype": s["etype"].to_numpy(zero_copy_only=False),
+        "lon": s["lon_e7"].to_numpy(zero_copy_only=False),
+        "lat": s["lat_e7"].to_numpy(zero_copy_only=False),
+    })
+    a, b = df[df["ts_q"] == T_MID], df[df["ts_q"] == T_DIFF_B]
+    m = a.merge(b, on="osm_id", how="outer", suffixes=("_a", "_b"))
+    in_a, in_b = m["etype_a"].notna(), m["etype_b"].notna()
+    same = (m["lon_a"] == m["lon_b"]) & (m["lat_a"] == m["lat_b"])
+    change = np.where(~in_a, "added", np.where(~in_b, "removed", np.where(same, "static", "moved")))
+    etype = m["etype_b"].where(in_b, m["etype_a"])
+    return pa.table(
+        {"etype": pa.array(etype, pa.string()), "change": pa.array(change, pa.string())}
+    )
 
 
 @query(lambda o: o.snapshot_incremental_merge(T_DIFF_B))
@@ -5938,51 +5752,17 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     ts = np.array([T_MID, T_DIFF_B], dtype=np.int64)
     lookup = _tag_lookup(sf_dir)
 
-    def partials(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, ts, ["ts_q", "osm_id", "etype", "lon_e7", "lat_e7"], lookup)
-        df = pd.DataFrame(
-            {
-                "ts_q": s["ts_q"].to_numpy(zero_copy_only=False),
-                "osm_id": s["osm_id"].to_numpy(zero_copy_only=False),
-                "etype": s["etype"].to_numpy(zero_copy_only=False),
-                "lon": s["lon_e7"].to_numpy(zero_copy_only=False),
-                "lat": s["lat_e7"].to_numpy(zero_copy_only=False),
-            }
-        )
-        a = df[df["ts_q"] == T_MID]
-        b = df[df["ts_q"] == T_DIFF_B]
-        m = a.merge(b, on="osm_id", how="outer", suffixes=("_a", "_b"))
-        in_a = m["etype_a"].notna()
-        in_b = m["etype_b"].notna()
-        cls = np.where(
-            ~in_a,
-            "added",
-            np.where(
-                ~in_b,
-                "removed",
-                np.where(
-                    (m["lon_a"] == m["lon_b"]) & (m["lat_a"] == m["lat_b"]),
-                    "static",
-                    "moved",
-                ),
-            ),
-        )
-        etype = m["etype_b"].where(in_b, m["etype_a"])
-        out = (
-            pd.DataFrame({"etype": etype, "change": cls})
-            .groupby(["etype", "change"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_p"})
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+    cols = ("ts_q", "osm_id", "etype", "lon_e7", "lat_e7")
+    rows = ViewRows(ts, 0, 0, cols, lookup, None, None, None)
+    stage = KeyedPartials(functools.partial(_changes, rows=rows), keys=("etype", "change"))
+    partials = rio.map_blocks(_docs(sf_dir), stage)
+    return combine_partials(partials, ["etype", "change"], {"n_part": "n"})
 
-    out = combine_partials(
-        rio.map_blocks(_docs(sf_dir), partials),
-        ["etype", "change"],
-        {"n_p": "n"},
-    )
-    out = out.astype({"n": "int64"})
-    return out.sort_values(["etype", "change"]).reset_index(drop=True)
+
+def _csv_days(b: pa.Table) -> pa.Table:
+    """Each CSV event's day and cents."""
+    day = (b["ts_us"].to_numpy(zero_copy_only=False) - T0) // DAY_US
+    return pa.table({"day": day, "value_c": b["value_c"]})
 
 
 @query(lambda o: o.csv_events_daily(T0, DAY_US))
@@ -5993,23 +5773,10 @@ def q_csv_events_daily(sf_dir: str) -> pd.DataFrame:
     the same derivations, certifying the CSV write+read round-trip."""
     ds = read_csv_log(ensure_csv_events(sf_dir))
 
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "day": (b["ts_us"].to_numpy(zero_copy_only=False) - T0) // DAY_US,
-                "v": b["value_c"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("day", as_index=False).agg(n_p=("v", "size"), s_p=("v", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(ds, partials),
-        ["day"],
-        {"n_p": "n", "s_p": "sum_value_c"},
+    stage = KeyedPartials(_csv_days, keys=("day",), sums=("value_c",))
+    return combine_partials(
+        rio.map_blocks(ds, stage), ["day"], {"n_part": "n", "value_c_part": "sum_value_c"}
     )
-    out = out.astype({"day": "int64", "n": "int64", "sum_value_c": "int64"})
-    return out.sort_values("day").reset_index(drop=True)
 
 
 def _octant_of(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -6093,23 +5860,7 @@ def q_etype_purity_by_day(sf_dir: str) -> pd.DataFrame:
     division — the distribution-impurity aggregate with no float
     summation anywhere. Per-batch (day, etype) count partials; |days x
     etypes| combine."""
-    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "day": (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0)
-                // DAY_US,
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["day", "etype"], as_index=False).size().rename(columns={"size": "c_p"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    base = combine_partials(
-        rio.map_blocks(ev, partials), ["day", "etype"], {"c_p": "c"}
-    )
-    g = base.groupby("day")["c"]
+    g = _etype_day_grid(sf_dir).groupby("day")["n"]
     n = g.sum().astype(np.int64)
     ss = g.apply(lambda s: int((s.to_numpy(dtype=np.int64) ** 2).sum()))
     out = pd.DataFrame(
@@ -6184,6 +5935,15 @@ def q_price_percentiles_cont(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["pct_den", "pct_num"]).reset_index(drop=True)
 
 
+def _ranks_below(b: pa.Table, refs) -> pa.Table:
+    """Each event's type and the count ``r`` of corpus values strictly
+    below its cents (the sorted distinct values and their below-counts
+    behind ``refs``)."""
+    vals, below = ray.get(list(refs))
+    r = below[np.searchsorted(vals, b["value_c"].to_numpy(zero_copy_only=False))]
+    return pa.table({"etype": b["event_type"], "r": r})
+
+
 @query(lambda o: o.value_percentile_mass_by_type())
 def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
     """Rank transform / quantile normalization: each value maps to its
@@ -6206,24 +5966,12 @@ def q_value_percentile_mass_by_type(sf_dir: str) -> pd.DataFrame:
 
     vals_ref, below_ref = ray.put(vals), ray.put(below)
 
-    def partials(b: pa.Table) -> pa.Table:
-        v, bl = ray.get(vals_ref), ray.get(below_ref)
-        c = b["value_c"].to_numpy(zero_copy_only=False)
-        r = bl[np.searchsorted(v, c)]
-        df = pd.DataFrame(
-            {"etype": b["event_type"].to_numpy(zero_copy_only=False), "r": r}
-        )
-        g = df.groupby("etype", as_index=False).agg(
-            n_p=("r", "size"), sum_below_p=("r", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    df = combine_partials(
-        rio.map_blocks(ev, partials),
-        ["etype"],
-        {"n_p": "n", "sum_below_p": "sum_below"},
+    stage = KeyedPartials(
+        functools.partial(_ranks_below, refs=(vals_ref, below_ref)), keys=("etype",), sums=("r",)
     )
-    df = df.astype({"n": "int64", "sum_below": "int64"})
+    df = combine_partials(
+        rio.map_blocks(ev, stage), ["etype"], {"n_part": "n", "r_part": "sum_below"}
+    )
     # mean strictly-below fraction: one division of exact ints
     df["mean_below_frac"] = df["sum_below"].to_numpy(np.int64).astype(
         np.float64
@@ -6280,6 +6028,15 @@ def q_trimmed_mean_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("etype").reset_index(drop=True)
 
 
+def _rfm_codes(b: pa.Table, bounds: dict) -> pa.Table:
+    """Each customer's r/f/m quartile codes: the number of ``bounds``
+    each of its measures exceeds."""
+    return pa.table({
+        k + "_code": sum((b[k].to_numpy(zero_copy_only=False) > q).astype(np.int64) for q in qs)
+        for k, qs in bounds.items()
+    })
+
+
 @query(lambda o: o.customer_rfm_segments())
 def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     """RFM SEGMENTATION — the classic warehouse customer analysis:
@@ -6319,30 +6076,16 @@ def q_customer_rfm_segments(sf_dir: str) -> pd.DataFrame:
     fracs = [(1, 4), (2, 4), (3, 4)]
     bounds = {c: exact_quantiles_int(per_cust, c, fracs) for c in ("r", "f", "m")}
 
-    def code(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                k + "_code": sum(
-                    (b[k].to_numpy(zero_copy_only=False) > q).astype(np.int64)
-                    for q in bounds[k]
-                )
-                for k in ("r", "f", "m")
-            }
-        )
-        g = df.groupby(["r_code", "f_code", "m_code"], as_index=False).size().rename(
-            columns={"size": "n_p"}
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+    keys = ("r_code", "f_code", "m_code")
+    stage = KeyedPartials(functools.partial(_rfm_codes, bounds=bounds), keys=keys)
+    return combine_partials(rio.map_blocks(per_cust, stage), list(keys), {"n_part": "n_customers"})
 
-    out = combine_partials(
-        rio.map_blocks(per_cust, code),
-        ["r_code", "f_code", "m_code"],
-        {"n_p": "n_customers"},
-    )
-    out = out.astype(
-        {"r_code": "int64", "f_code": "int64", "m_code": "int64", "n_customers": "int64"}
-    )
-    return out.sort_values(["r_code", "f_code", "m_code"]).reset_index(drop=True)
+
+def _quartile_bins(b: pa.Table, q: np.ndarray) -> pa.Table:
+    """Each event's type and bin: the number of bounds ``q`` its cents
+    exceed."""
+    v = b["value_c"].to_numpy(zero_copy_only=False)
+    return pa.table({"event_type": b["event_type"], "bin": (v[:, None] > q[None, :]).sum(axis=1)})
 
 
 @query(lambda o: o.value_equidepth_bins())
@@ -6360,20 +6103,8 @@ def q_value_equidepth_bins(sf_dir: str) -> pd.DataFrame:
     qs = exact_quantiles_int(ev, "value_c", [(1, 4), (1, 2), (3, 4)])
     q = np.array(qs, dtype=np.int64)
 
-    def partials(b: pa.Table) -> pa.Table:
-        v = b["value_c"].to_numpy(zero_copy_only=False)
-        bins = (v[:, None] > q[None, :]).sum(axis=1).astype(np.int64)
-        df = pd.DataFrame(
-            {"event_type": b["event_type"].to_numpy(zero_copy_only=False), "bin": bins}
-        )
-        g = df.groupby(["event_type", "bin"], as_index=False).size().rename(columns={"size": "n_p"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(ev, partials), ["event_type", "bin"], {"n_p": "n"}
-    )
-    out = out.astype({"bin": "int64", "n": "int64"})
-    return out.sort_values(["event_type", "bin"]).reset_index(drop=True)
+    stage = KeyedPartials(functools.partial(_quartile_bins, q=q), keys=("event_type", "bin"))
+    return combine_partials(rio.map_blocks(ev, stage), ["event_type", "bin"], {"n_part": "n"})
 
 
 @query(lambda o: o.copurchase_clustering())
@@ -6720,21 +6451,8 @@ def _etype_day_grid(sf_dir: str) -> pd.DataFrame:
     the rank-movement and autocorrelation finals (their day
     derivation must stay identical)."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "day": (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0)
-                // DAY_US,
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["day", "etype"], as_index=False).size().rename(columns={"size": "n_p"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return combine_partials(
-        rio.map_blocks(ev, partials), ["day", "etype"], {"n_p": "n"}
-    )
+    stage = _event_partials(("day", "etype"))
+    return combine_partials(rio.map_blocks(ev, stage), ["day", "etype"], {"n_part": "n"})
 
 
 @query(lambda o: o.etype_rank_delta(T0, DAY_US))
@@ -6847,22 +6565,7 @@ def q_etype_share_by_day(sf_dir: str) -> pd.DataFrame:
     per-(day, etype) counts and per-day totals from ONE partial pass,
     the share as ONE IEEE division of exact ints. The window-function
     mirror divides by sum(n) OVER (PARTITION BY day)."""
-    ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "day": (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0)
-                // DAY_US,
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["day", "etype"], as_index=False).size().rename(columns={"size": "n_p"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    base = combine_partials(
-        rio.map_blocks(ev, partials), ["day", "etype"], {"n_p": "n"}
-    )
+    base = _etype_day_grid(sf_dir)
     tot = base.groupby("day")["n"].transform("sum")
     out = base.copy()
     out["day_total"] = tot.astype(np.int64)
@@ -7229,6 +6932,18 @@ PAT_E_END = "[a-z]+e\\b"  # alpha runs ending in e
 PAT_TA = "ta"  # plain substring occurrences
 
 
+def _pattern_counts(b: pa.Table) -> pa.Table:
+    """Each document's source, its PAT_S_WORD, PAT_E_END and PAT_TA
+    match counts, and whether it has an s-word."""
+    c1 = pc.count_substring_regex(b["text"], PAT_S_WORD)
+    return pa.table({
+        "source": b["source"], "s_words": c1,
+        "e_ends": pc.count_substring_regex(b["text"], PAT_E_END),
+        "ta_hits": pc.count_substring_regex(b["text"], PAT_TA),
+        "docs_with_s": pc.greater(c1, 0),
+    })
+
+
 @query(lambda o: o.doc_pattern_counts(PAT_S_WORD, PAT_E_END, PAT_TA))
 def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
     """Regex FEATURE EXTRACTION over the document corpus: per source,
@@ -7240,45 +6955,12 @@ def q_doc_pattern_counts(sf_dir: str) -> pd.DataFrame:
     sums per source in-stage, |sources| rows to the driver."""
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "text"])
 
-    def stage(b: pa.Table) -> pa.Table:
-        txt = b["text"]
-        c1 = pc.count_substring_regex(txt, PAT_S_WORD).to_numpy(zero_copy_only=False)
-        c2 = pc.count_substring_regex(txt, PAT_E_END).to_numpy(zero_copy_only=False)
-        c3 = pc.count_substring_regex(txt, PAT_TA).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {
-                "source": b["source"].to_numpy(zero_copy_only=False),
-                "n_docs_p": np.ones(len(b), dtype=np.int64),
-                "s_words_p": c1.astype(np.int64),
-                "e_ends_p": c2.astype(np.int64),
-                "ta_hits_p": c3.astype(np.int64),
-                "docs_with_s_p": (c1 > 0).astype(np.int64),
-            }
-        )
-        g = df.groupby("source", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(docs, stage),
-        ["source"],
-        {
-            "n_docs_p": "n_docs",
-            "s_words_p": "s_words",
-            "e_ends_p": "e_ends",
-            "ta_hits_p": "ta_hits",
-            "docs_with_s_p": "docs_with_s",
-        },
+    cols = ("s_words", "e_ends", "ta_hits", "docs_with_s")
+    stage = KeyedPartials(_pattern_counts, keys=("source",), sums=cols)
+    return combine_partials(
+        rio.map_blocks(docs, stage), ["source"],
+        {"n_part": "n_docs", **{c + "_part": c for c in cols}},
     )
-    out = out.astype(
-        {
-            "n_docs": "int64",
-            "s_words": "int64",
-            "e_ends": "int64",
-            "ta_hits": "int64",
-            "docs_with_s": "int64",
-        }
-    )
-    return out.sort_values("source").reset_index(drop=True)
 
 
 WSAMPLE_K = 200  # weighted-sample draw size
@@ -7568,30 +7250,24 @@ def q_doc_redaction(sf_dir: str) -> pd.DataFrame:
 
 
 
+def _version_hexes(batch: pa.Table, lookup: pa.Table | None = None) -> pa.Table:
+    """The hex lattice cell (i, j) of every version, and with a tag
+    ``lookup`` its ``etype``."""
+    d = decode_spans(batch, lookup)
+    i, j = hex_cell(
+        d["lon_e7"].to_numpy(zero_copy_only=False), d["lat_e7"].to_numpy(zero_copy_only=False)
+    )
+    t = pa.table({"i": i, "j": j})
+    return t if lookup is None else t.append_column("etype", d["etype"])
+
+
 def _hex_version_counts(sf_dir: str) -> pd.DataFrame:
     """Shared partial producer: ENTITY-VERSION counts per hex cell
     (i, j) — one fused decode -> hex_cell -> per-batch groupby-count,
     combined on the bounded world-lattice key. Consumed by the
     Gi* / Moran's I hotspot finals."""
-    def stage(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch)
-        i, j = hex_cell(
-            d["lon_e7"].to_numpy(zero_copy_only=False),
-            d["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        g = pd.DataFrame({"i": i, "j": j}).groupby(["i", "j"], as_index=False).size()
-        return pa.table(
-            {
-                "i": g["i"].to_numpy(dtype=np.int64),
-                "j": g["j"].to_numpy(dtype=np.int64),
-                "n_part": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return combine_partials(
-        rio.map_blocks(_docs(sf_dir), stage), ["i", "j"],
-        {"n_part": "n"},
-    )
+    stage = KeyedPartials(_version_hexes, keys=("i", "j"))
+    return combine_partials(rio.map_blocks(_docs(sf_dir), stage), ["i", "j"], {"n_part": "n"})
 
 
 def _hex_snapshot_cube(sf_dir: str, timestamps) -> pd.DataFrame:
@@ -8090,6 +7766,25 @@ def q_zonal_raster_stats(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("region_id").reset_index(drop=True)
 
 
+def _hex_moves(b: pa.Table) -> pa.Table:
+    """One row per move of an entity to another hex cell between its
+    consecutive visible versions (version order, whatever the stored
+    order): the from and to cells."""
+    tbl, codes, ts, _v, _ = _sorted_versions(decode_spans(b), doc_codes(b))
+    if len(ts):
+        vis = tbl["visible"].to_numpy(zero_copy_only=False).astype(bool)
+        codes = codes[vis]
+        i, j = hex_cell(tbl["lon_e7"].to_numpy(zero_copy_only=False)[vis],
+                        tbl["lat_e7"].to_numpy(zero_copy_only=False)[vis])
+    else:
+        codes = i = j = np.zeros(0, np.int64)
+    moved = (codes[1:] == codes[:-1]) & ((i[1:] != i[:-1]) | (j[1:] != j[:-1]))
+    return pa.table({
+        "from_i": i[:-1][moved], "from_j": j[:-1][moved],
+        "to_i": i[1:][moved], "to_j": j[1:][moved],
+    })
+
+
 @query(lambda o: o.cell_flows(HEX_W, HEX_H))
 def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     """ORIGIN-DESTINATION FLOW MATRIX over the hex index: for every
@@ -8100,55 +7795,9 @@ def q_cell_flows(sf_dir: str) -> pd.DataFrame:
     inside the fused decode (per-doc realign via _sorted_versions,
     the HEADER_TIMESTAMPS_NOT_IN_ORDER tolerance); partials combine
     on the bounded (cell, cell) key."""
-    def stage(b: pa.Table) -> pd.DataFrame:
-        tbl, codes, ts, v, _ = _sorted_versions(decode_spans(b), doc_codes(b))
-        empty = pa.table(
-            {
-                "from_i": pa.array([], pa.int64()),
-                "from_j": pa.array([], pa.int64()),
-                "to_i": pa.array([], pa.int64()),
-                "to_j": pa.array([], pa.int64()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if not len(ts):
-            return empty
-        vis = tbl["visible"].to_numpy(zero_copy_only=False).astype(bool)
-        codes = codes[vis]
-        lon = tbl["lon_e7"].to_numpy(zero_copy_only=False)[vis]
-        lat = tbl["lat_e7"].to_numpy(zero_copy_only=False)[vis]
-        if len(codes) < 2:
-            return empty
-        i, j = hex_cell(lon, lat)
-        same = codes[1:] == codes[:-1]
-        moved = same & ((i[1:] != i[:-1]) | (j[1:] != j[:-1]))
-        df = pd.DataFrame(
-            {
-                "from_i": i[:-1][moved],
-                "from_j": j[:-1][moved],
-                "to_i": i[1:][moved],
-                "to_j": j[1:][moved],
-            }
-        )
-        g = df.groupby(["from_i", "from_j", "to_i", "to_j"], as_index=False).size()
-        return pa.table(
-            {
-                "from_i": g["from_i"].to_numpy(dtype=np.int64),
-                "from_j": g["from_j"].to_numpy(dtype=np.int64),
-                "to_i": g["to_i"].to_numpy(dtype=np.int64),
-                "to_j": g["to_j"].to_numpy(dtype=np.int64),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    partials = rio.map_blocks(_docs(sf_dir), stage)
-    df = combine_partials(
-        partials, ["from_i", "from_j", "to_i", "to_j"], {"n_p": "n_moves"}
-    ).astype(
-        {"from_i": "int64", "from_j": "int64", "to_i": "int64", "to_j": "int64",
-         "n_moves": "int64"}
-    )
-    return df.sort_values(["from_i", "from_j", "to_i", "to_j"]).reset_index(drop=True)
+    keys = ("from_i", "from_j", "to_i", "to_j")
+    stage = KeyedPartials(_hex_moves, keys=keys)
+    return combine_partials(rio.map_blocks(_docs(sf_dir), stage), list(keys), {"n_part": "n_moves"})
 
 
 @query(lambda o: o.contributor_territory(HEX_W, HEX_H))
@@ -8257,6 +7906,14 @@ def q_etype_seasonal_profile(sf_dir: str) -> pd.DataFrame:
 COLLOC_PAT = r"\b([a-z]+) join\b"  # capture: the word preceding "join"
 
 
+def _collocates(b: pa.Table, pattern: str) -> pa.Table:
+    """The ``w`` group of ``pattern`` in each document that matches it."""
+    if not len(b):
+        return pa.table({"word": pa.array([], pa.string())})
+    w = pc.struct_field(pc.extract_regex(b["text"], pattern), "w")
+    return pa.table({"word": w}).filter(pc.is_valid(w))
+
+
 @query(lambda o: o.doc_join_collocates(COLLOC_PAT))
 def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     """STRUCTURED FIELD EXTRACTION: per document, the FIRST capture of
@@ -8270,26 +7927,8 @@ def q_doc_join_collocates(sf_dir: str) -> pd.DataFrame:
     # pyarrow needs a NAMED group; DuckDB's numbered group 1 is the same
     pat = COLLOC_PAT.replace("(", "(?P<w>", 1)
 
-    def stage(b: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(b["text"], pat)
-        w = pc.struct_field(ex, "w") if len(b) else pa.array([], pa.string())
-        g = (
-            pd.DataFrame({"word": w.to_pandas()})
-            .dropna()
-            .groupby("word", as_index=False)
-            .size()
-        )
-        return pa.table(
-            {
-                "word": g["word"].to_numpy(),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    df = combine_partials(
-        rio.map_blocks(docs, stage), ["word"], {"n_p": "n_docs"}
-    ).astype({"word": "object", "n_docs": "int64"})
-    return df.sort_values("word").reset_index(drop=True)
+    stage = KeyedPartials(functools.partial(_collocates, pattern=pat), keys=("word",))
+    return combine_partials(rio.map_blocks(docs, stage), ["word"], {"n_part": "n_docs"})
 
 
 @query(lambda o: o.hex_morans_i(HEX_W, HEX_H))
@@ -8434,6 +8073,12 @@ def q_way_compactness(sf_dir: str) -> pd.DataFrame:
 PSI_BIN_W = 100  # n_chars histogram bin width for the drift metric
 
 
+def _length_bins(b: pa.Table) -> pa.Table:
+    """Each document's source and length bin (n_chars // PSI_BIN_W)."""
+    bins = b["n_chars"].to_numpy(zero_copy_only=False) // PSI_BIN_W
+    return pa.table({"source": b["source"], "bin": bins})
+
+
 @query(lambda o: o.source_drift_psi(PSI_BIN_W))
 def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     """DISTRIBUTION DRIFT between document sources: pairwise
@@ -8448,25 +8093,8 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     |sources x bins|; the driver walks source pairs."""
     docs = rio.read_resident(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
 
-    def stage(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "source": b["source"].to_numpy(zero_copy_only=False),
-                "bin": b["n_chars"].to_numpy(zero_copy_only=False) // PSI_BIN_W,
-            }
-        )
-        g = df.groupby(["source", "bin"], as_index=False).size()
-        return pa.table(
-            {
-                "source": g["source"].to_numpy(),
-                "bin": g["bin"].to_numpy(dtype=np.int64),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    base = combine_partials(
-        rio.map_blocks(docs, stage), ["source", "bin"], {"n_p": "n"}
-    )
+    stage = KeyedPartials(_length_bins, keys=("source", "bin"))
+    base = combine_partials(rio.map_blocks(docs, stage), ["source", "bin"], {"n_part": "n"})
     counts: dict[str, dict[int, int]] = {}
     for s, b, n in zip(base["source"], base["bin"], base["n"]):
         counts.setdefault(str(s), {})[int(b)] = int(n)
@@ -8506,6 +8134,18 @@ def q_source_drift_psi(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source_a", "source_b"]).reset_index(drop=True)
 
 
+def _contribution_places(batch: pa.Table, rows: ViewRows) -> pa.Table:
+    """The contribution ``rows`` placed where the entity is, or for a
+    deletion where it was."""
+    c = rows(batch)
+    dele = c["is_deletion"]
+    return pa.table({
+        "lon_e7": pc.if_else(dele, c["prev_lon_e7"], c["lon_e7"]),
+        "lat_e7": pc.if_else(dele, c["prev_lat_e7"], c["lat_e7"]),
+        "is_creation": c["is_creation"], "is_deletion": dele,
+    })
+
+
 @query(lambda o: o.contrib_by_hexcell(HEX_W, HEX_H))
 def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     """CONTRIBUTION COUNTS BY HEX CELL: every contribution in the
@@ -8516,55 +8156,16 @@ def q_contrib_by_hexcell(sf_dir: str) -> pd.DataFrame:
     deletions. One fused stage: decode -> contribution classification
     -> hex assign -> per-cell integer partials (total / creations /
     deletions), combine bounded by the world lattice."""
-    def stage(batch: pa.Table) -> pa.Table:
-        c = contribution_rows(
-            batch, CONTRIB_FROM, CONTRIB_TO,
-            ["is_creation", "is_deletion", "lon_e7", "lat_e7", "prev_lon_e7", "prev_lat_e7"],
-        )
-        if len(c) == 0:
-            return pa.table(
-                {
-                    "cell": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                    "cre_p": pa.array([], pa.int64()),
-                    "del_p": pa.array([], pa.int64()),
-                }
-            )
-        is_del = c["is_deletion"].to_numpy(zero_copy_only=False).astype(bool)
-        is_cre = c["is_creation"].to_numpy(zero_copy_only=False).astype(bool)
-        lon = np.where(
-            is_del,
-            c["prev_lon_e7"].to_numpy(zero_copy_only=False),
-            c["lon_e7"].to_numpy(zero_copy_only=False),
-        )
-        lat = np.where(
-            is_del,
-            c["prev_lat_e7"].to_numpy(zero_copy_only=False),
-            c["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        i, j = hex_cell(lon, lat)
-        df = pd.DataFrame(
-            {
-                "cell": pack_hex(i, j),
-                "one": np.ones(len(i), dtype=np.int64),
-                "cre": is_cre.astype(np.int64),
-                "dele": is_del.astype(np.int64),
-            }
-        )
-        g = df.groupby("cell", as_index=False).sum()
-        return pa.table(
-            {
-                "cell": g["cell"].to_numpy(dtype=np.int64),
-                "n_p": g["one"].to_numpy(dtype=np.int64),
-                "cre_p": g["cre"].to_numpy(dtype=np.int64),
-                "del_p": g["dele"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    partials = rio.map_blocks(_docs(sf_dir), stage)
+    cols = ("is_creation", "is_deletion", "lon_e7", "lat_e7", "prev_lon_e7", "prev_lat_e7")
+    rows = ViewRows(None, CONTRIB_FROM, CONTRIB_TO, cols, None, None, None, None)
+    stage = KeyedPartials(
+        functools.partial(_contribution_places, rows=rows), cell=hex_id,
+        sums=("is_creation", "is_deletion"),
+    )
     df = combine_partials(
-        partials, ["cell"],
-        {"n_p": "n_contribs", "cre_p": "n_creations", "del_p": "n_deletions"},
+        rio.map_blocks(_docs(sf_dir), stage), ["cell"],
+        {"n_part": "n_contribs", "is_creation_part": "n_creations",
+         "is_deletion_part": "n_deletions"},
     )
     i, j = unpack_hex(df["cell"].to_numpy(dtype=np.int64))
     out = pd.DataFrame(
@@ -8610,6 +8211,13 @@ def q_hexcell_churn(sf_dir: str) -> pd.DataFrame:
     )
 
 
+def _snapshot_ages(batch: pa.Table, rows: ViewRows) -> pa.Table:
+    """The snapshot ``rows`` at T_MID with the ``age`` of each state."""
+    s = rows(batch)
+    age = T_MID - s["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return s.append_column("age", pa.array(age))
+
+
 @query(lambda o: o.hexcell_freshness(HEX_W, HEX_H))
 def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
     """DATA CURRENTNESS MAP: per hex cell at T_MID, the count of live
@@ -8617,27 +8225,11 @@ def q_hexcell_freshness(sf_dir: str) -> pd.DataFrame:
     version ts) — the OSM data-quality 'freshness' metric per tile.
     Exact integer age sums (microseconds) per cell, one IEEE division
     for the mean; partials combine on the bounded lattice key."""
-    def stage(batch: pa.Table) -> pa.Table:
-        s = snapshot_rows(batch, [T_MID], ["ts", "lon_e7", "lat_e7"])
-        i, j = hex_cell(
-            s["lon_e7"].to_numpy(zero_copy_only=False),
-            s["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        age = T_MID - s["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({"cell": pack_hex(i, j), "age": age, "one": np.int64(1)})
-        g = df.groupby("cell", as_index=False).sum()
-        return pa.table(
-            {
-                "cell": g["cell"].to_numpy(dtype=np.int64),
-                "n_p": g["one"].to_numpy(dtype=np.int64),
-                "age_p": g["age"].to_numpy(dtype=np.int64),
-            }
-        )
-
+    rows = ViewRows(np.array([T_MID]), 0, 0, ("ts", "lon_e7", "lat_e7"), None, None, None, None)
+    stage = KeyedPartials(functools.partial(_snapshot_ages, rows=rows), cell=hex_id, sums=("age",))
     df = combine_partials(
-        rio.map_blocks(_docs(sf_dir), stage),
-        ["cell"],
-        {"n_p": "n_entities", "age_p": "sum_age_us"},
+        rio.map_blocks(_docs(sf_dir), stage), ["cell"],
+        {"n_part": "n_entities", "age_part": "sum_age_us"},
     )
     # input-derived guard (counts cannot wrap below 2^63 rows): if the
     # largest cell times the maximum possible age fits int64, no int64
@@ -8728,35 +8320,11 @@ def q_ab_test_value(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
 
-    def partials(b: pa.Table) -> pa.Table:
-        v = round_half_away(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        # the value_moments_by_type contract: numpy int64 wraps
-        # SILENTLY, so bound the batch's sum of squares (float
-        # estimate) with cross-batch headroom BEFORE forming v*v —
-        # a guard on the possibly-wrapped output could not fire
-        if v.size and float(np.sum(v.astype(np.float64) ** 2)) > 1e15:
-            raise OverflowError(
-                "ab_test_value: batch sum of squared cents exceeds the "
-                "int64 safety bound"
-            )
-        df = pd.DataFrame(
-            {
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "grp": b["user_id"].to_numpy(zero_copy_only=False) % 2,
-                "n": np.int64(1),
-                "s1": v,
-                "s2": v * v,
-            }
-        )
-        g = df.groupby(["etype", "grp"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    stage = _event_partials(("etype", "grp"), ("value_c", "value_c2"))
     base = combine_partials(
-        rio.map_blocks(ev, partials),
+        rio.map_blocks(ev, stage),
         ["etype", "grp"],
-        {"n": "n", "s1": "s1", "s2": "s2"},
+        {"n_part": "n", "value_c_part": "s1", "value_c2_part": "s2"},
     )
     rows = []
     for etype, g in base.groupby("etype"):
@@ -8807,32 +8375,9 @@ def _etype_cohort_value_hist(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     )
 
-    def partials(b: pa.Table) -> pa.Table:
-        v = round_half_away(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "grp": b["user_id"].to_numpy(zero_copy_only=False) % 2,
-                "v": v,
-            }
-        )
-        g = df.groupby(["etype", "grp", "v"], as_index=False).size()
-        return pa.table(
-            {
-                "etype": g["etype"].to_numpy(),
-                "grp": g["grp"].to_numpy(dtype=np.int64),
-                "v": g["v"].to_numpy(dtype=np.int64),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return combine_partials(
-        rio.map_blocks(ev, partials),
-        ["etype", "grp", "v"],
-        {"n_p": "n"},
-    )
+    stage = _event_partials(("etype", "grp", "value_c"))
+    df = combine_partials(rio.map_blocks(ev, stage), ["etype", "grp", "value_c"], {"n_part": "n"})
+    return df.rename(columns={"value_c": "v"})
 
 
 def _cohort_pivot(g: pd.DataFrame):
@@ -8925,7 +8470,7 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     """KAPLAN-MEIER SURVIVAL CURVE over entity lifespans (deletion =
     event, alive-at-window-close = right-censored) — survival
     analysis as a streaming pipeline. Rides the zero-shuffle lifespan
-    histogram (_lifespan_stage); the driver final walks <= 31
+    histogram (_LIFESPAN_COUNTS); the driver final walks <= 31
     distinct durations. The survival product becomes an EXACT integer
     cumulative sum of milli-nat log factors q(n-d) - q(n) (q = the
     doc_lm_surprisal quantization), so the curve is order-free and
@@ -8933,10 +8478,8 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     single IEEE ops. A duration where everyone at risk dies would
     need ln(0): rejected loudly (cannot occur while any entity is
     censored later)."""
-    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
-    base = combine_partials(
-        partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
-    )
+    partials = rio.map_blocks(_docs(sf_dir), _LIFESPAN_COUNTS)
+    base = combine_partials(partials, ["lifespan_days", "deleted"], {"n_part": "n"})
     piv = (
         base.pivot_table(index="lifespan_days", columns="deleted", values="n",
                          fill_value=0)
@@ -9291,30 +8834,9 @@ def q_hexcell_location_quotient(sf_dir: str) -> pd.DataFrame:
     bounded (lattice x |etypes|) key."""
     lookup = _tag_lookup(sf_dir)
 
-    def stage(batch: pa.Table) -> pa.Table:
-        d = decode_spans(batch, lookup)
-        i, j = hex_cell(
-            d["lon_e7"].to_numpy(zero_copy_only=False),
-            d["lat_e7"].to_numpy(zero_copy_only=False),
-        )
-        g = pd.DataFrame(
-            {"i": i, "j": j, "etype": d["etype"].to_numpy(zero_copy_only=False)}
-        ).groupby(["i", "j", "etype"], as_index=False).size()
-        return pa.table(
-            {
-                "i": g["i"].to_numpy(dtype=np.int64),
-                "j": g["j"].to_numpy(dtype=np.int64),
-                "etype": g["etype"].to_numpy(),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    base = combine_partials(
-        rio.map_blocks(_docs(sf_dir), stage),
-        ["i", "j", "etype"],
-        {"n_p": "n"},
-    )
-    base = base.astype({"i": "int64", "j": "int64", "n": "int64"})
+    keys = ("i", "j", "etype")
+    stage = KeyedPartials(functools.partial(_version_hexes, lookup=lookup), keys=keys)
+    base = combine_partials(rio.map_blocks(_docs(sf_dir), stage), list(keys), {"n_part": "n"})
     tot = int(base["n"].sum())
     cell_tot = base.groupby(["i", "j"])["n"].sum()
     etype_tot = base.groupby("etype")["n"].sum()
@@ -9807,24 +9329,8 @@ def q_etype_chi2_cohort(sf_dir: str) -> pd.DataFrame:
     scale = CHI2_SCALE
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "grp": b["user_id"].to_numpy(zero_copy_only=False) % 2,
-            }
-        )
-        g = df.groupby(["etype", "grp"], as_index=False).size()
-        return pa.table(
-            {
-                "etype": g["etype"].to_numpy(),
-                "grp": g["grp"].to_numpy(dtype=np.int64),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
     base = combine_partials(
-        rio.map_blocks(ev, partials), ["etype", "grp"], {"n_p": "n"}
+        rio.map_blocks(ev, _event_partials(("etype", "grp"))), ["etype", "grp"], {"n_part": "n"}
     )
     o = {(e, int(g)): int(n) for e, g, n in zip(base["etype"], base["grp"], base["n"])}
     ets = sorted({e for e, _ in o})
@@ -9874,27 +9380,11 @@ def q_etype_dow_mutual_info(sf_dir: str) -> pd.DataFrame:
     final single IEEE division by N."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        day = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
-        df = pd.DataFrame(
-            {
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "dow": day % 7,
-            }
-        )
-        g = df.groupby(["etype", "dow"], as_index=False).size()
-        return pa.table(
-            {
-                "etype": g["etype"].to_numpy(),
-                "dow": g["dow"].to_numpy(dtype=np.int64),
-                "n_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
     base = combine_partials(
-        rio.map_blocks(ev, partials), ["etype", "dow"], {"n_p": "n"}
+        rio.map_blocks(ev, _event_partials(("etype", "weekday"))), ["etype", "weekday"],
+        {"n_part": "n"},
     )
-    o = {(e, int(d)): int(n) for e, d, n in zip(base["etype"], base["dow"], base["n"])}
+    o = {(e, int(d)): int(n) for e, d, n in zip(base["etype"], base["weekday"], base["n"])}
     ets = sorted({e for e, _ in o})
     dows = sorted({d for _, d in o})
     r = {e: sum(o.get((e, d), 0) for d in dows) for e in ets}
@@ -10566,6 +10056,15 @@ def q_source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source_a", "source_b"]).reset_index(drop=True)
 
 
+def _recency_weights(b: pa.Table) -> pa.Table:
+    """Each event's user and recency weight 2^(30 - day); a day outside
+    January raises."""
+    day = _event_day(b)
+    if day.size and (day.min() < 0 or day.max() > 30):
+        raise ValueError("user_recency_scores: day outside the January window")
+    return pa.table({"user_id": b["user_id"], "w": np.int64(1) << (30 - day)})
+
+
 @query(lambda o: o.user_recency_scores(T0, DAY_US))
 def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     """RECENCY-WEIGHTED ENGAGEMENT: per user, the exponentially
@@ -10578,19 +10077,9 @@ def q_user_recency_scores(sf_dir: str) -> pd.DataFrame:
     scores."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        day = (b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) - T0) // DAY_US
-        if day.size and (day.min() < 0 or day.max() > 30):
-            raise ValueError("user_recency_scores: day outside the January window")
-        w = np.int64(1) << (30 - day)
-        df = pd.DataFrame(
-            {"user_id": b["user_id"].to_numpy(zero_copy_only=False), "w": w}
-        )
-        g = df.groupby("user_id", as_index=False)["w"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_user = combine_by_key(ev, ["user_id"], {"w": "sum"}, stage=partials)
-    out = topk(per_user, "w", 25, "user_id").rename(columns={"w": "score"})
+    stage = KeyedPartials(_recency_weights, keys=("user_id",), sums=("w",))
+    per_user = combine_by_key(ev, ["user_id"], {"w_part": "sum"}, stage=stage)
+    out = topk(per_user, "w_part", 25, "user_id").rename(columns={"w_part": "score"})
     return out.astype({"user_id": "int64", "score": "int64"}).reset_index(drop=True)
 
 
@@ -10711,17 +10200,9 @@ def q_prop_ztest_click(sf_dir: str) -> pd.DataFrame:
     mirrored operation for operation in SQL."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        grp = (b["user_id"].to_numpy(zero_copy_only=False) % 2).astype(np.int64)
-        click = (
-            b["event_type"].to_numpy(zero_copy_only=False) == "click"
-        ).astype(np.int64)
-        df = pd.DataFrame({"grp": grp, "n": np.int64(1), "x": click})
-        g = df.groupby("grp", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
     base = combine_partials(
-        rio.map_blocks(ev, partials), ["grp"], {"n": "n", "x": "x"}
+        rio.map_blocks(ev, _event_partials(("grp",), ("click",))), ["grp"],
+        {"n_part": "n", "click_part": "x"},
     ).set_index("grp")
     n1, x1 = int(base.loc[0, "n"]), int(base.loc[0, "x"])
     n2, x2 = int(base.loc[1, "n"]), int(base.loc[1, "x"])
@@ -10762,24 +10243,12 @@ def q_partitioned_day_scan(sf_dir: str) -> pd.DataFrame:
     root = ensure_partitioned_events(sf_dir, T0, DAY_US)
     ds = read_partition_days(root, PART_SCAN_DAYS)
 
-    def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "day": b["day"].to_numpy(zero_copy_only=False),
-                "etype": b["event_type"].to_numpy(zero_copy_only=False),
-                "n": np.int64(1),
-                "v": b["value_c"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["day", "etype"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = combine_partials(
-        rio.map_blocks(ds, partials),
-        ["day", "etype"],
-        {"n": "n", "v": "sum_value_c"},
-    ).astype({"day": "int64", "n": "int64", "sum_value_c": "int64"})
-    return out.sort_values(["day", "etype"]).reset_index(drop=True)
+    stage = KeyedPartials(_as_is, keys=("day", "event_type"), sums=("value_c",))
+    df = combine_partials(
+        rio.map_blocks(ds, stage), ["day", "event_type"],
+        {"n_part": "n", "value_c_part": "sum_value_c"},
+    )
+    return df.rename(columns={"event_type": "etype"})
 
 
 @query(lambda o: o.etype_kendall_tau(T0, DAY_US))
@@ -11266,28 +10735,13 @@ def q_theil_index_by_type(sf_dir: str) -> pd.DataFrame:
     (ln is undefined there)."""
     ev = rio.read_resident(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
-    def partials(b: pa.Table) -> pa.Table:
-        v = round_half_away(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {"etype": b["event_type"].to_numpy(zero_copy_only=False), "c": v}
-        )
-        g = df.groupby(["etype", "c"], as_index=False).size()
-        return pa.table(
-            {
-                "etype": g["etype"].to_numpy(),
-                "c": g["c"].to_numpy(dtype=np.int64),
-                "m_p": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
-
     base = combine_partials(
-        rio.map_blocks(ev, partials), ["etype", "c"], {"m_p": "m"}
+        rio.map_blocks(ev, _event_partials(("etype", "value_c"))), ["etype", "value_c"],
+        {"n_part": "m"},
     )
     rows = []
     for et, g in base.groupby("etype"):
-        cs = [int(x) for x in g["c"]]
+        cs = [int(x) for x in g["value_c"]]
         ms = [int(x) for x in g["m"]]
         if min(cs) < 0:
             raise ValueError(f"theil: negative cents in etype {et!r}")
@@ -11321,10 +10775,8 @@ def q_nelson_aalen(sf_dir: str) -> pd.DataFrame:
     floor division ((10^6 * d) // n — a float sum of hazards would be
     order-dependent), so the cumulative curve is an exact ordered
     integer sum; the reported hazard is ONE IEEE division."""
-    partials = rio.map_blocks(_docs(sf_dir), _lifespan_stage)
-    base = combine_partials(
-        partials, ["lifespan_days", "deleted"], {"n_entities_p": "n"}
-    )
+    partials = rio.map_blocks(_docs(sf_dir), _LIFESPAN_COUNTS)
+    base = combine_partials(partials, ["lifespan_days", "deleted"], {"n_part": "n"})
     piv = (
         base.pivot_table(index="lifespan_days", columns="deleted", values="n",
                          fill_value=0)

@@ -34,11 +34,13 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
+from ..aggregate import KeyedPartials
 from ..ingest import DOC_SHARD_ROWS
 from ..io import Blocks, _stat_identity, blocks_table, dataset
 from ..ops.relational import combine_by_key
@@ -65,7 +67,6 @@ def _table_checksum(tbl: pa.Table) -> str:
     it): values are hashed with pandas' fixed-key hash, never Python's
     per-process-salted builtin ``hash()``.
     """
-    import numpy as np
     import pandas as pd
 
     cols = sorted(tbl.schema.names)
@@ -250,6 +251,13 @@ def run_sharded(
 
 
 # ------------------------------------------------------------------ skew
+def _salted(batch: pa.Table, salt_col: str, n_salt: int) -> pa.Table:
+    """The batch with its deterministic ``_salt`` (``salt_col`` mod
+    ``n_salt``)."""
+    salt = batch[salt_col].to_numpy(zero_copy_only=False) % n_salt
+    return batch.append_column("_salt", pa.array(salt.astype(np.int64)))
+
+
 def salted_count_by(
     ds: Blocks,
     keys: list[str],
@@ -267,14 +275,10 @@ def salted_count_by(
     reference meets by shuffling cell order
     (MapReducerIgniteLocalPeek.java:185-233).
     """
-    import numpy as np
-
-    def salted(batch: pa.Table) -> pa.Table:
-        base = batch[salt_col].to_numpy(zero_copy_only=False)
-        t = batch.select(keys).append_column("_salt", pa.array((base % n_salt).astype(np.int64)))
-        g = pa.TableGroupBy(t, [*keys, "_salt"]).aggregate([([], "count_all")])
-        return g.rename_columns([*keys, "_salt", alias])
-
+    salted = KeyedPartials(
+        functools.partial(_salted, salt_col=salt_col, n_salt=n_salt), keys=(*keys, "_salt"),
+        count=alias,
+    )
     partial = combine_by_key(ds, [*keys, "_salt"], {alias: "sum"}, stage=salted)
     return combine_by_key(partial, keys, {alias: "sum"})
 
@@ -295,12 +299,9 @@ def write_partitioned_by_cell(
     Expects a ``cell`` column at ``zoom`` plus lon/lat columns for
     re-assignment on promotion.
     """
-    import numpy as np
-
-    def cell_counts(batch: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(batch.select(["cell"]), ["cell"]).aggregate([([], "count_all")])
-        return g.rename_columns(["cell", "n"])
-
+    cell_counts = KeyedPartials(
+        operator.methodcaller("select", ["cell"]), keys=("cell",), count="n"
+    )
     counts = blocks_table(combine_by_key(ds, ["cell"], {"n": "sum"}, stage=cell_counts))
     small = dict(zip(counts["cell"].to_pylist(), counts["n"].to_pylist()))
 

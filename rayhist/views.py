@@ -37,17 +37,16 @@ stage that emits tag strings gathers them through the
 The stages are two classes. ``ViewRows`` is one query's view rows
 (the view, its timestamps or interval, the columns read, the lookup,
 the filter, the AOI and the deadline); ``snapshot_stage`` and
-``contribution_stage`` build it over every view column.
-``KeyedPartials`` is the per-batch partial count and sums per key over
-those rows (the key a snapshot's ``ts_q``, a contribution's floor-bin,
-view columns and a cell id); ``snapshot_counts_stage`` and
-``contribution_stats_stage`` build it. Every fused "view rows -> per-key
-partial count and sums" stage of the engine is one ``KeyedPartials``:
-the pipelines' bbox, polygon, cell and filter counts and the facade's
-count/sum/average and sketch terminals (``rayhist.api``) as well. A
-stage is run by ``io.map_blocks`` (one task per resident block) for
-partials combined on the driver, or by ``io.materialize_blocks``/
-``io.reduce_by_key`` for an output that stays distributed.
+``contribution_stage`` build it over every view column. The per-batch
+partial count and sums per key over those rows (the key a snapshot's
+``ts_q``, a contribution's floor-bin, view columns and a cell id) is
+``aggregate.KeyedPartials`` over a ``ViewRows``, the engine's one
+accumulator; ``snapshot_counts_stage`` and ``contribution_stats_stage``
+build it, and so does the facade for its count/sum/average and sketch
+terminals (``rayhist.api``). A stage is run by ``io.map_blocks`` (one
+task per resident block) for partials combined on the driver, or by
+``io.materialize_blocks``/``io.reduce_by_key`` for an output that stays
+distributed.
 
 Each stage is a frozen instance of a module-level callable class, so
 it pickles by reference to its class plus its fields (tens of
@@ -62,14 +61,14 @@ query of several tasks.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from .aggregate import floor_bin
+from .aggregate import KeyedPartials
 from .functions.deadline import Deadline
 from .model import decode_spans, doc_codes, tag_lookup
 from .spatial.fip import Polygon, contains_convex
@@ -161,10 +160,10 @@ def contribution_rows(
 @dataclass(frozen=True, eq=False)
 class AOI:
     """An area of interest, (lon_e7, lat_e7) -> inside mask: the closed
-    ``bbox``, the even-odd test of the ``rings`` (``spatial.fip.Polygon``,
-    outer ring then holes), or with ``convex`` the edge test of its one
-    convex CCW ring (``spatial.fip.contains_convex``, which SQL mirrors
-    literally)."""
+    ``bbox``, the even-odd test of the ``rings`` (outer ring then holes,
+    through the band index ``polygon`` builds once per process), or with
+    ``convex`` the edge test of its one convex CCW ring
+    (``spatial.fip.contains_convex``, which SQL mirrors literally)."""
 
     bbox: tuple[int, int, int, int] | None = None
     rings: tuple | None = None
@@ -178,8 +177,21 @@ class AOI:
         if self.convex:
             (ring,) = self.rings
             return contains_convex(ring, lon, lat)
-        # constructed per call (cheap: band index over the ring edges)
-        return Polygon([np.asarray(r, np.float64) for r in self.rings]).contains(lon, lat)
+        return polygon(self.rings).contains(lon, lat)
+
+
+@functools.lru_cache(maxsize=64)
+def _polygon(rings: tuple[tuple[tuple[int, ...], bytes], ...]) -> Polygon:
+    return Polygon([np.frombuffer(b, np.float64).reshape(shape) for shape, b in rings])
+
+
+def polygon(rings) -> Polygon:
+    """The ``spatial.fip.Polygon`` (band index) of ``rings``, built once
+    per process per ring set: a stage ships only the rings, and every
+    block a worker runs reuses the index (~0.1 ms to build for a
+    ``.poly`` boundary, against ~0.7 ms to test 2,000 points)."""
+    arrays = [np.asarray(r, np.float64) for r in rings]
+    return _polygon(tuple((a.shape, a.tobytes()) for a in arrays))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,83 +289,15 @@ def contribution_stage(
 
 
 # ---------------------------------------------------------------------------
-# Fused view + partial-aggregation stage (the hot path).
-#
-# A bare groupby over the exploded snapshot/contribution rows shuffles
-# every row; ``KeyedPartials`` fuses decode + interpolation + per-batch
-# partial count and sums per key into ONE stage, so the combine only
-# sees |keys| rows per block (the reference's accumulator/combiner
-# split, MapReducer.java:896-1034, MapAggregator.java:848-869). Its
-# count is Arrow's ``count_all`` (~2% faster than summing a column of
-# ones on the history_scan stages). A tag filter is a LUT gather over
-# the table's keytable (osm/OSMEntity.java:97-152 semantics), and
+# Fused view + partial-aggregation stages (the hot path): decode,
+# interpolation and the per-batch count and sums per key in ONE stage,
+# ``aggregate.KeyedPartials`` over a ``ViewRows``, so the combine sees
+# |keys| rows per block, never the exploded view rows (the reference's
+# accumulator/combiner split, MapReducer.java:896-1034,
+# MapAggregator.java:848-869). A tag filter is a LUT gather over the
+# table's keytable (osm/OSMEntity.java:97-152 semantics), and
 # TAG_CHANGE compares tag ids.
 # ---------------------------------------------------------------------------
-
-
-def _summable(col: pa.ChunkedArray) -> pa.ChunkedArray:
-    """A sum column as it is summed: booleans as int64 (Arrow sums them
-    as uint64), every other type as it is."""
-    return col.cast(pa.int64()) if pa.types.is_boolean(col.type) else col
-
-
-@dataclass(frozen=True, eq=False)
-class KeyedPartials:
-    """Per-batch partial count and sums per key over the rows of
-    ``rows`` (a ``ViewRows``, or a stage over one).
-
-    The key is ``ts_q`` (the rows' ``ts`` floor-binned to ``bins`` when
-    set: a contribution aggregated by timestamp, MapReducer.java:
-    774-822), then the ``keys`` columns of the rows, then ``cell`` (the
-    ``cell`` indexer, a module-level ``(lon_e7, lat_e7) -> int64``
-    callable such as ``functools.partial(grid.cell_id, zoom=z)``, over
-    the rows' coordinates) when set. A batch gives the key columns, its
-    row count per key in ``count`` and a ``<col>_part`` sum per ``sums``
-    column: booleans sum as int64, a float column keeps its type.
-    Without a key it gives one row."""
-
-    rows: Callable[[pa.Table], pa.Table]
-    bins: np.ndarray | None = None
-    keys: tuple[str, ...] = ()
-    cell: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    sums: tuple[str, ...] = ()
-    count: str = "n_part"
-
-    def _key_columns(self, batch: pa.Table) -> tuple[dict, pa.Table]:
-        v = self.rows(batch)
-        keys = {}
-        if self.bins is not None:
-            ts = v["ts"].to_numpy(zero_copy_only=False)
-            keys["ts_q"] = pa.array(floor_bin(ts, self.bins), type=pa.int64())
-        for k in self.keys:
-            keys[k] = v[k]
-        if self.cell is not None:
-            lon = v["lon_e7"].to_numpy(zero_copy_only=False)
-            lat = v["lat_e7"].to_numpy(zero_copy_only=False)
-            keys["cell"] = pa.array(np.asarray(self.cell(lon, lat), dtype=np.int64))
-        return keys, v
-
-    def keyed(self, batch: pa.Table) -> pa.Table:
-        """The keyed rows the partials count: the key columns, then the
-        ``sums`` columns as the rows carry them (the sketch terminals'
-        input)."""
-        keys, v = self._key_columns(batch)
-        return pa.table({**keys, **{c: v[c] for c in self.sums if c not in keys}})
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys, v = self._key_columns(batch)
-        sums = {c + "_part": _summable(v[c]) for c in self.sums}
-        if not keys:
-            out = {self.count: pa.array([v.num_rows], type=pa.int64())}
-            for name, col in sums.items():
-                # keep a float column's type (an int64 cast would truncate)
-                typ = col.type if pa.types.is_floating(col.type) else pa.int64()
-                out[name] = pa.array([pc.sum(col).as_py() or 0], type=typ)
-            return pa.table(out)
-        g = pa.TableGroupBy(pa.table({**keys, **sums}), list(keys)).aggregate(
-            [([], "count_all")] + [(s, "sum") for s in sums]
-        )
-        return g.rename_columns([*keys, self.count, *sums])
 
 
 def snapshot_counts_stage(

@@ -6,7 +6,9 @@ backends are the block tasks over a resident table and the same tasks
 over a table over the resident budget, read from disk and materialized
 once per query."""
 
+import ast
 import functools
+import inspect
 import pickle
 from collections import OrderedDict
 
@@ -23,7 +25,7 @@ from perfbench.workloads import WORKLOADS
 from rayhist import aggregate
 from rayhist import io as rio
 from rayhist import pipelines
-from rayhist.aggregate import combine_partials
+from rayhist.aggregate import KeyedPartials, combine_partials
 from rayhist.api import OSMContributionView, OSMEntitySnapshotView
 from rayhist.functions.deadline import Deadline, RayhistTimeoutError
 from rayhist.ingest import ensure_documents, read_documents, sig_keytable
@@ -34,8 +36,7 @@ from rayhist.spatial.grid import cell_id
 from rayhist.spatial.knn import ensure_ivf_layout, ensure_lsh_layout
 from rayhist.temporal import TagFilter
 from rayhist.views import (
-    KeyedPartials, contribution_stage, contribution_stats_stage, snapshot_counts_stage,
-    snapshot_stage,
+    contribution_stage, contribution_stats_stage, snapshot_counts_stage, snapshot_stage,
 )
 from tests.test_ingest import SF
 
@@ -344,8 +345,10 @@ def test_one_block_query_ships_its_stage_inline(monkeypatch, block_tasks, query)
     assert block_tasks.puts == []
 
 
-# every query whose per-batch stage is "view rows -> per-key partial
-# count and sums" (hexcell_weekly through pipelines._hex_snapshot_cube)
+# every query whose per-batch stage is a per-key partial count and sums:
+# over view rows (hexcell_weekly through pipelines._hex_snapshot_cube),
+# then over decoded versions and the plain inputs (events, documents,
+# TPC-H, the CSV and hive-partitioned sources, embeddings)
 KEYED_PARTIALS_QUERIES = (
     "snapshot_count_by_s2cell", "contrib_daily_by_etype", "snapshot_count_bbox",
     "snapshot_count_bbox_multizoom", "contrib_type_counts_bbox", "contrib_type_counts_poly",
@@ -353,14 +356,95 @@ KEYED_PARTIALS_QUERIES = (
     "hexcell_weekly", "snapshot_count_by_hexcell", "snapshot_count_by_geohash",
     "snapshot_count_by_geohash_multiprec", "snapshot_count_daily", "snapshot_cells",
     "contrib_type_counts", "contrib_daily", "pbf_snapshot_count_daily",
+    "raster_join", "snapshot_count_daily_unsorted", "snapshot_pip_many_regions",
+    "snapshot_pip_many_regions_strtree", "contrib_per_entity", "contrib_by_hexcell",
+    "hexcell_freshness", "snapshot_diff", "snapshot_old_style", "keytable_freqs",
+    "hex_morans_i", "hexcell_location_quotient", "cell_flows", "snapshot_cells_salted",
+    "snapshot_hotspot_clusters",
+    "lineitem_agg", "lineitem_means", "lineitem_measures_unpivot", "orders_by_nation",
+    "revenue_by_nation_month", "bloom_semi_join_orders", "anti_join_orders",
+    "customer_rfm_segments",
+    "doc_stats", "doc_tokens", "doc_normalized_stats", "doc_token_packing", "corpus_curation",
+    "cluster_dedup_summary", "oov_rate_by_source", "train_val_test_split", "doc_pattern_counts",
+    "doc_join_collocates", "source_drift_psi", "tfidf_top_terms", "label_centroid_cosine",
+    "events_dow_hour", "value_moments_by_type", "hopping_window_counts", "props_key_dist",
+    "value_histogram", "value_trend_by_type", "gapfill_daily", "etype_purity_by_day",
+    "etype_share_by_day", "etype_rank_delta", "value_percentile_mass_by_type",
+    "value_equidepth_bins", "ab_test_value", "ks_test_value", "etype_chi2_cohort",
+    "etype_dow_mutual_info", "prop_ztest_click", "theil_index_by_type", "user_recency_scores",
+    "peak_concurrency", "csv_events_daily", "partitioned_day_scan", "entity_lifespans",
+    "entity_tag_churn", "top_words", "doc_compressibility", "doc_lm_surprisal",
 )
+
+# queries whose block tasks also run other stages (a join's sides, a
+# dedup, a split or a sample, a prefix sum, a top-k): a KeyedPartials
+# is among them, and none groups by in a closure but the listed
+# HAND_ROLLED_GROUP_BYS (the per-customer and per-day max)
+RUNS_OTHER_STAGES = {
+    "customer_rfm_segments", "lineitem_measures_unpivot",
+    "orders_by_nation", "revenue_by_nation_month", "bloom_semi_join_orders",
+    "anti_join_orders", "doc_token_packing", "corpus_curation", "cluster_dedup_summary",
+    "oov_rate_by_source", "train_val_test_split", "tfidf_top_terms",
+    "value_percentile_mass_by_type", "value_equidepth_bins", "peak_concurrency",
+    "snapshot_cells_salted", "user_recency_scores", "top_words",
+    "doc_lm_surprisal",
+}
+
+_GROUP_BYS = {"groupby", "group_by", "TableGroupBy"}
+
+
+def _grouping_closures(fn, seen=None) -> list:
+    """The functions of ``rayhist.pipelines`` reachable from ``fn``
+    (itself, the functions its closure cells hold, a partial's function
+    and arguments) whose code runs a group-by."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen:
+        return []
+    seen.add(id(fn))
+    if isinstance(fn, functools.partial):
+        return [g for f in (fn.func, *fn.args, *fn.keywords.values())
+                for g in _grouping_closures(f, seen)]
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return []
+    found = [fn] if fn.__module__ == pipelines.__name__ and _GROUP_BYS & set(code.co_names) else []
+    for cell in fn.__closure__ or ():
+        try:
+            found += _grouping_closures(cell.cell_contents, seen)
+        except ValueError:  # an empty cell
+            pass
+    return found
+
+
+@pytest.fixture
+def route_tasks(monkeypatch):
+    """Records the stage of every reduce_by_key routing task."""
+    stages = []
+    task = rio._route_task
+
+    class Counting:
+        @staticmethod
+        def options(**kw):
+            opts = task.options(**kw)
+
+            class Remote:
+                @staticmethod
+                def remote(stage, *args):
+                    stages.append(stage)
+                    return opts.remote(stage, *args)
+
+            return Remote
+
+    monkeypatch.setattr(rio, "_route_task", Counting)
+    return stages
 
 
 @pytest.mark.parametrize("query", KEYED_PARTIALS_QUERIES)
-def test_keyed_count_queries_ship_the_views_stage(monkeypatch, block_tasks, query):
-    """Each of these queries ships the one ``views.KeyedPartials`` stage
-    to its block tasks (pickled by reference to its class), never a
-    function closure (pickled by value on every call)."""
+def test_keyed_count_queries_ship_the_views_stage(monkeypatch, block_tasks, route_tasks, query):
+    """Each of these queries ships the one ``aggregate.KeyedPartials``
+    stage to its block or routing tasks (pickled by reference to its
+    class), never a function closure that groups (pickled by value on
+    every call)."""
     run_sharded = pipelines.run_sharded
 
     def run_each_shard(shards, process, out_dir):
@@ -373,9 +457,76 @@ def test_keyed_count_queries_ship_the_views_stage(monkeypatch, block_tasks, quer
     fn = pipelines.QUERIES[query][0]
     fn(SF)  # warm-up: the resident admission runs its own block tasks
     block_tasks.clear()
+    route_tasks.clear()
     fn(SF)
-    stages = [ray.get(a[0]) if isinstance(a[0], ray.ObjectRef) else a[0] for a in block_tasks]
-    assert stages and {type(s) for s in stages} == {KeyedPartials}, stages
+    shipped = [a[0] for a in block_tasks] + [s for s in route_tasks if s is not None]
+    stages = [ray.get(s) if isinstance(s, ray.ObjectRef) else s for s in shipped]
+    if query in RUNS_OTHER_STAGES:
+        assert any(isinstance(s, KeyedPartials) for s in stages), stages
+        by_hand = {tuple(f.__qualname__.split(".<locals>.")) for s in stages
+                   for f in _grouping_closures(s)}
+        assert by_hand <= set(HAND_ROLLED_GROUP_BYS), by_hand
+    else:
+        assert stages and {type(s) for s in stages} == {KeyedPartials}, stages
+
+
+# the nested stages of pipelines.py that group by by hand and feed a
+# block task, each with the reduction a keyed count and sums cannot hold
+HAND_ROLLED_GROUP_BYS = {
+    ("q_osmpbf_way_version_counts", "stage"): "min and max ts per key",
+    ("q_osmpbf_relation_member_sums", "stage"): "min and max ts per key",
+    ("q_peak_concurrency", "day_max"): "max per day",
+    ("q_ohlc_daily", "partials"): "first, last, min and max per key",
+    ("q_value_bitops_by_type", "partials"): "bitwise and/or/xor and all/any per key",
+    ("q_extreme_events_by_type", "partials"): "first in value order per key",
+    ("q_jsonl_events_by_type", "partials"): "min and max ts per key",
+    ("q_arrow_events_by_type", "partials"): "min and max ts per key",
+    ("q_customer_rfm_segments", "partial"): "max day per customer",
+    ("q_entity_sinuosity", "stage"): "first and last position per entity",
+    ("q_vocab_growth", "explode"): "min doc_id per word",
+    ("q_bm25_top_docs", "stage"): "two-level: per (doc, word), then per word",
+    ("q_cms_etype_counts", "partials"): "a per-row loop building sketch rows",
+}
+_BLOCK_TASK_ENTRIES = {"map_blocks", "materialize_blocks", "combine_by_key"}
+
+
+def _call_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _hand_rolled_group_bys(tree: ast.AST) -> set:
+    """(function, nested stage) of every nested def that groups by and
+    is passed to a block task: an argument of ``map_blocks`` or
+    ``materialize_blocks``, or the ``stage=`` of ``combine_by_key``."""
+    found = set()
+    for top in ast.walk(tree):
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        nested = {
+            n.name: n for n in ast.walk(top) if isinstance(n, ast.FunctionDef) and n is not top
+        }
+        for call in ast.walk(top):
+            if not (isinstance(call, ast.Call) and _call_name(call) in _BLOCK_TASK_ENTRIES):
+                continue
+            args = [k.value for k in call.keywords if k.arg == "stage"]
+            if _call_name(call) != "combine_by_key":
+                args += call.args
+            for name in {n.id for a in args for n in ast.walk(a) if isinstance(n, ast.Name)}:
+                if name in nested and any(
+                    isinstance(c, ast.Call) and _call_name(c) in _GROUP_BYS
+                    for c in ast.walk(nested[name])
+                ):
+                    found.add((top.name, name))
+    return found
+
+
+def test_every_other_keyed_partial_is_a_keyed_partials():
+    """A nested stage of pipelines.py that groups by and feeds a block
+    task is one of the listed ones; every other per-block count and
+    sums per key is an ``aggregate.KeyedPartials`` over a module-level
+    row function."""
+    tree = ast.parse(inspect.getsource(pipelines))
+    assert _hand_rolled_group_bys(tree) == set(HAND_ROLLED_GROUP_BYS)
 
 
 @pytest.mark.parametrize(
@@ -616,7 +767,7 @@ def test_region_indexes_are_built_once_per_process(monkeypatch):
     pipelines._many_regions_index.cache_clear()
     batch = pq.read_table(ensure_documents(SF))
     for strtree in (False, True):
-        stage = pipelines._RegionCountsStage(strtree)
+        stage = pipelines._region_counts_stage(strtree)
         assert stage(batch).equals(stage(batch))
     assert sorted(built) == ["RegionIndex", "STRtreeRegionIndex"]
     pipelines._many_regions_index.cache_clear()
@@ -638,7 +789,7 @@ def test_region_counts_stage_ships_no_index():
     for query, strtree in (
         ("snapshot_pip_many_regions", False), ("snapshot_pip_many_regions_strtree", True)
     ):
-        assert len(cloudpickle.dumps(pipelines._RegionCountsStage(strtree))) < 1024
+        assert len(cloudpickle.dumps(pipelines._region_counts_stage(strtree))) < 1024
         assert compare(query, pipelines.QUERIES[query][0](SF), want)
 
 

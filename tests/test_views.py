@@ -15,7 +15,11 @@ import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rayhist import io as rio
+from rayhist import pipelines
+from rayhist.aggregate import KeyedPartials, combine_partials
 from rayhist.model import decode_spans, reverse_version_runs, tag_lookup
+from rayhist.spatial import fip
 from rayhist.temporal import TagFilter, contributions, snapshots
 from rayhist.views import (
     AOI, CONTRIBUTION_COLUMNS, SNAPSHOT_COLUMNS, TAG_STRINGS, contribution_rows,
@@ -218,6 +222,84 @@ def test_keyed_partials_equal_a_pandas_group_by(
         want = want.sort_values(keys, kind="mergesort").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     assert all(got[c].dtype == np.int64 for c in got.columns if c.endswith("_part"))
+
+
+_PLAIN = pa.schema([("k_int", pa.int64()), ("k_str", pa.string()), ("flag", pa.bool_()),
+                    ("x", pa.int64())])
+_plain_row = st.fixed_dictionaries({
+    "k_int": st.one_of(st.none(), st.integers(0, 3)),
+    "k_str": st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+    "flag": st.booleans(),
+    "x": st.integers(-5, 5),
+})
+
+
+def _as_is(t: pa.Table) -> pa.Table:
+    return t
+
+
+def _with_square(t: pa.Table) -> pa.Table:
+    """A row function: the rows with ``x2`` = x * x."""
+    return t.append_column("x2", pc.multiply(t["x"], t["x"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_plain_row, max_size=30),
+    st.sampled_from([(), ("k_int",), ("k_str",), ("k_int", "k_str"), ("flag",)]),
+    st.sampled_from([(), ("flag",), ("x",), ("flag", "x")]),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_keyed_partials_over_plain_tables_equal_a_pandas_group_by(
+    records, keys, sums, with_row_fn, n_blocks
+):
+    """Over plain tables split in blocks: int, string, null and bool
+    keys or none, bool and int sums, the block as it is or a row
+    function; the partials combined by ``combine_partials`` are a
+    pandas ``groupby(dropna=False)`` of the rows (null keys kept)."""
+    t = pa.Table.from_pylist(records, schema=_PLAIN)
+    sums = tuple(c for c in sums if c not in keys) + (("x2",) if with_row_fn else ())
+    stage = KeyedPartials(_with_square if with_row_fn else _as_is, keys=keys, sums=sums)
+    cuts = np.linspace(0, t.num_rows, n_blocks + 1).astype(int)
+    partials = pa.concat_tables([stage(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])])
+    got = combine_partials(partials, list(keys), {"n_part": "n", **{c + "_part": c for c in sums}})
+    df = stage.rows(t).to_pandas()
+    aggs = {"n": ("x", "size"), **{c: (c, "sum") for c in sums}}
+    if keys:
+        want = df.groupby(list(keys), dropna=False, sort=True).agg(**aggs).reset_index()
+    else:
+        want = pd.DataFrame([{"n": len(df), **{c: df[c].sum() for c in sums}}])
+
+    def records_of(frame):
+        return sorted(
+            (tuple(None if pd.isna(v) else v for v in r) for r in frame.itertuples(index=False)),
+            key=repr,
+        )
+
+    assert list(got.columns) == list(want.columns)
+    assert records_of(got) == records_of(want)
+    assert all(got[c].dtype == np.int64 for c in ["n", *sums])
+
+
+def test_a_polygon_aoi_builds_its_index_once_per_process(monkeypatch):
+    """snapshot_pip_poly's stage over four blocks in one process builds
+    the ``.poly`` boundary's band index at most once (the stage ships
+    only the rings), and gives the query's counts."""
+    want = pipelines.QUERIES["snapshot_pip_poly"][0](SF)
+    built = []
+    init = fip.Polygon.__post_init__
+    monkeypatch.setattr(fip.Polygon, "__post_init__", lambda self: built.append(1) or init(self))
+
+    def in_process(ds, stage, batch_size=None):
+        t = rio.blocks_table(ds)
+        cuts = np.linspace(0, t.num_rows, 5).astype(int)
+        return pa.concat_tables([stage(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])])
+
+    monkeypatch.setattr(rio, "map_blocks", in_process)
+    got = pipelines.QUERIES["snapshot_pip_poly"][0](SF)
+    assert len(built) <= 1
+    pd.testing.assert_frame_equal(got, want)
 
 
 # ------------------------------------------------ facade chain differential
