@@ -384,6 +384,19 @@ def _temporal(sf_dir: str):
     return Job(ops, None, lambda res: {"events": STRESS_EVENTS}, passes)
 
 
+def _distributed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the graph operators' size gate
+    (``ops.cc.BROADCAST_GATE``) at 0, so their distributed rounds run;
+    the gate is restored after, and every query keeps the default."""
+    from rayhist.ops import cc
+
+    saved, cc.BROADCAST_GATE = cc.BROADCAST_GATE, 0
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        cc.BROADCAST_GATE = saved
+
+
 def _graph_ops(edge_path: str, kcore_k: int) -> dict[str, Callable[[], Any]]:
     from rayhist import io as rio
     from rayhist.ops.bfs import bfs_hops
@@ -395,21 +408,21 @@ def _graph_ops(edge_path: str, kcore_k: int) -> dict[str, Callable[[], Any]]:
         return dedupe_edges(rio.read_table(edge_path))
 
     return {
-        "triangles": lambda: triangle_count(edges(), "u", "v", broadcast_gate=0),
+        "triangles": lambda: _distributed(triangle_count, edges(), "u", "v"),
         "pagerank_2it": lambda: rio.blocks_table(pagerank_int(edges(), "u", "v", iters=2)),
-        "kcore": lambda: k_core(edges(), kcore_k, "u", "v", broadcast_gate=0),
-        "bfs": lambda: bfs_hops(
-            edges(), lambda n: n % 1000 == 0, BFS_HOPS, "u", "v", broadcast_gate=0
-        ),
+        "kcore": lambda: _distributed(k_core, edges(), kcore_k, "u", "v"),
+        "bfs": lambda: _distributed(bfs_hops, edges(), lambda n: n % 1000 == 0, BFS_HOPS, "u", "v"),
         # the credits sum per edge in one shuffle on the edge key (gate
-        # off); consume via count() so the |E|-row result never concatenates
-        "edge_support": lambda: edge_triangle_support(edges(), "u", "v", broadcast_gate=0).count(),
+        # off); count the result's rows so the |E|-row result never concatenates
+        "edge_support": lambda: rio.num_rows(
+            _distributed(edge_triangle_support, edges(), "u", "v")
+        ),
     }
 
 
 def _graph(sf_dir: str):
     """Triangles, integer PageRank, k-core peeling, bounded-hop BFS and
-    edge support with every size gate FORCED OFF (broadcast_gate=0): the
+    edge support with every size gate FORCED OFF (``_distributed``): the
     distributed shape that runs above the gates at cluster scale — one
     io.reduce_by_key per message round (pagerank, k-core, BFS), four
     keyed shuffles for triangles, the per-edge credit sum for edge
@@ -438,10 +451,9 @@ def _session12_ops(sf: str) -> dict[str, Callable[[], Any]]:
             lambda b: b.rename_columns(["o_orderkey", "l_partkey"]), batch_format="pyarrow"
         )
         od = rio.read_table(f"{sf}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-        return hits_bipartite(
-            hash_join(li, od, on="o_orderkey"),
-            src="o_custkey", dst="l_partkey",
-            iters=2, broadcast_gate=0,  # force the distributed rounds
+        return _distributed(  # force the distributed rounds
+            hits_bipartite, hash_join(li, od, on="o_orderkey"),
+            src="o_custkey", dst="l_partkey", iters=2,
         )
 
     return {

@@ -68,13 +68,6 @@ class TagInterpreter:
             else:
                 raise ValueError(f"unknown polygon mode: {mode!r}")
 
-    @classmethod
-    def from_json(cls, path: str) -> "TagInterpreter":
-        import json
-
-        with open(path) as f:
-            return cls(json.load(f))
-
     def is_area(self, tags: dict[str, str]) -> bool:
         if tags.get("area") == "no":
             return False

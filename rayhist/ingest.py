@@ -898,8 +898,8 @@ def ensure_multizoom_layout(sf_dir: str, rep: int = 1, max_zoom: int = 6) -> str
 
     ``max_zoom`` bounds the partition count (the reference uses 15; at
     sandbox scale 6 keeps directories O(100); production would pair a
-    deeper zoom with the sparse-cell coalescing rule of
-    state.checkpoint.write_partitioned_by_cell)."""
+    deeper zoom with a sparse-cell coalescing rule, the reference's
+    minEntitiesPerCell, ``load/LoaderNode.java:44-100``)."""
     from .spatial import grid
     from .spatial.grid import insert_cell, insert_zoom, pack_cell
 

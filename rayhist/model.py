@@ -78,8 +78,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Fixed-point coordinate convention (reference: OSHDB.java:8-9).
-GEOM_PRECISION_TO_LONG = 10_000_000
+# Fixed-point coordinate convention: degrees * 1e7 (reference: OSHDB.java:8-9).
 LON_MOD = 3_600_000_000  # 360 degrees in 1e-7 units
 LAT_MOD = 1_800_000_000  # 180 degrees in 1e-7 units
 

@@ -16,10 +16,10 @@ times — inlining would duplicate the whole prefix exponentially, the
 k-core lesson).
 
 Size gate (the triangles/k-core convention): when the node count fits
-``broadcast_gate``, the visited set lives on the driver and each round
-is one block task per bucket over the adjacency rows with the frontier
-broadcast — no per-round shuffle; gate=0 forces the message rounds
-(pinned equal in tests).
+``cc.BROADCAST_GATE``, the visited set lives on the driver and each
+round is one block task per bucket over the adjacency rows with the
+frontier broadcast — no per-round shuffle; a gate of 0 forces the
+message rounds (pinned equal in tests).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def bfs_hops(
     max_hops: int,
     src: str = "src",
     dst: str = "dst",
-    broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(hop, n) for hop 0..max_hops: how many nodes are first reached
     at each hop from the seed set ``seed_pred(node_ids) -> bool mask``
@@ -57,6 +56,6 @@ def bfs_hops(
         return np.ones(b.num_rows, dtype=np.int64)
 
     buckets = _node_buckets(edges, src, dst, _seeded(seed_pred), weight=unit)
-    parts = _relaxed(buckets, max_hops, broadcast_gate, hops, settle=True)
+    parts = _relaxed(buckets, max_hops, hops, settle=True)
     n = parts["n"].to_numpy().reshape(-1, max_hops + 1).sum(axis=0)
     return pd.DataFrame({"hop": np.arange(max_hops + 1), "n": n}).astype("int64")

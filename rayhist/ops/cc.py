@@ -54,6 +54,11 @@ from .. import io as rio
 ADJ, STATE, ACTIVE, MSG = 0, 1, 2, 3
 # "unreached" value of a distance (bfs, sssp): finite, so sums stay exact
 INF = 1 << 62
+# largest graph (nodes for bfs, sssp and k-core; deduped edges for the
+# triangle family and HITS) the graph operators keep on the driver.
+# Each reads it through this module at call time; tests set it to 0 to
+# run the distributed rounds on a small graph.
+BROADCAST_GATE = 2_000_000
 
 
 def _rows(kind, node, peer=None, val=None) -> pa.Table:

@@ -454,7 +454,7 @@ def minhash_lsh_pairs(
        and applies the integer threshold — only true hits reach the
        driver.
     """
-    from .relational import _cogroup, _tag_side, hash_semi_join
+    from .relational import _cogroup, _complete_ints, _tag_side, hash_semi_join
 
     # LSH geometry FOLLOWS the verification threshold (the S-curve
     # rule, lsh_bands_for_threshold): the default 1/2 threshold gets
@@ -499,13 +499,13 @@ def minhash_lsh_pairs(
 
     # ---- co-group candidate pairs (side 0) with pair partials (side
     # 1) on the pair; combine + restrict + threshold in each bucket
-    # (only hits leave)
+    # (only hits leave), integer ids back to the driver pass's int64
     def combine_and_threshold(g: pd.DataFrame) -> pd.DataFrame:
         cp = g[g["_side"] == 0][["doc_a", "doc_b"]].drop_duplicates()
         counts = g[g["_side"] == 1].groupby(["doc_a", "doc_b"], as_index=False).agg(
             common=("common", "sum"), n_a=("n_a", "first"), n_b=("n_b", "first")
         )
-        return _threshold_hits(counts, cp, threshold_num, threshold_den)
+        return _complete_ints(_threshold_hits(counts, cp, threshold_num, threshold_den))
 
     hits = _cogroup(
         rio.materialize_blocks(cand, lambda t: _tag_side(t, 0)),

@@ -18,11 +18,11 @@ bucket, an in-bucket distinct is globally exact — no separate
 distinct shuffle.
 
 Size gate (the bfs/triangles convention): when the distinct edge
-count fits ``broadcast_gate`` (2M edges = tens of MB, the
+count fits ``cc.BROADCAST_GATE`` (2M edges = tens of MB, the
 bfs-visited-set budget), the deduped edge arrays are pulled once and
 the rounds run as exact numpy/Python-int passes on the driver —
-bit-identical to the distributed rounds (pinned equal at gate=0 in
-tests/test_ops.py). Above the gate, one more shuffle makes every
+bit-identical to the distributed rounds (pinned equal with the gate
+at 0 in tests/test_ops.py). Above the gate, one more shuffle makes every
 distinct edge an adjacency row of its authority too, and each
 half-round is ONE ``io.reduce_by_key`` over the cc.py bucket tables,
 keyed by (side, node) so a customer and a part with the same id stay
@@ -46,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import io as rio
+from . import cc
 from .cc import ADJ, MSG, STATE, _cols, _count, _ints, _lookup, _np, _reduce_by, _rows, _sent
 
 HUB, AUTH = 0, 1  # side of a bucket-table row: src (hub) or dst (authority) node
@@ -139,7 +140,6 @@ def hits_bipartite(
     dst: str = "dst",
     iters: int = 2,
     scale: int = 1_000_000,
-    broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(node, auth) authority scores on the ``dst`` side after
     ``iters`` exact integer HITS iterations over the directed
@@ -162,7 +162,7 @@ def hits_bipartite(
     n_edges = _count(buckets, ADJ)
     if n_edges == 0:
         raise ValueError("hits: non-positive score total (empty graph?)")
-    if n_edges <= broadcast_gate:
+    if n_edges <= cc.BROADCAST_GATE:
         e = rio.map_blocks(buckets, lambda t: t.filter(_cols(t)[3] == ADJ))
         out = _rounds_local(*_np(e, "node", "peer"), iters, scale)
         return out.sort_values("node").reset_index(drop=True).astype("int64")

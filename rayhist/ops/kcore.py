@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import io as rio
+from . import cc
 from .cc import (
     ADJ, MSG, STATE, _cols, _count, _lookup, _node_buckets, _np, _reduce_by, _rows, _state,
     _state_rows,
@@ -44,24 +45,23 @@ def k_core(
     src: str = "src",
     dst: str = "dst",
     max_rounds: int = 64,
-    broadcast_gate: int = 2_000_000,
 ) -> tuple[rio.Blocks, int]:
     """(core-membership blocks with one ``node`` column, peel-round
     count) of the undirected graph ``edges`` (distinct canonical pairs
     expected — compose with ops.triangles.dedupe_edges).
 
     Size gate (the triangles convention): when the node count fits
-    ``broadcast_gate``, the alive set lives on the driver and each peel
-    round is one block task per bucket over the adjacency rows with
-    the alive set broadcast, and a driver combine of per-bucket degree
-    partials — no per-round shuffle. Above the gate the message rounds
-    below run; the paths are pinned equal in tests (gate=0 forces
-    distributed)."""
+    ``cc.BROADCAST_GATE``, the alive set lives on the driver and each
+    peel round is one block task per bucket over the adjacency rows
+    with the alive set broadcast, and a driver combine of per-bucket
+    degree partials — no per-round shuffle. Above the gate the message
+    rounds below run; the paths are pinned equal in tests (a gate of 0
+    forces distributed)."""
     if k < 1:
         raise ValueError(f"k_core: k must be >= 1, got {k}")
     buckets = _node_buckets(edges, src, dst, lambda n: _rows(STATE, n))
     n_alive = _count(buckets, STATE)
-    if n_alive <= broadcast_gate:
+    if n_alive <= cc.BROADCAST_GATE:
         return _kcore_broadcast(buckets, k, max_rounds)
 
     def send(t: pa.Table) -> pa.Table:

@@ -21,11 +21,11 @@ distance row and adjacency rows (the edge weight in ``val``). The
 bounded-hop BFS (ops/bfs.py) is the unit-weight case of ``_relaxed``.
 
 Size gate (the triangles/k-core convention): when the node count fits
-``broadcast_gate``, the (nodes, dist) arrays live on the driver and
+``cc.BROADCAST_GATE``, the (nodes, dist) arrays live on the driver and
 each round is one block task per bucket (``io.map_blocks``) over the
 adjacency rows with the nodes that changed broadcast, and a
-|touched nodes x blocks|-bounded driver min-combine; gate=0 forces
-the message rounds (pinned equal in tests).
+|touched nodes x blocks|-bounded driver min-combine; a gate of 0
+forces the message rounds (pinned equal in tests).
 
 Reference parity: the reference has no graph engine; this is the
 standard Pregel-style relaxation (Malewicz et al., SIGMOD'10)
@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import io as rio
+from . import cc
 from .cc import (
     ACTIVE, ADJ, INF, STATE, _cols, _count, _lookup, _min_round, _node_buckets, _np,
     _reduce_by, _rows, _state_rows,
@@ -59,13 +60,11 @@ def _seeded(seed_pred):
     return init
 
 
-def _relaxed(
-    buckets: list, rounds: int, broadcast_gate: int, fin, settle: bool = False
-) -> pa.Table:
+def _relaxed(buckets: list, rounds: int, fin, settle: bool = False) -> pa.Table:
     """``fin`` (state rows -> partial table) over the distances after
     ``rounds`` relaxation rounds of the seeded bucket tables: on the
     driver's table below the gate, per bucket above it."""
-    if _count(buckets, STATE, ACTIVE) > broadcast_gate:
+    if _count(buckets, STATE, ACTIVE) > cc.BROADCAST_GATE:
         for _ in range(rounds):
             buckets = _min_round(buckets, settle)
         return rio.map_blocks(buckets, lambda t: fin(_state_rows(t)))
@@ -101,7 +100,6 @@ def sssp_int(
     src: str = "src",
     dst: str = "dst",
     weight: str = "w",
-    broadcast_gate: int = 2_000_000,
 ) -> pd.DataFrame:
     """(node, dist) for every node whose cheapest <=``rounds``-edge
     path cost from the seed set ``seed_pred(node_ids) -> bool mask``
@@ -123,6 +121,6 @@ def sssp_int(
         return t.filter(pc.less(t["val"], INF)).select(["node", "val"])
 
     buckets = _node_buckets(edges, src, dst, _seeded(seed_pred), weight=weights)
-    out = _relaxed(buckets, rounds, broadcast_gate, reached).to_pandas()
+    out = _relaxed(buckets, rounds, reached).to_pandas()
     out = out.rename(columns={"val": "dist"}).astype({"node": "int64", "dist": "int64"})
     return out.sort_values("node").reset_index(drop=True)

@@ -25,7 +25,7 @@ reaches the driver (the result is one int64). Per-bucket memory is
 O(bucket's edges + wedges); wedge volume is Sum_v C(outdeg(v), 2) <=
 O(m^1.5) globally, spread across buckets.
 
-Graphs whose deduped edge set fits ``broadcast_gate`` take the
+Graphs whose deduped edge set fits ``cc.BROADCAST_GATE`` take the
 broadcast fast path instead (two shuffles, in-stage closing test, no
 wedge materialization) — see triangle_count's docstring; the two
 paths are pinned equal in tests. Per-node and per-edge triangle counts
@@ -40,6 +40,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import io as rio
+from . import cc
 from .cc import _ints, _np, _reduce_by
 
 _SUPPORT = pa.schema([(c, pa.int64()) for c in ("u", "v", "deg_u", "deg_v", "cn")])
@@ -136,14 +137,13 @@ def triangle_count(
     edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
-    broadcast_gate: int = 2_000_000,
 ) -> tuple[int, int]:
     """Exact (n_edges, n_triangles) of the undirected graph ``edges``
     (int64 endpoints; duplicates and self-loops tolerated — the edge
     set is canonicalized and deduped first).
 
     Size gate (the knn_queries/hotspot convention): a graph whose
-    DEDUPED edge set fits ``broadcast_gate`` rows runs the broadcast
+    DEDUPED edge set fits ``cc.BROADCAST_GATE`` rows runs the broadcast
     fast path — the edge set read to the driver, nodes RELABELED by
     their (deg, id) rank so orientation and wedge order become plain
     integer compares, and the closing test an in-stage searchsorted
@@ -151,12 +151,12 @@ def triangle_count(
     gate) — two shuffles total, no wedge materialization. Above the
     gate the fully distributed wedge join below runs (four shuffles,
     nothing driver-sized); the two paths are pinned equal in tests
-    (gate=0 forces distributed)."""
+    (a gate of 0 forces distributed)."""
     e = _dedupe(edges, src, dst)
     n_edges = rio.num_rows(e)
     if n_edges == 0:
         return 0, 0
-    if n_edges <= broadcast_gate:
+    if n_edges <= cc.BROADCAST_GATE:
         closed = _Ranked(e).closed(e, lambda src, *_: pa.table({"n": [len(src)]}))
         return n_edges, int(rio.blocks_table(closed)["n"].to_numpy().sum())
 
@@ -231,7 +231,6 @@ def edge_triangle_support(
     edges: rio.Blocks,
     src: str = "src",
     dst: str = "dst",
-    broadcast_gate: int = 2_000_000,
 ) -> rio.Blocks:
     """Per-EDGE triangle support — the k-truss / link-prediction
     primitive: for every distinct undirected edge (u, v), the number
@@ -246,9 +245,9 @@ def edge_triangle_support(
     every bucket also emits its own edges with zero credit, so
     zero-support edges survive with cn = 0. The credits sum per
     rank-pair key ``ek`` in one ``finish``: on the driver at or below
-    ``broadcast_gate`` deduped edges (|E|-bounded, same budget as the
+    ``cc.BROADCAST_GATE`` deduped edges (|E|-bounded, same budget as the
     broadcast edge-key set), in one shuffle on ``ek`` above it (pinned
-    equal in tests via gate=0)."""
+    equal in tests with the gate at 0)."""
     e = _dedupe(edges, src, dst)
     n_edges = rio.num_rows(e)
     if n_edges == 0:
@@ -283,6 +282,6 @@ def edge_triangle_support(
         )
 
     credits = r.closed(e, credit)
-    if n_edges <= broadcast_gate:
+    if n_edges <= cc.BROADCAST_GATE:
         return rio.table_blocks(finish(rio.blocks_table(credits)))
     return rio.reduce_by_key(credits, ["ek"], finish)

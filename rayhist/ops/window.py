@@ -9,13 +9,13 @@ large-scale event/training-data pipeline needs on top of it:
   the attribution join. Distributed as one co-group shuffle
   (``io.reduce_by_key`` on the by-key, complete keys per bucket), with
   the in-bucket match a vectorized sorted-merge (``pd.merge_asof``).
-- ``interval_point_join``: non-equi range join of intervals against
-  points (start <= t < end) with NO key equality. Distributed by
-  time-binning: an interval is replicated to every bin it overlaps, a
-  point goes to its own bin, so every qualifying pair meets in
-  exactly one bucket (the point's) — no quadratic blow-up, no
-  all-pairs shuffle; the replication factor is bounded by
-  interval_length / bin_us + 1.
+- ``interval_coverage_counts``: non-equi range join of intervals
+  against points (start <= t < end) with NO key equality, counted per
+  point without pair expansion. Distributed by time-binning: an
+  interval is replicated to every bin it overlaps, a point goes to its
+  own bin, so every point meets every interval that covers it in
+  exactly one bucket (the point's) — no all-pairs shuffle; the
+  replication factor is bounded by interval_length / bin_us + 1.
 - ``with_prior_window`` / bucket-final rolling kernels: per-key
   ordered ROWS-frame window aggregates (sum/count over the previous
   W rows), vectorized with cumsum + key-boundary resets.
@@ -145,87 +145,6 @@ def _binned(side: int, idx: np.ndarray, bins: np.ndarray, t: pa.Table) -> pa.Tab
     """Rows ``idx`` of ``t`` keyed by their time bin, tagged with their
     side: the co-group input of the time-binned range joins."""
     return _tag_side(t.take(pa.array(idx)).append_column("_bin", pa.array(bins)), side)
-
-
-def interval_point_join(
-    intervals: rio.Blocks,
-    points: rio.Blocks,
-    start_col: str,
-    end_col: str,
-    t_col: str,
-    bin_us: int,
-    group_final=None,
-) -> rio.Blocks:
-    """Non-equi range join: all (interval, point) pairs with
-    ``start <= t < end`` (half-open, the engine's interval contract).
-    Time columns are int64 microseconds.
-
-    Distribution: time is cut into ``bin_us`` bins; an interval row is
-    REPLICATED into every bin it overlaps (replication factor bounded
-    by len/bin_us + 1 — pick bin_us ~ the typical interval length), a
-    point goes only to bin(t), and both sides are co-grouped by bin in
-    one ``io.reduce_by_key``. Each qualifying pair meets in exactly one
-    bin (the point's), so no dedup pass is needed. The in-bucket match
-    is a per-bin sorted ``searchsorted`` range scan — no quadratic
-    work beyond the true output size.
-
-    Returns the pair blocks (interval columns + point columns).
-    ``group_final`` (pandas->pandas, applied per bucket) turns it into
-    a partial-aggregate stream instead — at corpus scale ALWAYS prefer
-    a partial aggregate over materializing O(pairs) rows.
-    """
-
-    def tag_intervals(batch: pa.Table) -> pa.Table:
-        s = batch[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        e = batch[end_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return _binned(0, *_replicate_to_bins(s, e, bin_us), batch)
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        t = batch[t_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return _binned(1, np.arange(len(t)), t // bin_us, batch)
-
-    ivs = rio.materialize_blocks(intervals, tag_intervals)
-    pts = rio.materialize_blocks(points, tag_points)
-    icols = [c for c in _side_columns(ivs) if c != "_bin"]
-    pcols = [c for c in _side_columns(pts) if c != "_bin"]
-    shared = set(icols) & set(pcols)
-    if shared:
-        # a shared name would silently take the interval slot while
-        # being filled from the points batch — ambiguous; rename upstream
-        raise ValueError(f"interval/point column names must be disjoint: {sorted(shared)}")
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _bin, gb in g.groupby("_bin", sort=False):
-            iv = gb[gb["_side"] == 0]
-            pt = gb[gb["_side"] == 1]
-            if iv.empty or pt.empty:
-                continue
-            pt = pt.sort_values(t_col, kind="mergesort")
-            tvals = pt[t_col].to_numpy(dtype=np.int64)
-            s = iv[start_col].to_numpy(dtype=np.int64)
-            e = iv[end_col].to_numpy(dtype=np.int64)
-            lo = np.searchsorted(tvals, s, side="left")
-            hi = np.searchsorted(tvals, e, side="left")
-            cnt = hi - lo
-            if cnt.sum() == 0:
-                continue
-            irep = np.repeat(np.arange(len(iv)), cnt)
-            # concatenated ranges lo[i]..hi[i] without a Python loop
-            prep = np.arange(len(irep)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[irep]
-            pairs = pd.concat(
-                [
-                    iv.iloc[irep][icols].reset_index(drop=True),
-                    pt.iloc[prep][pcols].reset_index(drop=True),
-                ],
-                axis=1,
-            )
-            outs.append(pairs)
-        out = pd.concat(outs, ignore_index=True) if outs else g.iloc[:0][[*icols, *pcols]]
-        out = _complete_ints(out)
-        return group_final(out) if group_final is not None else out
-
-    return _cogroup(ivs, pts, ["_bin"], join_bucket)
 
 
 def prior_window_sums(
@@ -515,12 +434,14 @@ def interval_coverage_counts(
 ) -> rio.Blocks:
     """COUNT-style range join without pair expansion: each point row
     comes back with ``n_cover`` = number of intervals containing it
-    (start <= t < end). Same time-binned replication distribution as
-    ``interval_point_join``, but the in-bucket kernel is coverage
-    counting — ``(#starts <= t) - (#ends <= t)`` over two sorted
+    (start <= t < end). Time is cut into ``bin_us`` bins; an interval
+    is REPLICATED into every bin it overlaps (pick bin_us ~ the typical
+    interval length), a point goes only to bin(t), and both sides are
+    co-grouped by bin in one ``io.reduce_by_key``. The in-bucket kernel
+    is coverage counting — ``(#starts <= t) - (#ends <= t)`` over two sorted
     arrays — so the work is O((n_i + n_p) log) per bin and NOTHING of
     pair cardinality is ever materialized. Use THIS whenever the
-    consumer aggregates pair counts: the pair join's output is
+    consumer aggregates pair counts: a pair join's output is
     inherently quadratic (measured: 10M events -> 2.8e9 pairs, 117 s;
     coverage counting answers the same daily-count query in ~3 s).
     Only the interval bounds move, as ``_s``/``_e``.

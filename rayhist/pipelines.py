@@ -108,7 +108,7 @@ from .sources.osmpbf import (
     read_osmpbf,
 )
 from .sources.pbfish import ensure_pbfish, read_pbfish
-from .spatial.fip import Polygon, contains_convex
+from .spatial.fip import contains_convex
 from .spatial.geohash import PRECISION, geohash_bits, geohash_str
 from .spatial.grid import cell_id, multizoom_query_cells
 from .spatial.hexgrid import HEX_H, HEX_W, hex_cell, hex_id, unpack_hex
@@ -165,7 +165,6 @@ T_MID = T0 + 14 * DAY_US  # 2024-01-15
 CONTRIB_FROM = T0 + 4 * DAY_US  # 2024-01-05
 CONTRIB_TO = T0 + 24 * DAY_US  # 2024-01-25
 CONTRIB_BINS = [T0 + i * DAY_US for i in range(4, 24)]  # daily bins in interval
-CONTRIB_FLAGS = ["is_creation", "is_deletion", "is_tag_change", "is_geom_change"]
 
 CELL_ZOOM = 4
 RASTER_ZOOM = 6
@@ -700,14 +699,6 @@ def q_entity_tag_churn(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------------ contributions
-def _contrib_flags_to_int(batch: pa.Table) -> pa.Table:
-    out = batch
-    for c in CONTRIB_FLAGS:
-        idx = out.schema.get_field_index(c)
-        out = out.set_column(idx, c, out[c].cast(pa.int64()))
-    return out
-
-
 def _contrib_totals(sf_dir: str, tag_filter=None, aoi=None) -> pd.DataFrame:
     # node docs carry per-version keytable ids, so the tag filter AND
     # the TAG_CHANGE compare both run on small ints (sig ids are
@@ -1557,20 +1548,21 @@ def q_langid(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-def _query_vec_ids(sf_dir: str, mod: int | None = None) -> list[int]:
+# the ANN queries' query vectors: vec_id % ANN_QUERY_MOD == 0 (the
+# oracles select the same ids)
+ANN_QUERY_MOD = 50
+
+
+def _query_vec_ids(sf_dir: str) -> list[int]:
     """Query-id selection with the predicate INSIDE the scan stage: a
-    distributed per-batch ``vec_id % mod == 0`` filter, so only the
-    O(corpus/mod) selected ids ever reach the driver — never the whole
-    id column (parquet expressions can't push modulo, so the filter
-    runs as the first map stage instead). ``RAYHIST_ANN_MOD`` bounds
-    the query-set size at larger corpora (the query count must not
-    scale with the corpus: per-batch ANN work is O(n_queries x rows))."""
-    if mod is None:
-        mod = int(os.environ.get("RAYHIST_ANN_MOD", "50"))
+    distributed per-batch ``vec_id % ANN_QUERY_MOD == 0`` filter, so
+    only the O(corpus/mod) selected ids ever reach the driver — never
+    the whole id column (parquet expressions can't push modulo, so the
+    filter runs as the first map stage instead)."""
 
     def pick(b: pa.Table) -> pa.Table:
         v = b["vec_id"].to_numpy(zero_copy_only=False)
-        return pa.table({"vec_id": pa.array(v[v % mod == 0])})
+        return pa.table({"vec_id": pa.array(v[v % ANN_QUERY_MOD == 0])})
 
     ds = rio.read_resident(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
     sel = rio.map_blocks(ds, pick).to_pandas()["vec_id"]
@@ -2816,6 +2808,16 @@ def q_clipped_way_lengths_poly(sf_dir: str) -> pd.DataFrame:
 WAY_CONTRIB_FROM = T0  # full-January window so way CREATE/DELETE land inside
 WAY_CONTRIB_TO = T0 + 32 * DAY_US
 WAY_SNAPS = [*SNAP_WEEKLY, T0 + 32 * DAY_US]  # + Feb 2: after every way's v2
+# the partials of members_vec.contribution_stats_batch_vec -> the
+# compound contribution counts' columns
+COMPOUND_CONTRIB_SUMS = {
+    "n_part": "n_total",
+    "creation_part": "n_creation",
+    "deletion_part": "n_deletion",
+    "tag_part": "n_tag_change",
+    "geom_part": "n_geom_change",
+    "uid_part": "sum_uid",
+}
 
 
 def _compound(read, sf_dir: str):
@@ -2832,24 +2834,13 @@ def q_contrib_type_counts_ways(sf_dir: str) -> pd.DataFrame:
     sets), changeset-collapsed with parent changesets winning, and the
     contributor uid of a pure member edit comes from the CHILD version
     (OSMContribution.java:211-257) — sum_uid pins that attribution."""
-    def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
-
+    stage = functools.partial(
+        contribution_stats_batch_vec, t_from=WAY_CONTRIB_FROM, t_to=WAY_CONTRIB_TO
+    )
     partials = rio.map_blocks(
         _compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
     )
-    return combine_partials(
-        partials,
-        [],
-        {
-            "n_part": "n_total",
-            "creation_part": "n_creation",
-            "deletion_part": "n_deletion",
-            "tag_part": "n_tag_change",
-            "geom_part": "n_geom_change",
-            "uid_part": "sum_uid",
-        },
-    )
+    return combine_partials(partials, [], COMPOUND_CONTRIB_SUMS)
 
 
 @query(lambda o: o.contrib_type_counts_ways_k3(WAY_CONTRIB_FROM, WAY_CONTRIB_TO))
@@ -2866,25 +2857,13 @@ def q_contrib_type_counts_ways_k3(sf_dir: str) -> pd.DataFrame:
       single CREATION at ts2, member edits suppressed (no window);
     - all other ways contribute nothing."""
     match = tag_match(compound_keytable(ensure_way_documents(sf_dir)), "k", "3")
-
-    def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO, match)
-
+    stage = functools.partial(
+        contribution_stats_batch_vec, t_from=WAY_CONTRIB_FROM, t_to=WAY_CONTRIB_TO, match=match
+    )
     partials = rio.map_blocks(
         _compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
     )
-    return combine_partials(
-        partials,
-        [],
-        {
-            "n_part": "n_total",
-            "creation_part": "n_creation",
-            "deletion_part": "n_deletion",
-            "tag_part": "n_tag_change",
-            "geom_part": "n_geom_change",
-            "uid_part": "sum_uid",
-        },
-    )
+    return combine_partials(partials, [], COMPOUND_CONTRIB_SUMS)
 
 
 @query(lambda o: o.snapshot_way_geoms(WAY_SNAPS))
@@ -2895,9 +2874,7 @@ def q_snapshot_way_geoms(sf_dir: str) -> pd.DataFrame:
     OSHDBGeometryBuilder.java:72-110), reported as integer-exact
     node count + coordinate sums. The Feb-2 timestamp falls after
     every way's v2, so deleted ways (w%3==0) drop out there."""
-    def stage(batch: pa.Table) -> pa.Table:
-        return snapshot_geoms_batch_vec(batch, WAY_SNAPS)
-
+    stage = functools.partial(snapshot_geoms_batch_vec, timestamps=WAY_SNAPS)
     rows = rio.map_blocks(_compound(read_way_documents, sf_dir), stage, batch_size=COMPOUND_BATCH)
     df = rows.to_pandas()
     return df.sort_values(["way_id", "ts_q"]).reset_index(drop=True)
@@ -2911,24 +2888,13 @@ def q_contrib_type_counts_relations(sf_dir: str) -> pd.DataFrame:
     timestamps; way visibility changes drop whole member ways from the
     resolved geometry. n_deletion/n_tag_change are structurally 0
     (single visible relation version) and the oracle proves it."""
-    def stage(batch: pa.Table) -> pa.Table:
-        return contribution_stats_batch_vec(batch, WAY_CONTRIB_FROM, WAY_CONTRIB_TO)
-
+    stage = functools.partial(
+        contribution_stats_batch_vec, t_from=WAY_CONTRIB_FROM, t_to=WAY_CONTRIB_TO
+    )
     partials = rio.map_blocks(
         _compound(read_relation_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
     )
-    return combine_partials(
-        partials,
-        [],
-        {
-            "n_part": "n_total",
-            "creation_part": "n_creation",
-            "deletion_part": "n_deletion",
-            "tag_part": "n_tag_change",
-            "geom_part": "n_geom_change",
-            "uid_part": "sum_uid",
-        },
-    )
+    return combine_partials(partials, [], COMPOUND_CONTRIB_SUMS)
 
 
 @query(lambda o: o.snapshot_relation_geoms(WAY_SNAPS))
@@ -2937,9 +2903,7 @@ def q_snapshot_relation_geoms(sf_dir: str) -> pd.DataFrame:
     ts, then THEIR member nodes resolve recursively
     (resolve_coords two-level chain, OSMMember.entity); invisible ways
     drop all their nodes from the geometry."""
-    def stage(batch: pa.Table) -> pa.Table:
-        return snapshot_geoms_batch_vec(batch, WAY_SNAPS, id_name="rel_id")
-
+    stage = functools.partial(snapshot_geoms_batch_vec, timestamps=WAY_SNAPS, id_name="rel_id")
     rows = rio.map_blocks(
         _compound(read_relation_documents, sf_dir), stage, batch_size=COMPOUND_BATCH
     )
@@ -3256,9 +3220,8 @@ def q_range_error_click_daily(sf_dir: str) -> pd.DataFrame:
     — each pair meets exactly once); the kernel is COVERAGE COUNTING
     (per click: #starts<=t minus #ends<=t), so nothing of pair
     cardinality is ever materialized — at 10M events the pair set is
-    2.8e9 and the expanding join takes 117 s where this runs in ~3 s
-    (interval_point_join remains the pair-OUTPUT operator). The
-    per-day count is a PARTIAL inside the bucket stage, combined at
+    2.8e9 and the expanding join took 117 s where this runs in ~3 s.
+    The per-day count is a PARTIAL inside the bucket stage, combined at
     the driver (30 keys)."""
     errors = _events_typed(sf_dir, "error", ["ts"])
     clicks = _events_typed(sf_dir, "click", ["ts"])
@@ -4879,14 +4842,10 @@ def q_snapshot_hotspot_clusters(sf_dir: str) -> pd.DataFrame:
     distributed path runs: bounded 8-key neighbor fan-out semi-joined
     against the dense set (the corpus never self-joins) + min-label
     cc + left-join singleton recovery (pinned equal to the driver path
-    in tests/test_window.py). The oracle replays adjacency as a
+    in tests/test_spatial.py). The oracle replays adjacency as a
     non-equi self-join and the components as the recursive-CTE
     reachable-min. Non-wrapping adjacency by design: antimeridian
     neighbors are NOT adjacent (documented engine+oracle contract)."""
-    return _hotspot_clusters(sf_dir)
-
-
-def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFrame:
     nx, ny = 1 << CELL_ZOOM, 1 << (CELL_ZOOM - 1)
     stage, keys = snapshot_counts_stage(
         [T_MID], cell=functools.partial(cell_id, zoom=CELL_ZOOM)
@@ -4899,7 +4858,7 @@ def _hotspot_clusters(sf_dir: str, force_distributed: bool = False) -> pd.DataFr
     dense = rio.reduce_by_key(_docs(sf_dir), keys, dense_only, stage=stage)
     n_dense = rio.num_rows(dense)
 
-    if not force_distributed and n_dense <= HOTSPOT_DRIVER_MAX:
+    if n_dense <= HOTSPOT_DRIVER_MAX:
         df = rio.blocks_table(dense).to_pandas()
         c = np.sort(df["cell"].to_numpy())
         x, y = c % nx, c // nx
@@ -9181,15 +9140,16 @@ def q_semivariogram(sf_dir: str) -> pd.DataFrame:
     ).sort_values("ring")
     n = df["n_pairs"].to_numpy(dtype=np.int64)
     s = df["sum_dz2"].to_numpy(dtype=np.int64)
+    gamma = np.zeros(len(n))  # an empty ring's gamma is 0
+    hit = n > 0
+    gamma[hit] = s[hit].astype(np.float64) / (2.0 * n[hit].astype(np.float64))
     out = pd.DataFrame(
         {
             "ring": df["ring"].astype("int64"),
             "edge_e7": [VARIO_BINS[int(r) - 1] for r in df["ring"]],
             "n_pairs": n,
             "sum_dz2": s,
-            "gamma": np.where(
-                n > 0, s.astype(np.float64) / (2.0 * n.astype(np.float64)), 0.0
-            ),
+            "gamma": gamma,
         }
     ).astype(
         {"ring": "int64", "edge_e7": "int64", "n_pairs": "int64", "sum_dz2": "int64",

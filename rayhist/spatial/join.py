@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import LAT_MOD, LON_MOD
 from .fip import Polygon, bbox_inside, bbox_outside
 from .grid import bbox_cells, cell_bounds, cell_id
 

@@ -7,12 +7,16 @@ The reference has no kNN operator; this is a target-only component
   per-batch distances vectorized (numpy), keep the per-batch top-k
   candidates per query, then reduce the candidate stream to the global
   top-k. Work per batch is O(|batch| x |queries|) with no shuffle; the
-  final reduce sees only ``k x n_batches x n_queries`` rows.
+  final reduce sees only ``k x n_batches x n_queries`` rows. It is the
+  exact reference of the grid paths and their straggler fallback.
+- ``knn_queries`` / ``knn_all``: the exact grid paths (a flagged
+  query subset / every point), a halo join by grid cell with a
+  guarantee-radius resolve.
 - ``ann_cosine_topk``: same pattern over an embedding column
-  (list<float>) with a matmul kernel — brute-force exact baseline. At
-  scale, the documented path is IVF-style bucketing: assign vectors to
-  coarse centroids in one pass, groupby(bucket), and probe only
-  matching buckets (same candidate->reduce shape).
+  (list<float>) with a matmul kernel — brute-force exact baseline.
+  At scale, ``ann_cosine_ivf_pruned`` / ``ann_cosine_lsh_pruned``
+  read a bucket-partitioned layout of the table and score only the
+  buckets a query probes.
 
 Determinism: candidates are ranked by (metric, neighbor_id) so ties
 break identically everywhere — required for oracle equality and for
@@ -250,175 +254,6 @@ def _emit_cos_topk(sims: np.ndarray, qids: np.ndarray, ids: np.ndarray, k: int) 
     )
 
 
-def knn_points_grid(
-    points: rio.Blocks,
-    queries: list[tuple],
-    k: int = 3,
-    id_col: str = "osm_id",
-    zoom: int | None = 6,
-) -> pd.DataFrame:
-    """EXACT grid-accelerated kNN — the scale path for many points.
-
-    Per batch, points are bucketed by grid cell once; queries explore
-    expanding cell rings around their own cells and a query stops when
-    its k-th candidate distance is <= the guaranteed radius (the
-    distance from the query point to the edge of the explored cell
-    block) — every unexplored point is provably farther, so the
-    per-batch candidate set contains the batch's true top-k and the
-    global candidate reduce is exact. Same output contract as
-    ``knn_points`` (ties broken by neighbor id).
-
-    The sweep is vectorized ACROSS queries: round ``r`` gathers ring-r
-    candidate rows for every still-active query in one numpy CSR-style
-    expansion (searchsorted cell lookup, repeat/cumsum row expansion),
-    then one lexsort over the accumulated (query, dist2) pairs yields
-    every active query's running k-th distance for the guarantee test.
-    There is no per-query Python loop — total work per batch is
-    O(C log C) in the accumulated candidate count C.
-
-    ``zoom=None`` picks the grid per batch: ~1 point per cell
-    (exactness is zoom-independent — the guarantee radius adapts), which
-    keeps ring rounds short for any batch size. Block count matters
-    more than zoom: each block pays the full query set, so callers with
-    many small blocks should ``repartition`` to O(num_cpus) blocks
-    first (measured 256→32 blocks = 14x on the sandbox corpus).
-
-    Does not wrap the antimeridian (distances are planar e7, as in
-    ``knn_points``).
-    """
-    from ..model import LAT_MOD, LON_MOD
-    from .grid import cell_id
-
-    q = np.asarray([(a, b, c) for a, b, c in queries], dtype=np.int64)
-    nq = len(q)
-    if nq:
-        qid_all = q[:, 0]
-        qlon_all = q[:, 1].astype(np.float64)
-        qlat_all = q[:, 2].astype(np.float64)
-
-    def _ring_offsets(r: int) -> tuple[np.ndarray, np.ndarray]:
-        # Chebyshev ring r: cells with max(|dx|,|dy|) == r, each once.
-        if r == 0:
-            return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        side = np.arange(-r, r + 1, dtype=np.int64)
-        inner = np.arange(-r + 1, r, dtype=np.int64)
-        dx = np.concatenate([side, side, np.full(len(inner), -r), np.full(len(inner), r)])
-        dy = np.concatenate([np.full(len(side), -r), np.full(len(side), r), inner, inner])
-        return dx, dy
-
-    def stage(batch: pa.Table) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"query_id": pd.Series([], dtype="int64"),
-             "neighbor_id": pd.Series([], dtype="int64"),
-             "dist2": pd.Series([], dtype="float64")}
-        )
-        if nq == 0 or len(batch) == 0:
-            return empty
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        lon = batch["lon_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch["lat_e7"].to_numpy(zero_copy_only=False).astype(np.float64)
-        if zoom is None:  # ~1 point per cell: 2^(2z-1) ≈ n
-            z = min(10, max(3, int(round((np.log2(len(batch)) + 1) / 2))))
-        else:
-            z = zoom
-        nx = 1 << z
-        ny = max(1, 1 << (z - 1))
-        w = LON_MOD / nx
-        h = LAT_MOD / ny
-        qx_all = (((q[:, 1] + LON_MOD // 2) % LON_MOD) * nx // LON_MOD).astype(np.int64)
-        qy_all = np.minimum((q[:, 2] + LAT_MOD // 2) * ny // LAT_MOD, ny - 1).astype(np.int64)
-        cells = cell_id(lon.astype(np.int64), lat.astype(np.int64), z)
-        order = np.argsort(cells, kind="mergesort")
-        sc = cells[order]
-        uniq, starts = np.unique(sc, return_index=True)
-        ends = np.r_[starts[1:], len(sc)]
-        slon, slat, sids = lon[order], lat[order], ids[order]
-
-        active = np.arange(nq)
-        # accumulated candidates: query index / dist2 / neighbor id
-        acc_q: list[np.ndarray] = []
-        acc_d: list[np.ndarray] = []
-        acc_n: list[np.ndarray] = []
-        for r in range(max(nx, ny)):
-            if not active.size:
-                break
-            ax, ay = qx_all[active], qy_all[active]
-            dxo, dyo = _ring_offsets(r)
-            cx = ax[:, None] + dxo[None, :]
-            cy = ay[:, None] + dyo[None, :]
-            valid = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-            cellv = (cy * nx + cx)[valid]
-            qof = np.broadcast_to(active[:, None], cx.shape)[valid]
-            pos = np.searchsorted(uniq, cellv)
-            ok = (pos < len(uniq)) & (uniq[np.minimum(pos, len(uniq) - 1)] == cellv)
-            pos, qof = pos[ok], qof[ok]
-            cnt = ends[pos] - starts[pos]
-            total = int(cnt.sum())
-            if total:
-                # CSR expansion: rows of each (query, cell) pair
-                rows = (
-                    np.repeat(starts[pos], cnt)
-                    + np.arange(total)
-                    - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                )
-                qi = np.repeat(qof, cnt)
-                dx = slon[rows] - qlon_all[qi]
-                dy = slat[rows] - qlat_all[qi]
-                d2 = dx * dx + dy * dy
-                nbr = sids[rows]
-                keep = nbr != qid_all[qi]  # a query never matches itself
-                acc_q.append(qi[keep])
-                acc_d.append(d2[keep])
-                acc_n.append(nbr[keep])
-            # guaranteed radius per active query: distance to the edge
-            # of the explored (2r+1)-cell block
-            x0 = (ax - r) * w - LON_MOD / 2
-            x1 = (ax + r + 1) * w - LON_MOD / 2
-            y0 = (ay - r) * h - LAT_MOD / 2
-            y1 = (ay + r + 1) * h - LAT_MOD / 2
-            ql, qt = qlon_all[active], qlat_all[active]
-            guard = np.minimum(np.minimum(ql - x0, x1 - ql), np.minimum(qt - y0, y1 - qt))
-            covered = (ax - r < 0) & (ax + r >= nx - 1) & (ay - r < 0) & (ay + r >= ny - 1)
-            # running k-th distance per active query (one lexsort)
-            kth = np.full(nq, np.inf)
-            if acc_q:
-                A = np.concatenate(acc_q)
-                D = np.concatenate(acc_d)
-                o2 = np.lexsort((D, A))
-                As, Ds = A[o2], D[o2]
-                first_q, first_i, per_cnt = np.unique(As, return_index=True, return_counts=True)
-                has_k = per_cnt >= k
-                kth[first_q[has_k]] = Ds[first_i[has_k] + k - 1]
-            # strict <: a candidate tied exactly ON the explored-block
-            # boundary may be owned by an unexplored cell (same rule
-            # as knn_all); negative guards (antimeridian wrap of the
-            # cell index vs raw planar coords) clamp to 0 = never done
-            guard = np.maximum(guard, 0.0)
-            done = (kth[active] < guard * guard) | covered
-            active = active[~done]
-
-        if not acc_q:
-            return empty
-        A = np.concatenate(acc_q)
-        D = np.concatenate(acc_d)
-        N = np.concatenate(acc_n)
-        o2 = np.lexsort((D, A))
-        As, Ds, Ns = A[o2], D[o2], N[o2]
-        first_q, first_i, per_cnt = np.unique(As, return_index=True, return_counts=True)
-        # per-pair k-th distance of its own query; keep D <= kth (ties kept)
-        kth_of = Ds[first_i + np.minimum(per_cnt, k) - 1]
-        sel = Ds <= np.repeat(kth_of, per_cnt)
-        return pd.DataFrame(
-            {"query_id": qid_all[As[sel]], "neighbor_id": Ns[sel], "dist2": Ds[sel]}
-        )
-
-    def arrow_stage(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(stage(batch), preserve_index=False)
-
-    cands = rio.map_blocks(points, arrow_stage).to_pandas()
-    return _topk_reduce(cands, k, by="dist2", ascending=True)
-
-
 def ivf_buckets(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """IVF bucket of each unit row of ``mat``: the nearest of the
     ``nlist`` unit coarse centroids ``cents`` (``build_ivf_centroids``)
@@ -455,38 +290,6 @@ def build_ivf_centroids(
             if len(sel):
                 cents[j] = sel.mean(axis=0)
     return _unit_rows(cents)
-
-
-def ann_cosine_ivf(
-    embeddings: rio.Blocks,
-    query_ids: list[int],
-    k: int = 5,
-    nlist: int = 16,
-    nprobe: int = 4,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> pd.DataFrame:
-    """IVF ANN: assign once, then per batch only score vectors whose
-    bucket is probed by some query. Approximate (recall asserted in
-    tests against the brute-force baseline)."""
-    cents = build_ivf_centroids(embeddings, nlist, vec_col, id_col)
-    qids, qmat = _query_vectors(embeddings, query_ids, id_col, vec_col)
-    qbuckets = np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe]  # (nq, nprobe)
-    probed = np.zeros((len(qids), nlist), dtype=bool)
-    probed[np.arange(len(qids))[:, None], qbuckets] = True
-
-    def stage(batch: pa.Table) -> pd.DataFrame:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) == 0:
-            return _EMPTY_COS
-        mat = np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
-        mat = _unit_rows(mat)
-        bucket = ivf_buckets(mat, cents)
-        sims = qmat @ mat.T  # same float path as the brute + pruned stages
-        sims[~probed[:, bucket]] = -np.inf
-        return _emit_cos_topk(sims, qids, ids, k)
-
-    return _resolve_topk_distributed(embeddings, k, "cos_sim", False, stage=stage)
 
 
 def _probed_scan(layout: str, qbuckets: np.ndarray, id_col: str, vec_col: str):

@@ -39,10 +39,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-
 from ..aggregate import KeyedPartials
-from ..ingest import DOC_SHARD_ROWS
-from ..io import Blocks, _stat_identity, blocks_table, dataset
+from ..io import Blocks, _stat_identity, dataset
 from ..ops.relational import combine_by_key
 
 ENGINE_VERSION = "rayhist-0.1"
@@ -281,95 +279,3 @@ def salted_count_by(
     )
     partial = combine_by_key(ds, [*keys, "_salt"], {alias: "sum"}, stage=salted)
     return combine_by_key(partial, keys, {alias: "sum"})
-
-
-def write_partitioned_by_cell(
-    ds: Blocks,
-    out_dir: str,
-    zoom: int,
-    min_rows_per_cell: int = 100,
-) -> dict:
-    """The Load-pass analog (load/LoaderNode.java:44-100): write rows
-    partitioned by grid cell, COALESCING sparse cells into their parent
-    cell (one zoom up) until each output partition has at least
-    ``min_rows_per_cell`` rows or reaches zoom 0 — the reference's
-    minEntitiesPerCell rule. Output: one directory per (zoom, cell)
-    with a manifest (resumable layout).
-
-    Expects a ``cell`` column at ``zoom`` plus lon/lat columns for
-    re-assignment on promotion.
-    """
-    cell_counts = KeyedPartials(
-        operator.methodcaller("select", ["cell"]), keys=("cell",), count="n"
-    )
-    counts = blocks_table(combine_by_key(ds, ["cell"], {"n": "sum"}, stage=cell_counts))
-    small = dict(zip(counts["cell"].to_pylist(), counts["n"].to_pylist()))
-
-    # decide the final (zoom, cell) for every input cell, driver-side
-    # (cheap: one entry per occupied cell, not per row). Ancestor sums
-    # are aggregated bottom-up ONCE per zoom level — O(cells * zoom),
-    # not O(cells^2) dict scans per promotion step.
-    level_counts: dict[int, dict[int, int]] = {zoom: dict(small)}
-    for z in range(zoom - 1, -1, -1):
-        agg: dict[int, int] = {}
-        for c, n in level_counts[z + 1].items():
-            parent = _ancestor_cell(c, z + 1, z)
-            agg[parent] = agg.get(parent, 0) + n
-        level_counts[z] = agg
-
-    final_level: dict[int, tuple[int, int]] = {}
-    for c in small:
-        z, cc = zoom, c
-        while level_counts[z][cc] < min_rows_per_cell and z > 0:
-            cc = _ancestor_cell(cc, z, z - 1)
-            z -= 1
-        final_level[c] = (z, cc)
-
-    # vectorized per-batch mapping: sorted key array + searchsorted
-    # fancy-index (every batch cell is in final_level by construction
-    # — it came from the count over the same dataset); a per-row
-    # Python dict lookup here would be the hot Load stage's bottleneck
-    keys_arr = np.array(sorted(final_level), dtype=np.int64)
-    z_map = np.array([final_level[int(k)][0] for k in keys_arr], dtype=np.int64)
-    c_map = np.array([final_level[int(k)][1] for k in keys_arr], dtype=np.int64)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(keys_arr, cells)
-        batch = batch.append_column("part_zoom", pa.array(z_map[pos]))
-        return batch.append_column("part_cell", pa.array(c_map[pos]))
-
-    import shutil
-
-    assigned = dataset(ds).map_batches(assign, batch_format="pyarrow")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # atomic REPLACE (temp + rename, the run_sharded discipline): a
-    # re-run must never append a second copy of every row into
-    # surviving partition dirs, and a reader killed mid-write must
-    # never see a half-written layout
-    tmp = out / f".tmp_cells_{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    # one row group per partition file (up to a document shard's rows),
-    # not one per upstream block: the row group is the read's stage-call
-    # unit
-    assigned.write_parquet(
-        str(tmp), partition_cols=["part_zoom", "part_cell"], row_group_size=DOC_SHARD_ROWS
-    )
-    manifest = {"zoom": zoom, "partitions": sorted(str(p.relative_to(tmp)) for p in tmp.glob("*/*"))}
-    final = out / "cells"
-    if final.exists():
-        shutil.rmtree(final)
-    tmp.rename(final)
-    with open(out / "layout.json", "w") as f:
-        json.dump(manifest, f)
-    return manifest
-
-
-def _ancestor_cell(cell: int, from_zoom: int, to_zoom: int) -> int:
-    c = cell
-    for z in range(from_zoom, to_zoom, -1):
-        nx_hi = 1 << z
-        y, x = divmod(c, nx_hi)
-        c = (y // 2) * (1 << (z - 1)) + (x // 2)
-    return c

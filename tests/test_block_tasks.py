@@ -30,7 +30,6 @@ from rayhist.api import OSMContributionView, OSMEntitySnapshotView
 from rayhist.functions.deadline import Deadline, RayhistTimeoutError
 from rayhist.ingest import ensure_documents, read_documents, sig_keytable
 from rayhist.model import DECODE_COLUMNS
-from rayhist.ops.multimodal import decode_media, resize_media, sample_frames, synth_media_table
 from rayhist.pipelines import CONTRIB_BINS, CONTRIB_FROM, CONTRIB_TO, SNAP_DAILY, SNAP_WEEKLY
 from rayhist.spatial.grid import cell_id
 from rayhist.spatial.knn import ensure_ivf_layout, ensure_lsh_layout
@@ -470,6 +469,27 @@ def test_keyed_count_queries_ship_the_views_stage(monkeypatch, block_tasks, rout
         assert stages and {type(s) for s in stages} == {KeyedPartials}, stages
 
 
+@pytest.mark.parametrize("query", [
+    "contrib_type_counts_ways", "contrib_type_counts_ways_k3", "contrib_type_counts_relations",
+    "snapshot_way_geoms", "snapshot_relation_geoms",
+])
+def test_compound_queries_ship_a_partial_of_their_kernel(block_tasks, query):
+    """The compound-document queries ship a ``functools.partial`` of
+    their ``members_vec`` kernel to their block tasks (pickled by
+    reference to the kernel), never a per-query closure."""
+    from rayhist.members_vec import contribution_stats_batch_vec, snapshot_geoms_batch_vec
+
+    fn = pipelines.QUERIES[query][0]
+    fn(SF)  # warm-up: the resident admission runs its own block tasks
+    block_tasks.clear()
+    fn(SF)
+    stages = [ray.get(a[0]) if isinstance(a[0], ray.ObjectRef) else a[0] for a in block_tasks]
+    assert stages, query
+    for s in stages:
+        assert isinstance(s, functools.partial), s
+        assert s.func in (contribution_stats_batch_vec, snapshot_geoms_batch_vec), s
+
+
 # the nested stages of pipelines.py that group by by hand and feed a
 # block task, each with the reduction a keyed count and sums cannot hold
 HAND_ROLLED_GROUP_BYS = {
@@ -793,27 +813,12 @@ def test_region_counts_stage_ships_no_index():
         assert compare(query, pipelines.QUERIES[query][0](SF), want)
 
 
-def _media(kind="image"):
-    t = synth_media_table([f"{kind}://{i}" for i in range(6)], kind)
-    return ray.data.from_arrow(t)
-
-
-TASK_STAGES = {
-    "decode_media": lambda: decode_media(_media()),
-    "resize_media": lambda: resize_media(_media()),
-    "sample_frames": lambda: sample_frames(_media("video")),
-}
-
-
-@pytest.mark.parametrize("name", [*sorted(TASK_STAGES), *INDEX_QUERIES])
+@pytest.mark.parametrize("name", INDEX_QUERIES)
 def test_stateful_stages_run_without_an_actor_pool(actor_pools, name):
     """Stateful stages (codec probes, region indexes) are built once on
     the driver and shipped with a plain stage function: Ray Data builds
     no actor pool for them."""
-    if name in TASK_STAGES:
-        assert TASK_STAGES[name]().materialize().count()
-    else:
-        assert len(pipelines.QUERIES[name][0](SF))
+    assert len(pipelines.QUERIES[name][0](SF))
     assert actor_pools == []
 
 
@@ -929,11 +934,12 @@ def test_operator_outputs_are_read_without_an_execution(executions):
     assert not executions
 
 
-def test_graph_operators_run_no_ray_data_execution(executions):
+def test_graph_operators_run_no_ray_data_execution(executions, monkeypatch):
     """The graph operators over a from_arrow_refs input: every message
     round is one io.reduce_by_key and every driver read one
     io.map_blocks, on both sides of the size gate, so no Ray Data
     execution starts."""
+    from rayhist.ops import cc
     from rayhist.ops.bfs import bfs_hops
     from rayhist.ops.cc import connected_components
     from rayhist.ops.kcore import k_core
@@ -946,9 +952,10 @@ def test_graph_operators_run_no_ray_data_execution(executions):
         blocks.append(pa.table({"src": u[keep], "dst": v[keep]}))
     edges = ray.data.from_arrow_refs([ray.put(b) for b in blocks]).materialize()
     executions.clear()
-    for gate in (2_000_000, 0):
-        hops = bfs_hops(edges, lambda n: n % 7 == 0, 3, broadcast_gate=gate)
-        core, _ = k_core(edges, 3, broadcast_gate=gate)
+    for gate in (cc.BROADCAST_GATE, 0):
+        monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
+        hops = bfs_hops(edges, lambda n: n % 7 == 0, 3)
+        core, _ = k_core(edges, 3)
         assert hops["n"].sum() and rio.num_rows(core)
     assert rio.blocks_table(connected_components(edges)).num_rows
     assert not executions

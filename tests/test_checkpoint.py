@@ -153,42 +153,6 @@ def test_salted_count_matches_unsalted():
     assert salted.equals(plain)
 
 
-def test_write_partitioned_by_cell_coalesces(tmp_path):
-    import numpy as np
-    import ray.data
-
-    from rayhist.state.checkpoint import _ancestor_cell, write_partitioned_by_cell
-
-    rng = np.random.default_rng(6)
-    # dense cell 100 (zoom 4) + sparse neighbors
-    cells = np.r_[np.full(500, 37), rng.choice([2, 3, 18, 19], 40)]
-    ds = ray.data.from_arrow(pa.table({"cell": cells.astype(np.int64), "x": np.arange(len(cells))}))
-    manifest = write_partitioned_by_cell(ds, str(tmp_path / "out"), zoom=4, min_rows_per_cell=100)
-    parts = manifest["partitions"]
-    assert any("part_cell=37" in p and "part_zoom=4" in p for p in parts)  # dense stays
-    assert all("part_zoom=4" not in p or "part_cell=37" in p for p in parts)  # sparse promoted
-    # row conservation
-    import pyarrow.parquet as pq
-
-    files = list((tmp_path / "out" / "cells").rglob("*.parquet"))
-    total = sum(pq.read_metadata(f).num_rows for f in files)
-    assert total == len(cells)
-    # a RE-RUN replaces the layout — it must not append a second copy
-    # of every row into the surviving partition dirs
-    ds2 = ray.data.from_arrow(pa.table({"cell": cells.astype(np.int64), "x": np.arange(len(cells))}))
-    write_partitioned_by_cell(ds2, str(tmp_path / "out"), zoom=4, min_rows_per_cell=100)
-    files2 = list((tmp_path / "out" / "cells").rglob("*.parquet"))
-    assert sum(pq.read_metadata(f).num_rows for f in files2) == len(cells)
-
-
-def test_ancestor_cell_math():
-    from rayhist.state.checkpoint import _ancestor_cell
-
-    # zoom 2 (4x2): cell (y=1,x=3) = 7 -> zoom 1 (2x1): (0, 1) = 1 -> zoom 0: 0
-    assert _ancestor_cell(7, 2, 1) == 1
-    assert _ancestor_cell(7, 2, 0) == 0
-
-
 def test_parallelism_invariance():
     """The same query over different block layouts / batch sizes gives
     identical results — the Ray analog of the reference's backend-
@@ -265,51 +229,6 @@ def test_sharded_snapshot_job_resume(tmp_path):
     assert combined.sort_values("ts_q").reset_index(drop=True).equals(
         single.sort_values("ts_q").reset_index(drop=True)
     )
-
-
-def test_partitioned_layout_pruned_query(tmp_path):
-    """ETL->layout->pruned-query: points written partitioned by their
-    grid cell; an AOI query reads ONLY the matching partition
-    directories (directory-level pruning) and equals the full scan
-    filtered to the AOI."""
-    import numpy as np
-    import ray.data
-
-    from rayhist.model import LAT_MOD, LON_MOD
-    from rayhist.spatial.grid import bbox_cells, cell_id
-    from rayhist.state.checkpoint import write_partitioned_by_cell
-
-    ZOOM = 3
-    rng = np.random.default_rng(17)
-    lon = rng.integers(-LON_MOD // 2, LON_MOD // 2, 3000)
-    lat = rng.integers(-LAT_MOD // 2, LAT_MOD // 2, 3000)
-    cells = cell_id(lon, lat, ZOOM)
-    ds = ray.data.from_arrow(
-        pa.table({"lon_e7": lon, "lat_e7": lat, "cell": cells, "x": np.arange(3000)})
-    )
-    out = tmp_path / "layout"
-    # min_rows_per_cell=1: no coalescing -> every partition at the
-    # query zoom, so directory pruning is exercised (promoted coarse
-    # cells must always be read)
-    write_partitioned_by_cell(ds, str(out), zoom=ZOOM, min_rows_per_cell=1)
-
-    aoi = (-400_000_000, -200_000_000, 400_000_000, 200_000_000)
-    aoi_cells = set(int(c) for c in bbox_cells(ZOOM, *aoi))
-    staging = out / "cells"
-    all_dirs = sorted(staging.glob("part_zoom=*/part_cell=*"))
-    matching = [d for d in all_dirs if int(d.name.split("=")[1]) in aoi_cells]
-    assert 0 < len(matching) < len(all_dirs)  # pruning skips directories
-
-    def aoi_count(dirs):
-        files = [str(f) for d in dirs for f in sorted(Path(d).glob("*.parquet"))]
-        t = ray.data.read_parquet(files).to_pandas()
-        m = (
-            (t["lon_e7"] >= aoi[0]) & (t["lon_e7"] <= aoi[2])
-            & (t["lat_e7"] >= aoi[1]) & (t["lat_e7"] <= aoi[3])
-        )
-        return int(m.sum())
-
-    assert aoi_count(matching) == aoi_count(all_dirs)  # nothing missed
 
 
 def test_latest_state_write_terminated_matches_oracle():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rayhist import io as rio
 from rayhist.functions.tdigest import TDigest
+from rayhist.ops import cc
 from rayhist.ops.dedup import (
     exact_dedup,
     exact_jaccard_pairs,
@@ -17,10 +18,14 @@ from rayhist.ops.dedup import (
     shingle_set,
     simhash64,
 )
-from rayhist.ops.multimodal import decode_media, synth_media_table
+from rayhist.ops.multimodal import MediaDecodeStage, synth_media_table
 from rayhist.ops.relational import exact_quantiles_int
 from rayhist.ops.text import add_token_count
 from tests.test_window import _blocks  # a graph operator has one bucket per input block
+
+# the graph operators' size gate as shipped (tests lower it to 0 to run
+# the distributed rounds)
+DEFAULT_GATE = cc.BROADCAST_GATE
 
 
 def test_tdigest_accuracy_vs_exact():
@@ -159,16 +164,16 @@ def test_token_count_definition():
 
 
 def test_multimodal_plumbing():
-    import ray.data
-
+    """The decode stage runs in block tasks (one per block, as the
+    media queries run it) and yields the same features every time."""
     refs = [f"img://{i}" for i in range(10)]
-    ds = ray.data.from_arrow(synth_media_table(refs))
-    out = decode_media(ds, batch_size=4).to_pandas()
+    blocks = _blocks(synth_media_table(refs).to_pandas(), 3)
+    out = rio.map_blocks(blocks, MediaDecodeStage()).to_pandas()
     assert len(out) == 10
     assert set(out.columns) == {"media_ref", "kind", "width", "height", "feature"}
     assert all(len(f) == 16 for f in out["feature"])
     # deterministic: same ref -> same feature
-    out2 = decode_media(ray.data.from_arrow(synth_media_table(refs))).to_pandas()
+    out2 = rio.map_blocks(rio.table_blocks(synth_media_table(refs)), MediaDecodeStage()).to_pandas()
     a = out.sort_values("media_ref")["feature"].tolist()
     b = out2.sort_values("media_ref")["feature"].tolist()
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -295,38 +300,6 @@ def test_short_docs_never_near_dup():
     # short docs emit zero band rows
     bands = MinHashStage()(pa.table({"doc_id": [0, 1], "text": ["hi", "yo"]}))
     assert len(bands) == 0
-
-
-def test_media_resize_and_frame_sample():
-    """Resize keeps aspect ratio and caps the box; frame sampling fans
-    1 video -> n deterministic frame rows at evenly spaced timestamps."""
-    import pyarrow as pa
-    import ray.data
-
-    from rayhist.ops.multimodal import resize_media, sample_frames, synth_media_table
-
-    refs = [f"vid://{i}" for i in range(6)]
-    t = synth_media_table(refs, kind="video")
-    t = t.set_column(t.schema.get_field_index("duration_ms"), "duration_ms",
-                     pa.array([1000, 2000, 400, 8000, 100, 60000], type=pa.int32()))
-    ds = ray.data.from_arrow(t)
-
-    r = resize_media(ds, max_w=20, max_h=10).to_pandas().sort_values("media_ref")
-    assert (r["width"] <= 20).all() and (r["height"] <= 10).all()
-    orig = t.to_pandas().sort_values("media_ref")
-    ar_old = orig["width"].to_numpy() / orig["height"].to_numpy()
-    ar_new = r["width"].to_numpy() / r["height"].to_numpy()
-    assert np.abs(ar_old - ar_new).max() / ar_old.max() < 0.25  # int rounding tolerance
-
-    f = sample_frames(ray.data.from_arrow(t), n_frames=4).to_pandas()
-    assert len(f) == 6 * 4
-    per = f[f["media_ref"] == "vid://5"].sort_values("frame_idx")
-    assert per["ts_ms"].tolist() == [7500, 22500, 37500, 52500]  # evenly spaced in 60s
-    # deterministic across runs
-    f2 = sample_frames(ray.data.from_arrow(t), n_frames=4).to_pandas()
-    a = f.sort_values(["media_ref", "frame_idx"])["frame"].tolist()
-    b = f2.sort_values(["media_ref", "frame_idx"])["frame"].tolist()
-    assert a == b
 
 
 def test_tag_interpreter_modes():
@@ -943,9 +916,12 @@ def _pandas_combine_partials(ds, keys, sums):
             if pd.api.types.is_integer_dtype(df[src].dtype):
                 row[out] = row[out].astype("int64")
         return row
-    g = df.groupby(keys, as_index=False, dropna=False).agg(
+    g = df.groupby(keys, as_index=False, dropna=False, observed=False).agg(
         **{out: (src, "sum") for src, out in sums.items()}
     )
+    for k in keys:  # pandas names a null object key NaN; Arrow's to_pandas, None
+        if g[k].dtype == object:
+            g[k] = g[k].where(g[k].notna(), None)
     return g
 
 
@@ -973,7 +949,9 @@ _KEY_VALUES = {
 
 def _key_array(kind, values):
     if kind == "c":  # a pandas categorical, as a pandas partial stage emits it
-        return pa.array(pd.Categorical(values), pa.dictionary(pa.int8(), pa.string()))
+        # string categories even when every value is null
+        cats = pd.Index(sorted({v for v in values if v is not None}), dtype=object)
+        return pa.array(pd.Categorical(values, categories=cats), pa.dictionary(pa.int8(), pa.string()))
     return pa.array(values, type={"s": pa.string(), "i": pa.int64(), "f": pa.float64()}[kind])
 
 
@@ -1013,7 +991,6 @@ def _widened(want: pd.DataFrame, sums) -> pd.DataFrame:
     return want
 
 
-@pytest.mark.filterwarnings("ignore::FutureWarning")
 @settings(max_examples=300, deadline=None)
 @given(_partials())
 def test_combine_partials_equals_pandas_reference(case):
@@ -1096,7 +1073,7 @@ def _aggregated(draw):
     return df, expected, fill
 
 
-@pytest.mark.filterwarnings("ignore::FutureWarning")
+@pytest.mark.filterwarnings("ignore::FutureWarning")  # the reference's fillna downcast
 @settings(max_examples=300, deadline=None)
 @given(_aggregated())
 def test_zerofill_equals_pandas_reference(case):
@@ -1308,8 +1285,8 @@ def test_hash_join_multikey_null_component_matches_nothing():
 
 def test_minhash_driver_gate_paths_identical(monkeypatch):
     """The gated driver pass and the forced distributed path
-    (DRIVER_GATE 0) produce byte-identical pairs on a randomized
-    corpus with planted near-dups."""
+    (DRIVER_GATE 0) produce byte-identical pairs, dtypes included, on
+    a randomized corpus with planted near-dups."""
     import ray.data
 
     from rayhist.ops import dedup
@@ -1330,7 +1307,7 @@ def test_minhash_driver_gate_paths_identical(monkeypatch):
     assert len(local) > 0  # the planted dups must be found
     pd.testing.assert_frame_equal(
         local.reset_index(drop=True),
-        dist.sort_values(["doc_a", "doc_b"]).reset_index(drop=True).astype(local.dtypes.to_dict()),
+        dist.sort_values(["doc_a", "doc_b"]).reset_index(drop=True),
     )
 
 
@@ -1822,7 +1799,7 @@ def _tri_brute(edges: list[tuple[int, int]]) -> tuple[int, int]:
     return len(E), tri
 
 
-def test_triangle_count_brute_force():
+def test_triangle_count_brute_force(monkeypatch):
     """Randomized differential: degree-oriented wedge join vs the
     O(E * V) adjacency-intersection brute force, including duplicate
     and self-loop inputs."""
@@ -1838,8 +1815,10 @@ def test_triangle_count_brute_force():
         ds = _blocks(pd.DataFrame({"src": u.astype(np.int64), "dst": v.astype(np.int64)}), 4)
         got = triangle_count(ds)  # broadcast fast path
         assert got == _tri_brute(edges), (n, m)
-        # distributed wedge-join path pinned equal (gate=0 forces it)
-        assert triangle_count(ds, broadcast_gate=0) == got, (n, m)
+        # distributed wedge-join path pinned equal (gate 0 forces it)
+        with monkeypatch.context() as mp:
+            mp.setattr(cc, "BROADCAST_GATE", 0)
+            assert triangle_count(ds) == got, (n, m)
 
 
 def test_triangle_count_empty_and_triangle():
@@ -2070,9 +2049,9 @@ def _kcore_brute(edges, k):
             return [], rounds
 
 
-def test_k_core_brute_force_and_path_equality():
+def test_k_core_brute_force_and_path_equality(monkeypatch):
     """Random graphs vs the Python peel, broadcast and distributed
-    paths pinned equal (gate=0 forces the message rounds)."""
+    paths pinned equal (gate 0 forces the message rounds)."""
     import ray
 
     from rayhist.ops.kcore import k_core
@@ -2087,8 +2066,9 @@ def test_k_core_brute_force_and_path_equality():
             dedupe_edges(raw), lambda b: b.rename_columns(["src", "dst"])
         )
         want_nodes, want_rounds = _kcore_brute(list(zip(u.tolist(), v.tolist())), k)
-        for gate in (2_000_000, 0):
-            core, rounds = k_core(edges, k, broadcast_gate=gate)
+        for gate in (DEFAULT_GATE, 0):
+            monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
+            core, rounds = k_core(edges, k)
             got = sorted(core.to_pandas()["node"].tolist())
             assert got == want_nodes, (n, m, k, gate)
             assert rounds == want_rounds, (n, m, k, gate)
@@ -2129,9 +2109,9 @@ def test_grouped_ewma_brute_force():
     pd.testing.assert_frame_equal(got.astype("int64"), want)
 
 
-def test_bfs_hops_brute_force_and_path_equality():
+def test_bfs_hops_brute_force_and_path_equality(monkeypatch):
     """Random graphs vs a Python BFS; broadcast and distributed
-    message-round paths pinned equal (gate=0 forces the rounds)."""
+    message-round paths pinned equal (gate 0 forces the rounds)."""
     import collections
 
     import ray
@@ -2164,8 +2144,9 @@ def test_bfs_hops_brute_force_and_path_equality():
             want.append((h, len(nxt)))
             frontier = nxt
         want_df = pd.DataFrame(want, columns=["hop", "n"]).astype("int64")
-        for gate in (2_000_000, 0):
-            got = bfs_hops(edges, lambda a: a % 5 == 0, 3, broadcast_gate=gate)
+        for gate in (DEFAULT_GATE, 0):
+            monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
+            got = bfs_hops(edges, lambda a: a % 5 == 0, 3)
             pd.testing.assert_frame_equal(got, want_df), (n, m, gate)
 
 
@@ -2199,9 +2180,9 @@ def test_triangle_counts_per_node_brute_force():
     pd.testing.assert_frame_equal(got.astype("int64"), want)
 
 
-def test_sssp_int_brute_force_and_path_equality():
+def test_sssp_int_brute_force_and_path_equality(monkeypatch):
     """Random weighted graphs vs a Python Bellman-Ford; broadcast and
-    distributed message-round paths pinned equal (gate=0 forces the
+    distributed message-round paths pinned equal (gate 0 forces the
     rounds)."""
     import ray
 
@@ -2235,13 +2216,9 @@ def test_sssp_int_brute_force_and_path_equality():
             sorted((x, d) for x, d in dist.items() if d < INF),
             columns=["node", "dist"],
         ).astype("int64")
-        for gate in (2_000_000, 0):
-            got = sssp_int(
-                edges,
-                lambda a: a % 5 == 0,
-                rounds,
-                broadcast_gate=gate,
-            )
+        for gate in (DEFAULT_GATE, 0):
+            monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
+            got = sssp_int(edges, lambda a: a % 5 == 0, rounds)
             pd.testing.assert_frame_equal(got, want), (n, m, gate)
 
 
@@ -2465,10 +2442,10 @@ def test_inverted_index_postings_prefix():
     assert (got["df"] > POSTINGS_K).any()  # prefixes actually truncate
 
 
-def test_edge_triangle_support_brute_force_and_paths_pinned():
+def test_edge_triangle_support_brute_force_and_paths_pinned(monkeypatch):
     """Per-edge support vs an adjacency-intersection brute force on
     random multigraph inputs (dupes + self-loops tolerated), with the
-    driver-final and distributed (gate=0) paths pinned equal —
+    driver-final and distributed (gate 0) paths pinned equal —
     including zero-support edges, which must survive with cn=0."""
     import ray
 
@@ -2497,9 +2474,10 @@ def test_edge_triangle_support_brute_force_and_paths_pinned():
             .reset_index(drop=True)
         )
 
-        for gate in (2_000_000, 0):
+        for gate in (DEFAULT_GATE, 0):
+            monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
             got = (
-                edge_triangle_support(ds, broadcast_gate=gate)
+                edge_triangle_support(ds)
                 .to_pandas()
                 .astype("int64")
                 .sort_values(["u", "v"])
@@ -3036,10 +3014,11 @@ def test_mannwhitney_identity_and_scipy_free_check():
 
 
 # ---------------------------------------------------------------- HITS
-def test_hits_bipartite_matches_bruteforce():
+def test_hits_bipartite_matches_bruteforce(monkeypatch):
     """Distributed integer HITS equals the single-process fixed-point
     reference (exact Python ints) on a random bipartite graph, at two
-    bucket counts (partitioning invariance)."""
+    bucket counts (partitioning invariance), and so does the driver
+    pass under the default gate."""
     import numpy as np
     import pandas as pd
     import ray.data
@@ -3072,15 +3051,29 @@ def test_hits_bipartite_matches_bruteforce():
 
     # duplicated edge rows must dedupe in the routing pass
     dup = pd.concat([edges, edges.head(50)], ignore_index=True)
-    for nb, gate in ((4, 0), (17, 0), (8, 10**9)):
-        got = hits_bipartite(
-            _blocks(dup, nb), src="s", dst="d", iters=iters, scale=scale, broadcast_gate=gate,
-        )
+    for nb, gate in ((4, 0), (17, 0), (8, DEFAULT_GATE)):
+        monkeypatch.setattr(cc, "BROADCAST_GATE", gate)
+        got = hits_bipartite(_blocks(dup, nb), src="s", dst="d", iters=iters, scale=scale)
         assert dict(zip(got["node"], got["val"])) == a
 
 
-def test_hits_distributed_overflow_guard():
-    """Above the gate (forced with broadcast_gate=0) the message sums
+def test_bench_graph_family_runs_over_the_floor_graph(tmp_path, monkeypatch):
+    """Every op of ``bench.py --family graph`` runs once over the floor
+    graph with the size gate lowered to 0 around its own call, and the
+    gate is back at its default after each."""
+    import bench
+
+    monkeypatch.setenv("RAYHIST_CACHE", str(tmp_path))
+    res = {}
+    for name, op in bench._graph_ops(bench.ensure_floor_graph(), 3).items():
+        res[name] = op()
+        assert cc.BROADCAST_GATE == DEFAULT_GATE, name
+    n_edges = res["triangles"][0]
+    assert n_edges > 0 and res["edge_support"] == n_edges  # a support row per edge
+
+
+def test_hits_distributed_overflow_guard(monkeypatch):
+    """Above the gate (forced with a gate of 0) the message sums
     are guarded like the local rounds: a scale that would wrap int64
     raises OverflowError (unguarded, the wrapped total surfaced as a
     misleading 'non-positive score total')."""
@@ -3091,10 +3084,9 @@ def test_hits_distributed_overflow_guard():
     from rayhist.ops.hits import hits_bipartite
 
     edges = pd.DataFrame({"s": [1, 2, 3, 1], "d": [10, 10, 11, 11]})
+    monkeypatch.setattr(cc, "BROADCAST_GATE", 0)
     with pytest.raises(OverflowError, match="int64 bound"):
-        hits_bipartite(
-            _blocks(edges, 4), src="s", dst="d", iters=2, scale=2**61, broadcast_gate=0,
-        )
+        hits_bipartite(_blocks(edges, 4), src="s", dst="d", iters=2, scale=2**61)
 
 
 def test_linreg_matches_numpy_lstsq():

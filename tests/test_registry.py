@@ -1,7 +1,12 @@
 """The query registry: every ``q_*`` pipeline is registered once, by
 ``@query`` in rayhist/pipelines.py, with its SQL twin. These checks pin
 the driver surface built from it (``__ray_entry__.queries()`` and
-``oracle_sql()``) without running a pipeline."""
+``oracle_sql()``) without running a pipeline, and that every top-level
+name in rayhist/ is reachable from that surface or a listed test
+reference."""
+
+import ast
+from pathlib import Path
 
 import __ray_entry__ as entry
 from rayhist import pipelines
@@ -153,3 +158,106 @@ def test_double_registration_raises():
 
     with pytest.raises(ValueError, match="registered twice"):
         pipelines.query(None)(q_snapshot_count_daily)
+
+
+# ------------------------------------------------------- reachability
+ROOT = Path(__file__).resolve().parents[1]
+FACADE = {"MapReducer", "OSMEntitySnapshotView", "OSMContributionView"}
+
+_BUILDERS = "geometry builder family: tests/reference_members.py builds on it"
+_SCALAR = "scalar reference of a vectorized kernel, pinned in the tests"
+# the top-level rayhist/ names no query, facade class, driver entry,
+# bench.py, tools/ or perfbench/ script reaches, each kept on purpose:
+# the tests use them as the reference the engine is checked against
+TEST_REFERENCES = {
+    "functions.geo.area_of_polygon": _SCALAR,
+    "functions.geo.length_of_line": _SCALAR,
+    "functions.geo.ring_area": _SCALAR,
+    "functions.geo.distance_haversine": "the port of the reference's Geo tests pins it",
+    "functions.timeutil.format_iso": "test fixture: ISO text of a microsecond timestamp",
+    "geometry.AREA_TAGS": _BUILDERS,
+    "geometry.DEFAULT_TAG_INTERPRETER": _BUILDERS,
+    "geometry.Geom": _BUILDERS,
+    "geometry.TagInterpreter": _BUILDERS,
+    "geometry.is_area": _BUILDERS,
+    "geometry.build_node": _BUILDERS,
+    "geometry.build_way": _BUILDERS,
+    "geometry.build_multipolygon": _BUILDERS,
+    "geometry.build_geometry_collection": _BUILDERS,
+    "geometry.normalize_ring": _BUILDERS,
+    "geometry._join_rings": _BUILDERS,
+    "geometry._split_crossings": _BUILDERS,
+    "geometry._shoelace_e7": _BUILDERS,
+    "geometry._point_in_ring": _BUILDERS,
+    "geometry._points_in_ring": _BUILDERS,
+    "geometry.clip_polygon_convex": "the port of the reference's split-invariant tests pins it",
+    "geometry.clip_segments_to_bbox": "the reference clip_segments_convex is checked against",
+    "model.format_geom_ref": "test fixture: the geom span's blob key",
+    "ops.dedup.shingle_set": _SCALAR,
+    "ops.dedup.simhash64": _SCALAR,
+    "spatial.s2.s2_parent": "test fixture: the S2 cell hierarchy checks",
+    "spatial.s2.s2_range": "test fixture: the S2 cell hierarchy checks",
+    "views.contribution_stage": "the contribution half of the view-stage pair",
+}
+
+
+def _refs(node: ast.AST) -> set[str]:
+    """Every identifier ``node`` names, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _targets(st: ast.stmt) -> list[str] | None:
+    """The names a top-level statement defines (None: it defines none)."""
+    if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [st.name]
+    if isinstance(st, ast.Assign):
+        return [n.id for t in st.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name):
+        return [st.target.id]
+    return None
+
+
+def unreached(root: Path = ROOT) -> set[str]:
+    """The top-level names of ``root/rayhist`` (``module.name``) that
+    nothing reaches from the roots: every ``q_*`` query, the facade
+    classes, every name ``__ray_entry__.py``, ``bench.py``, ``tools/``
+    and ``perfbench/`` use, and the statements a module runs at import.
+    A reference resolves by identifier alone, so a name is reached if
+    any reached code names it (an over-approximation: never a false
+    "unreached")."""
+    uses: dict[str, list[tuple[str, set]]] = {}
+    live = set(FACADE)
+    for path in sorted((root / "rayhist").rglob("*.py")):
+        mod = ".".join(path.relative_to(root / "rayhist").with_suffix("").parts)
+        for st in ast.parse(path.read_text()).body:
+            names = _targets(st)
+            if names is None:
+                if not isinstance(st, (ast.Import, ast.ImportFrom)):
+                    live |= _refs(st)  # runs at import
+                continue
+            for name in names:
+                uses.setdefault(name, []).append((f"{mod}.{name}", _refs(st)))
+                if name.startswith("__") or (mod == "pipelines" and name.startswith("q_")):
+                    live.add(name)
+    for path in [root / "__ray_entry__.py", root / "bench.py",
+                 *sorted((root / "tools").glob("*.py")), *sorted((root / "perfbench").glob("*.py"))]:
+        live |= _refs(ast.parse(path.read_text()))
+    seen: set[str] = set()
+    todo = list(live)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [r for _, refs in uses.get(name, []) for r in refs]
+    return {key for name, defs in uses.items() if name not in seen for key, _ in defs}
+
+
+def test_every_rayhist_name_is_reached_or_a_test_reference():
+    """Nothing in rayhist/ is dead code: a top-level name that no query,
+    facade class or script reaches is a listed test reference, and
+    every listed test reference still exists and is still unreached."""
+    assert unreached() == set(TEST_REFERENCES)

@@ -336,20 +336,13 @@ def test_query_path_is_resident_block_tasks():
 
 
 # the Dataset edges of the query surface, by (file, function): the facade's
-# view() and its stream() iterator, the checkpoint write sinks, the media
-# operators over a Dataset source and the kNN layout build inside io.ensure;
-# every other step hands on io.Blocks
+# view() and its stream() iterator, the checkpoint write sink and the kNN
+# layout build inside io.ensure; every other step hands on io.Blocks
 DATASET_EDGES = {
     ("api.py", "view"): {"dataset"},
     ("api.py", "stream"): {"iter_batches"},
     ("state/checkpoint.py", "run_sharded"): {"dataset", "write_parquet"},
-    ("state/checkpoint.py", "write_partitioned_by_cell"): {
-        "dataset", "map_batches", "write_parquet",
-    },
     ("spatial/knn.py", "_ensure_layout"): {"map_batches", "write_parquet"},
-    ("ops/multimodal.py", "decode_media"): {"map_batches"},
-    ("ops/multimodal.py", "resize_media"): {"map_batches"},
-    ("ops/multimodal.py", "sample_frames"): {"map_batches"},
 }
 DATASET_METHODS = {"materialize", "map_batches", "iter_batches", "to_arrow_refs", "write_parquet"}
 DATASET_SOURCES = {"from_arrow_refs", "from_arrow", "from_pandas", "from_items", "from_numpy"}

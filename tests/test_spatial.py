@@ -144,12 +144,12 @@ def test_way_areas_kernel_matches_area_of_polygon():
 
 
 def test_grid_knn_matches_brute_force():
-    """The exact grid-accelerated kNN must equal brute force, including
-    deterministic tie-breaks."""
+    """The exact grid kNN (``knn_queries``) must equal brute force,
+    including deterministic tie-breaks."""
     import pyarrow as pa
     import ray.data
 
-    from rayhist.spatial.knn import knn_points, knn_points_grid
+    from rayhist.spatial.knn import knn_points, knn_queries
 
     rng = np.random.default_rng(13)
     n = 5000
@@ -157,11 +157,11 @@ def test_grid_knn_matches_brute_force():
     lon = rng.integers(-LON_MOD // 2, LON_MOD // 2, n)
     lat = rng.integers(-LAT_MOD // 2, LAT_MOD // 2, n)
     ds = ray.data.from_arrow(
-        pa.table({"osm_id": ids, "lon_e7": lon, "lat_e7": lat})
+        pa.table({"osm_id": ids, "lon_e7": lon, "lat_e7": lat, "_is_query": ids % 517 == 0})
     ).materialize()
     queries = [(int(ids[i]), int(lon[i]), int(lat[i])) for i in range(0, n, 517)]
     brute = knn_points(ds, queries, k=4)
-    grid = knn_points_grid(ds, queries, k=4, zoom=6)
+    grid = knn_queries(ds, k=4, zoom=6)
     cols = ["query_id", "neighbor_id", "rank", "dist2"]
     import pandas.testing as pdt
 
@@ -180,18 +180,18 @@ def test_ivf_ann_recall():
     with nprobe, (c) full probing == exact."""
     import ray.data
 
-    from rayhist.spatial.knn import ann_cosine_ivf, ann_cosine_topk
+    from rayhist.spatial.knn import ann_cosine_ivf_pruned, ann_cosine_topk
+    from tests.test_ingest import SF
 
-    ds = ray.data.read_parquet(
-        "/root/testdata/sf0.001/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).materialize()
+    path = f"{SF}/embeddings.parquet"
+    ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"]).materialize()
     qids = [int(i) for i in range(0, 500, 50)]
     brute = ann_cosine_topk(ds, qids, k=5)
     b = {(r.query_id, r.neighbor_id) for r in brute.itertuples()}
 
     recalls = {}
     for nprobe in (3, 6, 8):
-        ivf = ann_cosine_ivf(ds, qids, k=5, nlist=8, nprobe=nprobe)
+        ivf = ann_cosine_ivf_pruned(path, qids, k=5, nlist=8, nprobe=nprobe)
         a = {(r.query_id, r.neighbor_id) for r in ivf.itertuples()}
         recalls[nprobe] = len(a & b) / len(b)
     assert recalls[3] >= 3 / 8
@@ -202,10 +202,10 @@ def test_ivf_ann_recall():
 def test_ivf_layout_prunes_scan():
     """The partitioned-by-bucket layout prunes I/O: at nprobe < nlist
     the scan reads fewer rows than the corpus, and at nprobe == nlist
-    the layout path equals the in-memory IVF path exactly."""
+    the layout path equals the exact brute-force top-k."""
     import ray.data
 
-    from rayhist.spatial.knn import ann_cosine_ivf, ann_cosine_ivf_pruned
+    from rayhist.spatial.knn import ann_cosine_ivf_pruned, ann_cosine_topk
 
     path = "/root/testdata/sf0.001/embeddings.parquet"
     total = ray.data.read_parquet(path).count()
@@ -214,9 +214,9 @@ def test_ivf_layout_prunes_scan():
     full = ann_cosine_ivf_pruned(path, qids, k=5, nlist=8, nprobe=8)
     assert full.attrs["rows_scanned"] == total
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-    mem = ann_cosine_ivf(ds, qids, k=5, nlist=8, nprobe=8)
+    exact = ann_cosine_topk(ds, qids, k=5)
     assert full[["query_id", "neighbor_id", "rank"]].equals(
-        mem[["query_id", "neighbor_id", "rank"]]
+        exact[["query_id", "neighbor_id", "rank"]]
     )
 
     pruned = ann_cosine_ivf_pruned(path, qids, k=5, nlist=8, nprobe=2)
@@ -632,13 +632,13 @@ def test_multizoom_layout_query_matches_plain_bbox():
 
 def test_grid_knn_antimeridian_point_matches_brute():
     """A point at lon exactly +180 deg wraps to grid column 0 while its
-    planar coordinate stays +1.8e9 — the explored-block guard must
-    clamp to 0 there (never 'resolve' off a negative margin) and fall
-    through to the exact path."""
+    planar coordinate stays +1.8e9 — the grid kNN (``knn_queries``)
+    must not resolve it off its wrapped cell and must equal the exact
+    brute force."""
     import pyarrow as pa
     import ray.data
 
-    from rayhist.spatial.knn import knn_points, knn_points_grid
+    from rayhist.spatial.knn import knn_points, knn_queries
 
     rng = np.random.default_rng(7)
     n = 300
@@ -648,11 +648,11 @@ def test_grid_knn_antimeridian_point_matches_brute():
     lon[0] = LON_MOD // 2
     lat = rng.integers(-1_000_000, 1_000_000, n)
     ds = ray.data.from_arrow(
-        pa.table({"osm_id": ids, "lon_e7": lon, "lat_e7": lat})
+        pa.table({"osm_id": ids, "lon_e7": lon, "lat_e7": lat, "_is_query": np.isin(ids, [0, 5])})
     ).materialize()
     queries = [(0, int(lon[0]), int(lat[0])), (5, int(lon[5]), int(lat[5]))]
     brute = knn_points(ds, queries, k=3)
-    grid = knn_points_grid(ds, queries, k=3, zoom=6)
+    grid = knn_queries(ds, k=3, zoom=6)
     cols = ["query_id", "neighbor_id", "rank", "dist2"]
     import pandas.testing as pdt
 
@@ -867,20 +867,42 @@ def test_polygon_rejects_closed_line_segment():
         Polygon([np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])])
 
 
-def test_hotspot_clusters_distributed_path_matches_driver_path():
+def test_hotspot_clusters_distributed_path_matches_driver_path(monkeypatch):
     """The size-gated driver union-find and the distributed
     fan-out + cc path must produce identical clusters — pinned at
     sf0.01 (real multi-cell clusters) and sf0.001 (a single isolated
-    dense cell, exercising the zero-edge singleton branch)."""
+    dense cell, exercising the zero-edge singleton branch). A gate of
+    0 is below sf0.001's one dense cell, so it forces the distributed
+    path at both."""
     import pandas as pd
 
-    from rayhist.pipelines import _hotspot_clusters
+    from rayhist import pipelines
 
+    default = pipelines.HOTSPOT_DRIVER_MAX
     for sf_dir in ("/root/testdata/sf0.001", "/root/testdata/sf0.01"):
-        fast = _hotspot_clusters(sf_dir)
-        dist = _hotspot_clusters(sf_dir, force_distributed=True)
+        monkeypatch.setattr(pipelines, "HOTSPOT_DRIVER_MAX", default)
+        fast = pipelines.q_snapshot_hotspot_clusters(sf_dir)
+        monkeypatch.setattr(pipelines, "HOTSPOT_DRIVER_MAX", 0)
+        dist = pipelines.q_snapshot_hotspot_clusters(sf_dir)
         pd.testing.assert_frame_equal(fast, dist)
     assert (fast["n_cells"] > 1).any()  # sf0.01 has genuine multi-cell clusters
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_semivariogram_divides_only_nonempty_rings():
+    """An empty distance ring's gamma is 0 without a 0/0 division (which
+    would warn); a filled ring's is one IEEE division of the exact sums.
+    sf0.001 has two empty rings."""
+    from rayhist.pipelines import q_semivariogram
+    from tests.test_ingest import SF
+
+    df = q_semivariogram(SF)
+    empty = df["n_pairs"] == 0
+    assert empty.any() and (~empty).any()
+    assert (df.loc[empty, "gamma"] == 0.0).all()
+    full = df[~empty]
+    want = full["sum_dz2"].astype(np.float64) / (2.0 * full["n_pairs"].astype(np.float64))
+    assert (full["gamma"] == want).all()
 
 
 def test_radius_self_join_brute_force():

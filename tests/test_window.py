@@ -1,5 +1,5 @@
-"""Ordered/temporal operator tests: as-of join, interval-point range
-join, prior-window rolling kernel, distinct set ops, top-k per group.
+"""Ordered/temporal operator tests: as-of join, interval coverage
+counts, prior-window rolling kernel, distinct set ops, top-k per group.
 Each distributed operator is checked against an independent brute-force
 in-memory oracle on randomized inputs, on multi-block inputs (one
 shuffle bucket per input block), and at two block counts to pin
@@ -15,7 +15,6 @@ from rayhist.ops.window import (
     asof_join,
     distinct_set_op,
     interval_coverage_counts,
-    interval_point_join,
     prior_window_sums,
     with_prior_window,
 )
@@ -124,66 +123,6 @@ def test_asof_group_final_runs_per_complete_key():
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-
-
-# ------------------------------------------------- interval x point
-
-
-def _brute_pairs(iv: pd.DataFrame, pt: pd.DataFrame) -> set:
-    out = set()
-    for _, r in iv.iterrows():
-        hits = pt[(pt["t"] >= r["s"]) & (pt["t"] < r["e"])]
-        out |= {(int(r["iid"]), int(p)) for p in hits["pid"]}
-    return out
-
-
-@pytest.mark.parametrize("bin_us", [1_000, 50_000])
-def test_interval_point_join_matches_bruteforce(bin_us):
-    rng = _rng()
-    n_iv, n_pt = 120, 900
-    s = rng.integers(0, 900_000, n_iv).astype(np.int64)
-    iv = pd.DataFrame(
-        {"iid": np.arange(n_iv, dtype=np.int64), "s": s,
-         "e": s + rng.integers(1, 40_000, n_iv).astype(np.int64)}
-    )
-    pt = pd.DataFrame(
-        {"pid": np.arange(n_pt, dtype=np.int64),
-         "t": rng.integers(0, 950_000, n_pt).astype(np.int64)}
-    )
-    got = interval_point_join(
-        _blocks(iv, 4),
-        _blocks(pt, 9),
-        start_col="s",
-        end_col="e",
-        t_col="t",
-        bin_us=bin_us,
-    ).to_pandas()
-    pairs = set(zip(got["iid"].astype(int), got["pid"].astype(int)))
-    assert len(pairs) == len(got)  # each qualifying pair exactly once
-    assert pairs == _brute_pairs(iv, pt)
-
-
-def test_interval_point_join_group_final_partials():
-    """group_final turns the pair stream into partial aggregates whose
-    total equals the full pair count."""
-    rng = _rng()
-    s = rng.integers(0, 100_000, 50).astype(np.int64)
-    iv = pd.DataFrame({"iid": np.arange(50, dtype=np.int64), "s": s, "e": s + 5_000})
-    pt = pd.DataFrame(
-        {"pid": np.arange(400, dtype=np.int64),
-         "t": rng.integers(0, 100_000, 400).astype(np.int64)}
-    )
-    exp = len(_brute_pairs(iv, pt))
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [len(g)]})
-
-    got = interval_point_join(
-        ray.data.from_pandas(iv), _blocks(pt, 6),
-        start_col="s", end_col="e", t_col="t", bin_us=5_000,
-        group_final=final,
-    ).to_pandas()
-    assert int(got["n"].sum()) == exp
 
 
 # ------------------------------------------------------ rolling window
@@ -508,20 +447,6 @@ def test_asof_join_empty_right_side():
     assert got["v"].isna().all()
 
 
-def test_interval_point_join_empty_sides():
-    from rayhist.ops.window import interval_point_join
-
-    iv = pd.DataFrame({"iid": pd.Series(dtype="int64"),
-                       "s": pd.Series(dtype="int64"), "e": pd.Series(dtype="int64")})
-    pt = pd.DataFrame({"pid": np.arange(10, dtype=np.int64),
-                       "t": np.arange(10, dtype=np.int64) * 100})
-    got = interval_point_join(
-        _blocks(iv, 2), _blocks(pt, 3),
-        start_col="s", end_col="e", t_col="t", bin_us=1_000,
-    ).to_pandas()
-    assert len(got) == 0
-
-
 def test_distinct_set_op_empty_b_side():
     a = pd.DataFrame({"k": np.arange(50, dtype=np.int64)})
     b = pd.DataFrame({"k": pd.Series(dtype="int64")})
@@ -529,18 +454,6 @@ def test_distinct_set_op_empty_b_side():
         _blocks(a, 3), ray.data.from_pandas(b), on="k", mode="except"
     ).to_pandas()
     assert sorted(got["k"].tolist()) == list(range(50))
-
-
-def test_interval_point_join_rejects_shared_names():
-    from rayhist.ops.window import interval_point_join
-
-    iv = pd.DataFrame({"s": [0], "e": [10], "t": [1]})  # 't' clashes
-    pt = pd.DataFrame({"t": [5]})
-    with pytest.raises(ValueError):
-        interval_point_join(
-            ray.data.from_pandas(iv), ray.data.from_pandas(pt),
-            start_col="s", end_col="e", t_col="t", bin_us=10,
-        )
 
 
 def test_asof_join_rejects_suffix_collision():
@@ -554,8 +467,7 @@ def test_asof_join_rejects_suffix_collision():
 
 
 def test_interval_coverage_counts_equals_pair_counts():
-    """Coverage counting == per-point pair-join match counts (the
-    non-expanding twin of interval_point_join)."""
+    """Coverage counting == per-point brute-force match counts."""
     from rayhist.ops.window import interval_coverage_counts
 
     rng = _rng()
@@ -679,11 +591,6 @@ def test_interval_ops_empty_bucket_schema_with_string_columns():
     numpy dtypes."""
     iv = pd.DataFrame({"s": [0, 10], "e": [20, 30]})
     pt = pd.DataFrame({"t": [5, 5000], "tag": ["a", "b"]})  # bin 50: no intervals
-    out = interval_point_join(
-        _blocks(iv, 2), _blocks(pt, 6),
-        "s", "e", "t", bin_us=100,
-    ).to_pandas()
-    assert len(out) == 1 and out["tag"].tolist() == ["a"]
     cov = interval_coverage_counts(
         _blocks(iv, 2), _blocks(pt, 6),
         "s", "e", "t", bin_us=100,
@@ -692,9 +599,8 @@ def test_interval_ops_empty_bucket_schema_with_string_columns():
 
 
 def test_interval_ops_reject_malformed_intervals():
-    """end < start must raise loudly in the shared replication tag —
-    downstream it would crash np.repeat in the pair kernel but
-    SILENTLY subtract from coverage counts."""
+    """end < start must raise loudly in the replication tag —
+    downstream it would SILENTLY subtract from coverage counts."""
     import pytest
     import ray.exceptions
 
